@@ -20,7 +20,6 @@ against.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +118,74 @@ class JoinViewDefinition:
         ].astype(np.int64)
         return (delta >= self.window_lo) & (delta <= self.window_hi)
 
+    @property
+    def join_signature(self) -> tuple:
+        """What determines the joined rows: sides, key/ts columns, window.
+
+        Neither the view's name nor ``omega``/``budget`` (truncation is a
+        property of the *served* view, not of the logical join), so every
+        view and ad-hoc query over the same join shares one entry of the
+        plaintext mirror (:meth:`GrowingDatabase.joined_at`).
+        """
+        return (
+            self.probe_table,
+            self.driver_table,
+            self.probe_key,
+            self.driver_key,
+            self.probe_ts,
+            self.driver_ts,
+            self.window_lo,
+            self.window_hi,
+        )
+
+    def joined_column(self, table: str, column: str) -> int:
+        """Index of logical ``table.column`` in a joined (view-schema) row."""
+        if table == self.probe_table:
+            return self.probe_schema.index(column)
+        if table == self.driver_table:
+            return self.probe_schema.width + self.driver_schema.index(column)
+        raise SchemaError(
+            f"sum_table {table!r} is neither side of the join "
+            f"({self.probe_table} ⋈ {self.driver_table})"
+        )
+
+    def logical_join_rows(
+        self, probe_rows: np.ndarray, driver_rows: np.ndarray
+    ) -> np.ndarray:
+        """All qualifying joined rows in plaintext, truncation-free.
+
+        The one plaintext join kernel: the ground truth the L1 error is
+        measured against (:meth:`logical_join_count` and
+        :meth:`logical_join_sum` fold it) and the delta join of the
+        owners' mirror.  Probe keys are sorted once and every driver key
+        ``searchsorted`` into them, so all equal-key candidate pairs come
+        out of array arithmetic; :meth:`pair_predicate_batch` then applies
+        the window.  Rows are driver-major, probes in input order within
+        one driver row.
+        """
+        if len(probe_rows) == 0 or len(driver_rows) == 0:
+            return self.view_schema.empty_rows(0)
+        probe_keys = probe_rows[:, self.probe_key_col]
+        order = np.argsort(probe_keys, kind="stable")
+        sorted_keys = probe_keys[order]
+        driver_keys = driver_rows[:, self.driver_key_col]
+        first = np.searchsorted(sorted_keys, driver_keys, side="left")
+        matches = np.searchsorted(sorted_keys, driver_keys, side="right") - first
+        # Candidate pair k joins driver row d[k] with the (k - start of
+        # d[k]'s run)-th probe row carrying its key.
+        d = np.repeat(np.arange(len(driver_rows)), matches)
+        run_start = np.repeat(np.cumsum(matches) - matches, matches)
+        p = order[np.repeat(first, matches) + np.arange(len(d)) - run_start]
+        probe_side, driver_side = probe_rows[p], driver_rows[d]
+        keep = self.pair_predicate_batch(probe_side, driver_side)
+        joined = np.hstack([probe_side[keep], driver_side[keep]])
+        return joined.astype(np.uint32, copy=False)
+
     def logical_join_count(
         self, probe_rows: np.ndarray, driver_rows: np.ndarray
     ) -> int:
         """Exact, truncation-free count of qualifying pairs (ground truth)."""
-        if len(probe_rows) == 0 or len(driver_rows) == 0:
-            return 0
-        by_key: dict[int, list[int]] = defaultdict(list)
-        pk, pt = self.probe_key_col, self.probe_ts_col
-        dk, dt = self.driver_key_col, self.driver_ts_col
-        for ts, key in zip(probe_rows[:, pt], probe_rows[:, pk]):
-            by_key[int(key)].append(int(ts))
-        count = 0
-        for row in driver_rows:
-            d_ts = int(row[dt])
-            for p_ts in by_key.get(int(row[dk]), ()):
-                if self.window_lo <= d_ts - p_ts <= self.window_hi:
-                    count += 1
-        return count
+        return len(self.logical_join_rows(probe_rows, driver_rows))
 
     def logical_join_sum(
         self,
@@ -150,43 +199,12 @@ class JoinViewDefinition:
         ``sum_table`` names which side the column lives on; the ground
         truth for :class:`~repro.query.ast.LogicalJoinSumQuery` scoring.
         """
-        if sum_table == self.probe_table:
-            from_probe, col = True, self.probe_schema.index(sum_column)
-        elif sum_table == self.driver_table:
-            from_probe, col = False, self.driver_schema.index(sum_column)
-        else:
-            raise SchemaError(
-                f"sum_table {sum_table!r} is neither side of the join "
-                f"({self.probe_table} ⋈ {self.driver_table})"
-            )
-        if len(probe_rows) == 0 or len(driver_rows) == 0:
-            return 0
-        pk, pt = self.probe_key_col, self.probe_ts_col
-        dk, dt = self.driver_key_col, self.driver_ts_col
-        by_key: dict[int, list[int]] = defaultdict(list)
-        for i, key in enumerate(probe_rows[:, pk]):
-            by_key[int(key)].append(i)
-        total = 0
-        for row in driver_rows:
-            d_ts = int(row[dt])
-            for i in by_key.get(int(row[dk]), ()):
-                if self.window_lo <= d_ts - int(probe_rows[i, pt]) <= self.window_hi:
-                    total += int(probe_rows[i, col]) if from_probe else int(row[col])
-        return total
+        column = self.joined_column(sum_table, sum_column)
+        return sum_column_exact(
+            self.logical_join_rows(probe_rows, driver_rows), column
+        )
 
-    def logical_join_rows(
-        self, probe_rows: np.ndarray, driver_rows: np.ndarray
-    ) -> np.ndarray:
-        """All qualifying joined rows in plaintext (testing aid)."""
-        out: list[np.ndarray] = []
-        pk, dk = self.probe_key_col, self.driver_key_col
-        by_key: dict[int, list[int]] = defaultdict(list)
-        for i, key in enumerate(probe_rows[:, pk] if len(probe_rows) else []):
-            by_key[int(key)].append(i)
-        for j in range(len(driver_rows)):
-            for i in by_key.get(int(driver_rows[j, dk]), ()):
-                if self.pair_predicate(probe_rows[i], driver_rows[j]):
-                    out.append(np.concatenate([probe_rows[i], driver_rows[j]]))
-        if not out:
-            return self.view_schema.empty_rows(0)
-        return np.vstack(out).astype(np.uint32)
+
+def sum_column_exact(rows: np.ndarray, column: int) -> int:
+    """Sum of one uint32 column as a Python ``int`` (no 32-bit wrap-around)."""
+    return int(rows[:, column].sum(dtype=np.uint64))

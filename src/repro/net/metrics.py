@@ -134,13 +134,15 @@ def render_metrics(observability: dict, tenants: dict | None = None) -> str:
                 "Rows per view shard",
                 labels={"view": name, "shard": shard},
             )
-    for key, value in (observability.get("incremental_cache") or {}).items():
-        if isinstance(value, (int, float, bool)):
-            lines.sample(
-                prefix + "accumulator_cache_" + str(key),
-                value,
-                "Incremental accumulator-cache counter",
-            )
+    for family, stem, help_text in (
+        ("incremental_cache", "accumulator_cache_",
+         "Incremental accumulator-cache counter"),
+        ("logical_mirror", "logical_mirror_",
+         "Ground-truth join mirror gauge (upload/query counts only)"),
+    ):
+        for key, value in (observability.get(family) or {}).items():
+            if isinstance(value, (int, float, bool)):
+                lines.sample(prefix + stem + str(key), value, help_text)
     for worker, gauges in (observability.get("workers") or {}).items():
         for key, value in gauges.items():
             if isinstance(value, (int, float, bool)):

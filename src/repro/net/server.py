@@ -208,14 +208,18 @@ class _EventLoop(threading.Thread):
         while True:
             try:
                 events = self.selector.select(self._poll_timeout())
+                # Drain before running tasks: a call_soon that lands after
+                # the drain leaves its byte in the pipe and the next select
+                # returns at once.  The other order swallows that byte with
+                # its task still queued, and the task waits out the timeout.
+                if any(key.data[0] == "wake" for key, _mask in events):
+                    self._drain_wake()
                 self._run_tasks()
                 for key, mask in events:
                     kind, conn = key.data
-                    if kind == "wake":
-                        self._drain_wake()
-                    elif kind == "listener":
+                    if kind == "listener":
                         self.net._on_accept(self)
-                    else:
+                    elif kind != "wake":
                         if mask & selectors.EVENT_WRITE and not conn.closed:
                             self.net._flush(self, conn)
                         if mask & selectors.EVENT_READ and not conn.closed:

@@ -52,7 +52,7 @@ from ..core.engine import MODES, validate_policy_knobs
 from ..core.flush import CacheFlusher
 from ..core.shrink_ant import SDPANT
 from ..core.shrink_timer import SDPTimer
-from ..core.view_def import JoinViewDefinition
+from ..core.view_def import JoinViewDefinition, sum_column_exact
 from ..dp.accountant import (
     PrivacyAccountant,
     tenant_scoped_segment,
@@ -450,9 +450,7 @@ class IncShrinkDatabase:
                 batch.schema, batch.rows, batch.is_real.astype("uint32")
             )
             store.append_batch(shared, time)
-            real = batch.real_rows()
-            if len(real):
-                self.logical.insert(time, name, real)
+            self.logical.insert(time, name, batch.real_rows())
             for group in self.groups.values():
                 group.register_upload(name, shared, time, len(batch))
         self._state_version += 1
@@ -600,6 +598,10 @@ class IncShrinkDatabase:
             self.accumulator_cache = AccumulatorCache(max_cached_queries)
         elif not enabled:
             self.accumulator_cache = None
+
+    def logical_mirror_stats(self) -> dict:
+        """Hit/extension/signature gauges of the ground-truth join mirror."""
+        return self.logical.join_mirror_stats()
 
     def incremental_cache_stats(self) -> dict:
         """Hit/miss/evict gauges of the accumulator cache (``{}`` when off)."""
@@ -786,9 +788,7 @@ class IncShrinkDatabase:
         self.finalize()
         vr = self.views[view_name]
         vd = vr.view_def
-        probe_rows = self.logical.instance_at(vd.probe_table, time)
-        driver_rows = self.logical.instance_at(vd.driver_table, time)
-        logical_answer = vd.logical_join_count(probe_rows, driver_rows)
+        logical_answer = len(self.logical.joined_at(vd, time))
         if vr.mode == "nm":
             answer, qet = execute_nm_count(
                 self.runtime,
@@ -822,10 +822,9 @@ class IncShrinkDatabase:
         self.finalize()
         vr = self.views[view_name]
         vd = vr.view_def
-        probe_rows = self.logical.instance_at(vd.probe_table, time)
-        driver_rows = self.logical.instance_at(vd.driver_table, time)
-        logical_answer = vd.logical_join_sum(
-            probe_rows, driver_rows, sum_table, sum_column
+        logical_answer = sum_column_exact(
+            self.logical.joined_at(vd, time),
+            vd.joined_column(sum_table, sum_column),
         )
         if vr.mode == "nm":
             answer, qet = execute_nm_sum(
@@ -976,15 +975,15 @@ class IncShrinkDatabase:
     ) -> QueryAnswer:
         """Ground-truth answer table over the plaintext mirror D_t.
 
-        Materializes the exact (truncation-free) join rows in view-schema
-        layout and folds the *same* lowered plan the secure paths
-        execute, so logical and served answers are aggregated through
-        identical code.
+        Takes the exact (truncation-free) join rows in view-schema layout
+        from the mirror's incrementally maintained join — only batches
+        this join has not seen yet are joined — and folds the *same*
+        lowered plan the secure paths execute, so logical and served
+        answers are aggregated through identical code.
         """
         spec = self._join_spec(lq)
-        probe_rows = self.logical.instance_at(lq.probe_table, time)
-        driver_rows = self.logical.instance_at(lq.driver_table, time)
-        joined = spec.logical_join_rows(probe_rows, driver_rows)
         return aggregate_plain(
-            lower_to_view_scan(lq, spec), spec.view_schema, joined
+            lower_to_view_scan(lq, spec),
+            spec.view_schema,
+            self.logical.joined_at(spec, time),
         )

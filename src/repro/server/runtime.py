@@ -139,6 +139,9 @@ class ServingStats:
     #: accumulator-cache gauges (hits/misses/evictions/...); empty when
     #: incremental execution is disabled
     incremental_cache: dict = field(default_factory=dict)
+    #: ground-truth join mirror gauges (hits/extensions/signatures) —
+    #: functions of upload and query counts only, never of row counts
+    logical_mirror: dict = field(default_factory=dict)
     #: per-worker fleet gauges (assigned shards, heartbeat age, scans
     #: served, re-scatters); empty unless the remote backend is active
     workers: dict = field(default_factory=dict)
@@ -169,6 +172,7 @@ class ServingStats:
             "query_epsilon": self.query_epsilon,
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "incremental_cache": dict(self.incremental_cache),
+            "logical_mirror": dict(self.logical_mirror),
             "workers": {
                 name: dict(gauges) for name, gauges in self.workers.items()
             },
@@ -650,6 +654,7 @@ class DatabaseServer:
             self.stats.incremental_cache = (
                 self.database.incremental_cache_stats()
             )
+            self.stats.logical_mirror = self.database.logical_mirror_stats()
             self.stats.workers = self.database.remote_worker_stats()
             return self.stats
 
@@ -693,6 +698,9 @@ class DatabaseServer:
         metadata = dict(self.metadata)
         metadata["last_time"] = self._last_time
         metadata["stats"] = self.stats.to_dict()
+        # The join mirror is not in the snapshot (a restored database
+        # starts cold at zero); neither are the gauges that describe it.
+        del metadata["stats"]["logical_mirror"]
         info = snapshot_database(self.database, target, metadata=metadata)
         self._steps_since_snapshot = 0
         with self._stats_lock:

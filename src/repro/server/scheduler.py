@@ -50,19 +50,7 @@ def transform_signature(view_def: JoinViewDefinition, join_impl: str) -> tuple:
     deltas, so the servers run the circuit once and append the delta to
     both caches.
     """
-    return (
-        view_def.probe_table,
-        view_def.driver_table,
-        view_def.probe_key,
-        view_def.driver_key,
-        view_def.probe_ts,
-        view_def.driver_ts,
-        view_def.window_lo,
-        view_def.window_hi,
-        view_def.omega,
-        view_def.budget,
-        join_impl,
-    )
+    return (*view_def.join_signature, view_def.omega, view_def.budget, join_impl)
 
 
 class _FanoutSink:

@@ -21,17 +21,29 @@ state, not threads — so these tests attack exactly that:
 from __future__ import annotations
 
 import socket
+import statistics
 import threading
 import time as _time
 
+import numpy as np
 import pytest
+
+from repro.common.types import RecordBatch
 
 from repro.net import protocol as wire
 from repro.net.client import IncShrinkClient
 from repro.net.server import NetworkServer
+from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.runtime import DatabaseServer
 
-from test_network import batches_at, build_database, query_mix
+from test_network import (
+    DRIVER_SCHEMA,
+    PROBE_SCHEMA,
+    batches_at,
+    build_database,
+    full_view_def,
+    query_mix,
+)
 
 
 def _make_net(**kwargs) -> tuple[DatabaseServer, NetworkServer]:
@@ -229,6 +241,52 @@ def test_executing_connections_are_not_reaped_mid_request():
                 assert result.answers.rows
         finally:
             server.query = original
+        assert net._unhandled_errors == []
+    finally:
+        net.close(stop_server=True)
+
+
+def test_pipelined_bursts_never_wait_out_the_poll_timeout():
+    # A 72-frame ``upload_many`` spans three executor batches
+    # (``ingest_batch`` = 32) that finish microseconds apart.  When the
+    # loop ran its queued tasks before draining the wake pipe, the second
+    # completion's wake byte could be swallowed with the first one's and
+    # its response sat out the 0.5 s poll timeout — about one burst in
+    # three.
+    def step(t: int):
+        return t, {
+            "orders": RecordBatch(
+                PROBE_SCHEMA, np.asarray([[t, t]], dtype=np.uint32)
+            ).padded_to(4),
+            "shipments": RecordBatch(
+                DRIVER_SCHEMA, np.asarray([[t, t + 1]], dtype=np.uint32)
+            ).padded_to(3),
+        }
+
+    # An NM view keeps a step at ~0.2 ms: this is about the reactor.
+    database = IncShrinkDatabase(seed=7)
+    database.register_view(ViewRegistration(full_view_def(), mode="nm"))
+    server = DatabaseServer(database, snapshot_every=None, max_pending=4096)
+    net = NetworkServer(server, max_connections=8, loop_threads=2).start()
+    try:
+        host, port = net.address
+        seconds = []
+        with IncShrinkClient(host, port, name="owner") as owner:
+            for burst in range(30):
+                steps = [step(72 * burst + i + 1) for i in range(72)]
+                t0 = _time.perf_counter()
+                owner.upload_many(steps)
+                seconds.append(_time.perf_counter() - t0)
+                # Drain untimed, so the next burst never meets a full queue.
+                deadline = _time.monotonic() + 30.0
+                while True:
+                    state = owner.stats()
+                    assert state["ingest_error"] is None
+                    if state["last_time"] >= steps[-1][0] and not state["queue_depth"]:
+                        break
+                    assert _time.monotonic() < deadline, "ingest did not drain"
+                    _time.sleep(0.005)
+        assert max(seconds) < statistics.median(seconds) + 0.25, sorted(seconds)[-5:]
         assert net._unhandled_errors == []
     finally:
         net.close(stop_server=True)
