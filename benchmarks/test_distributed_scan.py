@@ -27,7 +27,6 @@ always records the honest numbers plus ``degraded_host``.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal
@@ -264,7 +263,7 @@ def _run_distributed_scan() -> dict:
     }
 
 
-def test_bench_distributed_scan(benchmark):
+def test_bench_distributed_scan(benchmark, record_bench):
     result = benchmark.pedantic(_run_distributed_scan, rounds=1, iterations=1)
 
     # Equivalence at every fleet size: byte-identical answers, identical
@@ -300,7 +299,7 @@ def test_bench_distributed_scan(benchmark):
             f"fleet scaling regressed: {seconds}"
         )
 
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, result)
 
     lines = [
         "distributed scan fabric baseline "
@@ -327,5 +326,5 @@ def test_bench_distributed_scan(benchmark):
         f"(+{f['failover_latency_seconds']*1e3:.1f} ms, "
         f"{f['rescattered_tasks']} task(s) re-scattered)"
     )
-    lines.append(f"  -> recorded to {BENCH_PATH.name}")
+    lines.append(f"  -> {note}")
     emit("\n".join(lines))

@@ -22,7 +22,6 @@ at least not quietly lose).
 
 from __future__ import annotations
 
-import json
 import time as _time
 from pathlib import Path
 
@@ -229,7 +228,7 @@ def _run_incremental() -> dict:
     }
 
 
-def test_bench_incremental_query(benchmark):
+def test_bench_incremental_query(benchmark, record_bench):
     result = benchmark.pedantic(_run_incremental, rounds=1, iterations=1)
 
     for record in result["records"]:
@@ -258,7 +257,7 @@ def test_bench_incremental_query(benchmark):
     assert result["accumulator_cache"]["hit_rate"] > 0.5
     assert result["plan_cache_hit_rate"] > 0.5
 
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, result)
 
     lines = [
         f"incremental execution baseline ({result['view_rows']} view rows, "
@@ -276,5 +275,5 @@ def test_bench_incremental_query(benchmark):
         f"  accumulator cache: {result['accumulator_cache']}; "
         f"plan cache hit rate {result['plan_cache_hit_rate']:.2f}"
     )
-    lines.append(f"  -> recorded to {BENCH_PATH.name}")
+    lines.append(f"  -> {note}")
     emit("\n".join(lines))

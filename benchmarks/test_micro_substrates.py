@@ -11,16 +11,40 @@ import pytest
 from repro.common.rng import spawn
 from repro.mpc.runtime import MPCRuntime
 from repro.oblivious.filter import oblivious_count
-from repro.oblivious.sort import apply_network, network_comparator_count
+from repro.oblivious.sort import (
+    apply_network,
+    composite_key,
+    network_comparator_count,
+    oblivious_sort,
+)
 from repro.oblivious.sort_merge_join import truncated_sort_merge_join
 
 
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_bench_sort_network_application(benchmark, n):
+    """The executable specification (and the tied-key path)."""
     keys = spawn(0, "bench", n).integers(0, 2**32, size=n).astype(np.uint64)
     benchmark(apply_network, keys)
     # Sanity: comparator count follows the expected n·log²n trend.
     assert network_comparator_count(n) > n
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_bench_oblivious_sort_served_path(benchmark, n):
+    """What a cache read or a join pays: the same key draw, position-
+    tiebroken, so the keys are distinct and the sort is charge + argsort."""
+    primary = spawn(0, "bench", n).integers(0, 2**32, size=n).astype(np.uint32)
+    keys = composite_key(primary, np.arange(n, dtype=np.uint32))
+
+    def sort():
+        runtime = MPCRuntime(seed=0)
+        with runtime.protocol("sort") as ctx:
+            return oblivious_sort(ctx, keys, [primary], payload_words=2)
+
+    sorted_keys, [sorted_payload] = benchmark(sort)
+    spec_keys, spec_perm = apply_network(keys)
+    assert np.array_equal(sorted_keys, spec_keys)
+    assert np.array_equal(sorted_payload, primary[spec_perm])
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000])

@@ -36,8 +36,9 @@ server busy-time — ambiguous, now split):
   counters divided by **server-side busy seconds** (pure execution
   time; always ≥ the client number, the gap is the wire tax).
 
-Everything lands in ``BENCH_network.json`` at the repo root so future
-PRs optimizing the wire path have an unambiguous baseline to beat.
+Under ``--benchmark-only`` everything lands in ``BENCH_network.json`` at
+the repo root so future PRs optimizing the wire path have an unambiguous
+baseline to beat.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def _percentile(samples: list[float], q: float) -> float:
     return ordered[index]
 
 
-def _merge_bench(section: str, payload: dict) -> None:
-    """Write ``payload`` under ``section`` without clobbering the other
+def _merge_bench(record_bench, section: str, payload: dict) -> str:
+    """Record ``payload`` under ``section`` without clobbering the other
     section (the two tests may run in either order, or alone)."""
     record: dict = {}
     if BENCH_PATH.exists():
@@ -97,7 +98,7 @@ def _merge_bench(section: str, payload: dict) -> None:
     record = {k: record[k] for k in ("throughput", "soak") if k in record}
     record["benchmark"] = "network_throughput"
     record[section] = payload
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf8")
+    return record_bench(BENCH_PATH, record)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def _run_network() -> dict:
     }
 
 
-def test_bench_network_throughput(benchmark):
+def test_bench_network_throughput(benchmark, record_bench):
     result = benchmark.pedantic(_run_network, rounds=1, iterations=1)
     comparison = result["codec_comparison"]
 
@@ -316,7 +317,7 @@ def test_bench_network_throughput(benchmark):
     # And raw arrays are smaller than JSON int lists on the wire.
     assert comparison["binary_vs_json_upload_bytes"] < 1.0, comparison
 
-    _merge_bench("throughput", result)
+    note = _merge_bench(record_bench, "throughput", result)
 
     json_rate = comparison["json_sequential"]["client_uploads_per_second"]
     pipe_rate = comparison["binary_pipelined"]["client_uploads_per_second"]
@@ -331,7 +332,7 @@ def test_bench_network_throughput(benchmark):
         f"  latency  : p50 {result['latency_p50_ms']:.2f} ms, "
         f"p95 {result['latency_p95_ms']:.2f} ms, "
         f"p99 {result['latency_p99_ms']:.2f} ms per query frame\n"
-        f"  -> recorded to {BENCH_PATH.name}"
+        f"  -> {note}"
     )
 
 
@@ -626,7 +627,7 @@ def _run_soak(n_connections: int, duration: float) -> dict:
     }
 
 
-def test_bench_network_soak(benchmark):
+def test_bench_network_soak(benchmark, record_bench):
     result = benchmark.pedantic(
         _run_soak, args=(SOAK_CONNECTIONS, SOAK_SECONDS), rounds=1, iterations=1
     )
@@ -646,7 +647,7 @@ def test_bench_network_soak(benchmark):
     # The watermark advanced during the soak: the load really was mixed.
     assert result["upload_steps_during_soak"] > 0
 
-    _merge_bench("soak", result)
+    note = _merge_bench(record_bench, "soak", result)
 
     emit(
         f"network soak: {result['connections']} concurrent connections, "
@@ -659,5 +660,5 @@ def test_bench_network_soak(benchmark):
         f"p99 {result['latency_p99_ms']:.2f} ms\n"
         f"  fairness : max/min per-connection completions "
         f"{result['fairness_max_over_min_completions']:.2f}\n"
-        f"  -> recorded to {BENCH_PATH.name}"
+        f"  -> {note}"
     )

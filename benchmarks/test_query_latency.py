@@ -20,7 +20,6 @@ least not quietly lose).
 
 from __future__ import annotations
 
-import json
 import time as _time
 from pathlib import Path
 
@@ -132,7 +131,7 @@ def _run_query_latency() -> dict:
     }
 
 
-def test_bench_query_latency(benchmark):
+def test_bench_query_latency(benchmark, record_bench):
     result = benchmark.pedantic(_run_query_latency, rounds=1, iterations=1)
 
     # The acceptance bar of the compiler refactor: one scan computing
@@ -146,7 +145,7 @@ def test_bench_query_latency(benchmark):
     ), "pre-noise queries must not move the privacy ledger"
     assert result["plan_cache_hit_rate"] > 0.9
 
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, result)
 
     emit(
         "query compiler latency baseline\n"
@@ -160,5 +159,5 @@ def test_bench_query_latency(benchmark):
         f"{result['group_by_qet_seconds']:.6f} s QET in one scan\n"
         f"  plan cache hit rate     : {result['plan_cache_hit_rate']:.2%}\n"
         f"  shim == AST, eps unchanged: {result['shim_matches_ast']}\n"
-        f"  -> recorded to {BENCH_PATH.name}"
+        f"  -> {note}"
     )

@@ -4,9 +4,9 @@ Unlike the table/figure benchmarks (which reproduce *simulated* paper
 numbers), this one measures the **wall clock** of the serving runtime
 itself: how fast the background ingestion loop advances the stream while
 concurrent read sessions query, and how long a full snapshot/restore
-cycle takes.  The measured rates are written to ``BENCH_serving.json``
-at the repo root so future PRs optimizing the hot paths have a recorded
-baseline to beat.
+cycle takes.  Under ``--benchmark-only`` the measured rates are written
+to ``BENCH_serving.json`` at the repo root so future PRs optimizing the
+hot paths have a recorded baseline to beat.
 
 Correctness is asserted alongside the timing: the database restored
 from the mid-run snapshot must answer the registered queries with the
@@ -118,7 +118,7 @@ def _run_serving(tmp_path: Path) -> dict:
     }
 
 
-def test_bench_serving_throughput(benchmark, tmp_path):
+def test_bench_serving_throughput(benchmark, tmp_path, record_bench):
     result = benchmark.pedantic(
         _run_serving, args=(tmp_path,), rounds=1, iterations=1
     )
@@ -137,7 +137,7 @@ def test_bench_serving_throughput(benchmark, tmp_path):
         assert key in result["observability"]
     assert result["observability"]["last_time"] == N_STEPS
 
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, result)
 
     emit(
         "serving throughput baseline (wall clock)\n"
@@ -149,7 +149,7 @@ def test_bench_serving_throughput(benchmark, tmp_path):
         f"{result['snapshot_seconds']*1000:.1f} ms\n"
         f"  restore   : {result['restore_seconds']*1000:.1f} ms "
         "(byte-identical answers + realized epsilon verified)\n"
-        f"  -> recorded to {BENCH_PATH.name}"
+        f"  -> {note}"
     )
 
 
@@ -257,7 +257,7 @@ def _run_multi_tenant(tmp_path: Path) -> dict:
     }
 
 
-def test_bench_multi_tenant_serving(benchmark, tmp_path):
+def test_bench_multi_tenant_serving(benchmark, tmp_path, record_bench):
     result = benchmark.pedantic(
         _run_multi_tenant, args=(tmp_path,), rounds=1, iterations=1
     )
@@ -301,7 +301,7 @@ def test_bench_multi_tenant_serving(benchmark, tmp_path):
     if doc.get("benchmark") == "serving_throughput":
         doc = {"serving_throughput": doc}
     doc["multi_tenant"] = result
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, doc)
 
     lines = [
         "multi-tenant serving (4 analysts, 8:4:2:1 skew, real TCP)",
@@ -316,6 +316,6 @@ def test_bench_multi_tenant_serving(benchmark, tmp_path):
         )
     lines.append(
         f"  ledgers sum to the global query spend exactly "
-        f"({result['ledger_sum']:.4f})\n  -> merged into {BENCH_PATH.name}"
+        f"({result['ledger_sum']:.4f})\n  -> {note}"
     )
     emit("\n".join(lines))

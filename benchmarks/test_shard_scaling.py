@@ -35,7 +35,6 @@ least not quietly lose).
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time as _time
 from pathlib import Path
@@ -227,7 +226,7 @@ def _run_shard_scaling() -> dict:
     }
 
 
-def test_bench_shard_scaling(benchmark):
+def test_bench_shard_scaling(benchmark, record_bench):
     result = benchmark.pedantic(_run_shard_scaling, rounds=1, iterations=1)
 
     # Equivalence at every (backend, shard count): same answers, same
@@ -288,7 +287,7 @@ def test_bench_shard_scaling(benchmark):
     # 4-shard snapshot stays within 25% of the single-shard one.
     assert result["snapshot_bytes_delta"] < 0.25 * result["snapshot_bytes_1_shard"]
 
-    BENCH_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
+    note = record_bench(BENCH_PATH, result)
 
     lines = [
         "parallel shard-scaling baseline "
@@ -310,5 +309,5 @@ def test_bench_shard_scaling(benchmark):
         f"{result['snapshot_bytes_4_shards']} (4 shards, "
         f"delta {result['snapshot_bytes_delta']})"
     )
-    lines.append(f"  -> recorded to {BENCH_PATH.name}")
+    lines.append(f"  -> {note}")
     emit("\n".join(lines))

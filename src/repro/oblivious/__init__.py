@@ -8,6 +8,7 @@ from .sort import (
     PAD_KEY,
     apply_network,
     batcher_network,
+    charge_oblivious_sort,
     composite_key,
     network_comparator_count,
     oblivious_sort,
@@ -30,6 +31,7 @@ __all__ = [
     "PAD_KEY",
     "apply_network",
     "batcher_network",
+    "charge_oblivious_sort",
     "composite_key",
     "network_comparator_count",
     "oblivious_sort",

@@ -2,14 +2,36 @@
 
 A sorting network performs a *fixed*, data-independent sequence of
 compare-exchange operations, which is what makes it usable inside MPC:
-the circuit topology depends only on the (public) input length.  We
-really build and apply the network — the permutation produced comes from
-executing its compare-exchanges — and charge one compare-exchange gate
-cost per comparator to the protocol's cost model.
+the circuit topology depends only on the (public) input length.
 
-Inputs whose length is not a power of two are padded with a maximal
-sentinel key; the padding sorts to the tail and is cut off afterwards,
-exactly as a real implementation would do.
+**What is charged.**  :func:`oblivious_sort` charges the protocol's cost
+model one compare-exchange gate cost per comparator of the network for
+the padded input length (:func:`charge_oblivious_sort`).  The comparator
+count is Batcher's closed form (:func:`network_comparator_count`); no
+network is built to count it.
+
+**What is computed.**  The simulator needs the permutation the network
+would produce, not its intermediate wire values.  A correct sorting
+network returns its input in ascending order, and when all keys are
+*distinct* there is exactly one such order — so on tie-free keys the
+permutation is one ``np.argsort`` and agrees with the network bit for
+bit.  Every protocol caller sorts distinct keys by construction: the
+cache read and the join pack the original position into the key
+(:func:`composite_key`), and the shuffle draws 64-bit uniform keys.
+
+**When the network runs.**  The order among *equal* keys is a property
+of the particular network, so when the sorted keys contain a tie — and
+only then — :func:`oblivious_sort` executes the network's
+compare-exchanges (:func:`apply_network`).  The choice is made from the
+keys alone; there is no switch.  :func:`batcher_network` and
+:func:`apply_network` are the executable specification: the tests
+compare the argsort path against them key for key, and their comparator
+count against the closed form.
+
+Inputs whose length is not a power of two are padded with a large
+sentinel key (:data:`PAD_KEY`) up to the network's width; the padding
+slots are recognised by index and cut off afterwards, so the charge is
+that of the padded network, exactly as a real implementation would pay.
 """
 
 from __future__ import annotations
@@ -21,12 +43,20 @@ import numpy as np
 
 from ..mpc.runtime import ProtocolContext
 
-#: Sentinel key guaranteed to sort after every real key (keys are uint64
-#: composites of 32-bit words, so 2^63 is unreachable by real data).
+#: Key the padding slots carry.  It sorts after every :func:`composite_key`
+#: whose primary word is below 2^31, but it is *not* out of reach of real
+#: data (:func:`~repro.oblivious.shuffle.oblivious_shuffle` draws uniform
+#: 64-bit keys): :func:`apply_network` is correct for any key because it
+#: drops padding by slot index, never by comparing against this value.
 PAD_KEY = np.uint64(1 << 63)
 
+#: Networks kept by :func:`batcher_network`'s cache.  Only tied keys and
+#: the tests execute a network, so a handful of sizes is plenty; a
+#: 16 384-wide network alone holds 12 MB of index arrays.
+NETWORK_CACHE_SIZE = 4
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=NETWORK_CACHE_SIZE)
 def batcher_network(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Compare-exchange stages of Batcher's odd-even mergesort for size ``n``.
 
@@ -70,10 +100,13 @@ def batcher_network(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 def network_comparator_count(n: int) -> int:
     """Number of compare-exchanges the network for ``n`` inputs performs.
 
-    ``n`` is padded up to the next power of two first, because that is
-    what execution does.
+    ``n`` is padded up to the next power of two ``m = 2^t`` first,
+    because that is what execution does.  Batcher's odd-even mergesort
+    on ``2^t`` inputs has ``(t² − t + 4)·2^(t−2) − 1`` comparators
+    (0, 1, 5, 19, 63, …), so nothing is built to count them.
     """
-    return sum(len(lo) for lo, _ in batcher_network(_next_pow2(n)))
+    t = _next_pow2(n).bit_length() - 1
+    return ((t * t - t + 4) << t) // 4 - 1
 
 
 def _next_pow2(n: int) -> int:
@@ -108,6 +141,17 @@ def apply_network(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work[keep][: n], idx[keep][: n]
 
 
+def charge_oblivious_sort(ctx: ProtocolContext, n: int, payload_words: int) -> None:
+    """Charge one oblivious sort of ``n`` tuples without performing it.
+
+    The cost is ``comparators × compare_exchange_gates(payload_words)``,
+    where ``payload_words`` is the total tuple width being swapped.  For
+    circuits whose sorted order the simulator never reads (the NM join
+    aggregates fold commutative accumulators), this is the whole sort.
+    """
+    ctx.charge_compare_exchanges(network_comparator_count(n), payload_words)
+
+
 def oblivious_sort(
     ctx: ProtocolContext,
     keys: np.ndarray,
@@ -116,13 +160,17 @@ def oblivious_sort(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sort ``payloads`` by ``keys`` inside a protocol scope.
 
-    All payload arrays receive the same permutation.  The cost model is
-    charged ``comparators × compare_exchange_gates(payload_words)``,
-    where ``payload_words`` is the total tuple width being swapped.
+    All payload arrays receive the same permutation, and the cost model
+    is charged as :func:`charge_oblivious_sort` describes.  Distinct
+    keys have one sorted order, which an argsort finds; the order among
+    tied keys is the network's own, so ties execute the network.
     """
-    n = len(keys)
-    ctx.charge_compare_exchanges(network_comparator_count(n), payload_words)
-    sorted_keys, perm = apply_network(keys)
+    keys = np.asarray(keys, dtype=np.uint64)
+    charge_oblivious_sort(ctx, len(keys), payload_words)
+    perm = np.argsort(keys, kind="stable")
+    sorted_keys = keys[perm]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        sorted_keys, perm = apply_network(keys)
     return sorted_keys, [np.asarray(p)[perm] for p in payloads]
 
 

@@ -37,9 +37,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..common.errors import ProtocolError
 from ..mpc.runtime import ProtocolContext
 from .join_common import JoinResult, match_pairs_truncated
-from .sort import composite_key, oblivious_sort
+from .sort import charge_oblivious_sort, composite_key, oblivious_sort
+
+#: Rows per side :func:`truncated_sort_merge_join` accepts: the sort key's
+#: 32-bit tiebreak word holds the side tag above a 24-bit position.
+MAX_SIDE_ROWS = 1 << 24
 
 #: Predicate over candidate pairs: receives the probe row and driver row
 #: (1-D uint32 arrays) and returns whether the pair truly joins beyond key
@@ -131,6 +136,12 @@ def truncated_sort_merge_join(
         driver_rows.shape if driver_rows.size else (0, driver_rows.shape[1])
     )
     out_width = w_probe + w_driver
+    if max(n_probe, n_driver) > MAX_SIDE_ROWS:
+        raise ProtocolError(
+            f"sort-merge join takes at most {MAX_SIDE_ROWS} rows per side "
+            f"(the position tiebreak is 24 bits), got {n_probe} probe and "
+            f"{n_driver} driver rows"
+        )
 
     # --- 1. oblivious sort of the tagged union --------------------------
     union_keys = np.concatenate(
@@ -146,7 +157,7 @@ def truncated_sort_merge_join(
     position = np.concatenate(
         [np.arange(n_probe, dtype=np.uint32), np.arange(n_driver, dtype=np.uint32)]
     )
-    tiebreak = (side << np.uint32(24)) | (position & np.uint32(0xFFFFFF))
+    tiebreak = (side << np.uint32(24)) | position
     sort_keys = composite_key(union_keys, tiebreak)
     union_payload_words = max(w_probe, w_driver) + 2  # rows + side tag + flag
     _, [sorted_side, sorted_pos] = oblivious_sort(
@@ -268,18 +279,11 @@ def oblivious_join_multi_aggregate(
     n_right, w_right = right_rows.shape if right_rows.size else (0, right_rows.shape[1])
     out_width = w_left + w_right
 
-    union_keys = np.concatenate(
-        [
-            left_rows[:, left_key_col] if n_left else np.zeros(0, dtype=np.uint32),
-            right_rows[:, right_key_col] if n_right else np.zeros(0, dtype=np.uint32),
-        ]
-    )
-    side = np.concatenate(
-        [np.zeros(n_left, dtype=np.uint32), np.ones(n_right, dtype=np.uint32)]
-    )
-    sort_keys = composite_key(union_keys, side)
+    # The circuit sorts the tagged union; the accumulators below are
+    # commutative, so the simulator charges that sort and never needs
+    # its order.
     payload_words = max(w_left, w_right) + 2
-    oblivious_sort(ctx, sort_keys, [side], payload_words)
+    charge_oblivious_sort(ctx, n_left + n_right, payload_words)
 
     # Per candidate pair: the accumulator/routing gates plus one ring
     # comparison per residual clause — the same predicate charge the

@@ -13,6 +13,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from repro.common.errors import ProtocolError
 from repro.common.types import Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.mpc.runtime import MPCRuntime
@@ -281,6 +282,32 @@ class TestFullJoinRegression:
         assert res.rows.shape == (0, 4)
         assert res.dropped == 0
 
+    @pytest.mark.parametrize("n_probe,n_driver", [(5, 4), (4, 5)])
+    def test_side_too_long_for_the_position_tiebreak_is_refused(
+        self, monkeypatch, n_probe, n_driver
+    ):
+        """Positions past the tiebreak's 24 bits used to be masked, tying
+        the sort keys of same-key rows 2^24 apart (limit patched down:
+        nobody allocates 16 M rows to see an error)."""
+        monkeypatch.setattr("repro.oblivious.sort_merge_join.MAX_SIDE_ROWS", 4)
+
+        def join(ctx, n_p, n_d):
+            return truncated_sort_merge_join(
+                ctx,
+                np.ones((n_p, 2), dtype=np.uint32), np.ones(n_p, dtype=bool), 0,
+                np.full(n_p, 9),
+                np.ones((n_d, 2), dtype=np.uint32), np.ones(n_d, dtype=bool), 0,
+                np.full(n_d, 9),
+                omega=2,
+            )
+
+        runtime = MPCRuntime(seed=0)
+        with runtime.protocol("join", 1) as ctx:
+            with pytest.raises(ProtocolError, match="at most 4 rows per side"):
+                join(ctx, n_probe, n_driver)
+            assert ctx.gates == 0
+            assert join(ctx, 4, 4).flags.all()  # at the limit it still joins
+
 
 # -- batcher network: verbatim pre-vectorization double loop ------------------
 def _loop_batcher_network(n):
@@ -532,6 +559,25 @@ class TestMultiAggregateRegression:
         assert np.array_equal(fs, ss)
         assert fs.dtype == ss.dtype == np.uint64
         assert gates[0] == gates[1], "vectorization must not change charges"
+
+    def test_kernel_charges_the_sort_without_running_a_network(self):
+        """The NM union is heavily tied (``(key, side)`` keys) and its
+        order is never read: the kernel charges the sort the loop oracle
+        above still performs, and fetches no network to do it."""
+        rng = np.random.default_rng(77)
+        probe, p_flags, _, driver, d_flags, _ = _random_inputs(
+            rng, n_probe=300, n_driver=200, n_keys=5
+        )
+        runtime = MPCRuntime(seed=7)
+        before = batcher_network.cache_info()
+        with runtime.protocol("agg", 1) as ctx:
+            oblivious_join_multi_aggregate(ctx, probe, p_flags, 0, driver, d_flags, 0)
+            fast_gates = ctx.gates
+        assert batcher_network.cache_info() == before
+        with runtime.protocol("agg", 2) as ctx:
+            _loop_join_multi_aggregate(ctx, probe, p_flags, 0, driver, d_flags, 0)
+            assert ctx.gates == fast_gates
+        assert batcher_network.cache_info() != before  # the oracle did sort
 
     def test_sum_wraparound_matches_loop(self):
         """uint64 accumulator overflow must wrap identically in both paths."""

@@ -3,8 +3,8 @@
 
 Runs the two kernels queries actually spend time in — the padded
 multi-aggregate view scan (:func:`repro.oblivious.filter.
-oblivious_multi_aggregate`) and the Batcher sort
-(:func:`repro.oblivious.sort.oblivious_sort`) — under both
+oblivious_multi_aggregate`) and the oblivious sort on position-tiebroken
+keys (:func:`repro.oblivious.sort.oblivious_sort`) — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -72,19 +72,21 @@ def _scan_workload(rows: int):
 
 
 def _sort_workload(rows: int):
-    """One oblivious Batcher sort of ``rows`` keyed rows (2 payloads)."""
+    """One oblivious sort of ``rows`` rows, keyed as a cache read keys
+    them: ``(¬isView, position)`` — distinct, so this is the serving
+    path (argsort + charge), not the tied-key network execution."""
     from repro.mpc.runtime import MPCRuntime
-    from repro.oblivious.sort import batcher_network, oblivious_sort
+    from repro.oblivious.sort import composite_key, oblivious_sort
 
     gen = np.random.default_rng(29)
-    keys = gen.integers(0, 1 << 31, size=rows).astype(np.uint64)
+    flags = gen.integers(0, 2, size=rows).astype(bool)
+    keys = composite_key(
+        np.where(flags, 0, 1).astype(np.uint32), np.arange(rows, dtype=np.uint32)
+    )
     payload = gen.integers(0, 1 << 31, size=rows).astype(np.uint32)
     runtime = MPCRuntime(seed=0)
 
     def run() -> None:
-        # Rebuild the network every pass: construction cost is part of
-        # what this harness watches (it was the PR-6 hotspot).
-        batcher_network.cache_clear()
         with runtime.protocol("profile-sort", 0) as ctx:
             oblivious_sort(ctx, keys, [payload, payload], payload_words=4)
 
@@ -194,7 +196,7 @@ def profile_workloads(rows: int, top: int) -> dict:
     results = {}
     for name, factory in WORKLOADS.items():
         run = factory(rows)
-        run()  # warm caches (lru_cache networks, numpy buffers) once
+        run()  # warm caches (numpy buffers, accumulator cache) once
 
         timed = []
         for _ in range(TIMED_REPEATS):
