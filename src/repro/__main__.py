@@ -15,6 +15,7 @@ Usage::
     python -m repro client --connect 127.0.0.1:9731 --stats
     python -m repro client --connect 127.0.0.1:9731 --count --epsilon 0.5
     python -m repro resume --snapshot deploy.snap
+    python -m repro upgrade-snapshot old-v3.snap deploy.snap
     python -m repro query --steps 24 --count --sum Returns:return_date \
         --group-by Sales:product_id:0,1,2,3
     python -m repro query --snapshot deploy.snap --json '{"aggregates": \
@@ -38,8 +39,10 @@ byte-identically to local execution;
 continues its stream from where it stopped; ``query`` compiles one
 logical query (flag- or JSON-specified aggregates, GROUP BY, residual
 predicate) and runs it against a freshly built deployment or a restored
-snapshot; the named experiments print the corresponding paper
-table/figure.
+snapshot; ``upgrade-snapshot`` converts a snapshot written before the
+binary container (the JSON documents of format versions 1-3) into the
+format ``resume`` and ``query --snapshot`` read; the named experiments
+print the corresponding paper table/figure.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .query.ast import (
 )
 from .server.persistence import restore_database
 from .server.runtime import DatabaseServer
+from .server.snapshot_upgrade import upgrade_snapshot
 
 _BOTH_DATASET_EXPERIMENTS = {
     "figure5": (figure5.run_figure5, figure5.format_figure5),
@@ -324,6 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_scan_backend_flag(res)
     _add_incremental_flag(res)
+
+    up = sub.add_parser(
+        "upgrade-snapshot",
+        help="convert a format v1-v3 (JSON) snapshot to the current format",
+    )
+    up.add_argument("old", metavar="OLD", help="the JSON snapshot to read")
+    up.add_argument("new", metavar="NEW", help="where to write the converted snapshot")
 
     qp = sub.add_parser(
         "query",
@@ -996,6 +1007,18 @@ def _cmd_query(args) -> None:
     db.close_remote()
 
 
+def _cmd_upgrade_snapshot(args) -> None:
+    _check_snapshot_target(args.new)
+    try:
+        info = upgrade_snapshot(args.old, args.new)
+    except PersistenceError as exc:
+        raise SystemExit(f"cannot upgrade snapshot: {exc}")
+    print(
+        f"upgraded {args.old} -> {info.path}: {info.bytes_written} bytes, "
+        f"sha256 {info.sha256}"
+    )
+
+
 def _cmd_shard_worker(args) -> None:
     from .dist import ShardWorker
 
@@ -1153,6 +1176,8 @@ def main(argv: list[str] | None = None) -> int:
         _cmd_shard_worker(args)
     elif args.command == "resume":
         _cmd_resume(args)
+    elif args.command == "upgrade-snapshot":
+        _cmd_upgrade_snapshot(args)
     elif args.command == "query":
         _cmd_query(args)
     elif args.command == "client":

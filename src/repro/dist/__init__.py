@@ -4,7 +4,7 @@ PR 6's process pool scales view scans to one host's cores; this package
 scales them to a fleet.  A :class:`~repro.dist.worker.ShardWorker`
 daemon (``python -m repro shard-worker --listen HOST:PORT``) hosts a
 subset of every view's round-robin shards — share halves shipped over
-the wire in the v2 snapshot array encoding — and answers ``scan``
+the wire in the negotiated codec's array encoding — and answers ``scan``
 frames with partial accumulators.  A
 :class:`~repro.dist.coordinator.RemoteScanBackend` (the ``"remote"``
 backend of :class:`~repro.query.parallel.ParallelScanExecutor`) keeps

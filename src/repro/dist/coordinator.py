@@ -11,8 +11,8 @@ it does three things, in order:
    strict prefix of its later self, so the coordinator streams only the
    suffix past each worker's watermark (``shard_append``); an epoch
    change (reshard, restore) or a worker reconnect voids the watermark
-   and re-bootstraps with ``shard_assign`` (share halves in the v2
-   snapshot array encoding).  Replicas are synced *before* the scatter,
+   and re-bootstraps with ``shard_assign`` (share halves in the
+   negotiated codec's array encoding).  Replicas are synced *before* the scatter,
    so failover always lands on a warm replica.
 2. **Scatter.**  Each delta-bearing shard's suffix-scan task goes to the
    first live, synced replica in its placement ring; tasks sharing a

@@ -6,8 +6,8 @@ It speaks the same framed wire protocol as the analyst front door —
 distributed frames (:data:`repro.net.protocol.DIST_FRAMES`):
 
 * ``shard_assign`` — (re)bootstrap one shard of one view: the four
-  share arrays (rows/flags × share half) in the v2 snapshot array
-  encoding, plus the container's append epoch.  Assign replaces;
+  share arrays (rows/flags × share half) in the negotiated codec's
+  array encoding, plus the container's append epoch.  Assign replaces;
   replica bootstrap and post-reshard hand-off both ride this frame.
 * ``shard_append`` — the delta rows appended to one shard since the
   coordinator's per-worker watermark.  Appends carry the expected

@@ -13,14 +13,13 @@ small frame-oriented protocol over any reliable byte stream:
   out-of-band blob table carrying payload arrays as raw little-endian
   bytes (no base64, no JSON escaping).  Peers negotiate the codec in
   ``hello``/``welcome``; a v1-only client never sees a v2 frame;
-* under the JSON codec, payload arrays (upload batches) ride the
-  **same** base64 array codec the snapshot format uses
-  (:func:`repro.server.persistence.encode_array`), so the wire never
-  invents a second serialization surface for data: what crosses the
-  network is what the snapshot file already exposes, plus the public
-  frame lengths (see ``docs/NETWORK.md`` for the full leakage
-  argument — the binary codec carries the same arrays, minus only the
-  base64 expansion, so the observable surface is unchanged);
+* under the JSON codec, payload arrays (upload batches) ride a base64
+  array codec (:func:`encode_array`: dtype, shape, base64 of the raw
+  bytes); what crosses the network is the arrays the servers already
+  hold, plus the public frame lengths (see ``docs/NETWORK.md`` for the
+  full leakage argument — the binary codec carries the same arrays,
+  minus only the base64 expansion, so the observable surface is
+  unchanged);
 * the query frame carries the complete :class:`~repro.query.ast.
   LogicalQuery` AST — every aggregate, the GROUP BY domain, structural
   predicate clauses, and the optional per-query ``epsilon`` — so a
@@ -40,6 +39,7 @@ the event-driven server.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 from dataclasses import dataclass
@@ -61,7 +61,6 @@ from ..query.ast import (
     QueryAnswer,
     as_logical,
 )
-from ..server.persistence import decode_array, encode_array
 
 #: Frame magic — identifies an IncShrink wire frame.
 PROTOCOL_MAGIC = b"INCW"
@@ -679,13 +678,32 @@ def decode_query(entry: dict) -> LogicalQuery:
 
 
 # -- upload codec -------------------------------------------------------------
+def encode_array(arr: np.ndarray) -> dict:
+    """One array as a JSON v1 frame carries it: dtype, shape, base64 bytes."""
+    arr = np.ascontiguousarray(arr)
+    return {
+        "dtype": str(arr.dtype),
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(entry: dict) -> np.ndarray:
+    try:
+        raw = base64.b64decode(entry["data"].encode("ascii"))
+        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
+        return arr.reshape(tuple(int(d) for d in entry["shape"])).copy()
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WireError(f"malformed array entry: {exc}") from exc
+
+
 def encode_batch(batch: RecordBatch, binary: bool = False) -> dict:
     """One owner-side padded batch.
 
-    Under the JSON codec the arrays ride the snapshot format's base64
-    codec; under the binary codec they stay as ndarrays for the frame
-    writer to carry out-of-band as raw bytes.  Either form decodes with
-    :func:`decode_batch`.
+    Under the JSON codec the arrays ride the base64 array codec
+    (:func:`encode_array`); under the binary codec they stay as ndarrays
+    for the frame writer to carry out-of-band as raw bytes.  Either form
+    decodes with :func:`decode_batch`.
     """
     if binary:
         return {
@@ -933,12 +951,11 @@ def encode_shard_content(
 ) -> dict:
     """One shard's share halves for ``shard_assign``/``shard_append``.
 
-    The four arrays are exactly what the v2 snapshot format persists per
-    shard (each server's XOR half of rows and isView flags) — under the
-    JSON codec they ride the snapshot's own base64 array codec
-    (:func:`repro.server.persistence.encode_array`), so worker bootstrap
-    is the snapshot encoding over a socket; under the binary codec they
-    stay ndarrays for the frame writer's out-of-band blob table.
+    The four arrays are exactly what a snapshot persists per shard (each
+    server's XOR half of rows and isView flags) — under the JSON codec
+    they ride the base64 array codec (:func:`encode_array`); under the
+    binary codec they stay ndarrays for the frame writer's out-of-band
+    blob table.
     """
     arrays = {
         "rows0": np.ascontiguousarray(rows0),

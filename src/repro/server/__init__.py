@@ -6,8 +6,8 @@ queries through a cost-based planner, and composes privacy across views
 through a single accountant.  On top of the passive database sit the
 serving runtime (:class:`DatabaseServer` — background ingestion,
 concurrent read sessions) and the persistence layer
-(:func:`snapshot_database` / :func:`restore_database` — versioned,
-integrity-checked snapshots that resume byte-identically).
+(:func:`snapshot_database` / :func:`restore_database` — one
+integrity-checked file per snapshot, resumed byte-identically).
 """
 
 from .database import (

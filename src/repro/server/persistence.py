@@ -8,8 +8,8 @@ synchronization state as durable), and one piece of it is *privacy
 critical*: replaying releases against a fresh accountant would silently
 double-spend budget, so the realized-ε ledger must round-trip exactly.
 
-This module serializes the full outsourced state to a **versioned,
-integrity-checked** single-file format:
+This module serializes the full outsourced state to one
+**integrity-checked** file:
 
 * secret shares are persisted as *shares* — each server durably stores
   its own half; nothing is ever recombined on the way to disk;
@@ -21,14 +21,30 @@ integrity-checked** single-file format:
 * both MPC servers' RNG states and the owner-side sharing generator are
   captured, so a restored database continues the *identical* randomness
   streams — byte-identical Shrink noise, resharing, and query answers;
-* the envelope carries a magic string, a format version, and a SHA-256
-  digest over the canonical body; any mismatch raises
-  :class:`~repro.common.errors.PersistenceError` and aborts the restore;
-* the shard layout round-trips (format v2): ``config.n_shards`` plus
-  each view's per-shard tables, so a restored deployment scans with the
-  same parallelism it was checkpointed with.  v1 snapshots (pre-sharding)
-  still restore — as single-shard deployments, upgradeable in place via
-  :meth:`~repro.server.database.IncShrinkDatabase.reshard`.
+* the shard layout round-trips: ``config.n_shards`` plus each view's
+  per-shard tables, so a restored deployment scans with the same
+  parallelism it was checkpointed with.
+
+The file is a binary container (:data:`SNAPSHOT_VERSION` 4)::
+
+    magic (18 B) | version (u16) | head length (u64) | head | arrays | SHA-256
+
+The *head* is the body assembled by :func:`_snapshot_body` as compact
+UTF-8 JSON (``{"created_at": …, "body": …}``) in which every array is
+reduced to ``{"dtype", "shape", "offset"}``; the arrays follow as their
+raw C-contiguous bytes, back to back, in the order the head names them.
+The 32-byte trailer is the SHA-256 of every byte before it, fed to the
+hash as the bytes are written — the body is serialised once and each
+byte hashed once.  :func:`restore_database` checks every size the file
+declares against the file's real size before it allocates, reads each
+array straight into the ``ndarray`` the restored database will own,
+hashes the same bytes in the same pass, and compares the trailer
+**before any state is applied**; every way a file can be malformed
+raises :class:`~repro.common.errors.PersistenceError`.
+
+The JSON-document snapshots of format versions 1–3 are not read here:
+``python -m repro upgrade-snapshot OLD NEW``
+(:mod:`repro.server.snapshot_upgrade`) converts one offline.
 
 What is deliberately **not** persisted: the adversary-observable
 transcript and the per-protocol run ledger (append-only observation
@@ -45,10 +61,12 @@ Usage::
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import math
 import os
+import re
+import struct
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass
@@ -65,20 +83,17 @@ from ..sharing.shared_value import SharedArray, SharedTable
 from .database import IncShrinkDatabase, ViewRegistration
 
 #: File magic — identifies an IncShrink database snapshot.
-SNAPSHOT_MAGIC = "incshrink-snapshot"
-#: Bump on any incompatible change to the body layout.
-#: v2 adds the shard layout: ``config.n_shards`` plus per-shard view
-#: tables (``views[i].view.shards``) in round-robin global order.
-#: v3 adds ``tenant_budgets`` (tenant -> ε cap) for multi-tenant
-#: deployments; the per-tenant *spends* need no new field — they ride
-#: the accountant events' tenant-scoped segment keys, which v2 already
-#: round-trips.
-SNAPSHOT_VERSION = 3
-#: Older format versions :func:`restore_database` still reads.  A v1
-#: snapshot predates sharding and restores as a single-shard deployment
-#: (``IncShrinkDatabase.reshard`` is the upgrade path afterwards); a v2
-#: snapshot predates tenancy and restores with no tenant budget caps.
-COMPATIBLE_VERSIONS = (1, 2, SNAPSHOT_VERSION)
+SNAPSHOT_MAGIC = b"incshrink-snapshot"
+#: Bump on any incompatible change to the container or the body layout.
+#: Versions 1–3 were JSON documents; only
+#: :mod:`repro.server.snapshot_upgrade` still reads them.
+SNAPSHOT_VERSION = 4
+
+#: magic, format version, head length — the fixed-size start of the file.
+_PREAMBLE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQ")
+_DIGEST_BYTES = hashlib.sha256().digest_size
+#: Read size for hashing bytes that are not read into an array.
+_CHUNK_BYTES = 1 << 20
 
 #: ``ViewRegistration`` fields that are plain scalars (everything but the
 #: view definition itself).
@@ -128,39 +143,93 @@ class RestoredDatabase:
     info: SnapshotInfo
 
 
-# -- low-level codecs ---------------------------------------------------------
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+# -- arrays: out of the head on the way out, back into it on the way in --------
+#: What an array leaves behind in the head.  The key set is reserved: the
+#: reader takes any JSON object with exactly these keys for an array.
+_ARRAY_KEYS = frozenset(("dtype", "shape", "offset"))
+_DTYPE_STR = re.compile(r"[<>|][biuf][0-9]{1,2}")
 
 
-def _decode_array(entry: dict) -> np.ndarray:
-    try:
-        raw = base64.b64decode(entry["data"].encode("ascii"))
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-        return arr.reshape(tuple(int(d) for d in entry["shape"])).copy()
-    except (KeyError, ValueError, TypeError) as exc:
-        raise PersistenceError(f"malformed array entry: {exc}") from exc
+class _ArraySection:
+    """The arrays of one snapshot being written, in file order.
+
+    The body holds its arrays as ``ndarray`` leaves.  :meth:`lift` is the
+    JSON encoder's ``default`` hook: it moves each array here and leaves
+    its dtype, shape and byte offset within the section in the head.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.nbytes = 0
+
+    def lift(self, value: object) -> dict:
+        if not isinstance(value, np.ndarray):
+            raise TypeError(
+                f"cannot persist a value of type {type(value).__name__}"
+            )
+        arr = np.ascontiguousarray(value)
+        entry = {
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": self.nbytes,
+        }
+        self.arrays.append(arr)
+        self.nbytes += arr.nbytes
+        return entry
 
 
-#: Public names for the array codec so other serialization surfaces (the
-#: network wire protocol in :mod:`repro.net.protocol`) reuse *exactly*
-#: the snapshot format's encoding instead of inventing a second one —
-#: anything that crosses the wire is representable in a snapshot file.
-encode_array = _encode_array
-decode_array = _decode_array
+class _ArrayLoader:
+    """Allocates the arrays a head names — never more than the file holds.
+
+    :meth:`claim` is the JSON decoder's ``object_hook``: each array entry
+    becomes an empty, owned ``ndarray`` of its dtype and shape, to be
+    filled from the array section in the order claimed.  An entry that
+    is not where the previous one ended, or that reaches past the
+    ``limit`` bytes the file has left, is refused before it is allocated.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.nbytes = 0
+        self.limit = limit
+
+    def claim(self, entry: dict) -> object:
+        if entry.keys() != _ARRAY_KEYS:
+            return entry
+        dtype, shape, offset = entry["dtype"], entry["shape"], entry["offset"]
+        try:
+            # Only what ``ndarray.dtype.str`` spells for plain numbers:
+            # ``np.dtype`` parses a whole language of strings otherwise.
+            if not (
+                isinstance(dtype, str)
+                and _DTYPE_STR.fullmatch(dtype)
+                and isinstance(shape, list)
+                and all(isinstance(d, int) and d >= 0 for d in shape)
+            ):
+                raise TypeError("unusable dtype or shape")
+            dtype = np.dtype(dtype)
+            nbytes = dtype.itemsize * math.prod(shape)
+            if offset != self.nbytes or nbytes > self.limit - self.nbytes:
+                raise ValueError(
+                    f"{nbytes} bytes do not continue the array section at "
+                    f"{self.nbytes} of {self.limit}"
+                )
+            arr = np.empty(shape, dtype)
+        except (TypeError, ValueError) as exc:
+            raise PersistenceError(
+                f"malformed array entry {entry!r}: {exc}"
+            ) from exc
+        self.arrays.append(arr)
+        self.nbytes += nbytes
+        return arr
 
 
 def _encode_shared_array(sa: SharedArray) -> dict:
-    return {"s0": _encode_array(sa.share0), "s1": _encode_array(sa.share1)}
+    return {"s0": sa.share0, "s1": sa.share1}
 
 
 def _decode_shared_array(entry: dict) -> SharedArray:
-    return SharedArray(_decode_array(entry["s0"]), _decode_array(entry["s1"]))
+    return SharedArray(entry["s0"], entry["s1"])
 
 
 def _encode_segment(segment: Hashable) -> Any:
@@ -283,15 +352,7 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     for name, store in db.tables.items():
         tables[name] = {
             "schema": list(store.schema.fields),
-            "batches": [
-                {
-                    "time": b["time"],
-                    "table": intern.ref(b["table"]),
-                    "invocations_used": b["invocations_used"],
-                    "emitted": _encode_array(b["emitted"]),
-                }
-                for b in store.snapshot_state()
-            ],
+            "batches": _encode_batches(store.snapshot_state(), intern),
         }
 
     groups = []
@@ -299,25 +360,13 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         groups.append(
             {
                 "signature": list(group.signature),
-                "probe_scope": [
-                    {
-                        "time": b["time"],
-                        "table": intern.ref(b["table"]),
-                        "invocations_used": b["invocations_used"],
-                        "emitted": _encode_array(b["emitted"]),
-                    }
-                    for b in group.probe_scope.snapshot_state()
-                ],
-                "driver_scope": [
-                    {
-                        "time": b["time"],
-                        "table": intern.ref(b["table"]),
-                        "invocations_used": b["invocations_used"],
-                        "emitted": _encode_array(b["emitted"]),
-                    }
-                    for b in group.driver_scope.snapshot_state()
-                ],
-                "ledger": _encode_ledger(group.ledger.snapshot_state()),
+                "probe_scope": _encode_batches(
+                    group.probe_scope.snapshot_state(), intern
+                ),
+                "driver_scope": _encode_batches(
+                    group.driver_scope.snapshot_state(), intern
+                ),
+                "ledger": group.ledger.snapshot_state(),
             }
         )
 
@@ -349,15 +398,6 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
             }
         )
 
-    logical = {
-        name: {
-            "fields": entry["fields"],
-            "times": entry["times"],
-            "batches": [_encode_array(b) for b in entry["batches"]],
-        }
-        for name, entry in db.logical.snapshot_state().items()
-    }
-
     runtime = db.runtime
     return {
         "config": {
@@ -372,7 +412,7 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         "allocation": db.epsilon_allocation(),
         "shared_tables": intern.pool,
         "tables": tables,
-        "logical": logical,
+        "logical": db.logical.snapshot_state(),
         "groups": groups,
         "views": views,
         "accountant": [
@@ -391,42 +431,140 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     }
 
 
-def _encode_ledger(state: dict) -> dict:
-    return {
-        "omega": state["omega"],
-        "budget": state["budget"],
-        "groups": [
-            {
-                "table": g["table"],
-                "time": g["time"],
-                "n_rows": g["n_rows"],
-                "emitted": _encode_array(g["emitted"]),
-                "invocations": g["invocations"],
-            }
-            for g in state["groups"]
-        ],
-    }
+# -- the container -----------------------------------------------------------------
+def _write_snapshot(
+    path: str | os.PathLike, body: dict, created_at: float
+) -> SnapshotInfo:
+    """Write ``body`` (ndarray leaves and all) as one container file.
+
+    The write is atomic (temp file + rename), so a crash mid-snapshot
+    leaves any previous snapshot at ``path`` intact.
+    """
+    section = _ArraySection()
+    head = json.dumps(
+        {"created_at": created_at, "body": body},
+        separators=(",", ":"),
+        default=section.lift,
+    ).encode("utf8")
+    preamble = _PREAMBLE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(head))
+    digest = hashlib.sha256()
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(prefix=".snapshot-", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in (preamble, head, *section.arrays):
+                fh.write(chunk)
+                digest.update(chunk)
+            fh.write(digest.digest())
+            size = fh.tell()
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+    return SnapshotInfo(
+        path=path,
+        bytes_written=size,
+        sha256=digest.hexdigest(),
+        created_at=created_at,
+    )
 
 
-def _decode_ledger(entry: dict) -> dict:
-    return {
-        "omega": entry["omega"],
-        "budget": entry["budget"],
-        "groups": [
-            {
-                "table": g["table"],
-                "time": g["time"],
-                "n_rows": g["n_rows"],
-                "emitted": _decode_array(g["emitted"]),
-                "invocations": g["invocations"],
-            }
-            for g in entry["groups"]
-        ],
-    }
+def _read_snapshot(path: str) -> tuple[dict, SnapshotInfo]:
+    """Read and authenticate one container: its body and its receipt.
+
+    Returns only after the trailer matched, with every array of the body
+    filled.  Damage to the file can surface as a structural error first
+    (a flipped digit in a length, a cut-off array section); the rest of
+    the file is then still hashed, so that damage is reported as the
+    failed integrity check it is and "malformed" is left for files whose
+    writer was wrong.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(_PREAMBLE.size)
+        if preamble[:1] == b"{":
+            raise PersistenceError(
+                f"snapshot {path!r} is a JSON document, the snapshot format "
+                f"of versions 1-3, which this build reads only to convert: "
+                f"run `python -m repro upgrade-snapshot {path} NEW` and "
+                "restore NEW"
+            )
+        if preamble[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+            raise PersistenceError(f"{path!r} is not an IncShrink snapshot")
+        payload_end = size - _DIGEST_BYTES
+        if payload_end < _PREAMBLE.size:
+            raise PersistenceError(
+                f"snapshot {path!r} is truncated: {size} bytes cannot hold "
+                "a head and a digest"
+            )
+        _, version, head_len = _PREAMBLE.unpack(preamble)
+        if version != SNAPSHOT_VERSION:
+            raise PersistenceError(
+                f"snapshot {path!r} has format version {version}; this "
+                f"build reads version {SNAPSHOT_VERSION}"
+            )
+        digest = hashlib.sha256(preamble)
+        try:
+            head = _read_payload(fh, digest, head_len, payload_end)
+        except PersistenceError as exc:
+            while chunk := fh.read(min(_CHUNK_BYTES, payload_end - fh.tell())):
+                digest.update(chunk)
+            if fh.read() != digest.digest():
+                raise _integrity_error(path) from exc
+            raise PersistenceError(
+                f"snapshot {path!r} is malformed: {exc}"
+            ) from exc
+        if fh.read() != digest.digest():
+            raise _integrity_error(path)
+    info = SnapshotInfo(
+        path=path,
+        bytes_written=size,
+        sha256=digest.hexdigest(),
+        created_at=float(head["created_at"]),
+    )
+    return head["body"], info
 
 
-def _canonical_bytes(body: dict) -> bytes:
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf8")
+def _read_payload(fh, digest, head_len: int, payload_end: int) -> dict:
+    """Head and arrays, hashed as read; sizes checked before allocating."""
+    if head_len > payload_end - fh.tell():
+        raise PersistenceError(
+            f"head length {head_len} exceeds the {payload_end - fh.tell()} "
+            "bytes the file has for it"
+        )
+    raw = fh.read(head_len)
+    digest.update(raw)
+    loader = _ArrayLoader(limit=payload_end - fh.tell())
+    try:
+        head = json.loads(raw, object_hook=loader.claim)
+    except (ValueError, RecursionError) as exc:  # incl. invalid UTF-8
+        raise PersistenceError(f"head is not valid JSON: {exc}") from exc
+    if loader.nbytes != loader.limit:
+        raise PersistenceError(
+            f"head accounts for {loader.nbytes} array bytes, the file "
+            f"holds {loader.limit} (truncated, or trailing bytes)"
+        )
+    if (
+        not isinstance(head, dict)
+        or not isinstance(head.get("body"), dict)
+        or not isinstance(head.get("created_at"), (int, float))
+    ):
+        raise PersistenceError("head has no body or no created_at")
+    for arr in loader.arrays:
+        if arr.nbytes and fh.readinto(arr) != arr.nbytes:
+            raise PersistenceError("file shrank while it was being read")
+        digest.update(arr)
+    return head
+
+
+def _integrity_error(path: str) -> PersistenceError:
+    return PersistenceError(
+        f"snapshot {path!r} failed its integrity check (its SHA-256 trailer "
+        "does not match its content); refusing to restore — resuming from "
+        "corrupt state could double-spend budget"
+    )
 
 
 # -- public API ---------------------------------------------------------------
@@ -438,36 +576,10 @@ def snapshot_database(
     ``metadata`` is an arbitrary JSON-serializable dict stored verbatim
     and handed back by :func:`restore_database` — the serving runtime
     uses it for its stream position and throughput counters.  The write
-    is atomic (temp file + rename), so a crash mid-snapshot leaves any
-    previous snapshot at ``path`` intact.
+    is atomic, and the receipt's ``sha256`` is the file's trailer: the
+    digest of every byte before it.
     """
-    body = _snapshot_body(db, metadata)
-    digest = hashlib.sha256(_canonical_bytes(body)).hexdigest()
-    created = _time.time()
-    document = {
-        "magic": SNAPSHOT_MAGIC,
-        "version": SNAPSHOT_VERSION,
-        "sha256": digest,
-        "created_at": created,
-        "body": body,
-    }
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(prefix=".snapshot-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf8") as fh:
-            json.dump(document, fh)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    return SnapshotInfo(
-        path=path,
-        bytes_written=os.path.getsize(path),
-        sha256=digest,
-        created_at=created,
-    )
+    return _write_snapshot(path, _snapshot_body(db, metadata), _time.time())
 
 
 def restore_database(path: str | os.PathLike) -> RestoredDatabase:
@@ -475,54 +587,24 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
 
     The restored instance answers queries byte-identically to the
     snapshotted one and reports the identical realized ε — the spent
-    budget cannot be double-spent by a restart.
+    budget cannot be double-spent by a restart.  Nothing is rebuilt from
+    a file whose trailer does not match.
     """
     path = os.fspath(path)
     try:
-        with open(path, encoding="utf8") as fh:
-            document = json.load(fh)
+        body, info = _read_snapshot(path)
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"snapshot {path!r} is not valid JSON: {exc}") from exc
-
-    if not isinstance(document, dict) or document.get("magic") != SNAPSHOT_MAGIC:
-        raise PersistenceError(f"{path!r} is not an IncShrink snapshot")
-    version = document.get("version")
-    if version not in COMPATIBLE_VERSIONS:
-        raise PersistenceError(
-            f"snapshot {path!r} has format version {version!r}; this build "
-            f"reads versions {COMPATIBLE_VERSIONS}"
-        )
-    body = document.get("body")
-    if not isinstance(body, dict):
-        raise PersistenceError(f"snapshot {path!r} has no body")
-    digest = hashlib.sha256(_canonical_bytes(body)).hexdigest()
-    if digest != document.get("sha256"):
-        raise PersistenceError(
-            f"snapshot {path!r} failed its integrity check (stored digest "
-            f"{document.get('sha256')!r}, computed {digest!r}); refusing to "
-            "restore — resuming from corrupt state could double-spend budget"
-        )
-
     try:
         db = _rebuild(body)
+        metadata = dict(body["metadata"])
     except PersistenceError:
         raise
     except Exception as exc:  # malformed-but-authentic bodies
         raise PersistenceError(
             f"snapshot {path!r} decoded but could not be applied: {exc}"
         ) from exc
-
-    info = SnapshotInfo(
-        path=path,
-        bytes_written=os.path.getsize(path),
-        sha256=digest,
-        created_at=float(document.get("created_at", 0.0)),
-    )
-    return RestoredDatabase(
-        database=db, metadata=dict(body.get("metadata", {})), info=info
-    )
+    return RestoredDatabase(database=db, metadata=metadata, info=info)
 
 
 def _rebuild(body: dict) -> IncShrinkDatabase:
@@ -535,8 +617,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         nm_fallback=bool(cfg["nm_fallback"]),
         grid_steps=int(cfg["grid_steps"]),
         multiplicity_hint=float(cfg["multiplicity"]),
-        # v1 snapshots predate sharding: restore as one shard.
-        n_shards=int(cfg.get("n_shards", 1)),
+        n_shards=int(cfg["n_shards"]),
     )
     for entry in body["registrations"]:
         db.register_view(_decode_registration(entry))
@@ -552,16 +633,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         db.tables[name].restore_state(_decode_batches(entry["batches"], pool))
 
     # Owners' logical mirror.
-    db.logical.restore_state(
-        {
-            name: {
-                "fields": entry["fields"],
-                "times": entry["times"],
-                "batches": [_decode_array(b) for b in entry["batches"]],
-            }
-            for name, entry in body["logical"].items()
-        }
-    )
+    db.logical.restore_state(body["logical"])
 
     # Transform groups: scopes alias the pool (same objects as the
     # physical store), ledgers restore their budget history.
@@ -581,7 +653,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         group.driver_scope.restore_state(
             _decode_batches(entry["driver_scope"], pool)
         )
-        group.ledger.restore_state(_decode_ledger(entry["ledger"]))
+        group.ledger.restore_state(entry["ledger"])
 
     # Per-view runtime state.
     live_views = list(db.views.items())
@@ -589,18 +661,13 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         raise PersistenceError("snapshot views do not match the wired views")
     for (name, vr), entry in zip(live_views, body["views"]):
         vr.cache.restore_state(pool[entry["cache"]])
-        view_entry = entry["view"]
-        if "shards" in view_entry:  # v2: per-shard tables, global order
-            view_state = {
-                "shards": [pool[int(i)] for i in view_entry["shards"]],
-                "update_count": view_entry["update_count"],
+        vr.view.restore_state(
+            {
+                # per-shard tables, round-robin global order
+                "shards": [pool[int(i)] for i in entry["view"]["shards"]],
+                "update_count": entry["view"]["update_count"],
             }
-        else:  # v1: the whole view as one flat table → one shard
-            view_state = {
-                "table": pool[view_entry["table"]],
-                "update_count": view_entry["update_count"],
-            }
-        vr.view.restore_state(view_state)
+        )
         counter_entry = entry["counter"]
         if (vr.counter is None) != (counter_entry is None):
             raise PersistenceError(
@@ -631,24 +698,20 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         ]
     )
     db.metrics = _decode_metric_log(body["metrics"])
-    # Tenant ε caps (v3+; absent = pre-tenancy snapshot, no caps).  The
-    # per-tenant *spends* were just restored with the accountant events
-    # above — deriving ledgers from events is what makes a restore
-    # incapable of double-spending a tenant's budget.
-    budgets = body.get("tenant_budgets") or {}
-    if budgets:
-        db.set_tenant_budgets(budgets)
+    # Tenant ε caps.  The per-tenant *spends* were just restored with the
+    # accountant events above — deriving ledgers from events is what
+    # makes a restore incapable of double-spending a tenant's budget.
+    if body["tenant_budgets"]:
+        db.set_tenant_budgets(body["tenant_budgets"])
 
     # Both servers' and the owners' RNG streams continue exactly where
     # the snapshotted process stopped, as does the query-release noise
-    # stream (absent in pre-compiler snapshots, which never released a
-    # noisy query — the fresh seed-0 stream is then exactly right).
+    # stream.
     rng = body["rng"]
     db.runtime.server0.gen.bit_generator.state = rng["server0"]
     db.runtime.server1.gen.bit_generator.state = rng["server1"]
     db.runtime.owner_gen.bit_generator.state = rng["owner"]
-    if "query_noise" in rng:
-        db.query_noise_gen.bit_generator.state = rng["query_noise"]
+    db.query_noise_gen.bit_generator.state = rng["query_noise"]
     # Continue query-release segments past the restored spends; the plan
     # cache is deliberately not persisted (state_version starts fresh and
     # the first planned query repopulates it from the restored sizes).
@@ -663,6 +726,18 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
     return db
 
 
+def _encode_batches(entries: list[dict], intern: _TableInterner) -> list[dict]:
+    return [
+        {
+            "time": e["time"],
+            "table": intern.ref(e["table"]),
+            "invocations_used": e["invocations_used"],
+            "emitted": e["emitted"],
+        }
+        for e in entries
+    ]
+
+
 def _decode_batches(entries: list[dict], pool: list[SharedTable]) -> list[dict]:
     decoded = []
     for e in entries:
@@ -674,7 +749,7 @@ def _decode_batches(entries: list[dict], pool: list[SharedTable]) -> list[dict]:
                 "time": e["time"],
                 "table": pool[idx],
                 "invocations_used": e["invocations_used"],
-                "emitted": _decode_array(e["emitted"]),
+                "emitted": e["emitted"],
             }
         )
     return decoded

@@ -55,10 +55,7 @@ class MaterializedView(ShardedTableContainer):
         return {"shards": self.shards, "update_count": self.update_count}
 
     def restore_state(self, state: dict) -> None:
-        if "shards" in state:
-            shards = list(state["shards"])
-        else:  # v1 snapshot: the whole view as one flat table
-            shards = [state["table"]]
+        shards = list(state["shards"])
         for table in shards:
             self._check_schema(table, "snapshot")
         total = sum(len(t) for t in shards)
@@ -79,8 +76,8 @@ class MaterializedView(ShardedTableContainer):
             # never be merged with suffixes of the new one.
             self._mark_rebuilt()
         else:
-            # Shard-count mismatch (e.g. a v1 single-shard snapshot loaded
-            # into a sharded deployment): re-scatter under this layout.
+            # Shard-count mismatch (state taken under another layout):
+            # re-scatter under this one.
             gathered = make_layout(len(shards)).gather(shards)
             self._clear()
             self._scatter_append(gathered)

@@ -8,8 +8,13 @@ to the uninterrupted run and report the identical ``realized_epsilon()``
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -28,12 +33,18 @@ from repro.query.ast import (
     LogicalQuery,
 )
 from repro.server.database import IncShrinkDatabase, ViewRegistration
+from repro.server import persistence
 from repro.server.persistence import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     restore_database,
     snapshot_database,
 )
+from repro.server.snapshot_upgrade import upgrade_snapshot
+
+GOLDEN_V3 = Path(__file__).parent / "golden" / "snapshot_v3.snap"
+#: Bytes that are neither a snapshot nor decodable text.
+NOT_UTF8 = b"\xae\xff\x00\x01" * 40
 
 PROBE_SCHEMA = Schema(("key", "ots"))
 DRIVER_SCHEMA = Schema(("key", "sts"))
@@ -308,6 +319,90 @@ def test_metadata_roundtrip(tmp_path):
     assert restored.info.bytes_written == info.bytes_written
 
 
+# -- the container, read by its documented layout and not through the module ---
+_PREAMBLE = struct.Struct(">18sHQ")  # magic, version, head length
+_DIGEST_BYTES = 32
+_ARRAY_KEYS = {"dtype", "shape", "offset"}
+
+
+def read_container(path) -> tuple[dict, bytes, bytes]:
+    """One snapshot file as (head, array section, trailer)."""
+    raw = Path(path).read_bytes()
+    magic, version, head_len = _PREAMBLE.unpack_from(raw)
+    assert (magic, version) == (SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+    head_end = _PREAMBLE.size + head_len
+    return (
+        json.loads(raw[_PREAMBLE.size : head_end]),
+        raw[head_end:-_DIGEST_BYTES],
+        raw[-_DIGEST_BYTES:],
+    )
+
+
+def snapshot_content(path) -> tuple[str, bytes]:
+    """Everything in the file that is about the database: the head less
+    ``created_at`` (as text — key order counts) and the array section.
+    Two snapshots of the same state differ in nothing else."""
+    head, arrays, _ = read_container(path)
+    del head["created_at"]
+    return json.dumps(head), arrays
+
+
+def write_container(
+    path, head: dict, arrays: bytes, trailer: bytes | None = None,
+    version: int = SNAPSHOT_VERSION,
+) -> None:
+    """Assemble a file; the trailer is computed unless one is forced."""
+    text = json.dumps(head, separators=(",", ":")).encode("utf8")
+    payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, version, len(text)) + text + arrays
+    if trailer is None:
+        trailer = hashlib.sha256(payload).digest()
+    Path(path).write_bytes(payload + trailer)
+
+
+def write_legacy_json(path, version: int, edit=lambda body: None) -> None:
+    """Rewrite the container at ``path``, in place, as the JSON document
+    (base64 arrays, sorted-keys body digest) that format ``version`` was;
+    ``edit`` takes out of the body what that version did not have yet."""
+    head, arrays, _ = read_container(path)
+
+    def deflate(node):
+        if isinstance(node, list):
+            return [deflate(item) for item in node]
+        if not isinstance(node, dict):
+            return node
+        if node.keys() != _ARRAY_KEYS:
+            return {key: deflate(value) for key, value in node.items()}
+        dtype = np.dtype(node["dtype"])
+        end = node["offset"] + dtype.itemsize * math.prod(node["shape"])
+        return {
+            "dtype": str(dtype),
+            "shape": node["shape"],
+            "data": base64.b64encode(arrays[node["offset"] : end]).decode("ascii"),
+        }
+
+    body = deflate(head["body"])
+    edit(body)
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    document = {
+        "magic": "incshrink-snapshot",
+        "version": version,
+        "sha256": hashlib.sha256(canonical.encode("utf8")).hexdigest(),
+        "created_at": head["created_at"],
+        "body": body,
+    }
+    Path(path).write_text(json.dumps(document), encoding="utf8")
+
+
+@pytest.fixture
+def never_rebuilt(monkeypatch):
+    """Fails the test if a refused file reaches the state-applying step."""
+
+    def rebuild(body):
+        raise AssertionError("_rebuild ran on a file that must be refused")
+
+    monkeypatch.setattr(persistence, "_rebuild", rebuild)
+
+
 class TestIntegrity:
     def _snapshot(self, tmp_path) -> Path:
         db = build_database()
@@ -320,41 +415,171 @@ class TestIntegrity:
         with pytest.raises(PersistenceError, match="cannot read"):
             restore_database(tmp_path / "nope.snap")
 
-    def test_not_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"not json {", NOT_UTF8, b""], ids=["text", "binary", "empty"]
+    )
+    def test_not_a_snapshot(self, tmp_path, content):
         path = tmp_path / "garbage.snap"
-        path.write_text("not json {", encoding="utf8")
-        with pytest.raises(PersistenceError, match="not valid JSON"):
-            restore_database(path)
-
-    def test_wrong_magic(self, tmp_path):
-        path = self._snapshot(tmp_path)
-        doc = json.loads(path.read_text(encoding="utf8"))
-        doc["magic"] = "some-other-format"
-        path.write_text(json.dumps(doc), encoding="utf8")
+        path.write_bytes(content)
         with pytest.raises(PersistenceError, match="not an IncShrink snapshot"):
             restore_database(path)
 
-    def test_unknown_version(self, tmp_path):
+    def test_cli_reports_an_unreadable_file_without_a_traceback(self, tmp_path):
+        """Non-UTF-8 bytes used to escape as ``UnicodeDecodeError``."""
+        from repro.__main__ import main
+
+        path = tmp_path / "garbage.snap"
+        path.write_bytes(NOT_UTF8)
+        for argv in (
+            ["resume", "--snapshot", str(path)],
+            ["query", "--snapshot", str(path), "--count"],
+        ):
+            with pytest.raises(SystemExit, match="cannot restore snapshot"):
+                main(argv)
+
+    def test_wrong_magic(self, tmp_path):
         path = self._snapshot(tmp_path)
-        doc = json.loads(path.read_text(encoding="utf8"))
-        doc["version"] = 99
-        path.write_text(json.dumps(doc), encoding="utf8")
-        with pytest.raises(PersistenceError, match="format version"):
+        raw = path.read_bytes()
+        path.write_bytes(b"some-other-format!" + raw[18:])
+        with pytest.raises(PersistenceError, match="not an IncShrink snapshot"):
             restore_database(path)
 
-    def test_tampered_body_fails_digest(self, tmp_path):
+    def test_unknown_version(self, tmp_path, never_rebuilt):
         path = self._snapshot(tmp_path)
-        doc = json.loads(path.read_text(encoding="utf8"))
+        head, arrays, _ = read_container(path)
+        write_container(path, head, arrays, version=99)
+        with pytest.raises(PersistenceError, match="format version 99"):
+            restore_database(path)
+
+    def test_json_document_snapshot_names_the_upgrade_command(self, never_rebuilt):
+        with pytest.raises(PersistenceError, match="repro upgrade-snapshot"):
+            restore_database(GOLDEN_V3)
+
+    def test_tampered_body_fails_digest(self, tmp_path, never_rebuilt):
+        """A refund with a recomputed head but the stale trailer."""
+        path = self._snapshot(tmp_path)
+        head, arrays, trailer = read_container(path)
+        assert head["body"]["accountant"], "the scenario needs spent budget"
         # An attacker refunding spent budget must be caught by the digest.
-        doc["body"]["accountant"] = []
-        path.write_text(json.dumps(doc), encoding="utf8")
+        head["body"]["accountant"] = []
+        write_container(path, head, arrays, trailer=trailer)
         with pytest.raises(PersistenceError, match="integrity check"):
             restore_database(path)
 
-    def test_magic_constant_is_stable(self, tmp_path):
+    def test_truncation_at_every_offset_is_refused(self, tmp_path, never_rebuilt):
+        raw = self._snapshot(tmp_path).read_bytes()
+        cut = tmp_path / "cut.snap"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(PersistenceError):
+                restore_database(cut)
+
+    def test_a_flipped_byte_anywhere_fails_the_integrity_check(
+        self, tmp_path, never_rebuilt
+    ):
         path = self._snapshot(tmp_path)
-        doc = json.loads(path.read_text(encoding="utf8"))
-        assert doc["magic"] == SNAPSHOT_MAGIC == "incshrink-snapshot"
+        raw = path.read_bytes()
+        head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+        trailer_start = len(raw) - _DIGEST_BYTES
+        assert head_end < trailer_start, "the scenario needs an array section"
+        rng = random.Random(20221)
+        offsets = [
+            # the head-length field, then head, array section and trailer
+            *range(_PREAMBLE.size - 8, _PREAMBLE.size),
+            *rng.sample(range(_PREAMBLE.size, head_end), 150),
+            *rng.sample(range(head_end, trailer_start), 60),
+            *rng.sample(range(trailer_start, len(raw)), 12),
+        ]
+        flipped = tmp_path / "flipped.snap"
+        for offset in offsets:
+            damaged = bytearray(raw)
+            damaged[offset] ^= 1 << rng.randrange(8)
+            flipped.write_bytes(damaged)
+            with pytest.raises(PersistenceError, match="integrity check"):
+                restore_database(flipped)
+
+    def test_declared_sizes_are_checked_before_anything_is_allocated(
+        self, tmp_path, never_rebuilt
+    ):
+        """Authentic trailers, impossible sizes: refused as malformed,
+        without attempting the terabyte allocations they ask for."""
+        path = self._snapshot(tmp_path)
+        intact = path.read_bytes()
+        head, arrays, _ = read_container(path)
+        text = json.dumps(head, separators=(",", ":")).encode("utf8")
+        payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 1 << 62) + text
+        path.write_bytes(payload + arrays + hashlib.sha256(payload + arrays).digest())
+        with pytest.raises(PersistenceError, match="head length"):
+            restore_database(path)
+
+        for entry in (
+            {"dtype": "<u4", "shape": [1 << 40], "offset": 0},
+            {"dtype": "<u4", "shape": [0, 1 << 62], "offset": 0},
+            {"dtype": "O", "shape": [1], "offset": 0},
+            {"dtype": ",u4", "shape": [1], "offset": 0},
+            {"dtype": "<u4", "shape": [-1], "offset": 0},
+            {"dtype": "<u4", "shape": [1], "offset": 4},
+        ):
+            write_container(path, {"created_at": 0.0, "body": {"x": entry}}, b"\0" * 4)
+            with pytest.raises(PersistenceError, match="malformed"):
+                restore_database(path)
+        # trailing bytes after an otherwise complete file
+        path.write_bytes(intact + b"\0")
+        with pytest.raises(PersistenceError):
+            restore_database(path)
+
+    def test_receipt_is_the_trailer_over_everything_before_it(self, tmp_path):
+        db = build_database()
+        feed(db, 1)
+        info = snapshot_database(db, tmp_path / "ok.snap")
+        raw = (tmp_path / "ok.snap").read_bytes()
+        assert info.sha256 == hashlib.sha256(raw[:-32]).hexdigest() == raw[-32:].hex()
+        assert info.bytes_written == len(raw)
+        assert read_container(tmp_path / "ok.snap")[0]["created_at"] == info.created_at
+
+    def test_magic_constant_is_stable(self, tmp_path):
+        raw = self._snapshot(tmp_path).read_bytes()
+        assert raw.startswith(SNAPSHOT_MAGIC)
+        assert SNAPSHOT_MAGIC == b"incshrink-snapshot"
+
+    def test_restored_arrays_are_owned_and_writable(self, tmp_path):
+        """Each array is its own allocation — none is a view pinning a
+        file-sized buffer, none is read-only."""
+        db = build_database()
+        for t in (1, 2, 3):
+            feed(db, t)
+        snapshot_database(db, tmp_path / "own.snap")
+        restored = restore_database(tmp_path / "own.snap").database
+        arrays = []
+        for store in restored.tables.values():
+            for batch in store.batches:
+                arrays += [batch.emitted, batch.table.rows.share0, batch.table.flags.share1]
+        for group in restored.groups.values():
+            arrays += [g["emitted"] for g in group.ledger.snapshot_state()["groups"]]
+        for vr in restored.views.values():
+            arrays += [t.rows.share1 for t in vr.view.shards]
+            if vr.counter is not None:
+                arrays.append(vr.counter.snapshot_state().share0)
+        assert len(arrays) > 20
+        for arr in arrays:
+            assert arr.flags.owndata and arr.flags.writeable
+
+    def test_snapshot_restore_snapshot_is_byte_identical(self, tmp_path):
+        """…apart from ``created_at``, the one thing that is about the
+        file and not about the database."""
+        db = build_sharded_database(4)
+        for t in (1, 2, 3):
+            feed(db, t)
+        db.set_tenant_budgets({"zed": 1.0, "ana": 2.0})
+        db.query(multi_query(), 3, epsilon=0.5, tenant="zed")
+        snapshot_database(db, tmp_path / "a.snap", metadata={"last_time": 3})
+        restored = restore_database(tmp_path / "a.snap")
+        snapshot_database(
+            restored.database, tmp_path / "b.snap", metadata=restored.metadata
+        )
+        assert snapshot_content(tmp_path / "a.snap") == snapshot_content(
+            tmp_path / "b.snap"
+        )
 
 
 def test_restore_in_fresh_process(tmp_path):
@@ -496,9 +721,9 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
     shard_lengths = {n: vr.view.shard_lengths() for n, vr in db.views.items()}
     snapshot_database(db, tmp_path / "sharded.snap")
 
-    doc = json.loads((tmp_path / "sharded.snap").read_text(encoding="utf8"))
-    assert doc["version"] == SNAPSHOT_VERSION
-    assert doc["body"]["config"]["n_shards"] == 4
+    head, _, _ = read_container(tmp_path / "sharded.snap")  # asserts the version
+    assert head["body"]["config"]["n_shards"] == 4
+    assert all(len(v["view"]["shards"]) == 4 for v in head["body"]["views"])
 
     restored = restore_database(tmp_path / "sharded.snap").database
     assert restored.n_shards == 4
@@ -510,26 +735,25 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
 
 
 def _downgrade_to_v1(path: Path) -> None:
-    """Rewrite a single-shard v2 snapshot into the historical v1 layout."""
-    from repro.server.persistence import _canonical_bytes
-    import hashlib
+    """Rewrite a single-shard snapshot into the historical v1 layout."""
 
-    doc = json.loads(path.read_text(encoding="utf8"))
-    body = doc["body"]
-    assert body["config"].pop("n_shards") == 1
-    body["config"]["cost_model"].pop("max_parallel_workers")
-    for view_entry in body["views"]:
-        shards = view_entry["view"].pop("shards")
-        assert len(shards) == 1
-        view_entry["view"]["table"] = shards[0]
-    doc["version"] = 1
-    doc["sha256"] = hashlib.sha256(_canonical_bytes(body)).hexdigest()
-    path.write_text(json.dumps(doc), encoding="utf8")
+    def strip(body: dict) -> None:
+        assert body["config"].pop("n_shards") == 1
+        body["config"]["cost_model"].pop("max_parallel_workers")
+        for view_entry in body["views"]:
+            shards = view_entry["view"].pop("shards")
+            assert len(shards) == 1
+            view_entry["view"]["table"] = shards[0]
+        # v1 also predates the query compiler and tenancy
+        del body["rng"]["query_noise"], body["tenant_budgets"]
+
+    write_legacy_json(path, 1, strip)
 
 
 def test_v1_snapshot_upgrade_roundtrip(tmp_path):
-    """A pre-sharding (v1) snapshot restores as one shard, continues the
-    stream byte-identically, and can be resharded in place afterwards."""
+    """A pre-sharding (v1) snapshot, once through ``upgrade-snapshot``,
+    restores as one shard, continues the stream byte-identically, and can
+    be resharded in place afterwards."""
     n_steps = len(SCRIPT)
     uninterrupted = build_database()
     for t in range(1, n_steps + 1):
@@ -542,9 +766,19 @@ def test_v1_snapshot_upgrade_roundtrip(tmp_path):
     path = tmp_path / "legacy.snap"
     snapshot_database(interrupted, path)
     _downgrade_to_v1(path)
+    with pytest.raises(PersistenceError, match="upgrade-snapshot"):
+        restore_database(path)
+    upgrade_snapshot(path, tmp_path / "upgraded.snap")
 
-    restored = restore_database(path).database
+    restored = restore_database(tmp_path / "upgraded.snap").database
     assert restored.n_shards == 1
+    assert restored.tenant_budgets == {}
+    # No noisy query was ever released: the stream a new database starts
+    # with, which is what the old reader left in place.
+    assert (
+        restored.query_noise_gen.bit_generator.state
+        == IncShrinkDatabase(total_epsilon=1.0).query_noise_gen.bit_generator.state
+    )
     for t in range(3, n_steps + 1):
         feed(restored, t)
     assert answer_mix(restored, n_steps) == expected_answers
@@ -555,3 +789,54 @@ def test_v1_snapshot_upgrade_roundtrip(tmp_path):
     assert answer_mix(restored, n_steps) == expected_answers
     assert all(vr.view.n_shards == 4 for vr in restored.views.values())
     assert fingerprint(restored)["realized"] == fingerprint(uninterrupted)["realized"]
+
+
+def test_upgrader_converts_a_real_v3_file(tmp_path):
+    """``tests/golden/snapshot_v3.snap`` was written by the last commit
+    whose writer produced JSON documents, from the state rebuilt here."""
+    live = build_database()
+    feed(live, 1)
+    feed(live, 2)
+    live.set_tenant_budgets({"ana": 1.0})
+    live.query(multi_query(), 2, epsilon=0.6, tenant="ana")
+
+    info = upgrade_snapshot(GOLDEN_V3, tmp_path / "up.snap")
+    old = json.loads(GOLDEN_V3.read_text(encoding="utf8"))
+    assert info.created_at == old["created_at"]
+    restored = restore_database(tmp_path / "up.snap")
+    assert restored.info == info
+    assert restored.metadata == {"last_time": 2, "note": "golden v3"}
+    db = restored.database
+    assert db.tenant_budgets == {"ana": 1.0}
+    assert db.tenant_epsilons() == live.tenant_epsilons()
+    assert fingerprint(db) == fingerprint(live)
+    # the noise stream and the rest of the script continue identically
+    assert (
+        db.query(multi_query(), 2, epsilon=0.3, tenant="ana").answers
+        == live.query(multi_query(), 2, epsilon=0.3, tenant="ana").answers
+    )
+    for t in range(3, len(SCRIPT) + 1):
+        feed(db, t)
+        feed(live, t)
+    assert answer_mix(db, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
+    assert fingerprint(db) == fingerprint(live)
+
+
+def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
+    current = tmp_path / "current.snap"
+    db = build_database()
+    feed(db, 1)
+    snapshot_database(db, current)
+    with pytest.raises(PersistenceError, match="already in the current format"):
+        upgrade_snapshot(current, tmp_path / "out.snap")
+
+    tampered = json.loads(GOLDEN_V3.read_text(encoding="utf8"))
+    tampered["body"]["accountant"] = []
+    (tmp_path / "tampered.snap").write_text(json.dumps(tampered), encoding="utf8")
+    with pytest.raises(PersistenceError, match="integrity check"):
+        upgrade_snapshot(tmp_path / "tampered.snap", tmp_path / "out.snap")
+
+    (tmp_path / "binary.snap").write_bytes(NOT_UTF8)
+    with pytest.raises(PersistenceError, match="not valid JSON"):
+        upgrade_snapshot(tmp_path / "binary.snap", tmp_path / "out.snap")
+    assert not (tmp_path / "out.snap").exists()

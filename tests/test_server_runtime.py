@@ -498,6 +498,7 @@ class TestSnapshotDuringConcurrentQueries:
 
     def test_racing_snapshot_restores_byte_identical_state(self, tmp_path):
         from repro.server.persistence import restore_database, snapshot_database
+        from test_persistence import snapshot_content
 
         path = str(tmp_path / "race.snap")
         server = DatabaseServer(build_database(), snapshot_path=path).start()
@@ -534,15 +535,17 @@ class TestSnapshotDuringConcurrentQueries:
         assert not errors, errors
 
         # Byte-identical: re-snapshotting the restored state under the
-        # same metadata reproduces the exact on-disk digest (before any
-        # new query appends to the persisted metric logs).
+        # same metadata reproduces the exact on-disk content (before any
+        # new query appends to the persisted metric logs) — all of it but
+        # created_at, which the digest covers and which therefore differs.
         restored = restore_database(path)
-        info = snapshot_database(
+        assert restored.info.sha256 == infos[-1].sha256
+        snapshot_database(
             restored.database,
             str(tmp_path / "again.snap"),
             metadata=restored.metadata,
         )
-        assert info.sha256 == infos[-1].sha256
+        assert snapshot_content(tmp_path / "again.snap") == snapshot_content(path)
         # And the restored database answers identically, ε-exactly.
         assert [
             restored.database.query(count_query(2), len(SCRIPT)).answer,

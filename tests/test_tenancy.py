@@ -46,6 +46,7 @@ from repro.net.client import IncShrinkClient
 from repro.net.metrics import MetricsServer, render_metrics
 from repro.net.server import NetworkServer
 from repro.server.persistence import restore_database, snapshot_database
+from repro.server.snapshot_upgrade import upgrade_snapshot
 from repro.server.runtime import DatabaseServer
 from repro.tenancy import (
     ROLE_FRAMES,
@@ -58,6 +59,7 @@ from repro.tenancy import (
 )
 
 from test_network import batches_at, build_database, epsilon_query, query_mix
+from test_persistence import read_container, write_legacy_json
 
 
 def make_registry(**overrides) -> TenantRegistry:
@@ -424,24 +426,17 @@ class TestLedgerPersistence:
         assert restored.tenant_epsilons()["ana"] == 1.0
 
     def test_pre_tenancy_snapshots_still_restore(self, tmp_path):
-        """A v3 reader accepts bodies without tenant_budgets."""
+        """A pre-tenancy (v2) snapshot has no tenant_budgets; through
+        ``upgrade-snapshot`` it restores with no caps."""
         db = build_database()
         for t in range(1, 4):
             db.upload(t, batches_at(t))
         path = tmp_path / "plain.snapshot"
         snapshot_database(db, path)
-        doc = json.loads(path.read_text())
-        assert doc["body"].get("tenant_budgets") == {}
-        del doc["body"]["tenant_budgets"]
-        import hashlib
-
-        doc["sha256"] = hashlib.sha256(
-            json.dumps(
-                doc["body"], sort_keys=True, separators=(",", ":")
-            ).encode()
-        ).hexdigest()
-        path.write_text(json.dumps(doc))
-        restored = restore_database(path).database
+        assert read_container(path)[0]["body"]["tenant_budgets"] == {}
+        write_legacy_json(path, 2, lambda body: body.pop("tenant_budgets"))
+        upgrade_snapshot(path, tmp_path / "upgraded.snapshot")
+        restored = restore_database(tmp_path / "upgraded.snapshot").database
         assert restored.tenant_budgets == {}
 
 
