@@ -45,9 +45,8 @@ from repro.core.view_def import JoinViewDefinition
 from repro.dist import RemoteScanBackend, WorkerEndpoint
 from repro.mpc.runtime import MPCRuntime
 from repro.query.ast import AggregateSpec, GroupBySpec, LogicalQuery
-from repro.query.parallel import ParallelScanExecutor
+from repro.query.parallel import ParallelScanExecutor, usable_cpus
 from repro.query.rewrite import lower_to_view_scan
-from repro.query.shard_workers import usable_cpus
 from repro.server.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView

@@ -45,8 +45,8 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_incremental.json"
 
 BACKENDS = ("thread", "process")
 N_SHARDS = 4
-#: Large enough that the per-scan numpy kernel time is measurable and
-#: every shard clears the process backend's auto-selection threshold.
+#: Large enough that the per-scan numpy kernel time is measurable.
+#: Both backends are forced: ``auto`` never selects the process pool.
 VIEW_ROWS = 200_000
 #: Appended suffix sizes, as fractions of the original view.
 DELTA_FRACTIONS = (0.01, 0.05)

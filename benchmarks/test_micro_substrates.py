@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.rng import spawn
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import oblivious_count
+from repro.oblivious.filter import fold_aggregates, oblivious_count
 from repro.oblivious.sort import (
     apply_network,
     composite_key,
@@ -58,6 +58,27 @@ def test_bench_oblivious_count_scan(benchmark, n):
             return oblivious_count(ctx, rows, flags, None, 4)
 
     assert benchmark(scan) == n
+
+
+@pytest.mark.parametrize(
+    "sum_columns, group_column, group_domain",
+    [((3,), None, None), ((3, 1), 0, (0, 1, 2, 3))],
+    ids=["count+sum", "4cells-count+2sum"],
+)
+def test_bench_fold_aggregates(benchmark, sum_columns, group_column, group_domain):
+    """The accumulation half of the view scan, one 100k-row shard at
+    50 % selectivity: a COUNT+SUM, and 4 GROUP BY cells × COUNT+2 SUM."""
+    n = 100_000
+    gen = spawn(3, "bench", n)
+    rows = gen.integers(0, 2**32, size=(n, 4), dtype=np.uint32)
+    rows[:, 0] = gen.integers(0, 4, size=n)
+    live = gen.integers(0, 2, size=n).astype(bool)
+
+    counts, sums = benchmark(
+        fold_aggregates, rows, live, sum_columns, True, group_column, group_domain
+    )
+    assert int(counts.sum()) == int(live.sum())
+    assert int(sums[:, 0].sum()) == int(rows[live, 3].sum(dtype=np.uint64))
 
 
 @pytest.mark.parametrize("window", [64, 256])

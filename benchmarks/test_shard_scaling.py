@@ -47,9 +47,9 @@ from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.mpc.runtime import MPCRuntime
 from repro.query.ast import AggregateSpec, GroupBySpec, LogicalQuery
-from repro.query.parallel import ParallelScanExecutor
+from repro.query.parallel import ParallelScanExecutor, usable_cpus
 from repro.query.rewrite import lower_to_view_scan
-from repro.query.shard_workers import shutdown_process_backend, usable_cpus
+from repro.query.shard_workers import shutdown_process_backend
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.persistence import snapshot_database
 from repro.server.sharding import ShardLayout
@@ -60,9 +60,10 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
 
 SHARD_COUNTS = (1, 2, 4, 8)
 BACKENDS = ("thread", "process")
-#: Large enough that one scan is tens of milliseconds of numpy kernel
-#: time (CPU-bound), and that every shard at 8 shards clears the
-#: process backend's auto-selection threshold.
+#: Large enough that one scan is milliseconds of numpy kernel time
+#: (CPU-bound) and a cold scan is past the in-process path's inline/pool
+#: constant, so "thread" measures the pool.  Both backends are forced:
+#: ``auto`` never selects the process pool.
 VIEW_ROWS = 600_000
 WALL_REPEATS = 3
 #: Measured-speedup assertions need real cores to be meaningful.

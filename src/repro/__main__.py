@@ -118,9 +118,10 @@ def _add_scan_backend_flag(parser) -> None:
     parser.add_argument(
         "--scan-backend", choices=["auto", "thread", "process"],
         default="auto", dest="scan_backend",
-        help="view-scan executor backend: thread pool, shared-memory "
-        "process pool, or auto-selection by shard size (answers and "
-        "gate totals are identical either way)",
+        help="where view scans run: auto and thread scan in-process "
+        "(inline for small deltas, a thread pool for large ones); "
+        "process forces the shared-memory worker pool, which auto never "
+        "selects (answers and gate totals are identical either way)",
     )
 
 

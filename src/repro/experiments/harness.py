@@ -209,8 +209,8 @@ class MultiViewRunConfig:
     #: Round-robin shard count for every view/cache (1 = the paper's
     #: flat layout); view scans run one shard per worker.
     n_shards: int = 1
-    #: View-scan executor backend: "auto" (per-view, by shard size),
-    #: "thread", or "process" (shared-memory worker pool).
+    #: View-scan executor backend: "auto"/"thread" (in-process), or
+    #: "process" (forces the shared-memory worker pool).
     scan_backend: str = "auto"
     #: Incremental execution: cache per-shard prefix accumulators so a
     #: repeat query scans only each shard's delta (answers and realized

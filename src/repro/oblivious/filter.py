@@ -70,6 +70,32 @@ def oblivious_count(
     return int(live.sum())
 
 
+def range_mask(
+    rows: np.ndarray, clause_specs: Sequence[tuple[int, int, int]]
+) -> np.ndarray | None:
+    """Rows passing every ``(column, lo, hi)`` closed-interval clause.
+
+    The predicate half of the scan kernel, shared by every backend
+    (:func:`repro.query.executor.clause_mask` lowers plan clauses onto
+    it; shard workers receive the triples pre-lowered).  Returns None
+    when there is nothing to filter.
+    """
+    if not clause_specs or not len(rows):
+        return None
+    mask = None
+    for column, lo, hi in clause_specs:
+        # Rows are row-major, so a column view is strided; comparing a
+        # contiguous copy costs a fraction of comparing in place.
+        values = np.ascontiguousarray(rows[:, column])
+        passed = values >= np.uint32(lo)
+        passed &= values <= np.uint32(hi)
+        if mask is None:
+            mask = passed
+        else:
+            mask &= passed
+    return mask
+
+
 def fold_aggregates(
     rows: np.ndarray,
     live: np.ndarray,
@@ -86,6 +112,12 @@ def fold_aggregates(
     plaintext ground-truth path (:func:`repro.query.executor.
     aggregate_plain`) delegate here, so served answers and the logical
     answers the L1 error compares against can never drift.
+
+    A sum is the column times the 0/1 selection, reduced in ``uint64``
+    — the circuit's own "payload × isView" (see :func:`oblivious_sum`).
+    The product stays in the column's dtype (a 0/1 factor cannot
+    overflow) and the reduction widens, so each accumulator is the same
+    element of Z_{2^64} as widening first and summing the selected rows.
     """
     grouped = group_column is not None
     n_groups = len(group_domain) if grouped else 1
@@ -93,15 +125,12 @@ def fold_aggregates(
     sums = np.zeros((n_groups, len(sum_columns)), dtype=np.uint64)
     if len(rows) == 0:
         return counts, sums
-    # Widen only the summed columns — a COUNT-only scan (the paper's
-    # whole workload) allocates nothing beyond its selection masks.
-    summed = (
-        np.asarray(rows)[:, list(sum_columns)].astype(np.uint64)
-        if sum_columns
-        else None
-    )
+    rows = np.asarray(rows)
+    # One contiguous copy per distinct summed column (see range_mask);
+    # a COUNT-only scan — the paper's whole workload — copies nothing.
+    columns = {c: np.ascontiguousarray(rows[:, c]) for c in set(sum_columns)}
     if grouped:
-        keys = np.asarray(rows, dtype=np.uint32)[:, group_column]
+        keys = rows[:, group_column].astype(np.uint32)
         selections = [
             live & (keys == np.uint32(value)) for value in group_domain
         ]
@@ -109,9 +138,9 @@ def fold_aggregates(
         selections = [live]
     for g, sel in enumerate(selections):
         if need_count:
-            counts[g] = int(sel.sum())
-        for s in range(len(sum_columns)):
-            sums[g, s] = summed[sel, s].sum(dtype=np.uint64)
+            counts[g] = np.count_nonzero(sel)
+        for s, c in enumerate(sum_columns):
+            sums[g, s] = np.multiply(columns[c], sel).sum(dtype=np.uint64)
     return counts, sums
 
 

@@ -30,6 +30,7 @@ from ..oblivious.filter import (
     oblivious_count,
     oblivious_multi_aggregate,
     oblivious_sum,
+    range_mask,
 )
 from ..oblivious.sort_merge_join import (
     oblivious_join_count,
@@ -58,15 +59,9 @@ def clause_mask(
     Shared by the secure scan and the plaintext ground-truth path so the
     two can never drift; returns None when there is nothing to filter.
     """
-    if not clauses or not len(rows):
-        return None
-    mask = np.ones(len(rows), dtype=bool)
-    for clause in clauses:
-        values = rows[:, schema.index(clause.column)]
-        mask &= (values >= np.uint32(clause.lo)) & (
-            values <= np.uint32(clause.hi)
-        )
-    return mask
+    return range_mask(
+        rows, [(schema.index(c.column), c.lo, c.hi) for c in clauses]
+    )
 
 
 def assemble_answer(

@@ -12,20 +12,26 @@ each shard under its own :class:`~repro.mpc.runtime.ProtocolContext`,
 and merges the per-shard accumulators share-locally (plain ring addition
 of count/sum slots).
 
-Two execution backends share that decomposition:
+Where the shard scans run is a placement question only — every backend
+runs the same kernel and merges the same accumulators:
 
-* ``"thread"`` — shard scans on a process-wide thread pool.  Cheap to
-  enter, but GIL-bound: real wall clock stays flat as shards grow.
-* ``"process"`` — shard scans in a persistent ``spawn`` worker pool over
-  shared-memory publications (:mod:`repro.query.shard_workers`), giving
-  true multi-core execution.  Workers return partial accumulators plus
-  gate counts, replayed onto the real shard contexts.
-
-``backend="auto"`` (the default) picks per view: process workers when
-the largest shard is at least :data:`PROCESS_MIN_SHARD_ROWS` rows and
-more than one CPU is usable, threads otherwise — below that threshold
-the per-query IPC (task pickle + result pickle, ~1 ms) costs more than
-the GIL does.
+* **in-process** (``"thread"``, and what ``"auto"`` — the default —
+  always resolves to).  Shards with nothing past their watermark are
+  answered without a call; the rest run inline on the calling thread
+  while the public delta ``Σ(n_rows − start)`` is below
+  :data:`POOL_MIN_DELTA_ROWS`, and on a process-wide thread pool from
+  there up.  The kernel is numpy calls that release the GIL, so the
+  pool does overlap shards (1.6× on two cores at ≥ 1.2 M rows); what it
+  costs is the hand-off, which is why small deltas stay inline.
+* ``"process"`` — a persistent ``spawn`` worker pool over shared-memory
+  publications (:mod:`repro.query.shard_workers`); workers return
+  partial accumulators plus gate counts, replayed onto the real shard
+  contexts.  ``"remote"`` does the same over sockets (:mod:`repro.dist`).
+  Both are **forced-only**: against the in-process path they lost at
+  every size measured (400k rows: 3.3 vs 2.1 ms per query; the task
+  round trip alone is ≈ 1.2 ms, and every Shrink release republishes
+  the view), so ``auto`` never picks them — ``docs/SHARDING.md`` has
+  the table.
 
 Equivalence to the serial engine is exact in every backend, not
 approximate:
@@ -51,7 +57,7 @@ With an :class:`~repro.query.incremental.AccumulatorCache` attached
 **incremental**: each shard scans only its suffix past the cached
 watermark, charges gates for the suffix alone, and merges the cached
 prefix accumulators by exact ring addition — byte-identical answers at
-O(delta) gate cost, on either backend (thread workers slice the suffix
+O(delta) gate cost, on every backend (in-process scans slice the suffix
 share-locally before revealing; process workers receive a ``start_row``
 and slice their zero-copy shared-memory views).  See
 :mod:`repro.query.incremental` for the correctness and leakage
@@ -74,20 +80,30 @@ from ..storage.materialized_view import MaterializedView
 from .ast import QueryAnswer, ViewScanPlan
 from .executor import assemble_answer, clause_mask
 from .incremental import AccumulatorCache, ScanReport, ShardAccumulator
-from .shard_workers import PROCESS_BACKEND, ShardScanTask, usable_cpus
 
 #: Executor backends a caller may request.  ``"remote"`` scatters shard
 #: scans over a fleet of shard-worker daemons (:mod:`repro.dist`) and
 #: requires a connected coordinator (``remote=`` on the constructor).
 SCAN_BACKENDS = ("auto", "thread", "process", "remote")
 
-#: ``backend="auto"`` switches to process workers when the largest shard
-#: reaches this many rows.  Measured on the shard-scaling benchmark: one
-#: shard task costs ~1 ms of IPC round-trip (pickle + queue + result),
-#: and a shard scan crosses ~1 ms of kernel time around tens of
-#: thousands of rows — below that the thread backend's zero-setup path
-#: wins even against the GIL.
-PROCESS_MIN_SHARD_ROWS = 32_768
+#: In-process scans fan out on the shared thread pool once the public
+#: delta ``Σ(n_rows − start)`` reaches this many rows; below it the
+#: shards run inline on the calling thread.  Measured on the 2-core
+#: reference host, 4 shards, cold range-predicate scans: submitting four
+#: tasks to idle pool threads and collecting them costs 0.19 ms, the
+#: kernel ≈ 7 ns/row, and inline/pool medians are 0.95/1.19 ms at 131k
+#: rows, 1.85/1.95 at 262k, 2.7/2.4 at 400k, 8.1/5.0 at 1.2 M — the two
+#: tie here.  The ``bigview`` benchmark pair sits on both sides (warm
+#: deltas of a few hundred rows, cold scans of 400k).
+POOL_MIN_DELTA_ROWS = 262_144
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually schedule on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 #: Process-wide worker pools, one per distinct size.  Shared across every
@@ -122,17 +138,17 @@ def shutdown_shared_pools() -> None:
 class ParallelScanExecutor:
     """Runs one lowered view-scan plan across shards on a worker backend.
 
-    ``backend`` is the executor seam: ``"thread"`` fans shards out on a
-    process-wide thread pool, ``"process"`` on the persistent
-    shared-memory worker pool of :mod:`repro.query.shard_workers`, and
-    ``"auto"`` (default) resolves per view by shard size
-    (:meth:`backend_for`).  Shard scans are pure reveal/charge work on
-    disjoint contexts (no RNG, no shared mutable state), so both
-    backends preserve the deterministic per-shard protocol discipline.
-    With one shard — or ``max_workers=1`` on the thread backend —
-    execution is serial and byte-identical to
-    :func:`repro.query.executor.execute_view_scan`, including the logged
-    gate total and simulated seconds.
+    ``backend`` is the executor seam: ``"thread"`` and ``"auto"`` (the
+    default) scan in-process — inline or on the process-wide thread
+    pool, by public delta size (:data:`POOL_MIN_DELTA_ROWS`) —
+    ``"process"`` forces the persistent shared-memory worker pool of
+    :mod:`repro.query.shard_workers` (:meth:`backend_for`).  Shard scans
+    are pure reveal/charge work on disjoint contexts (no RNG, no shared
+    mutable state), so every backend preserves the deterministic
+    per-shard protocol discipline.  With one shard — or
+    ``max_workers=1`` in-process — execution is serial and
+    byte-identical to :func:`repro.query.executor.execute_view_scan`,
+    including the logged gate total and simulated seconds.
     """
 
     def __init__(
@@ -154,7 +170,7 @@ class ParallelScanExecutor:
                 "backend 'remote' needs a connected RemoteScanBackend "
                 "(remote=...)"
             )
-        self.max_workers = max_workers or min(32, os.cpu_count() or 1)
+        self.max_workers = max_workers or min(32, usable_cpus())
         self.backend = backend
         #: the :class:`repro.dist.RemoteScanBackend` coordinator, when
         #: this executor scatters to a worker fleet
@@ -167,22 +183,17 @@ class ParallelScanExecutor:
         Single-shard views always scan serially in-process (there is
         nothing to fan out, and the serial path is byte-identical to the
         historical executor).  A forced backend is otherwise honored;
-        ``"auto"`` picks process workers only when the largest shard
-        clears :data:`PROCESS_MIN_SHARD_ROWS` **and** more than one CPU
-        is actually usable — on a single-core host the IPC overhead
-        buys nothing.
+        ``"auto"`` is the in-process path at every size — no measured
+        cell has the process pool or the fleet ahead of it (see the
+        module docstring).
         """
         if self.backend == "remote":
             # The fleet serves single-shard views too (the one-worker
             # baseline); the replica ring degenerates gracefully.
             return "remote"
-        if view.n_shards <= 1:
+        if view.n_shards <= 1 or self.backend == "auto":
             return "thread"
-        if self.backend != "auto":
-            return self.backend
-        if max(view.shard_lengths(), default=0) < PROCESS_MIN_SHARD_ROWS:
-            return "thread"
-        return "process" if usable_cpus() > 1 else "thread"
+        return self.backend
 
     # -- execution ---------------------------------------------------------
     def execute(
@@ -250,12 +261,6 @@ class ParallelScanExecutor:
             else [0] * len(shards)
         )
 
-        def zero_part() -> tuple[np.ndarray, np.ndarray]:
-            return (
-                np.zeros(n_groups, dtype=np.int64),
-                np.zeros((n_groups, len(sum_indices)), dtype=np.uint64),
-            )
-
         def scan_shard(
             ctx: ProtocolContext, shard: SharedTable, start: int
         ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,104 +282,99 @@ class ParallelScanExecutor:
                 plan.predicate_words,
             )
 
+        # Watermarks never pass their shard's length (the cache checks),
+        # so the difference is the public delta this query scans.
+        total_rows = sum(lengths)
+        cached_rows = sum(starts)
+        # Shards with nothing past their watermark are answered without
+        # a call, a task or a wire frame on any backend: a zero
+        # accumulator, no gates.
+        parts: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(shards)
+        pending = []
+        for i, (n_rows, start) in enumerate(zip(lengths, starts)):
+            if start < n_rows:
+                pending.append(i)
+            else:
+                parts[i] = (
+                    np.zeros(n_groups, dtype=np.int64),
+                    np.zeros((n_groups, len(sum_indices)), dtype=np.uint64),
+                )
+
+        def worker_spec() -> dict:
+            # The plan as out-of-process workers receive it: scalars and
+            # pre-lowered (column, lo, hi) clauses, no plan/schema objects.
+            return dict(
+                sum_indices=tuple(sum_indices),
+                need_count=plan.need_count,
+                group_column=group_column,
+                group_domain=(
+                    tuple(plan.group_domain)
+                    if plan.group_domain is not None
+                    else None
+                ),
+                clause_specs=tuple(
+                    (schema.index(c.column), int(c.lo), int(c.hi))
+                    for c in plan.clauses
+                ),
+                payload_words=schema.width,
+                predicate_words=plan.predicate_words,
+            )
+
         with runtime.parallel_protocol("query", time, len(shards)) as group:
             if backend == "remote":
                 from ..net import protocol as wire
 
-                parts = [None] * len(shards)
-                tasks = []
-                for i, (n_rows, start) in enumerate(zip(lengths, starts)):
-                    if start >= n_rows:
-                        # Zero delta: no task crosses the wire, no gates
-                        # charge — same as the local backends.
-                        parts[i] = zero_part()
-                        continue
-                    tasks.append((i, n_rows, start))
-                spec = wire.encode_scan_spec(
-                    sum_indices=tuple(sum_indices),
-                    need_count=plan.need_count,
-                    group_column=group_column,
-                    group_domain=(
-                        tuple(plan.group_domain)
-                        if plan.group_domain is not None
-                        else None
-                    ),
-                    clause_specs=tuple(
-                        (schema.index(c.column), int(c.lo), int(c.hi))
-                        for c in plan.clauses
-                    ),
-                    payload_words=schema.width,
-                    predicate_words=plan.predicate_words,
-                )
                 remote_parts = self.remote.scan(
-                    view, spec, runtime.cost_model, tasks
+                    view,
+                    wire.encode_scan_spec(**worker_spec()),
+                    runtime.cost_model,
+                    [(i, lengths[i], starts[i]) for i in pending],
                 )
                 # Replay worker gate totals onto the real shard contexts
                 # (same discipline as the process backend): workers ran
                 # the identical kernel under the identical cost model,
                 # so the merged ProtocolRun is byte-identical.
-                for i, _n_rows, _start in tasks:
+                for i in pending:
                     counts, sums, gates = remote_parts[i]
                     group.contexts[i].charge_gates(gates)
                     parts[i] = (counts, sums)
             elif backend == "process":
+                from .shard_workers import PROCESS_BACKEND, ShardScanTask
+
                 pub = PROCESS_BACKEND.publication_for(view)
-                parts: list[tuple[np.ndarray, np.ndarray] | None] = [
-                    None
-                ] * len(shards)
-                tasks = []
-                task_shards = []
-                for i, ((offset, n_rows), start) in enumerate(
-                    zip(pub.shard_meta, starts)
-                ):
-                    if start >= n_rows:
-                        # Nothing appended since the watermark: no task,
-                        # no IPC, no gates for this shard.
-                        parts[i] = zero_part()
-                        continue
-                    task_shards.append(i)
-                    tasks.append(
+                spec = worker_spec()
+                results = PROCESS_BACKEND.scan(
+                    [
                         ShardScanTask(
                             shm_name=pub.name,
-                            offset_words=offset,
-                            n_rows=n_rows,
+                            offset_words=pub.shard_meta[i][0],
+                            n_rows=pub.shard_meta[i][1],
                             width=schema.width,
-                            sum_indices=tuple(sum_indices),
-                            need_count=plan.need_count,
-                            group_column=group_column,
-                            group_domain=(
-                                tuple(plan.group_domain)
-                                if plan.group_domain is not None
-                                else None
-                            ),
-                            clause_specs=tuple(
-                                (schema.index(c.column), int(c.lo), int(c.hi))
-                                for c in plan.clauses
-                            ),
-                            payload_words=schema.width,
-                            predicate_words=plan.predicate_words,
                             cost_model=runtime.cost_model,
-                            start_row=start,
+                            start_row=starts[i],
+                            **spec,
                         )
-                    )
-                results = PROCESS_BACKEND.scan(tasks)
+                        for i in pending
+                    ]
+                )
                 # Replay worker gate totals onto the real shard contexts:
                 # the merged ProtocolRun is then byte-identical to the
                 # in-process backends' (workers charge the same per-row
                 # formulas over the same suffix sizes).
-                for i, (counts, sums, gates) in zip(task_shards, results):
+                for i, (counts, sums, gates) in zip(pending, results):
                     group.contexts[i].charge_gates(gates)
                     parts[i] = (counts, sums)
-            elif len(shards) == 1 or self.max_workers == 1:
-                parts = [
-                    scan_shard(ctx, shard, start)
-                    for ctx, shard, start in zip(group.contexts, shards, starts)
-                ]
-            else:
+            elif (
+                len(pending) > 1
+                and self.max_workers > 1
+                and total_rows - cached_rows >= POOL_MIN_DELTA_ROWS
+            ):
                 pool = _shared_pool(self.max_workers)
                 futures = [
-                    pool.submit(scan_shard, ctx, shard, start)
-                    for ctx, shard, start in zip(group.contexts, shards, starts)
+                    pool.submit(
+                        scan_shard, group.contexts[i], shards[i], starts[i]
+                    )
+                    for i in pending
                 ]
                 # Every shard must settle before the group closes: on a
                 # failure the siblings finish (or fail) first, so the
@@ -383,7 +383,11 @@ class ParallelScanExecutor:
                 # closed context.  The first failure then re-raises, in
                 # shard order, deterministically.
                 wait(futures)
-                parts = [f.result() for f in futures]
+                for i, future in zip(pending, futures):
+                    parts[i] = future.result()
+            else:
+                for i in pending:
+                    parts[i] = scan_shard(group.contexts[i], shards[i], starts[i])
             # Per-shard full-prefix accumulators: cached prefix (when
             # warm) plus the suffix just folded.  Counts add in Z, sums
             # add in Z_{2^64} — the same folds the one-pass scan
@@ -417,8 +421,6 @@ class ParallelScanExecutor:
             suffix_gates = group.gates
         if cache is not None:
             cache.store(view, plan, accumulators)
-        total_rows = sum(lengths)
-        cached_rows = sum(starts)
         report = ScanReport(
             mode=(
                 "off"

@@ -1,13 +1,20 @@
 """Out-of-process shard scan workers over shared memory.
 
-The thread backend of :class:`~repro.query.parallel.ParallelScanExecutor`
-is GIL-bound: shard scans are numpy-heavy but interleave enough Python
-bookkeeping that measured host seconds stay flat as shards grow.  This
-module provides the **process** backend: a persistent ``spawn`` worker
-pool (started once, reused across queries, shut down explicitly or at
-interpreter exit) plus per-view *publications* — the view's share halves
-copied into one :mod:`multiprocessing.shared_memory` segment — that
-workers map with **zero-copy** numpy views.
+The **process** backend of
+:class:`~repro.query.parallel.ParallelScanExecutor`: a persistent
+``spawn`` worker pool (started once, reused across queries, shut down
+explicitly or at interpreter exit) plus per-view *publications* — the
+view's share halves copied into one :mod:`multiprocessing.shared_memory`
+segment — that workers map with **zero-copy** numpy views.
+
+It is **forced-only** (``backend="process"``): ``auto`` never selects
+it.  The in-process path is not GIL-bound — the kernel is numpy calls
+that release the lock — and against it this backend lost at every size
+measured: four no-op tasks cost 1.0 ms of round trip before any row is
+scanned, and every Shrink release republishes the whole view
+(``docs/SHARDING.md``, "What was measured").  It stays as the measured
+alternative, and as the home of :func:`scan_share_suffix`, the kernel
+the distributed shard workers (:mod:`repro.dist`) run too.
 
 Per query the coordinator ships only a tiny picklable
 :class:`ShardScanTask` (segment name, offsets, plan scalars) per shard;
@@ -17,12 +24,12 @@ under a :class:`~repro.mpc.runtime.WorkerShardContext`, and returns the
 partial ``(counts, sums, gates)``.  The coordinator replays the gate
 totals onto the real shard contexts, so answers, merged
 :class:`~repro.mpc.runtime.ProtocolRun` gate totals, and simulated
-seconds are byte-identical to the thread backend (see
+seconds are byte-identical to the in-process path (see
 ``tests/test_sharding_equivalence.py``).
 
 Security note: publishing shares to shared memory moves *ciphertext*
 (each server's XOR half) between address spaces of the same simulated
-server — exactly what the thread backend already shares through the
+server — exactly what the in-process path already shares through the
 heap.  Shard placement remains a pure function of public lengths, so
 distributing the scan leaks nothing new.
 
@@ -49,20 +56,13 @@ import numpy as np
 from ..common.errors import ProtocolError
 from ..mpc.cost_model import CostModel
 from ..mpc.runtime import WorkerShardContext
-from ..oblivious.filter import oblivious_multi_aggregate
+from ..oblivious.filter import oblivious_multi_aggregate, range_mask
 from ..storage.sharded_container import ShardedTableContainer
+from .parallel import usable_cpus
 
 #: Hard cap on pool size — matches the cost model's
 #: ``max_parallel_workers`` ceiling, the paper-style evaluator budget.
 MAX_POOL_WORKERS = 8
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,7 @@ def scan_share_suffix(
     """
     rows = rows0 ^ rows1
     flags = (flags0 ^ flags1).astype(bool)
-    n_suffix = len(rows)
-    mask = None
-    if clause_specs and n_suffix:
-        # Mirrors repro.query.executor.clause_mask over pre-lowered
-        # (column, lo, hi) triples — same comparisons, same dtype rules.
-        mask = np.ones(n_suffix, dtype=bool)
-        for col, lo, hi in clause_specs:
-            values = rows[:, col]
-            mask &= (values >= np.uint32(lo)) & (values <= np.uint32(hi))
+    mask = range_mask(rows, clause_specs)
     ctx = WorkerShardContext(cost_model)
     counts, sums = oblivious_multi_aggregate(
         ctx,

@@ -47,6 +47,12 @@ class OutsourcedTable:
         self.schema = schema
         self.name = name
         self.batches: list[OutsourcedBatch] = []
+        # ``(n, rows, bytes)``: the totals over ``batches[:n]``.  The
+        # planner reads them on every query and a stream is hundreds of
+        # batches; counting on from the log's own length keeps a direct
+        # ``batches.append`` correct.  One tuple, replaced whole, so
+        # concurrent readers race only to store the same value.
+        self._totals = (0, 0, 0)
 
     def append_batch(self, table: SharedTable, time: int) -> OutsourcedBatch:
         if table.schema != self.schema:
@@ -107,6 +113,7 @@ class OutsourcedTable:
                 )
             )
         self.batches = restored
+        self._totals = (0, 0, 0)
 
     # -- budget-aware access ------------------------------------------------
     def active_batches(self, omega: int, budget: int) -> list[OutsourcedBatch]:
@@ -141,10 +148,20 @@ class OutsourcedTable:
             return SharedTable.empty(self.schema)
         return SharedTable.concat_all([b.table for b in self.batches])
 
+    def _current_totals(self) -> tuple[int, int]:
+        counted, rows, size = self._totals
+        n = len(self.batches)
+        if counted != n:
+            for b in self.batches[counted:n]:
+                rows += len(b.table)
+                size += b.table.byte_size
+            self._totals = (n, rows, size)
+        return rows, size
+
     @property
     def total_rows(self) -> int:
-        return sum(len(b.table) for b in self.batches)
+        return self._current_totals()[0]
 
     @property
     def byte_size(self) -> int:
-        return sum(b.table.byte_size for b in self.batches)
+        return self._current_totals()[1]

@@ -187,6 +187,43 @@ class TestPlannerRouting:
         assert result.plan.kind == NM_JOIN
         assert result.observation.l1 == 0
 
+    def test_plan_cost_does_not_grow_with_uploaded_batches(self):
+        """Planning reads both stores' public sizes several times per
+        query; they are running totals, not a re-sum over every batch
+        ever uploaded, so a 2 000-batch stream plans as fast as a
+        20-batch one (it used to cost ~4× at 240 batches)."""
+        from time import perf_counter
+
+        def plan_seconds(n_batches: int):
+            db = IncShrinkDatabase(total_epsilon=1.5, seed=3)
+            db.register_view(ViewRegistration(make_view("v", 2), mode="ep"))
+            probe = RecordBatch(
+                PROBE_SCHEMA, np.asarray([[1, 1]], dtype=np.uint32)
+            ).padded_to(2)
+            driver = RecordBatch(
+                DRIVER_SCHEMA, np.asarray([[1, 2]], dtype=np.uint32)
+            ).padded_to(2)
+            for t in range(1, n_batches + 1):
+                db.upload(t, {"orders": probe, "shipments": driver})
+            assert db.tables["orders"].total_rows == 2 * n_batches
+            query = make_count(make_view("q", 2))
+
+            def median_of_50() -> float:
+                samples = []
+                for _ in range(50):
+                    start = perf_counter()
+                    db.planner.plan(query)
+                    samples.append(perf_counter() - start)
+                return sorted(samples)[25]
+
+            return median_of_50
+
+        short, long = plan_seconds(20), plan_seconds(2000)
+        # Interleaved rounds, best median of each: host noise only ever
+        # adds time, and the old cost at 2 000 batches was > 10×.
+        rounds = [(short(), long()) for _ in range(5)]
+        assert min(l for _, l in rounds) <= 2 * min(s for s, _ in rounds)
+
 
 class TestAccuracy:
     def test_ep_and_high_epsilon_views_track_truth(self, database):

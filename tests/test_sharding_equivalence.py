@@ -453,17 +453,19 @@ class TestBackendSelection:
     def test_auto_uses_shard_size_threshold_and_cpu_count(self, monkeypatch):
         import repro.query.parallel as parallel_mod
 
-        executor = ParallelScanExecutor(backend="auto")
-        small = self._view_with_rows(4, 64)
-        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 8)
-        # Largest shard below the threshold: IPC costs more than the GIL.
-        assert executor.backend_for(small) == "thread"
-        # Clearing the threshold flips auto to the process backend...
-        monkeypatch.setattr(parallel_mod, "PROCESS_MIN_SHARD_ROWS", 16)
-        assert executor.backend_for(small) == "process"
-        # ...unless the host has only one usable core.
-        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 1)
-        assert executor.backend_for(small) == "thread"
+        # The rule this test used to pin — process workers above a shard
+        # size on a multi-core host — lost to the in-process path at
+        # every size measured: auto now resolves in-process whatever the
+        # shard size and CPU count, and size only decides inline vs pool.
+        view = self._view_with_rows(4, 64)
+        for cpus in (1, 8):
+            monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: cpus)
+            for pool_min_rows in (0, 16, 1 << 30):
+                monkeypatch.setattr(
+                    parallel_mod, "POOL_MIN_DELTA_ROWS", pool_min_rows
+                )
+                executor = ParallelScanExecutor(backend="auto")
+                assert executor.backend_for(view) == "thread"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="backend must be one of"):

@@ -10,7 +10,7 @@ from repro.mpc.runtime import MPCRuntime
 from repro.sharing.shared_value import SharedTable
 from repro.storage.growing_db import GrowingDatabase
 from repro.storage.materialized_view import MaterializedView
-from repro.storage.outsourced_table import OutsourcedTable
+from repro.storage.outsourced_table import OutsourcedBatch, OutsourcedTable
 from repro.storage.secure_cache import SecureCache
 
 SCHEMA = Schema(("k", "ts"))
@@ -73,6 +73,32 @@ class TestOutsourcedTable:
         assert table.total_rows == 3
         assert len(table.full_table()) == 3
         assert table.byte_size > 0
+
+    def test_running_totals_equal_the_recomputed_sums(self):
+        """The totals are kept beside the log, not re-summed per read:
+        they must follow ``append_batch``, a direct list append and a
+        ``restore_state`` (to fewer rows) alike."""
+
+        def recomputed(t):
+            return (
+                sum(len(b.table) for b in t.batches),
+                sum(b.table.byte_size for b in t.batches),
+            )
+
+        table = OutsourcedTable(SCHEMA, "t")
+        assert (table.total_rows, table.byte_size) == (0, 0)
+        for time in range(1, 4):
+            table.append_batch(shared([[time, time]] * time, [1] * time), time=time)
+            assert (table.total_rows, table.byte_size) == recomputed(table)
+        table.batches.append(OutsourcedBatch(time=4, table=shared([[4, 4]], [1])))
+        assert table.total_rows == 7
+        assert (table.total_rows, table.byte_size) == recomputed(table)
+        state = table.snapshot_state()[:2]
+        table.restore_state(state)
+        assert table.total_rows == 3
+        assert (table.total_rows, table.byte_size) == recomputed(table)
+        table.append_batch(shared([[5, 5]], [1]), time=5)
+        assert (table.total_rows, table.byte_size) == recomputed(table)
 
     def test_out_of_order_batch_rejected(self):
         table = OutsourcedTable(SCHEMA, "t")
