@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.rng import spawn
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import fold_aggregates, oblivious_count
+from repro.oblivious.filter import fold_aggregates, oblivious_multi_aggregate
 from repro.oblivious.sort import (
     apply_network,
     composite_key,
@@ -55,7 +55,10 @@ def test_bench_oblivious_count_scan(benchmark, n):
     def scan():
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("q") as ctx:
-            return oblivious_count(ctx, rows, flags, None, 4)
+            counts, _sums = oblivious_multi_aggregate(
+                ctx, rows, flags, [], True, None, None, None, 4
+            )
+            return int(counts[0])
 
     assert benchmark(scan) == n
 

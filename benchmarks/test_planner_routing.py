@@ -20,9 +20,10 @@ from repro.common.rng import spawn
 from repro.common.types import Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.mpc.runtime import MPCRuntime
-from repro.query.ast import LogicalJoinCountQuery, ViewCountQuery
-from repro.query.executor import execute_nm_count, execute_view_count
+from repro.query.ast import LogicalQuery
+from repro.query.executor import execute_nm_query, execute_view_scan
 from repro.query.planner import NM_JOIN, VIEW_SCAN, ViewCandidate, plan_query
+from repro.query.rewrite import lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 from repro.storage.outsourced_table import OutsourcedTable
@@ -49,17 +50,8 @@ def _view_def(name: str) -> JoinViewDefinition:
     )
 
 
-def _count_query() -> LogicalJoinCountQuery:
-    return LogicalJoinCountQuery(
-        probe_table="orders",
-        driver_table="shipments",
-        probe_key="key",
-        driver_key="key",
-        probe_ts="ots",
-        driver_ts="sts",
-        window_lo=0,
-        window_hi=2,
-    )
+def _count_query() -> LogicalQuery:
+    return LogicalQuery.for_view(_view_def("any"))
 
 
 def _materialized_view(vd: JoinViewDefinition, n_rows: int) -> MaterializedView:
@@ -101,7 +93,7 @@ def test_bench_planner_routing_overhead(benchmark):
     runtime = MPCRuntime(seed=0)
     view = _materialized_view(vd, 4096)
     t0 = _time.perf_counter()
-    execute_view_count(runtime, 1, view, ViewCountQuery("hot"))
+    execute_view_scan(runtime, 1, view, plan.view_query)
     scan_wall = _time.perf_counter() - t0
 
     planner_wall = benchmark.stats.stats.median
@@ -120,8 +112,9 @@ def test_planner_agrees_with_simulated_execution(view_rows, store_rows, expected
     it — and actually executing both paths confirms the ranking."""
     vd = _view_def("v")
     runtime = MPCRuntime(seed=1)
+    query = _count_query()
     plan = plan_query(
-        _count_query(),
+        query,
         [ViewCandidate(vd, view_rows)],
         store_rows,
         store_rows,
@@ -132,7 +125,11 @@ def test_planner_agrees_with_simulated_execution(view_rows, store_rows, expected
     view = _materialized_view(vd, view_rows)
     probe_store = _store(PROBE_SCHEMA, "orders", store_rows, seed=2)
     driver_store = _store(DRIVER_SCHEMA, "shipments", store_rows, seed=3)
-    _, scan_seconds = execute_view_count(runtime, 1, view, ViewCountQuery("v"))
-    _, nm_seconds = execute_nm_count(runtime, 1, probe_store, driver_store, vd)
+    _, scan_seconds = execute_view_scan(
+        runtime, 1, view, lower_to_view_scan(query, vd)
+    )
+    _, nm_seconds = execute_nm_query(
+        runtime, 1, probe_store, driver_store, vd, query
+    )
     simulated_winner = VIEW_SCAN if scan_seconds <= nm_seconds else NM_JOIN
     assert simulated_winner == expected

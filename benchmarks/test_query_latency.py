@@ -1,16 +1,14 @@
 """Query-compiler latency baseline — BENCH_query.json.
 
 Extends the perf trajectory started by ``BENCH_serving.json`` with the
-unified query compiler's headline numbers, measured on a tiny multi-view
+query compiler's headline numbers, measured on a tiny multi-view
 deployment (the shared harness builder):
 
 * **single-scan amortization** — a 3-aggregate query (COUNT + SUM + AVG)
   answered in one padded view scan vs the same three aggregates issued
   as sequential single-aggregate queries, in both simulated QET (gate
   model, deterministic) and wall clock;
-* **shim equivalence** — the deprecated per-class API and the unified
-  AST return byte-identical pre-noise answers, and pre-noise querying
-  leaves the realized ε untouched;
+* **ε invariance** — pre-noise querying leaves the realized ε untouched;
 * **plan cache** — hit rate over a repeated dashboard-style mix;
 * a GROUP BY data point (one scan, all groups).
 
@@ -29,8 +27,6 @@ from repro.experiments.harness import MultiViewRunConfig, build_multiview_deploy
 from repro.query.ast import (
     AggregateSpec,
     GroupBySpec,
-    LogicalJoinCountQuery,
-    LogicalJoinSumQuery,
     LogicalQuery,
 )
 from repro.query.planner import VIEW_SCAN
@@ -72,6 +68,7 @@ def _run_query_latency() -> dict:
     multi = LogicalQuery.for_view(vd, count, total, average)
     singles = [LogicalQuery.for_view(vd, agg) for agg in (count, total, average)]
 
+    eps_before = db.realized_epsilon()
     multi_result = db.query(multi, t)
     assert multi_result.plan.kind == VIEW_SCAN
     single_results = [db.query(q, t) for q in singles]
@@ -84,14 +81,6 @@ def _run_query_latency() -> dict:
     singles_wall = sum(_wall(db, q, t) for q in singles)
     speedup_wall = singles_wall / multi_wall
 
-    # Shim equivalence: byte-identical pre-noise cells, untouched ε.
-    eps_before = db.realized_epsilon()
-    shim_count = db.query(LogicalJoinCountQuery.for_view(vd), t).answer
-    shim_sum = db.query(
-        LogicalJoinSumQuery.for_view(vd, vd.driver_table, vd.driver_ts), t
-    ).answer
-    ast_row = multi_result.answers.rows[0]
-    shim_matches = shim_count == ast_row[0] and shim_sum == ast_row[1]
     eps_after = db.realized_epsilon()
 
     # GROUP BY: every group of a small public domain in one scan.
@@ -125,7 +114,6 @@ def _run_query_latency() -> dict:
         "group_by_cells": len(domain),
         "group_by_qet_seconds": grouped.observation.qet_seconds,
         "plan_cache_hit_rate": hit_rate,
-        "shim_matches_ast": bool(shim_matches),
         "realized_epsilon_before_queries": eps_before,
         "realized_epsilon_after_queries": eps_after,
     }
@@ -138,7 +126,6 @@ def test_bench_query_latency(benchmark, record_bench):
     # three aggregates beats three sequential scans by ≥ 1.5× in the
     # deterministic gate model (wall clock is reported alongside).
     assert result["speedup_simulated"] >= 1.5
-    assert result["shim_matches_ast"], "old API and unified AST must agree"
     assert (
         result["realized_epsilon_after_queries"]
         == result["realized_epsilon_before_queries"]
@@ -158,6 +145,5 @@ def test_bench_query_latency(benchmark, record_bench):
         f"  GROUP BY ({result['group_by_cells']} cells)      : "
         f"{result['group_by_qet_seconds']:.6f} s QET in one scan\n"
         f"  plan cache hit rate     : {result['plan_cache_hit_rate']:.2%}\n"
-        f"  shim == AST, eps unchanged: {result['shim_matches_ast']}\n"
         f"  -> {note}"
     )

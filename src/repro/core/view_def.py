@@ -197,7 +197,7 @@ class JoinViewDefinition:
         """Exact, truncation-free SUM of one column over qualifying pairs.
 
         ``sum_table`` names which side the column lives on; the ground
-        truth for :class:`~repro.query.ast.LogicalJoinSumQuery` scoring.
+        truth a SUM :class:`~repro.query.ast.LogicalQuery` is scored against.
         """
         column = self.joined_column(sum_table, sum_column)
         return sum_column_exact(

@@ -152,18 +152,17 @@ class ShardWorker:
                 return
             self._closing = True
             conns = list(self._conns)
-        if self._sock is not None:
+        # shutdown() first, the listener included: close() from this
+        # thread does not wake an accept()/recv() parked in another on
+        # Linux, shutdown() does.
+        socks = conns if self._sock is None else [self._sock, *conns]
+        for sock in socks:
             try:
-                self._sock.close()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for conn in conns:
             try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
+                sock.close()
             except OSError:
                 pass
         if self._accept_thread is not None:

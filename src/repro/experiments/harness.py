@@ -27,12 +27,7 @@ from ..common.metrics import MetricLog, MetricSummary
 from ..core.engine import EngineConfig, IncShrinkEngine
 from ..dp.bounds import recommended_flush_size
 from ..mpc.cost_model import CostModel
-from ..query.ast import (
-    AggregateSpec,
-    LogicalJoinCountQuery,
-    LogicalJoinSumQuery,
-    LogicalQuery,
-)
+from ..query.ast import AggregateSpec, LogicalQuery
 from ..server.database import IncShrinkDatabase, ViewRegistration
 from ..workload.variants import make_workload
 
@@ -275,7 +270,7 @@ class MultiViewDeployment:
     #: full, and a 3-aggregate dashboard (COUNT+SUM+AVG in one scan)
     step_queries: list
     #: a COUNT whose window no view materializes — the NM fallback probe
-    unmatched_query: LogicalJoinCountQuery
+    unmatched_query: LogicalQuery
 
     def upload_items(self, step) -> list[tuple[str, object]]:
         vd = self.workload.view_def
@@ -337,18 +332,21 @@ def build_multiview_deployment(config: MultiViewRunConfig) -> MultiViewDeploymen
     database.register_view(ViewRegistration(audit_vd, mode="ep", **common))
     view_modes = {vd.name: "dp-timer", recent_vd.name: "dp-ant", audit_vd.name: "ep"}
 
-    count_full = LogicalJoinCountQuery.for_view(vd)
-    count_recent = LogicalJoinCountQuery.for_view(recent_vd)
-    sum_full = LogicalJoinSumQuery.for_view(vd, vd.driver_table, vd.driver_ts)
-    # The unified-AST representative of the mix: three aggregates of the
-    # full window folded in one oblivious scan by the query compiler.
+    count_full = LogicalQuery.for_view(vd)
+    count_recent = LogicalQuery.for_view(recent_vd)
+    sum_full = LogicalQuery.for_view(
+        vd, AggregateSpec.sum_of(vd.driver_table, vd.driver_ts)
+    )
+    # Three aggregates of the full window folded in one oblivious scan.
     dashboard = LogicalQuery.for_view(
         vd,
         AggregateSpec.count(),
         AggregateSpec.sum_of(vd.driver_table, vd.driver_ts),
         AggregateSpec.avg_of(vd.driver_table, vd.driver_ts),
     )
-    count_unmatched = replace(count_full, window_hi=vd.window_hi + 5)
+    count_unmatched = LogicalQuery.for_view(
+        replace(vd, window_hi=vd.window_hi + 5)
+    )
     return MultiViewDeployment(
         config=config,
         database=database,

@@ -114,8 +114,7 @@ class CostModel:
         * one further 32-bit count accumulator per *additional* group
           (the first group's count rides on the base charge);
         * one 64-bit accumulator per distinct summed column per group
-          (sums live in Z_{2^64}, exactly the :func:`repro.oblivious.
-          filter.oblivious_sum` charge);
+          (sums live in Z_{2^64});
         * when grouping, one ring-word equality test per group cell to
           obliviously route the row into its accumulator set (the group
           key is secret, so every row is tested against every public

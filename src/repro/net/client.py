@@ -39,7 +39,7 @@ import time as _time
 from typing import Iterable, Mapping
 
 from ..common.types import RecordBatch
-from ..query.ast import LogicalJoinQuery, LogicalQuery
+from ..query.ast import LogicalQuery
 from . import protocol as wire
 from .backoff import backoff_delay, clamp_retry_after
 from .protocol import RemoteError, RemoteQueryResult, WireError
@@ -436,9 +436,8 @@ class IncShrinkClient:
 
     def query(
         self,
-        query: LogicalQuery | LogicalJoinQuery,
+        query: LogicalQuery,
         time: int | None = None,
-        predicate_words: int = 1,
         epsilon: float | None = None,
     ) -> RemoteQueryResult:
         """Plan and execute one logical query on the server.
@@ -451,7 +450,6 @@ class IncShrinkClient:
         payload = {
             "query": wire.encode_query(query),
             "time": None if time is None else int(time),
-            "predicate_words": int(predicate_words),
             "epsilon": None if epsilon is None else float(epsilon),
         }
         return wire.decode_result(self._request("query", payload, expect="result"))

@@ -31,6 +31,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 #: Content-Type of the text exposition format, version 0.0.4.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Seconds a connection may sit without delivering its request before the
+#: listener hangs up.  The peers are unauthenticated, so without it one
+#: that sends half a request line holds a handler thread and an fd until
+#: *it* chooses to leave.
+REQUEST_READ_TIMEOUT = 5.0
+
 #: ``ServingStats.to_dict()`` scalars exported 1:1 (name, help).
 _STAT_SCALARS = (
     ("uploads", "Upload steps applied by the ingestion loop"),
@@ -205,6 +211,8 @@ class MetricsServer:
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_READ_TIMEOUT
+
             # Scrapers poll; the default stderr access log is noise.
             def log_message(self, fmt: str, *args: object) -> None:
                 pass

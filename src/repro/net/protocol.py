@@ -59,7 +59,6 @@ from ..query.ast import (
     LogicalJoinQuery,
     LogicalQuery,
     QueryAnswer,
-    as_logical,
 )
 
 #: Frame magic — identifies an IncShrink wire frame.
@@ -597,8 +596,8 @@ def decode_predicate(entry: dict | None) -> ColumnEquals | ColumnRange | And | N
     return _decode_clause(entry)
 
 
-def encode_query(query: LogicalQuery | LogicalJoinQuery) -> dict:
-    """Encode any query form (shims normalize through ``as_logical``).
+def encode_query(query: LogicalQuery) -> dict:
+    """The JSON-shaped wire form of one query.
 
     >>> from repro.query.ast import AggregateSpec, GroupBySpec, LogicalJoinQuery
     >>> join = LogicalJoinQuery("sales", "returns", "pid", "pid",
@@ -610,9 +609,8 @@ def encode_query(query: LogicalQuery | LogicalJoinQuery) -> dict:
     >>> decode_query(encode_query(q)) == q
     True
     """
-    lq = as_logical(query)
     return {
-        "join": {f: getattr(lq.join, f) for f in JOIN_FIELDS},
+        "join": {f: getattr(query.join, f) for f in JOIN_FIELDS},
         "aggregates": [
             {
                 "kind": a.kind,
@@ -621,18 +619,18 @@ def encode_query(query: LogicalQuery | LogicalJoinQuery) -> dict:
                 "alias": a.alias,
                 "sensitivity": a.sensitivity,
             }
-            for a in lq.aggregates
+            for a in query.aggregates
         ],
         "group_by": (
             None
-            if lq.group_by is None
+            if query.group_by is None
             else {
-                "table": lq.group_by.table,
-                "column": lq.group_by.column,
-                "domain": list(lq.group_by.domain),
+                "table": query.group_by.table,
+                "column": query.group_by.column,
+                "domain": list(query.group_by.domain),
             }
         ),
-        "predicate": encode_predicate(lq.predicate),
+        "predicate": encode_predicate(query.predicate),
     }
 
 

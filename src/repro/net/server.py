@@ -1334,15 +1334,10 @@ class NetworkServer:
             time = None if time is None else int(time)
             epsilon = payload.get("epsilon")
             epsilon = None if epsilon is None else float(epsilon)
-            predicate_words = int(payload.get("predicate_words", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise wire.WireError(f"malformed query frame: {exc!r}") from exc
         result = self.server.query(
-            query,
-            time=time,
-            predicate_words=predicate_words,
-            epsilon=epsilon,
-            tenant=tenant,
+            query, time=time, epsilon=epsilon, tenant=tenant
         )
         return "result", wire.encode_result(result, binary=binary)
 

@@ -1,6 +1,6 @@
 """Data-oblivious operators: sorting network, selection, truncated joins."""
 
-from .filter import oblivious_count, oblivious_multi_aggregate, oblivious_select
+from .filter import oblivious_multi_aggregate, oblivious_select
 from .join_common import JoinResult, match_pairs_truncated
 from .nested_loop_join import truncated_nested_loop_join
 from .shuffle import oblivious_shuffle
@@ -14,14 +14,11 @@ from .sort import (
     oblivious_sort,
 )
 from .sort_merge_join import (
-    oblivious_join_count,
     oblivious_join_multi_aggregate,
-    oblivious_join_sum,
     truncated_sort_merge_join,
 )
 
 __all__ = [
-    "oblivious_count",
     "oblivious_multi_aggregate",
     "oblivious_select",
     "JoinResult",
@@ -35,8 +32,6 @@ __all__ = [
     "composite_key",
     "network_comparator_count",
     "oblivious_sort",
-    "oblivious_join_count",
     "oblivious_join_multi_aggregate",
-    "oblivious_join_sum",
     "truncated_sort_merge_join",
 ]

@@ -7,14 +7,14 @@ failing the predicate become dummies.  The output size therefore equals
 the (public) input size and nothing about the predicate's selectivity
 leaks.
 
-The counting scan is the query-side workhorse: every query in the paper's
-evaluation is a COUNT over the materialized view, evaluated by one padded
-linear pass that touches every row (real or dummy) exactly once.
-:func:`oblivious_multi_aggregate` generalizes that pass: **one** scan
-folds any number of COUNT/SUM accumulators across any number of public
-GROUP BY cells, paying the row-touch cost once and only per-accumulator
-gates on top — the single-scan amortization the unified query compiler
-is built on.
+The aggregate scan is the query-side workhorse: every query in the
+paper's evaluation is a COUNT over the materialized view, evaluated by
+one padded linear pass that touches every row (real or dummy) exactly
+once.  :func:`oblivious_multi_aggregate` is that pass for any query:
+**one** scan folds any number of COUNT/SUM accumulators across any
+number of public GROUP BY cells, paying the row-touch cost once and only
+per-accumulator gates on top — the single-scan amortization the query
+compiler is built on.
 """
 
 from __future__ import annotations
@@ -46,28 +46,6 @@ def oblivious_select(
     if len(mask) != n:
         raise ValueError(f"predicate mask length {len(mask)} != row count {n}")
     return rows, np.asarray(flags, dtype=bool) & mask
-
-
-def oblivious_count(
-    ctx: ProtocolContext,
-    rows: np.ndarray,
-    flags: np.ndarray,
-    predicate_mask: np.ndarray | None,
-    payload_words: int,
-    predicate_words: int = 1,
-) -> int:
-    """COUNT(*) over real rows satisfying the predicate, via a padded scan.
-
-    The scan touches every row including dummies — that is where the
-    view-size/efficiency trade-off of the paper comes from: a view bloated
-    with dummy tuples (EP) pays for them on *every* query.
-    """
-    n = len(rows)
-    ctx.charge_scan(n, payload_words, predicate_words)
-    live = np.asarray(flags, dtype=bool)
-    if predicate_mask is not None:
-        live = live & np.asarray(predicate_mask, dtype=bool)
-    return int(live.sum())
 
 
 def range_mask(
@@ -114,10 +92,11 @@ def fold_aggregates(
     answers the L1 error compares against can never drift.
 
     A sum is the column times the 0/1 selection, reduced in ``uint64``
-    — the circuit's own "payload × isView" (see :func:`oblivious_sum`).
-    The product stays in the column's dtype (a 0/1 factor cannot
-    overflow) and the reduction widens, so each accumulator is the same
-    element of Z_{2^64} as widening first and summing the selected rows.
+    — the circuit's own "payload × isView", so even non-zero dummy
+    padding cannot skew the result.  The product stays in the column's
+    dtype (a 0/1 factor cannot overflow) and the reduction widens, so
+    each accumulator is the same element of Z_{2^64} as widening first
+    and summing the selected rows.
     """
     grouped = group_column is not None
     n_groups = len(group_domain) if grouped else 1
@@ -161,15 +140,14 @@ def oblivious_multi_aggregate(
     Returns ``(counts, sums)`` with ``counts.shape == (n_groups,)`` and
     ``sums.shape == (n_groups, len(sum_columns))``; ungrouped scans are
     the ``n_groups == 1`` case.  Every row — real or dummy — is touched
-    exactly once, whatever the number of accumulators; the charge is the
-    base row-touch of :func:`oblivious_count` plus
+    exactly once, whatever the number of accumulators: that is where the
+    view-size/efficiency trade-off of the paper comes from, a view
+    bloated with dummy tuples (EP) pays for them on *every* query.  The
+    charge is one padded scan (a lone COUNT pays exactly that) plus
     :meth:`~repro.mpc.cost_model.CostModel.aggregate_slot_gates` per row
-    for the extra accumulators and the oblivious group routing.
-
-    The degenerate cases charge exactly what the historical
-    single-aggregate scans charged: one COUNT equals
-    :func:`oblivious_count`, one SUM equals :func:`oblivious_sum` —
-    planner estimates and shim-API timings stay byte-identical.
+    for the extra accumulators — 64 gates for a lone SUM's wider
+    accumulator, sized for the worst case in Z_{2^64} — and the
+    oblivious group routing.
     """
     grouped = group_column is not None
     if grouped and not group_domain:
@@ -189,33 +167,3 @@ def oblivious_multi_aggregate(
     return fold_aggregates(
         rows, live, sum_columns, need_count, group_column, group_domain
     )
-
-
-def oblivious_sum(
-    ctx: ProtocolContext,
-    rows: np.ndarray,
-    flags: np.ndarray,
-    column: int,
-    predicate_mask: np.ndarray | None,
-    payload_words: int,
-    predicate_words: int = 1,
-) -> int:
-    """SUM of one column over real rows satisfying the predicate.
-
-    Same padded scan as :func:`oblivious_count` plus a wider accumulator
-    (sums live in Z_{2^64} inside the circuit; real deployments size the
-    accumulator for the worst case, and so does the cost charge here).
-    Dummy rows contribute 0 — their payloads are multiplied by the
-    isView bit, so even non-zero dummy padding cannot skew the result.
-    """
-    n = len(rows)
-    # Count-scan cost plus a second 64-bit accumulate per row.
-    ctx.charge_scan(n, payload_words, predicate_words)
-    ctx.charge_gates(n * 64)
-    live = np.asarray(flags, dtype=bool)
-    if predicate_mask is not None:
-        live = live & np.asarray(predicate_mask, dtype=bool)
-    if n == 0:
-        return 0
-    values = np.asarray(rows, dtype=np.uint64)[:, column]
-    return int(values[live].sum())

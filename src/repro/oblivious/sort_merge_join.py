@@ -14,12 +14,10 @@ Workflow, exactly as Figure 2 sketches it:
 The output array size is therefore ``ω × |driver input|``, a public
 quantity; the real cardinality stays hidden inside the isView bits.
 
-This module also provides the *untruncated* NM aggregates used by the
-non-materialization baseline, which recomputes the full join per query
-and aggregates inside the circuit.  All of them —
-:func:`oblivious_join_count`, :func:`oblivious_join_sum`, and the
-unified-compiler kernel :func:`oblivious_join_multi_aggregate` — share
-one sort-and-scan implementation that folds any number of COUNT/SUM
+This module also provides the *untruncated* NM aggregate kernel
+:func:`oblivious_join_multi_aggregate` used by the non-materialization
+baseline, which recomputes the full join per query and aggregates inside
+the circuit: one sort-and-scan folding any number of COUNT/SUM
 accumulators over any number of public GROUP BY cells in a single pass.
 
 Grouping and matching are vectorized: key groups come from one stable
@@ -264,12 +262,14 @@ def oblivious_join_multi_aggregate(
     condition beyond key equality (the temporal window).
 
     Returns ``(counts, sums)`` shaped like
-    :func:`repro.oblivious.filter.oblivious_multi_aggregate`.  Charges:
-    one oblivious sort of the union, one probe per same-key candidate
-    pair, per-pair accumulator/routing gates via
+    :func:`repro.oblivious.filter.oblivious_multi_aggregate`.  Nothing
+    but the final aggregates leaves the protocol — but the circuit grows
+    with the whole database, which is precisely the redundant-computation
+    overhead IncShrink's materialized view removes.  Charges: one
+    oblivious sort of the union, one probe per same-key candidate pair,
+    per-pair accumulator/routing gates via
     :meth:`~repro.mpc.cost_model.CostModel.aggregate_slot_gates`, one
-    padded scan of the union — the degenerate COUNT/SUM cases charge
-    exactly what the historical single-aggregate kernels charged.
+    padded scan of the union.
     """
     grouped = group_spec is not None
     if grouped and not group_domain:
@@ -361,72 +361,3 @@ def oblivious_join_multi_aggregate(
             np.add.at(sums[:, s], gidx, rows[:, col].astype(np.uint64))
     ctx.charge_scan(n_left + n_right, payload_words)
     return counts, sums
-
-
-def oblivious_join_count(
-    ctx: ProtocolContext,
-    left_rows: np.ndarray,
-    left_flags: np.ndarray,
-    left_key_col: int,
-    right_rows: np.ndarray,
-    right_flags: np.ndarray,
-    right_key_col: int,
-    pair_predicate: PairPredicate | None = None,
-) -> int:
-    """Exact COUNT of the full (untruncated) join, inside the circuit.
-
-    This is the query path of the non-materialization baseline: sort the
-    union of the *entire* outsourced tables, scan, and accumulate the
-    count.  Nothing but the final aggregate leaves the protocol — but the
-    circuit size grows with the whole database, which is precisely the
-    redundant-computation overhead IncShrink's materialized view removes.
-    """
-    counts, _ = oblivious_join_multi_aggregate(
-        ctx,
-        left_rows,
-        left_flags,
-        left_key_col,
-        right_rows,
-        right_flags,
-        right_key_col,
-        sum_specs=(),
-        need_count=True,
-        pair_predicate=pair_predicate,
-    )
-    return int(counts[0])
-
-
-def oblivious_join_sum(
-    ctx: ProtocolContext,
-    left_rows: np.ndarray,
-    left_flags: np.ndarray,
-    left_key_col: int,
-    right_rows: np.ndarray,
-    right_flags: np.ndarray,
-    right_key_col: int,
-    value_side: str,
-    value_col: int,
-    pair_predicate: PairPredicate | None = None,
-) -> int:
-    """Exact SUM over the full (untruncated) join, inside the circuit.
-
-    The NM baseline's SUM path: the same sort-and-scan as
-    :func:`oblivious_join_count`, but each qualifying pair contributes
-    the value of ``value_col`` taken from ``value_side`` (``"left"`` or
-    ``"right"``) into a 64-bit accumulator instead of a unit increment.
-    """
-    if value_side not in ("left", "right"):
-        raise ValueError(f"value_side must be 'left' or 'right', got {value_side!r}")
-    _, sums = oblivious_join_multi_aggregate(
-        ctx,
-        left_rows,
-        left_flags,
-        left_key_col,
-        right_rows,
-        right_flags,
-        right_key_col,
-        sum_specs=((value_side, value_col),),
-        need_count=False,
-        pair_predicate=pair_predicate,
-    )
-    return int(sums[0, 0])

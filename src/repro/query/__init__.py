@@ -1,4 +1,4 @@
-"""Query layer: unified AST, logical→view lowering, planning, execution."""
+"""Query layer: the logical AST, logical→view lowering, planning, execution."""
 
 from .ast import (
     AggregateSpec,
@@ -6,30 +6,15 @@ from .ast import (
     ColumnEquals,
     ColumnRange,
     GroupBySpec,
-    LogicalJoinCountQuery,
     LogicalJoinQuery,
-    LogicalJoinSumQuery,
     LogicalQuery,
     QueryAnswer,
     ScanAggregate,
     ScanClause,
-    ViewCountQuery,
     ViewScanPlan,
-    ViewSumQuery,
-    as_logical,
-    column_equals,
-    column_in_range,
     predicate_clauses,
 )
-from .executor import (
-    aggregate_plain,
-    execute_nm_count,
-    execute_nm_query,
-    execute_nm_sum,
-    execute_view_count,
-    execute_view_scan,
-    execute_view_sum,
-)
+from .executor import aggregate_plain, execute_nm_query, execute_view_scan
 from .parallel import ParallelScanExecutor
 from .planner import (
     NM_JOIN,
@@ -39,13 +24,7 @@ from .planner import (
     multi_scan_gates,
     plan_query,
 )
-from .rewrite import (
-    can_answer,
-    lower_to_view_scan,
-    rewrite,
-    rewrite_logical,
-    rewrite_sum,
-)
+from .rewrite import can_answer, lower_to_view_scan
 
 __all__ = [
     "AggregateSpec",
@@ -53,27 +32,16 @@ __all__ = [
     "ColumnEquals",
     "ColumnRange",
     "GroupBySpec",
-    "LogicalJoinCountQuery",
     "LogicalJoinQuery",
-    "LogicalJoinSumQuery",
     "LogicalQuery",
     "QueryAnswer",
     "ScanAggregate",
     "ScanClause",
-    "ViewCountQuery",
     "ViewScanPlan",
-    "ViewSumQuery",
-    "as_logical",
-    "column_equals",
-    "column_in_range",
     "predicate_clauses",
     "aggregate_plain",
-    "execute_nm_count",
     "execute_nm_query",
-    "execute_nm_sum",
-    "execute_view_count",
     "execute_view_scan",
-    "execute_view_sum",
     "ParallelScanExecutor",
     "NM_JOIN",
     "VIEW_SCAN",
@@ -83,7 +51,4 @@ __all__ = [
     "plan_query",
     "can_answer",
     "lower_to_view_scan",
-    "rewrite",
-    "rewrite_logical",
-    "rewrite_sum",
 ]

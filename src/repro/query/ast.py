@@ -1,57 +1,44 @@
 """Query representation: the relational AST the query compiler consumes.
 
-The unified surface is :class:`LogicalQuery`: one temporal-join spec
+A query is a :class:`LogicalQuery`: one temporal-join spec
 (:class:`LogicalJoinQuery`), an optional structural residual predicate,
 an optional GROUP BY over a small *public* domain, and a **list** of
 pluggable aggregate specs (:class:`AggregateSpec` — COUNT, SUM, and
 AVG = SUM/COUNT) each carrying its own DP sensitivity.
-:mod:`repro.query.rewrite` lowers a logical query against a matching
-view definition into one :class:`ViewScanPlan`, which the executor
-answers with a **single** oblivious padded scan computing every
-aggregate of every group at once.
+:mod:`repro.query.rewrite` lowers it against a matching view definition
+into one :class:`ViewScanPlan`, which the executor answers with a
+**single** oblivious padded scan computing every aggregate of every
+group at once.
 
-The paper's evaluation queries (Q1, Q2) are COUNT aggregates over one
-temporal join; :class:`LogicalJoinCountQuery` and
-:class:`LogicalJoinSumQuery` survive as thin deprecated shims over the
-unified AST (:meth:`~LogicalJoinCountQuery.to_logical` /
-:func:`as_logical`), and the single-aggregate view queries
-(:class:`ViewCountQuery` / :class:`ViewSumQuery`) remain for callers
-that address one materialized view directly.
+The paper's evaluation queries (Q1, Q2) are the one-COUNT case,
+``LogicalQuery.for_view(view_def)``; its SUM example is
+``LogicalQuery.for_view(view_def, AggregateSpec.sum_of(table, column))``.
 
-Predicates come in two forms: *structural* predicates
-(:class:`ColumnEquals` / :class:`ColumnRange` / :class:`And`) name
-logical table columns, are hashable (so plans for them cache), and lower
-to both the view scan and the NM join; the legacy callable
-:data:`ViewPredicate` form is still accepted by the view-query shims.
+Predicates are *structural* (:class:`ColumnEquals` /
+:class:`ColumnRange` / :class:`And`): they name logical table columns,
+are hashable (so plans for them cache), and lower to both the view scan
+and the NM join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..common.errors import SchemaError
-from ..common.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.view_def import JoinViewDefinition
 
-#: Residual predicate over view rows: (n, width) array -> boolean mask.
-ViewPredicate = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class LogicalJoinQuery:
-    """The join structure every logical aggregate query shares.
+    """The join structure of a :class:`LogicalQuery`.
 
     Field names refer to the logical tables; ``window_lo``/``window_hi``
     bound ``driver.ts − probe.ts`` exactly as in the view definitions.
     A view can answer a query iff these eight fields match its
-    definition — the aggregate on top (COUNT, SUM) is then one padded
-    scan either way.
+    definition — the aggregates on top are then one padded scan.
     """
 
     probe_table: str
@@ -63,9 +50,10 @@ class LogicalJoinQuery:
     window_lo: int
     window_hi: int
 
-    @staticmethod
-    def _join_fields(view_def: "JoinViewDefinition") -> dict:
-        return dict(
+    @classmethod
+    def for_view(cls, view_def: "JoinViewDefinition") -> "LogicalJoinQuery":
+        """Exactly the join a view definition materializes."""
+        return cls(
             probe_table=view_def.probe_table,
             driver_table=view_def.driver_table,
             probe_key=view_def.probe_key,
@@ -75,79 +63,6 @@ class LogicalJoinQuery:
             window_lo=view_def.window_lo,
             window_hi=view_def.window_hi,
         )
-
-
-@dataclass(frozen=True)
-class LogicalJoinCountQuery(LogicalJoinQuery):
-    """``SELECT COUNT(*) FROM probe JOIN driver ON key WHERE ts-window``.
-
-    .. deprecated:: thin shim over :class:`LogicalQuery` — equivalent to
-       ``LogicalQuery(join=..., aggregates=(AggregateSpec.count(),))``.
-       Every execution path normalizes through :func:`as_logical`.
-    """
-
-    @classmethod
-    def for_view(cls, view_def: "JoinViewDefinition") -> "LogicalJoinCountQuery":
-        """The COUNT query a view definition's query class answers."""
-        return cls(**cls._join_fields(view_def))
-
-    def to_logical(self) -> "LogicalQuery":
-        """The unified-AST form this shim stands for."""
-        return as_logical(self)
-
-
-@dataclass(frozen=True)
-class LogicalJoinSumQuery(LogicalJoinQuery):
-    """``SELECT SUM(table.column) FROM probe JOIN driver ON key ...``.
-
-    ``sum_table`` names which side of the join the summed column lives on
-    (it must equal ``probe_table`` or ``driver_table``); the rewriter maps
-    it onto the prefixed view column (``p_…`` / ``d_…``).
-
-    .. deprecated:: thin shim over :class:`LogicalQuery` — equivalent to
-       one ``AggregateSpec.sum_of(sum_table, sum_column)`` aggregate.
-    """
-
-    sum_table: str
-    sum_column: str
-
-    @classmethod
-    def for_view(
-        cls, view_def: "JoinViewDefinition", sum_table: str, sum_column: str
-    ) -> "LogicalJoinSumQuery":
-        """A SUM over one logical column of a view's query class."""
-        return cls(
-            **cls._join_fields(view_def), sum_table=sum_table, sum_column=sum_column
-        )
-
-    def to_logical(self) -> "LogicalQuery":
-        """The unified-AST form this shim stands for."""
-        return as_logical(self)
-
-
-@dataclass(frozen=True)
-class ViewCountQuery:
-    """COUNT over a materialized view, with an optional residual filter."""
-
-    view_name: str
-    predicate: ViewPredicate | None = None
-    predicate_words: int = 1
-
-
-@dataclass(frozen=True)
-class ViewSumQuery:
-    """SUM of one view column over rows passing the residual filter.
-
-    The evaluation section of the paper uses COUNT queries exclusively,
-    but the view-based query paradigm supports any aggregate computable
-    in one padded scan; SUM is the canonical second example ("total value
-    of products returned within 10 days").
-    """
-
-    view_name: str
-    column: str
-    predicate: ViewPredicate | None = None
-    predicate_words: int = 1
 
 
 # -- structural residual predicates ------------------------------------------
@@ -396,9 +311,8 @@ class LogicalQuery:
         predicate: "ColumnEquals | ColumnRange | And | None" = None,
     ) -> "LogicalQuery":
         """A query over exactly the join a view definition materializes."""
-        join = LogicalJoinQuery(**LogicalJoinQuery._join_fields(view_def))
         return cls(
-            join=join,
+            join=LogicalJoinQuery.for_view(view_def),
             aggregates=tuple(aggregates) or (AggregateSpec.count(),),
             group_by=group_by,
             predicate=predicate,
@@ -447,46 +361,6 @@ class LogicalQuery:
         """Scan predicate width in ring words (min 1, the base charge)."""
         return max(1, len(predicate_clauses(self.predicate)))
 
-    def structure_key(self) -> "LogicalQuery":
-        """Hashable plan-cache key: the (fully frozen) query itself."""
-        return self
-
-
-def as_logical(
-    query: "LogicalQuery | LogicalJoinQuery",
-) -> "LogicalQuery":
-    """Normalize any query form to the unified AST.
-
-    The deprecated per-class shims map exactly: a
-    :class:`LogicalJoinSumQuery` becomes one SUM aggregate, anything else
-    (including a bare :class:`LogicalJoinQuery`, which the old API
-    treated as its registered COUNT) becomes COUNT(*).  Shim conversion
-    is memoized — the frozen shim dataclasses hash by value, so a
-    serving loop re-issuing the same query objects normalizes for free.
-    """
-    if isinstance(query, LogicalQuery):
-        return query
-    return _shim_to_logical(query)
-
-
-@lru_cache(maxsize=4096)
-def _shim_to_logical(query: "LogicalJoinQuery") -> "LogicalQuery":
-    join = LogicalJoinQuery(
-        probe_table=query.probe_table,
-        driver_table=query.driver_table,
-        probe_key=query.probe_key,
-        driver_key=query.driver_key,
-        probe_ts=query.probe_ts,
-        driver_ts=query.driver_ts,
-        window_lo=query.window_lo,
-        window_hi=query.window_hi,
-    )
-    if isinstance(query, LogicalJoinSumQuery):
-        aggregates = (AggregateSpec.sum_of(query.sum_table, query.sum_column),)
-    else:
-        aggregates = (AggregateSpec.count(),)
-    return LogicalQuery(join=join, aggregates=aggregates)
-
 
 # -- lowered plan and answers --------------------------------------------------
 @dataclass(frozen=True)
@@ -512,9 +386,9 @@ class ViewScanPlan:
     """Everything one oblivious padded scan needs to answer a query.
 
     Produced by :func:`repro.query.rewrite.lower_to_view_scan`; executed
-    by :func:`repro.query.executor.execute_view_scan` in **one** pass
-    over the padded view regardless of how many aggregates, groups, or
-    predicate clauses it carries.
+    by :class:`repro.query.parallel.ParallelScanExecutor` in **one** pass
+    over the padded view (one kernel call per shard) regardless of how
+    many aggregates, groups, or predicate clauses it carries.
     """
 
     view_name: str
@@ -535,6 +409,24 @@ class ViewScanPlan:
             if agg.kind in ("sum", "avg") and agg.column not in seen:
                 seen.append(agg.column)
         return tuple(seen)
+
+    @property
+    def aggregate_slots(self) -> tuple[tuple[str, str, int | None], ...]:
+        """``(kind, output name, sum slot)`` per aggregate.
+
+        The slot indexes :attr:`sum_view_columns` (``None`` for a COUNT)
+        — the shape :func:`repro.query.executor.assemble_answer` folds
+        the scan's ``(counts, sums)`` accumulators with.
+        """
+        sum_columns = self.sum_view_columns
+        return tuple(
+            (
+                agg.kind,
+                agg.name,
+                None if agg.column is None else sum_columns.index(agg.column),
+            )
+            for agg in self.aggregates
+        )
 
     @property
     def n_groups(self) -> int:
@@ -592,30 +484,3 @@ class QueryAnswer:
             "groups": None if self.group_keys is None else list(self.group_keys),
             "rows": [list(r) for r in self.rows],
         }
-
-
-def column_equals(schema: Schema, column: str, value: int) -> ViewPredicate:
-    """Convenience residual predicate: ``view.column == value``."""
-    col = schema.index(column)
-
-    def _pred(rows: np.ndarray) -> np.ndarray:
-        if len(rows) == 0:
-            return np.zeros(0, dtype=bool)
-        return rows[:, col] == np.uint32(value)
-
-    return _pred
-
-
-def column_in_range(schema: Schema, column: str, lo: int, hi: int) -> ViewPredicate:
-    """Residual range predicate: ``lo <= view.column <= hi``."""
-    if hi < lo:
-        raise SchemaError(f"empty range [{lo}, {hi}]")
-    col = schema.index(column)
-
-    def _pred(rows: np.ndarray) -> np.ndarray:
-        if len(rows) == 0:
-            return np.zeros(0, dtype=bool)
-        vals = rows[:, col]
-        return (vals >= np.uint32(lo)) & (vals <= np.uint32(hi))
-
-    return _pred

@@ -237,16 +237,7 @@ class ParallelScanExecutor:
         only its own delta.
         """
         schema = view.schema
-        sum_columns = plan.sum_view_columns
-        aggregates = [
-            (
-                agg.kind,
-                agg.name,
-                sum_columns.index(agg.column) if agg.column is not None else None,
-            )
-            for agg in plan.aggregates
-        ]
-        sum_indices = [schema.index(c) for c in sum_columns]
+        sum_indices = [schema.index(c) for c in plan.sum_view_columns]
         group_column = (
             schema.index(plan.group_column) if plan.group_column else None
         )
@@ -433,5 +424,7 @@ class ParallelScanExecutor:
             gates=suffix_gates,
             saved_gates=entry.cached_gates if entry is not None else 0,
         )
-        answer = assemble_answer(aggregates, plan.group_domain, counts, sums)
+        answer = assemble_answer(
+            plan.aggregate_slots, plan.group_domain, counts, sums
+        )
         return answer, seconds, report

@@ -34,13 +34,7 @@ from ..common.errors import SchemaError
 from ..core.view_def import JoinViewDefinition
 from ..mpc.cost_model import CostModel
 from ..oblivious.sort import network_comparator_count
-from .ast import (
-    LogicalJoinQuery,
-    LogicalQuery,
-    ViewScanPlan,
-    as_logical,
-    predicate_clauses,
-)
+from .ast import LogicalQuery, ViewScanPlan, predicate_clauses
 from .rewrite import can_answer, lower_to_view_scan
 
 #: Plan shapes the planner can emit.
@@ -49,31 +43,6 @@ NM_JOIN = "nm-join"
 
 
 # -- cost estimation ----------------------------------------------------------
-def view_scan_gates(
-    model: CostModel,
-    n_rows: int,
-    payload_words: int,
-    predicate_words: int = 1,
-    is_sum: bool = False,
-) -> int:
-    """Gates of one padded *single-aggregate* scan over ``n_rows`` slots.
-
-    The historical per-class estimate, kept as sugar over
-    :func:`multi_scan_gates`: a COUNT charges the base row touch, a SUM
-    adds the 64-bit accumulate — matching
-    :func:`repro.oblivious.filter.oblivious_count` /
-    :func:`~repro.oblivious.filter.oblivious_sum` exactly.
-    """
-    return multi_scan_gates(
-        model,
-        n_rows,
-        payload_words,
-        need_count=not is_sum,
-        n_sum_columns=1 if is_sum else 0,
-        predicate_words=predicate_words,
-    )
-
-
 def multi_scan_gates(
     model: CostModel,
     n_rows: int,
@@ -106,9 +75,8 @@ def nm_join_gates(
     probe_width: int,
     driver_width: int,
     multiplicity: float = 1.0,
-    is_sum: bool = False,
-    need_count: bool | None = None,
-    n_sum_columns: int | None = None,
+    need_count: bool = True,
+    n_sum_columns: int = 0,
     n_groups: int = 1,
     grouped: bool = False,
     n_clauses: int = 0,
@@ -121,14 +89,9 @@ def nm_join_gates(
     public per-query-class join multiplicity (1 for TPC-ds Q1, >1 for
     CPDB Q2).  Each estimated pair additionally pays the same
     per-aggregate accumulator/routing gates the view scan pays per row
-    (``is_sum`` is legacy sugar for one SUM slot) plus one ring
-    comparison per residual clause; this matches
+    plus one ring comparison per residual clause; this matches
     :func:`repro.oblivious.sort_merge_join.oblivious_join_multi_aggregate`.
     """
-    if need_count is None:
-        need_count = not is_sum
-    if n_sum_columns is None:
-        n_sum_columns = 1 if is_sum else 0
     n = n_probe + n_driver
     if n == 0:
         return 0
@@ -211,39 +174,35 @@ class QueryPlan:
 
 
 def plan_query(
-    query: LogicalQuery | LogicalJoinQuery,
+    query: LogicalQuery,
     candidates: list[ViewCandidate],
     n_probe_store: int,
     n_driver_store: int,
     model: CostModel,
     nm_allowed: bool = True,
     multiplicity: float = 1.0,
-    predicate_words: int = 1,
     probe_width: int | None = None,
     driver_width: int | None = None,
 ) -> QueryPlan:
     """Score every answering view plus the NM fallback; return the cheapest.
 
-    Any query form is normalized through
-    :func:`repro.query.ast.as_logical` first, so shim and unified queries
-    price identically.  ``n_probe_store``/``n_driver_store`` are the
-    padded total sizes of the base tables the NM path would recompute
-    over.  Raises :class:`~repro.common.errors.SchemaError` when no view
-    matches and NM is not allowed — the single-view behaviour of
-    :func:`repro.query.rewrite.rewrite`.
+    ``n_probe_store``/``n_driver_store`` are the padded total sizes of
+    the base tables the NM path would recompute over.  The scan's
+    predicate width is the query's own (``query.predicate_words``, what the
+    executor charges) — a caller cannot price a plan at any other width.
+    Raises :class:`~repro.common.errors.SchemaError` when no view matches
+    and NM is not allowed.
     """
-    lq = as_logical(query)
-    need_count = lq.need_count
-    n_sum_columns = len(lq.sum_columns)
-    n_groups = lq.n_groups
-    grouped = lq.group_by is not None
-    n_clauses = len(predicate_clauses(lq.predicate))
-    predicate_words = max(predicate_words, lq.predicate_words)
+    need_count = query.need_count
+    n_sum_columns = len(query.sum_columns)
+    n_groups = query.n_groups
+    grouped = query.group_by is not None
+    n_clauses = len(predicate_clauses(query.predicate))
     plans: list[QueryPlan] = []
     for cand in candidates:
-        if not can_answer(lq, cand.view_def):
+        if not can_answer(query, cand.view_def):
             continue
-        view_query = lower_to_view_scan(lq, cand.view_def)
+        view_query = lower_to_view_scan(query, cand.view_def)
         # A warm accumulator cache shrinks the scan to the suffix past
         # the cached watermarks; the estimate prices exactly the gates
         # the executor will charge.  cached_rows == 0 (cold, or
@@ -259,7 +218,7 @@ def plan_query(
             n_sum_columns=n_sum_columns,
             n_groups=n_groups,
             grouped=grouped,
-            predicate_words=predicate_words,
+            predicate_words=query.predicate_words,
         )
         inc_seconds = model.incremental_seconds(gates, cand.n_shards)
         plans.append(
@@ -314,7 +273,7 @@ def plan_query(
     if not plans:
         raise SchemaError(
             f"no registered view materializes the join "
-            f"({lq.probe_table} ⋈ {lq.driver_table}) and the NM "
+            f"({query.probe_table} ⋈ {query.driver_table}) and the NM "
             "fallback is disabled; register a matching view first"
         )
     # Rank by the parallelism-aware wall-clock estimate — a sharded view

@@ -3,7 +3,7 @@
 IncShrink registers a view per *pre-specified* query class; an incoming
 logical query is answerable from a view exactly when its join structure
 (tables, keys, timestamp window) matches the view definition.  The
-rewriter checks that match and **lowers** the unified
+rewriter checks that match and **lowers** the
 :class:`~repro.query.ast.LogicalQuery` to one
 :class:`~repro.query.ast.ViewScanPlan` — every aggregate resolved onto
 its prefixed view column, the GROUP BY key and residual predicate
@@ -12,10 +12,6 @@ scan.  A mismatch is an error — the paper's framework does not fall back
 to NM silently.  Cost-based routing across many registered views (with
 an explicit NM fallback) lives one layer up, in
 :mod:`repro.query.planner` and :mod:`repro.server.planner`.
-
-The single-aggregate rewrites (:func:`rewrite`, :func:`rewrite_sum`)
-remain as shims over the same matching logic for callers addressing one
-view directly.
 """
 
 from __future__ import annotations
@@ -25,25 +21,17 @@ from functools import lru_cache
 from ..common.errors import SchemaError
 from ..core.view_def import JoinViewDefinition
 from .ast import (
-    LogicalJoinCountQuery,
-    LogicalJoinQuery,
-    LogicalJoinSumQuery,
     LogicalQuery,
     ScanAggregate,
     ScanClause,
-    ViewCountQuery,
     ViewScanPlan,
-    ViewSumQuery,
-    as_logical,
     predicate_clauses,
 )
 
 
-def can_answer(
-    query: LogicalQuery | LogicalJoinQuery, view: JoinViewDefinition
-) -> bool:
+def can_answer(query: LogicalQuery, view: JoinViewDefinition) -> bool:
     """Whether ``view`` materializes exactly ``query``'s join."""
-    join = as_logical(query).join
+    join = query.join
     return (
         join.probe_table == view.probe_table
         and join.driver_table == view.driver_table
@@ -54,39 +42,6 @@ def can_answer(
         and join.window_lo == view.window_lo
         and join.window_hi == view.window_hi
     )
-
-
-def _require_answerable(
-    query: LogicalQuery | LogicalJoinQuery, view: JoinViewDefinition
-) -> None:
-    if not can_answer(query, view):
-        raise SchemaError(
-            f"view {view.name!r} does not materialize the join of query "
-            f"({query.probe_table} ⋈ {query.driver_table}); register a "
-            "matching view first"
-        )
-
-
-def sum_view_column(query: LogicalJoinSumQuery, view: JoinViewDefinition) -> str:
-    """Map the logical summed column onto its prefixed view column."""
-    if query.sum_table not in (view.probe_table, view.driver_table):
-        raise SchemaError(
-            f"sum_table {query.sum_table!r} is neither side of the join "
-            f"({view.probe_table} ⋈ {view.driver_table})"
-        )
-    return view_column(query.sum_table, query.sum_column, view)
-
-
-def rewrite(query: LogicalJoinCountQuery, view: JoinViewDefinition) -> ViewCountQuery:
-    """Rewrite ``q_t(D_t)`` into ``q̃_t(V_t)`` or raise if incompatible."""
-    _require_answerable(query, view)
-    return ViewCountQuery(view_name=view.name)
-
-
-def rewrite_sum(query: LogicalJoinSumQuery, view: JoinViewDefinition) -> ViewSumQuery:
-    """Rewrite a logical SUM into a view-side SUM or raise if incompatible."""
-    _require_answerable(query, view)
-    return ViewSumQuery(view_name=view.name, column=sum_view_column(query, view))
 
 
 def view_column(table: str, column: str, view: JoinViewDefinition) -> str:
@@ -104,9 +59,8 @@ def view_column(table: str, column: str, view: JoinViewDefinition) -> str:
     return name
 
 
-def lower_to_view_scan(
-    query: LogicalQuery | LogicalJoinQuery, view: JoinViewDefinition
-) -> ViewScanPlan:
+@lru_cache(maxsize=4096)
+def lower_to_view_scan(query: LogicalQuery, view: JoinViewDefinition) -> ViewScanPlan:
     """Lower a logical query to the single padded scan that answers it.
 
     Every aggregate, the GROUP BY key, and every predicate clause is
@@ -117,12 +71,12 @@ def lower_to_view_scan(
     the frozen ``(query, view)`` pair — replanning a hot query shape
     against the same registered views costs a cache lookup.
     """
-    return _lower_cached(as_logical(query), view)
-
-
-@lru_cache(maxsize=4096)
-def _lower_cached(lq: LogicalQuery, view: JoinViewDefinition) -> ViewScanPlan:
-    _require_answerable(lq.join, view)
+    if not can_answer(query, view):
+        raise SchemaError(
+            f"view {view.name!r} does not materialize the join of query "
+            f"({query.probe_table} ⋈ {query.driver_table}); register a "
+            "matching view first"
+        )
     aggregates = tuple(
         ScanAggregate(
             kind=agg.kind,
@@ -133,19 +87,19 @@ def _lower_cached(lq: LogicalQuery, view: JoinViewDefinition) -> ViewScanPlan:
                 else view_column(agg.table, agg.column, view)
             ),
         )
-        for agg in lq.aggregates
+        for agg in query.aggregates
     )
     group_column = group_domain = None
-    if lq.group_by is not None:
-        group_column = view_column(lq.group_by.table, lq.group_by.column, view)
-        group_domain = lq.group_by.domain
+    if query.group_by is not None:
+        group_column = view_column(query.group_by.table, query.group_by.column, view)
+        group_domain = query.group_by.domain
     clauses = tuple(
         ScanClause(
             column=view_column(clause.table, clause.column, view),
             lo=clause.bounds()[0],
             hi=clause.bounds()[1],
         )
-        for clause in predicate_clauses(lq.predicate)
+        for clause in predicate_clauses(query.predicate)
     )
     return ViewScanPlan(
         view_name=view.name,
@@ -154,21 +108,3 @@ def _lower_cached(lq: LogicalQuery, view: JoinViewDefinition) -> ViewScanPlan:
         group_domain=group_domain,
         clauses=clauses,
     )
-
-
-def rewrite_logical(
-    query: LogicalQuery | LogicalJoinQuery, view: JoinViewDefinition
-) -> ViewScanPlan:
-    """Lower any logical query form to its unified view-scan plan.
-
-    Historically this dispatched between :class:`ViewCountQuery` and
-    :class:`ViewSumQuery`; the compiler now lowers every form — shim or
-    unified — to one :class:`~repro.query.ast.ViewScanPlan`.
-    """
-    if not isinstance(
-        query, (LogicalQuery, LogicalJoinCountQuery, LogicalJoinSumQuery)
-    ):
-        raise SchemaError(
-            f"unsupported logical query type {type(query).__name__}"
-        )
-    return lower_to_view_scan(query, view)

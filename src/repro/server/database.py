@@ -12,11 +12,9 @@ and DP-Sync motivate for private data federations:
   Transform circuit once per shared table pair (transform signature) and
   fans the padded delta out to every consuming view's cache, then drives
   each view's own Shrink policy and flusher;
-* incoming logical queries — the unified
-  :class:`~repro.query.ast.LogicalQuery` AST with any mix of
-  COUNT/SUM/AVG aggregates, a residual predicate, and an optional
-  GROUP BY, or the deprecated per-class shims — are routed by a
-  cost-based (structure-cached)
+* incoming logical queries — a :class:`~repro.query.ast.LogicalQuery`
+  with any mix of COUNT/SUM/AVG aggregates, a residual predicate, and an
+  optional GROUP BY — are routed by a cost-based (structure-cached)
   :class:`~repro.server.planner.DatabasePlanner` to the cheapest
   matching view scan, or to the NM join fallback when that is cheaper
   (or nothing matches and the fallback is enabled); either path answers
@@ -34,7 +32,8 @@ and DP-Sync motivate for private data federations:
   groups of views that observe the same base tables.
 
 :class:`~repro.core.engine.IncShrinkEngine` is a thin single-view façade
-over this class.
+over this class; its queries go through :meth:`IncShrinkDatabase.query`
+like everyone else's.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from ..core.engine import MODES, validate_policy_knobs
 from ..core.flush import CacheFlusher
 from ..core.shrink_ant import SDPANT
 from ..core.shrink_timer import SDPTimer
-from ..core.view_def import JoinViewDefinition, sum_column_exact
+from ..core.view_def import JoinViewDefinition
 from ..dp.accountant import (
     PrivacyAccountant,
     tenant_scoped_segment,
@@ -62,24 +61,8 @@ from ..dp.allocation import allocate_budget, split_query_epsilon, view_operator_
 from ..dp.laplace import laplace_noise
 from ..mpc.cost_model import CostModel
 from ..mpc.runtime import MPCRuntime
-from ..query.ast import (
-    LogicalJoinCountQuery,
-    LogicalJoinQuery,
-    LogicalJoinSumQuery,
-    LogicalQuery,
-    QueryAnswer,
-    ViewCountQuery,
-    ViewSumQuery,
-    as_logical,
-)
-from ..query.executor import (
-    aggregate_plain,
-    execute_nm_count,
-    execute_nm_query,
-    execute_nm_sum,
-    execute_view_count,
-    execute_view_sum,
-)
+from ..query.ast import LogicalQuery, QueryAnswer
+from ..query.executor import aggregate_plain, execute_nm_query
 from ..query.incremental import (
     DEFAULT_MAX_CACHED_QUERIES,
     AccumulatorCache,
@@ -169,9 +152,8 @@ class DatabaseQueryResult:
     ``answers`` is the full released result table (all aggregates × all
     groups, noisy when the query was released with an ε);
     ``logical_answers`` is the plaintext-mirror ground truth in the same
-    shape.  ``answer`` keeps the historical scalar surface: the first
-    cell, which for the deprecated single-aggregate shims *is* the whole
-    answer.
+    shape.  ``answer`` is the scalar surface: the first cell, which for
+    a single-aggregate ungrouped query *is* the whole answer.
     """
 
     plan: QueryPlan
@@ -612,21 +594,18 @@ class IncShrinkDatabase:
     # -- analyst side -----------------------------------------------------------
     def query(
         self,
-        query: LogicalQuery | LogicalJoinQuery,
+        query: LogicalQuery,
         time: int,
-        predicate_words: int = 1,
         plan: QueryPlan | None = None,
         epsilon: float | None = None,
         tenant: str | None = None,
     ) -> DatabaseQueryResult:
-        """Plan, execute, and score one logical query (any AST form).
+        """Plan, execute, and score one logical query.
 
-        Every query form — the unified :class:`~repro.query.ast.
-        LogicalQuery` or a deprecated single-aggregate shim — normalizes
-        through :func:`~repro.query.ast.as_logical` and runs the same
-        compiled pipeline: plan (cached by structure), then **one**
-        oblivious pass computing every aggregate of every group, either
-        over the cheapest matching view or via the NM join fallback.
+        Every query runs the same compiled pipeline: plan (cached by
+        structure), then **one** oblivious pass computing every aggregate
+        of every group, either over the cheapest matching view or via
+        the NM join fallback.
 
         ``plan`` lets a caller that already planned the query (e.g. the
         serving runtime, which plans before taking the target view's
@@ -643,10 +622,9 @@ class IncShrinkDatabase:
         self.finalize()
         if epsilon is not None and tenant is not None:
             check_tenant_budget(self.accountant, self.tenant_budgets, tenant, epsilon)
-        lq = as_logical(query)
         if plan is None:
-            plan = self.planner.plan(lq, predicate_words=predicate_words)
-        logical = self._logical_answer_query(lq, time)
+            plan = self.planner.plan(query)
+        logical = self._logical_answer_query(query, time)
         scan_report = None
         if plan.kind == VIEW_SCAN:
             vr = self.views[plan.view_name]
@@ -658,18 +636,18 @@ class IncShrinkDatabase:
                 self.accumulator_cache,
             )
         else:
-            spec = self._join_spec(lq)
+            spec = self._join_spec(query)
             answers, qet = execute_nm_query(
                 self.runtime,
                 time,
-                self.tables[lq.probe_table],
-                self.tables[lq.driver_table],
+                self.tables[query.probe_table],
+                self.tables[query.driver_table],
                 spec,
-                lq,
+                query,
             )
         epsilon_spent = 0.0
         if epsilon is not None:
-            answers = self._noise_answers(lq, answers, epsilon, tenant=tenant)
+            answers = self._noise_answers(query, answers, epsilon, tenant=tenant)
             epsilon_spent = epsilon
         obs = QueryObservation(
             time=time,
@@ -688,16 +666,6 @@ class IncShrinkDatabase:
             epsilon_spent=epsilon_spent,
             scan_report=scan_report,
         )
-
-    def query_count(
-        self, query: LogicalJoinCountQuery, time: int
-    ) -> DatabaseQueryResult:
-        return self.query(query, time)
-
-    def query_sum(
-        self, query: LogicalJoinSumQuery, time: int
-    ) -> DatabaseQueryResult:
-        return self.query(query, time)
 
     def _noise_answers(
         self,
@@ -774,85 +742,6 @@ class IncShrinkDatabase:
             group_keys=answers.group_keys,
             rows=tuple(tuple(row) for row in noisy_rows),
         )
-
-    # -- registered-view execution (the engine façade's direct path) -----------
-    def answer_registered_count(
-        self, view_name: str, time: int, query: ViewCountQuery | None = None
-    ) -> QueryObservation:
-        """Answer the registered COUNT of one view, bypassing the planner.
-
-        NM-mode views recompute the join over the group's store scopes;
-        everything else scans the materialized view.  This is exactly the
-        single-view engine's query path.
-        """
-        self.finalize()
-        vr = self.views[view_name]
-        vd = vr.view_def
-        logical_answer = len(self.logical.joined_at(vd, time))
-        if vr.mode == "nm":
-            answer, qet = execute_nm_count(
-                self.runtime,
-                time,
-                vr.group.probe_scope,
-                vr.group.driver_scope,
-                vd,
-            )
-        else:
-            answer, qet = execute_view_count(
-                self.runtime, time, vr.view, query or ViewCountQuery(vd.name)
-            )
-        obs = QueryObservation(
-            time=time,
-            logical_answer=float(logical_answer),
-            view_answer=float(answer),
-            qet_seconds=qet,
-        )
-        vr.metrics.record_query(obs)
-        return obs
-
-    def answer_registered_sum(
-        self,
-        view_name: str,
-        time: int,
-        sum_table: str,
-        sum_column: str,
-        query: ViewSumQuery | None = None,
-    ) -> QueryObservation:
-        """SUM counterpart of :meth:`answer_registered_count`."""
-        self.finalize()
-        vr = self.views[view_name]
-        vd = vr.view_def
-        logical_answer = sum_column_exact(
-            self.logical.joined_at(vd, time),
-            vd.joined_column(sum_table, sum_column),
-        )
-        if vr.mode == "nm":
-            answer, qet = execute_nm_sum(
-                self.runtime,
-                time,
-                vr.group.probe_scope,
-                vr.group.driver_scope,
-                vd,
-                sum_table,
-                sum_column,
-            )
-        else:
-            if query is None:
-                from ..query.rewrite import sum_view_column
-
-                logical_query = LogicalJoinSumQuery.for_view(vd, sum_table, sum_column)
-                query = ViewSumQuery(
-                    vd.name, column=sum_view_column(logical_query, vd)
-                )
-            answer, qet = execute_view_sum(self.runtime, time, vr.view, query)
-        obs = QueryObservation(
-            time=time,
-            logical_answer=float(logical_answer),
-            view_answer=float(answer),
-            qet_seconds=qet,
-        )
-        vr.metrics.record_query(obs)
-        return obs
 
     # -- privacy ----------------------------------------------------------------
     def epsilon_allocation(self) -> dict[str, float]:
@@ -949,11 +838,9 @@ class IncShrinkDatabase:
         return {name: len(store.batches) for name, store in self.tables.items()}
 
     # -- helpers ----------------------------------------------------------------
-    def _join_spec(
-        self, query: LogicalQuery | LogicalJoinQuery
-    ) -> JoinViewDefinition:
-        """A transient join definition for NM execution of ``query``."""
-        join = as_logical(query).join
+    def _join_spec(self, lq: LogicalQuery) -> JoinViewDefinition:
+        """A transient join definition for NM execution of ``lq``."""
+        join = lq.join
         return JoinViewDefinition(
             name=f"nm:{join.probe_table}⋈{join.driver_table}",
             probe_table=join.probe_table,

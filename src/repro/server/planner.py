@@ -8,7 +8,7 @@ padded sizes the cost formulas need, and deciding whether the NM
 fallback is on the table (either globally enabled, or because an
 NM-mode view was explicitly registered for this query class).
 
-Planned queries are cached **by query structure**: the unified
+Planned queries are cached **by query structure**: the
 :class:`~repro.query.ast.LogicalQuery` AST is fully hashable (join spec,
 aggregate list, GROUP BY domain, structural predicate), so a dashboard
 re-issuing the same query shape pays the candidate enumeration and cost
@@ -31,7 +31,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from ..common.errors import SchemaError
-from ..query.ast import LogicalJoinQuery, LogicalQuery, as_logical
+from ..query.ast import LogicalQuery
 from ..query.planner import QueryPlan, ViewCandidate, plan_query
 from ..query.rewrite import can_answer, lower_to_view_scan
 
@@ -56,19 +56,20 @@ class DatabasePlanner:
     def __init__(self, database: "IncShrinkDatabase", multiplicity: float = 1.0) -> None:
         self._db = database
         self.multiplicity = multiplicity
-        self._cache: "OrderedDict[tuple, tuple[tuple, QueryPlan]]" = OrderedDict()
+        self._cache: "OrderedDict[LogicalQuery, tuple[tuple, QueryPlan]]" = (
+            OrderedDict()
+        )
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _cached_rows(self, query: LogicalQuery | LogicalJoinQuery, vr) -> int:
+    def _cached_rows(self, query: LogicalQuery, vr) -> int:
         """Rows an incremental scan of ``vr.view`` would skip for ``query``."""
         cache = self._db.accumulator_cache
         if cache is None:
             return 0
-        lq = as_logical(query)
-        return cache.cached_rows(vr.view, lower_to_view_scan(lq, vr.view_def))
+        return cache.cached_rows(vr.view, lower_to_view_scan(query, vr.view_def))
 
-    def candidates(self, query: LogicalQuery | LogicalJoinQuery) -> list[ViewCandidate]:
+    def candidates(self, query: LogicalQuery) -> list[ViewCandidate]:
         """Every registered view whose join structure answers ``query``.
 
         Each candidate carries its view's public shard count so the core
@@ -119,7 +120,7 @@ class DatabasePlanner:
             db.scan_backend,
         )
 
-    def nm_allowed(self, query: LogicalQuery | LogicalJoinQuery) -> bool:
+    def nm_allowed(self, query: LogicalQuery) -> bool:
         if self._db.nm_fallback:
             return True
         return any(
@@ -127,11 +128,7 @@ class DatabasePlanner:
             for vr in self._db.views.values()
         )
 
-    def plan(
-        self,
-        query: LogicalQuery | LogicalJoinQuery,
-        predicate_words: int = 1,
-    ) -> QueryPlan:
+    def plan(self, query: LogicalQuery) -> QueryPlan:
         """Choose the cheapest plan for ``query`` at the current sizes.
 
         Structurally identical queries hit the plan cache while the
@@ -142,37 +139,34 @@ class DatabasePlanner:
         planning pass.
         """
         db = self._db
-        lq = as_logical(query)
-        for table in (lq.probe_table, lq.driver_table):
+        for table in (query.probe_table, query.driver_table):
             if table not in db.tables:
                 raise SchemaError(
                     f"query references unregistered table {table!r}; known "
                     f"tables: {sorted(db.tables)}"
                 )
-        key = (lq.structure_key(), predicate_words)
-        validity = self._validity(lq)
-        cached = self._cache.get(key)
+        validity = self._validity(query)
+        cached = self._cache.get(query)
         if cached is not None and cached[0] == validity:
             self.cache_hits += 1
-            self._cache.move_to_end(key)
+            self._cache.move_to_end(query)
             return cached[1]
         self.cache_misses += 1
-        probe_store = db.tables[lq.probe_table]
-        driver_store = db.tables[lq.driver_table]
+        probe_store = db.tables[query.probe_table]
+        driver_store = db.tables[query.driver_table]
         plan = plan_query(
-            lq,
-            self.candidates(lq),
+            query,
+            self.candidates(query),
             probe_store.total_rows,
             driver_store.total_rows,
             db.runtime.cost_model,
-            nm_allowed=self.nm_allowed(lq),
+            nm_allowed=self.nm_allowed(query),
             multiplicity=self.multiplicity,
-            predicate_words=predicate_words,
             probe_width=probe_store.schema.width,
             driver_width=driver_store.schema.width,
         )
-        self._cache[key] = (validity, plan)
-        self._cache.move_to_end(key)
+        self._cache[query] = (validity, plan)
+        self._cache.move_to_end(query)
         while len(self._cache) > PLAN_CACHE_MAX_ENTRIES:
             self._cache.popitem(last=False)
         return plan

@@ -40,7 +40,7 @@ from typing import Iterator, Mapping
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.types import RecordBatch
-from ..query.ast import LogicalJoinQuery, LogicalQuery
+from ..query.ast import LogicalQuery
 from ..query.shard_workers import shutdown_process_backend
 from ..tenancy.ledger import TenantLedger
 from .database import DatabaseQueryResult, IncShrinkDatabase
@@ -194,18 +194,13 @@ class ReadSession:
 
     def query(
         self,
-        query: LogicalQuery | LogicalJoinQuery,
+        query: LogicalQuery,
         time: int | None = None,
-        predicate_words: int = 1,
         epsilon: float | None = None,
         tenant: str | None = None,
     ) -> DatabaseQueryResult:
         result = self.server.query(
-            query,
-            time=time,
-            predicate_words=predicate_words,
-            epsilon=epsilon,
-            tenant=tenant,
+            query, time=time, epsilon=epsilon, tenant=tenant
         )
         self.results.append(result)
         return result
@@ -593,9 +588,8 @@ class DatabaseServer:
 
     def query(
         self,
-        query: LogicalQuery | LogicalJoinQuery,
+        query: LogicalQuery,
         time: int | None = None,
-        predicate_words: int = 1,
         epsilon: float | None = None,
         tenant: str | None = None,
     ) -> DatabaseQueryResult:
@@ -613,18 +607,11 @@ class DatabaseServer:
         t0 = _time.perf_counter()
         with self._rw.read_locked():
             at_time = self._last_time if time is None else int(time)
-            plan = self.database.planner.plan(
-                query, predicate_words=predicate_words
-            )
+            plan = self.database.planner.plan(query)
             guard = self._view_locks.get(plan.view_name or "", self._nm_lock)
             with guard, self._mpc_lock:
                 result = self.database.query(
-                    query,
-                    at_time,
-                    predicate_words=predicate_words,
-                    plan=plan,
-                    epsilon=epsilon,
-                    tenant=tenant,
+                    query, at_time, plan=plan, epsilon=epsilon, tenant=tenant
                 )
         with self._stats_lock:
             self.stats.queries += 1

@@ -141,8 +141,8 @@ class ShardedTableContainer:
 
         Single-shard layouts return the shard by reference (no copy);
         multi-shard gathers are memoized until the next mutation, so the
-        legacy whole-table surfaces (registered-query shims,
-        ``real_count``, snapshots) pay the permutation copy once per
+        whole-table surfaces (the serial scan oracle, ``real_count``,
+        snapshots) pay the permutation copy once per
         content change, not once per access.
         """
         if self._gathered is None:

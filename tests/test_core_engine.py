@@ -1,11 +1,17 @@
 """Tests for the IncShrink engine (the full Figure-1 workflow)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import RecordBatch
-from repro.core.engine import EngineConfig, IncShrinkEngine
+from repro.core.engine import MODES, EngineConfig, IncShrinkEngine
+from repro.experiments.harness import RunConfig, run_experiment
+
+GOLDEN_MODES = Path(__file__).parent / "golden" / "engine_modes_48.json"
 
 
 def upload_steps(engine, view_def, steps):
@@ -249,3 +255,34 @@ class TestEngineTranscriptLeakage:
         }
         # Driver capacity 3 × ω 2 = 6 on every step, data-independent.
         assert deltas == {6}
+
+
+def engine_modes_record(dataset: str, mode: str) -> dict:
+    """One façade run as ``tests/golden/engine_modes_48.json`` stores it:
+    48 steps, seed 3, the registered COUNT every 2 steps, one SUM at the
+    end — every observation field, every protocol run, realized ε."""
+    result = run_experiment(
+        RunConfig(dataset=dataset, mode=mode, n_steps=48, seed=3, query_every=2)
+    )
+    engine = result.engine
+    vd = engine.view_def
+    engine.query_sum(48, vd.driver_table, vd.driver_ts)
+    return {
+        "queries": [
+            [q.time, q.logical_answer, q.view_answer, q.qet_seconds]
+            for q in engine.metrics.queries
+        ],
+        "runs": [[r.name, r.time, r.gates] for r in engine.runtime.runs],
+        "realized_epsilon": engine.realized_epsilon(),
+    }
+
+
+class TestGoldenModes:
+    @pytest.mark.parametrize("dataset", ["tpcds", "cpdb"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_facade_reproduces_the_per_class_path(self, dataset, mode):
+        """Recorded at the last commit whose façade answered through the
+        per-class COUNT/SUM executors; the compiled pipeline must give the
+        paper's figures the same observations, gates and ε, to the bit."""
+        golden = json.loads(GOLDEN_MODES.read_text())[f"{dataset}/{mode}"]
+        assert engine_modes_record(dataset, mode) == golden

@@ -338,6 +338,19 @@ class TestWorkerDaemon:
         with pytest.raises(wire.RemoteError, match="do not serve"):
             link.exchange("query", {}, expect="result")
 
+    def test_stop_wakes_the_accept_thread_and_returns_promptly(self):
+        """The accept thread is parked in accept(); stop() must wake it,
+        not wait out the join timeout and leave it behind."""
+        worker = ShardWorker().start()
+        _time.sleep(0.2)  # let the thread reach accept()
+        t0 = _time.monotonic()
+        worker.stop()
+        assert _time.monotonic() - t0 < 1.0
+        assert not worker._accept_thread.is_alive()
+        t0 = _time.monotonic()
+        worker.stop()  # idempotent
+        assert _time.monotonic() - t0 < 1.0
+
 
 # -- end-to-end equivalence: remote fleet ≡ in-process -------------------------
 def run_remote_deployment(

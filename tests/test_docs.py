@@ -1,4 +1,5 @@
-"""Documentation stays true: links resolve, embedded examples run.
+"""Documentation stays true: links resolve, embedded examples and the
+``examples/`` scripts run.
 
 Mirrors the CI docs job (``tools/check_docs.py``) inside tier-1 so a
 broken doc link or a stale code example fails locally before push.
@@ -17,6 +18,7 @@ from check_docs import (  # noqa: E402 (path bootstrap above)
     check_links,
     markdown_files,
     run_doc_doctests,
+    run_example_scripts,
 )
 
 
@@ -35,3 +37,9 @@ def test_docs_code_examples_execute():
     failures, attempted = run_doc_doctests()
     assert failures == []
     assert attempted > 0, "docs must contain executable examples"
+
+
+def test_example_scripts_exit_zero():
+    failures, ran = run_example_scripts()
+    assert failures == []
+    assert ran > 0, "examples/ must contain runnable scripts"

@@ -462,10 +462,11 @@ def test_engine_facade_scores_against_the_mirror():
         for name, batch in batches.items():
             model.inserts.append((t, name, batch.real_rows()))
         probe, driver = model.instance_at("p", t), model.instance_at("d", t)
-        count = db.answer_registered_count("wide", t)
+        count = db.query(LogicalQuery.for_view(vd), t).observation
         assert count.logical_answer == oracle_join_count(vd, probe, driver)
         for table, column in (("p", "amount"), ("d", "sts")):
-            total = db.answer_registered_sum("wide", t, table, column)
+            query = LogicalQuery.for_view(vd, AggregateSpec.sum_of(table, column))
+            total = db.query(query, t).observation
             assert total.logical_answer == oracle_join_sum(vd, probe, driver, table, column)
     # one signature, extended once per step, every other call a hit
     assert db.logical_mirror_stats() == {"hits": 40, "extensions": 20, "signatures": 1}

@@ -32,11 +32,9 @@ from repro.query.ast import (
     ColumnEquals,
     ColumnRange,
     GroupBySpec,
-    LogicalJoinCountQuery,
     LogicalJoinQuery,
     LogicalQuery,
     QueryAnswer,
-    as_logical,
 )
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.persistence import restore_database
@@ -102,7 +100,7 @@ def query_mix() -> list:
     """The deterministic (noise-free) query workload."""
     vd = full_view_def()
     return [
-        LogicalJoinCountQuery.for_view(vd),
+        LogicalQuery.for_view(vd),
         LogicalQuery.for_view(
             vd,
             AggregateSpec.count(),
@@ -164,10 +162,6 @@ class TestWireCodecs:
             predicate=ColumnEquals("orders", "key", 7),
         )
         assert wire.decode_query(wire.encode_query(query)) == query
-
-    def test_shims_normalize_on_encode(self):
-        shim = LogicalJoinCountQuery.for_view(full_view_def())
-        assert wire.decode_query(wire.encode_query(shim)) == as_logical(shim)
 
     def test_malformed_query_payload_rejected(self):
         with pytest.raises(wire.WireError, match="malformed query"):
@@ -468,6 +462,41 @@ class TestStructuredErrors:
                 result = client.query(query_mix()[0])
                 assert result.plan_kind == "view-scan"
         server.stop()
+
+    def test_retired_predicate_words_field_cannot_steer_the_planner(self):
+        """Older clients send a ``predicate_words`` integer with every
+        query.  It used to inflate the planner's estimate only — the
+        executor charges from the plan's clauses — so a large value made
+        a cold view look dearer than the NM join and bought a full join
+        for the price of a scan.  The field is tolerated and ignored."""
+        db = build_database()
+        db.set_incremental(False)  # both frames scan the view cold
+        server = DatabaseServer(db).start()
+        for t in range(1, len(SCRIPT) + 1):
+            server.submit(t, batches_at(t))
+        server.drain()
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address) as client:
+                frame = {
+                    "query": wire.encode_query(query_mix()[0]),
+                    "time": None,
+                    "epsilon": None,
+                }
+                plain = wire.decode_result(
+                    client._request("query", frame, expect="result")
+                )
+                steered = wire.decode_result(
+                    client._request(
+                        "query", {**frame, "predicate_words": 4096}, expect="result"
+                    )
+                )
+        server.stop()
+        assert plain.plan_kind == steered.plan_kind == "view-scan"
+        assert steered.view_name == plain.view_name
+        assert steered.estimated_gates == plain.estimated_gates
+        assert steered.scan_report["gates"] == plain.scan_report["gates"] > 0
+        assert steered.qet_seconds == plain.qet_seconds
+        assert db.planner.cache_info()["entries"] == 1
 
     def test_admission_floor_covers_locally_queued_steps(self):
         """A step submitted in-process (even if not yet applied when the

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import oblivious_count, oblivious_select
+from repro.oblivious.filter import oblivious_multi_aggregate, oblivious_select
+
+
+def scan_count(ctx, rows, flags, mask, payload_words):
+    """COUNT(*) as the one scan kernel computes it."""
+    counts, _sums = oblivious_multi_aggregate(
+        ctx, rows, flags, [], True, None, None, mask, payload_words
+    )
+    return int(counts[0])
 
 
 @pytest.fixture
@@ -56,13 +64,13 @@ class TestObliviousCount:
         rows, flags = rows_flags
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert oblivious_count(ctx, rows, flags, None, 2) == 3
+            assert scan_count(ctx, rows, flags, None, 2) == 3
 
     def test_predicate_restricts_count(self, rows_flags):
         rows, flags = rows_flags
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            count = oblivious_count(ctx, rows, flags, rows[:, 1] >= 20, 2)
+            count = scan_count(ctx, rows, flags, rows[:, 1] >= 20, 2)
         assert count == 2
 
     def test_cost_scales_with_total_rows_not_real_rows(self):
@@ -73,10 +81,10 @@ class TestObliviousCount:
         no_flags_small = np.zeros(10, dtype=bool)
         no_flags_big = np.zeros(1000, dtype=bool)
         with runtime.protocol("a") as ctx:
-            oblivious_count(ctx, rows_small, no_flags_small, None, 2)
+            scan_count(ctx, rows_small, no_flags_small, None, 2)
             small_gates = ctx.gates
         with runtime.protocol("b") as ctx:
-            oblivious_count(ctx, rows_big, no_flags_big, None, 2)
+            scan_count(ctx, rows_big, no_flags_big, None, 2)
             big_gates = ctx.gates
         assert big_gates == 100 * small_gates
 
@@ -84,7 +92,7 @@ class TestObliviousCount:
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
             assert (
-                oblivious_count(
+                scan_count(
                     ctx, np.zeros((0, 2), dtype=np.uint32), np.zeros(0, dtype=bool), None, 2
                 )
                 == 0

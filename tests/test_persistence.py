@@ -28,8 +28,7 @@ from repro.core.view_def import JoinViewDefinition
 from repro.query.ast import (
     AggregateSpec,
     GroupBySpec,
-    LogicalJoinCountQuery,
-    LogicalJoinSumQuery,
+    LogicalJoinQuery,
     LogicalQuery,
 )
 from repro.server.database import IncShrinkDatabase, ViewRegistration
@@ -118,8 +117,8 @@ def feed(db: IncShrinkDatabase, time: int) -> None:
     db.step(time)
 
 
-def count_query(window_hi: int = 2) -> LogicalJoinCountQuery:
-    return LogicalJoinCountQuery(
+def join_spec(window_hi: int = 2) -> LogicalJoinQuery:
+    return LogicalJoinQuery(
         probe_table="orders",
         driver_table="shipments",
         probe_key="key",
@@ -131,19 +130,12 @@ def count_query(window_hi: int = 2) -> LogicalJoinCountQuery:
     )
 
 
-def sum_query() -> LogicalJoinSumQuery:
-    count = count_query()
-    return LogicalJoinSumQuery(
-        **{
-            f: getattr(count, f)
-            for f in (
-                "probe_table", "driver_table", "probe_key", "driver_key",
-                "probe_ts", "driver_ts", "window_lo", "window_hi",
-            )
-        },
-        sum_table="shipments",
-        sum_column="sts",
-    )
+def count_query(window_hi: int = 2) -> LogicalQuery:
+    return LogicalQuery(join_spec(window_hi), (AggregateSpec.count(),))
+
+
+def sum_query() -> LogicalQuery:
+    return LogicalQuery(join_spec(), (AggregateSpec.sum_of("shipments", "sts"),))
 
 
 def answer_mix(db: IncShrinkDatabase, time: int) -> list[float]:

@@ -632,13 +632,20 @@ def test_metrics_garbage_requests_never_crash_the_listener(metrics_endpoint):
         sock = _raw_metrics_conn(metrics_endpoint)
         try:
             sock.sendall(blob)
+            # Half-close: the parser sees EOF, so this exercises parsing
+            # rather than whose timer fires first.
+            sock.shutdown(socket.SHUT_WR)
             _read_until_closed(sock, limit=1 << 16)
         except OSError:
             pass
         finally:
             sock.close()
     # The listener survived the storm and still serves a real scrape.
-    sock = _raw_metrics_conn(metrics_endpoint)
+    _assert_scrape_succeeds(metrics_endpoint)
+
+
+def _assert_scrape_succeeds(address) -> None:
+    sock = _raw_metrics_conn(address)
     try:
         sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: fuzz\r\n\r\n")
         data = _read_until_closed(sock, limit=1 << 20)
@@ -646,6 +653,25 @@ def test_metrics_garbage_requests_never_crash_the_listener(metrics_endpoint):
         sock.close()
     assert data.startswith(b"HTTP/1.0 200") or data.startswith(b"HTTP/1.1 200")
     assert b"incshrink_" in data
+
+
+def test_metrics_silent_peer_is_hung_up_on(live_net, monkeypatch):
+    """Half a request line, then silence: the server closes within its
+    read timeout instead of parking a thread on the peer's goodwill."""
+    from repro.net import metrics
+
+    monkeypatch.setattr(metrics, "REQUEST_READ_TIMEOUT", 0.3)
+    with metrics.MetricsServer(live_net, port=0) as server:
+        sock = _raw_metrics_conn(server.address)
+        try:
+            sock.sendall(b"GET /metr")
+            t0 = _time.monotonic()
+            data = _read_until_closed(sock, limit=1 << 16)
+            assert _time.monotonic() - t0 < 2.0
+        finally:
+            sock.close()
+        assert b"Traceback" not in data
+        _assert_scrape_succeeds(server.address)
 
 
 def test_metrics_rejects_writes_and_unknown_paths(metrics_endpoint):

@@ -6,16 +6,16 @@ import pytest
 from repro.common.errors import SchemaError
 from repro.common.rng import spawn
 from repro.common.types import Schema
-from repro.core.view_def import JoinViewDefinition
 from repro.mpc.runtime import MPCRuntime
 from repro.query.ast import (
-    LogicalJoinCountQuery,
-    ViewCountQuery,
-    column_equals,
-    column_in_range,
+    AggregateSpec,
+    ColumnEquals,
+    LogicalJoinQuery,
+    LogicalQuery,
+    ScanClause,
 )
-from repro.query.executor import execute_view_count
-from repro.query.rewrite import can_answer, rewrite
+from repro.query.executor import clause_mask, execute_view_scan
+from repro.query.rewrite import can_answer, lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -32,7 +32,7 @@ def make_logical_query(**overrides):
         window_hi=2,
     )
     base.update(overrides)
-    return LogicalJoinCountQuery(**base)
+    return LogicalQuery(LogicalJoinQuery(**base), (AggregateSpec.count(),))
 
 
 class TestPredicates:
@@ -40,39 +40,31 @@ class TestPredicates:
     ROWS = np.asarray([[1, 10], [2, 20], [1, 30]], dtype=np.uint32)
 
     def test_column_equals(self):
-        pred = column_equals(self.SCHEMA, "a", 1)
-        assert pred(self.ROWS).tolist() == [True, False, True]
+        mask = clause_mask([ScanClause("a", 1, 1)], self.SCHEMA, self.ROWS)
+        assert mask.tolist() == [True, False, True]
 
     def test_column_in_range(self):
-        pred = column_in_range(self.SCHEMA, "b", 15, 30)
-        assert pred(self.ROWS).tolist() == [False, True, True]
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(SchemaError):
-            column_in_range(self.SCHEMA, "b", 5, 4)
-
-    def test_empty_rows(self):
-        pred = column_equals(self.SCHEMA, "a", 1)
-        assert len(pred(np.zeros((0, 2), dtype=np.uint32))) == 0
+        mask = clause_mask([ScanClause("b", 15, 30)], self.SCHEMA, self.ROWS)
+        assert mask.tolist() == [False, True, True]
 
 
 class TestRewrite:
     def test_matching_query_rewrites(self, tiny_view_def):
         query = make_logical_query()
         assert can_answer(query, tiny_view_def)
-        view_query = rewrite(query, tiny_view_def)
+        view_query = lower_to_view_scan(query, tiny_view_def)
         assert view_query.view_name == tiny_view_def.name
 
     def test_mismatched_window_rejected(self, tiny_view_def):
         query = make_logical_query(window_hi=5)
         assert not can_answer(query, tiny_view_def)
         with pytest.raises(SchemaError, match="does not materialize"):
-            rewrite(query, tiny_view_def)
+            lower_to_view_scan(query, tiny_view_def)
 
     def test_mismatched_tables_rejected(self, tiny_view_def):
         query = make_logical_query(probe_table="users")
         with pytest.raises(SchemaError):
-            rewrite(query, tiny_view_def)
+            lower_to_view_scan(query, tiny_view_def)
 
 
 class TestExecutor:
@@ -88,6 +80,14 @@ class TestExecutor:
         )
         return view
 
+    @staticmethod
+    def _count(view_def, view, predicate=None):
+        plan = lower_to_view_scan(
+            LogicalQuery.for_view(view_def, predicate=predicate), view_def
+        )
+        answer, qet = execute_view_scan(MPCRuntime(seed=0), 1, view, plan)
+        return answer.scalar(), qet
+
     def test_counts_real_rows(self, tiny_view_def):
         schema = tiny_view_def.view_schema
         view = self._view_with(
@@ -95,8 +95,7 @@ class TestExecutor:
             [[1, 1, 1, 2], [0, 0, 0, 0], [2, 1, 2, 3]],
             [1, 0, 1],
         )
-        runtime = MPCRuntime(seed=0)
-        count, qet = execute_view_count(runtime, 1, view, ViewCountQuery("v"))
+        count, qet = self._count(tiny_view_def, view)
         assert count == 2
         assert qet > 0
 
@@ -107,14 +106,13 @@ class TestExecutor:
             [[1, 1, 1, 2], [2, 1, 2, 3]],
             [1, 1],
         )
-        runtime = MPCRuntime(seed=0)
-        query = ViewCountQuery("v", predicate=column_equals(schema, "p_key", 2))
-        count, _ = execute_view_count(runtime, 1, view, query)
+        count, _ = self._count(
+            tiny_view_def, view, predicate=ColumnEquals("orders", "key", 2)
+        )
         assert count == 1
 
     def test_empty_view_counts_zero_in_zero_time(self, tiny_view_def):
         view = MaterializedView(tiny_view_def.view_schema)
-        runtime = MPCRuntime(seed=0)
-        count, qet = execute_view_count(runtime, 1, view, ViewCountQuery("v"))
+        count, qet = self._count(tiny_view_def, view)
         assert count == 0
         assert qet == 0.0

@@ -1,4 +1,4 @@
-"""Tests for the unified query compiler: AST → rewrite → plan → one scan.
+"""Tests for the query compiler: AST → rewrite → plan → one scan.
 
 Fixture data replays the shared orders/shipments script of
 ``test_server_database`` into a single EP (exact) view, so every
@@ -22,12 +22,8 @@ from repro.query.ast import (
     ColumnEquals,
     ColumnRange,
     GroupBySpec,
-    LogicalJoinCountQuery,
-    LogicalJoinQuery,
-    LogicalJoinSumQuery,
     LogicalQuery,
     ViewScanPlan,
-    as_logical,
 )
 from repro.query.planner import NM_JOIN, VIEW_SCAN
 from repro.query.rewrite import lower_to_view_scan
@@ -111,7 +107,7 @@ class TestASTValidation:
 
     def test_no_aggregates_rejected(self):
         with pytest.raises(SchemaError, match="at least one aggregate"):
-            LogicalQuery(join=as_logical(query_of(COUNT)).join, aggregates=())
+            LogicalQuery(join=query_of(COUNT).join, aggregates=())
 
     def test_duplicate_output_names_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
@@ -162,50 +158,14 @@ class TestASTValidation:
             group_by=GroupBySpec("orders", "key", (1, 2)),
             predicate=ColumnEquals("orders", "key", 1),
         )
-        assert hash(q.structure_key()) == hash(q)
-        assert q == query_of(
+        twin = query_of(
             COUNT,
             SUM_STS,
             group_by=GroupBySpec("orders", "key", (1, 2)),
             predicate=ColumnEquals("orders", "key", 1),
         )
-
-
-class TestShims:
-    def test_count_shim_normalizes_to_count_aggregate(self):
-        shim = LogicalJoinCountQuery.for_view(make_view())
-        lq = shim.to_logical()
-        assert [a.kind for a in lq.aggregates] == ["count"]
-        assert lq.join.probe_table == "orders"
-
-    def test_sum_shim_normalizes_to_sum_aggregate(self):
-        shim = LogicalJoinSumQuery.for_view(make_view(), "shipments", "sts")
-        lq = shim.to_logical()
-        assert [a.kind for a in lq.aggregates] == ["sum"]
-        assert lq.aggregates[0].column == "sts"
-
-    def test_bare_join_query_treated_as_count(self):
-        shim = LogicalJoinCountQuery.for_view(make_view())
-        bare = LogicalJoinQuery(
-            **{
-                f: getattr(shim, f)
-                for f in (
-                    "probe_table",
-                    "driver_table",
-                    "probe_key",
-                    "driver_key",
-                    "probe_ts",
-                    "driver_ts",
-                    "window_lo",
-                    "window_hi",
-                )
-            }
-        )
-        assert as_logical(bare).aggregates[0].kind == "count"
-
-    def test_as_logical_is_identity_on_unified_queries(self):
-        q = query_of(COUNT)
-        assert as_logical(q) is q
+        assert hash(twin) == hash(q)
+        assert q == twin
 
 
 class TestLowering:
@@ -257,7 +217,7 @@ class TestLowering:
 
 
 class TestSingleScanExecution:
-    def test_multi_aggregate_matches_shim_answers_and_ground_truth(self, database):
+    def test_multi_aggregate_matches_single_answers_and_ground_truth(self, database):
         multi = database.query(query_of(COUNT, SUM_STS, AVG_STS), time=4)
         assert multi.plan.kind == VIEW_SCAN
         assert multi.answers.columns == (
@@ -266,13 +226,11 @@ class TestSingleScanExecution:
             "avg_shipments_sts",
         )
         assert multi.answers.rows == ((4, 12, 3.0),)
-        # The deprecated per-class shims return byte-identical cells.
-        old_count = database.query(LogicalJoinCountQuery.for_view(make_view()), 4)
-        old_sum = database.query(
-            LogicalJoinSumQuery.for_view(make_view(), "shipments", "sts"), 4
-        )
-        assert multi.answers.rows[0][0] == old_count.answer == 4
-        assert multi.answers.rows[0][1] == old_sum.answer == 12
+        # Each aggregate asked on its own returns the byte-identical cell.
+        one_count = database.query(query_of(COUNT), 4)
+        one_sum = database.query(query_of(SUM_STS), 4)
+        assert multi.answers.rows[0][0] == one_count.answer == 4
+        assert multi.answers.rows[0][1] == one_sum.answer == 12
         # EP view is exact, so the served answers equal the ground truth.
         assert multi.logical_answers.rows == multi.answers.rows
 
@@ -400,16 +358,6 @@ class TestPlanCache:
         database.query(query_of(COUNT), time=5)
         info = database.planner.cache_info()
         assert info["misses"] == misses + 1  # replanned at the new sizes
-
-    def test_shim_and_unified_forms_share_one_cache_entry(self, database):
-        # Warm up past the cold → warm accumulator repricing miss (see
-        # test_structurally_identical_queries_hit_the_cache), then the
-        # shim and unified forms must share one steady-state entry.
-        database.query(LogicalJoinCountQuery.for_view(make_view()), 4)
-        database.query(LogicalJoinCountQuery.for_view(make_view()), 4)
-        hits = database.planner.cache_info()["hits"]
-        database.query(query_of(COUNT), time=4)
-        assert database.planner.cache_info()["hits"] == hits + 1
 
 
 class TestNoisyRelease:

@@ -1,4 +1,4 @@
-"""Unit tests for cost-based planning and the SUM rewrite path."""
+"""Unit tests for cost-based planning and the SUM lowering path."""
 
 import numpy as np
 import pytest
@@ -8,23 +8,23 @@ from repro.common.rng import spawn
 from repro.mpc.cost_model import DEFAULT_COST_MODEL
 from repro.mpc.runtime import MPCRuntime
 from repro.query.ast import (
-    LogicalJoinCountQuery,
+    AggregateSpec,
     LogicalJoinQuery,
-    LogicalJoinSumQuery,
+    LogicalQuery,
     ViewScanPlan,
-    ViewSumQuery,
 )
-from repro.query.executor import execute_nm_sum
+from repro.query.executor import execute_nm_query, execute_view_scan
 from repro.query.planner import (
     NM_JOIN,
     VIEW_SCAN,
     ViewCandidate,
+    multi_scan_gates,
     nm_join_gates,
     plan_query,
-    view_scan_gates,
 )
-from repro.query.rewrite import can_answer, rewrite_logical, rewrite_sum
+from repro.query.rewrite import can_answer, lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
+from repro.storage.materialized_view import MaterializedView
 from repro.storage.outsourced_table import OutsourcedTable
 
 JOIN_FIELDS = dict(
@@ -39,72 +39,77 @@ JOIN_FIELDS = dict(
 )
 
 
-def count_query(**overrides) -> LogicalJoinCountQuery:
-    return LogicalJoinCountQuery(**{**JOIN_FIELDS, **overrides})
+def count_query(**overrides) -> LogicalQuery:
+    join = LogicalJoinQuery(**{**JOIN_FIELDS, **overrides})
+    return LogicalQuery(join, (AggregateSpec.count(),))
 
 
-def sum_query(sum_table="shipments", sum_column="sts", **overrides) -> LogicalJoinSumQuery:
-    return LogicalJoinSumQuery(
-        **{**JOIN_FIELDS, **overrides}, sum_table=sum_table, sum_column=sum_column
+def sum_query(sum_table="shipments", sum_column="sts", **overrides) -> LogicalQuery:
+    join = LogicalJoinQuery(**{**JOIN_FIELDS, **overrides})
+    return LogicalQuery(join, (AggregateSpec.sum_of(sum_table, sum_column),))
+
+
+def count_scan_gates(n_rows: int, payload_words: int) -> int:
+    return multi_scan_gates(
+        DEFAULT_COST_MODEL, n_rows, payload_words, need_count=True, n_sum_columns=0
     )
 
 
 class TestSumRewrite:
-    def test_sum_query_is_a_logical_join_query(self, tiny_view_def):
-        assert isinstance(sum_query(), LogicalJoinQuery)
+    def test_sum_query_matches_views_by_its_join(self, tiny_view_def):
         assert can_answer(sum_query(), tiny_view_def)
 
     def test_driver_column_maps_to_d_prefix(self, tiny_view_def):
-        view_query = rewrite_sum(sum_query(), tiny_view_def)
-        assert isinstance(view_query, ViewSumQuery)
+        view_query = lower_to_view_scan(sum_query(), tiny_view_def)
+        assert isinstance(view_query, ViewScanPlan)
         assert view_query.view_name == tiny_view_def.name
-        assert view_query.column == "d_sts"
+        assert view_query.aggregates[0].column == "d_sts"
 
     def test_probe_column_maps_to_p_prefix(self, tiny_view_def):
-        view_query = rewrite_sum(
+        view_query = lower_to_view_scan(
             sum_query(sum_table="orders", sum_column="ots"), tiny_view_def
         )
-        assert view_query.column == "p_ots"
+        assert view_query.aggregates[0].column == "p_ots"
 
     def test_foreign_sum_table_rejected(self, tiny_view_def):
         with pytest.raises(SchemaError, match="neither side"):
-            rewrite_sum(sum_query(sum_table="users"), tiny_view_def)
+            lower_to_view_scan(sum_query(sum_table="users"), tiny_view_def)
 
     def test_missing_column_rejected(self, tiny_view_def):
         with pytest.raises(SchemaError):
-            rewrite_sum(sum_query(sum_column="ghost"), tiny_view_def)
+            lower_to_view_scan(sum_query(sum_column="ghost"), tiny_view_def)
 
     def test_mismatched_join_rejected(self, tiny_view_def):
         with pytest.raises(SchemaError, match="does not materialize"):
-            rewrite_sum(sum_query(window_hi=9), tiny_view_def)
+            lower_to_view_scan(sum_query(window_hi=9), tiny_view_def)
 
-    def test_rewrite_logical_lowers_both_aggregates_to_scan_plans(
-        self, tiny_view_def
-    ):
-        count_plan = rewrite_logical(count_query(), tiny_view_def)
+    def test_lowering_turns_both_aggregates_into_scan_plans(self, tiny_view_def):
+        count_plan = lower_to_view_scan(count_query(), tiny_view_def)
         assert isinstance(count_plan, ViewScanPlan)
         assert count_plan.view_name == "tiny"
         assert count_plan.aggregates[0].kind == "count"
-        sum_plan = rewrite_logical(sum_query(), tiny_view_def)
+        sum_plan = lower_to_view_scan(sum_query(), tiny_view_def)
         assert sum_plan.aggregates[0].kind == "sum"
         assert sum_plan.aggregates[0].column == "d_sts"
 
 
 class TestCostEstimates:
     def test_sum_scan_costs_more_than_count_scan(self):
-        count = view_scan_gates(DEFAULT_COST_MODEL, 100, 4)
-        total = view_scan_gates(DEFAULT_COST_MODEL, 100, 4, is_sum=True)
+        count = count_scan_gates(100, 4)
+        total = multi_scan_gates(
+            DEFAULT_COST_MODEL, 100, 4, need_count=False, n_sum_columns=1
+        )
         assert total > count
 
     def test_view_scan_scales_linearly(self):
-        one = view_scan_gates(DEFAULT_COST_MODEL, 10, 4)
-        ten = view_scan_gates(DEFAULT_COST_MODEL, 100, 4)
+        one = count_scan_gates(10, 4)
+        ten = count_scan_gates(100, 4)
         assert ten == 10 * one
 
     def test_nm_join_dominates_view_scan_at_scale(self):
         """The whole premise of materialization: an O(n log² n) sort per
         query costs more than a linear scan of a DP-sized view."""
-        view = view_scan_gates(DEFAULT_COST_MODEL, 500, 4)
+        view = count_scan_gates(500, 4)
         nm = nm_join_gates(DEFAULT_COST_MODEL, 2000, 2000, 2, 2)
         assert nm > view
 
@@ -188,10 +193,6 @@ class TestPlanQuery:
     def test_estimate_matches_executor_charge(self, tiny_view_def):
         """The planner's view-scan estimate must equal the gates the
         executor actually charges — same formula, no drift."""
-        from repro.query.ast import ViewCountQuery
-        from repro.query.executor import execute_view_count
-        from repro.storage.materialized_view import MaterializedView
-
         n = 64
         schema = tiny_view_def.view_schema
         view = MaterializedView(schema)
@@ -202,8 +203,9 @@ class TestPlanQuery:
             )
         )
         runtime = MPCRuntime(seed=0)
-        _, qet = execute_view_count(runtime, 1, view, ViewCountQuery("tiny"))
-        estimated = view_scan_gates(DEFAULT_COST_MODEL, n, schema.width)
+        plan = lower_to_view_scan(count_query(), tiny_view_def)
+        _, qet = execute_view_scan(runtime, 1, view, plan)
+        estimated = count_scan_gates(n, schema.width)
         assert qet == pytest.approx(DEFAULT_COST_MODEL.seconds(estimated))
 
 
@@ -233,10 +235,10 @@ class TestNMSumExecution:
             1,
         )
         # Only (1,1)x(1,2) joins within window 2; driver sts sum = 2.
-        total, qet = execute_nm_sum(
-            runtime, 1, probe_store, driver_store, tiny_view_def, "shipments", "sts"
+        answer, qet = execute_nm_query(
+            runtime, 1, probe_store, driver_store, tiny_view_def, sum_query()
         )
-        assert total == 2
+        assert answer.scalar() == 2
         assert qet > 0
 
     def test_nm_sum_foreign_table_rejected(self, tiny_view_def):
@@ -244,6 +246,11 @@ class TestNMSumExecution:
         probe_store = OutsourcedTable(tiny_view_def.probe_schema, "orders")
         driver_store = OutsourcedTable(tiny_view_def.driver_schema, "shipments")
         with pytest.raises(SchemaError, match="neither side"):
-            execute_nm_sum(
-                runtime, 1, probe_store, driver_store, tiny_view_def, "users", "x"
+            execute_nm_query(
+                runtime,
+                1,
+                probe_store,
+                driver_store,
+                tiny_view_def,
+                sum_query(sum_table="users", sum_column="x"),
             )

@@ -5,11 +5,21 @@ import pytest
 
 from repro.common.rng import spawn
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import oblivious_sum
-from repro.query.ast import ViewSumQuery, column_equals
-from repro.query.executor import execute_view_sum
+from repro.common.errors import SchemaError
+from repro.oblivious.filter import oblivious_multi_aggregate
+from repro.query.ast import AggregateSpec, ColumnEquals, LogicalQuery
+from repro.query.executor import execute_view_scan
+from repro.query.rewrite import lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
+
+
+def scan_sum(ctx, rows, flags, column, mask, payload_words):
+    """SUM(column) as the one scan kernel computes it."""
+    _counts, sums = oblivious_multi_aggregate(
+        ctx, rows, flags, [column], False, None, None, mask, payload_words
+    )
+    return int(sums[0, 0])
 
 
 class TestObliviousSum:
@@ -20,12 +30,12 @@ class TestObliviousSum:
         """The dummy row's 999 must not leak into the total."""
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert oblivious_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2) == 60
+            assert scan_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2) == 60
 
     def test_predicate_restricts_sum(self):
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            total = oblivious_sum(
+            total = scan_sum(
                 ctx, self.ROWS, self.FLAGS, 1, self.ROWS[:, 0] >= 2, 2
             )
         assert total == 50
@@ -34,7 +44,7 @@ class TestObliviousSum:
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
             assert (
-                oblivious_sum(
+                scan_sum(
                     ctx,
                     np.zeros((0, 2), dtype=np.uint32),
                     np.zeros(0, dtype=bool),
@@ -47,14 +57,14 @@ class TestObliviousSum:
 
     def test_sum_costs_more_than_count(self):
         """The 64-bit accumulator makes SUM strictly pricier per row."""
-        from repro.oblivious.filter import oblivious_count
-
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("a") as ctx:
-            oblivious_count(ctx, self.ROWS, self.FLAGS, None, 2)
+            oblivious_multi_aggregate(
+                ctx, self.ROWS, self.FLAGS, [], True, None, None, None, 2
+            )
             count_gates = ctx.gates
         with runtime.protocol("b") as ctx:
-            oblivious_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2)
+            scan_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2)
             sum_gates = ctx.gates
         assert sum_gates > count_gates
 
@@ -63,7 +73,7 @@ class TestObliviousSum:
         flags = np.ones(2, dtype=bool)
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert oblivious_sum(ctx, rows, flags, 1, None, 2) == 2**32
+            assert scan_sum(ctx, rows, flags, 1, None, 2) == 2**32
 
 
 class TestExecuteViewSum:
@@ -79,39 +89,42 @@ class TestExecuteViewSum:
         )
         return view
 
+    @staticmethod
+    def _sum(view_def, view, table, column, predicate=None):
+        query = LogicalQuery.for_view(
+            view_def, AggregateSpec.sum_of(table, column), predicate=predicate
+        )
+        answer, qet = execute_view_scan(
+            MPCRuntime(seed=0), 1, view, lower_to_view_scan(query, view_def)
+        )
+        return answer.scalar(), qet
+
     def test_sum_over_view_column(self, tiny_view_def):
         view = self._view(
             tiny_view_def,
             [[1, 1, 1, 5], [2, 1, 2, 7], [0, 0, 0, 0]],
             [1, 1, 0],
         )
-        runtime = MPCRuntime(seed=0)
-        total, qet = execute_view_sum(
-            runtime, 1, view, ViewSumQuery("v", column="d_sts")
-        )
+        total, qet = self._sum(tiny_view_def, view, "shipments", "sts")
         assert total == 12
         assert qet > 0
 
     def test_sum_with_residual_predicate(self, tiny_view_def):
-        schema = tiny_view_def.view_schema
         view = self._view(
             tiny_view_def,
             [[1, 1, 1, 5], [2, 1, 2, 7]],
             [1, 1],
         )
-        runtime = MPCRuntime(seed=0)
-        total, _ = execute_view_sum(
-            runtime,
-            1,
+        total, _ = self._sum(
+            tiny_view_def,
             view,
-            ViewSumQuery("v", column="d_sts", predicate=column_equals(schema, "p_key", 2)),
+            "shipments",
+            "sts",
+            predicate=ColumnEquals("orders", "key", 2),
         )
         assert total == 7
 
     def test_unknown_column_raises(self, tiny_view_def):
         view = MaterializedView(tiny_view_def.view_schema)
-        runtime = MPCRuntime(seed=0)
-        from repro.common.errors import SchemaError
-
         with pytest.raises(SchemaError):
-            execute_view_sum(runtime, 1, view, ViewSumQuery("v", column="ghost"))
+            self._sum(tiny_view_def, view, "shipments", "ghost")

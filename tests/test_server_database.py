@@ -16,7 +16,7 @@ from repro.common.errors import ConfigurationError, SchemaError
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.dp.allocation import allocate_budget, view_operator_spec
-from repro.query.ast import LogicalJoinCountQuery, LogicalJoinSumQuery
+from repro.query.ast import AggregateSpec, LogicalQuery
 from repro.query.planner import NM_JOIN, VIEW_SCAN
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 
@@ -51,29 +51,12 @@ def make_view(name: str, window_hi: int) -> JoinViewDefinition:
     )
 
 
-def make_count(view: JoinViewDefinition) -> LogicalJoinCountQuery:
-    return LogicalJoinCountQuery(
-        probe_table=view.probe_table,
-        driver_table=view.driver_table,
-        probe_key=view.probe_key,
-        driver_key=view.driver_key,
-        probe_ts=view.probe_ts,
-        driver_ts=view.driver_ts,
-        window_lo=view.window_lo,
-        window_hi=view.window_hi,
-    )
+def make_count(view: JoinViewDefinition) -> LogicalQuery:
+    return LogicalQuery.for_view(view)
 
 
-def make_sum(view: JoinViewDefinition, table: str, column: str) -> LogicalJoinSumQuery:
-    count = make_count(view)
-    return LogicalJoinSumQuery(
-        **{f: getattr(count, f) for f in (
-            "probe_table", "driver_table", "probe_key", "driver_key",
-            "probe_ts", "driver_ts", "window_lo", "window_hi",
-        )},
-        sum_table=table,
-        sum_column=column,
-    )
+def make_sum(view: JoinViewDefinition, table: str, column: str) -> LogicalQuery:
+    return LogicalQuery.for_view(view, AggregateSpec.sum_of(table, column))
 
 
 @pytest.fixture
@@ -135,33 +118,33 @@ class TestSharedUploads:
 
 class TestPlannerRouting:
     def test_count_routes_to_matching_view(self, database):
-        result = database.query_count(make_count(make_view("q", 2)), time=4)
+        result = database.query(make_count(make_view("q", 2)), time=4)
         assert result.plan.kind == VIEW_SCAN
         assert result.plan.view_name in ("full", "audit")
         assert result.observation.logical_answer == 4
 
     def test_recent_window_routes_to_recent_view(self, database):
-        result = database.query_count(make_count(make_view("q", 1)), time=4)
+        result = database.query(make_count(make_view("q", 1)), time=4)
         assert result.plan.kind == VIEW_SCAN
         assert result.plan.view_name == "recent"
         assert result.observation.logical_answer == 2
 
     def test_unmatched_window_falls_back_to_nm(self, database):
-        result = database.query_count(make_count(make_view("q", 5)), time=4)
+        result = database.query(make_count(make_view("q", 5)), time=4)
         assert result.plan.kind == NM_JOIN
         # NM recomputes the exact join, so the answer is exact.
         assert result.observation.l1 == 0
 
     def test_sum_routes_to_view_and_is_exact_on_ep(self, database):
         query = make_sum(make_view("q", 2), "shipments", "sts")
-        result = database.query_sum(query, time=4)
+        result = database.query(query, time=4)
         assert result.plan.kind == VIEW_SCAN
         # Window [0,2] pairs at t=4 have driver ts 2,3,3,4 → sum 12.
         assert result.observation.logical_answer == 12
 
     def test_sum_falls_back_to_nm_exactly(self, database):
         query = make_sum(make_view("q", 5), "orders", "ots")
-        result = database.query_sum(query, time=4)
+        result = database.query(query, time=4)
         assert result.plan.kind == NM_JOIN
         assert result.observation.l1 == 0
 
@@ -170,7 +153,7 @@ class TestPlannerRouting:
         db.register_view(ViewRegistration(make_view("only", 2), mode="ep"))
         db.finalize()
         with pytest.raises(SchemaError, match="fallback is disabled"):
-            db.query_count(make_count(make_view("q", 5)), time=1)
+            db.query(make_count(make_view("q", 5)), time=1)
 
     def test_registered_nm_view_enables_nm_for_its_class(self):
         db = IncShrinkDatabase(total_epsilon=1.5, nm_fallback=False)
@@ -183,7 +166,7 @@ class TestPlannerRouting:
         ).padded_to(3)
         db.upload(1, {"orders": probe, "shipments": driver})
         db.step(1)
-        result = db.query_count(make_count(make_view("q", 2)), time=2)
+        result = db.query(make_count(make_view("q", 2)), time=2)
         assert result.plan.kind == NM_JOIN
         assert result.observation.l1 == 0
 
@@ -228,7 +211,7 @@ class TestPlannerRouting:
 class TestAccuracy:
     def test_ep_and_high_epsilon_views_track_truth(self, database):
         count_full = make_count(make_view("q", 2))
-        result = database.query_count(count_full, time=4)
+        result = database.query(count_full, time=4)
         assert result.observation.l1 <= 1
 
     def test_per_view_metrics_populated(self, database):

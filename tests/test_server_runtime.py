@@ -18,7 +18,7 @@ from repro.common.errors import ConfigurationError, ProtocolError, SchemaError
 from repro.common.types import RecordBatch, Schema
 from repro.core.engine import EngineConfig
 from repro.core.view_def import JoinViewDefinition
-from repro.query.ast import LogicalJoinCountQuery
+from repro.query.ast import AggregateSpec, LogicalJoinQuery, LogicalQuery
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.runtime import DatabaseServer, ReadWriteLock
 
@@ -77,8 +77,8 @@ def batches_at(time: int) -> dict[str, RecordBatch]:
     }
 
 
-def count_query(window_hi: int = 2) -> LogicalJoinCountQuery:
-    return LogicalJoinCountQuery(
+def count_query(window_hi: int = 2) -> LogicalQuery:
+    join = LogicalJoinQuery(
         probe_table="orders",
         driver_table="shipments",
         probe_key="key",
@@ -88,6 +88,7 @@ def count_query(window_hi: int = 2) -> LogicalJoinCountQuery:
         window_lo=0,
         window_hi=window_hi,
     )
+    return LogicalQuery(join, (AggregateSpec.count(),))
 
 
 def sequential_reference() -> tuple[list[float], float]:

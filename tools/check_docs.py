@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: link integrity and executable examples.
 
-Two checks, both run by the CI docs job and by ``tests/test_docs.py``:
+Three checks, all run by the CI docs job and by ``tests/test_docs.py``:
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in every tracked ``*.md`` file must resolve to an existing file or
@@ -11,6 +11,9 @@ Two checks, both run by the CI docs job and by ``tests/test_docs.py``:
 2. **Doctests** — every ``docs/*.md`` file runs through
    :mod:`doctest`, so the code examples embedded in the documentation
    stay executable as the API evolves (run with ``PYTHONPATH=src``).
+3. **Examples** — every ``examples/*.py`` script exits 0 in a
+   subprocess with ``src`` on its path, so a renamed or deleted public
+   name cannot break the scripts the README points at unnoticed.
 
 Usage::
 
@@ -20,12 +23,15 @@ Usage::
 from __future__ import annotations
 
 import doctest
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS_DIR = REPO_ROOT / "docs"
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 #: ``[text](target)`` — target captured without closing paren or spaces.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -89,17 +95,50 @@ def run_doc_doctests(docs_dir: Path = DOCS_DIR) -> tuple[list[str], int]:
     return failures, attempted
 
 
+def run_example_scripts(examples_dir: Path = EXAMPLES_DIR) -> tuple[list[str], int]:
+    """Run every examples/*.py in a subprocess with ``src`` importable.
+
+    Returns ``(failure_summaries, scripts_run)``; a failure carries the
+    script's stderr.
+    """
+    src = str(REPO_ROOT / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": f"{src}{os.pathsep}{inherited}" if inherited else src,
+    }
+    failures = []
+    scripts = sorted(examples_dir.glob("*.py"))
+    for path in scripts:
+        done = subprocess.run(
+            [sys.executable, str(path)],
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        if done.returncode != 0:
+            failures.append(
+                f"{path.relative_to(REPO_ROOT)}: exit {done.returncode}\n"
+                f"{done.stderr.rstrip()}"
+            )
+    return failures, len(scripts)
+
+
 def main() -> int:
     files = markdown_files()
     link_failures = check_links(files)
     doctest_failures, n_examples = run_doc_doctests()
-    for failure in link_failures + doctest_failures:
+    script_failures, n_scripts = run_example_scripts()
+    failures = link_failures + doctest_failures + script_failures
+    for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
-    if link_failures or doctest_failures:
+    if failures:
         return 1
     print(
         f"docs ok: {len(files)} markdown files linked correctly, "
-        f"{n_examples} doc examples pass"
+        f"{n_examples} doc examples pass, {n_scripts} example scripts exit 0"
     )
     return 0
 
