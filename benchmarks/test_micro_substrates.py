@@ -107,3 +107,59 @@ def test_bench_truncated_smj(benchmark, window):
 
     result = benchmark(join)
     assert len(result.rows) == 2 * 16
+
+
+def cpdb_served_join_inputs(n_windows: int = 1):
+    """One Transform's join inputs as ``cpdb-heavy`` serves them.
+
+    The cpdb stream at the benchmark's scale 2.5 pads allegations to 25
+    and awards to 60 rows per step; the probe side is the b/ω = 2 uploads
+    still active, the driver side the newest award batch.  ``n_windows``
+    repeats the probe window (fresh draws) to reach the wide shape a
+    longer budget would serve: 40 windows ≈ 2 000 probe rows.
+    """
+    from repro.workload.cpdb import make_cpdb_workload
+
+    workload = make_cpdb_workload(seed=4, n_steps=2 * n_windows + 6, scale=2.5)
+    steps = workload.steps
+    probe_batches = [s.probe for s in steps[-2 * n_windows :]]
+    driver = steps[-1].driver
+    probe_rows = np.vstack([b.rows for b in probe_batches])
+    probe_flags = np.concatenate([b.is_real for b in probe_batches])
+    vd = workload.view_def
+    return dict(
+        probe_rows=probe_rows, probe_flags=probe_flags,
+        probe_key_col=vd.probe_key_col,
+        probe_caps=np.full(len(probe_rows), vd.budget),
+        driver_rows=driver.rows, driver_flags=driver.is_real,
+        driver_key_col=vd.driver_key_col,
+        driver_caps=np.full(len(driver.rows), vd.budget),
+        omega=vd.omega, pair_predicate=vd.pair_predicate,
+    )
+
+
+@pytest.mark.parametrize("kernel", ["array-pass", "loop-oracle"])
+@pytest.mark.parametrize("n_windows", [1, 40], ids=["50x60", "2000x60"])
+def test_bench_truncated_join_served_shape(benchmark, kernel, n_windows):
+    """Transform's join at the served cpdb shape, ω = 10 and the cpdb
+    window predicate: the array-pass kernel beside the per-driver loop it
+    replaced (the oracle ``tests/test_join_vectorized.py`` keeps)."""
+    from test_join_vectorized import _loop_sort_merge_join
+
+    impl = (
+        truncated_sort_merge_join if kernel == "array-pass" else _loop_sort_merge_join
+    )
+    kwargs = cpdb_served_join_inputs(n_windows)
+    runtime = MPCRuntime(seed=0)
+
+    def join():
+        with runtime.protocol("j") as ctx:
+            return impl(ctx, **kwargs), ctx.gates
+
+    result, gates = benchmark(join)
+    with runtime.protocol("oracle") as ctx:
+        want = _loop_sort_merge_join(ctx, **kwargs)
+        assert gates == ctx.gates
+    assert np.array_equal(result.rows, want.rows)
+    assert np.array_equal(result.flags, want.flags)
+    assert result.real_count > 0

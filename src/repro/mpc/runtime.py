@@ -158,15 +158,30 @@ class ProtocolContext:
     def share_table(
         self, schema: Schema, rows: np.ndarray, flags: np.ndarray
     ) -> SharedTable:
+        """Re-share a protocol-internal table (rows, then the flag column).
+
+        Each server contributes its randomness for the whole table in one
+        draw; the row mask is the head of that draw and the flag mask the
+        tail, which is where two separate draws would have found them in
+        the server's stream.
+        """
         self._require_open("share_table")
         self._require_unsharded("share_table")
         rows = np.asarray(rows, dtype=np.uint32)
         if rows.ndim != 2:
             rows = rows.reshape(-1, schema.width)
+        flags = np.asarray(flags, dtype=np.uint32)
+        n = rows.size
+        z0 = self._runtime.server0.contribute_u32(n + flags.size)
+        z1 = self._runtime.server1.contribute_u32(n + flags.size)
+        row_shares = reshare_from_contributions(
+            rows, z0[:n].reshape(rows.shape), z1[:n].reshape(rows.shape)
+        )
+        flag_shares = reshare_from_contributions(
+            flags, z0[n:].reshape(flags.shape), z1[n:].reshape(flags.shape)
+        )
         return SharedTable(
-            schema,
-            self.share_array(rows),
-            self.share_array(np.asarray(flags, dtype=np.uint32)),
+            schema, SharedArray(*row_shares), SharedArray(*flag_shares)
         )
 
     def joint_uniform_u32(self, n: int = 1) -> np.ndarray:

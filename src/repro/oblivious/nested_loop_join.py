@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mpc.runtime import ProtocolContext
-from .join_common import JoinResult, match_pairs_truncated
+from .join_common import JoinResult, emit_padded, match_pairs_truncated
 from .sort import network_comparator_count
 from .sort_merge_join import PairPredicate, _predicate_keep_mask
 
@@ -55,7 +55,6 @@ def truncated_nested_loop_join(
     # pays n_probe probes plus one size-n_probe sort-and-cut — and the
     # candidate scan itself is a broadcast key-equality matrix whose
     # row-major nonzero order reproduces the loop's visit order exactly.
-    driver_order = np.arange(n_driver, dtype=np.int64)
     if n_driver:
         ctx.charge_join_probes(n_driver * n_probe, out_width)
         # Per-driver intermediate o_i is obliviously sorted then cut to ω
@@ -76,43 +75,7 @@ def truncated_nested_loop_join(
             pair_predicate, probe_rows[p_idx], driver_rows[d_idx]
         )
         d_idx, p_idx = d_idx[keep], p_idx[keep]
-    if n_driver:
-        splits = np.searchsorted(d_idx, np.arange(1, n_driver))
-        candidate_lists = list(np.split(p_idx, splits))
-    else:
-        candidate_lists = []
-
-    assigned, driver_emitted, probe_emitted, dropped = match_pairs_truncated(
-        driver_order, candidate_lists, omega, driver_caps, probe_caps
+    match = match_pairs_truncated(
+        d_idx, p_idx, driver_rows[:, driver_key_col], omega, driver_caps, probe_caps
     )
-
-    out_rows = np.zeros((n_driver * omega, out_width), dtype=np.uint32)
-    out_flags = np.zeros(n_driver * omega, dtype=bool)
-    match_counts = [len(matches) for matches in assigned]
-    if any(match_counts):
-        probe_out = np.concatenate(
-            [np.asarray(m, dtype=np.int64) for m in assigned if len(m)]
-        )
-        driver_out = np.repeat(driver_order, match_counts)
-        slot_idx = np.concatenate(
-            [
-                int(d) * omega + np.arange(count, dtype=np.int64)
-                for d, count in zip(driver_order, match_counts)
-                if count
-            ]
-        )
-        if output_left == "probe":
-            out_rows[slot_idx, :w_probe] = probe_rows[probe_out]
-            out_rows[slot_idx, w_probe:] = driver_rows[driver_out]
-        else:
-            out_rows[slot_idx, :w_driver] = driver_rows[driver_out]
-            out_rows[slot_idx, w_driver:] = probe_rows[probe_out]
-        out_flags[slot_idx] = True
-
-    return JoinResult(
-        rows=out_rows,
-        flags=out_flags,
-        left_emitted=probe_emitted,
-        right_emitted=driver_emitted,
-        dropped=dropped,
-    )
+    return emit_padded(probe_rows, driver_rows, omega, output_left, match)

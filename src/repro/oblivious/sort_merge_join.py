@@ -20,13 +20,17 @@ baseline, which recomputes the full join per query and aggregates inside
 the circuit: one sort-and-scan folding any number of COUNT/SUM
 accumulators over any number of public GROUP BY cells in a single pass.
 
-Grouping and matching are vectorized: key groups come from one stable
-argsort over the union keys (:func:`_group_by_key` returns position
-arrays, not Python lists), per-driver candidate filtering and the padded
-emission use NumPy indexing, and only the per-candidate pair predicate
-remains a per-pair call.  Gate charges are byte-identical to the
-historical per-pair loops — the circuit being simulated did not change,
-only the simulator's speed.
+**What is charged** is that circuit: one oblivious sort of the union, one
+probe per member of a live driver's equal-key group (dummies included),
+one padded emit per output slot.  **What is computed** is its result, in
+one array pass: the candidate pairs of *all* live drivers come from one
+stable argsort of the live probe keys and two ``searchsorted`` calls, the
+pair predicate is evaluated once over the flat pair arrays (through the
+owner's ``pair_predicate_batch`` when it has one, else per pair), the
+probe charge is one call, and the two-sided truncation and the padded
+emission are :func:`~repro.oblivious.join_common.match_pairs_truncated`
+and :func:`~repro.oblivious.join_common.emit_padded`.  The gate total of
+a join equals, to the gate, what visiting the drivers one by one charged.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from ..common.errors import ProtocolError
 from ..mpc.runtime import ProtocolContext
-from .join_common import JoinResult, match_pairs_truncated
+from .join_common import JoinResult, emit_padded, match_pairs_truncated
 from .sort import charge_oblivious_sort, composite_key, oblivious_sort
 
 #: Rows per side :func:`truncated_sort_merge_join` accepts: the sort key's
@@ -126,8 +130,8 @@ def truncated_sort_merge_join(
 
     Obliviousness: the sort is a fixed network over the public union size;
     the scan visits every merged tuple once; the output size is fixed.
-    Charges: one oblivious sort of the union, one probe per candidate
-    pair within equal-key groups, one padded emit per output slot.
+    Charges: one oblivious sort of the union, one probe per other member
+    of each live driver's equal-key group, one padded emit per output slot.
     """
     n_probe, w_probe = probe_rows.shape if probe_rows.size else (0, probe_rows.shape[1])
     n_driver, w_driver = (
@@ -158,80 +162,53 @@ def truncated_sort_merge_join(
     tiebreak = (side << np.uint32(24)) | position
     sort_keys = composite_key(union_keys, tiebreak)
     union_payload_words = max(w_probe, w_driver) + 2  # rows + side tag + flag
-    _, [sorted_side, sorted_pos] = oblivious_sort(
+    sorted_keys, [sorted_side, sorted_pos] = oblivious_sort(
         ctx, sort_keys, [side, position], union_payload_words
     )
 
-    # --- 2. linear scan: collect candidates per driver tuple ------------
-    # Dummy rows never join: their flags are False on both sides.
-    groups = _group_by_key(union_keys)
-    candidate_lists: list[np.ndarray] = []
-    # Visit drivers in sorted-scan order (the order the circuit would).
-    driver_order = np.asarray(sorted_pos, dtype=np.int64)[
-        np.asarray(sorted_side) == 1
-    ]
-    empty = np.zeros(0, dtype=np.int64)
-    probe_live = np.asarray(probe_flags, dtype=bool)
-    for d in driver_order:
-        if not driver_flags[d]:
-            candidate_lists.append(empty)
-            continue
-        key = int(driver_rows[d, driver_key_col])
-        group = groups.get(key, empty)
-        partners = group[group < n_probe]
-        partners = partners[probe_live[partners]] if partners.size else partners
-        if pair_predicate is not None and partners.size:
-            keep = _predicate_keep_mask(
-                pair_predicate,
-                probe_rows[partners],
-                np.broadcast_to(
-                    driver_rows[d], (partners.size, driver_rows.shape[1])
-                ),
-            )
-            partners = partners[keep]
-        candidate_lists.append(partners)
-        ctx.charge_join_probes(max(len(group) - 1, 0), out_width)
+    # --- 2. linear scan: candidate pairs of every live driver -------------
+    # Dummy rows never join: their flags are False on both sides.  Drivers
+    # are visited in sorted-scan order (the order the circuit would).
+    driver_order = np.asarray(sorted_pos, dtype=np.int64)[np.asarray(sorted_side) == 1]
+    driver_keys = driver_rows[:, driver_key_col]
+    live_drivers = driver_order[np.asarray(driver_flags, dtype=bool)[driver_order]]
+    live_keys = driver_keys[live_drivers]
 
-    assigned, driver_emitted, probe_emitted, dropped = match_pairs_truncated(
-        driver_order,
-        candidate_lists,
-        omega,
-        driver_caps,
-        probe_caps,
+    # Each live driver is tested against its whole equal-key group of the
+    # union (dummies included, itself excluded).  The sorted union keys
+    # are the high words of the sort's own output.
+    sorted_union_keys = sorted_keys >> np.uint64(32)
+    group_sizes = np.searchsorted(
+        sorted_union_keys, live_keys, side="right"
+    ) - np.searchsorted(sorted_union_keys, live_keys, side="left")
+    ctx.charge_join_probes(int(group_sizes.sum()) - live_drivers.size, out_width)
+
+    # Live probe rows grouped by key, in position order within a key; a
+    # driver's candidates are one contiguous slice of that grouping.
+    live_probes = np.flatnonzero(np.asarray(probe_flags, dtype=bool)[:n_probe])
+    probe_keys = probe_rows[live_probes, probe_key_col]
+    by_key = np.argsort(probe_keys, kind="stable")
+    grouped_probes, grouped_keys = live_probes[by_key], probe_keys[by_key]
+    first = np.searchsorted(grouped_keys, live_keys, side="left")
+    counts = np.searchsorted(grouped_keys, live_keys, side="right") - first
+    pair_driver = np.repeat(live_drivers, counts)
+    run_start = counts.cumsum() - counts
+    pair_probe = grouped_probes[
+        np.repeat(first - run_start, counts) + np.arange(pair_driver.size)
+    ]
+    if pair_predicate is not None and pair_driver.size:
+        keep = _predicate_keep_mask(
+            pair_predicate, probe_rows[pair_probe], driver_rows[pair_driver]
+        )
+        pair_driver, pair_probe = pair_driver[keep], pair_probe[keep]
+
+    match = match_pairs_truncated(
+        pair_driver, pair_probe, driver_keys, omega, driver_caps, probe_caps
     )
 
     # --- 3. fixed-size padded emission -----------------------------------
-    out_rows = np.zeros((n_driver * omega, out_width), dtype=np.uint32)
-    out_flags = np.zeros(n_driver * omega, dtype=bool)
     ctx.charge_scan(n_driver * omega, out_width)
-    match_counts = [len(matches) for matches in assigned]
-    if any(match_counts):
-        probe_idx = np.concatenate(
-            [np.asarray(m, dtype=np.int64) for m in assigned if len(m)]
-        )
-        driver_idx = np.repeat(driver_order, match_counts)
-        slot_idx = np.concatenate(
-            [
-                int(d) * omega + np.arange(count, dtype=np.int64)
-                for d, count in zip(driver_order, match_counts)
-                if count
-            ]
-        )
-        if output_left == "probe":
-            out_rows[slot_idx, :w_probe] = probe_rows[probe_idx]
-            out_rows[slot_idx, w_probe:] = driver_rows[driver_idx]
-        else:
-            out_rows[slot_idx, :w_driver] = driver_rows[driver_idx]
-            out_rows[slot_idx, w_driver:] = probe_rows[probe_idx]
-        out_flags[slot_idx] = True
-
-    return JoinResult(
-        rows=out_rows,
-        flags=out_flags,
-        left_emitted=probe_emitted,
-        right_emitted=driver_emitted,
-        dropped=dropped,
-    )
+    return emit_padded(probe_rows, driver_rows, omega, output_left, match)
 
 
 def oblivious_join_multi_aggregate(

@@ -526,7 +526,7 @@ class DatabaseServer:
                         f"stream (last applied step is {self._last_time})"
                     )
                 self.database.upload(step_time, batches)
-                self.database.step(step_time)
+                report = self.database.step(step_time)
                 self._last_time = step_time
                 self._steps_since_snapshot += 1
                 with self._stats_lock:
@@ -540,12 +540,8 @@ class DatabaseServer:
                 and self._steps_since_snapshot >= self.snapshot_every
             ):
                 self._snapshot_locked()
-            shard_rows = {
-                name: vr.view.shard_lengths()
-                for name, vr in self.database.views.items()
-            }
         with self._stats_lock:
-            self.stats.shard_rows = shard_rows
+            self.stats.shard_rows = report.shard_rows  # pending is never empty
             self.stats.ingest_seconds += _time.perf_counter() - t0
 
     def _drain_after_error(self) -> None:

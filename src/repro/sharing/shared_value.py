@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..common.errors import ProtocolError, SchemaError
+from ..common.rng import random_ring_elements
 from ..common.types import Schema
 from .xor_sharing import recover_array, share_array
 
@@ -136,13 +137,23 @@ class SharedTable:
         flags: np.ndarray,
         gen: np.random.Generator,
     ) -> "SharedTable":
-        rows = np.asarray(rows, dtype=np.uint32)
+        """Share a plaintext table with one draw from ``gen``.
+
+        The mask covers the rows and then the flag column, so the shares
+        (and ``gen`` afterwards) are what sharing the two arrays one after
+        the other would give.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.uint32)
         if rows.ndim != 2:
             rows = rows.reshape(-1, schema.width)
+        flags = np.ascontiguousarray(flags, dtype=np.uint32)
+        mask = random_ring_elements(gen, rows.size + flags.size)
+        row_mask = mask[: rows.size].reshape(rows.shape)
+        flag_mask = mask[rows.size :].reshape(flags.shape)
         return cls(
             schema,
-            SharedArray.from_plain(rows, gen),
-            SharedArray.from_plain(np.asarray(flags, dtype=np.uint32), gen),
+            SharedArray(row_mask, rows ^ row_mask),
+            SharedArray(flag_mask, flags ^ flag_mask),
         )
 
     @classmethod

@@ -69,7 +69,9 @@ class MaterializedView(ShardedTableContainer):
                     f"over {self.layout.n_shards} shards)"
                 )
             self._shard_chunks = [[t] if len(t) else [] for t in shards]
+            self._shard_rows = list(observed)
             self._total_rows = total
+            self._byte_size = sum(t.byte_size for t in shards)
             self._bump_version()
             # A restore replaces content wholesale — even when the shard
             # shape matches, cached prefixes over the old content must

@@ -57,6 +57,11 @@ class ShardedTableContainer:
             [] for _ in range(self.layout.n_shards)
         ]
         self._total_rows = 0
+        #: Running per-shard row counts and total ciphertext bytes of the
+        #: chunks above, kept by every path that replaces or extends them
+        #: (the sizes are read every step; the chunk lists only grow).
+        self._shard_rows = [0] * self.layout.n_shards
+        self._byte_size = 0
         self._gathered: SharedTable | None = None
         self._content_version = 0
         self._append_epoch = 0
@@ -77,9 +82,7 @@ class ShardedTableContainer:
 
     @property
     def byte_size(self) -> int:
-        return sum(
-            t.byte_size for chunks in self._shard_chunks for t in chunks
-        )
+        return self._byte_size
 
     @property
     def content_version(self) -> int:
@@ -116,9 +119,7 @@ class ShardedTableContainer:
 
     def shard_lengths(self) -> tuple[int, ...]:
         """Public per-shard row counts (balanced to within one row)."""
-        return tuple(
-            sum(len(t) for t in chunks) for chunks in self._shard_chunks
-        )
+        return tuple(self._shard_rows)
 
     @property
     def shards(self) -> list[SharedTable]:
@@ -162,17 +163,21 @@ class ShardedTableContainer:
         self._check_schema(delta, "delta")
         self._bump_version()
         if self.layout.n_shards == 1:
-            if len(delta):
-                self._shard_chunks[0].append(delta)
+            parts = [delta]
         else:
-            for s, part in enumerate(self.layout.scatter(delta, self._total_rows)):
-                if len(part):
-                    self._shard_chunks[s].append(part)
+            parts = self.layout.scatter(delta, self._total_rows)
+        for s, part in enumerate(parts):
+            if len(part):
+                self._shard_chunks[s].append(part)
+                self._shard_rows[s] += len(part)
         self._total_rows += len(delta)
+        self._byte_size += delta.byte_size
 
     def _clear(self) -> None:
         self._shard_chunks = [[] for _ in range(self.layout.n_shards)]
+        self._shard_rows = [0] * self.layout.n_shards
         self._total_rows = 0
+        self._byte_size = 0
         self._bump_version()
         self._mark_rebuilt()
 

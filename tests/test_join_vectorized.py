@@ -1,11 +1,13 @@
-"""Regression: vectorized join grouping/matching ≡ the historical loops.
+"""Regression: the array-pass join kernels ≡ the historical loops.
 
-The argsort-based ``_group_by_key``, the per-driver vectorized
-``match_pairs_truncated``, and the fancy-indexed padded emission must
-produce byte-identical :class:`~repro.oblivious.join_common.JoinResult`
-outputs — and charge byte-identical gates — to the per-pair Python loops
-they replaced.  The reference implementations below are verbatim copies
-of the pre-vectorization code paths.
+The one-pass candidate scan of both truncated joins, the flat-pair
+round matcher ``match_pairs_truncated`` and the fancy-indexed padded
+emission must produce byte-identical
+:class:`~repro.oblivious.join_common.JoinResult` outputs — and charge
+byte-identical gates — to the per-pair Python loops they replaced.  The
+reference implementations below (``_loop_*``) are verbatim copies of the
+pre-vectorization code paths; the list-of-lists matcher lives on only
+here, as the oracle.
 """
 
 from collections import defaultdict
@@ -16,7 +18,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.common.types import Schema
 from repro.core.view_def import JoinViewDefinition
-from repro.mpc.runtime import MPCRuntime
+from repro.mpc.runtime import MPCRuntime, ProtocolContext
 from repro.oblivious.join_common import JoinResult, match_pairs_truncated
 from repro.oblivious.nested_loop_join import truncated_nested_loop_join
 from repro.oblivious.sort import batcher_network, composite_key, oblivious_sort
@@ -189,54 +191,57 @@ class TestGroupByKey:
         assert _group_by_key(np.zeros(0, dtype=np.uint32)) == {}
 
 
+def _assigned_lists(match, driver_order):
+    """A :class:`TruncatedMatch` in the loop oracle's ``assigned`` shape."""
+    out = []
+    for d in driver_order:
+        mine = np.flatnonzero(match.driver == d)
+        out.append(match.probe[mine[np.argsort(match.rank[mine])]].tolist())
+        assert sorted(match.rank[mine].tolist()) == list(range(mine.size))
+    return out
+
+
 class TestMatchPairs:
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(40))
     def test_matches_loop_reference_under_binding_caps(self, seed):
+        """Flat pairs in scan order (drivers key-major, as the sort-merge
+        scan visits them) against the list-of-lists oracle; 12 drivers on
+        1–4 keys, so most cases need several rounds."""
         rng = np.random.default_rng(100 + seed)
         n_driver, n_probe = 12, 16
-        driver_order = rng.permutation(n_driver).astype(np.int64)
-        candidate_lists = [
-            rng.choice(n_probe, size=rng.integers(0, 6), replace=False).tolist()
-            for _ in range(n_driver)
-        ]
+        n_keys = int(rng.integers(1, 5))
+        driver_keys = rng.integers(0, n_keys, n_driver)
+        probe_keys = rng.integers(0, n_keys, n_probe)
+        driver_order = np.lexsort((rng.permutation(n_driver), driver_keys))
+        candidate_lists = []
+        for d in driver_order:
+            same_key = np.flatnonzero(probe_keys == driver_keys[d])
+            candidate_lists.append(same_key[rng.random(same_key.size) < 0.7].tolist())
         driver_caps = rng.integers(0, 4, n_driver)
         probe_caps = rng.integers(0, 4, n_probe)
         omega = int(rng.integers(1, 4))
         got = match_pairs_truncated(
+            np.repeat(driver_order, [len(c) for c in candidate_lists]),
+            np.asarray([p for c in candidate_lists for p in c], dtype=np.int64),
+            driver_keys, omega, driver_caps, probe_caps,
+        )
+        assigned, driver_emitted, probe_emitted, dropped = _loop_match_pairs(
             driver_order, candidate_lists, omega, driver_caps, probe_caps
         )
-        want = _loop_match_pairs(
-            driver_order, candidate_lists, omega, driver_caps, probe_caps
-        )
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
-        assert got[3] == want[3]
+        assert _assigned_lists(got, driver_order) == assigned
+        assert np.array_equal(got.driver_emitted, driver_emitted)
+        assert np.array_equal(got.probe_emitted, probe_emitted)
+        assert got.dropped == dropped
 
-
-class TestMatchPairsDuplicateCandidates:
-    def test_duplicate_probe_in_one_list_matches_loop_semantics(self):
-        """A repeated probe index must honor the sequential rule: its
-        first occurrence can exhaust the cap, dropping the second."""
-        driver_order = np.asarray([0], dtype=np.int64)
-        candidate_lists = [[4, 4, 2]]
+    def test_no_pairs(self):
         got = match_pairs_truncated(
-            driver_order,
-            candidate_lists,
-            omega=5,
-            driver_caps=np.asarray([5]),
-            probe_caps=np.asarray([5, 5, 5, 5, 1]),
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.asarray([1, 1]), 2, np.asarray([3, 3]), np.asarray([3]),
         )
-        want = _loop_match_pairs(
-            driver_order,
-            candidate_lists,
-            5,
-            np.asarray([5]),
-            np.asarray([5, 5, 5, 5, 1]),
-        )
-        assert got[0] == want[0] == [[4, 2]]
-        assert np.array_equal(got[2], want[2])
-        assert got[3] == want[3] == 1
+        assert got.driver.size == got.probe.size == got.rank.size == 0
+        assert got.driver_emitted.tolist() == [0, 0]
+        assert got.probe_emitted.tolist() == [0]
+        assert got.dropped == 0
 
 
 class TestFullJoinRegression:
@@ -449,6 +454,110 @@ class TestNestedLoopJoinRegression:
             )
         assert res.rows.shape == (0, 4)
         assert res.dropped == 0
+
+
+# -- both kernels against their loops, over the shapes fixed seeds miss --------
+def _plain_predicate(p, d):
+    return int(p[1]) <= int(d[1])
+
+
+_PREDICATES = (None, VIEW.pair_predicate, _plain_predicate)
+
+
+def _sweep_case(rng):
+    """One random join input.  Few keys against many drivers, so driver-key
+    multiplicity regularly exceeds ω (several matcher rounds); caps start at
+    0; dummy rows share keys with real ones; either side may be empty."""
+    n_probe = int(rng.integers(0, 22))
+    n_driver = int(rng.integers(0, 14))
+    n_keys = int(rng.integers(1, 5))
+    probe, p_flags, p_caps, driver, d_flags, d_caps = _random_inputs(
+        rng, n_probe, n_driver, n_keys
+    )
+    if rng.random() < 0.15:
+        p_caps[:] = 0
+    if rng.random() < 0.15:
+        d_caps[:] = 0
+    return dict(
+        probe_rows=probe, probe_flags=p_flags, probe_key_col=0, probe_caps=p_caps,
+        driver_rows=driver, driver_flags=d_flags, driver_key_col=0,
+        driver_caps=d_caps,
+        omega=int(rng.integers(1, 5)),
+        pair_predicate=_PREDICATES[int(rng.integers(0, 3))],
+        output_left=("probe", "driver")[int(rng.integers(0, 2))],
+    )
+
+
+class TestKernelSweep:
+    CASES_PER_BLOCK = 260  # × 4 blocks × 2 kernels = 2 080 cases
+
+    @pytest.mark.parametrize("block", range(4))
+    @pytest.mark.parametrize(
+        "kernel, loop",
+        [
+            (truncated_sort_merge_join, _loop_sort_merge_join),
+            (truncated_nested_loop_join, _loop_nested_loop_join),
+        ],
+        ids=["sort-merge", "nested-loop"],
+    )
+    def test_join_result_and_gates_match_loop_version(self, kernel, loop, block):
+        rng = np.random.default_rng([500, block])
+        multi_round = 0
+        for case in range(self.CASES_PER_BLOCK):
+            kwargs = _sweep_case(rng)
+            outs = []
+            for impl in (kernel, loop):
+                runtime = MPCRuntime(seed=3)
+                with runtime.protocol("join", 1) as ctx:
+                    outs.append((impl(ctx, **kwargs), ctx.gates))
+            (fast, fast_gates), (slow, slow_gates) = outs
+            where = f"block {block} case {case}"
+            assert np.array_equal(fast.rows, slow.rows), where
+            assert np.array_equal(fast.flags, slow.flags), where
+            assert np.array_equal(fast.left_emitted, slow.left_emitted), where
+            assert np.array_equal(fast.right_emitted, slow.right_emitted), where
+            assert fast.left_emitted.dtype == slow.left_emitted.dtype
+            assert fast.right_emitted.dtype == slow.right_emitted.dtype
+            assert fast.dropped == slow.dropped, where
+            assert fast_gates == slow_gates, where
+            live_keys = kwargs["driver_rows"][kwargs["driver_flags"], 0]
+            if live_keys.size and np.bincount(live_keys).max() > kwargs["omega"]:
+                multi_round += 1
+        assert multi_round > self.CASES_PER_BLOCK // 10  # the sweep reaches them
+
+
+class TestKernelShape:
+    """Call counts, not timings: a per-driver loop creeping back in fails."""
+
+    def test_one_predicate_call_and_one_probe_charge_for_200_drivers(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        probe, p_flags, p_caps, driver, d_flags, d_caps = _random_inputs(
+            rng, n_probe=300, n_driver=200, n_keys=40
+        )
+        calls = {"batch": 0, "probes": 0}
+        batch = JoinViewDefinition.pair_predicate_batch
+        charge = ProtocolContext.charge_join_probes
+
+        def counting_batch(self, probe_rows, driver_rows):
+            calls["batch"] += 1
+            return batch(self, probe_rows, driver_rows)
+
+        def counting_charge(self, count, payload_words):
+            calls["probes"] += 1
+            return charge(self, count, payload_words)
+
+        monkeypatch.setattr(JoinViewDefinition, "pair_predicate_batch", counting_batch)
+        monkeypatch.setattr(ProtocolContext, "charge_join_probes", counting_charge)
+        runtime = MPCRuntime(seed=0)
+        with runtime.protocol("join", 1) as ctx:
+            res = truncated_sort_merge_join(
+                ctx, probe, p_flags, 0, p_caps, driver, d_flags, 0, d_caps,
+                omega=2, pair_predicate=VIEW.pair_predicate,
+            )
+        assert res.real_count > 0
+        assert calls == {"batch": 1, "probes": 1}
 
 
 # -- NM multi-aggregate: verbatim pre-vectorization per-right-row loop --------

@@ -6,7 +6,8 @@ import pytest
 from repro.common.errors import ProtocolError, SecurityError
 from repro.common.types import Schema
 from repro.mpc.cost_model import CostModel
-from repro.mpc.runtime import MPCRuntime
+from repro.mpc.runtime import MPCRuntime, Server
+from repro.sharing.xor_sharing import share_array
 
 
 class TestProtocolScoping:
@@ -60,6 +61,76 @@ class TestProtocolScoping:
             out_rows, out_flags = ctx.reveal_table(t)
         assert (out_rows == rows).all()
         assert out_flags[0]
+
+
+class TestShareTableStream:
+    """One draw per generator must land on the shares two draws gave."""
+
+    SHAPES = [(0, 2), (1, 1), (3, 4), (7, 3), (64, 5)]  # odd sizes included
+
+    @staticmethod
+    def _plain(n_rows, width):
+        gen = np.random.default_rng(n_rows * 31 + width)
+        rows = gen.integers(0, 1 << 32, size=(n_rows, width), dtype=np.uint32)
+        return Schema(tuple(f"c{i}" for i in range(width))), rows, gen.integers(
+            0, 2, size=n_rows
+        ).astype(np.uint32)
+
+    @staticmethod
+    def _assert_same_shares(table, row_shares, flag_shares):
+        assert np.array_equal(table.rows.share0, row_shares[0])
+        assert np.array_equal(table.rows.share1, row_shares[1])
+        assert np.array_equal(table.flags.share0, flag_shares[0])
+        assert np.array_equal(table.flags.share1, flag_shares[1])
+
+    def test_share_table_equals_rows_then_flags_in_two_draws(self):
+        got_rt, ref_rt = MPCRuntime(seed=99), MPCRuntime(seed=99)
+        with got_rt.protocol("p") as got, ref_rt.protocol("p") as ref:
+            # Back to back on one stream: every table starts where the
+            # previous one (often an odd number of words) left off.
+            for shape in self.SHAPES:
+                schema, rows, flags = self._plain(*shape)
+                table = got.share_table(schema, rows, flags)
+                ref_rows, ref_flags = ref.share_array(rows), ref.share_array(flags)
+                self._assert_same_shares(
+                    table,
+                    (ref_rows.share0, ref_rows.share1),
+                    (ref_flags.share0, ref_flags.share1),
+                )
+        for server in ("server0", "server1"):
+            assert (
+                getattr(got_rt, server).gen.bit_generator.state
+                == getattr(ref_rt, server).gen.bit_generator.state
+            )
+
+    def test_owner_share_table_equals_rows_then_flags_in_two_draws(self):
+        got_rt, ref_rt = MPCRuntime(seed=5), MPCRuntime(seed=5)
+        for shape in self.SHAPES:
+            schema, rows, flags = self._plain(*shape)
+            table = got_rt.owner_share_table(schema, rows, flags)
+            self._assert_same_shares(
+                table,
+                share_array(rows, ref_rt.owner_gen),
+                share_array(flags, ref_rt.owner_gen),
+            )
+        assert (
+            got_rt.owner_gen.bit_generator.state
+            == ref_rt.owner_gen.bit_generator.state
+        )
+
+    def test_share_table_enters_each_server_once(self, runtime, monkeypatch):
+        entered = []
+        contribute = Server.contribute_u32
+
+        def counting(self, n=1):
+            entered.append(self.server_id)
+            return contribute(self, n)
+
+        monkeypatch.setattr(Server, "contribute_u32", counting)
+        schema, rows, flags = self._plain(7, 3)
+        with runtime.protocol("p") as ctx:
+            ctx.share_table(schema, rows, flags)
+        assert sorted(entered) == [0, 1]
 
 
 class TestJointRandomness:

@@ -12,7 +12,6 @@ The key properties:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -295,27 +294,28 @@ class TestObliviousJoinCount:
 
 class TestMatchPairsTruncated:
     def test_greedy_in_order(self):
-        assigned, d_em, p_em, dropped = match_pairs_truncated(
-            np.asarray([0]), [[0, 1, 2]], omega=2,
+        match = match_pairs_truncated(
+            np.asarray([0, 0, 0]), np.asarray([0, 1, 2]), np.asarray([7]), omega=2,
             driver_caps=np.asarray([5]), probe_caps=np.asarray([5, 5, 5]),
         )
-        assert assigned == [[0, 1]]
-        assert d_em.tolist() == [2]
-        assert dropped == 1
+        assert match.probe.tolist() == [0, 1]
+        assert match.rank.tolist() == [0, 1]
+        assert match.driver_emitted.tolist() == [2]
+        assert match.dropped == 1
 
     def test_probe_cap_blocks(self):
-        assigned, _, p_em, dropped = match_pairs_truncated(
-            np.asarray([0, 1]), [[0], [0]], omega=2,
+        match = match_pairs_truncated(
+            np.asarray([0, 1]), np.asarray([0, 0]), np.asarray([7, 7]), omega=2,
             driver_caps=np.asarray([5, 5]), probe_caps=np.asarray([1]),
         )
-        assert assigned == [[0], []]
-        assert p_em.tolist() == [1]
-        assert dropped == 1
+        assert match.driver.tolist() == [0]  # the earlier driver wins
+        assert match.probe_emitted.tolist() == [1]
+        assert match.dropped == 1
 
     def test_zero_cap_drops_everything(self):
-        assigned, _, _, dropped = match_pairs_truncated(
-            np.asarray([0]), [[0, 1]], omega=3,
+        match = match_pairs_truncated(
+            np.asarray([0, 0]), np.asarray([0, 1]), np.asarray([7]), omega=3,
             driver_caps=np.asarray([0]), probe_caps=np.asarray([9, 9]),
         )
-        assert assigned == [[]]
-        assert dropped == 2
+        assert match.driver.size == 0
+        assert match.dropped == 2

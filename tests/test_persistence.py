@@ -41,6 +41,8 @@ from repro.server.persistence import (
 )
 from repro.server.snapshot_upgrade import upgrade_snapshot
 
+from test_storage import assert_counters_exact
+
 GOLDEN_V3 = Path(__file__).parent / "golden" / "snapshot_v3.snap"
 #: Bytes that are neither a snapshot nor decodable text.
 NOT_UTF8 = b"\xae\xff\x00\x01" * 40
@@ -162,6 +164,27 @@ def fingerprint(db: IncShrinkDatabase) -> dict:
     }
 
 
+def share_state(db: IncShrinkDatabase) -> dict:
+    """Every stored share half, byte for byte, and where each randomness
+    stream stands — what "continues byte-identically" means."""
+    digest = hashlib.sha256()
+    for vr in db.views.values():
+        for table in (vr.view.table, vr.cache.table):
+            for half in (
+                table.rows.share0, table.rows.share1,
+                table.flags.share0, table.flags.share1,
+            ):
+                digest.update(np.ascontiguousarray(half).tobytes())
+    runtime = db.runtime
+    return {
+        "shares": digest.hexdigest(),
+        "streams": [
+            gen.bit_generator.state
+            for gen in (runtime.server0.gen, runtime.server1.gen, runtime.owner_gen)
+        ],
+    }
+
+
 @pytest.mark.parametrize("snapshot_at", [1, 2, 4])
 def test_mid_stream_roundtrip_is_byte_identical(tmp_path, snapshot_at):
     """Stop at any step, restore, continue: identical answers and ε."""
@@ -183,6 +206,7 @@ def test_mid_stream_roundtrip_is_byte_identical(tmp_path, snapshot_at):
 
     assert answer_mix(restored, n_steps) == expected_answers
     assert fingerprint(restored) == fingerprint(uninterrupted)
+    assert share_state(restored) == share_state(uninterrupted)
 
 
 def test_queries_do_not_perturb_the_stream(tmp_path):
@@ -719,6 +743,9 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
 
     restored = restore_database(tmp_path / "sharded.snap").database
     assert restored.n_shards == 4
+    for vr in restored.views.values():
+        assert_counters_exact(vr.view)
+        assert_counters_exact(vr.cache)
     assert {
         n: vr.view.shard_lengths() for n, vr in restored.views.items()
     } == shard_lengths

@@ -7,6 +7,7 @@ from repro.common.errors import ProtocolError, SchemaError
 from repro.common.rng import spawn
 from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
+from repro.server.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.growing_db import GrowingDatabase
 from repro.storage.materialized_view import MaterializedView
@@ -226,3 +227,94 @@ class TestMaterializedView:
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
             assert view.real_count(ctx) == 2
+
+
+def assert_counters_exact(container) -> None:
+    """The running sizes equal what walking the stored chunks gives."""
+    chunks = container._shard_chunks
+    assert container.byte_size == sum(t.byte_size for c in chunks for t in c)
+    assert container.shard_lengths() == tuple(
+        sum(len(t) for t in c) for c in chunks
+    )
+    assert len(container) == sum(container.shard_lengths())
+
+
+def random_delta(gen, n_rows: int) -> SharedTable:
+    return SharedTable.from_plain(
+        SCHEMA,
+        gen.integers(0, 50, size=(n_rows, 2), dtype=np.uint32),
+        gen.integers(0, 2, size=n_rows).astype(np.uint32),
+        gen,
+    )
+
+
+class TestContainerCounters:
+    """``byte_size``/``shard_lengths()`` are kept, not recomputed: every
+    path that touches the chunk lists must keep them exact."""
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_exact_after_every_mutation_path(self, n_shards):
+        gen = np.random.default_rng(n_shards)
+        layout = ShardLayout(n_shards)
+        view = MaterializedView(SCHEMA, layout=layout)
+        cache = SecureCache(SCHEMA, layout=layout)
+        runtime = MPCRuntime(seed=0)
+        for n_rows in (0, 1, 5, 2, 7):
+            view.append(random_delta(gen, n_rows))
+            cache.append(random_delta(gen, n_rows))
+            assert_counters_exact(view)
+            assert_counters_exact(cache)
+        view.shards  # lazy consolidation replaces the chunk lists
+        assert_counters_exact(view)
+
+        with runtime.protocol("read") as ctx:
+            cache.sorted_read(ctx, 4)
+        assert_counters_exact(cache)
+        assert len(cache) == 11
+        cache.table = random_delta(gen, 6)  # the EP baseline's drain
+        assert_counters_exact(cache)
+        with runtime.protocol("flush") as ctx:
+            cache.sorted_read(ctx, 2, discard_rest=True)
+        assert_counters_exact(cache)
+        assert len(cache) == 0 and cache.byte_size == 0
+
+        for k in (4, 2):
+            view.reshard(ShardLayout(k))
+            assert_counters_exact(view)
+            assert len(view) == 15
+
+    @pytest.mark.parametrize("saved_shards, restored_shards", [(3, 3), (3, 2), (1, 4)])
+    def test_exact_after_restore_state(self, saved_shards, restored_shards):
+        gen = np.random.default_rng(11)
+        saved = MaterializedView(SCHEMA, layout=ShardLayout(saved_shards))
+        for n_rows in (4, 0, 9):
+            saved.append(random_delta(gen, n_rows))
+        restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
+        restored.append(random_delta(gen, 5))  # content the restore replaces
+        restored.restore_state(saved.snapshot_state())
+        assert_counters_exact(restored)
+        assert len(restored) == 13 and restored.byte_size == saved.byte_size
+
+        cache = SecureCache(SCHEMA, layout=ShardLayout(restored_shards))
+        cache.append(random_delta(gen, 3))
+        cache.restore_state(saved.table)
+        assert_counters_exact(cache)
+        assert len(cache) == 13
+
+    def test_sizes_are_read_without_walking_the_chunks(self, monkeypatch):
+        """500 one-row appends leave 500 chunks; reading the sizes must
+        not touch one of them."""
+        gen = np.random.default_rng(2)
+        view = MaterializedView(SCHEMA)
+        for _ in range(500):
+            view.append(random_delta(gen, 1))
+        touched = []
+        monkeypatch.setattr(
+            SharedTable, "byte_size", property(lambda self: touched.append("bytes"))
+        )
+        monkeypatch.setattr(
+            SharedTable, "__len__", lambda self: touched.append("len") or 0
+        )
+        assert view.byte_size == 500 * (2 * 4 + 4)
+        assert view.shard_lengths() == (500,)
+        assert touched == []

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Profile the oblivious hot kernels — the data behind BENCH_profile.json.
 
-Runs the two kernels queries actually spend time in — the padded
+Runs the kernels queries and uploads actually spend time in — the padded
 multi-aggregate view scan (:func:`repro.oblivious.filter.
-oblivious_multi_aggregate`, bare and behind a range predicate) and the
+oblivious_multi_aggregate`, bare and behind a range predicate), the
 oblivious sort on position-tiebroken keys
-(:func:`repro.oblivious.sort.oblivious_sort`) — under both
+(:func:`repro.oblivious.sort.oblivious_sort`) and Transform's ω-truncated
+sort-merge join (:func:`repro.oblivious.sort_merge_join.
+truncated_sort_merge_join`) — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -102,6 +104,43 @@ def _sort_workload(rows: int):
     return run
 
 
+def _transform_join_workload(rows: int):
+    """One ω-truncated sort-merge join as Transform runs it: a probe
+    window of ``rows`` rows against a driver batch a twentieth that
+    size, cpdb's ω and window predicate, half of each side dummies, four
+    rows per key on average.  Watch for anything called once per driver
+    (the kernel is one array pass; the matcher loops once per *round*)."""
+    from repro.mpc.runtime import MPCRuntime
+    from repro.oblivious.sort_merge_join import truncated_sort_merge_join
+    from repro.workload.cpdb import cpdb_view_def
+
+    vd = cpdb_view_def()
+    gen = np.random.default_rng(31)
+    n_driver = max(1, rows // 20)
+    pool = max(2, rows // 4)
+
+    def side(n: int, ts_lo: int, ts_hi: int):
+        table = np.column_stack(
+            [gen.integers(1, pool, size=n), gen.integers(ts_lo, ts_hi, size=n)]
+        ).astype(np.uint32)
+        return table, gen.integers(0, 2, size=n).astype(bool), np.full(n, vd.budget)
+
+    probe, probe_flags, probe_caps = side(rows, 1, 3)
+    driver, driver_flags, driver_caps = side(n_driver, 2, 4)
+    runtime = MPCRuntime(seed=0)
+
+    def run() -> None:
+        with runtime.protocol("profile-join", 0) as ctx:
+            truncated_sort_merge_join(
+                ctx,
+                probe, probe_flags, vd.probe_key_col, probe_caps,
+                driver, driver_flags, vd.driver_key_col, driver_caps,
+                vd.omega, vd.pair_predicate,
+            )
+
+    return run
+
+
 def _incremental_workload(rows: int):
     """One warm (suffix-only) rescan after a 2% append.
 
@@ -178,6 +217,7 @@ WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
     "oblivious_sort": _sort_workload,
+    "transform_join": _transform_join_workload,
     "incremental_scan": _incremental_workload,
 }
 
