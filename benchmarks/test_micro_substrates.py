@@ -163,3 +163,30 @@ def test_bench_truncated_join_served_shape(benchmark, kernel, n_windows):
     assert np.array_equal(result.rows, want.rows)
     assert np.array_equal(result.flags, want.flags)
     assert result.real_count > 0
+
+
+def test_bench_stats_frame_after_long_stream(benchmark):
+    """One ``stats`` frame's payload (``DatabaseServer.observability()``)
+    after 1 000 steps of the tpcds stream with one tenant ε-release per
+    step.  It is built from running ledgers, so this reads like the same
+    benchmark after 10 steps; rebuilding Theorem 3's per-record map and
+    walking the accountant's events made it ~65 ms here and linear in
+    the stream."""
+    from repro.experiments.harness import (
+        MultiViewRunConfig,
+        build_multiview_deployment,
+    )
+    from repro.server.runtime import DatabaseServer
+
+    deployment = build_multiview_deployment(
+        MultiViewRunConfig(dataset="tpcds", n_steps=1000, seed=1)
+    )
+    db = deployment.database
+    db.set_tenant_budgets({"analyst": 1.0e6})
+    for step in deployment.workload.steps:
+        db.upload(step.time, deployment.upload_items(step))
+        db.step(step.time)
+        db.query(deployment.step_queries[3], step.time, epsilon=0.01, tenant="analyst")
+    payload = benchmark(DatabaseServer(db).observability)
+    assert payload["tenants"]["analyst"]["epsilon_spent"] == db.query_epsilon()
+    assert payload["realized_epsilon"] == db.realized_epsilon() > 10.0

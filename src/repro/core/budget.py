@@ -14,7 +14,9 @@ Two invariants implement the paper's bounded-stability design:
 
 The ledger also exports a per-record contribution map in the form
 Theorem 3 wants, so the privacy accountant can compute the realised
-end-to-end ε.
+end-to-end ε — and keeps the one entry of that map that attains the
+theorem's maximum *running* (:meth:`ContributionLedger.worst_contributions`),
+because the map itself has an entry per record ever uploaded.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class ContributionLedger:
         self.omega = omega
         self.budget = budget
         self._groups: dict[tuple[str, int], _RecordGroup] = {}
+        # ``(participations, batch key)`` of the most-charged batch that
+        # holds at least one record; kept by every charge, rebuilt by
+        # ``restore_state``.
+        self._worst: tuple[int, tuple[str, int] | None] = (0, None)
 
     # -- registration ----------------------------------------------------
     def register_batch(self, table: str, time: int, n_rows: int) -> None:
@@ -67,6 +73,11 @@ class ContributionLedger:
                 f"budget (b={self.budget}, omega={self.omega})"
             )
         group.invocations.append(at_time)
+        self._note_uses((table, time), group)
+
+    def _note_uses(self, key: tuple[str, int], group: _RecordGroup) -> None:
+        if group.n_rows and len(group.invocations) > self._worst[0]:
+            self._worst = (len(group.invocations), key)
 
     def caps(self, table: str, time: int) -> np.ndarray:
         """Remaining lifetime emission allowance per row of a batch."""
@@ -92,6 +103,55 @@ class ContributionLedger:
                 f"a record exceeded its lifetime budget b={self.budget}"
             )
         group.emitted = new_totals
+
+    # -- one Transform window at a time ---------------------------------------
+    def window_caps(self, table: str, times: list[int]) -> np.ndarray:
+        """:meth:`caps` of the batches at ``times``, concatenated."""
+        emitted = self._window_emitted([self._group(table, t) for t in times])
+        return np.maximum(self.budget - emitted, 0)
+
+    def settle_window(
+        self, table: str, times: list[int], at_time: int, counts: np.ndarray
+    ) -> None:
+        """Charge one invocation to every batch of a Transform window and
+        record ``counts`` — one entry per window row, batches in ``times``
+        order — as their emissions.
+
+        Equal to :meth:`charge_invocation` + :meth:`record_emissions` per
+        batch, with the checks made **once** over the whole window.  A
+        window that fails one is replayed batch by batch instead, so the
+        error raised — type, message, how far the window got — is the
+        per-batch one.
+        """
+        groups = [self._group(table, t) for t in times]
+        counts = np.asarray(counts, dtype=np.int64)
+        emitted = self._window_emitted(groups)
+        if counts.shape != emitted.shape:
+            raise ContributionBudgetError(
+                f"emission count shape {counts.shape} != window rows "
+                f"{emitted.shape}"
+            )
+        max_uses = self.budget // self.omega
+        clean = all(len(g.invocations) < max_uses for g in groups) and not (
+            counts > np.minimum(self.budget - emitted, self.omega)
+        ).any()
+        lo = 0
+        for time, group in zip(times, groups):
+            hi = lo + group.n_rows
+            if clean:
+                group.invocations.append(at_time)
+                self._note_uses((table, time), group)
+                group.emitted = group.emitted + counts[lo:hi]
+            else:
+                self.charge_invocation(table, time, at_time)
+                self.record_emissions(table, time, counts[lo:hi])
+            lo = hi
+
+    @staticmethod
+    def _window_emitted(groups: list[_RecordGroup]) -> np.ndarray:
+        if not groups:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate([g.emitted for g in groups])
 
     # -- persistence hooks ----------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -131,6 +191,9 @@ class ContributionLedger:
                 n_rows, emitted, [int(t) for t in g["invocations"]]
             )
         self._groups = groups
+        self._worst = (0, None)
+        for key, group in groups.items():
+            self._note_uses(key, group)
 
     # -- accounting exports --------------------------------------------------
     def max_lifetime_emissions(self) -> int:
@@ -154,6 +217,23 @@ class ContributionLedger:
             for row in range(group.n_rows):
                 out[(table, time, row)] = pairs
         return out
+
+    def worst_contributions(
+        self, per_release_epsilon: float
+    ) -> dict[tuple[str, int, int], list[tuple[float, float]]]:
+        """The entry of :meth:`theorem3_contributions` that attains
+        Theorem 3's maximum — empty while no record has participated.
+
+        Every record of a batch shares its batch's pairs and all pairs
+        are equal, so the per-record sum ``Σ q_i·ε_i`` grows with the
+        number of participations alone: the most-charged batch holding a
+        record is the worst, and summing its pairs is the very float
+        additions the maximum over the full map would report.
+        """
+        uses, key = self._worst
+        if key is None:
+            return {}
+        return {(*key, 0): [(float(self.omega), per_release_epsilon)] * uses}
 
     def _group(self, table: str, time: int) -> _RecordGroup:
         try:

@@ -181,27 +181,28 @@ class TransformProtocol:
         vd = self.view_def
         rows_parts: list[np.ndarray] = []
         flag_parts: list[np.ndarray] = []
-        cap_parts: list[np.ndarray] = []
         offsets: list[tuple[OutsourcedBatch, int, int]] = []
         cursor = 0
         for batch in probe_batches:
             r, f = ctx.reveal_table(batch.table)
             rows_parts.append(r)
             flag_parts.append(f)
-            cap_parts.append(self.ledger.caps(vd.probe_table, batch.time))
             offsets.append((batch, cursor, cursor + len(r)))
             cursor += len(r)
+        caps = self.ledger.window_caps(
+            vd.probe_table, [batch.time for batch in probe_batches]
+        )
         if rows_parts:
             return (
                 np.vstack(rows_parts),
                 np.concatenate(flag_parts),
-                np.concatenate(cap_parts),
+                caps,
                 offsets,
             )
         return (
             vd.probe_schema.empty_rows(0),
             np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64),
+            caps,
             offsets,
         )
 
@@ -216,14 +217,16 @@ class TransformProtocol:
         vd = self.view_def
         self.probe_store.charge_invocation(probe_batches, vd.omega, vd.budget)
         self.driver_store.charge_invocation([driver_batch], vd.omega, vd.budget)
+        self.ledger.settle_window(
+            vd.probe_table,
+            [batch.time for batch in probe_batches],
+            time,
+            join.left_emitted,
+        )
         for batch, lo, hi in offsets:
-            self.ledger.charge_invocation(vd.probe_table, batch.time, time)
-            counts = join.left_emitted[lo:hi]
-            self.ledger.record_emissions(vd.probe_table, batch.time, counts)
-            batch.emitted += counts
-        self.ledger.charge_invocation(vd.driver_table, driver_batch.time, time)
-        self.ledger.record_emissions(
-            vd.driver_table, driver_batch.time, join.right_emitted
+            batch.emitted += join.left_emitted[lo:hi]
+        self.ledger.settle_window(
+            vd.driver_table, [driver_batch.time], time, join.right_emitted
         )
         driver_batch.emitted += join.right_emitted
 

@@ -69,11 +69,33 @@ def segment_tenant(segment: Hashable) -> str | None:
     return None
 
 
+def _is_query_segment(segment: Hashable) -> bool:
+    return isinstance(segment, tuple) and segment[:1] == ("query",)
+
+
 @dataclass
 class PrivacyAccountant:
-    """Ledger of mechanism invocations with composition rules."""
+    """Ledger of mechanism invocations with composition rules.
+
+    ``events`` is the durable source of truth: snapshots write it and a
+    restore rebuilds from it.  The query-segment and per-tenant totals
+    are *running* answers over a counted prefix of it, so the budget
+    gate, ``stats`` and ``/metrics`` cost the same after a million
+    releases as after one.
+    """
 
     events: list[MechanismEvent] = field(default_factory=list)
+    # ``(events, n, query_total, tenant_totals)``: the totals over
+    # ``events[:n]`` of that very list.  Counting on from the log's own
+    # length keeps a direct ``events.append`` correct; a replaced list
+    # (``restore_state``) recounts from zero.  Each total is the same
+    # left-to-right float additions a fresh walk over ``events`` makes,
+    # so the running answer equals the recomputed one to the last bit.
+    # One tuple holding a never-mutated dict, replaced whole: readers
+    # race only to store the same value.
+    _running: tuple = field(
+        default=(None, 0, 0, {}), init=False, repr=False, compare=False
+    )
 
     def spend(self, name: str, epsilon: float, segment: Hashable) -> None:
         if epsilon <= 0:
@@ -96,6 +118,34 @@ class PrivacyAccountant:
             for name, epsilon, segment in events
         ]
 
+    # -- running totals -----------------------------------------------------
+    def _current_totals(self) -> tuple[float, dict[str, float]]:
+        events = self.events
+        counted_log, counted, query_total, tenants = self._running
+        n = len(events)
+        if counted_log is events and counted == n:
+            return query_total, tenants
+        if counted_log is not events or counted > n:
+            # ``0``, not ``0.0``: what ``sum()`` over no events returns.
+            counted, query_total, tenants = 0, 0, {}
+        copied = False
+        for e in events[counted:n]:
+            if _is_query_segment(e.segment):
+                query_total = query_total + e.epsilon
+            tenant = segment_tenant(e.segment)
+            if tenant is not None:
+                if not copied:
+                    tenants, copied = dict(tenants), True
+                tenants[tenant] = tenants.get(tenant, 0.0) + e.epsilon
+        self._running = (events, n, query_total, tenants)
+        return query_total, tenants
+
+    def query_epsilon(self) -> float:
+        """Total ε of every ``("query", seq, ...)`` segment — a plain sum,
+        because queries touch the whole scanned state and so compose
+        sequentially across invocations."""
+        return self._current_totals()[0]
+
     # -- per-tenant ledgers -------------------------------------------------
     def tenant_epsilons(self) -> dict[str, float]:
         """Spent ε per tenant, from tenant-attributed segment keys.
@@ -104,16 +154,11 @@ class PrivacyAccountant:
         query spends) belong to no ledger and are excluded — they are
         still part of every *global* composition below.
         """
-        totals: dict[str, float] = {}
-        for e in self.events:
-            tenant = segment_tenant(e.segment)
-            if tenant is not None:
-                totals[tenant] = totals.get(tenant, 0.0) + e.epsilon
-        return totals
+        return dict(self._current_totals()[1])
 
     def tenant_epsilon(self, tenant_id: str) -> float:
         """One tenant's total spent ε (0.0 for an unknown tenant)."""
-        return self.tenant_epsilons().get(str(tenant_id), 0.0)
+        return self._current_totals()[1].get(str(tenant_id), 0.0)
 
     # -- composition -------------------------------------------------------
     def sequential_epsilon(self) -> float:

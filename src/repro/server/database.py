@@ -756,8 +756,10 @@ class IncShrinkDatabase:
         if vr.mode not in DP_MODES:
             return 0.0
         per_release = vr.epsilon / vr.view_def.budget
-        contributions = vr.group.ledger.theorem3_contributions(per_release)
-        return theorem3_epsilon(contributions)
+        # Theorem 3's maximum over records, handed the one record that
+        # attains it: the ledger keeps it running, so a ``stats`` frame
+        # does not rebuild a map over every record ever uploaded.
+        return theorem3_epsilon(vr.group.ledger.worst_contributions(per_release))
 
     def query_epsilon(self) -> float:
         """Total ε spent by noisy query releases (0 for pre-noise runs).
@@ -767,11 +769,7 @@ class IncShrinkDatabase:
         segment; queries touch the whole scanned state, so across
         invocations they compose sequentially — a plain sum.
         """
-        return sum(
-            e.epsilon
-            for e in self.accountant.events
-            if isinstance(e.segment, tuple) and e.segment[:1] == ("query",)
-        )
+        return self.accountant.query_epsilon()
 
     # -- per-tenant ledgers ------------------------------------------------------
     def set_tenant_budgets(self, budgets: Mapping[str, float]) -> None:

@@ -648,7 +648,10 @@ class DatabaseServer:
         count, realized ε, and any deferred ingest failure — exactly
         what the network ``stats`` frame serves and what
         ``BENCH_serving.json`` records.  Taken under the read lock so
-        the gauges describe one consistent step boundary.
+        the gauges describe one consistent step boundary; the ingest
+        loop's write lock waits for that, so everything read here is a
+        running answer — O(views + tenants), independent of how many
+        records were uploaded or releases made.
         """
         with self._rw.read_locked():
             payload = self.current_stats().to_dict()

@@ -53,6 +53,12 @@ class OutsourcedTable:
         # ``batches.append`` correct.  One tuple, replaced whole, so
         # concurrent readers race only to store the same value.
         self._totals = (0, 0, 0)
+        # ``(max_uses, n)``: ``batches[:n]`` are exhausted for a budget of
+        # ``max_uses`` invocations.  Uploads are time-ordered and every
+        # Transform run charges the whole active window, so exhausted
+        # batches form a prefix; budget is never refunded, so the prefix
+        # only grows and the active window is the suffix after it.
+        self._exhausted = (0, 0)
 
     def append_batch(self, table: SharedTable, time: int) -> OutsourcedBatch:
         if table.schema != self.schema:
@@ -114,6 +120,7 @@ class OutsourcedTable:
             )
         self.batches = restored
         self._totals = (0, 0, 0)
+        self._exhausted = (0, 0)
 
     # -- budget-aware access ------------------------------------------------
     def active_batches(self, omega: int, budget: int) -> list[OutsourcedBatch]:
@@ -128,7 +135,20 @@ class OutsourcedTable:
         if omega <= 0 or budget <= 0:
             raise ProtocolError("omega and budget must be positive")
         max_uses = budget // omega
-        return [b for b in self.batches if b.invocations_used < max_uses]
+        keyed, first = self._exhausted
+        batches = self.batches
+        n = len(batches)
+        if keyed != max_uses or first > n:
+            first = 0
+        while first < n and batches[first].invocations_used >= max_uses:
+            first += 1
+        self._exhausted = (max_uses, first)
+        window = batches[first:]
+        # A log built by hand may hold an exhausted batch past the
+        # prefix; the window is short, so looking costs O(window).
+        if any(b.invocations_used >= max_uses for b in window[1:]):
+            return [b for b in window if b.invocations_used < max_uses]
+        return window
 
     def charge_invocation(self, batches: list[OutsourcedBatch], omega: int, budget: int) -> None:
         """Consume ω budget from every participating batch."""

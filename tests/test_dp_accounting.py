@@ -3,13 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, PrivacyBudgetError
 from repro.dp.accountant import (
+    MechanismEvent,
     PrivacyAccountant,
     event_to_user_epsilon,
+    segment_tenant,
     sequential_system_epsilon,
     stability_composed_epsilon,
+    tenant_scoped_segment,
     theorem3_epsilon,
 )
 from repro.dp.allocation import (
@@ -50,6 +55,132 @@ class TestAccountant:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(PrivacyBudgetError):
             PrivacyAccountant().spend("a", 0.0, segment=1)
+
+
+# -- the from-scratch forms the running totals replaced, kept as oracles ------
+def recomputed_query_epsilon(acc: PrivacyAccountant):
+    """One walk over ``events``, adding left to right from ``0`` — what
+    ``sum()`` over the query-segment events computes (written as a loop
+    because ``sum()`` compensates float additions from Python 3.12 on)."""
+    total = 0
+    for e in acc.events:
+        if isinstance(e.segment, tuple) and e.segment[:1] == ("query",):
+            total = total + e.epsilon
+    return total
+
+
+def recomputed_tenant_epsilons(acc: PrivacyAccountant) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    for e in acc.events:
+        tenant = segment_tenant(e.segment)
+        if tenant is not None:
+            totals[tenant] = totals.get(tenant, 0.0) + e.epsilon
+    return totals
+
+
+def assert_running_equals_recomputed(acc: PrivacyAccountant) -> None:
+    """``==`` and the same type, never ``approx``: these feed a budget
+    gate and a byte-compared ``/metrics`` page."""
+    running, oracle = acc.query_epsilon(), recomputed_query_epsilon(acc)
+    assert (running, type(running)) == (oracle, type(oracle))
+    tenants = recomputed_tenant_epsilons(acc)
+    assert acc.tenant_epsilons() == tenants
+    assert list(acc.tenant_epsilons()) == list(tenants)
+    for tenant in (*tenants, "nobody"):
+        assert acc.tenant_epsilon(tenant) == tenants.get(tenant, 0.0)
+
+
+#: ε values with non-terminating binary expansions beside exact ones.
+EPSILONS = st.one_of(
+    st.sampled_from([0.1, 0.01, 0.7, 1 / 3, 0.25, 1e-9, 2.0]),
+    st.floats(min_value=1e-6, max_value=16.0, allow_nan=False),
+)
+#: One step of a spend sequence: a read, or a spend on one kind of segment.
+SPENDS = st.lists(
+    st.one_of(
+        st.just(("read",)),
+        st.tuples(st.just("query"), EPSILONS),
+        st.tuples(st.just("tenant"), EPSILONS, st.sampled_from(["ana", "bob", "c"])),
+        st.tuples(st.just("view"), EPSILONS, st.sampled_from(["full", "timed"])),
+    ),
+    max_size=40,
+)
+
+
+def apply_spends(acc: PrivacyAccountant, spends, seq: int = 0) -> int:
+    for spend in spends:
+        seq += 1
+        if spend[0] == "read":
+            assert_running_equals_recomputed(acc)
+        elif spend[0] == "query":
+            acc.spend("query:count", spend[1], ("query", seq))
+        elif spend[0] == "tenant":
+            segment = tenant_scoped_segment(("query", seq), spend[2])
+            acc.spend("query:count", spend[1], segment)
+        else:
+            acc.spend(f"shrink:{spend[2]}", spend[1], ("view", spend[2], seq))
+    return seq
+
+
+class TestRunningTotals:
+    """The accountant answers from running state; ``events`` stays the
+    source of truth, so every running answer must equal the walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SPENDS, SPENDS)
+    def test_running_totals_equal_the_walk_over_events(self, first, second):
+        acc = PrivacyAccountant()
+        assert_running_equals_recomputed(acc)
+        seq = apply_spends(acc, first)
+        assert_running_equals_recomputed(acc)
+        # A restore replaces the log; into the same accountant (whose
+        # running state describes the old log) and into a fresh one.
+        fresh = PrivacyAccountant()
+        fresh.restore_state(acc.snapshot_state())
+        acc.restore_state(acc.snapshot_state()[: len(first) // 2])
+        assert_running_equals_recomputed(acc)
+        for restored in (acc, fresh):
+            apply_spends(restored, second, seq)
+            assert_running_equals_recomputed(restored)
+            # Code that appends to the log directly is still counted.
+            restored.events.append(
+                MechanismEvent("query:sum", 0.1, ("query", 999, "tenant", "ana"))
+            )
+            assert_running_equals_recomputed(restored)
+
+    def test_no_query_spend_reads_as_integer_zero(self):
+        """What ``sum()`` over nothing returned, and what a ``stats``
+        frame therefore serialises — kept, so the frame is unchanged."""
+        acc = PrivacyAccountant()
+        acc.spend("shrink:full", 0.5, ("view", "full", 1))
+        assert repr(acc.query_epsilon()) == "0"
+
+    def test_reads_do_not_walk_the_log(self):
+        """After the prefix is counted, a read looks at no event."""
+
+        class CountingLog(list):
+            sliced = 0
+
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    type(self).sliced += len(range(*index.indices(len(self))))
+                return super().__getitem__(index)
+
+        acc = PrivacyAccountant(events=CountingLog())
+        for seq in range(1, 1001):
+            acc.spend("q", 0.1, tenant_scoped_segment(("query", seq), "ana"))
+            acc.query_epsilon()
+        assert CountingLog.sliced == 1000  # each event visited once, ever
+        acc.tenant_epsilon("ana"), acc.tenant_epsilons(), acc.query_epsilon()
+        assert CountingLog.sliced == 1000
+
+    def test_a_truncated_log_is_recounted(self):
+        acc = PrivacyAccountant()
+        for seq in range(1, 6):
+            acc.spend("q", 0.1, ("query", seq))
+        acc.query_epsilon()
+        del acc.events[2:]
+        assert_running_equals_recomputed(acc)
 
 
 class TestStabilityAndTheorem3:

@@ -122,6 +122,76 @@ class TestOutsourcedTable:
         table.charge_invocation([b1], 2, 4)
         assert table.active_batches(2, 4) == []
 
+    def test_active_window_equals_the_filter_over_every_batch(self):
+        """The active window is kept as a suffix; on any log — built by
+        hand, charged out of order, restored, asked about under another
+        ``(ω, b)`` — it must be what filtering every batch returns."""
+
+        def filtered(t, omega, budget):
+            return [b for b in t.batches if b.invocations_used < budget // omega]
+
+        def check(t):
+            # Twice in a row continues from the kept prefix; a change
+            # of ``b // ω`` must start over.
+            for omega, budget in ((2, 4), (2, 4), (1, 3), (1, 3), (2, 4), (3, 3)):
+                active = t.active_batches(omega, budget)
+                assert active == filtered(t, omega, budget)
+                assert all(a is b for a, b in zip(active, filtered(t, omega, budget)))
+
+        table = OutsourcedTable(SCHEMA, "t")
+        check(table)
+        for time in range(1, 5):
+            table.append_batch(shared([[time, time]], [1]), time=time)
+        check(table)
+        table.batches.append(OutsourcedBatch(time=5, table=shared([[5, 5]], [1])))
+        check(table)
+        # Out of order: an exhausted batch behind two live ones.
+        table.batches[2].invocations_used = 2
+        check(table)
+        table.batches[0].invocations_used = 3
+        table.batches[4].invocations_used = 1
+        check(table)
+        table.charge_invocation(table.active_batches(2, 4), 2, 4)
+        check(table)
+        state = table.snapshot_state()
+        # A restore may hand back a log with budget left where the old
+        # one had none: the kept prefix must not outlive the log.
+        for entry in state:
+            entry["invocations_used"] = 0
+        table.restore_state(state[1:])
+        check(table)
+        assert len(table.active_batches(2, 4)) == 4
+
+    def test_active_window_looks_at_the_window_not_the_log(self):
+        """1 000 uploads, each run charging the whole active window, as
+        Transform does: a call reads ``invocations_used`` of the window
+        and of the one batch that just left it, nothing older."""
+        reads = []
+
+        class CountedBatch(OutsourcedBatch):
+            @property
+            def invocations_used(self):
+                reads.append(self.time)
+                return self._used
+
+            @invocations_used.setter
+            def invocations_used(self, value):
+                self._used = value
+
+        table = OutsourcedTable(SCHEMA, "t")
+        one_row = shared([[1, 1]], [1])
+        omega, budget = 2, 22  # a window of 11 batches, as tpcds serves
+        window = budget // omega
+        for time in range(1, 1001):
+            table.batches.append(CountedBatch(time=time, table=one_row))
+            del reads[:]
+            active = table.active_batches(omega, budget)
+            assert len(reads) <= window + 1
+            assert [b.time for b in active] == list(
+                range(max(1, time - window + 1), time + 1)
+            )
+            table.charge_invocation(active, omega, budget)
+
     def test_charging_exhausted_batch_raises(self):
         table = OutsourcedTable(SCHEMA, "t")
         b1 = table.append_batch(shared([[1, 1]], [1]), time=1)

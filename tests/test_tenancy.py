@@ -34,7 +34,11 @@ from repro.common.errors import (
     ConfigurationError,
     SecurityError,
 )
-from repro.dp.accountant import segment_tenant, tenant_scoped_segment
+from repro.dp.accountant import (
+    segment_tenant,
+    tenant_scoped_segment,
+    theorem3_epsilon,
+)
 from repro.dp.allocation import allocate_tenant_budgets
 from repro.net import protocol as wire
 from repro.net.backoff import (
@@ -58,6 +62,11 @@ from repro.tenancy import (
     check_tenant_budget,
 )
 
+from test_dp_accounting import (
+    assert_running_equals_recomputed,
+    recomputed_query_epsilon,
+    recomputed_tenant_epsilons,
+)
 from test_network import batches_at, build_database, epsilon_query, query_mix
 from test_persistence import read_container, write_legacy_json
 
@@ -359,6 +368,83 @@ class TestLedgerExactness:
             db.set_tenant_budgets({"a": 0.0})
         with pytest.raises(ConfigurationError, match="non-empty string"):
             db.set_tenant_budgets({"": 1.0})
+
+
+def recomputed_summary(accountant, budgets) -> dict[str, dict]:
+    """``TenantLedger.summary`` from one walk over ``events``."""
+    spends = recomputed_tenant_epsilons(accountant)
+    return {
+        tenant: {
+            "epsilon_spent": spends.get(tenant, 0.0),
+            "epsilon_budget": budgets.get(tenant),
+            "epsilon_remaining": (
+                max(budgets[tenant] - spends.get(tenant, 0.0), 0.0)
+                if tenant in budgets
+                else None
+            ),
+        }
+        for tenant in sorted(set(spends) | set(budgets))
+    }
+
+
+class TestRunningLedgers:
+    """Every ledger read is served from the accountant's running totals;
+    each must equal the walk over ``events`` exactly (``==``)."""
+
+    BUDGETS = {"ana": 1.0, "bob": 50.0}
+    #: third-of-something spends: no finite binary expansion
+    SPENDS = [("ana", 0.1), ("bob", 1 / 3), ("cy", 0.7), ("ana", 0.1), ("bob", 0.01)]
+
+    def _assert_ledgers_exact(self, db) -> None:
+        assert_running_equals_recomputed(db.accountant)
+        ledger = TenantLedger(db.accountant, db.tenant_budgets)
+        oracle = recomputed_summary(db.accountant, db.tenant_budgets)
+        assert ledger.summary() == oracle
+        for tenant, entry in oracle.items():
+            assert ledger.spent(tenant) == entry["epsilon_spent"]
+            assert ledger.remaining(tenant) == entry["epsilon_remaining"]
+
+    def test_summary_equals_the_walk_through_snapshot_and_more_spends(
+        self, tmp_path
+    ):
+        db = build_database()
+        for t in range(1, 7):
+            db.upload(t, batches_at(t))
+        db.set_tenant_budgets(self.BUDGETS)
+        self._assert_ledgers_exact(db)
+        for tenant, eps in self.SPENDS:
+            db.query(query_mix()[1], 6, epsilon=eps, tenant=tenant)
+            self._assert_ledgers_exact(db)
+        snapshot_database(db, tmp_path / "ledgers.snapshot")
+        restored = restore_database(tmp_path / "ledgers.snapshot").database
+        self._assert_ledgers_exact(restored)
+        assert restored.tenant_epsilons() == db.tenant_epsilons()
+        for tenant, eps in self.SPENDS:
+            for side in (db, restored):
+                side.query(query_mix()[1], 6, epsilon=eps, tenant=tenant)
+            self._assert_ledgers_exact(restored)
+            assert restored.tenant_epsilons() == db.tenant_epsilons()
+            assert restored.query_epsilon() == db.query_epsilon()
+
+    def test_gate_decides_at_the_cap_as_the_walk_does(self):
+        """Ten 0.1 spends do not add up to 1.0 in floats; the gate must
+        admit and refuse on the very total the walk over events gives."""
+        db = build_database()
+        db.set_tenant_budgets({"ana": 1.0})
+        acc = db.accountant
+        for seq in range(1, 10):  # cap − ε: the tenth 0.1 is admitted
+            check_tenant_budget(acc, db.tenant_budgets, "ana", 0.1)
+            acc.spend("query:count", 0.1, ("query", seq, "tenant", "ana"))
+        assert acc.tenant_epsilon("ana") == recomputed_tenant_epsilons(acc)["ana"]
+        assert acc.tenant_epsilon("ana") != 0.9  # 0.8999999999999999
+        check_tenant_budget(acc, db.tenant_budgets, "ana", 0.1)
+        acc.spend("query:count", 0.1, ("query", 10, "tenant", "ana"))
+        # At the cap: only the 1e-9 rounding allowance is left.
+        check_tenant_budget(acc, db.tenant_budgets, "ana", 1e-10)
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            check_tenant_budget(acc, db.tenant_budgets, "ana", 1e-6)
+        assert excinfo.value.spent == recomputed_tenant_epsilons(acc)["ana"]
+        assert repr(excinfo.value.spent) == "0.9999999999999999"
 
 
 # -- isolation without distortion ----------------------------------------------
@@ -765,6 +851,59 @@ class TestMetrics:
                     urllib.request.urlopen(req, timeout=5)
                 assert excinfo.value.code == 405
         server.stop()
+
+    def test_scrape_is_byte_for_byte_what_the_from_scratch_ledgers_render(self):
+        """``/metrics`` answers from running ledgers; its text must be
+        the text rendered from Theorem 3 over every record and one walk
+        over the accountant's events — every digit of every gauge."""
+        server, net = _tenanted_net()
+        with net, MetricsServer(net, port=0) as metrics:
+            host, port = net.address
+            with IncShrinkClient(
+                host, port, tenant="owner-1", token="owner-secret"
+            ) as owner:
+                for t in range(1, 7):
+                    owner.upload(t, batches_at(t), wait=True)
+            with IncShrinkClient(
+                host, port, tenant="analyst-1", token="analyst-secret"
+            ) as analyst:
+                for eps in (0.1, 1 / 3, 0.1, 0.01):
+                    analyst.query(epsilon_query(), time=6, epsilon=eps)
+            mhost, mport = metrics.address
+            with urllib.request.urlopen(
+                f"http://{mhost}:{mport}/metrics", timeout=5
+            ) as resp:
+                body = resp.read().decode()
+            db = server.database
+            view_eps = {
+                name: theorem3_epsilon(
+                    vr.group.ledger.theorem3_contributions(
+                        vr.epsilon / vr.view_def.budget
+                    )
+                )
+                for name, vr in db.views.items()
+                if vr.mode != "ep"
+            }
+            query_eps = recomputed_query_epsilon(db.accountant)
+            oracle = dict(net.server.observability())
+            # One component (both views join the same two tables).
+            oracle["realized_epsilon"] = sum(view_eps.values()) + query_eps
+            oracle["query_epsilon"] = query_eps
+            tenants = net.tenancy_stats()
+            for tid, entry in recomputed_summary(
+                db.accountant, db.tenant_budgets
+            ).items():
+                tenants[tid].update(entry)
+        server.stop()
+        assert view_eps and all(eps > 0 for eps in view_eps.values())
+        assert render_metrics(oracle, tenants) == body
+        spent = 0.0
+        for eps in (0.1, 1 / 3, 0.1, 0.01):
+            spent += eps
+        assert (
+            'incshrink_tenant_epsilon_spent{role="analyst",tenant="analyst-1"} '
+            f"{spent!r}\n" in body
+        )
 
     def test_metrics_endpoint_is_read_only_and_unauthenticated(self):
         """Scrapes need no tenant credentials and mutate nothing."""

@@ -17,6 +17,15 @@ profiler overhead), then:
   plus the top functions, so a PR that regresses a kernel shows up as a
   baseline diff rather than an anecdote.
 
+A last workload, ``long_stream``, measures a slope rather than a point:
+the canonical three-view tpcds deployment replayed in-process for
+:data:`LONG_STREAM_STEPS` steps (one tenant ε-released query per step),
+reporting the median step per eighth of the stream and one
+``DatabaseServer.observability()`` timing at the end of each eighth.  The
+contribution budget bounds a step's work by a fixed window of batches, so
+the last eighth should read like the first; a ledger that walks the whole
+stream shows up here as a ramp.
+
 This harness is how the PR-6 vectorizations were found and verified:
 before them, ``batcher_network``'s Python double loop and the join
 kernels' per-pair loops dominated every profile; after, the scan and
@@ -34,6 +43,7 @@ import cProfile
 import io
 import json
 import pstats
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +55,7 @@ BENCH_PATH = REPO_ROOT / "BENCH_profile.json"
 DEFAULT_ROWS = 200_000
 DEFAULT_TOP = 10
 TIMED_REPEATS = 5
+LONG_STREAM_STEPS = 3_000
 
 
 def _scan_workload(rows: int, clause_specs=()):
@@ -222,6 +233,49 @@ WORKLOADS = {
 }
 
 
+def profile_long_stream(steps: int = LONG_STREAM_STEPS) -> dict:
+    """Per-eighth step medians and ``observability()`` timings over one
+    in-process replay of the tpcds stream."""
+    from repro.experiments.harness import (
+        MultiViewRunConfig,
+        build_multiview_deployment,
+    )
+    from repro.server.runtime import DatabaseServer
+
+    deployment = build_multiview_deployment(
+        MultiViewRunConfig(dataset="tpcds", n_steps=steps, seed=1)
+    )
+    db = deployment.database
+    db.set_tenant_budgets({"analyst": 1.0e6})
+    server = DatabaseServer(db)
+    release = deployment.step_queries[3]
+    eighth = max(1, steps // 8)
+    step_seconds: list[float] = []
+    observability_ms: list[float] = []
+    for step in deployment.workload.steps:
+        uploads = deployment.upload_items(step)
+        t0 = time.perf_counter()
+        db.upload(step.time, uploads)
+        db.step(step.time)
+        step_seconds.append(time.perf_counter() - t0)
+        db.query(release, step.time, epsilon=0.01, tenant="analyst")
+        if len(step_seconds) % eighth == 0 and len(observability_ms) < 8:
+            timed = []
+            for _ in range(TIMED_REPEATS):
+                t0 = time.perf_counter()
+                server.observability()
+                timed.append(time.perf_counter() - t0)
+            observability_ms.append(round(min(timed) * 1e3, 4))
+    return {
+        "steps": steps,
+        "step_median_ms_per_eighth": [
+            round(statistics.median(step_seconds[k * eighth:(k + 1) * eighth]) * 1e3, 4)
+            for k in range(8)
+        ],
+        "observability_ms_per_eighth": observability_ms,
+    }
+
+
 def _top_functions(profile: cProfile.Profile, top: int) -> list[dict]:
     stats = pstats.Stats(profile, stream=io.StringIO())
     stats.sort_stats("cumulative")
@@ -270,6 +324,7 @@ def profile_workloads(rows: int, top: int) -> dict:
         "benchmark": "hot_path_profile",
         "timed_repeats": TIMED_REPEATS,
         "workloads": results,
+        "long_stream": profile_long_stream(),
     }
 
 
@@ -295,6 +350,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{row['tottime_s']*1e3:8.1f} ms self  "
                 f"{row['calls']:>8} calls  {row['function']}"
             )
+    stream = result["long_stream"]
+    print(
+        f"long_stream: {stream['steps']} tpcds steps, median step per eighth "
+        f"{stream['step_median_ms_per_eighth']} ms, observability() per eighth "
+        f"{stream['observability_ms_per_eighth']} ms"
+    )
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf8")
     print(f"-> recorded to {args.out}")
     return 0
