@@ -15,9 +15,19 @@ door is a **reactor**, not thread-per-connection:
   (:class:`~repro.net.protocol.FrameDecoder`) that tolerates arbitrary
   byte fragmentation, validates headers before buffering bodies, and
   keeps reassembly memory bounded by one declared frame;
-* request execution happens on a separate **worker pool** — the event
-  loops never run a query or an upload apply, so one slow MPC circuit
-  cannot stall the I/O of 999 other connections;
+* a request **runs on the event-loop thread that decoded it** whenever
+  it provably cannot stall the loop, and on a small **executor** only
+  otherwise (two lanes, one rule — :meth:`NetworkServer._pump`): upload
+  admission never blocks; a query or ``stats`` frame takes every lock
+  without waiting and runs inline iff its plan is a view scan below the
+  scan executor's own inline bound; anything that finds a lock busy, an
+  NM join, a big cold scan, ``snapshot`` and ``reshard`` go to the
+  executor — so one slow MPC circuit still cannot stall the I/O of 999
+  other connections, and a 0.5 ms query is not bounced across two
+  threads to be answered;
+* a ``wait=True`` upload is a **continuation**, not a parked thread: the
+  ingestion loop calls back when the step is applied, and the client's
+  ``wait_timeout`` is an event-loop timer;
 * **bounded admission** everywhere, re-expressed as event-loop state
   instead of blocked threads: at most ``max_connections`` concurrent
   connections and ``max_inflight`` concurrently executing requests
@@ -62,16 +72,22 @@ from ..common.errors import (
     ReproError,
     SecurityError,
 )
-from ..server.runtime import DatabaseServer, DrainTimeout
+from ..query.ast import LogicalQuery
+from ..server.runtime import DatabaseServer, WouldBlock
 from ..tenancy.ledger import TenantLedger
 from ..tenancy.quota import TenantGates
 from ..tenancy.registry import Tenant, TenantRegistry
 from . import protocol as wire
 
 #: Request frames that consume an in-flight permit (everything that
-#: executes against the database; hello is answered on the event loop,
-#: stats runs on the worker pool but never competes with real work).
+#: executes against the database; hello and stats never compete with
+#: real work).
 _GUARDED_FRAMES = ("upload", "query", "snapshot", "reshard")
+
+#: Request frames an event loop runs itself when their non-blocking form
+#: goes through; the others (a write-lock hold each) always go to the
+#: executor.
+_LOOP_FRAMES = ("upload", "query", "stats")
 
 #: recv() chunk size for the event loops.
 _RECV_CHUNK = 65536
@@ -100,6 +116,7 @@ class _Connection:
         "tenant",
         "gate",
         "tenant_permits",
+        "waiting",
     )
 
     def __init__(self, sock: socket.socket, counted: bool = True) -> None:
@@ -110,7 +127,8 @@ class _Connection:
         #: encoded response bytes awaiting the socket
         self.outbuf = bytearray()
         self.codec = wire.CODEC_JSON
-        #: a request batch is on the worker pool right now
+        #: a request batch is unanswered: on the executor, or an upload
+        #: waiting for the ingestion loop (:attr:`waiting`)
         self.executing = False
         #: in-flight permits held until the response bytes are flushed
         self.permits = 0
@@ -137,6 +155,23 @@ class _Connection:
         self.gate = None
         #: per-tenant in-flight permits held alongside :attr:`permits`
         self.tenant_permits = 0
+        #: the admitted ``wait=True`` upload batch whose reply is a
+        #: continuation the ingestion loop (or its deadline) will post
+        self.waiting: _UploadWait | None = None
+
+
+class _UploadWait:
+    """An admitted upload batch that answers once its last step is applied."""
+
+    __slots__ = ("responses", "admitted", "deadline")
+
+    def __init__(self, responses: list, admitted: list, deadline: float) -> None:
+        #: one slot per frame of the batch; rejected frames already answered
+        self.responses = responses
+        #: ``(slot, step, waits)`` of the frames the ingest queue took
+        self.admitted = admitted
+        #: monotonic time at which the loop answers ``drained: false``
+        self.deadline = deadline
 
 
 class _EventLoop(threading.Thread):
@@ -148,6 +183,9 @@ class _EventLoop(threading.Thread):
         self.index = index
         self.selector = selectors.DefaultSelector()
         self.connections: set[_Connection] = set()
+        #: connections whose upload reply is a pending continuation; each
+        #: holds an in-flight permit, so there are at most ``max_inflight``
+        self.waiting: set[_Connection] = set()
         self._tasks: deque = deque()
         self._tasks_lock = threading.Lock()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -204,10 +242,18 @@ class _EventLoop(threading.Thread):
             return 0.5
         return max(0.02, min(0.5, idle / 4.0))
 
+    def _select_timeout(self) -> float:
+        """The poll timeout, cut short by the nearest upload-wait deadline."""
+        timeout = self._poll_timeout()
+        if self.waiting:
+            nearest = min(conn.waiting.deadline for conn in self.waiting)
+            timeout = min(timeout, max(0.0, nearest - _time.monotonic()))
+        return timeout
+
     def run(self) -> None:
         while True:
             try:
-                events = self.selector.select(self._poll_timeout())
+                events = self.selector.select(self._select_timeout())
                 # Drain before running tasks: a call_soon that lands after
                 # the drain leaves its byte in the pipe and the next select
                 # returns at once.  The other order swallows that byte with
@@ -225,6 +271,8 @@ class _EventLoop(threading.Thread):
                         if mask & selectors.EVENT_READ and not conn.closed:
                             self.net._on_readable(self, conn)
                 now = _time.monotonic()
+                if self.waiting:
+                    self.net._expire_upload_waits(self, now)
                 if now >= self._next_reap:
                     self._next_reap = now + self._poll_timeout()
                     self.net._reap_idle(self, now)
@@ -327,7 +375,13 @@ class NetworkServer:
         #: bytes (stalled reader) for this long is closed by the loop's
         #: timer wheel; None disables (trusted single-tenant setups)
         self.idle_timeout = idle_timeout
-        #: number of event-loop threads multiplexing the connections
+        #: number of event-loop threads multiplexing the connections.
+        #: Loops execute requests, so one loop serves two busy analyst
+        #: connections faster than two (no contended ``_mpc_lock``, no
+        #: bounce) — but only while the scheduler gives that one thread a
+        #: core of its own: sharing one with its clients it falls back to
+        #: the two-loop rate, and on a 2-core host it flips between the
+        #: two from run to run (docs/NETWORK.md).  Two is the steady one.
         self.loop_threads = loop_threads
         #: per-connection write-buffer cap: a reader stalled past this
         #: many un-sent response bytes is disconnected immediately
@@ -527,6 +581,8 @@ class NetworkServer:
         if conn.closed:
             return
         conn.closed = True
+        conn.waiting = None  # the continuation finds nobody to answer
+        loop.waiting.discard(conn)
         self._release_permits(conn)
         self._release_gate(conn)
         if conn.registered:
@@ -619,6 +675,11 @@ class NetworkServer:
                 )
                 conn.wire_fail = (code, str(failure))
                 break
+        if conn.eof and conn.waiting is not None:
+            # Nobody is left to wait on the peer's behalf: answer now (the
+            # steps stay queued), which frees the permits on the flush.
+            self._end_upload_wait(loop, conn, drained=False, error=None)
+            return
         self._pump(loop, conn)
 
     def _fail_conn(
@@ -698,7 +759,23 @@ class NetworkServer:
                     if rejection is not None:
                         self._send(loop, conn, [rejection] * len(batch))
                         continue
+                # The two lanes.  Whatever provably cannot stall this
+                # loop runs here, on the thread that decoded it: upload
+                # admission (decode, gate, put_nowait), and a query or
+                # stats frame whose non-blocking form goes through.
+                # WouldBlock — a lock busy, an NM join, a big cold scan —
+                # and the write-lock frames take the executor.
                 conn.executing = True
+                if frame_type in _LOOP_FRAMES:
+                    try:
+                        blob = self._run_batch(loop, conn, batch, blocking=False)
+                    except WouldBlock:
+                        pass
+                    else:
+                        if blob is None:
+                            break  # a waiting upload: its continuation answers
+                        self._batch_done(loop, conn, blob)
+                        continue
                 assert self._executor is not None
                 self._executor.submit(self._worker, loop, conn, batch)
                 break
@@ -748,18 +825,28 @@ class NetworkServer:
     def _encode_responses(
         self, responses: list[tuple[str, dict]], codec: str
     ) -> bytes:
-        try:
-            return b"".join(
-                wire.encode_frame(t, p, codec=codec) for t, p in responses
-            )
-        except Exception as exc:  # a response that cannot encode
-            return wire.encode_frame(
-                "error",
-                wire.error_payload(
-                    wire.ERR_SERVER,
-                    f"response encoding failed: {type(exc).__name__}: {exc}",
-                ),
-            )
+        """One frame per response, in the connection's codec.
+
+        A response that cannot be encoded becomes a structured ``server``
+        error *in its own slot*: a pipelining client counts replies, so a
+        batch of N must always be answered with N frames.
+        """
+        frames = []
+        for frame_type, payload in responses:
+            try:
+                frames.append(wire.encode_frame(frame_type, payload, codec=codec))
+            except Exception as exc:  # a response that cannot encode
+                frames.append(
+                    wire.encode_frame(
+                        "error",
+                        wire.error_payload(
+                            wire.ERR_SERVER,
+                            f"response encoding failed: {type(exc).__name__}: {exc}",
+                        ),
+                        codec=codec,
+                    )
+                )
+        return b"".join(frames)
 
     def _flush(self, loop: _EventLoop, conn: _Connection) -> None:
         if conn.closed:
@@ -807,14 +894,31 @@ class NetworkServer:
             if stalled_write or idle:
                 self._close_conn(loop, conn)
 
-    # -- worker pool (executes off the event loops) --------------------------------
-    def _worker(self, loop: _EventLoop, conn: _Connection, batch: list) -> None:
+    # -- request execution (either lane) ----------------------------------------------
+    def _run_batch(
+        self, loop: _EventLoop, conn: _Connection, batch: list, blocking: bool
+    ) -> bytes | None:
+        """Execute one admitted batch; return its encoded responses.
+
+        The one body both lanes run: an event loop calls it with
+        ``blocking=False`` — then it raises :class:`WouldBlock` instead of
+        waiting for a lock or running an unbounded plan, with nothing
+        executed — and the executor with ``blocking=True``.  ``None``
+        means an upload batch left a continuation behind that will answer
+        (:meth:`_end_upload_wait`).  Nothing else escapes: a handler bug is
+        recorded and answered as a ``server`` error, so the connection
+        never hangs with ``executing`` set.
+        """
         frame_type = batch[0][0]
         try:
             if frame_type == "upload":
-                responses = self._handle_upload_batch([p for _, p in batch])
+                responses = self._start_uploads(loop, conn, [p for _, p in batch])
+                if responses is None:
+                    return None
             elif frame_type == "stats":
-                responses = [("stats_result", self.server.observability())]
+                responses = [
+                    ("stats_result", self.server.observability(blocking=blocking))
+                ]
             else:
                 responses = [
                     self._execute(
@@ -826,28 +930,37 @@ class NetworkServer:
                             if conn.tenant is None
                             else conn.tenant.tenant_id
                         ),
+                        blocking=blocking,
                     )
                 ]
-            blob = self._encode_responses(responses, conn.codec)
+        except WouldBlock:
+            raise
         except BaseException as exc:  # _execute never raises; belt and braces
             self._unhandled_errors.append(exc)
-            blob = self._encode_responses(
-                [
-                    (
-                        "error",
-                        wire.error_payload(
-                            wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                ]
-                * len(batch),
-                conn.codec,
-            )
+            responses = [
+                (
+                    "error",
+                    wire.error_payload(
+                        wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
+                    ),
+                )
+            ] * len(batch)
+        return self._encode_responses(responses, conn.codec)
+
+    def _worker(self, loop: _EventLoop, conn: _Connection, batch: list) -> None:
+        """The executor lane: may wait for locks, may run for long."""
+        blob = self._run_batch(loop, conn, batch, blocking=True)
         loop.call_soon(self._on_worker_done, loop, conn, blob)
 
     def _on_worker_done(
         self, loop: _EventLoop, conn: _Connection, blob: bytes
     ) -> None:
+        self._batch_done(loop, conn, blob)
+        if not conn.closed:
+            self._pump(loop, conn)
+
+    def _batch_done(self, loop: _EventLoop, conn: _Connection, blob: bytes) -> None:
+        """Queue a finished batch's responses on its connection and flush."""
         conn.executing = False
         conn.last_progress = _time.monotonic()
         if conn.closed:
@@ -856,8 +969,6 @@ class NetworkServer:
         conn.outbuf += blob
         conn.last_write_progress = conn.last_progress
         self._flush(loop, conn)
-        if not conn.closed:
-            self._pump(loop, conn)
 
     # -- multi-tenant identity and quotas ------------------------------------------
     def _authenticate(
@@ -1038,13 +1149,16 @@ class NetworkServer:
         payload: dict,
         binary: bool = False,
         tenant: str | None = None,
+        blocking: bool = True,
     ) -> tuple[str, dict]:
-        """Run one admitted guarded request; never raises.
+        """Run one admitted guarded request; never raises a request's failure.
 
         ``binary`` selects the response payload shape for query
         results: raw ndarrays (packed as out-of-band blobs by the
         version-2 frame codec) versus the JSON-safe base64 form every
-        v1 client understands.
+        v1 client understands.  With ``blocking=False`` (an event loop
+        asking) a query that would have to wait raises
+        :class:`~repro.server.runtime.WouldBlock` with nothing executed.
         """
         # A poisoned ingest loop is the *server's* condition, not this
         # request's fault: report it as a server error (with the original
@@ -1061,10 +1175,14 @@ class NetworkServer:
             if frame_type == "upload":
                 return self._handle_upload(payload)
             if frame_type == "query":
-                return self._handle_query(payload, binary=binary, tenant=tenant)
+                return self._handle_query(
+                    payload, binary=binary, tenant=tenant, blocking=blocking
+                )
             if frame_type == "snapshot":
                 return self._handle_snapshot(payload)
             return self._handle_reshard(payload)
+        except WouldBlock:
+            raise
         except BudgetExhaustedError as exc:
             # Refused *before* any noise was drawn: structured fields so
             # the analyst can see exactly what the ledger has left.  Not
@@ -1084,21 +1202,17 @@ class NetworkServer:
             response["epsilon_spent"] = exc.spent
             response["epsilon_budget"] = exc.budget
             return "error", response
-        except ReproError as exc:
-            return "error", wire.error_payload(
-                wire.ERR_INVALID_REQUEST, f"{type(exc).__name__}: {exc}"
-            )
         except Exception as exc:  # never let one request kill the connection
-            return "error", wire.error_payload(
-                wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
-            )
+            return _error_response(exc)
 
     def _dispatch(self, frame_type: str, payload: dict) -> tuple[str, dict]:
         """Single-shot dispatch of any request frame.
 
         The event loops inline the guarded path to hold the permit
         across the response write; this wrapper (admit → execute →
-        release) serves direct callers (tests, diagnostics).
+        release) serves direct callers (tests, diagnostics).  It answers
+        an upload as soon as the step is queued: waiting for the apply is
+        a continuation, which needs a connection to answer on.
         """
         if frame_type == "hello":
             return "welcome", self._welcome(
@@ -1149,7 +1263,84 @@ class NetworkServer:
 
     # -- upload admission + batched submission -------------------------------------
     def _handle_upload(self, payload: dict) -> tuple[str, dict]:
-        return self._handle_upload_batch([payload])[0]
+        """:meth:`_dispatch`'s upload: queue the step and answer at once."""
+        responses, admitted = self._submit_uploads([payload])
+        applied = bool(admitted) and self.server.last_time >= admitted[0][1]
+        self._answer_admitted(responses, admitted, drained=applied, error=None)
+        return responses[0]
+
+    def _start_uploads(
+        self, loop: _EventLoop, conn: _Connection, payloads: list[dict]
+    ) -> list[tuple[str, dict]] | None:
+        """Admit a run of coalesced upload frames on their event loop.
+
+        Never blocks.  Without a ``wait=True`` frame among the admitted
+        ones every frame is answered here.  With one, the batch becomes a
+        continuation (``None`` is returned): ``conn`` keeps ``executing``
+        and its permits, the ingestion loop posts
+        :meth:`_on_upload_applied` once the last waited step is applied
+        (or ingestion failed), and the clamped ``wait_timeout`` is a
+        deadline this loop's timer answers ``drained: false`` at.
+        """
+        responses, admitted = self._submit_uploads(payloads)
+        waited = [(i, step) for i, step, waits in admitted if waits]
+        if not waited:
+            self._answer_admitted(responses, admitted, drained=True, error=None)
+            return responses
+        # Clamp the client-supplied wait: an in-flight permit is held for
+        # its duration, so an unbounded value would let one client pin
+        # the server's request capacity.
+        timeout = min(
+            max(self._wait_timeout_of(payloads[i]) for i, _ in waited),
+            self.max_wait_timeout,
+        )
+        wait = _UploadWait(responses, admitted, _time.monotonic() + timeout)
+        conn.waiting = wait
+        loop.waiting.add(conn)
+        # Steps advance within a batch: the last waited one covers them all.
+        self.server.when_applied(
+            waited[-1][1],
+            lambda error: loop.call_soon(
+                self._on_upload_applied, loop, conn, wait, error
+            ),
+        )
+        return None
+
+    def _on_upload_applied(
+        self,
+        loop: _EventLoop,
+        conn: _Connection,
+        wait: _UploadWait,
+        error: BaseException | None,
+    ) -> None:
+        """The ingestion loop's callback, back on the connection's loop."""
+        if conn.waiting is wait:  # else: timed out, or the peer is gone
+            self._end_upload_wait(loop, conn, drained=True, error=error)
+
+    def _expire_upload_waits(self, loop: _EventLoop, now: float) -> None:
+        """Event-loop timer: answer the waits whose deadline has passed."""
+        for conn in [c for c in loop.waiting if c.waiting.deadline <= now]:
+            # The upload *was* accepted and will be applied; a slow apply
+            # must not read as "rejected, resend" (a resend would be a
+            # stale step).
+            self._end_upload_wait(loop, conn, drained=False, error=None)
+
+    def _end_upload_wait(
+        self,
+        loop: _EventLoop,
+        conn: _Connection,
+        drained: bool,
+        error: BaseException | None,
+    ) -> None:
+        """Answer a waiting upload batch and resume its connection."""
+        wait, conn.waiting = conn.waiting, None
+        loop.waiting.discard(conn)
+        self._answer_admitted(wait.responses, wait.admitted, drained, error)
+        self._batch_done(
+            loop, conn, self._encode_responses(wait.responses, conn.codec)
+        )
+        if not conn.closed:
+            self._pump(loop, conn)
 
     @staticmethod
     def _wait_timeout_of(payload: dict) -> float:
@@ -1158,48 +1349,64 @@ class NetworkServer:
         except (TypeError, ValueError):
             return 30.0
 
-    def _handle_upload_batch(
+    def _answer_admitted(
+        self,
+        responses: list,
+        admitted: list[tuple[int, int, bool]],
+        drained: bool,
+        error: BaseException | None,
+    ) -> None:
+        """Fill the admitted frames' slots: ``upload_ok``, or for a waiter
+        whose ingest failed the structured error (a poisoned loop is the
+        server's condition unless the step itself was invalid)."""
+        failure = None if error is None else _error_response(error)
+        for i, time_step, waits in admitted:
+            if waits and failure is not None:
+                responses[i] = failure
+                continue
+            responses[i] = (
+                "upload_ok",
+                {
+                    "time": time_step,
+                    "applied_through": self.server.last_time,
+                    "queue_depth": self.server.pending_uploads,
+                    "drained": drained if waits else True,
+                },
+            )
+
+    def _submit_uploads(
         self, payloads: list[dict]
-    ) -> list[tuple[str, dict]]:
-        """Admit, submit, and answer a run of coalesced upload frames.
+    ) -> tuple[list, list[tuple[int, int, bool]]]:
+        """Decode, gate and enqueue a run of upload frames; never blocks.
 
         One gate pass covers the whole run: each step must advance past
         the floor *and* its predecessors in the batch; admitted steps
         enter the ingest queue through one
         :meth:`~repro.server.runtime.DatabaseServer.try_submit_many`
-        call.  Every frame gets its own response, in order — admission
-        failures and queue overflow reject individual frames without
-        severing the rest.
+        call.  Returns one response slot per frame — filled for every
+        frame refused here (admission failures and queue overflow reject
+        individual frames without severing the rest), ``None`` for the
+        admitted ones — and the admitted ``(slot, step, waits)`` list
+        for :meth:`_answer_admitted` (the flag, not the payload: a wait
+        must not keep the frame's body alive).
         """
         responses: list[tuple[str, dict] | None] = [None] * len(payloads)
+        admitted: list[tuple[int, int, bool]] = []
         try:
-            self._upload_batch_inner(payloads, responses)
-        except ReproError as exc:
-            fallback = (
-                "error",
-                wire.error_payload(
-                    wire.ERR_INVALID_REQUEST, f"{type(exc).__name__}: {exc}"
-                ),
-            )
-            responses = [r if r is not None else fallback for r in responses]
+            self._admit_uploads(payloads, responses, admitted)
         except Exception as exc:
-            fallback = (
-                "error",
-                wire.error_payload(
-                    wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
-                ),
-            )
+            # try_submit refused outright (server stopping, ingestion
+            # halted): nothing of this run was queued.
+            fallback = _error_response(exc)
             responses = [r if r is not None else fallback for r in responses]
-        missing = (
-            "error",
-            wire.error_payload(wire.ERR_SERVER, "upload produced no response"),
-        )
-        return [r if r is not None else missing for r in responses]
+            admitted = []
+        return responses, admitted
 
-    def _upload_batch_inner(
+    def _admit_uploads(
         self,
         payloads: list[dict],
         responses: list[tuple[str, dict] | None],
+        admitted: list[tuple[int, int, bool]],
     ) -> None:
         deferred = self.server.ingest_error
         if deferred is not None:
@@ -1219,21 +1426,8 @@ class NetworkServer:
             try:
                 time_step, items = wire.decode_upload(payload)
                 decoded.append((i, time_step, items, payload))
-            except ReproError as exc:
-                responses[i] = (
-                    "error",
-                    wire.error_payload(
-                        wire.ERR_INVALID_REQUEST, f"{type(exc).__name__}: {exc}"
-                    ),
-                )
             except Exception as exc:
-                responses[i] = (
-                    "error",
-                    wire.error_payload(
-                        wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-        admitted: list[tuple[int, int, dict]] = []
+                responses[i] = _error_response(exc)
         with self._upload_gate:
             # Reject a non-advancing step *before* it reaches the queue:
             # deferred, it would kill the background loop for everyone
@@ -1276,60 +1470,23 @@ class NetworkServer:
                     self._highest_admitted = max(
                         self._highest_admitted, time_step
                     )
-                    admitted.append((i, time_step, payload))
+                    admitted.append((i, time_step, bool(payload.get("wait"))))
                 else:
                     responses[i] = overloaded
-        drained = True
-        drain_error: tuple[str, dict] | None = None
-        waiters = [p for _, _, p in admitted if p.get("wait")]
-        if waiters:
-            # Clamp the client-supplied wait: an in-flight permit is
-            # held for its duration, so an unbounded value would let
-            # one client pin the server's request capacity.
-            wait_timeout = min(
-                max(self._wait_timeout_of(p) for p in waiters),
-                self.max_wait_timeout,
-            )
-            try:
-                self.server.drain(timeout=wait_timeout)
-            except DrainTimeout:
-                # The upload *was* accepted and will be applied; a slow
-                # drain must not read as "rejected, resend" (a resend
-                # would be a stale step).
-                drained = False
-            except ReproError as exc:
-                drain_error = (
-                    "error",
-                    wire.error_payload(
-                        wire.ERR_INVALID_REQUEST, f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-            except Exception as exc:
-                drain_error = (
-                    "error",
-                    wire.error_payload(
-                        wire.ERR_SERVER, f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-        for i, time_step, payload in admitted:
-            if payload.get("wait") and drain_error is not None:
-                responses[i] = drain_error
-                continue
-            responses[i] = (
-                "upload_ok",
-                {
-                    "time": time_step,
-                    "applied_through": self.server.last_time,
-                    "queue_depth": self.server.pending_uploads,
-                    "drained": drained if payload.get("wait") else True,
-                },
-            )
 
     def _handle_query(
-        self, payload: dict, binary: bool = False, tenant: str | None = None
+        self,
+        payload: dict,
+        binary: bool = False,
+        tenant: str | None = None,
+        blocking: bool = True,
     ) -> tuple[str, dict]:
         try:
-            query = wire.decode_query(payload["query"])
+            query = payload["query"]
+            if not isinstance(query, LogicalQuery):
+                # Kept in place of the wire form: a query the loop could
+                # not run is handled again, on the executor.
+                query = payload["query"] = wire.decode_query(query)
             time = payload.get("time")
             time = None if time is None else int(time)
             epsilon = payload.get("epsilon")
@@ -1337,7 +1494,7 @@ class NetworkServer:
         except (KeyError, TypeError, ValueError) as exc:
             raise wire.WireError(f"malformed query frame: {exc!r}") from exc
         result = self.server.query(
-            query, time=time, epsilon=epsilon, tenant=tenant
+            query, time=time, epsilon=epsilon, tenant=tenant, blocking=blocking
         )
         return "result", wire.encode_result(result, binary=binary)
 
@@ -1354,6 +1511,13 @@ class NetworkServer:
         n_shards = int(payload["n_shards"])
         self.server.reshard(n_shards)
         return "reshard_ok", {"n_shards": self.server.database.n_shards}
+
+
+def _error_response(exc: BaseException) -> tuple[str, dict]:
+    """The structured ``error`` frame for a failure: the request's fault
+    when the library says so (:class:`ReproError`), the server's otherwise."""
+    code = wire.ERR_INVALID_REQUEST if isinstance(exc, ReproError) else wire.ERR_SERVER
+    return "error", wire.error_payload(code, f"{type(exc).__name__}: {exc}")
 
 
 def _close_socket(conn: socket.socket) -> None:

@@ -173,6 +173,121 @@ class QueryPlan:
     incremental_seconds: float | None = None
 
 
+@dataclass(frozen=True)
+class ViewScanShape:
+    """The half of a view-scan plan that no upload changes.
+
+    What answering ``query`` from one view looks like — the lowered scan
+    and the gates it charges per padded row — as opposed to what it
+    costs right now, which :meth:`priced` reads off the live public
+    sizes.  A planner may keep shapes across calls; prices it may not.
+    """
+
+    view_def: JoinViewDefinition
+    view_query: ViewScanPlan
+    row_gates: int
+
+    @classmethod
+    def of(
+        cls, query: LogicalQuery, view_def: JoinViewDefinition, model: CostModel
+    ) -> "ViewScanShape":
+        return cls(
+            view_def,
+            lower_to_view_scan(query, view_def),
+            multi_scan_gates(
+                model,
+                1,
+                view_def.view_schema.width,
+                need_count=query.need_count,
+                n_sum_columns=len(query.sum_columns),
+                n_groups=query.n_groups,
+                grouped=query.group_by is not None,
+                predicate_words=query.predicate_words,
+            ),
+        )
+
+    def priced(
+        self,
+        model: CostModel,
+        padded_rows: int,
+        n_shards: int,
+        scan_backend: str | None,
+        cached_rows: int,
+    ) -> QueryPlan:
+        """The plan at these public sizes (the :class:`ViewCandidate` fields).
+
+        A warm accumulator cache shrinks the scan to the suffix past the
+        cached watermarks, and the estimate prices exactly the gates the
+        executor will charge; ``cached_rows == 0`` (cold, or incremental
+        execution disabled) degenerates to the full-view estimate.
+        """
+        gates = max(0, padded_rows - cached_rows) * self.row_gates
+        inc_seconds = model.incremental_seconds(gates, n_shards)
+        return QueryPlan(
+            kind=VIEW_SCAN,
+            view_name=self.view_def.name,
+            view_query=self.view_query,
+            estimated_gates=gates,
+            estimated_seconds=inc_seconds,
+            n_shards=n_shards,
+            scan_backend=scan_backend,
+            warm=cached_rows > 0,
+            cached_rows=cached_rows,
+            incremental_seconds=inc_seconds,
+        )
+
+
+def price_nm_join(
+    query: LogicalQuery,
+    n_probe_store: int,
+    n_driver_store: int,
+    model: CostModel,
+    multiplicity: float,
+    probe_width: int,
+    driver_width: int,
+) -> QueryPlan:
+    """The NM-fallback plan of ``query`` over the full base stores."""
+    gates = nm_join_gates(
+        model,
+        n_probe_store,
+        n_driver_store,
+        probe_width,
+        driver_width,
+        multiplicity=multiplicity,
+        need_count=query.need_count,
+        n_sum_columns=len(query.sum_columns),
+        n_groups=query.n_groups,
+        grouped=query.group_by is not None,
+        n_clauses=len(predicate_clauses(query.predicate)),
+    )
+    return QueryPlan(
+        kind=NM_JOIN,
+        view_name=None,
+        view_query=None,
+        estimated_gates=gates,
+        estimated_seconds=model.seconds(gates),
+    )
+
+
+def cheapest(query: LogicalQuery, plans: list[QueryPlan]) -> QueryPlan:
+    """The plan to run: least wall clock, gate total as the tiebreak.
+
+    Ranking by the parallelism-aware wall-clock estimate lets a sharded
+    view beat a smaller single-shard one on latency; the gate total is a
+    deterministic (total-work) tiebreak.  With single-shard candidates
+    seconds ∝ gates, so the historical ranking is unchanged.  Raises
+    :class:`~repro.common.errors.SchemaError` when there is nothing to
+    choose from.
+    """
+    if not plans:
+        raise SchemaError(
+            f"no registered view materializes the join "
+            f"({query.probe_table} ⋈ {query.driver_table}) and the NM "
+            "fallback is disabled; register a matching view first"
+        )
+    return min(plans, key=lambda p: (p.estimated_seconds, p.estimated_gates))
+
+
 def plan_query(
     query: LogicalQuery,
     candidates: list[ViewCandidate],
@@ -193,48 +308,17 @@ def plan_query(
     Raises :class:`~repro.common.errors.SchemaError` when no view matches
     and NM is not allowed.
     """
-    need_count = query.need_count
-    n_sum_columns = len(query.sum_columns)
-    n_groups = query.n_groups
-    grouped = query.group_by is not None
-    n_clauses = len(predicate_clauses(query.predicate))
-    plans: list[QueryPlan] = []
-    for cand in candidates:
-        if not can_answer(query, cand.view_def):
-            continue
-        view_query = lower_to_view_scan(query, cand.view_def)
-        # A warm accumulator cache shrinks the scan to the suffix past
-        # the cached watermarks; the estimate prices exactly the gates
-        # the executor will charge.  cached_rows == 0 (cold, or
-        # incremental execution disabled) degenerates to the historical
-        # full-view estimate.
-        warm = cand.cached_rows > 0
-        suffix_rows = max(0, cand.padded_rows - cand.cached_rows)
-        gates = multi_scan_gates(
+    plans = [
+        ViewScanShape.of(query, cand.view_def, model).priced(
             model,
-            suffix_rows,
-            cand.view_def.view_schema.width,
-            need_count=need_count,
-            n_sum_columns=n_sum_columns,
-            n_groups=n_groups,
-            grouped=grouped,
-            predicate_words=query.predicate_words,
+            cand.padded_rows,
+            cand.n_shards,
+            cand.scan_backend,
+            cand.cached_rows,
         )
-        inc_seconds = model.incremental_seconds(gates, cand.n_shards)
-        plans.append(
-            QueryPlan(
-                kind=VIEW_SCAN,
-                view_name=cand.view_def.name,
-                view_query=view_query,
-                estimated_gates=gates,
-                estimated_seconds=inc_seconds,
-                n_shards=cand.n_shards,
-                scan_backend=cand.scan_backend,
-                warm=warm,
-                cached_rows=cand.cached_rows,
-                incremental_seconds=inc_seconds,
-            )
-        )
+        for cand in candidates
+        if can_answer(query, cand.view_def)
+    ]
     if nm_allowed:
         # The NM estimate needs base-table widths; when the caller does
         # not supply them, take them from any candidate's schemas (all
@@ -248,36 +332,15 @@ def plan_query(
             driver_width = (
                 candidates[0].view_def.driver_schema.width if candidates else 2
             )
-        gates = nm_join_gates(
-            model,
-            n_probe_store,
-            n_driver_store,
-            probe_width,
-            driver_width,
-            multiplicity=multiplicity,
-            need_count=need_count,
-            n_sum_columns=n_sum_columns,
-            n_groups=n_groups,
-            grouped=grouped,
-            n_clauses=n_clauses,
-        )
         plans.append(
-            QueryPlan(
-                kind=NM_JOIN,
-                view_name=None,
-                view_query=None,
-                estimated_gates=gates,
-                estimated_seconds=model.seconds(gates),
+            price_nm_join(
+                query,
+                n_probe_store,
+                n_driver_store,
+                model,
+                multiplicity,
+                probe_width,
+                driver_width,
             )
         )
-    if not plans:
-        raise SchemaError(
-            f"no registered view materializes the join "
-            f"({query.probe_table} ⋈ {query.driver_table}) and the NM "
-            "fallback is disabled; register a matching view first"
-        )
-    # Rank by the parallelism-aware wall-clock estimate — a sharded view
-    # can beat a smaller single-shard one on latency — with the gate
-    # total as a deterministic (total-work) tiebreak.  With single-shard
-    # candidates seconds ∝ gates, so the historical ranking is unchanged.
-    return min(plans, key=lambda p: (p.estimated_seconds, p.estimated_gates))
+    return cheapest(query, plans)

@@ -33,6 +33,7 @@ from .runtime import (
     ReadSession,
     ReadWriteLock,
     ServingStats,
+    WouldBlock,
 )
 from .sharding import SINGLE_SHARD, ShardLayout
 from .scheduler import (
@@ -61,6 +62,7 @@ __all__ = [
     "ReadSession",
     "ReadWriteLock",
     "ServingStats",
+    "WouldBlock",
     "SINGLE_SHARD",
     "ShardLayout",
     "DatabaseStepReport",

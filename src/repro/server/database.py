@@ -404,6 +404,7 @@ class IncShrinkDatabase:
         )
         group.member_names.append(vd.name)
         self.views[vd.name] = vr
+        self.planner.invalidate()  # a new view may answer cached shapes
 
     # -- owner side -------------------------------------------------------------
     def upload(
@@ -483,6 +484,7 @@ class IncShrinkDatabase:
         # keeps the gauges honest and frees the memory immediately.
         if self.accumulator_cache is not None:
             self.accumulator_cache.invalidate()
+        self.planner.invalidate()
         # Shard counts feed the planner's wall-clock estimates.
         self._state_version += 1
 

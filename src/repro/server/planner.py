@@ -8,35 +8,45 @@ padded sizes the cost formulas need, and deciding whether the NM
 fallback is on the table (either globally enabled, or because an
 NM-mode view was explicitly registered for this query class).
 
-Planned queries are cached **by query structure**: the
-:class:`~repro.query.ast.LogicalQuery` AST is fully hashable (join spec,
-aggregate list, GROUP BY domain, structural predicate), so a dashboard
-re-issuing the same query shape pays the candidate enumeration and cost
-scoring once per relevant state change.  Each cached plan carries a
-*validity tuple* — the answering views' public
-:attr:`~repro.storage.sharded_container.ShardedTableContainer.
-content_version`\\ s and incremental cached-row counts, the base-store
-sizes the NM estimate reads, and the requested scan backend — and is
-reused exactly while that tuple is unchanged.  Keying on the inputs the
-cost formulas actually read (instead of the database-wide
-``state_version``) means uploads into view A's tables no longer evict
-plans for an unrelated view B.  The cache is deliberately **not**
-persisted — a restored database replans from its restored sizes
+Plans are cached **by query structure**, and only their structural
+half: the :class:`~repro.query.ast.LogicalQuery` AST is fully hashable
+(join spec, aggregate list, GROUP BY domain, structural predicate), so a
+dashboard re-issuing the same query shape pays candidate enumeration and
+lowering — which views answer it, each one's
+:class:`~repro.query.ast.ViewScanPlan`, whether an NM view was
+registered for its join — once.  That half changes only when the set of
+wired views does (registration, restore — a restored database is a new
+planner — and, conservatively, reshard: :meth:`DatabasePlanner.
+invalidate`).  The *prices* are never cached: every call re-reads the
+public sizes the cost formulas need (view lengths and shard counts, the
+accumulator cache's cached-row counts, base-store totals, the scan
+backend) and re-runs the same pricing functions a fresh
+:func:`~repro.query.planner.plan_query` runs, so the chosen view,
+``estimated_gates/seconds``, ``warm`` and ``cached_rows`` are always
+those of a fresh plan — an upload re-prices, it does not evict.  The
+cache is deliberately **not** persisted
 (:mod:`repro.server.persistence` round-trips plan-cache-free).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..common.errors import SchemaError
 from ..query.ast import LogicalQuery
-from ..query.planner import QueryPlan, ViewCandidate, plan_query
+from ..query.planner import (
+    QueryPlan,
+    ViewCandidate,
+    ViewScanShape,
+    cheapest,
+    price_nm_join,
+)
 from ..query.rewrite import can_answer, lower_to_view_scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .database import IncShrinkDatabase
+    from .database import IncShrinkDatabase, ViewRuntime
 
 #: Modes whose materialized view is a usable scan target.  NM views have
 #: no view at all; OTM views are frozen at their (empty) setup state and
@@ -44,10 +54,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 SCANNABLE_MODES = ("dp-timer", "dp-ant", "ep")
 
 #: Bound on retained plan-cache entries (distinct query structures).
-#: Entries now survive unrelated state changes, so without a cap a
-#: long-lived server fed ever-new query shapes would grow the dict
-#: forever; LRU eviction keeps the hot dashboard shapes resident.
+#: Entries outlive every upload, so without a cap a long-lived server fed
+#: ever-new query shapes would grow the dict forever; LRU eviction keeps
+#: the hot dashboard shapes resident.
 PLAN_CACHE_MAX_ENTRIES = 256
+
+
+class _Structure(NamedTuple):
+    """What planning one query shape needs that no upload changes."""
+
+    #: every scannable view that materializes the query's join, with the
+    #: query lowered onto its columns and priced per padded row
+    answering: tuple[tuple["ViewRuntime", ViewScanShape], ...]
+    #: an NM-mode view was registered for this join (NM is then allowed
+    #: even with the database-wide fallback off)
+    nm_view: bool
 
 
 class DatabasePlanner:
@@ -56,69 +77,82 @@ class DatabasePlanner:
     def __init__(self, database: "IncShrinkDatabase", multiplicity: float = 1.0) -> None:
         self._db = database
         self.multiplicity = multiplicity
-        self._cache: "OrderedDict[LogicalQuery, tuple[tuple, QueryPlan]]" = (
-            OrderedDict()
-        )
+        self._cache: "OrderedDict[LogicalQuery, _Structure]" = OrderedDict()
+        # Read sessions plan concurrently; the lock covers the LRU's
+        # check-then-move only, never the pricing.
+        self._cache_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _cached_rows(self, query: LogicalQuery, vr) -> int:
-        """Rows an incremental scan of ``vr.view`` would skip for ``query``."""
-        cache = self._db.accumulator_cache
-        if cache is None:
-            return 0
-        return cache.cached_rows(vr.view, lower_to_view_scan(query, vr.view_def))
+    def invalidate(self) -> None:
+        """Forget every cached structure (the set of wired views changed)."""
+        with self._cache_lock:
+            self._cache.clear()
+
+    def _structure(self, query: LogicalQuery) -> _Structure:
+        """The cached structural half of planning ``query``."""
+        with self._cache_lock:
+            cached = self._cache.get(query)
+            if cached is not None:
+                self.cache_hits += 1
+                self._cache.move_to_end(query)
+                return cached
+            self.cache_misses += 1
+        db = self._db
+        for table in (query.probe_table, query.driver_table):
+            if table not in db.tables:
+                raise SchemaError(
+                    f"query references unregistered table {table!r}; known "
+                    f"tables: {sorted(db.tables)}"
+                )
+        answering = [
+            vr for vr in db.views.values() if can_answer(query, vr.view_def)
+        ]
+        model = db.runtime.cost_model
+        structure = _Structure(
+            answering=tuple(
+                (vr, ViewScanShape.of(query, vr.view_def, model))
+                for vr in answering
+                if vr.mode in SCANNABLE_MODES
+            ),
+            nm_view=any(vr.mode == "nm" for vr in answering),
+        )
+        with self._cache_lock:
+            self._cache[query] = structure
+            while len(self._cache) > PLAN_CACHE_MAX_ENTRIES:
+                self._cache.popitem(last=False)
+        return structure
+
+    def _live_sizes(self, vr: "ViewRuntime", view_query) -> tuple:
+        """``(padded_rows, n_shards, scan_backend, cached_rows)`` of one view now.
+
+        The public shard count lets the core planner price the
+        parallelism-aware wall-clock estimate
+        (:meth:`repro.mpc.cost_model.CostModel.parallel_seconds`); the
+        backend the scan executor resolved is purely informational
+        (simulated seconds are backend-independent); the rows a warm
+        accumulator-cache entry would let the scan skip price warm view
+        scans at their suffix cost.
+        """
+        db = self._db
+        cache = db.accumulator_cache
+        return (
+            len(vr.view),
+            vr.view.n_shards,
+            db.scan_executor.backend_for(vr.view),
+            0 if cache is None else cache.cached_rows(vr.view, view_query),
+        )
 
     def candidates(self, query: LogicalQuery) -> list[ViewCandidate]:
-        """Every registered view whose join structure answers ``query``.
-
-        Each candidate carries its view's public shard count so the core
-        planner can price the parallelism-aware wall-clock estimate
-        (:meth:`repro.mpc.cost_model.CostModel.parallel_seconds`), the
-        execution backend the scan executor resolved for it (purely
-        informational: simulated seconds are backend-independent), and
-        the rows a warm accumulator-cache entry would let the scan skip
-        (so warm view scans are priced at their suffix cost).
-        """
+        """Every registered view whose join structure answers ``query``."""
         return [
             ViewCandidate(
                 vr.view_def,
-                len(vr.view),
-                n_shards=vr.view.n_shards,
-                scan_backend=self._db.scan_executor.backend_for(vr.view),
-                cached_rows=self._cached_rows(query, vr),
+                *self._live_sizes(vr, lower_to_view_scan(query, vr.view_def)),
             )
             for vr in self._db.views.values()
             if vr.mode in SCANNABLE_MODES and can_answer(query, vr.view_def)
         ]
-
-    def _validity(self, lq: LogicalQuery) -> tuple:
-        """Everything the cost comparison for ``lq`` actually reads.
-
-        Per answering view: content version (covers size, shard count,
-        reshard/restore) and the incremental cached-row count (a cold →
-        warm transition changes the view's price without any content
-        change).  Plus the base-store sizes the NM estimate reads and
-        the requested scan backend.  A cached plan is reused iff this
-        tuple is unchanged — so an upload into unrelated tables evicts
-        nothing.
-        """
-        db = self._db
-        views = tuple(
-            (
-                name,
-                vr.view.content_version,
-                self._cached_rows(lq, vr),
-            )
-            for name, vr in db.views.items()
-            if vr.mode in SCANNABLE_MODES and can_answer(lq, vr.view_def)
-        )
-        return (
-            views,
-            db.tables[lq.probe_table].total_rows,
-            db.tables[lq.driver_table].total_rows,
-            db.scan_backend,
-        )
 
     def nm_allowed(self, query: LogicalQuery) -> bool:
         if self._db.nm_fallback:
@@ -131,45 +165,33 @@ class DatabasePlanner:
     def plan(self, query: LogicalQuery) -> QueryPlan:
         """Choose the cheapest plan for ``query`` at the current sizes.
 
-        Structurally identical queries hit the plan cache while the
-        inputs their cost comparison reads (:meth:`_validity`) are
-        unchanged — uploads into other views' tables no longer evict
-        them.  Cache access is benign under concurrent read sessions: a
-        race costs at most one redundant (deterministic, identical)
-        planning pass.
+        Structurally identical queries share one cached structure; every
+        call prices it afresh from the live public sizes, so the result
+        is exactly what :func:`~repro.query.planner.plan_query` over
+        :meth:`candidates` returns now.
         """
         db = self._db
-        for table in (query.probe_table, query.driver_table):
-            if table not in db.tables:
-                raise SchemaError(
-                    f"query references unregistered table {table!r}; known "
-                    f"tables: {sorted(db.tables)}"
+        structure = self._structure(query)
+        model = db.runtime.cost_model
+        plans = [
+            shape.priced(model, *self._live_sizes(vr, shape.view_query))
+            for vr, shape in structure.answering
+        ]
+        if db.nm_fallback or structure.nm_view:
+            probe_store = db.tables[query.probe_table]
+            driver_store = db.tables[query.driver_table]
+            plans.append(
+                price_nm_join(
+                    query,
+                    probe_store.total_rows,
+                    driver_store.total_rows,
+                    model,
+                    self.multiplicity,
+                    probe_store.schema.width,
+                    driver_store.schema.width,
                 )
-        validity = self._validity(query)
-        cached = self._cache.get(query)
-        if cached is not None and cached[0] == validity:
-            self.cache_hits += 1
-            self._cache.move_to_end(query)
-            return cached[1]
-        self.cache_misses += 1
-        probe_store = db.tables[query.probe_table]
-        driver_store = db.tables[query.driver_table]
-        plan = plan_query(
-            query,
-            self.candidates(query),
-            probe_store.total_rows,
-            driver_store.total_rows,
-            db.runtime.cost_model,
-            nm_allowed=self.nm_allowed(query),
-            multiplicity=self.multiplicity,
-            probe_width=probe_store.schema.width,
-            driver_width=driver_store.schema.width,
-        )
-        self._cache[query] = (validity, plan)
-        self._cache.move_to_end(query)
-        while len(self._cache) > PLAN_CACHE_MAX_ENTRIES:
-            self._cache.popitem(last=False)
-        return plan
+            )
+        return cheapest(query, plans)
 
     @property
     def hit_rate(self) -> float:

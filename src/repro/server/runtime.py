@@ -36,15 +36,41 @@ import threading
 import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.types import RecordBatch
+from ..query import parallel
 from ..query.ast import LogicalQuery
+from ..query.planner import VIEW_SCAN, QueryPlan
 from ..query.shard_workers import shutdown_process_backend
 from ..tenancy.ledger import TenantLedger
 from .database import DatabaseQueryResult, IncShrinkDatabase
 from .persistence import SnapshotInfo, restore_database, snapshot_database
+
+
+class WouldBlock(Exception):
+    """A non-blocking call could not finish without waiting.
+
+    Raised by the ``blocking=False`` forms of :meth:`DatabaseServer.query`
+    and :meth:`DatabaseServer.observability` (a lock is held or wanted by
+    someone else, or the plan is not one that runs in bounded time) before
+    anything was executed, charged or released: the caller repeats the
+    call in its blocking form on a thread that may wait.  Deliberately not
+    a :class:`~repro.common.errors.ReproError` — it says nothing about the
+    request.
+    """
+
+
+@contextmanager
+def _held(lock: threading.Lock, blocking: bool) -> Iterator[None]:
+    """``with lock:``, or :class:`WouldBlock` when it is taken and we may not wait."""
+    if not lock.acquire(blocking):
+        raise WouldBlock
+    try:
+        yield
+    finally:
+        lock.release()
 
 
 class ReadWriteLock:
@@ -62,11 +88,16 @@ class ReadWriteLock:
         self._writer_active = False
         self._writers_waiting = 0
 
-    def acquire_read(self) -> None:
+    def acquire_read(self, blocking: bool = True) -> bool:
+        """Enter as a reader; with ``blocking=False`` return ``False``
+        instead of waiting for an active or waiting writer."""
         with self._cond:
             while self._writer_active or self._writers_waiting:
+                if not blocking:
+                    return False
                 self._cond.wait()
             self._readers += 1
+            return True
 
     def release_read(self) -> None:
         with self._cond:
@@ -90,8 +121,9 @@ class ReadWriteLock:
             self._cond.notify_all()
 
     @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
+    def read_locked(self, blocking: bool = True) -> Iterator[None]:
+        if not self.acquire_read(blocking):
+            raise WouldBlock
         try:
             yield
         finally:
@@ -223,8 +255,8 @@ class DrainTimeout(ProtocolError):
     Nothing is lost and nothing failed: the ingestion loop keeps
     applying, and calling the method again resumes waiting.  Kept
     distinct from other :class:`~repro.common.errors.ProtocolError`\\ s
-    so callers (the network front door) can tell "accepted but still
-    applying" apart from a genuinely failed ingest."""
+    so callers can tell "accepted but still applying" apart from a
+    genuinely failed ingest."""
 
 
 class DatabaseServer:
@@ -281,6 +313,12 @@ class DatabaseServer:
         self._ingest_error: BaseException | None = None
         self._last_time = 0
         self._highest_submitted = 0
+        #: ``(step, callback)`` registered by :meth:`when_applied` and not
+        #: yet fired, and the step through which the ingestion loop has
+        #: fired them (it trails ``_last_time`` by the rest of ``_apply``)
+        self._applied_waiters: list[tuple[int, Callable]] = []
+        self._waiters_lock = threading.Lock()
+        self._notified_through = 0
         self._session_counter = 0
         self._steps_since_snapshot = 0
 
@@ -424,6 +462,40 @@ class DatabaseServer:
                     self._queue.all_tasks_done.wait(remaining)
         self._raise_ingest_error()
 
+    def when_applied(
+        self, time: int, callback: Callable[[BaseException | None], None]
+    ) -> None:
+        """Call ``callback(error)`` once step ``time`` has been applied.
+
+        The continuation form of :meth:`drain` for a caller that must not
+        park a thread (the network front door's event loops): the
+        ingestion loop calls back, on its own thread, after the apply that
+        covers ``time`` has released the write lock — ``error`` is ``None``
+        — or as soon as ingestion has failed, with the failure every
+        :meth:`drain` would raise.  When either already holds, the callback
+        runs here, before this method returns.  Callbacks must be quick and
+        must not raise; each runs exactly once.
+        """
+        with self._waiters_lock:
+            error = self._ingest_error
+            if error is None and time > self._notified_through:
+                self._applied_waiters.append((time, callback))
+                return
+        callback(error)
+
+    def _fire_applied_waiters(self) -> None:
+        """Ingestion loop only: fire what the apply just finished covers."""
+        with self._waiters_lock:
+            error = self._ingest_error
+            self._notified_through = self._last_time
+            due, waiting = [], []
+            for waiter in self._applied_waiters:
+                reached = error is not None or waiter[0] <= self._last_time
+                (due if reached else waiting).append(waiter)
+            self._applied_waiters = waiting
+        for _step, callback in due:
+            callback(error)
+
     def stop(
         self, final_snapshot: bool = False, drain_timeout: float | None = None
     ) -> None:
@@ -512,6 +584,7 @@ class DatabaseServer:
                     self._queue.task_done()
                 if shutdown:
                     self._queue.task_done()
+            self._fire_applied_waiters()
             if self._ingest_error is not None:
                 self._drain_after_error()
                 return
@@ -588,6 +661,7 @@ class DatabaseServer:
         time: int | None = None,
         epsilon: float | None = None,
         tenant: str | None = None,
+        blocking: bool = True,
     ) -> DatabaseQueryResult:
         """Plan and execute one logical query against a consistent state.
 
@@ -598,14 +672,21 @@ class DatabaseServer:
         stream is separate from the ingestion streams).  Because the MPC
         lock serialises noisy releases, the database's check-then-spend
         ledger gate for ``tenant`` is atomic with the spend it guards.
+
+        With ``blocking=False`` the call never waits and never runs for
+        long: it raises :class:`WouldBlock` — nothing executed, charged or
+        released — when any of the three locks is taken, or when the plan
+        is not a bounded in-process scan (:meth:`_runs_in_bounded_time`).
         """
         self._raise_ingest_error()
         t0 = _time.perf_counter()
-        with self._rw.read_locked():
+        with self._rw.read_locked(blocking):
             at_time = self._last_time if time is None else int(time)
             plan = self.database.planner.plan(query)
+            if not blocking and not self._runs_in_bounded_time(plan):
+                raise WouldBlock
             guard = self._view_locks.get(plan.view_name or "", self._nm_lock)
-            with guard, self._mpc_lock:
+            with _held(guard, blocking), _held(self._mpc_lock, blocking):
                 result = self.database.query(
                     query, at_time, plan=plan, epsilon=epsilon, tenant=tenant
                 )
@@ -615,6 +696,21 @@ class DatabaseServer:
             if epsilon is not None:
                 self.stats.query_epsilon = self.database.query_epsilon()
         return result
+
+    def _runs_in_bounded_time(self, plan: QueryPlan) -> bool:
+        """Whether executing ``plan`` is a small in-process view scan.
+
+        The bound is the one the scan executor already applies to the
+        same public quantity: below
+        :data:`~repro.query.parallel.POOL_MIN_DELTA_ROWS` unscanned rows
+        a scan runs inline on the calling thread instead of on the scan
+        pool.  An NM join (a sort over the whole base tables) and a scan
+        placed on worker processes or a remote fleet are never bounded.
+        """
+        if plan.kind != VIEW_SCAN or plan.scan_backend != "thread":
+            return False
+        view = self.database.views[plan.view_name].view
+        return len(view) - plan.cached_rows < parallel.POOL_MIN_DELTA_ROWS
 
     def reshard(self, n_shards: int) -> None:
         """Re-partition every view/cache under the write lock.
@@ -641,7 +737,7 @@ class DatabaseServer:
             self.stats.workers = self.database.remote_worker_stats()
             return self.stats
 
-    def observability(self) -> dict:
+    def observability(self, blocking: bool = True) -> dict:
         """The full monitoring surface, as one JSON-shaped dict.
 
         ``ServingStats.to_dict()`` plus the stream watermark, shard
@@ -651,9 +747,10 @@ class DatabaseServer:
         the gauges describe one consistent step boundary; the ingest
         loop's write lock waits for that, so everything read here is a
         running answer — O(views + tenants), independent of how many
-        records were uploaded or releases made.
+        records were uploaded or releases made.  With ``blocking=False``
+        a held or wanted write lock raises :class:`WouldBlock` instead.
         """
-        with self._rw.read_locked():
+        with self._rw.read_locked(blocking):
             payload = self.current_stats().to_dict()
             payload["last_time"] = self._last_time
             payload["n_shards"] = self.database.n_shards
@@ -724,4 +821,5 @@ class DatabaseServer:
             if k not in ("last_time", "stats")
         }
         server._last_time = int(restored.metadata.get("last_time", 0))
+        server._notified_through = server._last_time
         return server

@@ -48,3 +48,27 @@ def batch(schema: Schema, rows, capacity: int | None = None) -> RecordBatch:
     if capacity is not None:
         b = b.padded_to(capacity)
     return b
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_loop_errors(monkeypatch):
+    """Fail any test whose :class:`NetworkServer` swallowed an exception.
+
+    Requests run on the event-loop threads; an exception escaping a
+    handler there cannot propagate to the test — the loop records it in
+    ``_unhandled_errors`` and carries on — so every server started during
+    a test is checked at teardown.
+    """
+    from repro.net.server import NetworkServer
+
+    started: list[NetworkServer] = []
+    start = NetworkServer.start
+
+    def recording_start(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(NetworkServer, "start", recording_start)
+    yield
+    for net in started:
+        assert net._unhandled_errors == [], net._unhandled_errors

@@ -17,6 +17,7 @@ import io
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -815,3 +816,319 @@ class TestGracefulDrain:
         with pytest.raises(ConnectionError):
             IncShrinkClient(host, port, connect_retries=2).connect()
         server.stop()
+
+
+# -- the two execution lanes ------------------------------------------------------
+def record_threads(monkeypatch, owner, name: str) -> list[str]:
+    """Wrap ``owner.name`` to note the thread each call runs on."""
+    seen: list[str] = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return seen
+
+
+def serve_script(monkeypatch) -> dict:
+    """Replay ``SCRIPT`` over the wire, steady-phase style: per step one
+    waited upload, then the query mix and one ε-release.  Returns what a
+    change of executing thread must not change, and the threads."""
+    server = DatabaseServer(build_database())
+    submits = record_threads(monkeypatch, server, "try_submit")
+    queries = record_threads(monkeypatch, server.database, "query")
+    answers = []
+    with NetworkServer(server) as net:
+        with IncShrinkClient(*net.address) as client:
+            for t in range(1, len(SCRIPT) + 1):
+                reply = client.upload(t, batches_at(t), wait=True)
+                assert reply["drained"] and reply["applied_through"] == t
+                for query in query_mix():
+                    answers.append(client.query(query).answers)
+                answers.append(client.query(epsilon_query(), epsilon=0.3).answers)
+            stats = client.stats()
+    server.stop()
+    runs = server.database.runtime.runs
+    return {
+        "answers": answers,
+        "query_gates": sum(r.gates for r in runs if r.name == "query"),
+        "ingest_gates": sum(r.gates for r in runs if r.name != "query"),
+        "realized_epsilon": stats["realized_epsilon"],
+        "submit_threads": submits,
+        "query_threads": queries,
+    }
+
+
+def on_loop(thread_name: str) -> bool:
+    return thread_name.startswith("incshrink-loop-")
+
+
+class TestExecutionLanes:
+    def test_steady_requests_run_on_the_loop_that_decoded_them(self, monkeypatch):
+        served = serve_script(monkeypatch)
+        assert len(served["submit_threads"]) == len(SCRIPT)
+        assert all(on_loop(name) for name in served["submit_threads"])
+        queries = served["query_threads"]
+        assert len(queries) == len(SCRIPT) * (len(query_mix()) + 1)
+        # A reply to a waited upload is posted after the write lock is
+        # released, so nothing here can find a lock busy.
+        assert sum(on_loop(name) for name in queries) >= 0.95 * len(queries)
+
+    def test_executor_lane_answers_byte_identically(self, monkeypatch):
+        from repro.query import parallel as parallel_mod
+
+        on_the_loop = serve_script(monkeypatch)
+        # No delta is below a bound of zero: every query bounces.
+        monkeypatch.setattr(parallel_mod, "POOL_MIN_DELTA_ROWS", 0)
+        bounced = serve_script(monkeypatch)
+        assert not any(on_loop(name) for name in bounced["query_threads"])
+        assert all(on_loop(name) for name in bounced["submit_threads"])
+        for key in ("answers", "query_gates", "ingest_gates", "realized_epsilon"):
+            assert bounced[key] == on_the_loop[key], key
+
+    def test_nm_join_never_runs_on_a_loop_thread(self, monkeypatch):
+        server = DatabaseServer(build_database())
+        threads = record_threads(monkeypatch, server.database, "query")
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address) as client:
+                client.upload(1, batches_at(1), wait=True)
+                # No view materializes this window: the NM fallback.
+                result = client.query(LogicalQuery.for_view(make_view("wide", 5)))
+        server.stop()
+        assert result.plan_kind == "nm-join"
+        assert len(threads) == 1 and not on_loop(threads[0])
+
+    @pytest.mark.parametrize("lock", ["write", "mpc"])
+    def test_a_busy_lock_never_stalls_the_loop(self, lock):
+        server = DatabaseServer(build_database())
+        with NetworkServer(server, loop_threads=1) as net:
+            with IncShrinkClient(*net.address) as a, IncShrinkClient(
+                *net.address
+            ) as b:
+                a.upload(1, batches_at(1), wait=True)
+                if lock == "write":
+                    server._rw.acquire_write()
+                    release = server._rw.release_write
+                else:
+                    server._mpc_lock.acquire()
+                    release = server._mpc_lock.release
+                answered: list = []
+                asker = threading.Thread(
+                    target=lambda: answered.append(a.query(query_mix()[0]))
+                )
+                try:
+                    asker.start()
+                    asker.join(0.1)
+                    assert asker.is_alive() and not answered
+                    # Both connections share the one loop; it is not parked
+                    # in the lock A's query is waiting for.
+                    started = time.perf_counter()
+                    welcome = b._request("hello", {}, expect="welcome")
+                    assert time.perf_counter() - started < 0.05
+                    assert welcome["server"] == "incshrink"
+                    if lock == "mpc":  # the read lock is free: stats too
+                        assert b.stats()["last_time"] == 1
+                finally:
+                    release()
+                asker.join(5.0)
+                assert not asker.is_alive()
+                assert answered[0].answers == a.query(query_mix()[0]).answers
+        server.stop()
+
+    def test_pipelined_mixed_frames_are_answered_in_order(self):
+        server = DatabaseServer(build_database())
+        query = {"query": wire.encode_query(query_mix()[0]), "time": None,
+                 "epsilon": None}
+        frames = [("upload", wire.encode_upload(1, batches_at(1), wait=True)),
+                  ("query", query)]
+        frames += [
+            ("upload", wire.encode_upload(t, batches_at(t), wait=t == 3))
+            for t in (2, 3, 4)
+        ]
+        frames.append(("stats", {}))
+        with NetworkServer(server) as net:
+            with socket.create_connection(net.address, timeout=5.0) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(b"".join(wire.encode_frame(t, p) for t, p in frames))
+                stream.flush()
+                replies = [wire.read_frame(stream) for _ in frames]
+        server.stop()
+        assert [t for t, _ in replies] == [
+            "upload_ok", "result", "upload_ok", "upload_ok", "upload_ok",
+            "stats_result",
+        ]
+        assert [p["time"] for t, p in replies if t == "upload_ok"] == [1, 2, 3, 4]
+        # The query saw step 1 and nothing later: one qualifying pair.
+        assert wire.decode_result(replies[1][1]).logical_answer == 1.0
+
+
+# -- a waiting upload is a continuation ---------------------------------------------
+def wait_until(condition, timeout: float = 2.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
+class TestUploadContinuation:
+    def test_wait_timeout_is_a_timer_that_answers_drained_false(self):
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                server._rw.acquire_write()
+                try:
+                    started = time.perf_counter()
+                    reply = client.upload(
+                        1, batches_at(1), wait=True, wait_timeout=0.05
+                    )
+                    elapsed = time.perf_counter() - started
+                finally:
+                    server._rw.release_write()
+                # Accepted, not rejected — and not yet applied.
+                assert reply["drained"] is False and reply["time"] == 1
+                assert reply["applied_through"] == 0
+                assert 0.05 <= elapsed < 0.5
+                assert wait_until(lambda: server.last_time == 1)
+                # The connection is whole: the late continuation is ignored.
+                assert client.upload(2, batches_at(2), wait=True)["drained"]
+        server.stop()
+
+    def test_ingest_failure_answers_every_registered_waiter(self, monkeypatch):
+        server = DatabaseServer(build_database())
+
+        def broken_step(time):
+            raise RuntimeError("step exploded")
+
+        outcomes: dict[int, BaseException] = {}
+
+        def waiter(client: IncShrinkClient, t: int) -> None:
+            try:
+                client.upload(t, batches_at(t), wait=True)
+            except BaseException as exc:
+                outcomes[t] = exc
+
+        with NetworkServer(server) as net:
+            monkeypatch.setattr(server.database, "step", broken_step)
+            with IncShrinkClient(*net.address, busy_retries=0) as a, IncShrinkClient(
+                *net.address, busy_retries=0
+            ) as b:
+                server._rw.acquire_write()
+                try:
+                    threads = [
+                        threading.Thread(target=waiter, args=(a, 1)),
+                        threading.Thread(target=waiter, args=(b, 2)),
+                    ]
+                    threads[0].start()
+                    assert wait_until(lambda: server.highest_submitted == 1)
+                    threads[1].start()
+                    assert wait_until(lambda: len(server._applied_waiters) == 2)
+                finally:
+                    server._rw.release_write()
+                for thread in threads:
+                    thread.join(5.0)
+                    assert not thread.is_alive()
+        assert sorted(outcomes) == [1, 2]
+        for exc in outcomes.values():
+            assert isinstance(exc, wire.RemoteError)
+            assert exc.code == wire.ERR_SERVER
+            assert "step exploded" in exc.remote_message
+        with pytest.raises(RuntimeError, match="step exploded"):
+            server.stop()
+
+    def test_a_waiter_that_hangs_up_frees_its_permits(self):
+        from repro.tenancy.registry import Tenant, TenantRegistry
+
+        registry = TenantRegistry([Tenant("owner-1", "secret", role="owner")])
+        server = DatabaseServer(build_database())
+        with NetworkServer(server, registry=registry, max_inflight=2) as net:
+            gate = net._gates.gate("owner-1")
+            server._rw.acquire_write()
+            try:
+                client = IncShrinkClient(
+                    *net.address, tenant="owner-1", token="secret"
+                ).connect()
+                # Send the waited upload and hang up without reading.
+                client._stream.write(
+                    wire.encode_frame(
+                        "upload",
+                        wire.encode_upload(1, batches_at(1), wait=True),
+                    )
+                )
+                client._stream.flush()
+                assert wait_until(lambda: gate.gauges()["inflight"] == 1)
+                assert net._inflight._value == 1
+                client._teardown()
+                assert wait_until(lambda: gate.gauges()["inflight"] == 0)
+                assert net._inflight._value == 2
+                assert wait_until(lambda: net.open_connections == 0)
+            finally:
+                server._rw.release_write()
+            # Hanging up withdrew the wait, not the upload.
+            assert wait_until(lambda: server.last_time == 1)
+        server.stop()
+
+    def test_close_completes_with_a_waiter_outstanding(self):
+        server = DatabaseServer(build_database())
+        net = NetworkServer(server).start()
+        client = IncShrinkClient(*net.address, busy_retries=0).connect()
+        failures: list = []
+
+        def waiter() -> None:
+            try:
+                client.upload(1, batches_at(1), wait=True)
+            except (ConnectionError, wire.RemoteError) as exc:
+                failures.append(exc)
+
+        server._rw.acquire_write()
+        try:
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            assert wait_until(lambda: len(server._applied_waiters) == 1)
+            started = time.perf_counter()
+            net.close(drain_timeout=0.2)
+            assert time.perf_counter() - started < 2.0
+        finally:
+            server._rw.release_write()
+        thread.join(5.0)
+        assert not thread.is_alive() and len(failures) == 1
+        client.close()
+        server.stop()
+        assert server.last_time == 1  # accepted before the close: applied
+
+
+class TestResponseEncoding:
+    def test_an_unencodable_response_costs_one_frame_not_the_batch(
+        self, monkeypatch
+    ):
+        """A coalesced batch of N uploads is answered with N frames even
+        when one response cannot be encoded — ``upload_many`` counts."""
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            fill = net._answer_admitted
+
+            def poisoned(responses, admitted, drained, error):
+                fill(responses, admitted, drained, error)
+                responses[1][1]["queue_depth"] = object()
+
+            monkeypatch.setattr(net, "_answer_admitted", poisoned)
+            with IncShrinkClient(*net.address, timeout=2.0) as client:
+                assert client.codec == wire.CODEC_BINARY
+                stream = client._stream
+                stream.write(
+                    b"".join(
+                        wire.encode_frame(
+                            "upload",
+                            wire.encode_upload(t, batches_at(t), binary=True),
+                            codec=wire.CODEC_BINARY,
+                        )
+                        for t in (1, 2, 3)
+                    )
+                )
+                stream.flush()
+                replies = [wire.read_frame(stream) for _ in range(3)]
+        server.stop()
+        assert [t for t, _ in replies] == ["upload_ok", "error", "upload_ok"]
+        assert replies[1][1]["code"] == wire.ERR_SERVER
+        assert "response encoding failed" in replies[1][1]["message"]

@@ -12,6 +12,8 @@ counts (1, 1, 2), sums (2, 3, 7), avgs (2.0, 3.0, 3.5).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError
 from repro.common.types import RecordBatch, Schema
@@ -25,7 +27,7 @@ from repro.query.ast import (
     LogicalQuery,
     ViewScanPlan,
 )
-from repro.query.planner import NM_JOIN, VIEW_SCAN
+from repro.query.planner import NM_JOIN, VIEW_SCAN, plan_query
 from repro.query.rewrite import lower_to_view_scan
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 
@@ -58,20 +60,43 @@ def make_view(name: str = "full", window_hi: int = 2) -> JoinViewDefinition:
     )
 
 
+def feed(db: IncShrinkDatabase, t: int, probe_rows, driver_rows) -> None:
+    """Upload one padded step and run it."""
+    probe = RecordBatch(
+        PROBE_SCHEMA, np.asarray(probe_rows, dtype=np.uint32).reshape(-1, 2)
+    ).padded_to(4)
+    driver = RecordBatch(
+        DRIVER_SCHEMA, np.asarray(driver_rows, dtype=np.uint32).reshape(-1, 2)
+    ).padded_to(3)
+    db.upload(t, {"orders": probe, "shipments": driver})
+    db.step(t)
+
+
 def build_database(seed: int = 7) -> IncShrinkDatabase:
     """One exact (EP) view over the replayed script — no truncation loss."""
     db = IncShrinkDatabase(total_epsilon=2000.0, seed=seed)
     db.register_view(ViewRegistration(make_view(), mode="ep"))
     for t, (probe_rows, driver_rows) in enumerate(SCRIPT, start=1):
-        probe = RecordBatch(
-            PROBE_SCHEMA, np.asarray(probe_rows, dtype=np.uint32).reshape(-1, 2)
-        ).padded_to(4)
-        driver = RecordBatch(
-            DRIVER_SCHEMA, np.asarray(driver_rows, dtype=np.uint32).reshape(-1, 2)
-        ).padded_to(3)
-        db.upload(t, {"orders": probe, "shipments": driver})
-        db.step(t)
+        feed(db, t, probe_rows, driver_rows)
     return db
+
+
+def fresh_plan(db: IncShrinkDatabase, query: LogicalQuery):
+    """What scoring every candidate from scratch chooses right now —
+    the reference the planner's structural cache must always agree with."""
+    planner = db.planner
+    probe, driver = db.tables[query.probe_table], db.tables[query.driver_table]
+    return plan_query(
+        query,
+        planner.candidates(query),
+        probe.total_rows,
+        driver.total_rows,
+        db.runtime.cost_model,
+        nm_allowed=planner.nm_allowed(query),
+        multiplicity=planner.multiplicity,
+        probe_width=probe.schema.width,
+        driver_width=driver.schema.width,
+    )
 
 
 @pytest.fixture
@@ -325,11 +350,9 @@ class TestPlanCache:
     def test_structurally_identical_queries_hit_the_cache(self, database):
         planner = database.planner
         q = query_of(COUNT, SUM_STS)
-        # Two warm-up queries: the first is cold; the second replans once
-        # because its execution warmed the accumulator cache (cold → warm
-        # repricing changes the plan's validity tuple).  From then on the
-        # state is steady and repeats hit.
-        database.query(q, time=4)
+        # Only the first query of a shape misses: its execution warms the
+        # accumulator cache, but a cold → warm transition re-prices the
+        # cached structure, it does not evict it.
         database.query(q, time=4)
         before = planner.cache_info()
         database.query(query_of(COUNT, SUM_STS), time=4)
@@ -344,20 +367,63 @@ class TestPlanCache:
         database.query(query_of(COUNT, predicate=ColumnEquals("orders", "key", 2)), 4)
         assert planner.cache_info()["misses"] == misses + 1
 
-    def test_uploads_invalidate_cached_plans(self, database):
-        database.query(query_of(COUNT), time=4)
-        probe = RecordBatch(
-            PROBE_SCHEMA, np.asarray([[5, 5]], dtype=np.uint32)
-        ).padded_to(4)
-        driver = RecordBatch(
-            DRIVER_SCHEMA, np.asarray([[5, 5]], dtype=np.uint32)
-        ).padded_to(3)
-        database.upload(5, {"orders": probe, "shipments": driver})
-        database.step(5)
-        misses = database.planner.cache_info()["misses"]
-        database.query(query_of(COUNT), time=5)
+    def test_uploads_reprice_without_replanning(self, database):
+        cold = database.query(query_of(COUNT), time=4).plan
+        feed(database, 5, [[5, 5]], [[5, 5]])
+        before = database.planner.cache_info()
+        expected = fresh_plan(database, query_of(COUNT))
+        plan = database.query(query_of(COUNT), time=5).plan
         info = database.planner.cache_info()
-        assert info["misses"] == misses + 1  # replanned at the new sizes
+        assert info["hits"] == before["hits"] + 1
+        assert info["misses"] == before["misses"]
+        # ... and the hit is priced at the new sizes: the rows the step
+        # appended past what the first execution left cached.
+        assert plan == expected
+        assert plan.warm and not cold.warm
+        assert 0 < plan.estimated_gates < cold.estimated_gates
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("upload"), st.integers(0, 3), st.integers(0, 2)),
+                st.tuples(st.just("query"), st.integers(0, 3), st.booleans()),
+                st.tuples(st.just("reshard"), st.integers(1, 3), st.just(0)),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cached_plan_is_always_the_fresh_plan(self, script):
+        """Whatever the interleaving of uploads, reshards and (cache-warming)
+        executions, planning through the structural cache returns exactly
+        what scoring every candidate from scratch returns."""
+        db = IncShrinkDatabase(total_epsilon=2000.0, seed=3, nm_fallback=True)
+        db.register_view(ViewRegistration(make_view(), mode="ep"))
+        db.register_view(
+            ViewRegistration(make_view("timed"), mode="dp-timer", timer_interval=2)
+        )
+        db.finalize()
+        shapes = [
+            query_of(COUNT),
+            query_of(COUNT, SUM_STS, predicate=ColumnRange("shipments", "sts", 0, 9)),
+            query_of(COUNT, group_by=GroupBySpec("orders", "key", (1, 2, 3))),
+            # no view materializes this window: the NM fallback
+            LogicalQuery.for_view(make_view("wide", 5), COUNT),
+        ]
+        time = 0
+        for action, a, b in script:
+            if action == "upload":
+                time += 1
+                feed(db, time, [[k, time] for k in range(1, a + 1)],
+                     [[k, time] for k in range(1, b + 1)])
+            elif action == "reshard":
+                db.reshard(a)
+            else:
+                expected = fresh_plan(db, shapes[a])
+                assert db.planner.plan(shapes[a]) == expected
+                if b:  # executing warms the accumulator cache
+                    assert db.query(shapes[a], time).plan == expected
 
 
 class TestNoisyRelease:

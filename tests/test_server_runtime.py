@@ -22,7 +22,7 @@ from repro.core.view_def import JoinViewDefinition
 from repro.experiments.harness import MultiViewRunConfig, build_multiview_deployment
 from repro.query.ast import AggregateSpec, LogicalJoinQuery, LogicalQuery
 from repro.server.database import IncShrinkDatabase, ViewRegistration
-from repro.server.runtime import DatabaseServer, ReadWriteLock
+from repro.server.runtime import DatabaseServer, ReadWriteLock, WouldBlock
 
 PROBE_SCHEMA = Schema(("key", "ots"))
 DRIVER_SCHEMA = Schema(("key", "sts"))
@@ -383,6 +383,107 @@ class TestConfigErrorMessages:
             DatabaseServer(build_database(), snapshot_path="x", snapshot_every=0)
         with pytest.raises(ConfigurationError, match="ingest_batch.*-1"):
             DatabaseServer(build_database(), ingest_batch=-1)
+
+
+class TestNonBlockingForms:
+    """What an event loop calls: nothing here may wait."""
+
+    def test_read_lock_refuses_instead_of_waiting_for_a_writer(self):
+        lock = ReadWriteLock()
+        assert lock.acquire_read(blocking=False)
+        lock.release_read()
+        lock.acquire_write()
+        assert not lock.acquire_read(blocking=False)
+        lock.release_write()
+        with lock.read_locked(blocking=False):
+            pass
+
+    def test_query_and_stats_raise_would_block_with_nothing_executed(self):
+        server = DatabaseServer(build_database()).start()
+        server.submit(1, batches_at(1))
+        server.drain()
+        runs = len(server.database.runtime.runs)
+        guard = server._view_locks[
+            server.database.planner.plan(count_query(2)).view_name
+        ]
+        for held, release in (
+            (server._rw.acquire_write, server._rw.release_write),
+            (server._mpc_lock.acquire, server._mpc_lock.release),
+            (guard.acquire, guard.release),
+        ):
+            held()
+            try:
+                with pytest.raises(WouldBlock):
+                    server.query(count_query(2), blocking=False)
+            finally:
+                release()
+        with server._rw.write_locked():
+            with pytest.raises(WouldBlock):
+                server.observability(blocking=False)
+        # An NM join is refused for what it is, with every lock free.
+        with pytest.raises(WouldBlock):
+            server.query(count_query(5), blocking=False)
+        assert len(server.database.runtime.runs) == runs
+        assert server.stats.queries == 0
+        assert server.query(count_query(2), blocking=False).answer == (
+            server.query(count_query(2)).answer
+        )
+        server.stop()
+
+    def test_when_applied_fires_each_waiter_exactly_once(self):
+        """More registering threads than cores, a short switch interval:
+        every callback runs once, after its step, whichever side wins the
+        race between registration and the ingestion loop."""
+        server = DatabaseServer(build_database()).start()
+        fired: list[tuple[int, int, BaseException | None]] = []
+        record = threading.Lock()
+
+        def register(step: int) -> None:
+            def callback(error) -> None:
+                with record:
+                    fired.append((step, server.last_time, error))
+
+            server.submit(step, batches_at(step))
+            server.when_applied(step, callback)
+            server.when_applied(step, callback)  # a second waiter, same step
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            turn = threading.Semaphore(1)
+
+            def owner(step: int) -> None:
+                # Steps must be submitted in order; registration races.
+                while True:
+                    with turn:
+                        if server.highest_submitted == step - 1:
+                            register(step)
+                            return
+
+            threads = [
+                threading.Thread(target=owner, args=(step,))
+                for step in range(1, len(SCRIPT) + 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            server.drain(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(step for step, _, _ in fired) == sorted(
+            2 * list(range(1, len(SCRIPT) + 1))
+        )
+        assert all(
+            error is None and applied >= step for step, applied, error in fired
+        )
+        assert server._applied_waiters == []
+        # Registering for a step already applied calls back at once.
+        late: list = []
+        server.when_applied(1, late.append)
+        assert late == [None]
+        server.stop()
 
 
 class TestGracefulShutdown:

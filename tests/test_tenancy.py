@@ -24,6 +24,7 @@ The headline claims, per ISSUE 10:
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -869,6 +870,11 @@ class TestMetrics:
             ) as analyst:
                 for eps in (0.1, 1 / 3, 0.1, 0.01):
                     analyst.query(epsilon_query(), time=6, epsilon=eps)
+            # ``bye`` is answered before the loop books the close: let the
+            # connection gauges settle, or the scrape races the oracle.
+            deadline = time.monotonic() + 5.0
+            while net.open_connections and time.monotonic() < deadline:
+                time.sleep(0.005)
             mhost, mport = metrics.address
             with urllib.request.urlopen(
                 f"http://{mhost}:{mport}/metrics", timeout=5
