@@ -9,8 +9,16 @@ import numpy as np
 import pytest
 
 from repro.common.rng import spawn
+from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import fold_aggregates, oblivious_multi_aggregate
+from repro.oblivious.filter import (
+    fold_aggregates,
+    oblivious_multi_aggregate,
+    range_mask,
+)
+from repro.server.sharding import ShardLayout
+from repro.sharing.shared_value import SharedArray, SharedTable
+from repro.storage.materialized_view import MaterializedView
 from repro.oblivious.sort import (
     apply_network,
     composite_key,
@@ -49,18 +57,92 @@ def test_bench_oblivious_sort_served_path(benchmark, n):
 
 @pytest.mark.parametrize("n", [1_000, 10_000])
 def test_bench_oblivious_count_scan(benchmark, n):
-    rows = spawn(1, "bench", n).integers(0, 100, size=(n, 4)).astype(np.uint32)
-    flags = np.ones(n, dtype=bool)
+    gen = spawn(1, "bench", n)
+    rows = gen.integers(0, 100, size=(n, 4)).astype(np.uint32)
+    table = SharedTable.from_plain(
+        Schema(("a", "b", "c", "d")), rows, np.ones(n, dtype=np.uint32), gen
+    )
 
     def scan():
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("q") as ctx:
             counts, _sums = oblivious_multi_aggregate(
-                ctx, rows, flags, [], True, None, None, None, 4
+                ctx, table, [], True, None, None
             )
             return int(counts[0])
 
     assert benchmark(scan) == n
+
+
+#: The four query shapes of the ``bigview`` workloads, as kernel
+#: arguments over the (pid, sale_ts, pid, return_ts)-like view schema:
+#: every one filters on column 0; they differ in what they accumulate.
+BIGVIEW_SHAPES = {
+    "count": ((), True),
+    "sum": ((3,), False),
+    "count+sum+avg": ((3,), True),
+    "count+sum-other": ((1,), True),
+}
+
+
+@pytest.mark.parametrize("kernel", ["blocked", "reference"])
+@pytest.mark.parametrize("shape", list(BIGVIEW_SHAPES))
+def test_bench_cold_scan_4x100k(benchmark, kernel, shape):
+    """A cold ``bigview-adhoc`` query's scan, kernel alone: four 100k-row
+    column-major shards, one never-repeating range clause on the key.
+    ``reference`` is what the blocked kernel replaced and is still
+    defined by — reveal every column of a row-major shard, then
+    ``range_mask`` + ``fold_aggregates`` over the result."""
+    n, k = 400_000, 4
+    gen = spawn(4, "bench", n)
+    rows = gen.integers(0, 1 << 24, size=(n, 4), dtype=np.uint32)
+    flags = gen.integers(0, 2, size=n, dtype=np.uint32)
+    schema = Schema(("a", "b", "c", "d"))
+    view = MaterializedView(schema, layout=ShardLayout(k))
+    view.append(SharedTable.from_plain(schema, rows, flags, gen))
+    shards = view.shards
+    row_major = [
+        SharedTable(
+            schema,
+            SharedArray(*map(np.ascontiguousarray, (t.rows.share0, t.rows.share1))),
+            t.flags,
+        )
+        for t in shards
+    ]
+    sum_columns, need_count = BIGVIEW_SHAPES[shape]
+    clauses = ((0, 1 << 22, 3 << 22),)
+    runtime = MPCRuntime(seed=0)
+
+    def blocked():
+        with runtime.parallel_protocol("q", 0, k) as group:
+            parts = [
+                oblivious_multi_aggregate(
+                    ctx, shard, sum_columns, need_count, None, None, clauses
+                )
+                for ctx, shard in zip(group.contexts, shards)
+            ]
+        return sum(int(c[0]) for c, _ in parts), sum(
+            int(s[0, 0]) for _, s in parts if s.size
+        )
+
+    def reference():
+        count = total = 0
+        with runtime.parallel_protocol("q", 0, k) as group:
+            for ctx, shard in zip(group.contexts, row_major):
+                plain, live = ctx.reveal_table(shard)
+                live = live & range_mask(plain, clauses)
+                counts, sums = fold_aggregates(
+                    plain, live, sum_columns, need_count, None, None
+                )
+                count += int(counts[0])
+                total += int(sums[0, 0]) if sums.size else 0
+        return count, total
+
+    count, total = benchmark(blocked if kernel == "blocked" else reference)
+    live = flags.astype(bool) & (rows[:, 0] >= 1 << 22) & (rows[:, 0] <= 3 << 22)
+    assert count == (int(live.sum()) if need_count else 0)
+    if sum_columns:
+        assert total == int(rows[live, sum_columns[0]].sum(dtype=np.uint64))
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 Runs the same 3-aggregate GROUP BY dashboard scan over one fixed
 synthetic view at 1/2/4/8 shards, under **both** execution backends
-(GIL-sharing thread pool and shared-memory process pool), and records,
-per (backend, shard count):
+(in-process, shard after shard on the calling thread; and the
+shared-memory process pool), and records, per (backend, shard count):
 
 * the **simulated wall clock** — the cost model's parallelism-aware
   estimate ``gates / (throughput × effective_workers)``, the number the
@@ -61,9 +61,10 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
 SHARD_COUNTS = (1, 2, 4, 8)
 BACKENDS = ("thread", "process")
 #: Large enough that one scan is milliseconds of numpy kernel time
-#: (CPU-bound) and a cold scan is past the in-process path's inline/pool
-#: constant, so "thread" measures the pool.  Both backends are forced:
-#: ``auto`` never selects the process pool.
+#: (CPU-bound).  "thread" is the in-process path — inline, so its
+#: measured host time does not fall with the shard count; only the
+#: simulated wall clock does.  Both backends are forced: ``auto`` never
+#: selects the process pool.
 VIEW_ROWS = 600_000
 WALL_REPEATS = 3
 #: Measured-speedup assertions need real cores to be meaningful.

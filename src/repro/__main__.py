@@ -118,8 +118,8 @@ def _add_scan_backend_flag(parser) -> None:
     parser.add_argument(
         "--scan-backend", choices=["auto", "thread", "process"],
         default="auto", dest="scan_backend",
-        help="where view scans run: auto and thread scan in-process "
-        "(inline for small deltas, a thread pool for large ones); "
+        help="where view scans run: auto and thread scan in-process, on "
+        "the calling thread; "
         "process forces the shared-memory worker pool, which auto never "
         "selects (answers and gate totals are identical either way)",
     )

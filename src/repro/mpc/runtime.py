@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,33 @@ from ..sharing.shared_value import SharedArray, SharedTable
 from ..sharing.xor_sharing import reshare_from_contributions
 from .cost_model import DEFAULT_COST_MODEL, CostModel
 from .transcript import Transcript
+
+
+def _recombine_columns(
+    table: SharedTable,
+    columns: Sequence[int],
+    start: int,
+    stop: int,
+    out: np.ndarray,
+) -> None:
+    """XOR rows ``[start, stop)`` of ``columns`` and the flags into ``out``.
+
+    Row ``j`` of ``out`` receives column ``columns[j]``, the row after
+    the last column the flag words; only the first ``stop - start``
+    positions of each are written.  Nothing is allocated, and no word of
+    a column the caller did not name is touched.
+    """
+    m = stop - start
+    rows0, rows1 = table.rows.share0, table.rows.share1
+    for j, column in enumerate(columns):
+        np.bitwise_xor(
+            rows0[start:stop, column], rows1[start:stop, column], out=out[j, :m]
+        )
+    np.bitwise_xor(
+        table.flags.share0[start:stop],
+        table.flags.share1[start:stop],
+        out=out[len(columns), :m],
+    )
 
 
 @dataclass
@@ -140,6 +167,25 @@ class ProtocolContext:
         rows = table.rows._recover()
         flags = table.flags._recover().astype(bool)
         return rows, flags
+
+    def reveal_columns(
+        self,
+        table: SharedTable,
+        columns: Sequence[int],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+    ) -> None:
+        """Recombine one block of the named columns, and its flag words.
+
+        The scan kernel's reveal: rows ``[start, stop)`` of each of
+        ``columns`` into ``out[j]`` and of the flag column into
+        ``out[len(columns)]`` — caller-owned scratch, so the plaintext of
+        a block exists only until the next block overwrites it, and the
+        columns a plan does not read are never recombined at all.
+        """
+        self._require_open("reveal_columns")
+        _recombine_columns(table, columns, start, stop, out)
 
     def share_array(self, values: np.ndarray) -> SharedArray:
         """Re-share protocol-internal plaintext using joint randomness.
@@ -256,6 +302,21 @@ class WorkerShardContext:
     def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
         self.gates = 0
+
+    def reveal_columns(
+        self,
+        table: SharedTable,
+        columns: Sequence[int],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+    ) -> None:
+        """:meth:`ProtocolContext.reveal_columns` for a worker's own copy.
+
+        A worker process *is* the protocol for the shard it was handed
+        (its whole lifetime is the scope), so there is no scope to check.
+        """
+        _recombine_columns(table, columns, start, stop, out)
 
     def charge_gates(self, gates: int | float) -> None:
         self.gates += int(gates)

@@ -14,16 +14,28 @@ once.  :func:`oblivious_multi_aggregate` is that pass for any query:
 **one** scan folds any number of COUNT/SUM accumulators across any
 number of public GROUP BY cells, paying the row-touch cost once and only
 per-accumulator gates on top — the single-scan amortization the query
-compiler is built on.
+compiler is built on.  It is the only function that accumulates over
+*shares*; :func:`range_mask` and :func:`fold_aggregates` are the same
+semantics over plaintext rows — the ground-truth evaluator's kernel and
+the oracle the share kernel is tested against.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from ..mpc.runtime import ProtocolContext
+from ..sharing.shared_value import SharedTable
+
+#: Rows per block of the scan kernel: 128 KiB per revealed column, so a
+#: block's columns, flags and selections stay cache-resident between the
+#: handful of passes made over them.
+SCAN_BLOCK_ROWS = 1 << 15
+
+_SCRATCH = threading.local()
 
 
 def oblivious_select(
@@ -53,10 +65,10 @@ def range_mask(
 ) -> np.ndarray | None:
     """Rows passing every ``(column, lo, hi)`` closed-interval clause.
 
-    The predicate half of the scan kernel, shared by every backend
+    The predicate over plaintext rows
     (:func:`repro.query.executor.clause_mask` lowers plan clauses onto
-    it; shard workers receive the triples pre-lowered).  Returns None
-    when there is nothing to filter.
+    it) — what :func:`oblivious_multi_aggregate` evaluates block by
+    block over shares.  Returns None when there is nothing to filter.
     """
     if not clause_specs or not len(rows):
         return None
@@ -84,12 +96,13 @@ def fold_aggregates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The accumulation semantics of one multi-aggregate pass.
 
-    Pure (no protocol scope, no charging): folds ``live`` rows into per
-    GROUP-BY-cell count and per-column sum accumulators.  Both the
-    oblivious scan (:func:`oblivious_multi_aggregate`) and the
-    plaintext ground-truth path (:func:`repro.query.executor.
-    aggregate_plain`) delegate here, so served answers and the logical
-    answers the L1 error compares against can never drift.
+    Pure (no protocol scope, no charging): folds ``live`` plaintext
+    rows into per GROUP-BY-cell count and per-column sum accumulators.
+    The plaintext ground-truth path
+    (:func:`repro.query.executor.aggregate_plain`) evaluates through
+    here, and :func:`oblivious_multi_aggregate` is held equal to it over
+    a full reveal (``tests/test_scan_kernel.py``), so served answers and
+    the logical answers the L1 error compares against cannot drift.
 
     A sum is the column times the 0/1 selection, reduced in ``uint64``
     — the circuit's own "payload × isView", so even non-zero dummy
@@ -123,20 +136,38 @@ def fold_aggregates(
     return counts, sums
 
 
+def _block_scratch(n_columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's block buffers, reused across blocks, shards, queries.
+
+    ``words`` has a row per revealed column, one for the flag words and
+    one for a sum's ``payload × selection`` products; ``masks`` holds the
+    live, per-group and clause selections.  Their size depends on
+    :data:`SCAN_BLOCK_ROWS` and the number of columns a plan reads —
+    never on a shard's length — and no two threads share them.
+    """
+    words = getattr(_SCRATCH, "words", None)
+    if words is None or len(words) < n_columns + 2:
+        words = np.empty((n_columns + 2, SCAN_BLOCK_ROWS), dtype=np.uint32)
+        _SCRATCH.words = words
+        _SCRATCH.masks = np.empty((3, SCAN_BLOCK_ROWS), dtype=bool)
+    return words, _SCRATCH.masks
+
+
 def oblivious_multi_aggregate(
     ctx: ProtocolContext,
-    rows: np.ndarray,
-    flags: np.ndarray,
+    table: SharedTable,
     sum_columns: Sequence[int],
     need_count: bool,
     group_column: int | None,
     group_domain: Sequence[int] | None,
-    predicate_mask: np.ndarray | None,
-    payload_words: int,
+    clause_specs: Sequence[tuple[int, int, int]] = (),
     predicate_words: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold counts and column sums over groups in **one** padded scan.
 
+    ``table`` is the secret-shared relation to scan — a view shard, or
+    the suffix of one past a cached watermark — and ``clause_specs`` the
+    ``(column, lo, hi)`` closed intervals every counted row must pass.
     Returns ``(counts, sums)`` with ``counts.shape == (n_groups,)`` and
     ``sums.shape == (n_groups, len(sum_columns))``; ungrouped scans are
     the ``n_groups == 1`` case.  Every row — real or dummy — is touched
@@ -147,23 +178,74 @@ def oblivious_multi_aggregate(
     :meth:`~repro.mpc.cost_model.CostModel.aggregate_slot_gates` per row
     for the extra accumulators — 64 gates for a lone SUM's wider
     accumulator, sized for the worst case in Z_{2^64} — and the
-    oblivious group routing.
+    oblivious group routing; it is made once, over ``len(table)``,
+    before any word is recombined.
+
+    The pass itself walks the table in blocks of :data:`SCAN_BLOCK_ROWS`
+    rows.  Per block the protocol scope recombines **only** the clause,
+    sum and group columns and the flag column
+    (:meth:`~repro.mpc.runtime.ProtocolContext.reveal_columns`) into
+    per-thread scratch, the selections are evaluated there, and the
+    block's counts (in Z) and sums (in Z_{2^64}) are added to the
+    accumulators — the same order-independent additions
+    :func:`range_mask` + :func:`fold_aggregates` perform over the whole
+    table at once, which stay as the plaintext definition and the test
+    oracle.  Any :class:`~repro.sharing.shared_value.SharedTable` works;
+    one whose columns are contiguous (a view shard) is scanned at memory
+    speed, a row-major one through strided reads.
     """
     grouped = group_column is not None
     if grouped and not group_domain:
         raise ValueError("grouped scan needs a non-empty public domain")
     n_groups = len(group_domain) if grouped else 1
-    n = len(rows)
-    ctx.charge_scan(n, payload_words, predicate_words)
+    n = len(table)
+    ctx.charge_scan(n, table.schema.width, predicate_words)
     ctx.charge_gates(
         n
         * ctx.cost_model.aggregate_slot_gates(
             need_count, len(sum_columns), n_groups, grouped
         )
     )
-    live = np.asarray(flags, dtype=bool)
-    if predicate_mask is not None:
-        live = live & np.asarray(predicate_mask, dtype=bool)
-    return fold_aggregates(
-        rows, live, sum_columns, need_count, group_column, group_domain
+    counts = np.zeros(n_groups, dtype=np.int64)
+    sums = np.zeros((n_groups, len(sum_columns)), dtype=np.uint64)
+    columns = sorted(
+        {column for column, _lo, _hi in clause_specs}.union(
+            sum_columns, (group_column,) if grouped else ()
+        )
     )
+    slot = {column: j for j, column in enumerate(columns)}
+    flag_slot, product_slot = len(columns), len(columns) + 1
+    bounds = [
+        (slot[column], np.uint32(lo), np.uint32(hi))
+        for column, lo, hi in clause_specs
+    ]
+    words, masks = _block_scratch(len(columns))
+    for start in range(0, n, SCAN_BLOCK_ROWS):
+        m = min(SCAN_BLOCK_ROWS, n - start)
+        ctx.reveal_columns(table, columns, start, start + m, words)
+        live, selected, passed = masks[0, :m], masks[1, :m], masks[2, :m]
+        np.not_equal(words[flag_slot, :m], 0, out=live)
+        for j, lo, hi in bounds:
+            live &= np.greater_equal(words[j, :m], lo, out=passed)
+            live &= np.less_equal(words[j, :m], hi, out=passed)
+        products = words[product_slot, :m]
+        for g in range(n_groups):
+            if grouped:
+                np.equal(
+                    words[slot[group_column], :m],
+                    np.uint32(group_domain[g]),
+                    out=selected,
+                )
+                selected &= live
+            else:
+                selected = live
+            if need_count:
+                counts[g] += np.count_nonzero(selected)
+            for s, column in enumerate(sum_columns):
+                # payload × isView, as in fold_aggregates: the product
+                # stays in the column's dtype, the reduction widens.  (A
+                # scan is fewer than 2^32 rows of 32-bit words, so these
+                # additions cannot leave Z_{2^64}'s first lap.)
+                np.multiply(words[slot[column], :m], selected, out=products)
+                sums[g, s] += products.sum(dtype=np.uint64)
+    return counts, sums

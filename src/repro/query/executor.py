@@ -40,13 +40,32 @@ from .ast import LogicalQuery, QueryAnswer, ViewScanPlan, predicate_clauses
 def clause_mask(
     clauses, schema, rows: np.ndarray
 ) -> np.ndarray | None:
-    """Boolean mask of rows passing every lowered interval clause.
+    """Boolean mask of plaintext rows passing every lowered interval clause.
 
-    Shared by the secure scan and the plaintext ground-truth path so the
-    two can never drift; returns None when there is nothing to filter.
+    The predicate of the plaintext ground-truth path and of the scan
+    kernel's test oracle; returns None when there is nothing to filter.
     """
     return range_mask(
         rows, [(schema.index(c.column), c.lo, c.hi) for c in clauses]
+    )
+
+
+def scan_arguments(plan: ViewScanPlan, schema) -> tuple:
+    """``plan`` lowered onto column positions of ``schema``.
+
+    The arguments of :func:`~repro.oblivious.filter.oblivious_multi_aggregate`
+    after the protocol scope and the table — ``(sum_columns, need_count,
+    group_column, group_domain, clause_specs, predicate_words)`` — as
+    every backend hands them to the kernel: plain ints and tuples, no
+    plan or schema objects.
+    """
+    return (
+        tuple(schema.index(c) for c in plan.sum_view_columns),
+        plan.need_count,
+        schema.index(plan.group_column) if plan.group_column else None,
+        plan.group_domain,
+        tuple((schema.index(c.column), int(c.lo), int(c.hi)) for c in plan.clauses),
+        plan.predicate_words,
     )
 
 
@@ -122,21 +141,9 @@ def execute_view_scan(
     plan carries, the view's padded rows are touched exactly once;
     returns ``(answer, QET)``.
     """
-    schema = view.schema
     with runtime.protocol("query", time) as ctx:
-        rows, flags = ctx.reveal_table(view.table)
-        mask = clause_mask(plan.clauses, schema, rows)
         counts, sums = oblivious_multi_aggregate(
-            ctx,
-            rows,
-            flags,
-            [schema.index(c) for c in plan.sum_view_columns],
-            plan.need_count,
-            schema.index(plan.group_column) if plan.group_column else None,
-            plan.group_domain,
-            mask,
-            schema.width,
-            plan.predicate_words,
+            ctx, view.table, *scan_arguments(plan, view.schema)
         )
         seconds = ctx.seconds
     answer = assemble_answer(plan.aggregate_slots, plan.group_domain, counts, sums)

@@ -17,19 +17,19 @@ runs the same kernel and merges the same accumulators:
 
 * **in-process** (``"thread"``, and what ``"auto"`` — the default —
   always resolves to).  Shards with nothing past their watermark are
-  answered without a call; the rest run inline on the calling thread
-  while the public delta ``Σ(n_rows − start)`` is below
-  :data:`POOL_MIN_DELTA_ROWS`, and on a process-wide thread pool from
-  there up.  The kernel is numpy calls that release the GIL, so the
-  pool does overlap shards (1.6× on two cores at ≥ 1.2 M rows); what it
-  costs is the hand-off, which is why small deltas stay inline.
+  answered without a call; the rest run one after the other on the
+  calling thread.  The kernel walks a shard in cache-sized blocks —
+  dozens of short numpy calls — so two threads scanning two shards
+  mostly hand the interpreter lock back and forth: a thread pool lost
+  to the inline loop at every size measured (131k to 1.6 M rows) and is
+  gone.
 * ``"process"`` — a persistent ``spawn`` worker pool over shared-memory
   publications (:mod:`repro.query.shard_workers`); workers return
   partial accumulators plus gate counts, replayed onto the real shard
   contexts.  ``"remote"`` does the same over sockets (:mod:`repro.dist`).
   Both are **forced-only**: against the in-process path they lost at
-  every size measured (400k rows: 3.3 vs 2.1 ms per query; the task
-  round trip alone is ≈ 1.2 ms, and every Shrink release republishes
+  every size measured (the task round trip alone is ≈ 1 ms, a whole
+  400k-row inline scan ≈ 1.5 ms, and every Shrink release republishes
   the view), so ``auto`` never picks them — ``docs/SHARDING.md`` has
   the table.
 
@@ -67,18 +67,15 @@ arguments.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..mpc.runtime import MPCRuntime, ProtocolContext
+from ..mpc.runtime import MPCRuntime
 from ..oblivious.filter import oblivious_multi_aggregate
-from ..sharing.shared_value import SharedTable
 from ..storage.materialized_view import MaterializedView
 from .ast import QueryAnswer, ViewScanPlan
-from .executor import assemble_answer, clause_mask
+from .executor import assemble_answer, scan_arguments
 from .incremental import AccumulatorCache, ScanReport, ShardAccumulator
 
 #: Executor backends a caller may request.  ``"remote"`` scatters shard
@@ -86,16 +83,17 @@ from .incremental import AccumulatorCache, ScanReport, ShardAccumulator
 #: requires a connected coordinator (``remote=`` on the constructor).
 SCAN_BACKENDS = ("auto", "thread", "process", "remote")
 
-#: In-process scans fan out on the shared thread pool once the public
-#: delta ``Σ(n_rows − start)`` reaches this many rows; below it the
-#: shards run inline on the calling thread.  Measured on the 2-core
-#: reference host, 4 shards, cold range-predicate scans: submitting four
-#: tasks to idle pool threads and collecting them costs 0.19 ms, the
-#: kernel ≈ 7 ns/row, and inline/pool medians are 0.95/1.19 ms at 131k
-#: rows, 1.85/1.95 at 262k, 2.7/2.4 at 400k, 8.1/5.0 at 1.2 M — the two
-#: tie here.  The ``bigview`` benchmark pair sits on both sides (warm
-#: deltas of a few hundred rows, cold scans of 400k).
-POOL_MIN_DELTA_ROWS = 262_144
+#: The one size threshold: a view scan over fewer unscanned rows than
+#: this — the public delta ``Σ(n_rows − start)`` — is short enough to run
+#: on whatever thread asked for it.  It encodes a *time*, ≈ 1.8 ms of
+#: scan on the calling thread: on the 2-core reference host the blocked
+#: kernel costs 1.9 ns/row for a filtered COUNT and 3.6 ns/row with a SUM
+#: beside it (4 column-major shards), so 524,288 rows.  Its reader is
+#: :meth:`repro.server.runtime.DatabaseServer._runs_in_bounded_time` —
+#: which event-loop requests may scan where they were decoded.  (The
+#: name is from when the same bound also moved scans onto a thread pool;
+#: it was 262,144 rows at the 7 ns/row of the row-major kernel.)
+POOL_MIN_DELTA_ROWS = 524_288
 
 
 def usable_cpus() -> int:
@@ -106,61 +104,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: Process-wide worker pools, one per distinct size.  Shared across every
-#: executor (and therefore every database) so a process that constructs
-#: many deployments — the randomized equivalence suite, a server that
-#: restores repeatedly — holds a *bounded* number of idle worker threads
-#: instead of one pool per database instance.
-_SHARED_POOLS: dict[int, ThreadPoolExecutor] = {}
-_SHARED_POOLS_LOCK = threading.Lock()
-
-
-def _shared_pool(max_workers: int) -> ThreadPoolExecutor:
-    with _SHARED_POOLS_LOCK:
-        pool = _SHARED_POOLS.get(max_workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix=f"incshrink-shard-scan-{max_workers}",
-            )
-            _SHARED_POOLS[max_workers] = pool
-        return pool
-
-
-def shutdown_shared_pools() -> None:
-    """Tear down every shared scan pool (idempotent; queries re-open)."""
-    with _SHARED_POOLS_LOCK:
-        for pool in _SHARED_POOLS.values():
-            pool.shutdown(wait=True)
-        _SHARED_POOLS.clear()
-
-
 class ParallelScanExecutor:
     """Runs one lowered view-scan plan across shards on a worker backend.
 
     ``backend`` is the executor seam: ``"thread"`` and ``"auto"`` (the
-    default) scan in-process — inline or on the process-wide thread
-    pool, by public delta size (:data:`POOL_MIN_DELTA_ROWS`) —
+    default) scan in-process, shard after shard on the calling thread;
     ``"process"`` forces the persistent shared-memory worker pool of
     :mod:`repro.query.shard_workers` (:meth:`backend_for`).  Shard scans
     are pure reveal/charge work on disjoint contexts (no RNG, no shared
     mutable state), so every backend preserves the deterministic
-    per-shard protocol discipline.  With one shard — or
-    ``max_workers=1`` in-process — execution is serial and
+    per-shard protocol discipline.  With one shard execution is
     byte-identical to :func:`repro.query.executor.execute_view_scan`,
     including the logged gate total and simulated seconds.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        backend: str = "auto",
-        remote=None,
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
+    def __init__(self, backend: str = "auto", remote=None) -> None:
         if backend not in SCAN_BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {SCAN_BACKENDS}, got {backend!r}"
@@ -170,7 +128,6 @@ class ParallelScanExecutor:
                 "backend 'remote' needs a connected RemoteScanBackend "
                 "(remote=...)"
             )
-        self.max_workers = max_workers or min(32, usable_cpus())
         self.backend = backend
         #: the :class:`repro.dist.RemoteScanBackend` coordinator, when
         #: this executor scatters to a worker fleet
@@ -237,11 +194,8 @@ class ParallelScanExecutor:
         only its own delta.
         """
         schema = view.schema
-        sum_indices = [schema.index(c) for c in plan.sum_view_columns]
-        group_column = (
-            schema.index(plan.group_column) if plan.group_column else None
-        )
-        n_groups = plan.n_groups
+        kernel_args = scan_arguments(plan, schema)
+        n_groups, n_sums = plan.n_groups, len(plan.sum_view_columns)
         shards = view.shards
         lengths = [len(shard) for shard in shards]
         backend = self.backend_for(view)
@@ -251,27 +205,6 @@ class ParallelScanExecutor:
             if entry is not None
             else [0] * len(shards)
         )
-
-        def scan_shard(
-            ctx: ProtocolContext, shard: SharedTable, start: int
-        ) -> tuple[np.ndarray, np.ndarray]:
-            # Suffix selection is share-local (public slice on each
-            # half), so the host-side reveal/fold work is O(delta) too.
-            suffix = shard.take(slice(start, None)) if start else shard
-            rows, flags = ctx.reveal_table(suffix)
-            mask = clause_mask(plan.clauses, schema, rows)
-            return oblivious_multi_aggregate(
-                ctx,
-                rows,
-                flags,
-                sum_indices,
-                plan.need_count,
-                group_column,
-                plan.group_domain,
-                mask,
-                schema.width,
-                plan.predicate_words,
-            )
 
         # Watermarks never pass their shard's length (the cache checks),
         # so the difference is the public delta this query scans.
@@ -288,27 +221,23 @@ class ParallelScanExecutor:
             else:
                 parts[i] = (
                     np.zeros(n_groups, dtype=np.int64),
-                    np.zeros((n_groups, len(sum_indices)), dtype=np.uint64),
+                    np.zeros((n_groups, n_sums), dtype=np.uint64),
                 )
 
         def worker_spec() -> dict:
-            # The plan as out-of-process workers receive it: scalars and
-            # pre-lowered (column, lo, hi) clauses, no plan/schema objects.
+            # The plan as out-of-process workers receive it: the kernel's
+            # own arguments by name, plus the width of the rows they hold.
+            sum_indices, need_count, group, domain, clauses, predicate_words = (
+                kernel_args
+            )
             return dict(
-                sum_indices=tuple(sum_indices),
-                need_count=plan.need_count,
-                group_column=group_column,
-                group_domain=(
-                    tuple(plan.group_domain)
-                    if plan.group_domain is not None
-                    else None
-                ),
-                clause_specs=tuple(
-                    (schema.index(c.column), int(c.lo), int(c.hi))
-                    for c in plan.clauses
-                ),
+                sum_indices=sum_indices,
+                need_count=need_count,
+                group_column=group,
+                group_domain=None if domain is None else tuple(domain),
+                clause_specs=clauses,
                 payload_words=schema.width,
-                predicate_words=plan.predicate_words,
+                predicate_words=predicate_words,
             )
 
         with runtime.parallel_protocol("query", time, len(shards)) as group:
@@ -355,30 +284,15 @@ class ParallelScanExecutor:
                 for i, (counts, sums, gates) in zip(pending, results):
                     group.contexts[i].charge_gates(gates)
                     parts[i] = (counts, sums)
-            elif (
-                len(pending) > 1
-                and self.max_workers > 1
-                and total_rows - cached_rows >= POOL_MIN_DELTA_ROWS
-            ):
-                pool = _shared_pool(self.max_workers)
-                futures = [
-                    pool.submit(
-                        scan_shard, group.contexts[i], shards[i], starts[i]
-                    )
-                    for i in pending
-                ]
-                # Every shard must settle before the group closes: on a
-                # failure the siblings finish (or fail) first, so the
-                # merged ProtocolRun's gate total is never read while a
-                # worker is still charging, and no worker ever touches a
-                # closed context.  The first failure then re-raises, in
-                # shard order, deterministically.
-                wait(futures)
-                for i, future in zip(pending, futures):
-                    parts[i] = future.result()
             else:
                 for i in pending:
-                    parts[i] = scan_shard(group.contexts[i], shards[i], starts[i])
+                    # Suffix selection is share-local (a public slice of
+                    # each half): the kernel reveals and folds O(delta).
+                    shard = shards[i]
+                    suffix = shard.take(slice(starts[i], None)) if starts[i] else shard
+                    parts[i] = oblivious_multi_aggregate(
+                        group.contexts[i], suffix, *kernel_args
+                    )
             # Per-shard full-prefix accumulators: cached prefix (when
             # warm) plus the suffix just folded.  Counts add in Z, sums
             # add in Z_{2^64} — the same folds the one-pass scan

@@ -54,9 +54,11 @@ from multiprocessing import get_context, shared_memory
 import numpy as np
 
 from ..common.errors import ProtocolError
+from ..common.types import Schema
 from ..mpc.cost_model import CostModel
 from ..mpc.runtime import WorkerShardContext
-from ..oblivious.filter import oblivious_multi_aggregate, range_mask
+from ..oblivious.filter import oblivious_multi_aggregate
+from ..sharing.shared_value import SharedArray, SharedTable
 from ..storage.sharded_container import ShardedTableContainer
 from .parallel import usable_cpus
 
@@ -70,8 +72,9 @@ class ShardScanTask:
     """Everything one worker needs to scan one shard, all picklable.
 
     ``offset_words`` indexes into the publication's flat ``uint32``
-    buffer; the shard occupies ``2·n·w`` row-share words followed by
-    ``2·n`` flag-share words (share half 0 then half 1 for each).
+    buffer; the shard occupies ``2·n·w`` row-share words (column-major)
+    followed by ``2·n`` flag-share words (share half 0 then half 1 for
+    each).
     Clauses arrive pre-lowered to ``(column_index, lo, hi)`` so workers
     never unpickle plan/schema objects.
 
@@ -146,29 +149,30 @@ def scan_share_suffix(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The shard-scan kernel over already-sliced share halves.
 
-    XOR-recovers the rows, evaluates the pre-lowered clauses, and runs
+    Wraps the halves (``payload_words`` columns wide) as the
+    :class:`~repro.sharing.shared_value.SharedTable` they are and runs
     the same :func:`~repro.oblivious.filter.oblivious_multi_aggregate`
-    pass every backend runs, under a charge-only
+    pass every backend runs, under a
     :class:`~repro.mpc.runtime.WorkerShardContext`.  Shared verbatim by
     the shared-memory process workers (:func:`worker_scan`) and the
     distributed shard-worker daemon (:mod:`repro.dist.worker`) — one
     kernel, so "byte-identical across backends" is structural, not
     re-proved per transport.
     """
-    rows = rows0 ^ rows1
-    flags = (flags0 ^ flags1).astype(bool)
-    mask = range_mask(rows, clause_specs)
+    table = SharedTable(
+        Schema(tuple(f"c{i}" for i in range(payload_words))),
+        SharedArray(rows0, rows1),
+        SharedArray(flags0, flags1),
+    )
     ctx = WorkerShardContext(cost_model)
     counts, sums = oblivious_multi_aggregate(
         ctx,
-        rows,
-        flags,
-        list(sum_indices),
+        table,
+        sum_indices,
         need_count,
         group_column,
         group_domain,
-        mask,
-        payload_words,
+        clause_specs,
         predicate_words,
     )
     return counts, sums, ctx.gates
@@ -189,8 +193,8 @@ def worker_scan(task: ShardScanTask) -> tuple[np.ndarray, np.ndarray, int]:
     start = task.start_row
     rw = n * w
     return scan_share_suffix(
-        flat[base : base + rw].reshape(n, w)[start:],
-        flat[base + rw : base + 2 * rw].reshape(n, w)[start:],
+        flat[base : base + rw].reshape(w, n).T[start:],
+        flat[base + rw : base + 2 * rw].reshape(w, n).T[start:],
         flat[base + 2 * rw : base + 2 * rw + n][start:],
         flat[base + 2 * rw + n : base + 2 * rw + 2 * n][start:],
         task.sum_indices,
@@ -236,7 +240,8 @@ class ViewPublication:
     """One container's shards copied into a single shared-memory segment.
 
     Layout: shards back-to-back, each as ``rows·share0 ‖ rows·share1 ‖
-    flags·share0 ‖ flags·share1`` (all ``uint32``).  ``shard_meta`` holds
+    flags·share0 ‖ flags·share1`` (all ``uint32``), the row halves
+    column-major — one run per column, as the view stores them.  ``shard_meta`` holds
     each shard's ``(offset_words, n_rows)``.
     """
 
@@ -258,8 +263,14 @@ class ViewPublication:
             n = len(table)
             rw = n * self.width
             self.shard_meta.append((offset, n))
-            flat[offset : offset + rw] = table.rows.share0.ravel()
-            flat[offset + rw : offset + 2 * rw] = table.rows.share1.ravel()
+            # Column-major, like the shard buffers being copied.
+            column_shape = (self.width, n)
+            flat[offset : offset + rw].reshape(column_shape)[:] = (
+                table.rows.share0.T
+            )
+            flat[offset + rw : offset + 2 * rw].reshape(column_shape)[:] = (
+                table.rows.share1.T
+            )
             flat[offset + 2 * rw : offset + 2 * rw + n] = table.flags.share0
             flat[offset + 2 * rw + n : offset + 2 * rw + 2 * n] = table.flags.share1
             offset += 2 * rw + 2 * n

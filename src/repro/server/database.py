@@ -21,9 +21,10 @@ and DP-Sync motivate for private data federations:
   **all aggregates and all groups in one oblivious pass**;
 * views and caches are partitioned by a data-independent round-robin
   :class:`~repro.server.sharding.ShardLayout` (``n_shards``, default 1);
-  view-scan plans execute one shard per worker thread through the
+  view-scan plans execute one shard per protocol lane through the
   :class:`~repro.query.parallel.ParallelScanExecutor`, byte-identically
-  to the serial scan but at ``1/effective_workers`` of the wall clock;
+  to the serial scan but at ``1/effective_workers`` of the simulated
+  wall clock;
 * privacy composes through a single shared
   :class:`~repro.dp.accountant.PrivacyAccountant`: the database's total ε
   is split across DP views by the operator-level allocation of
@@ -183,7 +184,6 @@ class IncShrinkDatabase:
         grid_steps: int = 20,
         multiplicity_hint: float = 1.0,
         n_shards: int = 1,
-        scan_workers: int | None = None,
         scan_backend: str = "auto",
         incremental: bool = True,
         max_cached_queries: int = DEFAULT_MAX_CACHED_QUERIES,
@@ -207,12 +207,10 @@ class IncShrinkDatabase:
         #: pure function of public lengths, so the layout adds no leakage
         #: beyond the already-public total sizes.
         self.shard_layout = ShardLayout(n_shards)
-        #: Parallel scan engine answering view-scan plans one shard per
-        #: worker (thread or process backend, ``scan_backend``-selected);
+        #: Scan engine answering view-scan plans shard by shard (in this
+        #: process, or on ``scan_backend``-selected workers);
         #: byte-identical to the serial executor in every backend.
-        self.scan_executor = ParallelScanExecutor(
-            max_workers=scan_workers, backend=scan_backend
-        )
+        self.scan_executor = ParallelScanExecutor(backend=scan_backend)
         self.runtime = runtime or MPCRuntime(seed=seed, cost_model=cost_model)
         # One ledger for every view's releases; segments are namespaced
         # per view.  Its parallel/sequential compositions are per-release
@@ -493,9 +491,7 @@ class IncShrinkDatabase:
         """Requested executor backend (``auto`` resolves per view)."""
         return self.scan_executor.backend
 
-    def set_scan_backend(
-        self, backend: str, scan_workers: int | None = None
-    ) -> None:
+    def set_scan_backend(self, backend: str) -> None:
         """Switch the view-scan execution backend at runtime.
 
         Purely operational: answers, gate totals, and realized ε are
@@ -506,9 +502,7 @@ class IncShrinkDatabase:
         ``"remote"`` disconnects the worker fleet.
         """
         old_remote = self.scan_executor.remote
-        self.scan_executor = ParallelScanExecutor(
-            max_workers=scan_workers, backend=backend
-        )
+        self.scan_executor = ParallelScanExecutor(backend=backend)
         if old_remote is not None:
             old_remote.close()
         self._state_version += 1
@@ -517,7 +511,6 @@ class IncShrinkDatabase:
         self,
         endpoints,
         replication: int = 2,
-        scan_workers: int | None = None,
         heartbeat_interval: float = 1.0,
         token: str | None = None,
     ) -> None:
@@ -542,9 +535,7 @@ class IncShrinkDatabase:
             token=token,
         ).start()
         old_remote = self.scan_executor.remote
-        self.scan_executor = ParallelScanExecutor(
-            max_workers=scan_workers, backend="remote", remote=remote
-        )
+        self.scan_executor = ParallelScanExecutor(backend="remote", remote=remote)
         if old_remote is not None:
             old_remote.close()
         self._state_version += 1

@@ -25,14 +25,19 @@ This module serializes the full outsourced state to one
   per-shard tables, so a restored deployment scans with the same
   parallelism it was checkpointed with.
 
-The file is a binary container (:data:`SNAPSHOT_VERSION` 4)::
+The file is a binary container (:data:`SNAPSHOT_VERSION` 5)::
 
     magic (18 B) | version (u16) | head length (u64) | head | arrays | SHA-256
 
 The *head* is the body assembled by :func:`_snapshot_body` as compact
 UTF-8 JSON (``{"created_at": …, "body": …}``) in which every array is
 reduced to ``{"dtype", "shape", "offset"}``; the arrays follow as their
-raw C-contiguous bytes, back to back, in the order the head names them.
+raw bytes, back to back, in the order the head names them — C order,
+unless the entry also says ``"order": "F"``: a view shard's share half
+is held column-major, and is written the way memory holds it, one
+column's run after the other, and read back into a buffer the restored
+shard adopts, so neither direction transposes (version 4, which this
+build still restores, is the same container without that key).
 The 32-byte trailer is the SHA-256 of every byte before it, fed to the
 hash as the bytes are written — the body is serialised once and each
 byte hashed once.  :func:`restore_database` checks every size the file
@@ -86,8 +91,12 @@ from .database import IncShrinkDatabase, ViewRegistration
 SNAPSHOT_MAGIC = b"incshrink-snapshot"
 #: Bump on any incompatible change to the container or the body layout.
 #: Versions 1–3 were JSON documents; only
-#: :mod:`repro.server.snapshot_upgrade` still reads them.
-SNAPSHOT_VERSION = 4
+#: :mod:`repro.server.snapshot_upgrade` still reads them.  Version 5
+#: added the optional ``"order"`` key of an array entry.
+SNAPSHOT_VERSION = 5
+#: Container versions :func:`restore_database` reads: a version-4 file is
+#: a version-5 file none of whose arrays is column-major.
+READABLE_VERSIONS = (4, SNAPSHOT_VERSION)
 
 #: magic, format version, head length — the fixed-size start of the file.
 _PREAMBLE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQ")
@@ -144,9 +153,10 @@ class RestoredDatabase:
 
 
 # -- arrays: out of the head on the way out, back into it on the way in --------
-#: What an array leaves behind in the head.  The key set is reserved: the
-#: reader takes any JSON object with exactly these keys for an array.
+#: What an array leaves behind in the head.  The key sets are reserved:
+#: the reader takes any JSON object with exactly these keys for an array.
 _ARRAY_KEYS = frozenset(("dtype", "shape", "offset"))
+_ORDERED_ARRAY_KEYS = _ARRAY_KEYS | {"order"}
 _DTYPE_STR = re.compile(r"[<>|][biuf][0-9]{1,2}")
 
 
@@ -154,12 +164,14 @@ class _ArraySection:
     """The arrays of one snapshot being written, in file order.
 
     The body holds its arrays as ``ndarray`` leaves.  :meth:`lift` is the
-    JSON encoder's ``default`` hook: it moves each array here and leaves
-    its dtype, shape and byte offset within the section in the head.
+    JSON encoder's ``default`` hook: it moves each array here — as the
+    contiguous chunks to write, none of them a copy of an array that
+    already is one run or one run per column — and leaves its dtype,
+    shape and byte offset within the section in the head.
     """
 
     def __init__(self) -> None:
-        self.arrays: list[np.ndarray] = []
+        self.chunks: list[np.ndarray] = []
         self.nbytes = 0
 
     def lift(self, value: object) -> dict:
@@ -167,15 +179,33 @@ class _ArraySection:
             raise TypeError(
                 f"cannot persist a value of type {type(value).__name__}"
             )
-        arr = np.ascontiguousarray(value)
         entry = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
             "offset": self.nbytes,
         }
-        self.arrays.append(arr)
-        self.nbytes += arr.nbytes
+        if _is_column_major(value):
+            entry["order"] = "F"
+            self.chunks.extend(value.T)
+        else:
+            self.chunks.append(np.ascontiguousarray(value))
+        self.nbytes += value.nbytes
         return entry
+
+
+def _is_column_major(arr: np.ndarray) -> bool:
+    """A matrix each of whose columns is one contiguous run.
+
+    True of a view shard's face whether or not its buffer has spare
+    capacity.  Matrices with a single row or column read the same in
+    either order and are written as C, so that what a head says depends
+    on an array's shape and never on how its holder came by it.
+    """
+    return (
+        arr.ndim == 2
+        and min(arr.shape) > 1
+        and arr.strides[0] == arr.itemsize
+    )
 
 
 class _ArrayLoader:
@@ -183,9 +213,11 @@ class _ArrayLoader:
 
     :meth:`claim` is the JSON decoder's ``object_hook``: each array entry
     becomes an empty, owned ``ndarray`` of its dtype and shape, to be
-    filled from the array section in the order claimed.  An entry that
-    is not where the previous one ended, or that reaches past the
-    ``limit`` bytes the file has left, is refused before it is allocated.
+    filled from the array section in the order claimed — a column-major
+    entry the transposed face of a C-contiguous buffer, filled in the
+    same single pass.  An entry that is not where the previous one
+    ended, or that reaches past the ``limit`` bytes the file has left,
+    is refused before it is allocated.
     """
 
     def __init__(self, limit: int) -> None:
@@ -194,7 +226,12 @@ class _ArrayLoader:
         self.limit = limit
 
     def claim(self, entry: dict) -> object:
-        if entry.keys() != _ARRAY_KEYS:
+        keys = entry.keys()
+        if keys == _ARRAY_KEYS:
+            column_major = False
+        elif keys == _ORDERED_ARRAY_KEYS:
+            column_major = True
+        else:
             return entry
         dtype, shape, offset = entry["dtype"], entry["shape"], entry["offset"]
         try:
@@ -207,6 +244,8 @@ class _ArrayLoader:
                 and all(isinstance(d, int) and d >= 0 for d in shape)
             ):
                 raise TypeError("unusable dtype or shape")
+            if column_major and (entry["order"] != "F" or len(shape) != 2):
+                raise TypeError("unusable order")
             dtype = np.dtype(dtype)
             nbytes = dtype.itemsize * math.prod(shape)
             if offset != self.nbytes or nbytes > self.limit - self.nbytes:
@@ -214,14 +253,14 @@ class _ArrayLoader:
                     f"{nbytes} bytes do not continue the array section at "
                     f"{self.nbytes} of {self.limit}"
                 )
-            arr = np.empty(shape, dtype)
+            arr = np.empty(shape[::-1] if column_major else shape, dtype)
         except (TypeError, ValueError) as exc:
             raise PersistenceError(
                 f"malformed array entry {entry!r}: {exc}"
             ) from exc
         self.arrays.append(arr)
         self.nbytes += nbytes
-        return arr
+        return arr.T if column_major else arr
 
 
 def _encode_shared_array(sa: SharedArray) -> dict:
@@ -453,7 +492,7 @@ def _write_snapshot(
     fd, tmp_path = tempfile.mkstemp(prefix=".snapshot-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in (preamble, head, *section.arrays):
+            for chunk in (preamble, head, *section.chunks):
                 fh.write(chunk)
                 digest.update(chunk)
             fh.write(digest.digest())
@@ -500,10 +539,10 @@ def _read_snapshot(path: str) -> tuple[dict, SnapshotInfo]:
                 "a head and a digest"
             )
         _, version, head_len = _PREAMBLE.unpack(preamble)
-        if version != SNAPSHOT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise PersistenceError(
                 f"snapshot {path!r} has format version {version}; this "
-                f"build reads version {SNAPSHOT_VERSION}"
+                f"build reads versions {READABLE_VERSIONS}"
             )
         digest = hashlib.sha256(preamble)
         try:

@@ -11,26 +11,116 @@ The view is a shard-aware container
 are placed round-robin by global append position — a pure function of
 public lengths — and :attr:`table` always reconstructs the exact global
 append order, so sharding changes *where* shares sit, never what any
-protocol computes.  The parallel scan engine reads :attr:`shards`
-directly, one per worker.
+protocol computes.
+
+It is stored the way it is scanned.  Every query is one padded pass that
+reads a few *columns* of every row, so each shard keeps, per server, one
+contiguous run of share words per column plus the flag column, in
+buffers with spare capacity (:class:`ColumnShard`).  An append writes
+each shard's stride of the delta straight past the shard's length;
+:attr:`MaterializedView.shards` is a zero-copy face over the first
+``n`` rows.  Which words sit where is a function of the public lengths
+alone, and each server lays out its own half, so the layout is as
+share-local as the placement.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..common.errors import ProtocolError
 from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
-from ..sharing.shared_value import SharedTable
+from ..sharing.shared_value import SharedArray, SharedTable
 from .sharded_container import ShardedTableContainer, make_layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..server.sharding import ShardLayout
 
+#: A shard that outgrows its buffers moves into buffers this many times
+#: the size it needs (and at least :data:`MIN_CAPACITY_ROWS`), one array
+#: at a time: a growth never holds two copies of more than one share half
+#: of one shard, and a row is moved once on average.  A growth is worth
+#: making rare — its cost is first-touch page faults on the copy, 4–35 ms
+#: for a 150k-row shard on the reference VM (``docs/SHARDING.md`` has
+#: the ingest shares at 1.125×, 2× and 4×) — but capacity is not free
+#: either: pages past a shard's length are never written and so never
+#: resident, *except* where numpy asks the kernel for huge pages (arrays
+#: of 4 MiB and up), which are resident 2 MiB at a time.  Twice is where
+#: ``peak_rss_mb`` on the 400k-row benchmark view still reads what an
+#: exact fit reads (79–80 MB; four times reads 103).
+CAPACITY_FACTOR = 2
+MIN_CAPACITY_ROWS = 64
+
+
+class ColumnShard:
+    """One view shard as the two servers hold it, column-major.
+
+    ``rows0``/``rows1`` are ``(width, capacity)`` word matrices — row
+    ``c`` is column ``c`` of the shard, contiguous — and
+    ``flags0``/``flags1`` the ``(capacity,)`` flag runs; the first ``n``
+    positions of each are content, the rest is room for appends.  Content
+    is never overwritten: an append lands past ``n`` and a growth moves
+    into fresh arrays, so a :meth:`face` taken earlier keeps revealing
+    exactly the prefix it was taken over, for as long as it is held.
+    """
+
+    __slots__ = ("rows0", "rows1", "flags0", "flags1", "n")
+    _ARRAYS = ("rows0", "rows1", "flags0", "flags1")
+
+    def __init__(self, table: SharedTable) -> None:
+        """A full shard (capacity = length) holding ``table``'s words.
+
+        A half that already is one run per column — what
+        :meth:`face` hands out and what the snapshot reader allocates —
+        is taken as it is; anything else (an empty or a row-major table)
+        is transposed into a fresh array, one half at a time.  Taking an
+        array another holder also references is safe: with no spare
+        capacity the first append moves this shard into arrays of its
+        own.
+        """
+        self.rows0 = np.ascontiguousarray(table.rows.share0.T)
+        self.rows1 = np.ascontiguousarray(table.rows.share1.T)
+        self.flags0 = np.ascontiguousarray(table.flags.share0)
+        self.flags1 = np.ascontiguousarray(table.flags.share1)
+        self.n = len(table)
+
+    def write(self, delta: SharedTable, rows: slice) -> None:
+        """Append ``delta[rows]`` (a public stride) in place."""
+        flags0 = delta.flags.share0[rows]
+        lo, hi = self.n, self.n + len(flags0)
+        if hi == lo:
+            return
+        if hi > len(self.flags0):
+            self._grow(hi)
+        self.rows0[:, lo:hi] = delta.rows.share0[rows].T
+        self.rows1[:, lo:hi] = delta.rows.share1[rows].T
+        self.flags0[lo:hi] = flags0
+        self.flags1[lo:hi] = delta.flags.share1[rows]
+        self.n = hi
+
+    def _grow(self, needed: int) -> None:
+        capacity = CAPACITY_FACTOR * max(needed, MIN_CAPACITY_ROWS)
+        for name in self._ARRAYS:
+            old = getattr(self, name)
+            new = np.empty(old.shape[:-1] + (capacity,), dtype=np.uint32)
+            new[..., : self.n] = old[..., : self.n]
+            setattr(self, name, new)
+
+    def face(self, schema: Schema) -> SharedTable:
+        """The first ``n`` rows as a :class:`SharedTable` — views, no copy."""
+        n = self.n
+        return SharedTable(
+            schema,
+            SharedArray(self.rows0[:, :n].T, self.rows1[:, :n].T),
+            SharedArray(self.flags0[:n], self.flags1[:n]),
+        )
+
 
 class MaterializedView(ShardedTableContainer):
-    """Append-only secret-shared view instance, stored in shards."""
+    """Append-only secret-shared view instance, stored in column shards."""
 
     container_name = "view"
 
@@ -48,6 +138,36 @@ class MaterializedView(ShardedTableContainer):
         self._scatter_append(delta)
         if count_as_update:
             self.update_count += 1
+
+    # -- physical storage: column-major buffers ----------------------------------
+    def _reset_storage(self) -> None:
+        empty = SharedTable.empty(self.schema)
+        self._adopt_columns(
+            [ColumnShard(empty) for _ in range(self.layout.n_shards)]
+        )
+
+    def _adopt_columns(self, columns: list[ColumnShard]) -> None:
+        self._columns = columns
+        self._faces: list[SharedTable] | None = None
+
+    def _store(self, delta: SharedTable, start: int) -> None:
+        # Shard s takes every k-th delta row from its first round-robin
+        # slot, written directly: no per-shard parts in between.
+        k = self.layout.n_shards
+        for s, shard in enumerate(self._columns):
+            shard.write(delta, slice((s - start) % k, None, k))
+        self._faces = None
+
+    @property
+    def shards(self) -> list[SharedTable]:
+        """Zero-copy per-shard faces over the rows appended so far.
+
+        A list taken before later appends stays what it was: exactly
+        those rows (see :class:`ColumnShard`).
+        """
+        if self._faces is None:
+            self._faces = [shard.face(self.schema) for shard in self._columns]
+        return list(self._faces)
 
     # -- persistence hooks ----------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -68,10 +188,8 @@ class MaterializedView(ShardedTableContainer):
                     f"got {observed} (expected {expected} for {total} rows "
                     f"over {self.layout.n_shards} shards)"
                 )
-            self._shard_chunks = [[t] if len(t) else [] for t in shards]
-            self._shard_rows = list(observed)
+            self._adopt_columns([ColumnShard(t) for t in shards])
             self._total_rows = total
-            self._byte_size = sum(t.byte_size for t in shards)
             self._bump_version()
             # A restore replaces content wholesale — even when the shard
             # shape matches, cached prefixes over the old content must

@@ -18,6 +18,14 @@ the *whole* cache — so it gathers the shards back into exact append
 order first (share-local), runs the one oblivious sort the unsharded
 cache runs, and re-scatters the kept suffix.  Identical circuit,
 identical charges, identical randomness consumption.
+
+Unlike the view, the cache stays **row-major**: it is read whole and
+row-wise once a step (reveal, sort, re-share) and then replaced, so each
+shard is simply the list of row-major deltas it was handed — appends
+are O(delta) and the chunks are concatenated, one batched copy per
+share half, when a read asks for them.  (The prototype of the view's
+column-major buffers gave them to the cache as well; it cost
+``upload_p50_ms`` +12–16 % on the ingest-bound workload.)
 """
 
 from __future__ import annotations
@@ -35,6 +43,36 @@ class SecureCache(ShardedTableContainer):
     """Secret-shared staging area for not-yet-synchronised view tuples."""
 
     container_name = "cache"
+
+    # -- physical storage: row-major chunk lists -------------------------------
+    def _reset_storage(self) -> None:
+        self._shard_chunks: list[list[SharedTable]] = [
+            [] for _ in range(self.layout.n_shards)
+        ]
+
+    def _store(self, delta: SharedTable, start: int) -> None:
+        if self.layout.n_shards == 1:
+            parts = [delta]
+        else:
+            parts = self.layout.scatter(delta, start)
+        for chunks, part in zip(self._shard_chunks, parts):
+            if len(part):
+                chunks.append(part)
+
+    @property
+    def shards(self) -> list[SharedTable]:
+        """Contiguous per-shard tables (consolidated lazily, then kept)."""
+        out = []
+        for s, chunks in enumerate(self._shard_chunks):
+            if not chunks:
+                table = SharedTable.empty(self.schema)
+            elif len(chunks) == 1:
+                table = chunks[0]
+            else:
+                table = SharedTable.concat_all(chunks)
+                self._shard_chunks[s] = [table]
+            out.append(table)
+        return out
 
     def append(self, delta: SharedTable) -> None:
         """Scatter a padded Transform output round-robin across shards

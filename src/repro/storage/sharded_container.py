@@ -1,17 +1,24 @@
 """Shared machinery of the shard-aware secret-shared containers.
 
-The materialized view and the secure cache store their content the same
-way: rows placed round-robin by global append position across the shards
-of a :class:`~repro.server.sharding.ShardLayout` (one shard by default —
-byte-identical to the historical flat table), with per-shard *chunked*
-storage so appends are O(delta) and consolidation into contiguous shard
-tables happens lazily with one batched concatenation per share half.
-:class:`ShardedTableContainer` holds that one copy; the view and the
-cache subclass it with their protocol-facing surfaces.
+The materialized view and the secure cache place their content the same
+way: rows round-robin by global append position across the shards of a
+:class:`~repro.server.sharding.ShardLayout` (one shard by default —
+byte-identical to the historical flat table).
+:class:`ShardedTableContainer` owns that public structure — lengths,
+byte size, the two mutation counters, the gathered :attr:`table` and
+:meth:`reshard` — and leaves the *physical* layout of a shard to three
+hooks, because the two containers are read in opposite ways:
 
-Everything here is share-local — public-index ``take`` and
-concatenation on each server's own half — so the containers add no
-leakage beyond the already-public lengths and consume no randomness.
+* the view is scanned column by column, many times per append, so
+  :class:`~repro.storage.materialized_view.MaterializedView` keeps
+  column-major buffers it appends to in place;
+* the cache is read whole and row-wise once a step and then replaced,
+  so :class:`~repro.storage.secure_cache.SecureCache` keeps the row-major
+  deltas it was handed, concatenated lazily.
+
+Everything here is share-local — public-index slices and copies on each
+server's own half — so the containers add no leakage beyond the
+already-public lengths and consume no randomness.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..common.errors import ProtocolError
 from ..common.types import Schema
-from ..sharing.shared_value import SharedTable
+from ..sharing.shared_value import WORD_BYTES, SharedTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..server.sharding import ShardLayout
@@ -45,7 +52,12 @@ def make_layout(n_shards: int) -> "ShardLayout":
 
 
 class ShardedTableContainer:
-    """Round-robin-sharded, chunk-buffered secret-shared relation."""
+    """Round-robin-sharded secret-shared relation (public bookkeeping).
+
+    Subclasses supply the physical shard storage: :meth:`_reset_storage`
+    (empty shards for the current layout), :meth:`_store` (place one
+    delta) and :attr:`shards` (the per-shard tables).
+    """
 
     #: Subclasses name themselves in schema-mismatch errors.
     container_name = "container"
@@ -53,15 +65,9 @@ class ShardedTableContainer:
     def __init__(self, schema: Schema, layout: "ShardLayout | None" = None) -> None:
         self.schema = schema
         self.layout = layout if layout is not None else _single_shard()
-        self._shard_chunks: list[list[SharedTable]] = [
-            [] for _ in range(self.layout.n_shards)
-        ]
+        #: The one size kept: round-robin placement makes every other
+        #: public size (per-shard rows, ciphertext bytes) a function of it.
         self._total_rows = 0
-        #: Running per-shard row counts and total ciphertext bytes of the
-        #: chunks above, kept by every path that replaces or extends them
-        #: (the sizes are read every step; the chunk lists only grow).
-        self._shard_rows = [0] * self.layout.n_shards
-        self._byte_size = 0
         self._gathered: SharedTable | None = None
         self._content_version = 0
         self._append_epoch = 0
@@ -71,6 +77,7 @@ class ShardedTableContainer:
         #: entries on this instead of ``id()``, which the allocator may
         #: reuse.
         self.container_uid = next(_CONTAINER_UIDS)
+        self._reset_storage()
 
     # -- public structure -------------------------------------------------------
     def __len__(self) -> int:
@@ -82,7 +89,8 @@ class ShardedTableContainer:
 
     @property
     def byte_size(self) -> int:
-        return self._byte_size
+        """Per-server ciphertext bytes: every row's words plus its flag."""
+        return self._total_rows * (self.schema.width + 1) * WORD_BYTES
 
     @property
     def content_version(self) -> int:
@@ -119,22 +127,7 @@ class ShardedTableContainer:
 
     def shard_lengths(self) -> tuple[int, ...]:
         """Public per-shard row counts (balanced to within one row)."""
-        return tuple(self._shard_rows)
-
-    @property
-    def shards(self) -> list[SharedTable]:
-        """Contiguous per-shard tables (consolidated lazily, then cached)."""
-        out = []
-        for s, chunks in enumerate(self._shard_chunks):
-            if not chunks:
-                table = SharedTable.empty(self.schema)
-            elif len(chunks) == 1:
-                table = chunks[0]
-            else:
-                table = SharedTable.concat_all(chunks)
-                self._shard_chunks[s] = [table]
-            out.append(table)
-        return out
+        return self.layout.shard_lengths(self._total_rows)
 
     @property
     def table(self) -> SharedTable:
@@ -143,12 +136,26 @@ class ShardedTableContainer:
         Single-shard layouts return the shard by reference (no copy);
         multi-shard gathers are memoized until the next mutation, so the
         whole-table surfaces (the serial scan oracle, ``real_count``,
-        snapshots) pay the permutation copy once per
+        the cache's sorted read) pay the permutation copy once per
         content change, not once per access.
         """
         if self._gathered is None:
             self._gathered = self.layout.gather(self.shards)
         return self._gathered
+
+    # -- physical storage (subclass hooks) ----------------------------------------
+    def _reset_storage(self) -> None:
+        """Replace the storage with empty shards for ``self.layout``."""
+        raise NotImplementedError
+
+    def _store(self, delta: SharedTable, start: int) -> None:
+        """Place ``delta`` round-robin, its first row at global ``start``."""
+        raise NotImplementedError
+
+    @property
+    def shards(self) -> list[SharedTable]:
+        """One table per shard, each in that shard's append order."""
+        raise NotImplementedError
 
     # -- mutation ---------------------------------------------------------------
     def _check_schema(self, table: SharedTable, what: str) -> None:
@@ -162,22 +169,12 @@ class ShardedTableContainer:
         """Scatter one delta round-robin, continuing from the public total."""
         self._check_schema(delta, "delta")
         self._bump_version()
-        if self.layout.n_shards == 1:
-            parts = [delta]
-        else:
-            parts = self.layout.scatter(delta, self._total_rows)
-        for s, part in enumerate(parts):
-            if len(part):
-                self._shard_chunks[s].append(part)
-                self._shard_rows[s] += len(part)
+        self._store(delta, self._total_rows)
         self._total_rows += len(delta)
-        self._byte_size += delta.byte_size
 
     def _clear(self) -> None:
-        self._shard_chunks = [[] for _ in range(self.layout.n_shards)]
-        self._shard_rows = [0] * self.layout.n_shards
+        self._reset_storage()
         self._total_rows = 0
-        self._byte_size = 0
         self._bump_version()
         self._mark_rebuilt()
 

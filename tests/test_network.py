@@ -888,6 +888,94 @@ class TestExecutionLanes:
         for key in ("answers", "query_gates", "ingest_gates", "realized_epsilon"):
             assert bounced[key] == on_the_loop[key], key
 
+    def test_the_bound_between_the_lanes_is_one_row_wide(self, monkeypatch):
+        """A cold scan of a 4-shard view one row short of
+        ``POOL_MIN_DELTA_ROWS`` runs where it was decoded and is planned
+        once; one row more and the loop plans it, declines it, and the
+        executor plans and runs it — same answers, gates and ε."""
+        from repro.query import parallel as parallel_mod
+
+        bound = parallel_mod.POOL_MIN_DELTA_ROWS
+        vd = make_view("big", 2)
+        gen = np.random.default_rng(24)
+        rows = gen.integers(0, 1 << 16, size=(bound, 4), dtype=np.uint32)
+        flags = gen.integers(0, 2, size=bound, dtype=np.uint32)
+
+        def build() -> IncShrinkDatabase:
+            # No NM fallback: against empty base tables a join would be
+            # the cheaper plan, and this is about the scan.
+            db = IncShrinkDatabase(
+                total_epsilon=2000.0, seed=7, n_shards=4, nm_fallback=False
+            )
+            db.register_view(ViewRegistration(vd, mode="ep"))
+            db.finalize()
+            view = db.views["big"].view
+            view.append(
+                db.runtime.owner_share_table(view.schema, rows[:-1], flags[:-1]),
+                count_as_update=False,
+            )
+            return db
+
+        def one_more_row(db: IncShrinkDatabase) -> None:
+            view = db.views["big"].view
+            view.append(
+                db.runtime.owner_share_table(view.schema, rows[-1:], flags[-1:]),
+                count_as_update=False,
+            )
+
+        def cold_queries(lo: int) -> list:
+            """Never seen before: each is a full scan of the view."""
+            clause = ColumnRange("orders", "key", lo, 1 << 15)
+            return [
+                (LogicalQuery.for_view(vd, predicate=clause), None),
+                (
+                    LogicalQuery.for_view(
+                        vd,
+                        AggregateSpec.count(),
+                        AggregateSpec.sum_of("shipments", "sts"),
+                        predicate=clause,
+                    ),
+                    0.3,
+                ),
+            ]
+
+        reference = build()
+        expected = [
+            reference.query(q, 0, epsilon=eps).answers for q, eps in cold_queries(1)
+        ]
+        one_more_row(reference)
+        expected += [
+            reference.query(q, 0, epsilon=eps).answers for q, eps in cold_queries(2)
+        ]
+
+        server = DatabaseServer(build())
+        plans = record_threads(monkeypatch, server.database.planner, "plan")
+        scans = record_threads(monkeypatch, server.database, "query")
+        answers = []
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address) as client:
+                for q, eps in cold_queries(1):
+                    answers.append(client.query(q, epsilon=eps).answers)
+                assert len(plans) == len(scans) == 2
+                assert all(on_loop(name) for name in plans + scans)
+                with server._rw.write_locked():
+                    one_more_row(server.database)
+                del plans[:], scans[:]
+                for q, eps in cold_queries(2):
+                    answers.append(client.query(q, epsilon=eps).answers)
+                # planned on the loop, refused for its size, planned again
+                assert [on_loop(name) for name in plans] == [True, False] * 2
+                assert len(scans) == 2 and not any(on_loop(name) for name in scans)
+        server.stop()
+        assert answers == expected
+
+        def gates(db: IncShrinkDatabase) -> list[int]:
+            return [run.gates for run in db.runtime.runs if run.name == "query"]
+
+        assert gates(server.database) == gates(reference)
+        assert server.database.realized_epsilon() == reference.realized_epsilon()
+        assert server.database.query_epsilon() == reference.query_epsilon() == 0.6
+
     def test_nm_join_never_runs_on_a_loop_thread(self, monkeypatch):
         server = DatabaseServer(build_database())
         threads = record_threads(monkeypatch, server.database, "query")

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.common.rng import spawn
+from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
 from repro.oblivious.filter import oblivious_multi_aggregate, oblivious_select
+from repro.sharing.shared_value import SharedTable
+
+UINT32_MAX = 2**32 - 1
 
 
-def scan_count(ctx, rows, flags, mask, payload_words):
-    """COUNT(*) as the one scan kernel computes it."""
+def scan_count(ctx, rows, flags, clauses=()):
+    """COUNT(*) as the one scan kernel computes it, over shares of ``rows``."""
+    table = SharedTable.from_plain(
+        Schema(("a", "b")), rows, flags, spawn(0, "filter-test")
+    )
     counts, _sums = oblivious_multi_aggregate(
-        ctx, rows, flags, [], True, None, None, mask, payload_words
+        ctx, table, [], True, None, None, clauses
     )
     return int(counts[0])
 
@@ -64,13 +72,13 @@ class TestObliviousCount:
         rows, flags = rows_flags
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert scan_count(ctx, rows, flags, None, 2) == 3
+            assert scan_count(ctx, rows, flags) == 3
 
     def test_predicate_restricts_count(self, rows_flags):
         rows, flags = rows_flags
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            count = scan_count(ctx, rows, flags, rows[:, 1] >= 20, 2)
+            count = scan_count(ctx, rows, flags, [(1, 20, UINT32_MAX)])
         assert count == 2
 
     def test_cost_scales_with_total_rows_not_real_rows(self):
@@ -81,10 +89,10 @@ class TestObliviousCount:
         no_flags_small = np.zeros(10, dtype=bool)
         no_flags_big = np.zeros(1000, dtype=bool)
         with runtime.protocol("a") as ctx:
-            scan_count(ctx, rows_small, no_flags_small, None, 2)
+            scan_count(ctx, rows_small, no_flags_small)
             small_gates = ctx.gates
         with runtime.protocol("b") as ctx:
-            scan_count(ctx, rows_big, no_flags_big, None, 2)
+            scan_count(ctx, rows_big, no_flags_big)
             big_gates = ctx.gates
         assert big_gates == 100 * small_gates
 
@@ -93,7 +101,7 @@ class TestObliviousCount:
         with runtime.protocol("p") as ctx:
             assert (
                 scan_count(
-                    ctx, np.zeros((0, 2), dtype=np.uint32), np.zeros(0, dtype=bool), None, 2
+                    ctx, np.zeros((0, 2), dtype=np.uint32), np.zeros(0, dtype=bool)
                 )
                 == 0
             )

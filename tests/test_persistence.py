@@ -345,6 +345,7 @@ def test_metadata_roundtrip(tmp_path):
 _PREAMBLE = struct.Struct(">18sHQ")  # magic, version, head length
 _DIGEST_BYTES = 32
 _ARRAY_KEYS = {"dtype", "shape", "offset"}
+_ORDERED_ARRAY_KEYS = _ARRAY_KEYS | {"order"}
 
 
 def read_container(path) -> tuple[dict, bytes, bytes]:
@@ -392,14 +393,18 @@ def write_legacy_json(path, version: int, edit=lambda body: None) -> None:
             return [deflate(item) for item in node]
         if not isinstance(node, dict):
             return node
-        if node.keys() != _ARRAY_KEYS:
+        if node.keys() not in (_ARRAY_KEYS, _ORDERED_ARRAY_KEYS):
             return {key: deflate(value) for key, value in node.items()}
         dtype = np.dtype(node["dtype"])
         end = node["offset"] + dtype.itemsize * math.prod(node["shape"])
+        data = arrays[node["offset"] : end]
+        if "order" in node:  # the old formats knew row-major only
+            columns = np.frombuffer(data, dtype).reshape(node["shape"][::-1])
+            data = np.ascontiguousarray(columns.T).tobytes()
         return {
             "dtype": str(dtype),
             "shape": node["shape"],
-            "data": base64.b64encode(arrays[node["offset"] : end]).decode("ascii"),
+            "data": base64.b64encode(data).decode("ascii"),
         }
 
     body = deflate(head["body"])
@@ -504,6 +509,7 @@ class TestIntegrity:
         head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
         trailer_start = len(raw) - _DIGEST_BYTES
         assert head_end < trailer_start, "the scenario needs an array section"
+        assert column_major_entries(path), "…with a column-major array in it"
         rng = random.Random(20221)
         offsets = [
             # the head-length field, then head, array section and trailer
@@ -566,7 +572,9 @@ class TestIntegrity:
 
     def test_restored_arrays_are_owned_and_writable(self, tmp_path):
         """Each array is its own allocation — none is a view pinning a
-        file-sized buffer, none is read-only."""
+        file-sized buffer, none is read-only.  A view shard's half is the
+        transposed face of the buffer the shard adopted: that buffer is
+        the allocation, and it is exactly as large as its content."""
         db = build_database()
         for t in (1, 2, 3):
             feed(db, t)
@@ -579,12 +587,17 @@ class TestIntegrity:
         for group in restored.groups.values():
             arrays += [g["emitted"] for g in group.ledger.snapshot_state()["groups"]]
         for vr in restored.views.values():
-            arrays += [t.rows.share1 for t in vr.view.shards]
+            for t in vr.view.shards:
+                arrays += [
+                    t.rows.share0, t.rows.share1, t.flags.share0, t.flags.share1
+                ]
             if vr.counter is not None:
                 arrays.append(vr.counter.snapshot_state().share0)
         assert len(arrays) > 20
         for arr in arrays:
-            assert arr.flags.owndata and arr.flags.writeable
+            buffer = arr if arr.flags.owndata else arr.base
+            assert buffer.flags.owndata and buffer.flags.writeable
+            assert buffer.nbytes == arr.nbytes and arr.flags.writeable
 
     def test_snapshot_restore_snapshot_is_byte_identical(self, tmp_path):
         """…apart from ``created_at``, the one thing that is about the
@@ -865,3 +878,123 @@ def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
     with pytest.raises(PersistenceError, match="not valid JSON"):
         upgrade_snapshot(tmp_path / "binary.snap", tmp_path / "out.snap")
     assert not (tmp_path / "out.snap").exists()
+
+
+# -- container version 5: column-major view shards ------------------------------
+GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
+_ORDER_KEY_BYTES = len(',"order":"F"')
+
+
+def column_major_entries(path) -> list[dict]:
+    """The array entries of a container that are stored one column at a time."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, dict):
+            if node.keys() == _ORDERED_ARRAY_KEYS:
+                found.append(node)
+            else:
+                for value in node.values():
+                    walk(value)
+
+    walk(read_container(path)[0])
+    return found
+
+
+def golden_v4_state() -> IncShrinkDatabase:
+    """The state ``tests/golden/snapshot_v4.snap`` was written from, by the
+    last commit whose writer produced version-4 containers."""
+    live = build_sharded_database(3)
+    for t in (1, 2, 3):
+        feed(live, t)
+    live.set_tenant_budgets({"ana": 1.0})
+    live.query(multi_query(), 3, epsilon=0.6, tenant="ana")
+    return live
+
+
+def query_gates(db: IncShrinkDatabase) -> list[int]:
+    return [run.gates for run in db.runtime.runs if run.name.startswith("query")]
+
+
+def test_version_4_snapshot_still_restores():
+    """Same container, no column-major entries: read directly, identical
+    answers, gates and ε, and the stream continues identically."""
+    raw = GOLDEN_V4.read_bytes()
+    assert _PREAMBLE.unpack_from(raw)[1] == 4 and SNAPSHOT_VERSION == 5
+    live = golden_v4_state()
+    live.accumulator_cache.invalidate()  # a restored database starts cold
+    restored = restore_database(GOLDEN_V4)
+    assert restored.metadata == {"last_time": 3, "note": "golden v4"}
+    db = restored.database
+    assert db.n_shards == 3 and db.tenant_budgets == {"ana": 1.0}
+    assert fingerprint(db) == fingerprint(live)
+    assert share_state(db) == share_state(live)
+    for vr in db.views.values():
+        assert_counters_exact(vr.view)
+    assert (
+        db.query(multi_query(), 3, epsilon=0.3, tenant="ana").answers
+        == live.query(multi_query(), 3, epsilon=0.3, tenant="ana").answers
+    )
+    for t in range(4, len(SCRIPT) + 1):
+        feed(db, t)
+        feed(live, t)
+    assert answer_mix(db, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
+    assert query_gates(db) == query_gates(live)[-len(query_gates(db)):]
+    assert fingerprint(db) == fingerprint(live)
+    assert share_state(db) == share_state(live)
+
+
+def test_version_5_adds_one_key_per_view_shard_half(tmp_path, monkeypatch):
+    """Re-written as version 5, the version-4 golden grows by the
+    ``"order"`` keys and nothing else — same arrays, byte for byte."""
+    restored = restore_database(GOLDEN_V4)
+    monkeypatch.setattr(persistence._time, "time", lambda: restored.info.created_at)
+    info = snapshot_database(
+        restored.database, tmp_path / "v5.snap", metadata=restored.metadata
+    )
+    entries = column_major_entries(tmp_path / "v5.snap")
+    assert entries and all(len(e["shape"]) == 2 for e in entries)
+    assert info.bytes_written - restored.info.bytes_written == (
+        _ORDER_KEY_BYTES * len(entries)
+    )
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_column_major_sections_roundtrip_byte_identically(
+    tmp_path, monkeypatch, n_shards
+):
+    """Snapshot → restore → snapshot: the same SHA-256, whether the shard
+    buffers had spare capacity (live) or none (restored)."""
+    monkeypatch.setattr(persistence._time, "time", lambda: 1234.5)
+    db = build_sharded_database(n_shards)
+    for t in (1, 2, 3, 4):
+        feed(db, t)
+    first = snapshot_database(db, tmp_path / "a.snap", metadata={"last_time": 4})
+    assert column_major_entries(tmp_path / "a.snap")
+    restored = restore_database(tmp_path / "a.snap")
+    second = snapshot_database(
+        restored.database, tmp_path / "b.snap", metadata=restored.metadata
+    )
+    assert second.sha256 == first.sha256
+    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+    # and the restored shards keep serving and growing
+    feed(db, 5)
+    feed(restored.database, 5)
+    assert answer_mix(restored.database, 5) == answer_mix(db, 5)
+    assert share_state(restored.database) == share_state(db)
+
+
+def test_malformed_order_keys_are_refused(tmp_path, never_rebuilt):
+    for entry in (
+        {"dtype": "<u4", "shape": [2, 2], "offset": 0, "order": "C"},
+        {"dtype": "<u4", "shape": [4], "offset": 0, "order": "F"},
+        {"dtype": "<u4", "shape": [1, 2, 2], "offset": 0, "order": "F"},
+    ):
+        write_container(
+            tmp_path / "bad.snap", {"created_at": 0.0, "body": {"x": entry}}, b"\\0" * 16
+        )
+        with pytest.raises(PersistenceError, match="malformed"):
+            restore_database(tmp_path / "bad.snap")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.rng import spawn
+from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
 from repro.common.errors import SchemaError
 from repro.oblivious.filter import oblivious_multi_aggregate
@@ -14,10 +15,19 @@ from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 
 
-def scan_sum(ctx, rows, flags, column, mask, payload_words):
-    """SUM(column) as the one scan kernel computes it."""
+UINT32_MAX = 2**32 - 1
+
+
+def share(rows, flags) -> SharedTable:
+    return SharedTable.from_plain(
+        Schema(("a", "b")), rows, flags, spawn(0, "sum-test")
+    )
+
+
+def scan_sum(ctx, rows, flags, column, clauses=()):
+    """SUM(column) as the one scan kernel computes it, over shares of ``rows``."""
     _counts, sums = oblivious_multi_aggregate(
-        ctx, rows, flags, [column], False, None, None, mask, payload_words
+        ctx, share(rows, flags), [column], False, None, None, clauses
     )
     return int(sums[0, 0])
 
@@ -30,13 +40,13 @@ class TestObliviousSum:
         """The dummy row's 999 must not leak into the total."""
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert scan_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2) == 60
+            assert scan_sum(ctx, self.ROWS, self.FLAGS, 1) == 60
 
     def test_predicate_restricts_sum(self):
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
             total = scan_sum(
-                ctx, self.ROWS, self.FLAGS, 1, self.ROWS[:, 0] >= 2, 2
+                ctx, self.ROWS, self.FLAGS, 1, [(0, 2, UINT32_MAX)]
             )
         assert total == 50
 
@@ -49,8 +59,6 @@ class TestObliviousSum:
                     np.zeros((0, 2), dtype=np.uint32),
                     np.zeros(0, dtype=bool),
                     1,
-                    None,
-                    2,
                 )
                 == 0
             )
@@ -60,11 +68,11 @@ class TestObliviousSum:
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("a") as ctx:
             oblivious_multi_aggregate(
-                ctx, self.ROWS, self.FLAGS, [], True, None, None, None, 2
+                ctx, share(self.ROWS, self.FLAGS), [], True, None, None
             )
             count_gates = ctx.gates
         with runtime.protocol("b") as ctx:
-            scan_sum(ctx, self.ROWS, self.FLAGS, 1, None, 2)
+            scan_sum(ctx, self.ROWS, self.FLAGS, 1)
             sum_gates = ctx.gates
         assert sum_gates > count_gates
 
@@ -73,7 +81,7 @@ class TestObliviousSum:
         flags = np.ones(2, dtype=bool)
         runtime = MPCRuntime(seed=0)
         with runtime.protocol("p") as ctx:
-            assert scan_sum(ctx, rows, flags, 1, None, 2) == 2**32
+            assert scan_sum(ctx, rows, flags, 1) == 2**32
 
 
 class TestExecuteViewSum:

@@ -9,22 +9,44 @@ now copies each column it reads once, compares on the copy, counts with
 same elements of Z and Z_{2^64}, in the same dtypes and shapes, and
 charge the same gates.  The reference implementations below are verbatim
 copies of the replaced code.
+
+The second half holds the kernel that scans *shares* —
+``oblivious_multi_aggregate``, which walks a ``SharedTable`` in blocks
+and recombines only the columns a plan reads — equal to ``range_mask`` +
+``fold_aggregates`` over a full ``reveal_table``: the plaintext
+definition it must never drift from.
 """
 
 from __future__ import annotations
 
+import threading
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.oblivious.filter as filter_mod
+from repro.common.errors import SecurityError
 from repro.common.types import Schema
 from repro.mpc.cost_model import CostModel
-from repro.mpc.runtime import WorkerShardContext
-from repro.oblivious.filter import fold_aggregates
+from repro.mpc.runtime import MPCRuntime, WorkerShardContext
+from repro.oblivious.filter import (
+    SCAN_BLOCK_ROWS,
+    fold_aggregates,
+    oblivious_multi_aggregate,
+    range_mask,
+)
+from repro.query.ast import ScanAggregate, ViewScanPlan
 from repro.query.executor import clause_mask
+from repro.query.incremental import AccumulatorCache, ShardAccumulator
+from repro.query.parallel import ParallelScanExecutor
 from repro.query.shard_workers import scan_share_suffix
+from repro.server.sharding import ShardLayout
+from repro.sharing.shared_value import SharedArray, SharedTable
+from repro.storage.materialized_view import MaterializedView
 
 WIDTH = 4
 SCHEMA = Schema(("a", "b", "c", "d"))
@@ -235,3 +257,227 @@ def test_scan_share_suffix_equals_reference_kernel(
     want = _ref_scan_share_suffix(*args)
     _assert_same(got[:2], want[:2])
     assert got[2] == want[2]
+
+
+# -- the blocked kernel over shares ≡ range_mask + fold_aggregates over a reveal --
+BLOCK = SCAN_BLOCK_ROWS
+TOP = (1 << 32) - 1
+
+
+def _shared_table(gen, n: int, width: int, column_major: bool, domain) -> SharedTable:
+    """Random shares of random rows; dummies carry payload like real rows.
+
+    Column 0 is drawn near ``domain`` (so groups are hit, and missed),
+    the rest over the full ring with a run of top elements.  Column-major
+    tables are faces over buffers with spare capacity, as a view shard's.
+    """
+    plain = gen.integers(0, 1 << 32, size=(n, width), dtype=np.uint32)
+    plain[:, 0] = gen.integers(0, max(domain) + 2, size=n)
+    if n and width > 1:
+        plain[: max(1, n // 3), 1] = TOP
+    flags = gen.integers(0, 2, size=n, dtype=np.uint32)
+    flags[flags == 1] = gen.integers(1, 1 << 32, size=int(flags.sum()))  # any non-zero word
+    halves = []
+    for words in (plain, flags):
+        mask = gen.integers(0, 1 << 32, size=words.shape, dtype=np.uint32)
+        pair = []
+        for half in (mask, words ^ mask):
+            if column_major:
+                buffer = np.zeros(words.shape[::-1][:-1] + (n + 5,), dtype=np.uint32)
+                buffer[..., :n] = half.T
+                half = buffer[..., :n].T
+            pair.append(half)
+        halves.append(SharedArray(*pair))
+    schema = Schema(tuple(f"c{i}" for i in range(width)))
+    return SharedTable(schema, *halves)
+
+
+class ChargeLog(list):
+    """Every ``charge_gates`` call made on a context, in order."""
+
+    def attach(self, ctx):
+        charge = ctx.charge_gates
+
+        def recording(gates):
+            self.append(int(gates))
+            charge(gates)
+
+        ctx.charge_gates = recording
+        return ctx
+
+
+def _reference(ctx, table, sum_columns, need_count, group_column, group_domain,
+               clause_specs, predicate_words):
+    """The definition: reveal everything, mask, fold — and the same charges."""
+    rows, flags = ctx.reveal_table(table)
+    n = len(rows)
+    n_groups = len(group_domain) if group_column is not None else 1
+    ctx.charge_scan(n, table.schema.width, predicate_words)
+    ctx.charge_gates(
+        n * ctx.cost_model.aggregate_slot_gates(
+            need_count, len(sum_columns), n_groups, group_column is not None
+        )
+    )
+    mask = range_mask(rows, clause_specs)
+    live = flags if mask is None else flags & mask
+    return fold_aggregates(
+        rows, live, sum_columns, need_count, group_column, group_domain
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]),
+    width=st.integers(1, 6),
+    column_major=st.booleans(),
+    n_clauses=st.integers(0, 3),
+    sum_picks=st.lists(st.integers(0, 5), min_size=0, max_size=3),
+    need_count=st.booleans(),
+    domain=st.one_of(
+        st.none(),
+        st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True),
+    ),
+    start_pick=st.integers(0, 1 << 30),
+)
+def test_blocked_kernel_is_the_reference(
+    seed, n, width, column_major, n_clauses, sum_picks, need_count, domain,
+    start_pick,
+):
+    gen = np.random.default_rng(seed)
+    shard = _shared_table(gen, n, width, column_major, domain or (6,))
+    # a suffix past a watermark: 0 <= start <= n, whole shard when 0
+    start = start_pick % (n + 1)
+    table = shard.take(slice(start, None)) if start else shard
+    clause_specs = []
+    for _ in range(n_clauses):
+        lo, hi = sorted(int(v) for v in gen.integers(0, 1 << 32, size=2))
+        kind = int(gen.integers(0, 4))
+        if kind == 0:
+            lo, hi = hi, lo  # passes nothing
+        elif kind == 1:
+            lo, hi = 0, TOP  # passes everything
+        clause_specs.append((int(gen.integers(0, width)), lo, hi))
+    args = (
+        tuple(c % width for c in sum_picks),  # repeats allowed
+        need_count,
+        0 if domain else None,
+        tuple(domain) if domain else None,
+        tuple(clause_specs),
+        1 + n_clauses,
+    )
+    runtime = MPCRuntime(seed=0)
+    got_charges, want_charges = ChargeLog(), ChargeLog()
+    with runtime.protocol("kernel") as ctx:
+        got = oblivious_multi_aggregate(got_charges.attach(ctx), table, *args)
+        got_gates = ctx.gates
+    with runtime.protocol("reference") as ctx:
+        want = _reference(want_charges.attach(ctx), table, *args)
+        want_gates = ctx.gates
+    _assert_same(got, want)
+    assert got_charges == want_charges and got_gates == want_gates
+
+
+def test_closed_scope_is_refused_before_any_word_is_recombined(monkeypatch):
+    gen = np.random.default_rng(0)
+    table = _shared_table(gen, 50, 3, True, (1, 2))
+    runtime = MPCRuntime(seed=0)
+    with runtime.protocol("done") as ctx:
+        pass
+    touched = []
+    monkeypatch.setattr(
+        "repro.mpc.runtime._recombine_columns",
+        lambda *args: touched.append(args),
+    )
+    with pytest.raises(SecurityError, match="already closed"):
+        oblivious_multi_aggregate(ctx, table, (1,), True, None, None, ((0, 0, 5),))
+    scratch = np.zeros((2, 50), dtype=np.uint32)
+    with pytest.raises(SecurityError, match="reveal_columns on protocol scope 'done'"):
+        ctx.reveal_columns(table, (1,), 0, 50, scratch)
+    assert touched == [] and not scratch.any()
+
+
+def test_threads_scanning_different_shards_never_share_scratch():
+    """Two scans forced to be mid-block at the same moment."""
+    gen = np.random.default_rng(1)
+    tables = [_shared_table(gen, 2 * BLOCK + 11, 3, True, (1, 2)) for _ in range(2)]
+    args = ((1, 2), True, 0, (1, 2, 7), ((1, 5, TOP - 5),), 2)
+    runtime = MPCRuntime(seed=0)
+    barrier = threading.Barrier(2, timeout=30)
+    results, scratches = [None, None], [None, None]
+
+    def scan(i, ctx):
+        reveal = ctx.reveal_columns
+
+        def in_step(table, columns, start, stop, out):
+            scratches[i] = out
+            reveal(table, columns, start, stop, out)
+            barrier.wait()  # both blocks revealed, neither folded yet
+
+        ctx.reveal_columns = in_step
+        results[i] = oblivious_multi_aggregate(ctx, tables[i], *args)
+
+    with runtime.parallel_protocol("query", 0, 2) as group:
+        threads = [
+            threading.Thread(target=scan, args=(i, group.contexts[i]))
+            for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+    assert not np.shares_memory(scratches[0], scratches[1])
+    with runtime.protocol("reference") as ctx:
+        for table, got in zip(tables, results):
+            _assert_same(got, _reference(ctx, table, *args))
+    # within one thread the buffers are reused, not reallocated
+    first, _ = filter_mod._block_scratch(3)
+    again, _ = filter_mod._block_scratch(2)
+    assert first is again
+
+
+def test_kernel_allocates_nothing_proportional_to_the_shard():
+    """Scratch is sized by the block and the plan's columns alone."""
+    gen = np.random.default_rng(2)
+    table = _shared_table(gen, 6 * BLOCK, 4, True, (1, 2))
+    args = ((1, 3), True, 0, (1, 2), ((2, 7, TOP),), 2)
+    runtime = MPCRuntime(seed=0)
+    with runtime.protocol("warm-up") as ctx:
+        oblivious_multi_aggregate(ctx, table, *args)
+    with runtime.protocol("measured") as ctx:
+        tracemalloc.start()
+        oblivious_multi_aggregate(ctx, table, *args)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    # numpy's 64 KiB cast buffer for the widening sum is the whole of it;
+    # one revealed column of this table alone would be 768 KiB.
+    assert peak < 100_000
+
+
+def test_sums_wrap_in_the_ring_where_they_can():
+    """One scan cannot reach 2^64 (fewer than 2^32 rows of 32-bit words),
+    so the kernel's own additions never wrap; the warm merge of a cached
+    prefix accumulator with the suffix just folded can, and must wrap
+    exactly as the one-pass Z_{2^64} fold would."""
+    gen = np.random.default_rng(7)
+    schema = Schema(("c0", "c1"))
+    plan = ViewScanPlan("v", (ScanAggregate("sum", "s", "c1"),))
+    view = MaterializedView(schema, layout=ShardLayout(2))
+    cache, runtime = AccumulatorCache(), MPCRuntime(seed=0)
+    near_top = np.uint64((1 << 64) - 5)
+    cache.store(  # a prefix of zero rows whose sums sit just under 2^64
+        view,
+        plan,
+        [
+            ShardAccumulator(0, np.zeros(1, np.int64), np.full((1, 1), near_top), 0)
+            for _ in range(2)
+        ],
+    )
+    rows = np.full((6, 2), TOP, dtype=np.uint32)
+    view.append(SharedTable.from_plain(schema, rows, np.ones(6, np.uint32), gen))
+    answer, _, report = ParallelScanExecutor().execute_detailed(
+        runtime, 0, view, plan, cache
+    )
+    assert report.mode == "warm" and report.delta_rows == 6
+    assert answer.rows == (((2 * ((1 << 64) - 5) + 6 * TOP) % (1 << 64),),)

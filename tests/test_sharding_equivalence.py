@@ -235,10 +235,6 @@ class TestParallelScanExecutor:
         ):
             leaked.reveal_table(view.shards[1])
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_workers must be >= 1, got 0"):
-            ParallelScanExecutor(max_workers=0)
-
     def test_shard_context_rejects_randomness_operations(self):
         """Shard contexts are reveal/charge only: drawing randomness from
         a worker thread would break the deterministic RNG streams."""
@@ -253,24 +249,29 @@ class TestParallelScanExecutor:
             with pytest.raises(ProtocolError, match="joint_uniform_u32"):
                 ctx.joint_uniform_u32(1)
 
-    def test_failing_shard_settles_siblings_and_releases_the_slot(self):
+    def test_failing_shard_settles_siblings_and_releases_the_slot(self, monkeypatch):
         """A shard-scan failure propagates only after every sibling has
         settled, and the runtime's protocol slot is released."""
         vd = make_view_def()
         plan = lower_to_view_scan(dashboard_query(vd), vd)
         runtime = MPCRuntime(seed=0)
         view = populated_view(ShardLayout(3))
-        # Corrupt one shard with too-narrow rows so its scan raises
-        # inside the worker pool (white-box: bypasses append's checks).
+        # One shard hands out too-narrow rows, so its scan raises (the
+        # real shards cannot be made to: append checks the schema).
         bad = SharedTable.from_plain(
             Schema(("x",)),
             np.zeros((2, 1), dtype=np.uint32),
             np.ones(2, dtype=np.uint32),
             spawn(3, "bad"),
         )
-        view._shard_chunks[1] = [bad]
+        good = view.shards
+        monkeypatch.setattr(
+            MaterializedView,
+            "shards",
+            property(lambda self: [good[0], bad, good[2]]),
+        )
         with pytest.raises(IndexError):
-            ParallelScanExecutor(max_workers=4).execute(runtime, 0, view, plan)
+            ParallelScanExecutor().execute(runtime, 0, view, plan)
         assert runtime.runs[-1].name == "query"  # the failed run settled
         with runtime.protocol("after", 1):  # and the slot is free again
             pass
@@ -456,7 +457,7 @@ class TestBackendSelection:
         # The rule this test used to pin — process workers above a shard
         # size on a multi-core host — lost to the in-process path at
         # every size measured: auto now resolves in-process whatever the
-        # shard size and CPU count, and size only decides inline vs pool.
+        # shard size, CPU count and request-lane threshold.
         view = self._view_with_rows(4, 64)
         for cpus in (1, 8):
             monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: cpus)

@@ -300,13 +300,19 @@ class TestMaterializedView:
 
 
 def assert_counters_exact(container) -> None:
-    """The running sizes equal what walking the stored chunks gives."""
-    chunks = container._shard_chunks
-    assert container.byte_size == sum(t.byte_size for c in chunks for t in c)
-    assert container.shard_lengths() == tuple(
-        sum(len(t) for t in c) for c in chunks
-    )
+    """The public sizes equal what the shards themselves hold."""
+    shards = container.shards
+    assert len(shards) == container.n_shards
+    assert container.shard_lengths() == tuple(len(t) for t in shards)
+    assert container.byte_size == sum(t.byte_size for t in shards)
     assert len(container) == sum(container.shard_lengths())
+
+
+def reveal(table: SharedTable) -> tuple[list, list]:
+    """Plaintext of a shared table (inside a throwaway protocol scope)."""
+    with MPCRuntime(seed=0).protocol("peek") as ctx:
+        rows, flags = ctx.reveal_table(table)
+    return rows.tolist(), flags.tolist()
 
 
 def random_delta(gen, n_rows: int) -> SharedTable:
@@ -334,8 +340,8 @@ class TestContainerCounters:
             cache.append(random_delta(gen, n_rows))
             assert_counters_exact(view)
             assert_counters_exact(cache)
-        view.shards  # lazy consolidation replaces the chunk lists
-        assert_counters_exact(view)
+        cache.shards  # lazy consolidation replaces the chunk lists
+        assert_counters_exact(cache)
 
         with runtime.protocol("read") as ctx:
             cache.sorted_read(ctx, 4)
@@ -388,3 +394,99 @@ class TestContainerCounters:
         assert view.byte_size == 500 * (2 * 4 + 4)
         assert view.shard_lengths() == (500,)
         assert touched == []
+
+
+class TestColumnShards:
+    """The view's shards are zero-copy faces over buffers appended in place."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
+    def test_table_equals_the_gather_of_the_row_major_reference(self, n_shards):
+        gen = np.random.default_rng(n_shards)
+        layout = ShardLayout(n_shards)
+        view = MaterializedView(SCHEMA, layout=layout)
+        reference = SecureCache(SCHEMA, layout=layout)  # row-major chunks
+        deltas = [random_delta(gen, n) for n in (5, 0, 1, 300, 17)]
+        for delta in deltas:
+            view.append(delta)
+            reference.append(delta)
+            for ours, theirs in zip(view.shards, reference.shards):
+                assert reveal(ours) == reveal(theirs)
+        assert reveal(view.table) == reveal(reference.table)
+        assert reveal(view.table) == reveal(SharedTable.concat_all(deltas))
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_held_shards_stay_an_exact_prefix_across_growth(self, n_shards):
+        """Appends land past a held face's length; a growth moves the
+        shard into fresh buffers and leaves the held ones alone."""
+        gen = np.random.default_rng(5)
+        view = MaterializedView(SCHEMA, layout=ShardLayout(n_shards))
+        view.append(random_delta(gen, 9))
+        held = view.shards
+        before = [reveal(t) for t in held]
+        buffers = {id(t.rows.share0.base) for t in held}
+        grew = False
+        for _ in range(12):
+            view.append(random_delta(gen, 150))
+            grew |= not buffers & {id(t.rows.share0.base) for t in view.shards}
+            assert [reveal(t) for t in held] == before
+            assert [len(t) for t in held] == [len(b[1]) for b in before]
+        assert grew, "the scenario must cross at least one buffer growth"
+        # ...and the live shards continue the held ones.
+        for old, new in zip(before, view.shards):
+            rows, flags = reveal(new)
+            assert (rows[: len(old[0])], flags[: len(old[1])]) == old
+
+    def test_shards_are_faces_not_copies(self):
+        view = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        view.append(random_delta(np.random.default_rng(1), 40))
+        first, second = view.shards, view.shards
+        for a, b in zip(first, second):
+            assert np.shares_memory(a.rows.share0, b.rows.share0)
+            assert np.shares_memory(a.flags.share1, b.flags.share1)
+            # column-major: each column of a share half is one run
+            assert a.rows.share0[:, 0].flags.c_contiguous
+            assert a.rows.share1[:, 1].flags.c_contiguous
+
+    def test_version_and_epoch_move_as_documented(self):
+        gen = np.random.default_rng(2)
+        view = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        cache = SecureCache(SCHEMA, layout=ShardLayout(2))
+        for container in (view, cache):
+            version, epoch = container.content_version, container.append_epoch
+            for n_rows in (3, 0, 4):  # appends: a version each, same epoch
+                container.append(random_delta(gen, n_rows))
+                version += 1
+                assert container.content_version == version
+                assert container.append_epoch == epoch
+            container.reshard(ShardLayout(3))  # clear + re-scatter
+            assert container.content_version == version + 2
+            assert container.append_epoch == epoch + 1
+        version, epoch = view.content_version, view.append_epoch
+        view.restore_state(view.snapshot_state())  # same shard count
+        assert view.content_version > version and view.append_epoch == epoch + 1
+        other = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        other.append(random_delta(gen, 5))
+        epoch = view.append_epoch
+        view.restore_state(other.snapshot_state())  # another shard count
+        assert view.append_epoch == epoch + 1 and len(view) == 5
+        with MPCRuntime(seed=0).protocol("flush") as ctx:
+            epoch = cache.append_epoch
+            cache.sorted_read(ctx, 2)
+        assert cache.append_epoch == epoch + 1
+
+    @pytest.mark.parametrize("saved_shards, restored_shards", [(3, 3), (3, 2), (1, 4)])
+    def test_restore_then_append_continues_the_round_robin(
+        self, saved_shards, restored_shards
+    ):
+        gen = np.random.default_rng(13)
+        deltas = [random_delta(gen, n) for n in (4, 7, 2)]
+        saved = MaterializedView(SCHEMA, layout=ShardLayout(saved_shards))
+        for delta in deltas[:2]:
+            saved.append(delta)
+        restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
+        restored.restore_state(saved.snapshot_state())
+        restored.append(deltas[2])
+        assert_counters_exact(restored)
+        assert reveal(restored.table) == reveal(SharedTable.concat_all(deltas))
+        # the donor is untouched by the append into the restored copy
+        assert reveal(saved.table) == reveal(SharedTable.concat_all(deltas[:2]))

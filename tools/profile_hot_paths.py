@@ -3,7 +3,9 @@
 
 Runs the kernels queries and uploads actually spend time in — the padded
 multi-aggregate view scan (:func:`repro.oblivious.filter.
-oblivious_multi_aggregate`, bare and behind a range predicate), the
+oblivious_multi_aggregate` over one column-major shard, bare and behind
+a range predicate; and ``cold_scan``, the ``bigview-adhoc`` query: four
+shards through the in-process executor), the
 oblivious sort on position-tiebroken keys
 (:func:`repro.oblivious.sort.oblivious_sort`) and Transform's ω-truncated
 sort-merge join (:func:`repro.oblivious.sort_merge_join.
@@ -58,39 +60,80 @@ TIMED_REPEATS = 5
 LONG_STREAM_STEPS = 3_000
 
 
-def _scan_workload(rows: int, clause_specs=()):
-    """One padded multi-aggregate GROUP BY scan over ``rows`` rows,
-    behind the range predicate ``clause_specs`` when there is one."""
-    from repro.mpc.runtime import MPCRuntime
-    from repro.oblivious.filter import oblivious_multi_aggregate, range_mask
+def _random_view(rows: int, n_shards: int, high: int):
+    """A view of ``rows`` random rows (half dummies) in ``n_shards`` shards."""
+    from repro.common.types import Schema
+    from repro.server.sharding import ShardLayout
+    from repro.sharing.shared_value import SharedTable
+    from repro.storage.materialized_view import MaterializedView
 
     gen = np.random.default_rng(13)
-    data = gen.integers(0, 8, size=(rows, 4)).astype(np.uint32)
-    flags = gen.integers(0, 2, size=rows).astype(bool)
+    schema = Schema(("a", "b", "c", "d"))
+    data = gen.integers(0, high, size=(rows, 4), dtype=np.uint32)
+    flags = gen.integers(0, 2, size=rows, dtype=np.uint32)
+    view = MaterializedView(schema, layout=ShardLayout(n_shards))
+    view.append(SharedTable.from_plain(schema, data, flags, gen))
+    return view
+
+
+def _scan_workload(rows: int, clause_specs=()):
+    """One padded multi-aggregate GROUP BY scan over one ``rows``-row
+    column-major shard, behind the range predicate ``clause_specs`` when
+    there is one."""
+    from repro.mpc.runtime import MPCRuntime
+    from repro.oblivious.filter import oblivious_multi_aggregate
+
+    [shard] = _random_view(rows, 1, 8).shards
     runtime = MPCRuntime(seed=0)
 
     def run() -> None:
         with runtime.protocol("profile-scan", 0) as ctx:
             oblivious_multi_aggregate(
                 ctx,
-                data,
-                flags,
+                shard,
                 sum_columns=(3, 3),
                 need_count=True,
                 group_column=0,
                 group_domain=(0, 1, 2, 3),
-                predicate_mask=range_mask(data, clause_specs),
-                payload_words=4,
+                clause_specs=clause_specs,
             )
 
     return run
 
 
 def _range_scan_workload(rows: int):
-    """The same scan behind ``2 <= column 1 <= 5`` (half the rows): the
-    predicate is evaluated on a column of row-major data, where a
-    compare on the strided view costs ~7x one on a contiguous copy."""
+    """The same scan behind ``2 <= column 1 <= 5`` (half the rows): one
+    more column revealed per block, two compares on it."""
     return _scan_workload(rows, clause_specs=((1, 2, 5),))
+
+
+def _cold_scan_workload(rows: int):
+    """A ``bigview-adhoc`` query: COUNT + SUM + AVG behind a key range,
+    cold, over ``rows`` rows in four shards, through the executor
+    (no accumulator cache, so every call scans everything).  Watch for
+    anything whose cost follows the shard length outside the kernel's
+    block loop — a copy, a concatenation, a whole-shard reveal."""
+    from repro.mpc.runtime import MPCRuntime
+    from repro.query.ast import ScanAggregate, ScanClause, ViewScanPlan
+    from repro.query.parallel import ParallelScanExecutor
+
+    view = _random_view(rows, 4, 1 << 24)
+    plan = ViewScanPlan(
+        view_name="profile",
+        aggregates=(
+            ScanAggregate("count", "count"),
+            ScanAggregate("sum", "sum_d", "d"),
+            ScanAggregate("avg", "avg_d", "d"),
+        ),
+        clauses=(ScanClause("a", 1 << 22, 3 << 22),),
+    )
+    executor = ParallelScanExecutor()
+    runtime = MPCRuntime(seed=0)
+
+    def run() -> None:
+        executor.execute_detailed(runtime, 0, view, plan)
+
+    return run
 
 
 def _sort_workload(rows: int):
@@ -227,6 +270,7 @@ def _incremental_workload(rows: int):
 WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
+    "cold_scan": _cold_scan_workload,
     "oblivious_sort": _sort_workload,
     "transform_join": _transform_join_workload,
     "incremental_scan": _incremental_workload,
