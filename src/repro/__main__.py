@@ -9,9 +9,6 @@ Usage::
     python -m repro multiview --dataset tpcds --steps 96 --epsilon 3.0 --shards 4
     python -m repro serve --steps 48 --snapshot deploy.snap --clients 2 --shards 4
     python -m repro serve --steps 24 --listen 127.0.0.1:9731
-    python -m repro shard-worker --listen 127.0.0.1:9801
-    python -m repro serve --steps 24 --shards 4 \
-        --workers 127.0.0.1:9801,127.0.0.1:9802 --replication 2
     python -m repro client --connect 127.0.0.1:9731 --stats
     python -m repro client --connect 127.0.0.1:9731 --count --epsilon 0.5
     python -m repro resume --snapshot deploy.snap
@@ -31,10 +28,6 @@ snapshots) — with ``--listen`` it exposes the database over TCP (the
 wire protocol of :mod:`repro.net`) instead of running local client
 threads, and ``client`` connects to such a server to query it, fetch
 its observability surface, checkpoint, or reshard it remotely;
-``shard-worker`` runs one member of the distributed scan fleet
-(:mod:`repro.dist`) — point ``serve`` or ``query`` at a fleet with
-``--workers host:port,…`` and every view scan scatters over it,
-byte-identically to local execution;
 ``resume`` restores a snapshotted deployment and
 continues its stream from where it stopped; ``query`` compiles one
 logical query (flag- or JSON-specified aggregates, GROUP BY, residual
@@ -66,7 +59,6 @@ from .experiments.harness import (
 from .common.errors import (
     ConfigurationError,
     PersistenceError,
-    ProtocolError,
     SchemaError,
 )
 from .net.client import IncShrinkClient
@@ -132,27 +124,6 @@ def _add_incremental_flag(parser) -> None:
         "pays the full O(n) gate bill instead of rescanning only the "
         "suffix appended since the last identical query (answers and "
         "epsilon are identical either way)",
-    )
-
-
-def _add_workers_flags(parser) -> None:
-    parser.add_argument(
-        "--workers", default=None, metavar="HOST:PORT,...",
-        help="scatter view scans over these shard-worker daemons "
-        "(`python -m repro shard-worker`); implies the remote scan "
-        "backend (answers, gate totals, and epsilon are identical to "
-        "local execution)",
-    )
-    parser.add_argument(
-        "--replication", type=int, default=2, metavar="N",
-        help="with --workers: host every shard on N workers so a dead "
-        "worker's scans fail over to a replica mid-query (default: 2, "
-        "capped at the fleet size)",
-    )
-    parser.add_argument(
-        "--worker-token", default=None, metavar="TOKEN",
-        help="with --workers: pre-shared fleet token offered in every "
-        "worker handshake (pair with `shard-worker --token`)",
     )
 
 
@@ -291,31 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --listen: append structured JSON audit events "
         "(auth failures, quota/budget rejections) to this file",
     )
-    _add_workers_flags(serve)
-
-    sw = sub.add_parser(
-        "shard-worker",
-        help="run one shard-worker daemon of the distributed scan fleet",
-    )
-    sw.add_argument(
-        "--listen", required=True, metavar="HOST:PORT",
-        help="bind address (port 0 lets the OS pick; the bound address "
-        "is printed)",
-    )
-    sw.add_argument(
-        "--name", default=None,
-        help="worker name reported in handshakes and heartbeat gauges",
-    )
-    sw.add_argument(
-        "--serve-seconds", type=float, default=None,
-        help="exit after this long (default: serve until Ctrl-C)",
-    )
-    sw.add_argument(
-        "--token", default=None,
-        help="pre-shared fleet token; when set, every connection must "
-        "offer it in the hello handshake (pair with the coordinator's "
-        "--worker-token)",
-    )
 
     res = sub.add_parser(
         "resume",
@@ -355,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_scan_backend_flag(qp)
     _add_incremental_flag(qp)
-    _add_workers_flags(qp)
     _add_query_flags(qp)
 
     cl = sub.add_parser(
@@ -561,26 +506,6 @@ def _format_serving(server, deployment, resumed_from: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def _connect_fleet(db, args) -> None:
-    """Point ``db`` at the ``--workers`` fleet (purely operational)."""
-    if args.replication < 1:
-        raise SystemExit(f"--replication must be >= 1, got {args.replication}")
-    try:
-        db.set_remote_workers(
-            args.workers,
-            replication=args.replication,
-            token=args.worker_token,
-        )
-    except (ProtocolError, ConfigurationError) as exc:
-        raise SystemExit(f"cannot connect worker fleet: {exc}")
-    remote = db.scan_executor.remote
-    alive = sum(1 for link in remote.links if link.alive)
-    print(
-        f"scattering scans over {alive}/{len(remote.links)} shard "
-        f"worker(s), replication {remote.replication}"
-    )
-
-
 def _cmd_serve(args) -> None:
     _check_shards(args.shards)
     listen = None if args.listen is None else _parse_listen(args.listen)
@@ -613,8 +538,6 @@ def _cmd_serve(args) -> None:
         incremental=args.incremental,
     )
     deployment = build_multiview_deployment(config)
-    if args.workers is not None:
-        _connect_fleet(deployment.database, args)
     server = DatabaseServer(
         deployment.database,
         snapshot_path=args.snapshot,
@@ -958,9 +881,6 @@ def _cmd_query(args) -> None:
         time_at = deployment.workload.steps[-1].time
         source = f"live build: {args.dataset}, {args.steps} steps"
 
-    if args.workers is not None:
-        _connect_fleet(db, args)
-
     registrations = {r.view_def.name: r.view_def for r in db.registrations}
     if view_name is None:
         view_def = db.registrations[0].view_def
@@ -1005,7 +925,6 @@ def _cmd_query(args) -> None:
         )
     print()
     print(_format_answer_table(result))
-    db.close_remote()
 
 
 def _cmd_upgrade_snapshot(args) -> None:
@@ -1018,34 +937,6 @@ def _cmd_upgrade_snapshot(args) -> None:
         f"upgraded {args.old} -> {info.path}: {info.bytes_written} bytes, "
         f"sha256 {info.sha256}"
     )
-
-
-def _cmd_shard_worker(args) -> None:
-    from .dist import ShardWorker
-
-    host, port = _parse_listen(args.listen)
-    if args.serve_seconds is not None and args.serve_seconds < 0:
-        raise SystemExit(
-            f"--serve-seconds must be >= 0, got {args.serve_seconds}"
-        )
-    worker = ShardWorker(host, port, name=args.name, token=args.token)
-    try:
-        worker.start()
-    except OSError as exc:
-        raise SystemExit(f"cannot bind {host}:{port}: {exc}")
-    bound_host, bound_port = worker.address
-    # Scripted deployments (the benchmark, the CI smoke job) parse this
-    # exact line to learn the OS-assigned port.
-    print(f"shard worker listening on {bound_host}:{bound_port}", flush=True)
-    try:
-        if args.serve_seconds is not None:
-            _time.sleep(args.serve_seconds)
-        else:
-            worker.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        worker.stop()
 
 
 def _cmd_client(args) -> None:
@@ -1173,8 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
         print(_format_multiview(result))
     elif args.command == "serve":
         _cmd_serve(args)
-    elif args.command == "shard-worker":
-        _cmd_shard_worker(args)
     elif args.command == "resume":
         _cmd_resume(args)
     elif args.command == "upgrade-snapshot":

@@ -1,16 +1,14 @@
-"""Exponential backoff with full jitter, shared by every redial path.
+"""Exponential backoff with full jitter for the client's redial loop.
 
-Both retry loops that dial TCP endpoints — the analyst client's
-``connect()`` and the distributed coordinator's worker redial
-(:mod:`repro.dist.membership`) — use the same schedule: exponential
-growth capped at a ceiling, with **full jitter** (the delay is drawn
-uniformly from ``[0, min(cap, base * 2**attempt)]``).  Full jitter is
-the AWS-architecture-blog result: among capped exponential variants it
-minimizes total client work under contention, because retries from a
-herd of clients (or a coordinator redialing a fleet of workers) spread
-over the whole window instead of thundering in lockstep at the window's
-edge — exactly the failure mode the linear ``base * attempt`` schedule
-this replaces exhibited when many clients raced one restarting server.
+The analyst client's ``connect()`` retries on this schedule:
+exponential growth capped at a ceiling, with **full jitter** (the delay
+is drawn uniformly from ``[0, min(cap, base * 2**attempt)]``).  Full
+jitter is the AWS-architecture-blog result: among capped exponential
+variants it minimizes total client work under contention, because
+retries from a herd of clients spread over the whole window instead of
+thundering in lockstep at the window's edge — exactly the failure mode
+the linear ``base * attempt`` schedule this replaces exhibited when
+many clients raced one restarting server.
 
 Determinism note: the jitter draws from a caller-supplied RNG (or the
 module's private one), never from the simulation's seeded streams —

@@ -161,9 +161,8 @@ class IncShrinkClient:
         last_error: Exception | None = None
         for attempt in range(max(1, self.connect_retries)):
             if attempt:
-                # Exponential backoff with full jitter, capped — the
-                # same schedule the scan coordinator redials dead shard
-                # workers on (:mod:`repro.net.backoff`).  Jitter keeps a
+                # Exponential backoff with full jitter, capped
+                # (:mod:`repro.net.backoff`).  Jitter keeps a
                 # thundering herd of reconnecting clients from landing
                 # on the same instant after a server restart.
                 _time.sleep(backoff_delay(attempt - 1, base=self.retry_backoff))

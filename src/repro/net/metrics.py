@@ -10,8 +10,8 @@ metrics surface is its own tiny HTTP listener (:class:`MetricsServer`,
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
   (version 0.0.4): the runtime's :class:`~repro.server.runtime.
   ServingStats` gauges, the global and per-tenant privacy-ledger state,
-  per-tenant quota gauges and rejection counters, the PR 8 incremental
-  accumulator-cache counters, and the PR 9 shard-worker fleet gauges;
+  per-tenant quota gauges and rejection counters, and the incremental
+  accumulator-cache counters;
 * ``/healthz`` — ``ok`` (200) while the ingest loop is healthy, a
   one-line description of the deferred failure (503) once it poisons.
 
@@ -149,15 +149,6 @@ def render_metrics(observability: dict, tenants: dict | None = None) -> str:
         for key, value in (observability.get(family) or {}).items():
             if isinstance(value, (int, float, bool)):
                 lines.sample(prefix + stem + str(key), value, help_text)
-    for worker, gauges in (observability.get("workers") or {}).items():
-        for key, value in gauges.items():
-            if isinstance(value, (int, float, bool)):
-                lines.sample(
-                    prefix + "worker_" + str(key),
-                    value,
-                    "Remote shard-worker gauge",
-                    labels={"worker": worker},
-                )
     for tid, entry in (tenants or {}).items():
         labels = {"tenant": tid}
         role = entry.get("role")

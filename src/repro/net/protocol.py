@@ -49,7 +49,6 @@ import numpy as np
 
 from ..common.errors import ProtocolError, ReproError, SchemaError
 from ..common.types import RecordBatch, Schema
-from ..mpc.cost_model import CostModel
 from ..query.ast import (
     AggregateSpec,
     And,
@@ -128,32 +127,8 @@ FRAME_CODES = {
     "reshard_ok": 12,
     "error": 13,
     "bye": 14,
-    # -- distributed scan fabric (coordinator <-> shard worker) -----------
-    # These frames only ever travel between a scan coordinator
-    # (repro.dist.coordinator) and a shard-worker daemon
-    # (repro.dist.worker).  They share the hello/welcome handshake and
-    # both body codecs with the analyst protocol; a pre-dist peer simply
-    # never receives one, so existing clients and servers are untouched.
-    "shard_assign": 15,
-    "shard_append": 16,
-    "shard_ok": 17,
-    "scan": 18,
-    "scan_partial": 19,
-    "heartbeat": 20,
-    "heartbeat_ok": 21,
 }
 FRAME_NAMES = {code: name for name, code in FRAME_CODES.items()}
-
-#: The frame types of the distributed scan fabric (docs + fuzz suite).
-DIST_FRAMES = (
-    "shard_assign",
-    "shard_append",
-    "shard_ok",
-    "scan",
-    "scan_partial",
-    "heartbeat",
-    "heartbeat_ok",
-)
 
 # -- structured error codes ---------------------------------------------------
 ERR_BAD_FRAME = "bad-frame"
@@ -903,174 +878,6 @@ def encode_result(result, binary: bool = False) -> dict:
             }
         ),
     }
-
-
-# -- distributed scan codec ---------------------------------------------------
-#: The five scalar fields of a CostModel, in wire order.  Workers must
-#: charge gates with the coordinator's *exact* model or the replayed
-#: gate totals (and therefore the merged ProtocolRun) would drift.
-_COST_FIELDS = (
-    "gates_per_second",
-    "compare_gates_per_bit",
-    "mux_gates_per_bit",
-    "laplace_gates",
-    "max_parallel_workers",
-)
-
-
-def encode_cost_model(model: CostModel) -> dict:
-    """The coordinator's cost model as wire scalars.
-
-    >>> decode_cost_model(encode_cost_model(CostModel())) == CostModel()
-    True
-    """
-    return {f: getattr(model, f) for f in _COST_FIELDS}
-
-
-def decode_cost_model(entry: dict) -> CostModel:
-    try:
-        return CostModel(
-            gates_per_second=float(entry["gates_per_second"]),
-            compare_gates_per_bit=int(entry["compare_gates_per_bit"]),
-            mux_gates_per_bit=int(entry["mux_gates_per_bit"]),
-            laplace_gates=int(entry["laplace_gates"]),
-            max_parallel_workers=int(entry["max_parallel_workers"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed cost-model payload: {exc!r}") from exc
-
-
-def encode_shard_content(
-    rows0: np.ndarray,
-    rows1: np.ndarray,
-    flags0: np.ndarray,
-    flags1: np.ndarray,
-    binary: bool = False,
-) -> dict:
-    """One shard's share halves for ``shard_assign``/``shard_append``.
-
-    The four arrays are exactly what a snapshot persists per shard (each
-    server's XOR half of rows and isView flags) — under the JSON codec
-    they ride the base64 array codec (:func:`encode_array`); under the
-    binary codec they stay ndarrays for the frame writer's out-of-band
-    blob table.
-    """
-    arrays = {
-        "rows0": np.ascontiguousarray(rows0),
-        "rows1": np.ascontiguousarray(rows1),
-        "flags0": np.ascontiguousarray(flags0),
-        "flags1": np.ascontiguousarray(flags1),
-    }
-    if binary:
-        return arrays
-    return {name: encode_array(arr) for name, arr in arrays.items()}
-
-
-def decode_shard_content(
-    entry: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    try:
-        rows0 = _entry_array(entry["rows0"])
-        rows1 = _entry_array(entry["rows1"])
-        flags0 = _entry_array(entry["flags0"])
-        flags1 = _entry_array(entry["flags1"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed shard content payload: {exc!r}") from exc
-    if rows0.ndim != 2 or rows0.shape != rows1.shape:
-        raise WireError(
-            f"shard row shares must be matching 2-D arrays, got "
-            f"{rows0.shape} vs {rows1.shape}"
-        )
-    if flags0.shape != (len(rows0),) or flags1.shape != (len(rows1),):
-        raise WireError(
-            f"shard flag shares must be 1-D of length {len(rows0)}, got "
-            f"{flags0.shape} vs {flags1.shape}"
-        )
-    as_u32 = lambda a: np.ascontiguousarray(a, dtype=np.uint32)  # noqa: E731
-    return as_u32(rows0), as_u32(rows1), as_u32(flags0), as_u32(flags1)
-
-
-def encode_scan_spec(
-    sum_indices: list[int] | tuple[int, ...],
-    need_count: bool,
-    group_column: int | None,
-    group_domain: tuple[int, ...] | None,
-    clause_specs: list[tuple[int, int, int]] | tuple,
-    payload_words: int,
-    predicate_words: int,
-) -> dict:
-    """The plan scalars of one distributed scan (clauses pre-lowered to
-    ``(column_index, lo, hi)``, mirroring
-    :class:`repro.query.shard_workers.ShardScanTask`)."""
-    return {
-        "sum_indices": [int(i) for i in sum_indices],
-        "need_count": bool(need_count),
-        "group_column": None if group_column is None else int(group_column),
-        "group_domain": (
-            None if group_domain is None else [int(g) for g in group_domain]
-        ),
-        "clause_specs": [
-            [int(c), int(lo), int(hi)] for c, lo, hi in clause_specs
-        ],
-        "payload_words": int(payload_words),
-        "predicate_words": int(predicate_words),
-    }
-
-
-def decode_scan_spec(entry: dict) -> dict:
-    """Validated keyword arguments for the shard-scan kernel."""
-    try:
-        domain = entry["group_domain"]
-        group_column = entry["group_column"]
-        return {
-            "sum_indices": tuple(int(i) for i in entry["sum_indices"]),
-            "need_count": bool(entry["need_count"]),
-            "group_column": None if group_column is None else int(group_column),
-            "group_domain": (
-                None if domain is None else tuple(int(g) for g in domain)
-            ),
-            "clause_specs": tuple(
-                (int(c), int(lo), int(hi))
-                for c, lo, hi in entry["clause_specs"]
-            ),
-            "payload_words": int(entry["payload_words"]),
-            "predicate_words": int(entry["predicate_words"]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed scan spec payload: {exc!r}") from exc
-
-
-def encode_scan_partial(
-    shard: int, counts: np.ndarray, sums: np.ndarray, gates: int, binary: bool = False
-) -> dict:
-    """One shard's suffix accumulators (``counts`` int64, ``sums``
-    uint64 mod 2^64 — the exact ring the merge adds in)."""
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    sums = np.ascontiguousarray(sums, dtype=np.uint64)
-    return {
-        "shard": int(shard),
-        "counts": counts if binary else encode_array(counts),
-        "sums": sums if binary else encode_array(sums),
-        "gates": int(gates),
-    }
-
-
-def decode_scan_partial(entry: dict) -> tuple[int, np.ndarray, np.ndarray, int]:
-    try:
-        shard = int(entry["shard"])
-        counts = _entry_array(entry["counts"]).astype(np.int64, copy=False)
-        sums = _entry_array(entry["sums"]).astype(np.uint64, copy=False)
-        gates = int(entry["gates"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed scan partial payload: {exc!r}") from exc
-    if counts.ndim != 1 or sums.ndim != 2 or len(sums) != len(counts):
-        raise WireError(
-            f"scan partial shapes do not agree: counts {counts.shape}, "
-            f"sums {sums.shape}"
-        )
-    if gates < 0:
-        raise WireError(f"scan partial gate total must be >= 0, got {gates}")
-    return shard, counts, sums, gates
 
 
 def decode_result(entry: dict) -> RemoteQueryResult:

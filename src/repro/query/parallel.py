@@ -26,12 +26,11 @@ runs the same kernel and merges the same accumulators:
 * ``"process"`` — a persistent ``spawn`` worker pool over shared-memory
   publications (:mod:`repro.query.shard_workers`); workers return
   partial accumulators plus gate counts, replayed onto the real shard
-  contexts.  ``"remote"`` does the same over sockets (:mod:`repro.dist`).
-  Both are **forced-only**: against the in-process path they lost at
-  every size measured (the task round trip alone is ≈ 1 ms, a whole
+  contexts.  It is **forced-only**: against the in-process path it lost
+  at every size measured (the task round trip alone is ≈ 1 ms, a whole
   400k-row inline scan ≈ 1.5 ms, and every Shrink release republishes
-  the view), so ``auto`` never picks them — ``docs/SHARDING.md`` has
-  the table.
+  the view), so ``auto`` never picks it — ``docs/SHARDING.md`` has the
+  table.
 
 Equivalence to the serial engine is exact in every backend, not
 approximate:
@@ -78,10 +77,8 @@ from .ast import QueryAnswer, ViewScanPlan
 from .executor import assemble_answer, scan_arguments
 from .incremental import AccumulatorCache, ScanReport, ShardAccumulator
 
-#: Executor backends a caller may request.  ``"remote"`` scatters shard
-#: scans over a fleet of shard-worker daemons (:mod:`repro.dist`) and
-#: requires a connected coordinator (``remote=`` on the constructor).
-SCAN_BACKENDS = ("auto", "thread", "process", "remote")
+#: Executor backends a caller may request.
+SCAN_BACKENDS = ("auto", "thread", "process")
 
 #: The one size threshold: a view scan over fewer unscanned rows than
 #: this — the public delta ``Σ(n_rows − start)`` — is short enough to run
@@ -118,20 +115,12 @@ class ParallelScanExecutor:
     including the logged gate total and simulated seconds.
     """
 
-    def __init__(self, backend: str = "auto", remote=None) -> None:
+    def __init__(self, backend: str = "auto") -> None:
         if backend not in SCAN_BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {SCAN_BACKENDS}, got {backend!r}"
             )
-        if backend == "remote" and remote is None:
-            raise ConfigurationError(
-                "backend 'remote' needs a connected RemoteScanBackend "
-                "(remote=...)"
-            )
         self.backend = backend
-        #: the :class:`repro.dist.RemoteScanBackend` coordinator, when
-        #: this executor scatters to a worker fleet
-        self.remote = remote
 
     # -- backend selection -------------------------------------------------
     def backend_for(self, view: MaterializedView) -> str:
@@ -141,13 +130,8 @@ class ParallelScanExecutor:
         nothing to fan out, and the serial path is byte-identical to the
         historical executor).  A forced backend is otherwise honored;
         ``"auto"`` is the in-process path at every size — no measured
-        cell has the process pool or the fleet ahead of it (see the
-        module docstring).
+        cell has the process pool ahead of it (see the module docstring).
         """
-        if self.backend == "remote":
-            # The fleet serves single-shard views too (the one-worker
-            # baseline); the replica ring degenerates gracefully.
-            return "remote"
         if view.n_shards <= 1 or self.backend == "auto":
             return "thread"
         return self.backend
@@ -211,8 +195,7 @@ class ParallelScanExecutor:
         total_rows = sum(lengths)
         cached_rows = sum(starts)
         # Shards with nothing past their watermark are answered without
-        # a call, a task or a wire frame on any backend: a zero
-        # accumulator, no gates.
+        # a call or a task on any backend: a zero accumulator, no gates.
         parts: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(shards)
         pending = []
         for i, (n_rows, start) in enumerate(zip(lengths, starts)):
@@ -224,45 +207,16 @@ class ParallelScanExecutor:
                     np.zeros((n_groups, n_sums), dtype=np.uint64),
                 )
 
-        def worker_spec() -> dict:
-            # The plan as out-of-process workers receive it: the kernel's
-            # own arguments by name, plus the width of the rows they hold.
-            sum_indices, need_count, group, domain, clauses, predicate_words = (
-                kernel_args
-            )
-            return dict(
-                sum_indices=sum_indices,
-                need_count=need_count,
-                group_column=group,
-                group_domain=None if domain is None else tuple(domain),
-                clause_specs=clauses,
-                payload_words=schema.width,
-                predicate_words=predicate_words,
-            )
-
         with runtime.parallel_protocol("query", time, len(shards)) as group:
-            if backend == "remote":
-                from ..net import protocol as wire
-
-                remote_parts = self.remote.scan(
-                    view,
-                    wire.encode_scan_spec(**worker_spec()),
-                    runtime.cost_model,
-                    [(i, lengths[i], starts[i]) for i in pending],
-                )
-                # Replay worker gate totals onto the real shard contexts
-                # (same discipline as the process backend): workers ran
-                # the identical kernel under the identical cost model,
-                # so the merged ProtocolRun is byte-identical.
-                for i in pending:
-                    counts, sums, gates = remote_parts[i]
-                    group.contexts[i].charge_gates(gates)
-                    parts[i] = (counts, sums)
-            elif backend == "process":
+            if backend == "process":
                 from .shard_workers import PROCESS_BACKEND, ShardScanTask
 
                 pub = PROCESS_BACKEND.publication_for(view)
-                spec = worker_spec()
+                # The plan as worker processes receive it: the kernel's
+                # own arguments by name, plus the width of the rows.
+                sum_indices, need_count, group_column, domain, clauses, words = (
+                    kernel_args
+                )
                 results = PROCESS_BACKEND.scan(
                     [
                         ShardScanTask(
@@ -272,7 +226,13 @@ class ParallelScanExecutor:
                             width=schema.width,
                             cost_model=runtime.cost_model,
                             start_row=starts[i],
-                            **spec,
+                            sum_indices=sum_indices,
+                            need_count=need_count,
+                            group_column=group_column,
+                            group_domain=None if domain is None else tuple(domain),
+                            clause_specs=clauses,
+                            payload_words=schema.width,
+                            predicate_words=words,
                         )
                         for i in pending
                     ]

@@ -13,8 +13,7 @@ that release the lock — and against it this backend lost at every size
 measured: four no-op tasks cost 1.0 ms of round trip before any row is
 scanned, and every Shrink release republishes the whole view
 (``docs/SHARDING.md``, "What was measured").  It stays as the measured
-alternative, and as the home of :func:`scan_share_suffix`, the kernel
-the distributed shard workers (:mod:`repro.dist`) run too.
+alternative.
 
 Per query the coordinator ships only a tiny picklable
 :class:`ShardScanTask` (segment name, offsets, plan scalars) per shard;
@@ -27,11 +26,11 @@ totals onto the real shard contexts, so answers, merged
 seconds are byte-identical to the in-process path (see
 ``tests/test_sharding_equivalence.py``).
 
-Security note: publishing shares to shared memory moves *ciphertext*
-(each server's XOR half) between address spaces of the same simulated
-server — exactly what the in-process path already shares through the
-heap.  Shard placement remains a pure function of public lengths, so
-distributing the scan leaks nothing new.
+Security note: the workers are spawned processes of the same simulated
+evaluator on one host, not new parties.  A publication maps both XOR
+share halves of every shard, exactly as the in-process heap already
+holds them.  Shard placement remains a pure function of public lengths,
+so moving the scan into worker processes leaks nothing new.
 
 Publications are cached per container and invalidated by
 :attr:`~repro.storage.sharded_container.ShardedTableContainer.content_version`,
@@ -153,11 +152,9 @@ def scan_share_suffix(
     :class:`~repro.sharing.shared_value.SharedTable` they are and runs
     the same :func:`~repro.oblivious.filter.oblivious_multi_aggregate`
     pass every backend runs, under a
-    :class:`~repro.mpc.runtime.WorkerShardContext`.  Shared verbatim by
-    the shared-memory process workers (:func:`worker_scan`) and the
-    distributed shard-worker daemon (:mod:`repro.dist.worker`) — one
-    kernel, so "byte-identical across backends" is structural, not
-    re-proved per transport.
+    :class:`~repro.mpc.runtime.WorkerShardContext` — one kernel, so
+    "byte-identical across backends" is structural, not re-proved per
+    backend.
     """
     table = SharedTable(
         Schema(tuple(f"c{i}" for i in range(payload_words))),
@@ -291,9 +288,8 @@ class ProcessScanBackend:
     """Persistent spawn-pool + publication cache for process-backend scans.
 
     One instance serves the whole interpreter (module-level
-    :data:`PROCESS_BACKEND`), mirroring the shared thread pools of
-    :mod:`repro.query.parallel`: however many databases a test session
-    constructs, there is one worker fleet and one publication per live
+    :data:`PROCESS_BACKEND`): however many databases a test session
+    constructs, there is one worker pool and one publication per live
     container.  The pool is created lazily on the first process-backend
     scan and survives across queries; :meth:`shutdown` (wired into
     ``DatabaseServer.stop()`` and ``atexit``) tears everything down, and
@@ -372,7 +368,7 @@ class ProcessScanBackend:
 
         A dead worker (crash, OOM kill) surfaces as a clean
         :class:`~repro.common.errors.ProtocolError`; the broken pool is
-        discarded so the *next* query spawns a fresh fleet.
+        discarded so the *next* query spawns a fresh pool.
         """
         pool = self._ensure_pool()
         try:

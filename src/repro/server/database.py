@@ -497,61 +497,11 @@ class IncShrinkDatabase:
         Purely operational: answers, gate totals, and realized ε are
         backend-invariant (the equivalence suite pins this), so flipping
         a restored or live deployment between ``thread`` and ``process``
-        changes nothing but host wall clock.  Invalidates cached plans —
-        they record the resolved backend.  Switching away from
-        ``"remote"`` disconnects the worker fleet.
+        changes nothing but host wall clock.  Cached plans stay valid:
+        the backend a scan runs on is resolved per call, never stored in
+        a plan.
         """
-        old_remote = self.scan_executor.remote
         self.scan_executor = ParallelScanExecutor(backend=backend)
-        if old_remote is not None:
-            old_remote.close()
-        self._state_version += 1
-
-    def set_remote_workers(
-        self,
-        endpoints,
-        replication: int = 2,
-        heartbeat_interval: float = 1.0,
-        token: str | None = None,
-    ) -> None:
-        """Scatter view scans to a fleet of shard-worker daemons.
-
-        ``endpoints`` is a list of
-        :class:`~repro.dist.WorkerEndpoint` (or a ``"host:port,…"``
-        string).  Connects the coordinator (requiring at least one live
-        worker), then swaps the executor to ``backend="remote"``.  Like
-        every backend switch this is purely operational — the fleet runs
-        the identical scan kernel under the identical cost model, so
-        answers, gate totals, and realized ε do not move.
-        """
-        from ..dist import RemoteScanBackend, parse_worker_endpoints
-
-        if isinstance(endpoints, str):
-            endpoints = parse_worker_endpoints(endpoints)
-        remote = RemoteScanBackend(
-            endpoints,
-            replication=replication,
-            heartbeat_interval=heartbeat_interval,
-            token=token,
-        ).start()
-        old_remote = self.scan_executor.remote
-        self.scan_executor = ParallelScanExecutor(backend="remote", remote=remote)
-        if old_remote is not None:
-            old_remote.close()
-        self._state_version += 1
-
-    def remote_worker_stats(self) -> dict:
-        """Per-worker fleet gauges (``{}`` when not running remote)."""
-        remote = self.scan_executor.remote
-        if remote is None:
-            return {}
-        return remote.worker_stats()
-
-    def close_remote(self) -> None:
-        """Disconnect the worker fleet, if any (idempotent)."""
-        remote = self.scan_executor.remote
-        if remote is not None:
-            remote.close()
 
     # -- incremental execution --------------------------------------------------
     @property

@@ -174,9 +174,6 @@ class ServingStats:
     #: ground-truth join mirror gauges (hits/extensions/signatures) —
     #: functions of upload and query counts only, never of row counts
     logical_mirror: dict = field(default_factory=dict)
-    #: per-worker fleet gauges (assigned shards, heartbeat age, scans
-    #: served, re-scatters); empty unless the remote backend is active
-    workers: dict = field(default_factory=dict)
 
     def uploads_per_second(self) -> float:
         return self.uploads / self.ingest_seconds if self.ingest_seconds else 0.0
@@ -205,9 +202,6 @@ class ServingStats:
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "incremental_cache": dict(self.incremental_cache),
             "logical_mirror": dict(self.logical_mirror),
-            "workers": {
-                name: dict(gauges) for name, gauges in self.workers.items()
-            },
         }
 
 
@@ -546,11 +540,10 @@ class DatabaseServer:
             raise _timed_out()
         self._stopped = True
         # The ingest loop is down and no further queries run through this
-        # server: release the process scan backend's worker fleet and
+        # server: release the process scan backend's worker pool and
         # shared-memory publications (idempotent; a later database in the
         # same interpreter transparently respawns them).
         shutdown_process_backend()
-        self.database.close_remote()
         self._raise_ingest_error()
         if final_snapshot:
             self.snapshot()
@@ -705,8 +698,7 @@ class DatabaseServer:
         :data:`~repro.query.parallel.POOL_MIN_DELTA_ROWS` of them
         (≈ 1.8 ms of scan) the caller may as well run it where it
         stands.  An NM join (a sort over the whole base tables) and a
-        scan placed on worker processes or a remote fleet are never
-        bounded.
+        scan placed on worker processes are never bounded.
         """
         if plan.kind != VIEW_SCAN or plan.scan_backend != "thread":
             return False
@@ -735,7 +727,6 @@ class DatabaseServer:
                 self.database.incremental_cache_stats()
             )
             self.stats.logical_mirror = self.database.logical_mirror_stats()
-            self.stats.workers = self.database.remote_worker_stats()
             return self.stats
 
     def observability(self, blocking: bool = True) -> dict:

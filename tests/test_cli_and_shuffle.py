@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _parse_listen, main
 from repro.common.types import multiset
 from repro.mpc.runtime import MPCRuntime
 from repro.oblivious.shuffle import oblivious_shuffle
@@ -130,6 +130,46 @@ class TestQueryCli:
         ):
             with pytest.raises(SystemExit, match="malformed --json"):
                 main(self.LIVE + ["--json", bad])
+
+
+class TestListenAddress:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("127.0.0.1:0", ("127.0.0.1", 0)),
+            ("localhost:65535", ("localhost", 65535)),
+            ("[::1]:9731", ("[::1]", 9731)),
+        ],
+    )
+    def test_parses_host_and_port(self, value, expected):
+        assert _parse_listen(value) == expected
+
+    @pytest.mark.parametrize(
+        "value", ["", "no-port", ":7001", "host:", "host:-1", "host:abc"]
+    )
+    def test_malformed_rejected(self, value):
+        with pytest.raises(SystemExit, match="malformed --connect"):
+            _parse_listen(value, flag="--connect")
+
+    def test_port_out_of_range_rejected(self):
+        with pytest.raises(SystemExit, match="out of range"):
+            _parse_listen("host:99999")
+
+
+class TestScanBackendChoices:
+    """Scans run in-process or in local worker processes only; every
+    subcommand with ``--scan-backend`` refuses the retired value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["multiview"], ["serve"], ["resume", "--snapshot", "x.snap"], ["query"]],
+        ids=["multiview", "serve", "resume", "query"],
+    )
+    def test_remote_scan_backend_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--scan-backend", "remote"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'remote'" in capsys.readouterr().err
 
 
 class TestObliviousShuffle:

@@ -25,6 +25,7 @@ import pytest
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.net import protocol as wire
+from repro.net.backoff import backoff_delay
 from repro.net.client import IncShrinkClient
 from repro.net.server import NetworkServer
 from repro.query.ast import (
@@ -583,6 +584,29 @@ class TestStructuredErrors:
                 assert payload["code"] == wire.ERR_VERSION_MISMATCH
         server.stop()
 
+    @pytest.mark.parametrize("code", range(15, 22))
+    def test_retired_scan_frame_is_a_framing_error(self, code):
+        """Codes 15-21 were scan-fabric frames (18 the scan request); now
+        each is an unknown code: one ``bad-frame`` error, then the server
+        hangs up."""
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            host, port = net.address
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(
+                    struct.pack(">4sBBI", wire.PROTOCOL_MAGIC, 1, code, 2) + b"{}"
+                )
+                stream.flush()
+                frame_type, payload = wire.read_frame(stream)
+                assert frame_type == "error"
+                assert payload["code"] == wire.ERR_BAD_FRAME
+                with pytest.raises(wire.ConnectionClosed):
+                    wire.read_frame(stream)
+            with IncShrinkClient(host, port) as client:
+                assert client.stats()["ingest_error"] is None
+        server.stop()
+
 
 # -- remote admin --------------------------------------------------------------
 class TestRemoteAdmin:
@@ -605,6 +629,19 @@ class TestRemoteAdmin:
                 assert stats["n_shards"] == 1
                 assert stats["realized_epsilon"] >= 0.0
         server.stop()
+
+    def test_stats_and_metrics_carry_no_worker_fleet_block(self):
+        from repro.net.metrics import render_metrics
+
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address) as client:
+                stats = client.stats()
+            exported = render_metrics(net.server.observability())
+        server.stop()
+        assert "workers" not in stats
+        assert "incshrink_worker_" not in exported
+        assert "incshrink_ingest_healthy 1" in exported
 
     def test_remote_snapshot_restores_identical_state(self, tmp_path):
         path = str(tmp_path / "remote.snap")
@@ -1220,3 +1257,53 @@ class TestResponseEncoding:
         assert [t for t, _ in replies] == ["upload_ok", "error", "upload_ok"]
         assert replies[1][1]["code"] == wire.ERR_SERVER
         assert "response encoding failed" in replies[1][1]["message"]
+
+
+# -- the shared backoff helper -------------------------------------------------
+class TestBackoffDelay:
+    def test_window_doubles_then_caps(self):
+        full = lambda: 1.0  # noqa: E731 - deterministic "jitter"
+        assert backoff_delay(0, base=0.05, cap=2.0, rng=full) == 0.05
+        assert backoff_delay(1, base=0.05, cap=2.0, rng=full) == 0.1
+        assert backoff_delay(3, base=0.05, cap=2.0, rng=full) == 0.4
+        assert backoff_delay(50, base=0.05, cap=2.0, rng=full) == 2.0
+
+    def test_full_jitter_spans_zero_to_window(self):
+        assert backoff_delay(5, rng=lambda: 0.0) == 0.0
+        for _ in range(100):
+            d = backoff_delay(4, base=0.05, cap=2.0)
+            assert 0.0 <= d <= 0.05 * 2**4
+
+    def test_huge_attempt_does_not_overflow(self):
+        assert backoff_delay(10_000, cap=7.5, rng=lambda: 1.0) == 7.5
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            backoff_delay(-1)
+        with pytest.raises(ValueError):
+            backoff_delay(0, base=-0.1)
+
+    def test_client_connect_uses_the_shared_schedule(self, monkeypatch):
+        """The analyst client redials on backoff_delay, not a linear ramp."""
+        from repro.net.client import IncShrinkClient
+
+        delays = []
+        monkeypatch.setattr(
+            "repro.net.client.backoff_delay",
+            lambda attempt, base: delays.append((attempt, base)) or 0.0,
+        )
+        client = IncShrinkClient(
+            "127.0.0.1", _free_unbound_port(), connect_retries=3,
+            retry_backoff=0.01, timeout=0.2,
+        )
+        with pytest.raises(ConnectionError):
+            client.connect()
+        assert delays == [(0, 0.01), (1, 0.01)]
+
+
+def _free_unbound_port() -> int:
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+    s.close()
+    return port

@@ -224,11 +224,18 @@ def test_unknown_version_raises_version_mismatch():
         wire.FrameDecoder().feed(bytes(blob))
 
 
-def test_unknown_frame_code_rejected():
+@pytest.mark.parametrize("code", [*range(15, 22), 0xEE])
+def test_unknown_frame_code_rejected(code):
+    """Codes 15-21 (a retired scan fabric's) parse like any unknown code."""
     blob = bytearray(wire.encode_frame("stats", {}))
-    blob[5] = 0xEE
+    blob[5] = code
     with pytest.raises(wire.WireError, match="frame type code"):
         wire.FrameDecoder().feed(bytes(blob))
+
+
+def test_frame_codes_are_exactly_one_to_fourteen():
+    assert sorted(wire.FRAME_CODES.values()) == list(range(1, 15))
+    assert wire.FRAME_NAMES == {c: n for n, c in wire.FRAME_CODES.items()}
 
 
 def test_non_json_body_rejected():

@@ -373,3 +373,22 @@ class TestRegistrationValidation:
     def test_nonpositive_total_epsilon_rejected(self):
         with pytest.raises(ConfigurationError, match="total_epsilon"):
             IncShrinkDatabase(total_epsilon=0.0)
+
+
+class TestScanBackendSwitch:
+    def test_switching_backend_keeps_cached_plans(self, database):
+        query = make_count(make_view("q", 2))
+        before = database.query(query, time=4)
+        info = database.planner.cache_info()
+        database.set_scan_backend("process")
+        after = database.query(query, time=4)
+        assert database.scan_backend == "process"
+        assert database.planner.cache_info()["misses"] == info["misses"]
+        assert database.planner.cache_info()["hits"] == info["hits"] + 1
+        assert after.plan.view_name == before.plan.view_name
+        assert after.observation.logical_answer == before.observation.logical_answer
+
+    def test_remote_backend_rejected(self, database):
+        with pytest.raises(ConfigurationError, match="backend must be one of"):
+            database.set_scan_backend("remote")
+        assert database.scan_backend == "auto"

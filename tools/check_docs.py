@@ -5,9 +5,10 @@ Three checks, all run by the CI docs job and by ``tests/test_docs.py``:
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in every tracked ``*.md`` file must resolve to an existing file or
-   directory.  External (``http(s)://``, ``mailto:``) and pure-anchor
-   (``#...``) links are skipped; a trailing ``#anchor`` on a file link is
-   stripped before the existence check.
+   directory, and a ``#anchor`` on a link to a markdown file must name
+   one of that file's headings (GitHub's slug rule; headings inside
+   fenced code do not count).  External (``http(s)://``, ``mailto:``)
+   and pure-anchor (``#...``) links are skipped.
 2. **Doctests** — every ``docs/*.md`` file runs through
    :mod:`doctest`, so the code examples embedded in the documentation
    stay executable as the API evolves (run with ``PYTHONPATH=src``).
@@ -35,6 +36,10 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 
 #: ``[text](target)`` — target captured without closing paren or spaces.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: An ATX heading line; group 1 is its text without closing hashes.
+_HEADING_RE = re.compile(r"^ {0,3}#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
+#: A code-fence line; group 1 is the fence itself.
+_FENCE_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})")
 #: Directories never scanned for markdown.
 _SKIP_DIRS = {".git", ".ruff_cache", "__pycache__", ".pytest_benchmarks"}
 
@@ -54,24 +59,70 @@ def _is_external(target: str) -> bool:
     )
 
 
+def heading_slug(heading: str) -> str:
+    """GitHub's anchor for a heading: inline links reduced to their
+    text, lowercased, punctuation other than ``-``/``_`` dropped, spaces
+    turned into hyphens.
+
+    >>> heading_slug("The `process` backend: 0.63–0.79×")
+    'the-process-backend-063079'
+    """
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading).strip().lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def heading_anchors(path: Path) -> set[str]:
+    """Every anchor GitHub renders for ``path``'s ATX headings; repeated
+    slugs get ``-1``, ``-2``, ... suffixes."""
+    anchors: set[str] = set()
+    fence = None
+    for line in path.read_text(encoding="utf8").splitlines():
+        marker = _FENCE_RE.match(line)
+        if marker:
+            if fence is None:
+                fence = marker.group(1)
+            elif marker.group(1).startswith(fence):
+                fence = None
+            continue
+        heading = None if fence else _HEADING_RE.match(line)
+        if heading:
+            slug = base = heading_slug(heading.group(1))
+            n = 0
+            while slug in anchors:
+                n += 1
+                slug = f"{base}-{n}"
+            anchors.add(slug)
+    return anchors
+
+
+def _shown(path: Path) -> Path:
+    return path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+
+
 def check_links(files: list[Path] | None = None) -> list[str]:
-    """Return one failure message per broken intra-repo link."""
+    """Return one failure message per broken intra-repo link or anchor."""
     failures = []
+    anchors: dict[Path, set[str]] = {}
     for path in files if files is not None else markdown_files():
         text = path.read_text(encoding="utf8")
         for match in _LINK_RE.finditer(text):
             target = match.group(1)
             if _is_external(target) or target.startswith("#"):
                 continue
-            relative = target.split("#", 1)[0]
-            if not relative:
-                continue
+            relative, _, anchor = target.partition("#")
             resolved = (path.parent / relative).resolve()
             if not resolved.exists():
                 failures.append(
-                    f"{path.relative_to(REPO_ROOT)}: broken link "
-                    f"[{target}] -> {resolved}"
+                    f"{_shown(path)}: broken link [{target}] -> {resolved}"
                 )
+            elif anchor and resolved.suffix == ".md":
+                if resolved not in anchors:
+                    anchors[resolved] = heading_anchors(resolved)
+                if anchor not in anchors[resolved]:
+                    failures.append(
+                        f"{_shown(path)}: broken anchor [{target}] -> no "
+                        f"heading #{anchor} in {_shown(resolved)}"
+                    )
     return failures
 
 
