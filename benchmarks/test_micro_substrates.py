@@ -247,6 +247,45 @@ def test_bench_truncated_join_served_shape(benchmark, kernel, n_windows):
     assert result.real_count > 0
 
 
+@pytest.mark.parametrize("kernel", ["partition", "composite-key-oracle"])
+def test_bench_cache_read_served_shape(benchmark, kernel):
+    """One Figure 3 cache read at the ``cpdb-heavy`` shape: 5 700 cached
+    rows of four words, about 1 % real, a DP-sized read of 40.  The
+    stable-partition kernel beside the composite-key ``oblivious_sort``
+    read it replaced (the oracle ``tests/test_cache_read.py`` keeps);
+    both must fetch and keep identical shares for identical gates."""
+    from test_cache_read import oracle_sorted_read
+
+    from repro.storage.secure_cache import SecureCache
+
+    n, schema = 5_700, Schema(("a", "b", "c", "d"))
+    gen = spawn(5, "bench", n)
+    rows = gen.integers(0, 2**32, size=(n, 4), dtype=np.uint32)
+    content = SharedTable.from_plain(schema, rows, gen.random(n) < 0.01, gen)
+
+    def read(impl, runtime):
+        cache = SecureCache(schema)
+        cache.append(content)
+        with runtime.protocol("read") as ctx:
+            fetched, *counts = impl(cache, ctx, 40)
+        return fetched, counts, cache.table, runtime.runs
+
+    def partition(cache, ctx, size):
+        return cache.sorted_read(ctx, size)
+
+    impl = partition if kernel == "partition" else oracle_sorted_read
+    other = oracle_sorted_read if kernel == "partition" else partition
+    benchmark(read, impl, MPCRuntime(seed=0))
+    got = read(impl, MPCRuntime(seed=0))
+    want = read(other, MPCRuntime(seed=0))
+    assert got[1] == want[1] and got[1][0] == 40
+    assert got[3] == want[3]
+    for a, b in ((got[0], want[0]), (got[2], want[2])):
+        for x, y in ((a.rows, b.rows), (a.flags, b.flags)):
+            assert np.array_equal(x.share0, y.share0)
+            assert np.array_equal(x.share1, y.share1)
+
+
 def test_bench_stats_frame_after_long_stream(benchmark):
     """One ``stats`` frame's payload (``DatabaseServer.observability()``)
     after 1 000 steps of the tpcds stream with one tenant ε-release per

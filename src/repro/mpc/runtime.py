@@ -21,7 +21,11 @@ evaluation:
 
 Each :class:`Server` owns an independent RNG used for its randomness
 contributions (joint noise, in-MPC resharing), mirroring the paper's
-requirement that no single party controls protocol randomness.
+requirement that no single party controls protocol randomness.  Those
+streams, and the owners' sharing stream, are drawn through
+:class:`~repro.common.rng.RingWordStream`: raw PCG64 outputs cut into
+ring words, the exact words ``Generator.integers`` would return, with
+the state read and restored through its ``state`` accessor.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..common.errors import ProtocolError, SecurityError
-from ..common.rng import spawn
+from ..common.rng import RingWordStream, spawn
 from ..common.types import Schema
 from ..sharing.shared_value import SharedArray, SharedTable
-from ..sharing.xor_sharing import reshare_from_contributions
+from ..sharing.xor_sharing import reshare_in_place
 from .cost_model import DEFAULT_COST_MODEL, CostModel
 from .transcript import Transcript
 
@@ -79,11 +83,16 @@ class Server:
     """
 
     server_id: int
-    gen: np.random.Generator
+    words: RingWordStream
 
     def contribute_u32(self, n: int = 1) -> np.ndarray:
-        """Fresh uniform ring elements for a joint-randomness protocol."""
-        return self.gen.integers(0, 1 << 32, size=n, dtype=np.uint32)
+        """Fresh uniform ring elements for a joint-randomness protocol.
+
+        A new writable array each call (callers XOR into it in place),
+        drawn as :class:`~repro.common.rng.RingWordStream` describes:
+        the words ``gen.integers(0, 2**32, n, dtype=uint32)`` would give.
+        """
+        return self.words.draw(n)
 
 
 @dataclass
@@ -198,8 +207,7 @@ class ProtocolContext:
         values = np.asarray(values, dtype=np.uint32)
         z0 = self._runtime.server0.contribute_u32(values.size).reshape(values.shape)
         z1 = self._runtime.server1.contribute_u32(values.size).reshape(values.shape)
-        s0, s1 = reshare_from_contributions(values, z0, z1)
-        return SharedArray(s0, s1)
+        return SharedArray(*reshare_in_place(values, z0, z1))
 
     def share_table(
         self, schema: Schema, rows: np.ndarray, flags: np.ndarray
@@ -209,7 +217,8 @@ class ProtocolContext:
         Each server contributes its randomness for the whole table in one
         draw; the row mask is the head of that draw and the flag mask the
         tail, which is where two separate draws would have found them in
-        the server's stream.
+        the server's stream.  The shares are XORed into those two fresh
+        buffers in place, so the only allocations are the draws.
         """
         self._require_open("share_table")
         self._require_unsharded("share_table")
@@ -220,10 +229,10 @@ class ProtocolContext:
         n = rows.size
         z0 = self._runtime.server0.contribute_u32(n + flags.size)
         z1 = self._runtime.server1.contribute_u32(n + flags.size)
-        row_shares = reshare_from_contributions(
+        row_shares = reshare_in_place(
             rows, z0[:n].reshape(rows.shape), z1[:n].reshape(rows.shape)
         )
-        flag_shares = reshare_from_contributions(
+        flag_shares = reshare_in_place(
             flags, z0[n:].reshape(flags.shape), z1[n:].reshape(flags.shape)
         )
         return SharedTable(
@@ -392,14 +401,14 @@ class MPCRuntime:
         seed: int = 0,
         cost_model: CostModel | None = None,
     ) -> None:
-        self.server0 = Server(0, spawn(seed, "server", 0))
-        self.server1 = Server(1, spawn(seed, "server", 1))
+        self.server0 = Server(0, RingWordStream(spawn(seed, "server", 0)))
+        self.server1 = Server(1, RingWordStream(spawn(seed, "server", 1)))
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.transcript = Transcript()
         self.runs: list[ProtocolRun] = []
         self._active: ProtocolContext | ParallelProtocolGroup | None = None
-        #: generator for owner-side sharing (outside any protocol scope)
-        self.owner_gen = spawn(seed, "owner-sharing")
+        #: ring words for owner-side sharing (outside any protocol scope)
+        self.owner_words = RingWordStream(spawn(seed, "owner-sharing"))
 
     @contextmanager
     def protocol(self, name: str, time: int = 0) -> Iterator[ProtocolContext]:
@@ -458,9 +467,12 @@ class MPCRuntime:
         """Owner-side secret sharing of an upload batch.
 
         Owners run locally and are trusted with their own data, so this
-        does not require a protocol scope.
+        does not require a protocol scope.  The shares are those
+        :meth:`SharedTable.from_plain` gives on the owners' generator:
+        one mask draw covers the rows, then the flag column.
         """
-        return SharedTable.from_plain(schema, rows, flags, self.owner_gen)
+        mask = self.owner_words.draw(np.size(rows) + np.size(flags))
+        return SharedTable.from_mask(schema, rows, flags, mask)
 
     # -- introspection ------------------------------------------------------
     def seconds_of(self, protocol_name: str) -> list[float]:

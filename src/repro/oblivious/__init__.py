@@ -11,6 +11,7 @@ from .sort import (
     charge_oblivious_sort,
     composite_key,
     network_comparator_count,
+    oblivious_compact,
     oblivious_sort,
 )
 from .sort_merge_join import (
@@ -31,6 +32,7 @@ __all__ = [
     "charge_oblivious_sort",
     "composite_key",
     "network_comparator_count",
+    "oblivious_compact",
     "oblivious_sort",
     "oblivious_join_multi_aggregate",
     "truncated_sort_merge_join",

@@ -16,8 +16,17 @@ network returns its input in ascending order, and when all keys are
 *distinct* there is exactly one such order — so on tie-free keys the
 permutation is one ``np.argsort`` and agrees with the network bit for
 bit.  Every protocol caller sorts distinct keys by construction: the
-cache read and the join pack the original position into the key
-(:func:`composite_key`), and the shuffle draws 64-bit uniform keys.
+join packs the original position into the key (:func:`composite_key`),
+and the shuffle draws 64-bit uniform keys.
+
+**The cache read's sort is a partition.**  Figure 3 sorts the cache on
+``(¬isView, position)``.  Those keys are distinct and take only two
+primary values, so their one ascending order is a stable partition —
+real rows first, each side in position order.
+:func:`oblivious_compact` charges that sort's network and computes the
+partition directly (two :func:`np.flatnonzero` calls), with no key,
+argsort or tie check, and with host work that does not depend on the
+comparison pattern of the real/dummy bits.
 
 **When the network runs.**  The order among *equal* keys is a property
 of the particular network, so when the sorted keys contain a tie — and
@@ -171,7 +180,40 @@ def oblivious_sort(
     sorted_keys = keys[perm]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         sorted_keys, perm = apply_network(keys)
-    return sorted_keys, [np.asarray(p)[perm] for p in payloads]
+    return sorted_keys, [np.take(p, perm, axis=0) for p in payloads]
+
+
+def oblivious_compact(
+    ctx: ProtocolContext,
+    flags: np.ndarray,
+    payloads: Sequence[np.ndarray],
+    payload_words: int,
+) -> tuple[int, list[np.ndarray]]:
+    """Move the flagged rows to the head, each side in its original order.
+
+    The circuit is :func:`oblivious_sort` on the keys
+    ``composite_key(¬flag, position)`` and is charged as exactly that
+    sort (:func:`charge_oblivious_sort` of ``len(flags)`` tuples of
+    ``payload_words``).  Those keys are distinct, so the network's output
+    order is the unique ascending one: every flagged position in order,
+    then every unflagged one — a stable partition, which
+    :func:`np.flatnonzero` computes without building a key or comparing
+    one.  Returns ``(count, permuted)``: after the permutation the flags
+    read ``count`` ones followed by zeros, so the caller needs no gather
+    of its own.
+
+    >>> from repro.mpc.runtime import MPCRuntime
+    >>> with MPCRuntime(seed=0).protocol("doc") as ctx:
+    ...     count, [rows] = oblivious_compact(
+    ...         ctx, np.array([0, 1, 0, 1], bool), [np.arange(4)], 2)
+    >>> count, rows.tolist()
+    (2, [1, 3, 0, 2])
+    """
+    flags = np.asarray(flags, dtype=bool)
+    charge_oblivious_sort(ctx, len(flags), payload_words)
+    head = np.flatnonzero(flags)
+    perm = np.concatenate((head, np.flatnonzero(~flags)))
+    return len(head), [np.take(p, perm, axis=0) for p in payloads]
 
 
 def composite_key(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:

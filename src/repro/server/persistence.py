@@ -461,9 +461,9 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         "tenant_budgets": dict(db.tenant_budgets),
         "metrics": _encode_metric_log(db.metrics),
         "rng": {
-            "server0": runtime.server0.gen.bit_generator.state,
-            "server1": runtime.server1.gen.bit_generator.state,
-            "owner": runtime.owner_gen.bit_generator.state,
+            "server0": runtime.server0.words.state,
+            "server1": runtime.server1.words.state,
+            "owner": runtime.owner_words.state,
             "query_noise": db.query_noise_gen.bit_generator.state,
         },
         "metadata": dict(metadata or {}),
@@ -745,11 +745,12 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
 
     # Both servers' and the owners' RNG streams continue exactly where
     # the snapshotted process stopped, as does the query-release noise
-    # stream.
+    # stream.  The ring-word streams take their held half-word back out
+    # of numpy's state dict (``RingWordStream.state``).
     rng = body["rng"]
-    db.runtime.server0.gen.bit_generator.state = rng["server0"]
-    db.runtime.server1.gen.bit_generator.state = rng["server1"]
-    db.runtime.owner_gen.bit_generator.state = rng["owner"]
+    db.runtime.server0.words.state = rng["server0"]
+    db.runtime.server1.words.state = rng["server1"]
+    db.runtime.owner_words.state = rng["owner"]
     db.query_noise_gen.bit_generator.state = rng["query_noise"]
     # Continue query-release segments past the restored spends; the plan
     # cache is deliberately not persisted (state_version starts fresh and

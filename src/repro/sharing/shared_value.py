@@ -143,11 +143,27 @@ class SharedTable:
         (and ``gen`` afterwards) are what sharing the two arrays one after
         the other would give.
         """
+        mask = random_ring_elements(gen, np.size(rows) + np.size(flags))
+        return cls.from_mask(schema, rows, flags, mask)
+
+    @classmethod
+    def from_mask(
+        cls,
+        schema: Schema,
+        rows: np.ndarray,
+        flags: np.ndarray,
+        mask: np.ndarray,
+    ) -> "SharedTable":
+        """Share ``rows`` and ``flags`` under an already drawn mask.
+
+        ``mask`` holds ``rows.size + flags.size`` uniform words: the
+        row mask is its head, the flag mask its tail, and each becomes
+        share 0 of its column as it stands (no copy).
+        """
         rows = np.ascontiguousarray(rows, dtype=np.uint32)
         if rows.ndim != 2:
             rows = rows.reshape(-1, schema.width)
         flags = np.ascontiguousarray(flags, dtype=np.uint32)
-        mask = random_ring_elements(gen, rows.size + flags.size)
         row_mask = mask[: rows.size].reshape(rows.shape)
         flag_mask = mask[rows.size :].reshape(flags.shape)
         return cls(

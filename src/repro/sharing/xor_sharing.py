@@ -84,3 +84,17 @@ def reshare_from_contributions(
     c0 = z0a ^ z1a
     c1 = c0 ^ va
     return c0, c1
+
+
+def reshare_in_place(
+    value: np.ndarray, z0: np.ndarray, z1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reshare_from_contributions` into the contribution buffers.
+
+    ``z0`` becomes ``c0 = z0 ⊕ z1`` and ``z1`` becomes ``c1 = c0 ⊕ value``
+    — the same shares, with no temporary.  The runtime passes buffers it
+    has just drawn and owns; ``value`` must have their shape.
+    """
+    np.bitwise_xor(z0, z1, out=z0)
+    np.bitwise_xor(z0, value, out=z1)
+    return z0, z1

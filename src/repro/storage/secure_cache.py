@@ -9,7 +9,10 @@ The cache-read operation (Figure 3) is: obliviously sort by the isView
 bit so real tuples come first, cut a prefix of the requested (public,
 DP-noised) size, hand the prefix to the view, keep the suffix.  The flush
 operation is the same but discards the suffix entirely, reclaiming the
-space (Theorem 5's ``s``/``f`` machinery).
+space (Theorem 5's ``s``/``f`` machinery).  The sort is charged as the
+sorting network on ``(¬isView, position)`` keys; its output on those
+distinct keys is a stable partition, which
+:func:`~repro.oblivious.sort.oblivious_compact` computes directly.
 
 Like the view, the cache is a shard-aware container
 (:class:`~repro.storage.sharded_container.ShardedTableContainer`).  The
@@ -34,7 +37,7 @@ import numpy as np
 
 from ..common.errors import ProtocolError
 from ..mpc.runtime import ProtocolContext
-from ..oblivious.sort import composite_key, oblivious_sort
+from ..oblivious.sort import oblivious_compact
 from ..sharing.shared_value import SharedTable
 from .sharded_container import ShardedTableContainer
 
@@ -118,32 +121,32 @@ class SecureCache(ShardedTableContainer):
         exact append order before the one global oblivious sort, and the
         kept suffix is re-scattered afterwards — same circuit, same gate
         charges, same resharing randomness as the unsharded cache.
+        The real counts need no second pass: after the partition the
+        first ``n_real`` rows are exactly the real ones.
         """
         if size < 0:
             raise ProtocolError(f"read size must be non-negative, got {size}")
         n = len(self)
         size = min(size, n)
         rows, flags = ctx.reveal_table(self.table)
-        # Real tuples (flag=1) must sort to the head: key 0 for real,
-        # 1 for dummy; FIFO tiebreak on position keeps reads deterministic.
-        primary = np.where(flags, 0, 1).astype(np.uint32)
-        position = np.arange(n, dtype=np.uint32)
-        keys = composite_key(primary, position)
-        _, [sorted_rows, sorted_flags] = oblivious_sort(
-            ctx, keys, [rows, flags.astype(np.uint32)], self.schema.width + 1
+        # Real tuples (flag=1) go to the head in FIFO order, dummies after
+        # them: the sort on (¬isView, position), charged as that sort.
+        n_real, [sorted_rows] = oblivious_compact(
+            ctx, flags, [rows], self.schema.width + 1
         )
-        sorted_flags = sorted_flags.astype(bool)
+        sorted_flags = np.zeros(n, dtype=np.uint32)
+        sorted_flags[:n_real] = 1
 
-        head_rows, head_flags = sorted_rows[:size], sorted_flags[:size]
-        tail_rows, tail_flags = sorted_rows[size:], sorted_flags[size:]
-        fetched = ctx.share_table(self.schema, head_rows, head_flags)
-        fetched_real = int(head_flags.sum())
-        remaining_real = int(tail_flags.sum())
+        fetched = ctx.share_table(self.schema, sorted_rows[:size], sorted_flags[:size])
+        fetched_real = min(size, n_real)
+        remaining_real = n_real - fetched_real
 
         if discard_rest:
             self._clear()
         else:
-            self._replace(ctx.share_table(self.schema, tail_rows, tail_flags))
+            self._replace(
+                ctx.share_table(self.schema, sorted_rows[size:], sorted_flags[size:])
+            )
         return fetched, fetched_real, remaining_real
 
     def real_count(self, ctx: ProtocolContext) -> int:

@@ -99,24 +99,23 @@ class TestShareTableStream:
                 )
         for server in ("server0", "server1"):
             assert (
-                getattr(got_rt, server).gen.bit_generator.state
-                == getattr(ref_rt, server).gen.bit_generator.state
+                getattr(got_rt, server).words.state
+                == getattr(ref_rt, server).words.state
             )
 
     def test_owner_share_table_equals_rows_then_flags_in_two_draws(self):
+        """The owners' ring-word stream against ``share_array`` on a plain
+        generator (``Generator.integers``), draw for draw and state for
+        state — odd sizes leave a half-word held between tables."""
         got_rt, ref_rt = MPCRuntime(seed=5), MPCRuntime(seed=5)
+        ref_gen = ref_rt.owner_words.gen
         for shape in self.SHAPES:
             schema, rows, flags = self._plain(*shape)
             table = got_rt.owner_share_table(schema, rows, flags)
             self._assert_same_shares(
-                table,
-                share_array(rows, ref_rt.owner_gen),
-                share_array(flags, ref_rt.owner_gen),
+                table, share_array(rows, ref_gen), share_array(flags, ref_gen)
             )
-        assert (
-            got_rt.owner_gen.bit_generator.state
-            == ref_rt.owner_gen.bit_generator.state
-        )
+            assert got_rt.owner_words.state == ref_gen.bit_generator.state
 
     def test_share_table_enters_each_server_once(self, runtime, monkeypatch):
         entered = []

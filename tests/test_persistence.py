@@ -175,19 +175,34 @@ def share_state(db: IncShrinkDatabase) -> dict:
                 table.flags.share0, table.flags.share1,
             ):
                 digest.update(np.ascontiguousarray(half).tobytes())
-    runtime = db.runtime
     return {
         "shares": digest.hexdigest(),
-        "streams": [
-            gen.bit_generator.state
-            for gen in (runtime.server0.gen, runtime.server1.gen, runtime.owner_gen)
-        ],
+        "streams": [words.state for words in ring_word_streams(db)],
     }
 
 
-@pytest.mark.parametrize("snapshot_at", [1, 2, 4])
-def test_mid_stream_roundtrip_is_byte_identical(tmp_path, snapshot_at):
-    """Stop at any step, restore, continue: identical answers and ε."""
+def ring_word_streams(db: IncShrinkDatabase) -> list:
+    runtime = db.runtime
+    return [runtime.server0.words, runtime.server1.words, runtime.owner_words]
+
+
+@pytest.mark.parametrize(
+    "snapshot_at, half_held",
+    [
+        pytest.param(1, True, id="1"),
+        pytest.param(2, True, id="2"),
+        pytest.param(4, False, id="4"),
+        pytest.param(5, True, id="5"),  # only the owners' stream holds one
+    ],
+)
+def test_mid_stream_roundtrip_is_byte_identical(tmp_path, snapshot_at, half_held):
+    """Stop at any step, restore, continue: identical answers and ε.
+
+    A ring-word stream that drew an odd number of words holds the high
+    half of its last PCG64 output; the snapshot must carry it (folded
+    into numpy's ``has_uint32``/``uinteger``) or the restored stream
+    skips a word.  ``half_held`` pins which snapshot points cover that.
+    """
     n_steps = len(SCRIPT)
     uninterrupted = build_database()
     for t in range(1, n_steps + 1):
@@ -197,6 +212,8 @@ def test_mid_stream_roundtrip_is_byte_identical(tmp_path, snapshot_at):
     interrupted = build_database()
     for t in range(1, snapshot_at + 1):
         feed(interrupted, t)
+    held = [words.state["has_uint32"] for words in ring_word_streams(interrupted)]
+    assert any(held) == half_held
     path = tmp_path / "mid.snap"
     snapshot_database(interrupted, path)
 

@@ -6,10 +6,15 @@ multi-aggregate view scan (:func:`repro.oblivious.filter.
 oblivious_multi_aggregate` over one column-major shard, bare and behind
 a range predicate; and ``cold_scan``, the ``bigview-adhoc`` query: four
 shards through the in-process executor), the
-oblivious sort on position-tiebroken keys
-(:func:`repro.oblivious.sort.oblivious_sort`) and Transform's ω-truncated
+join's oblivious sort on ``(key, side, position)`` keys
+(:func:`repro.oblivious.sort.oblivious_sort`), Transform's ω-truncated
 sort-merge join (:func:`repro.oblivious.sort_merge_join.
-truncated_sort_merge_join`) — under both
+truncated_sort_merge_join`), and the two fixed-shape stages of every
+``cpdb-heavy`` upload — ``cache_read``, one Figure 3 read of a
+5,700 × 4-row cache (:meth:`repro.storage.secure_cache.SecureCache.
+sorted_read`), and ``ring_words``, one step's mix of ring-word draws
+from both servers' streams (:class:`repro.common.rng.RingWordStream`) —
+under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -136,24 +141,78 @@ def _cold_scan_workload(rows: int):
     return run
 
 
-def _sort_workload(rows: int):
-    """One oblivious sort of ``rows`` rows, keyed as a cache read keys
-    them: ``(¬isView, position)`` — distinct, so this is the serving
-    path (argsort + charge), not the tied-key network execution."""
+def _join_sort_workload(rows: int):
+    """The join's oblivious sort of ``rows`` rows: the union of both
+    sides keyed ``(key, side, position)`` as
+    :func:`~repro.oblivious.sort_merge_join.truncated_sort_merge_join`
+    keys it — distinct, so this is argsort + charge, not the tied-key
+    network execution."""
     from repro.mpc.runtime import MPCRuntime
     from repro.oblivious.sort import composite_key, oblivious_sort
 
     gen = np.random.default_rng(29)
-    flags = gen.integers(0, 2, size=rows).astype(bool)
-    keys = composite_key(
-        np.where(flags, 0, 1).astype(np.uint32), np.arange(rows, dtype=np.uint32)
+    n_probe = rows // 2
+    side = np.repeat(np.asarray([0, 1], dtype=np.uint32), [n_probe, rows - n_probe])
+    position = np.concatenate(
+        [np.arange(n_probe, dtype=np.uint32), np.arange(rows - n_probe, dtype=np.uint32)]
     )
-    payload = gen.integers(0, 1 << 31, size=rows).astype(np.uint32)
+    join_key = gen.integers(1, max(2, rows // 4), size=rows, dtype=np.uint32)
+    keys = composite_key(join_key, (side << np.uint32(24)) | position)
     runtime = MPCRuntime(seed=0)
 
     def run() -> None:
         with runtime.protocol("profile-sort", 0) as ctx:
-            oblivious_sort(ctx, keys, [payload, payload], payload_words=4)
+            oblivious_sort(ctx, keys, [side, position], payload_words=4)
+
+    return run
+
+
+def _cache_read_workload(rows: int):
+    """One Figure 3 cache read as ``cpdb-heavy`` serves it: ``rows``
+    cached rows of four words, about 1 % real, a DP-sized read of 40.
+    The partition is cheap; what is left is revealing the cache and
+    re-sharing the head and the kept tail from both servers' draws."""
+    from repro.common.types import Schema
+    from repro.mpc.runtime import MPCRuntime
+    from repro.sharing.shared_value import SharedTable
+    from repro.storage.secure_cache import SecureCache
+
+    gen = np.random.default_rng(37)
+    schema = Schema(("a", "b", "c", "d"))
+    data = gen.integers(0, 1 << 32, size=(rows, 4), dtype=np.uint32)
+    flags = gen.random(rows) < 0.01
+    content = SharedTable.from_plain(schema, data, flags, gen)
+    runtime = MPCRuntime(seed=0)
+
+    def run() -> None:
+        cache = SecureCache(schema)
+        cache.append(content)
+        with runtime.protocol("profile-cache-read", 0) as ctx:
+            cache.sorted_read(ctx, 40)
+
+    return run
+
+
+#: One ``cpdb-heavy`` step's ring-word draws per server, as
+#: ``(words per draw, draws)``: joint-noise single words, counter and
+#: threshold re-shares, Transform deltas, and the cache read's tail.
+RING_WORD_MIX = ((1, 9), (165, 1), (3_000, 3), (60_000, 1))
+RING_WORDS_PER_STEP = 2 * sum(size * count for size, count in RING_WORD_MIX)
+
+
+def _ring_words_workload(rows: int):
+    """One step's ring-word draws from both servers' streams
+    (:data:`RING_WORD_MIX`, ``rows`` is fixed at its word total)."""
+    from repro.mpc.runtime import MPCRuntime
+
+    runtime = MPCRuntime(seed=0)
+    sizes = [size for size, count in RING_WORD_MIX for _ in range(count)]
+    assert rows == RING_WORDS_PER_STEP
+
+    def run() -> None:
+        for size in sizes:
+            runtime.server0.contribute_u32(size)
+            runtime.server1.contribute_u32(size)
 
     return run
 
@@ -271,10 +330,15 @@ WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
     "cold_scan": _cold_scan_workload,
-    "oblivious_sort": _sort_workload,
+    "join_sort": _join_sort_workload,
     "transform_join": _transform_join_workload,
     "incremental_scan": _incremental_workload,
+    "cache_read": _cache_read_workload,
+    "ring_words": _ring_words_workload,
 }
+
+#: Stages whose shape is the served one whatever ``--rows`` says.
+FIXED_ROWS = {"cache_read": 5_700, "ring_words": RING_WORDS_PER_STEP}
 
 
 def profile_long_stream(steps: int = LONG_STREAM_STEPS) -> dict:
@@ -343,7 +407,8 @@ def _top_functions(profile: cProfile.Profile, top: int) -> list[dict]:
 def profile_workloads(rows: int, top: int) -> dict:
     results = {}
     for name, factory in WORKLOADS.items():
-        run = factory(rows)
+        size = FIXED_ROWS.get(name, rows)
+        run = factory(size)
         run()  # warm caches (numpy buffers, accumulator cache) once
 
         timed = []
@@ -358,10 +423,10 @@ def profile_workloads(rows: int, top: int) -> dict:
         profile.disable()
 
         results[name] = {
-            "rows": rows,
+            "rows": size,
             "best_seconds": min(timed),
             "mean_seconds": sum(timed) / len(timed),
-            "rows_per_second": rows / min(timed),
+            "rows_per_second": size / min(timed),
             "top_functions": _top_functions(profile, top),
         }
     return {
