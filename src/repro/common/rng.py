@@ -61,9 +61,11 @@ class RingWordStream:
     ``state`` therefore equals, dict for dict, a generator that drew the
     same sizes through :func:`random_ring_elements`.
 
-    Not thread-safe: the held half is plain Python state.  Every stream
-    is drawn only by whole-state protocol scopes (and owner sharing)
-    under the database's protocol lock.
+    Not thread-safe: the held half is plain Python state.  Only
+    whole-state protocol scopes (shard contexts refuse to draw) and
+    owner sharing draw words, and the serving runtime runs both inside
+    its ingest step under the exclusive write lock, where snapshots also
+    read :attr:`state`; queries draw none.
 
     >>> a = RingWordStream(spawn(3, "doc"))
     >>> b = spawn(3, "doc")

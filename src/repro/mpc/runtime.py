@@ -40,7 +40,7 @@ from ..common.errors import ProtocolError, SecurityError
 from ..common.rng import RingWordStream, spawn
 from ..common.types import Schema
 from ..sharing.shared_value import SharedArray, SharedTable
-from ..sharing.xor_sharing import reshare_in_place
+from ..sharing.xor_sharing import reshare_from_contributions
 from .cost_model import DEFAULT_COST_MODEL, CostModel
 from .transcript import Transcript
 
@@ -207,7 +207,7 @@ class ProtocolContext:
         values = np.asarray(values, dtype=np.uint32)
         z0 = self._runtime.server0.contribute_u32(values.size).reshape(values.shape)
         z1 = self._runtime.server1.contribute_u32(values.size).reshape(values.shape)
-        return SharedArray(*reshare_in_place(values, z0, z1))
+        return SharedArray(*reshare_from_contributions(values, z0, z1))
 
     def share_table(
         self, schema: Schema, rows: np.ndarray, flags: np.ndarray
@@ -229,10 +229,10 @@ class ProtocolContext:
         n = rows.size
         z0 = self._runtime.server0.contribute_u32(n + flags.size)
         z1 = self._runtime.server1.contribute_u32(n + flags.size)
-        row_shares = reshare_in_place(
+        row_shares = reshare_from_contributions(
             rows, z0[:n].reshape(rows.shape), z1[:n].reshape(rows.shape)
         )
-        flag_shares = reshare_in_place(
+        flag_shares = reshare_from_contributions(
             flags, z0[n:].reshape(flags.shape), z1[n:].reshape(flags.shape)
         )
         return SharedTable(

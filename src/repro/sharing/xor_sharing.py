@@ -67,7 +67,7 @@ def recover_array_k(shares: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def reshare_from_contributions(
-    value: np.ndarray | int, z0: np.ndarray | int, z1: np.ndarray | int
+    value: np.ndarray, z0: np.ndarray, z1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-share ``value`` inside MPC from server-contributed randomness.
 
@@ -77,23 +77,12 @@ def reshare_from_contributions(
     predict or bias the resulting shares as long as the *other* server's
     contribution is honest-uniform, which is exactly the non-colluding
     assumption.
-    """
-    z0a = np.asarray(z0, dtype=np.uint32)
-    z1a = np.asarray(z1, dtype=np.uint32)
-    va = np.asarray(value, dtype=np.uint32)
-    c0 = z0a ^ z1a
-    c1 = c0 ^ va
-    return c0, c1
 
-
-def reshare_in_place(
-    value: np.ndarray, z0: np.ndarray, z1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`reshare_from_contributions` into the contribution buffers.
-
-    ``z0`` becomes ``c0 = z0 ⊕ z1`` and ``z1`` becomes ``c1 = c0 ⊕ value``
-    — the same shares, with no temporary.  The runtime passes buffers it
-    has just drawn and owns; ``value`` must have their shape.
+    The shares are written into the contribution buffers — ``z0`` becomes
+    ``c0`` and ``z1`` becomes ``c1`` — so re-sharing allocates nothing.
+    ``z0`` and ``z1`` must be writable ``uint32`` arrays of ``value``'s
+    shape, freshly drawn and owned by the caller (the runtime's
+    ``contribute_u32`` draws are).
     """
     np.bitwise_xor(z0, z1, out=z0)
     np.bitwise_xor(z0, value, out=z1)

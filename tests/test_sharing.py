@@ -81,14 +81,23 @@ class TestXorSharing:
     )
     @settings(max_examples=50, deadline=None)
     def test_reshare_from_contributions_recovers(self, value, z0, z1):
-        c0, c1 = reshare_from_contributions(value, z0, z1)
-        assert int(c0) ^ int(c1) == value
+        def u32(x):
+            return np.array([x], dtype=np.uint32)
+
+        buffers = u32(z0), u32(z1)
+        c0, c1 = reshare_from_contributions(u32(value), *buffers)
+        assert int(c0[0]) ^ int(c1[0]) == value
+        assert c0 is buffers[0] and c1 is buffers[1]  # written in place
+        assert int(c0[0]) == z0 ^ z1
 
     def test_reshare_share0_independent_of_value(self):
         # c0 = z0 ^ z1 does not involve the secret at all.
-        c0a, _ = reshare_from_contributions(1, 10, 20)
-        c0b, _ = reshare_from_contributions(999, 10, 20)
-        assert int(c0a) == int(c0b)
+        def contributions():
+            return np.array([10], dtype=np.uint32), np.array([20], dtype=np.uint32)
+
+        c0a, _ = reshare_from_contributions(np.uint32(1), *contributions())
+        c0b, _ = reshare_from_contributions(np.uint32(999), *contributions())
+        assert int(c0a[0]) == int(c0b[0])
 
 
 class TestSharedArray:

@@ -202,12 +202,12 @@ RING_WORDS_PER_STEP = 2 * sum(size * count for size, count in RING_WORD_MIX)
 
 def _ring_words_workload(rows: int):
     """One step's ring-word draws from both servers' streams
-    (:data:`RING_WORD_MIX`, ``rows`` is fixed at its word total)."""
+    (:data:`RING_WORD_MIX`; ``rows`` is its word total, set by
+    :data:`FIXED_ROWS`)."""
     from repro.mpc.runtime import MPCRuntime
 
     runtime = MPCRuntime(seed=0)
     sizes = [size for size, count in RING_WORD_MIX for _ in range(count)]
-    assert rows == RING_WORDS_PER_STEP
 
     def run() -> None:
         for size in sizes:
