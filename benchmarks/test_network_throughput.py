@@ -6,14 +6,13 @@ runtime through in-process calls; this module drives the same deployment
 two parts:
 
 ``test_bench_network_throughput``
-    One owner streams the workload through ``upload`` frames in three
-    modes — PR 5-style sequential JSON, sequential binary, and the
-    pipelined binary burst (``upload_many``) — then ``CLIENTS``
-    concurrent analyst clients replay the standard query mix.  Every
-    networked answer is checked against the in-process answer at the
-    same watermark, and the three upload modes must produce identical
-    answers at identical realized ε (the codec changes bytes on the
-    wire, not results).
+    One owner streams the workload through ``upload`` frames in two
+    modes — one frame per round trip, and the pipelined burst
+    (``upload_many``) — then ``CLIENTS`` concurrent analyst clients
+    replay the standard query mix.  Every networked answer is checked
+    against the in-process answer at the same watermark, and the two
+    upload modes must produce identical answers at identical realized ε
+    (pipelining changes the wire schedule, not results).
 
 ``test_bench_network_soak``
     ``NET_SOAK_CONNECTIONS`` concurrent connections (default 600; CI's
@@ -71,7 +70,7 @@ QUERY_ROUNDS = 3
 
 # The PR 5 thread-per-connection server's recorded uploads/s on this
 # exact workload (BENCH_network.json in git history) — the baseline the
-# reactor + binary codec must beat by ≥ 2×.
+# reactor + pipelined uploads must beat by ≥ 2×.
 PR5_UPLOADS_PER_SECOND = 842.3
 
 SOAK_CONNECTIONS = int(os.environ.get("NET_SOAK_CONNECTIONS", "600"))
@@ -102,7 +101,7 @@ def _merge_bench(record_bench, section: str, payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Part 1 — upload codec comparison + concurrent query throughput
+# Part 1 — sequential vs pipelined uploads + concurrent query throughput
 # ---------------------------------------------------------------------------
 
 
@@ -110,17 +109,16 @@ def _upload_mode(mode: str) -> dict:
     """Stream the full workload in one upload mode on a fresh deployment.
 
     The **submit** clock stops when the last ``upload_ok`` is read (every
-    step accepted into the ingest queue — the wire-path cost the codec
-    and pipelining can change); the **drain** clock then covers the
-    server applying the queue (bounded by MPC-sim ingestion, identical
-    across codecs).  Returns both, plus bytes on the wire and the
-    reference answers + realized ε so the caller can assert the codec
-    changed the encoding, not the results.
+    step accepted into the ingest queue — the wire-path cost pipelining
+    can change); the **drain** clock then covers the server applying the
+    queue (bounded by MPC-sim ingestion, identical across modes).
+    Returns both, plus bytes on the wire and the reference answers +
+    realized ε so the caller can assert pipelining changed the schedule,
+    not the results.
     """
     config = MultiViewRunConfig(dataset=DATASET, n_steps=N_STEPS, seed=5)
     deployment = build_multiview_deployment(config)
     server = DatabaseServer(deployment.database)
-    codec = "json" if mode == "json_sequential" else "binary"
 
     with NetworkServer(server) as net:
         host, port = net.address
@@ -134,7 +132,7 @@ def _upload_mode(mode: str) -> dict:
             for step in steps
         ]
         last_time = schedule[-1][0]
-        with IncShrinkClient(host, port, name=f"owner-{mode}", codec=codec) as owner:
+        with IncShrinkClient(host, port, name=f"owner-{mode}") as owner:
             t0 = _time.perf_counter()
             if mode == "binary_pipelined":
                 owner.upload_many(schedule)
@@ -151,7 +149,6 @@ def _upload_mode(mode: str) -> dict:
                     break
                 _time.sleep(0.005)
             drain_seconds = _time.perf_counter() - t0
-            negotiated = owner.codec
             bytes_sent = owner.bytes_sent
             bytes_received = owner.bytes_received
 
@@ -163,11 +160,9 @@ def _upload_mode(mode: str) -> dict:
         observability = server.observability()
     server.stop()
 
-    assert negotiated == codec
     uploads = observability["uploads"]
     return {
         "mode": mode,
-        "codec": negotiated,
         "upload_frames": len(schedule),
         "uploads": uploads,
         "client_submit_seconds": submit_seconds,
@@ -186,31 +181,22 @@ def _upload_mode(mode: str) -> dict:
 def _best_of(mode: str, repeats: int = 3) -> dict:
     """Best-of-N submit timing: a full submit phase lasts only a few
     milliseconds, so one scheduler hiccup can double it — the minimum is
-    the representative codec cost (standard micro-benchmark practice)."""
+    the representative wire cost (standard micro-benchmark practice)."""
     runs = [_upload_mode(mode) for _ in range(repeats)]
     return min(runs, key=lambda r: r["client_submit_seconds"])
 
 
 def _run_network() -> dict:
-    # Upload phase: same workload, three wire strategies.
-    modes = [
-        _best_of("json_sequential"),
-        _best_of("binary_sequential"),
-        _best_of("binary_pipelined"),
-    ]
-    reference = modes[0]
-    for mode in modes[1:]:
-        assert mode["_answers"] == reference["_answers"], mode["mode"]
-        assert mode["_realized_epsilon"] == reference["_realized_epsilon"]
-    codec_comparison = {
+    # Upload phase: same workload, two wire strategies.
+    reference, pipelined = _best_of("binary_sequential"), _best_of("binary_pipelined")
+    assert pipelined["_answers"] == reference["_answers"]
+    assert pipelined["_realized_epsilon"] == reference["_realized_epsilon"]
+    upload_comparison = {
         mode["mode"]: {k: v for k, v in mode.items() if not k.startswith("_")}
-        for mode in modes
+        for mode in (reference, pipelined)
     }
-    codec_comparison["binary_vs_json_upload_bytes"] = (
-        modes[1]["bytes_sent"] / reference["bytes_sent"]
-    )
-    codec_comparison["binary_pipelined_speedup"] = (
-        modes[2]["client_uploads_per_second"]
+    upload_comparison["binary_pipelined_speedup"] = (
+        pipelined["client_uploads_per_second"]
         / reference["client_uploads_per_second"]
     )
 
@@ -286,14 +272,14 @@ def _run_network() -> dict:
         "latency_p50_ms": _percentile(latencies, 0.50) * 1000.0,
         "latency_p95_ms": _percentile(latencies, 0.95) * 1000.0,
         "latency_p99_ms": _percentile(latencies, 0.99) * 1000.0,
-        "codec_comparison": codec_comparison,
+        "upload_comparison": upload_comparison,
         "observability": observability,
     }
 
 
 def test_bench_network_throughput(benchmark, record_bench):
     result = benchmark.pedantic(_run_network, rounds=1, iterations=1)
-    comparison = result["codec_comparison"]
+    comparison = result["upload_comparison"]
 
     # Loose sanity floors (the recorded JSON is the real trajectory).
     assert result["client_qps"] > 1.0
@@ -306,26 +292,21 @@ def test_bench_network_throughput(benchmark, record_bench):
     )
     assert result["observability"]["queries"] >= result["queries"]
     assert result["observability"]["last_time"] == N_STEPS
-    # The headline acceptance: the pipelined binary path submits the
-    # same workload at ≥ 2× the PR 5 baseline's uploads/s.
+    # The headline acceptance: the pipelined path submits the same
+    # workload at ≥ 2× the PR 5 baseline's uploads/s.
     pipelined = comparison["binary_pipelined"]["client_uploads_per_second"]
     assert pipelined >= 2.0 * PR5_UPLOADS_PER_SECOND, comparison
-    # Relative to sequential JSON on the *same* stack the gap is mostly
-    # the per-frame round trip (recorded, loosely floored: on this
-    # single-CPU container the ratio jitters around ~2×).
+    # Relative to sequential uploads on the *same* stack the gap is the
+    # per-frame round trip (recorded, loosely floored).
     assert comparison["binary_pipelined_speedup"] >= 1.2, comparison
-    # And raw arrays are smaller than JSON int lists on the wire.
-    assert comparison["binary_vs_json_upload_bytes"] < 1.0, comparison
 
     note = _merge_bench(record_bench, "throughput", result)
 
-    json_rate = comparison["json_sequential"]["client_uploads_per_second"]
-    pipe_rate = comparison["binary_pipelined"]["client_uploads_per_second"]
+    seq_rate = comparison["binary_sequential"]["client_uploads_per_second"]
     emit(
         "network serving throughput (localhost wall clock)\n"
-        f"  uploads  : json sequential {json_rate:.0f}/s -> binary pipelined "
-        f"{pipe_rate:.0f}/s ({comparison['binary_pipelined_speedup']:.1f}x), "
-        f"binary/json bytes {comparison['binary_vs_json_upload_bytes']:.2f}\n"
+        f"  uploads  : sequential {seq_rate:.0f}/s -> pipelined "
+        f"{pipelined:.0f}/s ({comparison['binary_pipelined_speedup']:.1f}x)\n"
         f"  queries  : {result['queries']} across {CLIENTS} concurrent "
         f"clients, client {result['client_qps']:.1f} q/s "
         f"(server busy-time {result['server_qps']:.1f} q/s)\n"
@@ -427,9 +408,7 @@ def _run_soak(n_connections: int, duration: float) -> dict:
         sel = selectors.DefaultSelector()
         conns: list[_SoakConn] = []
         pace = max(0.5, n_connections / 800.0)
-        hello = wire.encode_frame(
-            "hello", {"client": "soak", "codecs": ["json"]}
-        )
+        hello = wire.encode_frame("hello", {"client": "soak"})
 
         def register(conn: _SoakConn, events: int) -> None:
             try:

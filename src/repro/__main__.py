@@ -63,7 +63,7 @@ from .common.errors import (
 )
 from .net.client import IncShrinkClient
 from .net.metrics import MetricsServer
-from .net.protocol import JOIN_FIELDS, RemoteError, WireError
+from .net.protocol import JOIN_FIELDS, PROTOCOL_VERSION, RemoteError, WireError
 from .net.server import NetworkServer
 from .query.ast import (
     AggregateSpec,
@@ -325,11 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cl.add_argument(
         "--time", type=int, default=None,
         help="query at this step (default: the server's watermark)",
-    )
-    cl.add_argument(
-        "--codec", choices=["binary", "json"], default="binary",
-        help="preferred payload codec offered in the handshake; the "
-        "server may negotiate down to json (default: binary)",
     )
     cl.add_argument(
         "--tenant", default=None, metavar="ID",
@@ -608,8 +603,8 @@ def _serve_network(
     net.start()
     host, port = net.address
     print(
-        f"listening on {host}:{port} (incshrink wire protocol v1/v2, "
-        f"codecs: json+binary, {loop_threads} event loops)"
+        f"listening on {host}:{port} (incshrink wire protocol "
+        f"v{PROTOCOL_VERSION}, {loop_threads} event loops)"
     )
     if registry is not None:
         print(
@@ -956,7 +951,7 @@ def _cmd_client(args) -> None:
     if (args.tenant is None) != (args.token is None):
         raise SystemExit("--tenant and --token must be given together")
     client = IncShrinkClient(
-        host, port, name="repro-cli", connect_retries=3, codec=args.codec,
+        host, port, name="repro-cli", connect_retries=3,
         tenant=args.tenant, token=args.token,
     )
     try:

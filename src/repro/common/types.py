@@ -112,6 +112,10 @@ class RecordBatch:
             self.is_real = np.ones(len(self.rows), dtype=bool)
         else:
             self.is_real = np.asarray(self.is_real, dtype=bool)
+        if self.is_real.ndim != 1:
+            raise SchemaError(
+                f"is_real must be one-dimensional, got shape {self.is_real.shape}"
+            )
         if len(self.is_real) != len(self.rows):
             raise SchemaError("is_real length does not match row count")
 

@@ -6,34 +6,30 @@ AST, observability, checkpoints, resharding — made reachable across a
 real service boundary:
 
 * :mod:`repro.net.protocol` — the versioned, length-prefixed binary
-  frame format (stdlib ``struct``): JSON payloads on version-1 frames,
-  raw little-endian array blobs on version-2 frames, an incremental
-  :class:`FrameDecoder` for event-driven reassembly, and the
-  ``hello``/``welcome`` codec negotiation;
+  frame format (stdlib ``struct``): a JSON head plus raw little-endian
+  array blobs in every frame, and an incremental :class:`FrameDecoder`
+  for event-driven reassembly;
 * :mod:`repro.net.server` — :class:`NetworkServer`, an event-driven
   (``selectors``) reactor front door: a small pool of loop threads
   multiplexing non-blocking sockets, bounded admission
   (reject-with-``retry_after``, no unbounded buffering), idle/stall
   timers, upload coalescing, and graceful drain;
 * :mod:`repro.net.client` — :class:`IncShrinkClient`, a typed SDK with
-  connect/retry, codec negotiation (binary-first), pipelined
+  connect/retry, pipelined
   ``upload_many``, bytes-on-wire metering, and results mirroring
   :class:`~repro.server.database.DatabaseQueryResult`.
 
-See ``docs/NETWORK.md`` for the frame reference, the codec negotiation
-table, and the leakage argument (the wire exposes nothing beyond the
-snapshot format's surface plus public lengths — in either codec).
+See ``docs/NETWORK.md`` for the frame reference and the leakage
+argument (the wire exposes nothing beyond the snapshot format's surface
+plus public lengths).
 """
 
 from .client import IncShrinkClient
 from .protocol import (
-    CODEC_BINARY,
-    CODEC_JSON,
     FRAME_CODES,
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
-    SUPPORTED_CODECS,
     ConnectionClosed,
     FrameDecoder,
     RemoteError,
@@ -41,20 +37,16 @@ from .protocol import (
     VersionMismatch,
     WireError,
     encode_frame,
-    negotiate_codec,
     read_frame,
     write_frame,
 )
 from .server import NetworkServer
 
 __all__ = [
-    "CODEC_BINARY",
-    "CODEC_JSON",
     "FRAME_CODES",
     "MAX_FRAME_BYTES",
     "PROTOCOL_MAGIC",
     "PROTOCOL_VERSION",
-    "SUPPORTED_CODECS",
     "ConnectionClosed",
     "FrameDecoder",
     "IncShrinkClient",
@@ -64,7 +56,6 @@ __all__ = [
     "VersionMismatch",
     "WireError",
     "encode_frame",
-    "negotiate_codec",
     "read_frame",
     "write_frame",
 ]

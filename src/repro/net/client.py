@@ -17,15 +17,10 @@ TCP connection:
   the server's ``retry_after`` hint (bounded by ``busy_retries``); every
   other ``error`` frame raises :class:`~repro.net.protocol.RemoteError`
   with its machine-readable code;
-* the handshake **negotiates a codec**: the client offers its
-  preference list in ``hello`` (binary first by default) and adopts
-  whatever the ``welcome`` picks, so the same client code speaks raw
-  little-endian share payloads to a PR 7 reactor and plain JSON to a
-  PR 5-era server;
 * ``upload_many`` pipelines a run of steps in one write burst and one
   read pass — the reactor coalesces the burst into a single batched
   queue submission — and :attr:`bytes_sent`/:attr:`bytes_received`
-  meter the wire for codec comparisons;
+  meter the wire;
 * the client is a context manager (``with IncShrinkClient(...) as c:``)
   and is safe to share across threads — one request/response exchange at
   a time, serialized on an internal lock.
@@ -48,9 +43,9 @@ from .protocol import RemoteError, RemoteQueryResult, WireError
 class _MeteredStream:
     """File-like wrapper metering every byte that crosses the socket.
 
-    The codec-comparison benchmark needs honest bytes-on-wire numbers,
-    and the frame reader/writer only see a file object — so the count
-    happens here, transparently, for requests and responses alike.
+    Benchmarks need honest bytes-on-wire numbers, and the frame
+    reader/writer only see a file object — so the count happens here,
+    transparently, for requests and responses alike.
     """
 
     __slots__ = ("_stream", "_owner")
@@ -87,15 +82,9 @@ class IncShrinkClient:
         connect_retries: int = 20,
         retry_backoff: float = 0.05,
         busy_retries: int = 16,
-        codec: str = wire.CODEC_BINARY,
         tenant: str | None = None,
         token: str | None = None,
     ) -> None:
-        if codec not in wire.SUPPORTED_CODECS:
-            raise WireError(
-                f"unknown codec preference {codec!r}; "
-                f"supported: {wire.SUPPORTED_CODECS}"
-            )
         self.host = host
         self.port = port
         self.name = name or "incshrink-client"
@@ -103,9 +92,6 @@ class IncShrinkClient:
         self.connect_retries = connect_retries
         self.retry_backoff = retry_backoff
         self.busy_retries = busy_retries
-        #: preferred codec, offered first in the ``hello`` frame; the
-        #: server's ``welcome`` has the final word (:attr:`codec`)
-        self.preferred_codec = codec
         #: multi-tenant credentials, sent in the ``hello`` frame when
         #: set.  A registry-backed server answers a wrong or missing
         #: pair with a structured ``auth-failed`` error and closes; a
@@ -117,7 +103,6 @@ class IncShrinkClient:
         self._sock: socket.socket | None = None
         self._stream = None
         self._lock = threading.Lock()
-        self._codec = wire.CODEC_JSON
         self._bytes_sent = 0
         self._bytes_received = 0
 
@@ -125,12 +110,6 @@ class IncShrinkClient:
     @property
     def connected(self) -> bool:
         return self._stream is not None
-
-    @property
-    def codec(self) -> str:
-        """The codec the ``welcome`` frame settled on (``json`` until
-        a handshake negotiates ``binary``)."""
-        return self._codec
 
     @property
     def bytes_sent(self) -> int:
@@ -176,17 +155,11 @@ class IncShrinkClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
             self._stream = _MeteredStream(sock.makefile("rwb"), self)
-            self._codec = wire.CODEC_JSON
-            if self.preferred_codec == wire.CODEC_BINARY:
-                offered = [wire.CODEC_BINARY, wire.CODEC_JSON]
-            else:
-                offered = [wire.CODEC_JSON]
             try:
                 # No same-socket busy retry here: a connection-cap
                 # rejection closes the socket, so overload is handled
-                # below by redialing.  The hello itself always rides a
-                # version-1 JSON frame — it must parse on any server.
-                hello: dict = {"client": self.name, "codecs": offered}
+                # below by redialing.
+                hello: dict = {"client": self.name}
                 if self.tenant is not None:
                     hello["tenant"] = self.tenant
                 if self.token is not None:
@@ -197,14 +170,6 @@ class IncShrinkClient:
                     expect="welcome",
                     retry_busy=False,
                 )
-                picked = self.server_info.get("codec", wire.CODEC_JSON)
-                if picked not in offered:
-                    # A PR 5-era server omits the field entirely (JSON);
-                    # anything else we didn't offer is a protocol bug.
-                    raise WireError(
-                        f"server picked unoffered codec {picked!r}"
-                    )
-                self._codec = picked
                 return self
             except RemoteError as exc:
                 # A failed handshake must not leave a half-connected
@@ -246,7 +211,6 @@ class IncShrinkClient:
             except OSError:
                 pass
             self._sock = None
-        self._codec = wire.CODEC_JSON
 
     def close(self) -> None:
         """Say goodbye (best effort) and release the socket."""
@@ -289,7 +253,7 @@ class IncShrinkClient:
                         "client is not connected; call connect() first"
                     )
                 try:
-                    wire.write_frame(stream, frame_type, payload, codec=self._codec)
+                    wire.write_frame(stream, frame_type, payload)
                     response_type, response = wire.read_frame(stream)
                 except (OSError, ValueError, wire.ConnectionClosed) as exc:
                     self._teardown()
@@ -335,9 +299,7 @@ class IncShrinkClient:
         expired before it applied (do **not** resend; the step is
         queued and a resend would be stale).
         """
-        payload = wire.encode_upload(
-            time, batches, wait=wait, binary=self._codec == wire.CODEC_BINARY
-        )
+        payload = wire.encode_upload(time, batches, wait=wait)
         if wait:
             payload["wait_timeout"] = float(wait_timeout)
         return self._request("upload", payload, expect="upload_ok")
@@ -369,7 +331,6 @@ class IncShrinkClient:
         results: list[dict] = []
         if not remaining:
             return results
-        binary = self._codec == wire.CODEC_BINARY
         for attempt in range(self.busy_retries + 1):
             with self._lock:
                 stream = self._stream
@@ -380,18 +341,13 @@ class IncShrinkClient:
                 payloads = []
                 for idx, (time, batches) in enumerate(remaining):
                     last = idx == len(remaining) - 1
-                    payload = wire.encode_upload(
-                        time, batches, wait=wait and last, binary=binary
-                    )
+                    payload = wire.encode_upload(time, batches, wait=wait and last)
                     if wait and last:
                         payload["wait_timeout"] = float(wait_timeout)
                     payloads.append(payload)
                 try:
                     stream.write(
-                        b"".join(
-                            wire.encode_frame("upload", p, codec=self._codec)
-                            for p in payloads
-                        )
+                        b"".join(wire.encode_frame("upload", p) for p in payloads)
                     )
                     stream.flush()
                     responses = [wire.read_frame(stream) for _ in payloads]

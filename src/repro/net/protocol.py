@@ -3,23 +3,16 @@
 The network front door (`NetworkServer` ⇄ `IncShrinkClient`) speaks a
 small frame-oriented protocol over any reliable byte stream:
 
-* every frame is a fixed 10-byte header — magic ``INCW``, one protocol
-  version byte, one frame-type byte, a big-endian ``uint32`` body
-  length — followed by the body (stdlib ``struct`` + ``json``, no
-  external dependencies);
-* two body encodings share the header's version byte: **version 1** is
-  a UTF-8 JSON object (the PR 5 wire format, unchanged byte-for-byte),
-  and **version 2** is the *binary bulk codec* — a JSON head plus an
-  out-of-band blob table carrying payload arrays as raw little-endian
-  bytes (no base64, no JSON escaping).  Peers negotiate the codec in
-  ``hello``/``welcome``; a v1-only client never sees a v2 frame;
-* under the JSON codec, payload arrays (upload batches) ride a base64
-  array codec (:func:`encode_array`: dtype, shape, base64 of the raw
-  bytes); what crosses the network is the arrays the servers already
-  hold, plus the public frame lengths (see ``docs/NETWORK.md`` for the
-  full leakage argument — the binary codec carries the same arrays,
-  minus only the base64 expansion, so the observable surface is
-  unchanged);
+* every frame is a fixed 10-byte header — magic ``INCW``, the protocol
+  version byte (:data:`PROTOCOL_VERSION`), one frame-type byte, a
+  big-endian ``uint32`` body length — followed by the body (stdlib
+  ``struct`` + ``json``, no external dependencies);
+* every body is one envelope: a UTF-8 JSON head plus a blob table that
+  carries the payload's arrays (upload batches, answer columns) as raw
+  little-endian bytes.  A body with no arrays is the JSON object plus
+  six framing bytes.  What crosses the network is the arrays the
+  servers already hold, plus the public frame lengths (see
+  ``docs/NETWORK.md`` for the leakage argument);
 * the query frame carries the complete :class:`~repro.query.ast.
   LogicalQuery` AST — every aggregate, the GROUP BY domain, structural
   predicate clauses, and the optional per-query ``epsilon`` — so a
@@ -39,7 +32,6 @@ the event-driven server.
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from dataclasses import dataclass
@@ -62,49 +54,12 @@ from ..query.ast import (
 
 #: Frame magic — identifies an IncShrink wire frame.
 PROTOCOL_MAGIC = b"INCW"
-#: The baseline frame version: UTF-8 JSON bodies (the PR 5 format).
-PROTOCOL_VERSION = 1
-#: Frame version 2: binary bulk codec — JSON head + raw array blobs.
-BINARY_VERSION = 2
-#: Frame versions this build reads.  Writers pick one per frame: the
-#: version byte is what makes every frame self-describing, so the two
-#: codecs interleave freely on one connection.
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, BINARY_VERSION)
+#: The one frame version: a JSON head plus raw array blobs.
+PROTOCOL_VERSION = 2
 #: Hard ceiling on one frame's body — anything larger is a framing
 #: error, not a request (keeps a broken peer from forcing an unbounded
 #: allocation).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: Body codec names, as negotiated in ``hello``/``welcome``.
-CODEC_JSON = "json"
-CODEC_BINARY = "binary"
-#: Preference order: a server picks the first offered codec it supports.
-SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
-
-
-def negotiate_codec(offered: object) -> str:
-    """Server-side codec choice for one connection.
-
-    ``offered`` is the (untrusted) ``codecs`` field of a ``hello``
-    payload: the client's codec names in preference order.  Anything
-    malformed or unrecognized falls back to JSON — a PR 5 client, whose
-    ``hello`` has no ``codecs`` field at all, negotiates down to the v1
-    wire format it already speaks.
-
-    >>> negotiate_codec(["binary", "json"])
-    'binary'
-    >>> negotiate_codec(["json"])
-    'json'
-    >>> negotiate_codec(None)
-    'json'
-    >>> negotiate_codec(["zstd", 42])
-    'json'
-    """
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if isinstance(name, str) and name in SUPPORTED_CODECS:
-                return name
-    return CODEC_JSON
 
 #: magic(4) + version(1) + frame type(1) + body length(4), big-endian.
 _HEADER = struct.Struct(">4sBBI")
@@ -186,8 +141,8 @@ def error_payload(
     return payload
 
 
-# -- binary body codec ---------------------------------------------------------
-#: Sentinel key marking an out-of-band array reference in a v2 head.
+# -- frame body: JSON head + array blobs ----------------------------------------
+#: Sentinel key marking an out-of-band array reference in a frame head.
 _ND_KEY = "__nd__"
 #: dtype kinds a blob may carry (bool/int/uint/float — never objects).
 _BLOB_KINDS = frozenset("biuf")
@@ -261,11 +216,7 @@ def _unpack_blob(view: memoryview, offset: int) -> tuple[np.ndarray, int]:
         raise WireError(f"malformed array blob: {exc}") from exc
 
 
-def _encode_body(payload: dict, version: int) -> bytes:
-    if version == PROTOCOL_VERSION:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-            "utf8"
-        )
+def _encode_body(payload: dict) -> bytes:
     blobs: list[np.ndarray] = []
     head = json.dumps(
         _extract_arrays(payload, blobs), sort_keys=True, separators=(",", ":")
@@ -275,18 +226,7 @@ def _encode_body(payload: dict, version: int) -> bytes:
     return b"".join(parts)
 
 
-def _decode_body(body: bytes | memoryview, version: int, frame_type: str) -> dict:
-    if version == PROTOCOL_VERSION:
-        try:
-            payload = json.loads(bytes(body).decode("utf8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"{frame_type} frame body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise WireError(
-                f"{frame_type} frame body must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        return payload
+def _decode_body(body: bytes | memoryview, frame_type: str) -> dict:
     view = memoryview(body)
     try:
         (head_len,) = struct.unpack_from(">I", view, 0)
@@ -295,7 +235,7 @@ def _decode_body(body: bytes | memoryview, version: int, frame_type: str) -> dic
             raise WireError(f"{frame_type} frame head truncated")
         (n_blobs,) = struct.unpack_from(">H", view, 4 + head_len)
     except (struct.error, ValueError) as exc:
-        raise WireError(f"malformed {frame_type} binary envelope: {exc}") from exc
+        raise WireError(f"malformed {frame_type} frame envelope: {exc}") from exc
     try:
         head = json.loads(head_bytes.decode("utf8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -315,44 +255,31 @@ def _decode_body(body: bytes | memoryview, version: int, frame_type: str) -> dic
 
 
 # -- framing ------------------------------------------------------------------
-def encode_frame(
-    frame_type: str, payload: dict | None = None, codec: str = CODEC_JSON
-) -> bytes:
+def encode_frame(frame_type: str, payload: dict | None = None) -> bytes:
     """One complete frame (header + body) as bytes.
 
-    With ``codec="binary"`` the body is the version-2 binary envelope
-    and the payload may carry :class:`numpy.ndarray` values anywhere in
-    its tree; with ``codec="json"`` (the default) the body is the
-    version-1 JSON object and ndarray values are a caller error.
+    The payload may carry :class:`numpy.ndarray` values anywhere in its
+    tree; they travel as raw blobs beside the JSON head.
     """
     code = FRAME_CODES.get(frame_type)
     if code is None:
         raise WireError(f"unknown frame type {frame_type!r}")
-    if codec not in SUPPORTED_CODECS:
-        raise WireError(f"unknown codec {codec!r}")
-    version = BINARY_VERSION if codec == CODEC_BINARY else PROTOCOL_VERSION
     try:
-        body = _encode_body(payload or {}, version)
-    except TypeError as exc:  # ndarray (or similar) under the JSON codec
+        body = _encode_body(payload or {})
+    except TypeError as exc:
         raise WireError(
-            f"{frame_type} payload is not JSON-serializable under the "
-            f"{codec} codec: {exc}"
+            f"{frame_type} payload is not JSON-serializable: {exc}"
         ) from exc
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(
             f"{frame_type} frame body of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame ceiling"
         )
-    return _HEADER.pack(PROTOCOL_MAGIC, version, code, len(body)) + body
+    return _HEADER.pack(PROTOCOL_MAGIC, PROTOCOL_VERSION, code, len(body)) + body
 
 
-def write_frame(
-    stream: BinaryIO,
-    frame_type: str,
-    payload: dict | None = None,
-    codec: str = CODEC_JSON,
-) -> None:
-    """Serialize one frame onto ``stream`` (JSON codec by default).
+def write_frame(stream: BinaryIO, frame_type: str, payload: dict | None = None) -> None:
+    """Serialize one frame onto ``stream``.
 
     >>> import io
     >>> buf = io.BytesIO()
@@ -360,7 +287,7 @@ def write_frame(
     >>> read_frame(io.BytesIO(buf.getvalue()))
     ('stats', {})
     """
-    stream.write(encode_frame(frame_type, payload, codec=codec))
+    stream.write(encode_frame(frame_type, payload))
     stream.flush()
 
 
@@ -385,10 +312,10 @@ def _check_header(magic: bytes, version: int, code: int, body_len: int) -> str:
     """Validate one parsed header; returns the frame-type name."""
     if magic != PROTOCOL_MAGIC:
         raise WireError(f"bad frame magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise VersionMismatch(
             f"peer speaks protocol version {version}, this build speaks "
-            f"{sorted(SUPPORTED_VERSIONS)}"
+            f"{PROTOCOL_VERSION}"
         )
     if body_len > MAX_FRAME_BYTES:
         raise WireError(
@@ -404,7 +331,6 @@ def _check_header(magic: bytes, version: int, code: int, body_len: int) -> str:
 def read_frame(stream: BinaryIO) -> tuple[str, dict]:
     """Read one frame; returns ``(frame_type, payload)``.
 
-    Accepts both body encodings (the version byte disambiguates).
     Raises :class:`ConnectionClosed` on a clean EOF at a frame boundary,
     :class:`VersionMismatch` when the peer speaks an unknown version,
     and :class:`WireError` for anything that does not parse as a frame.
@@ -413,7 +339,7 @@ def read_frame(stream: BinaryIO) -> tuple[str, dict]:
     magic, version, code, body_len = _HEADER.unpack(header)
     frame_type = _check_header(magic, version, code, body_len)
     body = _read_exactly(stream, body_len, at_boundary=False)
-    return frame_type, _decode_body(body, version, frame_type)
+    return frame_type, _decode_body(body, frame_type)
 
 
 class FrameDecoder:
@@ -443,7 +369,7 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buffer = bytearray()
         #: parsed-and-validated header of the frame in progress
-        self._head: tuple[str, int, int] | None = None  # (type, version, body_len)
+        self._head: tuple[str, int] | None = None  # (type, body_len)
         self._error: WireError | None = None
 
     @property
@@ -489,14 +415,14 @@ class FrameDecoder:
                         self._buffer
                     )
                     frame_type = _check_header(magic, version, code, body_len)
-                    self._head = (frame_type, version, body_len)
-                frame_type, version, body_len = self._head
+                    self._head = (frame_type, body_len)
+                frame_type, body_len = self._head
                 if len(self._buffer) < _HEADER.size + body_len:
                     break
                 body = bytes(self._buffer[_HEADER.size : _HEADER.size + body_len])
                 del self._buffer[: _HEADER.size + body_len]
                 self._head = None
-                frames.append((frame_type, _decode_body(body, version, frame_type)))
+                frames.append((frame_type, _decode_body(body, frame_type)))
         except WireError as exc:
             self._error = exc
             if not frames:
@@ -651,78 +577,36 @@ def decode_query(entry: dict) -> LogicalQuery:
 
 
 # -- upload codec -------------------------------------------------------------
-def encode_array(arr: np.ndarray) -> dict:
-    """One array as a JSON v1 frame carries it: dtype, shape, base64 bytes."""
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(entry: dict) -> np.ndarray:
-    try:
-        raw = base64.b64decode(entry["data"].encode("ascii"))
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-        return arr.reshape(tuple(int(d) for d in entry["shape"])).copy()
-    except (KeyError, ValueError, TypeError) as exc:
-        raise WireError(f"malformed array entry: {exc}") from exc
-
-
-def encode_batch(batch: RecordBatch, binary: bool = False) -> dict:
-    """One owner-side padded batch.
-
-    Under the JSON codec the arrays ride the base64 array codec
-    (:func:`encode_array`); under the binary codec they stay as ndarrays
-    for the frame writer to carry out-of-band as raw bytes.  Either form
-    decodes with :func:`decode_batch`.
-    """
-    if binary:
-        return {
-            "fields": list(batch.schema.fields),
-            "rows": np.ascontiguousarray(batch.rows),
-            "is_real": np.ascontiguousarray(batch.is_real),
-        }
+def encode_batch(batch: RecordBatch) -> dict:
+    """One owner-side padded batch; the arrays travel as raw blobs."""
     return {
         "fields": list(batch.schema.fields),
-        "rows": encode_array(np.asarray(batch.rows)),
-        "is_real": encode_array(np.asarray(batch.is_real)),
+        "rows": np.ascontiguousarray(batch.rows),
+        "is_real": np.ascontiguousarray(batch.is_real),
     }
-
-
-def _entry_array(entry: object) -> np.ndarray:
-    """An array field in either wire form (raw ndarray or base64 dict)."""
-    if isinstance(entry, np.ndarray):
-        return entry
-    if isinstance(entry, dict):
-        return decode_array(entry)
-    raise WireError(f"malformed array entry of type {type(entry).__name__}")
 
 
 def decode_batch(entry: dict) -> RecordBatch:
     try:
         schema = Schema(tuple(entry["fields"]))
-        rows = _entry_array(entry["rows"])
-        is_real = _entry_array(entry["is_real"]).astype(bool)
+        rows, is_real = entry["rows"], entry["is_real"]
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed batch payload: {exc!r}") from exc
-    return RecordBatch(schema, rows, is_real)
+    if not isinstance(rows, np.ndarray) or not isinstance(is_real, np.ndarray):
+        raise WireError("batch rows and is_real must travel as array blobs")
+    return RecordBatch(schema, rows, is_real.astype(bool))
 
 
 def encode_upload(
     time: int,
     batches: Mapping[str, RecordBatch] | Iterable[tuple[str, RecordBatch]],
     wait: bool = False,
-    binary: bool = False,
 ) -> dict:
     """One step's uploads: ``(time, [(table, batch), ...])`` in order."""
     items = batches.items() if isinstance(batches, Mapping) else batches
     return {
         "time": int(time),
-        "batches": [
-            [name, encode_batch(batch, binary=binary)] for name, batch in items
-        ],
+        "batches": [[name, encode_batch(batch)] for name, batch in items],
         "wait": bool(wait),
     }
 
@@ -748,24 +632,14 @@ def _plain_cell(value: object) -> int | float:
     raise SchemaError(f"cannot encode answer cell {value!r}")
 
 
-def encode_answer(answer: QueryAnswer, binary: bool = False) -> dict:
+def encode_answer(answer: QueryAnswer) -> dict:
     """The padded result table; exact COUNT/SUM cells stay integers.
 
-    Under the binary codec each column travels as one raw array when its
-    cells share a scalar kind (``i``: all exact integers, ``f``: all
-    floats); a mixed column falls back to a JSON cell list (kind ``m``).
-    The int/float distinction survives either way, so "byte-identical to
-    in-process" holds across both codecs.
+    Each column travels as one raw array when its cells share a scalar
+    kind (``i``: all exact integers, ``f``: all floats); a mixed column
+    is a JSON cell list (kind ``m``).  The int/float distinction
+    survives, so a remote answer is byte-identical to the in-process one.
     """
-    base: dict = {
-        "columns": list(answer.columns),
-        "groups": (
-            None if answer.group_keys is None else [int(k) for k in answer.group_keys]
-        ),
-    }
-    if not binary:
-        base["rows"] = [[_plain_cell(v) for v in row] for row in answer.rows]
-        return base
     kinds: list[str] = []
     cols: list[object] = []
     for ci in range(len(answer.columns)):
@@ -779,9 +653,14 @@ def encode_answer(answer: QueryAnswer, binary: bool = False) -> dict:
         else:
             kinds.append("m")
             cols.append(cells)
-    base["kinds"] = kinds
-    base["cols"] = cols
-    return base
+    return {
+        "columns": list(answer.columns),
+        "groups": (
+            None if answer.group_keys is None else [int(k) for k in answer.group_keys]
+        ),
+        "kinds": kinds,
+        "cols": cols,
+    }
 
 
 def decode_answer(entry: dict) -> QueryAnswer:
@@ -789,26 +668,21 @@ def decode_answer(entry: dict) -> QueryAnswer:
         groups = entry["groups"]
         group_keys = None if groups is None else tuple(int(k) for k in groups)
         columns = tuple(entry["columns"])
-        if "cols" in entry:
-            decoded_cols = []
-            for kind, col in zip(entry["kinds"], entry["cols"], strict=True):
-                cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
-                if kind == "i":
-                    decoded_cols.append([int(c) for c in cells])
-                elif kind == "f":
-                    decoded_cols.append([float(c) for c in cells])
-                elif kind == "m":
-                    decoded_cols.append(cells)
-                else:
-                    raise WireError(f"unknown answer column kind {kind!r}")
-            n_rows = len(decoded_cols[0]) if decoded_cols else 0
-            if any(len(c) != n_rows for c in decoded_cols):
-                raise WireError("ragged answer columns")
-            rows = tuple(
-                tuple(col[ri] for col in decoded_cols) for ri in range(n_rows)
-            )
-        else:
-            rows = tuple(tuple(row) for row in entry["rows"])
+        decoded_cols = []
+        for kind, col in zip(entry["kinds"], entry["cols"], strict=True):
+            cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
+            if kind == "i":
+                decoded_cols.append([int(c) for c in cells])
+            elif kind == "f":
+                decoded_cols.append([float(c) for c in cells])
+            elif kind == "m":
+                decoded_cols.append(cells)
+            else:
+                raise WireError(f"unknown answer column kind {kind!r}")
+        n_rows = len(decoded_cols[0]) if decoded_cols else 0
+        if any(len(c) != n_rows for c in decoded_cols):
+            raise WireError("ragged answer columns")
+        rows = tuple(tuple(col[ri] for col in decoded_cols) for ri in range(n_rows))
         return QueryAnswer(columns=columns, group_keys=group_keys, rows=rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed answer payload: {exc!r}") from exc
@@ -837,8 +711,8 @@ class RemoteQueryResult:
     logical_answers: QueryAnswer
     #: How the view scan actually executed (``{"mode": "warm"|"cold",
     #: "delta_rows": ..., "total_rows": ..., ...}``); ``None`` for NM
-    #: plans and for servers predating incremental execution.  Public
-    #: row counts only — nothing the transcript does not already leak.
+    #: plans.  Public row counts only — nothing the transcript does not
+    #: already leak.
     scan_report: dict | None = None
 
     @property
@@ -847,7 +721,7 @@ class RemoteQueryResult:
         return self.view_answer
 
 
-def encode_result(result, binary: bool = False) -> dict:
+def encode_result(result) -> dict:
     """Wire form of one ``DatabaseQueryResult`` (duck-typed)."""
     plan = result.plan
     obs = result.observation
@@ -863,8 +737,8 @@ def encode_result(result, binary: bool = False) -> dict:
         "view_answer": float(obs.view_answer),
         "logical_answer": float(obs.logical_answer),
         "epsilon_spent": float(result.epsilon_spent),
-        "answers": encode_answer(result.answers, binary=binary),
-        "logical_answers": encode_answer(result.logical_answers, binary=binary),
+        "answers": encode_answer(result.answers),
+        "logical_answers": encode_answer(result.logical_answers),
         "scan_report": (
             None
             if getattr(result, "scan_report", None) is None
@@ -895,8 +769,7 @@ def decode_result(entry: dict) -> RemoteQueryResult:
             epsilon_spent=float(entry["epsilon_spent"]),
             answers=decode_answer(entry["answers"]),
             logical_answers=decode_answer(entry["logical_answers"]),
-            # Absent on pre-incremental servers; public counts only.
-            scan_report=entry.get("scan_report"),
+            scan_report=entry["scan_report"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed result payload: {exc!r}") from exc

@@ -40,9 +40,6 @@ door is a **reactor**, not thread-per-connection:
   dribbling bytes without ever finishing a frame) is closed, as is a
   stalled reader whose kernel buffers stay full past the same deadline;
   a write buffer past ``max_write_buffer`` bytes closes immediately;
-* **codec negotiation** — ``hello`` offers codecs, ``welcome`` picks
-  one; a PR 5-era JSON client negotiates down transparently while a
-  binary client's share payloads ride raw little-endian bytes;
 * back-to-back ``upload`` frames parsed from one connection are
   **coalesced** into a single admission-gate pass and a single batched
   queue submission (:meth:`~repro.server.runtime.DatabaseServer.
@@ -101,7 +98,6 @@ class _Connection:
         "decoder",
         "pending",
         "outbuf",
-        "codec",
         "executing",
         "permits",
         "counted",
@@ -126,7 +122,6 @@ class _Connection:
         self.pending: deque = deque()
         #: encoded response bytes awaiting the socket
         self.outbuf = bytearray()
-        self.codec = wire.CODEC_JSON
         #: a request batch is unanswered: on the executor, or an upload
         #: waiting for the ingestion loop (:attr:`waiting`)
         self.executing = False
@@ -689,9 +684,7 @@ class NetworkServer:
         conn.pending.clear()
         conn.close_after_flush = True
         try:
-            conn.outbuf += wire.encode_frame(
-                "error", wire.error_payload(code, message), codec=conn.codec
-            )
+            conn.outbuf += wire.encode_frame("error", wire.error_payload(code, message))
         except wire.WireError:  # pragma: no cover - error payloads encode
             pass
         self._flush(loop, conn)
@@ -722,13 +715,7 @@ class NetworkServer:
                         conn.close_after_flush = True
                         self._send(loop, conn, [failure])
                         break
-                codec = wire.negotiate_codec(
-                    payload.get("codecs") if isinstance(payload, dict) else None
-                )
-                conn.codec = codec
-                self._send(
-                    loop, conn, [("welcome", self._welcome(codec, conn.tenant))]
-                )
+                self._send(loop, conn, [("welcome", self._welcome(conn.tenant))])
                 continue
             if frame_type in _GUARDED_FRAMES or frame_type == "stats":
                 batch = [conn.pending.popleft()]
@@ -818,14 +805,12 @@ class NetworkServer:
     def _send(
         self, loop: _EventLoop, conn: _Connection, responses: list[tuple[str, dict]]
     ) -> None:
-        conn.outbuf += self._encode_responses(responses, conn.codec)
+        conn.outbuf += self._encode_responses(responses)
         conn.last_write_progress = _time.monotonic()
         self._flush(loop, conn)
 
-    def _encode_responses(
-        self, responses: list[tuple[str, dict]], codec: str
-    ) -> bytes:
-        """One frame per response, in the connection's codec.
+    def _encode_responses(self, responses: list[tuple[str, dict]]) -> bytes:
+        """One frame per response.
 
         A response that cannot be encoded becomes a structured ``server``
         error *in its own slot*: a pipelining client counts replies, so a
@@ -834,7 +819,7 @@ class NetworkServer:
         frames = []
         for frame_type, payload in responses:
             try:
-                frames.append(wire.encode_frame(frame_type, payload, codec=codec))
+                frames.append(wire.encode_frame(frame_type, payload))
             except Exception as exc:  # a response that cannot encode
                 frames.append(
                     wire.encode_frame(
@@ -843,7 +828,6 @@ class NetworkServer:
                             wire.ERR_SERVER,
                             f"response encoding failed: {type(exc).__name__}: {exc}",
                         ),
-                        codec=codec,
                     )
                 )
         return b"".join(frames)
@@ -924,7 +908,6 @@ class NetworkServer:
                     self._execute(
                         frame_type,
                         batch[0][1],
-                        binary=conn.codec == wire.CODEC_BINARY,
                         tenant=(
                             None
                             if conn.tenant is None
@@ -945,7 +928,7 @@ class NetworkServer:
                     ),
                 )
             ] * len(batch)
-        return self._encode_responses(responses, conn.codec)
+        return self._encode_responses(responses)
 
     def _worker(self, loop: _EventLoop, conn: _Connection, batch: list) -> None:
         """The executor lane: may wait for locks, may run for long."""
@@ -1147,18 +1130,14 @@ class NetworkServer:
         self,
         frame_type: str,
         payload: dict,
-        binary: bool = False,
         tenant: str | None = None,
         blocking: bool = True,
     ) -> tuple[str, dict]:
         """Run one admitted guarded request; never raises a request's failure.
 
-        ``binary`` selects the response payload shape for query
-        results: raw ndarrays (packed as out-of-band blobs by the
-        version-2 frame codec) versus the JSON-safe base64 form every
-        v1 client understands.  With ``blocking=False`` (an event loop
-        asking) a query that would have to wait raises
-        :class:`~repro.server.runtime.WouldBlock` with nothing executed.
+        With ``blocking=False`` (an event loop asking) a query that would
+        have to wait raises :class:`~repro.server.runtime.WouldBlock` with
+        nothing executed.
         """
         # A poisoned ingest loop is the *server's* condition, not this
         # request's fault: report it as a server error (with the original
@@ -1175,9 +1154,7 @@ class NetworkServer:
             if frame_type == "upload":
                 return self._handle_upload(payload)
             if frame_type == "query":
-                return self._handle_query(
-                    payload, binary=binary, tenant=tenant, blocking=blocking
-                )
+                return self._handle_query(payload, tenant=tenant, blocking=blocking)
             if frame_type == "snapshot":
                 return self._handle_snapshot(payload)
             return self._handle_reshard(payload)
@@ -1215,11 +1192,7 @@ class NetworkServer:
         a continuation, which needs a connection to answer on.
         """
         if frame_type == "hello":
-            return "welcome", self._welcome(
-                wire.negotiate_codec(
-                    payload.get("codecs") if isinstance(payload, dict) else None
-                )
-            )
+            return "welcome", self._welcome()
         if frame_type == "stats":
             return "stats_result", self.server.observability()
         if frame_type not in _GUARDED_FRAMES:
@@ -1234,16 +1207,12 @@ class NetworkServer:
         finally:
             self._inflight.release()
 
-    def _welcome(
-        self, codec: str | None = None, tenant: Tenant | None = None
-    ) -> dict:
+    def _welcome(self, tenant: Tenant | None = None) -> dict:
         """Public deployment metadata a client needs to form queries."""
         db = self.server.database
         payload = {
             "server": "incshrink",
             "protocol": wire.PROTOCOL_VERSION,
-            "protocol_versions": list(wire.SUPPORTED_VERSIONS),
-            "codecs": list(wire.SUPPORTED_CODECS),
             "views": [
                 {
                     "name": name,
@@ -1254,8 +1223,6 @@ class NetworkServer:
             "n_shards": db.n_shards,
             "last_time": self.server.last_time,
         }
-        if codec is not None:
-            payload["codec"] = codec
         if tenant is not None:
             payload["tenant"] = tenant.tenant_id
             payload["role"] = tenant.role
@@ -1336,9 +1303,7 @@ class NetworkServer:
         wait, conn.waiting = conn.waiting, None
         loop.waiting.discard(conn)
         self._answer_admitted(wait.responses, wait.admitted, drained, error)
-        self._batch_done(
-            loop, conn, self._encode_responses(wait.responses, conn.codec)
-        )
+        self._batch_done(loop, conn, self._encode_responses(wait.responses))
         if not conn.closed:
             self._pump(loop, conn)
 
@@ -1425,6 +1390,9 @@ class NetworkServer:
         for i, payload in enumerate(payloads):
             try:
                 time_step, items = wire.decode_upload(payload)
+                # Like a stale step below: a malformed one must be refused
+                # here, or it would halt the background loop for everyone.
+                self.server.database.check_upload(items)
                 decoded.append((i, time_step, items, payload))
             except Exception as exc:
                 responses[i] = _error_response(exc)
@@ -1477,7 +1445,6 @@ class NetworkServer:
     def _handle_query(
         self,
         payload: dict,
-        binary: bool = False,
         tenant: str | None = None,
         blocking: bool = True,
     ) -> tuple[str, dict]:
@@ -1496,7 +1463,7 @@ class NetworkServer:
         result = self.server.query(
             query, time=time, epsilon=epsilon, tenant=tenant, blocking=blocking
         )
-        return "result", wire.encode_result(result, binary=binary)
+        return "result", wire.encode_result(result)
 
     def _handle_snapshot(self, payload: dict) -> tuple[str, dict]:
         info = self.server.snapshot(payload.get("path"))

@@ -419,14 +419,10 @@ class IncShrinkDatabase:
         wrapper — no per-view re-upload, no share duplication.
         """
         self.finalize()
-        items = batches.items() if isinstance(batches, Mapping) else batches
+        items = list(batches.items() if isinstance(batches, Mapping) else batches)
+        self.check_upload(items)
         for name, batch in items:
-            store = self.tables.get(name)
-            if store is None:
-                raise SchemaError(
-                    f"no registered base table {name!r}; known tables: "
-                    f"{sorted(self.tables)}"
-                )
+            store = self.tables[name]
             shared = self.runtime.owner_share_table(
                 batch.schema, batch.rows, batch.is_real.astype("uint32")
             )
@@ -435,6 +431,31 @@ class IncShrinkDatabase:
             for group in self.groups.values():
                 group.register_upload(name, shared, time, len(batch))
         self._state_version += 1
+
+    def check_upload(self, items: Iterable[tuple[str, RecordBatch]]) -> None:
+        """Refuse a malformed step before any of it is shared or stored.
+
+        Every table must be registered, appear once, and carry exactly
+        its registered schema.  :meth:`upload` runs this first, so a bad
+        step changes nothing; the network front door runs it at
+        admission, so a bad step never reaches the ingest queue.
+        """
+        seen: set[str] = set()
+        for name, batch in items:
+            store = self.tables.get(name)
+            if store is None:
+                raise SchemaError(
+                    f"no registered base table {name!r}; known tables: "
+                    f"{sorted(self.tables)}"
+                )
+            if name in seen:
+                raise SchemaError(f"table {name!r} uploaded twice in one step")
+            seen.add(name)
+            if batch.schema != store.schema:
+                raise SchemaError(
+                    f"batch schema {batch.schema.fields} does not match table "
+                    f"{name!r} schema {store.schema.fields}"
+                )
 
     # -- server step ------------------------------------------------------------
     def step(self, time: int) -> DatabaseStepReport:

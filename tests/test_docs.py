@@ -7,6 +7,8 @@ broken doc link or a stale code example fails locally before push.
 
 from __future__ import annotations
 
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -24,6 +26,13 @@ from check_docs import (  # noqa: E402 (path bootstrap above)
     run_doc_doctests,
     run_example_scripts,
 )
+
+from repro.__main__ import _build_parser  # noqa: E402
+
+#: One documented CLI invocation: everything after ``python -m repro``
+#: up to the end of the line, an inline-code backtick, a shell comment,
+#: or a shell operator.
+_CLI_COMMAND = re.compile(r"python -m repro ([^`\n#&|;]*)")
 
 
 def test_repo_has_documentation_pages():
@@ -120,3 +129,27 @@ def test_example_scripts_exit_zero():
     failures, ran = run_example_scripts()
     assert failures == []
     assert ran > 0, "examples/ must contain runnable scripts"
+
+
+def documented_cli_commands() -> list[tuple[str, str]]:
+    """``(page, arguments)`` for every ``python -m repro …`` in README.md
+    and docs/*.md, with backslash-continued lines joined."""
+    found = []
+    for page in [REPO_ROOT / "README.md", *sorted(DOCS_DIR.glob("*.md"))]:
+        text = page.read_text(encoding="utf8").replace("\\\n", " ")
+        for match in _CLI_COMMAND.finditer(text):
+            found.append((page.name, match.group(1).strip()))
+    return found
+
+
+def test_documented_cli_commands_parse():
+    """A removed subcommand or flag must not linger in the docs."""
+    commands = documented_cli_commands()
+    assert len(commands) > 20
+    failures = []
+    for page, arguments in commands:
+        try:
+            _build_parser().parse_args(shlex.split(arguments))
+        except SystemExit:
+            failures.append(f"{page}: python -m repro {arguments}")
+    assert failures == []

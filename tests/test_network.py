@@ -13,6 +13,7 @@ and remote admin (stats/snapshot/reshard).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import socket
 import struct
@@ -22,6 +23,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.common.errors import SchemaError
+from repro.common.metrics import QueryObservation
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.net import protocol as wire
@@ -38,7 +41,13 @@ from repro.query.ast import (
     LogicalQuery,
     QueryAnswer,
 )
-from repro.server.database import IncShrinkDatabase, ViewRegistration
+from repro.query.incremental import ScanReport
+from repro.query.planner import QueryPlan
+from repro.server.database import (
+    DatabaseQueryResult,
+    IncShrinkDatabase,
+    ViewRegistration,
+)
 from repro.server.persistence import restore_database
 from repro.server.runtime import DatabaseServer
 
@@ -222,6 +231,44 @@ class TestWireCodecs:
         )
         with pytest.raises(wire.WireError, match="ceiling"):
             wire.read_frame(io.BytesIO(header))
+
+    def test_served_request_frames_are_pinned_byte_for_byte(self):
+        """The upload, query, result and stats frames a served request
+        puts on the wire, pinned by SHA-256 (recorded from the binary
+        envelope before it became the only frame body)."""
+        result = DatabaseQueryResult(
+            plan=QueryPlan("view_scan", "full", None, 123456, 0.25, n_shards=2),
+            observation=QueryObservation(
+                time=5, logical_answer=3.0, view_answer=2.5, qet_seconds=0.125
+            ),
+            answers=QueryAnswer(
+                ("count", "sum_sts", "avg_sts"), (1, 2), ((3, 12, 4.0), (2, 7.5, 3.75))
+            ),
+            logical_answers=QueryAnswer(
+                ("count", "sum_sts", "avg_sts"), (1, 2), ((3, 12, 4.0), (2, 8, 4.0))
+            ),
+            epsilon_spent=0.5,
+            scan_report=ScanReport("warm", 40, 8, 32, 1000, 4000),
+        )
+        frames = {
+            "upload": wire.encode_frame("upload", wire.encode_upload(3, batches_at(3))),
+            "query": b"".join(
+                wire.encode_frame(
+                    "query",
+                    {"query": wire.encode_query(q), "time": None, "epsilon": None},
+                )
+                for q in query_mix()
+            ),
+            "result": wire.encode_frame("result", wire.encode_result(result)),
+            "stats": wire.encode_frame("stats", {}),
+        }
+        digests = {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()}
+        assert digests == {
+            "upload": "847548e4067226c24ff3ebafcbb0e8f6ddc5137d7fd10721b7e82dbd78d39b0f",
+            "query": "5864ab7dc72098f7960ad1f4d360ea76431c8926afd1a0f052b75d017d3c4e6b",
+            "result": "1dc2b8c3b2cb6b7642fdac8575f42c99a018fef63c264dabfdeaab660180935b",
+            "stats": "d012a5de9908578f34af471eca85e94a364c6bbc532229b7fe001301876a7bff",
+        }
 
     def test_eof_at_boundary_is_connection_closed(self):
         with pytest.raises(wire.ConnectionClosed):
@@ -535,18 +582,25 @@ class TestStructuredErrors:
                 assert client.stats()["ingest_error"] is None
         server.stop()
 
-    def test_deferred_ingest_error_surfaces_on_waited_upload(self):
-        """Failures the admission gate cannot see (unknown table) still
-        surface: on the waited upload, in stats frames, and at stop()."""
+    def test_deferred_ingest_error_surfaces_on_waited_upload(self, monkeypatch):
+        """Failures the admission gate cannot see (here, a step that
+        fails while it is applied) still surface: on the waited upload,
+        in stats frames, and at stop()."""
         server = DatabaseServer(build_database())
+        apply_step = server.database.step
+
+        def step(time):
+            if time == 2:
+                raise SchemaError("unknown failure applying step 2")
+            return apply_step(time)
+
+        monkeypatch.setattr(server.database, "step", step)
         with NetworkServer(server) as net:
             host, port = net.address
             with IncShrinkClient(host, port, busy_retries=0) as client:
                 client.upload(1, batches_at(1), wait=True)
                 with pytest.raises(wire.RemoteError) as excinfo:
-                    client.upload(
-                        2, {"unknown": batches_at(2)["orders"]}, wait=True
-                    )
+                    client.upload(2, batches_at(2), wait=True)
                 assert excinfo.value.code == wire.ERR_INVALID_REQUEST
                 assert "unknown" in excinfo.value.remote_message
                 assert "unknown" in client.stats()["ingest_error"]
@@ -560,6 +614,39 @@ class TestStructuredErrors:
                 )
         with pytest.raises(Exception, match="unknown"):
             server.stop()
+
+    @pytest.mark.parametrize(
+        "shape", ["unknown-table", "table-twice", "renamed-field", "extra-field", "2d-is-real"]
+    )
+    def test_malformed_upload_refused_without_halting_ingest(self, shape):
+        """A well-framed but malformed step is refused at admission: it
+        never reaches the background loop, where it would halt ingestion
+        for every client."""
+        orders = batches_at(2)["orders"]
+        items = {
+            "unknown-table": [("unknown", orders)],
+            "table-twice": [("orders", orders), ("orders", orders)],
+            "renamed-field": [("orders", RecordBatch(Schema(("key", "when")), orders.rows))],
+            "extra-field": [
+                ("orders", RecordBatch(Schema(("key", "ots", "x")), np.zeros((4, 3))))
+            ],
+            "2d-is-real": [("orders", orders)],
+        }[shape]
+        payload = wire.encode_upload(2, items, wait=True)
+        if shape == "2d-is-real":
+            batch = payload["batches"][0][1]
+            batch["is_real"] = batch["is_real"].reshape(-1, 1)
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                client.upload(1, batches_at(1), wait=True)
+                with pytest.raises(wire.RemoteError) as excinfo:
+                    client._request("upload", payload, expect="upload_ok")
+                assert excinfo.value.code == wire.ERR_INVALID_REQUEST
+                assert server.ingest_error is None
+                out = client.upload(2, batches_at(2), wait=True)
+                assert out["applied_through"] == 2
+        server.stop()
 
     def test_unsupported_frame_type(self):
         server = DatabaseServer(build_database())
@@ -594,9 +681,9 @@ class TestStructuredErrors:
             host, port = net.address
             with socket.create_connection((host, port), timeout=5.0) as sock:
                 stream = sock.makefile("rwb")
-                stream.write(
-                    struct.pack(">4sBBI", wire.PROTOCOL_MAGIC, 1, code, 2) + b"{}"
-                )
+                frame = bytearray(wire.encode_frame("stats", {}))
+                frame[5] = code
+                stream.write(frame)
                 stream.flush()
                 frame_type, payload = wire.read_frame(stream)
                 assert frame_type == "error"
@@ -677,158 +764,6 @@ class TestRemoteAdmin:
                 assert after.answers == before.answers
                 assert client.stats()["n_shards"] == 3
         server.stop()
-
-
-class _LegacyV1Client:
-    """A PR 5-era client: blocking socket, JSON-only version-1 frames,
-    and a ``hello`` that has never heard of codec negotiation."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self._sock = socket.create_connection((host, port), timeout=10.0)
-        self._stream = self._sock.makefile("rwb")
-
-    def request(self, frame_type: str, payload: dict, expect: str) -> dict:
-        self._stream.write(wire.encode_frame(frame_type, payload))
-        self._stream.flush()
-        # Read the raw header first: a legacy peer would reject any
-        # version-2 frame outright, so the server must answer v1 only.
-        header = self._stream.read(10)
-        magic, version, code, body_len = struct.unpack(">4sBBI", header)
-        assert magic == wire.PROTOCOL_MAGIC
-        assert version == wire.PROTOCOL_VERSION, (
-            f"server answered a JSON-only client with a version-{version} frame"
-        )
-        body = self._stream.read(body_len)
-        decoder = wire.FrameDecoder()
-        frames = decoder.feed(header + body)
-        assert len(frames) == 1
-        response_type, response = frames[0]
-        assert response_type == expect, (response_type, response)
-        return response
-
-    def query_payload(self, query, epsilon=None) -> dict:
-        return {
-            "query": wire.encode_query(query),
-            "time": None,
-            "predicate_words": 1,
-            "epsilon": epsilon,
-        }
-
-    def close(self) -> None:
-        try:
-            self._stream.close()
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class TestCodecNegotiation:
-    def test_handshake_prefers_binary_and_honours_json(self):
-        server = DatabaseServer(build_database())
-        with NetworkServer(server) as net:
-            host, port = net.address
-            with IncShrinkClient(host, port) as client:
-                assert client.codec == wire.CODEC_BINARY
-                assert client.server_info["codec"] == wire.CODEC_BINARY
-                assert client.server_info["codecs"] == list(wire.SUPPORTED_CODECS)
-            with IncShrinkClient(host, port, codec="json") as client:
-                assert client.codec == wire.CODEC_JSON
-                assert client.server_info["codec"] == wire.CODEC_JSON
-        server.stop()
-
-    def test_malformed_codec_offers_fall_back_to_json(self):
-        server = DatabaseServer(build_database())
-        with NetworkServer(server) as net:
-            for offered in (None, [], ["zstd", 42], "binary", {"a": 1}):
-                payload = {"client": "odd"}
-                if offered is not None:
-                    payload["codecs"] = offered
-                response_type, response = net._dispatch("hello", payload)
-                assert response_type == "welcome"
-                assert response["codec"] == wire.CODEC_JSON
-            response_type, response = net._dispatch(
-                "hello", {"codecs": ["zstd", "binary"]}
-            )
-            assert response["codec"] == wire.CODEC_BINARY
-        server.stop()
-
-    def test_pr5_json_client_negotiates_down_and_matches_binary_answers(self):
-        """ISSUE 7 satellite: a legacy v1 client against the reactor.
-
-        Two identical universes (same seed, same stream): one driven
-        end-to-end by a PR 5-era JSON-only client, one by the binary
-        SDK.  Every answer — including the ε-released noisy table —
-        must decode identically, with identical cell *types* and
-        identical realized ε, and the legacy connection must only ever
-        see version-1 frames.
-        """
-        outcomes = {}
-        for mode in ("legacy-json", "binary"):
-            server = DatabaseServer(build_database())
-            with NetworkServer(server) as net:
-                host, port = net.address
-                if mode == "binary":
-                    with IncShrinkClient(host, port) as client:
-                        assert client.codec == wire.CODEC_BINARY
-                        for t in range(1, len(SCRIPT) + 1):
-                            client.upload(
-                                t, batches_at(t), wait=t == len(SCRIPT)
-                            )
-                        plain = [client.query(q) for q in query_mix()]
-                        noisy = client.query(epsilon_query(), epsilon=0.8)
-                else:
-                    legacy = _LegacyV1Client(host, port)
-                    welcome = legacy.request(
-                        "hello", {"client": "pr5-era"}, "welcome"
-                    )
-                    # No codec offer -> the server stays on JSON.
-                    assert welcome["codec"] == wire.CODEC_JSON
-                    for t in range(1, len(SCRIPT) + 1):
-                        payload = wire.encode_upload(
-                            t, batches_at(t), wait=t == len(SCRIPT)
-                        )
-                        if t == len(SCRIPT):
-                            payload["wait_timeout"] = 30.0
-                        legacy.request("upload", payload, "upload_ok")
-                    plain = [
-                        wire.decode_result(
-                            legacy.request(
-                                "query", legacy.query_payload(q), "result"
-                            )
-                        )
-                        for q in query_mix()
-                    ]
-                    noisy = wire.decode_result(
-                        legacy.request(
-                            "query",
-                            legacy.query_payload(epsilon_query(), epsilon=0.8),
-                            "result",
-                        )
-                    )
-                    legacy.close()
-                realized = server.database.realized_epsilon()
-            server.stop()
-            outcomes[mode] = (plain, noisy, realized)
-
-        legacy_plain, legacy_noisy, legacy_eps = outcomes["legacy-json"]
-        binary_plain, binary_noisy, binary_eps = outcomes["binary"]
-        assert legacy_eps == binary_eps
-        for lres, bres in zip(legacy_plain + [legacy_noisy],
-                              binary_plain + [binary_noisy], strict=True):
-            assert lres.answers == bres.answers
-            assert lres.logical_answers == bres.logical_answers
-            assert lres.epsilon_spent == bres.epsilon_spent
-            assert lres.plan_kind == bres.plan_kind
-            for lrow, brow in zip(
-                lres.answers.rows, bres.answers.rows, strict=True
-            ):
-                for lcell, bcell in zip(lrow, brow, strict=True):
-                    assert type(lcell) is type(bcell)
-            # Byte-identical released tables: re-encoding both decoded
-            # answers canonically must give the same bytes.
-            assert wire.encode_frame(
-                "result", wire.encode_answer(lres.answers)
-            ) == wire.encode_frame("result", wire.encode_answer(bres.answers))
 
 
 class TestGracefulDrain:
@@ -1239,15 +1174,10 @@ class TestResponseEncoding:
 
             monkeypatch.setattr(net, "_answer_admitted", poisoned)
             with IncShrinkClient(*net.address, timeout=2.0) as client:
-                assert client.codec == wire.CODEC_BINARY
                 stream = client._stream
                 stream.write(
                     b"".join(
-                        wire.encode_frame(
-                            "upload",
-                            wire.encode_upload(t, batches_at(t), binary=True),
-                            codec=wire.CODEC_BINARY,
-                        )
+                        wire.encode_frame("upload", wire.encode_upload(t, batches_at(t)))
                         for t in (1, 2, 3)
                     )
                 )

@@ -3,14 +3,13 @@
 Three layers of adversarial confidence, per ISSUE 7:
 
 * **randomized round-trips** — every payload codec (batches, uploads,
-  answers, results-adjacent tables) survives encode→frame→decode under
-  both the JSON (v1) and binary (v2) codecs, across randomized shapes,
-  dtypes, and cell mixes, fed to the incremental decoder in randomized
-  chunk sizes;
+  answers, results-adjacent tables) survives encode→frame→decode across
+  randomized shapes, dtypes, and cell mixes, fed to the incremental
+  decoder in randomized chunk sizes;
 * **hostile bytes against the pure decoder** — truncated frames,
-  corrupted length prefixes, oversized bodies, bad magic, unknown frame
-  codes, malformed binary envelopes: every one raises the structured
-  :class:`~repro.net.protocol.WireError` hierarchy, never an
+  corrupted length prefixes, oversized bodies, bad magic, unknown
+  versions and frame codes, malformed envelopes: every one raises the
+  structured :class:`~repro.net.protocol.WireError` hierarchy, never an
   uncontrolled exception, and never buffers past one declared frame;
 * **hostile bytes against a live reactor** — random garbage, mid-frame
   disconnects, interleaved junk after valid frames: the server always
@@ -67,16 +66,14 @@ def _chunked_frames(blob: bytes, rng: np.random.Generator):
     return frames
 
 
-@pytest.mark.parametrize("codec", [wire.CODEC_JSON, wire.CODEC_BINARY])
-def test_upload_round_trip_randomized(codec):
+def test_upload_round_trip_randomized():
     rng = np.random.default_rng(1234)
-    binary = codec == wire.CODEC_BINARY
     for trial in range(25):
         batches = [
             (f"table{i}", _random_batch(rng)) for i in range(int(rng.integers(1, 4)))
         ]
-        payload = wire.encode_upload(trial + 1, batches, binary=binary)
-        blob = wire.encode_frame("upload", payload, codec=codec)
+        payload = wire.encode_upload(trial + 1, batches)
+        blob = wire.encode_frame("upload", payload)
         frames = _chunked_frames(blob, rng)
         assert len(frames) == 1
         frame_type, decoded_payload = frames[0]
@@ -90,10 +87,8 @@ def test_upload_round_trip_randomized(codec):
             np.testing.assert_array_equal(got.is_real, np.asarray(sent.is_real))
 
 
-@pytest.mark.parametrize("codec", [wire.CODEC_JSON, wire.CODEC_BINARY])
-def test_answer_round_trip_randomized(codec):
+def test_answer_round_trip_randomized():
     rng = np.random.default_rng(99)
-    binary = codec == wire.CODEC_BINARY
     for _ in range(40):
         n_cols = int(rng.integers(1, 5))
         n_rows = int(rng.integers(0, 8))
@@ -116,8 +111,8 @@ def test_answer_round_trip_randomized(codec):
             else tuple(int(k) for k in rng.integers(0, 100, size=n_rows))
         )
         answer = QueryAnswer(columns=columns, group_keys=group_keys, rows=tuple(rows))
-        payload = wire.encode_answer(answer, binary=binary)
-        blob = wire.encode_frame("result", payload, codec=codec)
+        payload = wire.encode_answer(answer)
+        blob = wire.encode_frame("result", payload)
         frames = _chunked_frames(blob, rng)
         (frame_type, decoded_payload) = frames[0]
         decoded = wire.decode_answer(decoded_payload)
@@ -142,7 +137,7 @@ def test_blob_dtypes_round_trip_exactly():
             arr = rng.integers(
                 info.min, int(info.max) + 1, size=shape, dtype=np.int64
             ).astype(dt)
-        blob = wire.encode_frame("stats", {"arr": arr}, codec=wire.CODEC_BINARY)
+        blob = wire.encode_frame("stats", {"arr": arr})
         _, payload = wire.read_frame(io.BytesIO(blob))
         got = payload["arr"]
         assert got.dtype == dt
@@ -152,34 +147,33 @@ def test_blob_dtypes_round_trip_exactly():
 
 def test_big_endian_arrays_normalized_to_little():
     arr = np.arange(6, dtype=">u4").reshape(2, 3)
-    blob = wire.encode_frame("stats", {"arr": arr}, codec=wire.CODEC_BINARY)
+    blob = wire.encode_frame("stats", {"arr": arr})
     _, payload = wire.read_frame(io.BytesIO(blob))
     assert payload["arr"].dtype == np.dtype("<u4")
     np.testing.assert_array_equal(payload["arr"], arr)
 
 
-def test_every_frame_type_round_trips_empty_payload_in_both_codecs():
-    for codec in wire.SUPPORTED_CODECS:
-        for frame_type in wire.FRAME_CODES:
-            blob = wire.encode_frame(frame_type, {}, codec=codec)
-            assert wire.read_frame(io.BytesIO(blob)) == (frame_type, {})
-
-
-def test_json_codec_rejects_raw_arrays():
-    with pytest.raises(wire.WireError, match="not JSON-serializable"):
-        wire.encode_frame("upload", {"rows": np.zeros(3)}, codec=wire.CODEC_JSON)
+def test_every_frame_type_round_trips_empty_payload():
+    for frame_type in wire.FRAME_CODES:
+        blob = wire.encode_frame(frame_type, {})
+        assert blob[4] == wire.PROTOCOL_VERSION
+        assert wire.read_frame(io.BytesIO(blob)) == (frame_type, {})
 
 
 def test_object_dtype_rejected_by_binary_codec():
     arr = np.asarray([object()], dtype=object)
     with pytest.raises(wire.WireError, match="dtype"):
-        wire.encode_frame("stats", {"arr": arr}, codec=wire.CODEC_BINARY)
+        wire.encode_frame("stats", {"arr": arr})
 
 
 # -- hostile bytes against the pure decoder ------------------------------------
-def _valid_header(body_len: int, version: int = wire.PROTOCOL_VERSION) -> bytes:
+def _valid_header(body_len: int) -> bytes:
     return struct.pack(
-        ">4sBBI", wire.PROTOCOL_MAGIC, version, wire.FRAME_CODES["stats"], body_len
+        ">4sBBI",
+        wire.PROTOCOL_MAGIC,
+        wire.PROTOCOL_VERSION,
+        wire.FRAME_CODES["stats"],
+        body_len,
     )
 
 
@@ -217,9 +211,11 @@ def test_bad_magic_rejected():
         wire.FrameDecoder().feed(blob)
 
 
-def test_unknown_version_raises_version_mismatch():
+@pytest.mark.parametrize("version", [1, 99])
+def test_unknown_version_raises_version_mismatch(version):
+    """Version 1 (the retired JSON-only body) is as unknown as 99."""
     blob = bytearray(wire.encode_frame("stats", {}))
-    blob[4] = 99
+    blob[4] = version
     with pytest.raises(wire.VersionMismatch):
         wire.FrameDecoder().feed(bytes(blob))
 
@@ -238,31 +234,34 @@ def test_frame_codes_are_exactly_one_to_fourteen():
     assert wire.FRAME_NAMES == {c: n for n, c in wire.FRAME_CODES.items()}
 
 
+def _envelope(head: bytes) -> bytes:
+    """A frame body around ``head`` with an empty blob table."""
+    return struct.pack(">I", len(head)) + head + struct.pack(">H", 0)
+
+
 def test_non_json_body_rejected():
-    body = b"\xff\xfe not json"
+    body = _envelope(b"\xff\xfe not json")
     blob = _valid_header(len(body)) + body
     with pytest.raises(wire.WireError, match="not valid JSON"):
         wire.FrameDecoder().feed(blob)
 
 
 def test_non_object_json_body_rejected():
-    body = b"[1,2,3]"
+    body = _envelope(b"[1,2,3]")
     blob = _valid_header(len(body)) + body
     with pytest.raises(wire.WireError, match="JSON object"):
         wire.FrameDecoder().feed(blob)
 
 
 def _binary_frame_parts(payload: dict) -> tuple[bytes, bytes]:
-    blob = wire.encode_frame("stats", payload, codec=wire.CODEC_BINARY)
+    blob = wire.encode_frame("stats", payload)
     return blob[:_HEADER_SIZE], blob[_HEADER_SIZE:]
 
 
 def test_binary_envelope_trailing_bytes_rejected():
     header, body = _binary_frame_parts({"arr": np.arange(4, dtype=np.uint32)})
     body += b"\x00"
-    tampered = _valid_header(len(body), version=wire.BINARY_VERSION)[:6] + struct.pack(
-        ">I", len(body)
-    )
+    tampered = _valid_header(len(body))
     with pytest.raises(wire.WireError, match="trailing bytes"):
         wire.FrameDecoder().feed(tampered + body)
 
@@ -273,15 +272,14 @@ def test_binary_envelope_blob_size_mismatch_rejected():
     # Flip one byte of the blob's 8-byte length field (it sits right
     # before the final 16 raw bytes of the uint32[4] payload).
     tampered[-17] ^= 0x01
-    frame = _valid_header(len(tampered), version=wire.BINARY_VERSION) + bytes(tampered)
+    frame = _valid_header(len(tampered)) + bytes(tampered)
     with pytest.raises(wire.WireError):
         wire.FrameDecoder().feed(frame)
 
 
 def test_binary_blob_reference_out_of_range_rejected():
-    head = b'{"arr":{"__nd__":3}}'
-    body = struct.pack(">I", len(head)) + head + struct.pack(">H", 0)
-    frame = _valid_header(len(body), version=wire.BINARY_VERSION) + body
+    body = _envelope(b'{"arr":{"__nd__":3}}')
+    frame = _valid_header(len(body)) + body
     with pytest.raises(wire.WireError, match="out of range"):
         wire.FrameDecoder().feed(frame)
 
@@ -302,8 +300,7 @@ def test_random_garbage_never_escapes_the_wire_error_hierarchy():
 
 def test_mutated_valid_frames_never_escape_wire_errors():
     rng = np.random.default_rng(424242)
-    payload = wire.encode_upload(3, batches_at(3), binary=True)
-    pristine = wire.encode_frame("upload", payload, codec=wire.CODEC_BINARY)
+    pristine = wire.encode_frame("upload", wire.encode_upload(3, batches_at(3)))
     for _ in range(300):
         blob = bytearray(pristine)
         for _flip in range(int(rng.integers(1, 8))):
@@ -369,13 +366,15 @@ def test_reactor_answers_garbage_with_structured_error_then_closes(live_net):
     assert payload["code"] == wire.ERR_BAD_FRAME
 
 
-def test_reactor_answers_version_mismatch_structurally(live_net):
+@pytest.mark.parametrize("version", [1, 42])
+def test_reactor_answers_version_mismatch_structurally(live_net, version):
     sock = _raw_conn(live_net)
     blob = bytearray(wire.encode_frame("hello", {"client": "fuzz"}))
-    blob[4] = 42  # unknown protocol version
+    blob[4] = version
     sock.sendall(bytes(blob))
     data = _read_until_closed(sock)
     sock.close()
+    assert data[4] == wire.PROTOCOL_VERSION
     frame_type, payload = wire.read_frame(io.BytesIO(data))
     assert frame_type == "error"
     assert payload["code"] == wire.ERR_VERSION_MISMATCH

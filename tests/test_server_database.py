@@ -343,6 +343,16 @@ class TestRegistrationValidation:
         with pytest.raises(SchemaError, match="no registered base table"):
             db.upload(1, {"ghost": batch})
 
+    def test_a_malformed_step_is_refused_before_anything_is_stored(self):
+        db = IncShrinkDatabase()
+        db.register_view(ViewRegistration(make_view("v", 2), mode="ep"))
+        batch = RecordBatch.empty(PROBE_SCHEMA).padded_to(2)
+        with pytest.raises(SchemaError, match="no registered base table"):
+            db.upload(1, [("orders", batch), ("ghost", batch)])
+        with pytest.raises(SchemaError, match="twice in one step"):
+            db.upload(1, [("orders", batch), ("orders", batch)])
+        assert db.upload_counts() == {"orders": 0, "shipments": 0}
+
     def test_conflicting_table_schema_rejected(self):
         db = IncShrinkDatabase()
         db.register_table("orders", PROBE_SCHEMA)
