@@ -15,9 +15,9 @@ This module serializes the full outsourced state to one
   its own half; nothing is ever recombined on the way to disk;
 * share aliasing is preserved: the physical base-table store and every
   transform group's budget scope wrap the *same* uploaded
-  :class:`~repro.sharing.shared_value.SharedTable` objects, and the
-  snapshot interns each object once so a restore re-creates exactly the
-  same sharing structure (uploads are stored once, not per view);
+  :class:`~repro.sharing.shared_value.SharedTable` objects; a scope is
+  stored as positions in its table's log, so every upload is stored once
+  and a restore re-creates exactly the same sharing structure;
 * both MPC servers' RNG states and the owner-side sharing generator are
   captured, so a restored database continues the *identical* randomness
   streams — byte-identical Shrink noise, resharing, and query answers;
@@ -25,7 +25,7 @@ This module serializes the full outsourced state to one
   per-shard tables, so a restored deployment scans with the same
   parallelism it was checkpointed with.
 
-The file is a binary container (:data:`SNAPSHOT_VERSION` 5)::
+The file is a binary container (:data:`SNAPSHOT_VERSION` 6)::
 
     magic (18 B) | version (u16) | head length (u64) | head | arrays | SHA-256
 
@@ -36,8 +36,7 @@ raw bytes, back to back, in the order the head names them — C order,
 unless the entry also says ``"order": "F"``: a view shard's share half
 is held column-major, and is written the way memory holds it, one
 column's run after the other, and read back into a buffer the restored
-shard adopts, so neither direction transposes (version 4, which this
-build still restores, is the same container without that key).
+shard adopts, so neither direction transposes.
 The 32-byte trailer is the SHA-256 of every byte before it, fed to the
 hash as the bytes are written — the body is serialised once and each
 byte hashed once.  :func:`restore_database` checks every size the file
@@ -47,9 +46,32 @@ hashes the same bytes in the same pass, and compares the trailer
 **before any state is applied**; every way a file can be malformed
 raises :class:`~repro.common.errors.PersistenceError`.
 
-The JSON-document snapshots of format versions 1–3 are not read here:
-``python -m repro upgrade-snapshot OLD NEW``
-(:mod:`repro.server.snapshot_upgrade`) converts one offline.
+Every array costs the same on both sides whatever its size — a head
+entry, a write and a hash update out; an allocation and a read in — so
+the logs that grow by one batch per upload are written as **columns**
+(:func:`_columnar_body`), and the number of arrays in a snapshot does
+not grow with the stream:
+
+* a physical table's ``log``: ``times``, ``lengths`` and
+  ``invocations_used`` (int64, one entry per batch), every batch's
+  ``emitted`` counters concatenated, and every batch's rows and flags as
+  one ``s0``/``s1`` pair each;
+* a transform group's scope: the positions of its batches in its
+  table's log (a restored scope batch *is* the store's batch object),
+  its own ``invocations_used`` and concatenated ``emitted``;
+* a contribution ledger: per-batch ``tables``, ``times``, ``n_rows``,
+  concatenated ``emitted``, and the flattened ``invocations`` with
+  per-batch ``invocation_counts``;
+* the owners' ``logical`` mirror: per table ``times``, ``lengths`` and
+  one ``rows`` array.
+
+Caches, view shards and counters stay in the ``shared_tables`` pool,
+one entry each.  The caller's metadata is one JSON string in the head,
+which neither direction's array handling looks inside.
+
+Snapshots of format versions 1–5 are not read here: ``python -m repro
+upgrade-snapshot OLD NEW`` (:mod:`repro.server.snapshot_upgrade`)
+converts one offline.
 
 What is deliberately **not** persisted: the adversary-observable
 transcript and the per-protocol run ledger (append-only observation
@@ -90,13 +112,10 @@ from .database import IncShrinkDatabase, ViewRegistration
 #: File magic — identifies an IncShrink database snapshot.
 SNAPSHOT_MAGIC = b"incshrink-snapshot"
 #: Bump on any incompatible change to the container or the body layout.
-#: Versions 1–3 were JSON documents; only
-#: :mod:`repro.server.snapshot_upgrade` still reads them.  Version 5
-#: added the optional ``"order"`` key of an array entry.
-SNAPSHOT_VERSION = 5
-#: Container versions :func:`restore_database` reads: a version-4 file is
-#: a version-5 file none of whose arrays is column-major.
-READABLE_VERSIONS = (4, SNAPSHOT_VERSION)
+#: Only :mod:`repro.server.snapshot_upgrade` reads older versions: 1–3
+#: were JSON documents, 4 and 5 this container with an array entry per
+#: uploaded batch and share half (5 added the ``"order"`` key).
+SNAPSHOT_VERSION = 6
 
 #: magic, format version, head length — the fixed-size start of the file.
 _PREAMBLE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQ")
@@ -323,11 +342,9 @@ def _decode_metric_log(entry: dict) -> MetricLog:
 class _TableInterner:
     """Encode each distinct :class:`SharedTable` object exactly once.
 
-    The physical base-table store and every transform group's budget
-    scope hold references to the *same* uploaded share objects.  The
-    interner maps object identity to an index into one shared pool, so
-    the on-disk format stores every upload once and a restore rebuilds
-    the exact aliasing graph.
+    The pool holds the tables that are not batch logs — each view's cache
+    and view shards — as one entry apiece; a view refers to its tables
+    by index into it.
     """
 
     def __init__(self) -> None:
@@ -384,34 +401,20 @@ def _decode_registration(entry: dict) -> ViewRegistration:
 
 # -- body assembly ------------------------------------------------------------
 def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
+    return _columnar_body(_per_batch_body(db, metadata))
+
+
+def _per_batch_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
+    """The state as the storage hooks hand it out: a batch log is a list
+    with one entry per upload, and every share table is the live object.
+
+    This is also the body of format versions 1–5 once their pool indices
+    are resolved, which is how :mod:`~repro.server.snapshot_upgrade`
+    reaches :func:`_columnar_body`.
+    """
     db.finalize()
-    intern = _TableInterner()
-
-    tables = {}
-    for name, store in db.tables.items():
-        tables[name] = {
-            "schema": list(store.schema.fields),
-            "batches": _encode_batches(store.snapshot_state(), intern),
-        }
-
-    groups = []
-    for group in db.groups.values():
-        groups.append(
-            {
-                "signature": list(group.signature),
-                "probe_scope": _encode_batches(
-                    group.probe_scope.snapshot_state(), intern
-                ),
-                "driver_scope": _encode_batches(
-                    group.driver_scope.snapshot_state(), intern
-                ),
-                "ledger": group.ledger.snapshot_state(),
-            }
-        )
-
     views = []
     for name, vr in db.views.items():
-        view_state = vr.view.snapshot_state()
         policy_state = None
         if vr.policy is not None:
             policy_state = dict(vr.policy.snapshot_state())
@@ -422,11 +425,8 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         views.append(
             {
                 "name": name,
-                "cache": intern.ref(vr.cache.snapshot_state()),
-                "view": {
-                    "shards": [intern.ref(t) for t in view_state["shards"]],
-                    "update_count": view_state["update_count"],
-                },
+                "cache": vr.cache.snapshot_state(),
+                "view": vr.view.snapshot_state(),
                 "counter": (
                     None
                     if vr.counter is None
@@ -449,10 +449,23 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         },
         "registrations": [_encode_registration(s) for s in db.registrations],
         "allocation": db.epsilon_allocation(),
-        "shared_tables": intern.pool,
-        "tables": tables,
+        "tables": {
+            name: {
+                "schema": list(store.schema.fields),
+                "batches": store.snapshot_state(),
+            }
+            for name, store in db.tables.items()
+        },
         "logical": db.logical.snapshot_state(),
-        "groups": groups,
+        "groups": [
+            {
+                "signature": list(group.signature),
+                "probe_scope": group.probe_scope.snapshot_state(),
+                "driver_scope": group.driver_scope.snapshot_state(),
+                "ledger": group.ledger.snapshot_state(),
+            }
+            for group in db.groups.values()
+        ],
         "views": views,
         "accountant": [
             [name, eps, _encode_segment(segment)]
@@ -466,7 +479,147 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
             "owner": runtime.owner_words.state,
             "query_noise": db.query_noise_gen.bit_generator.state,
         },
-        "metadata": dict(metadata or {}),
+        "metadata": metadata,
+    }
+
+
+def _columnar_body(body: dict) -> dict:
+    """The body of :data:`SNAPSHOT_VERSION` for a per-batch body.
+
+    The one place that knows the columns (see the module docstring): the
+    writer and the upgrader both lay their per-batch state out here.
+    """
+    metadata = _metadata_text(body["metadata"])
+    tables, positions = {}, {}
+    for name, entry in body["tables"].items():
+        batches = entry["batches"]
+        positions[name] = {id(b["table"]): i for i, b in enumerate(batches)}
+        tables[name] = {
+            "schema": entry["schema"],
+            "log": _log_columns(batches, len(entry["schema"])),
+        }
+    groups = []
+    for group in body["groups"]:
+        # A transform signature starts with the probe and driver tables,
+        # the tables the group's two scopes draw their batches from.
+        probe_table, driver_table = group["signature"][:2]
+        groups.append(
+            {
+                "signature": group["signature"],
+                "probe_scope": _scope_columns(
+                    group["probe_scope"], positions[probe_table]
+                ),
+                "driver_scope": _scope_columns(
+                    group["driver_scope"], positions[driver_table]
+                ),
+                "ledger": _ledger_columns(group["ledger"]),
+            }
+        )
+    intern = _TableInterner()
+    views = [
+        {
+            **view,
+            "cache": intern.ref(view["cache"]),
+            "view": {
+                **view["view"],
+                "shards": [intern.ref(t) for t in view["view"]["shards"]],
+            },
+        }
+        for view in body["views"]
+    ]
+    return {
+        "config": body["config"],
+        "registrations": body["registrations"],
+        "allocation": body["allocation"],
+        "shared_tables": intern.pool,
+        "tables": tables,
+        "logical": {
+            name: _logical_columns(entry) for name, entry in body["logical"].items()
+        },
+        "groups": groups,
+        "views": views,
+        "accountant": body["accountant"],
+        "tenant_budgets": body["tenant_budgets"],
+        "metrics": body["metrics"],
+        "rng": body["rng"],
+        "metadata": metadata,
+    }
+
+
+def _metadata_text(metadata: dict | None) -> str:
+    """The caller's metadata as one JSON string, refused here — before any
+    file is created — unless it is plain JSON."""
+    try:
+        return json.dumps(dict(metadata or {}), separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"snapshot metadata must be plain JSON: {exc}"
+        ) from exc
+
+
+def _int64s(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64)
+
+
+def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(empty_shape, dtype)
+
+
+def _share_columns(arrays: list[SharedArray], empty_shape: tuple) -> dict:
+    return {
+        "s0": _concat([a.share0 for a in arrays], empty_shape, np.uint32),
+        "s1": _concat([a.share1 for a in arrays], empty_shape, np.uint32),
+    }
+
+
+def _log_columns(batches: list[dict], width: int) -> dict:
+    tables = [b["table"] for b in batches]
+    return {
+        "times": _int64s(b["time"] for b in batches),
+        "lengths": _int64s(len(t) for t in tables),
+        "invocations_used": _int64s(b["invocations_used"] for b in batches),
+        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
+        "rows": _share_columns([t.rows for t in tables], (0, width)),
+        "flags": _share_columns([t.flags for t in tables], (0,)),
+    }
+
+
+def _scope_columns(batches: list[dict], positions: dict[int, int]) -> dict:
+    try:
+        at = [positions[id(b["table"])] for b in batches]
+    except KeyError:
+        raise PersistenceError(
+            "a transform-group scope holds a batch its table's log does not"
+        ) from None
+    return {
+        "batches": np.array(at, dtype=np.int64),
+        "invocations_used": _int64s(b["invocations_used"] for b in batches),
+        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
+    }
+
+
+def _logical_columns(entry: dict) -> dict:
+    width = len(entry["fields"])
+    batches = [np.asarray(b, np.uint32).reshape(-1, width) for b in entry["batches"]]
+    return {
+        "fields": entry["fields"],
+        "times": _int64s(entry["times"]),
+        "lengths": _int64s(len(b) for b in batches),
+        "rows": _concat(batches, (0, width), np.uint32),
+    }
+
+
+def _ledger_columns(state: dict) -> dict:
+    groups = state["groups"]
+    return {
+        "omega": state["omega"],
+        "budget": state["budget"],
+        "tables": [g["table"] for g in groups],
+        "times": _int64s(g["time"] for g in groups),
+        "n_rows": _int64s(g["n_rows"] for g in groups),
+        "emitted": _concat([g["emitted"] for g in groups], (0,), np.int64),
+        "invocations": _int64s(t for g in groups for t in g["invocations"]),
+        "invocation_counts": _int64s(len(g["invocations"]) for g in groups),
     }
 
 
@@ -510,8 +663,11 @@ def _write_snapshot(
     )
 
 
-def _read_snapshot(path: str) -> tuple[dict, SnapshotInfo]:
-    """Read and authenticate one container: its body and its receipt.
+def _read_snapshot(
+    path: str, versions: tuple[int, ...] = (SNAPSHOT_VERSION,)
+) -> tuple[dict, SnapshotInfo]:
+    """Read and authenticate one container of one of ``versions``: its
+    body and its receipt.
 
     Returns only after the trailer matched, with every array of the body
     filled.  Damage to the file can surface as a structural error first
@@ -539,10 +695,16 @@ def _read_snapshot(path: str) -> tuple[dict, SnapshotInfo]:
                 "a head and a digest"
             )
         _, version, head_len = _PREAMBLE.unpack(preamble)
-        if version not in READABLE_VERSIONS:
+        if version not in versions:
+            if version < SNAPSHOT_VERSION:
+                raise PersistenceError(
+                    f"snapshot {path!r} has format version {version}, which "
+                    f"this build reads only to convert: run `python -m repro "
+                    f"upgrade-snapshot {path} NEW` and restore NEW"
+                )
             raise PersistenceError(
                 f"snapshot {path!r} has format version {version}; this "
-                f"build reads versions {READABLE_VERSIONS}"
+                f"build reads versions {versions}"
             )
         digest = hashlib.sha256(preamble)
         try:
@@ -636,7 +798,9 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
     try:
         db = _rebuild(body)
-        metadata = dict(body["metadata"])
+        metadata = json.loads(body["metadata"])
+        if not isinstance(metadata, dict):
+            raise PersistenceError("snapshot metadata is not a JSON object")
     except PersistenceError:
         raise
     except Exception as exc:  # malformed-but-authentic bodies
@@ -662,20 +826,28 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         db.register_view(_decode_registration(entry))
     db.finalize_with_allocation(body["allocation"])
 
-    # Physical base tables (shares from the interned pool).
+    # Physical base tables, one log of columns each.
     if set(body["tables"]) != set(db.tables):
         raise PersistenceError(
             f"snapshot tables {sorted(body['tables'])} do not match the "
             f"registered tables {sorted(db.tables)}"
         )
     for name, entry in body["tables"].items():
-        db.tables[name].restore_state(_decode_batches(entry["batches"], pool))
+        store = db.tables[name]
+        if entry["schema"] != list(store.schema.fields):
+            raise PersistenceError(
+                f"snapshot table {name!r} has fields {entry['schema']!r}, "
+                f"registered {list(store.schema.fields)!r}"
+            )
+        store.restore_state(_log_batches(entry["log"], store.schema))
 
     # Owners' logical mirror.
-    db.logical.restore_state(body["logical"])
+    db.logical.restore_state(
+        {name: _logical_log(entry) for name, entry in body["logical"].items()}
+    )
 
-    # Transform groups: scopes alias the pool (same objects as the
-    # physical store), ledgers restore their budget history.
+    # Transform groups: each scope batch is the store's batch object at
+    # the position the scope names, ledgers restore their budget history.
     live_groups = list(db.groups.values())
     if len(live_groups) != len(body["groups"]):
         raise PersistenceError(
@@ -688,11 +860,17 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
                 f"transform-group signature mismatch: snapshot "
                 f"{entry['signature']!r} vs wired {list(group.signature)!r}"
             )
-        group.probe_scope.restore_state(_decode_batches(entry["probe_scope"], pool))
-        group.driver_scope.restore_state(
-            _decode_batches(entry["driver_scope"], pool)
-        )
-        group.ledger.restore_state(entry["ledger"])
+        for scope, key in (
+            (group.probe_scope, "probe_scope"),
+            (group.driver_scope, "driver_scope"),
+        ):
+            log = body["tables"][scope.name]["log"]
+            scope.restore_state(
+                _scope_batches(
+                    entry[key], db.tables[scope.name].batches, log["lengths"]
+                )
+            )
+        group.ledger.restore_state(_ledger_state(entry["ledger"]))
 
     # Per-view runtime state.
     live_views = list(db.views.items())
@@ -766,30 +944,107 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
     return db
 
 
-def _encode_batches(entries: list[dict], intern: _TableInterner) -> list[dict]:
+# -- columns back into per-batch state ----------------------------------------
+def _runs(column: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """``column`` cut into consecutive runs of ``lengths`` rows — views,
+    which the caller copies where it keeps them.  The runs must tile it."""
+    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(column):
+        raise PersistenceError(
+            f"run lengths summing to {lengths.sum()} do not tile a column "
+            f"of {len(column)} rows"
+        )
+    ends = np.cumsum(lengths).tolist()
+    return [column[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _check_counts(*columns) -> None:
+    """Per-batch columns of one log must have one entry per batch each."""
+    counts = {len(c) for c in columns}
+    if len(counts) != 1:
+        raise PersistenceError(f"per-batch columns of lengths {sorted(counts)}")
+
+
+def _log_batches(log: dict, schema: Schema) -> list[dict]:
+    lengths = log["lengths"]
+    _check_counts(log["times"], lengths, log["invocations_used"])
+    halves = [
+        [run.copy() for run in _runs(log[part][half], lengths)]
+        for part in ("rows", "flags")
+        for half in ("s0", "s1")
+    ]
     return [
         {
-            "time": e["time"],
-            "table": intern.ref(e["table"]),
-            "invocations_used": e["invocations_used"],
-            "emitted": e["emitted"],
+            "time": time,
+            "table": SharedTable(
+                schema, SharedArray(rows0, rows1), SharedArray(flags0, flags1)
+            ),
+            "invocations_used": used,
+            "emitted": emitted.copy(),
         }
-        for e in entries
+        for time, used, emitted, rows0, rows1, flags0, flags1 in zip(
+            log["times"].tolist(),
+            log["invocations_used"].tolist(),
+            _runs(log["emitted"], lengths),
+            *halves,
+        )
     ]
 
 
-def _decode_batches(entries: list[dict], pool: list[SharedTable]) -> list[dict]:
-    decoded = []
-    for e in entries:
-        idx = int(e["table"])
-        if not 0 <= idx < len(pool):
-            raise PersistenceError(f"batch references unknown share blob {idx}")
-        decoded.append(
-            {
-                "time": e["time"],
-                "table": pool[idx],
-                "invocations_used": e["invocations_used"],
-                "emitted": e["emitted"],
-            }
+def _logical_log(entry: dict) -> dict:
+    _check_counts(entry["times"], entry["lengths"])
+    return {
+        "fields": entry["fields"],
+        "times": entry["times"].tolist(),
+        # views: the restored log copies them into its own buffer
+        "batches": _runs(entry["rows"], entry["lengths"]),
+    }
+
+
+def _scope_batches(scope: dict, store: list, lengths: np.ndarray) -> list[dict]:
+    """A scope's batches: the store's batch objects at the positions it
+    names (``lengths`` are the store log's), with the scope's own budget."""
+    at = scope["batches"]
+    _check_counts(at, scope["invocations_used"])
+    if at.size and not (0 <= at.min() and at.max() < len(store)):
+        raise PersistenceError(
+            f"a scope names a batch outside the {len(store)} of its table's log"
         )
-    return decoded
+    return [
+        {
+            "time": store[i].time,
+            "table": store[i].table,
+            "invocations_used": used,
+            "emitted": emitted.copy(),
+        }
+        for i, used, emitted in zip(
+            at.tolist(),
+            scope["invocations_used"].tolist(),
+            _runs(scope["emitted"], lengths[at]),
+        )
+    ]
+
+
+def _ledger_state(ledger: dict) -> dict:
+    n_rows = ledger["n_rows"]
+    counts = ledger["invocation_counts"]
+    _check_counts(ledger["tables"], ledger["times"], n_rows, counts)
+    return {
+        "omega": ledger["omega"],
+        "budget": ledger["budget"],
+        "groups": [
+            {
+                "table": table,
+                "time": time,
+                "n_rows": rows,
+                "emitted": emitted.copy(),
+                "invocations": invocations.tolist(),
+            }
+            for table, time, rows, emitted, invocations in zip(
+                ledger["tables"],
+                ledger["times"].tolist(),
+                n_rows.tolist(),
+                _runs(ledger["emitted"], n_rows),
+                _runs(ledger["invocations"], counts),
+            )
+        ],
+    }

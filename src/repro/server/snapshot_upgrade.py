@@ -1,22 +1,30 @@
-"""Offline converter for the JSON-document snapshots of format versions 1–3.
+"""Offline converter for snapshots of format versions 1–5.
 
-Up to format version 3 a snapshot was one JSON document — ``magic``,
-``version``, ``sha256``, ``created_at``, ``body`` — whose arrays were
-base64 strings and whose digest covered the body re-serialised with
-sorted keys.  :func:`repro.server.persistence.restore_database` reads
-only the binary container that replaced it; this module is the one place
-that still knows the old encoding, and what each old version lacked:
+:func:`repro.server.persistence.restore_database` reads only the current
+format.  This module is the one place that still knows the older ones,
+and what each lacked:
 
+* up to version 3 a snapshot was one JSON document — ``magic``,
+  ``version``, ``sha256``, ``created_at``, ``body`` — whose arrays were
+  base64 strings and whose digest covered the body re-serialised with
+  sorted keys;
 * v1 predates sharding: no ``config.n_shards`` (one shard), each view
   stored as one flat ``view.table``, and a cost model without the fields
   added since;
 * snapshots written before the query compiler carry no ``query_noise``
   generator state — they never released a noisy query, so the fresh
   seed-0 stream a new database starts with is exactly right;
-* v1 and v2 predate tenancy: no ``tenant_budgets`` (no caps).
+* v1 and v2 predate tenancy: no ``tenant_budgets`` (no caps);
+* versions 4 and 5 are the current container, read by its own checked
+  reader, with the per-batch body of every version before 6: each
+  uploaded batch a ``shared_tables`` pool entry of its own, referred to
+  by index from its table's log and from every transform-group scope;
+  version 4 also held view shards row-major.
 
-:func:`upgrade_snapshot` verifies the old digest, fills those gaps so the
-body has the current layout, and writes the current container::
+:func:`upgrade_snapshot` verifies the old digest, fills those gaps,
+resolves the pool indices into share tables — which is the per-batch
+body the current writer starts from — and lays that out and writes it
+exactly as :func:`~repro.server.persistence.snapshot_database` would::
 
     python -m repro upgrade-snapshot OLD NEW
 """
@@ -34,10 +42,22 @@ import numpy as np
 from ..common.errors import PersistenceError
 from ..common.rng import spawn
 from ..mpc.cost_model import CostModel
-from .persistence import SNAPSHOT_MAGIC, SnapshotInfo, _write_snapshot
+from ..sharing.shared_value import SharedArray, SharedTable
+from .persistence import (
+    _PREAMBLE,
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+    SnapshotInfo,
+    _columnar_body,
+    _decode_table_pool,
+    _read_snapshot,
+    _write_snapshot,
+)
 
 #: The JSON-document format versions this module converts.
 LEGACY_VERSIONS = (1, 2, 3)
+#: The container versions this module converts.
+CONTAINER_VERSIONS = (4, 5)
 
 _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
 
@@ -45,15 +65,47 @@ _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
 def upgrade_snapshot(
     old: str | os.PathLike, new: str | os.PathLike
 ) -> SnapshotInfo:
-    """Convert the version 1–3 snapshot at ``old`` into a container at ``new``.
+    """Convert the version 1–5 snapshot at ``old`` into one at ``new``.
 
     The state is carried over exactly — shares, RNG streams, the ε ledger
     and the caller's metadata — and so is ``created_at``: the new file
     records when the state was captured, not when it was converted.
     """
-    document = _load_legacy(os.fspath(old))
-    body = _current_layout(_inflate_arrays(document["body"]))
-    return _write_snapshot(new, body, float(document.get("created_at", 0.0)))
+    old = os.fspath(old)
+    if _is_container(old):
+        body, info = _read_snapshot(old, CONTAINER_VERSIONS)
+        created_at = info.created_at
+    else:
+        document = _load_legacy(old)
+        body = _current_layout(_inflate_arrays(document["body"]))
+        created_at = float(document.get("created_at", 0.0))
+    try:
+        columns = _columnar_body(_resolve_pool(body))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise PersistenceError(
+            f"snapshot {old!r} does not have the per-batch layout of "
+            f"versions 1-5: {exc!r}"
+        ) from exc
+    return _write_snapshot(new, columns, created_at)
+
+
+def _is_container(path: str) -> bool:
+    """Whether ``path`` starts as a container does, not as a JSON document.
+
+    A container of the current version is refused here.
+    """
+    try:
+        with open(path, "rb") as fh:
+            preamble = fh.read(_PREAMBLE.size)
+    except OSError as exc:
+        raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
+    if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
+        return False
+    if _PREAMBLE.unpack(preamble)[1] == SNAPSHOT_VERSION:
+        raise PersistenceError(
+            f"snapshot {path!r} is already in the current format"
+        )
+    return True
 
 
 def _load_legacy(path: str) -> dict:
@@ -63,10 +115,6 @@ def _load_legacy(path: str) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    if raw.startswith(SNAPSHOT_MAGIC):
-        raise PersistenceError(
-            f"snapshot {path!r} is already in the current format"
-        )
     try:
         document = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # incl. invalid UTF-8
@@ -134,3 +182,35 @@ def _current_layout(body: dict) -> dict:
     body.setdefault("tenant_budgets", {})
     body.setdefault("metadata", {})
     return body
+
+
+def _resolve_pool(body: dict) -> dict:
+    """``body`` with each ``shared_tables`` index replaced by its table.
+
+    View shards come out column-major, as a live view holds them.
+    """
+    pool = _decode_table_pool(body.pop("shared_tables"))
+
+    def table(index) -> SharedTable:
+        if not 0 <= index < len(pool):
+            raise PersistenceError(f"batch references unknown share blob {index}")
+        return pool[index]
+
+    scopes = [g[key] for g in body["groups"] for key in ("probe_scope", "driver_scope")]
+    for batches in (*(t["batches"] for t in body["tables"].values()), *scopes):
+        for batch in batches:
+            batch["table"] = table(batch["table"])
+    for entry in body["views"]:
+        entry["cache"] = table(entry["cache"])
+        view = entry["view"]
+        view["shards"] = [_column_major(table(i)) for i in view["shards"]]
+    return body
+
+
+def _column_major(table: SharedTable) -> SharedTable:
+    rows = table.rows
+    return SharedTable(
+        table.schema,
+        SharedArray(np.asfortranarray(rows.share0), np.asfortranarray(rows.share1)),
+        table.flags,
+    )

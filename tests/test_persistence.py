@@ -358,6 +358,30 @@ def test_metadata_roundtrip(tmp_path):
     assert restored.info.bytes_written == info.bytes_written
 
 
+@pytest.mark.parametrize(
+    "metadata, plain",
+    [
+        ({"a": {"dtype": "<u4", "shape": [1], "offset": 0}}, True),
+        ({"a": np.arange(3)}, False),
+        ({"n": np.int64(3)}, False),
+    ],
+    ids=["array-entry-lookalike", "ndarray", "numpy-scalar"],
+)
+def test_metadata_is_plain_json(tmp_path, metadata, plain):
+    """Metadata comes back exactly as given, whatever it looks like, or is
+    refused before any file is created."""
+    db = build_database()
+    feed(db, 1)
+    path = tmp_path / "meta.snap"
+    if plain:
+        snapshot_database(db, path, metadata=metadata)
+        assert restore_database(path).metadata == metadata
+    else:
+        with pytest.raises(PersistenceError, match="plain JSON"):
+            snapshot_database(db, path, metadata=metadata)
+        assert list(tmp_path.iterdir()) == []
+
+
 # -- the container, read by its documented layout and not through the module ---
 _PREAMBLE = struct.Struct(">18sHQ")  # magic, version, head length
 _DIGEST_BYTES = 32
@@ -399,39 +423,58 @@ def write_container(
     Path(path).write_bytes(payload + trailer)
 
 
-def write_legacy_json(path, version: int, edit=lambda body: None) -> None:
-    """Rewrite the container at ``path``, in place, as the JSON document
-    (base64 arrays, sorted-keys body digest) that format ``version`` was;
-    ``edit`` takes out of the body what that version did not have yet."""
-    head, arrays, _ = read_container(path)
+def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
+    """Write ``db``'s state to ``path`` as the JSON document (base64
+    arrays, sorted-keys body digest, one ``shared_tables`` entry per
+    uploaded batch) that format ``version`` was; ``edit`` takes out of the
+    body what that version did not have yet."""
+    body = persistence._per_batch_body(db, {})
+    pool, index = [], {}
+
+    def ref(table) -> int:
+        if id(table) not in index:
+            index[id(table)] = len(pool)
+            pool.append(
+                {
+                    "fields": list(table.schema.fields),
+                    "rows": {"s0": table.rows.share0, "s1": table.rows.share1},
+                    "flags": {"s0": table.flags.share0, "s1": table.flags.share1},
+                }
+            )
+        return index[id(table)]
+
+    for entry in body["tables"].values():
+        for batch in entry["batches"]:
+            batch["table"] = ref(batch["table"])
+    for group in body["groups"]:
+        for batch in group["probe_scope"] + group["driver_scope"]:
+            batch["table"] = ref(batch["table"])
+    for entry in body["views"]:
+        entry["cache"] = ref(entry["cache"])
+        entry["view"]["shards"] = [ref(t) for t in entry["view"]["shards"]]
+    body["shared_tables"] = pool
 
     def deflate(node):
         if isinstance(node, list):
             return [deflate(item) for item in node]
-        if not isinstance(node, dict):
-            return node
-        if node.keys() not in (_ARRAY_KEYS, _ORDERED_ARRAY_KEYS):
+        if isinstance(node, dict):
             return {key: deflate(value) for key, value in node.items()}
-        dtype = np.dtype(node["dtype"])
-        end = node["offset"] + dtype.itemsize * math.prod(node["shape"])
-        data = arrays[node["offset"] : end]
-        if "order" in node:  # the old formats knew row-major only
-            columns = np.frombuffer(data, dtype).reshape(node["shape"][::-1])
-            data = np.ascontiguousarray(columns.T).tobytes()
-        return {
-            "dtype": str(dtype),
-            "shape": node["shape"],
-            "data": base64.b64encode(data).decode("ascii"),
-        }
+        if isinstance(node, np.ndarray):  # the old formats knew row-major only
+            return {
+                "dtype": str(node.dtype),
+                "shape": list(node.shape),
+                "data": base64.b64encode(np.ascontiguousarray(node)).decode("ascii"),
+            }
+        return node
 
-    body = deflate(head["body"])
+    body = deflate(body)
     edit(body)
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     document = {
         "magic": "incshrink-snapshot",
         "version": version,
         "sha256": hashlib.sha256(canonical.encode("utf8")).hexdigest(),
-        "created_at": head["created_at"],
+        "created_at": 1234.5,
         "body": body,
     }
     Path(path).write_text(json.dumps(document), encoding="utf8")
@@ -789,8 +832,8 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
     assert fingerprint(restored) == fingerprint(db)
 
 
-def _downgrade_to_v1(path: Path) -> None:
-    """Rewrite a single-shard snapshot into the historical v1 layout."""
+def _downgrade_to_v1(path: Path, db: IncShrinkDatabase) -> None:
+    """Write a single-shard database in the historical v1 layout."""
 
     def strip(body: dict) -> None:
         assert body["config"].pop("n_shards") == 1
@@ -802,7 +845,7 @@ def _downgrade_to_v1(path: Path) -> None:
         # v1 also predates the query compiler and tenancy
         del body["rng"]["query_noise"], body["tenant_budgets"]
 
-    write_legacy_json(path, 1, strip)
+    write_legacy_json(path, db, 1, strip)
 
 
 def test_v1_snapshot_upgrade_roundtrip(tmp_path):
@@ -819,8 +862,7 @@ def test_v1_snapshot_upgrade_roundtrip(tmp_path):
     for t in range(1, 3):
         feed(interrupted, t)
     path = tmp_path / "legacy.snap"
-    snapshot_database(interrupted, path)
-    _downgrade_to_v1(path)
+    _downgrade_to_v1(path, interrupted)
     with pytest.raises(PersistenceError, match="upgrade-snapshot"):
         restore_database(path)
     upgrade_snapshot(path, tmp_path / "upgraded.snap")
@@ -897,13 +939,15 @@ def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
     assert not (tmp_path / "out.snap").exists()
 
 
-# -- container version 5: column-major view shards ------------------------------
+# -- container versions 4 and 5, column-major view shards, columnar logs -------
 GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
-_ORDER_KEY_BYTES = len(',"order":"F"')
+GOLDEN_V5 = Path(__file__).parent / "golden" / "snapshot_v5.snap"
+#: What both goldens carry as the caller's metadata.
+GOLDEN_METADATA = {"last_time": 3, "note": "golden v4"}
 
 
-def column_major_entries(path) -> list[dict]:
-    """The array entries of a container that are stored one column at a time."""
+def array_entries(path) -> list[dict]:
+    """Every array entry of a container's head, in file order."""
     found = []
 
     def walk(node):
@@ -911,7 +955,7 @@ def column_major_entries(path) -> list[dict]:
             for item in node:
                 walk(item)
         elif isinstance(node, dict):
-            if node.keys() == _ORDERED_ARRAY_KEYS:
+            if node.keys() in (_ARRAY_KEYS, _ORDERED_ARRAY_KEYS):
                 found.append(node)
             else:
                 for value in node.values():
@@ -921,9 +965,16 @@ def column_major_entries(path) -> list[dict]:
     return found
 
 
+def column_major_entries(path) -> list[dict]:
+    """The array entries of a container that are stored one column at a time."""
+    return [e for e in array_entries(path) if "order" in e]
+
+
 def golden_v4_state() -> IncShrinkDatabase:
     """The state ``tests/golden/snapshot_v4.snap`` was written from, by the
-    last commit whose writer produced version-4 containers."""
+    last commit whose writer produced version-4 containers, and
+    ``snapshot_v5.snap`` — with the same ``created_at`` and metadata — by
+    the last that produced version 5."""
     live = build_sharded_database(3)
     for t in (1, 2, 3):
         feed(live, t)
@@ -936,15 +987,23 @@ def query_gates(db: IncShrinkDatabase) -> list[int]:
     return [run.gates for run in db.runtime.runs if run.name.startswith("query")]
 
 
-def test_version_4_snapshot_still_restores():
-    """Same container, no column-major entries: read directly, identical
-    answers, gates and ε, and the stream continues identically."""
-    raw = GOLDEN_V4.read_bytes()
-    assert _PREAMBLE.unpack_from(raw)[1] == 4 and SNAPSHOT_VERSION == 5
+GOLDEN_CONTAINERS = [
+    pytest.param(4, GOLDEN_V4, id="v4"),
+    pytest.param(5, GOLDEN_V5, id="v5"),
+]
+
+
+@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
+def test_version_4_and_5_snapshots_upgrade_and_continue(tmp_path, version, golden):
+    """Through ``upgrade-snapshot``: identical answers, gates and ε, and
+    the stream continues identically."""
+    raw = golden.read_bytes()
+    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 6
     live = golden_v4_state()
     live.accumulator_cache.invalidate()  # a restored database starts cold
-    restored = restore_database(GOLDEN_V4)
-    assert restored.metadata == {"last_time": 3, "note": "golden v4"}
+    upgrade_snapshot(golden, tmp_path / "up.snap")
+    restored = restore_database(tmp_path / "up.snap")
+    assert restored.metadata == GOLDEN_METADATA
     db = restored.database
     assert db.n_shards == 3 and db.tenant_budgets == {"ana": 1.0}
     assert fingerprint(db) == fingerprint(live)
@@ -964,19 +1023,150 @@ def test_version_4_snapshot_still_restores():
     assert share_state(db) == share_state(live)
 
 
-def test_version_5_adds_one_key_per_view_shard_half(tmp_path, monkeypatch):
-    """Re-written as version 5, the version-4 golden grows by the
-    ``"order"`` keys and nothing else — same arrays, byte for byte."""
-    restored = restore_database(GOLDEN_V4)
-    monkeypatch.setattr(persistence._time, "time", lambda: restored.info.created_at)
-    info = snapshot_database(
-        restored.database, tmp_path / "v5.snap", metadata=restored.metadata
+@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
+def test_version_4_and_5_are_refused_naming_the_upgrade_command(
+    version, golden, never_rebuilt
+):
+    with pytest.raises(
+        PersistenceError, match=f"format version {version}.*repro upgrade-snapshot"
+    ):
+        restore_database(golden)
+
+
+@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
+def test_upgraded_golden_is_byte_identical_to_the_writer(
+    tmp_path, monkeypatch, version, golden
+):
+    """One function lays batch logs out as columns: upgrading either
+    golden writes exactly the bytes the writer writes for its state."""
+    raw = golden.read_bytes()
+    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+    created_at = json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
+    monkeypatch.setattr(persistence._time, "time", lambda: created_at)
+    written = snapshot_database(
+        golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA
     )
-    entries = column_major_entries(tmp_path / "v5.snap")
-    assert entries and all(len(e["shape"]) == 2 for e in entries)
-    assert info.bytes_written - restored.info.bytes_written == (
-        _ORDER_KEY_BYTES * len(entries)
+    upgraded = upgrade_snapshot(golden, tmp_path / "up.snap")
+    assert (tmp_path / "up.snap").read_bytes() == (tmp_path / "live.snap").read_bytes()
+    assert upgraded == persistence.SnapshotInfo(
+        str(tmp_path / "up.snap"), written.bytes_written, written.sha256, created_at
     )
+
+
+def test_array_count_does_not_grow_with_the_stream(tmp_path):
+    """Batch logs are columns: two steps in or six, the same arrays."""
+    db = build_database()
+    for t in (1, 2):
+        feed(db, t)
+    snapshot_database(db, tmp_path / "early.snap")
+    for t in range(3, len(SCRIPT) + 1):
+        feed(db, t)
+    snapshot_database(db, tmp_path / "late.snap")
+    early = array_entries(tmp_path / "early.snap")
+    late = array_entries(tmp_path / "late.snap")
+    assert len(early) == len(late)
+    assert sum(math.prod(e["shape"]) for e in early) < sum(
+        math.prod(e["shape"]) for e in late
+    )
+
+
+def _nudge(column: np.ndarray, by: int) -> np.ndarray:
+    nudged = column.copy()
+    nudged[0] += by
+    return nudged
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda b: b["tables"]["orders"]["log"].update(
+                lengths=_nudge(b["tables"]["orders"]["log"]["lengths"], 1)
+            ),
+            "do not tile",
+            id="log-lengths",
+        ),
+        pytest.param(
+            lambda b: b["groups"][0]["probe_scope"].update(
+                batches=_nudge(b["groups"][0]["probe_scope"]["batches"], 99)
+            ),
+            "outside the 2",
+            id="scope-past-the-log",
+        ),
+        pytest.param(
+            lambda b: b["groups"][0]["driver_scope"].update(
+                batches=_nudge(b["groups"][0]["driver_scope"]["batches"], -1)
+            ),
+            "outside the 2",
+            id="scope-negative",
+        ),
+        pytest.param(
+            lambda b: b["groups"][0]["ledger"].update(
+                times=b["groups"][0]["ledger"]["times"][1:]
+            ),
+            "per-batch columns",
+            id="ledger-short-column",
+        ),
+        pytest.param(
+            lambda b: b["logical"]["shipments"].update(
+                lengths=_nudge(b["logical"]["shipments"]["lengths"], -1)
+            ),
+            "do not tile",
+            id="logical-lengths",
+        ),
+    ],
+)
+def test_columns_that_do_not_fit_are_refused(tmp_path, edit, message):
+    """Authentic files whose columns disagree: refused, never sliced or
+    indexed into a state that differs from the one written."""
+    db = build_database()
+    for t in (1, 2):
+        feed(db, t)
+    body = persistence._snapshot_body(db, {})
+    edit(body)
+    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    with pytest.raises(PersistenceError, match=message):
+        restore_database(tmp_path / "bad.snap")
+
+
+def feed_without_orders(db: IncShrinkDatabase, time: int) -> None:
+    """``feed``, but every ``orders`` upload is an empty batch."""
+    _, driver_rows = SCRIPT[time - 1]
+    driver = RecordBatch(
+        DRIVER_SCHEMA, np.asarray(driver_rows, dtype=np.uint32).reshape(-1, 2)
+    ).padded_to(3)
+    empty = RecordBatch(PROBE_SCHEMA, np.zeros((0, 2), dtype=np.uint32))
+    db.upload(time, {"orders": empty, "shipments": driver})
+    db.step(time)
+
+
+@pytest.mark.parametrize(
+    "steps, step",
+    [(0, feed), (3, feed_without_orders)],
+    ids=["no-uploads", "empty-batches"],
+)
+def test_empty_logs_roundtrip(tmp_path, steps, step):
+    """The edge cases of concatenating a log: no batch at all, and a table
+    whose every batch is empty."""
+    live = build_database()
+    live.finalize()
+    for t in range(1, steps + 1):
+        step(live, t)
+    if steps:
+        assert all(len(b.table) == 0 for b in live.tables["orders"].batches)
+        assert len(live.tables["orders"].batches) == steps
+    snapshot_database(live, tmp_path / "a.snap")
+    restored = restore_database(tmp_path / "a.snap").database
+    snapshot_database(restored, tmp_path / "b.snap")
+    assert snapshot_content(tmp_path / "a.snap") == snapshot_content(
+        tmp_path / "b.snap"
+    )
+    for t in range(steps + 1, len(SCRIPT) + 1):
+        step(live, t)
+        step(restored, t)
+    assert answer_mix(restored, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
+    assert fingerprint(restored) == fingerprint(live)
+    assert share_state(restored) == share_state(live)
 
 
 @pytest.mark.parametrize("n_shards", [1, 3])

@@ -13,8 +13,12 @@ truncated_sort_merge_join`), and the two fixed-shape stages of every
 ``cpdb-heavy`` upload — ``cache_read``, one Figure 3 read of a
 5,700 × 4-row cache (:meth:`repro.storage.secure_cache.SecureCache.
 sorted_read`), and ``ring_words``, one step's mix of ring-word draws
-from both servers' streams (:class:`repro.common.rng.RingWordStream`) —
-under both
+from both servers' streams (:class:`repro.common.rng.RingWordStream`),
+and the two halves of a checkpoint, ``snapshot`` and ``restore`` of the
+state a ``tpcds-small`` run holds at the end of its steady phase
+(:func:`repro.server.persistence.snapshot_database` /
+:func:`~repro.server.persistence.restore_database`; their ``rows`` are
+the stream's steps) — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -51,6 +55,7 @@ import io
 import json
 import pstats
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -326,6 +331,60 @@ def _incremental_workload(rows: int):
     return run
 
 
+#: Steps in the steady phase of ``tpcds-small`` (12 steps/s for 20 s):
+#: the state the benchmark of record checkpoints and restores.
+PERSISTENCE_STEPS = 240
+
+
+def _tpcds_state(steps: int):
+    """The canonical three-view tpcds deployment after ``steps`` steps,
+    one tenant ε-released query per step."""
+    from repro.experiments.harness import (
+        MultiViewRunConfig,
+        build_multiview_deployment,
+    )
+
+    deployment = build_multiview_deployment(
+        MultiViewRunConfig(dataset="tpcds", n_steps=steps, seed=3)
+    )
+    db = deployment.database
+    db.set_tenant_budgets({"analyst": 1.0e6})
+    release = deployment.step_queries[3]
+    for step in deployment.workload.steps:
+        db.upload(step.time, deployment.upload_items(step))
+        db.step(step.time)
+        db.query(release, step.time, epsilon=0.01, tenant="analyst")
+    return db
+
+
+def _snapshot_workload(steps: int):
+    """One checkpoint of the :data:`PERSISTENCE_STEPS`-step tpcds state
+    (``rows`` counts steps): what a ``snapshot`` request holds the ingest
+    write lock for.  Watch for anything called once per uploaded batch."""
+    from repro.server.persistence import snapshot_database
+
+    db = _tpcds_state(steps)
+    scratch = tempfile.TemporaryDirectory()  # removed with the closure
+
+    def run() -> None:
+        snapshot_database(db, Path(scratch.name) / "profile.snap")
+
+    return run
+
+
+def _restore_workload(steps: int):
+    """One restore of that checkpoint."""
+    from repro.server.persistence import restore_database, snapshot_database
+
+    scratch = tempfile.TemporaryDirectory()
+    snapshot_database(_tpcds_state(steps), Path(scratch.name) / "profile.snap")
+
+    def run() -> None:
+        restore_database(Path(scratch.name) / "profile.snap")
+
+    return run
+
+
 WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
@@ -335,10 +394,17 @@ WORKLOADS = {
     "incremental_scan": _incremental_workload,
     "cache_read": _cache_read_workload,
     "ring_words": _ring_words_workload,
+    "snapshot": _snapshot_workload,
+    "restore": _restore_workload,
 }
 
 #: Stages whose shape is the served one whatever ``--rows`` says.
-FIXED_ROWS = {"cache_read": 5_700, "ring_words": RING_WORDS_PER_STEP}
+FIXED_ROWS = {
+    "cache_read": 5_700,
+    "ring_words": RING_WORDS_PER_STEP,
+    "snapshot": PERSISTENCE_STEPS,
+    "restore": PERSISTENCE_STEPS,
+}
 
 
 def profile_long_stream(steps: int = LONG_STREAM_STEPS) -> dict:
