@@ -4,13 +4,21 @@ Two invariants implement the paper's bounded-stability design:
 
 * **Invocation budget** — a record (batch) may participate as Transform
   input at most ``b // ω`` times; every participation consumes ω
-  regardless of whether real join entries were produced.  Tracked at
-  batch granularity in :class:`~repro.storage.outsourced_table.OutsourcedTable`
-  (consumption is uniform per invocation, so batch-level tracking is
-  exact) and re-validated here.
+  regardless of whether real join entries were produced.  Consumption is
+  uniform per invocation, so it is tracked per batch.
 * **Emission cap** — a record contributes at most ω output rows per
   invocation and at most ``b`` rows over its lifetime (Eq. 3 plus
   Theorem 3's finite-contribution requirement).
+
+One :class:`ContributionLedger` holds a transform group's budget, as
+columns aligned to the upload log of each table the group reads
+(:class:`~repro.storage.outsourced_table.OutsourcedTable`): uses per
+batch, emissions per row, and the times of each batch's invocations.
+They grow to the log's length when next read — a batch uploaded since
+has spent nothing.  Every Transform run charges the whole active window,
+a suffix of the probe log, so uses never increase along the log and the
+exhausted batches form a prefix: the window is ``[first, n)``, and it is
+revealed, capped and settled as one slice.
 
 The ledger also exports a per-record contribution map in the form
 Theorem 3 wants, so the privacy accountant can compute the realised
@@ -21,185 +29,223 @@ because the map itself has an entry per record ever uploaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..common.errors import ContributionBudgetError
+from ..storage.outsourced_table import OutsourcedTable, grown
 
 
-@dataclass
-class _RecordGroup:
-    """Budget state for the rows of one uploaded batch."""
+class _LogBudget:
+    """One table's budget columns, aligned to its upload log."""
 
-    n_rows: int
-    emitted: np.ndarray
-    invocations: list[int] = field(default_factory=list)  # times of participation
+    __slots__ = ("log", "uses", "emitted", "invocations", "first")
+
+    def __init__(self, log: OutsourcedTable, max_uses: int) -> None:
+        self.log = log
+        #: invocations each batch took part in
+        self.uses = np.zeros(0, dtype=np.int64)
+        #: lifetime view entries each row emitted (MPC-internal state)
+        self.emitted = np.zeros(0, dtype=np.int64)
+        #: row ``k``: the times of batch ``k``'s first ``uses[k]`` invocations
+        self.invocations = np.zeros((0, max_uses), dtype=np.int64)
+        #: batches ``[:first]`` are exhausted
+        self.first = 0
+
+    def synced(self) -> "_LogBudget":
+        """These columns, grown to cover every batch of the log."""
+        n, rows = self.log.n_batches, self.log.total_rows
+        self.uses = grown(self.uses, n, len(self.uses))
+        self.invocations = grown(self.invocations, n, len(self.invocations))
+        self.emitted = grown(self.emitted, rows, len(self.emitted))
+        return self
 
 
 class ContributionLedger:
-    """Tracks per-record lifetime contributions for one view definition."""
+    """Tracks per-record lifetime contributions for one transform group."""
 
-    def __init__(self, omega: int, budget: int) -> None:
+    def __init__(
+        self, omega: int, budget: int, logs: tuple[OutsourcedTable, ...]
+    ) -> None:
         if omega <= 0 or budget < omega:
             raise ContributionBudgetError(
                 f"need 0 < omega <= budget, got omega={omega}, budget={budget}"
             )
         self.omega = omega
         self.budget = budget
-        self._groups: dict[tuple[str, int], _RecordGroup] = {}
+        self.max_uses = budget // omega
+        self._logs = {log.name: _LogBudget(log, self.max_uses) for log in logs}
+        if len(self._logs) != len(logs):
+            raise ContributionBudgetError("a ledger's tables must be distinct")
         # ``(participations, batch key)`` of the most-charged batch that
         # holds at least one record; kept by every charge, rebuilt by
-        # ``restore_state``.
+        # ``restore``.
         self._worst: tuple[int, tuple[str, int] | None] = (0, None)
+        #: the table of each batch uploaded to either log, in upload
+        #: order — the order a snapshot lists the group's batches in
+        self.upload_order: list[str] = []
 
-    # -- registration ----------------------------------------------------
-    def register_batch(self, table: str, time: int, n_rows: int) -> None:
-        key = (table, time)
-        if key in self._groups:
-            raise ContributionBudgetError(f"batch {key} already registered")
-        self._groups[key] = _RecordGroup(n_rows, np.zeros(n_rows, dtype=np.int64))
+    def note_upload(self, table: str) -> None:
+        if table in self._logs:
+            self.upload_order.append(table)
 
-    # -- per-invocation flow ------------------------------------------------
-    def remaining_uses(self, table: str, time: int) -> int:
-        group = self._group(table, time)
-        return self.budget // self.omega - len(group.invocations)
-
-    def charge_invocation(self, table: str, time: int, at_time: int) -> None:
-        group = self._group(table, time)
-        if self.remaining_uses(table, time) <= 0:
+    def _budget(self, table: str) -> _LogBudget:
+        try:
+            return self._logs[table].synced()
+        except KeyError:
             raise ContributionBudgetError(
-                f"batch ({table!r}, t={time}) has no remaining contribution "
-                f"budget (b={self.budget}, omega={self.omega})"
-            )
-        group.invocations.append(at_time)
-        self._note_uses((table, time), group)
-
-    def _note_uses(self, key: tuple[str, int], group: _RecordGroup) -> None:
-        if group.n_rows and len(group.invocations) > self._worst[0]:
-            self._worst = (len(group.invocations), key)
-
-    def caps(self, table: str, time: int) -> np.ndarray:
-        """Remaining lifetime emission allowance per row of a batch."""
-        group = self._group(table, time)
-        return np.maximum(self.budget - group.emitted, 0)
-
-    def record_emissions(self, table: str, time: int, counts: np.ndarray) -> None:
-        group = self._group(table, time)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != group.emitted.shape:
-            raise ContributionBudgetError(
-                f"emission count shape {counts.shape} != batch rows "
-                f"{group.emitted.shape}"
-            )
-        if (counts > self.omega).any():
-            raise ContributionBudgetError(
-                f"a record emitted more than omega={self.omega} rows in one "
-                "invocation"
-            )
-        new_totals = group.emitted + counts
-        if (new_totals > self.budget).any():
-            raise ContributionBudgetError(
-                f"a record exceeded its lifetime budget b={self.budget}"
-            )
-        group.emitted = new_totals
+                f"table {table!r} is not read by this ledger's group"
+            ) from None
 
     # -- one Transform window at a time ---------------------------------------
-    def window_caps(self, table: str, times: list[int]) -> np.ndarray:
-        """:meth:`caps` of the batches at ``times``, concatenated."""
-        emitted = self._window_emitted([self._group(table, t) for t in times])
-        return np.maximum(self.budget - emitted, 0)
+    def window(self, table: str) -> tuple[int, int]:
+        """The active window ``[lo, hi)``: the batches with budget left.
 
-    def settle_window(
-        self, table: str, times: list[int], at_time: int, counts: np.ndarray
-    ) -> None:
-        """Charge one invocation to every batch of a Transform window and
-        record ``counts`` — one entry per window row, batches in ``times``
-        order — as their emissions.
-
-        Equal to :meth:`charge_invocation` + :meth:`record_emissions` per
-        batch, with the checks made **once** over the whole window.  A
-        window that fails one is replayed batch by batch instead, so the
-        error raised — type, message, how far the window got — is the
-        per-batch one.
+        Each Transform invocation a batch participates in costs ω of its
+        records' budget ``b`` (Section 5.1, "Contribution over time"), so
+        a batch is usable while ``b - ω·uses ≥ ω``.  Because consumption
+        is uniform per invocation, eligibility depends only on public
+        upload times — using it leaks nothing.
         """
-        groups = [self._group(table, t) for t in times]
+        side = self._budget(table)
+        first, n, uses = side.first, side.log.n_batches, side.uses
+        while first < n and uses[first] >= self.max_uses:
+            first += 1
+        side.first = first
+        return first, n
+
+    def caps(self, table: str, lo: int, hi: int) -> np.ndarray:
+        """Remaining lifetime emission allowance per row of batches ``[lo, hi)``."""
+        side = self._budget(table)
+        starts = side.log.starts
+        return np.maximum(self.budget - side.emitted[starts[lo] : starts[hi]], 0)
+
+    def settle(
+        self, table: str, lo: int, hi: int, at_time: int, counts: np.ndarray
+    ) -> None:
+        """Charge one invocation at ``at_time`` to every batch of
+        ``[lo, hi)`` and record ``counts`` — one per row — as their
+        emissions.
+
+        The checks are made **once** over the whole window.  A window that
+        fails one is settled batch by batch instead, so the error raised —
+        type, message, how far the window got — is the one charging each
+        batch in turn raises.
+        """
+        side = self._budget(table)
+        starts = side.log.starts
+        emitted = side.emitted[starts[lo] : starts[hi]]
         counts = np.asarray(counts, dtype=np.int64)
-        emitted = self._window_emitted(groups)
         if counts.shape != emitted.shape:
             raise ContributionBudgetError(
                 f"emission count shape {counts.shape} != window rows "
                 f"{emitted.shape}"
             )
-        max_uses = self.budget // self.omega
-        clean = all(len(g.invocations) < max_uses for g in groups) and not (
-            counts > np.minimum(self.budget - emitted, self.omega)
-        ).any()
-        lo = 0
-        for time, group in zip(times, groups):
-            hi = lo + group.n_rows
-            if clean:
-                group.invocations.append(at_time)
-                self._note_uses((table, time), group)
-                group.emitted = group.emitted + counts[lo:hi]
-            else:
-                self.charge_invocation(table, time, at_time)
-                self.record_emissions(table, time, counts[lo:hi])
-            lo = hi
+        uses, totals = side.uses[lo:hi], emitted + counts
+        if (
+            uses.max(initial=0) >= self.max_uses
+            or counts.max(initial=0) > self.omega
+            or totals.max(initial=0) > self.budget
+        ):
+            self._settle_batch_by_batch(side, lo, hi, at_time, counts)
+            return
+        side.invocations[np.arange(lo, hi), uses] = at_time
+        uses += 1
+        emitted[:] = totals
+        self._note_uses(side, lo, hi)
 
-    @staticmethod
-    def _window_emitted(groups: list[_RecordGroup]) -> np.ndarray:
-        if not groups:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([g.emitted for g in groups])
+    def _settle_batch_by_batch(
+        self, side: _LogBudget, lo: int, hi: int, at_time: int, counts: np.ndarray
+    ) -> None:
+        starts = side.log.starts
+        for k in range(lo, hi):
+            if side.uses[k] >= self.max_uses:
+                raise ContributionBudgetError(
+                    f"batch ({side.log.name!r}, t={side.log.times[k]}) has no "
+                    f"remaining contribution budget (b={self.budget}, "
+                    f"omega={self.omega})"
+                )
+            side.invocations[k, side.uses[k]] = at_time
+            side.uses[k] += 1
+            self._note_uses(side, k, k + 1)
+            rows = slice(starts[k], starts[k + 1])
+            batch = counts[starts[k] - starts[lo] : starts[k + 1] - starts[lo]]
+            if (batch > self.omega).any():
+                raise ContributionBudgetError(
+                    f"a record emitted more than omega={self.omega} rows in one "
+                    "invocation"
+                )
+            if (side.emitted[rows] + batch > self.budget).any():
+                raise ContributionBudgetError(
+                    f"a record exceeded its lifetime budget b={self.budget}"
+                )
+            side.emitted[rows] += batch
+
+    def _note_uses(self, side: _LogBudget, lo: int, hi: int) -> None:
+        """Keep the worst batch after a charge to ``[lo, hi)``: the first,
+        in charge order, to reach the most uses while holding a record."""
+        if hi <= lo or self._worst[0] >= self.max_uses:  # nothing can exceed it
+            return
+        held = np.where(np.diff(side.log.starts[lo : hi + 1]) > 0, side.uses[lo:hi], 0)
+        k = int(held.argmax())
+        if held[k] > self._worst[0]:
+            self._worst = (int(held[k]), (side.log.name, int(side.log.times[lo + k])))
 
     # -- persistence hooks ----------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Full per-batch budget state, in registration order."""
+    def snapshot_state(self, table: str) -> dict:
+        """One table's columns — the live arrays, sliced to the log."""
+        side = self._budget(table)
+        n = side.log.n_batches
         return {
-            "omega": self.omega,
-            "budget": self.budget,
-            "groups": [
-                {
-                    "table": table,
-                    "time": time,
-                    "n_rows": group.n_rows,
-                    "emitted": group.emitted,
-                    "invocations": list(group.invocations),
-                }
-                for (table, time), group in self._groups.items()
-            ],
+            "uses": side.uses[:n],
+            "emitted": side.emitted[: side.log.total_rows],
+            "invocations": side.invocations[:n],
         }
 
-    def restore_state(self, state: dict) -> None:
-        if int(state["omega"]) != self.omega or int(state["budget"]) != self.budget:
+    def restore_state(self, columns: dict[str, dict], upload_order: list[str]) -> None:
+        """Adopt :meth:`snapshot_state` columns for every table at once."""
+        if columns.keys() != self._logs.keys():
             raise ContributionBudgetError(
-                f"snapshot ledger has omega={state['omega']}, "
-                f"budget={state['budget']}; this ledger was configured with "
-                f"omega={self.omega}, budget={self.budget}"
+                f"snapshot ledger covers tables {sorted(columns)}, this "
+                f"ledger {sorted(self._logs)}"
             )
-        groups: dict[tuple[str, int], _RecordGroup] = {}
-        for g in state["groups"]:
-            emitted = np.asarray(g["emitted"], dtype=np.int64)
-            n_rows = int(g["n_rows"])
-            if len(emitted) != n_rows:
+        for table, side in self._logs.items():
+            state = columns[table]
+            n, rows = side.log.n_batches, side.log.total_rows
+            if (
+                state["uses"].shape != (n,)
+                or state["emitted"].shape != (rows,)
+                or state["invocations"].shape != (n, self.max_uses)
+            ):
                 raise ContributionBudgetError(
-                    f"snapshot ledger group ({g['table']!r}, t={g['time']}) "
-                    f"has {len(emitted)} emission counters for {n_rows} rows"
+                    f"snapshot ledger columns of {table!r} do not fit its log "
+                    f"of {n} batches and {rows} rows"
                 )
-            groups[(str(g["table"]), int(g["time"]))] = _RecordGroup(
-                n_rows, emitted, [int(t) for t in g["invocations"]]
-            )
-        self._groups = groups
+            side.uses = state["uses"]
+            side.emitted = state["emitted"]
+            side.invocations = state["invocations"]
+            side.first = 0
+        self.upload_order = list(upload_order)
         self._worst = (0, None)
-        for key, group in groups.items():
-            self._note_uses(key, group)
+        # In charge order: the most uses first, then the earliest to reach
+        # them, then the table charged first in a run, then the log order.
+        best = None
+        for rank, side in enumerate(self._logs.values()):
+            held = np.where(np.diff(side.log.starts) > 0, side.uses, 0)
+            top = int(held.max(initial=0))
+            if top:
+                at = np.flatnonzero(held == top)
+                reached = side.invocations[at, top - 1]
+                k = int(at[reached.argmin()])
+                key = (-top, int(reached.min()), rank)
+                if best is None or key < best[0]:
+                    best = (key, (side.log.name, int(side.log.times[k])))
+        if best is not None:
+            self._worst = (-best[0][0], best[1])
 
     # -- accounting exports --------------------------------------------------
     def max_lifetime_emissions(self) -> int:
         """Largest realised lifetime contribution of any record."""
-        totals = [int(g.emitted.max()) for g in self._groups.values() if g.n_rows]
-        return max(totals, default=0)
+        return max((int(self._budget(t).emitted.max(initial=0)) for t in self._logs), default=0)
 
     def theorem3_contributions(
         self, per_release_epsilon: float
@@ -212,10 +258,13 @@ class ContributionLedger:
         (the DP cost of the release covering that invocation's window).
         """
         out: dict[tuple[str, int, int], list[tuple[float, float]]] = {}
-        for (table, time), group in self._groups.items():
-            pairs = [(float(self.omega), per_release_epsilon)] * len(group.invocations)
-            for row in range(group.n_rows):
-                out[(table, time, row)] = pairs
+        for table in self._logs:
+            side = self._budget(table)
+            times, starts = side.log.times.tolist(), side.log.starts.tolist()
+            for k, time in enumerate(times):
+                pairs = [(float(self.omega), per_release_epsilon)] * int(side.uses[k])
+                for row in range(starts[k + 1] - starts[k]):
+                    out[(table, time, row)] = pairs
         return out
 
     def worst_contributions(
@@ -234,11 +283,3 @@ class ContributionLedger:
         if key is None:
             return {}
         return {(*key, 0): [(float(self.omega), per_release_epsilon)] * uses}
-
-    def _group(self, table: str, time: int) -> _RecordGroup:
-        try:
-            return self._groups[(table, time)]
-        except KeyError:
-            raise ContributionBudgetError(
-                f"batch ({table!r}, t={time}) was never registered"
-            ) from None

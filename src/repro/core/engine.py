@@ -170,8 +170,8 @@ class IncShrinkEngine:
         # the names the paper's one-instance deployment uses.
         vr = self.database.views[view_def.name]
         self.runtime = self.database.runtime
-        self.probe_store = vr.group.probe_scope
-        self.driver_store = vr.group.driver_scope
+        self.probe_store = vr.group.probe_log
+        self.driver_store = vr.group.driver_log
         self.cache = vr.cache
         self.view = vr.view
         self.ledger = vr.group.ledger

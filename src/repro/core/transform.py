@@ -3,12 +3,14 @@
 Invoked whenever owners submit new data.  One invocation:
 
 1. determines the *active* probe window — every probe batch that still
-   has contribution budget (``b // ω`` invocations per batch) — plus the
-   driver batch uploaded at the current step;
+   has contribution budget (``b // ω`` invocations per batch), a suffix
+   of the probe table's log — plus the driver batch uploaded at the
+   current step, and reveals each as one slice of its log;
 2. runs the ω-truncated oblivious join (``trans_truncate``), producing an
    exhaustively padded delta of ``ω × |driver batch|`` view-entry slots;
 3. charges the contribution ledger: ω budget per participating record,
-   plus per-record emission counts (Eq. 3 enforcement);
+   plus per-record emission counts (Eq. 3 enforcement), checked once
+   per window and written as slice updates;
 4. recovers, increments, and freshly re-shares the cardinality counter c
    (Algorithm 1 lines 4-6);
 5. appends the padded delta to the secure cache (line 7).
@@ -28,7 +30,7 @@ from ..mpc.runtime import MPCRuntime
 from ..oblivious.join_common import JoinResult
 from ..oblivious.nested_loop_join import truncated_nested_loop_join
 from ..oblivious.sort_merge_join import truncated_sort_merge_join
-from ..storage.outsourced_table import OutsourcedBatch, OutsourcedTable
+from ..storage.outsourced_table import OutsourcedTable
 from ..storage.secure_cache import SecureCache
 from .budget import ContributionLedger
 from .counter import SharedCounter
@@ -95,32 +97,30 @@ class TransformProtocol:
     def run(self, time: int, cache: SecureCache) -> TransformReport:
         """Execute one invocation for the batches uploaded at ``time``."""
         vd = self.view_def
-        driver_batch = self._batch_at(self.driver_store, time)
-        if driver_batch is None:
+        driver = self.driver_store.batch_at(time)
+        if driver is None:
             raise ProtocolError(
                 f"no driver batch uploaded at t={time}; Transform runs only "
                 "on owner submissions"
             )
-        probe_batches = self.probe_store.active_batches(vd.omega, vd.budget)
+        lo, hi = self.ledger.window(vd.probe_table)
 
         with self.runtime.protocol("transform", time) as ctx:
-            probe_rows, probe_flags, probe_caps, offsets = self._assemble_probe(
-                ctx, probe_batches
-            )
-            driver_rows, driver_flags = ctx.reveal_table(driver_batch.table)
-            driver_caps = self.ledger.caps(vd.driver_table, driver_batch.time)
-
+            probe_rows, probe_flags = ctx.reveal_table(self.probe_store.window(lo, hi))
+            driver_rows, driver_flags = ctx.reveal_table(self.driver_store.batch(driver))
             join = self._join(
                 ctx,
                 probe_rows,
                 probe_flags,
-                probe_caps,
+                self.ledger.caps(vd.probe_table, lo, hi),
                 driver_rows,
                 driver_flags,
-                driver_caps,
+                self.ledger.caps(vd.driver_table, driver, driver + 1),
             )
-
-            self._settle_budgets(time, probe_batches, offsets, driver_batch, join)
+            self.ledger.settle(vd.probe_table, lo, hi, time, join.left_emitted)
+            self.ledger.settle(
+                vd.driver_table, driver, driver + 1, time, join.right_emitted
+            )
             counter_value = 0
             for i, counter in enumerate(self.counters):
                 value = counter.add(ctx, join.real_count)
@@ -172,69 +172,3 @@ class TransformProtocol:
             vd.pair_predicate,
             output_left="probe",
         )
-
-    def _assemble_probe(
-        self, ctx, probe_batches: list[OutsourcedBatch]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[OutsourcedBatch, int, int]]]:
-        """Reveal and concatenate the active probe window, tracking offsets
-        so emission counts can be split back per batch."""
-        vd = self.view_def
-        rows_parts: list[np.ndarray] = []
-        flag_parts: list[np.ndarray] = []
-        offsets: list[tuple[OutsourcedBatch, int, int]] = []
-        cursor = 0
-        for batch in probe_batches:
-            r, f = ctx.reveal_table(batch.table)
-            rows_parts.append(r)
-            flag_parts.append(f)
-            offsets.append((batch, cursor, cursor + len(r)))
-            cursor += len(r)
-        caps = self.ledger.window_caps(
-            vd.probe_table, [batch.time for batch in probe_batches]
-        )
-        if rows_parts:
-            return (
-                np.vstack(rows_parts),
-                np.concatenate(flag_parts),
-                caps,
-                offsets,
-            )
-        return (
-            vd.probe_schema.empty_rows(0),
-            np.zeros(0, dtype=bool),
-            caps,
-            offsets,
-        )
-
-    def _settle_budgets(
-        self,
-        time: int,
-        probe_batches: list[OutsourcedBatch],
-        offsets: list[tuple[OutsourcedBatch, int, int]],
-        driver_batch: OutsourcedBatch,
-        join: JoinResult,
-    ) -> None:
-        vd = self.view_def
-        self.probe_store.charge_invocation(probe_batches, vd.omega, vd.budget)
-        self.driver_store.charge_invocation([driver_batch], vd.omega, vd.budget)
-        self.ledger.settle_window(
-            vd.probe_table,
-            [batch.time for batch in probe_batches],
-            time,
-            join.left_emitted,
-        )
-        for batch, lo, hi in offsets:
-            batch.emitted += join.left_emitted[lo:hi]
-        self.ledger.settle_window(
-            vd.driver_table, [driver_batch.time], time, join.right_emitted
-        )
-        driver_batch.emitted += join.right_emitted
-
-    @staticmethod
-    def _batch_at(store: OutsourcedTable, time: int) -> OutsourcedBatch | None:
-        for batch in reversed(store.batches):
-            if batch.time == time:
-                return batch
-            if batch.time < time:
-                return None
-        return None

@@ -344,7 +344,12 @@ class IncShrinkDatabase:
         signature = transform_signature(vd, spec.join_impl)
         group = self.groups.get(signature)
         if group is None:
-            group = TransformGroup(signature, vd)
+            group = TransformGroup(
+                signature,
+                vd,
+                self.tables[vd.probe_table],
+                self.tables[vd.driver_table],
+            )
             self.groups[signature] = group
         cache = SecureCache(vd.view_schema, layout=self.shard_layout)
         view = MaterializedView(vd.view_schema, layout=self.shard_layout)
@@ -414,9 +419,9 @@ class IncShrinkDatabase:
 
         ``batches`` maps relation name → padded batch (or an ordered
         sequence of pairs).  Each batch is shared and appended to the
-        physical store exactly once; every transform group over the
-        relation then scopes the same shares through its own budget
-        wrapper — no per-view re-upload, no share duplication.
+        physical store's log exactly once; every transform group over the
+        relation keeps its budget in columns aligned to that log — no
+        per-view re-upload, no share duplication.
         """
         self.finalize()
         items = list(batches.items() if isinstance(batches, Mapping) else batches)
@@ -429,7 +434,7 @@ class IncShrinkDatabase:
             store.append_batch(shared, time)
             self.logical.insert(time, name, batch.real_rows())
             for group in self.groups.values():
-                group.register_upload(name, shared, time, len(batch))
+                group.ledger.note_upload(name)
         self._state_version += 1
 
     def check_upload(self, items: Iterable[tuple[str, RecordBatch]]) -> None:
@@ -797,7 +802,7 @@ class IncShrinkDatabase:
 
     def upload_counts(self) -> dict[str, int]:
         """Physical batches shared per base table (one per upload step)."""
-        return {name: len(store.batches) for name, store in self.tables.items()}
+        return {name: store.n_batches for name, store in self.tables.items()}
 
     # -- helpers ----------------------------------------------------------------
     def _join_spec(self, lq: LogicalQuery) -> JoinViewDefinition:

@@ -13,11 +13,9 @@ This module serializes the full outsourced state to one
 
 * secret shares are persisted as *shares* — each server durably stores
   its own half; nothing is ever recombined on the way to disk;
-* share aliasing is preserved: the physical base-table store and every
-  transform group's budget scope wrap the *same* uploaded
-  :class:`~repro.sharing.shared_value.SharedTable` objects; a scope is
-  stored as positions in its table's log, so every upload is stored once
-  and a restore re-creates exactly the same sharing structure;
+* every upload is stored once: a table's upload log is written as the
+  share buffers it is held in, and each transform group's contribution
+  ledger as the columns it keeps beside that log;
 * both MPC servers' RNG states and the owner-side sharing generator are
   captured, so a restored database continues the *identical* randomness
   streams — byte-identical Shrink noise, resharing, and query answers;
@@ -48,20 +46,25 @@ raises :class:`~repro.common.errors.PersistenceError`.
 
 Every array costs the same on both sides whatever its size — a head
 entry, a write and a hash update out; an allocation and a read in — so
-the logs that grow by one batch per upload are written as **columns**
-(:func:`_columnar_body`), and the number of arrays in a snapshot does
-not grow with the stream:
+the logs that grow by one batch per upload are written as **columns** —
+the live ones, sliced to their content — and the number of arrays in a
+snapshot does not grow with the stream:
 
 * a physical table's ``log``: ``times``, ``lengths`` and
-  ``invocations_used`` (int64, one entry per batch), every batch's
-  ``emitted`` counters concatenated, and every batch's rows and flags as
-  one ``s0``/``s1`` pair each;
-* a transform group's scope: the positions of its batches in its
-  table's log (a restored scope batch *is* the store's batch object),
-  its own ``invocations_used`` and concatenated ``emitted``;
-* a contribution ledger: per-batch ``tables``, ``times``, ``n_rows``,
-  concatenated ``emitted``, and the flattened ``invocations`` with
-  per-batch ``invocation_counts``;
+  ``invocations_used`` (int64, one entry per batch), every row's
+  ``emitted`` counter, and all rows and flags as one ``s0``/``s1`` pair
+  each.  Budgets are kept per transform group, so the log's own
+  ``invocations_used`` and ``emitted`` are zeros, and a file whose are
+  not is refused;
+* a transform group's scope over each of its tables: ``batches``, the
+  positions of every batch of the table's log in order, and the group's
+  ``invocations_used`` and ``emitted`` columns for the table;
+* a contribution ledger: the same budget over both tables, one entry
+  per batch in upload order (``ContributionLedger.upload_order``) —
+  ``tables``, ``times``, ``n_rows``, concatenated ``emitted``, and the
+  flattened ``invocations`` with per-batch ``invocation_counts``.  A
+  restore adopts the scopes' columns once they agree with it (and with
+  a budget a stream can reach);
 * the owners' ``logical`` mirror: per table ``times``, ``lengths`` and
   one ``rows`` array.
 
@@ -107,7 +110,9 @@ from ..common.types import Schema
 from ..core.view_def import JoinViewDefinition
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
+from ..storage.outsourced_table import OutsourcedTable
 from .database import IncShrinkDatabase, ViewRegistration
+from .scheduler import TransformGroup
 
 #: File magic — identifies an IncShrink database snapshot.
 SNAPSHOT_MAGIC = b"incshrink-snapshot"
@@ -401,18 +406,24 @@ def _decode_registration(entry: dict) -> ViewRegistration:
 
 # -- body assembly ------------------------------------------------------------
 def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
-    return _columnar_body(_per_batch_body(db, metadata))
-
-
-def _per_batch_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
-    """The state as the storage hooks hand it out: a batch log is a list
-    with one entry per upload, and every share table is the live object.
-
-    This is also the body of format versions 1–5 once their pool indices
-    are resolved, which is how :mod:`~repro.server.snapshot_upgrade`
-    reaches :func:`_columnar_body`.
-    """
+    """The body of :data:`SNAPSHOT_VERSION`: every upload log and budget
+    ledger as the live columns it already is (see the module docstring)."""
     db.finalize()
+    tables = {
+        name: {"schema": list(store.schema.fields), "log": _log_columns(store)}
+        for name, store in db.tables.items()
+    }
+    groups = [_group_columns(group) for group in db.groups.values()]
+    return _columnar_layout(_state_body(db, metadata), tables, groups)
+
+
+def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
+    """Everything but the upload logs and budgets, as the storage hooks
+    hand it out: every share table is the live object.
+
+    The same shape as those parts of a version 1–5 body once its pool
+    indices are resolved, so the upgrader lays both out alike.
+    """
     views = []
     for name, vr in db.views.items():
         policy_state = None
@@ -449,23 +460,7 @@ def _per_batch_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         },
         "registrations": [_encode_registration(s) for s in db.registrations],
         "allocation": db.epsilon_allocation(),
-        "tables": {
-            name: {
-                "schema": list(store.schema.fields),
-                "batches": store.snapshot_state(),
-            }
-            for name, store in db.tables.items()
-        },
         "logical": db.logical.snapshot_state(),
-        "groups": [
-            {
-                "signature": list(group.signature),
-                "probe_scope": group.probe_scope.snapshot_state(),
-                "driver_scope": group.driver_scope.snapshot_state(),
-                "ledger": group.ledger.snapshot_state(),
-            }
-            for group in db.groups.values()
-        ],
         "views": views,
         "accountant": [
             [name, eps, _encode_segment(segment)]
@@ -483,38 +478,10 @@ def _per_batch_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     }
 
 
-def _columnar_body(body: dict) -> dict:
-    """The body of :data:`SNAPSHOT_VERSION` for a per-batch body.
-
-    The one place that knows the columns (see the module docstring): the
-    writer and the upgrader both lay their per-batch state out here.
-    """
+def _columnar_layout(body: dict, tables: dict, groups: list[dict]) -> dict:
+    """A :func:`_state_body`-shaped ``body`` with the upload logs and
+    group budgets already in columns, laid out as the file holds it."""
     metadata = _metadata_text(body["metadata"])
-    tables, positions = {}, {}
-    for name, entry in body["tables"].items():
-        batches = entry["batches"]
-        positions[name] = {id(b["table"]): i for i, b in enumerate(batches)}
-        tables[name] = {
-            "schema": entry["schema"],
-            "log": _log_columns(batches, len(entry["schema"])),
-        }
-    groups = []
-    for group in body["groups"]:
-        # A transform signature starts with the probe and driver tables,
-        # the tables the group's two scopes draw their batches from.
-        probe_table, driver_table = group["signature"][:2]
-        groups.append(
-            {
-                "signature": group["signature"],
-                "probe_scope": _scope_columns(
-                    group["probe_scope"], positions[probe_table]
-                ),
-                "driver_scope": _scope_columns(
-                    group["driver_scope"], positions[driver_table]
-                ),
-                "ledger": _ledger_columns(group["ledger"]),
-            }
-        )
     intern = _TableInterner()
     views = [
         {
@@ -565,37 +532,69 @@ def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(empty_shape, dtype)
 
 
-def _share_columns(arrays: list[SharedArray], empty_shape: tuple) -> dict:
+def _log_columns(store: OutsourcedTable) -> dict:
+    """A table's upload log.  Budgets live in the groups' ledgers: the
+    log's own ``invocations_used`` and ``emitted`` columns are zeros."""
+    log = store.snapshot_state()
+    (rows0, rows1), (flags0, flags1) = log["rows"], log["flags"]
     return {
-        "s0": _concat([a.share0 for a in arrays], empty_shape, np.uint32),
-        "s1": _concat([a.share1 for a in arrays], empty_shape, np.uint32),
+        "times": log["times"],
+        "lengths": log["lengths"],
+        "invocations_used": np.zeros(store.n_batches, dtype=np.int64),
+        "emitted": np.zeros(store.total_rows, dtype=np.int64),
+        "rows": {"s0": rows0, "s1": rows1},
+        "flags": {"s0": flags0, "s1": flags1},
     }
 
 
-def _log_columns(batches: list[dict], width: int) -> dict:
-    tables = [b["table"] for b in batches]
+def _group_columns(group: TransformGroup) -> dict:
+    """A group's budget, twice: per table (a *scope*: every batch of the
+    log, in order, with its uses and emissions) and as one ledger whose
+    batches follow upload order across the group's two tables."""
+    ledger = group.ledger
+    logs = (group.probe_log, group.driver_log)
+    sides = [ledger.snapshot_state(log.name) for log in logs]
+    tables = list(ledger.upload_order)
+    second = np.array([name == logs[1].name for name in tables], dtype=bool)
+    n_rows = _merge(second, *(np.diff(log.starts) for log in logs))
+    counts = _merge(second, *(side["uses"] for side in sides))
+    spent = [
+        side["invocations"][np.arange(ledger.max_uses) < side["uses"][:, None]]
+        for side in sides
+    ]
     return {
-        "times": _int64s(b["time"] for b in batches),
-        "lengths": _int64s(len(t) for t in tables),
-        "invocations_used": _int64s(b["invocations_used"] for b in batches),
-        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
-        "rows": _share_columns([t.rows for t in tables], (0, width)),
-        "flags": _share_columns([t.flags for t in tables], (0,)),
+        "signature": list(group.signature),
+        "probe_scope": _scope_columns(sides[0]),
+        "driver_scope": _scope_columns(sides[1]),
+        "ledger": {
+            "omega": ledger.omega,
+            "budget": ledger.budget,
+            "tables": tables,
+            "times": _merge(second, *(log.times for log in logs)),
+            "n_rows": n_rows,
+            "emitted": _merge(
+                np.repeat(second, n_rows), *(side["emitted"] for side in sides)
+            ),
+            "invocations": _merge(np.repeat(second, counts), *spent),
+            "invocation_counts": counts,
+        },
     }
 
 
-def _scope_columns(batches: list[dict], positions: dict[int, int]) -> dict:
-    try:
-        at = [positions[id(b["table"])] for b in batches]
-    except KeyError:
-        raise PersistenceError(
-            "a transform-group scope holds a batch its table's log does not"
-        ) from None
+def _scope_columns(side: dict) -> dict:
     return {
-        "batches": np.array(at, dtype=np.int64),
-        "invocations_used": _int64s(b["invocations_used"] for b in batches),
-        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
+        "batches": np.arange(len(side["uses"]), dtype=np.int64),
+        "invocations_used": side["uses"],
+        "emitted": side["emitted"],
     }
+
+
+def _merge(second: np.ndarray, first_part: np.ndarray, second_part: np.ndarray):
+    """``first_part`` where ``second`` is false, ``second_part`` where true."""
+    out = np.empty(len(second), dtype=first_part.dtype)
+    out[~second] = first_part
+    out[second] = second_part
+    return out
 
 
 def _logical_columns(entry: dict) -> dict:
@@ -606,20 +605,6 @@ def _logical_columns(entry: dict) -> dict:
         "times": _int64s(entry["times"]),
         "lengths": _int64s(len(b) for b in batches),
         "rows": _concat(batches, (0, width), np.uint32),
-    }
-
-
-def _ledger_columns(state: dict) -> dict:
-    groups = state["groups"]
-    return {
-        "omega": state["omega"],
-        "budget": state["budget"],
-        "tables": [g["table"] for g in groups],
-        "times": _int64s(g["time"] for g in groups),
-        "n_rows": _int64s(g["n_rows"] for g in groups),
-        "emitted": _concat([g["emitted"] for g in groups], (0,), np.int64),
-        "invocations": _int64s(t for g in groups for t in g["invocations"]),
-        "invocation_counts": _int64s(len(g["invocations"]) for g in groups),
     }
 
 
@@ -826,7 +811,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         db.register_view(_decode_registration(entry))
     db.finalize_with_allocation(body["allocation"])
 
-    # Physical base tables, one log of columns each.
+    # Physical base tables, one log of columns each, adopted as they are.
     if set(body["tables"]) != set(db.tables):
         raise PersistenceError(
             f"snapshot tables {sorted(body['tables'])} do not match the "
@@ -839,38 +824,28 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
                 f"snapshot table {name!r} has fields {entry['schema']!r}, "
                 f"registered {list(store.schema.fields)!r}"
             )
-        store.restore_state(_log_batches(entry["log"], store.schema))
+        _restore_log(store, entry["log"])
 
     # Owners' logical mirror.
     db.logical.restore_state(
         {name: _logical_log(entry) for name, entry in body["logical"].items()}
     )
 
-    # Transform groups: each scope batch is the store's batch object at
-    # the position the scope names, ledgers restore their budget history.
+    # Transform groups: each ledger adopts its scopes' columns once they
+    # agree with its own.
     live_groups = list(db.groups.values())
     if len(live_groups) != len(body["groups"]):
         raise PersistenceError(
             f"snapshot has {len(body['groups'])} transform groups, the "
             f"re-registered database wired {len(live_groups)}"
         )
-    for group, entry in zip(live_groups, body["groups"]):
+    for index, (group, entry) in enumerate(zip(live_groups, body["groups"])):
         if list(group.signature) != entry["signature"]:
             raise PersistenceError(
                 f"transform-group signature mismatch: snapshot "
                 f"{entry['signature']!r} vs wired {list(group.signature)!r}"
             )
-        for scope, key in (
-            (group.probe_scope, "probe_scope"),
-            (group.driver_scope, "driver_scope"),
-        ):
-            log = body["tables"][scope.name]["log"]
-            scope.restore_state(
-                _scope_batches(
-                    entry[key], db.tables[scope.name].batches, log["lengths"]
-                )
-            )
-        group.ledger.restore_state(_ledger_state(entry["ledger"]))
+        _restore_ledger(group, entry, index)
 
     # Per-view runtime state.
     live_views = list(db.views.items())
@@ -944,17 +919,22 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
     return db
 
 
-# -- columns back into per-batch state ----------------------------------------
+# -- columns back into live state ----------------------------------------------
 def _runs(column: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
     """``column`` cut into consecutive runs of ``lengths`` rows — views,
     which the caller copies where it keeps them.  The runs must tile it."""
-    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(column):
-        raise PersistenceError(
-            f"run lengths summing to {lengths.sum()} do not tile a column "
-            f"of {len(column)} rows"
-        )
+    _check_tiling(lengths, column)
     ends = np.cumsum(lengths).tolist()
     return [column[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _check_tiling(lengths: np.ndarray, *columns: np.ndarray) -> None:
+    for column in columns:
+        if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(column):
+            raise PersistenceError(
+                f"run lengths summing to {lengths.sum()} do not tile a column "
+                f"of {len(column)} rows"
+            )
 
 
 def _check_counts(*columns) -> None:
@@ -964,30 +944,73 @@ def _check_counts(*columns) -> None:
         raise PersistenceError(f"per-batch columns of lengths {sorted(counts)}")
 
 
-def _log_batches(log: dict, schema: Schema) -> list[dict]:
+def _restore_log(store: OutsourcedTable, log: dict) -> None:
     lengths = log["lengths"]
     _check_counts(log["times"], lengths, log["invocations_used"])
-    halves = [
-        [run.copy() for run in _runs(log[part][half], lengths)]
-        for part in ("rows", "flags")
-        for half in ("s0", "s1")
-    ]
-    return [
-        {
-            "time": time,
-            "table": SharedTable(
-                schema, SharedArray(rows0, rows1), SharedArray(flags0, flags1)
-            ),
-            "invocations_used": used,
-            "emitted": emitted.copy(),
-        }
-        for time, used, emitted, rows0, rows1, flags0, flags1 in zip(
-            log["times"].tolist(),
-            log["invocations_used"].tolist(),
-            _runs(log["emitted"], lengths),
-            *halves,
+    halves = [log[part][half] for part in ("rows", "flags") for half in ("s0", "s1")]
+    _check_tiling(lengths, log["emitted"], *halves)
+    if log["invocations_used"].any() or log["emitted"].any():
+        raise PersistenceError(
+            f"the upload log of table {store.name!r} carries a budget of its "
+            "own; budgets are kept per transform group"
         )
-    ]
+    store.restore_state(log["times"], lengths, tuple(halves[:2]), tuple(halves[2:]))
+
+
+def _restore_ledger(group: TransformGroup, entry: dict, index: int) -> None:
+    """Restore one group's ledger from its scopes, refusing any column the
+    scopes and the ledger hold twice that does not agree."""
+    ledger, columns = group.ledger, entry["ledger"]
+    where = f"transform group {index} ({group.probe_log.name} x {group.driver_log.name})"
+    if (columns["omega"], columns["budget"]) != (ledger.omega, ledger.budget):
+        raise PersistenceError(
+            f"{where}: snapshot ledger has omega={columns['omega']}, "
+            f"budget={columns['budget']}; the group was wired with "
+            f"omega={ledger.omega}, budget={ledger.budget}"
+        )
+    tables, n_rows, counts = (
+        columns["tables"], columns["n_rows"], columns["invocation_counts"]
+    )
+    _check_counts(tables, columns["times"], n_rows, counts)
+    _check_tiling(n_rows, columns["emitted"])
+    _check_tiling(counts, columns["invocations"])
+    logs = (group.probe_log, group.driver_log)
+    if not set(tables) <= {log.name for log in logs}:
+        raise PersistenceError(f"{where}: its ledger names a table outside it")
+    second = np.array([name == logs[1].name for name in tables], dtype=bool)
+    row_second, use_second = np.repeat(second, n_rows), np.repeat(second, counts)
+    restored = {}
+    for role, (log, key) in enumerate(zip(logs, ("probe_scope", "driver_scope"))):
+        scope, mine = entry[key], second == role
+        uses, emitted = scope["invocations_used"], scope["emitted"]
+        _check_counts(scope["batches"], uses)
+        problem = None
+        if not np.array_equal(scope["batches"], np.arange(log.n_batches)):
+            problem = "its scope does not hold every batch of the log, in order"
+        elif not (
+            np.array_equal(columns["times"][mine], log.times)
+            and np.array_equal(n_rows[mine], np.diff(log.starts))
+        ):
+            problem = "its ledger does not list the batches of the log"
+        elif not (
+            np.array_equal(counts[mine], uses)
+            and np.array_equal(columns["emitted"][row_second == role], emitted)
+        ):
+            problem = "its ledger and its scope disagree"
+        elif (uses < 0).any() or (uses > ledger.max_uses).any():
+            problem = f"a batch has uses outside 0..b // omega = {ledger.max_uses}"
+        elif (emitted < 0).any() or (emitted > ledger.budget).any():
+            problem = f"a record has emissions outside 0..b = {ledger.budget}"
+        elif role == 0 and (np.diff((uses >= ledger.max_uses).astype(np.int8)) > 0).any():
+            problem = "its exhausted batches are not a prefix of the log"
+        if problem is not None:
+            raise PersistenceError(f"{where}, table {log.name!r}: {problem}")
+        invocations = np.zeros((log.n_batches, ledger.max_uses), dtype=np.int64)
+        invocations[np.arange(ledger.max_uses) < uses[:, None]] = columns[
+            "invocations"
+        ][use_second == role]
+        restored[log.name] = {"uses": uses, "emitted": emitted, "invocations": invocations}
+    ledger.restore_state(restored, tables)
 
 
 def _logical_log(entry: dict) -> dict:
@@ -997,54 +1020,4 @@ def _logical_log(entry: dict) -> dict:
         "times": entry["times"].tolist(),
         # views: the restored log copies them into its own buffer
         "batches": _runs(entry["rows"], entry["lengths"]),
-    }
-
-
-def _scope_batches(scope: dict, store: list, lengths: np.ndarray) -> list[dict]:
-    """A scope's batches: the store's batch objects at the positions it
-    names (``lengths`` are the store log's), with the scope's own budget."""
-    at = scope["batches"]
-    _check_counts(at, scope["invocations_used"])
-    if at.size and not (0 <= at.min() and at.max() < len(store)):
-        raise PersistenceError(
-            f"a scope names a batch outside the {len(store)} of its table's log"
-        )
-    return [
-        {
-            "time": store[i].time,
-            "table": store[i].table,
-            "invocations_used": used,
-            "emitted": emitted.copy(),
-        }
-        for i, used, emitted in zip(
-            at.tolist(),
-            scope["invocations_used"].tolist(),
-            _runs(scope["emitted"], lengths[at]),
-        )
-    ]
-
-
-def _ledger_state(ledger: dict) -> dict:
-    n_rows = ledger["n_rows"]
-    counts = ledger["invocation_counts"]
-    _check_counts(ledger["tables"], ledger["times"], n_rows, counts)
-    return {
-        "omega": ledger["omega"],
-        "budget": ledger["budget"],
-        "groups": [
-            {
-                "table": table,
-                "time": time,
-                "n_rows": rows,
-                "emitted": emitted.copy(),
-                "invocations": invocations.tolist(),
-            }
-            for table, time, rows, emitted, invocations in zip(
-                ledger["tables"],
-                ledger["times"].tolist(),
-                n_rows.tolist(),
-                _runs(ledger["emitted"], n_rows),
-                _runs(ledger["invocations"], counts),
-            )
-        ],
     }

@@ -10,12 +10,12 @@ database owns registration and queries.
 
 A :class:`TransformGroup` is the unit of sharing: all views whose
 definitions agree on (tables, keys, timestamps, window, ω, b, join
-implementation) share one group — one ledger, one pair of store scopes,
-one Transform circuit per step.  Views in one group may still run
-*different* Shrink policies (e.g. an sDPTimer view next to an EP mirror
-of the same join), so each consuming view keeps a private cardinality
-counter that the shared Transform increments jointly and each policy
-resets on its own schedule.
+implementation) share one group — one contribution ledger over the two
+tables' upload logs, one Transform circuit per step.  Views in one group
+may still run *different* Shrink policies (e.g. an sDPTimer view next to
+an EP mirror of the same join), so each consuming view keeps a private
+cardinality counter that the shared Transform increments jointly and
+each policy resets on its own schedule.
 
 Sharding is transparent to the step loop: Shrink and flush outputs land
 in the view through :meth:`~repro.storage.materialized_view.
@@ -67,18 +67,22 @@ class _FanoutSink:
 class TransformGroup:
     """Shared Transform state for all views with one signature."""
 
-    def __init__(self, signature: tuple, view_def: JoinViewDefinition) -> None:
+    def __init__(
+        self,
+        signature: tuple,
+        view_def: JoinViewDefinition,
+        probe_log: OutsourcedTable,
+        driver_log: OutsourcedTable,
+    ) -> None:
         self.signature = signature
         self.view_def = view_def
-        #: Per-group budget scopes over the shared physical uploads: the
-        #: same `SharedTable` objects (uploaded once) wrapped in
-        #: group-local batches so contribution budgets drain per view
-        #: family, not globally.
-        self.probe_scope = OutsourcedTable(view_def.probe_schema, view_def.probe_table)
-        self.driver_scope = OutsourcedTable(
-            view_def.driver_schema, view_def.driver_table
+        self.probe_log = probe_log
+        self.driver_log = driver_log
+        #: The group's own contribution budget over the shared physical
+        #: logs, so budgets drain per view family, not globally.
+        self.ledger = ContributionLedger(
+            view_def.omega, view_def.budget, (probe_log, driver_log)
         )
-        self.ledger = ContributionLedger(view_def.omega, view_def.budget)
         self.transform: TransformProtocol | None = None
         self._counter_claimed = False
         self.sinks: list[SecureCache] = []
@@ -92,8 +96,8 @@ class TransformGroup:
             self.transform = TransformProtocol(
                 runtime,
                 self.view_def,
-                self.probe_scope,
-                self.driver_scope,
+                self.probe_log,
+                self.driver_log,
                 self.ledger,
                 join_impl=join_impl,
             )
@@ -108,16 +112,6 @@ class TransformGroup:
         extra = SharedCounter()
         self.transform.attach_counter(extra)
         return extra
-
-    def register_upload(self, table_name: str, shared: SharedTable, time: int, n_rows: int) -> None:
-        """Scope one already-shared physical batch into this group."""
-        for role_table, scope in (
-            (self.view_def.probe_table, self.probe_scope),
-            (self.view_def.driver_table, self.driver_scope),
-        ):
-            if role_table == table_name:
-                scope.append_batch(shared, time)
-                self.ledger.register_batch(table_name, time, n_rows)
 
 
 @dataclass
@@ -155,8 +149,8 @@ class StepScheduler:
             group.last_report = None
             if group.transform is None:
                 continue
-            batches = group.driver_scope.batches
-            if not batches or batches[-1].time != time:
+            times = group.driver_log.times
+            if not len(times) or times[-1] != time:
                 # No driver upload this step: nothing to transform for this
                 # pair.  Policies below still run — Shrink schedules are
                 # public and data-independent, so a timer tick or SVT check

@@ -22,8 +22,8 @@ and what each lacked:
   version 4 also held view shards row-major.
 
 :func:`upgrade_snapshot` verifies the old digest, fills those gaps,
-resolves the pool indices into share tables — which is the per-batch
-body the current writer starts from — and lays that out and writes it
+resolves the pool indices into share tables, lays every per-batch log
+out as the columns of version 6 (:func:`_columnar_body`) and writes it
 exactly as :func:`~repro.server.persistence.snapshot_database` would::
 
     python -m repro upgrade-snapshot OLD NEW
@@ -48,8 +48,10 @@ from .persistence import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     SnapshotInfo,
-    _columnar_body,
+    _columnar_layout,
+    _concat,
     _decode_table_pool,
+    _int64s,
     _read_snapshot,
     _write_snapshot,
 )
@@ -214,3 +216,81 @@ def _column_major(table: SharedTable) -> SharedTable:
         SharedArray(np.asfortranarray(rows.share0), np.asfortranarray(rows.share1)),
         table.flags,
     )
+
+
+def _columnar_body(body: dict) -> dict:
+    """The body of the current version for a per-batch body: each batch
+    log, scope and ledger laid out as the columns the writer hands out."""
+    tables, positions = {}, {}
+    for name, entry in body["tables"].items():
+        batches = entry["batches"]
+        positions[name] = {id(b["table"]): i for i, b in enumerate(batches)}
+        tables[name] = {
+            "schema": entry["schema"],
+            "log": _log_columns(batches, len(entry["schema"])),
+        }
+    groups = []
+    for group in body["groups"]:
+        # A transform signature starts with the probe and driver tables,
+        # the tables the group's two scopes draw their batches from.
+        probe_table, driver_table = group["signature"][:2]
+        groups.append(
+            {
+                "signature": group["signature"],
+                "probe_scope": _scope_columns(
+                    group["probe_scope"], positions[probe_table]
+                ),
+                "driver_scope": _scope_columns(
+                    group["driver_scope"], positions[driver_table]
+                ),
+                "ledger": _ledger_columns(group["ledger"]),
+            }
+        )
+    return _columnar_layout(body, tables, groups)
+
+
+def _share_columns(arrays: list[SharedArray], empty_shape: tuple) -> dict:
+    return {
+        "s0": _concat([a.share0 for a in arrays], empty_shape, np.uint32),
+        "s1": _concat([a.share1 for a in arrays], empty_shape, np.uint32),
+    }
+
+
+def _log_columns(batches: list[dict], width: int) -> dict:
+    tables = [b["table"] for b in batches]
+    return {
+        "times": _int64s(b["time"] for b in batches),
+        "lengths": _int64s(len(t) for t in tables),
+        "invocations_used": _int64s(b["invocations_used"] for b in batches),
+        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
+        "rows": _share_columns([t.rows for t in tables], (0, width)),
+        "flags": _share_columns([t.flags for t in tables], (0,)),
+    }
+
+
+def _scope_columns(batches: list[dict], positions: dict[int, int]) -> dict:
+    try:
+        at = [positions[id(b["table"])] for b in batches]
+    except KeyError:
+        raise PersistenceError(
+            "a transform-group scope holds a batch its table's log does not"
+        ) from None
+    return {
+        "batches": np.array(at, dtype=np.int64),
+        "invocations_used": _int64s(b["invocations_used"] for b in batches),
+        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
+    }
+
+
+def _ledger_columns(state: dict) -> dict:
+    groups = state["groups"]
+    return {
+        "omega": state["omega"],
+        "budget": state["budget"],
+        "tables": [g["table"] for g in groups],
+        "times": _int64s(g["time"] for g in groups),
+        "n_rows": _int64s(g["n_rows"] for g in groups),
+        "emitted": _concat([g["emitted"] for g in groups], (0,), np.int64),
+        "invocations": _int64s(t for g in groups for t in g["invocations"]),
+        "invocation_counts": _int64s(len(g["invocations"]) for g in groups),
+    }

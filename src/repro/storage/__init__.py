@@ -2,13 +2,12 @@
 
 from .growing_db import GrowingDatabase
 from .materialized_view import MaterializedView
-from .outsourced_table import OutsourcedBatch, OutsourcedTable
+from .outsourced_table import OutsourcedTable
 from .secure_cache import SecureCache
 
 __all__ = [
     "GrowingDatabase",
     "MaterializedView",
-    "OutsourcedBatch",
     "OutsourcedTable",
     "SecureCache",
 ]

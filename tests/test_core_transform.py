@@ -26,9 +26,9 @@ class Pipeline:
     cache: SecureCache
 
     def upload(self, time, probe_rows, driver_rows, probe_cap=4, driver_cap=3):
-        for store, rows, cap, name in (
-            (self.probe_store, probe_rows, probe_cap, self.view_def.probe_table),
-            (self.driver_store, driver_rows, driver_cap, self.view_def.driver_table),
+        for store, rows, cap in (
+            (self.probe_store, probe_rows, probe_cap),
+            (self.driver_store, driver_rows, driver_cap),
         ):
             batch = RecordBatch(
                 store.schema,
@@ -38,14 +38,15 @@ class Pipeline:
                 store.schema, batch.rows, batch.is_real.astype(np.uint32)
             )
             store.append_batch(shared, time)
-            self.ledger.register_batch(name, time, len(batch))
 
 
 def make_pipeline(view_def, join_impl="sort-merge", seed=0) -> Pipeline:
     runtime = MPCRuntime(seed=seed)
     probe_store = OutsourcedTable(view_def.probe_schema, view_def.probe_table)
     driver_store = OutsourcedTable(view_def.driver_schema, view_def.driver_table)
-    ledger = ContributionLedger(view_def.omega, view_def.budget)
+    ledger = ContributionLedger(
+        view_def.omega, view_def.budget, (probe_store, driver_store)
+    )
     transform = TransformProtocol(
         runtime, view_def, probe_store, driver_store, ledger, join_impl
     )

@@ -297,12 +297,12 @@ def test_exhausted_budget_roundtrip(tmp_path):
     for t in range(1, 4):
         feed(interrupted, t)
     exhausted = [
-        b.time
+        g.ledger.snapshot_state("orders")["uses"].tolist()
         for g in interrupted.groups.values()
-        for b in g.probe_scope.batches
-        if b.invocations_used >= 1
     ]
-    assert exhausted, "scenario must contain budget-exhausted batches"
+    assert all(uses[0] == 1 for uses in exhausted), (
+        "scenario must contain budget-exhausted batches"
+    )
 
     path = tmp_path / "budget.snap"
     snapshot_database(interrupted, path)
@@ -311,14 +311,14 @@ def test_exhausted_budget_roundtrip(tmp_path):
     for live_g, rest_g in zip(
         interrupted.groups.values(), restored.groups.values()
     ):
-        live = [(b.time, b.invocations_used) for b in live_g.probe_scope.batches]
-        rest = [(b.time, b.invocations_used) for b in rest_g.probe_scope.batches]
+        live = live_g.ledger.snapshot_state("orders")["uses"].tolist()
+        rest = rest_g.ledger.snapshot_state("orders")["uses"].tolist()
         assert live == rest
-        # The live scope answers from the exhausted prefix it kept over
+        # The live ledger answers from the exhausted prefix it kept over
         # three steps, the restored one counts it afresh: same window.
-        still_active = [time for time, used in rest if used < 1]
-        for scope in (live_g.probe_scope, rest_g.probe_scope):
-            assert [b.time for b in scope.active_batches(2, 2)] == still_active
+        still_active = (rest.count(1), len(rest))
+        for group in (live_g, rest_g):
+            assert group.ledger.window("orders") == still_active
     for name in interrupted.views:
         assert restored.view_realized_epsilon(
             name
@@ -330,20 +330,21 @@ def test_exhausted_budget_roundtrip(tmp_path):
     assert fingerprint(restored) == fingerprint(uninterrupted)
 
 
-def test_share_aliasing_is_preserved(tmp_path):
+def test_restored_groups_read_the_physical_logs(tmp_path):
     db = build_database()
     for t in range(1, 3):
         feed(db, t)
     path = tmp_path / "alias.snap"
     snapshot_database(db, path)
     restored = restore_database(path).database
-    physical = restored.tables["orders"]
     for group in restored.groups.values():
-        for i, batch in enumerate(group.probe_scope.batches):
-            assert batch.table is physical.batches[i].table, (
-                "scope batches must wrap the same share objects as the "
-                "physical store — uploads are stored once"
+        for log, name in ((group.probe_log, "orders"), (group.driver_log, "shipments")):
+            assert log is restored.tables[name], (
+                "every group reads the physical log — uploads are stored once"
             )
+        assert group.transform.probe_store is group.probe_log
+    for live, rest in zip(db.groups.values(), restored.groups.values()):
+        assert rest.ledger.upload_order == live.ledger.upload_order
 
 
 def test_metadata_roundtrip(tmp_path):
@@ -428,7 +429,7 @@ def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
     arrays, sorted-keys body digest, one ``shared_tables`` entry per
     uploaded batch) that format ``version`` was; ``edit`` takes out of the
     body what that version did not have yet."""
-    body = persistence._per_batch_body(db, {})
+    body = per_batch_body(db)
     pool, index = [], {}
 
     def ref(table) -> int:
@@ -478,6 +479,75 @@ def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
         "body": body,
     }
     Path(path).write_text(json.dumps(document), encoding="utf8")
+
+
+def per_batch_body(db: IncShrinkDatabase) -> dict:
+    """``db``'s state as the body of format versions 1–5 before their pool
+    indices: one entry per uploaded batch in every table log, every group
+    scope (the same share object as the log's) and every ledger."""
+    body = persistence._state_body(db, {})
+    batches = {
+        name: [store.batch(k) for k in range(store.n_batches)]
+        for name, store in db.tables.items()
+    }
+    body["tables"] = {
+        name: {
+            "schema": list(store.schema.fields),
+            "batches": [
+                {
+                    "time": int(time),
+                    "table": table,
+                    "invocations_used": 0,
+                    "emitted": np.zeros(len(table), dtype=np.int64),
+                }
+                for time, table in zip(store.times, batches[name])
+            ],
+        }
+        for name, store in db.tables.items()
+    }
+    body["groups"] = []
+    for group in db.groups.values():
+        entry = {"signature": list(group.signature)}
+        per_table = {}
+        for log, key in ((group.probe_log, "probe_scope"), (group.driver_log, "driver_scope")):
+            columns = group.ledger.snapshot_state(log.name)
+            starts = log.starts
+            per_table[log.name] = [
+                {
+                    "time": int(time),
+                    "table": table,
+                    "invocations_used": int(columns["uses"][k]),
+                    "emitted": columns["emitted"][starts[k] : starts[k + 1]].copy(),
+                    "invocations": columns["invocations"][k, : columns["uses"][k]].tolist(),
+                }
+                for k, (time, table) in enumerate(zip(log.times, batches[log.name]))
+            ]
+            entry[key] = [
+                {k: b[k] for k in ("time", "table", "invocations_used", "emitted")}
+                for b in per_table[log.name]
+            ]
+        position = dict.fromkeys(per_table, 0)
+        ledger_groups = []
+        for name in group.ledger.upload_order:
+            if name in per_table:
+                b = per_table[name][position[name]]
+                position[name] += 1
+                ledger_groups.append(
+                    {
+                        "table": name,
+                        "time": b["time"],
+                        "n_rows": len(b["emitted"]),
+                        "emitted": b["emitted"],
+                        "invocations": b["invocations"],
+                    }
+                )
+        entry["ledger"] = {
+            "omega": group.ledger.omega,
+            "budget": group.ledger.budget,
+            "groups": ledger_groups,
+        }
+        body["groups"].append(entry)
+    return body
 
 
 @pytest.fixture
@@ -642,10 +712,11 @@ class TestIntegrity:
         restored = restore_database(tmp_path / "own.snap").database
         arrays = []
         for store in restored.tables.values():
-            for batch in store.batches:
-                arrays += [batch.emitted, batch.table.rows.share0, batch.table.flags.share1]
+            log = store.snapshot_state()
+            arrays += [*log["rows"], *log["flags"], log["times"]]
         for group in restored.groups.values():
-            arrays += [g["emitted"] for g in group.ledger.snapshot_state()["groups"]]
+            for name in ("orders", "shipments"):
+                arrays += group.ledger.snapshot_state(name).values()
         for vr in restored.views.values():
             for t in vr.view.shards:
                 arrays += [
@@ -942,6 +1013,9 @@ def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
 # -- container versions 4 and 5, column-major view shards, columnar logs -------
 GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
 GOLDEN_V5 = Path(__file__).parent / "golden" / "snapshot_v5.snap"
+#: ``golden_v4_state()`` as written by the last writer that kept a list
+#: of batch objects per upload log and per group scope.
+GOLDEN_V6 = Path(__file__).parent / "golden" / "snapshot_v6.snap"
 #: What both goldens carry as the caller's metadata.
 GOLDEN_METADATA = {"last_time": 3, "note": "golden v4"}
 
@@ -1053,6 +1127,21 @@ def test_upgraded_golden_is_byte_identical_to_the_writer(
     )
 
 
+def test_the_writer_reproduces_the_v6_golden_byte_for_byte(tmp_path, monkeypatch):
+    """Columns handed out live write the bytes the per-batch writer wrote,
+    and the golden restores into a state that writes them again."""
+    raw = GOLDEN_V6.read_bytes()
+    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+    created_at = json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
+    monkeypatch.setattr(persistence._time, "time", lambda: created_at)
+    snapshot_database(golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA)
+    assert (tmp_path / "live.snap").read_bytes() == raw
+    restored = restore_database(GOLDEN_V6)
+    assert restored.metadata == GOLDEN_METADATA
+    snapshot_database(restored.database, tmp_path / "again.snap", metadata=GOLDEN_METADATA)
+    assert (tmp_path / "again.snap").read_bytes() == raw
+
+
 def test_array_count_does_not_grow_with_the_stream(tmp_path):
     """Batch logs are columns: two steps in or six, the same arrays."""
     db = build_database()
@@ -1090,14 +1179,14 @@ def _nudge(column: np.ndarray, by: int) -> np.ndarray:
             lambda b: b["groups"][0]["probe_scope"].update(
                 batches=_nudge(b["groups"][0]["probe_scope"]["batches"], 99)
             ),
-            "outside the 2",
+            "every batch of the log",
             id="scope-past-the-log",
         ),
         pytest.param(
             lambda b: b["groups"][0]["driver_scope"].update(
                 batches=_nudge(b["groups"][0]["driver_scope"]["batches"], -1)
             ),
-            "outside the 2",
+            "every batch of the log",
             id="scope-negative",
         ),
         pytest.param(
@@ -1129,6 +1218,114 @@ def test_columns_that_do_not_fit_are_refused(tmp_path, edit, message):
         restore_database(tmp_path / "bad.snap")
 
 
+def _set(column: np.ndarray, values) -> None:
+    column[: len(values)] = values
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(  # the ledger still holds three uses for the batch
+            lambda col, body: _set(col("groups", 0, "probe_scope", "invocations_used"), [0]),
+            r"group 0 \(orders x shipments\), table 'orders': its ledger and its scope disagree",
+            id="scope-uses",
+        ),
+        pytest.param(
+            lambda col, body: _set(col("groups", 1, "driver_scope", "emitted"), [5]),
+            r"group 1 .*table 'shipments': its ledger and its scope disagree",
+            id="scope-emitted",
+        ),
+        pytest.param(
+            lambda col, body: _set(col("groups", 0, "driver_scope", "batches"), [1, 0]),
+            "table 'shipments': its scope does not hold every batch of the log",
+            id="scope-order",
+        ),
+        pytest.param(
+            lambda col, body: _set(col("groups", 0, "ledger", "times"), [9]),
+            "table 'orders': its ledger does not list the batches of the log",
+            id="ledger-times",
+        ),
+        pytest.param(
+            lambda col, body: body["groups"][0]["ledger"]["tables"].__setitem__(0, "x"),
+            r"group 0 \(orders x shipments\): its ledger names a table outside it",
+            id="ledger-tables",
+        ),
+        pytest.param(
+            lambda col, body: _set(col("tables", "orders", "log", "invocations_used"), [1]),
+            "log of table 'orders' carries a budget of its own",
+            id="log-uses",
+        ),
+        pytest.param(
+            lambda col, body: _set(col("tables", "shipments", "log", "emitted"), [1]),
+            "log of table 'shipments' carries a budget of its own",
+            id="log-emitted",
+        ),
+        pytest.param(  # uses [3, 2, 1] -> [4, 1, 1], both columns alike
+            lambda col, body: [
+                _set(uses, [4, 1, 1])
+                for uses in (
+                    col("groups", 0, "probe_scope", "invocations_used"),
+                    col("groups", 0, "ledger", "invocation_counts")[0::2],
+                )
+            ],
+            "table 'orders': a batch has uses outside 0..b // omega = 3",
+            id="uses-over-budget",
+        ),
+        pytest.param(
+            lambda col, body: [
+                _set(emitted, [7])
+                for emitted in (
+                    col("groups", 0, "probe_scope", "emitted"),
+                    col("groups", 0, "ledger", "emitted"),
+                )
+            ],
+            "table 'orders': a record has emissions outside 0..b = 6",
+            id="emissions-over-budget",
+        ),
+        pytest.param(  # uses [3, 2, 1] -> [2, 3, 1]: batch 2 spent, batch 1 not
+            lambda col, body: [
+                _set(uses, [2, 3, 1])
+                for uses in (
+                    col("groups", 0, "probe_scope", "invocations_used"),
+                    col("groups", 0, "ledger", "invocation_counts")[0::2],
+                )
+            ],
+            "table 'orders': its exhausted batches are not a prefix of the log",
+            id="exhausted-not-a-prefix",
+        ),
+    ],
+)
+def test_budget_columns_that_disagree_are_refused(tmp_path, edit, message):
+    """Every budget column a snapshot holds twice — a group's scope and
+    its ledger, the physical log's zero columns — must agree, and the
+    budget they describe must be one a stream can reach.  An authentic
+    file (its trailer recomputed) that breaks either is refused naming the
+    group and the table, instead of restoring a ledger that refuses the
+    next upload."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+    snapshot_database(db, tmp_path / "good.snap")
+    head, section, _ = read_container(tmp_path / "good.snap")
+    section = bytearray(section)
+
+    def col(*keys) -> np.ndarray:
+        entry = head["body"]
+        for key in keys:
+            entry = entry[key]
+        return np.frombuffer(
+            section,
+            dtype=entry["dtype"],
+            count=math.prod(entry["shape"]),
+            offset=entry["offset"],
+        ).reshape(entry["shape"])
+
+    edit(col, head["body"])
+    write_container(tmp_path / "bad.snap", head, bytes(section))
+    with pytest.raises(PersistenceError, match=message):
+        restore_database(tmp_path / "bad.snap")
+
+
 def feed_without_orders(db: IncShrinkDatabase, time: int) -> None:
     """``feed``, but every ``orders`` upload is an empty batch."""
     _, driver_rows = SCRIPT[time - 1]
@@ -1153,8 +1350,8 @@ def test_empty_logs_roundtrip(tmp_path, steps, step):
     for t in range(1, steps + 1):
         step(live, t)
     if steps:
-        assert all(len(b.table) == 0 for b in live.tables["orders"].batches)
-        assert len(live.tables["orders"].batches) == steps
+        assert live.tables["orders"].total_rows == 0
+        assert live.tables["orders"].n_batches == steps
     snapshot_database(live, tmp_path / "a.snap")
     restored = restore_database(tmp_path / "a.snap").database
     snapshot_database(restored, tmp_path / "b.snap")

@@ -29,7 +29,7 @@ class TestShareConfidentiality:
         probe = RecordBatch(tiny_view_def.probe_schema, rows)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
         engine.upload(1, probe, driver)
-        share0 = engine.probe_store.batches[0].table.rows.share0
+        share0 = engine.probe_store.batch(0).rows.share0
         # 64 identical plaintext rows; shares must not repeat that way.
         assert len({int(v) for v in share0[:, 0]}) > 32
 
@@ -107,16 +107,17 @@ class TestTamperingAndMisuse:
             engine.upload(t, empty_probe, driver)
             engine.process_step(t)
         # Batch from t=1 was active for exactly b//ω = 3 invocations.
-        assert engine.ledger.remaining_uses(tiny_view_def.probe_table, 1) == 0
-        with pytest.raises(ContributionBudgetError):
-            engine.ledger.charge_invocation(tiny_view_def.probe_table, 1, 99)
+        probe_table = tiny_view_def.probe_table
+        assert engine.ledger.window(probe_table) == (3, 5)
+        with pytest.raises(ContributionBudgetError, match="t=1"):
+            engine.ledger.settle(probe_table, 0, 1, 99, np.zeros(4, dtype=np.int64))
 
     def test_double_upload_same_time_rejected(self, tiny_view_def):
         engine = IncShrinkEngine(tiny_view_def, EngineConfig(mode="otm"))
         probe = RecordBatch.empty(tiny_view_def.probe_schema).padded_to(4)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
         engine.upload(1, probe, driver)
-        with pytest.raises(ContributionBudgetError, match="already registered"):
+        with pytest.raises(ProtocolError, match="one batch per table and time"):
             engine.upload(1, probe, driver)
 
 

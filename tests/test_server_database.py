@@ -92,13 +92,14 @@ class TestSharedUploads:
     def test_each_base_batch_shared_exactly_once(self, database):
         assert database.upload_counts() == {"orders": 4, "shipments": 4}
 
-    def test_group_scopes_reference_the_same_shares(self, database):
-        """Per-group budget wrappers must wrap the *same* uploaded shares
-        — three views, one upload, zero duplication."""
+    def test_groups_read_the_physical_logs(self, database):
+        """Every group's Transform reads the one physical upload log and
+        keeps its budget beside it — three views, one upload, zero
+        duplication."""
         physical = database.tables["orders"]
         for group in database.groups.values():
-            for i, batch in enumerate(group.probe_scope.batches):
-                assert batch.table is physical.batches[i].table
+            assert group.probe_log is physical
+            assert group.transform.probe_store is physical
 
     def test_transform_runs_once_per_signature(self, database):
         """full+audit share one circuit; recent has its own: 2 per step."""
@@ -111,9 +112,9 @@ class TestSharedUploads:
         another family's contribution budget."""
         groups = list(database.groups.values())
         for group in groups:
-            # b=6, ω=2 → 3 invocations per batch; the t=1 batch is retired.
-            assert group.ledger.remaining_uses("orders", 1) == 0
-            assert group.ledger.remaining_uses("orders", 4) > 0
+            # b=6, ω=2 → 3 invocations per batch, one per step and group.
+            uses = group.ledger.snapshot_state("orders")["uses"]
+            assert uses.tolist() == [3, 3, 2, 1]
 
 
 class TestPlannerRouting:

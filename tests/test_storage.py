@@ -11,7 +11,7 @@ from repro.server.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.growing_db import GrowingDatabase
 from repro.storage.materialized_view import MaterializedView
-from repro.storage.outsourced_table import OutsourcedBatch, OutsourcedTable
+from repro.storage.outsourced_table import OutsourcedTable
 from repro.storage.secure_cache import SecureCache
 
 SCHEMA = Schema(("k", "ts"))
@@ -77,127 +77,85 @@ class TestOutsourcedTable:
 
     def test_running_totals_equal_the_recomputed_sums(self):
         """The totals are kept beside the log, not re-summed per read:
-        they must follow ``append_batch``, a direct list append and a
-        ``restore_state`` (to fewer rows) alike."""
+        they must follow ``append_batch`` and a ``restore_state`` (to
+        fewer rows) alike."""
 
         def recomputed(t):
+            batches = [t.batch(k) for k in range(t.n_batches)]
             return (
-                sum(len(b.table) for b in t.batches),
-                sum(b.table.byte_size for b in t.batches),
+                sum(len(b) for b in batches),
+                sum(b.byte_size for b in batches),
             )
 
         table = OutsourcedTable(SCHEMA, "t")
         assert (table.total_rows, table.byte_size) == (0, 0)
-        for time in range(1, 4):
+        for time in range(1, 5):
             table.append_batch(shared([[time, time]] * time, [1] * time), time=time)
             assert (table.total_rows, table.byte_size) == recomputed(table)
-        table.batches.append(OutsourcedBatch(time=4, table=shared([[4, 4]], [1])))
-        assert table.total_rows == 7
-        assert (table.total_rows, table.byte_size) == recomputed(table)
-        state = table.snapshot_state()[:2]
-        table.restore_state(state)
+        state = table.snapshot_state()
+        table.restore_state(
+            state["times"][:2],
+            state["lengths"][:2],
+            tuple(half[:3].copy() for half in state["rows"]),
+            tuple(half[:3].copy() for half in state["flags"]),
+        )
         assert table.total_rows == 3
         assert (table.total_rows, table.byte_size) == recomputed(table)
         table.append_batch(shared([[5, 5]], [1]), time=5)
         assert (table.total_rows, table.byte_size) == recomputed(table)
 
-    def test_out_of_order_batch_rejected(self):
+    def test_batches_are_slices_that_outlive_a_growth(self):
+        """A batch, a window and the whole log are views of the log's
+        buffers, with the uploaded shares; rows are never overwritten, so
+        a slice taken before the buffers grow still holds its rows."""
+        table = OutsourcedTable(SCHEMA, "t")
+        uploads = [
+            shared([[t, t]] * (t % 3), [1] * (t % 3), seed=t) for t in range(1, 200)
+        ]
+        early = None
+        for time, upload in enumerate(uploads, start=1):
+            assert table.append_batch(upload, time) == time - 1
+            if time == 5:
+                early = table.window(1, 5)
+                kept = early.rows.share0.copy(), early.flags.share1.copy()
+        assert table.n_batches == len(uploads)
+        for k, upload in enumerate(uploads):
+            batch = table.batch(k)
+            for got, want in (
+                (batch.rows.share0, upload.rows.share0),
+                (batch.rows.share1, upload.rows.share1),
+                (batch.flags.share0, upload.flags.share0),
+                (batch.flags.share1, upload.flags.share1),
+            ):
+                assert np.array_equal(got, want)
+        whole = table.full_table()
+        assert np.shares_memory(whole.rows.share0, table.batch(7).rows.share0)
+        assert len(whole) == table.total_rows == sum(len(u) for u in uploads)
+        assert np.array_equal(early.rows.share0, kept[0])
+        assert np.array_equal(early.flags.share1, kept[1])
+        assert table.window(4, 4).rows.shape == (0, 2)
+
+    def test_batch_at_names_the_batch_of_a_time(self):
+        table = OutsourcedTable(SCHEMA, "t")
+        assert table.batch_at(1) is None
+        for time in (1, 3, 4):
+            table.append_batch(shared([[time, time]] * time, [1] * time), time=time)
+        assert [table.batch_at(t) for t in range(6)] == [None, 0, None, 1, 2, None]
+        assert table.times.tolist() == [1, 3, 4]
+        assert table.starts.tolist() == [0, 1, 4, 8]
+
+    @pytest.mark.parametrize("time", [4, 5])
+    def test_out_of_order_batch_rejected(self, time):
         table = OutsourcedTable(SCHEMA, "t")
         table.append_batch(shared([[1, 5]], [1]), time=5)
         with pytest.raises(ProtocolError, match="ordered"):
-            table.append_batch(shared([[1, 4]], [1]), time=4)
+            table.append_batch(shared([[1, time]], [1]), time=time)
+        assert table.n_batches == 1
 
     def test_schema_mismatch_rejected(self):
         table = OutsourcedTable(Schema(("other",)), "t")
         with pytest.raises(SchemaError):
             table.append_batch(shared([[1, 1]], [1]), time=1)
-
-    def test_active_window_slides_with_budget(self):
-        """With b=4 and ω=2, a batch survives exactly 2 invocations."""
-        table = OutsourcedTable(SCHEMA, "t")
-        b1 = table.append_batch(shared([[1, 1]], [1]), time=1)
-        assert table.active_batches(2, 4) == [b1]
-        table.charge_invocation([b1], 2, 4)
-        assert table.active_batches(2, 4) == [b1]
-        table.charge_invocation([b1], 2, 4)
-        assert table.active_batches(2, 4) == []
-
-    def test_active_window_equals_the_filter_over_every_batch(self):
-        """The active window is kept as a suffix; on any log — built by
-        hand, charged out of order, restored, asked about under another
-        ``(ω, b)`` — it must be what filtering every batch returns."""
-
-        def filtered(t, omega, budget):
-            return [b for b in t.batches if b.invocations_used < budget // omega]
-
-        def check(t):
-            # Twice in a row continues from the kept prefix; a change
-            # of ``b // ω`` must start over.
-            for omega, budget in ((2, 4), (2, 4), (1, 3), (1, 3), (2, 4), (3, 3)):
-                active = t.active_batches(omega, budget)
-                assert active == filtered(t, omega, budget)
-                assert all(a is b for a, b in zip(active, filtered(t, omega, budget)))
-
-        table = OutsourcedTable(SCHEMA, "t")
-        check(table)
-        for time in range(1, 5):
-            table.append_batch(shared([[time, time]], [1]), time=time)
-        check(table)
-        table.batches.append(OutsourcedBatch(time=5, table=shared([[5, 5]], [1])))
-        check(table)
-        # Out of order: an exhausted batch behind two live ones.
-        table.batches[2].invocations_used = 2
-        check(table)
-        table.batches[0].invocations_used = 3
-        table.batches[4].invocations_used = 1
-        check(table)
-        table.charge_invocation(table.active_batches(2, 4), 2, 4)
-        check(table)
-        state = table.snapshot_state()
-        # A restore may hand back a log with budget left where the old
-        # one had none: the kept prefix must not outlive the log.
-        for entry in state:
-            entry["invocations_used"] = 0
-        table.restore_state(state[1:])
-        check(table)
-        assert len(table.active_batches(2, 4)) == 4
-
-    def test_active_window_looks_at_the_window_not_the_log(self):
-        """1 000 uploads, each run charging the whole active window, as
-        Transform does: a call reads ``invocations_used`` of the window
-        and of the one batch that just left it, nothing older."""
-        reads = []
-
-        class CountedBatch(OutsourcedBatch):
-            @property
-            def invocations_used(self):
-                reads.append(self.time)
-                return self._used
-
-            @invocations_used.setter
-            def invocations_used(self, value):
-                self._used = value
-
-        table = OutsourcedTable(SCHEMA, "t")
-        one_row = shared([[1, 1]], [1])
-        omega, budget = 2, 22  # a window of 11 batches, as tpcds serves
-        window = budget // omega
-        for time in range(1, 1001):
-            table.batches.append(CountedBatch(time=time, table=one_row))
-            del reads[:]
-            active = table.active_batches(omega, budget)
-            assert len(reads) <= window + 1
-            assert [b.time for b in active] == list(
-                range(max(1, time - window + 1), time + 1)
-            )
-            table.charge_invocation(active, omega, budget)
-
-    def test_charging_exhausted_batch_raises(self):
-        table = OutsourcedTable(SCHEMA, "t")
-        b1 = table.append_batch(shared([[1, 1]], [1]), time=1)
-        table.charge_invocation([b1], 2, 2)
-        with pytest.raises(ProtocolError, match="exhausted"):
-            table.charge_invocation([b1], 2, 2)
 
     def test_empty_full_table(self):
         table = OutsourcedTable(SCHEMA, "t")

@@ -9,7 +9,9 @@ shards through the in-process executor), the
 join's oblivious sort on ``(key, side, position)`` keys
 (:func:`repro.oblivious.sort.oblivious_sort`), Transform's ω-truncated
 sort-merge join (:func:`repro.oblivious.sort_merge_join.
-truncated_sort_merge_join`), and the two fixed-shape stages of every
+truncated_sort_merge_join`) and ``transform_step``, one whole
+:meth:`repro.core.transform.TransformProtocol.run` over a ``tpcds-small``
+window of 9 batches (180 rows), and the two fixed-shape stages of every
 ``cpdb-heavy`` upload — ``cache_read``, one Figure 3 read of a
 5,700 × 4-row cache (:meth:`repro.storage.secure_cache.SecureCache.
 sorted_read`), and ``ring_words``, one step's mix of ring-word draws
@@ -259,6 +261,46 @@ def _transform_join_workload(rows: int):
     return run
 
 
+#: Batches in a ``tpcds-small`` Transform window (ω = 1, b = 10).
+TRANSFORM_WINDOW = 9
+
+
+def _transform_step_workload(rows: int):
+    """One Transform run as a ``tpcds-small`` step runs it: a probe window
+    of :data:`TRANSFORM_WINDOW` sales batches (``rows`` counts their 180
+    rows) against that step's returns batch — revealed, capped and
+    settled as one slice each, then joined.  Each call starts a fresh
+    ledger over the same upload logs, so every run sees the whole window
+    unspent.  Watch for anything called once per batch of the window."""
+    from repro.core.budget import ContributionLedger
+    from repro.core.transform import TransformProtocol
+    from repro.mpc.runtime import MPCRuntime
+    from repro.storage.outsourced_table import OutsourcedTable
+    from repro.storage.secure_cache import SecureCache
+    from repro.workload.tpcds import make_tpcds_workload
+
+    workload = make_tpcds_workload(seed=3, n_steps=TRANSFORM_WINDOW)
+    vd = workload.view_def
+    runtime = MPCRuntime(seed=0)
+    probe = OutsourcedTable(vd.probe_schema, vd.probe_table)
+    driver = OutsourcedTable(vd.driver_schema, vd.driver_table)
+    for step in workload.steps:
+        for log, batch in ((probe, step.probe), (driver, step.driver)):
+            flags = batch.is_real.astype(np.uint32)
+            shared = runtime.owner_share_table(batch.schema, batch.rows, flags)
+            log.append_batch(shared, step.time)
+    assert probe.total_rows == rows
+    last = workload.steps[-1].time
+
+    def run() -> None:
+        ledger = ContributionLedger(vd.omega, vd.budget, (probe, driver))
+        TransformProtocol(runtime, vd, probe, driver, ledger).run(
+            last, SecureCache(vd.view_schema)
+        )
+
+    return run
+
+
 def _incremental_workload(rows: int):
     """One warm (suffix-only) rescan after a 2% append.
 
@@ -391,6 +433,7 @@ WORKLOADS = {
     "cold_scan": _cold_scan_workload,
     "join_sort": _join_sort_workload,
     "transform_join": _transform_join_workload,
+    "transform_step": _transform_step_workload,
     "incremental_scan": _incremental_workload,
     "cache_read": _cache_read_workload,
     "ring_words": _ring_words_workload,
@@ -400,6 +443,7 @@ WORKLOADS = {
 
 #: Stages whose shape is the served one whatever ``--rows`` says.
 FIXED_ROWS = {
+    "transform_step": 180,
     "cache_read": 5_700,
     "ring_words": RING_WORDS_PER_STEP,
     "snapshot": PERSISTENCE_STEPS,
