@@ -80,13 +80,6 @@ class ContributionLedger:
         # holds at least one record; kept by every charge, rebuilt by
         # ``restore``.
         self._worst: tuple[int, tuple[str, int] | None] = (0, None)
-        #: the table of each batch uploaded to either log, in upload
-        #: order — the order a snapshot lists the group's batches in
-        self.upload_order: list[str] = []
-
-    def note_upload(self, table: str) -> None:
-        if table in self._logs:
-            self.upload_order.append(table)
 
     def _budget(self, table: str) -> _LogBudget:
         try:
@@ -201,7 +194,7 @@ class ContributionLedger:
             "invocations": side.invocations[:n],
         }
 
-    def restore_state(self, columns: dict[str, dict], upload_order: list[str]) -> None:
+    def restore_state(self, columns: dict[str, dict]) -> None:
         """Adopt :meth:`snapshot_state` columns for every table at once."""
         if columns.keys() != self._logs.keys():
             raise ContributionBudgetError(
@@ -224,7 +217,6 @@ class ContributionLedger:
             side.emitted = state["emitted"]
             side.invocations = state["invocations"]
             side.first = 0
-        self.upload_order = list(upload_order)
         self._worst = (0, None)
         # In charge order: the most uses first, then the earliest to reach
         # them, then the table charged first in a run, then the log order.

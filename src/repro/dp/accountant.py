@@ -18,6 +18,7 @@ the end of a run that the realised loss matches the configured ε.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
@@ -98,8 +99,11 @@ class PrivacyAccountant:
     )
 
     def spend(self, name: str, epsilon: float, segment: Hashable) -> None:
-        if epsilon <= 0:
-            raise PrivacyBudgetError(f"epsilon must be positive, got {epsilon}")
+        # ``not ε > 0`` alone would let NaN through every later cap check.
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise PrivacyBudgetError(
+                f"epsilon must be finite and positive, got {epsilon}"
+            )
         self.events.append(MechanismEvent(name, epsilon, segment))
 
     # -- persistence hooks --------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Callable, Mapping, Sequence
 
 from ..common.errors import ConfigurationError
@@ -115,6 +115,18 @@ def allocate_budget(
     return best_alloc, best_eff
 
 
+def check_query_epsilon(epsilon: float) -> None:
+    """Refuse a query ε that is not a finite positive number.
+
+    NaN compares false with everything, so a NaN ε would pass a tenant's
+    ``spent + ε > cap`` gate and leave the ledger NaN — uncapped for good.
+    """
+    if not (isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError(
+            f"query epsilon must be finite and positive, got {epsilon}"
+        )
+
+
 def split_query_epsilon(
     sensitivities: Sequence[float], total_epsilon: float
 ) -> tuple[float, ...]:
@@ -132,10 +144,7 @@ def split_query_epsilon(
     Used by the database's noisy-query path with the per-aggregate
     sensitivities carried on :class:`repro.query.ast.AggregateSpec`.
     """
-    if total_epsilon <= 0:
-        raise ConfigurationError(
-            f"query epsilon must be positive, got {total_epsilon}"
-        )
+    check_query_epsilon(total_epsilon)
     if not sensitivities:
         raise ConfigurationError("a query releases at least one aggregate")
     if any(s <= 0 for s in sensitivities):

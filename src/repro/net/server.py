@@ -56,6 +56,7 @@ OS pick a free port (the bound address is :attr:`address`).
 from __future__ import annotations
 
 import json
+import math
 import selectors
 import socket
 import threading
@@ -1457,7 +1458,10 @@ class NetworkServer:
             time = payload.get("time")
             time = None if time is None else int(time)
             epsilon = payload.get("epsilon")
-            epsilon = None if epsilon is None else float(epsilon)
+            if epsilon is not None:
+                epsilon = float(epsilon)
+                if not (math.isfinite(epsilon) and epsilon > 0):
+                    raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         except (KeyError, TypeError, ValueError) as exc:
             raise wire.WireError(f"malformed query frame: {exc!r}") from exc
         result = self.server.query(

@@ -58,7 +58,12 @@ from ..dp.accountant import (
     tenant_scoped_segment,
     theorem3_epsilon,
 )
-from ..dp.allocation import allocate_budget, split_query_epsilon, view_operator_spec
+from ..dp.allocation import (
+    allocate_budget,
+    check_query_epsilon,
+    split_query_epsilon,
+    view_operator_spec,
+)
 from ..dp.laplace import laplace_noise
 from ..mpc.cost_model import CostModel
 from ..mpc.runtime import MPCRuntime
@@ -433,8 +438,6 @@ class IncShrinkDatabase:
             )
             store.append_batch(shared, time)
             self.logical.insert(time, name, batch.real_rows())
-            for group in self.groups.values():
-                group.ledger.note_upload(name)
         self._state_version += 1
 
     def check_upload(self, items: Iterable[tuple[str, RecordBatch]]) -> None:
@@ -589,8 +592,12 @@ class IncShrinkDatabase:
         query leaves the noise stream and every ledger untouched.
         """
         self.finalize()
-        if epsilon is not None and tenant is not None:
-            check_tenant_budget(self.accountant, self.tenant_budgets, tenant, epsilon)
+        if epsilon is not None:
+            check_query_epsilon(epsilon)
+            if tenant is not None:
+                check_tenant_budget(
+                    self.accountant, self.tenant_budgets, tenant, epsilon
+                )
         if plan is None:
             plan = self.planner.plan(query)
         logical = self._logical_answer_query(query, time)

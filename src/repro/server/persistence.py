@@ -23,7 +23,7 @@ This module serializes the full outsourced state to one
   per-shard tables, so a restored deployment scans with the same
   parallelism it was checkpointed with.
 
-The file is a binary container (:data:`SNAPSHOT_VERSION` 6)::
+The file is a binary container (:data:`SNAPSHOT_VERSION` 7)::
 
     magic (18 B) | version (u16) | head length (u64) | head | arrays | SHA-256
 
@@ -45,26 +45,29 @@ hashes the same bytes in the same pass, and compares the trailer
 raises :class:`~repro.common.errors.PersistenceError`.
 
 Every array costs the same on both sides whatever its size — a head
-entry, a write and a hash update out; an allocation and a read in — so
-the logs that grow by one batch per upload are written as **columns** —
-the live ones, sliced to their content — and the number of arrays in a
-snapshot does not grow with the stream:
+entry, a write and a hash update out; an allocation and a read in —
+while JSON costs a Python call per scalar, so every log that grows with
+uploads, releases or served queries is written as **columns** and the
+head does not grow with the stream (only the digits of its sizes do):
 
-* a physical table's ``log``: ``times``, ``lengths`` and
-  ``invocations_used`` (int64, one entry per batch), every row's
-  ``emitted`` counter, and all rows and flags as one ``s0``/``s1`` pair
-  each.  Budgets are kept per transform group, so the log's own
-  ``invocations_used`` and ``emitted`` are zeros, and a file whose are
-  not is refused;
-* a transform group's scope over each of its tables: ``batches``, the
-  positions of every batch of the table's log in order, and the group's
-  ``invocations_used`` and ``emitted`` columns for the table;
-* a contribution ledger: the same budget over both tables, one entry
-  per batch in upload order (``ContributionLedger.upload_order``) —
-  ``tables``, ``times``, ``n_rows``, concatenated ``emitted``, and the
-  flattened ``invocations`` with per-batch ``invocation_counts``.  A
-  restore adopts the scopes' columns once they agree with it (and with
-  a budget a stream can reach);
+* a physical table's ``log``: ``times`` and ``lengths`` (int64, one
+  entry per batch), and all rows and flags as one ``s0``/``s1`` pair
+  each;
+* a transform group's budget, once, as its ledger holds it per table
+  (``probe`` and ``driver``): ``uses`` per batch, ``emitted`` per row
+  and the ``(batches, b // ω)`` ``invocations`` matrix of run times,
+  whose slots past a batch's uses are zeros.  A restore adopts them
+  once they fit the log and describe a budget a stream can reach;
+* the accountant: its events as ``name``, ``epsilon`` (float64, each
+  finite and positive), and the segment as ``label``, ``number`` and
+  ``tenant`` — ``name``, ``label`` and ``tenant`` index the head's
+  ``strings`` table, ``tenant`` is -1 for an unattributed event.  The
+  two segment shapes the database writes, ``(label, number)`` and
+  ``(label, number, "tenant", id)``, are the only ones persisted; an
+  event over any other is refused before any file is created;
+* each metric log (the database's and every view's): one int64 or
+  float64 column per field, its query observations as four
+  ``query_*`` columns;
 * the owners' ``logical`` mirror: per table ``times``, ``lengths`` and
   one ``rows`` array.
 
@@ -72,7 +75,7 @@ Caches, view shards and counters stay in the ``shared_tables`` pool,
 one entry each.  The caller's metadata is one JSON string in the head,
 which neither direction's array handling looks inside.
 
-Snapshots of format versions 1–5 are not read here: ``python -m repro
+Snapshots of format versions 1–6 are not read here: ``python -m repro
 upgrade-snapshot OLD NEW`` (:mod:`repro.server.snapshot_upgrade`)
 converts one offline.
 
@@ -100,14 +103,17 @@ import struct
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass
-from typing import Any, Hashable
+from operator import attrgetter
+from typing import Hashable
 
 import numpy as np
 
 from ..common.errors import PersistenceError
 from ..common.metrics import MetricLog, QueryObservation
 from ..common.types import Schema
+from ..core.budget import ContributionLedger
 from ..core.view_def import JoinViewDefinition
+from ..dp.accountant import TENANT_SEGMENT_MARK
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
 from ..storage.outsourced_table import OutsourcedTable
@@ -119,8 +125,10 @@ SNAPSHOT_MAGIC = b"incshrink-snapshot"
 #: Bump on any incompatible change to the container or the body layout.
 #: Only :mod:`repro.server.snapshot_upgrade` reads older versions: 1–3
 #: were JSON documents, 4 and 5 this container with an array entry per
-#: uploaded batch and share half (5 added the ``"order"`` key).
-SNAPSHOT_VERSION = 6
+#: uploaded batch and share half (5 added the ``"order"`` key), 6 wrote
+#: the upload logs as columns but the accountant and metric logs as JSON,
+#: and each group's budget twice.
+SNAPSHOT_VERSION = 7
 
 #: magic, format version, head length — the fixed-size start of the file.
 _PREAMBLE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQ")
@@ -295,52 +303,150 @@ def _decode_shared_array(entry: dict) -> SharedArray:
     return SharedArray(entry["s0"], entry["s1"])
 
 
-def _encode_segment(segment: Hashable) -> Any:
-    """Encode an accountant segment key (scalars and nested tuples)."""
-    if isinstance(segment, tuple):
-        return {"tuple": [_encode_segment(s) for s in segment]}
-    if segment is None or isinstance(segment, (bool, int, float, str)):
-        return {"value": segment}
-    raise PersistenceError(
-        f"cannot persist accountant segment of type {type(segment).__name__}"
-    )
+def _column(columns: dict, key: str, dtype) -> np.ndarray:
+    """``columns[key]``, refused unless it is a one-dimensional ``dtype``
+    array — what the writer hands out for every column of a log."""
+    arr = columns[key]
+    if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == dtype):
+        raise PersistenceError(
+            f"column {key!r} is not a one-dimensional {np.dtype(dtype)} array"
+        )
+    return arr
 
 
-def _decode_segment(entry: Any) -> Hashable:
-    if not isinstance(entry, dict):
-        raise PersistenceError(f"malformed segment entry: {entry!r}")
-    if "tuple" in entry:
-        return tuple(_decode_segment(s) for s in entry["tuple"])
-    return entry["value"]
+# -- the accountant: one row per mechanism event --------------------------------
+#: The event columns that index the string table; ``tenant`` is -1 for an
+#: event attributed to no tenant.  Beside them: ``epsilon``, and the
+#: segment's ``number`` (a release's time, a query's sequence number).
+_EVENT_INDEX_COLUMNS = ("name", "label", "tenant")
 
 
-def _encode_metric_log(log: MetricLog) -> dict:
+def _accountant_columns(events: list[tuple[str, float, Hashable]]) -> dict:
+    """The accountant's events as columns beside one string table.
+
+    A segment is ``(label, number)``, as a view's release and an
+    unattributed query write it, or ``(label, number, "tenant", id)``, as
+    a tenant's query writes it; any other event is refused here, before
+    any file is created.
+    """
+    strings: dict[str, int] = {}
+    ref = strings.setdefault
+    rows = []
+    for name, epsilon, segment in events:
+        tenant, shape = None, type(segment) is tuple and len(segment)
+        if shape == 2:
+            label, number = segment
+        elif (
+            shape == 4
+            and type(segment[2]) is str
+            and segment[2] == TENANT_SEGMENT_MARK
+            and type(segment[3]) is str
+        ):
+            label, number, _, tenant = segment
+        else:
+            label = None
+        if type(label) is not str or type(number) is not int or type(name) is not str:
+            raise PersistenceError(
+                f"cannot persist accountant event {name!r} over segment "
+                f"{segment!r}: a segment is (label, number) or "
+                f"(label, number, {TENANT_SEGMENT_MARK!r}, tenant id)"
+            )
+        rows.append(
+            (
+                ref(name, len(strings)),
+                epsilon,
+                ref(label, len(strings)),
+                number,
+                -1 if tenant is None else ref(tenant, len(strings)),
+            )
+        )
+    names, epsilons, labels, numbers, tenants = zip(*rows) if rows else ((),) * 5
+    try:
+        numbers = np.array(numbers, dtype=np.int64)
+        epsilons = np.array(epsilons, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"cannot persist accountant events: {exc}") from exc
+    _check_epsilons(epsilons)
     return {
-        "queries": [
-            [q.time, q.logical_answer, q.view_answer, q.qet_seconds]
-            for q in log.queries
-        ],
-        "transform_seconds": list(log.transform_seconds),
-        "shrink_seconds": list(log.shrink_seconds),
-        "view_size_rows": list(log.view_size_rows),
-        "view_size_bytes": list(log.view_size_bytes),
-        "cache_size_rows": list(log.cache_size_rows),
-        "deferred_counts": list(log.deferred_counts),
+        "strings": list(strings),
+        "name": np.array(names, dtype=np.int64),
+        "epsilon": epsilons,
+        "label": np.array(labels, dtype=np.int64),
+        "number": numbers,
+        "tenant": np.array(tenants, dtype=np.int64),
     }
 
 
-def _decode_metric_log(entry: dict) -> MetricLog:
-    log = MetricLog()
-    log.queries = [
-        QueryObservation(int(t), float(la), float(va), float(qet))
-        for t, la, va, qet in entry["queries"]
+def _check_epsilons(epsilons: np.ndarray) -> None:
+    if not (np.isfinite(epsilons) & (epsilons > 0)).all():
+        raise PersistenceError(
+            "an accountant event spent an epsilon that is not finite and positive"
+        )
+
+
+def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
+    strings = columns["strings"]
+    if not (isinstance(strings, list) and all(isinstance(s, str) for s in strings)):
+        raise PersistenceError("the accountant's string table is not a list of strings")
+    name, label, tenant = (_column(columns, key, np.int64) for key in _EVENT_INDEX_COLUMNS)
+    epsilon = _column(columns, "epsilon", np.float64)
+    number = _column(columns, "number", np.int64)
+    _check_counts(name, epsilon, label, number, tenant)
+    if len(name) and (
+        min(name.min(), label.min(), tenant.min() + 1) < 0
+        or max(name.max(), label.max(), tenant.max()) >= len(strings)
+    ):
+        raise PersistenceError("an accountant column indexes past its string table")
+    _check_epsilons(epsilon)
+    return [
+        (
+            strings[n],
+            eps,
+            (strings[lab], t) if k < 0
+            else (strings[lab], t, TENANT_SEGMENT_MARK, strings[k]),
+        )
+        for n, eps, lab, t, k in zip(
+            name.tolist(), epsilon.tolist(), label.tolist(), number.tolist(), tenant.tolist()
+        )
     ]
-    log.transform_seconds = [float(x) for x in entry["transform_seconds"]]
-    log.shrink_seconds = [float(x) for x in entry["shrink_seconds"]]
-    log.view_size_rows = [int(x) for x in entry["view_size_rows"]]
-    log.view_size_bytes = [int(x) for x in entry["view_size_bytes"]]
-    log.cache_size_rows = [int(x) for x in entry["cache_size_rows"]]
-    log.deferred_counts = [int(x) for x in entry["deferred_counts"]]
+
+
+# -- metric logs: one column per field ------------------------------------------
+_QUERY_FIELDS = (
+    ("time", np.int64),
+    ("logical_answer", np.float64),
+    ("view_answer", np.float64),
+    ("qet_seconds", np.float64),
+)
+_STEP_FIELDS = (
+    ("transform_seconds", np.float64),
+    ("shrink_seconds", np.float64),
+    ("view_size_rows", np.int64),
+    ("view_size_bytes", np.int64),
+    ("cache_size_rows", np.int64),
+    ("deferred_counts", np.int64),
+)
+
+
+def _metric_columns(log: MetricLog) -> dict:
+    queries = log.queries
+    columns = {
+        f"query_{field}": np.fromiter(map(attrgetter(field), queries), dtype, len(queries))
+        for field, dtype in _QUERY_FIELDS
+    }
+    for field, dtype in _STEP_FIELDS:
+        values = getattr(log, field)
+        columns[field] = np.fromiter(values, dtype, len(values))
+    return columns
+
+
+def _metric_log(columns: dict) -> MetricLog:
+    queries = [_column(columns, f"query_{f}", dtype) for f, dtype in _QUERY_FIELDS]
+    _check_counts(*queries)
+    log = MetricLog()
+    log.queries = list(map(QueryObservation, *(q.tolist() for q in queries)))
+    for field, dtype in _STEP_FIELDS:
+        setattr(log, field, _column(columns, field, dtype).tolist())
     return log
 
 
@@ -419,10 +525,11 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
 
 def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     """Everything but the upload logs and budgets, as the storage hooks
-    hand it out: every share table is the live object.
+    hand it out: every share table is the live object, the accountant its
+    list of events, each metric log the object itself.
 
-    The same shape as those parts of a version 1–5 body once its pool
-    indices are resolved, so the upgrader lays both out alike.
+    The upgrader builds the same shape from an older body, so both are
+    laid out by :func:`_columnar_layout`.
     """
     views = []
     for name, vr in db.views.items():
@@ -444,7 +551,7 @@ def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
                     else _encode_shared_array(vr.counter.snapshot_state())
                 ),
                 "policy": policy_state,
-                "metrics": _encode_metric_log(vr.metrics),
+                "metrics": vr.metrics,
             }
         )
 
@@ -462,12 +569,9 @@ def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
         "allocation": db.epsilon_allocation(),
         "logical": db.logical.snapshot_state(),
         "views": views,
-        "accountant": [
-            [name, eps, _encode_segment(segment)]
-            for name, eps, segment in db.accountant.snapshot_state()
-        ],
+        "accountant": db.accountant.snapshot_state(),
         "tenant_budgets": dict(db.tenant_budgets),
-        "metrics": _encode_metric_log(db.metrics),
+        "metrics": db.metrics,
         "rng": {
             "server0": runtime.server0.words.state,
             "server1": runtime.server1.words.state,
@@ -491,6 +595,7 @@ def _columnar_layout(body: dict, tables: dict, groups: list[dict]) -> dict:
                 **view["view"],
                 "shards": [intern.ref(t) for t in view["view"]["shards"]],
             },
+            "metrics": _metric_columns(view["metrics"]),
         }
         for view in body["views"]
     ]
@@ -505,9 +610,9 @@ def _columnar_layout(body: dict, tables: dict, groups: list[dict]) -> dict:
         },
         "groups": groups,
         "views": views,
-        "accountant": body["accountant"],
+        "accountant": _accountant_columns(body["accountant"]),
         "tenant_budgets": body["tenant_budgets"],
-        "metrics": body["metrics"],
+        "metrics": _metric_columns(body["metrics"]),
         "rng": body["rng"],
         "metadata": metadata,
     }
@@ -533,68 +638,26 @@ def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
 
 
 def _log_columns(store: OutsourcedTable) -> dict:
-    """A table's upload log.  Budgets live in the groups' ledgers: the
-    log's own ``invocations_used`` and ``emitted`` columns are zeros."""
     log = store.snapshot_state()
     (rows0, rows1), (flags0, flags1) = log["rows"], log["flags"]
     return {
         "times": log["times"],
         "lengths": log["lengths"],
-        "invocations_used": np.zeros(store.n_batches, dtype=np.int64),
-        "emitted": np.zeros(store.total_rows, dtype=np.int64),
         "rows": {"s0": rows0, "s1": rows1},
         "flags": {"s0": flags0, "s1": flags1},
     }
 
 
 def _group_columns(group: TransformGroup) -> dict:
-    """A group's budget, twice: per table (a *scope*: every batch of the
-    log, in order, with its uses and emissions) and as one ledger whose
-    batches follow upload order across the group's two tables."""
+    """A group's budget, once: its ledger's live columns per table."""
     ledger = group.ledger
-    logs = (group.probe_log, group.driver_log)
-    sides = [ledger.snapshot_state(log.name) for log in logs]
-    tables = list(ledger.upload_order)
-    second = np.array([name == logs[1].name for name in tables], dtype=bool)
-    n_rows = _merge(second, *(np.diff(log.starts) for log in logs))
-    counts = _merge(second, *(side["uses"] for side in sides))
-    spent = [
-        side["invocations"][np.arange(ledger.max_uses) < side["uses"][:, None]]
-        for side in sides
-    ]
     return {
         "signature": list(group.signature),
-        "probe_scope": _scope_columns(sides[0]),
-        "driver_scope": _scope_columns(sides[1]),
-        "ledger": {
-            "omega": ledger.omega,
-            "budget": ledger.budget,
-            "tables": tables,
-            "times": _merge(second, *(log.times for log in logs)),
-            "n_rows": n_rows,
-            "emitted": _merge(
-                np.repeat(second, n_rows), *(side["emitted"] for side in sides)
-            ),
-            "invocations": _merge(np.repeat(second, counts), *spent),
-            "invocation_counts": counts,
-        },
+        "omega": ledger.omega,
+        "budget": ledger.budget,
+        "probe": ledger.snapshot_state(group.probe_log.name),
+        "driver": ledger.snapshot_state(group.driver_log.name),
     }
-
-
-def _scope_columns(side: dict) -> dict:
-    return {
-        "batches": np.arange(len(side["uses"]), dtype=np.int64),
-        "invocations_used": side["uses"],
-        "emitted": side["emitted"],
-    }
-
-
-def _merge(second: np.ndarray, first_part: np.ndarray, second_part: np.ndarray):
-    """``first_part`` where ``second`` is false, ``second_part`` where true."""
-    out = np.empty(len(second), dtype=first_part.dtype)
-    out[~second] = first_part
-    out[second] = second_part
-    return out
 
 
 def _logical_columns(entry: dict) -> dict:
@@ -831,8 +894,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         {name: _logical_log(entry) for name, entry in body["logical"].items()}
     )
 
-    # Transform groups: each ledger adopts its scopes' columns once they
-    # agree with its own.
+    # Transform groups: each ledger adopts its columns once they fit.
     live_groups = list(db.groups.values())
     if len(live_groups) != len(body["groups"]):
         raise PersistenceError(
@@ -880,16 +942,11 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
             if shares is not None:
                 state["threshold_shares"] = _decode_shared_array(shares)
             vr.policy.restore_state(state)
-        vr.metrics = _decode_metric_log(entry["metrics"])
+        vr.metrics = _metric_log(entry["metrics"])
 
     # Privacy ledger and database-level query log.
-    db.accountant.restore_state(
-        [
-            (name, eps, _decode_segment(segment))
-            for name, eps, segment in body["accountant"]
-        ]
-    )
-    db.metrics = _decode_metric_log(body["metrics"])
+    db.accountant.restore_state(_accountant_events(body["accountant"]))
+    db.metrics = _metric_log(body["metrics"])
     # Tenant ε caps.  The per-tenant *spends* were just restored with the
     # accountant events above — deriving ledgers from events is what
     # makes a restore incapable of double-spending a tenant's budget.
@@ -938,79 +995,74 @@ def _check_tiling(lengths: np.ndarray, *columns: np.ndarray) -> None:
 
 
 def _check_counts(*columns) -> None:
-    """Per-batch columns of one log must have one entry per batch each."""
+    """Columns that describe the same items must have one entry per item."""
     counts = {len(c) for c in columns}
     if len(counts) != 1:
-        raise PersistenceError(f"per-batch columns of lengths {sorted(counts)}")
+        raise PersistenceError(f"aligned columns of lengths {sorted(counts)}")
 
 
 def _restore_log(store: OutsourcedTable, log: dict) -> None:
     lengths = log["lengths"]
-    _check_counts(log["times"], lengths, log["invocations_used"])
+    _check_counts(log["times"], lengths)
     halves = [log[part][half] for part in ("rows", "flags") for half in ("s0", "s1")]
-    _check_tiling(lengths, log["emitted"], *halves)
-    if log["invocations_used"].any() or log["emitted"].any():
-        raise PersistenceError(
-            f"the upload log of table {store.name!r} carries a budget of its "
-            "own; budgets are kept per transform group"
-        )
+    _check_tiling(lengths, *halves)
     store.restore_state(log["times"], lengths, tuple(halves[:2]), tuple(halves[2:]))
 
 
 def _restore_ledger(group: TransformGroup, entry: dict, index: int) -> None:
-    """Restore one group's ledger from its scopes, refusing any column the
-    scopes and the ledger hold twice that does not agree."""
-    ledger, columns = group.ledger, entry["ledger"]
+    """Adopt one group's budget columns, refusing any that do not fit its
+    logs or describe a budget no stream can reach."""
+    ledger = group.ledger
     where = f"transform group {index} ({group.probe_log.name} x {group.driver_log.name})"
-    if (columns["omega"], columns["budget"]) != (ledger.omega, ledger.budget):
+    if (entry["omega"], entry["budget"]) != (ledger.omega, ledger.budget):
         raise PersistenceError(
-            f"{where}: snapshot ledger has omega={columns['omega']}, "
-            f"budget={columns['budget']}; the group was wired with "
+            f"{where}: snapshot ledger has omega={entry['omega']}, "
+            f"budget={entry['budget']}; the group was wired with "
             f"omega={ledger.omega}, budget={ledger.budget}"
         )
-    tables, n_rows, counts = (
-        columns["tables"], columns["n_rows"], columns["invocation_counts"]
-    )
-    _check_counts(tables, columns["times"], n_rows, counts)
-    _check_tiling(n_rows, columns["emitted"])
-    _check_tiling(counts, columns["invocations"])
-    logs = (group.probe_log, group.driver_log)
-    if not set(tables) <= {log.name for log in logs}:
-        raise PersistenceError(f"{where}: its ledger names a table outside it")
-    second = np.array([name == logs[1].name for name in tables], dtype=bool)
-    row_second, use_second = np.repeat(second, n_rows), np.repeat(second, counts)
     restored = {}
-    for role, (log, key) in enumerate(zip(logs, ("probe_scope", "driver_scope"))):
-        scope, mine = entry[key], second == role
-        uses, emitted = scope["invocations_used"], scope["emitted"]
-        _check_counts(scope["batches"], uses)
-        problem = None
-        if not np.array_equal(scope["batches"], np.arange(log.n_batches)):
-            problem = "its scope does not hold every batch of the log, in order"
-        elif not (
-            np.array_equal(columns["times"][mine], log.times)
-            and np.array_equal(n_rows[mine], np.diff(log.starts))
-        ):
-            problem = "its ledger does not list the batches of the log"
-        elif not (
-            np.array_equal(counts[mine], uses)
-            and np.array_equal(columns["emitted"][row_second == role], emitted)
-        ):
-            problem = "its ledger and its scope disagree"
-        elif (uses < 0).any() or (uses > ledger.max_uses).any():
-            problem = f"a batch has uses outside 0..b // omega = {ledger.max_uses}"
-        elif (emitted < 0).any() or (emitted > ledger.budget).any():
-            problem = f"a record has emissions outside 0..b = {ledger.budget}"
-        elif role == 0 and (np.diff((uses >= ledger.max_uses).astype(np.int8)) > 0).any():
-            problem = "its exhausted batches are not a prefix of the log"
+    for role, log in (("probe", group.probe_log), ("driver", group.driver_log)):
+        side = entry[role]
+        problem = _ledger_problem(ledger, log, side, probe=role == "probe")
         if problem is not None:
             raise PersistenceError(f"{where}, table {log.name!r}: {problem}")
-        invocations = np.zeros((log.n_batches, ledger.max_uses), dtype=np.int64)
-        invocations[np.arange(ledger.max_uses) < uses[:, None]] = columns[
-            "invocations"
-        ][use_second == role]
-        restored[log.name] = {"uses": uses, "emitted": emitted, "invocations": invocations}
-    ledger.restore_state(restored, tables)
+        restored[log.name] = {key: side[key] for key in ("uses", "emitted", "invocations")}
+    ledger.restore_state(restored)
+
+
+def _ledger_problem(
+    ledger: ContributionLedger, log: OutsourcedTable, side: dict, probe: bool
+) -> str | None:
+    """What is wrong with one table's budget columns, if anything."""
+    uses, emitted, invocations = side["uses"], side["emitted"], side["invocations"]
+    if not (
+        all(
+            isinstance(c, np.ndarray) and c.dtype == np.int64
+            for c in (uses, emitted, invocations)
+        )
+        and uses.shape == (log.n_batches,)
+        and emitted.shape == (log.total_rows,)
+        and invocations.shape == (log.n_batches, ledger.max_uses)
+    ):
+        return (
+            f"its columns do not fit a log of {log.n_batches} batches and "
+            f"{log.total_rows} rows"
+        )
+    if (uses < 0).any() or (uses > ledger.max_uses).any():
+        return f"a batch has uses outside 0..b // omega = {ledger.max_uses}"
+    if (emitted < 0).any() or (emitted > ledger.budget).any():
+        return f"a record has emissions outside 0..b = {ledger.budget}"
+    # Every Transform run charges a suffix of the probe log.
+    if probe and (np.diff((uses >= ledger.max_uses).astype(np.int8)) > 0).any():
+        return "its exhausted batches are not a prefix of the log"
+    spent = np.arange(ledger.max_uses) < uses[:, None]
+    if invocations[~spent].any():
+        return "a batch has an invocation time past its uses"
+    if (invocations < log.times[:, None])[spent].any():
+        return "a batch was charged before it was uploaded"
+    if (np.diff(invocations, axis=1) < 0)[spent[:, 1:]].any():
+        return "a batch's invocation times are out of order"
+    return None
 
 
 def _logical_log(entry: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Offline converter for snapshots of format versions 1–5.
+"""Offline converter for snapshots of format versions 1–6.
 
 :func:`repro.server.persistence.restore_database` reads only the current
 format.  This module is the one place that still knows the older ones,
@@ -19,12 +19,18 @@ and what each lacked:
   reader, with the per-batch body of every version before 6: each
   uploaded batch a ``shared_tables`` pool entry of its own, referred to
   by index from its table's log and from every transform-group scope;
-  version 4 also held view shards row-major.
+  version 4 also held view shards row-major;
+* every version up to 6 wrote the accountant's events and the metric
+  logs as JSON — an event's segment as nested ``{"tuple": …}`` /
+  ``{"value": …}`` objects — and each transform group's budget twice: a
+  scope per table and a ledger over both in upload order, beside a
+  physical upload log's own zero ``invocations_used``/``emitted``;
+* version 6 wrote the upload logs, scopes and ledgers as columns.
 
 :func:`upgrade_snapshot` verifies the old digest, fills those gaps,
-resolves the pool indices into share tables, lays every per-batch log
-out as the columns of version 6 (:func:`_columnar_body`) and writes it
-exactly as :func:`~repro.server.persistence.snapshot_database` would::
+resolves the pool indices into share tables, takes each group's budget
+from its scopes and ledger once, and writes the result exactly as
+:func:`~repro.server.persistence.snapshot_database` would::
 
     python -m repro upgrade-snapshot OLD NEW
 """
@@ -40,6 +46,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..common.errors import PersistenceError
+from ..common.metrics import MetricLog, QueryObservation
 from ..common.rng import spawn
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
@@ -52,6 +59,7 @@ from .persistence import (
     _concat,
     _decode_table_pool,
     _int64s,
+    _logical_log,
     _read_snapshot,
     _write_snapshot,
 )
@@ -59,7 +67,7 @@ from .persistence import (
 #: The JSON-document format versions this module converts.
 LEGACY_VERSIONS = (1, 2, 3)
 #: The container versions this module converts.
-CONTAINER_VERSIONS = (4, 5)
+CONTAINER_VERSIONS = (4, 5, 6)
 
 _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
 
@@ -67,14 +75,15 @@ _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
 def upgrade_snapshot(
     old: str | os.PathLike, new: str | os.PathLike
 ) -> SnapshotInfo:
-    """Convert the version 1–5 snapshot at ``old`` into one at ``new``.
+    """Convert the version 1–6 snapshot at ``old`` into one at ``new``.
 
     The state is carried over exactly — shares, RNG streams, the ε ledger
     and the caller's metadata — and so is ``created_at``: the new file
     records when the state was captured, not when it was converted.
     """
     old = os.fspath(old)
-    if _is_container(old):
+    version = _container_version(old)
+    if version is not None:
         body, info = _read_snapshot(old, CONTAINER_VERSIONS)
         created_at = info.created_at
     else:
@@ -82,17 +91,22 @@ def upgrade_snapshot(
         body = _current_layout(_inflate_arrays(document["body"]))
         created_at = float(document.get("created_at", 0.0))
     try:
-        columns = _columnar_body(_resolve_pool(body))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if version == 6:
+            tables, groups = _columnar_parts(body)
+        else:
+            tables, groups = _per_batch_parts(_resolve_pool(body))
+        columns = _columnar_layout(_legacy_logs(body), tables, groups)
+    except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:
         raise PersistenceError(
-            f"snapshot {old!r} does not have the per-batch layout of "
-            f"versions 1-5: {exc!r}"
+            f"snapshot {old!r} does not have the layout of format version "
+            f"{version or '1-3'}: {exc!r}"
         ) from exc
     return _write_snapshot(new, columns, created_at)
 
 
-def _is_container(path: str) -> bool:
-    """Whether ``path`` starts as a container does, not as a JSON document.
+def _container_version(path: str) -> int | None:
+    """The format version of the container at ``path``, or ``None`` if it
+    starts as a JSON document does.
 
     A container of the current version is refused here.
     """
@@ -102,12 +116,13 @@ def _is_container(path: str) -> bool:
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
     if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
-        return False
-    if _PREAMBLE.unpack(preamble)[1] == SNAPSHOT_VERSION:
+        return None
+    version = _PREAMBLE.unpack(preamble)[1]
+    if version == SNAPSHOT_VERSION:
         raise PersistenceError(
             f"snapshot {path!r} is already in the current format"
         )
-    return True
+    return version
 
 
 def _load_legacy(path: str) -> dict:
@@ -218,35 +233,148 @@ def _column_major(table: SharedTable) -> SharedTable:
     )
 
 
-def _columnar_body(body: dict) -> dict:
-    """The body of the current version for a per-batch body: each batch
-    log, scope and ledger laid out as the columns the writer hands out."""
+def _legacy_logs(body: dict) -> dict:
+    """``body`` with its JSON accountant and metric logs as the objects
+    :func:`~repro.server.persistence._state_body` hands out."""
+    body["accountant"] = [
+        (name, epsilon, _legacy_segment(segment))
+        for name, epsilon, segment in body["accountant"]
+    ]
+    body["metrics"] = _legacy_metric_log(body["metrics"])
+    for entry in body["views"]:
+        entry["metrics"] = _legacy_metric_log(entry["metrics"])
+    return body
+
+
+def _legacy_segment(entry):
+    if not isinstance(entry, dict):
+        raise PersistenceError(f"malformed segment entry: {entry!r}")
+    if "tuple" in entry:
+        return tuple(_legacy_segment(s) for s in entry["tuple"])
+    return entry["value"]
+
+
+def _legacy_metric_log(entry: dict) -> MetricLog:
+    log = MetricLog()
+    log.queries = [
+        QueryObservation(int(t), float(la), float(va), float(qet))
+        for t, la, va, qet in entry["queries"]
+    ]
+    log.transform_seconds = [float(x) for x in entry["transform_seconds"]]
+    log.shrink_seconds = [float(x) for x in entry["shrink_seconds"]]
+    log.view_size_rows = [int(x) for x in entry["view_size_rows"]]
+    log.view_size_bytes = [int(x) for x in entry["view_size_bytes"]]
+    log.cache_size_rows = [int(x) for x in entry["cache_size_rows"]]
+    log.deferred_counts = [int(x) for x in entry["deferred_counts"]]
+    return log
+
+
+def _unbudgeted(name: str, invocations_used: np.ndarray, emitted: np.ndarray) -> None:
+    """Budgets were kept per transform group: a physical log's own are
+    zeros, and a log that says otherwise is not one this converts."""
+    if invocations_used.any() or emitted.any():
+        raise PersistenceError(
+            f"the upload log of table {name!r} carries a budget of its own; "
+            "budgets are kept per transform group"
+        )
+
+
+def _budget_columns(group: dict, sides: list[tuple]) -> dict:
+    """A group's budget as the writer lays it out, from the per-batch uses,
+    per-row emissions and per-batch invocation times of each of its
+    tables, probe first."""
+    ledger = group["ledger"]
+    omega, budget = ledger["omega"], ledger["budget"]
+    entry = {"signature": group["signature"], "omega": omega, "budget": budget}
+    for role, (uses, emitted, times) in zip(("probe", "driver"), sides):
+        if [len(t) for t in times] != uses.tolist():
+            raise PersistenceError(
+                f"transform group {group['signature'][:2]!r}: its ledger and "
+                "its scope disagree"
+            )
+        invocations = np.zeros((len(uses), budget // omega), dtype=np.int64)
+        for k, t in enumerate(times):
+            invocations[k, : len(t)] = t
+        entry[role] = {"uses": uses, "emitted": emitted, "invocations": invocations}
+    return entry
+
+
+def _scopes(group: dict) -> list[tuple[str, str]]:
+    """A group's two scope keys and tables: a transform signature starts
+    with the probe and driver tables its scopes draw their batches from."""
+    return list(zip(("probe_scope", "driver_scope"), group["signature"]))
+
+
+def _check_log_order(name: str, positions: list, n_batches: int) -> None:
+    """A scope must hold every batch of its table's log, in order: its
+    budget columns are then the ledger's, aligned to the log."""
+    if positions != list(range(n_batches)):
+        raise PersistenceError(
+            f"a scope over table {name!r} does not hold every batch of its "
+            "log, in order"
+        )
+
+
+def _columnar_parts(body: dict) -> tuple[dict, list[dict]]:
+    """The upload logs and group budgets of a version 6 body, which held
+    them as columns; its pool indices, logical mirror and metadata text
+    become what :func:`~repro.server.persistence._state_body` hands out."""
+    pool = _decode_table_pool(body.pop("shared_tables"))
+    for entry in body["views"]:
+        entry["cache"] = pool[entry["cache"]]
+        entry["view"]["shards"] = [pool[i] for i in entry["view"]["shards"]]
+    body["logical"] = {
+        name: _logical_log(entry) for name, entry in body["logical"].items()
+    }
+    body["metadata"] = json.loads(body["metadata"])
+    tables = {}
+    for name, entry in body["tables"].items():
+        log = dict(entry["log"])
+        _unbudgeted(name, log.pop("invocations_used"), log.pop("emitted"))
+        tables[name] = {"schema": entry["schema"], "log": log}
+    groups = []
+    for group in body["groups"]:
+        ledger = group["ledger"]
+        counts = ledger["invocation_counts"]
+        runs = np.split(ledger["invocations"], np.cumsum(counts)[:-1])
+        sides = []
+        for key, name in _scopes(group):
+            scope = group[key]
+            _check_log_order(name, scope["batches"].tolist(), len(tables[name]["log"]["times"]))
+            times = [run for run, table in zip(runs, ledger["tables"]) if table == name]
+            sides.append((scope["invocations_used"], scope["emitted"], times))
+        groups.append(_budget_columns(group, sides))
+    return tables, groups
+
+
+def _per_batch_parts(body: dict) -> tuple[dict, list[dict]]:
+    """The upload logs and group budgets of a version 1–5 body, whose
+    logs, scopes and ledgers listed one entry per batch."""
     tables, positions = {}, {}
     for name, entry in body["tables"].items():
         batches = entry["batches"]
         positions[name] = {id(b["table"]): i for i, b in enumerate(batches)}
         tables[name] = {
             "schema": entry["schema"],
-            "log": _log_columns(batches, len(entry["schema"])),
+            "log": _log_columns(name, batches, len(entry["schema"])),
         }
     groups = []
     for group in body["groups"]:
-        # A transform signature starts with the probe and driver tables,
-        # the tables the group's two scopes draw their batches from.
-        probe_table, driver_table = group["signature"][:2]
-        groups.append(
-            {
-                "signature": group["signature"],
-                "probe_scope": _scope_columns(
-                    group["probe_scope"], positions[probe_table]
-                ),
-                "driver_scope": _scope_columns(
-                    group["driver_scope"], positions[driver_table]
-                ),
-                "ledger": _ledger_columns(group["ledger"]),
-            }
-        )
-    return _columnar_layout(body, tables, groups)
+        sides = []
+        for key, name in _scopes(group):
+            batches = group[key]
+            at = [positions[name].get(id(b["table"])) for b in batches]
+            _check_log_order(name, at, len(positions[name]))
+            times = [g["invocations"] for g in group["ledger"]["groups"] if g["table"] == name]
+            sides.append(
+                (
+                    _int64s(b["invocations_used"] for b in batches),
+                    _concat([b["emitted"] for b in batches], (0,), np.int64),
+                    times,
+                )
+            )
+        groups.append(_budget_columns(group, sides))
+    return tables, groups
 
 
 def _share_columns(arrays: list[SharedArray], empty_shape: tuple) -> dict:
@@ -256,41 +384,16 @@ def _share_columns(arrays: list[SharedArray], empty_shape: tuple) -> dict:
     }
 
 
-def _log_columns(batches: list[dict], width: int) -> dict:
+def _log_columns(name: str, batches: list[dict], width: int) -> dict:
     tables = [b["table"] for b in batches]
+    _unbudgeted(
+        name,
+        _int64s(b["invocations_used"] for b in batches),
+        _concat([b["emitted"] for b in batches], (0,), np.int64),
+    )
     return {
         "times": _int64s(b["time"] for b in batches),
         "lengths": _int64s(len(t) for t in tables),
-        "invocations_used": _int64s(b["invocations_used"] for b in batches),
-        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
         "rows": _share_columns([t.rows for t in tables], (0, width)),
         "flags": _share_columns([t.flags for t in tables], (0,)),
-    }
-
-
-def _scope_columns(batches: list[dict], positions: dict[int, int]) -> dict:
-    try:
-        at = [positions[id(b["table"])] for b in batches]
-    except KeyError:
-        raise PersistenceError(
-            "a transform-group scope holds a batch its table's log does not"
-        ) from None
-    return {
-        "batches": np.array(at, dtype=np.int64),
-        "invocations_used": _int64s(b["invocations_used"] for b in batches),
-        "emitted": _concat([b["emitted"] for b in batches], (0,), np.int64),
-    }
-
-
-def _ledger_columns(state: dict) -> dict:
-    groups = state["groups"]
-    return {
-        "omega": state["omega"],
-        "budget": state["budget"],
-        "tables": [g["table"] for g in groups],
-        "times": _int64s(g["time"] for g in groups),
-        "n_rows": _int64s(g["n_rows"] for g in groups),
-        "emitted": _concat([g["emitted"] for g in groups], (0,), np.int64),
-        "invocations": _int64s(t for g in groups for t in g["invocations"]),
-        "invocation_counts": _int64s(len(g["invocations"]) for g in groups),
     }

@@ -281,7 +281,6 @@ def test_restore_rebuilds_the_worst_batch_the_live_ledger_keeps(omega, extra, st
             log.name: {k: v.copy() for k, v in pair.ledger.snapshot_state(log.name).items()}
             for log in pair.logs
         },
-        pair.ledger.upload_order,
     )
     assert restored.worst_contributions(EPS_R) == pair.ledger.worst_contributions(EPS_R)
     assert restored.window("p") == pair.ledger.window("p")
@@ -293,7 +292,6 @@ def restored_copy(ledger: ContributionLedger, logs) -> ContributionLedger:
     restored = ContributionLedger(ledger.omega, ledger.budget, logs)
     restored.restore_state(
         {log.name: {k: v.copy() for k, v in ledger.snapshot_state(log.name).items()} for log in logs},
-        ledger.upload_order,
     )
     return restored
 
@@ -324,7 +322,7 @@ def test_a_window_over_the_lifetime_budget_is_refused():
     columns = {log.name: pair.ledger.snapshot_state(log.name) for log in pair.logs}
     columns["p"]["emitted"][2] = 4  # the t=2 batch's one record
     pair.oracle.groups[("p", 2)]["emitted"][0] = 4
-    pair.ledger.restore_state(columns, pair.ledger.upload_order)
+    pair.ledger.restore_state(columns)
     counts = np.asarray([1, 2, 2])
     want = outcome(lambda: pair.oracle.settle("p", [1, 2], 3, counts))
     assert want == (ContributionBudgetError, "a record exceeded its lifetime budget b=5")

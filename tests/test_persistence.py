@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -344,7 +345,10 @@ def test_restored_groups_read_the_physical_logs(tmp_path):
             )
         assert group.transform.probe_store is group.probe_log
     for live, rest in zip(db.groups.values(), restored.groups.values()):
-        assert rest.ledger.upload_order == live.ledger.upload_order
+        for name in ("orders", "shipments"):
+            want = live.ledger.snapshot_state(name)
+            for key, column in rest.ledger.snapshot_state(name).items():
+                assert np.array_equal(column, want[key])
 
 
 def test_metadata_roundtrip(tmp_path):
@@ -381,6 +385,32 @@ def test_metadata_is_plain_json(tmp_path, metadata, plain):
         with pytest.raises(PersistenceError, match="plain JSON"):
             snapshot_database(db, path, metadata=metadata)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        ("audit",),
+        ("audit", 1.5),
+        ("audit", True),
+        ("audit", np.int64(3)),
+        ("query", 1, "tenant", 7),
+        ("query", 1, "owner", "ana"),
+        ("query", 1 << 63),
+        ["audit", 1],
+        "audit",
+    ],
+    ids=repr,
+)
+def test_accountant_segments_of_other_shapes_are_refused(tmp_path, segment):
+    """Only the two segment shapes the database writes are columns; any
+    other event is refused before any file is created."""
+    db = build_database()
+    feed(db, 1)
+    db.accountant.spend("custom", 0.25, segment)
+    with pytest.raises(PersistenceError, match="cannot persist accountant"):
+        snapshot_database(db, tmp_path / "odd.snap")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- the container, read by its documented layout and not through the module ---
@@ -481,11 +511,41 @@ def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
     Path(path).write_text(json.dumps(document), encoding="utf8")
 
 
+def legacy_segment(segment):
+    """An accountant segment as versions 1–6 wrote it."""
+    if isinstance(segment, tuple):
+        return {"tuple": [legacy_segment(s) for s in segment]}
+    return {"value": segment}
+
+
+def legacy_metric_log(log) -> dict:
+    """A metric log as versions 1–6 wrote it."""
+    return {
+        "queries": [
+            [q.time, q.logical_answer, q.view_answer, q.qet_seconds] for q in log.queries
+        ],
+        **{
+            field: list(getattr(log, field))
+            for field in (
+                "transform_seconds", "shrink_seconds", "view_size_rows",
+                "view_size_bytes", "cache_size_rows", "deferred_counts",
+            )
+        },
+    }
+
+
 def per_batch_body(db: IncShrinkDatabase) -> dict:
     """``db``'s state as the body of format versions 1–5 before their pool
     indices: one entry per uploaded batch in every table log, every group
-    scope (the same share object as the log's) and every ledger."""
+    scope (the same share object as the log's) and every ledger, and the
+    accountant and metric logs as JSON."""
     body = persistence._state_body(db, {})
+    body["accountant"] = [
+        [name, eps, legacy_segment(segment)] for name, eps, segment in body["accountant"]
+    ]
+    body["metrics"] = legacy_metric_log(body["metrics"])
+    for entry in body["views"]:
+        entry["metrics"] = legacy_metric_log(entry["metrics"])
     batches = {
         name: [store.batch(k) for k in range(store.n_batches)]
         for name, store in db.tables.items()
@@ -526,21 +586,22 @@ def per_batch_body(db: IncShrinkDatabase) -> dict:
                 {k: b[k] for k in ("time", "table", "invocations_used", "emitted")}
                 for b in per_table[log.name]
             ]
-        position = dict.fromkeys(per_table, 0)
-        ledger_groups = []
-        for name in group.ledger.upload_order:
-            if name in per_table:
-                b = per_table[name][position[name]]
-                position[name] += 1
-                ledger_groups.append(
-                    {
-                        "table": name,
-                        "time": b["time"],
-                        "n_rows": len(b["emitted"]),
-                        "emitted": b["emitted"],
-                        "invocations": b["invocations"],
-                    }
-                )
+        # The ledger listed the batches in upload order: each step's
+        # batches in the order the step lists their tables.
+        ledger_groups = sorted(
+            (
+                {
+                    "table": name,
+                    "time": b["time"],
+                    "n_rows": len(b["emitted"]),
+                    "emitted": b["emitted"],
+                    "invocations": b["invocations"],
+                }
+                for name in db.tables
+                for b in per_table[name]
+            ),
+            key=lambda g: g["time"],
+        )
         entry["ledger"] = {
             "omega": group.ledger.omega,
             "budget": group.ledger.budget,
@@ -616,10 +677,13 @@ class TestIntegrity:
         """A refund with a recomputed head but the stale trailer."""
         path = self._snapshot(tmp_path)
         head, arrays, trailer = read_container(path)
-        assert head["body"]["accountant"], "the scenario needs spent budget"
+        spent = head["body"]["accountant"]["epsilon"]
+        assert spent["shape"] != [0], "the scenario needs spent budget"
         # An attacker refunding spent budget must be caught by the digest.
-        head["body"]["accountant"] = []
-        write_container(path, head, arrays, trailer=trailer)
+        refunded = bytearray(arrays)
+        at = spent["offset"]
+        refunded[at : at + 8 * spent["shape"][0]] = bytes(8 * spent["shape"][0])
+        write_container(path, head, bytes(refunded), trailer=trailer)
         with pytest.raises(PersistenceError, match="integrity check"):
             restore_database(path)
 
@@ -1010,13 +1074,16 @@ def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
     assert not (tmp_path / "out.snap").exists()
 
 
-# -- container versions 4 and 5, column-major view shards, columnar logs -------
+# -- container versions 4 to 7, column-major view shards, columnar logs --------
 GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
 GOLDEN_V5 = Path(__file__).parent / "golden" / "snapshot_v5.snap"
 #: ``golden_v4_state()`` as written by the last writer that kept a list
 #: of batch objects per upload log and per group scope.
 GOLDEN_V6 = Path(__file__).parent / "golden" / "snapshot_v6.snap"
-#: What both goldens carry as the caller's metadata.
+#: ``golden_v4_state()`` with the v6 golden's ``created_at``, as written
+#: by the first writer of format 7.
+GOLDEN_V7 = Path(__file__).parent / "golden" / "snapshot_v7.snap"
+#: What every container golden carries as the caller's metadata.
 GOLDEN_METADATA = {"last_time": 3, "note": "golden v4"}
 
 
@@ -1064,15 +1131,22 @@ def query_gates(db: IncShrinkDatabase) -> list[int]:
 GOLDEN_CONTAINERS = [
     pytest.param(4, GOLDEN_V4, id="v4"),
     pytest.param(5, GOLDEN_V5, id="v5"),
+    pytest.param(6, GOLDEN_V6, id="v6"),
 ]
 
 
+def created_at_of(path) -> float:
+    raw = Path(path).read_bytes()
+    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+    return json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
+
+
 @pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
-def test_version_4_and_5_snapshots_upgrade_and_continue(tmp_path, version, golden):
+def test_older_containers_upgrade_and_continue(tmp_path, version, golden):
     """Through ``upgrade-snapshot``: identical answers, gates and ε, and
     the stream continues identically."""
     raw = golden.read_bytes()
-    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 6
+    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 7
     live = golden_v4_state()
     live.accumulator_cache.invalidate()  # a restored database starts cold
     upgrade_snapshot(golden, tmp_path / "up.snap")
@@ -1098,7 +1172,7 @@ def test_version_4_and_5_snapshots_upgrade_and_continue(tmp_path, version, golde
 
 
 @pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
-def test_version_4_and_5_are_refused_naming_the_upgrade_command(
+def test_older_containers_are_refused_naming_the_upgrade_command(
     version, golden, never_rebuilt
 ):
     with pytest.raises(
@@ -1111,11 +1185,9 @@ def test_version_4_and_5_are_refused_naming_the_upgrade_command(
 def test_upgraded_golden_is_byte_identical_to_the_writer(
     tmp_path, monkeypatch, version, golden
 ):
-    """One function lays batch logs out as columns: upgrading either
-    golden writes exactly the bytes the writer writes for its state."""
-    raw = golden.read_bytes()
-    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-    created_at = json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
+    """One function lays the state out: upgrading any older golden writes
+    exactly the bytes the writer writes for its state."""
+    created_at = created_at_of(golden)
     monkeypatch.setattr(persistence._time, "time", lambda: created_at)
     written = snapshot_database(
         golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA
@@ -1127,16 +1199,20 @@ def test_upgraded_golden_is_byte_identical_to_the_writer(
     )
 
 
-def test_the_writer_reproduces_the_v6_golden_byte_for_byte(tmp_path, monkeypatch):
-    """Columns handed out live write the bytes the per-batch writer wrote,
-    and the golden restores into a state that writes them again."""
-    raw = GOLDEN_V6.read_bytes()
-    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-    created_at = json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
+def test_the_upgraded_v6_golden_is_the_v7_golden(tmp_path):
+    upgrade_snapshot(GOLDEN_V6, tmp_path / "up.snap")
+    assert (tmp_path / "up.snap").read_bytes() == GOLDEN_V7.read_bytes()
+
+
+def test_the_writer_reproduces_the_v7_golden_byte_for_byte(tmp_path, monkeypatch):
+    """The writer writes the golden's bytes for its state, and the golden
+    restores into a state that writes them again."""
+    raw = GOLDEN_V7.read_bytes()
+    created_at = created_at_of(GOLDEN_V7)
     monkeypatch.setattr(persistence._time, "time", lambda: created_at)
     snapshot_database(golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA)
     assert (tmp_path / "live.snap").read_bytes() == raw
-    restored = restore_database(GOLDEN_V6)
+    restored = restore_database(GOLDEN_V7)
     assert restored.metadata == GOLDEN_METADATA
     snapshot_database(restored.database, tmp_path / "again.snap", metadata=GOLDEN_METADATA)
     assert (tmp_path / "again.snap").read_bytes() == raw
@@ -1159,6 +1235,52 @@ def test_array_count_does_not_grow_with_the_stream(tmp_path):
     )
 
 
+#: Bytes a head may gain between two snapshots of one deployment: each
+#: array entry's offset and shape, and a few counters and stream states,
+#: take more digits as the stream grows, and nothing else may.
+HEAD_GROWTH_BOUND = 256
+_NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def test_snapshot_head_does_not_grow_with_the_stream(tmp_path):
+    """The canonical tpcds deployment, four queries per step and one of
+    them a tenant's ε-release: every log that grows with steps, releases
+    and served queries is a column, so 80 more steps add array bytes and
+    not one head entry."""
+    from repro.experiments.harness import (
+        MultiViewRunConfig,
+        build_multiview_deployment,
+    )
+
+    deployment = build_multiview_deployment(
+        MultiViewRunConfig(dataset="tpcds", n_steps=120, seed=3)
+    )
+    db = deployment.database
+    db.set_tenant_budgets({"analyst": 1.0e6})
+    release = deployment.step_queries[3]
+    events = []
+    for step in deployment.workload.steps:
+        db.upload(step.time, deployment.upload_items(step))
+        db.step(step.time)
+        for query in deployment.step_queries:
+            if query is release:
+                db.query(query, step.time, epsilon=0.01, tenant="analyst")
+            else:
+                db.query(query, step.time)
+        if step.time in (40, 120):
+            snapshot_database(db, tmp_path / f"{step.time}.snap")
+            events.append(len(db.accountant.events))
+    assert events[1] - events[0] > 2 * 80, "each step spends a release's ε"
+    early, late = (tmp_path / "40.snap", tmp_path / "120.snap")
+    assert len(array_entries(early)) == len(array_entries(late))
+    heads = []
+    for path in (early, late):
+        raw = path.read_bytes()
+        heads.append(raw[_PREAMBLE.size : _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]])
+    assert 0 <= len(heads[1]) - len(heads[0]) <= HEAD_GROWTH_BOUND
+    assert _NUMBER.sub(b"0", heads[0]) == _NUMBER.sub(b"0", heads[1])
+
+
 def _nudge(column: np.ndarray, by: int) -> np.ndarray:
     nudged = column.copy()
     nudged[0] += by
@@ -1176,25 +1298,18 @@ def _nudge(column: np.ndarray, by: int) -> np.ndarray:
             id="log-lengths",
         ),
         pytest.param(
-            lambda b: b["groups"][0]["probe_scope"].update(
-                batches=_nudge(b["groups"][0]["probe_scope"]["batches"], 99)
+            lambda b: b["groups"][0]["probe"].update(
+                uses=b["groups"][0]["probe"]["uses"][1:]
             ),
-            "every batch of the log",
-            id="scope-past-the-log",
-        ),
-        pytest.param(
-            lambda b: b["groups"][0]["driver_scope"].update(
-                batches=_nudge(b["groups"][0]["driver_scope"]["batches"], -1)
-            ),
-            "every batch of the log",
-            id="scope-negative",
-        ),
-        pytest.param(
-            lambda b: b["groups"][0]["ledger"].update(
-                times=b["groups"][0]["ledger"]["times"][1:]
-            ),
-            "per-batch columns",
+            r"table 'orders': its columns do not fit a log of 2 batches",
             id="ledger-short-column",
+        ),
+        pytest.param(
+            lambda b: b["groups"][1]["driver"].update(
+                emitted=b["groups"][1]["driver"]["emitted"].astype(np.int32)
+            ),
+            r"group 1 .*table 'shipments': its columns do not fit",
+            id="ledger-dtype",
         ),
         pytest.param(
             lambda b: b["logical"]["shipments"].update(
@@ -1202,6 +1317,35 @@ def _nudge(column: np.ndarray, by: int) -> np.ndarray:
             ),
             "do not tile",
             id="logical-lengths",
+        ),
+        pytest.param(
+            lambda b: b["accountant"].update(epsilon=b["accountant"]["epsilon"][1:]),
+            "aligned columns of lengths",
+            id="accountant-short-column",
+        ),
+        pytest.param(
+            lambda b: b["accountant"].update(
+                label=_nudge(b["accountant"]["label"], len(b["accountant"]["strings"]))
+            ),
+            "indexes past its string table",
+            id="accountant-string-index",
+        ),
+        pytest.param(
+            lambda b: b["accountant"].update(strings=[1, 2]),
+            "string table is not a list of strings",
+            id="accountant-strings",
+        ),
+        pytest.param(
+            lambda b: b["metrics"].update(query_time=b["metrics"]["query_time"][1:]),
+            "aligned columns of lengths",
+            id="metrics-short-query-column",
+        ),
+        pytest.param(
+            lambda b: b["views"][0]["metrics"].update(
+                view_size_rows=b["views"][0]["metrics"]["view_size_rows"].astype(float)
+            ),
+            "'view_size_rows' is not a one-dimensional int64 array",
+            id="metrics-dtype",
         ),
     ],
 )
@@ -1211,6 +1355,8 @@ def test_columns_that_do_not_fit_are_refused(tmp_path, edit, message):
     db = build_database()
     for t in (1, 2):
         feed(db, t)
+    db.query(multi_query(), 2)
+    db.query(multi_query(), 2, epsilon=0.5)
     body = persistence._snapshot_body(db, {})
     edit(body)
     persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
@@ -1222,86 +1368,87 @@ def _set(column: np.ndarray, values) -> None:
     column[: len(values)] = values
 
 
+def column_in(head: dict, section: bytearray, *keys) -> np.ndarray:
+    """The array the head entry at ``keys`` names: a writable face of its
+    bytes in ``section``."""
+    entry = head["body"]
+    for key in keys:
+        entry = entry[key]
+    return np.frombuffer(
+        section,
+        dtype=entry["dtype"],
+        count=math.prod(entry["shape"]),
+        offset=entry["offset"],
+    ).reshape(entry["shape"])
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(  # the ledger still holds three uses for the batch
-            lambda col, body: _set(col("groups", 0, "probe_scope", "invocations_used"), [0]),
-            r"group 0 \(orders x shipments\), table 'orders': its ledger and its scope disagree",
-            id="scope-uses",
-        ),
-        pytest.param(
-            lambda col, body: _set(col("groups", 1, "driver_scope", "emitted"), [5]),
-            r"group 1 .*table 'shipments': its ledger and its scope disagree",
-            id="scope-emitted",
-        ),
-        pytest.param(
-            lambda col, body: _set(col("groups", 0, "driver_scope", "batches"), [1, 0]),
-            "table 'shipments': its scope does not hold every batch of the log",
-            id="scope-order",
-        ),
-        pytest.param(
-            lambda col, body: _set(col("groups", 0, "ledger", "times"), [9]),
-            "table 'orders': its ledger does not list the batches of the log",
-            id="ledger-times",
-        ),
-        pytest.param(
-            lambda col, body: body["groups"][0]["ledger"]["tables"].__setitem__(0, "x"),
-            r"group 0 \(orders x shipments\): its ledger names a table outside it",
-            id="ledger-tables",
-        ),
-        pytest.param(
-            lambda col, body: _set(col("tables", "orders", "log", "invocations_used"), [1]),
-            "log of table 'orders' carries a budget of its own",
-            id="log-uses",
-        ),
-        pytest.param(
-            lambda col, body: _set(col("tables", "shipments", "log", "emitted"), [1]),
-            "log of table 'shipments' carries a budget of its own",
-            id="log-emitted",
-        ),
-        pytest.param(  # uses [3, 2, 1] -> [4, 1, 1], both columns alike
-            lambda col, body: [
-                _set(uses, [4, 1, 1])
-                for uses in (
-                    col("groups", 0, "probe_scope", "invocations_used"),
-                    col("groups", 0, "ledger", "invocation_counts")[0::2],
-                )
-            ],
-            "table 'orders': a batch has uses outside 0..b // omega = 3",
+        pytest.param(  # uses [3, 2, 1] -> [4, 1, 1]
+            lambda col: _set(col("groups", 0, "probe", "uses"), [4, 1, 1]),
+            r"group 0 \(orders x shipments\), table 'orders': "
+            r"a batch has uses outside 0\.\.b // omega = 3",
             id="uses-over-budget",
         ),
         pytest.param(
-            lambda col, body: [
-                _set(emitted, [7])
-                for emitted in (
-                    col("groups", 0, "probe_scope", "emitted"),
-                    col("groups", 0, "ledger", "emitted"),
-                )
-            ],
-            "table 'orders': a record has emissions outside 0..b = 6",
+            lambda col: _set(col("groups", 0, "probe", "emitted"), [7]),
+            r"table 'orders': a record has emissions outside 0\.\.b = 6",
             id="emissions-over-budget",
         ),
+        pytest.param(
+            lambda col: _set(col("groups", 1, "driver", "emitted"), [-1]),
+            r"group 1 .*table 'shipments': a record has emissions outside",
+            id="emissions-negative",
+        ),
         pytest.param(  # uses [3, 2, 1] -> [2, 3, 1]: batch 2 spent, batch 1 not
-            lambda col, body: [
-                _set(uses, [2, 3, 1])
-                for uses in (
-                    col("groups", 0, "probe_scope", "invocations_used"),
-                    col("groups", 0, "ledger", "invocation_counts")[0::2],
-                )
-            ],
+            lambda col: _set(col("groups", 0, "probe", "uses"), [2, 3, 1]),
             "table 'orders': its exhausted batches are not a prefix of the log",
             id="exhausted-not-a-prefix",
+        ),
+        pytest.param(  # the t=3 batch took part in one run of three
+            lambda col: col("groups", 0, "probe", "invocations").__setitem__((2, 2), 5),
+            "table 'orders': a batch has an invocation time past its uses",
+            id="invocation-past-uses",
+        ),
+        pytest.param(
+            lambda col: col("groups", 0, "probe", "invocations").__setitem__((2, 0), 2),
+            "table 'orders': a batch was charged before it was uploaded",
+            id="charged-before-upload",
+        ),
+        pytest.param(  # [1, 2, 3] -> [3, 2, 3]
+            lambda col: col("groups", 0, "probe", "invocations").__setitem__((0, 0), 3),
+            "table 'orders': a batch's invocation times are out of order",
+            id="invocations-out-of-order",
+        ),
+        pytest.param(
+            lambda col: _set(col("accountant", "epsilon"), [np.nan]),
+            "epsilon that is not finite and positive",
+            id="epsilon-nan",
+        ),
+        pytest.param(
+            lambda col: _set(col("accountant", "epsilon"), [np.inf]),
+            "epsilon that is not finite and positive",
+            id="epsilon-inf",
+        ),
+        pytest.param(
+            lambda col: _set(col("accountant", "epsilon"), [-0.5]),
+            "epsilon that is not finite and positive",
+            id="epsilon-negative",
+        ),
+        pytest.param(
+            lambda col: _set(col("accountant", "epsilon"), [0.0]),
+            "epsilon that is not finite and positive",
+            id="epsilon-zero",
         ),
     ],
 )
 def test_budget_columns_that_disagree_are_refused(tmp_path, edit, message):
-    """Every budget column a snapshot holds twice — a group's scope and
-    its ledger, the physical log's zero columns — must agree, and the
-    budget they describe must be one a stream can reach.  An authentic
-    file (its trailer recomputed) that breaks either is refused naming the
-    group and the table, instead of restoring a ledger that refuses the
-    next upload."""
+    """Every budget a snapshot holds — each group's columns per table and
+    the accountant's spends — must describe one a stream can reach.  An
+    authentic file (its trailer recomputed) that does not is refused
+    naming the group and the table, instead of restoring a ledger that
+    refuses the next upload or a spent ε no cap can compare against."""
     db = build_database()
     for t in (1, 2, 3):
         feed(db, t)
@@ -1310,20 +1457,54 @@ def test_budget_columns_that_disagree_are_refused(tmp_path, edit, message):
     section = bytearray(section)
 
     def col(*keys) -> np.ndarray:
-        entry = head["body"]
-        for key in keys:
-            entry = entry[key]
-        return np.frombuffer(
-            section,
-            dtype=entry["dtype"],
-            count=math.prod(entry["shape"]),
-            offset=entry["offset"],
-        ).reshape(entry["shape"])
+        return column_in(head, section, *keys)
 
-    edit(col, head["body"])
+    assert col("groups", 0, "probe", "uses").tolist() == [3, 2, 1]
+    assert col("groups", 0, "probe", "invocations").tolist() == [[1, 2, 3], [2, 3, 0], [3, 0, 0]]
+    edit(col)
     write_container(tmp_path / "bad.snap", head, bytes(section))
     with pytest.raises(PersistenceError, match=message):
         restore_database(tmp_path / "bad.snap")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda col: _set(col("tables", "orders", "log", "invocations_used"), [1]),
+            "log of table 'orders' carries a budget of its own",
+            id="log-uses",
+        ),
+        pytest.param(
+            lambda col: _set(col("tables", "shipments", "log", "emitted"), [1]),
+            "log of table 'shipments' carries a budget of its own",
+            id="log-emitted",
+        ),
+        pytest.param(  # the ledger still holds three runs for the batch
+            lambda col: _set(col("groups", 0, "probe_scope", "invocations_used"), [0]),
+            "its ledger and its scope disagree",
+            id="scope-uses",
+        ),
+        pytest.param(
+            lambda col: _set(col("groups", 0, "driver_scope", "batches"), [1, 0]),
+            "scope over table 'shipments' does not hold every batch of its log",
+            id="scope-order",
+        ),
+    ],
+)
+def test_the_upgrader_refuses_a_v6_budget_it_cannot_write_once(tmp_path, edit, message):
+    """Version 6 held each budget twice and a zero budget per upload log:
+    an authentic file whose copies disagree, or whose log carries a
+    budget, has no one budget to convert into, and is refused."""
+    raw = GOLDEN_V6.read_bytes()
+    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+    head = json.loads(raw[_PREAMBLE.size : head_end])
+    section = bytearray(raw[head_end:-_DIGEST_BYTES])
+    edit(lambda *keys: column_in(head, section, *keys))
+    write_container(tmp_path / "bad.snap", head, bytes(section), version=6)
+    with pytest.raises(PersistenceError, match=message):
+        upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
+    assert not (tmp_path / "out.snap").exists()
 
 
 def feed_without_orders(db: IncShrinkDatabase, time: int) -> None:

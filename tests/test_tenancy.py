@@ -33,6 +33,7 @@ import pytest
 from repro.common.errors import (
     BudgetExhaustedError,
     ConfigurationError,
+    PrivacyBudgetError,
     SecurityError,
 )
 from repro.dp.accountant import (
@@ -40,7 +41,7 @@ from repro.dp.accountant import (
     tenant_scoped_segment,
     theorem3_epsilon,
 )
-from repro.dp.allocation import allocate_tenant_budgets
+from repro.dp.allocation import allocate_tenant_budgets, split_query_epsilon
 from repro.net import protocol as wire
 from repro.net.backoff import (
     RETRY_AFTER_CAP,
@@ -328,6 +329,36 @@ class TestLedgerExactness:
         # Exact exhaustion is allowed (<=, within BUDGET_ATOL).
         db.query(query_mix()[0], 3, epsilon=0.25, tenant="a")
         assert db.tenant_epsilons() == {"a": 1.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_epsilon_is_refused_and_the_cap_holds(self, bad, tmp_path):
+        """NaN passes every ``ε <= 0`` check and every ``spent + ε > cap``
+        gate: accepted once, it left the ledger NaN and the cap gone."""
+        db = build_database()
+        for t in range(1, 4):
+            db.upload(t, batches_at(t))
+        db.set_tenant_budgets({"a": 1.0})
+        noise = db.query_noise_gen.bit_generator.state
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            db.query(query_mix()[0], 3, epsilon=bad, tenant="a")
+        assert db.accountant.events == [] and db.metrics.queries == []
+        assert db.query_noise_gen.bit_generator.state == noise
+        db.query(query_mix()[0], 3, epsilon=0.9, tenant="a")
+        with pytest.raises(BudgetExhaustedError):
+            db.query(query_mix()[0], 3, epsilon=0.9, tenant="a")
+        assert db.tenant_epsilons() == {"a": 0.9} and db.query_epsilon() == 0.9
+        snapshot_database(db, tmp_path / "capped.snap")
+        restored = restore_database(tmp_path / "capped.snap").database
+        assert restored.tenant_epsilons() == {"a": 0.9}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_the_mechanisms_refuse_a_non_finite_epsilon(self, bad):
+        db = build_database()
+        with pytest.raises(PrivacyBudgetError, match="finite and positive"):
+            db.accountant.spend("query:count", bad, ("query", 1))
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            split_query_epsilon([1.0, 2.0], bad)
+        assert db.accountant.events == []
 
     def test_check_tenant_budget_ignores_uncapped_tenants(self):
         db = build_database()
@@ -655,6 +686,39 @@ class TestWireRoles:
                 stats = analyst.stats()
                 assert stats["tenants"]["analyst-1"]["epsilon_spent"] == 0.75
         server.stop()
+        assert net._unhandled_errors == []
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "nan"], ids=["NaN", "Infinity", "str-nan"]
+    )
+    def test_a_non_finite_epsilon_frame_is_an_invalid_request(self, bad):
+        """A raw query frame whose head carries ``NaN``, ``Infinity`` or
+        ``"nan"`` as its ε is refused at decode; the tenant's cap still
+        holds, and its ledger stays finite."""
+        server, net = _tenanted_net()
+        with net:
+            host, port = net.address
+            with IncShrinkClient(
+                host, port, tenant="owner-1", token="owner-secret"
+            ) as owner:
+                for t in range(1, 4):
+                    owner.upload(t, batches_at(t), wait=True)
+            with IncShrinkClient(
+                host, port, tenant="analyst-1", token="analyst-secret"
+            ) as analyst:
+                frame = {"query": wire.encode_query(query_mix()[0]), "time": 3, "epsilon": bad}
+                with pytest.raises(wire.RemoteError) as excinfo:
+                    analyst._request("query", frame, expect="result")
+                assert excinfo.value.code == wire.ERR_INVALID_REQUEST
+                assert "finite and positive" in excinfo.value.remote_message
+                analyst.query(query_mix()[0], time=3, epsilon=0.9)
+                with pytest.raises(wire.RemoteError) as excinfo:
+                    analyst.query(query_mix()[0], time=3, epsilon=0.9)
+                assert excinfo.value.code == wire.ERR_BUDGET_EXHAUSTED
+                stats = analyst.stats()
+                assert stats["tenants"]["analyst-1"]["epsilon_spent"] == 0.9
+        server.stop()
+        assert server.database.query_epsilon() == 0.9
         assert net._unhandled_errors == []
 
     def test_exhausted_analyst_never_distorts_other_tenants(self):

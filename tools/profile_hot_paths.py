@@ -20,7 +20,9 @@ and the two halves of a checkpoint, ``snapshot`` and ``restore`` of the
 state a ``tpcds-small`` run holds at the end of its steady phase
 (:func:`repro.server.persistence.snapshot_database` /
 :func:`~repro.server.persistence.restore_database`; their ``rows`` are
-the stream's steps) — under both
+the stream's steps, each step's four queries served and one of them
+ε-released, and they also report the file's head bytes and array
+count) — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -57,6 +59,7 @@ import io
 import json
 import pstats
 import statistics
+import struct
 import tempfile
 import time
 from pathlib import Path
@@ -376,11 +379,16 @@ def _incremental_workload(rows: int):
 #: Steps in the steady phase of ``tpcds-small`` (12 steps/s for 20 s):
 #: the state the benchmark of record checkpoints and restores.
 PERSISTENCE_STEPS = 240
+#: Queries served after the steady phase, cycling the step's four, as
+#: the benchmark's query bursts serve them before each checkpoint.
+PERSISTENCE_BURST = 600
 
 
 def _tpcds_state(steps: int):
-    """The canonical three-view tpcds deployment after ``steps`` steps,
-    one tenant ε-released query per step."""
+    """The canonical three-view tpcds deployment in the shape the
+    ``tpcds-small`` benchmark checkpoints: ``steps`` steps of one upload
+    and the four step queries, the fourth a tenant's ε-release, then a
+    burst of :data:`PERSISTENCE_BURST` more of them."""
     from repro.experiments.harness import (
         MultiViewRunConfig,
         build_multiview_deployment,
@@ -391,18 +399,39 @@ def _tpcds_state(steps: int):
     )
     db = deployment.database
     db.set_tenant_budgets({"analyst": 1.0e6})
-    release = deployment.step_queries[3]
+    queries = deployment.step_queries
+
+    def serve(query, time: int) -> None:
+        if query is queries[-1]:
+            db.query(query, time, epsilon=0.01, tenant="analyst")
+        else:
+            db.query(query, time)
+
     for step in deployment.workload.steps:
         db.upload(step.time, deployment.upload_items(step))
         db.step(step.time)
-        db.query(release, step.time, epsilon=0.01, tenant="analyst")
+        for query in queries:
+            serve(query, step.time)
+    for k in range(PERSISTENCE_BURST):
+        serve(queries[k % len(queries)], steps)
     return db
+
+
+def _container_shape(path: Path) -> dict:
+    """Head bytes and array count of one snapshot, read by the documented
+    layout: magic (18 B), version (u16), head length (u64), head."""
+    raw = path.read_bytes()
+    _, _, head_bytes = struct.unpack_from(">18sHQ", raw)
+    head = raw[30 : 30 + head_bytes]
+    # Metadata is one JSON string in the head: its quotes are escaped.
+    return {"head_bytes": head_bytes, "arrays": head.count(b'"offset":')}
 
 
 def _snapshot_workload(steps: int):
     """One checkpoint of the :data:`PERSISTENCE_STEPS`-step tpcds state
     (``rows`` counts steps): what a ``snapshot`` request holds the ingest
-    write lock for.  Watch for anything called once per uploaded batch."""
+    write lock for.  Watch for anything called once per uploaded batch,
+    release or served query."""
     from repro.server.persistence import snapshot_database
 
     db = _tpcds_state(steps)
@@ -411,6 +440,8 @@ def _snapshot_workload(steps: int):
     def run() -> None:
         snapshot_database(db, Path(scratch.name) / "profile.snap")
 
+    run()
+    run.report = _container_shape(Path(scratch.name) / "profile.snap")
     return run
 
 
@@ -424,6 +455,7 @@ def _restore_workload(steps: int):
     def run() -> None:
         restore_database(Path(scratch.name) / "profile.snap")
 
+    run.report = _container_shape(Path(scratch.name) / "profile.snap")
     return run
 
 
@@ -537,6 +569,7 @@ def profile_workloads(rows: int, top: int) -> dict:
             "best_seconds": min(timed),
             "mean_seconds": sum(timed) / len(timed),
             "rows_per_second": size / min(timed),
+            **getattr(run, "report", {}),
             "top_functions": _top_functions(profile, top),
         }
     return {
@@ -558,10 +591,15 @@ def main(argv: list[str] | None = None) -> int:
 
     result = profile_workloads(args.rows, args.top)
     for name, data in result["workloads"].items():
+        shape = (
+            f", {data['head_bytes']} B head, {data['arrays']} arrays"
+            if "head_bytes" in data
+            else ""
+        )
         print(
             f"{name}: {data['best_seconds']*1e3:.1f} ms best of "
             f"{TIMED_REPEATS} over {data['rows']} rows "
-            f"({data['rows_per_second']/1e6:.2f} Mrows/s)"
+            f"({data['rows_per_second']/1e6:.2f} Mrows/s){shape}"
         )
         for row in data["top_functions"]:
             print(
