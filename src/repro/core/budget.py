@@ -10,15 +10,20 @@ Two invariants implement the paper's bounded-stability design:
   invocation and at most ``b`` rows over its lifetime (Eq. 3 plus
   Theorem 3's finite-contribution requirement).
 
-One :class:`ContributionLedger` holds a transform group's budget, as
-columns aligned to the upload log of each table the group reads
-(:class:`~repro.storage.outsourced_table.OutsourcedTable`): uses per
-batch, emissions per row, and the times of each batch's invocations.
-They grow to the log's length when next read — a batch uploaded since
-has spent nothing.  Every Transform run charges the whole active window,
-a suffix of the probe log, so uses never increase along the log and the
+One :class:`ContributionLedger` holds a transform group's budget, per
+table the group reads, as two logs
+(:class:`~repro.common.column_log.ColumnLog`) aligned to that table's
+upload logs (:class:`~repro.storage.outsourced_table.OutsourcedTable`):
+``uses`` (in ``0..b // ω``) and the times of each batch's
+``invocations`` per batch, ``emitted`` (in ``0..b``) per row.  They are
+padded to the table's logs when next read — a batch uploaded since has
+spent nothing.  Every Transform run charges the whole active window, a
+suffix of the probe log, so uses never increase along the log and the
 exhausted batches form a prefix: the window is ``[first, n)``, and it is
-revealed, capped and settled as one slice.
+revealed, capped and settled as one slice.  A restore adopts the columns
+once each log keeps its declared invariants and the matrix relates to
+them row by row as a stream leaves it
+(:meth:`ContributionLedger.restore_state`).
 
 The ledger also exports a per-record contribution map in the form
 Theorem 3 wants, so the privacy accountant can compute the realised
@@ -31,33 +36,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import ContributionBudgetError
-from ..storage.outsourced_table import OutsourcedTable, grown
+from ..common.column_log import Column, ColumnLog, InRange
+from ..common.errors import ContributionBudgetError, PersistenceError
+from ..storage.outsourced_table import OutsourcedTable
+
+#: The order a table's budget columns are written in.
+_COLUMN_ORDER = ("uses", "emitted", "invocations")
 
 
 class _LogBudget:
-    """One table's budget columns, aligned to its upload log."""
+    """One table's budget columns, aligned to its upload logs."""
 
-    __slots__ = ("log", "uses", "emitted", "invocations", "first")
+    __slots__ = ("log", "batches", "rows", "uses", "emitted", "invocations", "first")
 
-    def __init__(self, log: OutsourcedTable, max_uses: int) -> None:
+    def __init__(self, log: OutsourcedTable, max_uses: int, budget: int) -> None:
         self.log = log
-        #: invocations each batch took part in
-        self.uses = np.zeros(0, dtype=np.int64)
-        #: lifetime view entries each row emitted (MPC-internal state)
-        self.emitted = np.zeros(0, dtype=np.int64)
-        #: row ``k``: the times of batch ``k``'s first ``uses[k]`` invocations
-        self.invocations = np.zeros((0, max_uses), dtype=np.int64)
+        self.batches = ColumnLog(
+            f"table {log.name!r} batch budget",
+            [
+                #: invocations each batch took part in
+                Column("uses", np.int64, invariants=(InRange(0, max_uses),)),
+                #: row ``k``: the times of batch ``k``'s first ``uses[k]`` invocations
+                Column("invocations", np.int64, (max_uses,)),
+            ],
+            aligned_to=log.batches,
+        )
+        self.rows = ColumnLog(
+            f"table {log.name!r} row budget",
+            #: lifetime view entries each row emitted (MPC-internal state)
+            [Column("emitted", np.int64, invariants=(InRange(0, budget),))],
+            aligned_to=log.rows,
+        )
         #: batches ``[:first]`` are exhausted
         self.first = 0
+        self.faced()
 
     def synced(self) -> "_LogBudget":
-        """These columns, grown to cover every batch of the log."""
-        n, rows = self.log.n_batches, self.log.total_rows
-        self.uses = grown(self.uses, n, len(self.uses))
-        self.invocations = grown(self.invocations, n, len(self.invocations))
-        self.emitted = grown(self.emitted, rows, len(self.emitted))
+        """These columns, padded to cover every batch of the log (whose
+        rows are in before its batch count moves)."""
+        log = self.log
+        if len(self.batches) != len(log.batches):
+            self.batches.pad(len(log.batches))
+            self.rows.pad(len(log.rows))
+            self.faced()
         return self
+
+    def faced(self) -> None:
+        """Take the logs' current faces, which a charge writes in place."""
+        self.uses, self.invocations = self.batches["uses"], self.batches["invocations"]
+        self.emitted = self.rows["emitted"]
 
 
 class ContributionLedger:
@@ -73,7 +100,7 @@ class ContributionLedger:
         self.omega = omega
         self.budget = budget
         self.max_uses = budget // omega
-        self._logs = {log.name: _LogBudget(log, self.max_uses) for log in logs}
+        self._logs = {log.name: _LogBudget(log, self.max_uses, budget) for log in logs}
         if len(self._logs) != len(logs):
             raise ContributionBudgetError("a ledger's tables must be distinct")
         # ``(participations, batch key)`` of the most-charged batch that
@@ -187,36 +214,32 @@ class ContributionLedger:
     def snapshot_state(self, table: str) -> dict:
         """One table's columns — the live arrays, sliced to the log."""
         side = self._budget(table)
-        n = side.log.n_batches
-        return {
-            "uses": side.uses[:n],
-            "emitted": side.emitted[: side.log.total_rows],
-            "invocations": side.invocations[:n],
-        }
+        columns = {**side.batches.columns(), **side.rows.columns()}
+        return {key: columns[key] for key in _COLUMN_ORDER}
 
     def restore_state(self, columns: dict[str, dict]) -> None:
-        """Adopt :meth:`snapshot_state` columns for every table at once."""
+        """Adopt :meth:`snapshot_state` columns for every table at once.
+
+        Each table's logs must keep their declared invariants and be
+        aligned to its upload logs, and the invocation matrix must be one
+        a stream of Transform runs leaves; a :class:`PersistenceError`
+        names the table otherwise.
+        """
         if columns.keys() != self._logs.keys():
             raise ContributionBudgetError(
                 f"snapshot ledger covers tables {sorted(columns)}, this "
                 f"ledger {sorted(self._logs)}"
             )
-        for table, side in self._logs.items():
+        for rank, (table, side) in enumerate(self._logs.items()):
             state = columns[table]
-            n, rows = side.log.n_batches, side.log.total_rows
-            if (
-                state["uses"].shape != (n,)
-                or state["emitted"].shape != (rows,)
-                or state["invocations"].shape != (n, self.max_uses)
-            ):
-                raise ContributionBudgetError(
-                    f"snapshot ledger columns of {table!r} do not fit its log "
-                    f"of {n} batches and {rows} rows"
-                )
-            side.uses = state["uses"]
-            side.emitted = state["emitted"]
-            side.invocations = state["invocations"]
+            side.batches.adopt(state)
+            side.rows.adopt(state)
+            side.faced()
             side.first = 0
+            # The first table is the probe's (see ``TransformGroup``).
+            problem = self._run_problem(side, probe=rank == 0)
+            if problem is not None:
+                raise PersistenceError(f"table {table!r}: {problem}")
         self._worst = (0, None)
         # In charge order: the most uses first, then the earliest to reach
         # them, then the table charged first in a run, then the log order.
@@ -233,6 +256,23 @@ class ContributionLedger:
                     best = (key, (side.log.name, int(side.log.times[k])))
         if best is not None:
             self._worst = (-best[0][0], best[1])
+
+    def _run_problem(self, side: _LogBudget, probe: bool) -> str | None:
+        """What, if anything, ties one table's invocation matrix to no
+        stream of Transform runs — checked row by row against its uses
+        and the log's upload times."""
+        uses, invocations = side.uses, side.invocations
+        # Every Transform run charges a suffix of the probe log.
+        if probe and (np.diff((uses >= self.max_uses).astype(np.int8)) > 0).any():
+            return "its exhausted batches are not a prefix of the log"
+        spent = np.arange(self.max_uses) < uses[:, None]
+        if invocations[~spent].any():
+            return "a batch has an invocation time past its uses"
+        if (invocations < side.log.times[:, None])[spent].any():
+            return "a batch was charged before it was uploaded"
+        if (np.diff(invocations, axis=1) < 0)[spent[:, 1:]].any():
+            return "a batch's invocation times are out of order"
+        return None
 
     # -- accounting exports --------------------------------------------------
     def max_lifetime_emissions(self) -> int:

@@ -49,27 +49,23 @@ entry, a write and a hash update out; an allocation and a read in —
 while JSON costs a Python call per scalar, so every log that grows with
 uploads, releases or served queries is written as **columns** and the
 head does not grow with the stream (only the digits of its sizes do):
-
-* a physical table's ``log``: ``times`` and ``lengths`` (int64, one
-  entry per batch), and all rows and flags as one ``s0``/``s1`` pair
-  each;
-* a transform group's budget, once, as its ledger holds it per table
-  (``probe`` and ``driver``): ``uses`` per batch, ``emitted`` per row
-  and the ``(batches, b // ω)`` ``invocations`` matrix of run times,
-  whose slots past a batch's uses are zeros.  A restore adopts them
-  once they fit the log and describe a budget a stream can reach;
-* the accountant: its events as ``name``, ``epsilon`` (float64, each
-  finite and positive), and the segment as ``label``, ``number`` and
-  ``tenant`` — ``name``, ``label`` and ``tenant`` index the head's
-  ``strings`` table, ``tenant`` is -1 for an unattributed event.  The
-  two segment shapes the database writes, ``(label, number)`` and
-  ``(label, number, "tenant", id)``, are the only ones persisted; an
-  event over any other is refused before any file is created;
-* each metric log (the database's and every view's): one int64 or
-  float64 column per field, its query observations as four
-  ``query_*`` columns;
-* the owners' ``logical`` mirror: per table ``times``, ``lengths`` and
-  one ``rows`` array.
+a table's upload ``log`` (``times``, ``lengths``, and the rows and
+flags as one ``s0``/``s1`` pair each), each transform group's budget
+once (``uses``, ``emitted``, ``invocations`` per table), the
+accountant's events (``name``, ``label`` and ``tenant`` indexing the
+head's ``strings`` table, ``epsilon``, ``number``), each metric log
+(``query_*`` and one column per step field) and the owners'
+``logical`` mirror (``times``, ``lengths``, ``rows``).  Each is a
+:class:`~repro.common.column_log.ColumnLog` — for the accountant and
+the metric logs, whose live form is a list, a schema their columns are
+encoded and checked through — whose columns declare their dtype,
+trailing shape and invariants (``docs/ARCHITECTURE.md`` tables them).
+The writer writes each log's ``columns()``; the reader hands its
+arrays to ``adopt()``, which refuses any log a stream could not have
+produced, naming the log, the column and the invariant.  An
+accountant event's segment is ``(label, number)`` or ``(label, number,
+"tenant", id)``; an event over any other is refused before any file is
+created.
 
 Caches, view shards and counters stay in the ``shared_tables`` pool,
 one entry each.  The caller's metadata is one JSON string in the head,
@@ -108,15 +104,14 @@ from typing import Hashable
 
 import numpy as np
 
+from ..common.column_log import Column, ColumnLog, InRange, Positive
 from ..common.errors import PersistenceError
 from ..common.metrics import MetricLog, QueryObservation
 from ..common.types import Schema
-from ..core.budget import ContributionLedger
 from ..core.view_def import JoinViewDefinition
 from ..dp.accountant import TENANT_SEGMENT_MARK
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
-from ..storage.outsourced_table import OutsourcedTable
 from .database import IncShrinkDatabase, ViewRegistration
 from .scheduler import TransformGroup
 
@@ -303,22 +298,22 @@ def _decode_shared_array(entry: dict) -> SharedArray:
     return SharedArray(entry["s0"], entry["s1"])
 
 
-def _column(columns: dict, key: str, dtype) -> np.ndarray:
-    """``columns[key]``, refused unless it is a one-dimensional ``dtype``
-    array — what the writer hands out for every column of a log."""
-    arr = columns[key]
-    if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == dtype):
-        raise PersistenceError(
-            f"column {key!r} is not a one-dimensional {np.dtype(dtype)} array"
-        )
-    return arr
-
-
 # -- the accountant: one row per mechanism event --------------------------------
-#: The event columns that index the string table; ``tenant`` is -1 for an
-#: event attributed to no tenant.  Beside them: ``epsilon``, and the
-#: segment's ``number`` (a release's time, a query's sequence number).
-_EVENT_INDEX_COLUMNS = ("name", "label", "tenant")
+def _event_log(n_strings: int) -> ColumnLog:
+    """The accountant's events as persisted, beside a string table of
+    ``n_strings``: ``tenant`` is -1 for an event attributed to no tenant;
+    ``number`` is a release's time or a query's sequence number."""
+    index = InRange(0, n_strings - 1)
+    return ColumnLog(
+        "accountant events",
+        [
+            Column("name", np.int64, invariants=(index,)),
+            Column("epsilon", np.float64, invariants=(Positive(),)),
+            Column("label", np.int64, invariants=(index,)),
+            Column("number", np.int64),
+            Column("tenant", np.int64, invariants=(InRange(-1, n_strings - 1),)),
+        ],
+    )
 
 
 def _accountant_columns(events: list[tuple[str, float, Hashable]]) -> dict:
@@ -326,8 +321,8 @@ def _accountant_columns(events: list[tuple[str, float, Hashable]]) -> dict:
 
     A segment is ``(label, number)``, as a view's release and an
     unattributed query write it, or ``(label, number, "tenant", id)``, as
-    a tenant's query writes it; any other event is refused here, before
-    any file is created.
+    a tenant's query writes it; any other event, and any ε that is not
+    finite and positive, is refused here, before any file is created.
     """
     strings: dict[str, int] = {}
     ref = strings.setdefault
@@ -362,42 +357,27 @@ def _accountant_columns(events: list[tuple[str, float, Hashable]]) -> dict:
         )
     names, epsilons, labels, numbers, tenants = zip(*rows) if rows else ((),) * 5
     try:
-        numbers = np.array(numbers, dtype=np.int64)
-        epsilons = np.array(epsilons, dtype=np.float64)
+        columns = {
+            "name": np.array(names, dtype=np.int64),
+            "epsilon": np.array(epsilons, dtype=np.float64),
+            "label": np.array(labels, dtype=np.int64),
+            "number": np.array(numbers, dtype=np.int64),
+            "tenant": np.array(tenants, dtype=np.int64),
+        }
     except (OverflowError, TypeError, ValueError) as exc:
         raise PersistenceError(f"cannot persist accountant events: {exc}") from exc
-    _check_epsilons(epsilons)
-    return {
-        "strings": list(strings),
-        "name": np.array(names, dtype=np.int64),
-        "epsilon": epsilons,
-        "label": np.array(labels, dtype=np.int64),
-        "number": numbers,
-        "tenant": np.array(tenants, dtype=np.int64),
-    }
-
-
-def _check_epsilons(epsilons: np.ndarray) -> None:
-    if not (np.isfinite(epsilons) & (epsilons > 0)).all():
-        raise PersistenceError(
-            "an accountant event spent an epsilon that is not finite and positive"
-        )
+    log = _event_log(len(strings))
+    log.adopt(columns)
+    return {"strings": list(strings), **log.columns()}
 
 
 def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
     strings = columns["strings"]
     if not (isinstance(strings, list) and all(isinstance(s, str) for s in strings)):
         raise PersistenceError("the accountant's string table is not a list of strings")
-    name, label, tenant = (_column(columns, key, np.int64) for key in _EVENT_INDEX_COLUMNS)
-    epsilon = _column(columns, "epsilon", np.float64)
-    number = _column(columns, "number", np.int64)
-    _check_counts(name, epsilon, label, number, tenant)
-    if len(name) and (
-        min(name.min(), label.min(), tenant.min() + 1) < 0
-        or max(name.max(), label.max(), tenant.max()) >= len(strings)
-    ):
-        raise PersistenceError("an accountant column indexes past its string table")
-    _check_epsilons(epsilon)
+    log = _event_log(len(strings))
+    log.adopt(columns)
+    events = log.view()
     return [
         (
             strings[n],
@@ -406,7 +386,7 @@ def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
             else (strings[lab], t, TENANT_SEGMENT_MARK, strings[k]),
         )
         for n, eps, lab, t, k in zip(
-            name.tolist(), epsilon.tolist(), label.tolist(), number.tolist(), tenant.tolist()
+            *(events[key].tolist() for key in ("name", "epsilon", "label", "number", "tenant"))
         )
     ]
 
@@ -428,6 +408,22 @@ _STEP_FIELDS = (
 )
 
 
+def _metric_logs(owner: str) -> list[ColumnLog]:
+    """A metric log as persisted: its query observations, one aligned
+    column per field, and each per-step field a log of its own (a step
+    appends to some of them only)."""
+    return [
+        ColumnLog(
+            f"{owner} query metrics",
+            [Column(f"query_{field}", dtype) for field, dtype in _QUERY_FIELDS],
+        ),
+        *(
+            ColumnLog(f"{owner} {field} metrics", [Column(field, dtype)])
+            for field, dtype in _STEP_FIELDS
+        ),
+    ]
+
+
 def _metric_columns(log: MetricLog) -> dict:
     queries = log.queries
     columns = {
@@ -440,13 +436,14 @@ def _metric_columns(log: MetricLog) -> dict:
     return columns
 
 
-def _metric_log(columns: dict) -> MetricLog:
-    queries = [_column(columns, f"query_{f}", dtype) for f, dtype in _QUERY_FIELDS]
-    _check_counts(*queries)
+def _metric_log(columns: dict, owner: str) -> MetricLog:
+    queries, *steps = _metric_logs(owner)
+    for column_log in (queries, *steps):
+        column_log.adopt(columns)
     log = MetricLog()
-    log.queries = list(map(QueryObservation, *(q.tolist() for q in queries)))
-    for field, dtype in _STEP_FIELDS:
-        setattr(log, field, _column(columns, field, dtype).tolist())
+    log.queries = list(map(QueryObservation, *(q.tolist() for q in queries.view().values())))
+    for (field, _), column_log in zip(_STEP_FIELDS, steps):
+        setattr(log, field, column_log[field].tolist())
     return log
 
 
@@ -516,7 +513,7 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     ledger as the live columns it already is (see the module docstring)."""
     db.finalize()
     tables = {
-        name: {"schema": list(store.schema.fields), "log": _log_columns(store)}
+        name: {"schema": list(store.schema.fields), "log": store.columns()}
         for name, store in db.tables.items()
     }
     groups = [_group_columns(group) for group in db.groups.values()]
@@ -525,8 +522,9 @@ def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
 
 def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
     """Everything but the upload logs and budgets, as the storage hooks
-    hand it out: every share table is the live object, the accountant its
-    list of events, each metric log the object itself.
+    hand it out: every share table is the live object, the logical mirror
+    its columns, the accountant its list of events, each metric log the
+    object itself.
 
     The upgrader builds the same shape from an older body, so both are
     laid out by :func:`_columnar_layout`.
@@ -605,9 +603,7 @@ def _columnar_layout(body: dict, tables: dict, groups: list[dict]) -> dict:
         "allocation": body["allocation"],
         "shared_tables": intern.pool,
         "tables": tables,
-        "logical": {
-            name: _logical_columns(entry) for name, entry in body["logical"].items()
-        },
+        "logical": body["logical"],
         "groups": groups,
         "views": views,
         "accountant": _accountant_columns(body["accountant"]),
@@ -629,25 +625,6 @@ def _metadata_text(metadata: dict | None) -> str:
         ) from exc
 
 
-def _int64s(values) -> np.ndarray:
-    return np.fromiter(values, dtype=np.int64)
-
-
-def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(empty_shape, dtype)
-
-
-def _log_columns(store: OutsourcedTable) -> dict:
-    log = store.snapshot_state()
-    (rows0, rows1), (flags0, flags1) = log["rows"], log["flags"]
-    return {
-        "times": log["times"],
-        "lengths": log["lengths"],
-        "rows": {"s0": rows0, "s1": rows1},
-        "flags": {"s0": flags0, "s1": flags1},
-    }
-
-
 def _group_columns(group: TransformGroup) -> dict:
     """A group's budget, once: its ledger's live columns per table."""
     ledger = group.ledger
@@ -657,17 +634,6 @@ def _group_columns(group: TransformGroup) -> dict:
         "budget": ledger.budget,
         "probe": ledger.snapshot_state(group.probe_log.name),
         "driver": ledger.snapshot_state(group.driver_log.name),
-    }
-
-
-def _logical_columns(entry: dict) -> dict:
-    width = len(entry["fields"])
-    batches = [np.asarray(b, np.uint32).reshape(-1, width) for b in entry["batches"]]
-    return {
-        "fields": entry["fields"],
-        "times": _int64s(entry["times"]),
-        "lengths": _int64s(len(b) for b in batches),
-        "rows": _concat(batches, (0, width), np.uint32),
     }
 
 
@@ -874,7 +840,7 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
         db.register_view(_decode_registration(entry))
     db.finalize_with_allocation(body["allocation"])
 
-    # Physical base tables, one log of columns each, adopted as they are.
+    # Physical base tables, two logs of columns each, adopted as they are.
     if set(body["tables"]) != set(db.tables):
         raise PersistenceError(
             f"snapshot tables {sorted(body['tables'])} do not match the "
@@ -887,12 +853,15 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
                 f"snapshot table {name!r} has fields {entry['schema']!r}, "
                 f"registered {list(store.schema.fields)!r}"
             )
-        _restore_log(store, entry["log"])
+        store.adopt(entry["log"])
 
-    # Owners' logical mirror.
-    db.logical.restore_state(
-        {name: _logical_log(entry) for name, entry in body["logical"].items()}
-    )
+    # Owners' logical mirror: an owner inserts only beside an upload, so
+    # each table's insertion times lie within its upload times.
+    spans = {}
+    for name, store in db.tables.items():
+        times = store.times
+        spans[name] = (int(times[0]), int(times[-1])) if len(times) else (0, -1)
+    db.logical.restore_state(body["logical"], spans)
 
     # Transform groups: each ledger adopts its columns once they fit.
     live_groups = list(db.groups.values())
@@ -942,11 +911,11 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
             if shares is not None:
                 state["threshold_shares"] = _decode_shared_array(shares)
             vr.policy.restore_state(state)
-        vr.metrics = _metric_log(entry["metrics"])
+        vr.metrics = _metric_log(entry["metrics"], f"view {name!r}")
 
     # Privacy ledger and database-level query log.
     db.accountant.restore_state(_accountant_events(body["accountant"]))
-    db.metrics = _metric_log(body["metrics"])
+    db.metrics = _metric_log(body["metrics"], "database")
     # Tenant ε caps.  The per-tenant *spends* were just restored with the
     # accountant events above — deriving ledgers from events is what
     # makes a restore incapable of double-spending a tenant's budget.
@@ -977,38 +946,6 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
 
 
 # -- columns back into live state ----------------------------------------------
-def _runs(column: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """``column`` cut into consecutive runs of ``lengths`` rows — views,
-    which the caller copies where it keeps them.  The runs must tile it."""
-    _check_tiling(lengths, column)
-    ends = np.cumsum(lengths).tolist()
-    return [column[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def _check_tiling(lengths: np.ndarray, *columns: np.ndarray) -> None:
-    for column in columns:
-        if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(column):
-            raise PersistenceError(
-                f"run lengths summing to {lengths.sum()} do not tile a column "
-                f"of {len(column)} rows"
-            )
-
-
-def _check_counts(*columns) -> None:
-    """Columns that describe the same items must have one entry per item."""
-    counts = {len(c) for c in columns}
-    if len(counts) != 1:
-        raise PersistenceError(f"aligned columns of lengths {sorted(counts)}")
-
-
-def _restore_log(store: OutsourcedTable, log: dict) -> None:
-    lengths = log["lengths"]
-    _check_counts(log["times"], lengths)
-    halves = [log[part][half] for part in ("rows", "flags") for half in ("s0", "s1")]
-    _check_tiling(lengths, *halves)
-    store.restore_state(log["times"], lengths, tuple(halves[:2]), tuple(halves[2:]))
-
-
 def _restore_ledger(group: TransformGroup, entry: dict, index: int) -> None:
     """Adopt one group's budget columns, refusing any that do not fit its
     logs or describe a budget no stream can reach."""
@@ -1020,56 +957,9 @@ def _restore_ledger(group: TransformGroup, entry: dict, index: int) -> None:
             f"budget={entry['budget']}; the group was wired with "
             f"omega={ledger.omega}, budget={ledger.budget}"
         )
-    restored = {}
-    for role, log in (("probe", group.probe_log), ("driver", group.driver_log)):
-        side = entry[role]
-        problem = _ledger_problem(ledger, log, side, probe=role == "probe")
-        if problem is not None:
-            raise PersistenceError(f"{where}, table {log.name!r}: {problem}")
-        restored[log.name] = {key: side[key] for key in ("uses", "emitted", "invocations")}
-    ledger.restore_state(restored)
-
-
-def _ledger_problem(
-    ledger: ContributionLedger, log: OutsourcedTable, side: dict, probe: bool
-) -> str | None:
-    """What is wrong with one table's budget columns, if anything."""
-    uses, emitted, invocations = side["uses"], side["emitted"], side["invocations"]
-    if not (
-        all(
-            isinstance(c, np.ndarray) and c.dtype == np.int64
-            for c in (uses, emitted, invocations)
+    try:
+        ledger.restore_state(
+            {group.probe_log.name: entry["probe"], group.driver_log.name: entry["driver"]}
         )
-        and uses.shape == (log.n_batches,)
-        and emitted.shape == (log.total_rows,)
-        and invocations.shape == (log.n_batches, ledger.max_uses)
-    ):
-        return (
-            f"its columns do not fit a log of {log.n_batches} batches and "
-            f"{log.total_rows} rows"
-        )
-    if (uses < 0).any() or (uses > ledger.max_uses).any():
-        return f"a batch has uses outside 0..b // omega = {ledger.max_uses}"
-    if (emitted < 0).any() or (emitted > ledger.budget).any():
-        return f"a record has emissions outside 0..b = {ledger.budget}"
-    # Every Transform run charges a suffix of the probe log.
-    if probe and (np.diff((uses >= ledger.max_uses).astype(np.int8)) > 0).any():
-        return "its exhausted batches are not a prefix of the log"
-    spent = np.arange(ledger.max_uses) < uses[:, None]
-    if invocations[~spent].any():
-        return "a batch has an invocation time past its uses"
-    if (invocations < log.times[:, None])[spent].any():
-        return "a batch was charged before it was uploaded"
-    if (np.diff(invocations, axis=1) < 0)[spent[:, 1:]].any():
-        return "a batch's invocation times are out of order"
-    return None
-
-
-def _logical_log(entry: dict) -> dict:
-    _check_counts(entry["times"], entry["lengths"])
-    return {
-        "fields": entry["fields"],
-        "times": entry["times"].tolist(),
-        # views: the restored log copies them into its own buffer
-        "batches": _runs(entry["rows"], entry["lengths"]),
-    }
+    except PersistenceError as exc:
+        raise PersistenceError(f"{where}, {exc}") from exc

@@ -56,10 +56,7 @@ from .persistence import (
     SNAPSHOT_VERSION,
     SnapshotInfo,
     _columnar_layout,
-    _concat,
     _decode_table_pool,
-    _int64s,
-    _logical_log,
     _read_snapshot,
     _write_snapshot,
 )
@@ -70,6 +67,14 @@ LEGACY_VERSIONS = (1, 2, 3)
 CONTAINER_VERSIONS = (4, 5, 6)
 
 _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
+
+
+def _int64s(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64)
+
+
+def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(empty_shape, dtype)
 
 
 def upgrade_snapshot(
@@ -317,15 +322,13 @@ def _check_log_order(name: str, positions: list, n_batches: int) -> None:
 
 def _columnar_parts(body: dict) -> tuple[dict, list[dict]]:
     """The upload logs and group budgets of a version 6 body, which held
-    them as columns; its pool indices, logical mirror and metadata text
-    become what :func:`~repro.server.persistence._state_body` hands out."""
+    them as columns (and the logical mirror as the current format does);
+    its pool indices and metadata text become what
+    :func:`~repro.server.persistence._state_body` hands out."""
     pool = _decode_table_pool(body.pop("shared_tables"))
     for entry in body["views"]:
         entry["cache"] = pool[entry["cache"]]
         entry["view"]["shards"] = [pool[i] for i in entry["view"]["shards"]]
-    body["logical"] = {
-        name: _logical_log(entry) for name, entry in body["logical"].items()
-    }
     body["metadata"] = json.loads(body["metadata"])
     tables = {}
     for name, entry in body["tables"].items():
@@ -349,7 +352,11 @@ def _columnar_parts(body: dict) -> tuple[dict, list[dict]]:
 
 def _per_batch_parts(body: dict) -> tuple[dict, list[dict]]:
     """The upload logs and group budgets of a version 1–5 body, whose
-    logs, scopes and ledgers listed one entry per batch."""
+    logs, scopes and ledgers listed one entry per batch; its logical
+    mirror, which listed one array per batch, becomes columns."""
+    body["logical"] = {
+        name: _logical_columns(entry) for name, entry in body["logical"].items()
+    }
     tables, positions = {}, {}
     for name, entry in body["tables"].items():
         batches = entry["batches"]
@@ -396,4 +403,15 @@ def _log_columns(name: str, batches: list[dict], width: int) -> dict:
         "lengths": _int64s(len(t) for t in tables),
         "rows": _share_columns([t.rows for t in tables], (0, width)),
         "flags": _share_columns([t.flags for t in tables], (0,)),
+    }
+
+
+def _logical_columns(entry: dict) -> dict:
+    width = len(entry["fields"])
+    batches = [np.asarray(b, np.uint32).reshape(-1, width) for b in entry["batches"]]
+    return {
+        "fields": entry["fields"],
+        "times": _int64s(entry["times"]),
+        "lengths": _int64s(len(b) for b in batches),
+        "rows": _concat(batches, (0, width), np.uint32),
     }

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..common.column_log import Column, ColumnLog, Increasing, InRange, Tiles
 from ..common.errors import SchemaError
 from ..common.types import Schema
 
@@ -44,73 +45,57 @@ if TYPE_CHECKING:  # storage sits below core; the join spec is duck-typed
 MAX_JOIN_MIRRORS = 8
 
 
-class _RowBuffer:
-    """Append-only ``(n, width)`` uint32 rows with amortised O(1) growth.
+def _row_log(name: str, width: int) -> ColumnLog:
+    return ColumnLog(name, [Column("rows", np.uint32, (width,))])
 
-    :meth:`prefix` is a zero-copy view.  Appends write only past every
-    prefix handed out so far, or into a fresh allocation, so a reader may
-    keep folding over its prefix while another thread appends.
-    """
 
-    def __init__(self, width: int) -> None:
-        self._data = np.empty((0, width), dtype=np.uint32)
-        self.size = 0
-
-    def append(self, rows: np.ndarray) -> None:
-        end = self.size + len(rows)
-        if end > len(self._data):
-            grown = np.empty(
-                (max(end, 2 * len(self._data), 64), self._data.shape[1]),
-                dtype=np.uint32,
-            )
-            grown[: self.size] = self._data[: self.size]
-            self._data = grown
-        self._data[self.size : end] = rows
-        self.size = end
-
-    def prefix(self, n: int) -> np.ndarray:
-        return self.slice(0, n)
-
-    def slice(self, start: int, end: int) -> np.ndarray:
-        view = self._data[start:end]
-        view.flags.writeable = False
-        return view
+def _rows(log: ColumnLog, start: int, end: int) -> np.ndarray:
+    """Rows ``[start, end)`` of a row log: a read-only view, which stays
+    what it is while the log grows (see :class:`ColumnLog`)."""
+    view = log["rows"][start:end]
+    view.flags.writeable = False
+    return view
 
 
 class _TableLog:
-    """One table's insertion log: batch times and where each batch ends."""
+    """One table's insertion log: a batch log of insertion ``times``
+    (non-decreasing, within ``span`` when one is given) and row
+    ``lengths`` (which tile the row log), and the row log itself."""
 
-    def __init__(self, schema: Schema) -> None:
+    def __init__(self, name: str, schema: Schema, span: tuple[int, int] | None = None) -> None:
         self.schema = schema
-        #: non-decreasing insertion time of every logged batch
-        self.times: list[int] = []
-        #: rows in the table after each batch (cumulative)
-        self.ends: list[int] = []
-        self.rows = _RowBuffer(schema.width)
+        self.rows = _row_log(f"logical table {name!r} rows", schema.width)
+        time_rules = (Increasing(strict=False),) + (() if span is None else (InRange(*span),))
+        self.batches = ColumnLog(
+            f"logical table {name!r} batches",
+            [
+                Column("times", np.int64, invariants=time_rules),
+                Column("lengths", np.int64, invariants=(Tiles(self.rows),)),
+            ],
+        )
 
     def append(self, time: int, rows: np.ndarray) -> None:
         self.rows.append(rows)
-        self.times.append(time)
-        self.ends.append(self.rows.size)
+        self.batches.append((time,), (len(rows),))
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.batches["times"]
 
     def batches_through(self, time: int, lo: int = 0) -> int:
         """How many batches were inserted at or before ``time``."""
-        return bisect_right(self.times, time, lo)
+        return lo + int(np.searchsorted(self.times[lo:], time, side="right"))
 
     def rows_in(self, n_batches: int) -> int:
         """Row count of the first ``n_batches`` batches."""
-        return self.ends[n_batches - 1] if n_batches else 0
-
-    def batches(self) -> list[np.ndarray]:
-        starts = [0] + self.ends[:-1]
-        return [self.rows.slice(a, b) for a, b in zip(starts, self.ends)]
+        return int(self.batches.starts()[n_batches])
 
 
 @dataclass
 class _JoinMirror:
     """Joined rows of one join signature, materialised up to a watermark."""
 
-    rows: _RowBuffer
+    rows: ColumnLog
     #: batches of each side already joined (always a prefix of the log)
     probe_batches: int = 0
     driver_batches: int = 0
@@ -172,7 +157,7 @@ class GrowingDatabase:
     def create_table(self, name: str, schema: Schema) -> None:
         if name in self._tables:
             raise SchemaError(f"table {name!r} already exists")
-        self._tables[name] = _TableLog(schema)
+        self._tables[name] = _TableLog(name, schema)
 
     def schema(self, name: str) -> Schema:
         return self._log(name).schema
@@ -193,27 +178,33 @@ class GrowingDatabase:
         self._generation += 1
         if len(rows) == 0:
             return
-        if log.times and time < log.times[-1]:
+        times = log.times
+        if len(times) and time < times[-1]:
             raise SchemaError(
-                f"insert at time {time} before last insert {log.times[-1]}: "
+                f"insert at time {time} before last insert {times[-1]}: "
                 "growing databases are insertion-only"
             )
         log.append(time, rows)
 
     # -- persistence hooks ----------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Per-table insertion log (plaintext — this is the owners' data)."""
+        """Per-table insertion log as columns (plaintext — this is the
+        owners' data)."""
         return {
             name: {
                 "fields": list(log.schema.fields),
-                "times": list(log.times),
-                "batches": log.batches(),
+                **log.batches.columns(),
+                **log.rows.columns(),
             }
             for name, log in self._tables.items()
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Refill already-created tables with a snapshotted insertion log.
+    def restore_state(
+        self, state: dict, spans: dict[str, tuple[int, int]] | None = None
+    ) -> None:
+        """Refill already-created tables with :meth:`snapshot_state`
+        columns; each table's times must lie within its ``spans`` entry,
+        if one is given.
 
         Drops every materialised join: a restored database starts cold.
         """
@@ -224,12 +215,9 @@ class GrowingDatabase:
                     f"snapshot of logical table {name!r} has fields "
                     f"{tuple(entry['fields'])}, expected {log.schema.fields}"
                 )
-            restored = _TableLog(log.schema)
-            for time, batch in zip(entry["times"], entry["batches"]):
-                restored.append(
-                    int(time),
-                    np.asarray(batch, dtype=np.uint32).reshape(-1, log.schema.width),
-                )
+            restored = _TableLog(name, log.schema, (spans or {}).get(name))
+            restored.rows.adopt(entry)
+            restored.batches.adopt(entry)
             self._tables[name] = restored
         with self._mirror_lock:
             self._generation += 1
@@ -238,7 +226,7 @@ class GrowingDatabase:
     def instance_at(self, name: str, time: int) -> np.ndarray:
         """All rows of ``name`` inserted at or before ``time`` (D_t)."""
         log = self._log(name)
-        return log.rows.prefix(log.rows_in(log.batches_through(time)))
+        return _rows(log.rows, 0, log.rows_in(log.batches_through(time)))
 
     def count_at(self, name: str, time: int) -> int:
         log = self._log(name)
@@ -260,7 +248,7 @@ class GrowingDatabase:
         with self._mirror_lock:
             mirror = self._mirrors.get(signature)
             if mirror is None:
-                mirror = _JoinMirror(_RowBuffer(spec.view_schema.width))
+                mirror = _JoinMirror(_row_log("join mirror", spec.view_schema.width))
                 self._mirrors[signature] = mirror
                 if len(self._mirrors) > MAX_JOIN_MIRRORS:
                     self._mirrors.popitem(last=False)
@@ -273,7 +261,7 @@ class GrowingDatabase:
                 self._extend(mirror, spec, time)
                 mirror.generation, mirror.synced_time = self._generation, time
             steps = bisect_right(mirror.times, time)
-            return mirror.rows.prefix(mirror.counts[steps - 1] if steps else 0)
+            return _rows(mirror.rows, 0, mirror.counts[steps - 1] if steps else 0)
 
     def join_mirror_stats(self) -> dict:
         """Gauges of the join mirror — functions of upload and query counts.
@@ -299,8 +287,8 @@ class GrowingDatabase:
         def pending() -> list[int]:
             return sorted(
                 {
-                    *probe.times[mirror.probe_batches : probe.batches_through(time)],
-                    *driver.times[mirror.driver_batches : driver.batches_through(time)],
+                    *probe.times[mirror.probe_batches : probe.batches_through(time)].tolist(),
+                    *driver.times[mirror.driver_batches : driver.batches_through(time)].tolist(),
                 }
             )
 
@@ -308,7 +296,7 @@ class GrowingDatabase:
         if steps and mirror.times and steps[0] < mirror.times[-1]:
             # The tables' clocks are independent: a batch landed behind
             # the watermark, so joined prefixes no longer nest by time.
-            mirror.rows = _RowBuffer(spec.view_schema.width)
+            mirror.rows = _row_log("join mirror", spec.view_schema.width)
             mirror.probe_batches = mirror.driver_batches = 0
             mirror.times, mirror.counts = [], []
             steps = pending()
@@ -322,18 +310,18 @@ class GrowingDatabase:
             d_new = driver.rows_in(mirror.driver_batches)
             mirror.rows.append(  # ΔP ⋈ D_old
                 _delta_join(
-                    spec, probe.rows.slice(p_old, p_new), driver.rows.prefix(d_old)
+                    spec, _rows(probe.rows, p_old, p_new), _rows(driver.rows, 0, d_old)
                 )
             )
             mirror.rows.append(  # (P_old ∪ ΔP) ⋈ ΔD
                 _delta_join(
-                    spec, probe.rows.prefix(p_new), driver.rows.slice(d_old, d_new)
+                    spec, _rows(probe.rows, 0, p_new), _rows(driver.rows, d_old, d_new)
                 )
             )
             # A step consumed twice (a second insert at its time) leaves two
             # checkpoints; bisect_right finds the later one.
             mirror.times.append(step)
-            mirror.counts.append(mirror.rows.size)
+            mirror.counts.append(len(mirror.rows))
 
     def _log(self, name: str) -> _TableLog:
         try:

@@ -16,7 +16,9 @@ protocol computes.
 It is stored the way it is scanned.  Every query is one padded pass that
 reads a few *columns* of every row, so each shard keeps, per server, one
 contiguous run of share words per column plus the flag column, in
-buffers with spare capacity (:class:`ColumnShard`).  An append writes
+buffers with spare capacity — a
+:class:`~repro.common.column_log.ColumnLog` per shard
+(:class:`ColumnShard`).  An append writes
 each shard's stride of the delta straight past the shard's length;
 :attr:`MaterializedView.shards` is a zero-copy face over the first
 ``n`` rows.  Which words sit where is a function of the public lengths
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..common.column_log import Column, ColumnLog
 from ..common.errors import ProtocolError
 from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
@@ -39,83 +42,66 @@ from .sharded_container import ShardedTableContainer, make_layout
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..server.sharding import ShardLayout
 
-#: A shard that outgrows its buffers moves into buffers this many times
-#: the size it needs (and at least :data:`MIN_CAPACITY_ROWS`), one array
-#: at a time: a growth never holds two copies of more than one share half
-#: of one shard, and a row is moved once on average.  A growth is worth
-#: making rare — its cost is first-touch page faults on the copy, 4–35 ms
-#: for a 150k-row shard on the reference VM (``docs/SHARDING.md`` has
-#: the ingest shares at 1.125×, 2× and 4×) — but capacity is not free
-#: either: pages past a shard's length are never written and so never
-#: resident, *except* where numpy asks the kernel for huge pages (arrays
-#: of 4 MiB and up), which are resident 2 MiB at a time.  Twice is where
-#: ``peak_rss_mb`` on the 400k-row benchmark view still reads what an
-#: exact fit reads (79–80 MB; four times reads 103).
-CAPACITY_FACTOR = 2
-MIN_CAPACITY_ROWS = 64
-
-
 class ColumnShard:
     """One view shard as the two servers hold it, column-major.
 
-    ``rows0``/``rows1`` are ``(width, capacity)`` word matrices — row
-    ``c`` is column ``c`` of the shard, contiguous — and
-    ``flags0``/``flags1`` the ``(capacity,)`` flag runs; the first ``n``
-    positions of each are content, the rest is room for appends.  Content
-    is never overwritten: an append lands past ``n`` and a growth moves
-    into fresh arrays, so a :meth:`face` taken earlier keeps revealing
-    exactly the prefix it was taken over, for as long as it is held.
+    A :class:`~repro.common.column_log.ColumnLog` of ``rows.s0``/``rows.s1``
+    — each held ``"F"``: column ``c`` of the shard one contiguous run of
+    words — and the ``flags.s0``/``flags.s1`` runs.  Content is never
+    overwritten: an append lands past the content and a growth moves into
+    fresh arrays, so a :meth:`face` taken earlier keeps revealing exactly
+    the prefix it was taken over, for as long as it is held.
     """
 
-    __slots__ = ("rows0", "rows1", "flags0", "flags1", "n")
-    _ARRAYS = ("rows0", "rows1", "flags0", "flags1")
+    __slots__ = ("log",)
 
     def __init__(self, table: SharedTable) -> None:
         """A full shard (capacity = length) holding ``table``'s words.
 
-        A half that already is one run per column — what
-        :meth:`face` hands out and what the snapshot reader allocates —
-        is taken as it is; anything else (an empty or a row-major table)
-        is transposed into a fresh array, one half at a time.  Taking an
+        A half that already is one run per column — what :meth:`face`
+        hands out and what the snapshot reader allocates — is taken as
+        it is; anything else (an empty or a row-major table) is
+        transposed into a fresh array, one half at a time.  Taking an
         array another holder also references is safe: with no spare
         capacity the first append moves this shard into arrays of its
         own.
         """
-        self.rows0 = np.ascontiguousarray(table.rows.share0.T)
-        self.rows1 = np.ascontiguousarray(table.rows.share1.T)
-        self.flags0 = np.ascontiguousarray(table.flags.share0)
-        self.flags1 = np.ascontiguousarray(table.flags.share1)
-        self.n = len(table)
+        row_words = (table.schema.width,)
+        self.log = ColumnLog(
+            "view shard",
+            [
+                Column("rows.s0", np.uint32, row_words, order="F"),
+                Column("rows.s1", np.uint32, row_words, order="F"),
+                Column("flags.s0", np.uint32),
+                Column("flags.s1", np.uint32),
+            ],
+        )
+        if len(table):
+            self.log.adopt(
+                {
+                    "rows": {"s0": table.rows.share0, "s1": table.rows.share1},
+                    "flags": {"s0": table.flags.share0, "s1": table.flags.share1},
+                }
+            )
 
     def write(self, delta: SharedTable, rows: slice) -> None:
         """Append ``delta[rows]`` (a public stride) in place."""
         flags0 = delta.flags.share0[rows]
-        lo, hi = self.n, self.n + len(flags0)
-        if hi == lo:
-            return
-        if hi > len(self.flags0):
-            self._grow(hi)
-        self.rows0[:, lo:hi] = delta.rows.share0[rows].T
-        self.rows1[:, lo:hi] = delta.rows.share1[rows].T
-        self.flags0[lo:hi] = flags0
-        self.flags1[lo:hi] = delta.flags.share1[rows]
-        self.n = hi
-
-    def _grow(self, needed: int) -> None:
-        capacity = CAPACITY_FACTOR * max(needed, MIN_CAPACITY_ROWS)
-        for name in self._ARRAYS:
-            old = getattr(self, name)
-            new = np.empty(old.shape[:-1] + (capacity,), dtype=np.uint32)
-            new[..., : self.n] = old[..., : self.n]
-            setattr(self, name, new)
+        if len(flags0):
+            self.log.append(
+                delta.rows.share0[rows],
+                delta.rows.share1[rows],
+                flags0,
+                delta.flags.share1[rows],
+            )
 
     def face(self, schema: Schema) -> SharedTable:
-        """The first ``n`` rows as a :class:`SharedTable` — views, no copy."""
-        n = self.n
+        """The content as a :class:`SharedTable` — views, no copy."""
+        v = self.log.view()
         return SharedTable(
             schema,
-            SharedArray(self.rows0[:, :n].T, self.rows1[:, :n].T),
-            SharedArray(self.flags0[:n], self.flags1[:n]),
+            SharedArray(v["rows.s0"], v["rows.s1"]),
+            SharedArray(v["flags.s0"], v["flags.s1"]),
         )
 
 

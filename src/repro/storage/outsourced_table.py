@@ -2,43 +2,31 @@
 
 Owners upload fixed-size, exhaustively padded batches at fixed intervals
 (the paper's default record-synchronisation strategy).  The table keeps
-them as one append-only **columnar log**: per server, one buffer of row
-shares and one of flag shares, batch ``k`` being the rows
-``[starts[k], starts[k + 1])`` uploaded at ``times[k]``.  Batch
-boundaries, sizes, and times are public — that is the whole point of the
-padded upload policy — so a batch, a run of batches (a Transform window)
-and the whole log (the NM baseline's ``DS_t``) are zero-copy slices.
+them as two append-only logs (:class:`~repro.common.column_log.ColumnLog`):
+a **batch log** of upload ``times`` (strictly increasing) and row
+``lengths`` (which tile the row log), and a **row log** of one ``rows``
+and one ``flags`` share column per server, batch ``k`` being the rows
+``[starts[k], starts[k + 1])``.  Batch boundaries, sizes, and times are
+public — that is the whole point of the padded upload policy — so a
+batch, a run of batches (a Transform window) and the whole log (the NM
+baseline's ``DS_t``) are zero-copy slices.
 
 What is *not* public is which rows are real; that travels in the shared
 flag column.  The contribution budget each row has spent is MPC-internal
-state kept per transform group, in columns aligned to this log
+state kept per transform group, in logs aligned to these two
 (:class:`~repro.core.budget.ContributionLedger`).
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
+from ..common.column_log import Column, ColumnLog, Increasing, Tiles
 from ..common.errors import ProtocolError, SchemaError
 from ..common.types import Schema
 from ..sharing.shared_value import WORD_BYTES, SharedArray, SharedTable
-from .materialized_view import CAPACITY_FACTOR, MIN_CAPACITY_ROWS
-
-
-def grown(array: np.ndarray, needed: int, keep: int) -> np.ndarray:
-    """``array`` with room for ``needed`` entries along its first axis:
-    itself if it has it, else a zero-filled copy of its first ``keep``
-    with room to spare, as a view shard grows.
-
-    Content is never overwritten — a growth moves into a fresh array — so
-    a slice taken earlier keeps the entries it was taken over.
-    """
-    if needed <= len(array):
-        return array
-    capacity = CAPACITY_FACTOR * max(needed, MIN_CAPACITY_ROWS)
-    new = np.zeros((capacity, *array.shape[1:]), dtype=array.dtype)
-    new[:keep] = array[:keep]
-    return new
 
 
 class OutsourcedTable:
@@ -47,55 +35,65 @@ class OutsourcedTable:
     def __init__(self, schema: Schema, name: str) -> None:
         self.schema = schema
         self.name = name
-        # One (share 0, share 1) pair each, ``[:total_rows]`` the content.
-        self._rows = (np.zeros((0, schema.width), np.uint32),) * 2
-        self._flags = (np.zeros(0, np.uint32),) * 2
-        self._starts = np.zeros(1, dtype=np.int64)
-        self._times = np.zeros(0, dtype=np.int64)
-        # Readers (the planner, on every query) take these two without a
-        # lock: an append fills its rows and bounds first and publishes
-        # the new counts last, so any count read has its content behind it.
-        self.n_batches = 0
-        self.total_rows = 0
+        row_words = (schema.width,)
+        self.rows = ColumnLog(
+            f"table {name!r} rows",
+            [
+                Column("rows.s0", np.uint32, row_words),
+                Column("rows.s1", np.uint32, row_words),
+                Column("flags.s0", np.uint32),
+                Column("flags.s1", np.uint32),
+            ],
+        )
+        self.batches = ColumnLog(
+            f"table {name!r} batches",
+            [
+                Column("times", np.int64, invariants=(Increasing(),)),
+                Column("lengths", np.int64, invariants=(Tiles(self.rows),)),
+            ],
+        )
 
     def append_batch(self, table: SharedTable, time: int) -> int:
-        """Append one uploaded batch; returns its position in the log."""
+        """Append one uploaded batch; returns its position in the log.
+
+        The rows go first and the batch last, so a reader that takes the
+        counts without a lock finds every batch it counts behind them.
+        """
         if table.schema != self.schema:
             raise SchemaError(
                 f"batch schema {table.schema.fields} does not match table "
                 f"{self.name!r} schema {self.schema.fields}"
             )
-        n, lo = self.n_batches, self.total_rows
-        if n and time <= self._times[n - 1]:
+        n = self.n_batches
+        if n and time <= self.times[n - 1]:
             raise ProtocolError(
                 f"batch at time {time} of {self.name!r} does not follow its "
-                f"last batch at {self._times[n - 1]}; uploads are ordered, "
+                f"last batch at {self.times[n - 1]}; uploads are ordered, "
                 "one batch per table and time"
             )
-        hi = lo + len(table)
-        rows = tuple(grown(half, hi, lo) for half in self._rows)
-        flags = tuple(grown(half, hi, lo) for half in self._flags)
-        rows[0][lo:hi], rows[1][lo:hi] = table.rows.share0, table.rows.share1
-        flags[0][lo:hi], flags[1][lo:hi] = table.flags.share0, table.flags.share1
-        self._rows, self._flags = rows, flags
-        self._times = grown(self._times, n + 1, n)
-        self._starts = grown(self._starts, n + 2, n + 1)
-        self._times[n] = time
-        self._starts[n + 1] = hi
-        self.total_rows = hi
-        self.n_batches = n + 1
+        rows, flags = table.rows, table.flags
+        self.rows.append(rows.share0, rows.share1, flags.share0, flags.share1)
+        self.batches.append((time,), (len(table),))
         return n
 
     # -- public structure --------------------------------------------------
     @property
+    def n_batches(self) -> int:
+        return len(self.batches)
+
+    @property
+    def total_rows(self) -> int:
+        return len(self.rows)
+
+    @property
     def times(self) -> np.ndarray:
         """Upload time of every batch (a view)."""
-        return self._times[: self.n_batches]
+        return self.batches["times"]
 
     @property
     def starts(self) -> np.ndarray:
-        """Batch ``k`` is the rows ``[starts[k], starts[k + 1])`` (a view)."""
-        return self._starts[: self.n_batches + 1]
+        """Batch ``k`` is the rows ``[starts[k], starts[k + 1])``."""
+        return self.batches.starts()
 
     def batch_at(self, time: int) -> int | None:
         """Position of the batch uploaded at ``time``, if any."""
@@ -105,12 +103,13 @@ class OutsourcedTable:
 
     def window(self, lo: int, hi: int) -> SharedTable:
         """Batches ``[lo, hi)`` as one table — slices, no copy."""
-        a, b = int(self._starts[lo]), int(self._starts[hi])
-        (rows0, rows1), (flags0, flags1) = self._rows, self._flags
+        starts = self.starts
+        a, b = int(starts[lo]), int(starts[hi])
+        rows = self.rows.view(b)
         return SharedTable(
             self.schema,
-            SharedArray(rows0[a:b], rows1[a:b]),
-            SharedArray(flags0[a:b], flags1[a:b]),
+            SharedArray(rows["rows.s0"][a:], rows["rows.s1"][a:]),
+            SharedArray(rows["flags.s0"][a:], rows["flags.s1"][a:]),
         )
 
     def batch(self, k: int) -> SharedTable:
@@ -126,29 +125,12 @@ class OutsourcedTable:
         return self.total_rows * (self.schema.width + 1) * WORD_BYTES
 
     # -- persistence hooks ----------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """The log as columns: the live buffers, sliced to their content."""
-        rows = self.total_rows
-        return {
-            "times": self.times,
-            "lengths": np.diff(self.starts),
-            "rows": tuple(half[:rows] for half in self._rows),
-            "flags": tuple(half[:rows] for half in self._flags),
-        }
+    def columns(self) -> dict:
+        """Both logs' columns, as the snapshot file nests them."""
+        return {**self.batches.columns(), **self.rows.columns()}
 
-    def restore_state(
-        self,
-        times: np.ndarray,
-        lengths: np.ndarray,
-        rows: tuple[np.ndarray, np.ndarray],
-        flags: tuple[np.ndarray, np.ndarray],
-    ) -> None:
-        """Adopt previously snapshotted columns as the log's buffers; the
-        caller has checked that ``lengths`` tile them."""
-        if any(half.shape[1:] != (self.schema.width,) for half in rows):
-            raise SchemaError(f"snapshot rows do not fit table {self.name!r}")
-        self._rows, self._flags = tuple(rows), tuple(flags)
-        self._times = np.asarray(times, dtype=np.int64)
-        self._starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        self.total_rows = len(flags[0])
-        self.n_batches = len(times)
+    def adopt(self, columns: Mapping) -> None:
+        """Take :meth:`columns` back as the logs' buffers — the row log
+        first, so the batch log's lengths are checked to tile it."""
+        self.rows.adopt(columns)
+        self.batches.adopt(columns)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.column_log import InRange, Increasing, Positive
 from repro.common.errors import PersistenceError
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
@@ -537,9 +541,22 @@ def legacy_metric_log(log) -> dict:
 def per_batch_body(db: IncShrinkDatabase) -> dict:
     """``db``'s state as the body of format versions 1–5 before their pool
     indices: one entry per uploaded batch in every table log, every group
-    scope (the same share object as the log's) and every ledger, and the
-    accountant and metric logs as JSON."""
+    scope (the same share object as the log's), every ledger and the
+    logical mirror, and the accountant and metric logs as JSON."""
     body = persistence._state_body(db, {})
+    body["logical"] = {
+        name: {
+            "fields": entry["fields"],
+            "times": entry["times"].tolist(),
+            "batches": [
+                entry["rows"][a:b]
+                for a, b in itertools.pairwise(
+                    np.concatenate([[0], np.cumsum(entry["lengths"])])
+                )
+            ],
+        }
+        for name, entry in body["logical"].items()
+    }
     body["accountant"] = [
         [name, eps, legacy_segment(segment)] for name, eps, segment in body["accountant"]
     ]
@@ -776,8 +793,8 @@ class TestIntegrity:
         restored = restore_database(tmp_path / "own.snap").database
         arrays = []
         for store in restored.tables.values():
-            log = store.snapshot_state()
-            arrays += [*log["rows"], *log["flags"], log["times"]]
+            log = store.columns()
+            arrays += [*log["rows"].values(), *log["flags"].values(), log["times"]]
         for group in restored.groups.values():
             for name in ("orders", "shipments"):
                 arrays += group.ledger.snapshot_state(name).values()
@@ -1281,71 +1298,13 @@ def test_snapshot_head_does_not_grow_with_the_stream(tmp_path):
     assert _NUMBER.sub(b"0", heads[0]) == _NUMBER.sub(b"0", heads[1])
 
 
-def _nudge(column: np.ndarray, by: int) -> np.ndarray:
-    nudged = column.copy()
-    nudged[0] += by
-    return nudged
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
         pytest.param(
-            lambda b: b["tables"]["orders"]["log"].update(
-                lengths=_nudge(b["tables"]["orders"]["log"]["lengths"], 1)
-            ),
-            "do not tile",
-            id="log-lengths",
-        ),
-        pytest.param(
-            lambda b: b["groups"][0]["probe"].update(
-                uses=b["groups"][0]["probe"]["uses"][1:]
-            ),
-            r"table 'orders': its columns do not fit a log of 2 batches",
-            id="ledger-short-column",
-        ),
-        pytest.param(
-            lambda b: b["groups"][1]["driver"].update(
-                emitted=b["groups"][1]["driver"]["emitted"].astype(np.int32)
-            ),
-            r"group 1 .*table 'shipments': its columns do not fit",
-            id="ledger-dtype",
-        ),
-        pytest.param(
-            lambda b: b["logical"]["shipments"].update(
-                lengths=_nudge(b["logical"]["shipments"]["lengths"], -1)
-            ),
-            "do not tile",
-            id="logical-lengths",
-        ),
-        pytest.param(
-            lambda b: b["accountant"].update(epsilon=b["accountant"]["epsilon"][1:]),
-            "aligned columns of lengths",
-            id="accountant-short-column",
-        ),
-        pytest.param(
-            lambda b: b["accountant"].update(
-                label=_nudge(b["accountant"]["label"], len(b["accountant"]["strings"]))
-            ),
-            "indexes past its string table",
-            id="accountant-string-index",
-        ),
-        pytest.param(
             lambda b: b["accountant"].update(strings=[1, 2]),
             "string table is not a list of strings",
             id="accountant-strings",
-        ),
-        pytest.param(
-            lambda b: b["metrics"].update(query_time=b["metrics"]["query_time"][1:]),
-            "aligned columns of lengths",
-            id="metrics-short-query-column",
-        ),
-        pytest.param(
-            lambda b: b["views"][0]["metrics"].update(
-                view_size_rows=b["views"][0]["metrics"]["view_size_rows"].astype(float)
-            ),
-            "'view_size_rows' is not a one-dimensional int64 array",
-            id="metrics-dtype",
         ),
     ],
 )
@@ -1385,22 +1344,6 @@ def column_in(head: dict, section: bytearray, *keys) -> np.ndarray:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(  # uses [3, 2, 1] -> [4, 1, 1]
-            lambda col: _set(col("groups", 0, "probe", "uses"), [4, 1, 1]),
-            r"group 0 \(orders x shipments\), table 'orders': "
-            r"a batch has uses outside 0\.\.b // omega = 3",
-            id="uses-over-budget",
-        ),
-        pytest.param(
-            lambda col: _set(col("groups", 0, "probe", "emitted"), [7]),
-            r"table 'orders': a record has emissions outside 0\.\.b = 6",
-            id="emissions-over-budget",
-        ),
-        pytest.param(
-            lambda col: _set(col("groups", 1, "driver", "emitted"), [-1]),
-            r"group 1 .*table 'shipments': a record has emissions outside",
-            id="emissions-negative",
-        ),
         pytest.param(  # uses [3, 2, 1] -> [2, 3, 1]: batch 2 spent, batch 1 not
             lambda col: _set(col("groups", 0, "probe", "uses"), [2, 3, 1]),
             "table 'orders': its exhausted batches are not a prefix of the log",
@@ -1420,26 +1363,6 @@ def column_in(head: dict, section: bytearray, *keys) -> np.ndarray:
             lambda col: col("groups", 0, "probe", "invocations").__setitem__((0, 0), 3),
             "table 'orders': a batch's invocation times are out of order",
             id="invocations-out-of-order",
-        ),
-        pytest.param(
-            lambda col: _set(col("accountant", "epsilon"), [np.nan]),
-            "epsilon that is not finite and positive",
-            id="epsilon-nan",
-        ),
-        pytest.param(
-            lambda col: _set(col("accountant", "epsilon"), [np.inf]),
-            "epsilon that is not finite and positive",
-            id="epsilon-inf",
-        ),
-        pytest.param(
-            lambda col: _set(col("accountant", "epsilon"), [-0.5]),
-            "epsilon that is not finite and positive",
-            id="epsilon-negative",
-        ),
-        pytest.param(
-            lambda col: _set(col("accountant", "epsilon"), [0.0]),
-            "epsilon that is not finite and positive",
-            id="epsilon-zero",
         ),
     ],
 )
@@ -1465,6 +1388,244 @@ def test_budget_columns_that_disagree_are_refused(tmp_path, edit, message):
     write_container(tmp_path / "bad.snap", head, bytes(section))
     with pytest.raises(PersistenceError, match=message):
         restore_database(tmp_path / "bad.snap")
+
+
+def _orders_log(body: dict) -> dict:
+    return body["tables"]["orders"]["log"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(  # batch_at(2) would answer None
+            lambda b: _orders_log(b).update(times=np.array([1, 1, 3])),
+            id="times-not-increasing",
+        ),
+        pytest.param(
+            lambda b: _orders_log(b).update(times=_orders_log(b)["times"].astype(np.float64)),
+            id="times-float64",
+        ),
+        pytest.param(
+            lambda b: _orders_log(b).update(
+                lengths=_orders_log(b)["lengths"].astype(np.float64)
+            ),
+            id="lengths-float64",
+        ),
+        pytest.param(
+            lambda b: _orders_log(b)["rows"].update(
+                s0=_orders_log(b)["rows"]["s0"].astype(np.int64)
+            ),
+            id="rows-int64",
+        ),
+        pytest.param(  # the next upload would die broadcasting into it
+            lambda b: _orders_log(b)["flags"].update(
+                s0=_orders_log(b)["flags"]["s0"].reshape(-1, 1)
+            ),
+            id="flags-reshaped",
+        ),
+    ],
+)
+def test_table_logs_a_stream_could_not_write_are_refused(tmp_path, edit):
+    """An upload log is two declared logs: batch times strictly
+    increasing, every column of its dtype and trailing shape.  An
+    authentic file that breaks one is refused naming the log."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+    body = persistence._snapshot_body(db, {})
+    edit(body)
+    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    with pytest.raises(PersistenceError, match=r"^table 'orders' (batches|rows): column "):
+        restore_database(tmp_path / "bad.snap")
+
+
+def test_logical_times_past_the_uploads_are_refused(tmp_path):
+    """An owner inserts only beside an upload: mirror times past the
+    table's last upload would answer every logical query before them
+    from an empty table, so the file is refused."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+    body = persistence._snapshot_body(db, {})
+    assert body["logical"]["shipments"]["times"].tolist() == [1, 2, 3]
+    body["logical"]["shipments"]["times"] = np.array([5, 6, 7])
+    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    with pytest.raises(
+        PersistenceError,
+        match=r"^logical table 'shipments' batches: column 'times' is not in \[1, 3\]",
+    ):
+        restore_database(tmp_path / "bad.snap")
+
+
+# -- every declared column, pushed outside what it declares ---------------------
+def registered_logs(db: IncShrinkDatabase, body: dict) -> list[tuple[tuple, str, object]]:
+    """Every log a snapshot of ``db`` holds as columns: where its columns
+    sit in ``body``, the name a refusal must carry, and the log."""
+    logs = []
+    for name, store in db.tables.items():
+        logs += [(("tables", name, "log"), log.name, log) for log in (store.rows, store.batches)]
+    for name in db.logical.tables():
+        table = db.logical._log(name)
+        logs += [(("logical", name), log.name, log) for log in (table.rows, table.batches)]
+    for index, group in enumerate(db.groups.values()):
+        where = f"transform group {index} ({group.probe_log.name} x {group.driver_log.name}), "
+        for role, table in (("probe", group.probe_log), ("driver", group.driver_log)):
+            side = group.ledger._logs[table.name]
+            logs += [
+                (("groups", index, role), where + log.name, log)
+                for log in (side.batches, side.rows)
+            ]
+    event_log = persistence._event_log(len(body["accountant"]["strings"]))
+    logs.append((("accountant",), event_log.name, event_log))
+    owners = [(("metrics",), "database")] + [
+        (("views", i, "metrics"), f"view {view['name']!r}") for i, view in enumerate(body["views"])
+    ]
+    for path, owner in owners:
+        logs += [(path, log.name, log) for log in persistence._metric_logs(owner)]
+    return logs
+
+
+def columns_at(body: dict, path: tuple) -> dict:
+    for key in path:
+        body = body[key]
+    return body
+
+
+def column_value(columns: dict, name: str) -> np.ndarray:
+    for key in name.split("."):
+        columns = columns[key]
+    return columns
+
+
+def set_column(columns: dict, name: str, value: np.ndarray) -> None:
+    *parents, leaf = name.split(".")
+    for key in parents:
+        columns = columns[key]
+    columns[leaf] = value
+
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory):
+    """A deployment with every log non-empty — tenant and unattributed
+    releases, query observations, exhausted batches — and the logs its
+    snapshot holds, as a restore declares them."""
+    db = build_database()
+    for t in (1, 2, 3, 4):
+        feed(db, t)
+    db.set_tenant_budgets({"ana": 2.0})
+    db.query(multi_query(), 4)
+    db.query(multi_query(), 4, epsilon=0.5, tenant="ana")
+    db.query(multi_query(), 4, epsilon=0.25)
+    directory = tmp_path_factory.mktemp("corruptible")
+    snapshot_database(db, directory / "good.snap")
+    restored = restore_database(directory / "good.snap").database
+    return db, registered_logs(restored, persistence._snapshot_body(db, {})), directory
+
+
+def test_every_column_the_file_holds_is_a_registered_log(corruptible):
+    """The property below reaches every array of every log: all of them
+    but the share tables, counters and thresholds, which are not logs."""
+    db, logs, _ = corruptible
+    body = persistence._snapshot_body(db, {})
+    declared = {
+        (*path, *column.name.split(".")) for path, _, log in logs for column in log.schema
+    }
+
+    def arrays(node, path=()):
+        if isinstance(node, np.ndarray):
+            yield path
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                yield from arrays(value, (*path, key))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from arrays(value, (*path, i))
+
+    held = {
+        path
+        for path in arrays(body)
+        if path[0] != "shared_tables" and path[2:3] not in (("counter",), ("policy",))
+    }
+    assert held == declared
+
+
+def violations(logs, body: dict) -> dict[str, list]:
+    """Every way to break a column of a registered log, by kind: its
+    dtype, its trailing shape, its log's alignment, or an invariant it
+    declares — where ``body`` has the entries to break it with."""
+    kinds: dict[str, list] = {}
+    for path, name, log in logs:
+        for column in log.schema:
+            n = len(column_value(columns_at(body, path), column.name))
+            ways = ["dtype", "shape"]
+            if len(log.schema) > 1 and n:
+                ways.append("misaligned")
+            if log.aligned_to is not None and n:
+                ways.append("not-aligned")
+            ways += [
+                rule for rule in column.invariants
+                if n >= (2 if isinstance(rule, Increasing) else 1)
+                and not (isinstance(rule, InRange) and rule.lo > rule.hi)
+            ]
+            for way in ways:
+                kind = str(way) if isinstance(way, (str, Increasing)) else type(way).__name__
+                kinds.setdefault(kind, []).append((path, name, log, column, way))
+    return kinds
+
+
+def broken(data, log, column, way, values: np.ndarray) -> dict[str, np.ndarray]:
+    """New values for ``column`` (and, to misalign a whole log, its
+    siblings) that break what ``way`` names."""
+    if way == "dtype":
+        dtypes = [d for d in (np.int64, np.float64, np.int32, np.uint32) if d != column.dtype]
+        return {column.name: values.astype(data.draw(st.sampled_from(dtypes)))}
+    if way == "shape":
+        return {column.name: values[..., None]}
+    if way == "misaligned":
+        return {column.name: values[:-1]}
+    if way == "not-aligned":
+        return {c.name: column_value(log.columns(), c.name)[:-1] for c in log.schema}
+    new, n = values.copy(), len(values)
+    if isinstance(way, Increasing):
+        i = data.draw(st.integers(0, n - 2))
+        new[i + 1] = new[i] - (0 if way.strict else data.draw(st.integers(1, 5)))
+        return {column.name: new}
+    i = data.draw(st.integers(0, n - 1))
+    if isinstance(way, InRange):
+        delta = data.draw(st.integers(1, 10))
+        new[i] = way.hi + delta if data.draw(st.booleans()) else way.lo - delta
+    elif isinstance(way, Positive):
+        new[i] = data.draw(st.sampled_from([0.0, -0.5, np.nan, np.inf, -np.inf]))
+    else:  # Tiles
+        new[i] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    return {column.name: new}
+
+
+def test_every_invariant_kind_has_a_column_to_break(corruptible):
+    db, logs, _ = corruptible
+    assert sorted(violations(logs, persistence._snapshot_body(db, {}))) == [
+        "InRange", "Positive", "Tiles", "dtype", "misaligned", "non-decreasing",
+        "not-aligned", "shape", "strictly increasing",
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_column_outside_what_its_log_declares_is_refused(corruptible, data):
+    """Any column of any registered log pushed outside its dtype, trailing
+    shape, alignment or an invariant — the file's trailer recomputed — is
+    refused with a PersistenceError that names the log."""
+    db, logs, directory = corruptible
+    body = persistence._snapshot_body(db, {})
+    kinds = violations(logs, body)
+    kind = data.draw(st.sampled_from(sorted(kinds)), label="kind")
+    path, name, log, column, way = data.draw(st.sampled_from(kinds[kind]), label="target")
+    columns = columns_at(body, path)
+    for key, value in broken(data, log, column, way, column_value(columns, column.name)).items():
+        set_column(columns, key, value)
+    persistence._write_snapshot(directory / "bad.snap", body, 0.0)
+    with pytest.raises(PersistenceError, match="^" + re.escape(name + ": ")):
+        restore_database(directory / "bad.snap")
 
 
 @pytest.mark.parametrize(

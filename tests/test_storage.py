@@ -92,12 +92,16 @@ class TestOutsourcedTable:
         for time in range(1, 5):
             table.append_batch(shared([[time, time]] * time, [1] * time), time=time)
             assert (table.total_rows, table.byte_size) == recomputed(table)
-        state = table.snapshot_state()
-        table.restore_state(
-            state["times"][:2],
-            state["lengths"][:2],
-            tuple(half[:3].copy() for half in state["rows"]),
-            tuple(half[:3].copy() for half in state["flags"]),
+        state = table.columns()
+        table.adopt(
+            {
+                "times": state["times"][:2],
+                "lengths": state["lengths"][:2],
+                **{
+                    part: {half: col[:3].copy() for half, col in state[part].items()}
+                    for part in ("rows", "flags")
+                },
+            }
         )
         assert table.total_rows == 3
         assert (table.total_rows, table.byte_size) == recomputed(table)
