@@ -97,7 +97,7 @@ class ColumnLog:
     """Named, aligned, append-only columns with one growth policy.
 
     Content is never overwritten by an append, and a growth moves into
-    fresh arrays, so a :meth:`view` taken earlier keeps exactly the
+    fresh zeroed arrays, so a :meth:`view` taken earlier keeps exactly the
     prefix it was taken over — a reader may keep folding over it while
     another thread appends.  ``len(log)`` is published last, so a reader
     that takes it without a lock finds the content behind it.
@@ -113,14 +113,6 @@ class ColumnLog:
         self.aligned_to = aligned_to
         self._buffers = [np.empty((0, *c.shape), c.dtype, order=c.order) for c in self.schema]
         self._n = 0
-        #: the column of run lengths that tiles another log, if any, and
-        #: where each of its runs starts, kept by every append
-        runs = [
-            i for i, c in enumerate(self.schema)
-            if any(isinstance(v, Tiles) for v in c.invariants)
-        ]
-        self._runs = runs[0] if runs else None
-        self._starts = None if self._runs is None else np.zeros(1, np.int64)
 
     def __len__(self) -> int:
         return self._n
@@ -132,38 +124,28 @@ class ColumnLog:
     def append(self, *parts) -> None:
         """Add rows: one array-like per column, in declared order, each of
         the same number of entries."""
-        self._write(self._n + len(parts[0]), parts)
-
-    def pad(self, n: int) -> None:
-        """Lengthen the log to ``n`` rows, the new ones zero."""
-        if n > self._n:
-            self._write(n, (0,) * len(self.schema))
-
-    def _write(self, hi: int, parts) -> None:
         lo = self._n
+        hi = lo + len(parts[0])
         if hi > len(self._buffers[0]):
             self._grow(hi)
         for buf, part in zip(self._buffers, parts):
             buf[lo:hi] = part
-        if self._runs is not None:
-            starts, runs = self._starts, self._buffers[self._runs]
-            if hi == lo + 1:  # one run, as a batch log grows: no ufunc calls
-                starts[hi] = starts[lo] + runs[lo]
-            else:
-                np.cumsum(runs[lo:hi], out=starts[lo + 1 : hi + 1])
-                starts[lo + 1 : hi + 1] += starts[lo]
         self._n = hi
+
+    def pad(self, n: int) -> None:
+        """Lengthen the log to ``n`` rows, the new ones zero: past the
+        content a buffer holds only zeros, so nothing is written."""
+        if n > self._n:
+            if n > len(self._buffers[0]):
+                self._grow(n)
+            self._n = n
 
     def _grow(self, needed: int) -> None:
         n, capacity = self._n, CAPACITY_FACTOR * max(needed, MIN_CAPACITY_ROWS)
         for i, column in enumerate(self.schema):
-            new = np.empty((capacity, *column.shape), column.dtype, order=column.order)
+            new = np.zeros((capacity, *column.shape), column.dtype, order=column.order)
             new[:n] = self._buffers[i][:n]
             self._buffers[i] = new
-        if self._runs is not None:
-            starts = np.empty(capacity + 1, np.int64)
-            starts[: n + 1] = self._starts[: n + 1]
-            self._starts = starts
 
     def view(self, n: int | None = None) -> dict[str, np.ndarray]:
         """The first ``n`` rows (all, by default) of every column: faces."""
@@ -173,11 +155,6 @@ class ColumnLog:
     def since(self, mark: int) -> dict[str, np.ndarray]:
         """The rows appended after the first ``mark``: faces."""
         return {c.name: buf[mark : self._n] for c, buf in zip(self.schema, self._buffers)}
-
-    def starts(self) -> np.ndarray:
-        """Where each run of the run-length column starts, then where the
-        last one ends: ``len + 1`` entries, a face."""
-        return self._starts[: self._n + 1]
 
     def columns(self) -> dict:
         """The content for the writer, nested as the dotted names say."""
@@ -204,9 +181,6 @@ class ColumnLog:
             arrays.append(node)
         n = self.check(arrays)
         self._buffers = [np.asarray(a, order=c.order) for c, a in zip(self.schema, arrays)]
-        if self._runs is not None:
-            self._starts = np.zeros(n + 1, np.int64)
-            np.cumsum(self._buffers[self._runs], out=self._starts[1:])
         self._n = n
 
     def check(self, arrays: Sequence) -> int:
@@ -238,3 +212,13 @@ class ColumnLog:
                 if not invariant.holds(arr):
                     raise PersistenceError(f"{self.name}: column {c.name!r} is not {invariant}")
         return n
+
+
+def starts_log(name: str, lengths) -> ColumnLog:
+    """Where each run of ``lengths`` starts, then where the last one ends
+    (``len(lengths) + 1`` entries in column ``start``): a log that grows
+    by one entry per appended run, for a caller that slices runs."""
+    log = ColumnLog(name, [Column("start", np.int64)])
+    log.append([0])
+    log.append(np.cumsum(lengths, dtype=np.int64))
+    return log

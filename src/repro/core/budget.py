@@ -47,7 +47,7 @@ _COLUMN_ORDER = ("uses", "emitted", "invocations")
 class _LogBudget:
     """One table's budget columns, aligned to its upload logs."""
 
-    __slots__ = ("log", "batches", "rows", "uses", "emitted", "invocations", "first")
+    __slots__ = ("log", "batches", "rows", "first")
 
     def __init__(self, log: OutsourcedTable, max_uses: int, budget: int) -> None:
         self.log = log
@@ -69,7 +69,6 @@ class _LogBudget:
         )
         #: batches ``[:first]`` are exhausted
         self.first = 0
-        self.faced()
 
     def synced(self) -> "_LogBudget":
         """These columns, padded to cover every batch of the log (whose
@@ -78,13 +77,20 @@ class _LogBudget:
         if len(self.batches) != len(log.batches):
             self.batches.pad(len(log.batches))
             self.rows.pad(len(log.rows))
-            self.faced()
         return self
 
-    def faced(self) -> None:
-        """Take the logs' current faces, which a charge writes in place."""
-        self.uses, self.invocations = self.batches["uses"], self.batches["invocations"]
-        self.emitted = self.rows["emitted"]
+    # Faces of the logs' buffers, which a charge writes in place.
+    @property
+    def uses(self) -> np.ndarray:
+        return self.batches["uses"]
+
+    @property
+    def invocations(self) -> np.ndarray:
+        return self.batches["invocations"]
+
+    @property
+    def emitted(self) -> np.ndarray:
+        return self.rows["emitted"]
 
 
 class ContributionLedger:
@@ -234,7 +240,6 @@ class ContributionLedger:
             state = columns[table]
             side.batches.adopt(state)
             side.rows.adopt(state)
-            side.faced()
             side.first = 0
             # The first table is the probe's (see ``TransformGroup``).
             problem = self._run_problem(side, probe=rank == 0)

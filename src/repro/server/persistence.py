@@ -104,7 +104,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..common.column_log import Column, ColumnLog, InRange, Positive
+from ..common.column_log import Column, ColumnLog, Increasing, InRange, Positive
 from ..common.errors import PersistenceError
 from ..common.metrics import MetricLog, QueryObservation
 from ..common.types import Schema
@@ -855,13 +855,17 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
             )
         store.adopt(entry["log"])
 
-    # Owners' logical mirror: an owner inserts only beside an upload, so
-    # each table's insertion times lie within its upload times.
-    spans = {}
+    # Owners' logical mirror: an owner inserts once beside an upload, at
+    # its time, so a table's insertion times are some of its upload times.
+    db.logical.restore_state(body["logical"])
     for name, store in db.tables.items():
-        times = store.times
-        spans[name] = (int(times[0]), int(times[-1])) if len(times) else (0, -1)
-    db.logical.restore_state(body["logical"], spans)
+        batches = db.logical.batch_log(name)
+        times = batches["times"]
+        if not (Increasing().holds(times) and np.isin(times, store.times).all()):
+            raise PersistenceError(
+                f"{batches.name}: column 'times' is not strictly increasing "
+                f"upload times of table {name!r}"
+            )
 
     # Transform groups: each ledger adopts its columns once they fit.
     live_groups = list(db.groups.values())

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..common.column_log import Column, ColumnLog, Increasing, InRange, Tiles
+from ..common.column_log import Column, ColumnLog, Increasing, Tiles, starts_log
 from ..common.errors import SchemaError
 from ..common.types import Schema
 
@@ -59,24 +59,30 @@ def _rows(log: ColumnLog, start: int, end: int) -> np.ndarray:
 
 class _TableLog:
     """One table's insertion log: a batch log of insertion ``times``
-    (non-decreasing, within ``span`` when one is given) and row
-    ``lengths`` (which tile the row log), and the row log itself."""
+    (non-decreasing) and row ``lengths`` (which tile the row log), and
+    the row log itself."""
 
-    def __init__(self, name: str, schema: Schema, span: tuple[int, int] | None = None) -> None:
+    def __init__(self, name: str, schema: Schema) -> None:
         self.schema = schema
         self.rows = _row_log(f"logical table {name!r} rows", schema.width)
-        time_rules = (Increasing(strict=False),) + (() if span is None else (InRange(*span),))
         self.batches = ColumnLog(
             f"logical table {name!r} batches",
             [
-                Column("times", np.int64, invariants=time_rules),
+                Column("times", np.int64, invariants=(Increasing(strict=False),)),
                 Column("lengths", np.int64, invariants=(Tiles(self.rows),)),
             ],
         )
+        self.starts = starts_log(f"logical table {name!r} run starts", [])
 
     def append(self, time: int, rows: np.ndarray) -> None:
         self.rows.append(rows)
+        self.starts.append((len(self.rows),))
         self.batches.append((time,), (len(rows),))
+
+    def adopt(self, columns: dict) -> None:
+        self.rows.adopt(columns)
+        self.batches.adopt(columns)
+        self.starts = starts_log(self.starts.name, self.batches["lengths"])
 
     @property
     def times(self) -> np.ndarray:
@@ -88,7 +94,7 @@ class _TableLog:
 
     def rows_in(self, n_batches: int) -> int:
         """Row count of the first ``n_batches`` batches."""
-        return int(self.batches.starts()[n_batches])
+        return int(self.starts["start"][n_batches])
 
 
 @dataclass
@@ -199,12 +205,9 @@ class GrowingDatabase:
             for name, log in self._tables.items()
         }
 
-    def restore_state(
-        self, state: dict, spans: dict[str, tuple[int, int]] | None = None
-    ) -> None:
+    def restore_state(self, state: dict) -> None:
         """Refill already-created tables with :meth:`snapshot_state`
-        columns; each table's times must lie within its ``spans`` entry,
-        if one is given.
+        columns.
 
         Drops every materialised join: a restored database starts cold.
         """
@@ -215,9 +218,8 @@ class GrowingDatabase:
                     f"snapshot of logical table {name!r} has fields "
                     f"{tuple(entry['fields'])}, expected {log.schema.fields}"
                 )
-            restored = _TableLog(name, log.schema, (spans or {}).get(name))
-            restored.rows.adopt(entry)
-            restored.batches.adopt(entry)
+            restored = _TableLog(name, log.schema)
+            restored.adopt(entry)
             self._tables[name] = restored
         with self._mirror_lock:
             self._generation += 1
@@ -234,6 +236,10 @@ class GrowingDatabase:
 
     def tables(self) -> list[str]:
         return list(self._tables)
+
+    def batch_log(self, name: str) -> ColumnLog:
+        """The insertion ``times`` and row ``lengths`` of ``name``."""
+        return self._log(name).batches
 
     # -- incrementally maintained join ----------------------------------------
     def joined_at(self, spec: JoinViewDefinition, time: int) -> np.ndarray:

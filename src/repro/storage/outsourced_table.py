@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..common.column_log import Column, ColumnLog, Increasing, Tiles
+from ..common.column_log import Column, ColumnLog, Increasing, Tiles, starts_log
 from ..common.errors import ProtocolError, SchemaError
 from ..common.types import Schema
 from ..sharing.shared_value import WORD_BYTES, SharedArray, SharedTable
@@ -52,12 +52,14 @@ class OutsourcedTable:
                 Column("lengths", np.int64, invariants=(Tiles(self.rows),)),
             ],
         )
+        self._starts = starts_log(f"table {name!r} run starts", [])
 
     def append_batch(self, table: SharedTable, time: int) -> int:
         """Append one uploaded batch; returns its position in the log.
 
-        The rows go first and the batch last, so a reader that takes the
-        counts without a lock finds every batch it counts behind them.
+        The rows and their run start go first and the batch last, so a
+        reader that takes the counts without a lock finds every batch it
+        counts behind them.
         """
         if table.schema != self.schema:
             raise SchemaError(
@@ -73,6 +75,7 @@ class OutsourcedTable:
             )
         rows, flags = table.rows, table.flags
         self.rows.append(rows.share0, rows.share1, flags.share0, flags.share1)
+        self._starts.append((len(self.rows),))
         self.batches.append((time,), (len(table),))
         return n
 
@@ -92,8 +95,8 @@ class OutsourcedTable:
 
     @property
     def starts(self) -> np.ndarray:
-        """Batch ``k`` is the rows ``[starts[k], starts[k + 1])``."""
-        return self.batches.starts()
+        """Batch ``k`` is the rows ``[starts[k], starts[k + 1])`` (a view)."""
+        return self._starts["start"]
 
     def batch_at(self, time: int) -> int | None:
         """Position of the batch uploaded at ``time``, if any."""
@@ -134,3 +137,4 @@ class OutsourcedTable:
         first, so the batch log's lengths are checked to tile it."""
         self.rows.adopt(columns)
         self.batches.adopt(columns)
+        self._starts = starts_log(self._starts.name, self.batches["lengths"])

@@ -24,6 +24,7 @@ from repro.common.column_log import (
     InRange,
     Positive,
     Tiles,
+    starts_log,
 )
 from repro.common.errors import PersistenceError
 
@@ -99,25 +100,31 @@ def test_columns_nest_as_their_dotted_names_and_adopt_takes_them_back():
     np.testing.assert_array_equal(copy.view(5)["time"], log.view()["time"])
 
 
-def test_pad_lengthens_with_zeros_and_starts_are_running_sums():
-    rows_log = ColumnLog("rows", [Column("r", np.int64)])
-    log = ColumnLog(
-        "runs",
-        [Column("n", np.int64, invariants=(Tiles(rows_log),)), Column("m", np.int64, (2,))],
-    )
+def test_pad_lengthens_with_zeros():
+    log = ColumnLog("runs", [Column("n", np.int64), Column("m", np.int64, (2,))])
     log.append([2, 0, 3], np.ones((3, 2), np.int64))
-    early = log.starts()
+    early = log.view()
     log.pad(100)
     assert len(log) == 100
     assert log.view()["n"][3:].sum() == 0 and log.view()["m"][3:].sum() == 0
-    assert log.starts()[:5].tolist() == [0, 2, 2, 5, 5]
+    log.pad(50)  # never shortens
+    assert len(log) == 100
     log.append([4], [[1, 1]])
-    assert log.starts()[-2:].tolist() == [5, 9]
-    assert early.tolist() == [0, 2, 2, 5]
-    rows_log.append(np.arange(9))
+    assert log.view()["n"][-2:].tolist() == [0, 4]
+    assert early["n"].tolist() == [2, 0, 3]
     copy = ColumnLog("runs", log.schema)
-    copy.adopt(log.columns())
-    np.testing.assert_array_equal(copy.starts(), log.starts())
+    copy.adopt({"n": np.array([7, 7]), "m": np.full((2, 2), 7)})
+    copy.pad(300)  # past the adopted arrays: a growth, zero beyond them
+    assert copy.view()["n"][:3].tolist() == [7, 7, 0] and copy.view()["m"][2:].sum() == 0
+
+
+def test_starts_log_sums_runs_and_grows_by_one_per_run():
+    log = starts_log("starts", [2, 0, 3])
+    assert log["start"].tolist() == [0, 2, 2, 5]
+    for end in range(6, 200):
+        log.append((end,))
+    assert log["start"][:5].tolist() == [0, 2, 2, 5, 6] and len(log) == 198
+    assert starts_log("none", [])["start"].tolist() == [0]
 
 
 @pytest.mark.parametrize(

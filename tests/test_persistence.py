@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.column_log import InRange, Increasing, Positive
+from repro.common.column_log import InRange, Increasing, Positive, Tiles
 from repro.common.errors import PersistenceError
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
@@ -1439,20 +1439,31 @@ def test_table_logs_a_stream_could_not_write_are_refused(tmp_path, edit):
         restore_database(tmp_path / "bad.snap")
 
 
-def test_logical_times_past_the_uploads_are_refused(tmp_path):
-    """An owner inserts only beside an upload: mirror times past the
-    table's last upload would answer every logical query before them
-    from an empty table, so the file is refused."""
+@pytest.mark.parametrize(
+    "times",
+    [
+        pytest.param([5, 6, 7], id="past-the-uploads"),  # empty through t=3
+        pytest.param([1, 1, 3], id="repeated"),  # 3 rows at t=1, not 1
+        pytest.param([1, 3, 3], id="repeated-last"),  # 1 row at t=2, not 3
+        pytest.param([0, 2, 3], id="not-an-upload-time"),  # 1 row at t=0, not 0
+    ],
+)
+def test_logical_times_other_than_the_uploads_are_refused(tmp_path, times):
+    """An owner inserts once beside an upload, at its time: mirror times
+    that are not strictly increasing upload times of the table would
+    change the logical answers while the view's stay, so the file is
+    refused."""
     db = build_database()
     for t in (1, 2, 3):
         feed(db, t)
     body = persistence._snapshot_body(db, {})
     assert body["logical"]["shipments"]["times"].tolist() == [1, 2, 3]
-    body["logical"]["shipments"]["times"] = np.array([5, 6, 7])
+    body["logical"]["shipments"]["times"] = np.array(times)
     persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
     with pytest.raises(
         PersistenceError,
-        match=r"^logical table 'shipments' batches: column 'times' is not in \[1, 3\]",
+        match=r"^logical table 'shipments' batches: column 'times' is not strictly "
+        r"increasing upload times of table 'shipments'$",
     ):
         restore_database(tmp_path / "bad.snap")
 
@@ -1573,59 +1584,106 @@ def violations(logs, body: dict) -> dict[str, list]:
     return kinds
 
 
-def broken(data, log, column, way, values: np.ndarray) -> dict[str, np.ndarray]:
-    """New values for ``column`` (and, to misalign a whole log, its
-    siblings) that break what ``way`` names."""
+def choices(column, way) -> list:
+    """The finite ways to break ``column`` as ``way`` names, each of which
+    :func:`broken` applies at any entry: another dtype; how far an entry
+    drops below the one before it; a value outside the range, above and
+    below; a value that is not finite and positive; a run made longer or
+    shorter."""
     if way == "dtype":
-        dtypes = [d for d in (np.int64, np.float64, np.int32, np.uint32) if d != column.dtype]
-        return {column.name: values.astype(data.draw(st.sampled_from(dtypes)))}
+        return [d for d in (np.int64, np.float64, np.int32, np.uint32) if d != column.dtype]
+    if isinstance(way, Increasing):
+        return [0, 1, 5] if way.strict else [1, 5]
+    if isinstance(way, InRange):
+        return [way.hi + 1, way.hi + 10, way.lo - 1, way.lo - 10]
+    if isinstance(way, Positive):
+        return [0.0, -0.5, np.nan, np.inf, -np.inf]
+    if isinstance(way, Tiles):
+        return [-2, -1, 1, 2]
+    return [None]  # shape, misaligned, not-aligned
+
+
+def entries(way, values: np.ndarray) -> int:
+    """How many entries :func:`broken` can break ``way`` at."""
+    return len(values) - 1 if isinstance(way, Increasing) else len(values)
+
+
+def broken(log, column, way, values: np.ndarray, choice, at: int) -> dict[str, np.ndarray]:
+    """New values for ``column`` (and, to misalign a whole log, its
+    siblings) that break what ``way`` names, by ``choice`` at ``at``."""
+    if way == "dtype":
+        return {column.name: values.astype(choice)}
     if way == "shape":
         return {column.name: values[..., None]}
     if way == "misaligned":
         return {column.name: values[:-1]}
     if way == "not-aligned":
         return {c.name: column_value(log.columns(), c.name)[:-1] for c in log.schema}
-    new, n = values.copy(), len(values)
+    new = values.copy()
     if isinstance(way, Increasing):
-        i = data.draw(st.integers(0, n - 2))
-        new[i + 1] = new[i] - (0 if way.strict else data.draw(st.integers(1, 5)))
-        return {column.name: new}
-    i = data.draw(st.integers(0, n - 1))
-    if isinstance(way, InRange):
-        delta = data.draw(st.integers(1, 10))
-        new[i] = way.hi + delta if data.draw(st.booleans()) else way.lo - delta
-    elif isinstance(way, Positive):
-        new[i] = data.draw(st.sampled_from([0.0, -0.5, np.nan, np.inf, -np.inf]))
-    else:  # Tiles
-        new[i] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        new[at + 1] = new[at] - choice
+    elif isinstance(way, Tiles):
+        new[at] += choice
+    else:
+        new[at] = choice
     return {column.name: new}
+
+
+def refused_when_broken(db, directory, target, choice, at: int) -> None:
+    """``db``'s snapshot with ``target`` broken — its trailer recomputed —
+    is refused naming the log."""
+    path, name, log, column, way = target
+    body = persistence._snapshot_body(db, {})
+    columns = columns_at(body, path)
+    values = column_value(columns, column.name)
+    for key, value in broken(log, column, way, values, choice, at).items():
+        set_column(columns, key, value)
+    persistence._write_snapshot(directory / "bad.snap", body, 0.0)
+    with pytest.raises(PersistenceError, match="^" + re.escape(name + ": ")):
+        restore_database(directory / "bad.snap")
+
+
+KINDS = [
+    "InRange", "Positive", "Tiles", "dtype", "misaligned", "non-decreasing",
+    "not-aligned", "shape", "strictly increasing",
+]
 
 
 def test_every_invariant_kind_has_a_column_to_break(corruptible):
     db, logs, _ = corruptible
-    assert sorted(violations(logs, persistence._snapshot_body(db, {}))) == [
-        "InRange", "Positive", "Tiles", "dtype", "misaligned", "non-decreasing",
-        "not-aligned", "shape", "strictly increasing",
-    ]
+    assert sorted(violations(logs, persistence._snapshot_body(db, {}))) == KINDS
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_column_broken_every_way_is_refused(corruptible, kind):
+    """Each way of each kind, on every column of every registered log
+    that declares it, at its first and last entry: refused naming the
+    log, on every run."""
+    db, logs, directory = corruptible
+    body = persistence._snapshot_body(db, {})
+    for target in violations(logs, body)[kind]:
+        path, _, _, column, way = target
+        values = column_value(columns_at(body, path), column.name)
+        for choice in choices(column, way):
+            for at in sorted({0, max(entries(way, values) - 1, 0)}):
+                refused_when_broken(db, directory, target, choice, at)
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_a_column_outside_what_its_log_declares_is_refused(corruptible, data):
     """Any column of any registered log pushed outside its dtype, trailing
-    shape, alignment or an invariant — the file's trailer recomputed — is
-    refused with a PersistenceError that names the log."""
+    shape, alignment or an invariant, at any entry — the file's trailer
+    recomputed — is refused with a PersistenceError that names the log."""
     db, logs, directory = corruptible
-    body = persistence._snapshot_body(db, {})
-    kinds = violations(logs, body)
+    kinds = violations(logs, persistence._snapshot_body(db, {}))
     kind = data.draw(st.sampled_from(sorted(kinds)), label="kind")
-    path, name, log, column, way = data.draw(st.sampled_from(kinds[kind]), label="target")
-    columns = columns_at(body, path)
-    for key, value in broken(data, log, column, way, column_value(columns, column.name)).items():
-        set_column(columns, key, value)
-    persistence._write_snapshot(directory / "bad.snap", body, 0.0)
-    with pytest.raises(PersistenceError, match="^" + re.escape(name + ": ")):
-        restore_database(directory / "bad.snap")
+    target = data.draw(st.sampled_from(kinds[kind]), label="target")
+    path, _, _, column, way = target
+    values = column_value(columns_at(persistence._snapshot_body(db, {}), path), column.name)
+    choice = data.draw(st.sampled_from(choices(column, way)), label="choice")
+    at = data.draw(st.integers(0, max(entries(way, values) - 1, 0)), label="at")
+    refused_when_broken(db, directory, target, choice, at)
 
 
 @pytest.mark.parametrize(

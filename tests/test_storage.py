@@ -104,9 +104,21 @@ class TestOutsourcedTable:
             }
         )
         assert table.total_rows == 3
+        assert table.starts.tolist() == [0, 1, 3]
         assert (table.total_rows, table.byte_size) == recomputed(table)
         table.append_batch(shared([[5, 5]], [1]), time=5)
         assert (table.total_rows, table.byte_size) == recomputed(table)
+
+    def test_starts_follow_appends_and_an_adopt_of_as_many_batches(self):
+        table = OutsourcedTable(SCHEMA, "t")
+        assert table.starts.tolist() == [0]
+        for time, size in ((1, 2), (2, 1), (3, 3)):
+            table.append_batch(shared([[time, time]] * size, [1] * size), time=time)
+            assert table.starts[-1] == table.total_rows
+        assert table.starts.tolist() == [0, 2, 3, 6]
+        columns = table.columns()
+        table.adopt({**columns, "lengths": np.array([1, 2, 3])})
+        assert table.starts.tolist() == [0, 1, 3, 6]
 
     def test_batches_are_slices_that_outlive_a_growth(self):
         """A batch, a window and the whole log are views of the log's
