@@ -108,39 +108,43 @@ def test_ablation_noise_source(benchmark):
 
 def test_ablation_multilevel(benchmark):
     """Two-level Transform-and-Shrink (join → filter) vs single level."""
-    from repro.core.engine import EngineConfig, IncShrinkEngine
     from repro.core.multilevel import MultiLevelIncShrink
+    from repro.server.database import IncShrinkDatabase, ViewRegistration
     from repro.workload.tpcds import make_tpcds_workload
 
     def run():
         wl = make_tpcds_workload(seed=0, n_steps=60)
-        engine = IncShrinkEngine(
-            wl.view_def,
-            EngineConfig(mode="dp-timer", epsilon=1.0, timer_interval=5),
-        )
-        ts_col = wl.view_def.view_schema.index("d_return_ts")
+        vd = wl.view_def
+        database = IncShrinkDatabase(total_epsilon=1.0)
+        database.register_view(ViewRegistration(vd, timer_interval=5))
+        ts_col = vd.view_schema.index("d_return_ts")
         pipeline = MultiLevelIncShrink(
-            engine,
+            database,
+            vd.name,
             predicate=lambda rows: rows[:, ts_col] % 2 == 0,
             epsilon_level2=0.5,
             interval=5,
         )
         for step in wl.steps:
-            engine.upload(step.time, step.probe, step.driver)
+            database.upload(
+                step.time,
+                [(vd.probe_table, step.probe), (vd.driver_table, step.driver)],
+            )
             pipeline.process_step(step.time)
-        return engine, pipeline
+        return database, pipeline
 
-    engine, pipeline = benchmark.pedantic(run, rounds=1, iterations=1)
-    with engine.runtime.protocol("audit") as ctx:
-        level1_real = engine.view.real_count(ctx)
-    with engine.runtime.protocol("audit2") as ctx:
+    database, pipeline = benchmark.pedantic(run, rounds=1, iterations=1)
+    level1 = pipeline.level1
+    with database.runtime.protocol("audit") as ctx:
+        level1_real = level1.view.real_count(ctx)
+    with database.runtime.protocol("audit2") as ctx:
         level2_real = pipeline.stage2.view.real_count(ctx)
     emit(
         format_table(
             "Ablation: multi-level Transform-and-Shrink (TPC-ds)",
             ["level", "view rows", "real rows", "epsilon"],
             [
-                ["join (L1)", len(engine.view), level1_real, engine.config.epsilon],
+                ["join (L1)", len(level1.view), level1_real, level1.epsilon],
                 ["filter (L2)", len(pipeline.stage2.view), level2_real,
                  pipeline.stage2.shrink.epsilon],
             ],

@@ -37,7 +37,7 @@ from repro.query.incremental import AccumulatorCache
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.query.shard_workers import shutdown_process_backend
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 

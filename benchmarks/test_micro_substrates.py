@@ -16,7 +16,7 @@ from repro.oblivious.filter import (
     oblivious_multi_aggregate,
     range_mask,
 )
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 from repro.oblivious.sort import (

@@ -52,7 +52,7 @@ from repro.query.rewrite import lower_to_view_scan
 from repro.query.shard_workers import shutdown_process_backend
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.persistence import snapshot_database
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 

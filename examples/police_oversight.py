@@ -14,7 +14,7 @@ pays with more padded slots everywhere (slower Shrink and queries).
 Run:  python examples/police_oversight.py
 """
 
-from repro import EngineConfig, IncShrinkEngine
+from repro import IncShrinkDatabase, LogicalQuery, ViewRegistration
 from repro.workload import make_cpdb_workload
 
 
@@ -22,20 +22,21 @@ def run_with_omega(omega: int, budget: int, n_steps: int = 80):
     workload = make_cpdb_workload(
         seed=11, n_steps=n_steps, omega=omega, budget=budget
     )
-    engine = IncShrinkEngine(
-        workload.view_def,
-        EngineConfig(
-            mode="dp-timer", epsilon=1.5, timer_interval=3,
+    vd = workload.view_def
+    # Every query a full padded scan of the view, as the paper measures it.
+    db = IncShrinkDatabase(total_epsilon=1.5, incremental=False)
+    db.register_view(
+        ViewRegistration(
+            vd, mode="dp-timer", timer_interval=3,
             flush_interval=30, flush_size=170,
-        ),
+        )
     )
     dropped = 0
     for step in workload.steps:
-        engine.upload(step.time, step.probe, step.driver)
-        report = engine.process_step(step.time)
-        dropped += report.truncation_dropped
-        engine.query_count(step.time)
-    return engine.metrics.summary(), dropped
+        db.upload(step.time, {vd.probe_table: step.probe, vd.driver_table: step.driver})
+        dropped += db.step(step.time).view(vd.name).truncation_dropped
+        db.query(LogicalQuery.for_view(vd), step.time)
+    return db.views[vd.name].metrics.summary(), dropped
 
 
 def main() -> None:

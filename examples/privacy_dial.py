@@ -29,9 +29,9 @@ def main() -> None:
                 n_steps=160, seed=4,
             )
         )
-        updates = res.engine.policy.updates_done
+        updates = res.view.policy.updates_done
         bound = theorem4_deferred_bound(
-            eps, res.engine.view_def.budget, max(updates, 1), beta=0.05
+            eps, res.view.view_def.budget, max(updates, 1), beta=0.05
         )
         s = res.summary
         print(

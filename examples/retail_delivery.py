@@ -17,7 +17,13 @@ Run:  python examples/retail_delivery.py
 
 import numpy as np
 
-from repro import EngineConfig, IncShrinkEngine, JoinViewDefinition, Schema
+from repro import (
+    IncShrinkDatabase,
+    JoinViewDefinition,
+    LogicalQuery,
+    Schema,
+    ViewRegistration,
+)
 from repro.common.types import RecordBatch
 from repro.common.rng import spawn
 
@@ -68,14 +74,22 @@ def main() -> None:
     gen = spawn(7, "retail")
     pending: dict[int, list[tuple[int, int]]] = {}
 
-    engines = {
-        "IncShrink (sDPANT)": IncShrinkEngine(
-            view_def,
-            EngineConfig(mode="dp-ant", epsilon=2.0, ant_threshold=8.0,
-                         flush_interval=20, flush_size=25),
+    deployments = {
+        "IncShrink (sDPANT)": ViewRegistration(
+            view_def, mode="dp-ant", ant_threshold=8.0,
+            flush_interval=20, flush_size=25,
         ),
-        "naive NM baseline": IncShrinkEngine(view_def, EngineConfig(mode="nm")),
+        "naive NM baseline": ViewRegistration(view_def, mode="nm"),
     }
+    databases = {}
+    for name, registration in deployments.items():
+        # No NM fallback for the view deployment: it answers from its view.
+        db = IncShrinkDatabase(
+            total_epsilon=2.0, nm_fallback=registration.mode == "nm"
+        )
+        db.register_view(registration)
+        databases[name] = db
+    count = LogicalQuery.for_view(view_def)
 
     for day in range(1, DAYS + 1):
         sales, deliveries = simulate_day(gen, day, pending)
@@ -85,16 +99,16 @@ def main() -> None:
         driver = RecordBatch(
             DELIVERIES, np.asarray(deliveries, dtype=np.uint32).reshape(-1, 2)
         ).padded_to(DELIVERY_CAPACITY)
-        for engine in engines.values():
-            engine.upload(day, probe, driver)
-            engine.process_step(day)
-            engine.query_count(day)
+        for db in databases.values():
+            db.upload(day, {"sales": probe, "deliveries": driver})
+            db.step(day)
+            db.query(count, day)
 
     print(f"'How many packages were delivered within {ON_TIME_WINDOW} days?'")
     print(f"asked once per day for {DAYS} days:\n")
     rows = []
-    for name, engine in engines.items():
-        s = engine.metrics.summary()
+    for name, db in databases.items():
+        s = db.metrics.summary()
         rows.append((name, s.avg_l1_error, s.avg_qet_seconds, s.total_qet_seconds))
     for name, l1, qet, total in rows:
         print(f"  {name:22s} avg L1 = {l1:6.2f}   "

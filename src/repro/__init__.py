@@ -6,27 +6,34 @@ substrate it needs — XOR secret sharing, a simulated gate-costed 2PC
 runtime, oblivious operators, DP mechanisms — and the paper's complete
 evaluation harness.
 
-Quick start::
+Everything is one deployment shape (§2.2, Fig. 1): an
+:class:`IncShrinkDatabase` hosts one or more materialized join views,
+each declared by a :class:`ViewRegistration` (definition, Shrink policy
+and its knobs); owners ``upload`` padded batches, the servers ``step``
+Transform → Shrink → flush, and every ``query`` — a
+:class:`LogicalQuery` — goes through one planner and one oblivious scan.
+The paper's single-view deployment is the one-view case::
 
-    from repro import EngineConfig, IncShrinkEngine
+    from repro import IncShrinkDatabase, LogicalQuery, ViewRegistration
     from repro.workload import make_tpcds_workload
 
     wl = make_tpcds_workload(seed=1, n_steps=60)
-    engine = IncShrinkEngine(wl.view_def, EngineConfig(mode="dp-timer"))
+    vd = wl.view_def
+    db = IncShrinkDatabase(total_epsilon=1.5)
+    db.register_view(ViewRegistration(vd, mode="dp-timer"))
     for step in wl.steps:
-        engine.upload(step.time, step.probe, step.driver)
-        engine.process_step(step.time)
-        print(engine.query_count(step.time))
+        db.upload(step.time, {vd.probe_table: step.probe,
+                              vd.driver_table: step.driver})
+        db.step(step.time)
+        print(db.query(LogicalQuery.for_view(vd), step.time).observation)
+
+:class:`DatabaseServer` serves a database concurrently and
+:class:`NetworkServer` over TCP; :func:`run_experiment` replays the
+paper's experiments on the same API.
 """
 
 from .common import MetricSummary, QueryObservation, RecordBatch, Schema
-from .core import (
-    EngineConfig,
-    IncShrinkEngine,
-    JoinViewDefinition,
-    SDPANT,
-    SDPTimer,
-)
+from .core import JoinViewDefinition, SDPANT, SDPTimer
 from .experiments.harness import (
     MultiViewRunConfig,
     MultiViewRunResult,
@@ -47,11 +54,11 @@ from .server import (
     DatabaseServer,
     IncShrinkDatabase,
     ReadSession,
-    ShardLayout,
     ViewRegistration,
     restore_database,
     snapshot_database,
 )
+from .storage import ShardLayout
 
 __version__ = "1.5.0"
 
@@ -60,8 +67,6 @@ __all__ = [
     "QueryObservation",
     "RecordBatch",
     "Schema",
-    "EngineConfig",
-    "IncShrinkEngine",
     "JoinViewDefinition",
     "SDPANT",
     "SDPTimer",

@@ -32,10 +32,13 @@ its observability surface, checkpoint, or reshard it remotely;
 continues its stream from where it stopped; ``query`` compiles one
 logical query (flag- or JSON-specified aggregates, GROUP BY, residual
 predicate) and runs it against a freshly built deployment or a restored
-snapshot; ``upgrade-snapshot`` converts a snapshot written before the
-binary container (the JSON documents of format versions 1-3) into the
-format ``resume`` and ``query --snapshot`` read; the named experiments
-print the corresponding paper table/figure.
+snapshot; ``upgrade-snapshot`` converts a snapshot of an older format
+(the JSON documents of versions 1-3, the containers of versions 4-6)
+into the format ``resume`` and ``query --snapshot`` read; the named
+experiments print the corresponding paper table/figure.
+
+A value the library rejects (a ``ConfigurationError``) ends the command
+with its one-line message and exit status 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ def _parse_listen(value: str, flag: str = "--listen") -> tuple[str, int]:
     if port > 65535:
         raise SystemExit(f"{flag} port {port} is out of range 0-65535")
     return host, port
-
-
-def _check_shards(n_shards: int | None) -> None:
-    if n_shards is not None and n_shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {n_shards}")
 
 
 def _add_scan_backend_flag(parser) -> None:
@@ -278,9 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser(
         "upgrade-snapshot",
-        help="convert a format v1-v3 (JSON) snapshot to the current format",
+        help="convert a format v1-v6 snapshot to the current format",
     )
-    up.add_argument("old", metavar="OLD", help="the JSON snapshot to read")
+    up.add_argument("old", metavar="OLD", help="the old snapshot to read")
     up.add_argument("new", metavar="NEW", help="where to write the converted snapshot")
 
     qp = sub.add_parser(
@@ -502,7 +500,6 @@ def _format_serving(server, deployment, resumed_from: int | None = None) -> str:
 
 
 def _cmd_serve(args) -> None:
-    _check_shards(args.shards)
     listen = None if args.listen is None else _parse_listen(args.listen)
     if args.serve_seconds is not None and args.serve_seconds < 0:
         raise SystemExit(
@@ -573,12 +570,9 @@ def _build_registry(args, listen):
         raise SystemExit("--tenants/--tenant require --listen")
     from .tenancy import TenantRegistry
 
-    try:
-        if args.tenants is not None:
-            return TenantRegistry.from_file(args.tenants)
-        return TenantRegistry.from_specs(args.tenant)
-    except ConfigurationError as exc:
-        raise SystemExit(f"invalid tenant configuration: {exc}")
+    if args.tenants is not None:
+        return TenantRegistry.from_file(args.tenants)
+    return TenantRegistry.from_specs(args.tenant)
 
 
 def _serve_network(
@@ -831,7 +825,6 @@ def _format_answer_table(result) -> str:
 
 
 def _cmd_query(args) -> None:
-    _check_shards(args.shards)
     if args.json_spec is not None:
         aggregates, group_by, predicate, json_view = _query_from_json(args.json_spec)
         view_name = args.view or json_view
@@ -862,8 +855,7 @@ def _cmd_query(args) -> None:
             dataset=args.dataset,
             n_steps=args.steps,
             seed=args.seed,
-            # None (flag absent) defaults to one shard; counts < 1 were
-            # rejected above with a one-line CLI error.
+            # None (flag absent) defaults to one shard.
             n_shards=1 if args.shards is None else args.shards,
             scan_backend=args.scan_backend,
             incremental=args.incremental,
@@ -1028,7 +1020,14 @@ def _client_query(client, view_name, aggregates, group_by, predicate, args) -> N
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        _run(args)
+    except ConfigurationError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from None
+    return 0
 
+
+def _run(args) -> None:
     if args.command == "table2":
         print(table2.format_table2(table2.run_table2(n_steps=args.steps, seed=args.seed)))
     elif args.command == "figure4":
@@ -1043,7 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
         run_fn, format_fn = _BOTH_DATASET_EXPERIMENTS[args.command]
         print(format_fn(args.dataset, run_fn(args.dataset, n_steps=args.steps)))
     elif args.command == "multiview":
-        _check_shards(args.shards)
         result = run_multiview_experiment(
             MultiViewRunConfig(
                 dataset=args.dataset,
@@ -1088,7 +1086,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"avg view size      : {s.avg_view_size_rows:.0f} rows / "
               f"{s.avg_view_size_mb*1000:.1f} KB per server")
         print(f"realized epsilon   : {result.realized_epsilon:.4f}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""IncShrink core: view definitions, Transform, Shrink protocols, engine."""
+"""IncShrink core: view definitions, Transform, Shrink protocols."""
 
 from .baselines import ExhaustivePaddingSync, OneTimeMaterialization
 from .budget import ContributionLedger
@@ -9,7 +9,6 @@ from .dpsync import (
     EveryStepSync,
     SyncingOwner,
 )
-from .engine import MODES, EngineConfig, IncShrinkEngine, StepReport
 from .flush import CacheFlusher, FlushReport
 from .multilevel import MultiLevelIncShrink, SelectionStage, plan_two_level_budget
 from .shrink_ant import SDPANT
@@ -26,10 +25,6 @@ __all__ = [
     "DPTimerOwnerSync",
     "EveryStepSync",
     "SyncingOwner",
-    "MODES",
-    "EngineConfig",
-    "IncShrinkEngine",
-    "StepReport",
     "CacheFlusher",
     "FlushReport",
     "MultiLevelIncShrink",

@@ -7,8 +7,8 @@ this as future work together with an operator-level privacy-budget
 allocation (Appendix D.2), which :mod:`repro.dp.allocation` solves.
 
 This module implements the two-level case that covers the paper's
-motivating shape — a join view (level 1, a full
-:class:`~repro.core.engine.IncShrinkEngine`) feeding a selection
+motivating shape — a join view (level 1, one DP view of an
+:class:`~repro.server.database.IncShrinkDatabase`) feeding a selection
 (level 2, :class:`SelectionStage`):
 
     owners → Transform₁ → σ₁ → Shrink₁ → V₁
@@ -103,28 +103,34 @@ class SelectionStage:
 
 
 class MultiLevelIncShrink:
-    """A join engine (level 1) chained into a selection stage (level 2).
+    """A database's join view (level 1) chained into a selection stage.
 
     The total ε is split across the levels; by sequential composition the
     pipeline's update-pattern leakage is (ε₁+ε₂)-DP.  Pass an allocation
     from :func:`repro.dp.allocation.allocate_budget` to tune the split.
+    ``database`` is any :class:`~repro.server.database.IncShrinkDatabase`
+    with a DP view named ``view_name``; level 1 is that view, at the ε
+    the database allocated it.
     """
 
     def __init__(
         self,
-        engine,  # IncShrinkEngine with a DP policy
+        database,
+        view_name: str,
         predicate: RowPredicate,
         epsilon_level2: float,
         interval: int,
         predicate_words: int = 1,
     ) -> None:
-        self.engine = engine
+        database.finalize()
+        self.database = database
+        self.level1 = database.views[view_name]
         self.stage2 = SelectionStage(
-            engine.runtime,
-            engine.view_def.view_schema,
+            database.runtime,
+            self.level1.view_def.view_schema,
             predicate,
             epsilon_level2,
-            engine.view_def.budget,
+            self.level1.view_def.budget,
             interval,
             predicate_words,
         )
@@ -132,11 +138,12 @@ class MultiLevelIncShrink:
 
     def process_step(self, time: int) -> StageReport:
         """Advance level 1, forward any new V₁ delta into level 2."""
-        self.engine.process_step(time)
+        self.database.step(time)
+        view = self.level1.view
         transform2_seconds = 0.0
-        new_rows = len(self.engine.view) - self._seen_view_rows
+        new_rows = len(view) - self._seen_view_rows
         if new_rows > 0:
-            delta = self.engine.view.table.take(
+            delta = view.table.take(
                 slice(self._seen_view_rows, self._seen_view_rows + new_rows)
             )
             transform2_seconds = self.stage2.ingest(time, delta)
@@ -146,7 +153,7 @@ class MultiLevelIncShrink:
 
     def total_epsilon(self) -> float:
         """Sequentially composed leakage bound across both levels."""
-        return self.engine.config.epsilon + self.stage2.shrink.epsilon
+        return self.level1.epsilon + self.stage2.shrink.epsilon
 
 
 def plan_two_level_budget(

@@ -87,7 +87,7 @@ class TransformProtocol:
 
     @property
     def counter(self) -> SharedCounter:
-        """The first (single-view) counter — the engine façade's view."""
+        """The first consuming view's counter."""
         return self.counters[0]
 
     def attach_counter(self, counter: SharedCounter) -> None:

@@ -29,10 +29,11 @@ from ..core.dpsync import (
     EveryStepSync,
     SyncingOwner,
 )
-from ..core.engine import EngineConfig, IncShrinkEngine
 from ..dp.accountant import sequential_system_epsilon
 from ..dp.bounds import theorem17_ant_error_bound, theorem17_timer_error_bound
+from ..server.database import IncShrinkDatabase, ViewRegistration, ViewRuntime
 from ..workload.variants import make_workload
+from .harness import deploy_single_view, query_own_view
 
 OWNER_STRATEGIES = ("every-step", "dp-timer", "dp-ant")
 
@@ -74,7 +75,8 @@ class ComposedRunResult:
     owner_max_gap: int
     total_epsilon: float
     theorem17_bound: float
-    engine: IncShrinkEngine
+    database: IncShrinkDatabase
+    view: ViewRuntime
 
 
 def _make_strategy(config: ComposedRunConfig, schema, role: str):
@@ -110,17 +112,17 @@ def run_composed_experiment(config: ComposedRunConfig) -> ComposedRunResult:
             batch_capacity=len(workload.steps[0].driver),
         )
 
-    engine = IncShrinkEngine(
-        vd,
-        EngineConfig(
+    database, view = deploy_single_view(
+        ViewRegistration(
+            vd,
             mode=config.server_mode,
-            epsilon=config.server_epsilon,
             timer_interval=config.timer_interval,
             ant_threshold=config.theta,
             flush_interval=config.flush_interval,
             flush_size=config.flush_size,
-            seed=config.seed,
         ),
+        epsilon=config.server_epsilon,
+        seed=config.seed,
     )
 
     metrics = MetricLog()
@@ -135,11 +137,14 @@ def run_composed_experiment(config: ComposedRunConfig) -> ComposedRunResult:
             driver_batch = step.driver
         else:
             driver_batch = driver_owner.step(step.time, step.driver.real_rows())
-        engine.upload(step.time, probe_batch, driver_batch)
-        engine.process_step(step.time)
+        database.upload(
+            step.time,
+            [(vd.probe_table, probe_batch), (vd.driver_table, driver_batch)],
+        )
+        database.step(step.time)
 
         # Score against everything the owner has *received* by now.
-        obs = engine.query_count(step.time)
+        obs = query_own_view(database, view, step.time)
         truth = vd.logical_join_count(
             np.vstack(received_probe) if received_probe else vd.probe_schema.empty_rows(0),
             np.vstack(received_driver) if received_driver else vd.driver_schema.empty_rows(0),
@@ -155,7 +160,7 @@ def run_composed_experiment(config: ComposedRunConfig) -> ComposedRunResult:
 
     owner_gap = probe_owner.max_gap + (driver_owner.max_gap if driver_owner else 0)
     owner_eps = 0.0 if config.owner_strategy == "every-step" else config.owner_epsilon
-    updates = getattr(engine.policy, "updates_done", 0)
+    updates = getattr(view.policy, "updates_done", 0)
     if config.server_mode == "dp-timer":
         bound = theorem17_timer_error_bound(
             config.server_epsilon, vd.budget, max(updates, 1), sync_alpha=owner_gap
@@ -171,5 +176,6 @@ def run_composed_experiment(config: ComposedRunConfig) -> ComposedRunResult:
         owner_max_gap=owner_gap,
         total_epsilon=sequential_system_epsilon(owner_eps, config.server_epsilon),
         theorem17_bound=bound,
-        engine=engine,
+        database=database,
+        view=view,
     )

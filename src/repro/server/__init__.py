@@ -12,7 +12,7 @@ integrity-checked file per snapshot, resumed byte-identically).
 
 from .database import (
     DP_MODES,
-    VIEW_MODES,
+    MODES,
     DatabaseQueryResult,
     IncShrinkDatabase,
     ViewRegistration,
@@ -35,9 +35,9 @@ from .runtime import (
     ServingStats,
     WouldBlock,
 )
-from .sharding import SINGLE_SHARD, ShardLayout
 from .scheduler import (
     DatabaseStepReport,
+    StepReport,
     StepScheduler,
     TransformGroup,
     transform_signature,
@@ -45,7 +45,7 @@ from .scheduler import (
 
 __all__ = [
     "DP_MODES",
-    "VIEW_MODES",
+    "MODES",
     "DatabaseQueryResult",
     "IncShrinkDatabase",
     "ViewRegistration",
@@ -63,9 +63,8 @@ __all__ = [
     "ReadWriteLock",
     "ServingStats",
     "WouldBlock",
-    "SINGLE_SHARD",
-    "ShardLayout",
     "DatabaseStepReport",
+    "StepReport",
     "StepScheduler",
     "TransformGroup",
     "transform_signature",

@@ -20,7 +20,7 @@ and DP-Sync motivate for private data federations:
   (or nothing matches and the fallback is enabled); either path answers
   **all aggregates and all groups in one oblivious pass**;
 * views and caches are partitioned by a data-independent round-robin
-  :class:`~repro.server.sharding.ShardLayout` (``n_shards``, default 1);
+  :class:`~repro.storage.sharding.ShardLayout` (``n_shards``, default 1);
   view-scan plans execute one shard per protocol lane through the
   :class:`~repro.query.parallel.ParallelScanExecutor`, byte-identically
   to the serial scan but at ``1/effective_workers`` of the simulated
@@ -32,9 +32,9 @@ and DP-Sync motivate for private data federations:
   reports the sequential-within / parallel-across composition over
   groups of views that observe the same base tables.
 
-:class:`~repro.core.engine.IncShrinkEngine` is a thin single-view façade
-over this class; its queries go through :meth:`IncShrinkDatabase.query`
-like everyone else's.
+The paper's one-instance deployment (§2.2, Fig. 1) is this class with
+one registered view; :func:`repro.experiments.harness.run_experiment`
+wires it that way for the paper's tables and figures.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from ..common.rng import spawn
 from ..common.types import RecordBatch, Schema
 from ..core.baselines import ExhaustivePaddingSync, OneTimeMaterialization
 from ..core.counter import SharedCounter
-from ..core.engine import MODES, validate_policy_knobs
 from ..core.flush import CacheFlusher
 from ..core.shrink_ant import SDPANT
 from ..core.shrink_timer import SDPTimer
+from ..core.transform import JOIN_IMPLS
 from ..core.view_def import JoinViewDefinition
 from ..dp.accountant import (
     PrivacyAccountant,
@@ -81,9 +81,9 @@ from ..storage.growing_db import GrowingDatabase
 from ..storage.materialized_view import MaterializedView
 from ..storage.outsourced_table import OutsourcedTable
 from ..storage.secure_cache import SecureCache
+from ..storage.sharding import ShardLayout
 from ..tenancy.ledger import check_tenant_budget, validate_budgets
 from .planner import DatabasePlanner
-from .sharding import ShardLayout
 from .scheduler import (
     TRANSFORM_MODES,
     DatabaseStepReport,
@@ -92,15 +92,21 @@ from .scheduler import (
     transform_signature,
 )
 
-#: View-update policies a registered view may run (= the engine's modes).
-VIEW_MODES = MODES
+#: View-update policies a registered view may run: the paper's two DP
+#: protocols and its three baselines (§7).
+MODES = ("dp-timer", "dp-ant", "ep", "otm", "nm")
 #: Modes that consume privacy budget.
 DP_MODES = ("dp-timer", "dp-ant")
 
 
 @dataclass(frozen=True)
 class ViewRegistration:
-    """Declarative spec of one view: definition plus policy knobs."""
+    """Declarative spec of one view: definition plus policy knobs.
+
+    The one config surface of a view.  Defaults follow the paper's §7
+    setting where it fixes a value: θ = 30 for sDPANT and a cache flush
+    of s = 15 every f = 2000 steps.
+    """
 
     view_def: JoinViewDefinition
     mode: str = "dp-timer"
@@ -116,21 +122,23 @@ class ViewRegistration:
     updates_hint: int = 16
 
     def __post_init__(self) -> None:
-        validate_policy_knobs(
-            self.mode,
-            self.join_impl,
-            self.timer_interval,
-            self.ant_threshold,
-            self.flush_interval,
-            self.flush_size,
-        )
-        if self.size_hint < 1:
+        if self.mode not in MODES:
             raise ConfigurationError(
-                f"size_hint must be >= 1, got {self.size_hint}"
+                f"mode must be one of {MODES}, got {self.mode!r}"
             )
-        if self.updates_hint < 1:
+        if self.join_impl not in JOIN_IMPLS:
             raise ConfigurationError(
-                f"updates_hint must be >= 1, got {self.updates_hint}"
+                f"join_impl must be one of {JOIN_IMPLS}, got {self.join_impl!r}"
+            )
+        for knob in (
+            "timer_interval", "flush_interval", "flush_size", "size_hint", "updates_hint"
+        ):
+            value = getattr(self, knob)
+            if value < 1:
+                raise ConfigurationError(f"{knob} must be >= 1, got {value}")
+        if self.ant_threshold <= 0:
+            raise ConfigurationError(
+                f"ant_threshold must be positive, got {self.ant_threshold}"
             )
 
 

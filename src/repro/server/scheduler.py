@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from ..core.budget import ContributionLedger
 from ..core.counter import SharedCounter
-from ..core.engine import StepReport
 from ..core.transform import TransformProtocol, TransformReport
 from ..core.view_def import JoinViewDefinition
 from ..mpc.runtime import MPCRuntime
@@ -115,6 +114,19 @@ class TransformGroup:
 
 
 @dataclass
+class StepReport:
+    """What one step did for one view."""
+
+    time: int
+    transform_seconds: float = 0.0
+    shrink_seconds: float = 0.0
+    view_updated: bool = False
+    flushed: bool = False
+    deferred_real: int = 0
+    truncation_dropped: int = 0
+
+
+@dataclass
 class DatabaseStepReport:
     """Aggregate of one database step: per-view reports plus totals."""
 
@@ -161,7 +173,7 @@ class StepScheduler:
             report.transform_runs += 1
             report.transform_seconds += group.last_report.seconds
 
-        # Phase 2 — every view's own policy and flusher, engine-identically.
+        # Phase 2 — every view's own policy and flusher.
         for vr in self._views.values():
             step = StepReport(time=time)
             t_rep = vr.group.last_report if vr.mode in TRANSFORM_MODES else None

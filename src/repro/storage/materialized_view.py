@@ -28,8 +28,6 @@ share-local as the placement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..common.column_log import Column, ColumnLog
@@ -37,10 +35,9 @@ from ..common.errors import ProtocolError
 from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
 from ..sharing.shared_value import SharedArray, SharedTable
-from .sharded_container import ShardedTableContainer, make_layout
+from .sharded_container import ShardedTableContainer
+from .sharding import ShardLayout
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..server.sharding import ShardLayout
 
 class ColumnShard:
     """One view shard as the two servers hold it, column-major.
@@ -110,7 +107,7 @@ class MaterializedView(ShardedTableContainer):
 
     container_name = "view"
 
-    def __init__(self, schema: Schema, layout: "ShardLayout | None" = None) -> None:
+    def __init__(self, schema: Schema, layout: ShardLayout | None = None) -> None:
         super().__init__(schema, layout)
         #: number of Shrink-driven updates applied so far (public)
         self.update_count = 0
@@ -184,7 +181,7 @@ class MaterializedView(ShardedTableContainer):
         else:
             # Shard-count mismatch (state taken under another layout):
             # re-scatter under this one.
-            gathered = make_layout(len(shards)).gather(shards)
+            gathered = ShardLayout(len(shards)).gather(shards)
             self._clear()
             self._scatter_append(gathered)
         self.update_count = int(state["update_count"])

@@ -2,7 +2,7 @@
 
 The materialized view and the secure cache place their content the same
 way: rows round-robin by global append position across the shards of a
-:class:`~repro.server.sharding.ShardLayout` (one shard by default —
+:class:`~repro.storage.sharding.ShardLayout` (one shard by default —
 byte-identical to the historical flat table).
 :class:`ShardedTableContainer` owns that public structure — lengths,
 byte size, the two mutation counters, the gathered :attr:`table` and
@@ -24,31 +24,14 @@ already-public lengths and consume no randomness.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from ..common.errors import ProtocolError
 from ..common.types import Schema
 from ..sharing.shared_value import WORD_BYTES, SharedTable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..server.sharding import ShardLayout
+from .sharding import SINGLE_SHARD, ShardLayout
 
 #: Process-wide source of :attr:`ShardedTableContainer.container_uid`.
 _CONTAINER_UIDS = itertools.count(1)
-
-
-def _single_shard() -> "ShardLayout":
-    # Imported lazily: the server package imports storage at module load.
-    from ..server.sharding import SINGLE_SHARD
-
-    return SINGLE_SHARD
-
-
-def make_layout(n_shards: int) -> "ShardLayout":
-    """A :class:`ShardLayout` without a storage→server import cycle."""
-    from ..server.sharding import ShardLayout
-
-    return ShardLayout(n_shards)
 
 
 class ShardedTableContainer:
@@ -62,9 +45,9 @@ class ShardedTableContainer:
     #: Subclasses name themselves in schema-mismatch errors.
     container_name = "container"
 
-    def __init__(self, schema: Schema, layout: "ShardLayout | None" = None) -> None:
+    def __init__(self, schema: Schema, layout: ShardLayout | None = None) -> None:
         self.schema = schema
-        self.layout = layout if layout is not None else _single_shard()
+        self.layout = layout if layout is not None else SINGLE_SHARD
         #: The one size kept: round-robin placement makes every other
         #: public size (per-shard rows, ciphertext bytes) a function of it.
         self._total_rows = 0
@@ -178,7 +161,7 @@ class ShardedTableContainer:
         self._bump_version()
         self._mark_rebuilt()
 
-    def reshard(self, layout: "ShardLayout") -> None:
+    def reshard(self, layout: ShardLayout) -> None:
         """Re-scatter the content under a new layout.
 
         Share-local (gather then scatter with public indices): leaks

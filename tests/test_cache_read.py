@@ -23,7 +23,7 @@ from repro.oblivious.sort import (
     oblivious_compact,
     oblivious_sort,
 )
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.secure_cache import SecureCache
 

@@ -1,5 +1,10 @@
 """Tests for the CLI entry point and the oblivious shuffle utility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +45,44 @@ class TestCli:
     def test_bad_mode_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--mode", "quantum"])
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["multiview", "--query-every", "0"], "query_every must be >= 1"),
+        (["multiview", "--steps", "0"], "n_steps must be >= 1"),
+        (["multiview", "--epsilon", "0"], "total_epsilon must be positive"),
+        (["multiview", "--shards", "0"], "n_shards must be >= 1, got 0"),
+        (["query", "--steps", "0"], "n_steps must be >= 1"),
+        (["run", "--steps", "0"], "n_steps must be >= 1"),
+        (["run", "--epsilon", "-1"], "total_epsilon must be positive"),
+        (
+            ["serve", "--steps", "4", "--snapshot-every", "0", "--snapshot", "x.snap"],
+            "snapshot_every must be >= 1, got 0",
+        ),
+        (
+            ["serve", "--listen", "127.0.0.1:0", "--tenant", "bad"],
+            "malformed tenant spec 'bad'",
+        ),
+    ],
+)
+def test_rejected_values_end_in_one_line_not_a_traceback(argv, message, tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    [line] = done.stderr.strip().splitlines()  # one line, no traceback
+    assert line.startswith("invalid configuration: ")
+    assert message in line
 
 
 class TestQueryCli:

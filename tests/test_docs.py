@@ -1,5 +1,5 @@
 """Documentation stays true: links resolve, embedded examples and the
-``examples/`` scripts run.
+``examples/`` scripts run, and imports in ``python`` blocks resolve.
 
 Mirrors the CI docs job (``tools/check_docs.py``) inside tier-1 so a
 broken doc link or a stale code example fails locally before push.
@@ -19,6 +19,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_docs import (  # noqa: E402 (path bootstrap above)
     DOCS_DIR,
+    check_imports,
     check_links,
     heading_anchors,
     heading_slug,
@@ -44,6 +45,30 @@ def test_repo_has_documentation_pages():
 
 def test_intra_repo_markdown_links_resolve():
     assert check_links() == []
+
+
+def test_python_block_imports_resolve():
+    assert check_imports() == []
+
+
+def test_a_deleted_name_in_a_python_block_is_reported(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```python\n"
+        "from repro import (\n"
+        "    IncShrinkDatabase,\n"
+        "    Vanished as V,\n"
+        ")\n"
+        "import repro.query.ast\n"
+        "import repro.gone\n"
+        "```\n\n"
+        "```bash\nfrom repro import Unchecked\n```\n",
+        encoding="utf8",
+    )
+    assert check_imports([page]) == [
+        f"{page}:2: cannot import repro.Vanished",
+        f"{page}:7: cannot import repro.gone",
+    ]
 
 
 def test_link_anchors_must_name_a_heading(tmp_path):

@@ -35,13 +35,13 @@ class TestHarness:
         res = run_experiment(
             RunConfig(dataset="tpcds", mode="dp-timer", n_steps=30, flush_size=None)
         )
-        assert res.engine.flusher.flush_size > 0
+        assert res.view.flusher.flush_size > 0
 
     def test_explicit_flush_size_respected(self):
         res = run_experiment(
             RunConfig(dataset="tpcds", mode="dp-timer", n_steps=30, flush_size=7)
         )
-        assert res.engine.flusher.flush_size == 7
+        assert res.view.flusher.flush_size == 7
 
     def test_query_every_subsamples(self):
         res = run_experiment(
@@ -111,10 +111,10 @@ class TestMultiViewHarness:
         assert len(data["series"]["l1_errors"]) == 20
         assert data["realized_epsilon"] == pytest.approx(1.5)
 
-    def test_to_dict_excludes_engine_and_cost_model(self):
+    def test_to_dict_excludes_deployment_and_cost_model(self):
         res = run_experiment(RunConfig(dataset="tpcds", mode="otm", n_steps=10))
         data = res.to_dict()
-        assert "engine" not in data
+        assert "database" not in data and "view" not in data
         assert "cost_model" not in data["config"]
 
 

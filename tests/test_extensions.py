@@ -12,9 +12,10 @@ from repro.core.dpsync import (
     EveryStepSync,
     SyncingOwner,
 )
-from repro.core.engine import EngineConfig, IncShrinkEngine
 from repro.core.multilevel import MultiLevelIncShrink, SelectionStage
+from repro.experiments.harness import deploy_single_view
 from repro.mpc.runtime import MPCRuntime
+from repro.server.database import ViewRegistration
 from repro.sharing.shared_value import SharedTable
 
 SCHEMA = Schema(("k", "ts"))
@@ -70,40 +71,41 @@ class TestSelectionStage:
 
 class TestMultiLevelIncShrink:
     def _build(self, tiny_view_def):
-        engine = IncShrinkEngine(
-            tiny_view_def,
-            EngineConfig(mode="dp-timer", epsilon=1000.0, timer_interval=1),
+        database, _ = deploy_single_view(
+            ViewRegistration(tiny_view_def, mode="dp-timer", timer_interval=1),
+            epsilon=1000.0,
         )
         pipeline = MultiLevelIncShrink(
-            engine,
+            database,
+            tiny_view_def.name,
             predicate=lambda rows: rows[:, 0] == 1,  # p_key == 1
             epsilon_level2=500.0,
             interval=1,
         )
-        return engine, pipeline
+        return database, pipeline
 
-    def _upload(self, engine, vd, t, probe_rows, driver_rows):
+    def _upload(self, database, vd, t, probe_rows, driver_rows):
         probe = RecordBatch(
             vd.probe_schema, np.asarray(probe_rows, dtype=np.uint32).reshape(-1, 2)
         ).padded_to(4)
         driver = RecordBatch(
             vd.driver_schema, np.asarray(driver_rows, dtype=np.uint32).reshape(-1, 2)
         ).padded_to(3)
-        engine.upload(t, probe, driver)
+        database.upload(t, [(vd.probe_table, probe), (vd.driver_table, driver)])
 
     def test_level2_receives_level1_deltas(self, tiny_view_def):
-        engine, pipeline = self._build(tiny_view_def)
-        self._upload(engine, tiny_view_def, 1, [[1, 1], [2, 1]], [[1, 2], [2, 2]])
+        database, pipeline = self._build(tiny_view_def)
+        self._upload(database, tiny_view_def, 1, [[1, 1], [2, 1]], [[1, 2], [2, 2]])
         pipeline.process_step(1)
-        self._upload(engine, tiny_view_def, 2, [], [])
+        self._upload(database, tiny_view_def, 2, [], [])
         pipeline.process_step(2)
         # Level-1 view has both joins; level-2 keeps only p_key == 1.
-        with engine.runtime.protocol("peek") as ctx:
+        with database.runtime.protocol("peek") as ctx:
             level2_real = pipeline.stage2.view.real_count(ctx)
         assert level2_real == 1
 
     def test_total_epsilon_is_sequential_sum(self, tiny_view_def):
-        engine, pipeline = self._build(tiny_view_def)
+        _, pipeline = self._build(tiny_view_def)
         assert pipeline.total_epsilon() == pytest.approx(1500.0)
 
 

@@ -83,13 +83,13 @@ class TestPrivacyAccounting:
 
     def test_accountant_parallel_epsilon_is_per_release(self, runs):
         res = runs["dp-timer"]
-        acc = res.engine.accountant
-        eps, b = res.config.epsilon, res.engine.view_def.budget
+        acc = res.database.accountant
+        eps, b = res.config.epsilon, res.view.view_def.budget
         assert acc.parallel_epsilon() == pytest.approx(eps / b)
 
     def test_lifetime_emissions_respect_budget(self, runs):
         for mode in ("dp-timer", "dp-ant", "ep"):
-            ledger = runs[mode].engine.ledger
+            ledger = runs[mode].view.group.ledger
             assert ledger.max_lifetime_emissions() <= ledger.budget
 
 
@@ -107,7 +107,7 @@ class TestErrorBounds:
                     flush_interval=10_000,  # isolate Shrink behaviour
                 )
             )
-            b = res.engine.view_def.budget
+            b = res.view.view_def.budget
             eps = res.config.epsilon
             for k, deferred in enumerate(res.log.deferred_counts, start=1):
                 checks += 1
@@ -126,7 +126,7 @@ class TestErrorBounds:
                     flush_interval=10_000,
                 )
             )
-            b = res.engine.view_def.budget
+            b = res.view.view_def.budget
             eps = res.config.epsilon
             t = res.config.n_steps
             bound = theorem6_deferred_bound(eps, b, t, beta=0.01)
@@ -146,7 +146,7 @@ class TestLeakageTranscript:
         res = runs["dp-timer"]
         sizes = [
             e.payload["size"]
-            for e in res.engine.runtime.transcript.of_kind("view-update")
+            for e in res.database.runtime.transcript.of_kind("view-update")
         ]
         assert len(sizes) >= 4
         # true per-window real arrivals ≈ rate × T; noised sizes vary.
@@ -156,7 +156,7 @@ class TestLeakageTranscript:
         res = runs["dp-timer"]
         deltas = {
             e.payload["cache_delta"]
-            for e in res.engine.runtime.transcript.of_kind("transform")
+            for e in res.database.runtime.transcript.of_kind("transform")
         }
         assert len(deltas) == 1  # ω × driver capacity, data-independent
 
@@ -166,7 +166,7 @@ class TestLeakageTranscript:
         res = runs["ep"]
         sizes = {
             e.payload["size"]
-            for e in res.engine.runtime.transcript.of_kind("view-update")
+            for e in res.database.runtime.transcript.of_kind("view-update")
         }
         assert len(sizes) == 1
 
@@ -178,13 +178,12 @@ class TestViewConsistency:
         res = run_experiment(
             RunConfig(dataset="tpcds", mode="dp-timer", n_steps=40, seed=3)
         )
-        engine = res.engine
-        vd = engine.view_def
-        probe = engine.logical.instance_at(vd.probe_table, 40)
-        driver = engine.logical.instance_at(vd.driver_table, 40)
+        database, vd = res.database, res.view.view_def
+        probe = database.logical.instance_at(vd.probe_table, 40)
+        driver = database.logical.instance_at(vd.driver_table, 40)
         logical = {tuple(map(int, r)) for r in vd.logical_join_rows(probe, driver)}
-        with engine.runtime.protocol("audit") as ctx:
-            rows, flags = ctx.reveal_table(engine.view.table)
+        with database.runtime.protocol("audit") as ctx:
+            rows, flags = ctx.reveal_table(res.view.view.table)
         for row in rows[flags]:
             assert tuple(map(int, row)) in logical
 

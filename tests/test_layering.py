@@ -1,0 +1,87 @@
+"""Layering guard: the lower layers never import the upper ones.
+
+``core/``, ``storage/``, ``query/`` and the rest are the protocol and
+substrate layers; ``server/``, ``net/`` and ``experiments/`` are built on
+them.  Only those three packages and the package entry points
+(``__init__.py``, ``__main__.py``) may import ``repro.server``,
+``repro.net`` or ``repro.experiments`` — at module level, inside a
+function, or under ``TYPE_CHECKING`` alike.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Packages that sit on top of the protocol layers.
+UPPER = ("server", "net", "experiments")
+#: Top-level modules allowed to import them: the package entry points.
+ENTRY_POINTS = ("__init__.py", "__main__.py")
+
+
+def imported_modules(path: Path, root: Path = SRC) -> list[tuple[int, str]]:
+    """``(line, absolute module)`` for every import in ``path``.
+
+    Relative imports are resolved against the file's package under
+    ``root``; ``from .. import server`` counts as importing
+    ``repro.server``.
+    """
+    package = ["repro", *path.parent.relative_to(root).parts]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([module] if module else []))
+            if module == "repro":
+                found.extend(
+                    (node.lineno, f"repro.{alias.name}") for alias in node.names
+                )
+            else:
+                found.append((node.lineno, module))
+    return found
+
+
+def upward_imports(root: Path = SRC) -> list[str]:
+    """Every import of an upper package from outside the upper packages."""
+    violations = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0] in UPPER or str(relative) in ENTRY_POINTS:
+            continue
+        for line, module in imported_modules(path, root):
+            parts = module.split(".")
+            if parts[0] == "repro" and len(parts) > 1 and parts[1] in UPPER:
+                violations.append(f"src/repro/{relative}:{line} imports {module}")
+    return violations
+
+
+def test_lower_layers_never_import_server_net_or_experiments():
+    assert upward_imports() == []
+
+
+def test_guard_sees_function_level_and_type_checking_imports(tmp_path):
+    package = tmp_path / "storage"
+    package.mkdir()
+    (package / "lazy.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..server.runtime import DatabaseServer\n"
+        "def f():\n"
+        "    from ..net import client\n"
+        "    from .. import experiments\n"
+        "    import repro.server.database\n",
+        encoding="utf8",
+    )
+    (tmp_path / "__main__.py").write_text("from .server import x\n", encoding="utf8")
+    assert sorted(upward_imports(tmp_path)) == [
+        "src/repro/storage/lazy.py:3 imports repro.server.runtime",
+        "src/repro/storage/lazy.py:5 imports repro.net",
+        "src/repro/storage/lazy.py:6 imports repro.experiments",
+        "src/repro/storage/lazy.py:7 imports repro.server.database",
+    ]

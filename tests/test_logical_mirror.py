@@ -453,7 +453,7 @@ def test_logical_answers_are_identical_to_the_full_recompute(seed):
     assert db.logical_mirror_stats()["signatures"] == 3
 
 
-def test_engine_facade_scores_against_the_mirror():
+def test_registered_view_queries_score_against_the_mirror():
     db, model = build_database(), Model({"p": P, "d": D})
     vd = view("wide", 0, 2)
     for t, batches in enumerate(stream(9, 20), start=1):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from repro.common.rng import spawn
 from repro.common.types import RecordBatch, Schema
-from repro.core.engine import EngineConfig, IncShrinkEngine
 from repro.core.view_def import JoinViewDefinition
+from repro.experiments.harness import deploy_single_view, query_own_view
 from repro.mpc.joint_noise import laplace_from_u32
 from repro.oblivious.sort import apply_network, network_comparator_count
+from repro.server.database import ViewRegistration
 
 
 def small_view_def(omega: int, budget: int) -> JoinViewDefinition:
@@ -53,7 +54,9 @@ class TestEndToEndProperties:
         joins that fall inside the contribution window (here the window
         covers the whole horizon, so EP must be exact)."""
         vd = small_view_def(omega=omega, budget=omega * 10)
-        engine = IncShrinkEngine(vd, EngineConfig(mode="ep"))
+        database, view = deploy_single_view(
+            ViewRegistration(vd, mode="ep"), epsilon=1.5
+        )
         for t, (probe_rows, driver_rows) in enumerate(script, start=1):
             probe_rows = [[k, t] for k, _ in probe_rows]
             driver_rows = [[k, t] for k, _ in driver_rows]
@@ -65,17 +68,17 @@ class TestEndToEndProperties:
                 vd.driver_schema,
                 np.asarray(driver_rows, dtype=np.uint32).reshape(-1, 2),
             ).padded_to(3)
-            engine.upload(t, probe, driver)
-            engine.process_step(t)
+            database.upload(t, {"p": probe, "d": driver})
+            database.step(t)
         horizon = len(script)
         logical = vd.logical_join_count(
-            engine.logical.instance_at("p", horizon),
-            engine.logical.instance_at("d", horizon),
+            database.logical.instance_at("p", horizon),
+            database.logical.instance_at("d", horizon),
         )
         # ω can truncate when a key repeats more than ω times per step —
         # filter to the cases where truncation cannot bite.
-        obs = engine.query_count(horizon)
-        if engine.metrics.summary().query_count and logical <= omega:
+        obs = query_own_view(database, view, horizon)
+        if view.metrics.summary().query_count and logical <= omega:
             assert obs.l1 == 0
 
     @given(st.integers(0, 2**32 - 1))

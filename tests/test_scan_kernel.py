@@ -44,7 +44,7 @@ from repro.query.executor import clause_mask
 from repro.query.incremental import AccumulatorCache, ShardAccumulator
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.shard_workers import scan_share_suffix
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 

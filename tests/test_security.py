@@ -15,35 +15,47 @@ from repro.common.errors import (
 )
 from repro.common.rng import spawn
 from repro.common.types import RecordBatch, Schema
-from repro.core.engine import EngineConfig, IncShrinkEngine
+from repro.experiments.harness import RunConfig, deploy_single_view, run_experiment
 from repro.mpc.runtime import MPCRuntime
+from repro.server.database import ViewRegistration
 from repro.sharing.shared_value import SharedArray, SharedTable
+
+
+def deploy(view_def, mode, **knobs):
+    """``(database, view)`` for one view in ``mode``."""
+    return deploy_single_view(
+        ViewRegistration(view_def, mode=mode, **knobs), epsilon=1.5
+    )
+
+
+def upload(database, view_def, t, probe, driver):
+    database.upload(
+        t, [(view_def.probe_table, probe), (view_def.driver_table, driver)]
+    )
 
 
 class TestShareConfidentiality:
     def test_single_server_share_store_is_uniform_noise(self, tiny_view_def):
         """What server 0 stores about an upload carries no signal: its
         share of a constant column should look uniform, not constant."""
-        engine = IncShrinkEngine(tiny_view_def, EngineConfig(mode="otm"))
+        database, view = deploy(tiny_view_def, "otm")
         rows = np.asarray([[7, 1]] * 64, dtype=np.uint32)
         probe = RecordBatch(tiny_view_def.probe_schema, rows)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
-        engine.upload(1, probe, driver)
-        share0 = engine.probe_store.batch(0).rows.share0
+        upload(database, tiny_view_def, 1, probe, driver)
+        share0 = view.group.probe_log.batch(0).rows.share0
         # 64 identical plaintext rows; shares must not repeat that way.
         assert len({int(v) for v in share0[:, 0]}) > 32
 
     def test_counter_shares_refresh_every_round(self, tiny_view_def):
-        engine = IncShrinkEngine(
-            tiny_view_def, EngineConfig(mode="dp-timer", timer_interval=1)
-        )
+        database, view = deploy(tiny_view_def, "dp-timer", timer_interval=1)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
         probe = RecordBatch.empty(tiny_view_def.probe_schema).padded_to(4)
         snapshots = []
         for t in (1, 2, 3):
-            engine.upload(t, probe, driver)
-            engine.process_step(t)
-            snapshots.append(int(engine.transform.counter._shares.share0[0]))
+            upload(database, tiny_view_def, t, probe, driver)
+            database.step(t)
+            snapshots.append(int(view.group.transform.counter._shares.share0[0]))
         # Counter value is 0 throughout, yet the stored shares change.
         assert len(set(snapshots)) > 1
 
@@ -95,48 +107,47 @@ class TestTamperingAndMisuse:
     def test_budget_exhaustion_blocks_further_use(self, tiny_view_def):
         """Running Transform past a batch's lifetime budget must fail
         inside the budget machinery, never silently reuse retired data."""
-        engine = IncShrinkEngine(tiny_view_def, EngineConfig(mode="ep"))
+        database, view = deploy(tiny_view_def, "ep")
         probe = RecordBatch(
             tiny_view_def.probe_schema, np.asarray([[1, 1]], dtype=np.uint32)
         ).padded_to(4)
         empty_probe = RecordBatch.empty(tiny_view_def.probe_schema).padded_to(4)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
-        engine.upload(1, probe, driver)
-        engine.process_step(1)
+        upload(database, tiny_view_def, 1, probe, driver)
+        database.step(1)
         for t in (2, 3, 4, 5):
-            engine.upload(t, empty_probe, driver)
-            engine.process_step(t)
+            upload(database, tiny_view_def, t, empty_probe, driver)
+            database.step(t)
         # Batch from t=1 was active for exactly b//ω = 3 invocations.
         probe_table = tiny_view_def.probe_table
-        assert engine.ledger.window(probe_table) == (3, 5)
+        ledger = view.group.ledger
+        assert ledger.window(probe_table) == (3, 5)
         with pytest.raises(ContributionBudgetError, match="t=1"):
-            engine.ledger.settle(probe_table, 0, 1, 99, np.zeros(4, dtype=np.int64))
+            ledger.settle(probe_table, 0, 1, 99, np.zeros(4, dtype=np.int64))
 
     def test_double_upload_same_time_rejected(self, tiny_view_def):
-        engine = IncShrinkEngine(tiny_view_def, EngineConfig(mode="otm"))
+        database, _ = deploy(tiny_view_def, "otm")
         probe = RecordBatch.empty(tiny_view_def.probe_schema).padded_to(4)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
-        engine.upload(1, probe, driver)
+        upload(database, tiny_view_def, 1, probe, driver)
         with pytest.raises(ProtocolError, match="one batch per table and time"):
-            engine.upload(1, probe, driver)
+            upload(database, tiny_view_def, 1, probe, driver)
 
 
 class TestLeakageSurface:
     def test_transcript_contains_no_plaintext_rows(self, tiny_view_def):
         """Nothing resembling uploaded payloads may appear in any public
         event — the transcript is sizes, times, and booleans only."""
-        engine = IncShrinkEngine(
-            tiny_view_def, EngineConfig(mode="dp-ant", ant_threshold=2.0)
-        )
+        database, _ = deploy(tiny_view_def, "dp-ant", ant_threshold=2.0)
         secret_value = 3_141_592
         probe = RecordBatch(
             tiny_view_def.probe_schema,
             np.asarray([[secret_value % (1 << 32), 1]], dtype=np.uint32),
         ).padded_to(4)
         driver = RecordBatch.empty(tiny_view_def.driver_schema).padded_to(3)
-        engine.upload(1, probe, driver)
-        engine.process_step(1)
-        for event in engine.runtime.transcript:
+        upload(database, tiny_view_def, 1, probe, driver)
+        database.step(1)
+        for event in database.runtime.transcript:
             for value in event.payload.values():
                 assert value != secret_value % (1 << 32)
 
@@ -144,8 +155,6 @@ class TestLeakageSurface:
         """Aggregate check over seeds: released sizes differ from true
         window counts in the vast majority of updates (Laplace noise is
         continuous; ties are rounding flukes)."""
-        from repro.experiments.harness import RunConfig, run_experiment
-
         exact = 0
         total = 0
         for seed in range(3):
@@ -154,10 +163,8 @@ class TestLeakageSurface:
             )
             sizes = [
                 e.payload["size"]
-                for e in res.engine.runtime.transcript.of_kind("view-update")
+                for e in res.database.runtime.transcript.of_kind("view-update")
             ]
-            # reconstruct true per-window counts from the logical mirror
-            vd = res.engine.view_def
             total += len(sizes)
             exact += sum(1 for s in sizes if s == 0)
         assert total > 0

@@ -29,7 +29,7 @@ SCRIPT = [
     ([], [[3, 4]]),
     ([[9, 4]], []),
 ]
-# Window [0, 2] qualifying pairs per step: 1, 3, 4, 4 (see test_core_engine).
+# Window [0, 2] qualifying pairs per step: 1, 3, 4, 4 (see test_paper_deployment).
 # Window [0, 1] qualifying pairs per step: 1, 2, 2, 2.
 
 

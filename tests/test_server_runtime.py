@@ -17,7 +17,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError, SchemaError
 from repro.common.types import RecordBatch, Schema
-from repro.core.engine import EngineConfig
 from repro.core.view_def import JoinViewDefinition
 from repro.experiments.harness import MultiViewRunConfig, build_multiview_deployment
 from repro.query.ast import AggregateSpec, LogicalJoinQuery, LogicalQuery
@@ -350,9 +349,11 @@ class TestConfigErrorMessages:
             ({"mode": "bogus"}, "mode", "bogus"),
             ({"join_impl": "hash"}, "join_impl", "hash"),
             ({"timer_interval": 0}, "timer_interval", "0"),
+            ({"timer_interval": -5}, "timer_interval", "-5"),
             ({"ant_threshold": -1.0}, "ant_threshold", "-1.0"),
             ({"flush_interval": 0}, "flush_interval", "0"),
             ({"flush_size": -3}, "flush_size", "-3"),
+            ({"flush_size": 0}, "flush_size", "0"),
             ({"size_hint": 0}, "size_hint", "0"),
             ({"updates_hint": -2}, "updates_hint", "-2"),
         ],
@@ -363,20 +364,9 @@ class TestConfigErrorMessages:
         message = str(exc_info.value)
         assert field in message and value in message
 
-    @pytest.mark.parametrize(
-        "kwargs,field,value",
-        [
-            ({"mode": "bogus"}, "mode", "bogus"),
-            ({"epsilon": 0.0}, "epsilon", "0.0"),
-            ({"timer_interval": -5}, "timer_interval", "-5"),
-            ({"flush_size": 0}, "flush_size", "0"),
-        ],
-    )
-    def test_engine_config_messages(self, kwargs, field, value):
-        with pytest.raises(ConfigurationError) as exc_info:
-            EngineConfig(**kwargs)
-        message = str(exc_info.value)
-        assert field in message and value in message
+    def test_total_epsilon_message(self):
+        with pytest.raises(ConfigurationError, match="total_epsilon.*0.0"):
+            IncShrinkDatabase(total_epsilon=0.0)
 
     def test_server_knob_messages(self):
         with pytest.raises(ConfigurationError, match="snapshot_every.*0"):

@@ -38,7 +38,7 @@ from repro.query.executor import execute_view_scan
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.server.database import IncShrinkDatabase, ViewRegistration
-from repro.server.sharding import SINGLE_SHARD, ShardLayout
+from repro.storage.sharding import SINGLE_SHARD, ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -441,7 +441,7 @@ class TestBackendSelection:
         )
         return view
 
-    def test_single_shard_always_serial(self):
+    def test_one_shard_always_serial(self):
         view = self._view_with_rows(1, 8)
         for backend in ("auto", "thread", "process"):
             assert ParallelScanExecutor(backend=backend).backend_for(view) == "thread"

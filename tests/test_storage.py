@@ -7,7 +7,7 @@ from repro.common.errors import ProtocolError, SchemaError
 from repro.common.rng import spawn
 from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
-from repro.server.sharding import ShardLayout
+from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.growing_db import GrowingDatabase
 from repro.storage.materialized_view import MaterializedView

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: link integrity and executable examples.
+"""Documentation checks: link integrity, executable examples, imports.
 
-Three checks, all run by the CI docs job and by ``tests/test_docs.py``:
+Four checks, all run by the CI docs job and by ``tests/test_docs.py``:
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in every tracked ``*.md`` file must resolve to an existing file or
@@ -15,6 +15,11 @@ Three checks, all run by the CI docs job and by ``tests/test_docs.py``:
 3. **Examples** — every ``examples/*.py`` script exits 0 in a
    subprocess with ``src`` on its path, so a renamed or deleted public
    name cannot break the scripts the README points at unnoticed.
+4. **Imports** — every ``from repro… import …`` / ``import repro…``
+   statement in a fenced ``python`` block of a tracked markdown file
+   must resolve (run with ``PYTHONPATH=src``).  Those blocks (the README
+   quick start among them) are not doctests, so without this a deleted
+   public name in one would go unnoticed.
 
 Usage::
 
@@ -24,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -40,6 +46,13 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^ {0,3}#{1,6}\s+(.*?)(?:\s+#+)?\s*$")
 #: A code-fence line; group 1 is the fence itself.
 _FENCE_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})")
+#: ``from repro… import names`` (a parenthesised list may span lines)
+#: or ``import repro…``, at the start of a line.
+_IMPORT_RE = re.compile(
+    r"^[ \t]*(?:from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+(\([^)]*\)|[^\n#]+)"
+    r"|import[ \t]+(repro[\w.]*))",
+    re.MULTILINE,
+)
 #: Directories never scanned for markdown.
 _SKIP_DIRS = {".git", ".ruff_cache", "__pycache__", ".pytest_benchmarks"}
 
@@ -93,6 +106,68 @@ def heading_anchors(path: Path) -> set[str]:
                 slug = f"{base}-{n}"
             anchors.add(slug)
     return anchors
+
+
+def python_blocks(path: Path) -> list[tuple[int, str]]:
+    """``(first line number, source)`` of every fenced ``python`` block."""
+    blocks = []
+    fence = None
+    lines: list[str] = []
+    start = 0
+    for number, line in enumerate(path.read_text(encoding="utf8").splitlines(), 1):
+        marker = _FENCE_RE.match(line)
+        if fence is None:
+            if marker:
+                fence = marker.group(1)
+                info = line.strip()[len(fence):].strip()
+                lines, start = ([], number + 1) if info == "python" else (None, 0)
+        elif marker and marker.group(1).startswith(fence) and line.strip() == marker.group(1):
+            if lines is not None:
+                blocks.append((start, "\n".join(lines)))
+            fence = None
+        elif lines is not None:
+            lines.append(line)
+    return blocks
+
+
+def _unresolved(module: str, names: list[str]) -> list[str]:
+    """The parts of one import statement that do not resolve."""
+    try:
+        imported = importlib.import_module(module)
+    except ImportError:
+        return [module]
+    missing = []
+    for name in names:
+        if hasattr(imported, name):
+            continue
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{module}.{name}")
+    return missing
+
+
+def check_imports(files: list[Path] | None = None) -> list[str]:
+    """Return one failure message per unresolved ``repro`` import in a
+    fenced ``python`` block."""
+    failures = []
+    for path in files if files is not None else markdown_files():
+        for start, source in python_blocks(path):
+            for match in _IMPORT_RE.finditer(source):
+                module, names, plain = match.groups()
+                if plain:
+                    module, names = plain, ""
+                names = [
+                    part.split(" as ")[0].strip()
+                    for part in names.strip("()").split(",")
+                    if part.strip()
+                ]
+                line = start + source.count("\n", 0, match.start())
+                failures.extend(
+                    f"{_shown(path)}:{line}: cannot import {what}"
+                    for what in _unresolved(module, names)
+                )
+    return failures
 
 
 def _shown(path: Path) -> Path:
@@ -182,14 +257,16 @@ def main() -> int:
     link_failures = check_links(files)
     doctest_failures, n_examples = run_doc_doctests()
     script_failures, n_scripts = run_example_scripts()
-    failures = link_failures + doctest_failures + script_failures
+    import_failures = check_imports(files)
+    failures = link_failures + doctest_failures + script_failures + import_failures
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if failures:
         return 1
     print(
         f"docs ok: {len(files)} markdown files linked correctly, "
-        f"{n_examples} doc examples pass, {n_scripts} example scripts exit 0"
+        f"{n_examples} doc examples pass, {n_scripts} example scripts exit 0, "
+        "every python-block import resolves"
     )
     return 0
 

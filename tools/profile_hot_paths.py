@@ -78,7 +78,7 @@ LONG_STREAM_STEPS = 3_000
 def _random_view(rows: int, n_shards: int, high: int):
     """A view of ``rows`` random rows (half dummies) in ``n_shards`` shards."""
     from repro.common.types import Schema
-    from repro.server.sharding import ShardLayout
+    from repro.storage.sharding import ShardLayout
     from repro.sharing.shared_value import SharedTable
     from repro.storage.materialized_view import MaterializedView
 
@@ -321,7 +321,7 @@ def _incremental_workload(rows: int):
     from repro.query.incremental import AccumulatorCache
     from repro.query.parallel import ParallelScanExecutor
     from repro.query.rewrite import lower_to_view_scan
-    from repro.server.sharding import ShardLayout
+    from repro.storage.sharding import ShardLayout
     from repro.sharing.shared_value import SharedTable
     from repro.storage.materialized_view import MaterializedView
 
