@@ -73,7 +73,8 @@ def main() -> None:
     # 2. checkpoint at a step boundary and stop (simulating a restart)
     server.stop(final_snapshot=True)
     print(f"\ncheckpointed to {snapshot.name} "
-          f"({server.stats.last_snapshot_bytes} bytes, format v2 carries "
+          f"(a {server.stats.last_snapshot_kind} of "
+          f"{server.stats.last_snapshot_bytes} bytes; it carries "
           f"n_shards={server.database.n_shards})")
 
     # 3. resume in a "fresh process" and continue the stream

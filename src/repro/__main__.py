@@ -33,8 +33,9 @@ continues its stream from where it stopped; ``query`` compiles one
 logical query (flag- or JSON-specified aggregates, GROUP BY, residual
 predicate) and runs it against a freshly built deployment or a restored
 snapshot; ``upgrade-snapshot`` converts a snapshot of an older format
-(the JSON documents of versions 1-3, the containers of versions 4-6)
-into the format ``resume`` and ``query --snapshot`` read; the named
+(the JSON documents of versions 1-3, the one-file containers of
+versions 4-7) into the checkpoint directory ``resume`` and ``query
+--snapshot`` read; the named
 experiments print the corresponding paper table/figure.
 
 A value the library rejects (a ``ConfigurationError``) ends the command
@@ -212,7 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scan_backend_flag(serve)
     _add_incremental_flag(serve)
     serve.add_argument("--clients", type=int, default=2, help="read sessions")
-    serve.add_argument("--snapshot", default=None, help="snapshot file path")
+    serve.add_argument(
+        "--snapshot", default=None,
+        help="checkpoint directory (four files: party0, party1, trusted, public)",
+    )
     serve.add_argument(
         "--snapshot-every", type=int, default=None,
         help="checkpoint every N ingested steps (requires --snapshot)",
@@ -265,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "resume",
         help="restore a snapshotted deployment and continue its stream",
     )
-    res.add_argument("--snapshot", required=True, help="snapshot file path")
+    res.add_argument("--snapshot", required=True, help="checkpoint directory")
     res.add_argument("--clients", type=int, default=2, help="read sessions")
     res.add_argument(
         "--snapshot-every", type=int, default=None,
@@ -276,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     up = sub.add_parser(
         "upgrade-snapshot",
-        help="convert a format v1-v6 snapshot to the current format",
+        help="convert a format v1-v7 snapshot to a checkpoint directory",
     )
     up.add_argument("old", metavar="OLD", help="the old snapshot to read")
     up.add_argument("new", metavar="NEW", help="where to write the converted snapshot")
@@ -477,9 +481,10 @@ def _format_serving(server, deployment, resumed_from: int | None = None) -> str:
     )
     if stats.snapshots:
         lines.append(
-            f"snapshots : {stats.snapshots} written, last "
-            f"{stats.last_snapshot_bytes} bytes in "
-            f"{stats.last_snapshot_seconds*1000:.1f} ms"
+            f"snapshots : {stats.snapshots} written, last a "
+            f"{stats.last_snapshot_kind} of {stats.last_snapshot_bytes} bytes "
+            f"in {stats.last_snapshot_seconds*1000:.1f} ms "
+            f"({stats.snapshot_segments} segments on the base)"
         )
     lines.append("")
     header = f"{'view':<22} {'mode':<9} {'rows':>7} {'realized eps':>13}"
@@ -849,7 +854,13 @@ def _cmd_query(args) -> None:
         if not args.incremental:
             db.set_incremental(False)
         time_at = int(restored.metadata.get("last_time", 0))
-        source = f"snapshot {args.snapshot} (step {time_at}), {db.n_shards} shard(s)"
+        info = restored.info
+        source = (
+            f"snapshot {args.snapshot} (step {time_at}), {db.n_shards} shard(s), "
+            f"a base and {info.segments} segment(s)"
+        )
+        if info.discarded_bytes:
+            source += f", {info.discarded_bytes} torn bytes past the last commit left"
     else:
         config = MultiViewRunConfig(
             dataset=args.dataset,
@@ -963,8 +974,9 @@ def _cmd_client(args) -> None:
             if args.checkpoint is not None:
                 info = client.snapshot(args.checkpoint or None)
                 print(
-                    f"server checkpointed {info['bytes_written']} bytes to "
-                    f"{info['path']} (sha256 {info['sha256'][:12]}…)"
+                    f"server checkpointed a {info['kind']} of "
+                    f"{info['bytes_written']} bytes to {info['path']} "
+                    f"(sha256 {info['sha256'][:12]}…)"
                 )
                 did_something = True
             if wants_query:

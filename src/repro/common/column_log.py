@@ -156,10 +156,11 @@ class ColumnLog:
         """The rows appended after the first ``mark``: faces."""
         return {c.name: buf[mark : self._n] for c, buf in zip(self.schema, self._buffers)}
 
-    def columns(self) -> dict:
-        """The content for the writer, nested as the dotted names say."""
+    def columns(self, mark: int = 0) -> dict:
+        """The content for the writer — the rows after the first ``mark``
+        (all, by default) — nested as the dotted names say."""
         out: dict = {}
-        for name, face in self.view().items():
+        for name, face in self.since(mark).items():
             *path, leaf = name.split(".")
             node = out
             for key in path:
@@ -171,6 +172,14 @@ class ColumnLog:
         """Take ``columns`` (nested as :meth:`columns` writes them) as the
         log's content and buffers — no copy of an array already in its
         column's order — once :meth:`check` passes."""
+        arrays = self.resolve(columns)
+        n = self.check(arrays)
+        self._buffers = [np.asarray(a, order=c.order) for c, a in zip(self.schema, arrays)]
+        self._n = n
+
+    def resolve(self, columns: dict) -> list:
+        """The entries of ``columns`` (nested as :meth:`columns` writes
+        them) that are this log's columns, in declared order."""
         arrays = []
         for column in self.schema:
             node = columns
@@ -179,9 +188,7 @@ class ColumnLog:
                     raise PersistenceError(f"{self.name}: has no column {column.name!r}")
                 node = node[key]
             arrays.append(node)
-        n = self.check(arrays)
-        self._buffers = [np.asarray(a, order=c.order) for c, a in zip(self.schema, arrays)]
-        self._n = n
+        return arrays
 
     def check(self, arrays: Sequence) -> int:
         """The length of the log ``arrays`` (one per column, in declared

@@ -34,6 +34,9 @@ because the map itself has an entry per record ever uploaded.
 
 from __future__ import annotations
 
+import sys
+from typing import Hashable
+
 import numpy as np
 
 from ..common.column_log import Column, ColumnLog, InRange
@@ -47,7 +50,7 @@ _COLUMN_ORDER = ("uses", "emitted", "invocations")
 class _LogBudget:
     """One table's budget columns, aligned to its upload logs."""
 
-    __slots__ = ("log", "batches", "rows", "first")
+    __slots__ = ("log", "batches", "rows", "first", "charged")
 
     def __init__(self, log: OutsourcedTable, max_uses: int, budget: int) -> None:
         self.log = log
@@ -69,6 +72,8 @@ class _LogBudget:
         )
         #: batches ``[:first]`` are exhausted
         self.first = 0
+        #: per checkpoint chain: the first batch charged since it last asked
+        self.charged: dict = {}
 
     def synced(self) -> "_LogBudget":
         """These columns, padded to cover every batch of the log (whose
@@ -158,6 +163,9 @@ class ContributionLedger:
         batch in turn raises.
         """
         side = self._budget(table)
+        for key, first in side.charged.items():
+            if lo < first:
+                side.charged[key] = lo
         starts = side.log.starts
         emitted = side.emitted[starts[lo] : starts[hi]]
         counts = np.asarray(counts, dtype=np.int64)
@@ -217,11 +225,26 @@ class ContributionLedger:
             self._worst = (int(held[k]), (side.log.name, int(side.log.times[lo + k])))
 
     # -- persistence hooks ----------------------------------------------------
-    def snapshot_state(self, table: str) -> dict:
-        """One table's columns — the live arrays, sliced to the log."""
+    def snapshot_state(self, table: str, since: int = 0) -> dict:
+        """One table's columns from batch ``since`` on (all, by default),
+        ``emitted`` from the row that batch starts at — the live arrays,
+        sliced to the log."""
         side = self._budget(table)
-        columns = {**side.batches.columns(), **side.rows.columns()}
+        columns = {
+            **side.batches.columns(since),
+            **side.rows.columns(int(side.log.starts[since])),
+        }
         return {key: columns[key] for key in _COLUMN_ORDER}
+
+    def charged_since(self, table: str, key: Hashable) -> int:
+        """The first batch charged to ``table`` since the last call with
+        ``key`` — ``sys.maxsize`` if none was, and 0 on the first call,
+        when any may have been: what a checkpoint chain asks to know which
+        batches' budget changed since its last checkpoint."""
+        side = self._budget(table)
+        first = side.charged.get(key, 0)
+        side.charged[key] = sys.maxsize
+        return first
 
     def restore_state(self, columns: dict[str, dict]) -> None:
         """Adopt :meth:`snapshot_state` columns for every table at once.

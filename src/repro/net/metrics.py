@@ -46,7 +46,8 @@ _STAT_SCALARS = (
     ("query_seconds", "Total seconds spent executing queries"),
     ("snapshots", "Snapshots written"),
     ("last_snapshot_seconds", "Duration of the most recent snapshot"),
-    ("last_snapshot_bytes", "Size of the most recent snapshot"),
+    ("last_snapshot_bytes", "Bytes the most recent snapshot wrote"),
+    ("snapshot_segments", "Segments on top of the checkpoint's base"),
     ("queue_depth", "Submitted-but-unapplied steps in the ingest queue"),
     ("queue_capacity", "Bound of the ingest queue"),
     ("query_epsilon", "Total epsilon spent by noisy query releases"),

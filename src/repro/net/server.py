@@ -1476,6 +1476,8 @@ class NetworkServer:
             "bytes_written": info.bytes_written,
             "sha256": info.sha256,
             "created_at": info.created_at,
+            "kind": info.kind,
+            "segments": info.segments,
         }
 
     def _handle_reshard(self, payload: dict) -> tuple[str, dict]:

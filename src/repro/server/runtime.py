@@ -17,11 +17,13 @@ that shape:
   circuit execution serialises on the simulated 2PC backend exactly as
   the paper's two servers evaluate one garbled circuit at a time;
 * **snapshot/resume** — :meth:`snapshot` quiesces ingestion at a step
-  boundary and persists the full outsourced state through
-  :mod:`repro.server.persistence`; :meth:`resume` reconstructs a server
-  from disk that continues the identical randomness streams, answers
-  queries byte-identically, and cannot double-spend the ε already
-  recorded in the snapshotted accountant.
+  boundary and checkpoints the state through
+  :mod:`repro.server.persistence` (a base the first time, then one
+  segment of what changed per checkpoint); :meth:`resume` reconstructs
+  a server from disk that continues the identical randomness streams,
+  answers queries byte-identically, cannot double-spend the ε recorded
+  in the checkpointed accountant, and appends its own checkpoints to
+  the chain it restored from.
 
 Queries never advance the servers' randomness streams (they only reveal
 and charge gates), so read concurrency — however the OS schedules the
@@ -157,7 +159,13 @@ class ServingStats:
     query_seconds: float = 0.0
     snapshots: int = 0
     last_snapshot_seconds: float = 0.0
+    #: bytes the last checkpoint wrote, across the checkpoint's four files
     last_snapshot_bytes: int = 0
+    #: segments on top of the checkpoint's base after the last checkpoint
+    snapshot_segments: int = 0
+    #: what the last checkpoint wrote: ``base``, ``segment`` or
+    #: ``compaction`` (empty before the first)
+    last_snapshot_kind: str = ""
     #: submitted-but-unapplied steps in the ingest queue right now
     queue_depth: int = 0
     #: the queue's bound (``max_pending`` — backpressure beyond this)
@@ -193,6 +201,8 @@ class ServingStats:
             "snapshots": self.snapshots,
             "last_snapshot_seconds": self.last_snapshot_seconds,
             "last_snapshot_bytes": self.last_snapshot_bytes,
+            "snapshot_segments": self.snapshot_segments,
+            "last_snapshot_kind": self.last_snapshot_kind,
             "queue_depth": self.queue_depth,
             "queue_capacity": self.queue_capacity,
             "shard_rows": {
@@ -782,6 +792,8 @@ class DatabaseServer:
             self.stats.snapshots += 1
             self.stats.last_snapshot_seconds = _time.perf_counter() - t0
             self.stats.last_snapshot_bytes = info.bytes_written
+            self.stats.snapshot_segments = info.segments
+            self.stats.last_snapshot_kind = info.kind
         return info
 
     @classmethod
@@ -794,8 +806,9 @@ class DatabaseServer:
     ) -> "DatabaseServer":
         """Reconstruct a server from a snapshot written by :meth:`snapshot`.
 
-        The resumed server keeps checkpointing to the same file unless a
-        different ``snapshot_path`` is given.  The restored metadata is
+        The resumed server keeps checkpointing to the same path unless a
+        different ``snapshot_path`` is given, appending segments to the
+        chain it restored from.  The restored metadata is
         exposed as :attr:`resume_metadata` (and the caller-added keys are
         carried forward into future snapshots).
         """

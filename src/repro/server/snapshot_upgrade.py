@@ -1,7 +1,7 @@
-"""Offline converter for snapshots of format versions 1–6.
+"""Offline converter for snapshots of format versions 1–7.
 
 :func:`repro.server.persistence.restore_database` reads only the current
-format.  This module is the one place that still knows the older ones,
+format, a checkpoint directory of per-party files.  This module is the one place that still knows the older ones,
 and what each lacked:
 
 * up to version 3 a snapshot was one JSON document — ``magic``,
@@ -25,12 +25,15 @@ and what each lacked:
   ``{"value": …}`` objects — and each transform group's budget twice: a
   scope per table and a ledger over both in upload order, beside a
   physical upload log's own zero ``invocations_used``/``emitted``;
-* version 6 wrote the upload logs, scopes and ledgers as columns.
+* version 6 wrote the upload logs, scopes and ledgers as columns;
+* version 7 is the current body in one file: both servers' halves, the
+  owners' generator and the public state side by side, with no
+  segments — its hop to 8 is the writer's split into four files.
 
 :func:`upgrade_snapshot` verifies the old digest, fills those gaps,
 resolves the pool indices into share tables, takes each group's budget
 from its scopes and ledger once, and writes the result exactly as
-:func:`~repro.server.persistence.snapshot_database` would::
+:func:`~repro.server.persistence.snapshot_database` writes a base::
 
     python -m repro upgrade-snapshot OLD NEW
 """
@@ -51,20 +54,22 @@ from ..common.rng import spawn
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
 from .persistence import (
+    _DIGEST_BYTES,
     _PREAMBLE,
     SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
     SnapshotInfo,
+    _ArrayLoader,
+    _CHUNK_BYTES,
     _columnar_layout,
     _decode_table_pool,
-    _read_snapshot,
+    _integrity_error,
     _write_snapshot,
 )
 
 #: The JSON-document format versions this module converts.
 LEGACY_VERSIONS = (1, 2, 3)
-#: The container versions this module converts.
-CONTAINER_VERSIONS = (4, 5, 6)
+#: The single-file container versions this module converts.
+CONTAINER_VERSIONS = (4, 5, 6, 7)
 
 _LEGACY_ARRAY_KEYS = frozenset(("dtype", "shape", "data"))
 
@@ -80,21 +85,23 @@ def _concat(parts: list[np.ndarray], empty_shape: tuple, dtype) -> np.ndarray:
 def upgrade_snapshot(
     old: str | os.PathLike, new: str | os.PathLike
 ) -> SnapshotInfo:
-    """Convert the version 1–6 snapshot at ``old`` into one at ``new``.
+    """Convert the version 1–7 snapshot at ``old`` into a checkpoint at
+    ``new`` (a base, as the first checkpoint to a path writes one).
 
     The state is carried over exactly — shares, RNG streams, the ε ledger
-    and the caller's metadata — and so is ``created_at``: the new file
-    records when the state was captured, not when it was converted.
+    and the caller's metadata — and so is ``created_at``: the new files
+    record when the state was captured, not when it was converted.
     """
     old = os.fspath(old)
     version = _container_version(old)
     if version is not None:
-        body, info = _read_snapshot(old, CONTAINER_VERSIONS)
-        created_at = info.created_at
+        body, created_at = _read_container(old, version)
     else:
         document = _load_legacy(old)
         body = _current_layout(_inflate_arrays(document["body"]))
         created_at = float(document.get("created_at", 0.0))
+    if version == 7:  # already laid out as a base is
+        return _write_snapshot(new, body, created_at)
     try:
         if version == 6:
             tables, groups = _columnar_parts(body)
@@ -113,8 +120,12 @@ def _container_version(path: str) -> int | None:
     """The format version of the container at ``path``, or ``None`` if it
     starts as a JSON document does.
 
-    A container of the current version is refused here.
+    A checkpoint directory — the current format — is refused here.
     """
+    if os.path.isdir(path):
+        raise PersistenceError(
+            f"snapshot {path!r} is already in the current format"
+        )
     try:
         with open(path, "rb") as fh:
             preamble = fh.read(_PREAMBLE.size)
@@ -123,11 +134,83 @@ def _container_version(path: str) -> int | None:
     if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
         return None
     version = _PREAMBLE.unpack(preamble)[1]
-    if version == SNAPSHOT_VERSION:
+    if version not in CONTAINER_VERSIONS:
         raise PersistenceError(
-            f"snapshot {path!r} is already in the current format"
+            f"snapshot {path!r} has format version {version}; "
+            f"upgrade-snapshot converts versions {LEGACY_VERSIONS + CONTAINER_VERSIONS}"
         )
     return version
+
+
+def _read_container(path: str, version: int) -> tuple[dict, float]:
+    """Read and authenticate the single-file container at ``path`` —
+    magic, version, head length, head, arrays, and the SHA-256 of every
+    byte before it as the last 32 — into its body and ``created_at``.
+
+    Returns only after the trailer matched, with every array of the body
+    filled.  Damage that surfaces as a structural error first (a flipped
+    digit in a length, a cut-off array section) is still reported as the
+    failed integrity check it is once the rest of the file is hashed.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            payload_end = size - _DIGEST_BYTES
+            preamble = fh.read(_PREAMBLE.size)
+            if payload_end < _PREAMBLE.size:
+                raise PersistenceError(
+                    f"snapshot {path!r} is truncated: {size} bytes cannot hold "
+                    "a head and a digest"
+                )
+            head_len = _PREAMBLE.unpack(preamble)[2]
+            digest = hashlib.sha256(preamble)
+            try:
+                head = _read_payload(fh, digest, head_len, payload_end)
+            except PersistenceError as exc:
+                while chunk := fh.read(min(_CHUNK_BYTES, payload_end - fh.tell())):
+                    digest.update(chunk)
+                if fh.read() != digest.digest():
+                    raise _integrity_error(path) from exc
+                raise PersistenceError(
+                    f"snapshot {path!r} is malformed: {exc}"
+                ) from exc
+            if fh.read() != digest.digest():
+                raise _integrity_error(path)
+    except OSError as exc:
+        raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
+    return head["body"], float(head["created_at"])
+
+
+def _read_payload(fh, digest, head_len: int, payload_end: int) -> dict:
+    """Head and arrays, hashed as read; sizes checked before allocating."""
+    if head_len > payload_end - fh.tell():
+        raise PersistenceError(
+            f"head length {head_len} exceeds the {payload_end - fh.tell()} "
+            "bytes the file has for it"
+        )
+    raw = fh.read(head_len)
+    digest.update(raw)
+    loader = _ArrayLoader(limit=payload_end - fh.tell())
+    try:
+        head = json.loads(raw, object_hook=loader.claim)
+    except (ValueError, RecursionError) as exc:  # incl. invalid UTF-8
+        raise PersistenceError(f"head is not valid JSON: {exc}") from exc
+    if loader.nbytes != loader.limit:
+        raise PersistenceError(
+            f"head accounts for {loader.nbytes} array bytes, the file "
+            f"holds {loader.limit} (truncated, or trailing bytes)"
+        )
+    if (
+        not isinstance(head, dict)
+        or not isinstance(head.get("body"), dict)
+        or not isinstance(head.get("created_at"), (int, float))
+    ):
+        raise PersistenceError("head has no body or no created_at")
+    for arr in loader.arrays:
+        if arr.nbytes and fh.readinto(arr) != arr.nbytes:
+            raise PersistenceError("file shrank while it was being read")
+        digest.update(arr)
+    return head
 
 
 def _load_legacy(path: str) -> dict:

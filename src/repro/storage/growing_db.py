@@ -237,6 +237,11 @@ class GrowingDatabase:
     def tables(self) -> list[str]:
         return list(self._tables)
 
+    def table_logs(self) -> dict[str, tuple[ColumnLog, ColumnLog]]:
+        """Each table's batch log and row log, as :meth:`snapshot_state`
+        writes their columns."""
+        return {name: (log.batches, log.rows) for name, log in self._tables.items()}
+
     def batch_log(self, name: str) -> ColumnLog:
         """The insertion ``times`` and row ``lengths`` of ``name``."""
         return self._log(name).batches

@@ -153,6 +153,11 @@ class MaterializedView(ShardedTableContainer):
         return list(self._faces)
 
     # -- persistence hooks ----------------------------------------------------
+    def shard_logs(self) -> list[ColumnLog]:
+        """Each shard's column log, in shard order: a checkpoint writes
+        what each appended since the last one."""
+        return [shard.log for shard in self._columns]
+
     def snapshot_state(self) -> dict:
         """Per-shard content plus the public update counter."""
         return {"shards": self.shards, "update_count": self.update_count}

@@ -417,45 +417,83 @@ def test_accountant_segments_of_other_shapes_are_refused(tmp_path, segment):
     assert list(tmp_path.iterdir()) == []
 
 
-# -- the container, read by its documented layout and not through the module ---
-_PREAMBLE = struct.Struct(">18sHQ")  # magic, version, head length
+# -- the checkpoint files, read by their documented layout and not through the module
+#: magic, version, head length: how the one-file containers of versions 4–7 start
+_PREAMBLE = struct.Struct(">18sHQ")
+#: ... and a version 8 base goes on with its array section's length
+_BASE = struct.Struct(">18sHQQ")
+#: magic, head length, array length, check
+_SEGMENT = struct.Struct(">17sQQ8s")
 _DIGEST_BYTES = 32
 _ARRAY_KEYS = {"dtype", "shape", "offset"}
 _ORDERED_ARRAY_KEYS = _ARRAY_KEYS | {"order"}
+#: A checkpoint's files, ``public`` (the one with the commit record) last.
+FILES = ("party0", "party1", "trusted", "public")
 
 
-def read_container(path) -> tuple[dict, bytes, bytes]:
-    """One snapshot file as (head, array section, trailer)."""
-    raw = Path(path).read_bytes()
-    magic, version, head_len = _PREAMBLE.unpack_from(raw)
+def base_length(raw: bytes) -> int:
+    _, _, head_len, array_len = _BASE.unpack_from(raw)
+    return _BASE.size + head_len + array_len + _DIGEST_BYTES
+
+
+def read_container(path, name: str = "public") -> tuple[dict, bytes, bytes]:
+    """The base of one checkpoint file as (head, array section, trailer)."""
+    raw = (Path(path) / name).read_bytes()
+    magic, version, head_len, array_len = _BASE.unpack_from(raw)
     assert (magic, version) == (SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
-    head_end = _PREAMBLE.size + head_len
+    head_end = _BASE.size + head_len
+    end = head_end + array_len
     return (
-        json.loads(raw[_PREAMBLE.size : head_end]),
-        raw[head_end:-_DIGEST_BYTES],
-        raw[-_DIGEST_BYTES:],
+        json.loads(raw[_BASE.size : head_end]),
+        raw[head_end:end],
+        raw[end : end + _DIGEST_BYTES],
     )
 
 
-def snapshot_content(path) -> tuple[str, bytes]:
-    """Everything in the file that is about the database: the head less
-    ``created_at`` (as text — key order counts) and the array section.
-    Two snapshots of the same state differ in nothing else."""
-    head, arrays, _ = read_container(path)
-    del head["created_at"]
-    return json.dumps(head), arrays
+def snapshot_content(path) -> list[tuple[str, bytes]]:
+    """Everything in a checkpoint's bases that is about the database: per
+    file, the head less ``created_at`` and the commit record, whose
+    digests cover it (as text — key order counts), and the array
+    section.  Two checkpoints of the same state differ in nothing else."""
+    content = []
+    for name in FILES:
+        head, arrays, _ = read_container(path, name)
+        del head["created_at"]
+        head.pop("commit", None)
+        content.append((json.dumps(head), arrays))
+    return content
+
+
+def checkpoint_bytes(path) -> list[bytes]:
+    return [(Path(path) / name).read_bytes() for name in FILES]
 
 
 def write_container(
     path, head: dict, arrays: bytes, trailer: bytes | None = None,
     version: int = SNAPSHOT_VERSION,
 ) -> None:
-    """Assemble a file; the trailer is computed unless one is forced."""
+    """Assemble one base file; the trailer is computed unless one is forced."""
     text = json.dumps(head, separators=(",", ":")).encode("utf8")
-    payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, version, len(text)) + text + arrays
+    payload = _BASE.pack(SNAPSHOT_MAGIC, version, len(text), len(arrays)) + text + arrays
     if trailer is None:
         trailer = hashlib.sha256(payload).digest()
+    Path(path).parent.mkdir(exist_ok=True)
     Path(path).write_bytes(payload + trailer)
+
+
+def write_old_container(path, head: dict, arrays: bytes, version: int) -> None:
+    """Assemble a one-file container of versions 4–7."""
+    text = json.dumps(head, separators=(",", ":")).encode("utf8")
+    payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, version, len(text)) + text + arrays
+    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def copy_checkpoint(source, target) -> Path:
+    target = Path(target)
+    target.mkdir()
+    for name in FILES:
+        (target / name).write_bytes((Path(source) / name).read_bytes())
+    return target
 
 
 def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
@@ -672,19 +710,25 @@ class TestIntegrity:
             with pytest.raises(SystemExit, match="cannot restore snapshot"):
                 main(argv)
 
-    def test_wrong_magic(self, tmp_path):
+    @pytest.mark.parametrize("name", FILES)
+    def test_wrong_magic(self, tmp_path, name):
         path = self._snapshot(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(b"some-other-format!" + raw[18:])
+        raw = (path / name).read_bytes()
+        (path / name).write_bytes(b"some-other-format!" + raw[18:])
         with pytest.raises(PersistenceError, match="not an IncShrink snapshot"):
             restore_database(path)
 
     def test_unknown_version(self, tmp_path, never_rebuilt):
         path = self._snapshot(tmp_path)
         head, arrays, _ = read_container(path)
-        write_container(path, head, arrays, version=99)
+        write_container(path / "public", head, arrays, version=99)
         with pytest.raises(PersistenceError, match="format version 99"):
             restore_database(path)
+
+    def test_one_file_of_a_checkpoint_names_its_directory(self, tmp_path):
+        path = self._snapshot(tmp_path)
+        with pytest.raises(PersistenceError, match="restore the directory"):
+            restore_database(path / "public")
 
     def test_json_document_snapshot_names_the_upgrade_command(self, never_rebuilt):
         with pytest.raises(PersistenceError, match="repro upgrade-snapshot"):
@@ -700,40 +744,57 @@ class TestIntegrity:
         refunded = bytearray(arrays)
         at = spent["offset"]
         refunded[at : at + 8 * spent["shape"][0]] = bytes(8 * spent["shape"][0])
-        write_container(path, head, bytes(refunded), trailer=trailer)
+        write_container(path / "public", head, bytes(refunded), trailer=trailer)
         with pytest.raises(PersistenceError, match="integrity check"):
             restore_database(path)
 
-    def test_truncation_at_every_offset_is_refused(self, tmp_path, never_rebuilt):
-        raw = self._snapshot(tmp_path).read_bytes()
-        cut = tmp_path / "cut.snap"
+    @pytest.mark.parametrize("name", FILES)
+    def test_truncation_at_every_offset_is_refused(
+        self, tmp_path, never_rebuilt, name
+    ):
+        path = self._snapshot(tmp_path)
+        raw = (path / name).read_bytes()
+        cut = copy_checkpoint(path, tmp_path / "cut.snap")
         for length in range(len(raw)):
-            cut.write_bytes(raw[:length])
+            (cut / name).write_bytes(raw[:length])
             with pytest.raises(PersistenceError):
                 restore_database(cut)
 
+    @pytest.mark.parametrize("name", FILES)
     def test_a_flipped_byte_anywhere_fails_the_integrity_check(
-        self, tmp_path, never_rebuilt
+        self, tmp_path, never_rebuilt, name
     ):
-        path = self._snapshot(tmp_path)
-        raw = path.read_bytes()
-        head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-        trailer_start = len(raw) - _DIGEST_BYTES
+        """In a base or in a segment after it, in any of the four files."""
+        db = build_database()
+        feed(db, 1)
+        path = tmp_path / "ok.snap"
+        snapshot_database(db, path)
+        feed(db, 2)
+        db.query(multi_query(), 2, epsilon=0.5)
+        assert snapshot_database(db, path).kind == "segment"
+        raw = (path / name).read_bytes()
+        head_end = _BASE.size + _BASE.unpack_from(raw)[2]
+        base_end = base_length(raw)
+        trailer_start = base_end - _DIGEST_BYTES
         assert head_end < trailer_start, "the scenario needs an array section"
-        assert column_major_entries(path), "…with a column-major array in it"
+        if name.startswith("party"):
+            assert column_major_entries(path), "…with a column-major array in it"
         rng = random.Random(20221)
         offsets = [
-            # the head-length field, then head, array section and trailer
-            *range(_PREAMBLE.size - 8, _PREAMBLE.size),
-            *rng.sample(range(_PREAMBLE.size, head_end), 150),
-            *rng.sample(range(head_end, trailer_start), 60),
-            *rng.sample(range(trailer_start, len(raw)), 12),
+            # the head- and array-length fields, then head, array section
+            # and trailer; then anywhere in the segment
+            *range(_BASE.size - 16, _BASE.size),
+            *rng.sample(range(_BASE.size, head_end), 60),
+            *rng.sample(range(head_end, trailer_start), min(30, trailer_start - head_end)),
+            *rng.sample(range(trailer_start, base_end), 8),
+            *range(base_end, base_end + _SEGMENT.size),
+            *rng.sample(range(base_end + _SEGMENT.size, len(raw)), 60),
         ]
-        flipped = tmp_path / "flipped.snap"
+        flipped = copy_checkpoint(path, tmp_path / "flipped.snap")
         for offset in offsets:
             damaged = bytearray(raw)
             damaged[offset] ^= 1 << rng.randrange(8)
-            flipped.write_bytes(damaged)
+            (flipped / name).write_bytes(damaged)
             with pytest.raises(PersistenceError, match="integrity check"):
                 restore_database(flipped)
 
@@ -743,13 +804,15 @@ class TestIntegrity:
         """Authentic trailers, impossible sizes: refused as malformed,
         without attempting the terabyte allocations they ask for."""
         path = self._snapshot(tmp_path)
-        intact = path.read_bytes()
         head, arrays, _ = read_container(path)
         text = json.dumps(head, separators=(",", ":")).encode("utf8")
-        payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 1 << 62) + text
-        path.write_bytes(payload + arrays + hashlib.sha256(payload + arrays).digest())
-        with pytest.raises(PersistenceError, match="head length"):
-            restore_database(path)
+        for head_len, array_len in ((1 << 62, len(arrays)), (len(text), 1 << 62)):
+            payload = _BASE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, head_len, array_len) + text
+            (path / "public").write_bytes(
+                payload + arrays + hashlib.sha256(payload + arrays).digest()
+            )
+            with pytest.raises(PersistenceError, match="base declares"):
+                restore_database(path)
 
         for entry in (
             {"dtype": "<u4", "shape": [1 << 40], "offset": 0},
@@ -759,26 +822,26 @@ class TestIntegrity:
             {"dtype": "<u4", "shape": [-1], "offset": 0},
             {"dtype": "<u4", "shape": [1], "offset": 4},
         ):
-            write_container(path, {"created_at": 0.0, "body": {"x": entry}}, b"\0" * 4)
+            write_container(
+                path / "public", {"created_at": 0.0, "body": {"x": entry}}, b"\0" * 4
+            )
             with pytest.raises(PersistenceError, match="malformed"):
                 restore_database(path)
-        # trailing bytes after an otherwise complete file
-        path.write_bytes(intact + b"\0")
-        with pytest.raises(PersistenceError):
-            restore_database(path)
 
     def test_receipt_is_the_trailer_over_everything_before_it(self, tmp_path):
+        """A base's receipt: ``public``'s trailer, and every file's bytes."""
         db = build_database()
         feed(db, 1)
         info = snapshot_database(db, tmp_path / "ok.snap")
-        raw = (tmp_path / "ok.snap").read_bytes()
+        raw = (tmp_path / "ok.snap" / "public").read_bytes()
         assert info.sha256 == hashlib.sha256(raw[:-32]).hexdigest() == raw[-32:].hex()
-        assert info.bytes_written == len(raw)
+        assert info.bytes_written == sum(map(len, checkpoint_bytes(tmp_path / "ok.snap")))
+        assert (info.kind, info.segments) == ("base", 0)
         assert read_container(tmp_path / "ok.snap")[0]["created_at"] == info.created_at
 
     def test_magic_constant_is_stable(self, tmp_path):
-        raw = self._snapshot(tmp_path).read_bytes()
-        assert raw.startswith(SNAPSHOT_MAGIC)
+        for raw in checkpoint_bytes(self._snapshot(tmp_path)):
+            assert raw.startswith(SNAPSHOT_MAGIC)
         assert SNAPSHOT_MAGIC == b"incshrink-snapshot"
 
     def test_restored_arrays_are_owned_and_writable(self, tmp_path):
@@ -1091,21 +1154,27 @@ def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
     assert not (tmp_path / "out.snap").exists()
 
 
-# -- container versions 4 to 7, column-major view shards, columnar logs --------
+# -- container versions 4 to 8, column-major view shards, columnar logs --------
 GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
 GOLDEN_V5 = Path(__file__).parent / "golden" / "snapshot_v5.snap"
 #: ``golden_v4_state()`` as written by the last writer that kept a list
 #: of batch objects per upload log and per group scope.
 GOLDEN_V6 = Path(__file__).parent / "golden" / "snapshot_v6.snap"
 #: ``golden_v4_state()`` with the v6 golden's ``created_at``, as written
-#: by the first writer of format 7.
+#: by the last writer of format 7, the last one-file format.
 GOLDEN_V7 = Path(__file__).parent / "golden" / "snapshot_v7.snap"
+#: ``golden_v8_states()``, checkpointed by the first writer of format 8:
+#: a base of the first state with the v7 golden's ``created_at``, then
+#: one segment of the second.
+GOLDEN_V8 = Path(__file__).parent / "golden" / "snapshot_v8"
 #: What every container golden carries as the caller's metadata.
 GOLDEN_METADATA = {"last_time": 3, "note": "golden v4"}
+#: ... and what the v8 golden's segment carries.
+GOLDEN_V8_SEGMENT_METADATA = {"last_time": 4, "note": "golden v8 segment"}
 
 
 def array_entries(path) -> list[dict]:
-    """Every array entry of a container's head, in file order."""
+    """Every array entry of a checkpoint's base heads, file by file."""
     found = []
 
     def walk(node):
@@ -1119,7 +1188,8 @@ def array_entries(path) -> list[dict]:
                 for value in node.values():
                     walk(value)
 
-    walk(read_container(path)[0])
+    for name in FILES:
+        walk(read_container(path, name)[0])
     return found
 
 
@@ -1149,7 +1219,29 @@ GOLDEN_CONTAINERS = [
     pytest.param(4, GOLDEN_V4, id="v4"),
     pytest.param(5, GOLDEN_V5, id="v5"),
     pytest.param(6, GOLDEN_V6, id="v6"),
+    pytest.param(7, GOLDEN_V7, id="v7"),
 ]
+
+
+def golden_v8_states():
+    """``golden_v4_state()``, then the same deployment a step and a
+    tenant's release later: what the v8 golden's base and segment hold."""
+    live = golden_v4_state()
+    yield live
+    feed(live, 4)
+    live.query(multi_query(), 4, epsilon=0.2, tenant="ana")
+    yield live
+
+
+def write_golden_v8(path, created_at: float, monkeypatch):
+    """Checkpoint :func:`golden_v8_states` to ``path`` as the v8 golden
+    was written; returns the live database."""
+    monkeypatch.setattr(persistence._time, "time", lambda: created_at)
+    states = golden_v8_states()
+    snapshot_database(next(states), path, metadata=GOLDEN_METADATA)
+    live = next(states)
+    assert snapshot_database(live, path, metadata=GOLDEN_V8_SEGMENT_METADATA).kind == "segment"
+    return live
 
 
 def created_at_of(path) -> float:
@@ -1163,7 +1255,7 @@ def test_older_containers_upgrade_and_continue(tmp_path, version, golden):
     """Through ``upgrade-snapshot``: identical answers, gates and ε, and
     the stream continues identically."""
     raw = golden.read_bytes()
-    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 7
+    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 8
     live = golden_v4_state()
     live.accumulator_cache.invalidate()  # a restored database starts cold
     upgrade_snapshot(golden, tmp_path / "up.snap")
@@ -1210,29 +1302,31 @@ def test_upgraded_golden_is_byte_identical_to_the_writer(
         golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA
     )
     upgraded = upgrade_snapshot(golden, tmp_path / "up.snap")
-    assert (tmp_path / "up.snap").read_bytes() == (tmp_path / "live.snap").read_bytes()
+    assert checkpoint_bytes(tmp_path / "up.snap") == checkpoint_bytes(tmp_path / "live.snap")
     assert upgraded == persistence.SnapshotInfo(
         str(tmp_path / "up.snap"), written.bytes_written, written.sha256, created_at
     )
 
 
-def test_the_upgraded_v6_golden_is_the_v7_golden(tmp_path):
-    upgrade_snapshot(GOLDEN_V6, tmp_path / "up.snap")
-    assert (tmp_path / "up.snap").read_bytes() == GOLDEN_V7.read_bytes()
+def test_the_upgraded_v7_golden_is_the_v8_golden_base(tmp_path):
+    upgrade_snapshot(GOLDEN_V7, tmp_path / "up.snap")
+    for name, raw in zip(FILES, checkpoint_bytes(GOLDEN_V8)):
+        assert (tmp_path / "up.snap" / name).read_bytes() == raw[: base_length(raw)]
 
 
-def test_the_writer_reproduces_the_v7_golden_byte_for_byte(tmp_path, monkeypatch):
-    """The writer writes the golden's bytes for its state, and the golden
-    restores into a state that writes them again."""
-    raw = GOLDEN_V7.read_bytes()
+def test_the_writer_reproduces_the_v8_golden_byte_for_byte(tmp_path, monkeypatch):
+    """The writer writes the golden's bytes — base and segment — for its
+    states, and the golden restores into the second state: a fresh
+    checkpoint of either writes the same bytes."""
     created_at = created_at_of(GOLDEN_V7)
-    monkeypatch.setattr(persistence._time, "time", lambda: created_at)
-    snapshot_database(golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA)
-    assert (tmp_path / "live.snap").read_bytes() == raw
-    restored = restore_database(GOLDEN_V7)
-    assert restored.metadata == GOLDEN_METADATA
-    snapshot_database(restored.database, tmp_path / "again.snap", metadata=GOLDEN_METADATA)
-    assert (tmp_path / "again.snap").read_bytes() == raw
+    live = write_golden_v8(tmp_path / "live.snap", created_at, monkeypatch)
+    assert checkpoint_bytes(tmp_path / "live.snap") == checkpoint_bytes(GOLDEN_V8)
+    restored = restore_database(GOLDEN_V8)
+    assert restored.metadata == GOLDEN_V8_SEGMENT_METADATA
+    assert (restored.info.kind, restored.info.segments) == ("segment", 1)
+    for db, name in ((live, "a.snap"), (restored.database, "b.snap")):
+        snapshot_database(db, tmp_path / name, metadata=GOLDEN_V8_SEGMENT_METADATA)
+    assert checkpoint_bytes(tmp_path / "a.snap") == checkpoint_bytes(tmp_path / "b.snap")
 
 
 def test_array_count_does_not_grow_with_the_stream(tmp_path):
@@ -1257,6 +1351,13 @@ def test_array_count_does_not_grow_with_the_stream(tmp_path):
 #: take more digits as the stream grows, and nothing else may.
 HEAD_GROWTH_BOUND = 256
 _NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+#: A chain digest named by a commit record.
+_DIGEST_TEXT = re.compile(rb'"[0-9a-f]{64}"')
+
+
+def _normalized(head: bytes) -> bytes:
+    """A head with every number and digest zeroed: what stays put."""
+    return _NUMBER.sub(b"0", _DIGEST_TEXT.sub(b'"0"', head))
 
 
 def test_snapshot_head_does_not_grow_with_the_stream(tmp_path):
@@ -1292,10 +1393,13 @@ def test_snapshot_head_does_not_grow_with_the_stream(tmp_path):
     assert len(array_entries(early)) == len(array_entries(late))
     heads = []
     for path in (early, late):
-        raw = path.read_bytes()
-        heads.append(raw[_PREAMBLE.size : _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]])
-    assert 0 <= len(heads[1]) - len(heads[0]) <= HEAD_GROWTH_BOUND
-    assert _NUMBER.sub(b"0", heads[0]) == _NUMBER.sub(b"0", heads[1])
+        heads.append([])
+        for name in FILES:
+            raw = (path / name).read_bytes()
+            heads[-1].append(raw[_BASE.size : _BASE.size + _BASE.unpack_from(raw)[2]])
+    assert 0 <= sum(map(len, heads[1])) - sum(map(len, heads[0])) <= HEAD_GROWTH_BOUND
+    for head_early, head_late in zip(*heads):
+        assert _normalized(head_early) == _normalized(head_late)
 
 
 @pytest.mark.parametrize(
@@ -1385,9 +1489,10 @@ def test_budget_columns_that_disagree_are_refused(tmp_path, edit, message):
     assert col("groups", 0, "probe", "uses").tolist() == [3, 2, 1]
     assert col("groups", 0, "probe", "invocations").tolist() == [[1, 2, 3], [2, 3, 0], [3, 0, 0]]
     edit(col)
-    write_container(tmp_path / "bad.snap", head, bytes(section))
+    bad = copy_checkpoint(tmp_path / "good.snap", tmp_path / "bad.snap")
+    write_container(bad / "public", head, bytes(section))
     with pytest.raises(PersistenceError, match=message):
-        restore_database(tmp_path / "bad.snap")
+        restore_database(bad)
 
 
 def _orders_log(body: dict) -> dict:
@@ -1720,7 +1825,7 @@ def test_the_upgrader_refuses_a_v6_budget_it_cannot_write_once(tmp_path, edit, m
     head = json.loads(raw[_PREAMBLE.size : head_end])
     section = bytearray(raw[head_end:-_DIGEST_BYTES])
     edit(lambda *keys: column_in(head, section, *keys))
-    write_container(tmp_path / "bad.snap", head, bytes(section), version=6)
+    write_old_container(tmp_path / "bad.snap", head, bytes(section), version=6)
     with pytest.raises(PersistenceError, match=message):
         upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
     assert not (tmp_path / "out.snap").exists()
@@ -1783,7 +1888,7 @@ def test_column_major_sections_roundtrip_byte_identically(
         restored.database, tmp_path / "b.snap", metadata=restored.metadata
     )
     assert second.sha256 == first.sha256
-    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+    assert checkpoint_bytes(tmp_path / "a.snap") == checkpoint_bytes(tmp_path / "b.snap")
     # and the restored shards keep serving and growing
     feed(db, 5)
     feed(restored.database, 5)
@@ -1798,7 +1903,278 @@ def test_malformed_order_keys_are_refused(tmp_path, never_rebuilt):
         {"dtype": "<u4", "shape": [1, 2, 2], "offset": 0, "order": "F"},
     ):
         write_container(
-            tmp_path / "bad.snap", {"created_at": 0.0, "body": {"x": entry}}, b"\\0" * 16
+            tmp_path / "bad.snap" / "public",
+            {"created_at": 0.0, "body": {"x": entry}},
+            b"\0" * 16,
         )
         with pytest.raises(PersistenceError, match="malformed"):
             restore_database(tmp_path / "bad.snap")
+
+
+# -- format 8: four files per checkpoint, each a base plus segments -------------
+def file_entries(path, name: str) -> list[tuple[int, dict, int]]:
+    """Every entry of one checkpoint file — its base, then each segment —
+    as (where it starts, its head, its array-section length), read by the
+    documented layout."""
+    raw = (Path(path) / name).read_bytes()
+    _, _, head_len, array_len = _BASE.unpack_from(raw)
+    entries = [(0, json.loads(raw[_BASE.size : _BASE.size + head_len]), array_len)]
+    at = base_length(raw)
+    while at < len(raw):
+        magic, head_len, array_len, _ = _SEGMENT.unpack_from(raw, at)
+        assert magic == b"incshrink-segment"
+        start = at + _SEGMENT.size
+        entries.append((at, json.loads(raw[start : start + head_len]), array_len))
+        at = start + head_len + array_len + _DIGEST_BYTES
+    return entries
+
+
+def file_heads(path, name: str) -> list[tuple[dict, int]]:
+    """Every head of one checkpoint file with its array-section length."""
+    return [(head, array_len) for _, head, array_len in file_entries(path, name)]
+
+
+def keys_in(node, path=()):
+    """Every key path of a head."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from keys_in(value, (*path, key))
+    elif isinstance(node, list):
+        for value in node:
+            yield from keys_in(value, path)
+
+
+def state_of(db: IncShrinkDatabase) -> tuple:
+    """Answers aside, everything "continues identically" compares: the ε
+    ledger and sizes, every share half and stream, the noise stream."""
+    return (
+        fingerprint(db),
+        share_state(db),
+        db.query_noise_gen.bit_generator.state,
+        db.tenant_budgets,
+    )
+
+
+def probe(db: IncShrinkDatabase, time: int) -> tuple:
+    """What a restored copy answers, and at what gate cost."""
+    answers = answer_mix(db, time) + [db.query(multi_query(), time, epsilon=0.1).answers]
+    return answers, query_gates(db), db.realized_epsilon()
+
+
+def streamed_checkpoint(tmp_path) -> tuple[IncShrinkDatabase, Path]:
+    """A base, then two segments: uploads, releases and a tenant's."""
+    db = build_sharded_database(3)
+    path = tmp_path / "chain.snap"
+    feed(db, 1)
+    db.set_tenant_budgets({"ana": 1.0})
+    assert snapshot_database(db, path).kind == "base"
+    for t in (2, 3):
+        feed(db, t)
+        db.query(multi_query(), t, epsilon=0.2, tenant="ana")
+        assert snapshot_database(db, path, metadata={"t": t}).kind == "segment"
+    return db, path
+
+
+def test_each_party_file_holds_its_own_half_and_stream_only(tmp_path):
+    """``party1`` alone — base and segments — has no ``s0`` array, no other
+    server's stream and neither the owners' nor the query-noise
+    generator; ``party0`` the same with the roles swapped.  The owners'
+    plaintext mirror and their generators are in ``trusted`` only."""
+    _, path = streamed_checkpoint(tmp_path)
+    held = {
+        name: {key for head, _ in file_heads(path, name) for key in keys_in(head["body"])}
+        for name in FILES
+    }
+    for name, mine, theirs in (("party0", "0", "1"), ("party1", "1", "0")):
+        leaves = {key[-1] for key in held[name]}
+        assert f"s{mine}" in leaves and f"s{theirs}" not in leaves
+        assert {key[:2] for key in held[name] if key[0] == "rng"} == {
+            ("rng",), ("rng", f"server{mine}")
+        }
+        assert not {key for key in held[name] if key[0] == "logical"}
+    for name in ("public", "trusted"):
+        assert not {key for key in held[name] if key[-1] in ("s0", "s1")}
+    assert {key[:2] for key in held["trusted"] if key[0] == "rng"} == {
+        ("rng",), ("rng", "owner"), ("rng", "query_noise")
+    }
+    assert {key[0] for key in held["trusted"]} == {"logical", "rng"}
+    assert not {key for key in held["public"] if key[0] in ("rng", "logical")}
+
+
+def test_a_restored_chain_is_the_live_database_and_a_fresh_checkpoint(tmp_path, monkeypatch):
+    """Base plus segments replays into the state a fresh full checkpoint
+    holds, byte for byte — and a compaction is that fresh checkpoint."""
+    monkeypatch.setattr(persistence._time, "time", lambda: 1234.5)
+    db, path = streamed_checkpoint(tmp_path)
+    restored = restore_database(path)
+    assert (restored.info.kind, restored.info.segments) == ("segment", 2)
+    assert state_of(restored.database) == state_of(db)
+    snapshot_database(restored.database, tmp_path / "again.snap", metadata=restored.metadata)
+    snapshot_database(db, tmp_path / "fresh.snap", metadata=restored.metadata)
+    assert checkpoint_bytes(tmp_path / "again.snap") == checkpoint_bytes(tmp_path / "fresh.snap")
+
+    chain = persistence._CHAINS[db][os.path.abspath(path)]
+    chain.base_bytes = 0  # the segments have outgrown it
+    assert snapshot_database(db, path, metadata=restored.metadata).kind == "compaction"
+    assert checkpoint_bytes(path) == checkpoint_bytes(tmp_path / "fresh.snap")
+
+
+def test_a_segment_costs_the_delta(tmp_path):
+    """Nothing uploaded: no upload log, shard, mirror or cache rows, and
+    no segment at all for the party files — only the noise stream the
+    release drew from and what it logged."""
+    db, _ = streamed_checkpoint(tmp_path)
+    path = tmp_path / "delta.snap"
+    snapshot_database(db, path)
+    db.query(multi_query(), 3, epsilon=0.2)
+    info = snapshot_database(db, path)
+    assert info.kind == "segment"
+    heads = {name: file_heads(path, name) for name in FILES}
+    for name in ("party0", "party1"):  # not a share or a stream moved
+        assert len(heads[name]) == 1
+    bodies = {name: heads[name][-1][0]["body"] for name in ("trusted", "public")}
+    assert bodies["trusted"] == {"rng": {"query_noise": persistence._rng_state(db)["query_noise"]}}
+    assert set(bodies["public"]) == {
+        "accountant", "metrics", "views", "tenant_budgets", "metadata"
+    }
+
+
+def test_files_of_two_checkpoints_are_refused(tmp_path, never_rebuilt):
+    db, path = streamed_checkpoint(tmp_path)
+    earlier = tmp_path / "earlier.snap"
+    snapshot_database(build_sharded_database(3), earlier)
+    for name in FILES[:-1]:
+        mixed = copy_checkpoint(path, tmp_path / f"mixed-{name}.snap")
+        (mixed / name).write_bytes((earlier / name).read_bytes())
+        with pytest.raises(PersistenceError, match="another checkpoint"):
+            restore_database(mixed)
+
+
+@pytest.mark.parametrize("name", FILES[:-1])
+def test_a_cut_inside_a_committed_segment_is_refused(tmp_path, never_rebuilt, name):
+    _, path = streamed_checkpoint(tmp_path)
+    raw = (path / name).read_bytes()
+    for cut in (len(raw) - 1, len(raw) - _DIGEST_BYTES, base_length(raw) + 5):
+        (path / name).write_bytes(raw[:cut])
+        with pytest.raises(PersistenceError, match="another checkpoint"):
+            restore_database(path)
+
+
+def test_a_torn_public_tail_restores_the_commit_before_it(tmp_path):
+    """Every cut inside ``public``'s last segment leaves the commit before
+    it; the restore reports the bytes it left behind."""
+    db, path = streamed_checkpoint(tmp_path)
+    raw = (path / "public").read_bytes()
+    entries = file_entries(path, "public")
+    before, last = entries[-2][1], entries[-1][0]
+    # The other files' last segments were committed by the cut one.
+    orphaned = sum(
+        len((path / name).read_bytes()) - before["commit"][name][0] for name in FILES[:-1]
+    )
+    assert orphaned > 0
+    assert restore_database(path).metadata == {"t": 3}
+    for cut in sorted({last, last + 1, last + _SEGMENT.size, len(raw) - 1}):
+        torn = copy_checkpoint(path, tmp_path / f"torn-{cut}.snap")
+        (torn / "public").write_bytes(raw[:cut])
+        restored = restore_database(torn)
+        assert restored.info.segments == 1
+        assert restored.metadata == {"t": 2}
+        assert restored.info.discarded_bytes == cut - last + orphaned
+
+
+def test_the_writer_writes_a_base_over_files_it_did_not_write(tmp_path):
+    """Two databases checkpointing to one path never append to each
+    other's chains, and a chain copied over the path is replaced whole."""
+    one, path = streamed_checkpoint(tmp_path)
+    two = build_sharded_database(3)
+    feed(two, 1)
+    assert snapshot_database(two, path).kind == "base"
+    assert snapshot_database(one, path).kind == "base"
+    assert state_of(restore_database(path).database) == state_of(one)
+    other = tmp_path / "other.snap"
+    snapshot_database(two, other)
+    for name in FILES:
+        (path / name).write_bytes((other / name).read_bytes())
+    assert snapshot_database(one, path).kind == "base"
+    assert state_of(restore_database(path).database) == state_of(one)
+
+
+def test_a_directory_that_is_not_a_checkpoint_is_not_replaced(tmp_path):
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    (keep / "notes.txt").write_text("mine")
+    with pytest.raises(PersistenceError, match="not a checkpoint"):
+        snapshot_database(build_database(), keep)
+    assert (keep / "notes.txt").read_text() == "mine"
+
+
+ACTIONS = ["upload", "release", "tenant", "checkpoint", "restore"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(actions=st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=14))
+def test_checkpoints_of_any_interleaving_replay_the_live_database(tmp_path_factory, actions):
+    """Uploads, ε-releases (a tenant's among them), checkpoints and
+    restore-and-continue, in any order: after each checkpoint, the chain
+    restores into the live state and into what a fresh full checkpoint
+    restores into — the same answers, gates, realized ε and streams."""
+    directory = tmp_path_factory.mktemp("interleaving")
+    path = directory / "chain.snap"
+    live = build_sharded_database(2)
+    live.set_tenant_budgets({"ana": 5.0})
+    step, fresh = 0, 0
+    for action in actions:
+        if action == "upload" and step < len(SCRIPT):
+            step += 1
+            feed(live, step)
+        elif action == "release" and step:
+            live.query(multi_query(), step, epsilon=0.1)
+        elif action == "tenant" and step:
+            live.query(multi_query(), step, epsilon=0.1, tenant="ana")
+        elif action == "restore" and path.exists():
+            live = restore_database(path).database
+        elif action == "checkpoint":
+            snapshot_database(live, path, metadata={"step": step})
+            chained = restore_database(path).database
+            fresh += 1
+            snapshot_database(live, directory / f"fresh-{fresh}.snap")
+            full = restore_database(directory / f"fresh-{fresh}.snap").database
+            assert state_of(chained) == state_of(live) == state_of(full)
+            if step:
+                assert probe(chained, step) == probe(full, step)
+
+
+def ep_stream_database() -> IncShrinkDatabase:
+    """One exhaustively padded view: every step appends the same padded
+    sizes everywhere, and spends no ε."""
+    db = IncShrinkDatabase(total_epsilon=1.0, seed=3)
+    db.register_view(ViewRegistration(make_view("full", 2), mode="ep", flush_interval=10**6))
+    return db
+
+
+def ep_step(db: IncShrinkDatabase, t: int) -> None:
+    probe = RecordBatch(PROBE_SCHEMA, np.asarray([[t % 5, t]], dtype=np.uint32)).padded_to(4)
+    driver = RecordBatch(DRIVER_SCHEMA, np.asarray([[t % 5, t]], dtype=np.uint32)).padded_to(3)
+    db.upload(t, {"orders": probe, "shipments": driver})
+    db.step(t)
+
+
+def test_a_one_step_segment_costs_the_same_at_step_960_as_at_step_60(tmp_path):
+    """The delta of one step is the same arrays whatever the stream's
+    length: a segment written at step 960 has the array bytes of one
+    written at step 60, and only the digits of its head differ."""
+    db = ep_stream_database()
+    segments = {}
+    for t in range(1, 961):
+        ep_step(db, t)
+        if t in (59, 959):
+            snapshot_database(db, tmp_path / f"{t + 1}.snap")
+        if t in (60, 960):
+            assert snapshot_database(db, tmp_path / f"{t}.snap").kind == "segment"
+            segments[t] = [file_heads(tmp_path / f"{t}.snap", name)[-1] for name in FILES]
+    for (head_60, bytes_60), (head_960, bytes_960) in zip(segments[60], segments[960]):
+        assert bytes_60 == bytes_960
+        del head_60["created_at"], head_960["created_at"]
+        texts = [json.dumps(h, separators=(",", ":")).encode("utf8") for h in (head_60, head_960)]
+        assert _normalized(texts[0]) == _normalized(texts[1])

@@ -271,6 +271,33 @@ class TestSnapshotResume:
         assert server.stats.snapshots == 1
         assert DatabaseServer.resume(path).last_time >= 5
 
+    def test_stats_report_what_each_checkpoint_wrote(self, tmp_path):
+        """A base, then segments — also from the resumed server, which
+        appends to the chain it restored from — each reported with the
+        bytes it wrote across the checkpoint's four files."""
+        path = tmp_path / "kinds.snap"
+        server = DatabaseServer(build_database(), snapshot_path=str(path)).start()
+        seen = []
+        for t in (1, 2):
+            server.submit(t, batches_at(t))
+            server.drain()
+            server.snapshot()
+            seen.append(server.stats.to_dict())
+        server.stop()
+        resumed = DatabaseServer.resume(str(path)).start()
+        resumed.submit(3, batches_at(3))
+        resumed.drain()
+        resumed.snapshot()
+        seen.append(resumed.stats.to_dict())
+        resumed.stop()
+        assert [(s["last_snapshot_kind"], s["snapshot_segments"]) for s in seen] == [
+            ("base", 0), ("segment", 1), ("segment", 2)
+        ]
+        on_disk = sum(f.stat().st_size for f in path.iterdir())
+        assert seen[0]["last_snapshot_bytes"] + sum(
+            s["last_snapshot_bytes"] for s in seen[1:]
+        ) == on_disk
+
     def test_resume_rejects_stale_steps(self, tmp_path):
         path = str(tmp_path / "stale.snap")
         first = DatabaseServer(build_database(), snapshot_path=path).start()
@@ -798,18 +825,21 @@ class TestSnapshotDuringConcurrentQueries:
             thread.join()
         assert not errors, errors
 
-        # Byte-identical: re-snapshotting the restored state under the
-        # same metadata reproduces the exact on-disk content (before any
-        # new query appends to the persisted metric logs) — all of it but
-        # created_at, which the digest covers and which therefore differs.
+        # Byte-identical: the checkpoints appended segments while the
+        # sessions read; one more, with the readers gone, commits the
+        # live state.  A fresh checkpoint of the state restored from the
+        # chain and one of the live state under the same metadata are the
+        # same bytes (all but created_at, which the digests cover).
+        assert infos[0].kind == "base"
+        assert {info.kind for info in infos[1:]} <= {"segment", "compaction"}
+        infos.append(server.snapshot())
         restored = restore_database(path)
         assert restored.info.sha256 == infos[-1].sha256
-        snapshot_database(
-            restored.database,
-            str(tmp_path / "again.snap"),
-            metadata=restored.metadata,
+        for db, name in ((restored.database, "again.snap"), (server.database, "live.snap")):
+            snapshot_database(db, str(tmp_path / name), metadata=restored.metadata)
+        assert snapshot_content(tmp_path / "again.snap") == snapshot_content(
+            tmp_path / "live.snap"
         )
-        assert snapshot_content(tmp_path / "again.snap") == snapshot_content(path)
         # And the restored database answers identically, ε-exactly.
         assert [
             restored.database.query(count_query(2), len(SCRIPT)).answer,

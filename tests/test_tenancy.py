@@ -552,8 +552,9 @@ class TestLedgerPersistence:
         path = tmp_path / "plain.snapshot"
         snapshot_database(db, path)
         assert read_container(path)[0]["body"]["tenant_budgets"] == {}
-        write_legacy_json(path, db, 2, lambda body: body.pop("tenant_budgets"))
-        upgrade_snapshot(path, tmp_path / "upgraded.snapshot")
+        legacy = tmp_path / "legacy.snapshot"
+        write_legacy_json(legacy, db, 2, lambda body: body.pop("tenant_budgets"))
+        upgrade_snapshot(legacy, tmp_path / "upgraded.snapshot")
         restored = restore_database(tmp_path / "upgraded.snapshot").database
         assert restored.tenant_budgets == {}
 

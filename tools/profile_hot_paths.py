@@ -21,7 +21,7 @@ state a ``tpcds-small`` run holds at the end of its steady phase
 (:func:`repro.server.persistence.snapshot_database` /
 :func:`~repro.server.persistence.restore_database`; their ``rows`` are
 the stream's steps, each step's four queries served and one of them
-ε-released, and they also report the file's head bytes and array
+ε-released, and they also report the bases' head bytes and array
 count) — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import itertools
 import json
 import pstats
 import statistics
@@ -418,30 +419,35 @@ def _tpcds_state(steps: int):
 
 
 def _container_shape(path: Path) -> dict:
-    """Head bytes and array count of one snapshot, read by the documented
-    layout: magic (18 B), version (u16), head length (u64), head."""
-    raw = path.read_bytes()
-    _, _, head_bytes = struct.unpack_from(">18sHQ", raw)
-    head = raw[30 : 30 + head_bytes]
-    # Metadata is one JSON string in the head: its quotes are escaped.
-    return {"head_bytes": head_bytes, "arrays": head.count(b'"offset":')}
+    """Head bytes and array count of one checkpoint's bases, read by the
+    documented layout: magic (18 B), version (u16), head length (u64),
+    array length (u64), head — in each of its four files."""
+    head_bytes = arrays = 0
+    for name in ("party0", "party1", "trusted", "public"):
+        raw = (path / name).read_bytes()
+        _, _, head_len, _ = struct.unpack_from(">18sHQQ", raw)
+        # Metadata is one JSON string in a head: its quotes are escaped.
+        arrays += raw[38 : 38 + head_len].count(b'"offset":')
+        head_bytes += head_len
+    return {"head_bytes": head_bytes, "arrays": arrays}
 
 
 def _snapshot_workload(steps: int):
-    """One checkpoint of the :data:`PERSISTENCE_STEPS`-step tpcds state
-    (``rows`` counts steps): what a ``snapshot`` request holds the ingest
-    write lock for.  Watch for anything called once per uploaded batch,
-    release or served query."""
+    """One full checkpoint — a base, as the first checkpoint to a path and
+    every compaction write one — of the :data:`PERSISTENCE_STEPS`-step
+    tpcds state (``rows`` counts steps).  Watch for anything called once
+    per uploaded batch, release or served query."""
     from repro.server.persistence import snapshot_database
 
     db = _tpcds_state(steps)
     scratch = tempfile.TemporaryDirectory()  # removed with the closure
+    paths = (Path(scratch.name) / f"profile-{i}.snap" for i in itertools.count())
 
     def run() -> None:
-        snapshot_database(db, Path(scratch.name) / "profile.snap")
+        snapshot_database(db, next(paths))
 
     run()
-    run.report = _container_shape(Path(scratch.name) / "profile.snap")
+    run.report = _container_shape(Path(scratch.name) / "profile-0.snap")
     return run
 
 
