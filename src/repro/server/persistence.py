@@ -45,14 +45,24 @@ follow as raw bytes in the order the head names them.
 
 A repeat checkpoint to the same ``PATH`` from the same process (or from
 a database restored from it) appends a segment to each file that holds
-something that changed since the last one (to ``public`` always): every append-only log's rows since its mark
+something that changed since the last one (to ``public`` always): every
+append-only log's rows since its mark
 (:meth:`~repro.common.column_log.ColumnLog.since` — upload logs, the
 logical mirror, view shards), the list suffixes of the accountant's
 events and the metric logs, each contribution ledger's window from the
 first batch charged or uploaded since, and the small mutable state
 whole where it changed: caches, Shrink counters and timers, RNG states;
-tenant caps and metadata.  A log nothing was appended to is left out.  Its cost, and
-the write lock it is taken under, are O(delta), not O(D_t).
+tenant caps and metadata.  A log nothing was appended to is left out.
+Its cost, and the write lock it is taken under, are O(delta), not
+O(D_t).
+
+One walk (:func:`_walk`) is the only code that reads a live database
+for the writer.  A segment is the walk from the marks; a **base** is the
+walk from row zero — every log whole, every small state written —
+assigned into the skeleton (:func:`_static_body`: config,
+registrations, schemas, group budgets and pool indices, the entries no
+segment rewrites, in file order); a restore takes its marks with the
+walk building nothing.
 
 ``public`` is written last, and each of its heads carries the **commit
 record**: the committed length and chain digest of the other three
@@ -74,7 +84,9 @@ then each other file to exactly the length the commit names, checking
 every digest in the chain **before any state is applied**.  A torn tail
 — an incomplete segment after the last commit, in any file — restores
 that commit, and :attr:`SnapshotInfo.discarded_bytes` reports the bytes
-left behind (the next append truncates them).  Any other damage — a
+left behind (the next append truncates them); so do zero bytes after
+``public``'s last segment, at any length — space a crash allocated but
+never wrote.  Any other damage — a
 flipped byte anywhere, a cut inside a base, files of two different
 checkpoints — raises :class:`~repro.common.errors.PersistenceError`.
 Replay costs each segment one small head parse and its array suffixes;
@@ -107,7 +119,8 @@ before any file is created.
 
 Checkpoints of format versions 1–7 are not read here: ``python -m repro
 upgrade-snapshot OLD NEW`` (:mod:`repro.server.snapshot_upgrade`)
-converts one offline.
+converts one offline — through :func:`_rebuild`'s checks, then this
+writer.
 
 What is deliberately **not** persisted: the adversary-observable
 transcript and the per-protocol run ledger (append-only observation
@@ -251,14 +264,6 @@ class _Tail:
         self.start = start
 
 
-def _tails(columns: dict, start: int) -> dict:
-    """Nested ``columns`` with every array a :class:`_Tail` from ``start``."""
-    return {
-        key: _tails(value, start) if isinstance(value, dict) else _Tail(value, start)
-        for key, value in columns.items()
-    }
-
-
 # -- arrays: out of the head on the way out, back into it on the way in --------
 #: An array leaves ``{"dtype", "shape", "offset"}`` behind in the head,
 #: with ``"order"`` if column-major and ``"from"`` if a segment's rows of
@@ -298,7 +303,7 @@ class _ArraySection:
             "shape": list(value.shape),
             "offset": self.nbytes,
         }
-        if _is_column_major(value):
+        if _by_columns(value):
             entry["order"] = "F"
             self.chunks.extend(value.T)
         else:
@@ -307,7 +312,7 @@ class _ArraySection:
         return entry
 
 
-def _is_column_major(arr: np.ndarray) -> bool:
+def _by_columns(arr: np.ndarray) -> bool:
     """A matrix each of whose columns is one contiguous run.
 
     True of a view shard's face whether or not its buffer has spare
@@ -535,21 +540,20 @@ def _metric_logs(owner: str) -> list[ColumnLog]:
     ]
 
 
-def _metric_columns(log: MetricLog, marks: _Marks | None = None) -> dict:
-    """A metric log's columns — with ``marks``, each from its mark on."""
+def _metric_columns(log: MetricLog, marks: _Marks) -> dict:
+    """A metric log's columns, each from its mark on."""
 
-    if marks is not None and marks.previous is None:
+    if not marks.writes:
         for values in (log.queries, *(getattr(log, field) for field, _ in _STEP_FIELDS)):
             marks.start(values, len(values))
         return {}
 
     def since(values: list) -> tuple[int, list]:
-        start = 0 if marks is None else marks.start(values, len(values))
+        start = marks.start(values, len(values))
         return start, values[start:] if start else values
 
     def column(start: int, values, dtype, n: int):
-        array = np.fromiter(values, dtype, n)
-        return array if marks is None else _Tail(array, start)
+        return marks.cut(np.fromiter(values, dtype, n), start)
 
     start, queries = since(log.queries)
     columns = {
@@ -572,34 +576,6 @@ def _metric_log(columns: dict, owner: str) -> MetricLog:
     for (field, _), (values,) in zip(_STEP_FIELDS, arrays[1:]):
         setattr(log, field, values.tolist())
     return log
-
-
-class _TableInterner:
-    """Encode each distinct :class:`SharedTable` object exactly once.
-
-    The pool holds the tables that are not batch logs — each view's cache
-    and view shards — as one entry apiece; a view refers to its tables
-    by index into it.
-    """
-
-    def __init__(self) -> None:
-        self.pool: list[dict] = []
-        self._index: dict[int, int] = {}
-
-    def ref(self, table: SharedTable) -> int:
-        key = id(table)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.pool)
-            self._index[key] = idx
-            self.pool.append(
-                {
-                    "fields": list(table.schema.fields),
-                    "rows": _encode_shared_array(table.rows),
-                    "flags": _encode_shared_array(table.flags),
-                }
-            )
-        return idx
 
 
 def _decode_table_pool(entries: list[dict]) -> list[SharedTable]:
@@ -634,23 +610,39 @@ def _decode_registration(entry: dict) -> ViewRegistration:
     )
 
 
-# -- body assembly ------------------------------------------------------------
-def _snapshot_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
-    """The full body of :data:`SNAPSHOT_VERSION`, as a base holds it:
-    every upload log and budget ledger as the live columns it already is
-    (see the module docstring)."""
+# -- the walk: the one reader of a live database for the writer ----------------
+def _snapshot_body(
+    db: IncShrinkDatabase, metadata: dict | None, marks: _Marks | None = None
+) -> dict:
+    """A base's body: the walk from row zero (``marks`` keep where it left
+    each log) assigned into the skeleton, whose entries keep their file
+    order."""
     db.finalize()
-    tables = {
-        name: {"schema": list(store.schema.fields), "log": store.columns()}
-        for name, store in db.tables.items()
-    }
-    groups = [_group_columns(group) for group in db.groups.values()]
-    return _columnar_layout(_state_body(db, metadata), tables, groups)
+    walked = _walk(db, metadata, _Marks("") if marks is None else marks, {})
+    return _apply(_static_body(db), walked, [])
 
 
 def _static_body(db: IncShrinkDatabase) -> dict:
-    """What a deployment fixes when it goes live (a reshard aside): only
-    a base writes it."""
+    """The skeleton: what a deployment fixes when it goes live (a reshard
+    aside), which only a base writes — its config, registrations and ε
+    allocation, and, in file order, every entry the walk leaves out: each
+    table's and share table's fields, each group's signature and budget,
+    each view's name, where its share tables sit in the pool, and a slot
+    for its counter and policy."""
+    pool, views = [], []
+    for name, vr in db.views.items():
+        at = len(pool)
+        pool.append({"fields": list(vr.cache.schema.fields)})
+        pool.extend({"fields": list(vr.view.schema.fields)} for _ in range(vr.view.n_shards))
+        views.append(
+            {
+                "name": name,
+                "cache": at,
+                "view": {"shards": list(range(at + 1, len(pool)))},
+                "counter": None,
+                "policy": None,
+            }
+        )
     return {
         "config": {
             "total_epsilon": db.total_epsilon,
@@ -662,6 +654,16 @@ def _static_body(db: IncShrinkDatabase) -> dict:
         },
         "registrations": [_encode_registration(s) for s in db.registrations],
         "allocation": db.epsilon_allocation(),
+        "shared_tables": pool,
+        "tables": {name: {"schema": list(t.schema.fields)} for name, t in db.tables.items()},
+        "logical": {
+            name: {"fields": list(db.logical.schema(name).fields)} for name in db.logical.tables()
+        },
+        "groups": [
+            {"signature": list(g.signature), "omega": g.ledger.omega, "budget": g.ledger.budget}
+            for g in db.groups.values()
+        ],
+        "views": views,
     }
 
 
@@ -690,76 +692,6 @@ def _rng_streams(db: IncShrinkDatabase) -> dict:
     return {name: (stream, stream.state) for name, stream in streams.items()}
 
 
-def _rng_state(db: IncShrinkDatabase) -> dict:
-    return {name: state for name, (_, state) in _rng_streams(db).items()}
-
-
-def _state_body(db: IncShrinkDatabase, metadata: dict | None) -> dict:
-    """Everything but the upload logs and budgets, as the storage hooks
-    hand it out: every share table is the live object, the logical mirror
-    its columns, the accountant its list of events, each metric log the
-    object itself.
-
-    The upgrader builds the same shape from an older body, so both are
-    laid out by :func:`_columnar_layout`.
-    """
-    views = [
-        {
-            "name": name,
-            "cache": vr.cache.snapshot_state(),
-            "view": vr.view.snapshot_state(),
-            "counter": _counter_state(vr.counter),
-            "policy": _policy_state(vr.policy),
-            "metrics": vr.metrics,
-        }
-        for name, vr in db.views.items()
-    ]
-    return {
-        **_static_body(db),
-        "logical": db.logical.snapshot_state(),
-        "views": views,
-        "accountant": db.accountant.snapshot_state(),
-        "tenant_budgets": dict(db.tenant_budgets),
-        "metrics": db.metrics,
-        "rng": _rng_state(db),
-        "metadata": metadata,
-    }
-
-
-def _columnar_layout(body: dict, tables: dict, groups: list[dict]) -> dict:
-    """A :func:`_state_body`-shaped ``body`` with the upload logs and
-    group budgets already in columns, laid out as the files hold it."""
-    metadata = _metadata_text(body["metadata"])
-    intern = _TableInterner()
-    views = [
-        {
-            **view,
-            "cache": intern.ref(view["cache"]),
-            "view": {
-                **view["view"],
-                "shards": [intern.ref(t) for t in view["view"]["shards"]],
-            },
-            "metrics": _metric_columns(view["metrics"]),
-        }
-        for view in body["views"]
-    ]
-    return {
-        "config": body["config"],
-        "registrations": body["registrations"],
-        "allocation": body["allocation"],
-        "shared_tables": intern.pool,
-        "tables": tables,
-        "logical": body["logical"],
-        "groups": groups,
-        "views": views,
-        "accountant": _accountant_columns(body["accountant"]),
-        "tenant_budgets": body["tenant_budgets"],
-        "metrics": _metric_columns(body["metrics"]),
-        "rng": body["rng"],
-        "metadata": metadata,
-    }
-
-
 def _metadata_text(metadata: dict | None) -> str:
     """The caller's metadata as one JSON string, refused here — before any
     file is created — unless it is plain JSON."""
@@ -771,19 +703,6 @@ def _metadata_text(metadata: dict | None) -> str:
         ) from exc
 
 
-def _group_columns(group: TransformGroup) -> dict:
-    """A group's budget, once: its ledger's live columns per table."""
-    ledger = group.ledger
-    return {
-        "signature": list(group.signature),
-        "omega": ledger.omega,
-        "budget": ledger.budget,
-        "probe": ledger.snapshot_state(group.probe_log.name),
-        "driver": ledger.snapshot_state(group.driver_log.name),
-    }
-
-
-# -- segments: what changed since the marks --------------------------------------
 class _Rebase(Exception):
     """A segment cannot describe the change: write a fresh base."""
 
@@ -791,20 +710,25 @@ class _Rebase(Exception):
 class _Marks:
     """How far a chain's files hold each log: the length every log (a
     :class:`ColumnLog`, a list, a ledger's live window) had at the last
-    checkpoint, keyed by the log object itself.
+    checkpoint, keyed by the log object itself — and what a walk writes.
 
-    With no ``previous`` marks every log starts at its current length: a
-    walk then only marks (after a base or a restore).  Otherwise
-    :meth:`start` raises :class:`_Rebase` for a log that is not the one
-    marked, or is shorter than its mark — a reshard, a restore, a
-    replaced list.
+    With ``previous`` marks a walk writes a segment: each log from its
+    mark, and :meth:`start` raises :class:`_Rebase` for a log that is not
+    the one marked, or is shorter than its mark — a reshard, a restore, a
+    replaced list.  With none it starts every log at row 0 and writes a
+    base's plain arrays, and no small state counts as unchanged; with
+    ``writes`` false as well it builds nothing and only marks (after a
+    restore).
     """
 
-    def __init__(self, chain: str, previous: dict | None) -> None:
+    def __init__(
+        self, chain: str, previous: dict | None = None, writes: bool = True
+    ) -> None:
         #: the chain's key — its checkpoint path — which ledgers track
         #: the batches they charge for
         self.chain = chain
         self.previous = previous
+        self.writes = writes
         self.now: dict = {}
 
     def start(self, log: object, n: int, key=None) -> int:
@@ -812,16 +736,25 @@ class _Marks:
         key = id(log) if key is None else key
         self.now[key] = (log, n)
         if self.previous is None:
-            return n
+            return 0
         held = self.previous.get(key)
         if held is None or held[0] is not log or held[1] > n:
             raise _Rebase
         return held[1]
 
+    def cut(self, rows, start: int):
+        """A log's ``rows`` from row ``start`` on (nested columns, too), as
+        the walk writes them: plain in a base, :class:`_Tail` in a segment."""
+        if self.previous is None:
+            return rows
+        if isinstance(rows, dict):
+            return {key: self.cut(value, start) for key, value in rows.items()}
+        return _Tail(rows, start)
+
     def log(self, log: ColumnLog) -> dict:
         """``log``'s columns from its mark."""
         start = self.start(log, len(log))
-        return {} if self.previous is None else _tails(log.columns(start), start)
+        return self.cut(log.columns(start), start) if self.writes else {}
 
     def unchanged(self, owner: object, state) -> bool:
         """Whether ``owner`` holds the ``state`` it held at the last
@@ -843,42 +776,44 @@ def _ledger_tails(ledger, table: OutsourcedTable, marks: _Marks) -> dict:
     since the last checkpoint: the ones before it stay as written."""
     charged = ledger.charged_since(table.name, marks.chain)
     since = min(marks.start(ledger, table.n_batches, (id(ledger), table.name)), charged)
-    if marks.previous is None:
+    if not marks.writes:
         return {}
     columns = ledger.snapshot_state(table.name, since)
     return {
-        "uses": _Tail(columns["uses"], since),
-        "emitted": _Tail(columns["emitted"], int(table.starts[since])),
-        "invocations": _Tail(columns["invocations"], since),
+        "uses": marks.cut(columns["uses"], since),
+        "emitted": marks.cut(columns["emitted"], int(table.starts[since])),
+        "invocations": marks.cut(columns["invocations"], since),
     }
 
 
 def _accountant_tails(events: list, marks: _Marks, strings: dict[str, int]) -> dict:
     start = marks.start(events, len(events))
-    if marks.previous is None:
+    if not marks.writes:
         return {}
     known = len(strings)
     columns = _accountant_columns(
         [(e.name, e.epsilon, e.segment) for e in events[start:]], strings
     )
     return {
-        "strings": _Tail(columns.pop("strings"), known),
-        **{key: _Tail(column, start) for key, column in columns.items()},
+        "strings": marks.cut(columns.pop("strings"), known),
+        **marks.cut(columns, start),
     }
 
 
-def _segment_body(
+def _walk(
     db: IncShrinkDatabase, metadata: dict | None, marks: _Marks, strings: dict[str, int]
 ) -> dict:
-    """What changed since ``marks``, laid out as :func:`_snapshot_body`
-    lays the whole: each log's rows since its mark, each ledger's live
-    window, the accountant's and metric logs' list suffixes (``strings``
-    continues the accountant's string table), and the small mutable
-    state whole where it changed.  Static entries are left to the base."""
+    """What changed since ``marks``: each log's rows since its mark, each
+    ledger's live window, the accountant's and metric logs' list suffixes
+    (``strings`` continues the accountant's string table), and the small
+    mutable state whole where it changed — every entry but the
+    skeleton's, in the skeleton's layout.  The only code that reads a
+    live database for the writer: a segment, a base (from row zero) and a
+    restore's marks (writing nothing) are all this walk."""
     pool, views = [], []
     for vr in db.views.values():
         cache, counter, policy = vr.cache, vr.counter, vr.policy
-        if marks.unchanged(cache, cache.content_version):
+        if marks.unchanged(cache, cache.content_version) or not marks.writes:
             pool.append({})
         else:
             table = cache.snapshot_state()
@@ -1051,7 +986,7 @@ class _Pieces:
     def array(self) -> np.ndarray:
         if len(self.parts) == 1 and self.parts[0] is self.base:
             return self.base
-        if self.base.ndim == 1 or not any(_is_column_major(p) for p in self.parts):
+        if self.base.ndim == 1 or not any(_by_columns(p) for p in self.parts):
             return np.concatenate(self.parts)
         out = np.empty((self.n, *self.base.shape[1:]), self.base.dtype, order="F")
         at = 0
@@ -1210,14 +1145,6 @@ def _base_receipt(path: str, committed: dict, created_at: float, kind: str = "ba
     )
 
 
-def _write_snapshot(
-    path: str | os.PathLike, body: dict, created_at: float
-) -> SnapshotInfo:
-    """Write a full ``body`` (ndarray leaves and all) as a fresh base."""
-    path = os.fspath(path)
-    return _base_receipt(path, _write_base(path, body, created_at), created_at)
-
-
 @dataclass
 class _Chain:
     """One checkpoint directory as this process last wrote or read it."""
@@ -1235,18 +1162,14 @@ class _Chain:
     segments: int = 0
 
     @classmethod
-    def of(cls, db, path: str, body: dict, **files):
-        """The chain of the files at ``path``, which hold ``db`` as it is
-        and as ``body`` (the full body, written or replayed) describes."""
-        marks = _Marks(os.path.abspath(path), None)
-        _segment_body(db, None, marks, {})
+    def of(cls, db, marks: _Marks, body: dict, **files):
+        """The chain of files that hold ``db`` as it is, as ``marks`` left
+        its logs and ``body`` (the full body, written or replayed)
+        describes."""
         return cls(
             marks=marks.now,
             strings={s: i for i, s in enumerate(body["accountant"]["strings"])},
-            static=json.dumps(
-                {key: body[key] for key in ("config", "registrations", "allocation")},
-                separators=(",", ":"),
-            ),
+            static=_static_text(db),
             **files,
         )
 
@@ -1279,7 +1202,7 @@ def _append_segment(
     if _static_text(db) != chain.static:
         raise _Rebase
     marks, strings = _Marks(os.path.abspath(path), chain.marks), dict(chain.strings)
-    parts = _split(_segment_body(db, metadata, marks, strings))
+    parts = _split(_walk(db, metadata, marks, strings))
     committed, written = {}, 0
     for name in CHECKPOINT_FILES:
         length, previous = chain.committed[name]
@@ -1478,6 +1401,8 @@ def _read_chain(path: str, committed: list | None) -> _FileChain:
                 break
             magic, head_len, array_len, check = _SEGMENT.unpack(raw)
             if magic != SEGMENT_MAGIC or check != _segment_check(out.digest, raw[:-8]):
+                if _zeros_to(fh, raw, end):  # space a crash left unwritten
+                    break
                 raise _integrity_error(path, f"no segment at byte {out.length}")
             seg_end = out.length + _SEGMENT.size + head_len + array_len
             if seg_end + _DIGEST_BYTES > end:
@@ -1489,6 +1414,16 @@ def _read_chain(path: str, committed: list | None) -> _FileChain:
     if committed is not None and (out.length != end or out.digest.hex() != committed[1]):
         raise _not_committed(path)
     return out
+
+
+def _zeros_to(fh, chunk: bytes, end: int) -> bool:
+    """Whether ``chunk`` and the rest of ``fh`` up to ``end`` are zero
+    bytes: a torn tail, at any length."""
+    while chunk:
+        if chunk.strip(b"\0"):
+            return False
+        chunk = fh.read(min(_CHUNK_BYTES, end - fh.tell()))
+    return True
 
 
 def _not_committed(path: str) -> PersistenceError:
@@ -1574,12 +1509,13 @@ def snapshot_database(
             return info
         except _Rebase:
             pass
-    body = _snapshot_body(db, metadata)
+    marks = _Marks(key)
+    body = _snapshot_body(db, metadata, marks)
     committed = _write_base(path, body, created_at)
     info = _base_receipt(path, committed, created_at, "compaction" if compacting else "base")
     chains[key] = _Chain.of(
         db,
-        path,
+        marks,
         body,
         files=_identities(path),
         committed=committed,
@@ -1610,23 +1546,15 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
         files = _read_checkpoint(directory)
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    try:
-        body = _join([_replayed(files[name]) for name in CHECKPOINT_FILES])
-        db = _rebuild(body)
-        metadata = json.loads(body["metadata"])
-        if not isinstance(metadata, dict):
-            raise PersistenceError("snapshot metadata is not a JSON object")
-    except PersistenceError:
-        raise
-    except Exception as exc:  # malformed-but-authentic bodies
-        raise PersistenceError(
-            f"snapshot {path!r} decoded but could not be applied: {exc}"
-        ) from exc
+    body = _join([_replayed(files[name]) for name in CHECKPOINT_FILES])
+    db, metadata = _applied(body, path)
     segments = len(files["public"].heads) - 1
     if directory == path:
+        marks = _Marks(os.path.abspath(path), writes=False)
+        _walk(db, None, marks, {})
         _CHAINS.setdefault(db, {})[os.path.abspath(path)] = _Chain.of(
             db,
-            path,
+            marks,
             body,
             files={name: f.identity for name, f in files.items()},
             committed={name: (f.length, f.digest) for name, f in files.items()},
@@ -1644,6 +1572,23 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
         discarded_bytes=sum(f.identity[2] - f.length for f in files.values()),
     )
     return RestoredDatabase(database=db, metadata=metadata, info=info)
+
+
+def _applied(body: dict, path: str) -> tuple[IncShrinkDatabase, dict]:
+    """The database and the caller's metadata a checked ``body`` describes,
+    rebuilt through every restore check."""
+    try:
+        db = _rebuild(body)
+        metadata = json.loads(body["metadata"])
+        if not isinstance(metadata, dict):
+            raise PersistenceError("snapshot metadata is not a JSON object")
+    except PersistenceError:
+        raise
+    except Exception as exc:  # malformed-but-authentic bodies
+        raise PersistenceError(
+            f"snapshot {path!r} decoded but could not be applied: {exc}"
+        ) from exc
+    return db, metadata
 
 
 def _rebuild(body: dict) -> IncShrinkDatabase:

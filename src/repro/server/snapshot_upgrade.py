@@ -1,8 +1,8 @@
 """Offline converter for snapshots of format versions 1–7.
 
 :func:`repro.server.persistence.restore_database` reads only the current
-format, a checkpoint directory of per-party files.  This module is the one place that still knows the older ones,
-and what each lacked:
+format, a checkpoint directory of per-party files.  This module is the
+one place that still knows the older ones, and what each lacked:
 
 * up to version 3 a snapshot was one JSON document — ``magic``,
   ``version``, ``sha256``, ``created_at``, ``body`` — whose arrays were
@@ -15,11 +15,12 @@ and what each lacked:
   generator state — they never released a noisy query, so the fresh
   seed-0 stream a new database starts with is exactly right;
 * v1 and v2 predate tenancy: no ``tenant_budgets`` (no caps);
-* versions 4 and 5 are the current container, read by its own checked
-  reader, with the per-batch body of every version before 6: each
-  uploaded batch a ``shared_tables`` pool entry of its own, referred to
-  by index from its table's log and from every transform-group scope;
-  version 4 also held view shards row-major;
+* versions 4 to 7 are one container file — a base whose array section
+  runs to its digest, read by the checkpoint reader — and 4 and 5 hold
+  the per-batch body of every version before 6: each uploaded batch a
+  ``shared_tables`` pool entry of its own, referred to by index from its
+  table's log and from every transform-group scope; version 4 also held
+  view shards row-major;
 * every version up to 6 wrote the accountant's events and the metric
   logs as JSON — an event's segment as nested ``{"tuple": …}`` /
   ``{"value": …}`` objects — and each transform group's budget twice: a
@@ -31,8 +32,11 @@ and what each lacked:
   segments — its hop to 8 is the writer's split into four files.
 
 :func:`upgrade_snapshot` verifies the old digest, fills those gaps,
-resolves the pool indices into share tables, takes each group's budget
-from its scopes and ledger once, and writes the result exactly as
+takes each upload log from its batches and each group's budget from its
+scopes and ledger once, and rebuilds the database with the restore's
+:func:`~repro.server.persistence._rebuild` — so it refuses what a
+restore would refuse, before it writes anything.  Then the writer's one
+walk checkpoints it, as
 :func:`~repro.server.persistence.snapshot_database` writes a base::
 
     python -m repro upgrade-snapshot OLD NEW
@@ -58,12 +62,16 @@ from .persistence import (
     _PREAMBLE,
     SNAPSHOT_MAGIC,
     SnapshotInfo,
-    _ArrayLoader,
-    _CHUNK_BYTES,
-    _columnar_layout,
+    _Marks,
+    _accountant_columns,
+    _applied,
+    _base_receipt,
     _decode_table_pool,
     _integrity_error,
-    _write_snapshot,
+    _metric_columns,
+    _read_entry,
+    _snapshot_body,
+    _write_base,
 )
 
 #: The JSON-document format versions this module converts.
@@ -90,38 +98,42 @@ def upgrade_snapshot(
 
     The state is carried over exactly — shares, RNG streams, the ε ledger
     and the caller's metadata — and so is ``created_at``: the new files
-    record when the state was captured, not when it was converted.
+    record when the state was captured, not when it was converted.  A
+    state a restore would refuse is refused here, and nothing is written.
     """
     old = os.fspath(old)
-    version = _container_version(old)
-    if version is not None:
-        body, created_at = _read_container(old, version)
+    container = _read_container(old)
+    if container is not None:
+        version, body, created_at = container
     else:
-        document = _load_legacy(old)
+        version, document = None, _load_legacy(old)
         body = _current_layout(_inflate_arrays(document["body"]))
         created_at = float(document.get("created_at", 0.0))
-    if version == 7:  # already laid out as a base is
-        return _write_snapshot(new, body, created_at)
     try:
         if version == 6:
-            tables, groups = _columnar_parts(body)
-        else:
-            tables, groups = _per_batch_parts(_resolve_pool(body))
-        columns = _columnar_layout(_legacy_logs(body), tables, groups)
+            body["tables"], body["groups"] = _columnar_parts(body)
+        elif version != 7:
+            body["tables"], body["groups"] = _per_batch_parts(_resolve_pool(body))
+            body["metadata"] = json.dumps(body["metadata"])  # the writer's text since 6
+        if version != 7:
+            _legacy_logs(body)
     except (KeyError, TypeError, ValueError, IndexError, ArithmeticError) as exc:
         raise PersistenceError(
             f"snapshot {old!r} does not have the layout of format version "
             f"{version or '1-3'}: {exc!r}"
         ) from exc
-    return _write_snapshot(new, columns, created_at)
+    db, metadata = _applied(body, old)
+    new = os.fspath(new)
+    committed = _write_base(new, _snapshot_body(db, metadata), created_at)
+    return _base_receipt(new, committed, created_at)
 
 
-def _container_version(path: str) -> int | None:
-    """The format version of the container at ``path``, or ``None`` if it
-    starts as a JSON document does.
-
-    A checkpoint directory — the current format — is refused here.
-    """
+def _read_container(path: str) -> tuple[int, dict, float] | None:
+    """The version, body and ``created_at`` of the single-file container
+    at ``path`` — read and authenticated as a checkpoint's base is, its
+    array section running to the digest — or ``None`` if it starts as a
+    JSON document does.  A checkpoint directory (the current format) is
+    refused here."""
     if os.path.isdir(path):
         raise PersistenceError(
             f"snapshot {path!r} is already in the current format"
@@ -129,88 +141,23 @@ def _container_version(path: str) -> int | None:
     try:
         with open(path, "rb") as fh:
             preamble = fh.read(_PREAMBLE.size)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
-        return None
-    version = _PREAMBLE.unpack(preamble)[1]
-    if version not in CONTAINER_VERSIONS:
-        raise PersistenceError(
-            f"snapshot {path!r} has format version {version}; "
-            f"upgrade-snapshot converts versions {LEGACY_VERSIONS + CONTAINER_VERSIONS}"
-        )
-    return version
-
-
-def _read_container(path: str, version: int) -> tuple[dict, float]:
-    """Read and authenticate the single-file container at ``path`` —
-    magic, version, head length, head, arrays, and the SHA-256 of every
-    byte before it as the last 32 — into its body and ``created_at``.
-
-    Returns only after the trailer matched, with every array of the body
-    filled.  Damage that surfaces as a structural error first (a flipped
-    digit in a length, a cut-off array section) is still reported as the
-    failed integrity check it is once the rest of the file is hashed.
-    """
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            payload_end = size - _DIGEST_BYTES
-            preamble = fh.read(_PREAMBLE.size)
-            if payload_end < _PREAMBLE.size:
+            if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
+                return None
+            _, version, head_len = _PREAMBLE.unpack(preamble)
+            if version not in CONTAINER_VERSIONS:
                 raise PersistenceError(
-                    f"snapshot {path!r} is truncated: {size} bytes cannot hold "
-                    "a head and a digest"
+                    f"snapshot {path!r} has format version {version}; upgrade-snapshot "
+                    f"converts versions {LEGACY_VERSIONS + CONTAINER_VERSIONS}"
                 )
-            head_len = _PREAMBLE.unpack(preamble)[2]
+            end = os.fstat(fh.fileno()).st_size - _DIGEST_BYTES
+            if _PREAMBLE.size + head_len > end:
+                raise _integrity_error(path, f"its head reaches past byte {end}")
             digest = hashlib.sha256(preamble)
-            try:
-                head = _read_payload(fh, digest, head_len, payload_end)
-            except PersistenceError as exc:
-                while chunk := fh.read(min(_CHUNK_BYTES, payload_end - fh.tell())):
-                    digest.update(chunk)
-                if fh.read() != digest.digest():
-                    raise _integrity_error(path) from exc
-                raise PersistenceError(
-                    f"snapshot {path!r} is malformed: {exc}"
-                ) from exc
-            if fh.read() != digest.digest():
-                raise _integrity_error(path)
+            array_len = end - _PREAMBLE.size - head_len
+            head = _read_entry(fh, path, digest, head_len, array_len, end)
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    return head["body"], float(head["created_at"])
-
-
-def _read_payload(fh, digest, head_len: int, payload_end: int) -> dict:
-    """Head and arrays, hashed as read; sizes checked before allocating."""
-    if head_len > payload_end - fh.tell():
-        raise PersistenceError(
-            f"head length {head_len} exceeds the {payload_end - fh.tell()} "
-            "bytes the file has for it"
-        )
-    raw = fh.read(head_len)
-    digest.update(raw)
-    loader = _ArrayLoader(limit=payload_end - fh.tell())
-    try:
-        head = json.loads(raw, object_hook=loader.claim)
-    except (ValueError, RecursionError) as exc:  # incl. invalid UTF-8
-        raise PersistenceError(f"head is not valid JSON: {exc}") from exc
-    if loader.nbytes != loader.limit:
-        raise PersistenceError(
-            f"head accounts for {loader.nbytes} array bytes, the file "
-            f"holds {loader.limit} (truncated, or trailing bytes)"
-        )
-    if (
-        not isinstance(head, dict)
-        or not isinstance(head.get("body"), dict)
-        or not isinstance(head.get("created_at"), (int, float))
-    ):
-        raise PersistenceError("head has no body or no created_at")
-    for arr in loader.arrays:
-        if arr.nbytes and fh.readinto(arr) != arr.nbytes:
-            raise PersistenceError("file shrank while it was being read")
-        digest.update(arr)
-    return head
+    return version, head["body"], float(head["created_at"])
 
 
 def _load_legacy(path: str) -> dict:
@@ -290,11 +237,9 @@ def _current_layout(body: dict) -> dict:
 
 
 def _resolve_pool(body: dict) -> dict:
-    """``body`` with each ``shared_tables`` index replaced by its table.
-
-    View shards come out column-major, as a live view holds them.
-    """
-    pool = _decode_table_pool(body.pop("shared_tables"))
+    """``body`` with each upload batch's ``shared_tables`` index, in its
+    table's log and in every group scope, replaced by its table."""
+    pool = _decode_table_pool(body["shared_tables"])
 
     def table(index) -> SharedTable:
         if not 0 <= index < len(pool):
@@ -305,33 +250,20 @@ def _resolve_pool(body: dict) -> dict:
     for batches in (*(t["batches"] for t in body["tables"].values()), *scopes):
         for batch in batches:
             batch["table"] = table(batch["table"])
-    for entry in body["views"]:
-        entry["cache"] = table(entry["cache"])
-        view = entry["view"]
-        view["shards"] = [_column_major(table(i)) for i in view["shards"]]
     return body
 
 
-def _column_major(table: SharedTable) -> SharedTable:
-    rows = table.rows
-    return SharedTable(
-        table.schema,
-        SharedArray(np.asfortranarray(rows.share0), np.asfortranarray(rows.share1)),
-        table.flags,
+def _legacy_logs(body: dict) -> None:
+    """The JSON accountant and metric logs of ``body`` as the columns the
+    writer lays them out in."""
+    body["accountant"] = _accountant_columns(
+        [
+            (name, epsilon, _legacy_segment(segment))
+            for name, epsilon, segment in body["accountant"]
+        ]
     )
-
-
-def _legacy_logs(body: dict) -> dict:
-    """``body`` with its JSON accountant and metric logs as the objects
-    :func:`~repro.server.persistence._state_body` hands out."""
-    body["accountant"] = [
-        (name, epsilon, _legacy_segment(segment))
-        for name, epsilon, segment in body["accountant"]
-    ]
-    body["metrics"] = _legacy_metric_log(body["metrics"])
-    for entry in body["views"]:
-        entry["metrics"] = _legacy_metric_log(entry["metrics"])
-    return body
+    for entry in (body, *body["views"]):
+        entry["metrics"] = _metric_columns(_legacy_metric_log(entry["metrics"]), _Marks(""))
 
 
 def _legacy_segment(entry):
@@ -405,14 +337,7 @@ def _check_log_order(name: str, positions: list, n_batches: int) -> None:
 
 def _columnar_parts(body: dict) -> tuple[dict, list[dict]]:
     """The upload logs and group budgets of a version 6 body, which held
-    them as columns (and the logical mirror as the current format does);
-    its pool indices and metadata text become what
-    :func:`~repro.server.persistence._state_body` hands out."""
-    pool = _decode_table_pool(body.pop("shared_tables"))
-    for entry in body["views"]:
-        entry["cache"] = pool[entry["cache"]]
-        entry["view"]["shards"] = [pool[i] for i in entry["view"]["shards"]]
-    body["metadata"] = json.loads(body["metadata"])
+    them as columns (and the logical mirror as the current format does)."""
     tables = {}
     for name, entry in body["tables"].items():
         log = dict(entry["log"])

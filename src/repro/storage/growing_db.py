@@ -193,21 +193,10 @@ class GrowingDatabase:
         log.append(time, rows)
 
     # -- persistence hooks ----------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Per-table insertion log as columns (plaintext — this is the
-        owners' data)."""
-        return {
-            name: {
-                "fields": list(log.schema.fields),
-                **log.batches.columns(),
-                **log.rows.columns(),
-            }
-            for name, log in self._tables.items()
-        }
-
     def restore_state(self, state: dict) -> None:
-        """Refill already-created tables with :meth:`snapshot_state`
-        columns.
+        """Refill already-created tables with their ``fields`` and the
+        columns of their :meth:`table_logs` (plaintext — this is the
+        owners' data).
 
         Drops every materialised join: a restored database starts cold.
         """
@@ -238,8 +227,8 @@ class GrowingDatabase:
         return list(self._tables)
 
     def table_logs(self) -> dict[str, tuple[ColumnLog, ColumnLog]]:
-        """Each table's batch log and row log, as :meth:`snapshot_state`
-        writes their columns."""
+        """Each table's batch log and row log, whose columns a checkpoint
+        writes."""
         return {name: (log.batches, log.rows) for name, log in self._tables.items()}
 
     def batch_log(self, name: str) -> ColumnLog:

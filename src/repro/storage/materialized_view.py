@@ -158,11 +158,9 @@ class MaterializedView(ShardedTableContainer):
         what each appended since the last one."""
         return [shard.log for shard in self._columns]
 
-    def snapshot_state(self) -> dict:
-        """Per-shard content plus the public update counter."""
-        return {"shards": self.shards, "update_count": self.update_count}
-
     def restore_state(self, state: dict) -> None:
+        """Adopt per-shard content (``"shards"``, as :attr:`shards` hands
+        it out) and the public ``"update_count"``."""
         shards = list(state["shards"])
         for table in shards:
             self._check_schema(table, "snapshot")

@@ -128,13 +128,10 @@ class OutsourcedTable:
         return self.total_rows * (self.schema.width + 1) * WORD_BYTES
 
     # -- persistence hooks ----------------------------------------------------
-    def columns(self) -> dict:
-        """Both logs' columns, as the snapshot file nests them."""
-        return {**self.batches.columns(), **self.rows.columns()}
-
     def adopt(self, columns: Mapping) -> None:
-        """Take :meth:`columns` back as the logs' buffers — the row log
-        first, so the batch log's lengths are checked to tile it."""
+        """Take both logs' columns (nested as the snapshot file nests
+        them) as their buffers — the row log first, so the batch log's
+        lengths are checked to tile it."""
         self.rows.adopt(columns)
         self.batches.adopt(columns)
         self._starts = starts_log(self._starts.name, self.batches["lengths"])

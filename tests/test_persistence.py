@@ -581,7 +581,12 @@ def per_batch_body(db: IncShrinkDatabase) -> dict:
     indices: one entry per uploaded batch in every table log, every group
     scope (the same share object as the log's), every ledger and the
     logical mirror, and the accountant and metric logs as JSON."""
-    body = persistence._state_body(db, {})
+    body = persistence._snapshot_body(db, {})
+    pool = persistence._decode_table_pool(body.pop("shared_tables"))
+    for entry in body["views"]:
+        entry["cache"] = pool[entry["cache"]]
+        entry["view"]["shards"] = [pool[i] for i in entry["view"]["shards"]]
+    body["metadata"] = {}
     body["logical"] = {
         name: {
             "fields": entry["fields"],
@@ -596,11 +601,12 @@ def per_batch_body(db: IncShrinkDatabase) -> dict:
         for name, entry in body["logical"].items()
     }
     body["accountant"] = [
-        [name, eps, legacy_segment(segment)] for name, eps, segment in body["accountant"]
+        [name, eps, legacy_segment(segment)]
+        for name, eps, segment in db.accountant.snapshot_state()
     ]
-    body["metrics"] = legacy_metric_log(body["metrics"])
-    for entry in body["views"]:
-        entry["metrics"] = legacy_metric_log(entry["metrics"])
+    body["metrics"] = legacy_metric_log(db.metrics)
+    for entry, vr in zip(body["views"], db.views.values()):
+        entry["metrics"] = legacy_metric_log(vr.metrics)
     batches = {
         name: [store.batch(k) for k in range(store.n_batches)]
         for name, store in db.tables.items()
@@ -856,7 +862,7 @@ class TestIntegrity:
         restored = restore_database(tmp_path / "own.snap").database
         arrays = []
         for store in restored.tables.values():
-            log = store.columns()
+            log = {**store.batches.columns(), **store.rows.columns()}
             arrays += [*log["rows"].values(), *log["flags"].values(), log["times"]]
         for group in restored.groups.values():
             for name in ("orders", "shipments"):
@@ -1308,6 +1314,20 @@ def test_upgraded_golden_is_byte_identical_to_the_writer(
     )
 
 
+@pytest.mark.parametrize(
+    "golden", [pytest.param(GOLDEN_V3, id="v3"), *(p.values[1] for p in GOLDEN_CONTAINERS)]
+)
+def test_an_upgrade_writes_what_the_writer_writes_for_its_restore(tmp_path, monkeypatch, golden):
+    """Every golden, the JSON document of v3 included: the upgraded files
+    are the bytes a fresh checkpoint of the database they restore into
+    writes, with the same ``created_at``."""
+    upgraded = upgrade_snapshot(golden, tmp_path / "up.snap")
+    restored = restore_database(tmp_path / "up.snap")
+    monkeypatch.setattr(persistence._time, "time", lambda: upgraded.created_at)
+    snapshot_database(restored.database, tmp_path / "again.snap", metadata=restored.metadata)
+    assert checkpoint_bytes(tmp_path / "again.snap") == checkpoint_bytes(tmp_path / "up.snap")
+
+
 def test_the_upgraded_v7_golden_is_the_v8_golden_base(tmp_path):
     upgrade_snapshot(GOLDEN_V7, tmp_path / "up.snap")
     for name, raw in zip(FILES, checkpoint_bytes(GOLDEN_V8)):
@@ -1422,7 +1442,7 @@ def test_columns_that_do_not_fit_are_refused(tmp_path, edit, message):
     db.query(multi_query(), 2, epsilon=0.5)
     body = persistence._snapshot_body(db, {})
     edit(body)
-    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
     with pytest.raises(PersistenceError, match=message):
         restore_database(tmp_path / "bad.snap")
 
@@ -1539,7 +1559,7 @@ def test_table_logs_a_stream_could_not_write_are_refused(tmp_path, edit):
         feed(db, t)
     body = persistence._snapshot_body(db, {})
     edit(body)
-    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
     with pytest.raises(PersistenceError, match=r"^table 'orders' (batches|rows): column "):
         restore_database(tmp_path / "bad.snap")
 
@@ -1564,7 +1584,7 @@ def test_logical_times_other_than_the_uploads_are_refused(tmp_path, times):
     body = persistence._snapshot_body(db, {})
     assert body["logical"]["shipments"]["times"].tolist() == [1, 2, 3]
     body["logical"]["shipments"]["times"] = np.array(times)
-    persistence._write_snapshot(tmp_path / "bad.snap", body, 0.0)
+    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
     with pytest.raises(
         PersistenceError,
         match=r"^logical table 'shipments' batches: column 'times' is not strictly "
@@ -1743,7 +1763,7 @@ def refused_when_broken(db, directory, target, choice, at: int) -> None:
     values = column_value(columns, column.name)
     for key, value in broken(log, column, way, values, choice, at).items():
         set_column(columns, key, value)
-    persistence._write_snapshot(directory / "bad.snap", body, 0.0)
+    persistence._write_base(directory / "bad.snap", body, 0.0)
     with pytest.raises(PersistenceError, match="^" + re.escape(name + ": ")):
         restore_database(directory / "bad.snap")
 
@@ -1829,6 +1849,24 @@ def test_the_upgrader_refuses_a_v6_budget_it_cannot_write_once(tmp_path, edit, m
     with pytest.raises(PersistenceError, match=message):
         upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
     assert not (tmp_path / "out.snap").exists()
+
+
+def test_the_upgrader_refuses_what_a_restore_refuses_and_writes_nothing(tmp_path):
+    """An authentic v7 file whose ``orders`` upload times run backwards
+    holds a state no stream writes: the upgrader runs the restore's
+    checks before it writes, so it refuses the file naming the column,
+    and nothing appears at NEW."""
+    raw = GOLDEN_V7.read_bytes()
+    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
+    head = json.loads(raw[_PREAMBLE.size : head_end])
+    section = bytearray(raw[head_end:-_DIGEST_BYTES])
+    times = column_in(head, section, "tables", "orders", "log", "times")
+    assert times.tolist() == [1, 2, 3]
+    times[:] = [3, 2, 1]
+    write_old_container(tmp_path / "bad.snap", head, bytes(section), version=7)
+    with pytest.raises(PersistenceError, match="column 'times' is not strictly increasing"):
+        upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.snap"]
 
 
 def feed_without_orders(db: IncShrinkDatabase, time: int) -> None:
@@ -2034,7 +2072,7 @@ def test_a_segment_costs_the_delta(tmp_path):
     for name in ("party0", "party1"):  # not a share or a stream moved
         assert len(heads[name]) == 1
     bodies = {name: heads[name][-1][0]["body"] for name in ("trusted", "public")}
-    assert bodies["trusted"] == {"rng": {"query_noise": persistence._rng_state(db)["query_noise"]}}
+    assert bodies["trusted"] == {"rng": {"query_noise": db.query_noise_gen.bit_generator.state}}
     assert set(bodies["public"]) == {
         "accountant", "metrics", "views", "tenant_budgets", "metadata"
     }

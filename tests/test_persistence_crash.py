@@ -267,6 +267,22 @@ def test_a_torn_tail_is_reported_and_truncated_by_the_next_append(tmp_path, prep
     again = restore_database(path)
     assert again.info.discarded_bytes == 0
     assert committed_state(again.database) == committed_state(db)
+    # Space a crash left unwritten reads as zeros, at any length; a tail
+    # with any other byte that is not a segment is refused.
+    zeros, ones = tmp_path / "zeros", tmp_path / "ones"
+    for target, fill in ((zeros, b"\0"), (ones, b"\x01")):
+        shutil.copytree(prepared / "segment", target)
+        with open(target / "public", "ab") as fh:
+            fh.write(fill * 200)
+    with pytest.raises(PersistenceError, match="no segment at byte"):
+        restore_database(ones)
+    restored = restore_database(zeros)
+    assert restored.info.discarded_bytes == 200
+    assert restored.info.sha256 == committed.info.sha256
+    db = restored.database
+    more_stream(db, 4)
+    assert snapshot_database(db, zeros).kind == "segment"
+    assert restore_database(zeros).info.discarded_bytes == 0
 
 
 def test_a_restore_with_no_checkpoint_at_the_path_reads_the_retired_one(tmp_path, prepared):

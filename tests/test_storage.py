@@ -92,7 +92,7 @@ class TestOutsourcedTable:
         for time in range(1, 5):
             table.append_batch(shared([[time, time]] * time, [1] * time), time=time)
             assert (table.total_rows, table.byte_size) == recomputed(table)
-        state = table.columns()
+        state = {**table.batches.columns(), **table.rows.columns()}
         table.adopt(
             {
                 "times": state["times"][:2],
@@ -116,7 +116,7 @@ class TestOutsourcedTable:
             table.append_batch(shared([[time, time]] * size, [1] * size), time=time)
             assert table.starts[-1] == table.total_rows
         assert table.starts.tolist() == [0, 2, 3, 6]
-        columns = table.columns()
+        columns = {**table.batches.columns(), **table.rows.columns()}
         table.adopt({**columns, "lengths": np.array([1, 2, 3])})
         assert table.starts.tolist() == [0, 1, 3, 6]
 
@@ -289,6 +289,11 @@ def reveal(table: SharedTable) -> tuple[list, list]:
     return rows.tolist(), flags.tolist()
 
 
+def view_state(view: MaterializedView) -> dict:
+    """What a restore hands ``restore_state``: the shards and the count."""
+    return {"shards": view.shards, "update_count": view.update_count}
+
+
 def random_delta(gen, n_rows: int) -> SharedTable:
     return SharedTable.from_plain(
         SCHEMA,
@@ -341,7 +346,7 @@ class TestContainerCounters:
             saved.append(random_delta(gen, n_rows))
         restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
         restored.append(random_delta(gen, 5))  # content the restore replaces
-        restored.restore_state(saved.snapshot_state())
+        restored.restore_state(view_state(saved))
         assert_counters_exact(restored)
         assert len(restored) == 13 and restored.byte_size == saved.byte_size
 
@@ -436,12 +441,12 @@ class TestColumnShards:
             assert container.content_version == version + 2
             assert container.append_epoch == epoch + 1
         version, epoch = view.content_version, view.append_epoch
-        view.restore_state(view.snapshot_state())  # same shard count
+        view.restore_state(view_state(view))  # same shard count
         assert view.content_version > version and view.append_epoch == epoch + 1
         other = MaterializedView(SCHEMA, layout=ShardLayout(2))
         other.append(random_delta(gen, 5))
         epoch = view.append_epoch
-        view.restore_state(other.snapshot_state())  # another shard count
+        view.restore_state(view_state(other))  # another shard count
         assert view.append_epoch == epoch + 1 and len(view) == 5
         with MPCRuntime(seed=0).protocol("flush") as ctx:
             epoch = cache.append_epoch
@@ -458,7 +463,7 @@ class TestColumnShards:
         for delta in deltas[:2]:
             saved.append(delta)
         restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
-        restored.restore_state(saved.snapshot_state())
+        restored.restore_state(view_state(saved))
         restored.append(deltas[2])
         assert_counters_exact(restored)
         assert reveal(restored.table) == reveal(SharedTable.concat_all(deltas))
