@@ -132,6 +132,17 @@ class ColumnLog:
             buf[lo:hi] = part
         self._n = hi
 
+    def append_row(self, *values) -> None:
+        """Add one row: one value per column, in declared order — what a
+        per-step or per-query log appends, without :meth:`append`'s
+        conversion of a one-entry part per column."""
+        n = self._n
+        if n == len(self._buffers[0]):
+            self._grow(n + 1)
+        for buf, value in zip(self._buffers, values):
+            buf[n] = value
+        self._n = n + 1
+
     def pad(self, n: int) -> None:
         """Lengthen the log to ``n`` rows, the new ones zero: past the
         content a buffer holds only zeros, so nothing is written."""

@@ -117,10 +117,17 @@ class PrivacyAccountant:
         return [(e.name, e.epsilon, e.segment) for e in self.events]
 
     def restore_state(self, events: list[tuple[str, float, Hashable]]) -> None:
-        self.events = [
-            MechanismEvent(str(name), float(epsilon), segment)
-            for name, epsilon, segment in events
-        ]
+        self.restore_events(
+            [
+                MechanismEvent(str(name), float(epsilon), segment)
+                for name, epsilon, segment in events
+            ]
+        )
+
+    def restore_events(self, events: list[MechanismEvent]) -> None:
+        """Adopt ``events``, oldest first, as the log: a checkpoint's
+        reader builds each event once and hands the list over."""
+        self.events = events
 
     # -- running totals -----------------------------------------------------
     def _current_totals(self) -> tuple[float, dict[str, float]]:

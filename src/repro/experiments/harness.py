@@ -108,11 +108,11 @@ class RunResult:
             "realized_epsilon": self.realized_epsilon,
             "truncation_dropped_total": self.truncation_dropped_total,
             "series": {
-                "l1_errors": [q.l1 for q in self.log.queries],
-                "qet_seconds": [q.qet_seconds for q in self.log.queries],
-                "view_size_rows": list(self.log.view_size_rows),
-                "cache_size_rows": list(self.log.cache_size_rows),
-                "deferred_counts": list(self.log.deferred_counts),
+                "l1_errors": self.log.l1_errors(),
+                "qet_seconds": self.log.column("query_qet_seconds").tolist(),
+                "view_size_rows": self.log.column("view_size_rows").tolist(),
+                "cache_size_rows": self.log.column("cache_size_rows").tolist(),
+                "deferred_counts": self.log.column("deferred_counts").tolist(),
             },
         }
 

@@ -241,7 +241,7 @@ class IncShrinkDatabase:
         self.scheduler = StepScheduler(self.groups, self.views)
         self.planner = DatabasePlanner(self, multiplicity=multiplicity_hint)
         #: database-level query log (every planner-routed query)
-        self.metrics = MetricLog()
+        self.metrics = MetricLog("database")
         #: server-side randomness for noisy query releases.  Kept apart
         #: from the protocol servers' streams so read-side traffic never
         #: perturbs the deterministic ingestion-state evolution; captured
@@ -417,6 +417,7 @@ class IncShrinkDatabase:
             counter=counter,
             policy=policy,
             flusher=flusher,
+            metrics=MetricLog(f"view {vd.name!r}"),
         )
         group.member_names.append(vd.name)
         self.views[vd.name] = vr

@@ -48,8 +48,8 @@ a database restored from it) appends a segment to each file that holds
 something that changed since the last one (to ``public`` always): every
 append-only log's rows since its mark
 (:meth:`~repro.common.column_log.ColumnLog.since` — upload logs, the
-logical mirror, view shards), the list suffixes of the accountant's
-events and the metric logs, each contribution ledger's window from the
+logical mirror, view shards, metric logs), the list suffix of the
+accountant's events, each contribution ledger's window from the
 first batch charged or uploaded since, and the small mutable state
 whole where it changed: caches, Shrink counters and timers, RNG states;
 tenant caps and metadata.  A log nothing was appended to is left out.
@@ -107,13 +107,15 @@ accountant's events (``name``, ``label`` and ``tenant`` indexing the
 ``strings`` table, ``epsilon``, ``number``), each metric log
 (``query_*`` and one column per step field) and the owners' ``logical``
 mirror (``times``, ``lengths``, ``rows``).  Each is a
-:class:`~repro.common.column_log.ColumnLog` — for the accountant and
-the metric logs, whose live form is a list, a schema their columns are
-encoded and checked through — whose columns declare their dtype,
-trailing shape and invariants (``docs/ARCHITECTURE.md`` tables them).
-A restore hands the replayed arrays to ``adopt()``, which refuses any
-log a stream could not have produced, naming the log, the column and
-the invariant.  An accountant event's segment is ``(label, number)`` or
+:class:`~repro.common.column_log.ColumnLog` — for the accountant,
+whose live form is a list of events, a schema its columns are encoded
+and checked through — whose columns declare their dtype, trailing shape
+and invariants (``docs/ARCHITECTURE.md`` tables them).  A restore hands
+the replayed arrays to ``adopt()``, which refuses any log a stream
+could not have produced, naming the log, the column and the invariant,
+and otherwise takes them as the log's buffers: past the reading, a
+restore costs per column, and builds only the accountant's events one
+by one.  An accountant event's segment is ``(label, number)`` or
 ``(label, number, "tenant", id)``; an event over any other is refused
 before any file is created.
 
@@ -148,17 +150,16 @@ import time as _time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from operator import attrgetter
 from typing import Hashable
 
 import numpy as np
 
 from ..common.column_log import Column, ColumnLog, Increasing, InRange, Positive
 from ..common.errors import PersistenceError
-from ..common.metrics import MetricLog, QueryObservation
+from ..common.metrics import MetricLog
 from ..common.types import Schema
 from ..core.view_def import JoinViewDefinition
-from ..dp.accountant import TENANT_SEGMENT_MARK
+from ..dp.accountant import TENANT_SEGMENT_MARK, MechanismEvent
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
 from ..storage.outsourced_table import OutsourcedTable
@@ -485,7 +486,8 @@ def _accountant_columns(
     return {"strings": list(strings)[known:], **log.columns()}
 
 
-def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
+def _accountant_events(columns: dict) -> list[MechanismEvent]:
+    """The accountant's events the checked ``columns`` hold, each built once."""
     strings = columns["strings"]
     if not (isinstance(strings, list) and all(isinstance(s, str) for s in strings)):
         raise PersistenceError("the accountant's string table is not a list of strings")
@@ -493,7 +495,7 @@ def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
     log.adopt(columns)
     events = log.view()
     return [
-        (
+        MechanismEvent(
             strings[n],
             eps,
             (strings[lab], t) if k < 0
@@ -505,77 +507,10 @@ def _accountant_events(columns: dict) -> list[tuple[str, float, Hashable]]:
     ]
 
 
-# -- metric logs: one column per field ------------------------------------------
-_QUERY_FIELDS = (
-    ("time", np.int64),
-    ("logical_answer", np.float64),
-    ("view_answer", np.float64),
-    ("qet_seconds", np.float64),
-)
-_STEP_FIELDS = (
-    ("transform_seconds", np.float64),
-    ("shrink_seconds", np.float64),
-    ("view_size_rows", np.int64),
-    ("view_size_bytes", np.int64),
-    ("cache_size_rows", np.int64),
-    ("deferred_counts", np.int64),
-)
-
-
-@functools.lru_cache(maxsize=256)
-def _metric_logs(owner: str) -> list[ColumnLog]:
-    """A metric log as persisted: its query observations, one aligned
-    column per field, and each per-step field a log of its own (a step
-    appends to some of them only) — schemas a restore checks columns
-    against, never fills."""
-    return [
-        ColumnLog(
-            f"{owner} query metrics",
-            [Column(f"query_{field}", dtype) for field, dtype in _QUERY_FIELDS],
-        ),
-        *(
-            ColumnLog(f"{owner} {field} metrics", [Column(field, dtype)])
-            for field, dtype in _STEP_FIELDS
-        ),
-    ]
-
-
+# -- metric logs: columns while live, written as they are ----------------------
 def _metric_columns(log: MetricLog, marks: _Marks) -> dict:
-    """A metric log's columns, each from its mark on."""
-
-    if not marks.writes:
-        for values in (log.queries, *(getattr(log, field) for field, _ in _STEP_FIELDS)):
-            marks.start(values, len(values))
-        return {}
-
-    def since(values: list) -> tuple[int, list]:
-        start = marks.start(values, len(values))
-        return start, values[start:] if start else values
-
-    def column(start: int, values, dtype, n: int):
-        return marks.cut(np.fromiter(values, dtype, n), start)
-
-    start, queries = since(log.queries)
-    columns = {
-        f"query_{field}": column(start, map(attrgetter(field), queries), dtype, len(queries))
-        for field, dtype in _QUERY_FIELDS
-    }
-    for field, dtype in _STEP_FIELDS:
-        start, values = since(getattr(log, field))
-        columns[field] = column(start, values, dtype, len(values))
-    return columns
-
-
-def _metric_log(columns: dict, owner: str) -> MetricLog:
-    queries, *steps = _metric_logs(owner)
-    arrays = [column_log.resolve(columns) for column_log in (queries, *steps)]
-    for column_log, checked in zip((queries, *steps), arrays):
-        column_log.check(checked)
-    log = MetricLog()
-    log.queries = list(map(QueryObservation, *(q.tolist() for q in arrays[0])))
-    for (field, _), (values,) in zip(_STEP_FIELDS, arrays[1:]):
-        setattr(log, field, values.tolist())
-    return log
+    """A metric log's columns, each log from its mark on."""
+    return {name: rows for column_log in log.logs() for name, rows in marks.log(column_log).items()}
 
 
 def _decode_table_pool(entries: list[dict]) -> list[SharedTable]:
@@ -804,8 +739,8 @@ def _walk(
     db: IncShrinkDatabase, metadata: dict | None, marks: _Marks, strings: dict[str, int]
 ) -> dict:
     """What changed since ``marks``: each log's rows since its mark, each
-    ledger's live window, the accountant's and metric logs' list suffixes
-    (``strings`` continues the accountant's string table), and the small
+    ledger's live window, the accountant's list suffix (``strings``
+    continues the accountant's string table), and the small
     mutable state whole where it changed — every entry but the
     skeleton's, in the skeleton's layout.  The only code that reads a
     live database for the writer: a segment, a base (from row zero) and a
@@ -1682,11 +1617,11 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
             if shares is not None:
                 state["threshold_shares"] = _decode_shared_array(shares)
             vr.policy.restore_state(state)
-        vr.metrics = _metric_log(entry["metrics"], f"view {name!r}")
+        vr.metrics.adopt(entry["metrics"])
 
     # Privacy ledger and database-level query log.
-    db.accountant.restore_state(_accountant_events(body["accountant"]))
-    db.metrics = _metric_log(body["metrics"], "database")
+    db.accountant.restore_events(_accountant_events(body["accountant"]))
+    db.metrics.adopt(body["metrics"])
     # Tenant ε caps.  The per-tenant *spends* were just restored with the
     # accountant events above — deriving ledgers from events is what
     # makes a restore incapable of double-spending a tenant's budget.

@@ -180,23 +180,23 @@ class StepScheduler:
             if t_rep is not None:
                 step.transform_seconds = t_rep.seconds
                 step.truncation_dropped = t_rep.dropped
-                vr.metrics.transform_seconds.append(t_rep.seconds)
+                vr.metrics.transform_seconds.append_row(t_rep.seconds)
             if vr.policy is not None:
                 s_rep = vr.policy.step(time, vr.cache, vr.view)
                 if s_rep is not None:
                     step.shrink_seconds += s_rep.seconds
                     step.view_updated = True
                     step.deferred_real = s_rep.deferred_real
-                    vr.metrics.shrink_seconds.append(s_rep.seconds)
-                    vr.metrics.deferred_counts.append(s_rep.deferred_real)
+                    vr.metrics.shrink_seconds.append_row(s_rep.seconds)
+                    vr.metrics.deferred_counts.append_row(s_rep.deferred_real)
             if vr.flusher is not None and vr.flusher.due(time):
                 f_rep = vr.flusher.run(time, vr.cache, vr.view)
                 step.flushed = True
                 step.shrink_seconds += f_rep.seconds
-                vr.metrics.shrink_seconds.append(f_rep.seconds)
-            vr.metrics.view_size_rows.append(len(vr.view))
-            vr.metrics.view_size_bytes.append(vr.view.byte_size)
-            vr.metrics.cache_size_rows.append(len(vr.cache))
+                vr.metrics.shrink_seconds.append_row(f_rep.seconds)
+            vr.metrics.view_size_rows.append_row(len(vr.view))
+            vr.metrics.view_size_bytes.append_row(vr.view.byte_size)
+            vr.metrics.cache_size_rows.append_row(len(vr.cache))
             report.shard_rows[vr.name] = vr.view.shard_lengths()
             report.views[vr.name] = step
             report.shrink_seconds += step.shrink_seconds

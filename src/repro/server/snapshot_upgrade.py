@@ -53,7 +53,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..common.errors import PersistenceError
-from ..common.metrics import MetricLog, QueryObservation
+from ..common.metrics import STEP_FIELDS, MetricLog
 from ..common.rng import spawn
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
@@ -276,16 +276,11 @@ def _legacy_segment(entry):
 
 def _legacy_metric_log(entry: dict) -> MetricLog:
     log = MetricLog()
-    log.queries = [
-        QueryObservation(int(t), float(la), float(va), float(qet))
-        for t, la, va, qet in entry["queries"]
-    ]
-    log.transform_seconds = [float(x) for x in entry["transform_seconds"]]
-    log.shrink_seconds = [float(x) for x in entry["shrink_seconds"]]
-    log.view_size_rows = [int(x) for x in entry["view_size_rows"]]
-    log.view_size_bytes = [int(x) for x in entry["view_size_bytes"]]
-    log.cache_size_rows = [int(x) for x in entry["cache_size_rows"]]
-    log.deferred_counts = [int(x) for x in entry["deferred_counts"]]
+    for t, la, va, qet in entry["queries"]:
+        log.queries.append_row(int(t), float(la), float(va), float(qet))
+    for field, dtype in STEP_FIELDS:
+        cast = int if dtype is np.int64 else float
+        getattr(log, field).append([cast(x) for x in entry[field]])
     return log
 
 

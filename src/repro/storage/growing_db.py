@@ -76,8 +76,8 @@ class _TableLog:
 
     def append(self, time: int, rows: np.ndarray) -> None:
         self.rows.append(rows)
-        self.starts.append((len(self.rows),))
-        self.batches.append((time,), (len(rows),))
+        self.starts.append_row(len(self.rows))
+        self.batches.append_row(time, len(rows))
 
     def adopt(self, columns: dict) -> None:
         self.rows.adopt(columns)

@@ -75,8 +75,8 @@ class OutsourcedTable:
             )
         rows, flags = table.rows, table.flags
         self.rows.append(rows.share0, rows.share1, flags.share0, flags.share1)
-        self._starts.append((len(self.rows),))
-        self.batches.append((time,), (len(table),))
+        self._starts.append_row(len(self.rows))
+        self.batches.append_row(time, len(table))
         return n
 
     # -- public structure --------------------------------------------------

@@ -100,6 +100,26 @@ def test_columns_nest_as_their_dotted_names_and_adopt_takes_them_back():
     np.testing.assert_array_equal(copy.view(5)["time"], log.view()["time"])
 
 
+def test_append_row_is_a_one_entry_append():
+    """A row at a time — past growths and past an adopted, full buffer —
+    reads exactly as the same rows appended as parts."""
+    by_parts, by_rows = make_log(), make_log()
+    ids, words, shifted = rows(0, 3 * MIN_CAPACITY_ROWS)
+    early = None
+    for k in range(len(ids)):
+        by_parts.append(ids[k : k + 1], words[k : k + 1], shifted[k : k + 1])
+        by_rows.append_row(int(ids[k]), words[k], shifted[k])
+        if k == 10:
+            early = by_rows.view()
+    for name, face in by_parts.view().items():
+        np.testing.assert_array_equal(by_rows.view()[name], face)
+    np.testing.assert_array_equal(early["time"], ids[:11])
+    adopted = make_log()
+    adopted.adopt(by_rows.columns())
+    adopted.append_row(-1, words[0], shifted[0])
+    assert adopted["time"][-2:].tolist() == [ids[-1], -1] and len(adopted) == len(ids) + 1
+
+
 def test_pad_lengthens_with_zeros():
     log = ColumnLog("runs", [Column("n", np.int64), Column("m", np.int64, (2,))])
     log.append([2, 0, 3], np.ones((3, 2), np.int64))

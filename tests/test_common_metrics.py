@@ -40,11 +40,11 @@ class TestMetricLog:
         log = MetricLog()
         log.record_query(QueryObservation(1, 10, 10, 0.5))
         log.record_query(QueryObservation(2, 20, 16, 1.5))
-        log.transform_seconds.extend([1.0, 3.0])
-        log.shrink_seconds.append(2.0)
-        log.view_size_rows.extend([10, 30])
-        log.view_size_bytes.extend([1_000_000, 3_000_000])
-        log.deferred_counts.extend([0, 7])
+        log.transform_seconds.append([1.0, 3.0])
+        log.shrink_seconds.append([2.0])
+        log.view_size_rows.append([10, 30])
+        log.view_size_bytes.append([1_000_000, 3_000_000])
+        log.deferred_counts.append([0, 7])
         s = log.summary()
         assert s.avg_l1_error == pytest.approx(2.0)
         assert s.avg_relative_error == pytest.approx(0.1)

@@ -11,7 +11,6 @@ of the evaluation section plus the privacy-relevant invariants:
   output (sizes are noised counts, never true counts).
 """
 
-import numpy as np
 import pytest
 
 from repro.dp.bounds import theorem4_deferred_bound, theorem6_deferred_bound
@@ -109,7 +108,7 @@ class TestErrorBounds:
             )
             b = res.view.view_def.budget
             eps = res.config.epsilon
-            for k, deferred in enumerate(res.log.deferred_counts, start=1):
+            for k, deferred in enumerate(res.log.column("deferred_counts"), start=1):
                 checks += 1
                 if deferred > theorem4_deferred_bound(eps, b, k, beta=0.01):
                     violations += 1
@@ -130,7 +129,7 @@ class TestErrorBounds:
             eps = res.config.epsilon
             t = res.config.n_steps
             bound = theorem6_deferred_bound(eps, b, t, beta=0.01)
-            for deferred in res.log.deferred_counts:
+            for deferred in res.log.column("deferred_counts"):
                 checks += 1
                 if deferred > bound:
                     violations += 1

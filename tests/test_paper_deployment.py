@@ -273,8 +273,7 @@ def engine_modes_record(dataset: str, mode: str) -> dict:
     )
     return {
         "queries": [
-            [q.time, q.logical_answer, q.view_answer, q.qet_seconds]
-            for q in view.metrics.queries
+            list(q) for q in zip(*(c.tolist() for c in view.metrics.queries.view().values()))
         ],
         "runs": [[r.name, r.time, r.gates] for r in database.runtime.runs],
         "realized_epsilon": result.realized_epsilon,

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.common.column_log import InRange, Increasing, Positive, Tiles
 from repro.common.errors import PersistenceError
+from repro.common.metrics import STEP_FIELDS, QueryObservation
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.query.ast import (
@@ -563,16 +564,8 @@ def legacy_segment(segment):
 def legacy_metric_log(log) -> dict:
     """A metric log as versions 1–6 wrote it."""
     return {
-        "queries": [
-            [q.time, q.logical_answer, q.view_answer, q.qet_seconds] for q in log.queries
-        ],
-        **{
-            field: list(getattr(log, field))
-            for field in (
-                "transform_seconds", "shrink_seconds", "view_size_rows",
-                "view_size_bytes", "cache_size_rows", "deferred_counts",
-            )
-        },
+        "queries": [list(q) for q in zip(*(c.tolist() for c in log.queries.view().values()))],
+        **{field: log.column(field).tolist() for field, _ in STEP_FIELDS},
     }
 
 
@@ -1593,6 +1586,103 @@ def test_logical_times_other_than_the_uploads_are_refused(tmp_path, times):
         restore_database(tmp_path / "bad.snap")
 
 
+# -- metric logs and accountant events: adopted, not rebuilt row by row ---------
+def serve_round(db: IncShrinkDatabase, time: int, queries: int) -> None:
+    """``queries`` served queries, every fourth one an ε-release."""
+    for k in range(queries):
+        epsilon = 0.01 if k % 4 == 3 else None
+        db.query(LogicalQuery.for_view(make_view("full", 2)), time, epsilon=epsilon)
+
+
+def metric_logs(db: IncShrinkDatabase) -> dict:
+    return {"database": db.metrics, **{name: vr.metrics for name, vr in db.views.items()}}
+
+
+def test_a_restore_builds_no_query_observation(tmp_path, monkeypatch):
+    """A restore adopts the metric columns it read: over a base and a
+    segment holding 1,200 served queries it constructs no
+    ``QueryObservation`` — while a query served afterwards still does."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+    serve_round(db, 3, 600)
+    snapshot_database(db, tmp_path / "served.snap")
+    serve_round(db, 3, 600)
+    assert snapshot_database(db, tmp_path / "served.snap").kind == "segment"
+    built = []
+    init = QueryObservation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryObservation, "__init__", counted)
+    restored = restore_database(tmp_path / "served.snap").database
+    assert len(restored.metrics.queries) == 1200
+    assert built == []
+    restored.query(LogicalQuery.for_view(make_view("full", 2)), 3)
+    assert len(built) == 1
+
+
+def test_restored_metric_columns_are_the_arrays_read(tmp_path, monkeypatch):
+    """Each restored metric column is the array the reader joined, taken
+    as its log's buffer: no row is converted or copied."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+        serve_round(db, t, 5)
+        snapshot_database(db, tmp_path / "adopt.snap")
+    bodies = []
+    applied = persistence._applied
+
+    def spy(body, path):
+        bodies.append(body)
+        return applied(body, path)
+
+    monkeypatch.setattr(persistence, "_applied", spy)
+    restored = restore_database(tmp_path / "adopt.snap").database
+    (body,) = bodies
+    held = {"database": body["metrics"], **{v["name"]: v["metrics"] for v in body["views"]}}
+    for owner, log in metric_logs(restored).items():
+        for column_log in log.logs():
+            for column in column_log.schema:
+                read = held[owner][column.name]
+                face = log.column(column.name)
+                assert face.base is read and len(face) == len(read), (owner, column.name)
+    assert len(restored.metrics.queries) == 15
+
+
+def test_restored_metric_summaries_equal_the_uninterrupted_run(tmp_path):
+    """Every metric log of a database restored from a base and segments
+    summarises exactly as the live one's — the same floats in the same
+    order through the same ``statistics.mean`` — and keeps doing so as
+    both go on stepping (the adopted columns grow like live ones).  The
+    accountant holds the same events."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+        serve_round(db, t, 7)
+        snapshot_database(db, tmp_path / "mid.snap")
+    restored = restore_database(tmp_path / "mid.snap")
+    assert restored.info.segments == 2
+    resumed = restored.database
+
+    def assert_same() -> None:
+        want, got = metric_logs(db), metric_logs(resumed)
+        assert want.keys() == got.keys()
+        for owner in want:
+            assert got[owner].summary() == want[owner].summary(), owner
+        assert resumed.accountant.events == db.accountant.events
+
+    assert_same()
+    assert resumed.metrics.summary().query_count == 21
+    for t in (4, 5, 6):
+        feed(db, t)
+        feed(resumed, t)
+    assert_same()
+    assert len(resumed.views["full"].metrics.view_size_rows) == 6
+
+
 # -- every declared column, pushed outside what it declares ---------------------
 def registered_logs(db: IncShrinkDatabase, body: dict) -> list[tuple[tuple, str, object]]:
     """Every log a snapshot of ``db`` holds as columns: where its columns
@@ -1613,11 +1703,11 @@ def registered_logs(db: IncShrinkDatabase, body: dict) -> list[tuple[tuple, str,
             ]
     event_log = persistence._event_log(len(body["accountant"]["strings"]))
     logs.append((("accountant",), event_log.name, event_log))
-    owners = [(("metrics",), "database")] + [
-        (("views", i, "metrics"), f"view {view['name']!r}") for i, view in enumerate(body["views"])
+    owners = [(("metrics",), db.metrics)] + [
+        (("views", i, "metrics"), vr.metrics) for i, vr in enumerate(db.views.values())
     ]
-    for path, owner in owners:
-        logs += [(path, log.name, log) for log in persistence._metric_logs(owner)]
+    for path, metrics in owners:
+        logs += [(path, log.name, log) for log in metrics.logs()]
     return logs
 
 

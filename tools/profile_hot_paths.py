@@ -22,7 +22,10 @@ state a ``tpcds-small`` run holds at the end of its steady phase
 :func:`~repro.server.persistence.restore_database`; their ``rows`` are
 the stream's steps, each step's four queries served and one of them
 ε-released, and they also report the bases' head bytes and array
-count) — under both
+count), and ``restore_segments``, the restore of the checkpoint the
+benchmark's phase D leaves behind — a base and nine segments, each
+written after a query round — reporting the query observations and
+accountant events it restored — under both
 :mod:`cProfile` (attribution: which functions burn the time) and plain
 ``perf_counter`` repeats (magnitude: how long one pass takes without
 profiler overhead), then:
@@ -383,13 +386,18 @@ PERSISTENCE_STEPS = 240
 #: Queries served after the steady phase, cycling the step's four, as
 #: the benchmark's query bursts serve them before each checkpoint.
 PERSISTENCE_BURST = 600
+#: Checkpoints the benchmark takes after the steady phase, one after each
+#: query round of its burst: a base, then a segment each.
+PERSISTENCE_ROUNDS = 10
 
 
-def _tpcds_state(steps: int):
+def _tpcds_state(steps: int, checkpoint=None):
     """The canonical three-view tpcds deployment in the shape the
     ``tpcds-small`` benchmark checkpoints: ``steps`` steps of one upload
     and the four step queries, the fourth a tenant's ε-release, then a
-    burst of :data:`PERSISTENCE_BURST` more of them."""
+    burst of :data:`PERSISTENCE_BURST` more of them — in
+    :data:`PERSISTENCE_ROUNDS` rounds, each followed by ``checkpoint(db)``,
+    when one is given."""
     from repro.experiments.harness import (
         MultiViewRunConfig,
         build_multiview_deployment,
@@ -413,8 +421,11 @@ def _tpcds_state(steps: int):
         db.step(step.time)
         for query in queries:
             serve(query, step.time)
+    per_round = PERSISTENCE_BURST // PERSISTENCE_ROUNDS
     for k in range(PERSISTENCE_BURST):
         serve(queries[k % len(queries)], steps)
+        if checkpoint is not None and (k + 1) % per_round == 0:
+            checkpoint(db)
     return db
 
 
@@ -465,6 +476,33 @@ def _restore_workload(steps: int):
     return run
 
 
+def _restore_segments_workload(steps: int):
+    """One restore of the checkpoint phase D leaves behind: a base and
+    :data:`PERSISTENCE_ROUNDS` - 1 segments, each written after a query
+    round.  Watch for anything called once per served query or release:
+    the reader adopts each metric and event column as it joins it, and
+    builds each accountant event once."""
+    from repro.server.persistence import restore_database, snapshot_database
+
+    scratch = tempfile.TemporaryDirectory()
+    path = Path(scratch.name) / "profile.snap"
+    _tpcds_state(steps, checkpoint=lambda db: snapshot_database(db, path))
+
+    def run() -> None:
+        restore_database(Path(scratch.name) / "profile.snap")
+
+    restored = restore_database(path)
+    db = restored.database
+    run.report = {
+        "segments": restored.info.segments,
+        "observations": sum(
+            len(log.queries) for log in (db.metrics, *(vr.metrics for vr in db.views.values()))
+        ),
+        "events": len(db.accountant.events),
+    }
+    return run
+
+
 WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
@@ -477,6 +515,7 @@ WORKLOADS = {
     "ring_words": _ring_words_workload,
     "snapshot": _snapshot_workload,
     "restore": _restore_workload,
+    "restore_segments": _restore_segments_workload,
 }
 
 #: Stages whose shape is the served one whatever ``--rows`` says.
@@ -486,6 +525,7 @@ FIXED_ROWS = {
     "ring_words": RING_WORDS_PER_STEP,
     "snapshot": PERSISTENCE_STEPS,
     "restore": PERSISTENCE_STEPS,
+    "restore_segments": PERSISTENCE_STEPS,
 }
 
 
@@ -597,11 +637,15 @@ def main(argv: list[str] | None = None) -> int:
 
     result = profile_workloads(args.rows, args.top)
     for name, data in result["workloads"].items():
-        shape = (
-            f", {data['head_bytes']} B head, {data['arrays']} arrays"
-            if "head_bytes" in data
-            else ""
-        )
+        if "head_bytes" in data:
+            shape = f", {data['head_bytes']} B head, {data['arrays']} arrays"
+        elif "segments" in data:
+            shape = (
+                f", a base and {data['segments']} segments: {data['observations']} "
+                f"observations, {data['events']} events"
+            )
+        else:
+            shape = ""
         print(
             f"{name}: {data['best_seconds']*1e3:.1f} ms best of "
             f"{TIMED_REPEATS} over {data['rows']} rows "
