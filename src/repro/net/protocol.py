@@ -7,10 +7,12 @@ small frame-oriented protocol over any reliable byte stream:
   version byte (:data:`PROTOCOL_VERSION`), one frame-type byte, a
   big-endian ``uint32`` body length — followed by the body (stdlib
   ``struct`` + ``json``, no external dependencies);
-* every body is one envelope: a UTF-8 JSON head plus a blob table that
-  carries the payload's arrays (upload batches, answer columns) as raw
-  little-endian bytes.  A body with no arrays is the JSON object plus
-  six framing bytes.  What crosses the network is the arrays the
+* every body is one envelope: a UTF-8 JSON head plus a blob table.
+  Only upload batches carry arrays: each batch's ``rows`` and
+  ``is_real`` travel as raw little-endian blobs the head references as
+  ``{"__nd__": i}``.  Every other frame — answers included, whose
+  cells are JSON numbers — is the JSON object plus six framing bytes
+  and declares zero blobs.  What crosses the network is the arrays the
   servers already hold, plus the public frame lengths (see
   ``docs/NETWORK.md`` for the leakage argument);
 * the query frame carries the complete :class:`~repro.query.ast.
@@ -149,31 +151,6 @@ _BLOB_KINDS = frozenset("biuf")
 _BLOB_MAX_NDIM = 4
 
 
-def _extract_arrays(value, blobs: list) -> object:
-    """Deep-copy ``value`` replacing every ndarray with a blob reference."""
-    if isinstance(value, np.ndarray):
-        blobs.append(value)
-        return {_ND_KEY: len(blobs) - 1}
-    if isinstance(value, dict):
-        return {k: _extract_arrays(v, blobs) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_extract_arrays(v, blobs) for v in value]
-    return value
-
-
-def _restore_arrays(value, blobs: list) -> object:
-    if isinstance(value, dict):
-        if set(value) == {_ND_KEY}:
-            index = value[_ND_KEY]
-            if not isinstance(index, int) or not 0 <= index < len(blobs):
-                raise WireError(f"blob reference {index!r} out of range")
-            return blobs[index]
-        return {k: _restore_arrays(v, blobs) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_restore_arrays(v, blobs) for v in value]
-    return value
-
-
 def _pack_blob(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr)
     if arr.dtype.kind not in _BLOB_KINDS:
@@ -216,14 +193,33 @@ def _unpack_blob(view: memoryview, offset: int) -> tuple[np.ndarray, int]:
         raise WireError(f"malformed array blob: {exc}") from exc
 
 
-def _encode_body(payload: dict) -> bytes:
-    blobs: list[np.ndarray] = []
-    head = json.dumps(
-        _extract_arrays(payload, blobs), sort_keys=True, separators=(",", ":")
-    ).encode("utf8")
+#: The head encoder: keys sorted, no whitespace (the bytes are pinned).
+_HEAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The reference key as the head encoder spells it.
+_ND_TOKEN = b'"__nd__"'
+
+
+def _encode_body(payload: dict, blobs: list[np.ndarray]) -> bytes:
+    """The envelope around ``payload``, a head with no arrays in it, and
+    the ``blobs`` its ``{"__nd__": i}`` references index."""
+    head = _HEAD_ENCODER.encode(payload).encode("utf8")
     parts = [struct.pack(">I", len(head)), head, struct.pack(">H", len(blobs))]
     parts.extend(_pack_blob(arr) for arr in blobs)
     return b"".join(parts)
+
+
+def _blob_resolver(blobs: list[np.ndarray]):
+    """A JSON ``object_hook`` swapping each reference for its blob."""
+
+    def resolve(obj: dict) -> object:
+        if len(obj) != 1 or _ND_KEY not in obj:
+            return obj
+        index = obj[_ND_KEY]
+        if not isinstance(index, int) or not 0 <= index < len(blobs):
+            raise WireError(f"blob reference {index!r} out of range")
+        return blobs[index]
+
+    return resolve
 
 
 def _decode_body(body: bytes | memoryview, frame_type: str) -> dict:
@@ -236,12 +232,6 @@ def _decode_body(body: bytes | memoryview, frame_type: str) -> dict:
         (n_blobs,) = struct.unpack_from(">H", view, 4 + head_len)
     except (struct.error, ValueError) as exc:
         raise WireError(f"malformed {frame_type} frame envelope: {exc}") from exc
-    try:
-        head = json.loads(head_bytes.decode("utf8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"{frame_type} frame head is not valid JSON: {exc}")
-    if not isinstance(head, dict):
-        raise WireError(f"{frame_type} frame head must be a JSON object")
     blobs: list[np.ndarray] = []
     offset = 6 + head_len
     for _ in range(n_blobs):
@@ -251,21 +241,40 @@ def _decode_body(body: bytes | memoryview, frame_type: str) -> dict:
         raise WireError(
             f"{frame_type} frame body carries {len(view) - offset} trailing bytes"
         )
-    return _restore_arrays(head, blobs)
+    # A head spells the reference key literally or with a \u escape; one
+    # that spells neither has nothing to resolve.  In a frame declaring
+    # no blobs, the resolver refuses any reference it finds.
+    if n_blobs or _ND_TOKEN in head_bytes or b"\\u" in head_bytes:
+        hook = _blob_resolver(blobs)
+    else:
+        hook = None
+    try:
+        head = json.loads(head_bytes.decode("utf8"), object_hook=hook)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireError(f"{frame_type} frame head is not valid JSON: {exc}")
+    if not isinstance(head, dict):
+        raise WireError(f"{frame_type} frame head must be a JSON object")
+    return head
 
 
 # -- framing ------------------------------------------------------------------
 def encode_frame(frame_type: str, payload: dict | None = None) -> bytes:
     """One complete frame (header + body) as bytes.
 
-    The payload may carry :class:`numpy.ndarray` values anywhere in its
-    tree; they travel as raw blobs beside the JSON head.
+    Only an ``upload`` payload may carry :class:`numpy.ndarray` values,
+    as its batches' ``rows`` and ``is_real`` (:func:`encode_upload`);
+    they travel as raw blobs beside the JSON head.  Any other array is
+    not JSON-serializable and raises :class:`WireError`.
     """
     code = FRAME_CODES.get(frame_type)
     if code is None:
         raise WireError(f"unknown frame type {frame_type!r}")
+    blobs: list[np.ndarray] = []
+    payload = payload or {}
+    if frame_type == "upload":
+        payload = _upload_head(payload, blobs)
     try:
-        body = _encode_body(payload or {})
+        body = _encode_body(payload, blobs)
     except TypeError as exc:
         raise WireError(
             f"{frame_type} payload is not JSON-serializable: {exc}"
@@ -611,6 +620,28 @@ def encode_upload(
     }
 
 
+def _upload_head(payload: dict, blobs: list[np.ndarray]) -> dict:
+    """``payload`` with each batch's arrays replaced by ``{"__nd__": i}``
+    references into ``blobs``, appended batch by batch in each batch's
+    key order (``rows``, then ``is_real``)."""
+    if "batches" not in payload:
+        return payload
+    return {
+        **payload,
+        "batches": [
+            [name, {k: _blob_ref(v, blobs) for k, v in batch.items()}]
+            for name, batch in payload["batches"]
+        ],
+    }
+
+
+def _blob_ref(value: object, blobs: list[np.ndarray]) -> object:
+    if not isinstance(value, np.ndarray):
+        return value
+    blobs.append(value)
+    return {_ND_KEY: len(blobs) - 1}
+
+
 def decode_upload(entry: dict) -> tuple[int, list[tuple[str, RecordBatch]]]:
     try:
         time = int(entry["time"])
@@ -635,24 +666,23 @@ def _plain_cell(value: object) -> int | float:
 def encode_answer(answer: QueryAnswer) -> dict:
     """The padded result table; exact COUNT/SUM cells stay integers.
 
-    Each column travels as one raw array when its cells share a scalar
-    kind (``i``: all exact integers, ``f``: all floats); a mixed column
-    is a JSON cell list (kind ``m``).  The int/float distinction
-    survives, so a remote answer is byte-identical to the in-process one.
+    Each column travels as a JSON cell list tagged with its scalar
+    kind — ``i``: all exact integers (any ring value, up to 2^64 − 1),
+    ``f``: all floats (``NaN`` and ``±Infinity`` included), ``m``:
+    mixed — so the int/float distinction survives and a remote answer
+    is identical to the in-process one.
     """
     kinds: list[str] = []
-    cols: list[object] = []
+    cols: list[list] = []
     for ci in range(len(answer.columns)):
         cells = [_plain_cell(row[ci]) for row in answer.rows]
-        if all(isinstance(c, int) for c in cells):
+        if all(type(c) is int for c in cells):
             kinds.append("i")
-            cols.append(np.asarray(cells, dtype="<i8"))
-        elif all(isinstance(c, float) for c in cells):
+        elif all(type(c) is float for c in cells):
             kinds.append("f")
-            cols.append(np.asarray(cells, dtype="<f8"))
         else:
             kinds.append("m")
-            cols.append(cells)
+        cols.append(cells)
     return {
         "columns": list(answer.columns),
         "groups": (
@@ -664,6 +694,8 @@ def encode_answer(answer: QueryAnswer) -> dict:
 
 
 def decode_answer(entry: dict) -> QueryAnswer:
+    """The :class:`QueryAnswer` :func:`encode_answer` encoded.  A column
+    may also be an array blob, as an older peer sends it."""
     try:
         groups = entry["groups"]
         group_keys = None if groups is None else tuple(int(k) for k in groups)
@@ -682,7 +714,7 @@ def decode_answer(entry: dict) -> QueryAnswer:
         n_rows = len(decoded_cols[0]) if decoded_cols else 0
         if any(len(c) != n_rows for c in decoded_cols):
             raise WireError("ragged answer columns")
-        rows = tuple(tuple(col[ri] for col in decoded_cols) for ri in range(n_rows))
+        rows = tuple(zip(*decoded_cols))
         return QueryAnswer(columns=columns, group_keys=group_keys, rows=rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"malformed answer payload: {exc!r}") from exc

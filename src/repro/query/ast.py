@@ -31,6 +31,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.view_def import JoinViewDefinition
 
 
+class _HashedOnce:
+    """Hash a frozen dataclass's fields once per object.
+
+    A served request hashes its :class:`LogicalQuery` for the plan cache
+    and the cached :class:`ViewScanPlan` for the accumulator cache; both
+    would otherwise re-hash every field (the GROUP BY domain included)
+    on every lookup.  The memo is the dataclass's own field hash, and it
+    is never pickled: ``str`` hashes are salted per process, so a hash
+    carried into another process would miss every cache there.  A class
+    opts in with ``__hash__ = _HashedOnce.__hash__`` (``@dataclass``
+    replaces an inherited one).
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, f) for f in self.__dataclass_fields__))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
 @dataclass(frozen=True)
 class LogicalJoinQuery:
     """The join structure of a :class:`LogicalQuery`.
@@ -260,7 +289,7 @@ class GroupBySpec:
 
 # -- the unified logical query -------------------------------------------------
 @dataclass(frozen=True)
-class LogicalQuery:
+class LogicalQuery(_HashedOnce):
     """One relational aggregate query against the logical tables.
 
     The compiler pipeline consumes this AST: :func:`repro.query.rewrite.
@@ -274,6 +303,8 @@ class LogicalQuery:
     aggregates: tuple[AggregateSpec, ...]
     group_by: GroupBySpec | None = None
     predicate: "ColumnEquals | ColumnRange | And | None" = None
+
+    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "aggregates", tuple(self.aggregates))
@@ -382,7 +413,7 @@ class ScanClause:
 
 
 @dataclass(frozen=True)
-class ViewScanPlan:
+class ViewScanPlan(_HashedOnce):
     """Everything one oblivious padded scan needs to answer a query.
 
     Produced by :func:`repro.query.rewrite.lower_to_view_scan`; executed
@@ -396,6 +427,8 @@ class ViewScanPlan:
     group_column: str | None = None
     group_domain: tuple[int, ...] | None = None
     clauses: tuple[ScanClause, ...] = ()
+
+    __hash__ = _HashedOnce.__hash__
 
     @property
     def need_count(self) -> bool:

@@ -17,22 +17,25 @@ lowering — which views answer it, each one's
 registered for its join — once.  That half changes only when the set of
 wired views does (registration, restore — a restored database is a new
 planner — and, conservatively, reshard: :meth:`DatabasePlanner.
-invalidate`).  The *prices* are never cached: every call re-reads the
+invalidate`).  The *view* prices are never cached: every call re-reads the
 public sizes the cost formulas need (view lengths and shard counts, the
 accumulator cache's cached-row counts, base-store totals, the scan
 backend) and re-runs the same pricing functions a fresh
 :func:`~repro.query.planner.plan_query` runs, so the chosen view,
 ``estimated_gates/seconds``, ``warm`` and ``cached_rows`` are always
 those of a fresh plan — an upload re-prices, it does not evict.  The
-cache is deliberately **not** persisted
-(:mod:`repro.server.persistence` round-trips plan-cache-free).
+one price kept is the NM join's, beside the two base-store row counts
+it was priced at: it is a function of those alone, so it is re-priced
+exactly when either count moves.  The cache is deliberately **not**
+persisted (:mod:`repro.server.persistence` round-trips plan-cache-free).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..common.errors import SchemaError
 from ..query.ast import LogicalQuery
@@ -60,7 +63,8 @@ SCANNABLE_MODES = ("dp-timer", "dp-ant", "ep")
 PLAN_CACHE_MAX_ENTRIES = 256
 
 
-class _Structure(NamedTuple):
+@dataclass(slots=True)
+class _Structure:
     """What planning one query shape needs that no upload changes."""
 
     #: every scannable view that materializes the query's join, with the
@@ -69,6 +73,9 @@ class _Structure(NamedTuple):
     #: an NM-mode view was registered for this join (NM is then allowed
     #: even with the database-wide fallback off)
     nm_view: bool
+    #: ``((probe_rows, driver_rows), plan)``: the NM plan last priced,
+    #: at those base-store row counts
+    nm_priced: tuple[tuple[int, int], QueryPlan] | None = None
 
 
 class DatabasePlanner:
@@ -178,20 +185,30 @@ class DatabasePlanner:
             for vr, shape in structure.answering
         ]
         if db.nm_fallback or structure.nm_view:
-            probe_store = db.tables[query.probe_table]
-            driver_store = db.tables[query.driver_table]
-            plans.append(
+            plans.append(self._nm_plan(query, structure))
+        return cheapest(query, plans)
+
+    def _nm_plan(self, query: LogicalQuery, structure: _Structure) -> QueryPlan:
+        """The NM plan at the current base-store sizes, priced only when
+        they moved since the structure last priced it."""
+        probe_store = self._db.tables[query.probe_table]
+        driver_store = self._db.tables[query.driver_table]
+        sizes = (probe_store.total_rows, driver_store.total_rows)
+        priced = structure.nm_priced
+        if priced is None or priced[0] != sizes:
+            # Concurrent readers may both price; each stores a whole pair.
+            priced = structure.nm_priced = (
+                sizes,
                 price_nm_join(
                     query,
-                    probe_store.total_rows,
-                    driver_store.total_rows,
-                    model,
+                    *sizes,
+                    self._db.runtime.cost_model,
                     self.multiplicity,
                     probe_store.schema.width,
                     driver_store.schema.width,
-                )
+                ),
             )
-        return cheapest(query, plans)
+        return priced[1]
 
     @property
     def hit_rate(self) -> float:

@@ -235,7 +235,8 @@ class TestWireCodecs:
     def test_served_request_frames_are_pinned_byte_for_byte(self):
         """The upload, query, result and stats frames a served request
         puts on the wire, pinned by SHA-256 (recorded from the binary
-        envelope before it became the only frame body)."""
+        envelope before it became the only frame body; ``result``
+        re-pinned once, when answer columns became JSON cells)."""
         result = DatabaseQueryResult(
             plan=QueryPlan("view_scan", "full", None, 123456, 0.25, n_shards=2),
             observation=QueryObservation(
@@ -266,7 +267,7 @@ class TestWireCodecs:
         assert digests == {
             "upload": "847548e4067226c24ff3ebafcbb0e8f6ddc5137d7fd10721b7e82dbd78d39b0f",
             "query": "5864ab7dc72098f7960ad1f4d360ea76431c8926afd1a0f052b75d017d3c4e6b",
-            "result": "1dc2b8c3b2cb6b7642fdac8575f42c99a018fef63c264dabfdeaab660180935b",
+            "result": "dc76c6d6b16ae12656a077620cefdbb36fa323293b93f1e08ff083cf384eff2b",
             "stats": "d012a5de9908578f34af471eca85e94a364c6bbc532229b7fe001301876a7bff",
         }
 

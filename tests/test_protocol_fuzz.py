@@ -23,20 +23,24 @@ Seeds are fixed: every "random" case is reproducible.
 from __future__ import annotations
 
 import io
+import math
 import socket
 import struct
 import time as _time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import RecordBatch, Schema
 from repro.net import protocol as wire
+from repro.net.client import IncShrinkClient
 from repro.net.server import NetworkServer
 from repro.query.ast import QueryAnswer
 from repro.server.runtime import DatabaseServer
 
-from test_network import batches_at, build_database
+from test_network import batches_at, build_database, query_mix
 
 _HEADER_SIZE = 10
 _DTYPES = ["<u4", "<i8", "<f8", "<f4", "<u1", "|b1", "<i2"]
@@ -123,6 +127,128 @@ def test_answer_round_trip_randomized():
                 assert type(sent_cell) is type(got_cell)
 
 
+def _through_the_wire(answer: QueryAnswer) -> QueryAnswer:
+    frame = wire.encode_frame("result", wire.encode_answer(answer))
+    [(_, payload)] = wire.FrameDecoder().feed(frame)
+    return wire.decode_answer(payload)
+
+
+def test_ring_sum_cells_cross_the_wire_as_ints():
+    """SUM accumulators live in Z_{2^64}: a cell at or past 2^63 is a
+    legal answer and arrives as the same Python int."""
+    cells = (0, 2**63, 2**64 - 1)
+    answer = QueryAnswer(("sum",), (1, 2, 3), tuple((c,) for c in cells))
+    decoded = _through_the_wire(answer)
+    assert [row[0] for row in decoded.rows] == list(cells)
+    assert all(type(row[0]) is int for row in decoded.rows)
+
+
+# The upper half of the ring on its own: a full-range draw rarely lands there.
+_INT_CELLS = st.integers(0, 2**64 - 1) | st.integers(2**63, 2**64 - 1)
+_FLOAT_CELLS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+)
+
+
+@st.composite
+def _answers(draw) -> QueryAnswer:
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 5))
+    cells = {"i": _INT_CELLS, "f": _FLOAT_CELLS, "m": st.one_of(_INT_CELLS, _FLOAT_CELLS)}
+    kinds = draw(st.lists(st.sampled_from("ifm"), min_size=n_cols, max_size=n_cols))
+    rows = tuple(tuple(draw(cells[k]) for k in kinds) for _ in range(n_rows))
+    groups = draw(
+        st.none()
+        | st.lists(
+            st.integers(0, 2**32 - 1), min_size=n_rows, max_size=n_rows, unique=True
+        ).map(tuple)
+    )
+    return QueryAnswer(tuple(f"c{i}" for i in range(n_cols)), groups, rows)
+
+
+@given(_answers())
+@settings(max_examples=200, deadline=None)
+def test_any_answer_round_trips_with_its_cell_types(answer):
+    # ``repr``, not ``==``: NaN cells compare unequal to themselves.
+    decoded = _through_the_wire(answer)
+    assert repr(decoded) == repr(answer)
+    assert [[type(c) for c in row] for row in decoded.rows] == [
+        [type(c) for c in row] for row in answer.rows
+    ]
+
+
+#: A result frame as the previous build sent it, answer columns as array
+#: blobs: ``QueryAnswer(("count", "avg"), (1, 2), ((3, 4.0), (2, 3.75)))``.
+_BLOB_COLUMN_RESULT = bytes.fromhex(
+    "494e43570206000000b30000006b7b22616e7377657273223a7b22636f6c73223a5b7b"
+    "225f5f6e645f5f223a307d2c7b225f5f6e645f5f223a317d5d2c22636f6c756d6e7322"
+    "3a5b22636f756e74222c22617667225d2c2267726f757073223a5b312c325d2c226b69"
+    "6e6473223a5b2269222c2266225d7d7d000203013c6938000000020000000000000010"
+    "0300000000000000020000000000000003013c66380000000200000000000000100000"
+    "0000000010400000000000000e40"
+)
+
+
+def test_a_result_frame_with_blob_columns_still_decodes():
+    [(frame_type, payload)] = wire.FrameDecoder().feed(_BLOB_COLUMN_RESULT)
+    decoded = wire.decode_answer(payload["answers"])
+    assert frame_type == "result"
+    assert decoded == QueryAnswer(("count", "avg"), (1, 2), ((3, 4.0), (2, 3.75)))
+    assert [type(c) for c in decoded.rows[0]] == [int, float]
+
+
+def _declared_blobs(frame: bytes) -> int:
+    (head_len,) = struct.unpack_from(">I", frame, _HEADER_SIZE)
+    return struct.unpack_from(">H", frame, _HEADER_SIZE + 4 + head_len)[0]
+
+
+def test_only_upload_frames_declare_blobs(monkeypatch):
+    """Every frame a served session puts on the wire, both directions:
+    an upload declares two blobs per batch, everything else none."""
+    sent = []
+    encode = wire.encode_frame
+
+    def recording(frame_type, payload=None):
+        frame = encode(frame_type, payload)
+        sent.append((frame_type, payload, frame))
+        return frame
+
+    monkeypatch.setattr(wire, "encode_frame", recording)
+    server = DatabaseServer(build_database())
+    with NetworkServer(server) as net:
+        with IncShrinkClient(*net.address) as client:
+            client.upload(1, batches_at(1), wait=True)
+            client.query(query_mix()[0])
+            client.query(query_mix()[0], epsilon=0.5)
+            client.stats()
+            with pytest.raises(wire.RemoteError):
+                client._request("query", {"query": {}}, expect="result")
+    server.stop()
+    assert {"upload", "upload_ok", "query", "result", "stats", "error"} <= {
+        frame_type for frame_type, _, _ in sent
+    }
+    for frame_type, payload, frame in sent:
+        expected = 2 * len(payload["batches"]) if frame_type == "upload" else 0
+        assert _declared_blobs(frame) == expected, frame_type
+
+
+def test_an_array_outside_an_upload_batch_is_refused():
+    with pytest.raises(wire.WireError, match="not JSON-serializable"):
+        wire.encode_frame("stats", {"arr": np.arange(3)})
+    with pytest.raises(wire.WireError, match="not JSON-serializable"):
+        wire.encode_frame("upload", {"time": 1, "extra": np.arange(3)})
+
+
+def _array_frame(arr: np.ndarray) -> bytes:
+    """An upload frame whose one batch carries ``arr`` as its rows: upload
+    batches are the only payload arrays travel in."""
+    return wire.encode_frame("upload", {"batches": [["t", {"rows": arr}]]})
+
+
+def _rows_of(payload: dict) -> np.ndarray:
+    return payload["batches"][0][1]["rows"]
+
+
 def test_blob_dtypes_round_trip_exactly():
     rng = np.random.default_rng(7)
     for dtype in _DTYPES:
@@ -137,9 +263,8 @@ def test_blob_dtypes_round_trip_exactly():
             arr = rng.integers(
                 info.min, int(info.max) + 1, size=shape, dtype=np.int64
             ).astype(dt)
-        blob = wire.encode_frame("stats", {"arr": arr})
-        _, payload = wire.read_frame(io.BytesIO(blob))
-        got = payload["arr"]
+        _, payload = wire.read_frame(io.BytesIO(_array_frame(arr)))
+        got = _rows_of(payload)
         assert got.dtype == dt
         assert got.shape == shape
         np.testing.assert_array_equal(got, arr)
@@ -147,10 +272,9 @@ def test_blob_dtypes_round_trip_exactly():
 
 def test_big_endian_arrays_normalized_to_little():
     arr = np.arange(6, dtype=">u4").reshape(2, 3)
-    blob = wire.encode_frame("stats", {"arr": arr})
-    _, payload = wire.read_frame(io.BytesIO(blob))
-    assert payload["arr"].dtype == np.dtype("<u4")
-    np.testing.assert_array_equal(payload["arr"], arr)
+    _, payload = wire.read_frame(io.BytesIO(_array_frame(arr)))
+    assert _rows_of(payload).dtype == np.dtype("<u4")
+    np.testing.assert_array_equal(_rows_of(payload), arr)
 
 
 def test_every_frame_type_round_trips_empty_payload():
@@ -163,7 +287,7 @@ def test_every_frame_type_round_trips_empty_payload():
 def test_object_dtype_rejected_by_binary_codec():
     arr = np.asarray([object()], dtype=object)
     with pytest.raises(wire.WireError, match="dtype"):
-        wire.encode_frame("stats", {"arr": arr})
+        _array_frame(arr)
 
 
 # -- hostile bytes against the pure decoder ------------------------------------
@@ -253,13 +377,13 @@ def test_non_object_json_body_rejected():
         wire.FrameDecoder().feed(blob)
 
 
-def _binary_frame_parts(payload: dict) -> tuple[bytes, bytes]:
-    blob = wire.encode_frame("stats", payload)
+def _binary_frame_parts(arr: np.ndarray) -> tuple[bytes, bytes]:
+    blob = _array_frame(arr)
     return blob[:_HEADER_SIZE], blob[_HEADER_SIZE:]
 
 
 def test_binary_envelope_trailing_bytes_rejected():
-    header, body = _binary_frame_parts({"arr": np.arange(4, dtype=np.uint32)})
+    header, body = _binary_frame_parts(np.arange(4, dtype=np.uint32))
     body += b"\x00"
     tampered = _valid_header(len(body))
     with pytest.raises(wire.WireError, match="trailing bytes"):
@@ -267,7 +391,7 @@ def test_binary_envelope_trailing_bytes_rejected():
 
 
 def test_binary_envelope_blob_size_mismatch_rejected():
-    header, body = _binary_frame_parts({"arr": np.arange(4, dtype=np.uint32)})
+    header, body = _binary_frame_parts(np.arange(4, dtype=np.uint32))
     tampered = bytearray(body)
     # Flip one byte of the blob's 8-byte length field (it sits right
     # before the final 16 raw bytes of the uint32[4] payload).
@@ -279,6 +403,13 @@ def test_binary_envelope_blob_size_mismatch_rejected():
 
 def test_binary_blob_reference_out_of_range_rejected():
     body = _envelope(b'{"arr":{"__nd__":3}}')
+    frame = _valid_header(len(body)) + body
+    with pytest.raises(wire.WireError, match="out of range"):
+        wire.FrameDecoder().feed(frame)
+
+
+def test_an_escaped_blob_reference_is_rejected_too():
+    body = _envelope(b'{"arr":{"\\u005f_nd__":0}}')
     frame = _valid_header(len(body)) + body
     with pytest.raises(wire.WireError, match="out of range"):
         wire.FrameDecoder().feed(frame)

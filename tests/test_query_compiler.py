@@ -10,6 +10,13 @@ AVG(shipments.sts) 3.0; grouped by orders.key over domain (1, 2, 3):
 counts (1, 1, 2), sums (2, 3, 7), avgs (2.0, 3.0, 3.5).
 """
 
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,6 +388,98 @@ class TestPlanCache:
         assert plan == expected
         assert plan.warm and not cold.warm
         assert 0 < plan.estimated_gates < cold.estimated_gates
+
+    def test_the_nm_plan_is_priced_once_per_base_store_size(
+        self, database, monkeypatch
+    ):
+        from repro.server import planner as bound
+
+        priced = []
+        price = bound.price_nm_join
+
+        def counting(*args):
+            priced.append(args[1:3])
+            return price(*args)
+
+        monkeypatch.setattr(bound, "price_nm_join", counting)
+        for _ in range(3):
+            assert database.planner.plan(query_of(COUNT)) == fresh_plan(
+                database, query_of(COUNT)
+            )
+        assert len(priced) == 1
+        feed(database, 5, [[5, 5]], [])
+        assert database.planner.plan(query_of(COUNT)) == fresh_plan(
+            database, query_of(COUNT)
+        )
+        assert len(priced) == 2 and priced[0] != priced[1]
+
+    def test_concurrent_readers_plan_at_the_sizes_they_read(self, database):
+        """Read sessions plan concurrently and may race to store the NM
+        price; whichever pair lands, every plan is the fresh plan."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for step in range(5, 9):
+                expected = fresh_plan(database, query_of(COUNT))
+                plans = []
+
+                def plan_many() -> None:
+                    plans.extend(
+                        database.planner.plan(query_of(COUNT)) for _ in range(50)
+                    )
+
+                threads = [threading.Thread(target=plan_many) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(plans) == 300
+                assert all(plan == expected for plan in plans)
+                feed(database, step, [[step, step]], [[step, step]])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_hash_memoised_in_another_process_is_not_carried_over(
+        self, database
+    ):
+        """``str`` hashes are salted per process: a query and its lowered
+        scan plan pickled by a process with another hash seed must hash
+        as this process's equal objects do, and hit both caches."""
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = (
+            "import pickle, sys\n"
+            "from repro.query.ast import GroupBySpec\n"
+            "from repro.query.rewrite import lower_to_view_scan\n"
+            "from test_query_compiler import COUNT, SUM_STS, make_view, query_of\n"
+            "q = query_of(COUNT, SUM_STS, group_by=GroupBySpec('orders', 'key', (1, 2)))\n"
+            "plan = lower_to_view_scan(q, make_view())\n"
+            "hash(q), hash(plan)\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash('orders'), q, plan)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)]),
+            },
+            capture_output=True,
+            check=True,
+        ).stdout
+        salt, query, plan = pickle.loads(out)
+        assert salt != hash("orders")  # the two processes hash differently
+        twin = query_of(COUNT, SUM_STS, group_by=GroupBySpec("orders", "key", (1, 2)))
+        assert hash(query) == hash(twin)
+        assert hash(plan) == hash(lower_to_view_scan(twin, make_view()))
+
+        database.query(twin, time=4)  # plans it, and warms its scan
+        hits = database.planner.cache_hits
+        database.planner.plan(query)
+        assert database.planner.cache_hits == hits + 1
+        view = database.views["full"].view
+        assert database.accumulator_cache.lookup(view, plan) is not None
 
     @given(
         st.lists(

@@ -392,7 +392,8 @@ PERSISTENCE_ROUNDS = 10
 
 
 def _tpcds_state(steps: int, checkpoint=None):
-    """The canonical three-view tpcds deployment in the shape the
+    """The canonical three-view tpcds deployment (returned whole: its
+    ``database`` and ``step_queries``) in the shape the
     ``tpcds-small`` benchmark checkpoints: ``steps`` steps of one upload
     and the four step queries, the fourth a tenant's ε-release, then a
     burst of :data:`PERSISTENCE_BURST` more of them — in
@@ -426,7 +427,7 @@ def _tpcds_state(steps: int, checkpoint=None):
         serve(queries[k % len(queries)], steps)
         if checkpoint is not None and (k + 1) % per_round == 0:
             checkpoint(db)
-    return db
+    return deployment
 
 
 def _container_shape(path: Path) -> dict:
@@ -450,7 +451,7 @@ def _snapshot_workload(steps: int):
     per uploaded batch, release or served query."""
     from repro.server.persistence import snapshot_database
 
-    db = _tpcds_state(steps)
+    db = _tpcds_state(steps).database
     scratch = tempfile.TemporaryDirectory()  # removed with the closure
     paths = (Path(scratch.name) / f"profile-{i}.snap" for i in itertools.count())
 
@@ -467,7 +468,7 @@ def _restore_workload(steps: int):
     from repro.server.persistence import restore_database, snapshot_database
 
     scratch = tempfile.TemporaryDirectory()
-    snapshot_database(_tpcds_state(steps), Path(scratch.name) / "profile.snap")
+    snapshot_database(_tpcds_state(steps).database, Path(scratch.name) / "profile.snap")
 
     def run() -> None:
         restore_database(Path(scratch.name) / "profile.snap")
@@ -503,6 +504,91 @@ def _restore_segments_workload(steps: int):
     return run
 
 
+#: Requests one ``served_request`` pass serves, cycling the step's four.
+SERVED_REQUESTS = 2_000
+#: Requests behind the ``served_request`` per-stage medians.
+SERVED_SAMPLES = 6_000
+
+
+def _blob_count(frame: bytes) -> int:
+    """The blob count a frame declares, read by the documented layout:
+    10-byte header, head length (u32), head, blob count (u16)."""
+    (head_len,) = struct.unpack_from(">I", frame, 10)
+    (n_blobs,) = struct.unpack_from(">H", frame, 14 + head_len)
+    return n_blobs
+
+
+def _served_request_workload(requests: int):
+    """One served warm query without the socket: encode query → frame
+    decode → ``decode_query`` → ``DatabaseServer.query`` →
+    ``encode_result`` → frame encode → client decode, on the
+    :data:`PERSISTENCE_STEPS`-step tpcds state, cycling the step's four
+    queries (the fourth an analyst's ε-release) and decoding a fresh
+    AST each time, as the server does.  The report is each stage's
+    median µs over :data:`SERVED_SAMPLES` requests and the blob count
+    each frame declares; ``rows`` counts requests."""
+    from repro.net import protocol as wire
+    from repro.server.runtime import DatabaseServer
+
+    deployment = _tpcds_state(PERSISTENCE_STEPS)
+    server = DatabaseServer(deployment.database)
+    *plain, release = deployment.step_queries
+    mix = [(query, None) for query in plain] + [(release, 0.01)]
+    server_side, client_side = wire.FrameDecoder(), wire.FrameDecoder()
+    clock = time.perf_counter
+
+    def serve(k: int, stamps: list | None) -> tuple[bytes, bytes]:
+        query, epsilon = mix[k % len(mix)]
+        t0 = clock()
+        request = wire.encode_frame(
+            "query",
+            {"query": wire.encode_query(query), "time": PERSISTENCE_STEPS,
+             "epsilon": epsilon},
+        )
+        t1 = clock()
+        [(_, payload)] = server_side.feed(request)
+        t2 = clock()
+        decoded = wire.decode_query(payload["query"])
+        t3 = clock()
+        result = server.query(
+            decoded, time=payload["time"], epsilon=payload["epsilon"],
+            tenant=None if epsilon is None else "analyst",
+        )
+        t4 = clock()
+        body = wire.encode_result(result)
+        t5 = clock()
+        response = wire.encode_frame("result", body)
+        t6 = clock()
+        [(_, answer)] = client_side.feed(response)
+        wire.decode_result(answer)
+        t7 = clock()
+        if stamps is not None:
+            stamps.append((t0, t1, t2, t3, t4, t5, t6, t7))
+        return request, response
+
+    stamps: list = []
+    for k in range(SERVED_SAMPLES):
+        request, response = serve(k, stamps)
+    stages = ("encode_query", "frame_decode", "decode_query", "server_query",
+              "encode_result", "frame_encode", "client_decode")
+    median_us = {
+        stage: round(statistics.median(s[i + 1] - s[i] for s in stamps) * 1e6, 1)
+        for i, stage in enumerate(stages)
+    }
+    median_us["whole"] = round(statistics.median(s[-1] - s[0] for s in stamps) * 1e6, 1)
+
+    def run() -> None:
+        for k in range(requests):
+            serve(k, None)
+
+    run.report = {
+        "stage_median_us": median_us,
+        "blobs": {"query": _blob_count(request), "result": _blob_count(response)},
+        "result_frame_bytes": len(response),
+    }
+    return run
+
+
 WORKLOADS = {
     "padded_scan": _scan_workload,
     "padded_scan_range": _range_scan_workload,
@@ -516,6 +602,7 @@ WORKLOADS = {
     "snapshot": _snapshot_workload,
     "restore": _restore_workload,
     "restore_segments": _restore_segments_workload,
+    "served_request": _served_request_workload,
 }
 
 #: Stages whose shape is the served one whatever ``--rows`` says.
@@ -526,6 +613,7 @@ FIXED_ROWS = {
     "snapshot": PERSISTENCE_STEPS,
     "restore": PERSISTENCE_STEPS,
     "restore_segments": PERSISTENCE_STEPS,
+    "served_request": SERVED_REQUESTS,
 }
 
 
@@ -639,6 +727,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, data in result["workloads"].items():
         if "head_bytes" in data:
             shape = f", {data['head_bytes']} B head, {data['arrays']} arrays"
+        elif "stage_median_us" in data:
+            shape = (
+                f", median µs per stage {data['stage_median_us']}, blobs "
+                f"{data['blobs']}, {data['result_frame_bytes']} B result frame"
+            )
         elif "segments" in data:
             shape = (
                 f", a base and {data['segments']} segments: {data['observations']} "
