@@ -12,7 +12,6 @@ Usage::
     python -m repro client --connect 127.0.0.1:9731 --stats
     python -m repro client --connect 127.0.0.1:9731 --count --epsilon 0.5
     python -m repro resume --snapshot deploy.snap
-    python -m repro upgrade-snapshot old-v3.snap deploy.snap
     python -m repro query --steps 24 --count --sum Returns:return_date \
         --group-by Sales:product_id:0,1,2,3
     python -m repro query --snapshot deploy.snap --json '{"aggregates": \
@@ -32,11 +31,8 @@ its observability surface, checkpoint, or reshard it remotely;
 continues its stream from where it stopped; ``query`` compiles one
 logical query (flag- or JSON-specified aggregates, GROUP BY, residual
 predicate) and runs it against a freshly built deployment or a restored
-snapshot; ``upgrade-snapshot`` converts a snapshot of an older format
-(the JSON documents of versions 1-3, the one-file containers of
-versions 4-7) into the checkpoint directory ``resume`` and ``query
---snapshot`` read; the named
-experiments print the corresponding paper table/figure.
+snapshot; the named experiments print the corresponding paper
+table/figure.
 
 A value the library rejects (a ``ConfigurationError``) ends the command
 with its one-line message and exit status 1, never a traceback.
@@ -80,7 +76,6 @@ from .query.ast import (
 )
 from .server.persistence import restore_database
 from .server.runtime import DatabaseServer
-from .server.snapshot_upgrade import upgrade_snapshot
 
 _BOTH_DATASET_EXPERIMENTS = {
     "figure5": (figure5.run_figure5, figure5.format_figure5),
@@ -277,13 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_scan_backend_flag(res)
     _add_incremental_flag(res)
-
-    up = sub.add_parser(
-        "upgrade-snapshot",
-        help="convert a format v1-v7 snapshot to a checkpoint directory",
-    )
-    up.add_argument("old", metavar="OLD", help="the old snapshot to read")
-    up.add_argument("new", metavar="NEW", help="where to write the converted snapshot")
 
     qp = sub.add_parser(
         "query",
@@ -925,18 +913,6 @@ def _cmd_query(args) -> None:
     print(_format_answer_table(result))
 
 
-def _cmd_upgrade_snapshot(args) -> None:
-    _check_snapshot_target(args.new)
-    try:
-        info = upgrade_snapshot(args.old, args.new)
-    except PersistenceError as exc:
-        raise SystemExit(f"cannot upgrade snapshot: {exc}")
-    print(
-        f"upgraded {args.old} -> {info.path}: {info.bytes_written} bytes, "
-        f"sha256 {info.sha256}"
-    )
-
-
 def _cmd_client(args) -> None:
     host, port = _parse_listen(args.connect, flag="--connect")
     if args.reshard is not None and args.reshard < 1:
@@ -1071,8 +1047,6 @@ def _run(args) -> None:
         _cmd_serve(args)
     elif args.command == "resume":
         _cmd_resume(args)
-    elif args.command == "upgrade-snapshot":
-        _cmd_upgrade_snapshot(args)
     elif args.command == "query":
         _cmd_query(args)
     elif args.command == "client":

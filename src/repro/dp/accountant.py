@@ -89,7 +89,7 @@ class PrivacyAccountant:
     # ``(events, n, query_total, tenant_totals)``: the totals over
     # ``events[:n]`` of that very list.  Counting on from the log's own
     # length keeps a direct ``events.append`` correct; a replaced list
-    # (``restore_state``) recounts from zero.  Each total is the same
+    # (``restore_events``) recounts from zero.  Each total is the same
     # left-to-right float additions a fresh walk over ``events`` makes,
     # so the running answer equals the recomputed one to the last bit.
     # One tuple holding a never-mutated dict, replaced whole: readers
@@ -115,14 +115,6 @@ class PrivacyAccountant:
         budget (the Shrinkwrap/DP-Sync durability argument).
         """
         return [(e.name, e.epsilon, e.segment) for e in self.events]
-
-    def restore_state(self, events: list[tuple[str, float, Hashable]]) -> None:
-        self.restore_events(
-            [
-                MechanismEvent(str(name), float(epsilon), segment)
-                for name, epsilon, segment in events
-            ]
-        )
 
     def restore_events(self, events: list[MechanismEvent]) -> None:
         """Adopt ``events``, oldest first, as the log: a checkpoint's

@@ -93,10 +93,15 @@ Replay costs each segment one small head parse and its array suffixes;
 every array is joined once, and only the last segment's small mutable
 state is applied.
 
-What a crash can still lose: ε spent after the last commit.  A release
-made since is gone from the restored ledger, and so is the answer it
-paid for; closing that window needs a durable ε journal written before
-each answer leaves, which this module does not keep.
+A checkpoint is the only durable record: a restore is the state at the
+last commit, and everything the process did after it is gone.  That is
+more than lost work.  A release made since the commit has left with its
+answer, yet the restored ledger no longer charges its ε; the query-noise
+generator is rewound, so the next release after the restore draws the
+same noise again; and every upload the server acknowledged since the
+commit is lost, for its owners to resend.  Closing that window needs a
+write-ahead log of uploads and releases, replayed past the last commit
+(ROADMAP item 18), which this module does not keep.
 
 Every log that grows with the stream is written as **columns**, so
 neither the array count nor a head grows with it (only the digits of
@@ -119,10 +124,11 @@ by one.  An accountant event's segment is ``(label, number)`` or
 ``(label, number, "tenant", id)``; an event over any other is refused
 before any file is created.
 
-Checkpoints of format versions 1–7 are not read here: ``python -m repro
-upgrade-snapshot OLD NEW`` (:mod:`repro.server.snapshot_upgrade`)
-converts one offline — through :func:`_rebuild`'s checks, then this
-writer.
+This build reads format 8 and nothing else.  A file at ``PATH``, or a
+base of any other version, is refused naming its version (versions 1–3
+were one JSON document, 4–7 one file holding both servers' halves);
+none of them was released.  The change that writes version 9 adds one
+``v8 → v9`` function and the subcommand that runs it.
 
 What is deliberately **not** persisted: the adversary-observable
 transcript and the per-protocol run ledger (append-only observation
@@ -166,13 +172,12 @@ from ..storage.outsourced_table import OutsourcedTable
 from .database import IncShrinkDatabase, ViewRegistration
 from .scheduler import TransformGroup
 
-#: File magic — identifies a checkpoint's base (and every older container).
+#: File magic — identifies a checkpoint's base.
 SNAPSHOT_MAGIC = b"incshrink-snapshot"
 #: Starts every segment appended after a base.
 SEGMENT_MAGIC = b"incshrink-segment"
-#: Bump on any incompatible change to the files or the body layout.  Only
-#: :mod:`repro.server.snapshot_upgrade` reads older versions: 1–3 were
-#: JSON documents, 4–7 one container file holding both servers' halves.
+#: Bump on any incompatible change to the files or the body layout; a
+#: restore refuses every other version.
 SNAPSHOT_VERSION = 8
 #: A checkpoint's files, in the order a checkpoint writes them: ``public``
 #: last, its commit record naming the other three.
@@ -182,9 +187,7 @@ CHECKPOINT_FILES = ("party0", "party1", "trusted", "public")
 STAGING_SUFFIX = ".incshrink-new"
 RETIRED_SUFFIX = ".incshrink-old"
 
-#: magic, format version, head length — how every container starts.
-_PREAMBLE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQ")
-#: ... and a base goes on with its array section's length.
+#: magic, format version, head length, array length — how a base starts.
 _BASE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQQ")
 #: magic, head length, array length, check.
 _SEGMENT = struct.Struct(f">{len(SEGMENT_MAGIC)}sQQ8s")
@@ -1070,16 +1073,6 @@ def _write_base(path: str, body: dict, created_at: float) -> dict[str, tuple[int
     return committed
 
 
-def _base_receipt(path: str, committed: dict, created_at: float, kind: str = "base"):
-    return SnapshotInfo(
-        path=path,
-        bytes_written=sum(length for length, _ in committed.values()),
-        sha256=committed["public"][1].hex(),
-        created_at=created_at,
-        kind=kind,
-    )
-
-
 @dataclass
 class _Chain:
     """One checkpoint directory as this process last wrote or read it."""
@@ -1201,40 +1194,44 @@ def _integrity_error(path: str, why: str = "") -> PersistenceError:
     )
 
 
-def _upgrade_message(path: str, version: int) -> PersistenceError:
-    return PersistenceError(
-        f"snapshot {path!r} has format version {version}, which this build "
-        f"reads only to convert: run `python -m repro upgrade-snapshot "
-        f"{path} NEW` and restore NEW"
-    )
-
-
-def _refuse_file(path: str) -> PersistenceError:
-    """Why the file at ``path`` is not a checkpoint: an older format, one
-    file of a checkpoint, or something else."""
-    with open(path, "rb") as fh:
-        preamble = fh.read(_PREAMBLE.size)
-    if preamble[:1] == b"{":
-        return PersistenceError(
-            f"snapshot {path!r} is a JSON document, the snapshot format "
-            f"of versions 1-3, which this build reads only to convert: "
-            f"run `python -m repro upgrade-snapshot {path} NEW` and "
-            "restore NEW"
-        )
-    if len(preamble) < _PREAMBLE.size or not preamble.startswith(SNAPSHOT_MAGIC):
-        return PersistenceError(f"{path!r} is not an IncShrink snapshot")
-    version = _PREAMBLE.unpack(preamble)[1]
-    if version < SNAPSHOT_VERSION:
-        return _upgrade_message(path, version)
-    if version == SNAPSHOT_VERSION:
-        return PersistenceError(
-            f"{path!r} is one file of a checkpoint: restore the directory "
-            "that holds it"
-        )
+def _version_error(path: str, version: int) -> PersistenceError:
     return PersistenceError(
         f"snapshot {path!r} has format version {version}; this build "
         f"reads version {SNAPSHOT_VERSION}"
     )
+
+
+def _refuse_file(path: str) -> PersistenceError:
+    """Why the file at ``path`` is not a checkpoint: one file of a
+    checkpoint, a snapshot of another version, or something else."""
+    with open(path, "rb") as fh:
+        preamble = fh.read(_BASE.size)
+        if preamble[:1] == b"{":  # versions 1-3 were one JSON document
+            version = _document_version(preamble + fh.read())
+            if version is not None:
+                return _version_error(path, version)
+    if len(preamble) == _BASE.size and preamble.startswith(SNAPSHOT_MAGIC):
+        version = _BASE.unpack(preamble)[1]
+        if version == SNAPSHOT_VERSION:
+            return PersistenceError(
+                f"{path!r} is one file of a checkpoint: restore the directory "
+                "that holds it"
+            )
+        return _version_error(path, version)
+    return PersistenceError(f"{path!r} is not an IncShrink snapshot")
+
+
+def _document_version(raw: bytes) -> int | None:
+    """The format version a JSON snapshot document declares, if ``raw``
+    is one."""
+    try:
+        document = json.loads(raw)
+    except (ValueError, RecursionError):  # incl. invalid UTF-8
+        return None
+    if not isinstance(document, dict) or document.get("magic") != SNAPSHOT_MAGIC.decode():
+        return None
+    version = document.get("version")
+    return version if type(version) is int else None
 
 
 def _read_entry(fh, path: str, digest, head_len: int, array_len: int, end: int) -> dict:
@@ -1304,22 +1301,13 @@ def _read_chain(path: str, committed: list | None) -> _FileChain:
         preamble = fh.read(_BASE.size)
         if preamble[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
             raise PersistenceError(f"{path!r} is not an IncShrink snapshot")
-        if len(preamble) >= _PREAMBLE.size:
-            version = _PREAMBLE.unpack_from(preamble)[1]
-            if version != SNAPSHOT_VERSION:
-                raise (
-                    _upgrade_message(path, version)
-                    if version < SNAPSHOT_VERSION
-                    else PersistenceError(
-                        f"snapshot {path!r} has format version {version}; "
-                        f"this build reads version {SNAPSHOT_VERSION}"
-                    )
-                )
         if committed is not None and end > st.st_size:
             raise _not_committed(path)
         if len(preamble) < _BASE.size:
             raise _integrity_error(path, f"cut: {st.st_size} bytes on disk")
-        _, _, head_len, array_len = _BASE.unpack(preamble)
+        _, version, head_len, array_len = _BASE.unpack(preamble)
+        if version != SNAPSHOT_VERSION:
+            raise _version_error(path, version)
         base_end = _BASE.size + head_len + array_len
         if base_end + _DIGEST_BYTES > end:
             raise _integrity_error(
@@ -1447,7 +1435,13 @@ def snapshot_database(
     marks = _Marks(key)
     body = _snapshot_body(db, metadata, marks)
     committed = _write_base(path, body, created_at)
-    info = _base_receipt(path, committed, created_at, "compaction" if compacting else "base")
+    info = SnapshotInfo(
+        path=path,
+        bytes_written=sum(length for length, _ in committed.values()),
+        sha256=committed["public"][1].hex(),
+        created_at=created_at,
+        kind="compaction" if compacting else "base",
+    )
     chains[key] = _Chain.of(
         db,
         marks,
@@ -1482,7 +1476,17 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
     except OSError as exc:
         raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
     body = _join([_replayed(files[name]) for name in CHECKPOINT_FILES])
-    db, metadata = _applied(body, path)
+    try:
+        db = _rebuild(body)
+        metadata = json.loads(body["metadata"])
+        if not isinstance(metadata, dict):
+            raise PersistenceError("snapshot metadata is not a JSON object")
+    except PersistenceError:
+        raise
+    except Exception as exc:  # malformed-but-authentic bodies
+        raise PersistenceError(
+            f"snapshot {path!r} decoded but could not be applied: {exc}"
+        ) from exc
     segments = len(files["public"].heads) - 1
     if directory == path:
         marks = _Marks(os.path.abspath(path), writes=False)
@@ -1507,23 +1511,6 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
         discarded_bytes=sum(f.identity[2] - f.length for f in files.values()),
     )
     return RestoredDatabase(database=db, metadata=metadata, info=info)
-
-
-def _applied(body: dict, path: str) -> tuple[IncShrinkDatabase, dict]:
-    """The database and the caller's metadata a checked ``body`` describes,
-    rebuilt through every restore check."""
-    try:
-        db = _rebuild(body)
-        metadata = json.loads(body["metadata"])
-        if not isinstance(metadata, dict):
-            raise PersistenceError("snapshot metadata is not a JSON object")
-    except PersistenceError:
-        raise
-    except Exception as exc:  # malformed-but-authentic bodies
-        raise PersistenceError(
-            f"snapshot {path!r} decoded but could not be applied: {exc}"
-        ) from exc
-    return db, metadata
 
 
 def _rebuild(body: dict) -> IncShrinkDatabase:

@@ -19,6 +19,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_docs import (  # noqa: E402 (path bootstrap above)
     DOCS_DIR,
+    check_cli_commands,
     check_imports,
     check_links,
     heading_anchors,
@@ -69,6 +70,24 @@ def test_a_deleted_name_in_a_python_block_is_reported(tmp_path):
         f"{page}:2: cannot import repro.Vanished",
         f"{page}:7: cannot import repro.gone",
     ]
+
+
+def test_fenced_cli_commands_name_defined_subcommands():
+    assert check_cli_commands() == []
+
+
+def test_a_missing_subcommand_in_a_fenced_block_is_reported(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Prose may say python -m repro vanish-everything.\n\n"
+        "```bash\n"
+        "python -m repro serve --steps 4 --snapshot d.snap\n"
+        "python -m repro --help\n"
+        "PYTHONPATH=src python3 -m repro vanish-everything OLD NEW\n"
+        "```\n",
+        encoding="utf8",
+    )
+    assert check_cli_commands([page]) == [f"{page}:6: no subcommand 'vanish-everything'"]
 
 
 def test_link_anchors_must_name_a_heading(tmp_path):

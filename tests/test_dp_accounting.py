@@ -136,8 +136,8 @@ class TestRunningTotals:
         # A restore replaces the log; into the same accountant (whose
         # running state describes the old log) and into a fresh one.
         fresh = PrivacyAccountant()
-        fresh.restore_state(acc.snapshot_state())
-        acc.restore_state(acc.snapshot_state()[: len(first) // 2])
+        fresh.restore_events([MechanismEvent(*e) for e in acc.snapshot_state()])
+        acc.restore_events(acc.events[: len(first) // 2])
         assert_running_equals_recomputed(acc)
         for restored in (acc, fresh):
             apply_spends(restored, second, seq)

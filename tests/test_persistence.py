@@ -8,9 +8,7 @@ to the uninterrupted run and report the identical ``realized_epsilon()``
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -28,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.common.column_log import InRange, Increasing, Positive, Tiles
 from repro.common.errors import PersistenceError
-from repro.common.metrics import STEP_FIELDS, QueryObservation
+from repro.common.metrics import QueryObservation
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.query.ast import (
@@ -45,11 +43,9 @@ from repro.server.persistence import (
     restore_database,
     snapshot_database,
 )
-from repro.server.snapshot_upgrade import upgrade_snapshot
 
 from test_storage import assert_counters_exact
 
-GOLDEN_V3 = Path(__file__).parent / "golden" / "snapshot_v3.snap"
 #: Bytes that are neither a snapshot nor decodable text.
 NOT_UTF8 = b"\xae\xff\x00\x01" * 40
 
@@ -419,9 +415,7 @@ def test_accountant_segments_of_other_shapes_are_refused(tmp_path, segment):
 
 
 # -- the checkpoint files, read by their documented layout and not through the module
-#: magic, version, head length: how the one-file containers of versions 4–7 start
-_PREAMBLE = struct.Struct(">18sHQ")
-#: ... and a version 8 base goes on with its array section's length
+#: magic, version, head length, array length: how a base starts
 _BASE = struct.Struct(">18sHQQ")
 #: magic, head length, array length, check
 _SEGMENT = struct.Struct(">17sQQ8s")
@@ -482,187 +476,12 @@ def write_container(
     Path(path).write_bytes(payload + trailer)
 
 
-def write_old_container(path, head: dict, arrays: bytes, version: int) -> None:
-    """Assemble a one-file container of versions 4–7."""
-    text = json.dumps(head, separators=(",", ":")).encode("utf8")
-    payload = _PREAMBLE.pack(SNAPSHOT_MAGIC, version, len(text)) + text + arrays
-    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
-
-
 def copy_checkpoint(source, target) -> Path:
     target = Path(target)
     target.mkdir()
     for name in FILES:
         (target / name).write_bytes((Path(source) / name).read_bytes())
     return target
-
-
-def write_legacy_json(path, db, version: int, edit=lambda body: None) -> None:
-    """Write ``db``'s state to ``path`` as the JSON document (base64
-    arrays, sorted-keys body digest, one ``shared_tables`` entry per
-    uploaded batch) that format ``version`` was; ``edit`` takes out of the
-    body what that version did not have yet."""
-    body = per_batch_body(db)
-    pool, index = [], {}
-
-    def ref(table) -> int:
-        if id(table) not in index:
-            index[id(table)] = len(pool)
-            pool.append(
-                {
-                    "fields": list(table.schema.fields),
-                    "rows": {"s0": table.rows.share0, "s1": table.rows.share1},
-                    "flags": {"s0": table.flags.share0, "s1": table.flags.share1},
-                }
-            )
-        return index[id(table)]
-
-    for entry in body["tables"].values():
-        for batch in entry["batches"]:
-            batch["table"] = ref(batch["table"])
-    for group in body["groups"]:
-        for batch in group["probe_scope"] + group["driver_scope"]:
-            batch["table"] = ref(batch["table"])
-    for entry in body["views"]:
-        entry["cache"] = ref(entry["cache"])
-        entry["view"]["shards"] = [ref(t) for t in entry["view"]["shards"]]
-    body["shared_tables"] = pool
-
-    def deflate(node):
-        if isinstance(node, list):
-            return [deflate(item) for item in node]
-        if isinstance(node, dict):
-            return {key: deflate(value) for key, value in node.items()}
-        if isinstance(node, np.ndarray):  # the old formats knew row-major only
-            return {
-                "dtype": str(node.dtype),
-                "shape": list(node.shape),
-                "data": base64.b64encode(np.ascontiguousarray(node)).decode("ascii"),
-            }
-        return node
-
-    body = deflate(body)
-    edit(body)
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    document = {
-        "magic": "incshrink-snapshot",
-        "version": version,
-        "sha256": hashlib.sha256(canonical.encode("utf8")).hexdigest(),
-        "created_at": 1234.5,
-        "body": body,
-    }
-    Path(path).write_text(json.dumps(document), encoding="utf8")
-
-
-def legacy_segment(segment):
-    """An accountant segment as versions 1–6 wrote it."""
-    if isinstance(segment, tuple):
-        return {"tuple": [legacy_segment(s) for s in segment]}
-    return {"value": segment}
-
-
-def legacy_metric_log(log) -> dict:
-    """A metric log as versions 1–6 wrote it."""
-    return {
-        "queries": [list(q) for q in zip(*(c.tolist() for c in log.queries.view().values()))],
-        **{field: log.column(field).tolist() for field, _ in STEP_FIELDS},
-    }
-
-
-def per_batch_body(db: IncShrinkDatabase) -> dict:
-    """``db``'s state as the body of format versions 1–5 before their pool
-    indices: one entry per uploaded batch in every table log, every group
-    scope (the same share object as the log's), every ledger and the
-    logical mirror, and the accountant and metric logs as JSON."""
-    body = persistence._snapshot_body(db, {})
-    pool = persistence._decode_table_pool(body.pop("shared_tables"))
-    for entry in body["views"]:
-        entry["cache"] = pool[entry["cache"]]
-        entry["view"]["shards"] = [pool[i] for i in entry["view"]["shards"]]
-    body["metadata"] = {}
-    body["logical"] = {
-        name: {
-            "fields": entry["fields"],
-            "times": entry["times"].tolist(),
-            "batches": [
-                entry["rows"][a:b]
-                for a, b in itertools.pairwise(
-                    np.concatenate([[0], np.cumsum(entry["lengths"])])
-                )
-            ],
-        }
-        for name, entry in body["logical"].items()
-    }
-    body["accountant"] = [
-        [name, eps, legacy_segment(segment)]
-        for name, eps, segment in db.accountant.snapshot_state()
-    ]
-    body["metrics"] = legacy_metric_log(db.metrics)
-    for entry, vr in zip(body["views"], db.views.values()):
-        entry["metrics"] = legacy_metric_log(vr.metrics)
-    batches = {
-        name: [store.batch(k) for k in range(store.n_batches)]
-        for name, store in db.tables.items()
-    }
-    body["tables"] = {
-        name: {
-            "schema": list(store.schema.fields),
-            "batches": [
-                {
-                    "time": int(time),
-                    "table": table,
-                    "invocations_used": 0,
-                    "emitted": np.zeros(len(table), dtype=np.int64),
-                }
-                for time, table in zip(store.times, batches[name])
-            ],
-        }
-        for name, store in db.tables.items()
-    }
-    body["groups"] = []
-    for group in db.groups.values():
-        entry = {"signature": list(group.signature)}
-        per_table = {}
-        for log, key in ((group.probe_log, "probe_scope"), (group.driver_log, "driver_scope")):
-            columns = group.ledger.snapshot_state(log.name)
-            starts = log.starts
-            per_table[log.name] = [
-                {
-                    "time": int(time),
-                    "table": table,
-                    "invocations_used": int(columns["uses"][k]),
-                    "emitted": columns["emitted"][starts[k] : starts[k + 1]].copy(),
-                    "invocations": columns["invocations"][k, : columns["uses"][k]].tolist(),
-                }
-                for k, (time, table) in enumerate(zip(log.times, batches[log.name]))
-            ]
-            entry[key] = [
-                {k: b[k] for k in ("time", "table", "invocations_used", "emitted")}
-                for b in per_table[log.name]
-            ]
-        # The ledger listed the batches in upload order: each step's
-        # batches in the order the step lists their tables.
-        ledger_groups = sorted(
-            (
-                {
-                    "table": name,
-                    "time": b["time"],
-                    "n_rows": len(b["emitted"]),
-                    "emitted": b["emitted"],
-                    "invocations": b["invocations"],
-                }
-                for name in db.tables
-                for b in per_table[name]
-            ),
-            key=lambda g: g["time"],
-        )
-        entry["ledger"] = {
-            "omega": group.ledger.omega,
-            "budget": group.ledger.budget,
-            "groups": ledger_groups,
-        }
-        body["groups"].append(entry)
-    return body
 
 
 @pytest.fixture
@@ -729,9 +548,63 @@ class TestIntegrity:
         with pytest.raises(PersistenceError, match="restore the directory"):
             restore_database(path / "public")
 
-    def test_json_document_snapshot_names_the_upgrade_command(self, never_rebuilt):
-        with pytest.raises(PersistenceError, match="repro upgrade-snapshot"):
-            restore_database(GOLDEN_V3)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_json_document_is_refused_naming_its_version(
+        self, tmp_path, never_rebuilt, version
+    ):
+        """Versions 1-3 were one JSON document; this build reads none."""
+        path = tmp_path / "old.snap"
+        document = {"magic": "incshrink-snapshot", "version": version, "body": {}}
+        path.write_text(json.dumps(document), encoding="utf8")
+        with pytest.raises(
+            PersistenceError, match=f"format version {version}; this build reads version 8"
+        ):
+            restore_database(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9])
+    def test_a_base_of_another_version_is_refused_naming_it(
+        self, tmp_path, never_rebuilt, version
+    ):
+        """Any other version, as a checkpoint's ``public`` base or as one
+        file (the one-file containers of versions 4-7)."""
+        path = self._snapshot(tmp_path)
+        head, arrays, _ = read_container(path)
+        write_container(path / "public", head, arrays, version=version)
+        write_container(tmp_path / "one.snap", head, arrays, version=version)
+        for target in (path, tmp_path / "one.snap"):
+            with pytest.raises(
+                PersistenceError,
+                match=f"format version {version}; this build reads version 8",
+            ):
+                restore_database(target)
+
+    @pytest.mark.parametrize("command", ["resume", "query"])
+    @pytest.mark.parametrize("version", [3, 7, 9])
+    def test_the_cli_refuses_another_version_in_one_line(
+        self, tmp_path, never_rebuilt, command, version
+    ):
+        """``resume`` and ``query`` end in one line naming the version: a
+        JSON document (v3), a one-file container (v7), a checkpoint whose
+        base is from a later build (v9)."""
+        from repro.__main__ import main
+
+        if version == 3:
+            target = tmp_path / "old.snap"
+            document = {"magic": "incshrink-snapshot", "version": version, "body": {}}
+            target.write_text(json.dumps(document), encoding="utf8")
+        else:
+            path = self._snapshot(tmp_path)
+            head, arrays, _ = read_container(path)
+            target = path if version == 9 else tmp_path / "one.snap"
+            write_container(
+                path / "public" if version == 9 else target, head, arrays, version=version
+            )
+        argv = [command, "--snapshot", str(target)]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + (["--count"] if command == "query" else []))
+        [line] = str(exited.value.code).splitlines()
+        assert line.startswith("cannot restore snapshot: ")
+        assert line.endswith(f"format version {version}; this build reads version 8")
 
     def test_tampered_body_fails_digest(self, tmp_path, never_rebuilt):
         """A refund with a recomputed head but the stale trailer."""
@@ -996,7 +869,7 @@ def test_restore_is_plan_cache_free(tmp_path):
     assert after.plan == before.plan  # replanning lands on the same plan
 
 
-# -- snapshot format v2: shard layout round-trip and v1 upgrade ---------------
+# -- sharded deployments: the shard layout round-trips -------------------------
 def build_sharded_database(n_shards: int) -> IncShrinkDatabase:
     db = IncShrinkDatabase(total_epsilon=2000.0, seed=7, n_shards=n_shards)
     db.register_view(
@@ -1045,128 +918,18 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
     assert answer_mix(restored, 4) == expected
     assert fingerprint(restored) == fingerprint(db)
 
-
-def _downgrade_to_v1(path: Path, db: IncShrinkDatabase) -> None:
-    """Write a single-shard database in the historical v1 layout."""
-
-    def strip(body: dict) -> None:
-        assert body["config"].pop("n_shards") == 1
-        body["config"]["cost_model"].pop("max_parallel_workers")
-        for view_entry in body["views"]:
-            shards = view_entry["view"].pop("shards")
-            assert len(shards) == 1
-            view_entry["view"]["table"] = shards[0]
-        # v1 also predates the query compiler and tenancy
-        del body["rng"]["query_noise"], body["tenant_budgets"]
-
-    write_legacy_json(path, db, 1, strip)
+    # Reshard the restored deployment in place: answers and ε hold.
+    restored.reshard(2)
+    assert all(vr.view.n_shards == 2 for vr in restored.views.values())
+    assert answer_mix(restored, 4) == expected
+    assert fingerprint(restored)["realized"] == fingerprint(db)["realized"]
 
 
-def test_v1_snapshot_upgrade_roundtrip(tmp_path):
-    """A pre-sharding (v1) snapshot, once through ``upgrade-snapshot``,
-    restores as one shard, continues the stream byte-identically, and can
-    be resharded in place afterwards."""
-    n_steps = len(SCRIPT)
-    uninterrupted = build_database()
-    for t in range(1, n_steps + 1):
-        feed(uninterrupted, t)
-    expected_answers = answer_mix(uninterrupted, n_steps)
-
-    interrupted = build_database()
-    for t in range(1, 3):
-        feed(interrupted, t)
-    path = tmp_path / "legacy.snap"
-    _downgrade_to_v1(path, interrupted)
-    with pytest.raises(PersistenceError, match="upgrade-snapshot"):
-        restore_database(path)
-    upgrade_snapshot(path, tmp_path / "upgraded.snap")
-
-    restored = restore_database(tmp_path / "upgraded.snap").database
-    assert restored.n_shards == 1
-    assert restored.tenant_budgets == {}
-    # No noisy query was ever released: the stream a new database starts
-    # with, which is what the old reader left in place.
-    assert (
-        restored.query_noise_gen.bit_generator.state
-        == IncShrinkDatabase(total_epsilon=1.0).query_noise_gen.bit_generator.state
-    )
-    for t in range(3, n_steps + 1):
-        feed(restored, t)
-    assert answer_mix(restored, n_steps) == expected_answers
-    assert fingerprint(restored) == fingerprint(uninterrupted)
-
-    # In-place upgrade: reshard the restored deployment, answers fixed.
-    restored.reshard(4)
-    assert answer_mix(restored, n_steps) == expected_answers
-    assert all(vr.view.n_shards == 4 for vr in restored.views.values())
-    assert fingerprint(restored)["realized"] == fingerprint(uninterrupted)["realized"]
-
-
-def test_upgrader_converts_a_real_v3_file(tmp_path):
-    """``tests/golden/snapshot_v3.snap`` was written by the last commit
-    whose writer produced JSON documents, from the state rebuilt here."""
-    live = build_database()
-    feed(live, 1)
-    feed(live, 2)
-    live.set_tenant_budgets({"ana": 1.0})
-    live.query(multi_query(), 2, epsilon=0.6, tenant="ana")
-
-    info = upgrade_snapshot(GOLDEN_V3, tmp_path / "up.snap")
-    old = json.loads(GOLDEN_V3.read_text(encoding="utf8"))
-    assert info.created_at == old["created_at"]
-    restored = restore_database(tmp_path / "up.snap")
-    assert restored.info == info
-    assert restored.metadata == {"last_time": 2, "note": "golden v3"}
-    db = restored.database
-    assert db.tenant_budgets == {"ana": 1.0}
-    assert db.tenant_epsilons() == live.tenant_epsilons()
-    assert fingerprint(db) == fingerprint(live)
-    # the noise stream and the rest of the script continue identically
-    assert (
-        db.query(multi_query(), 2, epsilon=0.3, tenant="ana").answers
-        == live.query(multi_query(), 2, epsilon=0.3, tenant="ana").answers
-    )
-    for t in range(3, len(SCRIPT) + 1):
-        feed(db, t)
-        feed(live, t)
-    assert answer_mix(db, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
-    assert fingerprint(db) == fingerprint(live)
-
-
-def test_upgrader_refuses_what_it_cannot_vouch_for(tmp_path):
-    current = tmp_path / "current.snap"
-    db = build_database()
-    feed(db, 1)
-    snapshot_database(db, current)
-    with pytest.raises(PersistenceError, match="already in the current format"):
-        upgrade_snapshot(current, tmp_path / "out.snap")
-
-    tampered = json.loads(GOLDEN_V3.read_text(encoding="utf8"))
-    tampered["body"]["accountant"] = []
-    (tmp_path / "tampered.snap").write_text(json.dumps(tampered), encoding="utf8")
-    with pytest.raises(PersistenceError, match="integrity check"):
-        upgrade_snapshot(tmp_path / "tampered.snap", tmp_path / "out.snap")
-
-    (tmp_path / "binary.snap").write_bytes(NOT_UTF8)
-    with pytest.raises(PersistenceError, match="not valid JSON"):
-        upgrade_snapshot(tmp_path / "binary.snap", tmp_path / "out.snap")
-    assert not (tmp_path / "out.snap").exists()
-
-
-# -- container versions 4 to 8, column-major view shards, columnar logs --------
-GOLDEN_V4 = Path(__file__).parent / "golden" / "snapshot_v4.snap"
-GOLDEN_V5 = Path(__file__).parent / "golden" / "snapshot_v5.snap"
-#: ``golden_v4_state()`` as written by the last writer that kept a list
-#: of batch objects per upload log and per group scope.
-GOLDEN_V6 = Path(__file__).parent / "golden" / "snapshot_v6.snap"
-#: ``golden_v4_state()`` with the v6 golden's ``created_at``, as written
-#: by the last writer of format 7, the last one-file format.
-GOLDEN_V7 = Path(__file__).parent / "golden" / "snapshot_v7.snap"
+# -- the v8 golden, column-major view shards, columnar logs --------------------
 #: ``golden_v8_states()``, checkpointed by the first writer of format 8:
-#: a base of the first state with the v7 golden's ``created_at``, then
-#: one segment of the second.
+#: a base of the first state, then one segment of the second.
 GOLDEN_V8 = Path(__file__).parent / "golden" / "snapshot_v8"
-#: What every container golden carries as the caller's metadata.
+#: What the v8 golden's base carries as the caller's metadata.
 GOLDEN_METADATA = {"last_time": 3, "note": "golden v4"}
 #: ... and what the v8 golden's segment carries.
 GOLDEN_V8_SEGMENT_METADATA = {"last_time": 4, "note": "golden v8 segment"}
@@ -1197,35 +960,19 @@ def column_major_entries(path) -> list[dict]:
     return [e for e in array_entries(path) if "order" in e]
 
 
-def golden_v4_state() -> IncShrinkDatabase:
-    """The state ``tests/golden/snapshot_v4.snap`` was written from, by the
-    last commit whose writer produced version-4 containers, and
-    ``snapshot_v5.snap`` — with the same ``created_at`` and metadata — by
-    the last that produced version 5."""
+def query_gates(db: IncShrinkDatabase) -> list[int]:
+    return [run.gates for run in db.runtime.runs if run.name.startswith("query")]
+
+
+def golden_v8_states():
+    """What the v8 golden's base and segment hold: three shards, three
+    steps and a tenant's release, then the same deployment a step and a
+    release later."""
     live = build_sharded_database(3)
     for t in (1, 2, 3):
         feed(live, t)
     live.set_tenant_budgets({"ana": 1.0})
     live.query(multi_query(), 3, epsilon=0.6, tenant="ana")
-    return live
-
-
-def query_gates(db: IncShrinkDatabase) -> list[int]:
-    return [run.gates for run in db.runtime.runs if run.name.startswith("query")]
-
-
-GOLDEN_CONTAINERS = [
-    pytest.param(4, GOLDEN_V4, id="v4"),
-    pytest.param(5, GOLDEN_V5, id="v5"),
-    pytest.param(6, GOLDEN_V6, id="v6"),
-    pytest.param(7, GOLDEN_V7, id="v7"),
-]
-
-
-def golden_v8_states():
-    """``golden_v4_state()``, then the same deployment a step and a
-    tenant's release later: what the v8 golden's base and segment hold."""
-    live = golden_v4_state()
     yield live
     feed(live, 4)
     live.query(multi_query(), 4, epsilon=0.2, tenant="ana")
@@ -1243,95 +990,11 @@ def write_golden_v8(path, created_at: float, monkeypatch):
     return live
 
 
-def created_at_of(path) -> float:
-    raw = Path(path).read_bytes()
-    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-    return json.loads(raw[_PREAMBLE.size : head_end])["created_at"]
-
-
-@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
-def test_older_containers_upgrade_and_continue(tmp_path, version, golden):
-    """Through ``upgrade-snapshot``: identical answers, gates and ε, and
-    the stream continues identically."""
-    raw = golden.read_bytes()
-    assert _PREAMBLE.unpack_from(raw)[1] == version and SNAPSHOT_VERSION == 8
-    live = golden_v4_state()
-    live.accumulator_cache.invalidate()  # a restored database starts cold
-    upgrade_snapshot(golden, tmp_path / "up.snap")
-    restored = restore_database(tmp_path / "up.snap")
-    assert restored.metadata == GOLDEN_METADATA
-    db = restored.database
-    assert db.n_shards == 3 and db.tenant_budgets == {"ana": 1.0}
-    assert fingerprint(db) == fingerprint(live)
-    assert share_state(db) == share_state(live)
-    for vr in db.views.values():
-        assert_counters_exact(vr.view)
-    assert (
-        db.query(multi_query(), 3, epsilon=0.3, tenant="ana").answers
-        == live.query(multi_query(), 3, epsilon=0.3, tenant="ana").answers
-    )
-    for t in range(4, len(SCRIPT) + 1):
-        feed(db, t)
-        feed(live, t)
-    assert answer_mix(db, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
-    assert query_gates(db) == query_gates(live)[-len(query_gates(db)):]
-    assert fingerprint(db) == fingerprint(live)
-    assert share_state(db) == share_state(live)
-
-
-@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
-def test_older_containers_are_refused_naming_the_upgrade_command(
-    version, golden, never_rebuilt
-):
-    with pytest.raises(
-        PersistenceError, match=f"format version {version}.*repro upgrade-snapshot"
-    ):
-        restore_database(golden)
-
-
-@pytest.mark.parametrize("version, golden", GOLDEN_CONTAINERS)
-def test_upgraded_golden_is_byte_identical_to_the_writer(
-    tmp_path, monkeypatch, version, golden
-):
-    """One function lays the state out: upgrading any older golden writes
-    exactly the bytes the writer writes for its state."""
-    created_at = created_at_of(golden)
-    monkeypatch.setattr(persistence._time, "time", lambda: created_at)
-    written = snapshot_database(
-        golden_v4_state(), tmp_path / "live.snap", metadata=GOLDEN_METADATA
-    )
-    upgraded = upgrade_snapshot(golden, tmp_path / "up.snap")
-    assert checkpoint_bytes(tmp_path / "up.snap") == checkpoint_bytes(tmp_path / "live.snap")
-    assert upgraded == persistence.SnapshotInfo(
-        str(tmp_path / "up.snap"), written.bytes_written, written.sha256, created_at
-    )
-
-
-@pytest.mark.parametrize(
-    "golden", [pytest.param(GOLDEN_V3, id="v3"), *(p.values[1] for p in GOLDEN_CONTAINERS)]
-)
-def test_an_upgrade_writes_what_the_writer_writes_for_its_restore(tmp_path, monkeypatch, golden):
-    """Every golden, the JSON document of v3 included: the upgraded files
-    are the bytes a fresh checkpoint of the database they restore into
-    writes, with the same ``created_at``."""
-    upgraded = upgrade_snapshot(golden, tmp_path / "up.snap")
-    restored = restore_database(tmp_path / "up.snap")
-    monkeypatch.setattr(persistence._time, "time", lambda: upgraded.created_at)
-    snapshot_database(restored.database, tmp_path / "again.snap", metadata=restored.metadata)
-    assert checkpoint_bytes(tmp_path / "again.snap") == checkpoint_bytes(tmp_path / "up.snap")
-
-
-def test_the_upgraded_v7_golden_is_the_v8_golden_base(tmp_path):
-    upgrade_snapshot(GOLDEN_V7, tmp_path / "up.snap")
-    for name, raw in zip(FILES, checkpoint_bytes(GOLDEN_V8)):
-        assert (tmp_path / "up.snap" / name).read_bytes() == raw[: base_length(raw)]
-
-
 def test_the_writer_reproduces_the_v8_golden_byte_for_byte(tmp_path, monkeypatch):
     """The writer writes the golden's bytes — base and segment — for its
     states, and the golden restores into the second state: a fresh
     checkpoint of either writes the same bytes."""
-    created_at = created_at_of(GOLDEN_V7)
+    created_at = read_container(GOLDEN_V8)[0]["created_at"]
     live = write_golden_v8(tmp_path / "live.snap", created_at, monkeypatch)
     assert checkpoint_bytes(tmp_path / "live.snap") == checkpoint_bytes(GOLDEN_V8)
     restored = restore_database(GOLDEN_V8)
@@ -1340,6 +1003,29 @@ def test_the_writer_reproduces_the_v8_golden_byte_for_byte(tmp_path, monkeypatch
     for db, name in ((live, "a.snap"), (restored.database, "b.snap")):
         snapshot_database(db, tmp_path / name, metadata=GOLDEN_V8_SEGMENT_METADATA)
     assert checkpoint_bytes(tmp_path / "a.snap") == checkpoint_bytes(tmp_path / "b.snap")
+
+
+def test_the_v8_golden_continues_as_the_live_database():
+    """Restored from the committed files: identical answers, gates and ε,
+    and the stream continues identically."""
+    db = restore_database(GOLDEN_V8).database
+    *_, live = golden_v8_states()
+    live.accumulator_cache.invalidate()  # a restored database starts cold
+    assert db.n_shards == 3 and db.tenant_budgets == {"ana": 1.0}
+    assert db.tenant_epsilons() == live.tenant_epsilons()
+    assert fingerprint(db) == fingerprint(live)
+    assert share_state(db) == share_state(live)
+    assert (
+        db.query(multi_query(), 4, epsilon=0.1, tenant="ana").answers
+        == live.query(multi_query(), 4, epsilon=0.1, tenant="ana").answers
+    )
+    for t in range(5, len(SCRIPT) + 1):
+        feed(db, t)
+        feed(live, t)
+    assert answer_mix(db, len(SCRIPT)) == answer_mix(live, len(SCRIPT))
+    assert query_gates(db) == query_gates(live)[-len(query_gates(db)):]
+    assert fingerprint(db) == fingerprint(live)
+    assert share_state(db) == share_state(live)
 
 
 def test_array_count_does_not_grow_with_the_stream(tmp_path):
@@ -1633,13 +1319,13 @@ def test_restored_metric_columns_are_the_arrays_read(tmp_path, monkeypatch):
         serve_round(db, t, 5)
         snapshot_database(db, tmp_path / "adopt.snap")
     bodies = []
-    applied = persistence._applied
+    rebuild = persistence._rebuild
 
-    def spy(body, path):
+    def spy(body):
         bodies.append(body)
-        return applied(body, path)
+        return rebuild(body)
 
-    monkeypatch.setattr(persistence, "_applied", spy)
+    monkeypatch.setattr(persistence, "_rebuild", spy)
     restored = restore_database(tmp_path / "adopt.snap").database
     (body,) = bodies
     held = {"database": body["metrics"], **{v["name"]: v["metrics"] for v in body["views"]}}
@@ -1901,64 +1587,6 @@ def test_a_column_outside_what_its_log_declares_is_refused(corruptible, data):
     refused_when_broken(db, directory, target, choice, at)
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        pytest.param(
-            lambda col: _set(col("tables", "orders", "log", "invocations_used"), [1]),
-            "log of table 'orders' carries a budget of its own",
-            id="log-uses",
-        ),
-        pytest.param(
-            lambda col: _set(col("tables", "shipments", "log", "emitted"), [1]),
-            "log of table 'shipments' carries a budget of its own",
-            id="log-emitted",
-        ),
-        pytest.param(  # the ledger still holds three runs for the batch
-            lambda col: _set(col("groups", 0, "probe_scope", "invocations_used"), [0]),
-            "its ledger and its scope disagree",
-            id="scope-uses",
-        ),
-        pytest.param(
-            lambda col: _set(col("groups", 0, "driver_scope", "batches"), [1, 0]),
-            "scope over table 'shipments' does not hold every batch of its log",
-            id="scope-order",
-        ),
-    ],
-)
-def test_the_upgrader_refuses_a_v6_budget_it_cannot_write_once(tmp_path, edit, message):
-    """Version 6 held each budget twice and a zero budget per upload log:
-    an authentic file whose copies disagree, or whose log carries a
-    budget, has no one budget to convert into, and is refused."""
-    raw = GOLDEN_V6.read_bytes()
-    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-    head = json.loads(raw[_PREAMBLE.size : head_end])
-    section = bytearray(raw[head_end:-_DIGEST_BYTES])
-    edit(lambda *keys: column_in(head, section, *keys))
-    write_old_container(tmp_path / "bad.snap", head, bytes(section), version=6)
-    with pytest.raises(PersistenceError, match=message):
-        upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
-    assert not (tmp_path / "out.snap").exists()
-
-
-def test_the_upgrader_refuses_what_a_restore_refuses_and_writes_nothing(tmp_path):
-    """An authentic v7 file whose ``orders`` upload times run backwards
-    holds a state no stream writes: the upgrader runs the restore's
-    checks before it writes, so it refuses the file naming the column,
-    and nothing appears at NEW."""
-    raw = GOLDEN_V7.read_bytes()
-    head_end = _PREAMBLE.size + _PREAMBLE.unpack_from(raw)[2]
-    head = json.loads(raw[_PREAMBLE.size : head_end])
-    section = bytearray(raw[head_end:-_DIGEST_BYTES])
-    times = column_in(head, section, "tables", "orders", "log", "times")
-    assert times.tolist() == [1, 2, 3]
-    times[:] = [3, 2, 1]
-    write_old_container(tmp_path / "bad.snap", head, bytes(section), version=7)
-    with pytest.raises(PersistenceError, match="column 'times' is not strictly increasing"):
-        upgrade_snapshot(tmp_path / "bad.snap", tmp_path / "out.snap")
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.snap"]
-
-
 def feed_without_orders(db: IncShrinkDatabase, time: int) -> None:
     """``feed``, but every ``orders`` upload is an empty batch."""
     _, driver_rows = SCRIPT[time - 1]
@@ -2022,6 +1650,50 @@ def test_column_major_sections_roundtrip_byte_identically(
     feed(restored.database, 5)
     assert answer_mix(restored.database, 5) == answer_mix(db, 5)
     assert share_state(restored.database) == share_state(db)
+
+
+def _released(db: IncShrinkDatabase) -> IncShrinkDatabase:
+    for t in (1, 2):
+        feed(db, t)
+    db.query(multi_query(), 2, epsilon=0.5)
+    return db
+
+
+def _three_steps(db: IncShrinkDatabase) -> IncShrinkDatabase:
+    for t in (1, 2, 3):
+        feed(db, t)
+    return db
+
+
+def _resharded(db: IncShrinkDatabase) -> IncShrinkDatabase:
+    _three_steps(db).reshard(2)
+    return db
+
+
+@pytest.mark.parametrize(
+    "live",
+    [
+        pytest.param(lambda: _released(build_database()), id="noisy-release"),
+        pytest.param(lambda: next(golden_v8_states()), id="tenant-release"),
+        pytest.param(lambda: _resharded(build_sharded_database(3)), id="resharded"),
+        pytest.param(lambda: _three_steps(build_database(flush_interval=1)), id="flushed"),
+    ],
+)
+def test_a_checkpoint_of_a_restore_writes_the_bytes_it_restored(
+    tmp_path, monkeypatch, live
+):
+    """One writer lays out every state: a base restores into a database
+    whose fresh checkpoint, with the same ``created_at``, is the same
+    bytes in every file."""
+    monkeypatch.setattr(persistence._time, "time", lambda: 4321.5)
+    first = snapshot_database(live(), tmp_path / "a.snap", metadata={"note": "a"})
+    restored = restore_database(tmp_path / "a.snap")
+    assert restored.info == first
+    again = snapshot_database(
+        restored.database, tmp_path / "b.snap", metadata=restored.metadata
+    )
+    assert again.sha256 == first.sha256
+    assert checkpoint_bytes(tmp_path / "b.snap") == checkpoint_bytes(tmp_path / "a.snap")
 
 
 def test_malformed_order_keys_are_refused(tmp_path, never_rebuilt):
@@ -2177,6 +1849,68 @@ def test_files_of_two_checkpoints_are_refused(tmp_path, never_rebuilt):
         (mixed / name).write_bytes((earlier / name).read_bytes())
         with pytest.raises(PersistenceError, match="another checkpoint"):
             restore_database(mixed)
+
+
+def _rewrite_base(version: int):
+    def edit(path: Path, tmp_path: Path) -> None:
+        head, arrays, _ = read_container(path)
+        write_container(path / "public", head, arrays, version=version)
+
+    return edit
+
+
+def _flip_a_byte(path: Path, tmp_path: Path) -> None:
+    raw = bytearray((path / "public").read_bytes())
+    raw[base_length(raw) - _DIGEST_BYTES - 1] ^= 0xFF
+    (path / "public").write_bytes(bytes(raw))
+
+
+def _swap_party0(path: Path, tmp_path: Path) -> None:
+    snapshot_database(build_sharded_database(3), tmp_path / "other.snap")
+    (path / "party0").write_bytes((tmp_path / "other.snap" / "party0").read_bytes())
+
+
+def _cut_party0(path: Path, tmp_path: Path) -> None:
+    raw = (path / "party0").read_bytes()
+    (path / "party0").write_bytes(raw[:-1])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_rewrite_base(7), "format version 7", id="version-7"),
+        pytest.param(_rewrite_base(9), "format version 9", id="version-9"),
+        pytest.param(_flip_a_byte, "integrity check", id="tampered"),
+        pytest.param(_swap_party0, "another checkpoint", id="mixed"),
+        pytest.param(_cut_party0, "another checkpoint", id="cut"),
+    ],
+)
+def test_a_refused_restore_leaves_every_file_as_it_was(
+    tmp_path, never_rebuilt, edit, message
+):
+    """A restore only reads: what it refuses is still there, byte for
+    byte, for the operator to inspect or restore from a copy."""
+    _, path = streamed_checkpoint(tmp_path)
+    edit(path, tmp_path)
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    with pytest.raises(PersistenceError, match=message):
+        restore_database(path)
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+
+
+@pytest.mark.parametrize("version", [7, 9])
+def test_a_checkpoint_of_another_version_is_replaced_by_a_base(tmp_path, version):
+    """A checkpoint at ``path`` whose base is of another version is
+    overwritten whole by a base, and the chain grows from it as usual."""
+    _, path = streamed_checkpoint(tmp_path)
+    _rewrite_base(version)(path, tmp_path)
+    fresh = build_sharded_database(3)
+    feed(fresh, 1)
+    assert snapshot_database(fresh, path).kind == "base"
+    assert state_of(restore_database(path).database) == state_of(fresh)
+    feed(fresh, 2)
+    assert snapshot_database(fresh, path).kind == "segment"
+    assert state_of(restore_database(path).database) == state_of(fresh)
 
 
 @pytest.mark.parametrize("name", FILES[:-1])

@@ -37,10 +37,12 @@ from repro.server.persistence import restore_database, snapshot_database
 
 from test_persistence import (
     build_database,
+    count_query,
     feed,
     fingerprint,
     multi_query,
     share_state,
+    sum_query,
 )
 
 #: What the tenant ``ana`` may spend, and what she asks for: her second
@@ -300,3 +302,29 @@ def test_a_restore_with_no_checkpoint_at_the_path_reads_the_retired_one(tmp_path
     assert committed_state(restore_database(path).database) == committed_state(
         restored.database
     )
+
+
+def released_noise(db, query, epsilon: float) -> float:
+    """Release ``query`` at ``epsilon``; return the noise it carried (the
+    released answer less the same query's answer without noise)."""
+    exact = db.query(query, 3).answer
+    return db.query(query, 3, epsilon=epsilon).answer - exact
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_a_release_after_the_last_commit_survives_a_crash(tmp_path):
+    """A COUNT released after the last checkpoint, then a crash.  The
+    restore must still charge the COUNT's ε, and the next release must
+    draw fresh noise.  Neither holds while a checkpoint is the only
+    durable record: the restored ledger un-spends the COUNT, and the
+    rewound noise stream gives the SUM the COUNT's noise again."""
+    db = build_database()
+    for t in (1, 2, 3):
+        feed(db, t)
+    path = tmp_path / "crash.snap"
+    snapshot_database(db, path)
+    count_noise = released_noise(db, count_query(), 0.5)
+    spent = db.realized_epsilon()
+    restored = restore_database(path).database  # the process died here
+    assert restored.realized_epsilon() >= spent
+    assert released_noise(restored, sum_query(), 0.5) != count_noise

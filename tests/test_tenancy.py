@@ -52,7 +52,6 @@ from repro.net.client import IncShrinkClient
 from repro.net.metrics import MetricsServer, render_metrics
 from repro.net.server import NetworkServer
 from repro.server.persistence import restore_database, snapshot_database
-from repro.server.snapshot_upgrade import upgrade_snapshot
 from repro.server.runtime import DatabaseServer
 from repro.tenancy import (
     ROLE_FRAMES,
@@ -70,7 +69,7 @@ from test_dp_accounting import (
     recomputed_tenant_epsilons,
 )
 from test_network import batches_at, build_database, epsilon_query, query_mix
-from test_persistence import read_container, write_legacy_json
+from test_persistence import read_container
 
 
 def make_registry(**overrides) -> TenantRegistry:
@@ -543,20 +542,16 @@ class TestLedgerPersistence:
         restored.query(query_mix()[0], 6, epsilon=0.25, tenant="ana")
         assert restored.tenant_epsilons()["ana"] == 1.0
 
-    def test_pre_tenancy_snapshots_still_restore(self, tmp_path):
-        """A pre-tenancy (v2) snapshot has no tenant_budgets; through
-        ``upgrade-snapshot`` it restores with no caps."""
+    def test_uncapped_snapshots_restore_uncapped(self, tmp_path):
+        """A deployment with no tenant caps writes none and restores with
+        none."""
         db = build_database()
         for t in range(1, 4):
             db.upload(t, batches_at(t))
         path = tmp_path / "plain.snapshot"
         snapshot_database(db, path)
         assert read_container(path)[0]["body"]["tenant_budgets"] == {}
-        legacy = tmp_path / "legacy.snapshot"
-        write_legacy_json(legacy, db, 2, lambda body: body.pop("tenant_budgets"))
-        upgrade_snapshot(legacy, tmp_path / "upgraded.snapshot")
-        restored = restore_database(tmp_path / "upgraded.snapshot").database
-        assert restored.tenant_budgets == {}
+        assert restore_database(path).database.tenant_budgets == {}
 
 
 # -- authenticated admission over the wire -------------------------------------

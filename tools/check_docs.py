@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: link integrity, executable examples, imports.
 
-Four checks, all run by the CI docs job and by ``tests/test_docs.py``:
+Five checks, all run by the CI docs job and by ``tests/test_docs.py``:
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in every tracked ``*.md`` file must resolve to an existing file or
@@ -20,6 +20,10 @@ Four checks, all run by the CI docs job and by ``tests/test_docs.py``:
    must resolve (run with ``PYTHONPATH=src``).  Those blocks (the README
    quick start among them) are not doctests, so without this a deleted
    public name in one would go unnoticed.
+5. **Subcommands** — every ``python -m repro <command>`` in a fenced
+   code block of a tracked markdown file must name a subcommand that
+   :mod:`repro.__main__`'s parser defines, so a deleted command cannot
+   linger in a copy-paste recipe.
 
 Usage::
 
@@ -28,6 +32,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import importlib
 import os
@@ -53,6 +58,8 @@ _IMPORT_RE = re.compile(
     r"|import[ \t]+(repro[\w.]*))",
     re.MULTILINE,
 )
+#: ``python -m repro <command>``; group 1 is the command.
+_CLI_RE = re.compile(r"python3? -m repro[ \t]+([a-z][\w-]*)")
 #: Directories never scanned for markdown.
 _SKIP_DIRS = {".git", ".ruff_cache", "__pycache__", ".pytest_benchmarks"}
 
@@ -108,26 +115,30 @@ def heading_anchors(path: Path) -> set[str]:
     return anchors
 
 
-def python_blocks(path: Path) -> list[tuple[int, str]]:
-    """``(first line number, source)`` of every fenced ``python`` block."""
+def code_blocks(path: Path) -> list[tuple[int, str, str]]:
+    """``(first line number, info string, source)`` of every fenced block."""
     blocks = []
     fence = None
     lines: list[str] = []
-    start = 0
+    start, info = 0, ""
     for number, line in enumerate(path.read_text(encoding="utf8").splitlines(), 1):
         marker = _FENCE_RE.match(line)
         if fence is None:
             if marker:
                 fence = marker.group(1)
                 info = line.strip()[len(fence):].strip()
-                lines, start = ([], number + 1) if info == "python" else (None, 0)
+                lines, start = [], number + 1
         elif marker and marker.group(1).startswith(fence) and line.strip() == marker.group(1):
-            if lines is not None:
-                blocks.append((start, "\n".join(lines)))
+            blocks.append((start, info, "\n".join(lines)))
             fence = None
-        elif lines is not None:
+        else:
             lines.append(line)
     return blocks
+
+
+def python_blocks(path: Path) -> list[tuple[int, str]]:
+    """``(first line number, source)`` of every fenced ``python`` block."""
+    return [(start, source) for start, info, source in code_blocks(path) if info == "python"]
 
 
 def _unresolved(module: str, names: list[str]) -> list[str]:
@@ -167,6 +178,34 @@ def check_imports(files: list[Path] | None = None) -> list[str]:
                     f"{_shown(path)}:{line}: cannot import {what}"
                     for what in _unresolved(module, names)
                 )
+    return failures
+
+
+def cli_subcommands() -> set[str]:
+    """The subcommands ``python -m repro`` defines."""
+    from repro.__main__ import _build_parser
+
+    (subparsers,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(subparsers.choices)
+
+
+def check_cli_commands(files: list[Path] | None = None) -> list[str]:
+    """Return one failure message per ``python -m repro <command>`` in a
+    fenced code block whose command the CLI does not define."""
+    commands = cli_subcommands()
+    failures = []
+    for path in files if files is not None else markdown_files():
+        for start, _, source in code_blocks(path):
+            for match in _CLI_RE.finditer(source):
+                if match.group(1) not in commands:
+                    line = start + source.count("\n", 0, match.start())
+                    failures.append(
+                        f"{_shown(path)}:{line}: no subcommand {match.group(1)!r}"
+                    )
     return failures
 
 
@@ -258,7 +297,10 @@ def main() -> int:
     doctest_failures, n_examples = run_doc_doctests()
     script_failures, n_scripts = run_example_scripts()
     import_failures = check_imports(files)
-    failures = link_failures + doctest_failures + script_failures + import_failures
+    command_failures = check_cli_commands(files)
+    failures = (
+        link_failures + doctest_failures + script_failures + import_failures + command_failures
+    )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if failures:
@@ -266,7 +308,7 @@ def main() -> int:
     print(
         f"docs ok: {len(files)} markdown files linked correctly, "
         f"{n_examples} doc examples pass, {n_scripts} example scripts exit 0, "
-        "every python-block import resolves"
+        "every python-block import resolves, every documented subcommand exists"
     )
     return 0
 
