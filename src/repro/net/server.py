@@ -18,14 +18,20 @@ door is a **reactor**, not thread-per-connection:
 * a request **runs on the event-loop thread that decoded it** whenever
   it provably cannot stall the loop, and on a small **executor** only
   otherwise (two lanes, one rule — :meth:`NetworkServer._pump`): upload
-  admission never blocks; a query or ``stats`` frame takes every lock
-  without waiting and runs inline iff its plan is a view scan below the
-  scan executor's own inline bound; anything that finds a lock busy, an
+  admission never waits, and a lone ``wait=True`` upload is applied
+  right there when the ingest queue is idle, the write lock free and
+  the step within the inline bounds (public row counts); a
+  query or ``stats`` frame takes every lock without waiting and runs
+  inline iff its plan is a view scan below the scan executor's own
+  inline bound; anything that finds a lock busy, an
   NM join, a big cold scan, ``snapshot`` and ``reshard`` go to the
   executor — so one slow MPC circuit still cannot stall the I/O of 999
   other connections, and a 0.5 ms query is not bounced across two
   threads to be answered;
-* a ``wait=True`` upload is a **continuation**, not a parked thread: the
+* a ``wait=True`` upload the loop could not apply itself (a step is
+  queued, the write lock is busy, a checkpoint falls due, the step is
+  past the inline bounds, or it came in a coalesced run) is a
+  **continuation**, not a parked thread: the
   ingestion loop calls back when the step is applied, and the client's
   ``wait_timeout`` is an event-loop timer;
 * **bounded admission** everywhere, re-expressed as event-loop state
@@ -749,8 +755,10 @@ class NetworkServer:
                         continue
                 # The two lanes.  Whatever provably cannot stall this
                 # loop runs here, on the thread that decoded it: upload
-                # admission (decode, gate, put_nowait), and a query or
-                # stats frame whose non-blocking form goes through.
+                # admission (decode, gate, put_nowait — or, for a lone
+                # waited step within the inline bounds, try_apply), and a
+                # query or stats frame whose non-blocking form goes
+                # through.
                 # WouldBlock — a lock busy, an NM join, a big cold scan —
                 # and the write-lock frames take the executor.
                 conn.executing = True
@@ -1189,8 +1197,9 @@ class NetworkServer:
         The event loops inline the guarded path to hold the permit
         across the response write; this wrapper (admit → execute →
         release) serves direct callers (tests, diagnostics).  It answers
-        an upload as soon as the step is queued: waiting for the apply is
-        a continuation, which needs a connection to answer on.
+        an upload as soon as the step is queued (or, waited and with the
+        queue idle, applied here): waiting for a queued apply is a
+        continuation, which needs a connection to answer on.
         """
         if frame_type == "hello":
             return "welcome", self._welcome()
@@ -1231,7 +1240,7 @@ class NetworkServer:
 
     # -- upload admission + batched submission -------------------------------------
     def _handle_upload(self, payload: dict) -> tuple[str, dict]:
-        """:meth:`_dispatch`'s upload: queue the step and answer at once."""
+        """:meth:`_dispatch`'s upload: admit the step and answer at once."""
         responses, admitted = self._submit_uploads([payload])
         applied = bool(admitted) and self.server.last_time >= admitted[0][1]
         self._answer_admitted(responses, admitted, drained=applied, error=None)
@@ -1242,17 +1251,22 @@ class NetworkServer:
     ) -> list[tuple[str, dict]] | None:
         """Admit a run of coalesced upload frames on their event loop.
 
-        Never blocks.  Without a ``wait=True`` frame among the admitted
-        ones every frame is answered here.  With one, the batch becomes a
-        continuation (``None`` is returned): ``conn`` keeps ``executing``
-        and its permits, the ingestion loop posts
-        :meth:`_on_upload_applied` once the last waited step is applied
-        (or ingestion failed), and the clamped ``wait_timeout`` is a
-        deadline this loop's timer answers ``drained: false`` at.
+        Never waits.  A lone ``wait=True`` frame is applied right here
+        when nothing is queued, the write lock is free and the step is
+        within the inline bounds
+        (:meth:`~repro.server.runtime.DatabaseServer.try_apply`), and
+        answered ``drained: true`` at once — no thread crossing.  Without
+        a waited frame among the admitted ones every frame is answered
+        here too.  Otherwise the batch becomes a continuation (``None``
+        is returned): ``conn`` keeps ``executing`` and its permits, the
+        ingestion loop posts :meth:`_on_upload_applied` once the last
+        waited step is applied (or ingestion failed), and the clamped
+        ``wait_timeout`` is a deadline this loop's timer answers
+        ``drained: false`` at.
         """
         responses, admitted = self._submit_uploads(payloads)
         waited = [(i, step) for i, step, waits in admitted if waits]
-        if not waited:
+        if not waited or self.server.last_time >= waited[-1][1]:
             self._answer_admitted(responses, admitted, drained=True, error=None)
             return responses
         # Clamp the client-supplied wait: an in-flight permit is held for
@@ -1310,10 +1324,22 @@ class NetworkServer:
 
     @staticmethod
     def _wait_timeout_of(payload: dict) -> float:
+        """The frame's ``wait_timeout`` in seconds (30 when absent).
+
+        A NaN would slip past the ``max_wait_timeout`` clamp (``min`` with
+        a NaN is NaN) and turn the loop's poll timeout into a busy spin,
+        so anything but a number ≥ 0 is the request's fault; ``+inf``
+        clamps like any long wait.
+        """
         try:
-            return float(payload.get("wait_timeout", 30.0))
-        except (TypeError, ValueError):
-            return 30.0
+            timeout = float(payload.get("wait_timeout", 30.0))
+        except (TypeError, ValueError) as exc:
+            raise wire.WireError(f"malformed wait_timeout: {exc!r}") from exc
+        if math.isnan(timeout) or timeout < 0.0:
+            raise wire.WireError(
+                f"wait_timeout must be a number >= 0, got {timeout}"
+            )
+        return timeout
 
     def _answer_admitted(
         self,
@@ -1343,13 +1369,16 @@ class NetworkServer:
     def _submit_uploads(
         self, payloads: list[dict]
     ) -> tuple[list, list[tuple[int, int, bool]]]:
-        """Decode, gate and enqueue a run of upload frames; never blocks.
+        """Decode, gate and enqueue a run of upload frames; never waits.
 
         One gate pass covers the whole run: each step must advance past
         the floor *and* its predecessors in the batch; admitted steps
         enter the ingest queue through one
         :meth:`~repro.server.runtime.DatabaseServer.try_submit_many`
-        call.  Returns one response slot per frame — filled for every
+        call — except a lone ``wait=True`` frame, which is applied on this
+        thread when :meth:`~repro.server.runtime.DatabaseServer.try_apply`
+        claims it.
+        Returns one response slot per frame — filled for every
         frame refused here (admission failures and queue overflow reject
         individual frames without severing the rest), ``None`` for the
         admitted ones — and the admitted ``(slot, step, waits)`` list
@@ -1362,7 +1391,8 @@ class NetworkServer:
             self._admit_uploads(payloads, responses, admitted)
         except Exception as exc:
             # try_submit refused outright (server stopping, ingestion
-            # halted): nothing of this run was queued.
+            # halted), or the step applied here failed and halted
+            # ingestion: a waiter on the queue is answered the same.
             fallback = _error_response(exc)
             responses = [r if r is not None else fallback for r in responses]
             admitted = []
@@ -1391,6 +1421,7 @@ class NetworkServer:
         for i, payload in enumerate(payloads):
             try:
                 time_step, items = wire.decode_upload(payload)
+                self._wait_timeout_of(payload)
                 # Like a stale step below: a malformed one must be refused
                 # here, or it would halt the background loop for everyone.
                 self.server.database.check_upload(items)
@@ -1417,15 +1448,8 @@ class NetworkServer:
                 else:
                     to_submit.append((i, time_step, items, payload))
                     floor = time_step
-            if len(to_submit) == 1:
-                i, time_step, items, payload = to_submit[0]
-                accepted = 1 if self.server.try_submit(time_step, items) else 0
-            elif to_submit:
-                accepted = self.server.try_submit_many(
-                    [(t, items) for _, t, items, _ in to_submit]
-                )
-            else:
-                accepted = 0
+            # Built before any claim: nothing between try_apply and
+            # apply() may raise, or the write lock would never be freed.
             overloaded = (
                 "error",
                 wire.error_payload(
@@ -1434,6 +1458,22 @@ class NetworkServer:
                     retry_after=self.retry_after,
                 ),
             )
+            apply = None
+            if len(to_submit) == 1:
+                i, time_step, items, payload = to_submit[0]
+                if len(payloads) == 1 and payload.get("wait"):
+                    # Still under the gate: no step admitted after this
+                    # one can reach the queue before try_apply has looked.
+                    apply = self.server.try_apply(time_step, items)
+                accepted = (
+                    1 if apply or self.server.try_submit(time_step, items) else 0
+                )
+            elif to_submit:
+                accepted = self.server.try_submit_many(
+                    [(t, items) for _, t, items, _ in to_submit]
+                )
+            else:
+                accepted = 0
             for j, (i, time_step, items, payload) in enumerate(to_submit):
                 if j < accepted:
                     self._highest_admitted = max(
@@ -1442,6 +1482,11 @@ class NetworkServer:
                     admitted.append((i, time_step, bool(payload.get("wait"))))
                 else:
                     responses[i] = overloaded
+        if apply is not None:
+            # Past the gate: the write lock try_apply holds keeps every
+            # later step behind this one, queued or claimed on another
+            # loop, so admission there need not wait for this apply.
+            apply()
 
     def _handle_query(
         self,

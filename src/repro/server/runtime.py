@@ -10,7 +10,10 @@ that shape:
 * a **background ingestion loop** — submitted uploads queue up and a
   dedicated thread applies them in order, coalescing whatever is
   already queued into one exclusive critical section (batched uploads:
-  one writer-lock acquisition covers many upload+step pairs);
+  one writer-lock acquisition covers many upload+step pairs); when
+  nothing is queued, the write lock is free and the step is small,
+  :meth:`~DatabaseServer.try_apply` runs the same apply on the caller's
+  thread instead;
 * **concurrent read sessions** — queries run under a shared read lock
   (so they never observe a half-applied step) plus a per-view session
   guard; planning and ground-truth scoring parallelise freely, while
@@ -107,8 +110,14 @@ class ReadWriteLock:
             if self._readers == 0:
                 self._cond.notify_all()
 
-    def acquire_write(self) -> None:
+    def acquire_write(self, blocking: bool = True) -> bool:
+        """Enter as the writer; with ``blocking=False`` return ``False``
+        instead of waiting while the lock is held or wanted by anyone."""
         with self._cond:
+            if not blocking and (
+                self._writer_active or self._readers or self._writers_waiting
+            ):
+                return False
             self._writers_waiting += 1
             try:
                 while self._writer_active or self._readers:
@@ -116,6 +125,7 @@ class ReadWriteLock:
             finally:
                 self._writers_waiting -= 1
             self._writer_active = True
+            return True
 
     def release_write(self) -> None:
         with self._cond:
@@ -249,6 +259,21 @@ class ReadSession:
         return [r.answer for r in self.results]
 
 
+#: The inline bounds of :meth:`DatabaseServer.try_apply`: a step the
+#: caller's thread may apply at once (the network front door's event
+#: loop, which must not stall) uploads fewer padded rows than
+#: :data:`INLINE_APPLY_ROWS` and finds fewer rows than
+#: :data:`INLINE_APPLY_CACHE_ROWS` in the views' caches.  Both are public
+#: sizes, and a step's cost grows with each: an uploaded row is shared,
+#: stored and joined by Transform (0.25–1 µs on the 2-core reference
+#: host), a cached row is sorted by the step's Shrink update or cache
+#: flush (≈ 0.09 µs).  So an inline step costs at most ≈ 2 + 3 ms beyond
+#: its fixed 1–2 ms.  The benchmark's steady steps (34–85 rows) are
+#: inline but for 3 of cpdb-heavy's 100, whose caches pass the bound just
+#: before a flush; a bulk load takes the queue.
+INLINE_APPLY_ROWS = 2_048
+INLINE_APPLY_CACHE_ROWS = 32_768
+
 _SHUTDOWN = object()
 
 
@@ -318,8 +343,8 @@ class DatabaseServer:
         self._last_time = 0
         self._highest_submitted = 0
         #: ``(step, callback)`` registered by :meth:`when_applied` and not
-        #: yet fired, and the step through which the ingestion loop has
-        #: fired them (it trails ``_last_time`` by the rest of ``_apply``)
+        #: yet fired, and the step through which an apply has fired them
+        #: (it trails ``_last_time`` by the rest of ``_apply``)
         self._applied_waiters: list[tuple[int, Callable]] = []
         self._waiters_lock = threading.Lock()
         self._notified_through = 0
@@ -329,7 +354,7 @@ class DatabaseServer:
     # -- lifecycle --------------------------------------------------------------
     @property
     def last_time(self) -> int:
-        """Highest upload step the ingestion loop has fully applied."""
+        """Highest upload step the server has fully applied."""
         return self._last_time
 
     @property
@@ -420,6 +445,93 @@ class DatabaseServer:
             accepted += 1
         return accepted
 
+    def try_apply(
+        self,
+        time: int,
+        batches: Mapping[str, RecordBatch] | list[tuple[str, RecordBatch]],
+    ) -> Callable[[], None] | None:
+        """Claim one step for the calling thread to apply at once.
+
+        The network front door calls this for a lone ``wait=True`` upload,
+        so the event loop that decoded the step applies it and answers at
+        once, with no round trip through the ingestion thread.  Returns
+        ``None``, with nothing claimed, when the step would have to wait,
+        could overtake an earlier one or could run long: the write lock is
+        held or wanted, a submitted step is queued or being applied, a
+        ``snapshot_every`` checkpoint would fall due (a checkpoint is the
+        ingestion thread's work), or the step is past the inline bounds
+        (:meth:`_applies_in_bounded_time`).  The caller then queues it
+        (:meth:`try_submit`) instead.
+
+        Otherwise the step counts as submitted and the write lock is held
+        for it when this returns, so no later step — queued, or claimed
+        by another thread — can run before it: the caller may drop its
+        own admission lock first.  It must then call the returned
+        ``apply()`` exactly once.  That runs the step through the
+        ingestion loop's own body — the stream-order check, stats,
+        checkpoint counter and :meth:`when_applied` waiters — releases the
+        lock, and raises whatever the step raised.  A failure halts
+        ingestion exactly as it would on the ingestion thread (later
+        submissions, :meth:`drain` and :meth:`stop` raise it).
+        """
+        item = dict(batches) if isinstance(batches, Mapping) else list(batches)
+        if not self._rw.acquire_write(blocking=False):
+            return None
+        try:
+            self._require_running()
+            # Read while holding the lock: a step submitted earlier is
+            # either still counted here or has been applied — an apply in
+            # progress would have kept the lock from us.
+            with self._queue.mutex:
+                queued = self._queue.unfinished_tasks
+            checkpoint_due = (
+                self.snapshot_every is not None
+                and self._steps_since_snapshot + 1 >= self.snapshot_every
+            )
+            claimed = (
+                not queued
+                and not checkpoint_due
+                and self._applies_in_bounded_time(item)
+            )
+        except BaseException:
+            self._rw.release_write()
+            raise
+        if not claimed:
+            self._rw.release_write()
+            return None
+        self._note_submitted(int(time))
+
+        def apply() -> None:
+            t0 = _time.perf_counter()
+            try:
+                self._apply_held([(int(time), item)], t0)
+            except BaseException as exc:
+                self._ingest_error = exc
+                raise
+            finally:
+                self._rw.release_write()
+                self._fire_applied_waiters()
+
+        return apply
+
+    def _applies_in_bounded_time(
+        self, batches: dict[str, RecordBatch] | list[tuple[str, RecordBatch]]
+    ) -> bool:
+        """Whether a step of ``batches`` is short enough to apply inline.
+
+        The upload counterpart of :meth:`_runs_in_bounded_time`, bounded
+        on public sizes only — the step's padded rows, below
+        :data:`INLINE_APPLY_ROWS`, and the rows of every view's cache,
+        below :data:`INLINE_APPLY_CACHE_ROWS`: a Shrink update or a cache
+        flush this step triggers sorts those rows and the step's own
+        Transform output.  The caller holds the write lock, so the caches
+        cannot grow meanwhile.
+        """
+        pairs = batches.items() if isinstance(batches, dict) else batches
+        rows = sum(len(batch) for _, batch in pairs)
+        cache_rows = sum(len(vr.cache) for vr in self.database.views.values())
+        return rows < INLINE_APPLY_ROWS and cache_rows < INLINE_APPLY_CACHE_ROWS
+
     def _note_submitted(self, time: int) -> None:
         with self._stats_lock:
             if time > self._highest_submitted:
@@ -472,13 +584,15 @@ class DatabaseServer:
         """Call ``callback(error)`` once step ``time`` has been applied.
 
         The continuation form of :meth:`drain` for a caller that must not
-        park a thread (the network front door's event loops): the
-        ingestion loop calls back, on its own thread, after the apply that
-        covers ``time`` has released the write lock — ``error`` is ``None``
-        — or as soon as ingestion has failed, with the failure every
-        :meth:`drain` would raise.  When either already holds, the callback
-        runs here, before this method returns.  Callbacks must be quick and
-        must not raise; each runs exactly once.
+        park a thread: the network front door's event loops register one
+        for a waited upload that went through the queue — the fallback,
+        when :meth:`try_apply` could not apply the step on the loop
+        itself.  Whichever thread ran the apply that covers ``time`` calls
+        back, on that thread, after the apply has released the write lock
+        — ``error`` is ``None`` — or as soon as ingestion has failed, with
+        the failure every :meth:`drain` would raise.  When either already
+        holds, the callback runs here, before this method returns.
+        Callbacks must be quick and must not raise; each runs exactly once.
         """
         with self._waiters_lock:
             error = self._ingest_error
@@ -488,7 +602,7 @@ class DatabaseServer:
         callback(error)
 
     def _fire_applied_waiters(self) -> None:
-        """Ingestion loop only: fire what the apply just finished covers."""
+        """After an apply, on its thread: fire what it just finished covers."""
         with self._waiters_lock:
             error = self._ingest_error
             self._notified_through = self._last_time
@@ -595,27 +709,34 @@ class DatabaseServer:
     def _apply(self, pending: list[tuple[int, object]]) -> None:
         t0 = _time.perf_counter()
         with self._rw.write_locked():
-            for step_time, batches in pending:
-                if step_time <= self._last_time:
-                    raise ProtocolError(
-                        f"upload at step {step_time} does not advance the "
-                        f"stream (last applied step is {self._last_time})"
-                    )
-                self.database.upload(step_time, batches)
-                report = self.database.step(step_time)
-                self._last_time = step_time
-                self._steps_since_snapshot += 1
-                with self._stats_lock:
-                    self.stats.uploads += len(batches)
-                    self.stats.steps += 1
-            # Counted against steps-since-last-checkpoint, not a modulus
-            # of the total: coalesced applies advance many steps at once
-            # and must not jump over the configured interval.
-            if (
-                self.snapshot_every is not None
-                and self._steps_since_snapshot >= self.snapshot_every
-            ):
-                self._snapshot_locked()
+            self._apply_held(pending, t0)
+
+    def _apply_held(self, pending: list[tuple[int, object]], t0: float) -> None:
+        """The one apply body; the caller holds the write lock."""
+        # Halted by a step applied on another thread (:meth:`try_apply`):
+        # nothing queued after the failure is applied.
+        self._raise_ingest_error()
+        for step_time, batches in pending:
+            if step_time <= self._last_time:
+                raise ProtocolError(
+                    f"upload at step {step_time} does not advance the "
+                    f"stream (last applied step is {self._last_time})"
+                )
+            self.database.upload(step_time, batches)
+            report = self.database.step(step_time)
+            self._last_time = step_time
+            self._steps_since_snapshot += 1
+            with self._stats_lock:
+                self.stats.uploads += len(batches)
+                self.stats.steps += 1
+        # Counted against steps-since-last-checkpoint, not a modulus
+        # of the total: coalesced applies advance many steps at once
+        # and must not jump over the configured interval.
+        if (
+            self.snapshot_every is not None
+            and self._steps_since_snapshot >= self.snapshot_every
+        ):
+            self._snapshot_locked()
         with self._stats_lock:
             self.stats.shard_rows = report.shard_rows  # pending is never empty
             self.stats.ingest_seconds += _time.perf_counter() - t0

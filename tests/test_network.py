@@ -48,6 +48,7 @@ from repro.server.database import (
     IncShrinkDatabase,
     ViewRegistration,
 )
+from repro.server import runtime as runtime_mod
 from repro.server.persistence import restore_database
 from repro.server.runtime import DatabaseServer
 
@@ -429,6 +430,8 @@ class TestBackpressure:
                 return real(*args, **kwargs)
 
             server.try_submit = flaky
+            # The queue lane: a waited step the loop may not apply itself.
+            server.try_apply = lambda *args, **kwargs: None
             host, port = net.address
             with IncShrinkClient(host, port, busy_retries=5) as client:
                 out = client.upload(1, batches_at(1), wait=True)
@@ -810,7 +813,7 @@ def serve_script(monkeypatch) -> dict:
     waited upload, then the query mix and one ε-release.  Returns what a
     change of executing thread must not change, and the threads."""
     server = DatabaseServer(build_database())
-    submits = record_threads(monkeypatch, server, "try_submit")
+    steps = record_threads(monkeypatch, server.database, "step")
     queries = record_threads(monkeypatch, server.database, "query")
     answers = []
     with NetworkServer(server) as net:
@@ -829,7 +832,7 @@ def serve_script(monkeypatch) -> dict:
         "query_gates": sum(r.gates for r in runs if r.name == "query"),
         "ingest_gates": sum(r.gates for r in runs if r.name != "query"),
         "realized_epsilon": stats["realized_epsilon"],
-        "submit_threads": submits,
+        "step_threads": steps,
         "query_threads": queries,
     }
 
@@ -841,12 +844,14 @@ def on_loop(thread_name: str) -> bool:
 class TestExecutionLanes:
     def test_steady_requests_run_on_the_loop_that_decoded_them(self, monkeypatch):
         served = serve_script(monkeypatch)
-        assert len(served["submit_threads"]) == len(SCRIPT)
-        assert all(on_loop(name) for name in served["submit_threads"])
+        # Each waited upload finds the queue idle: its step is applied on
+        # the loop that decoded it, not handed to the ingestion thread.
+        assert len(served["step_threads"]) == len(SCRIPT)
+        assert all(on_loop(name) for name in served["step_threads"])
         queries = served["query_threads"]
         assert len(queries) == len(SCRIPT) * (len(query_mix()) + 1)
-        # A reply to a waited upload is posted after the write lock is
-        # released, so nothing here can find a lock busy.
+        # A waited upload is answered after the write lock is released,
+        # so nothing here can find a lock busy.
         assert sum(on_loop(name) for name in queries) >= 0.95 * len(queries)
 
     def test_executor_lane_answers_byte_identically(self, monkeypatch):
@@ -857,7 +862,7 @@ class TestExecutionLanes:
         monkeypatch.setattr(parallel_mod, "POOL_MIN_DELTA_ROWS", 0)
         bounced = serve_script(monkeypatch)
         assert not any(on_loop(name) for name in bounced["query_threads"])
-        assert all(on_loop(name) for name in bounced["submit_threads"])
+        assert all(on_loop(name) for name in bounced["step_threads"])
         for key in ("answers", "query_gates", "ingest_gates", "realized_epsilon"):
             assert bounced[key] == on_the_loop[key], key
 
@@ -1157,6 +1162,274 @@ class TestUploadContinuation:
         client.close()
         server.stop()
         assert server.last_time == 1  # accepted before the close: applied
+
+
+class TestUploadOnTheLoop:
+    """A lone waited upload is applied on the loop that decoded it when
+    nothing is queued; every other case takes the continuation above and
+    is answered exactly as it was before the loop could apply a step."""
+
+    @staticmethod
+    def record_steps(monkeypatch, server: DatabaseServer) -> list:
+        """``(step, thread name)`` of every ``IncShrinkDatabase.step``."""
+        seen: list[tuple[int, str]] = []
+        real_step = server.database.step
+
+        def step(time):
+            seen.append((time, threading.current_thread().name))
+            return real_step(time)
+
+        monkeypatch.setattr(server.database, "step", step)
+        return seen
+
+    def test_a_lone_waited_upload_is_applied_and_answered_on_its_loop(
+        self, monkeypatch
+    ):
+        server = DatabaseServer(build_database())
+        steps = self.record_steps(monkeypatch, server)
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                reply = client.upload(1, batches_at(1), wait=True)
+                # Unwaited, the next step takes the queue as before.
+                client.upload(2, batches_at(2))
+                server.drain(timeout=5.0)
+        server.stop()
+        assert reply == {
+            "time": 1, "applied_through": 1, "queue_depth": 0, "drained": True,
+        }
+        assert on_loop(steps[0][1])
+        assert steps[1] == (2, "incshrink-ingest")
+        assert server.stats.steps == 2 and server.stats.uploads == 4
+
+    def test_a_queued_backlog_keeps_the_waited_step_behind_it(self, monkeypatch):
+        server = DatabaseServer(build_database())
+        steps = self.record_steps(monkeypatch, server)
+        release = threading.Event()
+        real_apply = server._apply
+
+        def held_apply(pending):
+            release.wait(5.0)  # picked up, not yet applied: the lock is free
+            real_apply(pending)
+
+        monkeypatch.setattr(server, "_apply", held_apply)
+        replies: list = []
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                acks = client.upload_many([(t, batches_at(t)) for t in (1, 2, 3)])
+                assert [ack["time"] for ack in acks] == [1, 2, 3]
+                waiter = threading.Thread(
+                    target=lambda: replies.append(
+                        client.upload(4, batches_at(4), wait=True)
+                    )
+                )
+                waiter.start()
+                try:
+                    assert wait_until(lambda: server.highest_submitted == 4)
+                    assert not replies and server.last_time == 0
+                finally:
+                    release.set()
+                waiter.join(5.0)
+                assert not waiter.is_alive()
+        server.stop()
+        assert replies[0]["drained"] and replies[0]["applied_through"] == 4
+        assert steps == [(t, "incshrink-ingest") for t in (1, 2, 3, 4)]
+
+    def test_a_due_checkpoint_is_written_at_the_same_step(
+        self, monkeypatch, tmp_path
+    ):
+        path = str(tmp_path / "db.snap")
+        server = DatabaseServer(
+            build_database(), snapshot_path=path, snapshot_every=3
+        )
+        steps = self.record_steps(monkeypatch, server)
+        checkpoints: list[tuple[int, str]] = []
+        real_snapshot = server._snapshot_locked
+
+        def snapshot_locked(*args):
+            checkpoints.append(
+                (server.last_time, threading.current_thread().name)
+            )
+            return real_snapshot(*args)
+
+        monkeypatch.setattr(server, "_snapshot_locked", snapshot_locked)
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                for t in range(1, len(SCRIPT) + 1):
+                    assert client.upload(t, batches_at(t), wait=True)["drained"]
+        server.stop()
+        assert checkpoints == [(3, "incshrink-ingest"), (6, "incshrink-ingest")]
+        assert [t for t, name in steps if not on_loop(name)] == [3, 6]
+        assert restore_database(path).metadata["last_time"] == 6
+
+    def test_a_large_waited_upload_leaves_the_loop_to_other_connections(
+        self, monkeypatch
+    ):
+        """A step past the inline row bound takes the queue: while the
+        ingestion thread holds it, another connection on the same loop
+        is answered at once."""
+        server = DatabaseServer(build_database())
+        steps = self.record_steps(monkeypatch, server)
+        picked, release = threading.Event(), threading.Event()
+        real_apply = server._apply
+
+        def held_apply(pending):
+            picked.set()
+            release.wait(5.0)  # picked up, not yet applied: the lock is free
+            real_apply(pending)
+
+        monkeypatch.setattr(server, "_apply", held_apply)
+        batches = batches_at(1)
+        large = {
+            **batches,
+            "orders": batches["orders"].padded_to(runtime_mod.INLINE_APPLY_ROWS),
+        }
+        replies: list = []
+        with NetworkServer(server, loop_threads=1) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as owner, (
+                IncShrinkClient(*net.address, busy_retries=0)
+            ) as analyst:
+                waiter = threading.Thread(
+                    target=lambda: replies.append(owner.upload(1, large, wait=True))
+                )
+                waiter.start()
+                try:
+                    assert picked.wait(5.0)
+                    started = time.perf_counter()
+                    stats = analyst.stats()
+                    answer = analyst.query(query_mix()[0]).answers
+                    elapsed = time.perf_counter() - started
+                    assert stats["last_time"] == 0 and not replies
+                finally:
+                    release.set()
+                waiter.join(5.0)
+                assert not waiter.is_alive()
+        server.stop()
+        assert elapsed < 1.0 and answer is not None
+        assert replies[0]["drained"] and replies[0]["applied_through"] == 1
+        assert steps == [(1, "incshrink-ingest")]
+
+    def test_an_apply_on_one_loop_does_not_hold_admission_on_another(
+        self, monkeypatch
+    ):
+        """The loop applying a claimed step has left the admission gate:
+        the other loop admits the next step meanwhile, and the claimed
+        step's write lock keeps that one behind it."""
+        server = DatabaseServer(build_database())
+        inside, release = threading.Event(), threading.Event()
+        seen: list[tuple[int, str]] = []
+        real_step = server.database.step
+
+        def step(t):
+            seen.append((t, threading.current_thread().name))
+            if t == 1:
+                inside.set()
+                release.wait(5.0)
+            return real_step(t)
+
+        monkeypatch.setattr(server.database, "step", step)
+        replies: list = []
+        with NetworkServer(server, loop_threads=2) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as first, (
+                IncShrinkClient(*net.address, busy_retries=0)
+            ) as second:
+                waiter = threading.Thread(
+                    target=lambda: replies.append(
+                        first.upload(1, batches_at(1), wait=True)
+                    )
+                )
+                waiter.start()
+                try:
+                    assert inside.wait(5.0)
+                    ack = second.upload(2, batches_at(2))
+                    assert ack["time"] == 2 and not replies
+                    assert server.last_time == 0
+                finally:
+                    release.set()
+                waiter.join(5.0)
+                assert not waiter.is_alive()
+                server.drain(timeout=5.0)
+        server.stop()
+        assert replies[0]["drained"] and replies[0]["applied_through"] == 1
+        assert [t for t, _ in seen] == [1, 2]
+        assert on_loop(seen[0][1]) and seen[1][1] == "incshrink-ingest"
+
+    @pytest.mark.parametrize("lane", ["loop", "queue"])
+    def test_a_failed_apply_answers_as_the_queued_path_does(
+        self, monkeypatch, lane
+    ):
+        server = DatabaseServer(build_database())
+        if lane == "queue":
+            monkeypatch.setattr(server, "try_apply", lambda time, batches: None)
+        threads: list[str] = []
+        real_step = server.database.step
+
+        def step(time):
+            threads.append(threading.current_thread().name)
+            if time == 2:
+                raise RuntimeError("step exploded")
+            return real_step(time)
+
+        monkeypatch.setattr(server.database, "step", step)
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                client.upload(1, batches_at(1), wait=True)
+                with pytest.raises(wire.RemoteError) as failed:
+                    client.upload(2, batches_at(2), wait=True)
+                with pytest.raises(wire.RemoteError) as later:
+                    client.upload(3, batches_at(3), wait=True)
+                assert client.stats()["ingest_error"] == "step exploded"
+        assert failed.value.code == wire.ERR_SERVER
+        assert failed.value.remote_message == "RuntimeError: step exploded"
+        assert later.value.code == wire.ERR_SERVER
+        assert later.value.remote_message == (
+            "ingestion halted by an earlier failure: RuntimeError: step exploded"
+        )
+        assert len(threads) == 2
+        assert all(on_loop(name) == (lane == "loop") for name in threads)
+        assert server.last_time == 1
+        with pytest.raises(RuntimeError, match="step exploded"):
+            server.stop()
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, "soon"])
+    def test_a_wait_timeout_that_is_no_duration_is_refused(self, value):
+        """Refused before admission, even while the write lock is held:
+        a NaN used to slip past the clamp and spin the loop."""
+        server = DatabaseServer(build_database())
+        with NetworkServer(server, max_wait_timeout=0.2) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                payload = wire.encode_upload(1, batches_at(1), wait=True)
+                payload["wait_timeout"] = value
+                server._rw.acquire_write()
+                try:
+                    with pytest.raises(wire.RemoteError) as excinfo:
+                        client._request("upload", payload, expect="upload_ok")
+                finally:
+                    server._rw.release_write()
+                assert excinfo.value.code == wire.ERR_INVALID_REQUEST
+                assert "wait_timeout" in excinfo.value.remote_message
+                assert server.highest_submitted == 0
+                assert server.pending_uploads == 0
+                # Nothing was admitted: step 1 is still the next step.
+                assert client.upload(1, batches_at(1), wait=True)["drained"]
+        server.stop()
+
+    def test_an_infinite_wait_timeout_clamps_to_max_wait_timeout(self):
+        server = DatabaseServer(build_database())
+        with NetworkServer(server, max_wait_timeout=0.2) as net:
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                server._rw.acquire_write()
+                try:
+                    started = time.perf_counter()
+                    reply = client.upload(
+                        1, batches_at(1), wait=True, wait_timeout=float("inf")
+                    )
+                    elapsed = time.perf_counter() - started
+                finally:
+                    server._rw.release_write()
+                assert reply["drained"] is False and reply["time"] == 1
+                assert 0.2 <= elapsed < 1.0
+                assert wait_until(lambda: server.last_time == 1)
+        server.stop()
 
 
 class TestResponseEncoding:

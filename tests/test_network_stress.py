@@ -15,13 +15,20 @@ state, not threads — so these tests attack exactly that:
   the timers, returning ``open_connections`` to zero;
 * **bounded reassembly** — the server-side high-water mark of the frame
   reassembly buffers never exceeds one declared frame, even under the
-  dribble.
+  dribble;
+* **upload ordering** — owners racing waited single uploads (applied on
+  their event loop when the queue is idle) against unwaited pipelined
+  runs (applied by the ingestion thread) never get a step applied twice,
+  out of order, or without its ``upload_ok``.
 """
 
 from __future__ import annotations
 
+import os
+import random
 import socket
 import statistics
+import sys
 import threading
 import time as _time
 
@@ -290,3 +297,124 @@ def test_pipelined_bursts_never_wait_out_the_poll_timeout():
         assert net._unhandled_errors == []
     finally:
         net.close(stop_server=True)
+
+
+def _stream_step(t: int) -> dict[str, RecordBatch]:
+    """Step ``t`` of an open-ended stream: keys drawn from ``t``'s own seed."""
+    keys = np.random.default_rng(t).integers(1, 8, size=3)
+    return {
+        "orders": RecordBatch(
+            PROBE_SCHEMA,
+            np.stack([keys[:2], np.full(2, t)], axis=1).astype(np.uint32),
+        ).padded_to(4),
+        "shipments": RecordBatch(
+            DRIVER_SCHEMA,
+            np.stack([keys[1:], np.full(2, t)], axis=1).astype(np.uint32),
+        ).padded_to(3),
+    }
+
+
+def _ingest_state(database: IncShrinkDatabase, at: int) -> dict:
+    """What the stream decides: ingest gates, answers and realized ε."""
+    ingest_gates = sum(
+        r.gates for r in database.runtime.runs if r.name != "query"
+    )
+    answers = [database.query(q, at).answers.rows for q in query_mix()]
+    return {
+        "ingest_gates": ingest_gates,
+        "answers": answers,
+        "realized_epsilon": database.realized_epsilon(),
+    }
+
+
+def test_racing_owners_get_every_acknowledged_step_applied_once_in_order():
+    server = DatabaseServer(build_database(), snapshot_every=None)
+    applied: list[tuple[int, str]] = []
+    real_step = server.database.step
+
+    def step(t):
+        applied.append((t, threading.current_thread().name))
+        return real_step(t)
+
+    server.database.step = step
+    net = NetworkServer(
+        server, max_connections=32, max_inflight=32, loop_threads=2
+    ).start()
+    acked: list[int] = []
+    failures: list[Exception] = []
+    allocate = threading.Lock()
+    next_step = [1]
+    deadline = _time.monotonic() + 1.5
+
+    def owner(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            with socket.create_connection(net.address, timeout=10.0) as sock:
+                stream = sock.makefile("rwb")
+                while _time.monotonic() < deadline and next_step[0] < 600:
+                    # A waited single upload, or an unwaited pipelined run.
+                    size = 1 if rng.random() < 0.75 else rng.randint(2, 5)
+                    with allocate:
+                        steps = list(range(next_step[0], next_step[0] + size))
+                        next_step[0] += size
+                    payloads = []
+                    for t in steps:
+                        payload = wire.encode_upload(
+                            t, _stream_step(t), wait=size == 1
+                        )
+                        payload["wait_timeout"] = 10.0
+                        payloads.append(payload)
+                    stream.write(
+                        b"".join(wire.encode_frame("upload", p) for p in payloads)
+                    )
+                    stream.flush()
+                    for t in steps:
+                        frame_type, reply = wire.read_frame(stream)
+                        if frame_type == "upload_ok":
+                            assert reply["time"] == t
+                            if size == 1:
+                                assert reply["drained"]
+                                assert reply["applied_through"] >= t
+                            acked.append(t)
+                        else:
+                            # Another owner's later step got in first.
+                            assert reply["code"] == wire.ERR_INVALID_REQUEST
+                            assert "does not advance" in reply["message"]
+        except Exception as exc:  # surfaced by the assert below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=owner, args=(seed,))
+            for seed in range((os.cpu_count() or 2) + 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+        server.drain(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        net.close(stop_server=True)
+    assert failures == []
+    assert net._unhandled_errors == []
+    steps = [t for t, _ in applied]
+    assert steps == sorted(acked)
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    # Both appliers took part: the loops and the ingestion thread.
+    appliers = {
+        "loop" if name.startswith("incshrink-loop-") else name
+        for _, name in applied
+    }
+    assert appliers == {"loop", "incshrink-ingest"}
+
+    replay = build_database()
+    for t in steps:
+        replay.upload(t, _stream_step(t))
+        replay.step(t)
+    assert _ingest_state(server.database, steps[-1]) == _ingest_state(
+        replay, steps[-1]
+    )

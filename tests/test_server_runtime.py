@@ -21,6 +21,7 @@ from repro.core.view_def import JoinViewDefinition
 from repro.experiments.harness import MultiViewRunConfig, build_multiview_deployment
 from repro.query.ast import AggregateSpec, LogicalJoinQuery, LogicalQuery
 from repro.server.database import IncShrinkDatabase, ViewRegistration
+from repro.server import runtime as runtime_mod
 from repro.server.runtime import DatabaseServer, ReadWriteLock, WouldBlock
 
 PROBE_SCHEMA = Schema(("key", "ots"))
@@ -414,6 +415,135 @@ class TestNonBlockingForms:
         lock.release_write()
         with lock.read_locked(blocking=False):
             pass
+
+    def test_write_lock_refuses_instead_of_waiting(self):
+        lock = ReadWriteLock()
+        assert lock.acquire_write(blocking=False)
+        assert not lock.acquire_write(blocking=False)
+        lock.release_write()
+        lock.acquire_read()
+        assert not lock.acquire_write(blocking=False)
+        lock.release_read()
+        assert lock.acquire_write(blocking=False)
+        lock.release_write()
+
+    @staticmethod
+    def applied_inline(server: DatabaseServer, t: int, batches=None) -> bool:
+        """``try_apply`` then, when it claimed the step, its ``apply()``."""
+        apply = server.try_apply(t, batches_at(t) if batches is None else batches)
+        if apply is None:
+            return False
+        apply()
+        return True
+
+    def test_try_apply_applies_only_when_nothing_is_in_its_way(self, tmp_path):
+        server = DatabaseServer(
+            build_database(), snapshot_path=str(tmp_path / "db.snap"),
+            snapshot_every=3,
+        ).start()
+        assert self.applied_inline(server, 1)
+        assert server.last_time == 1 and server.stats.steps == 1
+        # The write lock is held (a reader here): nothing applied.
+        with server._rw.read_locked():
+            assert not self.applied_inline(server, 2)
+        # A step is queued, picked up but not yet applied: the lock is
+        # free, yet applying here would overtake it.
+        release = threading.Event()
+        real_apply = server._apply
+
+        def held_apply(pending):
+            release.wait(5.0)
+            real_apply(pending)
+
+        server._apply = held_apply
+        server.submit(2, batches_at(2))
+        try:
+            assert not self.applied_inline(server, 3)
+        finally:
+            release.set()
+        server.drain(timeout=5.0)
+        assert server.last_time == 2 and server.stats.steps == 2
+        # Step 3 is a checkpoint's: that is the ingestion thread's work.
+        assert not self.applied_inline(server, 3)
+        assert server.stats.snapshots == 0
+        server.submit(3, batches_at(3))
+        server.drain(timeout=5.0)
+        assert server.stats.snapshots == 1
+        assert self.applied_inline(server, 4)
+        server.stop()
+        assert server.last_time == 4 and server.stats.steps == 4
+
+    def test_a_claimed_step_holds_the_write_lock_until_it_is_applied(self):
+        server = DatabaseServer(build_database()).start()
+        apply = server.try_apply(1, batches_at(1))
+        assert apply is not None
+        # Claimed, not applied: it counts as submitted, and nothing — a
+        # second claim, a reader — gets past it.
+        assert server.highest_submitted == 1 and server.last_time == 0
+        assert server.try_apply(2, batches_at(2)) is None
+        assert not server._rw.acquire_read(blocking=False)
+        apply()
+        assert server.last_time == 1
+        assert server._rw.acquire_read(blocking=False)
+        server._rw.release_read()
+        server.stop()
+
+    def test_the_inline_row_bound_is_one_row_wide(self):
+        """A step of one padded row less than ``INLINE_APPLY_ROWS`` is
+        claimed; one of exactly that many takes the queue."""
+        bound = runtime_mod.INLINE_APPLY_ROWS
+
+        def step_of(t: int, rows: int) -> dict[str, RecordBatch]:
+            batches = batches_at(t)
+            orders = rows - len(batches["shipments"])
+            return {**batches, "orders": batches["orders"].padded_to(orders)}
+
+        server = DatabaseServer(build_database()).start()
+        assert not self.applied_inline(server, 1, step_of(1, bound))
+        assert self.applied_inline(server, 1, step_of(1, bound - 1))
+        assert server.last_time == 1
+        server.stop()
+
+    def test_the_inline_cache_bound_counts_every_views_cache(self, monkeypatch):
+        server = DatabaseServer(build_database()).start()
+        assert self.applied_inline(server, 1)
+        cached = sum(len(vr.cache) for vr in server.database.views.values())
+        assert cached > 0
+        # A Shrink update or a flush may sort every cache row this step.
+        monkeypatch.setattr(runtime_mod, "INLINE_APPLY_CACHE_ROWS", cached)
+        assert not self.applied_inline(server, 2)
+        monkeypatch.setattr(runtime_mod, "INLINE_APPLY_CACHE_ROWS", cached + 1)
+        assert self.applied_inline(server, 2)
+        server.stop()
+        assert server.last_time == 2
+
+    def test_a_failed_try_apply_halts_ingestion(self, monkeypatch):
+        server = DatabaseServer(build_database()).start()
+        real_step = server.database.step
+
+        def step(time):
+            if time == 2:
+                raise SchemaError("step 2 exploded")
+            return real_step(time)
+
+        monkeypatch.setattr(server.database, "step", step)
+        assert self.applied_inline(server, 1)
+        fired: list = []
+        with pytest.raises(SchemaError, match="exploded"):
+            self.applied_inline(server, 2)
+        server.when_applied(2, fired.append)
+        assert [str(error) for error in fired] == ["step 2 exploded"]
+        with pytest.raises(SchemaError, match="exploded"):
+            server.submit(3, batches_at(3))
+        with pytest.raises(SchemaError, match="exploded"):
+            server.try_apply(3, batches_at(3))
+        # A step that reached the queue anyway is not applied after it.
+        server._queue.put((3, batches_at(3)))
+        with pytest.raises(SchemaError, match="exploded"):
+            server.drain(timeout=5.0)
+        assert server.last_time == 1 and server.stats.steps == 1
+        with pytest.raises(SchemaError, match="exploded"):
+            server.stop()
 
     def test_query_and_stats_raise_would_block_with_nothing_executed(self):
         server = DatabaseServer(build_database()).start()
