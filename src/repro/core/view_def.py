@@ -119,6 +119,17 @@ class JoinViewDefinition:
         return (delta >= self.window_lo) & (delta <= self.window_hi)
 
     @property
+    def band(self) -> tuple[int, int, int, int]:
+        """:meth:`pair_predicate` as data for the NM kernel:
+        ``(probe_ts_col, driver_ts_col, window_lo, window_hi)``.
+
+        The kernel counts each row's partners inside this timestamp band
+        (:func:`repro.oblivious.sort_merge_join.oblivious_join_multi_aggregate`)
+        instead of testing pairs one by one.
+        """
+        return (self.probe_ts_col, self.driver_ts_col, self.window_lo, self.window_hi)
+
+    @property
     def join_signature(self) -> tuple:
         """What determines the joined rows: sides, key/ts columns, window.
 

@@ -14,12 +14,6 @@ Workflow, exactly as Figure 2 sketches it:
 The output array size is therefore ``ω × |driver input|``, a public
 quantity; the real cardinality stays hidden inside the isView bits.
 
-This module also provides the *untruncated* NM aggregate kernel
-:func:`oblivious_join_multi_aggregate` used by the non-materialization
-baseline, which recomputes the full join per query and aggregates inside
-the circuit: one sort-and-scan folding any number of COUNT/SUM
-accumulators over any number of public GROUP BY cells in a single pass.
-
 **What is charged** is that circuit: one oblivious sort of the union, one
 probe per member of a live driver's equal-key group (dummies included),
 one padded emit per output slot.  **What is computed** is its result, in
@@ -31,6 +25,27 @@ probe charge is one call, and the two-sided truncation and the padded
 emission are :func:`~repro.oblivious.join_common.match_pairs_truncated`
 and :func:`~repro.oblivious.join_common.emit_padded`.  The gate total of
 a join equals, to the gate, what visiting the drivers one by one charged.
+
+This module also provides the *untruncated* NM aggregate kernel
+:func:`oblivious_join_multi_aggregate` used by the non-materialization
+baseline, which recomputes the full join per query and aggregates inside
+the circuit: one sort-and-scan folding any number of COUNT/SUM
+accumulators over any number of public GROUP BY cells in a single pass.
+It never builds a pair.  Every NM join is key equality plus a timestamp
+band (:data:`Band`), so it is *factorized*: one side is the anchor (the
+GROUP BY side, else the probe side); the other side's rows are sorted
+once by ``(key << 32) | ts``; each anchor row (visited in that same
+order, so the searches probe ascending) finds where its key and its
+band ``[ts + lo, ts + hi]`` (clamped to ``[0, 2^32 − 1]``) start and end
+in the partners with ``searchsorted``; and prefix sums over the
+sorted partners turn those positions into the anchor's partner count and
+partner-side SUMs (wrapping uint64, ``P[end] − P[start]``), while an
+anchor-side SUM is ``value × count``.  Each anchor row then lands in its
+GROUP BY cell.  Host time and memory are sized by the two tables, not by
+the pairs.  The charges are still the pair circuit's: the same sort and
+scan, and one probe plus the per-pair slot gates per live same-key
+candidate pair — a count read from key-only bounds over the same sorted
+array, so it varies with the data (ROADMAP item 6 re-prices it).
 """
 
 from __future__ import annotations
@@ -53,27 +68,14 @@ MAX_SIDE_ROWS = 1 << 24
 #: equality (e.g. the "returned within 10 days" temporal condition).
 PairPredicate = Callable[[np.ndarray, np.ndarray], bool]
 
+#: A pair predicate as data, ``(left_ts_col, right_ts_col, lo, hi)``: the
+#: pair ``(l, r)`` joins beyond key equality when
+#: ``lo <= r[right_ts_col] − l[left_ts_col] <= hi`` (see
+#: :attr:`repro.core.view_def.JoinViewDefinition.band`).
+Band = tuple[int, int, int, int]
 
-def _group_by_key(keys: np.ndarray) -> dict[int, np.ndarray]:
-    """Positions of each distinct key, via one stable argsort.
-
-    Returns ``{key: positions}`` with positions in ascending original
-    order — exactly the iteration order the historical per-row Python
-    loop produced, at NumPy speed.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return {}
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    )
-    stops = np.concatenate((starts[1:], [sorted_keys.size]))
-    return {
-        int(sorted_keys[start]): order[start:stop]
-        for start, stop in zip(starts, stops)
-    }
+#: Largest timestamp: row words are uint32.
+_TS_MAX = (1 << 32) - 1
 
 
 def _predicate_keep_mask(
@@ -211,6 +213,27 @@ def truncated_sort_merge_join(
     return emit_padded(probe_rows, driver_rows, omega, output_left, match)
 
 
+def _band_of(pair_predicate: PairPredicate) -> Band:
+    """The :data:`Band` behind a view definition's bound ``pair_predicate``.
+
+    The factorized kernel counts partners in a band, so it takes a
+    predicate only when the predicate is one: a bound
+    ``pair_predicate`` whose owner also exposes ``band`` (e.g.
+    :class:`~repro.core.view_def.JoinViewDefinition`).
+    """
+    owner = getattr(pair_predicate, "__self__", None)
+    band = getattr(owner, "band", None)
+    if band is None or getattr(pair_predicate, "__func__", None) is not getattr(
+        type(owner), "pair_predicate", None
+    ):
+        raise TypeError(
+            "the NM join counts partners in a timestamp band: pass "
+            "band=(left_ts_col, right_ts_col, lo, hi), or a view "
+            "definition's bound pair_predicate"
+        )
+    return band
+
+
 def oblivious_join_multi_aggregate(
     ctx: ProtocolContext,
     left_rows: np.ndarray,
@@ -224,33 +247,42 @@ def oblivious_join_multi_aggregate(
     group_spec: tuple[str, int] | None = None,
     group_domain: Sequence[int] | None = None,
     clause_specs: Sequence[tuple[str, int, int, int]] = (),
+    band: Band | None = None,
     pair_predicate: PairPredicate | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Untruncated NM join folding every aggregate in one sort-and-scan.
 
-    The non-materialization baseline's unified query kernel: sorts the
-    tagged union of both full tables, scans it, and accumulates — for
-    every qualifying pair — a count and one 64-bit sum per entry of
+    The non-materialization baseline's unified query kernel: over the
+    tagged union of both full tables it accumulates — for every
+    qualifying pair — a count and one 64-bit sum per entry of
     ``sum_specs`` (each ``(side, column)`` with side ``"left"`` or
     ``"right"``), routed into the GROUP BY cell selected by
     ``group_spec``/``group_domain`` (pairs outside the public domain are
-    excluded).  ``clause_specs`` are residual interval predicates
-    ``(side, column, lo, hi)``; ``pair_predicate`` is the join's own
-    condition beyond key equality (the temporal window).
+    excluded; a duplicated domain value routes to its last slot).
+    ``clause_specs`` are residual interval predicates
+    ``(side, column, lo, hi)``; ``band`` is the join's own condition
+    beyond key equality (the temporal window) — or, equivalently,
+    ``pair_predicate``, a view definition's bound ``pair_predicate``,
+    read as its band.  With neither, every same-key pair joins.
 
     Returns ``(counts, sums)`` shaped like
     :func:`repro.oblivious.filter.oblivious_multi_aggregate`.  Nothing
     but the final aggregates leaves the protocol — but the circuit grows
     with the whole database, which is precisely the redundant-computation
     overhead IncShrink's materialized view removes.  Charges: one
-    oblivious sort of the union, one probe per same-key candidate pair,
-    per-pair accumulator/routing gates via
+    oblivious sort of the union, one probe per live same-key candidate
+    pair, per-pair accumulator/routing gates via
     :meth:`~repro.mpc.cost_model.CostModel.aggregate_slot_gates`, one
-    padded scan of the union.
+    padded scan of the union.  The answer is computed factorized (see
+    the module docstring): no pair is ever enumerated.
     """
     grouped = group_spec is not None
     if grouped and not group_domain:
         raise ValueError("grouped aggregation needs a non-empty public domain")
+    if pair_predicate is not None:
+        if band is not None:
+            raise ValueError("pass band or pair_predicate, not both")
+        band = _band_of(pair_predicate)
     n_groups = len(group_domain) if grouped else 1
     n_left, w_left = left_rows.shape if left_rows.size else (0, left_rows.shape[1])
     n_right, w_right = right_rows.shape if right_rows.size else (0, right_rows.shape[1])
@@ -262,79 +294,127 @@ def oblivious_join_multi_aggregate(
     payload_words = max(w_left, w_right) + 2
     charge_oblivious_sort(ctx, n_left + n_right, payload_words)
 
+    # The anchor side is the GROUP BY side (its rows pick the cell), else
+    # the left (probe) side; every row of the other side is a partner.
+    anchor_left = not grouped or group_spec[0] == "left"
+    sides = (
+        (left_rows, left_flags, left_key_col, n_left),
+        (right_rows, right_flags, right_key_col, n_right),
+    )
+    (a_rows, a_flags, a_key, a_n), (p_rows, p_flags, p_key, p_n) = (
+        sides if anchor_left else sides[::-1]
+    )
+    if band is None:
+        a_ts_col = p_ts_col = None
+    else:
+        a_ts_col, p_ts_col = (band[0], band[1]) if anchor_left else (band[1], band[0])
+
+    def _by_key_ts(rows: np.ndarray, n: int, key_col: int, ts_col: int | None):
+        """The order of ``rows`` by ``(key << 32) | ts`` (by key alone
+        without a band) and those words sorted.  Ties need no order: a
+        search never splits a run of equal words."""
+        words = rows[:n, key_col].astype(np.uint64) << np.uint64(32)
+        if ts_col is not None:
+            words |= rows[:n, ts_col].astype(np.uint64)
+        order = np.argsort(words)
+        return order, words[order]
+
+    def _weight(rows: np.ndarray, live: np.ndarray, is_left: bool) -> np.ndarray:
+        """Live rows that pass every residual clause on their side."""
+        keep = live.copy()
+        for s, c, lo, hi in clause_specs:
+            if (s == "left") == is_left:
+                vals = rows[:, c].astype(np.int64)
+                keep &= (vals >= lo) & (vals <= hi)
+        return keep
+
+    # Partners sorted once; prefix counts of live partners (the charge)
+    # and of weighted partners (the answer).
+    order, sorted_keys = _by_key_ts(p_rows, p_n, p_key, p_ts_col)
+    p_live = np.asarray(p_flags, dtype=bool)[:p_n]
+    p_weight = _weight(p_rows[:p_n], p_live, not anchor_left)[order]
+    live_prefix = np.zeros(p_n + 1, dtype=np.int64)
+    np.cumsum(p_live[order], out=live_prefix[1:])
+    weight_prefix = np.zeros(p_n + 1, dtype=np.int64)
+    np.cumsum(p_weight, out=weight_prefix[1:])
+
+    # Anchors in the same order, so every search below probes with
+    # ascending needles; then each anchor's key run, and within it its
+    # band, as positions in the sorted partners.
+    a_order, _ = _by_key_ts(a_rows, a_n, a_key, a_ts_col)
+    a_rows = a_rows[:a_n][a_order]
+    a_live = np.asarray(a_flags, dtype=bool)[:a_n][a_order]
+    a_key_word = a_rows[:, a_key].astype(np.uint64) << np.uint64(32)
+    key_start = np.searchsorted(sorted_keys, a_key_word, side="left")
+    key_stop = np.searchsorted(sorted_keys, a_key_word | np.uint64(_TS_MAX), side="right")
+    total_pairs = int(
+        np.dot(live_prefix[key_stop] - live_prefix[key_start], a_live.astype(np.int64))
+    )
+    if band is None:
+        start, stop = key_start, key_stop
+    else:
+        # r.ts − l.ts ∈ [lo, hi]; the delta of two uint32 words lies in
+        # ±(2^32 − 1), so clamping the window to ±2^32 changes nothing.
+        lo, hi = (max(-(1 << 32), min(int(v), 1 << 32)) for v in band[2:])
+        a_ts = a_rows[:, a_ts_col].astype(np.int64)
+        band_lo, band_hi = (a_ts + lo, a_ts + hi) if anchor_left else (a_ts - hi, a_ts - lo)
+        empty = (band_lo > band_hi) | (band_lo > _TS_MAX) | (band_hi < 0)
+        start = np.searchsorted(
+            sorted_keys,
+            a_key_word | np.clip(band_lo, 0, _TS_MAX).astype(np.uint64),
+            side="left",
+        )
+        stop = np.searchsorted(
+            sorted_keys,
+            a_key_word | np.clip(band_hi, 0, _TS_MAX).astype(np.uint64),
+            side="right",
+        )
+        stop[empty] = start[empty]
+
     # Per candidate pair: the accumulator/routing gates plus one ring
     # comparison per residual clause — the same predicate charge the
     # view scan pays per row, so neither path evaluates clauses for free.
-    slot_gates = ctx.cost_model.aggregate_slot_gates(
-        need_count, len(sum_specs), n_groups, grouped
-    ) + ctx.cost_model.predicate_eval_gates(len(clause_specs))
-    counts = np.zeros(n_groups, dtype=np.int64)
-    sums = np.zeros((n_groups, len(sum_specs)), dtype=np.uint64)
-
-    # Candidate pairs = live-left × live-right within each shared key.
-    # The historical per-right-row loop charged probes/gates per row and
-    # folded pairs one at a time; gate charges are linear in the pair
-    # count and the accumulators are commutative rings (int64 counts,
-    # wrapping uint64 sums), so one batched charge plus vectorized
-    # scatter-adds is byte-identical.
-    live_left = np.flatnonzero(np.asarray(left_flags, dtype=bool)[:n_left])
-    live_right = np.flatnonzero(np.asarray(right_flags, dtype=bool)[:n_right])
-    groups_left = (
-        _group_by_key(left_rows[live_left, left_key_col]) if live_left.size else {}
-    )
-    groups_right = (
-        _group_by_key(right_rows[live_right, right_key_col]) if live_right.size else {}
-    )
-    pair_i_parts: list[np.ndarray] = []
-    pair_j_parts: list[np.ndarray] = []
-    for key, rpos in groups_right.items():
-        lpos = groups_left.get(key)
-        if lpos is None:
-            continue
-        li = live_left[lpos]
-        rj = live_right[rpos]
-        pair_i_parts.append(np.tile(li, rj.size))
-        pair_j_parts.append(np.repeat(rj, li.size))
-
-    total_pairs = sum(part.size for part in pair_i_parts)
     if total_pairs:
         ctx.charge_join_probes(total_pairs, out_width)
+        slot_gates = ctx.cost_model.aggregate_slot_gates(
+            need_count, len(sum_specs), n_groups, grouped
+        ) + ctx.cost_model.predicate_eval_gates(len(clause_specs))
         if slot_gates:
             ctx.charge_gates(total_pairs * slot_gates)
-        pi = np.concatenate(pair_i_parts)
-        pj = np.concatenate(pair_j_parts)
 
-        def _pair_values(spec_side: str, col: int) -> np.ndarray:
-            rows = left_rows[pi] if spec_side == "left" else right_rows[pj]
-            return rows[:, col].astype(np.int64)
+    a_weight = _weight(a_rows, a_live, anchor_left)
+    if grouped:
+        domain = np.fromiter(
+            (int(v) for v in group_domain), dtype=np.int64, count=n_groups
+        )
+        # Duplicate domain values route to the *last* occurrence — the
+        # dict-build semantics of the historical loop.  A stable argsort
+        # plus right-bisect picks exactly that slot.
+        domain_order = np.argsort(domain, kind="stable")
+        sorted_domain = domain[domain_order]
+        gvals = a_rows[:, group_spec[1]].astype(np.int64)
+        pos = np.maximum(np.searchsorted(sorted_domain, gvals, side="right") - 1, 0)
+        a_weight &= sorted_domain[pos] == gvals
+        cell = domain_order[pos]
+    else:
+        cell = np.zeros(a_n, dtype=np.int64)
+    count = (weight_prefix[stop] - weight_prefix[start]) * a_weight
 
-        keep = np.ones(total_pairs, dtype=bool)
-        if pair_predicate is not None:
-            keep = _predicate_keep_mask(pair_predicate, left_rows[pi], right_rows[pj])
-        for s, c, lo, hi in clause_specs:
-            vals = _pair_values(s, c)
-            keep &= (vals >= lo) & (vals <= hi)
-        pi, pj = pi[keep], pj[keep]
-        if grouped:
-            domain = np.fromiter(
-                (int(v) for v in group_domain), dtype=np.int64, count=n_groups
-            )
-            # Duplicate domain values route to the *last* occurrence —
-            # the dict-build semantics of the historical loop.  A stable
-            # argsort plus right-bisect picks exactly that slot.
-            order = np.argsort(domain, kind="stable")
-            sorted_domain = domain[order]
-            gvals = _pair_values(group_spec[0], group_spec[1])
-            pos = np.searchsorted(sorted_domain, gvals, side="right") - 1
-            in_domain = (pos >= 0) & (sorted_domain[np.maximum(pos, 0)] == gvals)
-            gidx = order[np.maximum(pos, 0)][in_domain]
-            pi, pj = pi[in_domain], pj[in_domain]
+    counts = np.zeros(n_groups, dtype=np.int64)
+    sums = np.zeros((n_groups, len(sum_specs)), dtype=np.uint64)
+    if need_count:
+        np.add.at(counts, cell, count)
+    for s, (spec_side, col) in enumerate(sum_specs):
+        if (spec_side == "left") == anchor_left:
+            # count copies of the anchor's own value (wrapping uint64).
+            part = a_rows[:, col].astype(np.uint64) * count.astype(np.uint64)
         else:
-            gidx = np.zeros(pi.size, dtype=np.int64)
-        if need_count:
-            counts += np.bincount(gidx, minlength=n_groups).astype(np.int64)
-        for s, (spec_side, col) in enumerate(sum_specs):
-            rows = left_rows[pi] if spec_side == "left" else right_rows[pj]
-            np.add.at(sums[:, s], gidx, rows[:, col].astype(np.uint64))
+            value_prefix = np.zeros(p_n + 1, dtype=np.uint64)
+            np.cumsum(
+                p_rows[:p_n, col].astype(np.uint64)[order] * p_weight,
+                out=value_prefix[1:],
+            )
+            part = (value_prefix[stop] - value_prefix[start]) * a_weight
+        np.add.at(sums[:, s], cell, part)
     ctx.charge_scan(n_left + n_right, payload_words)
     return counts, sums

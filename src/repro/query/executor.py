@@ -216,7 +216,7 @@ def execute_nm_query(
             group_spec=group_spec,
             group_domain=group_domain,
             clause_specs=clause_specs,
-            pair_predicate=view_def.pair_predicate,
+            band=view_def.band,
         )
         seconds = ctx.seconds
     return assemble_answer(aggregates, group_domain, counts, sums), seconds

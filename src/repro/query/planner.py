@@ -90,7 +90,11 @@ def nm_join_gates(
     CPDB Q2).  Each estimated pair additionally pays the same
     per-aggregate accumulator/routing gates the view scan pays per row
     plus one ring comparison per residual clause; this matches
-    :func:`repro.oblivious.sort_merge_join.oblivious_join_multi_aggregate`.
+    :func:`repro.oblivious.sort_merge_join.oblivious_join_multi_aggregate`,
+    whose probe term is still the live same-key pair count it charges —
+    the kernel counts partners without building pairs, but its charges
+    are the pair circuit's until they become public-size charges
+    (ROADMAP item 6) and this estimate becomes the same formula.
     """
     n = n_probe + n_driver
     if n == 0:

@@ -10,10 +10,13 @@ pre-vectorization code paths; the list-of-lists matcher lives on only
 here, as the oracle.
 """
 
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.common.types import Schema
@@ -23,7 +26,6 @@ from repro.oblivious.join_common import JoinResult, match_pairs_truncated
 from repro.oblivious.nested_loop_join import truncated_nested_loop_join
 from repro.oblivious.sort import batcher_network, composite_key, oblivious_sort
 from repro.oblivious.sort_merge_join import (
-    _group_by_key,
     _predicate_keep_mask,
     oblivious_join_multi_aggregate,
     truncated_sort_merge_join,
@@ -52,6 +54,24 @@ def _loop_group_by_key(keys) -> dict[int, list[int]]:
     for pos, key in enumerate(keys):
         groups[int(key)].append(pos)
     return groups
+
+
+def _group_by_key(keys) -> dict[int, np.ndarray]:
+    """Positions of each distinct key, via one stable argsort (the pair
+    kernel's grouping, kept for the NM oracle below)."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return {}
+    order = np.argsort(keys, kind="stable").astype(np.int64)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    stops = np.concatenate((starts[1:], [sorted_keys.size]))
+    return {
+        int(sorted_keys[start]): order[start:stop]
+        for start, stop in zip(starts, stops)
+    }
 
 
 def _loop_match_pairs(driver_order, candidate_lists, omega, driver_caps, probe_caps):
@@ -706,6 +726,212 @@ class TestMultiAggregateRegression:
                 )
         assert np.array_equal(outs[0][1], outs[1][1])
         assert outs[0][0][0] == 12
+
+
+# -- the factorized NM kernel against the pair oracle, over generated shapes ---
+_TS_MAX = (1 << 32) - 1
+#: Window endpoints: the ±2^33 extremes, the uint32 delta's own range
+#: (±(2^32 − 1)) and its neighbours, and small offsets either way.
+_WINDOW_ENDS = st.one_of(
+    st.sampled_from(
+        [-(2**33), -(2**32), -_TS_MAX, -1, 0, 1, _TS_MAX, 2**32, 2**33]
+    ),
+    st.integers(-4, 4),
+)
+
+
+@st.composite
+def _window(draw):
+    """``(lo, hi)`` in order, or — now and then — reversed (empty)."""
+    lo, hi = sorted((draw(_WINDOW_ENDS), draw(_WINDOW_ENDS)))
+    return (hi, lo) if lo < hi and draw(st.integers(0, 7)) == 0 else (lo, hi)
+
+
+@st.composite
+def _nm_case(draw):
+    """One NM kernel input.  Rows are ``(key, ts, small, value)``: three
+    keys (repeats), ``small`` feeds clauses and GROUP BY, ``value`` the
+    SUMs.  A side may be empty, all dummies, all real or mixed.  In
+    uint64 rows the values sit near 2^64, so a handful of pairs wraps
+    the accumulator (ring words are uint32, where that takes 2^32
+    pairs)."""
+    dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+    top = (1 << (64 if dtype is np.uint64 else 32)) - 1
+    values = st.one_of(st.integers(top - 4096, top), st.integers(0, 9))
+    # Timestamps sit at one end of the word or at both, so bands clamp at
+    # 0 and at 2^32 − 1 as often as they fall inside.
+    ends = draw(st.sampled_from([(0,), (_TS_MAX - 3,), (0, _TS_MAX - 3)]))
+    timestamps = st.builds(
+        lambda base, offset: base + offset, st.sampled_from(ends), st.integers(0, 3)
+    )
+
+    def side():
+        # Hypothesis favours a draw's extremes: the rare shapes sit inside.
+        n = 0 if draw(st.integers(0, 9)) == 5 else draw(st.integers(3, 9))
+        rows = [
+            (draw(st.integers(0, 2)), draw(timestamps), draw(st.integers(0, 5)),
+             draw(values))
+            for _ in range(n)
+        ]
+        real = draw(st.integers(0, 9))  # 5: all dummies, 1–3: mixed, else all real
+        flags = [real not in (1, 2, 3, 5) or (real != 5 and draw(st.integers(0, 3)) > 0) for _ in range(n)]
+        return np.asarray(rows, dtype=dtype).reshape(n, 4), np.asarray(flags, dtype=bool)
+
+    left, left_flags = side()
+    right, right_flags = side()
+    band = (1, 1, *draw(_window())) if draw(st.integers(0, 3)) else None
+    sides = st.sampled_from(["left", "right"])
+    clause_specs = []
+    for _ in range(draw(st.integers(0, 2))):
+        col = draw(st.sampled_from([1, 2]))
+        if col == 1:
+            lo, hi = draw(_window())
+        else:
+            lo, hi = sorted((draw(st.integers(-1, 6)), draw(st.integers(-1, 6))))
+        clause_specs.append((draw(sides), col, lo, hi))
+    group_spec = group_domain = None
+    if draw(st.integers(0, 2)):
+        group_spec = (draw(sides), 2)
+        # Duplicates route to their last slot; values 6 and 7 never occur.
+        group_domain = tuple(draw(st.lists(st.integers(0, 7), min_size=1, max_size=8)))
+    sum_specs = tuple((draw(sides), 3) for _ in range(draw(st.integers(0, 2))))
+    return dict(
+        left_rows=left, left_flags=left_flags, left_key_col=0,
+        right_rows=right, right_flags=right_flags, right_key_col=0,
+        sum_specs=sum_specs, need_count=draw(st.integers(0, 3)) > 0,
+        group_spec=group_spec, group_domain=group_domain,
+        clause_specs=tuple(clause_specs),
+    ), band
+
+
+class TestFactorizedKernelProperty:
+    @settings(max_examples=600, deadline=None)
+    @given(_nm_case())
+    def test_counts_sums_dtypes_gates_match_the_pair_oracle(self, case):
+        kwargs, band = case
+        predicate = None
+        if band is not None:
+            lc, rc, lo, hi = band
+
+            def predicate(left_row, right_row):
+                return lo <= int(right_row[rc]) - int(left_row[lc]) <= hi
+
+        outs = []
+        for impl, extra in (
+            (oblivious_join_multi_aggregate, {"band": band}),
+            (_loop_join_multi_aggregate, {"pair_predicate": predicate}),
+        ):
+            runtime = MPCRuntime(seed=7)
+            with np.errstate(over="ignore"), runtime.protocol("agg", 1) as ctx:
+                counts, sums = impl(ctx, **kwargs, **extra)
+                outs.append((counts, sums, ctx.gates))
+        (fc, fs, fg), (sc, ss, sg) = outs
+        assert fc.dtype == sc.dtype == np.int64
+        assert fs.dtype == ss.dtype == np.uint64
+        assert np.array_equal(fc, sc)
+        assert np.array_equal(fs, ss)
+        assert fs.shape == ss.shape
+        assert fg == sg, "the factorized kernel must charge the pair circuit"
+
+
+class TestFactorizedKernelEdges:
+    """Hand-built bands the property test reaches only by chance: each
+    anchor side, windows clamped at 0 and at 2^32 − 1, one-sided ±2^33."""
+
+    # (key, ts, group, value); same-key deltas r.ts − l.ts: 2, −8, 12, 2
+    # on key 1 and 0 on key 2, whose rows sit at the top of the word.
+    LEFT = np.asarray(
+        [[1, 10, 0, 5], [1, 0, 1, 7], [2, _TS_MAX, 0, 1]], dtype=np.uint32
+    )
+    RIGHT = np.asarray(
+        [[1, 12, 2, 3], [1, 2, 2, 4], [2, _TS_MAX, 3, 9]], dtype=np.uint32
+    )
+    PAIRS = {(0, 3): 3, (-3, 0): 1, (-(2**33), -1): 1, (1, 2**33): 3, (0, 0): 1}
+
+    @pytest.mark.parametrize("window", list(PAIRS))
+    @pytest.mark.parametrize("group_side", [None, "left", "right"])
+    def test_every_anchor_side_matches_the_oracle(self, group_side, window):
+        kwargs = dict(
+            left_rows=self.LEFT, left_flags=np.ones(3, dtype=bool), left_key_col=0,
+            right_rows=self.RIGHT, right_flags=np.ones(3, dtype=bool), right_key_col=0,
+            sum_specs=(("left", 3), ("right", 3)),
+            group_spec=None if group_side is None else (group_side, 2),
+            group_domain=None if group_side is None else (0, 1, 2, 3),
+        )
+        lo, hi = window
+        outs = []
+        for impl, extra in (
+            (oblivious_join_multi_aggregate, {"band": (1, 1, lo, hi)}),
+            (
+                _loop_join_multi_aggregate,
+                {"pair_predicate": lambda p, d: lo <= int(d[1]) - int(p[1]) <= hi},
+            ),
+        ):
+            runtime = MPCRuntime(seed=7)
+            with runtime.protocol("agg", 1) as ctx:
+                outs.append((*impl(ctx, **kwargs, **extra), ctx.gates))
+        (fc, fs, fg), (sc, ss, sg) = outs
+        assert int(fc.sum()) == self.PAIRS[window]
+        assert np.array_equal(fc, sc) and np.array_equal(fs, ss) and fg == sg
+
+
+    def test_a_predicate_is_taken_only_as_a_band(self):
+        """A view's bound predicate is read as its band; a bare callable
+        cannot be counted in a band, and neither can two conditions."""
+        flags = np.ones(3, dtype=bool)
+        args = (self.LEFT, flags, 0, self.RIGHT, flags, 0)
+        runtime = MPCRuntime(seed=7)
+        with runtime.protocol("agg", 1) as ctx:
+            via_view = oblivious_join_multi_aggregate(
+                ctx, *args, pair_predicate=VIEW.pair_predicate
+            )
+            via_band = oblivious_join_multi_aggregate(ctx, *args, band=VIEW.band)
+            assert np.array_equal(via_view[0], via_band[0])
+            with pytest.raises(TypeError, match="timestamp band"):
+                oblivious_join_multi_aggregate(
+                    ctx, *args, pair_predicate=lambda p, d: True
+                )
+            with pytest.raises(ValueError, match="not both"):
+                oblivious_join_multi_aggregate(
+                    ctx, *args, band=VIEW.band, pair_predicate=VIEW.pair_predicate
+                )
+
+
+class TestFactorizedKernelShape:
+    """Host memory is sized by the tables, not by the pairs they make."""
+
+    @staticmethod
+    def _peak_bytes(n_keys):
+        rng = np.random.default_rng(5)
+        rows = 2000
+
+        def side():
+            return np.column_stack(
+                [rng.integers(0, n_keys, rows), rng.integers(0, 50, rows),
+                 rng.integers(0, 9, rows)]
+            ).astype(np.uint32), np.ones(rows, dtype=bool)
+
+        (left, lf), (right, rf) = side(), side()
+        runtime = MPCRuntime(seed=0)
+        with runtime.protocol("agg", 1) as ctx:
+            tracemalloc.start()
+            try:
+                counts, _ = oblivious_join_multi_aggregate(
+                    ctx, left, lf, 0, right, rf, 0,
+                    sum_specs=(("left", 2), ("right", 2)),
+                    band=(1, 1, -(2**32), 2**32),
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return int(counts[0]), peak
+
+    def test_peak_memory_does_not_grow_with_the_pair_count(self):
+        few_pairs, few_peak = self._peak_bytes(n_keys=1_000_000)
+        many_pairs, many_peak = self._peak_bytes(n_keys=20)
+        assert few_pairs < 50 and many_pairs > 150_000
+        # 150k pairs of two int64 indices would be 2.4 MB on their own.
+        assert many_peak < 1.5 * few_peak + 64 * 1024
 
 
 class TestPredicateKeepMask:

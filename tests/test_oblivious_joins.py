@@ -26,11 +26,11 @@ from repro.oblivious.sort_merge_join import (
 
 
 def join_count(ctx, left, left_flags, left_key, right, right_flags, right_key,
-               pair_predicate=None):
+               band=None):
     """COUNT(*) of the untruncated join, as the one NM kernel computes it."""
     counts, _sums = oblivious_join_multi_aggregate(
         ctx, left, left_flags, left_key, right, right_flags, right_key,
-        pair_predicate=pair_predicate,
+        band=band,
     )
     return int(counts[0])
 
@@ -261,7 +261,7 @@ class TestObliviousJoinCount:
             count = join_count(
                 ctx, probe, np.ones(4, dtype=bool), 0,
                 driver, np.ones(3, dtype=bool), 0,
-                lambda p, d: int(d[1]) - int(p[1]) <= 4,
+                band=(1, 1, -(2**32), 4),  # d.ts − p.ts <= 4
             )
         # Only (2,101)⋈(2,105) has a timestamp delta within 4.
         assert count == 1

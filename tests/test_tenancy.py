@@ -902,15 +902,19 @@ class TestMetrics:
                 assert "incshrink_tenant_epsilon_remaining" in body
                 with urllib.request.urlopen(f"{base}/healthz", timeout=5) as resp:
                     assert resp.read() == b"ok\n"
+                # An HTTPError owns the error response and its socket:
+                # close it, or the socket outlives the test.
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(f"{base}/nope", timeout=5)
-                assert excinfo.value.code == 404
+                with excinfo.value as error:
+                    assert error.code == 404
                 req = urllib.request.Request(
                     f"{base}/metrics", data=b"x", method="POST"
                 )
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(req, timeout=5)
-                assert excinfo.value.code == 405
+                with excinfo.value as error:
+                    assert error.code == 405
         server.stop()
 
     def test_scrape_is_byte_for_byte_what_the_from_scratch_ledgers_render(self):
@@ -979,9 +983,10 @@ class TestMetrics:
                 mhost, mport = metrics.address
                 before = net.server.observability()
                 for _ in range(3):
-                    urllib.request.urlopen(
+                    with urllib.request.urlopen(
                         f"http://{mhost}:{mport}/metrics", timeout=5
-                    ).read()
+                    ) as resp:
+                        resp.read()
                 after = net.server.observability()
                 assert before["queries"] == after["queries"]
                 assert before["uploads"] == after["uploads"]

@@ -9,7 +9,11 @@ shards through the in-process executor), the
 join's oblivious sort on ``(key, side, position)`` keys
 (:func:`repro.oblivious.sort.oblivious_sort`), Transform's ω-truncated
 sort-merge join (:func:`repro.oblivious.sort_merge_join.
-truncated_sort_merge_join`) and ``transform_step``, one whole
+truncated_sort_merge_join`), ``nm_join``, the NM baseline's join
+aggregate (:func:`repro.oblivious.sort_merge_join.
+oblivious_join_multi_aggregate`) over 2,000 × 2,000 rows at about 5, 2k,
+20k and 200k candidate pairs, reporting each shape's host time and
+gates, and ``transform_step``, one whole
 :meth:`repro.core.transform.TransformProtocol.run` over a ``tpcds-small``
 window of 9 batches (180 rows), and the two fixed-shape stages of every
 ``cpdb-heavy`` upload — ``cache_read``, one Figure 3 read of a
@@ -265,6 +269,68 @@ def _transform_join_workload(rows: int):
                 vd.omega, vd.pair_predicate,
             )
 
+    return run
+
+
+#: Key-pool sizes of the ``nm_join`` shapes: two 2,000-row all-real sides
+#: drawing keys from a pool of ``k`` make about 4 M / ``k`` same-key
+#: candidate pairs — about 5, 2k, 20k and 200k.
+NM_JOIN_KEY_POOLS = (800_000, 2_000, 200, 20)
+
+
+def _nm_join_workload(rows: int):
+    """The NM join a query runs when no view answers it: two sides of
+    ``rows / 2`` rows ``(key, ts, value)``, COUNT plus a SUM from each
+    side inside a ``[0, 10]`` timestamp band, at each key pool of
+    :data:`NM_JOIN_KEY_POOLS`.  ``run`` joins all four shapes; the report
+    gives each shape's candidate pairs, gates and best host time.  The
+    host time should not grow with the pairs; the gates still do (the
+    probe charge counts the same-key candidate pairs)."""
+    from repro.mpc.runtime import MPCRuntime
+    from repro.oblivious.sort_merge_join import oblivious_join_multi_aggregate
+
+    gen = np.random.default_rng(41)
+    n = rows // 2
+    flags = np.ones(n, dtype=bool)
+    runtime = MPCRuntime(seed=0)
+
+    def side(pool: int) -> np.ndarray:
+        return np.column_stack(
+            [gen.integers(0, pool, n), gen.integers(0, 100, n), gen.integers(0, 1000, n)]
+        ).astype(np.uint32)
+
+    shapes = [(side(pool), side(pool)) for pool in NM_JOIN_KEY_POOLS]
+
+    def join(left: np.ndarray, right: np.ndarray) -> int:
+        with runtime.protocol("profile-nm-join", 0) as ctx:
+            oblivious_join_multi_aggregate(
+                ctx, left, flags, 0, right, flags, 0,
+                sum_specs=(("left", 2), ("right", 2)), band=(1, 1, 0, 10),
+            )
+            return ctx.gates
+
+    def run() -> None:
+        for left, right in shapes:
+            join(left, right)
+
+    report = []
+    for left, right in shapes:
+        left_keys, left_counts = np.unique(left[:, 0], return_counts=True)
+        right_keys, right_counts = np.unique(right[:, 0], return_counts=True)
+        _, li, ri = np.intersect1d(left_keys, right_keys, return_indices=True)
+        timed = []
+        for _ in range(TIMED_REPEATS):
+            t0 = time.perf_counter()
+            gates = join(left, right)
+            timed.append(time.perf_counter() - t0)
+        report.append(
+            {
+                "pairs": int(np.dot(left_counts[li], right_counts[ri])),
+                "gates": gates,
+                "host_ms": round(min(timed) * 1e3, 4),
+            }
+        )
+    run.report = {"shapes": report}
     return run
 
 
@@ -597,6 +663,7 @@ WORKLOADS = {
     "transform_join": _transform_join_workload,
     "transform_step": _transform_step_workload,
     "incremental_scan": _incremental_workload,
+    "nm_join": _nm_join_workload,
     "cache_read": _cache_read_workload,
     "ring_words": _ring_words_workload,
     "snapshot": _snapshot_workload,
@@ -608,6 +675,7 @@ WORKLOADS = {
 #: Stages whose shape is the served one whatever ``--rows`` says.
 FIXED_ROWS = {
     "transform_step": 180,
+    "nm_join": 4_000,
     "cache_read": 5_700,
     "ring_words": RING_WORDS_PER_STEP,
     "snapshot": PERSISTENCE_STEPS,
@@ -731,6 +799,11 @@ def main(argv: list[str] | None = None) -> int:
             shape = (
                 f", median µs per stage {data['stage_median_us']}, blobs "
                 f"{data['blobs']}, {data['result_frame_bytes']} B result frame"
+            )
+        elif "shapes" in data:
+            shape = ", per shape " + "; ".join(
+                f"{x['pairs']} pairs: {x['host_ms']} ms, {x['gates']:,} gates"
+                for x in data["shapes"]
             )
         elif "segments" in data:
             shape = (
