@@ -35,7 +35,3 @@ class SimClock:
         flush schedule.  A period of 0 or negative never fires.
         """
         return period > 0 and self.now > 0 and self.now % period == 0
-
-    @property
-    def steps_elapsed(self) -> int:
-        return self.now

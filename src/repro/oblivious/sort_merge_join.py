@@ -213,27 +213,6 @@ def truncated_sort_merge_join(
     return emit_padded(probe_rows, driver_rows, omega, output_left, match)
 
 
-def _band_of(pair_predicate: PairPredicate) -> Band:
-    """The :data:`Band` behind a view definition's bound ``pair_predicate``.
-
-    The factorized kernel counts partners in a band, so it takes a
-    predicate only when the predicate is one: a bound
-    ``pair_predicate`` whose owner also exposes ``band`` (e.g.
-    :class:`~repro.core.view_def.JoinViewDefinition`).
-    """
-    owner = getattr(pair_predicate, "__self__", None)
-    band = getattr(owner, "band", None)
-    if band is None or getattr(pair_predicate, "__func__", None) is not getattr(
-        type(owner), "pair_predicate", None
-    ):
-        raise TypeError(
-            "the NM join counts partners in a timestamp band: pass "
-            "band=(left_ts_col, right_ts_col, lo, hi), or a view "
-            "definition's bound pair_predicate"
-        )
-    return band
-
-
 def oblivious_join_multi_aggregate(
     ctx: ProtocolContext,
     left_rows: np.ndarray,
@@ -248,7 +227,6 @@ def oblivious_join_multi_aggregate(
     group_domain: Sequence[int] | None = None,
     clause_specs: Sequence[tuple[str, int, int, int]] = (),
     band: Band | None = None,
-    pair_predicate: PairPredicate | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Untruncated NM join folding every aggregate in one sort-and-scan.
 
@@ -261,9 +239,8 @@ def oblivious_join_multi_aggregate(
     excluded; a duplicated domain value routes to its last slot).
     ``clause_specs`` are residual interval predicates
     ``(side, column, lo, hi)``; ``band`` is the join's own condition
-    beyond key equality (the temporal window) — or, equivalently,
-    ``pair_predicate``, a view definition's bound ``pair_predicate``,
-    read as its band.  With neither, every same-key pair joins.
+    beyond key equality (the temporal window).  With none, every
+    same-key pair joins.
 
     Returns ``(counts, sums)`` shaped like
     :func:`repro.oblivious.filter.oblivious_multi_aggregate`.  Nothing
@@ -279,10 +256,6 @@ def oblivious_join_multi_aggregate(
     grouped = group_spec is not None
     if grouped and not group_domain:
         raise ValueError("grouped aggregation needs a non-empty public domain")
-    if pair_predicate is not None:
-        if band is not None:
-            raise ValueError("pass band or pair_predicate, not both")
-        band = _band_of(pair_predicate)
     n_groups = len(group_domain) if grouped else 1
     n_left, w_left = left_rows.shape if left_rows.size else (0, left_rows.shape[1])
     n_right, w_right = right_rows.shape if right_rows.size else (0, right_rows.shape[1])

@@ -509,11 +509,3 @@ class QueryAnswer:
                 f"group {group!r} not in domain {self.group_keys}"
             )
         return self.rows[self.group_keys.index(group)][col]
-
-    def as_dict(self) -> dict:
-        """JSON-shaped form (CLI output, benchmarks)."""
-        return {
-            "columns": list(self.columns),
-            "groups": None if self.group_keys is None else list(self.group_keys),
-            "rows": [list(r) for r in self.rows],
-        }

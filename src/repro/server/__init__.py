@@ -6,10 +6,11 @@ queries through a cost-based planner, and composes privacy across views
 through a single accountant.  On top of the passive database sit the
 serving runtime (:class:`DatabaseServer` — background ingestion,
 concurrent read sessions) and the persistence layer
-(:func:`snapshot_database` / :func:`restore_database` — one
-integrity-checked file per snapshot, resumed byte-identically).
+(:func:`snapshot_database` / :func:`restore_database` — a directory
+of hash-chained files per checkpoint, resumed byte-identically).
 """
 
+from ..storage.chain import SNAPSHOT_MAGIC, SNAPSHOT_VERSION
 from .database import (
     DP_MODES,
     MODES,
@@ -19,8 +20,6 @@ from .database import (
     ViewRuntime,
 )
 from .persistence import (
-    SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
     RestoredDatabase,
     SnapshotInfo,
     restore_database,

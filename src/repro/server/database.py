@@ -251,7 +251,6 @@ class IncShrinkDatabase:
         self._registrations: list[ViewRegistration] = []
         self._allocation: dict[str, float] = {}
         self._finalized = False
-        self._state_version = 0
         self._query_seq = 0
         #: tenant -> ε cap for per-tenant ledgers.  Empty = single-tenant
         #: deployment; nothing here changes realized ε or noise draws —
@@ -447,7 +446,6 @@ class IncShrinkDatabase:
             )
             store.append_batch(shared, time)
             self.logical.insert(time, name, batch.real_rows())
-        self._state_version += 1
 
     def check_upload(self, items: Iterable[tuple[str, RecordBatch]]) -> None:
         """Refuse a malformed step before any of it is shared or stored.
@@ -478,19 +476,7 @@ class IncShrinkDatabase:
     def step(self, time: int) -> DatabaseStepReport:
         """Run one scheduled step: shared Transforms, per-view policies."""
         self.finalize()
-        report = self.scheduler.run_step(time)
-        self._state_version += 1
-        return report
-
-    @property
-    def state_version(self) -> int:
-        """Monotone counter bumped whenever public sizes may change.
-
-        Uploads grow the outsourced stores, steps grow the views — both
-        invalidate every cached cost comparison, so the planner keys its
-        plan cache on this counter.
-        """
-        return self._state_version
+        return self.scheduler.run_step(time)
 
     # -- sharding ---------------------------------------------------------------
     @property
@@ -504,8 +490,8 @@ class IncShrinkDatabase:
         Entirely share-local (gather then round-robin scatter with
         public indices): no protocol runs, no randomness is consumed,
         and no answer, gate charge, or ε changes — only the parallelism
-        available to subsequent scans.  Restoring a v1 (single-shard)
-        snapshot and calling ``reshard(8)`` is the upgrade path to a
+        available to subsequent scans.  Restoring a single-shard
+        checkpoint and calling ``reshard(8)`` is the upgrade path to a
         sharded deployment.
         """
         self.finalize()
@@ -521,8 +507,6 @@ class IncShrinkDatabase:
         if self.accumulator_cache is not None:
             self.accumulator_cache.invalidate()
         self.planner.invalidate()
-        # Shard counts feed the planner's wall-clock estimates.
-        self._state_version += 1
 
     @property
     def scan_backend(self) -> str:

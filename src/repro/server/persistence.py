@@ -9,7 +9,7 @@ releases against a fresh accountant would silently double-spend budget,
 so the realized-ε ledger must round-trip exactly.
 
 A checkpoint at ``PATH`` is a **directory of four files**
-(:data:`SNAPSHOT_VERSION` 8), split the way the paper's parties hold the
+(format version 8), split the way the paper's parties hold the
 state (Section 2.2, Fig. 1):
 
 * ``party0`` and ``party1`` — that server's share half of every table
@@ -26,22 +26,12 @@ state (Section 2.2, Fig. 1):
   query noise run in the server's process; a deployment that hands out
   the checkpoint must withhold this file.
 
-Each file is a **base** plus **append-only segments**::
-
-    base:    magic (18 B) | version (u16) | head len (u64) | array len (u64)
-             | head | arrays | SHA-256 of everything before it
-    segment: "incshrink-segment" (17 B) | head len (u64) | array len (u64)
-             | check (8 B) | head | arrays | SHA-256(previous digest ‖ segment)
-
-so each file's digests form a chain, and ``check`` — the first eight
-bytes of SHA-256(previous digest ‖ magic ‖ lengths) — vouches for a
-segment's lengths before they are trusted.  A head is compact UTF-8 JSON
-(``{"created_at": …, "body": …}``) in which every array is reduced to
-``{"dtype", "shape", "offset"}``, plus ``"order": "F"`` for a view
-shard's column-major half (written one column's run after another, read
-back into a buffer the restored shard adopts) and, in a segment,
-``"from"``: the row of the log the array continues at.  The arrays
-follow as raw bytes in the order the head names them.
+Each file is a hash-chained base plus append-only segments, and
+``public``, written last, carries the commit record naming where the
+other three end: the file format, the torn-tail rule and the fsyncs are
+:mod:`repro.storage.chain`'s, which knows no database.  This module
+decides what each file's body holds: the walk, the split by party and
+the rebuild.
 
 A repeat checkpoint to the same ``PATH`` from the same process (or from
 a database restored from it) appends a segment to each file that holds
@@ -64,31 +54,16 @@ registrations, schemas, group budgets and pool indices, the entries no
 segment rewrites, in file order); a restore takes its marks with the
 walk building nothing.
 
-``public`` is written last, and each of its heads carries the **commit
-record**: the committed length and chain digest of the other three
-files.  A checkpoint is committed once its ``public`` segment is on
-disk.  Every file is fsynced, so a committed checkpoint survives a
-crash; a fresh base is written to a staging directory, fsynced, and
-swapped in by two renames (``PATH`` → ``PATH.incshrink-old``, staging →
-``PATH``) and a directory fsync, and a restore that finds no ``PATH``
-reads ``PATH.incshrink-old``.  The writer keeps, per database and path,
-its marks, its chain digests and each file's ``(st_dev, st_ino,
-size)``; it writes a fresh base whenever the files on disk are not the
-ones it last wrote, the deployment's configuration changed (a reshard),
-a log is not the one it marked — and, to compact, once the segments
-outgrow the base.  A compacted checkpoint is byte-equal to a fresh full
-one with the same ``created_at``.
+The writer keeps, per database and path, its marks and the chain it
+last committed; it writes a fresh base whenever the files on disk are
+not the ones it last wrote, the deployment's configuration changed (a
+reshard), a log is not the one it marked — and, to compact, once the
+segments outgrow the base.  A compacted checkpoint is byte-equal to a
+fresh full one with the same ``created_at``.
 
-:func:`restore_database` reads ``public`` to its last complete segment,
-then each other file to exactly the length the commit names, checking
-every digest in the chain **before any state is applied**.  A torn tail
-— an incomplete segment after the last commit, in any file — restores
-that commit, and :attr:`SnapshotInfo.discarded_bytes` reports the bytes
-left behind (the next append truncates them); so do zero bytes after
-``public``'s last segment, at any length — space a crash allocated but
-never wrote.  Any other damage — a
-flipped byte anywhere, a cut inside a base, files of two different
-checkpoints — raises :class:`~repro.common.errors.PersistenceError`.
+:func:`restore_database` checks every file's chain **before any state
+is applied** (a torn tail restores the last commit, and
+:attr:`SnapshotInfo.discarded_bytes` reports the bytes left behind).
 Replay costs each segment one small head parse and its array suffixes;
 every array is joined once, and only the last segment's small mutable
 state is applied.
@@ -124,12 +99,6 @@ by one.  An accountant event's segment is ``(label, number)`` or
 ``(label, number, "tenant", id)``; an event over any other is refused
 before any file is created.
 
-This build reads format 8 and nothing else.  A file at ``PATH``, or a
-base of any other version, is refused naming its version (versions 1–3
-were one JSON document, 4–7 one file holding both servers' halves);
-none of them was released.  The change that writes version 9 adds one
-``v8 → v9`` function and the subcommand that runs it.
-
 What is deliberately **not** persisted: the adversary-observable
 transcript and the per-protocol run ledger (append-only observation
 logs — a fresh process starts fresh observation logs; they do not feed
@@ -145,17 +114,11 @@ Usage::
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import json
-import math
 import os
-import re
-import struct
 import time as _time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Hashable
 
 import numpy as np
@@ -168,36 +131,14 @@ from ..core.view_def import JoinViewDefinition
 from ..dp.accountant import TENANT_SEGMENT_MARK, MechanismEvent
 from ..mpc.cost_model import CostModel
 from ..sharing.shared_value import SharedArray, SharedTable
+from ..storage.chain import Chain, Tail, by_columns, commit, read
 from ..storage.outsourced_table import OutsourcedTable
 from .database import IncShrinkDatabase, ViewRegistration
 from .scheduler import TransformGroup
 
-#: File magic — identifies a checkpoint's base.
-SNAPSHOT_MAGIC = b"incshrink-snapshot"
-#: Starts every segment appended after a base.
-SEGMENT_MAGIC = b"incshrink-segment"
-#: Bump on any incompatible change to the files or the body layout; a
-#: restore refuses every other version.
-SNAPSHOT_VERSION = 8
 #: A checkpoint's files, in the order a checkpoint writes them: ``public``
 #: last, its commit record naming the other three.
 CHECKPOINT_FILES = ("party0", "party1", "trusted", "public")
-#: Where a base is built, and where the checkpoint it replaces waits
-#: until the new one is in place.
-STAGING_SUFFIX = ".incshrink-new"
-RETIRED_SUFFIX = ".incshrink-old"
-
-#: magic, format version, head length, array length — how a base starts.
-_BASE = struct.Struct(f">{len(SNAPSHOT_MAGIC)}sHQQ")
-#: magic, head length, array length, check.
-_SEGMENT = struct.Struct(f">{len(SEGMENT_MAGIC)}sQQ8s")
-_DIGEST_BYTES = hashlib.sha256().digest_size
-#: Read size for hashing bytes that are not read into an array.
-_CHUNK_BYTES = 1 << 20
-#: A checkpoint whose party files are this large is read a file a thread.
-_THREADED_BYTES = 1 << 22
-#: An array section this small is read and hashed whole, then split.
-_SMALL_SECTION_BYTES = 1 << 16
 
 #: ``ViewRegistration`` fields that are plain scalars (everything but the
 #: view definition itself).
@@ -256,151 +197,6 @@ class RestoredDatabase:
     database: IncShrinkDatabase
     metadata: dict
     info: SnapshotInfo
-
-
-class _Tail:
-    """A log's rows from row ``start`` on: what a segment holds of it."""
-
-    __slots__ = ("rows", "start")
-
-    def __init__(self, rows, start: int) -> None:
-        self.rows = rows
-        self.start = start
-
-
-# -- arrays: out of the head on the way out, back into it on the way in --------
-#: An array leaves ``{"dtype", "shape", "offset"}`` behind in the head,
-#: with ``"order"`` if column-major and ``"from"`` if a segment's rows of
-#: a log.  The key sets are reserved: the reader takes any JSON object
-#: with exactly such keys for an array.
-#: A list's tail: the accountant's strings interned since the last segment.
-_LIST_TAIL_KEYS = frozenset(("from", "items"))
-_DTYPE_STR = re.compile(r"[<>|][biuf][0-9]{1,2}")
-
-
-class _ArraySection:
-    """The arrays of one head being written, in file order.
-
-    The body holds its arrays as ``ndarray`` leaves (or :class:`_Tail`
-    ones).  :meth:`lift` is the JSON encoder's ``default`` hook: it moves
-    each array here — as the contiguous chunks to write, none of them a
-    copy of an array that already is one run or one run per column — and
-    leaves its dtype, shape and byte offset within the section in the
-    head.
-    """
-
-    def __init__(self) -> None:
-        self.chunks: list[np.ndarray] = []
-        self.nbytes = 0
-
-    def lift(self, value: object) -> dict:
-        if isinstance(value, _Tail):
-            if isinstance(value.rows, list):
-                return {"from": value.start, "items": value.rows}
-            return {**self.lift(value.rows), "from": value.start}
-        if not isinstance(value, np.ndarray):
-            raise TypeError(
-                f"cannot persist a value of type {type(value).__name__}"
-            )
-        entry = {
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-            "offset": self.nbytes,
-        }
-        if _by_columns(value):
-            entry["order"] = "F"
-            self.chunks.extend(value.T)
-        else:
-            self.chunks.append(np.ascontiguousarray(value))
-        self.nbytes += value.nbytes
-        return entry
-
-
-def _by_columns(arr: np.ndarray) -> bool:
-    """A matrix each of whose columns is one contiguous run.
-
-    True of a view shard's face whether or not its buffer has spare
-    capacity.  Matrices with a single row or column read the same in
-    either order and are written as C, so that what a head says depends
-    on an array's shape and never on how its holder came by it.
-    """
-    return (
-        arr.ndim == 2
-        and min(arr.shape) > 1
-        and arr.strides[0] == arr.itemsize
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _plain_dtype(text: str) -> np.dtype:
-    """Only what ``ndarray.dtype.str`` spells for plain numbers:
-    ``np.dtype`` parses a whole language of strings otherwise."""
-    if not (isinstance(text, str) and _DTYPE_STR.fullmatch(text)):
-        raise TypeError(f"unusable dtype {text!r}")
-    return np.dtype(text)
-
-
-def _start_of(entry: dict) -> int:
-    start = entry["from"]
-    if type(start) is not int or start < 0:
-        raise PersistenceError(f"malformed array entry {entry!r}: unusable 'from'")
-    return start
-
-
-class _ArrayLoader:
-    """Allocates the arrays a head names — never more than the file holds.
-
-    :meth:`claim` is the JSON decoder's ``object_hook``: each array entry
-    becomes an empty, owned ``ndarray`` of its dtype and shape, to be
-    filled from the array section in the order claimed — a column-major
-    entry the transposed face of a C-contiguous buffer, filled in the
-    same single pass.  An entry that is not where the previous one
-    ended, or that reaches past the ``limit`` bytes the section holds,
-    is refused before it is allocated.
-    """
-
-    def __init__(self, limit: int) -> None:
-        self.arrays: list[np.ndarray] = []
-        self.nbytes = 0
-        self.limit = limit
-
-    def claim(self, entry: dict) -> object:
-        offset = entry.get("offset")
-        if offset is None:
-            if entry.keys() == _LIST_TAIL_KEYS:
-                if not isinstance(entry["items"], list):
-                    raise PersistenceError(f"malformed list tail {entry!r}")
-                return _Tail(entry["items"], _start_of(entry))
-            return entry
-        order, start = entry.get("order"), entry.get("from")
-        if (
-            len(entry) != 3 + (order is not None) + (start is not None)
-            or "dtype" not in entry
-            or "shape" not in entry
-        ):
-            return entry
-        shape = entry["shape"]
-        try:
-            if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
-                raise TypeError("unusable shape")
-            if order is not None and (order != "F" or len(shape) != 2):
-                raise TypeError("unusable order")
-            dtype = _plain_dtype(entry["dtype"])
-            nbytes = dtype.itemsize * math.prod(shape)
-            if offset != self.nbytes or nbytes > self.limit - self.nbytes:
-                raise ValueError(
-                    f"{nbytes} bytes do not continue the array section at "
-                    f"{self.nbytes} of {self.limit}"
-                )
-            arr = np.empty(shape if order is None else shape[::-1], dtype)
-        except (TypeError, ValueError) as exc:
-            raise PersistenceError(
-                f"malformed array entry {entry!r}: {exc}"
-            ) from exc
-        self.arrays.append(arr)
-        self.nbytes += nbytes
-        face = arr if order is None else arr.T
-        return face if start is None else _Tail(face, _start_of(entry))
 
 
 def _encode_shared_array(sa: SharedArray) -> dict:
@@ -682,12 +478,12 @@ class _Marks:
 
     def cut(self, rows, start: int):
         """A log's ``rows`` from row ``start`` on (nested columns, too), as
-        the walk writes them: plain in a base, :class:`_Tail` in a segment."""
+        the walk writes them: plain in a base, :class:`Tail` in a segment."""
         if self.previous is None:
             return rows
         if isinstance(rows, dict):
             return {key: self.cut(value, start) for key, value in rows.items()}
-        return _Tail(rows, start)
+        return Tail(rows, start)
 
     def log(self, log: ColumnLog) -> dict:
         """``log``'s columns from its mark."""
@@ -843,7 +639,7 @@ def _split(body: dict) -> dict[str, dict]:
 
 
 def _split_node(node) -> dict[str, object]:
-    if isinstance(node, _Tail) and not len(node.rows):
+    if isinstance(node, Tail) and not len(node.rows):
         return {}
     if isinstance(node, dict) and node:
         if node.keys() == {"s0", "s1"}:
@@ -899,7 +695,7 @@ class _Pieces:
         self.n = len(base)
         self.entry = (base.dtype, base.shape[1:])
 
-    def extend(self, tail: _Tail) -> None:
+    def extend(self, tail: Tail) -> None:
         rows, start = tail.rows, tail.start
         if not (
             type(rows) is np.ndarray
@@ -924,7 +720,7 @@ class _Pieces:
     def array(self) -> np.ndarray:
         if len(self.parts) == 1 and self.parts[0] is self.base:
             return self.base
-        if self.base.ndim == 1 or not any(_by_columns(p) for p in self.parts):
+        if self.base.ndim == 1 or not any(by_columns(p) for p in self.parts):
             return np.concatenate(self.parts)
         out = np.empty((self.n, *self.base.shape[1:]), self.base.dtype, order="F")
         at = 0
@@ -948,18 +744,18 @@ def _apply(held, new, joins: list):
                 held[key] = value
             elif entry is dict or entry is list:
                 held[key] = _apply(held.get(key), value, joins)
-            elif entry is _Tail and type(value.rows) is not list:
+            elif entry is Tail and type(value.rows) is not list:
                 current = held.get(key)
                 if type(current) is not _Pieces:
                     current = held[key] = _Pieces(current)
                     joins.append((held, key))
                 current.extend(value)
-            elif entry is _Tail:
+            elif entry is Tail:
                 held[key] = _apply(held.get(key), value, joins)
             else:
                 held[key] = value
         return held
-    if kind is _Tail:
+    if kind is Tail:
         if not (type(held) is list and type(new.rows) is list and new.start <= len(held)):
             raise PersistenceError(
                 f"a segment's list from {new.start} does not continue its base"
@@ -974,432 +770,41 @@ def _apply(held, new, joins: list):
     return new
 
 
-# -- the files -------------------------------------------------------------------
-def _encode(head: dict) -> tuple[bytes, _ArraySection]:
-    section = _ArraySection()
-    text = json.dumps(head, separators=(",", ":"), default=section.lift).encode("utf8")
-    return text, section
-
-
-def _segment_check(previous: bytes, magic_and_lengths: bytes) -> bytes:
-    return hashlib.sha256(previous + magic_and_lengths).digest()[:8]
-
-
-def _segment_bytes(head: dict, previous: bytes) -> tuple[bytes, bytes]:
-    """One segment continuing the chain at digest ``previous``: its bytes
-    and the chain's digest after it."""
-    text, section = _encode(head)
-    lengths = _SEGMENT.pack(SEGMENT_MAGIC, len(text), section.nbytes, b"")[:-8]
-    preamble = lengths + _segment_check(previous, lengths)
-    digest = hashlib.sha256(previous)
-    for chunk in (preamble, text, *section.chunks):
-        digest.update(chunk)
-    return b"".join([preamble, text, *section.chunks, digest.digest()]), digest.digest()
-
-
-def _write_base_file(path: str, head: dict) -> tuple[int, bytes]:
-    """One base, fsynced: its length and digest."""
-    text, section = _encode(head)
-    preamble = _BASE.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(text), section.nbytes)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in (preamble, text, *section.chunks):
-            fh.write(chunk)
-            digest.update(chunk)
-        fh.write(digest.digest())
-        fh.flush()
-        os.fsync(fh.fileno())
-        return fh.tell(), digest.digest()
-
-
-def _fsync_directory(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _remove_checkpoint(path: str) -> None:
-    """Delete a checkpoint directory this module wrote — its files, then
-    the directory, which must then be empty — or a file at ``path``."""
-    if os.path.isdir(path) and not os.path.islink(path):
-        for name in CHECKPOINT_FILES:
-            if os.path.lexists(os.path.join(path, name)):
-                os.unlink(os.path.join(path, name))
-        os.rmdir(path)
-    elif os.path.lexists(path):
-        os.unlink(path)
-
-
-def _commit_record(committed: dict[str, tuple[int, bytes]]) -> dict:
-    return {name: [length, digest.hex()] for name, (length, digest) in committed.items()}
-
-
-def _write_base(path: str, body: dict, created_at: float) -> dict[str, tuple[int, bytes]]:
-    """Write ``body`` as a fresh base: the four files into a staging
-    directory, each fsynced, the directory fsynced, then swapped in for
-    whatever was at ``path``.  Returns each file's length and digest."""
-    if os.path.isdir(path) and not set(os.listdir(path)) <= set(CHECKPOINT_FILES):
-        raise PersistenceError(
-            f"{path!r} is a directory that is not a checkpoint; refusing to replace it"
-        )
-    parts = _split(body)
-    beside = os.path.normpath(path)  # the staging and retired names sit beside it
-    staging, retired = beside + STAGING_SUFFIX, beside + RETIRED_SUFFIX
-    _remove_checkpoint(staging)
-    os.mkdir(staging)
-    try:
-        committed: dict[str, tuple[int, bytes]] = {}
-        for name in CHECKPOINT_FILES:
-            head: dict = {"created_at": created_at}
-            if name == "public":
-                head["commit"] = _commit_record(committed)
-            head["body"] = parts[name]
-            committed[name] = _write_base_file(os.path.join(staging, name), head)
-        _fsync_directory(staging)
-        if os.path.lexists(path):
-            # ``path`` is the last commit: any older one retired beside it
-            # can go.  With no ``path``, the retired one is the last commit.
-            _remove_checkpoint(retired)
-            os.rename(path, retired)
-        os.rename(staging, path)
-    except BaseException:
-        if os.path.lexists(staging):
-            _remove_checkpoint(staging)
-        raise
-    _fsync_directory(os.path.dirname(os.path.abspath(path)))
-    _remove_checkpoint(retired)
-    return committed
+def _replayed(bodies: list[dict]) -> dict:
+    """One file's body: its base's with every segment's applied."""
+    body, joins = bodies[0], []
+    for new in bodies[1:]:
+        body = _apply(body, new, joins)
+    for container, key in joins:
+        container[key] = container[key].array()
+    return body
 
 
 @dataclass
-class _Chain:
-    """One checkpoint directory as this process last wrote or read it."""
+class _Held:
+    """What a database's checkpoint at one path holds, as this process
+    last wrote or read it: where the walk left each log, the accountant's
+    string table as written, the skeleton's text and the files' chain."""
 
-    #: per file: ``(st_dev, st_ino, size)`` as last seen on disk
-    files: dict
-    #: per file: committed length and chain digest
-    committed: dict
-    base_bytes: int
     marks: dict
-    #: the accountant's string table as written
     strings: dict
     static: str
-    segment_bytes: int = 0
-    segments: int = 0
+    chain: Chain
 
     @classmethod
-    def of(cls, db, marks: _Marks, body: dict, **files):
-        """The chain of files that hold ``db`` as it is, as ``marks`` left
-        its logs and ``body`` (the full body, written or replayed)
-        describes."""
+    def of(cls, db: IncShrinkDatabase, marks: _Marks, body: dict, chain: Chain) -> _Held:
+        """``db`` as ``marks`` left its logs and ``body`` (the full body,
+        written or replayed) describes, held in ``chain``."""
         return cls(
             marks=marks.now,
             strings={s: i for i, s in enumerate(body["accountant"]["strings"])},
             static=_static_text(db),
-            **files,
+            chain=chain,
         )
 
-    def on_disk(self, path: str) -> bool:
-        """The files at ``path`` are the ones this chain last saw."""
-        try:
-            return _identities(path) == self.files
-        except OSError:
-            return False
 
-
-def _identities(path: str) -> dict:
-    out = {}
-    for name in CHECKPOINT_FILES:
-        st = os.stat(os.path.join(path, name))
-        out[name] = (st.st_dev, st.st_ino, st.st_size)
-    return out
-
-
-#: Each database's chains, by checkpoint path — dropped with the database.
+#: Each database's checkpoints, by path — dropped with the database.
 _CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _append_segment(
-    db: IncShrinkDatabase, path: str, metadata: dict | None, chain: _Chain, created_at: float
-) -> tuple[SnapshotInfo, _Chain]:
-    """Append a segment to each file of ``chain`` that has something new
-    — the three others, then ``public``'s, whose commit record names
-    where each now ends."""
-    if _static_text(db) != chain.static:
-        raise _Rebase
-    marks, strings = _Marks(os.path.abspath(path), chain.marks), dict(chain.strings)
-    parts = _split(_walk(db, metadata, marks, strings))
-    committed, written = {}, 0
-    for name in CHECKPOINT_FILES:
-        length, previous = chain.committed[name]
-        if not parts[name] and name != "public":
-            if chain.files[name][2] > length:
-                os.truncate(os.path.join(path, name), length)  # a torn tail
-            committed[name] = (length, previous)
-            continue
-        head: dict = {"created_at": created_at}
-        if name == "public":
-            head["commit"] = _commit_record(committed)
-        head["body"] = parts[name]
-        data, digest = _segment_bytes(head, previous)
-        with open(os.path.join(path, name), "r+b") as fh:
-            fh.seek(length)
-            fh.truncate()  # a torn tail past the last commit
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        committed[name] = (length + len(data), digest)
-        written += len(data)
-    chain = replace(
-        chain,
-        files=_identities(path),
-        committed=committed,
-        marks=marks.now,
-        strings=strings,
-        segment_bytes=chain.segment_bytes + written,
-        segments=chain.segments + 1,
-    )
-    info = SnapshotInfo(
-        path=path,
-        bytes_written=written,
-        sha256=committed["public"][1].hex(),
-        created_at=created_at,
-        kind="segment",
-        segments=chain.segments,
-    )
-    return info, chain
-
-
-# -- reading -------------------------------------------------------------------------
-@dataclass
-class _FileChain:
-    """One file read to its last commit."""
-
-    heads: list = field(default_factory=list)
-    digest: bytes = b""
-    base_bytes: int = 0
-    #: committed bytes read
-    length: int = 0
-    #: ``(st_dev, st_ino, size)`` on disk, as a chain compares files
-    identity: tuple = ()
-
-
-def _integrity_error(path: str, why: str = "") -> PersistenceError:
-    return PersistenceError(
-        f"snapshot {path!r} failed its integrity check"
-        f"{f' ({why})' if why else ''}; refusing to restore — resuming "
-        "from corrupt state could double-spend budget"
-    )
-
-
-def _version_error(path: str, version: int) -> PersistenceError:
-    return PersistenceError(
-        f"snapshot {path!r} has format version {version}; this build "
-        f"reads version {SNAPSHOT_VERSION}"
-    )
-
-
-def _refuse_file(path: str) -> PersistenceError:
-    """Why the file at ``path`` is not a checkpoint: one file of a
-    checkpoint, a snapshot of another version, or something else."""
-    with open(path, "rb") as fh:
-        preamble = fh.read(_BASE.size)
-        if preamble[:1] == b"{":  # versions 1-3 were one JSON document
-            version = _document_version(preamble + fh.read())
-            if version is not None:
-                return _version_error(path, version)
-    if len(preamble) == _BASE.size and preamble.startswith(SNAPSHOT_MAGIC):
-        version = _BASE.unpack(preamble)[1]
-        if version == SNAPSHOT_VERSION:
-            return PersistenceError(
-                f"{path!r} is one file of a checkpoint: restore the directory "
-                "that holds it"
-            )
-        return _version_error(path, version)
-    return PersistenceError(f"{path!r} is not an IncShrink snapshot")
-
-
-def _document_version(raw: bytes) -> int | None:
-    """The format version a JSON snapshot document declares, if ``raw``
-    is one."""
-    try:
-        document = json.loads(raw)
-    except (ValueError, RecursionError):  # incl. invalid UTF-8
-        return None
-    if not isinstance(document, dict) or document.get("magic") != SNAPSHOT_MAGIC.decode():
-        return None
-    version = document.get("version")
-    return version if type(version) is int else None
-
-
-def _read_entry(fh, path: str, digest, head_len: int, array_len: int, end: int) -> dict:
-    """A head and its arrays, hashed as read, then the digest checked
-    against the trailer at ``end``.
-
-    Damage to the file can surface as a structural error first (a
-    flipped digit in a size); the rest of the entry is then still hashed,
-    so that damage is reported as the failed integrity check it is and
-    "malformed" is left for files whose writer was wrong.
-    """
-    raw = fh.read(head_len)
-    digest.update(raw)
-    try:
-        loader = _ArrayLoader(limit=array_len)
-        try:
-            head = json.loads(raw, object_hook=loader.claim)
-        except (ValueError, RecursionError) as exc:  # incl. invalid UTF-8
-            raise PersistenceError(f"head is not valid JSON: {exc}") from exc
-        if loader.nbytes != array_len:
-            raise PersistenceError(
-                f"head accounts for {loader.nbytes} array bytes, the entry "
-                f"declares {array_len}"
-            )
-        if (
-            not isinstance(head, dict)
-            or not isinstance(head.get("body"), dict)
-            or not isinstance(head.get("created_at"), (int, float))
-        ):
-            raise PersistenceError("head has no body or no created_at")
-        if array_len <= _SMALL_SECTION_BYTES:
-            # Small arrays — a segment's, mostly — in one read and one
-            # digest update, then copied out.
-            section = memoryview(bytearray(array_len))
-            if fh.readinto(section) != array_len:
-                raise PersistenceError("file shrank while it was being read")
-            digest.update(section)
-            at = 0
-            for arr in loader.arrays:
-                if arr.nbytes:
-                    arr.data.cast("B")[:] = section[at : at + arr.nbytes]
-                    at += arr.nbytes
-        else:
-            for arr in loader.arrays:
-                if arr.nbytes and fh.readinto(arr) != arr.nbytes:
-                    raise PersistenceError("file shrank while it was being read")
-                digest.update(arr)
-    except PersistenceError as exc:
-        while chunk := fh.read(min(_CHUNK_BYTES, end - fh.tell())):
-            digest.update(chunk)
-        if fh.read(_DIGEST_BYTES) != digest.digest():
-            raise _integrity_error(path) from exc
-        raise PersistenceError(f"snapshot {path!r} is malformed: {exc}") from exc
-    if fh.read(_DIGEST_BYTES) != digest.digest():
-        raise _integrity_error(path)
-    return head
-
-
-def _read_chain(path: str, committed: list | None) -> _FileChain:
-    """Read one file's base and segments and check its chain: to its last
-    complete segment (``public``, ``committed`` None) or to exactly the
-    committed length, ending at the committed digest."""
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        out = _FileChain(identity=(st.st_dev, st.st_ino, st.st_size))
-        end = st.st_size if committed is None else committed[0]
-        preamble = fh.read(_BASE.size)
-        if preamble[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-            raise PersistenceError(f"{path!r} is not an IncShrink snapshot")
-        if committed is not None and end > st.st_size:
-            raise _not_committed(path)
-        if len(preamble) < _BASE.size:
-            raise _integrity_error(path, f"cut: {st.st_size} bytes on disk")
-        _, version, head_len, array_len = _BASE.unpack(preamble)
-        if version != SNAPSHOT_VERSION:
-            raise _version_error(path, version)
-        base_end = _BASE.size + head_len + array_len
-        if base_end + _DIGEST_BYTES > end:
-            raise _integrity_error(
-                path, f"its base declares {base_end + _DIGEST_BYTES} bytes of {end}"
-            )
-        digest = hashlib.sha256(preamble)
-        out.heads.append(_read_entry(fh, path, digest, head_len, array_len, base_end))
-        out.digest = digest.digest()
-        out.length = out.base_bytes = fh.tell()
-        while out.length < end:
-            left = end - out.length
-            raw = fh.read(min(_SEGMENT.size, left))
-            if len(raw) < _SEGMENT.size:
-                break
-            magic, head_len, array_len, check = _SEGMENT.unpack(raw)
-            if magic != SEGMENT_MAGIC or check != _segment_check(out.digest, raw[:-8]):
-                if _zeros_to(fh, raw, end):  # space a crash left unwritten
-                    break
-                raise _integrity_error(path, f"no segment at byte {out.length}")
-            seg_end = out.length + _SEGMENT.size + head_len + array_len
-            if seg_end + _DIGEST_BYTES > end:
-                break
-            digest = hashlib.sha256(out.digest + raw)
-            out.heads.append(_read_entry(fh, path, digest, head_len, array_len, seg_end))
-            out.digest = digest.digest()
-            out.length = fh.tell()
-    if committed is not None and (out.length != end or out.digest.hex() != committed[1]):
-        raise _not_committed(path)
-    return out
-
-
-def _zeros_to(fh, chunk: bytes, end: int) -> bool:
-    """Whether ``chunk`` and the rest of ``fh`` up to ``end`` are zero
-    bytes: a torn tail, at any length."""
-    while chunk:
-        if chunk.strip(b"\0"):
-            return False
-        chunk = fh.read(min(_CHUNK_BYTES, end - fh.tell()))
-    return True
-
-
-def _not_committed(path: str) -> PersistenceError:
-    return _integrity_error(
-        path,
-        "it is not the file its commit names: cut short, or a file of "
-        "another checkpoint",
-    )
-
-
-def _commit_of(head: dict, path: str) -> dict:
-    commit = head.get("commit")
-    if not (
-        isinstance(commit, dict)
-        and commit.keys() == set(CHECKPOINT_FILES[:-1])
-        and all(
-            isinstance(entry, list)
-            and len(entry) == 2
-            and type(entry[0]) is int
-            and isinstance(entry[1], str)
-            for entry in commit.values()
-        )
-    ):
-        raise PersistenceError(f"snapshot {path!r} has no usable commit record")
-    return commit
-
-
-def _read_checkpoint(path: str) -> dict[str, _FileChain]:
-    """Every file of the checkpoint at ``path``, read and checked."""
-    public = _read_chain(os.path.join(path, "public"), None)
-    commit = _commit_of(public.heads[-1], path)
-    reads = {name: (os.path.join(path, name), commit[name]) for name in CHECKPOINT_FILES[:-1]}
-    if commit["party0"][0] >= _THREADED_BYTES:
-        # Each party's file on a thread of its own: reads and SHA-256
-        # updates of large buffers release the GIL (small files would
-        # only trade it back and forth).
-        with ThreadPoolExecutor(max_workers=len(reads)) as pool:
-            futures = {name: pool.submit(_read_chain, *args) for name, args in reads.items()}
-            files = {name: future.result() for name, future in futures.items()}
-    else:
-        files = {name: _read_chain(*args) for name, args in reads.items()}
-    files["public"] = public
-    return files
-
-
-def _replayed(chain: _FileChain) -> dict:
-    """One file's body: its base with every segment applied."""
-    body, joins = chain.heads[0]["body"], []
-    for head in chain.heads[1:]:
-        body = _apply(body, head["body"], joins)
-    for container, key in joins:
-        container[key] = container[key].array()
-    return body
 
 
 # -- public API ---------------------------------------------------------------
@@ -1419,38 +824,38 @@ def snapshot_database(
     """
     path = os.fspath(path)
     created_at = _time.time()
-    chains = _CHAINS.setdefault(db, {})
+    held_at = _CHAINS.setdefault(db, {})
     key = os.path.abspath(path)
     # Dropped unless this checkpoint commits: after a failure the next
     # one writes a fresh base.
-    chain = chains.pop(key, None)
-    on_disk = chain is not None and chain.on_disk(path)
-    compacting = on_disk and chain.segment_bytes > chain.base_bytes
-    if on_disk and not compacting:
+    held = held_at.pop(key, None)
+    kind = "base"
+    if held is not None and held.chain.on_disk(path):
+        kind = "compaction" if held.chain.segment_bytes > held.chain.base_bytes else "segment"
+    if kind == "segment":
         try:
-            info, chains[key] = _append_segment(db, path, metadata, chain, created_at)
-            return info
+            if _static_text(db) != held.static:
+                raise _Rebase
+            marks, strings = _Marks(key, held.marks), dict(held.strings)
+            bodies = _split(_walk(db, metadata, marks, strings))
         except _Rebase:
-            pass
-    marks = _Marks(key)
-    body = _snapshot_body(db, metadata, marks)
-    committed = _write_base(path, body, created_at)
-    info = SnapshotInfo(
+            kind = "base"
+    if kind == "segment":
+        chain, written = commit(path, bodies, created_at, held.chain)
+        held_at[key] = replace(held, marks=marks.now, strings=strings, chain=chain)
+    else:
+        marks = _Marks(key)
+        body = _snapshot_body(db, metadata, marks)
+        chain, written = commit(path, _split(body), created_at)
+        held_at[key] = _Held.of(db, marks, body, chain)
+    return SnapshotInfo(
         path=path,
-        bytes_written=sum(length for length, _ in committed.values()),
-        sha256=committed["public"][1].hex(),
+        bytes_written=written,
+        sha256=chain.digest.hex(),
         created_at=created_at,
-        kind="compaction" if compacting else "base",
+        kind=kind,
+        segments=chain.segments,
     )
-    chains[key] = _Chain.of(
-        db,
-        marks,
-        body,
-        files=_identities(path),
-        committed=committed,
-        base_bytes=info.bytes_written,
-    )
-    return info
 
 
 def restore_database(path: str | os.PathLike) -> RestoredDatabase:
@@ -1464,18 +869,8 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
     here.
     """
     path = os.fspath(path)
-    directory = path
-    try:
-        if not os.path.isdir(path):
-            if os.path.lexists(path):
-                raise _refuse_file(path)
-            retired = os.path.normpath(path) + RETIRED_SUFFIX
-            if os.path.isdir(retired):  # a base swap was cut short
-                directory = retired
-        files = _read_checkpoint(directory)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read snapshot {path!r}: {exc}") from exc
-    body = _join([_replayed(files[name]) for name in CHECKPOINT_FILES])
+    directory, bodies, chain = read(path, CHECKPOINT_FILES)
+    body = _join([_replayed(bodies[name]) for name in CHECKPOINT_FILES])
     try:
         db = _rebuild(body)
         metadata = json.loads(body["metadata"])
@@ -1487,28 +882,19 @@ def restore_database(path: str | os.PathLike) -> RestoredDatabase:
         raise PersistenceError(
             f"snapshot {path!r} decoded but could not be applied: {exc}"
         ) from exc
-    segments = len(files["public"].heads) - 1
     if directory == path:
         marks = _Marks(os.path.abspath(path), writes=False)
         _walk(db, None, marks, {})
-        _CHAINS.setdefault(db, {})[os.path.abspath(path)] = _Chain.of(
-            db,
-            marks,
-            body,
-            files={name: f.identity for name, f in files.items()},
-            committed={name: (f.length, f.digest) for name, f in files.items()},
-            base_bytes=sum(f.base_bytes for f in files.values()),
-            segment_bytes=sum(f.length - f.base_bytes for f in files.values()),
-            segments=segments,
-        )
+        _CHAINS.setdefault(db, {})[os.path.abspath(path)] = _Held.of(db, marks, body, chain)
+    files = chain.files.values()
     info = SnapshotInfo(
         path=path,
-        bytes_written=sum(f.length for f in files.values()),
-        sha256=files["public"].digest.hex(),
-        created_at=float(files["public"].heads[-1]["created_at"]),
-        kind="segment" if segments else "base",
-        segments=segments,
-        discarded_bytes=sum(f.identity[2] - f.length for f in files.values()),
+        bytes_written=sum(f.length for f in files),
+        sha256=chain.digest.hex(),
+        created_at=chain.created_at,
+        kind="segment" if chain.segments else "base",
+        segments=chain.segments,
+        discarded_bytes=sum(f.identity[2] - f.length for f in files),
     )
     return RestoredDatabase(database=db, metadata=metadata, info=info)
 
@@ -1625,8 +1011,8 @@ def _rebuild(body: dict) -> IncShrinkDatabase:
     db.runtime.owner_words.state = rng["owner"]
     db.query_noise_gen.bit_generator.state = rng["query_noise"]
     # Continue query-release segments past the restored spends; the plan
-    # cache is deliberately not persisted (state_version starts fresh and
-    # the first planned query repopulates it from the restored sizes).
+    # cache is deliberately not persisted (the first planned query
+    # repopulates it from the restored sizes).
     accountant = body["accountant"]
     if "query" in accountant["strings"]:
         queries = accountant["label"] == accountant["strings"].index("query")

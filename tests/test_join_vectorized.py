@@ -672,15 +672,17 @@ class TestMultiAggregateRegression:
             group_spec=("right", 0) if domain else None,
             group_domain=domain,
             clause_specs=(("left", 1, 1, 4),),
-            pair_predicate=VIEW.pair_predicate,
         )
         outs = []
         gates = []
-        for impl in (oblivious_join_multi_aggregate, _loop_join_multi_aggregate):
+        for impl, extra in (
+            (oblivious_join_multi_aggregate, {"band": VIEW.band}),
+            (_loop_join_multi_aggregate, {"pair_predicate": VIEW.pair_predicate}),
+        ):
             runtime = MPCRuntime(seed=7)
             with runtime.protocol("agg", 1) as ctx:
                 outs.append(
-                    impl(ctx, probe, p_flags, 0, driver, d_flags, 0, **kwargs)
+                    impl(ctx, probe, p_flags, 0, driver, d_flags, 0, **kwargs, **extra)
                 )
                 gates.append(ctx.gates)
         (fc, fs), (sc, ss) = outs
@@ -709,15 +711,19 @@ class TestMultiAggregateRegression:
         assert batcher_network.cache_info() != before  # the oracle did sort
 
     def test_sum_wraparound_matches_loop(self):
-        """uint64 accumulator overflow must wrap identically in both paths."""
-        left = np.asarray([[1, 0xFFFFFFFF]] * 3, dtype=np.uint32)
-        right = np.asarray([[1, 0]] * 4, dtype=np.uint32)
+        """uint64 accumulator overflow must wrap identically in both paths:
+        12 pairs of values near 2^64 sum past it many times over."""
+        values = [(1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 4096]
+        left = np.asarray([[1, v] for v in values], dtype=np.uint64)
+        right = np.asarray([[1, 0]] * 4, dtype=np.uint64)
         flags_l = np.ones(3, dtype=bool)
         flags_r = np.ones(4, dtype=bool)
+        exact = 4 * sum(values)
+        assert exact >= 1 << 64  # an accumulator that did not wrap would differ
         outs = []
         for impl in (oblivious_join_multi_aggregate, _loop_join_multi_aggregate):
             runtime = MPCRuntime(seed=1)
-            with runtime.protocol("agg", 1) as ctx:
+            with np.errstate(over="ignore"), runtime.protocol("agg", 1) as ctx:
                 outs.append(
                     impl(
                         ctx, left, flags_l, 0, right, flags_r, 0,
@@ -725,7 +731,9 @@ class TestMultiAggregateRegression:
                     )
                 )
         assert np.array_equal(outs[0][1], outs[1][1])
-        assert outs[0][0][0] == 12
+        for counts, sums in outs:
+            assert counts[0] == 12
+            assert int(sums[0, 0]) == exact % (1 << 64)
 
 
 # -- the factorized NM kernel against the pair oracle, over generated shapes ---
@@ -873,28 +881,6 @@ class TestFactorizedKernelEdges:
         (fc, fs, fg), (sc, ss, sg) = outs
         assert int(fc.sum()) == self.PAIRS[window]
         assert np.array_equal(fc, sc) and np.array_equal(fs, ss) and fg == sg
-
-
-    def test_a_predicate_is_taken_only_as_a_band(self):
-        """A view's bound predicate is read as its band; a bare callable
-        cannot be counted in a band, and neither can two conditions."""
-        flags = np.ones(3, dtype=bool)
-        args = (self.LEFT, flags, 0, self.RIGHT, flags, 0)
-        runtime = MPCRuntime(seed=7)
-        with runtime.protocol("agg", 1) as ctx:
-            via_view = oblivious_join_multi_aggregate(
-                ctx, *args, pair_predicate=VIEW.pair_predicate
-            )
-            via_band = oblivious_join_multi_aggregate(ctx, *args, band=VIEW.band)
-            assert np.array_equal(via_view[0], via_band[0])
-            with pytest.raises(TypeError, match="timestamp band"):
-                oblivious_join_multi_aggregate(
-                    ctx, *args, pair_predicate=lambda p, d: True
-                )
-            with pytest.raises(ValueError, match="not both"):
-                oblivious_join_multi_aggregate(
-                    ctx, *args, band=VIEW.band, pair_predicate=VIEW.pair_predicate
-                )
 
 
 class TestFactorizedKernelShape:

@@ -6,11 +6,16 @@ them.  Only those three packages and the package entry points
 (``__init__.py``, ``__main__.py``) may import ``repro.server``,
 ``repro.net`` or ``repro.experiments`` — at module level, inside a
 function, or under ``TYPE_CHECKING`` alike.
+
+The hash-chained checkpoint file (``storage/chain.py``) knows no
+database: it imports the standard library, numpy and, of ``repro``,
+only the errors.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -19,6 +24,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 UPPER = ("server", "net", "experiments")
 #: Top-level modules allowed to import them: the package entry points.
 ENTRY_POINTS = ("__init__.py", "__main__.py")
+#: The chain-file module, and everything it may import beside the stdlib.
+CHAIN = Path("storage") / "chain.py"
+CHAIN_IMPORTS = ("numpy", "repro.common.errors")
 
 
 def imported_modules(path: Path, root: Path = SRC) -> list[tuple[int, str]]:
@@ -84,4 +92,37 @@ def test_guard_sees_function_level_and_type_checking_imports(tmp_path):
         "src/repro/storage/lazy.py:5 imports repro.net",
         "src/repro/storage/lazy.py:6 imports repro.experiments",
         "src/repro/storage/lazy.py:7 imports repro.server.database",
+    ]
+
+
+def chain_imports(root: Path = SRC) -> list[str]:
+    """Every import of the chain-file module beyond the stdlib, numpy and
+    ``repro.common.errors``."""
+    return [
+        f"src/repro/{CHAIN}:{line} imports {module}"
+        for line, module in imported_modules(root / CHAIN, root)
+        if module.split(".")[0] not in sys.stdlib_module_names
+        and module not in CHAIN_IMPORTS
+    ]
+
+
+def test_the_chain_module_knows_no_database():
+    assert chain_imports() == []
+
+
+def test_chain_guard_sees_an_import_of_the_server(tmp_path):
+    package = tmp_path / "storage"
+    package.mkdir()
+    (package / "chain.py").write_text(
+        "from __future__ import annotations\n"
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from ..common.errors import PersistenceError\n"
+        "from ..server import persistence\n"
+        "from ..common import column_log\n",
+        encoding="utf8",
+    )
+    assert chain_imports(tmp_path) == [
+        "src/repro/storage/chain.py:5 imports repro.server",
+        "src/repro/storage/chain.py:6 imports repro.common",
     ]

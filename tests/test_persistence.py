@@ -37,12 +37,8 @@ from repro.query.ast import (
 )
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server import persistence
-from repro.server.persistence import (
-    SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
-    restore_database,
-    snapshot_database,
-)
+from repro.server.persistence import restore_database, snapshot_database
+from repro.storage.chain import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, commit
 
 from test_storage import assert_counters_exact
 
@@ -1121,7 +1117,7 @@ def test_columns_that_do_not_fit_are_refused(tmp_path, edit, message):
     db.query(multi_query(), 2, epsilon=0.5)
     body = persistence._snapshot_body(db, {})
     edit(body)
-    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
+    commit(tmp_path / "bad.snap", persistence._split(body), 0.0)
     with pytest.raises(PersistenceError, match=message):
         restore_database(tmp_path / "bad.snap")
 
@@ -1238,7 +1234,7 @@ def test_table_logs_a_stream_could_not_write_are_refused(tmp_path, edit):
         feed(db, t)
     body = persistence._snapshot_body(db, {})
     edit(body)
-    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
+    commit(tmp_path / "bad.snap", persistence._split(body), 0.0)
     with pytest.raises(PersistenceError, match=r"^table 'orders' (batches|rows): column "):
         restore_database(tmp_path / "bad.snap")
 
@@ -1263,7 +1259,7 @@ def test_logical_times_other_than_the_uploads_are_refused(tmp_path, times):
     body = persistence._snapshot_body(db, {})
     assert body["logical"]["shipments"]["times"].tolist() == [1, 2, 3]
     body["logical"]["shipments"]["times"] = np.array(times)
-    persistence._write_base(tmp_path / "bad.snap", body, 0.0)
+    commit(tmp_path / "bad.snap", persistence._split(body), 0.0)
     with pytest.raises(
         PersistenceError,
         match=r"^logical table 'shipments' batches: column 'times' is not strictly "
@@ -1539,7 +1535,7 @@ def refused_when_broken(db, directory, target, choice, at: int) -> None:
     values = column_value(columns, column.name)
     for key, value in broken(log, column, way, values, choice, at).items():
         set_column(columns, key, value)
-    persistence._write_base(directory / "bad.snap", body, 0.0)
+    commit(directory / "bad.snap", persistence._split(body), 0.0)
     with pytest.raises(PersistenceError, match="^" + re.escape(name + ": ")):
         restore_database(directory / "bad.snap")
 
@@ -1814,7 +1810,7 @@ def test_a_restored_chain_is_the_live_database_and_a_fresh_checkpoint(tmp_path, 
     snapshot_database(db, tmp_path / "fresh.snap", metadata=restored.metadata)
     assert checkpoint_bytes(tmp_path / "again.snap") == checkpoint_bytes(tmp_path / "fresh.snap")
 
-    chain = persistence._CHAINS[db][os.path.abspath(path)]
+    chain = persistence._CHAINS[db][os.path.abspath(path)].chain
     chain.base_bytes = 0  # the segments have outgrown it
     assert snapshot_database(db, path, metadata=restored.metadata).kind == "compaction"
     assert checkpoint_bytes(path) == checkpoint_bytes(tmp_path / "fresh.snap")

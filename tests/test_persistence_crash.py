@@ -2,7 +2,7 @@
 
 A checkpoint is a directory of four files, each a base plus append-only
 segments, ``public`` written last with the commit record (see
-:mod:`repro.server.persistence`).  Here the writer is stopped — by an
+:mod:`repro.storage.chain`).  Here the writer is stopped — by an
 injected failure, not a signal — at every write, truncate, fsync,
 rename, mkdir and unlink of a segment append, of a fresh base written
 over a committed checkpoint, and of a compaction; each stop then
@@ -34,6 +34,7 @@ import pytest
 from repro.common.errors import PersistenceError, PrivacyBudgetError
 from repro.server import persistence
 from repro.server.persistence import restore_database, snapshot_database
+from repro.storage import chain as chain_file
 
 from test_persistence import (
     build_database,
@@ -132,8 +133,8 @@ def checkpoint_with_fault(monkeypatch, db, path, fail_at: int, metadata):
         return FaultyFile(open(*args, **kwargs), faults)
 
     with monkeypatch.context() as patch:
-        patch.setattr(persistence, "open", faulty_open, raising=False)
-        patch.setattr(persistence, "os", FaultyOs(faults))
+        patch.setattr(chain_file, "open", faulty_open, raising=False)
+        patch.setattr(chain_file, "os", FaultyOs(faults))
         try:
             info = snapshot_database(db, path, metadata=metadata)
         except Crash:
@@ -180,7 +181,7 @@ def prepared(tmp_path_factory):
     restored = restore_database(root / "compaction").database
     while True:
         info = snapshot_database(restored, root / "compaction", metadata={"n": 1})
-        chain = persistence._CHAINS[restored][os.path.abspath(root / "compaction")]
+        chain = persistence._CHAINS[restored][os.path.abspath(root / "compaction")].chain
         assert info.kind == "segment"
         if chain.segment_bytes > chain.base_bytes:
             return root
@@ -292,13 +293,13 @@ def test_a_restore_with_no_checkpoint_at_the_path_reads_the_retired_one(tmp_path
     beside the path; the restore reads it, and the next checkpoint puts
     a fresh base at the path."""
     path = tmp_path / "swap"
-    shutil.copytree(prepared / "segment", Path(str(path) + persistence.RETIRED_SUFFIX))
+    shutil.copytree(prepared / "segment", Path(str(path) + chain_file.RETIRED_SUFFIX))
     restored = restore_database(path)
     assert restored.info.segments == 1
     with pytest.raises(PersistenceError, match="cannot read"):
         restore_database(tmp_path / "nothing")
     assert snapshot_database(restored.database, path).kind == "base"
-    assert not Path(str(path) + persistence.RETIRED_SUFFIX).exists()
+    assert not Path(str(path) + chain_file.RETIRED_SUFFIX).exists()
     assert committed_state(restore_database(path).database) == committed_state(
         restored.database
     )
