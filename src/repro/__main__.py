@@ -22,7 +22,7 @@ Usage::
 ``multiview`` runs one multi-view database (three views over the shared
 base-table pair, planner-routed COUNT/SUM queries, composed privacy);
 ``serve`` runs the same deployment through the concurrent serving
-runtime (background ingestion loop, parallel read sessions, periodic
+runtime (one ordered ingest backlog, parallel read sessions, periodic
 snapshots) — with ``--listen`` it exposes the database over TCP (the
 wire protocol of :mod:`repro.net`) instead of running local client
 threads, and ``client`` connects to such a server to query it, fetch

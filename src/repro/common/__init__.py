@@ -1,6 +1,5 @@
-"""Shared utilities: errors, RNG derivation, schemas/rows, clock, metrics."""
+"""Shared utilities: errors, RNG derivation, schemas/rows, metrics."""
 
-from .clock import SimClock
 from .errors import (
     ConfigurationError,
     ContributionBudgetError,
@@ -22,7 +21,6 @@ from .rng import RING_BITS, RING_MOD, msb, random_ring_elements, spawn, uniform_
 from .types import DUMMY_VALUE, RecordBatch, Schema, Update, as_rows, multiset, rows_to_tuples
 
 __all__ = [
-    "SimClock",
     "ConfigurationError",
     "ContributionBudgetError",
     "PrivacyBudgetError",

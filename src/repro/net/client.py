@@ -289,10 +289,10 @@ class IncShrinkClient:
         wait: bool = False,
         wait_timeout: float = 30.0,
     ) -> dict:
-        """Submit one step's padded batches to the server's ingest queue.
+        """Submit one step's padded batches to the server's ingest backlog.
 
-        With ``wait=True`` the call returns only after the server's
-        ingestion loop has applied everything queued (read-your-writes
+        With ``wait=True`` the call returns only after the server has
+        applied everything queued before it (read-your-writes
         for the subsequent query).  Returns the ``upload_ok`` payload:
         applied watermark, current queue depth, and ``drained`` —
         ``False`` means the upload was *accepted* but the bounded wait

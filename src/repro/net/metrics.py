@@ -12,7 +12,7 @@ metrics surface is its own tiny HTTP listener (:class:`MetricsServer`,
   ServingStats` gauges, the global and per-tenant privacy-ledger state,
   per-tenant quota gauges and rejection counters, and the incremental
   accumulator-cache counters;
-* ``/healthz`` — ``ok`` (200) while the ingest loop is healthy, a
+* ``/healthz`` — ``ok`` (200) while ingestion is healthy, a
   one-line description of the deferred failure (503) once it poisons.
 
 Rendering is split out as :func:`render_metrics` over plain dicts so

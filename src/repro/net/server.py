@@ -19,7 +19,7 @@ door is a **reactor**, not thread-per-connection:
   it provably cannot stall the loop, and on a small **executor** only
   otherwise (two lanes, one rule — :meth:`NetworkServer._pump`): upload
   admission never waits, and a lone ``wait=True`` upload is applied
-  right there when the ingest queue is idle, the write lock free and
+  right there when the ingest backlog is idle, the write lock free and
   the step within the inline bounds (public row counts); a
   query or ``stats`` frame takes every lock without waiting and runs
   inline iff its plan is a view scan below the scan executor's own
@@ -32,14 +32,14 @@ door is a **reactor**, not thread-per-connection:
   queued, the write lock is busy, a checkpoint falls due, the step is
   past the inline bounds, or it came in a coalesced run) is a
   **continuation**, not a parked thread: the
-  ingestion loop calls back when the step is applied, and the client's
+  thread that applies the step calls back, and the client's
   ``wait_timeout`` is an event-loop timer;
 * **bounded admission** everywhere, re-expressed as event-loop state
   instead of blocked threads: at most ``max_connections`` concurrent
   connections and ``max_inflight`` concurrently executing requests
   (anything beyond is *rejected* with a structured ``overloaded`` error
   carrying a ``retry_after`` hint, never buffered without bound); the
-  ingest queue applies the same policy through
+  ingest backlog applies the same policy through
   :meth:`~repro.server.runtime.DatabaseServer.try_submit`;
 * **event-loop timers** reclaim connection slots: a peer that completes
   no frame for ``idle_timeout`` seconds (idle, dead, or slow-loris
@@ -48,7 +48,7 @@ door is a **reactor**, not thread-per-connection:
   a write buffer past ``max_write_buffer`` bytes closes immediately;
 * back-to-back ``upload`` frames parsed from one connection are
   **coalesced** into a single admission-gate pass and a single batched
-  queue submission (:meth:`~repro.server.runtime.DatabaseServer.
+  backlog submission (:meth:`~repro.server.runtime.DatabaseServer.
   try_submit_many`), with one ``upload_ok`` answered per frame;
 * **graceful drain** — :meth:`close` stops accepting, lets every
   in-flight request finish and flush its response, answers anything
@@ -130,7 +130,7 @@ class _Connection:
         #: encoded response bytes awaiting the socket
         self.outbuf = bytearray()
         #: a request batch is unanswered: on the executor, or an upload
-        #: waiting for the ingestion loop (:attr:`waiting`)
+        #: waiting for its step to be applied (:attr:`waiting`)
         self.executing = False
         #: in-flight permits held until the response bytes are flushed
         self.permits = 0
@@ -158,7 +158,7 @@ class _Connection:
         #: per-tenant in-flight permits held alongside :attr:`permits`
         self.tenant_permits = 0
         #: the admitted ``wait=True`` upload batch whose reply is a
-        #: continuation the ingestion loop (or its deadline) will post
+        #: continuation the applying thread (or its deadline) will post
         self.waiting: _UploadWait | None = None
 
 
@@ -170,7 +170,7 @@ class _UploadWait:
     def __init__(self, responses: list, admitted: list, deadline: float) -> None:
         #: one slot per frame of the batch; rejected frames already answered
         self.responses = responses
-        #: ``(slot, step, waits)`` of the frames the ingest queue took
+        #: ``(slot, step, waits)`` of the frames the ingest backlog took
         self.admitted = admitted
         #: monotonic time at which the loop answers ``drained: false``
         self.deadline = deadline
@@ -401,8 +401,8 @@ class NetworkServer:
         self._lock = threading.Lock()
         self._inflight = threading.Semaphore(max_inflight)
         # Admission gate for uploads: a stale (non-advancing) step must
-        # be rejected *synchronously* — once enqueued it would fail in
-        # the background loop and poison ingestion for every client.
+        # be rejected *synchronously* — once enqueued it would fail when
+        # applied and poison ingestion for every client.
         self._upload_gate = threading.Lock()
         self._highest_admitted = 0
         self._open_connections = 0
@@ -450,7 +450,7 @@ class NetworkServer:
         """Bind, listen, and launch the event loops.
 
         Starts the wrapped :class:`DatabaseServer` too if the caller has
-        not already — the network door implies a running ingest loop.
+        not already — the network door implies a running ingest worker.
         """
         if self._listener is not None:
             raise ConfigurationError("network server already started")
@@ -486,7 +486,7 @@ class NetworkServer:
         (hello/stats) keep being served so monitors can watch the drain
         itself.  With ``stop_server`` the wrapped
         :class:`DatabaseServer` is stopped afterwards as well (draining
-        its ingest queue under the same timeout).
+        its ingest backlog under the same timeout).
         """
         if self._listener is None or self._closed:
             return
@@ -728,7 +728,7 @@ class NetworkServer:
                 batch = [conn.pending.popleft()]
                 if frame_type == "upload":
                     # Coalesce back-to-back uploads into one admission
-                    # pass and one batched queue submission.
+                    # pass and one batched backlog submission.
                     limit = max(1, self.server.ingest_batch)
                     while (
                         len(batch) < limit
@@ -755,7 +755,7 @@ class NetworkServer:
                         continue
                 # The two lanes.  Whatever provably cannot stall this
                 # loop runs here, on the thread that decoded it: upload
-                # admission (decode, gate, put_nowait — or, for a lone
+                # admission (decode, gate, try_submit_many — or, for a lone
                 # waited step within the inline bounds, try_apply), and a
                 # query or stats frame whose non-blocking form goes
                 # through.
@@ -1148,7 +1148,7 @@ class NetworkServer:
         have to wait raises :class:`~repro.server.runtime.WouldBlock` with
         nothing executed.
         """
-        # A poisoned ingest loop is the *server's* condition, not this
+        # Halted ingestion is the *server's* condition, not this
         # request's fault: report it as a server error (with the original
         # failure) instead of letting try_submit/query re-raise it as an
         # invalid-request that blames the innocent caller's payload.
@@ -1198,7 +1198,7 @@ class NetworkServer:
         across the response write; this wrapper (admit → execute →
         release) serves direct callers (tests, diagnostics).  It answers
         an upload as soon as the step is queued (or, waited and with the
-        queue idle, applied here): waiting for a queued apply is a
+        backlog idle, applied here): waiting for a queued apply is a
         continuation, which needs a connection to answer on.
         """
         if frame_type == "hello":
@@ -1259,7 +1259,7 @@ class NetworkServer:
         a waited frame among the admitted ones every frame is answered
         here too.  Otherwise the batch becomes a continuation (``None``
         is returned): ``conn`` keeps ``executing`` and its permits, the
-        ingestion loop posts :meth:`_on_upload_applied` once the last
+        applying thread posts :meth:`_on_upload_applied` once the last
         waited step is applied (or ingestion failed), and the clamped
         ``wait_timeout`` is a deadline this loop's timer answers
         ``drained: false`` at.
@@ -1295,7 +1295,7 @@ class NetworkServer:
         wait: _UploadWait,
         error: BaseException | None,
     ) -> None:
-        """The ingestion loop's callback, back on the connection's loop."""
+        """The applying thread's callback, back on the connection's loop."""
         if conn.waiting is wait:  # else: timed out, or the peer is gone
             self._end_upload_wait(loop, conn, drained=True, error=error)
 
@@ -1373,13 +1373,13 @@ class NetworkServer:
 
         One gate pass covers the whole run: each step must advance past
         the floor *and* its predecessors in the batch; admitted steps
-        enter the ingest queue through one
+        enter the ingest backlog through one
         :meth:`~repro.server.runtime.DatabaseServer.try_submit_many`
         call — except a lone ``wait=True`` frame, which is applied on this
         thread when :meth:`~repro.server.runtime.DatabaseServer.try_apply`
         claims it.
         Returns one response slot per frame — filled for every
-        frame refused here (admission failures and queue overflow reject
+        frame refused here (admission failures and backlog overflow reject
         individual frames without severing the rest), ``None`` for the
         admitted ones — and the admitted ``(slot, step, waits)`` list
         for :meth:`_answer_admitted` (the flag, not the payload: a wait
@@ -1392,7 +1392,7 @@ class NetworkServer:
         except Exception as exc:
             # try_submit refused outright (server stopping, ingestion
             # halted), or the step applied here failed and halted
-            # ingestion: a waiter on the queue is answered the same.
+            # ingestion: a waiter on the backlog is answered the same.
             fallback = _error_response(exc)
             responses = [r if r is not None else fallback for r in responses]
             admitted = []
@@ -1429,8 +1429,8 @@ class NetworkServer:
             except Exception as exc:
                 responses[i] = _error_response(exc)
         with self._upload_gate:
-            # Reject a non-advancing step *before* it reaches the queue:
-            # deferred, it would kill the background loop for everyone
+            # Reject a non-advancing step *before* it reaches the backlog:
+            # deferred, it would halt ingestion for everyone
             # while its sender saw upload_ok.  The floor covers local
             # submits too (highest_submitted), not just applied steps.
             floor = max(self.server.highest_submitted, self._highest_admitted)
@@ -1463,7 +1463,7 @@ class NetworkServer:
                 i, time_step, items, payload = to_submit[0]
                 if len(payloads) == 1 and payload.get("wait"):
                     # Still under the gate: no step admitted after this
-                    # one can reach the queue before try_apply has looked.
+                    # one can reach the backlog before try_apply has looked.
                     apply = self.server.try_apply(time_step, items)
                 accepted = (
                     1 if apply or self.server.try_submit(time_step, items) else 0
@@ -1483,8 +1483,8 @@ class NetworkServer:
                 else:
                     responses[i] = overloaded
         if apply is not None:
-            # Past the gate: the write lock try_apply holds keeps every
-            # later step behind this one, queued or claimed on another
+            # Past the gate: the role and write lock try_apply holds keep
+            # every later step behind this one, queued or claimed on another
             # loop, so admission there need not wait for this apply.
             apply()
 

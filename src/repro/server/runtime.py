@@ -7,13 +7,16 @@ stream batches in forever, many analysts hold open read sessions, and
 the whole thing survives restarts.  :class:`DatabaseServer` provides
 that shape:
 
-* a **background ingestion loop** — submitted uploads queue up and a
-  dedicated thread applies them in order, coalescing whatever is
-  already queued into one exclusive critical section (batched uploads:
-  one writer-lock acquisition covers many upload+step pairs); when
-  nothing is queued, the write lock is free and the step is small,
-  :meth:`~DatabaseServer.try_apply` runs the same apply on the caller's
-  thread instead;
+* **one ordered backlog** — submitted uploads wait in a bounded backlog
+  and are applied strictly in order by whichever thread holds the
+  *applier role*: the ingest worker, which coalesces up to
+  ``ingest_batch`` queued steps into one exclusive critical section
+  (batched uploads: one writer-lock acquisition covers many upload+step
+  pairs), or — when nothing is queued, the write lock is free and the
+  step is small — the caller's own thread
+  (:meth:`~DatabaseServer.try_apply`).  Both run the one apply body,
+  :meth:`~DatabaseServer._drain`; a failure there halts ingestion and
+  reaches every producer, waiter and :meth:`~DatabaseServer.drain`;
 * **concurrent read sessions** — queries run under a shared read lock
   (so they never observe a half-applied step) plus a per-view session
   guard; planning and ground-truth scoring parallelise freely, while
@@ -31,16 +34,18 @@ that shape:
 Queries never advance the servers' randomness streams (they only reveal
 and charge gates), so read concurrency — however the OS schedules the
 sessions — cannot perturb the deterministic state evolution of the
-stream.  Only the ingestion order matters, and the queue fixes it.
+stream.  Only the ingestion order matters, and the backlog fixes it.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time as _time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Mapping
 
 from ..common.errors import ConfigurationError, ProtocolError
@@ -82,7 +87,7 @@ class ReadWriteLock:
     """A writer-preferring read/write lock.
 
     Many readers (query sessions) may hold the lock simultaneously; the
-    single writer (the ingestion loop, or a snapshot) excludes them all.
+    single writer (the thread applying steps, or a snapshot) excludes them all.
     Writer preference keeps a steady query load from starving the
     stream: once a writer is waiting, new readers queue behind it.
     """
@@ -176,9 +181,9 @@ class ServingStats:
     #: what the last checkpoint wrote: ``base``, ``segment`` or
     #: ``compaction`` (empty before the first)
     last_snapshot_kind: str = ""
-    #: submitted-but-unapplied steps in the ingest queue right now
+    #: submitted steps in the ingest backlog, not yet taken by an apply
     queue_depth: int = 0
-    #: the queue's bound (``max_pending`` — backpressure beyond this)
+    #: the backlog's bound (``max_pending`` — backpressure beyond this)
     queue_capacity: int = 0
     #: per-view shard sizes after the last applied step
     shard_rows: dict = field(default_factory=dict)
@@ -270,19 +275,27 @@ class ReadSession:
 #: flush (≈ 0.09 µs).  So an inline step costs at most ≈ 2 + 3 ms beyond
 #: its fixed 1–2 ms.  The benchmark's steady steps (34–85 rows) are
 #: inline but for 3 of cpdb-heavy's 100, whose caches pass the bound just
-#: before a flush; a bulk load takes the queue.
+#: before a flush; a bulk load takes the backlog.
 INLINE_APPLY_ROWS = 2_048
 INLINE_APPLY_CACHE_ROWS = 32_768
 
-_SHUTDOWN = object()
+
+def _step(time: int, batches) -> tuple[int, object]:
+    """A step as the backlog holds it: its time and a copy of its batches."""
+    return int(time), dict(batches) if isinstance(batches, Mapping) else list(batches)
+
+
+def _name_ingest_thread() -> None:
+    """The ingest worker's initializer: one stable name for its thread."""
+    threading.current_thread().name = "incshrink-ingest"
 
 
 class DrainTimeout(ProtocolError):
     """A bounded :meth:`DatabaseServer.drain`/:meth:`~DatabaseServer.stop`
     wait expired with submissions still queued.
 
-    Nothing is lost and nothing failed: the ingestion loop keeps
-    applying, and calling the method again resumes waiting.  Kept
+    Nothing is lost and nothing failed: the backlog keeps being
+    applied, and calling the method again resumes waiting.  Kept
     distinct from other :class:`~repro.common.errors.ProtocolError`\\ s
     so callers can tell "accepted but still applying" apart from a
     genuinely failed ingest."""
@@ -328,26 +341,33 @@ class DatabaseServer:
         #: (empty for a freshly constructed server)
         self.resume_metadata: dict = {}
 
-        self._queue: queue.Queue = queue.Queue(maxsize=max_pending)
+        #: submitted steps not yet taken by an apply, in stream order;
+        #: empty whenever no thread holds the applier role (``_applying``)
+        self._backlog: deque[tuple[int, object]] = deque()
+        #: guards the backlog, the role, ``_highest_submitted`` and the
+        #: :meth:`when_applied` waiters; notified whenever the backlog
+        #: shrinks, the role is freed, ingestion fails or the server stops
+        self._cond = threading.Condition()
+        #: the ingest worker: one thread, to which the role is handed with
+        #: whatever is queued (:meth:`_drain`)
+        self._worker: ThreadPoolExecutor | None = None
         self._rw = ReadWriteLock()
         self._mpc_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._view_locks: dict[str, threading.Lock] = {}
         self._nm_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
         self._started = False
         self._stopping = False
         self._stopped = False
-        self._shutdown_sent = False
         self._ingest_error: BaseException | None = None
+        #: a thread holds the applier role: it runs :meth:`_drain` next,
+        #: and no other thread applies a step until the role is freed
+        self._applying = False
         self._last_time = 0
         self._highest_submitted = 0
         #: ``(step, callback)`` registered by :meth:`when_applied` and not
-        #: yet fired, and the step through which an apply has fired them
-        #: (it trails ``_last_time`` by the rest of ``_apply``)
+        #: yet fired
         self._applied_waiters: list[tuple[int, Callable]] = []
-        self._waiters_lock = threading.Lock()
-        self._notified_through = 0
         self._session_counter = 0
         self._steps_since_snapshot = 0
 
@@ -359,21 +379,25 @@ class DatabaseServer:
 
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        """Started, not stopped, and ingestion not halted by a failure."""
+        return self._started and not self._stopped and self._ingest_error is None
 
     def start(self) -> "DatabaseServer":
-        """Finalize the deployment and launch the ingestion loop."""
+        """Finalize the deployment and launch the ingest worker."""
         if self._started:
             raise ConfigurationError("server already started")
         self.database.finalize()
         self._view_locks = {
             name: threading.Lock() for name in self.database.views
         }
-        self._started = True
-        self._thread = threading.Thread(
-            target=self._ingest_loop, name="incshrink-ingest", daemon=True
+        # Its thread starts here, not at the first hand-off: a thread
+        # started in the middle of a _drain takes the GIL from the loop
+        # that must answer next.
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, initializer=_name_ingest_thread
         )
-        self._thread.start()
+        self._worker.submit(lambda: None).result()
+        self._started = True
         return self
 
     def submit(
@@ -381,15 +405,15 @@ class DatabaseServer:
         time: int,
         batches: Mapping[str, RecordBatch] | list[tuple[str, RecordBatch]],
     ) -> None:
-        """Enqueue one step's uploads for the background loop.
+        """Append one step's uploads to the backlog.
 
-        Blocks when the queue is full (backpressure toward the owners),
+        Blocks while the backlog is full (backpressure toward the owners),
         exactly like a bounded ingest buffer in front of a real server.
+        If ingestion fails or the server starts stopping meanwhile, the
+        step is refused: this raises the failure, or
+        :class:`~repro.common.errors.ConfigurationError`.
         """
-        self._require_running()
-        item = dict(batches) if isinstance(batches, Mapping) else list(batches)
-        self._queue.put((int(time), item))
-        self._note_submitted(int(time))
+        self._admit([(time, batches)], None)
 
     def try_submit(
         self,
@@ -399,22 +423,12 @@ class DatabaseServer:
     ) -> bool:
         """:meth:`submit` without unbounded blocking.
 
-        Returns ``False`` when the ingest queue stays full (past
-        ``timeout`` seconds; immediately when ``timeout`` is ``None``).
+        Returns ``False`` when the backlog stays full (past ``timeout``
+        seconds; immediately when ``timeout`` is ``None``).
         The network front door uses this to *reject with retry-after*
         instead of parking one connection thread per blocked producer.
         """
-        self._require_running()
-        item = dict(batches) if isinstance(batches, Mapping) else list(batches)
-        try:
-            if timeout is None:
-                self._queue.put_nowait((int(time), item))
-            else:
-                self._queue.put((int(time), item), timeout=timeout)
-        except queue.Full:
-            return False
-        self._note_submitted(int(time))
-        return True
+        return self._admit([(time, batches)], timeout or 0.0) == 1
 
     def try_submit_many(
         self,
@@ -422,97 +436,109 @@ class DatabaseServer:
             tuple[int, Mapping[str, RecordBatch] | list[tuple[str, RecordBatch]]]
         ],
     ) -> int:
-        """Enqueue a run of steps without blocking; returns how many fit.
+        """Append a run of steps without blocking; returns how many fit.
 
         The network front door coalesces back-to-back upload frames
-        from one connection into a single call here: one queue pass for
-        the whole run instead of a lock round-trip per frame.  Steps
-        are enqueued **in order** and admission stops at the first one
-        that finds the queue full, so the accepted set is always a
+        from one connection into a single call here: one backlog pass
+        for the whole run instead of a lock round-trip per frame.  Steps
+        are appended **in order** and admission stops at the first one
+        that finds the backlog full, so the accepted set is always a
         prefix — the caller can answer ``upload_ok`` for the first
         ``n`` frames and ``overloaded`` for the rest without creating
         gaps in the stream.
         """
-        self._require_running()
+        return self._admit(steps, 0.0)
+
+    def _admit(self, steps: list, wait: float | None) -> int:
+        """Append ``steps`` to the backlog in order; returns how many fit.
+
+        Waits up to ``wait`` seconds (``None``: without bound) for room,
+        then appends steps, without letting go of the backlog, until one
+        finds it full.  Hands the role to the ingest worker when no
+        thread holds it.
+        """
+        items = [_step(time, batches) for time, batches in steps]
         accepted = 0
-        for time, batches in steps:
-            item = dict(batches) if isinstance(batches, Mapping) else list(batches)
-            try:
-                self._queue.put_nowait((int(time), item))
-            except queue.Full:
-                break
-            self._note_submitted(int(time))
-            accepted += 1
+        with self._cond:
+            if wait != 0.0:
+                self._cond.wait_for(self._has_room, wait)
+            while accepted < len(items) and self._has_room():
+                self._enqueue(items[accepted])
+                accepted += 1
+            hand_off = accepted > 0 and not self._applying
+            if hand_off:
+                self._applying = True
+        if hand_off:
+            self._worker.submit(self._drain)
         return accepted
+
+    def _has_room(self) -> bool:
+        """Under the condition: whether one more step fits in the backlog;
+        raises whatever refuses every step (a failure, a stop)."""
+        self._require_running()
+        return len(self._backlog) < self.max_pending
+
+    def _enqueue(self, item: tuple[int, object]) -> None:
+        """Under the condition: append one accepted step."""
+        self._backlog.append(item)
+        if item[0] > self._highest_submitted:
+            self._highest_submitted = item[0]
 
     def try_apply(
         self,
         time: int,
         batches: Mapping[str, RecordBatch] | list[tuple[str, RecordBatch]],
     ) -> Callable[[], None] | None:
-        """Claim one step for the calling thread to apply at once.
+        """Claim the applier role for one step, for the calling thread.
 
         The network front door calls this for a lone ``wait=True`` upload,
         so the event loop that decoded the step applies it and answers at
-        once, with no round trip through the ingestion thread.  Returns
+        once, with no round trip through the ingest worker.  Returns
         ``None``, with nothing claimed, when the step would have to wait,
         could overtake an earlier one or could run long: the write lock is
-        held or wanted, a submitted step is queued or being applied, a
-        ``snapshot_every`` checkpoint would fall due (a checkpoint is the
-        ingestion thread's work), or the step is past the inline bounds
-        (:meth:`_applies_in_bounded_time`).  The caller then queues it
-        (:meth:`try_submit`) instead.
+        held or wanted, a thread holds the role (a submitted step is
+        queued or being applied), a ``snapshot_every`` checkpoint would
+        fall due (a checkpoint is the ingest worker's work), or the step
+        is past the inline bounds (:meth:`_applies_in_bounded_time`).  The
+        caller then queues it (:meth:`try_submit`) instead.
 
-        Otherwise the step counts as submitted and the write lock is held
-        for it when this returns, so no later step — queued, or claimed
-        by another thread — can run before it: the caller may drop its
-        own admission lock first.  It must then call the returned
-        ``apply()`` exactly once.  That runs the step through the
-        ingestion loop's own body — the stream-order check, stats,
-        checkpoint counter and :meth:`when_applied` waiters — releases the
-        lock, and raises whatever the step raised.  A failure halts
-        ingestion exactly as it would on the ingestion thread (later
-        submissions, :meth:`drain` and :meth:`stop` raise it).
+        Otherwise the step is the backlog's only one, and the calling
+        thread holds the role and the write lock when this returns, so no
+        later step — queued, or claimed by another thread — can run before
+        it: the caller may drop its own admission lock first.  It must
+        then call the returned ``apply()`` exactly once.  That is
+        :meth:`_drain` for this one step — the stream-order check, stats,
+        checkpoint counter and :meth:`when_applied` waiters — which
+        releases the lock, hands whatever was queued meanwhile to the
+        ingest worker and raises whatever the step raised.  A failure
+        halts ingestion exactly as it would on the worker.
         """
-        item = dict(batches) if isinstance(batches, Mapping) else list(batches)
+        item = _step(time, batches)
         if not self._rw.acquire_write(blocking=False):
             return None
         try:
-            self._require_running()
-            # Read while holding the lock: a step submitted earlier is
-            # either still counted here or has been applied — an apply in
-            # progress would have kept the lock from us.
-            with self._queue.mutex:
-                queued = self._queue.unfinished_tasks
             checkpoint_due = (
                 self.snapshot_every is not None
                 and self._steps_since_snapshot + 1 >= self.snapshot_every
             )
-            claimed = (
-                not queued
-                and not checkpoint_due
-                and self._applies_in_bounded_time(item)
-            )
+            with self._cond:
+                self._require_running()
+                # A free role means an empty backlog: nothing to overtake.
+                claimed = (
+                    not self._applying
+                    and not checkpoint_due
+                    and self._applies_in_bounded_time(item[1])
+                )
+                if claimed:
+                    self._applying = True
+                    self._enqueue(item)
         except BaseException:
             self._rw.release_write()
             raise
         if not claimed:
             self._rw.release_write()
             return None
-        self._note_submitted(int(time))
-
-        def apply() -> None:
-            t0 = _time.perf_counter()
-            try:
-                self._apply_held([(int(time), item)], t0)
-            except BaseException as exc:
-                self._ingest_error = exc
-                raise
-            finally:
-                self._rw.release_write()
-                self._fire_applied_waiters()
-
-        return apply
+        return partial(self._drain, held=True)
 
     def _applies_in_bounded_time(
         self, batches: dict[str, RecordBatch] | list[tuple[str, RecordBatch]]
@@ -532,51 +558,43 @@ class DatabaseServer:
         cache_rows = sum(len(vr.cache) for vr in self.database.views.values())
         return rows < INLINE_APPLY_ROWS and cache_rows < INLINE_APPLY_CACHE_ROWS
 
-    def _note_submitted(self, time: int) -> None:
-        with self._stats_lock:
-            if time > self._highest_submitted:
-                self._highest_submitted = time
-
     @property
     def highest_submitted(self) -> int:
-        """Highest step ever accepted into the queue (applied or not).
+        """Highest step ever accepted into the backlog (applied or not).
 
         The network front door seeds its upload-admission floor from
         this, so steps queued before the listener opened cannot be
         undercut by a remote upload.
         """
-        with self._stats_lock:
+        with self._cond:
             return max(self._highest_submitted, self._last_time)
 
     @property
     def pending_uploads(self) -> int:
-        """Submitted-but-unapplied steps in the ingest queue (approximate)."""
-        return self._queue.qsize()
+        """Submitted steps in the backlog, not yet taken by an apply."""
+        return len(self._backlog)
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every submitted upload has been applied.
 
-        With a ``timeout`` the wait is bounded: if queued submissions
-        remain unapplied after ``timeout`` seconds a
-        :class:`~repro.common.errors.ProtocolError` is raised (nothing
-        is lost — the loop keeps applying; call again to keep waiting).
-        Any deferred background-ingestion failure surfaces here.
+        With a ``timeout`` the wait is bounded: if submissions remain
+        unapplied after ``timeout`` seconds a :class:`DrainTimeout` is
+        raised (nothing is lost — the backlog keeps being applied; call
+        again to keep waiting).  An ingestion failure ends the wait at
+        once and is raised here.
         """
-        if timeout is None:
-            self._queue.join()
-        else:
-            deadline = _time.monotonic() + timeout
-            with self._queue.all_tasks_done:
-                while self._queue.unfinished_tasks:
-                    remaining = deadline - _time.monotonic()
-                    if remaining <= 0.0:
-                        raise DrainTimeout(
-                            f"{self._queue.unfinished_tasks} queued "
-                            f"submissions were not applied within "
-                            f"{timeout:.3f}s"
-                        )
-                    self._queue.all_tasks_done.wait(remaining)
+        if not self._wait_idle(timeout):
+            raise DrainTimeout(
+                f"submissions were not applied within {timeout:.3f}s "
+                f"({len(self._backlog)} still queued)"
+            )
         self._raise_ingest_error()
+
+    def _wait_idle(self, timeout: float | None) -> bool:
+        """Wait until no thread holds the applier role — the backlog is
+        applied, or dropped by a failure; ``False`` at the timeout."""
+        with self._cond:
+            return self._cond.wait_for(lambda: not self._applying, timeout)
 
     def when_applied(
         self, time: int, callback: Callable[[BaseException | None], None]
@@ -585,86 +603,52 @@ class DatabaseServer:
 
         The continuation form of :meth:`drain` for a caller that must not
         park a thread: the network front door's event loops register one
-        for a waited upload that went through the queue — the fallback,
+        for a waited upload that went through the backlog — the fallback,
         when :meth:`try_apply` could not apply the step on the loop
-        itself.  Whichever thread ran the apply that covers ``time`` calls
-        back, on that thread, after the apply has released the write lock
-        — ``error`` is ``None`` — or as soon as ingestion has failed, with
-        the failure every :meth:`drain` would raise.  When either already
-        holds, the callback runs here, before this method returns.
+        itself.  The thread holding the applier role calls back, on that
+        thread, after the apply that covers ``time`` has released the
+        write lock — ``error`` is ``None`` — or as soon as ingestion has
+        failed, with the failure every :meth:`drain` would raise.  When
+        ingestion has failed, or ``time`` is applied and no thread holds
+        the role, the callback runs here, before this method returns.
         Callbacks must be quick and must not raise; each runs exactly once.
         """
-        with self._waiters_lock:
+        with self._cond:
             error = self._ingest_error
-            if error is None and time > self._notified_through:
+            if error is None and (self._applying or time > self._last_time):
                 self._applied_waiters.append((time, callback))
                 return
         callback(error)
 
-    def _fire_applied_waiters(self) -> None:
-        """After an apply, on its thread: fire what it just finished covers."""
-        with self._waiters_lock:
-            error = self._ingest_error
-            self._notified_through = self._last_time
-            due, waiting = [], []
-            for waiter in self._applied_waiters:
-                reached = error is not None or waiter[0] <= self._last_time
-                (due if reached else waiting).append(waiter)
-            self._applied_waiters = waiting
-        for _step, callback in due:
-            callback(error)
-
     def stop(
         self, final_snapshot: bool = False, drain_timeout: float | None = None
     ) -> None:
-        """Drain the queue, stop the loop, optionally snapshot.
+        """Refuse new steps, drain the backlog, stop the worker, optionally
+        snapshot.
 
         The shutdown is *graceful by default*: everything already
-        submitted is applied before the loop exits.  ``drain_timeout``
-        bounds that wait — on expiry a
-        :class:`~repro.common.errors.ProtocolError` reports how many
-        steps are still pending, the loop keeps draining, and calling
-        :meth:`stop` again resumes waiting.  A deferred background
-        ingestion failure is (re-)raised here, so a caller that never
-        submits again still observes it.
+        submitted is applied first; a producer still blocked on a full
+        backlog is refused.  ``drain_timeout`` bounds that wait — on
+        expiry a :class:`DrainTimeout` reports how many steps are still
+        queued, the backlog keeps being applied, and calling :meth:`stop`
+        again resumes waiting.  An ingestion failure is (re-)raised here,
+        so a caller that never submits again still observes it.
         """
         if not self._started or self._stopped:
             return
-        self._stopping = True
-        deadline = (
-            None if drain_timeout is None
-            else _time.monotonic() + drain_timeout
-        )
-
-        def _timed_out() -> DrainTimeout:
-            return DrainTimeout(
+        with self._cond:
+            self._stopping = True
+            self._cond.notify_all()
+        if not self._wait_idle(drain_timeout):
+            raise DrainTimeout(
                 f"ingestion did not drain within {drain_timeout:.3f}s "
-                f"({self._queue.qsize()} submissions still queued); call "
+                f"({len(self._backlog)} submissions still queued); call "
                 "stop() again to keep waiting"
             )
-
-        if not self._shutdown_sent:
-            # The sentinel rides the bounded queue; with a full queue a
-            # blocking put would bust the drain_timeout contract, so the
-            # enqueue itself is bounded too.
-            try:
-                if drain_timeout is None:
-                    self._queue.put(_SHUTDOWN)
-                else:
-                    self._queue.put(_SHUTDOWN, timeout=drain_timeout)
-            except queue.Full:
-                raise _timed_out()
-            self._shutdown_sent = True
-        assert self._thread is not None
-        self._thread.join(
-            None if deadline is None
-            else max(0.0, deadline - _time.monotonic())
-        )
-        if self._thread.is_alive():
-            raise _timed_out()
+        self._worker.shutdown()
         self._stopped = True
-        # The ingest loop is down and no further queries run through this
-        # server: release the process scan backend's worker pool and
+        # No step is applied and no query runs through this server any
+        # more: release the process scan backend's worker pool and
         # shared-memory publications (idempotent; a later database in the
         # same interpreter transparently respawns them).
         shutdown_process_backend()
@@ -672,50 +656,56 @@ class DatabaseServer:
         if final_snapshot:
             self.snapshot()
 
-    # -- ingestion loop -----------------------------------------------------------
-    def _ingest_loop(self) -> None:
-        shutdown = False
-        while not shutdown:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._queue.task_done()
-                return
-            pending = [item]
-            # Coalesce whatever else is already queued into this same
-            # exclusive section — batched ingestion.
-            while len(pending) < self.ingest_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    shutdown = True
-                    break
-                pending.append(nxt)
-            try:
-                self._apply(pending)
-            except BaseException as exc:  # surface to the foreground
-                self._ingest_error = exc
-            finally:
-                for _ in pending:
-                    self._queue.task_done()
-                if shutdown:
-                    self._queue.task_done()
-            self._fire_applied_waiters()
-            if self._ingest_error is not None:
-                self._drain_after_error()
-                return
+    # -- applying ---------------------------------------------------------------
+    def _drain(self, held: bool = False) -> None:
+        """The one apply body: apply the backlog's head, in stream order.
 
-    def _apply(self, pending: list[tuple[int, object]]) -> None:
+        Run only by the thread holding the applier role: the ingest
+        worker, which takes up to ``ingest_batch`` steps queued while it
+        waited for the write lock, or the caller :meth:`try_apply`
+        returned it to (``held``: it holds the write lock already and
+        applies its one step).  Then it fires the :meth:`when_applied`
+        waiters the apply covers and hands the role, with whatever was
+        queued meanwhile, to the worker — or frees it.
+
+        A failure halts ingestion: it is recorded, the backlog dropped,
+        and every blocked producer, waiter and :meth:`drain` gets it; a
+        claimed step's caller has it raised, the worker only records it.
+        """
         t0 = _time.perf_counter()
-        with self._rw.write_locked():
+        if not held:
+            self._rw.acquire_write()
+        error = None
+        try:
+            with self._cond:
+                take = 1 if held else min(self.ingest_batch, len(self._backlog))
+                pending = [self._backlog.popleft() for _ in range(take)]
+                self._cond.notify_all()  # room for a blocked producer
             self._apply_held(pending, t0)
+        except BaseException as exc:
+            error = exc
+        finally:
+            self._rw.release_write()
+        with self._cond:
+            if error is not None:
+                self._ingest_error = error
+                self._backlog.clear()
+            hand_off = self._applying = bool(self._backlog)
+            due, waiting = [], []
+            for waiter in self._applied_waiters:
+                reached = error is not None or waiter[0] <= self._last_time
+                (due if reached else waiting).append(waiter)
+            self._applied_waiters = waiting
+            self._cond.notify_all()
+        if hand_off:
+            self._worker.submit(self._drain)
+        for _, callback in due:
+            callback(error)
+        if error is not None and held:
+            raise error
 
     def _apply_held(self, pending: list[tuple[int, object]], t0: float) -> None:
-        """The one apply body; the caller holds the write lock."""
-        # Halted by a step applied on another thread (:meth:`try_apply`):
-        # nothing queued after the failure is applied.
-        self._raise_ingest_error()
+        """Apply ``pending`` in order; the caller holds the write lock."""
         for step_time, batches in pending:
             if step_time <= self._last_time:
                 raise ProtocolError(
@@ -741,17 +731,6 @@ class DatabaseServer:
             self.stats.shard_rows = report.shard_rows  # pending is never empty
             self.stats.ingest_seconds += _time.perf_counter() - t0
 
-    def _drain_after_error(self) -> None:
-        """After a failed step, unblock producers waiting on join()."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            self._queue.task_done()
-            if item is _SHUTDOWN:
-                return
-
     def _require_running(self) -> None:
         if not self._started:
             raise ConfigurationError("server not started; call start() first")
@@ -769,7 +748,7 @@ class DatabaseServer:
 
         :meth:`submit`, :meth:`drain`, and :meth:`stop` *raise* it; this
         property lets monitoring surfaces (the network ``stats`` frame)
-        report a poisoned ingest loop without tearing themselves down.
+        report halted ingestion without tearing themselves down.
         """
         return self._ingest_error
 
@@ -850,7 +829,7 @@ class DatabaseServer:
     def current_stats(self) -> ServingStats:
         """Refresh the live gauges and return the stats record."""
         with self._stats_lock:
-            self.stats.queue_depth = self._queue.qsize()
+            self.stats.queue_depth = len(self._backlog)
             self.stats.queue_capacity = self.max_pending
             self.stats.query_epsilon = self.database.query_epsilon()
             self.stats.plan_cache_hit_rate = self.database.planner.hit_rate
@@ -947,5 +926,4 @@ class DatabaseServer:
             if k not in ("last_time", "stats")
         }
         server._last_time = int(restored.metadata.get("last_time", 0))
-        server._notified_through = server._last_time
         return server

@@ -1,9 +1,8 @@
-"""Unit tests for the simulation clock and RNG derivation."""
+"""Unit tests for RNG derivation."""
 
 import numpy as np
 import pytest
 
-from repro.common.clock import SimClock
 from repro.common.rng import (
     RING_MOD,
     msb,
@@ -11,32 +10,6 @@ from repro.common.rng import (
     spawn,
     uniform_unit_from_u32,
 )
-
-
-class TestSimClock:
-    def test_ticks_advance(self):
-        clock = SimClock()
-        assert clock.tick() == 1
-        assert clock.tick() == 2
-        assert clock.now == 2
-
-    def test_every_matches_modulo(self):
-        clock = SimClock()
-        fired = []
-        for _ in range(9):
-            clock.tick()
-            if clock.every(3):
-                fired.append(clock.now)
-        assert fired == [3, 6, 9]
-
-    def test_every_never_fires_at_time_zero(self):
-        assert not SimClock().every(1)
-
-    def test_nonpositive_period_never_fires(self):
-        clock = SimClock()
-        clock.tick()
-        assert not clock.every(0)
-        assert not clock.every(-2)
 
 
 class TestSpawn:

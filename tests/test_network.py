@@ -1205,13 +1205,13 @@ class TestUploadOnTheLoop:
         server = DatabaseServer(build_database())
         steps = self.record_steps(monkeypatch, server)
         release = threading.Event()
-        real_apply = server._apply
+        real_drain = server._drain
 
-        def held_apply(pending):
-            release.wait(5.0)  # picked up, not yet applied: the lock is free
-            real_apply(pending)
+        def held_drain(**held):
+            release.wait(5.0)  # the worker holds the role: the lock is free
+            real_drain(**held)
 
-        monkeypatch.setattr(server, "_apply", held_apply)
+        monkeypatch.setattr(server, "_drain", held_drain)
         replies: list = []
         with NetworkServer(server) as net:
             with IncShrinkClient(*net.address, busy_retries=0) as client:
@@ -1270,14 +1270,14 @@ class TestUploadOnTheLoop:
         server = DatabaseServer(build_database())
         steps = self.record_steps(monkeypatch, server)
         picked, release = threading.Event(), threading.Event()
-        real_apply = server._apply
+        real_drain = server._drain
 
-        def held_apply(pending):
+        def held_drain(**held):
             picked.set()
-            release.wait(5.0)  # picked up, not yet applied: the lock is free
-            real_apply(pending)
+            release.wait(5.0)  # the worker holds the role: the lock is free
+            real_drain(**held)
 
-        monkeypatch.setattr(server, "_apply", held_apply)
+        monkeypatch.setattr(server, "_drain", held_drain)
         batches = batches_at(1)
         large = {
             **batches,

@@ -8,6 +8,7 @@ checkpoint converges to the identical state as one that never stopped.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from time import perf_counter, sleep as _sleep
@@ -122,15 +123,25 @@ class TestIngestion:
         assert got == expected_answers
         assert server.database.realized_epsilon() == expected_eps
 
-    def test_batched_ingestion_coalesces_queued_steps(self):
-        """Submitting the whole stream before the loop wakes must still
-        apply every step, in order, exactly once."""
-        server = DatabaseServer(build_database(), ingest_batch=4)
-        for t in range(1, len(SCRIPT) + 1):
-            server._queue.put((t, batches_at(t)))  # pre-load before start
-        server.start()
+    def test_batched_ingestion_coalesces_queued_steps(self, monkeypatch):
+        """Submitting the whole stream while the worker waits for the
+        write lock must still apply every step, in order, exactly once,
+        coalesced into ``ingest_batch``-sized applies."""
+        server = DatabaseServer(build_database(), ingest_batch=4).start()
+        applies: list[list[int]] = []
+        real_apply = server._apply_held
+
+        def apply_held(pending, t0):
+            applies.append([t for t, _ in pending])
+            real_apply(pending, t0)
+
+        monkeypatch.setattr(server, "_apply_held", apply_held)
+        with server._rw.read_locked():  # the worker waits for the lock
+            for t in range(1, len(SCRIPT) + 1):
+                server.submit(t, batches_at(t))
         server.drain()
         server.stop()
+        assert applies == [[1, 2, 3, 4], [5, 6]]
         assert server.stats.steps == len(SCRIPT)
         assert server.database.upload_counts() == {
             "orders": len(SCRIPT),
@@ -163,6 +174,39 @@ class TestIngestion:
         server = DatabaseServer(build_database()).start()
         with pytest.raises(ConfigurationError, match="already started"):
             server.start()
+        server.stop()
+
+    def test_start_launches_the_ingest_worker_and_stop_ends_it(self):
+        """The worker's thread is running before the first step arrives,
+        not started by the first hand-off, and is gone after ``stop()``."""
+
+        def ingest_threads() -> list[threading.Thread]:
+            return [
+                thread for thread in threading.enumerate()
+                if thread.name == "incshrink-ingest"
+            ]
+
+        before = set(ingest_threads())
+        server = DatabaseServer(build_database()).start()
+        started = [t for t in ingest_threads() if t not in before]
+        assert len(started) == 1 and started[0].is_alive()
+        server.submit(1, batches_at(1))
+        server.drain()
+        assert [t for t in ingest_threads() if t not in before] == started
+        server.stop()
+        assert not started[0].is_alive()
+
+    def test_pending_uploads_counts_the_backlog_exactly(self):
+        """Every step accepted and not yet taken by an apply is counted,
+        and an applied backlog counts zero."""
+        server = DatabaseServer(build_database(), ingest_batch=2).start()
+        assert server.pending_uploads == 0
+        with server._rw.read_locked():  # the worker waits for the lock
+            for t in range(1, 4):
+                server.submit(t, batches_at(t))
+                assert server.pending_uploads == t
+        server.drain()
+        assert server.pending_uploads == 0 and server.last_time == 3
         server.stop()
 
 
@@ -263,10 +307,10 @@ class TestSnapshotResume:
             snapshot_path=path,
             snapshot_every=5,
             ingest_batch=4,
-        )
-        for t in range(1, len(SCRIPT) + 1):  # 6 steps, applied as 4 + 2
-            server._queue.put((t, batches_at(t)))
-        server.start()
+        ).start()
+        with server._rw.read_locked():  # 6 steps, applied as 4 + 2
+            for t in range(1, len(SCRIPT) + 1):
+                server.submit(t, batches_at(t))
         server.drain()
         server.stop()
         assert server.stats.snapshots == 1
@@ -446,16 +490,17 @@ class TestNonBlockingForms:
         # The write lock is held (a reader here): nothing applied.
         with server._rw.read_locked():
             assert not self.applied_inline(server, 2)
-        # A step is queued, picked up but not yet applied: the lock is
-        # free, yet applying here would overtake it.
+        # A step is queued and the worker holds the role, but has not
+        # taken the write lock yet: the lock is free, yet applying here
+        # would overtake it.
         release = threading.Event()
-        real_apply = server._apply
+        real_drain = server._drain
 
-        def held_apply(pending):
+        def held_drain(**held):
             release.wait(5.0)
-            real_apply(pending)
+            real_drain(**held)
 
-        server._apply = held_apply
+        server._drain = held_drain
         server.submit(2, batches_at(2))
         try:
             assert not self.applied_inline(server, 3)
@@ -529,16 +574,21 @@ class TestNonBlockingForms:
         monkeypatch.setattr(server.database, "step", step)
         assert self.applied_inline(server, 1)
         fired: list = []
+        apply = server.try_apply(2, batches_at(2))
+        assert apply is not None
+        # Queued behind the claimed step while it is applied: not applied
+        # after its failure, and no longer pending.
+        server.submit(3, batches_at(3))
+        assert server.pending_uploads == 2  # neither taken by an apply yet
         with pytest.raises(SchemaError, match="exploded"):
-            self.applied_inline(server, 2)
+            apply()
+        assert server.pending_uploads == 0
         server.when_applied(2, fired.append)
         assert [str(error) for error in fired] == ["step 2 exploded"]
         with pytest.raises(SchemaError, match="exploded"):
-            server.submit(3, batches_at(3))
+            server.submit(4, batches_at(4))
         with pytest.raises(SchemaError, match="exploded"):
-            server.try_apply(3, batches_at(3))
-        # A step that reached the queue anyway is not applied after it.
-        server._queue.put((3, batches_at(3)))
+            server.try_apply(4, batches_at(4))
         with pytest.raises(SchemaError, match="exploded"):
             server.drain(timeout=5.0)
         assert server.last_time == 1 and server.stats.steps == 1
@@ -635,6 +685,84 @@ class TestNonBlockingForms:
 
 class TestGracefulShutdown:
     """``stop()``/``drain()`` hardening: bounded waits, surfaced errors."""
+
+    @pytest.mark.parametrize("admit", ["submit", "try_submit"])
+    def test_a_producer_blocked_on_a_full_backlog_gets_the_failure(
+        self, monkeypatch, admit
+    ):
+        """Step 1 fails while step 2 fills the backlog and step 3 waits
+        for room: step 3 is refused with the failure, not accepted into
+        a backlog nothing will apply again."""
+        server = DatabaseServer(build_database(), max_pending=1).start()
+        inside, release = threading.Event(), threading.Event()
+
+        def step(time):
+            inside.set()
+            release.wait(5.0)
+            raise SchemaError(f"step {time} exploded")
+
+        monkeypatch.setattr(server.database, "step", step)
+        server.submit(1, batches_at(1))
+        assert inside.wait(5.0)
+        server.submit(2, batches_at(2))  # fills the single slot
+        outcome: list = []
+
+        def producer() -> None:
+            try:
+                if admit == "submit":
+                    server.submit(3, batches_at(3))
+                    outcome.append("accepted")
+                else:
+                    accepted = server.try_submit(3, batches_at(3), timeout=5.0)
+                    outcome.append("accepted" if accepted else "full")
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=producer)
+        thread.start()
+        thread.join(0.1)
+        assert thread.is_alive() and not outcome  # blocked on the full backlog
+        release.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], SchemaError)
+        assert str(outcome[0]) == "step 1 exploded"
+        assert server.pending_uploads == 0
+        t0 = perf_counter()
+        with pytest.raises(SchemaError, match="step 1 exploded"):
+            server.drain(timeout=2.0)
+        assert perf_counter() - t0 < 1.0
+        assert server.last_time == 0
+        with pytest.raises(SchemaError, match="step 1 exploded"):
+            server.stop()
+
+    def test_stop_refuses_a_producer_blocked_on_a_full_backlog(self):
+        """What was accepted is applied; a step still waiting for room
+        when the server starts stopping is refused, not left blocked."""
+        server = DatabaseServer(build_database(), max_pending=1).start()
+        outcome: list = []
+
+        def producer() -> None:
+            try:
+                server.submit(2, batches_at(2))
+                outcome.append("accepted")
+            except Exception as exc:
+                outcome.append(exc)
+
+        with server._rw.read_locked():  # the worker cannot take step 1
+            server.submit(1, batches_at(1))  # fills the single slot
+            thread = threading.Thread(target=producer)
+            thread.start()
+            thread.join(0.1)
+            assert thread.is_alive() and not outcome
+            with pytest.raises(ProtocolError, match="did not drain"):
+                server.stop(drain_timeout=0.05)
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], ConfigurationError)
+        assert "stopping" in str(outcome[0])
+        server.stop()
+        assert server.last_time == 1 and server.pending_uploads == 0
 
     def test_stop_drain_timeout_reports_pending_then_finishes(self):
         server = DatabaseServer(build_database()).start()
@@ -754,7 +882,12 @@ def tpcds_deployment(n_steps: int):
 
 def lines_executed(call) -> int:
     """Python lines (and loop iterations) run inside ``call()`` — work
-    counted, not timed, so the guard reads the same on a busy host."""
+    counted, not timed, so the guard reads the same on a busy host.
+
+    Garbage is collected first and the collector is off while counting:
+    a collection inside ``call()`` would count the finalizers and weakref
+    callbacks of objects earlier tests left behind (a started server that
+    was never stopped is collected with its ingest worker's executor)."""
     executed = 0
 
     def tracer(frame, event, arg):
@@ -762,11 +895,14 @@ def lines_executed(call) -> int:
         executed += event == "line"
         return tracer
 
+    gc.collect()
+    gc.disable()
     sys.settrace(tracer)
     try:
         call()
     finally:
         sys.settrace(None)
+        gc.enable()
     return executed
 
 
