@@ -1,6 +1,9 @@
 """Tests for the Transform protocol (Algorithm 1)."""
 
+import hashlib
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from repro.common.types import RecordBatch
 from repro.core.budget import ContributionLedger
 from repro.core.transform import TransformProtocol
 from repro.core.view_def import JoinViewDefinition
+from repro.experiments.harness import MultiViewRunConfig, build_multiview_deployment
 from repro.mpc.runtime import MPCRuntime
+from repro.server.database import IncShrinkDatabase
 from repro.storage.outsourced_table import OutsourcedTable
 from repro.storage.secure_cache import SecureCache
 
@@ -156,3 +161,86 @@ class TestTransform:
         p.upload(1, [[1, 1]], [[1, 2]])
         report = p.transform.run(1, p.cache)
         assert report.seconds > 0
+
+
+# -- whole-deployment golden ---------------------------------------------------
+GOLDEN_STEPS = Path(__file__).parent / "golden" / "transform_steps.json"
+
+#: Deployments the golden covers: the ``bigview-*`` benchmark shape (one
+#: dp-timer view, 4-shard cache) and the ``tpcds-small`` one (three views,
+#: two Transform groups over one table pair with different bands), the
+#: latter also through the nested-loop kernel.
+GOLDEN_SHAPES = ("bigview", "tpcds-small", "tpcds-small/nested-loop")
+
+
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _state(database) -> dict:
+    shares = {}
+    for name, vr in database.views.items():
+        for kind, container in (("cache", vr.cache), ("view", vr.view)):
+            shares[f"{name}.{kind}"] = [
+                [len(t), _digest(t.rows.share0, t.rows.share1,
+                                 t.flags.share0, t.flags.share1)]
+                for t in container.shards
+            ]
+    ledgers = {}
+    for g, group in enumerate(database.groups.values()):
+        for table in (group.probe_log.name, group.driver_log.name):
+            columns = group.ledger.snapshot_state(table)
+            ledgers[f"{g}.{table}"] = {
+                "uses": columns["uses"].tolist(),
+                "emitted": _digest(columns["emitted"].astype("<i8")),
+            }
+    runtime = database.runtime
+    return {
+        "shares": shares,
+        "streams": [
+            {k: v for k, v in server.words.state.items() if k != "bit_generator"}
+            for server in (runtime.server0, runtime.server1)
+        ],
+        "ledgers": ledgers,
+    }
+
+
+def transform_steps_record(shape: str, n_steps: int = 30, seed: int = 3) -> dict:
+    """One deployment as ``transform_steps.json`` stores it: after step
+    ``n_steps - 1`` (caches full) and after step ``n_steps`` (the flush),
+    every cache and view shard's shares (SHA-256), both servers' word
+    streams and each ledger's ``uses`` and ``emitted`` columns; and every
+    protocol run's gates."""
+    join_impl = "nested-loop" if shape.endswith("/nested-loop") else "sort-merge"
+    deployment = build_multiview_deployment(
+        MultiViewRunConfig(
+            dataset="tpcds", n_steps=n_steps, seed=seed, join_impl=join_impl
+        )
+    )
+    database = deployment.database
+    if shape == "bigview":
+        database = IncShrinkDatabase(
+            total_epsilon=database.total_epsilon, seed=seed, n_shards=4
+        )
+        database.register_view(deployment.database.registrations[0])
+    states = {}
+    for step in deployment.workload.steps:
+        database.upload(step.time, deployment.upload_items(step))
+        database.step(step.time)
+        if step.time >= n_steps - 1:
+            states[str(step.time)] = _state(database)
+    runs = [[r.name, r.time, r.gates] for r in database.runtime.runs]
+    return {"states": states, "runs": runs}
+
+
+class TestGoldenTransformSteps:
+    @pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+    def test_steps_reproduce_the_recorded_state(self, shape):
+        """Recorded before Transform's one-pass rewrite: the padded
+        deltas, the re-share draws, the charges and the ledger after 30
+        steps must not move by a bit."""
+        golden = json.loads(GOLDEN_STEPS.read_text())[shape]
+        assert transform_steps_record(shape) == golden
