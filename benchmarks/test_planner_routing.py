@@ -21,7 +21,8 @@ from repro.common.types import Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.mpc.runtime import MPCRuntime
 from repro.query.ast import LogicalQuery
-from repro.query.executor import execute_nm_query, execute_view_scan
+from repro.query.executor import execute_nm_query
+from repro.query.parallel import ParallelScanExecutor
 from repro.query.planner import NM_JOIN, VIEW_SCAN, ViewCandidate, plan_query
 from repro.query.rewrite import lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
@@ -93,7 +94,7 @@ def test_bench_planner_routing_overhead(benchmark):
     runtime = MPCRuntime(seed=0)
     view = _materialized_view(vd, 4096)
     t0 = _time.perf_counter()
-    execute_view_scan(runtime, 1, view, plan.view_query)
+    ParallelScanExecutor().execute(runtime, 1, view, plan.view_query)
     scan_wall = _time.perf_counter() - t0
 
     planner_wall = benchmark.stats.stats.median
@@ -125,7 +126,7 @@ def test_planner_agrees_with_simulated_execution(view_rows, store_rows, expected
     view = _materialized_view(vd, view_rows)
     probe_store = _store(PROBE_SCHEMA, "orders", store_rows, seed=2)
     driver_store = _store(DRIVER_SCHEMA, "shipments", store_rows, seed=3)
-    _, scan_seconds = execute_view_scan(
+    _, scan_seconds = ParallelScanExecutor().execute(
         runtime, 1, view, lower_to_view_scan(query, vd)
     )
     _, nm_seconds = execute_nm_query(

@@ -98,6 +98,58 @@ class _LogBudget:
         return self.rows["emitted"]
 
 
+class Span:
+    """One table's batches ``[lo, hi)`` in a ledger, sliced once: what a
+    Transform run reads caps from and then settles.  Use it before the
+    table's next upload (an upload may move the columns)."""
+
+    __slots__ = ("ledger", "side", "lo", "hi", "emitted")
+
+    def __init__(self, ledger: "ContributionLedger", side: _LogBudget, lo: int, hi: int) -> None:
+        self.ledger, self.side, self.lo, self.hi = ledger, side, lo, hi
+        starts = side.log.starts
+        #: the window's rows' lifetime emissions (a face of the column)
+        self.emitted = side.emitted[starts[lo] : starts[hi]]
+
+    @property
+    def caps(self) -> np.ndarray:
+        """Remaining lifetime emission allowance per row."""
+        return np.maximum(self.ledger.budget - self.emitted, 0)
+
+    def settle(self, at_time: int, counts: np.ndarray) -> None:
+        """Charge one invocation at ``at_time`` to every batch and record
+        ``counts`` — one per row — as their emissions.
+
+        The checks are made **once** over the whole window.  A window that
+        fails one is settled batch by batch instead, so the error raised —
+        type, message, how far the window got — is the one charging each
+        batch in turn raises.
+        """
+        ledger, side, lo, hi = self.ledger, self.side, self.lo, self.hi
+        for key, first in side.charged.items():
+            if lo < first:
+                side.charged[key] = lo
+        emitted = self.emitted
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != emitted.shape:
+            raise ContributionBudgetError(
+                f"emission count shape {counts.shape} != window rows "
+                f"{emitted.shape}"
+            )
+        uses, totals = side.uses[lo:hi], emitted + counts
+        if (
+            np.count_nonzero(uses >= ledger.max_uses)
+            or np.count_nonzero(counts > ledger.omega)
+            or np.count_nonzero(totals > ledger.budget)
+        ):
+            ledger._settle_batch_by_batch(side, lo, hi, at_time, counts)
+            return
+        side.invocations[np.arange(lo, hi), uses] = at_time
+        uses += 1
+        emitted[:] = totals
+        ledger._note_uses(side, lo, hi)
+
+
 class ContributionLedger:
     """Tracks per-record lifetime contributions for one transform group."""
 
@@ -137,55 +189,33 @@ class ContributionLedger:
         is uniform per invocation, eligibility depends only on public
         upload times — using it leaks nothing.
         """
+        span = self.span(table)
+        return span.lo, span.hi
+
+    def span(self, table: str, batch: int | None = None) -> "Span":
+        """The active window of ``table`` (:meth:`window`), or its one
+        batch ``batch``, synced and sliced once for a Transform run to
+        read caps from and settle."""
         side = self._budget(table)
+        if batch is not None:
+            return Span(self, side, batch, batch + 1)
         first, n, uses = side.first, side.log.n_batches, side.uses
         while first < n and uses[first] >= self.max_uses:
             first += 1
         side.first = first
-        return first, n
+        return Span(self, side, first, n)
 
     def caps(self, table: str, lo: int, hi: int) -> np.ndarray:
         """Remaining lifetime emission allowance per row of batches ``[lo, hi)``."""
-        side = self._budget(table)
-        starts = side.log.starts
-        return np.maximum(self.budget - side.emitted[starts[lo] : starts[hi]], 0)
+        return Span(self, self._budget(table), lo, hi).caps
 
     def settle(
         self, table: str, lo: int, hi: int, at_time: int, counts: np.ndarray
     ) -> None:
         """Charge one invocation at ``at_time`` to every batch of
         ``[lo, hi)`` and record ``counts`` — one per row — as their
-        emissions.
-
-        The checks are made **once** over the whole window.  A window that
-        fails one is settled batch by batch instead, so the error raised —
-        type, message, how far the window got — is the one charging each
-        batch in turn raises.
-        """
-        side = self._budget(table)
-        for key, first in side.charged.items():
-            if lo < first:
-                side.charged[key] = lo
-        starts = side.log.starts
-        emitted = side.emitted[starts[lo] : starts[hi]]
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != emitted.shape:
-            raise ContributionBudgetError(
-                f"emission count shape {counts.shape} != window rows "
-                f"{emitted.shape}"
-            )
-        uses, totals = side.uses[lo:hi], emitted + counts
-        if (
-            uses.max(initial=0) >= self.max_uses
-            or counts.max(initial=0) > self.omega
-            or totals.max(initial=0) > self.budget
-        ):
-            self._settle_batch_by_batch(side, lo, hi, at_time, counts)
-            return
-        side.invocations[np.arange(lo, hi), uses] = at_time
-        uses += 1
-        emitted[:] = totals
-        self._note_uses(side, lo, hi)
+        emissions (see :meth:`Span.settle`)."""
+        Span(self, self._budget(table), lo, hi).settle(at_time, counts)
 
     def _settle_batch_by_batch(
         self, side: _LogBudget, lo: int, hi: int, at_time: int, counts: np.ndarray

@@ -41,10 +41,21 @@ class SharedCounter:
         Returns the new plaintext value (still protocol-internal).
         Charges the counter-update circuit to the cost model.
         """
-        value = (self.read(ctx) + int(delta)) % (1 << 32)
-        self._shares = ctx.share_array(np.asarray([value], dtype=np.uint32))
-        ctx.charge_counter_update()
+        value = self.next_value(ctx, delta)
+        self.reshared(ctx, ctx.share_array(np.asarray([value], dtype=np.uint32)))
         return value
+
+    def next_value(self, ctx: ProtocolContext, delta: int) -> int:
+        """Recover the counter and add ``delta`` (in the ring), leaving
+        the re-share of the result to the caller — who may draw it jointly
+        with other protocol outputs — and :meth:`reshared`."""
+        return (self.read(ctx) + int(delta)) % (1 << 32)
+
+    def reshared(self, ctx: ProtocolContext, shares: SharedArray) -> None:
+        """Hold ``shares``, freshly drawn for :meth:`next_value`'s result;
+        charges the counter-update circuit."""
+        self._shares = shares
+        ctx.charge_counter_update()
 
     def reset(self, ctx: ProtocolContext) -> None:
         """Set the counter back to 0 and re-share (Algorithm 2, line 9)."""

@@ -78,6 +78,9 @@ class TransformProtocol:
         self.driver_store = driver_store
         self.ledger = ledger
         self.join_impl = join_impl
+        # Derived per access on the definition; fixed for this circuit.
+        self.view_schema = view_def.view_schema
+        self._key_cols = (view_def.probe_key_col, view_def.driver_key_col)
         #: One cardinality counter per consuming view-update policy.  A
         #: single-view deployment has exactly one; when several views share
         #: this Transform (same join, different Shrink policies), each
@@ -97,37 +100,40 @@ class TransformProtocol:
     def run(self, time: int, cache: SecureCache) -> TransformReport:
         """Execute one invocation for the batches uploaded at ``time``."""
         vd = self.view_def
-        driver = self.driver_store.batch_at(time)
-        if driver is None:
+        batch = self.driver_store.batch_at(time)
+        if batch is None:
             raise ProtocolError(
                 f"no driver batch uploaded at t={time}; Transform runs only "
                 "on owner submissions"
             )
-        lo, hi = self.ledger.window(vd.probe_table)
+        probe = self.ledger.span(vd.probe_table)
+        driver = self.ledger.span(vd.driver_table, batch)
 
         with self.runtime.protocol("transform", time) as ctx:
-            probe_rows, probe_flags = ctx.reveal_table(self.probe_store.window(lo, hi))
-            driver_rows, driver_flags = ctx.reveal_table(self.driver_store.batch(driver))
+            probe_rows, probe_flags = ctx.reveal_table(
+                self.probe_store.window(probe.lo, probe.hi)
+            )
+            driver_rows, driver_flags = ctx.reveal_table(self.driver_store.batch(batch))
             join = self._join(
                 ctx,
                 probe_rows,
                 probe_flags,
-                self.ledger.caps(vd.probe_table, lo, hi),
+                probe.caps,
                 driver_rows,
                 driver_flags,
-                self.ledger.caps(vd.driver_table, driver, driver + 1),
+                driver.caps,
             )
-            self.ledger.settle(vd.probe_table, lo, hi, time, join.left_emitted)
-            self.ledger.settle(
-                vd.driver_table, driver, driver + 1, time, join.right_emitted
-            )
-            counter_value = 0
-            for i, counter in enumerate(self.counters):
-                value = counter.add(ctx, join.real_count)
-                if i == 0:
-                    counter_value = value
+            probe.settle(time, join.left_emitted)
+            driver.settle(time, join.right_emitted)
+            real = join.real_count
+            values = [counter.next_value(ctx, real) for counter in self.counters]
 
-            delta = ctx.share_table(vd.view_schema, join.rows, join.flags)
+            # One draw per server re-shares the counters and the delta.
+            shares, delta = ctx.share_table(
+                self.view_schema, join.rows, join.flags, lead=values
+            )
+            for i, counter in enumerate(self.counters):
+                counter.reshared(ctx, shares.take(slice(i, i + 1)))
             cache.append(delta)
             ctx.publish("transform", cache_delta=len(delta))
             seconds = ctx.seconds
@@ -136,9 +142,9 @@ class TransformProtocol:
             time=time,
             seconds=seconds,
             cache_delta=len(join.flags),
-            real_entries=join.real_count,
+            real_entries=real,
             dropped=join.dropped,
-            counter_value=counter_value,
+            counter_value=values[0],
         )
 
     # -- helpers ------------------------------------------------------------
@@ -158,15 +164,16 @@ class TransformProtocol:
             if self.join_impl == "sort-merge"
             else truncated_nested_loop_join
         )
+        probe_key_col, driver_key_col = self._key_cols
         return impl(
             ctx,
             probe_rows,
             probe_flags,
-            vd.probe_key_col,
+            probe_key_col,
             probe_caps,
             driver_rows,
             driver_flags,
-            vd.driver_key_col,
+            driver_key_col,
             driver_caps,
             vd.omega,
             vd.pair_predicate,

@@ -115,7 +115,7 @@ class JoinViewDefinition:
         """
         delta = driver_rows[:, self.driver_ts_col].astype(np.int64) - probe_rows[
             :, self.probe_ts_col
-        ].astype(np.int64)
+        ]
         return (delta >= self.window_lo) & (delta <= self.window_hi)
 
     @property

@@ -129,6 +129,22 @@ class ProtocolContext:
         self._open = True
 
     # -- lifecycle --------------------------------------------------------
+    def __enter__(self) -> "ProtocolContext":
+        runtime = self._runtime
+        if runtime._active is not None:
+            raise ProtocolError(
+                f"protocol {runtime._active.name!r} is already executing; "
+                "protocols are independent circuits and do not nest"
+            )
+        runtime._active = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._open = False
+        runtime = self._runtime
+        runtime._active = None
+        runtime.runs.append(ProtocolRun(self.name, self.time, self.gates, self.seconds))
+
     def _close(self) -> None:
         self._open = False
 
@@ -207,37 +223,49 @@ class ProtocolContext:
         values = np.asarray(values, dtype=np.uint32)
         z0 = self._runtime.server0.contribute_u32(values.size).reshape(values.shape)
         z1 = self._runtime.server1.contribute_u32(values.size).reshape(values.shape)
-        return SharedArray(*reshare_from_contributions(values, z0, z1))
+        return SharedArray.wrap(*reshare_from_contributions(values, z0, z1))
 
     def share_table(
-        self, schema: Schema, rows: np.ndarray, flags: np.ndarray
-    ) -> SharedTable:
+        self,
+        schema: Schema,
+        rows: np.ndarray,
+        flags: np.ndarray,
+        lead: np.ndarray | None = None,
+    ) -> SharedTable | tuple[SharedArray, SharedTable]:
         """Re-share a protocol-internal table (rows, then the flag column).
 
-        Each server contributes its randomness for the whole table in one
-        draw; the row mask is the head of that draw and the flag mask the
-        tail, which is where two separate draws would have found them in
-        the server's stream.  The shares are XORed into those two fresh
-        buffers in place, so the only allocations are the draws.
+        Each server contributes its randomness for everything re-shared
+        in one draw, split in order: the words of ``lead`` (when given —
+        a Transform's counters), then the rows, then the flag column,
+        which is where separate draws would have found them in the
+        server's stream.  The shares are XORed into those fresh buffers
+        in place, so the draws are the only allocations besides the
+        plaintext's one concatenation.  With ``lead`` the result is
+        ``(lead shares, table)``.
         """
         self._require_open("share_table")
         self._require_unsharded("share_table")
         rows = np.asarray(rows, dtype=np.uint32)
         if rows.ndim != 2:
             rows = rows.reshape(-1, schema.width)
-        flags = np.asarray(flags, dtype=np.uint32)
-        n = rows.size
-        z0 = self._runtime.server0.contribute_u32(n + flags.size)
-        z1 = self._runtime.server1.contribute_u32(n + flags.size)
-        row_shares = reshare_from_contributions(
-            rows, z0[:n].reshape(rows.shape), z1[:n].reshape(rows.shape)
+        k = 0 if lead is None else len(lead)
+        n = k + rows.size
+        plain = np.concatenate(
+            (() if lead is None else (lead,)) + (rows.reshape(-1), flags),
+            dtype=np.uint32,
+            casting="unsafe",
         )
-        flag_shares = reshare_from_contributions(
-            flags, z0[n:].reshape(flags.shape), z1[n:].reshape(flags.shape)
+        z0 = self._runtime.server0.contribute_u32(plain.size)
+        z1 = self._runtime.server1.contribute_u32(plain.size)
+        reshare_from_contributions(plain, z0, z1)
+        table = SharedTable.wrap(
+            schema,
+            SharedArray.wrap(z0[k:n].reshape(rows.shape), z1[k:n].reshape(rows.shape)),
+            SharedArray.wrap(z0[n:], z1[n:]),
         )
-        return SharedTable(
-            schema, SharedArray(*row_shares), SharedArray(*flag_shares)
-        )
+        if lead is None:
+            return table
+        return SharedArray.wrap(z0[:k], z1[:k]), table
 
     def joint_uniform_u32(self, n: int = 1) -> np.ndarray:
         """XOR of one fresh uniform contribution from each server.
@@ -410,26 +438,14 @@ class MPCRuntime:
         #: ring words for owner-side sharing (outside any protocol scope)
         self.owner_words = RingWordStream(spawn(seed, "owner-sharing"))
 
-    @contextmanager
-    def protocol(self, name: str, time: int = 0) -> Iterator[ProtocolContext]:
-        """Open a protocol scope; on exit the invocation is logged.
+    def protocol(self, name: str, time: int = 0) -> ProtocolContext:
+        """Open a protocol scope (a ``with`` block); on exit the invocation
+        is logged.
 
         Nesting is rejected: the paper's Transform and Shrink are compiled
         as independent circuits and never call into one another.
         """
-        if self._active is not None:
-            raise ProtocolError(
-                f"protocol {self._active.name!r} is already executing; "
-                "protocols are independent circuits and do not nest"
-            )
-        ctx = ProtocolContext(self, name, time)
-        self._active = ctx
-        try:
-            yield ctx
-        finally:
-            ctx._close()
-            self._active = None
-            self.runs.append(ProtocolRun(name, time, ctx.gates, ctx.seconds))
+        return ProtocolContext(self, name, time)
 
     @contextmanager
     def parallel_protocol(

@@ -66,7 +66,7 @@ class JoinResult:
 
     @property
     def real_count(self) -> int:
-        return int(self.flags.sum())
+        return int(np.count_nonzero(self.flags))
 
 
 class TruncatedMatch(NamedTuple):
@@ -86,16 +86,37 @@ class TruncatedMatch(NamedTuple):
     dropped: int
 
 
-def _run_heads(values: np.ndarray) -> np.ndarray:
-    """Boolean mask: True where a run of equal ``values`` begins."""
-    is_head = np.ones(values.size, dtype=bool)
-    is_head[1:] = values[1:] != values[:-1]
-    return is_head
+def sorted_round_major(keys: np.ndarray) -> tuple[np.ndarray | None, list[int]]:
+    """Visit order of driver runs for the matcher, and its round bounds.
+
+    Run ``i`` (of key ``keys[i]``, in scan order, which here is sorted by
+    key — the sort-merge scan) belongs to round ``r`` when it is the
+    ``r``-th run of its key.  Returns ``(None, [0, n])`` when every run
+    is alone on its key — one round, scan order — else the stable
+    round-major permutation of the runs and the run index at which each
+    round starts (plus ``n``).
+    """
+    if not np.count_nonzero(keys[1:] == keys[:-1]):
+        return None, [0, keys.size]
+    return _round_major(np.arange(keys.size) - keys.searchsorted(keys))
 
 
-def _run_start(is_head: np.ndarray) -> np.ndarray:
-    """For each position, the index at which its run begins."""
-    return np.maximum.accumulate(np.where(is_head, np.arange(is_head.size), 0))
+def round_major(keys: np.ndarray) -> tuple[np.ndarray | None, list[int]]:
+    """:func:`sorted_round_major` for runs in any order (the nested-loop
+    scan visits drivers by position): ranked by a stable sort on key."""
+    by_key = keys.argsort(kind="stable")
+    ordered = keys[by_key]
+    if not np.count_nonzero(ordered[1:] == ordered[:-1]):
+        return None, [0, keys.size]
+    run_round = np.empty(keys.size, dtype=np.int64)
+    run_round[by_key] = np.arange(keys.size) - ordered.searchsorted(ordered)
+    return _round_major(run_round)
+
+
+def _round_major(run_round: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    by_round = run_round.argsort(kind="stable")
+    bounds = run_round[by_round].searchsorted(np.arange(int(run_round.max()) + 2))
+    return by_round, bounds.tolist()
 
 
 def match_pairs_truncated(
@@ -132,55 +153,85 @@ def match_pairs_truncated(
     """
     pair_driver = np.asarray(pair_driver, dtype=np.int64)
     pair_probe = np.asarray(pair_probe, dtype=np.int64)
-    probe_emitted = np.zeros(len(probe_caps), dtype=np.int64)
-    n_pairs = pair_driver.size
-    take = np.zeros(n_pairs, dtype=bool)
-    rank = np.zeros(n_pairs, dtype=np.int64)
+    # One run of pairs per driver.
+    heads = np.flatnonzero(np.diff(pair_driver, prepend=-1))
+    drivers = pair_driver[heads]
+    counts = np.diff(heads, append=pair_driver.size)
+    by_round, bounds = round_major(np.asarray(driver_keys)[drivers])
+    if by_round is not None:
+        drivers, counts = drivers[by_round], counts[by_round]
+        pair_order = run_pairs(heads[by_round], counts)
+        pair_driver, pair_probe = pair_driver[pair_order], pair_probe[pair_order]
+    return match_runs(
+        drivers, counts, bounds, pair_driver, pair_probe, None, omega,
+        driver_caps, probe_caps,
+    )
 
-    if n_pairs:
-        # One run of pairs per driver; a run's round is its rank among the
-        # runs of the same key.
-        is_head = _run_heads(pair_driver)
-        run_keys = np.asarray(driver_keys)[pair_driver[is_head]]
-        by_key = np.argsort(run_keys, kind="stable")
-        run_round = np.empty(run_keys.size, dtype=np.int64)
-        run_round[by_key] = np.arange(run_keys.size) - _run_start(
-            _run_heads(run_keys[by_key])
-        )
-        n_rounds = int(run_round.max()) + 1
-        bounds = [0, n_pairs]
-        if n_rounds > 1:
-            # Round-major order; stable, so runs stay whole and in order.
-            pair_round = run_round[is_head.cumsum() - 1]
-            by_round = np.argsort(pair_round, kind="stable")
-            pair_driver, pair_probe = pair_driver[by_round], pair_probe[by_round]
-            is_head = is_head[by_round]
-            bounds = np.searchsorted(
-                pair_round[by_round], np.arange(n_rounds + 1)
-            ).tolist()
-        run_head = _run_start(is_head)
-        probe_allow = np.minimum(omega, np.asarray(probe_caps))[pair_probe]
-        room = np.minimum(omega, np.asarray(driver_caps))[pair_driver]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            p = pair_probe[lo:hi]
-            open_ = probe_emitted[p] < probe_allow[lo:hi]
-            # Open pairs strictly before this one, counted from the head
-            # of its own driver's run: the slot it would take.
-            before = open_.cumsum() - open_
-            rank[lo:hi] = before - before[run_head[lo:hi] - lo]
-            take[lo:hi] = open_ & (rank[lo:hi] < room[lo:hi])
-            probe_emitted[p[take[lo:hi]]] += 1  # distinct within a round
 
-    driver = pair_driver[take]
+def run_pairs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``[first[i], first[i] + counts[i])``."""
+    ends = counts.cumsum()
+    return (first + counts - ends).repeat(counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def match_runs(
+    drivers: np.ndarray,
+    counts: np.ndarray,
+    bounds: list[int],
+    pair_driver: np.ndarray,
+    pair_probe: np.ndarray,
+    keep: np.ndarray | None,
+    omega: int,
+    driver_caps: np.ndarray,
+    probe_caps: np.ndarray,
+) -> TruncatedMatch:
+    """:func:`match_pairs_truncated` over runs already in matcher order.
+
+    Run ``i`` is driver ``drivers[i]`` and the next ``counts[i]`` pairs
+    (``pair_driver`` repeats the driver per pair); rounds are the runs
+    ``[bounds[r], bounds[r + 1])`` (see :func:`sorted_round_major`).
+    ``keep`` (or None: all) marks the pairs that are candidates at all —
+    the others are skipped, neither taken nor dropped.
+    """
+    n_pairs = pair_probe.size
+    probe_allow = np.minimum(np.asarray(probe_caps)[pair_probe], omega)
+    room = np.minimum(np.asarray(driver_caps)[drivers], omega).repeat(counts)
+    # Where each run starts among the pairs; a run's slots count from the
+    # open pairs its round holds before it.
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    counts.cumsum(out=starts[1:])
+    # What each probe row emitted in earlier rounds (none before the first).
+    used = np.zeros(len(probe_caps), dtype=np.int64) if len(bounds) > 2 else None
+    rank = np.empty(n_pairs, dtype=np.int64)
+    take = np.empty(n_pairs, dtype=bool)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = int(starts[a]), int(starts[b])
+        p = pair_probe[lo:hi]
+        # Within a round every probe row meets one driver, so a round is
+        # one pass: a pair is open while its probe has allowance left...
+        open_ = probe_allow[lo:hi] > (0 if used is None else used[p])
+        if keep is not None:
+            open_ &= keep[lo:hi]
+        # ...and takes the slot counted by the open pairs strictly before
+        # it in its own driver's run, if the driver has room for it.
+        opened = open_.cumsum()
+        before = np.concatenate(([0], opened))[starts[a:b] - lo]
+        r = rank[lo:hi]
+        np.subtract(opened, open_, out=r)
+        r -= before.repeat(counts[a:b])
+        np.logical_and(open_, r < room[lo:hi], out=take[lo:hi])
+        if used is not None:
+            used[p[take[lo:hi]]] += 1  # distinct within a round
+
+    kept = take.nonzero()[0]
+    driver, probe = pair_driver[kept], pair_probe[kept]
     return TruncatedMatch(
         driver=driver,
-        probe=pair_probe[take],
-        rank=rank[take],
-        driver_emitted=np.bincount(driver, minlength=len(driver_caps)).astype(
-            np.int64
-        ),
-        probe_emitted=probe_emitted,
-        dropped=int(n_pairs - driver.size),
+        probe=probe,
+        rank=rank[kept],
+        driver_emitted=np.bincount(driver, minlength=len(driver_caps)),
+        probe_emitted=np.bincount(probe, minlength=len(probe_caps)),
+        dropped=(n_pairs if keep is None else int(np.count_nonzero(keep))) - kept.size,
     )
 
 

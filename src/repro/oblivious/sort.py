@@ -119,10 +119,7 @@ def network_comparator_count(n: int) -> int:
 
 
 def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
+    return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
 def apply_network(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,9 +173,9 @@ def oblivious_sort(
     """
     keys = np.asarray(keys, dtype=np.uint64)
     charge_oblivious_sort(ctx, len(keys), payload_words)
-    perm = np.argsort(keys, kind="stable")
+    perm = keys.argsort()
     sorted_keys = keys[perm]
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+    if np.count_nonzero(sorted_keys[1:] == sorted_keys[:-1]):
         sorted_keys, perm = apply_network(keys)
     return sorted_keys, [np.take(p, perm, axis=0) for p in payloads]
 

@@ -50,18 +50,38 @@ array, so it varies with the data (ROADMAP item 6 re-prices it).
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..common.errors import ProtocolError
 from ..mpc.runtime import ProtocolContext
-from .join_common import JoinResult, emit_padded, match_pairs_truncated
-from .sort import charge_oblivious_sort, composite_key, oblivious_sort
+from .join_common import (
+    JoinResult,
+    emit_padded,
+    match_runs,
+    run_pairs,
+    sorted_round_major,
+)
+from .sort import charge_oblivious_sort, oblivious_sort
 
 #: Rows per side :func:`truncated_sort_merge_join` accepts: the sort key's
 #: 32-bit tiebreak word holds the side tag above a 24-bit position.
 MAX_SIDE_ROWS = 1 << 24
+
+#: The driver side's tag in that word: the bit above the position.
+_DRIVER_TAG = 1 << 24
+
+#: Where a uint64's low and high uint32 words sit in memory.
+_LOW, _HIGH = (0, 1) if sys.byteorder == "little" else (1, 0)
+
+
+def _words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 32-bit words of uint64 ``keys``, as views."""
+    halves = keys.view(np.uint32)
+    return halves[_LOW::2], halves[_HIGH::2]
 
 #: Predicate over candidate pairs: receives the probe row and driver row
 #: (1-D uint32 arrays) and returns whether the pair truly joins beyond key
@@ -73,6 +93,16 @@ PairPredicate = Callable[[np.ndarray, np.ndarray], bool]
 #: ``lo <= r[right_ts_col] − l[left_ts_col] <= hi`` (see
 #: :attr:`repro.core.view_def.JoinViewDefinition.band`).
 Band = tuple[int, int, int, int]
+
+@lru_cache(maxsize=8)
+def _tiebreak(n_probe: int, n_driver: int) -> np.ndarray:
+    """The sort keys' low words for a union of these side sizes: the side
+    tag above each row's position on its side (read-only, shared)."""
+    words = np.arange(n_probe + n_driver, dtype=np.uint32)
+    words[n_probe:] += np.uint32(_DRIVER_TAG - n_probe)
+    words.flags.writeable = False
+    return words
+
 
 #: Largest timestamp: row words are uint32.
 _TS_MAX = (1 << 32) - 1
@@ -135,10 +165,8 @@ def truncated_sort_merge_join(
     Charges: one oblivious sort of the union, one probe per other member
     of each live driver's equal-key group, one padded emit per output slot.
     """
-    n_probe, w_probe = probe_rows.shape if probe_rows.size else (0, probe_rows.shape[1])
-    n_driver, w_driver = (
-        driver_rows.shape if driver_rows.size else (0, driver_rows.shape[1])
-    )
+    n_probe, w_probe = probe_rows.shape
+    n_driver, w_driver = driver_rows.shape
     out_width = w_probe + w_driver
     if max(n_probe, n_driver) > MAX_SIDE_ROWS:
         raise ProtocolError(
@@ -148,64 +176,58 @@ def truncated_sort_merge_join(
         )
 
     # --- 1. oblivious sort of the tagged union --------------------------
-    union_keys = np.concatenate(
-        [
-            probe_rows[:, probe_key_col] if n_probe else np.zeros(0, dtype=np.uint32),
-            driver_rows[:, driver_key_col] if n_driver else np.zeros(0, dtype=np.uint32),
-        ]
-    )
-    # Tiebreak: probe side (0) before driver side (1), then original index.
-    side = np.concatenate(
-        [np.zeros(n_probe, dtype=np.uint32), np.ones(n_driver, dtype=np.uint32)]
-    )
-    position = np.concatenate(
-        [np.arange(n_probe, dtype=np.uint32), np.arange(n_driver, dtype=np.uint32)]
-    )
-    tiebreak = (side << np.uint32(24)) | position
-    sort_keys = composite_key(union_keys, tiebreak)
+    # Key high, tiebreak low: the side tag (probe 0 before driver 1) above
+    # the row's position on its side.  The keys are distinct, so the sort
+    # is one permutation; it carries the rows' isView bits along.
+    sort_keys = np.empty(n_probe + n_driver, dtype=np.uint64)
+    tiebreak, key = _words(sort_keys)
+    key[:n_probe] = probe_rows[:, probe_key_col]
+    key[n_probe:] = driver_rows[:, driver_key_col]
+    tiebreak[:] = _tiebreak(n_probe, n_driver)
     union_payload_words = max(w_probe, w_driver) + 2  # rows + side tag + flag
-    sorted_keys, [sorted_side, sorted_pos] = oblivious_sort(
-        ctx, sort_keys, [side, position], union_payload_words
+    sorted_keys, [live] = oblivious_sort(
+        ctx,
+        sort_keys,
+        [np.concatenate((probe_flags, driver_flags)).astype(bool, copy=False)],
+        union_payload_words,
     )
 
     # --- 2. linear scan: candidate pairs of every live driver -------------
-    # Dummy rows never join: their flags are False on both sides.  Drivers
-    # are visited in sorted-scan order (the order the circuit would).
-    driver_order = np.asarray(sorted_pos, dtype=np.int64)[np.asarray(sorted_side) == 1]
-    driver_keys = driver_rows[:, driver_key_col]
-    live_drivers = driver_order[np.asarray(driver_flags, dtype=bool)[driver_order]]
-    live_keys = driver_keys[live_drivers]
+    # One pass over the sorted union: each key's rows form one run, its
+    # probes (in position order) ahead of its drivers (in the order the
+    # circuit visits them).  Dummy rows never join.
+    tiebreak, sorted_union_keys = _words(sorted_keys)
+    is_probe = tiebreak < _DRIVER_TAG
+    probe_slots = (live & is_probe).nonzero()[0]
+    driver_slots = (live & ~is_probe).nonzero()[0]
+    live_keys = sorted_union_keys[driver_slots]
 
-    # Each live driver is tested against its whole equal-key group of the
-    # union (dummies included, itself excluded).  The sorted union keys
-    # are the high words of the sort's own output.
-    sorted_union_keys = sorted_keys >> np.uint64(32)
-    group_sizes = np.searchsorted(
-        sorted_union_keys, live_keys, side="right"
-    ) - np.searchsorted(sorted_union_keys, live_keys, side="left")
-    ctx.charge_join_probes(int(group_sizes.sum()) - live_drivers.size, out_width)
+    # Each live driver is tested against its whole equal-key run of the
+    # union (dummies included, itself excluded) ...
+    run_lo = sorted_union_keys.searchsorted(live_keys, side="left")
+    run_hi = sorted_union_keys.searchsorted(live_keys, side="right")
+    ctx.charge_join_probes(int((run_hi - run_lo).sum()) - driver_slots.size, out_width)
 
-    # Live probe rows grouped by key, in position order within a key; a
-    # driver's candidates are one contiguous slice of that grouping.
-    live_probes = np.flatnonzero(np.asarray(probe_flags, dtype=bool)[:n_probe])
-    probe_keys = probe_rows[live_probes, probe_key_col]
-    by_key = np.argsort(probe_keys, kind="stable")
-    grouped_probes, grouped_keys = live_probes[by_key], probe_keys[by_key]
-    first = np.searchsorted(grouped_keys, live_keys, side="left")
-    counts = np.searchsorted(grouped_keys, live_keys, side="right") - first
-    pair_driver = np.repeat(live_drivers, counts)
-    run_start = counts.cumsum() - counts
-    pair_probe = grouped_probes[
-        np.repeat(first - run_start, counts) + np.arange(pair_driver.size)
-    ]
-    if pair_predicate is not None and pair_driver.size:
+    # ... and pairs with the live probes of that run, which all sit ahead
+    # of it: a contiguous slice of the live probe slots.  The drivers are
+    # listed in the matcher's round-major order before the pairs are laid
+    # out, so each round's pairs come out contiguous.
+    first = probe_slots.searchsorted(run_lo)
+    counts = probe_slots.searchsorted(driver_slots) - first
+    drivers = tiebreak[driver_slots].astype(np.int64) - _DRIVER_TAG
+    by_round, bounds = sorted_round_major(live_keys)
+    if by_round is not None:
+        drivers, first, counts = drivers[by_round], first[by_round], counts[by_round]
+    pair_probe = tiebreak[probe_slots[run_pairs(first, counts)]]
+    pair_driver = drivers.repeat(counts)
+    keep = None
+    if pair_predicate is not None and pair_probe.size:
         keep = _predicate_keep_mask(
             pair_predicate, probe_rows[pair_probe], driver_rows[pair_driver]
         )
-        pair_driver, pair_probe = pair_driver[keep], pair_probe[keep]
-
-    match = match_pairs_truncated(
-        pair_driver, pair_probe, driver_keys, omega, driver_caps, probe_caps
+    match = match_runs(
+        drivers, counts, bounds, pair_driver, pair_probe, keep, omega,
+        driver_caps, probe_caps,
     )
 
     # --- 3. fixed-size padded emission -----------------------------------

@@ -14,7 +14,7 @@ from .ast import (
     ViewScanPlan,
     predicate_clauses,
 )
-from .executor import aggregate_plain, execute_nm_query, execute_view_scan
+from .executor import aggregate_plain, execute_nm_query
 from .parallel import ParallelScanExecutor
 from .planner import (
     NM_JOIN,
@@ -41,7 +41,6 @@ __all__ = [
     "predicate_clauses",
     "aggregate_plain",
     "execute_nm_query",
-    "execute_view_scan",
     "ParallelScanExecutor",
     "NM_JOIN",
     "VIEW_SCAN",

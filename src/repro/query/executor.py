@@ -8,12 +8,11 @@ Two execution paths, mirroring the paper's evaluation candidates:
 * **non-materialization (NM)** — a full oblivious sort-merge join over
   the entire outsourced tables, recomputed per query.
 
-Served view scans run through
+View scans run through
 :class:`~repro.query.parallel.ParallelScanExecutor` (one kernel call per
-shard, optionally incremental); :func:`execute_view_scan` here is the
-serial one-pass form of the same scan — the oracle the sharding
-equivalence suite pins the executor against — and
-:func:`execute_nm_query` is the NM counterpart over a
+shard, optionally incremental) on the arguments :func:`scan_arguments`
+derives and the answer :func:`assemble_answer` builds;
+:func:`execute_nm_query` here is the NM counterpart over a
 :class:`~repro.query.ast.LogicalQuery`.  Either answers **every**
 aggregate and **every** GROUP BY cell at once and returns the answer
 together with the simulated QET.
@@ -26,13 +25,8 @@ import numpy as np
 from ..common.errors import SchemaError
 from ..core.view_def import JoinViewDefinition
 from ..mpc.runtime import MPCRuntime
-from ..oblivious.filter import (
-    fold_aggregates,
-    oblivious_multi_aggregate,
-    range_mask,
-)
+from ..oblivious.filter import fold_aggregates, range_mask
 from ..oblivious.sort_merge_join import oblivious_join_multi_aggregate
-from ..storage.materialized_view import MaterializedView
 from ..storage.outsourced_table import OutsourcedTable
 from .ast import LogicalQuery, QueryAnswer, ViewScanPlan, predicate_clauses
 
@@ -108,7 +102,7 @@ def aggregate_plain(
     """Plaintext evaluation of a lowered plan (ground-truth scoring).
 
     Applies the same clause masks, grouping, and aggregate assembly as
-    :func:`execute_view_scan`, but over plaintext rows (the logical
+    the oblivious view scan, but over plaintext rows (the logical
     mirror's truncation-free join) and without a protocol scope — this is
     the ``q_t(D_t)`` side of the paper's L1 error, generalized to the
     unified AST.
@@ -127,27 +121,6 @@ def aggregate_plain(
         group_domain=plan.group_domain,
     )
     return assemble_answer(plan.aggregate_slots, plan.group_domain, counts, sums)
-
-
-def execute_view_scan(
-    runtime: MPCRuntime,
-    time: int,
-    view: MaterializedView,
-    plan: ViewScanPlan,
-) -> tuple[QueryAnswer, float]:
-    """Answer a lowered query plan in **one** padded oblivious scan.
-
-    However many aggregates, GROUP BY cells, and predicate clauses the
-    plan carries, the view's padded rows are touched exactly once;
-    returns ``(answer, QET)``.
-    """
-    with runtime.protocol("query", time) as ctx:
-        counts, sums = oblivious_multi_aggregate(
-            ctx, view.table, *scan_arguments(plan, view.schema)
-        )
-        seconds = ctx.seconds
-    answer = assemble_answer(plan.aggregate_slots, plan.group_domain, counts, sums)
-    return answer, seconds
 
 
 def execute_nm_query(

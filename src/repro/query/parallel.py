@@ -110,9 +110,10 @@ class ParallelScanExecutor:
     :mod:`repro.query.shard_workers` (:meth:`backend_for`).  Shard scans
     are pure reveal/charge work on disjoint contexts (no RNG, no shared
     mutable state), so every backend preserves the deterministic
-    per-shard protocol discipline.  With one shard execution is
-    byte-identical to :func:`repro.query.executor.execute_view_scan`,
-    including the logged gate total and simulated seconds.
+    per-shard protocol discipline.  With one shard execution is one
+    padded scan of the whole view in one protocol — the serial form the
+    sharding equivalence suite holds every shard count to, gates and
+    simulated seconds included.
     """
 
     def __init__(self, backend: str = "auto") -> None:

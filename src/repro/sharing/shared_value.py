@@ -55,6 +55,16 @@ class SharedArray:
         z = np.zeros(shape, dtype=np.uint32)
         return cls(z, z.copy())
 
+    @classmethod
+    def wrap(cls, share0: np.ndarray, share1: np.ndarray) -> "SharedArray":
+        """Pair two halves that are ``uint32`` arrays of one shape by
+        construction — share-local slices and copies of checked shares,
+        or a re-share's fresh buffers — without checking them again."""
+        out = object.__new__(cls)
+        out.share0 = share0
+        out.share1 = share1
+        return out
+
     # -- public structure -----------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,7 +95,7 @@ class SharedArray:
             raise ProtocolError("cannot concat zero shared arrays")
         if len(arrays) == 1:
             return arrays[0]
-        return cls(
+        return cls.wrap(
             np.concatenate([a.share0 for a in arrays]),
             np.concatenate([a.share1 for a in arrays]),
         )
@@ -97,7 +107,7 @@ class SharedArray:
         indices (a prefix cut after an oblivious sort, a public
         permutation), so using it never widens the leakage surface.
         """
-        return SharedArray(self.share0[index], self.share1[index])
+        return SharedArray.wrap(self.share0[index], self.share1[index])
 
     def _recover(self) -> np.ndarray:
         """Recombine shares.  Internal: only the MPC runtime calls this."""
@@ -173,6 +183,16 @@ class SharedTable:
         )
 
     @classmethod
+    def wrap(cls, schema: Schema, rows: SharedArray, flags: SharedArray) -> "SharedTable":
+        """A table over shares that fit ``schema`` by construction (see
+        :meth:`SharedArray.wrap`), without checking them again."""
+        out = object.__new__(cls)
+        out.schema = schema
+        out.rows = rows
+        out.flags = flags
+        return out
+
+    @classmethod
     def empty(cls, schema: Schema) -> "SharedTable":
         return cls(
             schema,
@@ -198,7 +218,7 @@ class SharedTable:
 
     def take(self, index: np.ndarray | slice) -> "SharedTable":
         """Row selection by a public index/slice (see :meth:`SharedArray.take`)."""
-        return SharedTable(self.schema, self.rows.take(index), self.flags.take(index))
+        return SharedTable.wrap(self.schema, self.rows.take(index), self.flags.take(index))
 
     @classmethod
     def concat_all(cls, tables: Sequence["SharedTable"]) -> "SharedTable":
@@ -218,7 +238,7 @@ class SharedTable:
                 )
         if len(tables) == 1:
             return tables[0]
-        return cls(
+        return cls.wrap(
             schema,
             SharedArray.concat_all([t.rows for t in tables]),
             SharedArray.concat_all([t.flags for t in tables]),

@@ -15,20 +15,23 @@ distinct keys is a stable partition, which
 :func:`~repro.oblivious.sort.oblivious_compact` computes directly.
 
 Like the view, the cache is a shard-aware container
-(:class:`~repro.storage.sharded_container.ShardedTableContainer`).  The
-sorted read is inherently global — real tuples must sort to the head of
-the *whole* cache — so it gathers the shards back into exact append
-order first (share-local), runs the one oblivious sort the unsharded
-cache runs, and re-scatters the kept suffix.  Identical circuit,
-identical charges, identical randomness consumption.
+(:class:`~repro.storage.sharded_container.ShardedTableContainer`), but
+its sorted read is inherently global — real tuples must sort to the
+head of the *whole* cache — so it reads the content in exact append
+order, runs the one oblivious sort the unsharded cache runs, and keeps
+the suffix.  Identical circuit, identical charges, identical randomness
+consumption.
 
-Unlike the view, the cache stays **row-major**: it is read whole and
-row-wise once a step (reveal, sort, re-share) and then replaced, so each
-shard is simply the list of row-major deltas it was handed — appends
-are O(delta) and the chunks are concatenated, one batched copy per
-share half, when a read asks for them.  (The prototype of the view's
-column-major buffers gave them to the cache as well; it cost
-``upload_p50_ms`` +12–16 % on the ingest-bound workload.)
+Unlike the view, the cache stays **row-major** and in **global order**:
+it is read whole and row-wise once a step (reveal, sort, re-share) and
+then replaced, so it keeps the deltas exactly as they were handed over —
+an append stores a reference, and the deltas are concatenated, one
+batched copy per share half, when a read asks for them.  Round-robin
+placement makes shard ``s`` the rows ``s, s + k, s + 2k, …`` of that
+content, so :attr:`SecureCache.shards` are strided faces of it, never
+copies.  (The prototype of the view's column-major buffers gave them to
+the cache as well; it cost ``upload_p50_ms`` +12–16 % on the
+ingest-bound workload.)
 """
 
 from __future__ import annotations
@@ -47,39 +50,35 @@ class SecureCache(ShardedTableContainer):
 
     container_name = "cache"
 
-    # -- physical storage: row-major chunk lists -------------------------------
+    # -- physical storage: the deltas in append order -------------------------
     def _reset_storage(self) -> None:
-        self._shard_chunks: list[list[SharedTable]] = [
-            [] for _ in range(self.layout.n_shards)
-        ]
+        #: the appended deltas as they were handed over, in global order
+        self._chunks: list[SharedTable] = []
 
     def _store(self, delta: SharedTable, start: int) -> None:
-        if self.layout.n_shards == 1:
-            parts = [delta]
-        else:
-            parts = self.layout.scatter(delta, start)
-        for chunks, part in zip(self._shard_chunks, parts):
-            if len(part):
-                chunks.append(part)
+        if len(delta):
+            self._chunks.append(delta)
+
+    def _table(self) -> SharedTable:
+        """The whole content in global order (consolidated lazily, then kept)."""
+        chunks = self._chunks
+        if not chunks:
+            return SharedTable.empty(self.schema)
+        if len(chunks) > 1:
+            self._chunks = chunks = [SharedTable.concat_all(chunks)]
+        return chunks[0]
 
     @property
     def shards(self) -> list[SharedTable]:
-        """Contiguous per-shard tables (consolidated lazily, then kept)."""
-        out = []
-        for s, chunks in enumerate(self._shard_chunks):
-            if not chunks:
-                table = SharedTable.empty(self.schema)
-            elif len(chunks) == 1:
-                table = chunks[0]
-            else:
-                table = SharedTable.concat_all(chunks)
-                self._shard_chunks[s] = [table]
-            out.append(table)
-        return out
+        """Per-shard tables: strided faces of the global content."""
+        table, k = self._table(), self.layout.n_shards
+        if k == 1:
+            return [table]
+        return [table.take(slice(s, None, k)) for s in range(k)]
 
     def append(self, delta: SharedTable) -> None:
-        """Scatter a padded Transform output round-robin across shards
-        (share-local, no leakage beyond the public delta length)."""
+        """Append a padded Transform output (share-local, no leakage
+        beyond the public delta length)."""
         self._scatter_append(delta)
 
     def _replace(self, table: SharedTable) -> None:
@@ -87,7 +86,12 @@ class SecureCache(ShardedTableContainer):
         self._clear()
         self._scatter_append(table)
 
-    @ShardedTableContainer.table.setter
+    @property
+    def table(self) -> SharedTable:
+        """The whole content in exact global append order."""
+        return self._table()
+
+    @table.setter
     def table(self, value: SharedTable) -> None:
         """Replace the cache's content (used by the EP baseline's drain)."""
         self._replace(value)
@@ -117,10 +121,10 @@ class SecureCache(ShardedTableContainer):
         many real tuples were destroyed (Theorem 4 makes this unlikely
         for a well-chosen flush size).
 
-        Sharding is invisible here: the shards are gathered back into
-        exact append order before the one global oblivious sort, and the
-        kept suffix is re-scattered afterwards — same circuit, same gate
-        charges, same resharing randomness as the unsharded cache.
+        Sharding is invisible here: the content is read in exact append
+        order for the one global oblivious sort, and the kept suffix is
+        stored in that order — same circuit, same gate charges, same
+        resharing randomness as the unsharded cache.
         The real counts need no second pass: after the partition the
         first ``n_real`` rows are exactly the real ones.
         """

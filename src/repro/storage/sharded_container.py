@@ -14,7 +14,8 @@ hooks, because the two containers are read in opposite ways:
   column-major buffers it appends to in place;
 * the cache is read whole and row-wise once a step and then replaced,
   so :class:`~repro.storage.secure_cache.SecureCache` keeps the row-major
-  deltas it was handed, concatenated lazily.
+  deltas it was handed in global order, concatenated lazily, and hands
+  out its shards as strided faces of them.
 
 Everything here is share-local — public-index slices and copies on each
 server's own half — so the containers add no leakage beyond the

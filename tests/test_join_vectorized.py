@@ -12,6 +12,7 @@ here, as the oracle.
 
 import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -544,6 +545,93 @@ class TestKernelSweep:
             if live_keys.size and np.bincount(live_keys).max() > kwargs["omega"]:
                 multi_round += 1
         assert multi_round > self.CASES_PER_BLOCK // 10  # the sweep reaches them
+
+
+@st.composite
+def _kernel_case(draw):
+    """One join input over the shapes a Transform run can hand a kernel:
+    either side empty or all dummies, a key shared by up to ω + 3 live
+    drivers (several matcher rounds), caps of 0, below, at and above ω,
+    and a timestamp band that may be empty or lie wholly below zero."""
+    omega = draw(st.integers(1, 4))
+    n_keys = draw(st.integers(1, 3))
+    n_probe = draw(st.integers(0, 14))
+    n_driver = draw(st.integers(0, omega + 3 + 2))
+
+    def side(n, ts_hi):
+        rows = np.asarray(
+            [
+                [draw(st.integers(0, n_keys - 1)), draw(st.integers(0, ts_hi))]
+                for _ in range(n)
+            ],
+            dtype=np.uint32,
+        ).reshape(n, 2)
+        liveness = draw(st.sampled_from(["mixed", "all-dummy", "all-live"]))
+        if liveness == "mixed":
+            flags = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        else:
+            flags = np.full(n, liveness == "all-live")
+        caps = np.asarray(
+            draw(st.lists(st.integers(0, omega + 2), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        return rows, flags, caps
+
+    probe, p_flags, p_caps = side(n_probe, 8)
+    driver, d_flags, d_caps = side(n_driver, 10)
+    lo = draw(st.integers(-6, 6))
+    hi = draw(st.integers(-6, 6))
+    kind = draw(st.sampled_from(["none", "view", "plain"]))
+    if kind == "view" and lo <= hi:
+        # The owner's batch hook (a view's band cannot be empty).
+        predicate = replace(VIEW, window_lo=lo, window_hi=hi).pair_predicate
+    elif kind == "none":
+        predicate = None
+    else:
+
+        def predicate(p, d, lo=lo, hi=hi):
+            return lo <= int(d[1]) - int(p[1]) <= hi
+
+    return dict(
+        probe_rows=probe, probe_flags=p_flags, probe_key_col=0, probe_caps=p_caps,
+        driver_rows=driver, driver_flags=d_flags, driver_key_col=0,
+        driver_caps=d_caps,
+        omega=omega,
+        pair_predicate=predicate,
+        output_left=draw(st.sampled_from(["probe", "driver"])),
+    )
+
+
+class TestTransformKernelProperty:
+    """Both kernels ≡ their loop references, over generated edge shapes:
+    the padded rows, the isView flags, both emitted arrays, the dropped
+    count and the gates charged."""
+
+    @pytest.mark.parametrize(
+        "kernel, loop",
+        [
+            (truncated_sort_merge_join, _loop_sort_merge_join),
+            (truncated_nested_loop_join, _loop_nested_loop_join),
+        ],
+        ids=["sort-merge", "nested-loop"],
+    )
+    @given(case=_kernel_case())
+    @settings(max_examples=500, deadline=None)
+    def test_kernel_equals_its_loop(self, kernel, loop, case):
+        outs = []
+        for impl in (kernel, loop):
+            runtime = MPCRuntime(seed=3)
+            with runtime.protocol("join", 1) as ctx:
+                outs.append((impl(ctx, **case), ctx.gates))
+        (fast, fast_gates), (slow, slow_gates) = outs
+        assert np.array_equal(fast.rows, slow.rows)
+        assert np.array_equal(fast.flags, slow.flags)
+        assert np.array_equal(fast.left_emitted, slow.left_emitted)
+        assert np.array_equal(fast.right_emitted, slow.right_emitted)
+        assert fast.left_emitted.dtype == slow.left_emitted.dtype
+        assert fast.right_emitted.dtype == slow.right_emitted.dtype
+        assert fast.dropped == slow.dropped and type(fast.dropped) is int
+        assert fast_gates == slow_gates
 
 
 class TestKernelShape:

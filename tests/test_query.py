@@ -14,7 +14,8 @@ from repro.query.ast import (
     LogicalQuery,
     ScanClause,
 )
-from repro.query.executor import clause_mask, execute_view_scan
+from repro.query.executor import clause_mask
+from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import can_answer, lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
@@ -85,7 +86,7 @@ class TestExecutor:
         plan = lower_to_view_scan(
             LogicalQuery.for_view(view_def, predicate=predicate), view_def
         )
-        answer, qet = execute_view_scan(MPCRuntime(seed=0), 1, view, plan)
+        answer, qet = ParallelScanExecutor().execute(MPCRuntime(seed=0), 1, view, plan)
         return answer.scalar(), qet
 
     def test_counts_real_rows(self, tiny_view_def):

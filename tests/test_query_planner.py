@@ -13,7 +13,8 @@ from repro.query.ast import (
     LogicalQuery,
     ViewScanPlan,
 )
-from repro.query.executor import execute_nm_query, execute_view_scan
+from repro.query.executor import execute_nm_query
+from repro.query.parallel import ParallelScanExecutor
 from repro.query.planner import (
     NM_JOIN,
     VIEW_SCAN,
@@ -204,7 +205,7 @@ class TestPlanQuery:
         )
         runtime = MPCRuntime(seed=0)
         plan = lower_to_view_scan(count_query(), tiny_view_def)
-        _, qet = execute_view_scan(runtime, 1, view, plan)
+        _, qet = ParallelScanExecutor().execute(runtime, 1, view, plan)
         estimated = count_scan_gates(n, schema.width)
         assert qet == pytest.approx(DEFAULT_COST_MODEL.seconds(estimated))
 

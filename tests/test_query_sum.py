@@ -9,7 +9,7 @@ from repro.mpc.runtime import MPCRuntime
 from repro.common.errors import SchemaError
 from repro.oblivious.filter import oblivious_multi_aggregate
 from repro.query.ast import AggregateSpec, ColumnEquals, LogicalQuery
-from repro.query.executor import execute_view_scan
+from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
@@ -102,7 +102,7 @@ class TestExecuteViewSum:
         query = LogicalQuery.for_view(
             view_def, AggregateSpec.sum_of(table, column), predicate=predicate
         )
-        answer, qet = execute_view_scan(
+        answer, qet = ParallelScanExecutor().execute(
             MPCRuntime(seed=0), 1, view, lower_to_view_scan(query, view_def)
         )
         return answer.scalar(), qet

@@ -34,7 +34,8 @@ from repro.query.ast import (
     GroupBySpec,
     LogicalQuery,
 )
-from repro.query.executor import execute_view_scan
+from repro.oblivious.filter import oblivious_multi_aggregate
+from repro.query.executor import assemble_answer, scan_arguments
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.server.database import IncShrinkDatabase, ViewRegistration
@@ -192,6 +193,16 @@ def populated_view(layout: ShardLayout, seed: int = 5) -> MaterializedView:
     return view
 
 
+def serial_scan(runtime, time, view, plan):
+    """The reference: one padded scan of the whole view in one protocol."""
+    with runtime.protocol("query", time) as ctx:
+        counts, sums = oblivious_multi_aggregate(
+            ctx, view.table, *scan_arguments(plan, view.schema)
+        )
+        seconds = ctx.seconds
+    return assemble_answer(plan.aggregate_slots, plan.group_domain, counts, sums), seconds
+
+
 class TestParallelScanExecutor:
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     def test_matches_serial_reference_exactly(self, k):
@@ -200,9 +211,7 @@ class TestParallelScanExecutor:
 
         serial_runtime = MPCRuntime(seed=0)
         serial_view = populated_view(SINGLE_SHARD)
-        expected, expected_qet = execute_view_scan(
-            serial_runtime, 1, serial_view, plan
-        )
+        expected, expected_qet = serial_scan(serial_runtime, 1, serial_view, plan)
 
         runtime = MPCRuntime(seed=0)
         view = populated_view(ShardLayout(k))

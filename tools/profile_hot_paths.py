@@ -13,9 +13,11 @@ truncated_sort_merge_join`), ``nm_join``, the NM baseline's join
 aggregate (:func:`repro.oblivious.sort_merge_join.
 oblivious_join_multi_aggregate`) over 2,000 × 2,000 rows at about 5, 2k,
 20k and 200k candidate pairs, reporting each shape's host time and
-gates, and ``transform_step``, one whole
-:meth:`repro.core.transform.TransformProtocol.run` over a ``tpcds-small``
-window of 9 batches (180 rows), and the two fixed-shape stages of every
+gates, and ``transform_step``, Transform invocations
+(:meth:`repro.core.transform.TransformProtocol.run`) as the ``tpcds-small``
+and ``bigview-*`` deployments run them step after step, timed whole and
+by section (reveal, caps, join, settle, counters, re-share, cache
+append), and the two fixed-shape stages of every
 ``cpdb-heavy`` upload — ``cache_read``, one Figure 3 read of a
 5,700 × 4-row cache (:meth:`repro.storage.secure_cache.SecureCache.
 sorted_read`), and ``ring_words``, one step's mix of ring-word draws
@@ -334,42 +336,173 @@ def _nm_join_workload(rows: int):
     return run
 
 
-#: Batches in a ``tpcds-small`` Transform window (ω = 1, b = 10).
-TRANSFORM_WINDOW = 9
+#: Steps replayed before a Transform shape is timed: the probe window
+#: (b / ω = 10 batches) is full and its oldest batch retires each step.
+TRANSFORM_WARM_STEPS = 12
+#: Steps each shape advances per timed pass.
+TRANSFORM_STEPS_PER_RUN = 40
+#: What one Transform invocation spends its host time on, by the callables
+#: each section is: ``(module, qualified name, section)``.
+TRANSFORM_SECTIONS = (
+    ("repro.mpc.runtime", "ProtocolContext.reveal_table", "reveal"),
+    ("repro.core.budget", "ContributionLedger.span", "caps"),
+    ("repro.core.budget", "Span.caps", "caps"),
+    ("repro.core.transform", "truncated_sort_merge_join", "join"),
+    ("repro.core.budget", "Span.settle", "settle"),
+    ("repro.core.counter", "SharedCounter.next_value", "counters"),
+    ("repro.core.counter", "SharedCounter.reshared", "counters"),
+    ("repro.mpc.runtime", "ProtocolContext.share_table", "re-share"),
+    ("repro.storage.secure_cache", "SecureCache.append", "cache append"),
+)
+
+
+class _SectionClock:
+    """Timing wrappers around :data:`TRANSFORM_SECTIONS`, installed only
+    while a timed invocation runs; names that do not resolve are listed
+    in ``missing``."""
+
+    def __init__(self) -> None:
+        import importlib
+
+        self.spent: dict[str, int] = {}
+        self.missing: list[str] = []
+        self._patches = []
+        for module_name, qualname, section in TRANSFORM_SECTIONS:
+            owner = importlib.import_module(module_name)
+            *path, attr = qualname.split(".")
+            try:
+                for name in path:
+                    owner = getattr(owner, name)
+                original = owner.__dict__[attr]
+            except (AttributeError, KeyError):
+                self.missing.append(f"{module_name}:{qualname}")
+                continue
+            self._patches.append((owner, attr, original, self._wrap(original, section)))
+
+    def _wrap(self, original, section: str):
+        spent = self.spent
+
+        def timed(fn):
+            def call(*args, **kwargs):
+                t0 = time.perf_counter_ns()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    spent[section] = spent.get(section, 0) + time.perf_counter_ns() - t0
+
+            return call
+
+        if isinstance(original, property):
+            return property(timed(original.fget))
+        return timed(original)
+
+    def __enter__(self) -> "_SectionClock":
+        self.spent.clear()
+        for owner, attr, _, wrapped in self._patches:
+            setattr(owner, attr, wrapped)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for owner, attr, original, _ in self._patches:
+            setattr(owner, attr, original)
 
 
 def _transform_step_workload(rows: int):
-    """One Transform run as a ``tpcds-small`` step runs it: a probe window
-    of :data:`TRANSFORM_WINDOW` sales batches (``rows`` counts their 180
-    rows) against that step's returns batch — revealed, capped and
-    settled as one slice each, then joined.  Each call starts a fresh
-    ledger over the same upload logs, so every run sees the whole window
-    unspent.  Watch for anything called once per batch of the window."""
-    from repro.core.budget import ContributionLedger
-    from repro.core.transform import TransformProtocol
-    from repro.mpc.runtime import MPCRuntime
-    from repro.storage.outsourced_table import OutsourcedTable
-    from repro.storage.secure_cache import SecureCache
-    from repro.workload.tpcds import make_tpcds_workload
+    """Transform invocations as the ``tpcds-small`` and ``bigview-*``
+    deployments run them, one step after another.
 
-    workload = make_tpcds_workload(seed=3, n_steps=TRANSFORM_WINDOW)
-    vd = workload.view_def
-    runtime = MPCRuntime(seed=0)
-    probe = OutsourcedTable(vd.probe_schema, vd.probe_table)
-    driver = OutsourcedTable(vd.driver_schema, vd.driver_table)
-    for step in workload.steps:
-        for log, batch in ((probe, step.probe), (driver, step.driver)):
-            flags = batch.is_real.astype(np.uint32)
-            shared = runtime.owner_share_table(batch.schema, batch.rows, flags)
-            log.append_batch(shared, step.time)
-    assert probe.total_rows == rows
-    last = workload.steps[-1].time
+    * ``tpcds``: the three tpcds views of ``tpcds-small`` — two Transform
+      groups over one table pair (the full window's group feeds two
+      counters and two caches, the recent window's one of each), 1 shard;
+    * ``bigview``: the one dp-timer view of ``bigview-*``, 4-shard cache.
+
+    Both see a 200-row probe window (10 batches of 20 sales) against a
+    14-row returns batch once :data:`TRANSFORM_WARM_STEPS` steps are in.
+    Each pass uploads :data:`TRANSFORM_STEPS_PER_RUN` further steps per
+    shape and runs their Transforms only (no Shrink), on odd steps bare —
+    the invocation's host time — and on even ones under a
+    :class:`_SectionClock` — its host time per section; ``rows`` counts
+    the probe rows per
+    invocation.  The report holds, per shape, the median µs of an
+    invocation and of each section over every pass so far, ``other``
+    being the rest (scope, reveal inputs, publish, report)."""
+    from repro.experiments.harness import (
+        MultiViewRunConfig,
+        build_multiview_deployment,
+    )
+    from repro.server.database import IncShrinkDatabase
+    from repro.server.scheduler import _FanoutSink
+
+    def deploy(shape: str):
+        deployment = build_multiview_deployment(
+            MultiViewRunConfig(dataset="tpcds", n_steps=steps_needed, seed=3)
+        )
+        database = deployment.database
+        if shape == "bigview":
+            database = IncShrinkDatabase(
+                total_epsilon=database.total_epsilon, seed=3, n_shards=4
+            )
+            database.register_view(deployment.database.registrations[0])
+        database.finalize()
+        groups = [
+            (g.transform, _FanoutSink(g.sinks)) for g in database.groups.values()
+        ]
+        stream = iter(deployment.workload.steps)
+        return deployment, database, groups, stream
+
+    steps_needed = TRANSFORM_WARM_STEPS + 8 * TRANSFORM_STEPS_PER_RUN
+    clock = _SectionClock()
+    state = {}
+    samples = {shape: {"invocation": [], "sections": []} for shape in ("tpcds", "bigview")}
+
+    def advance(shape: str, timed: bool) -> None:
+        if shape not in state:
+            state[shape] = deploy(shape)
+        deployment, database, groups, stream = state[shape]
+        step = next(stream, None)
+        if step is None:  # replayed to the end: start the stream again
+            del state[shape]
+            return advance(shape, timed)
+        database.upload(step.time, deployment.upload_items(step))
+        got = samples[shape]
+        bare = step.time % 2
+        for transform, sink in groups:
+            if not timed:
+                transform.run(step.time, sink)
+            elif bare:
+                t0 = time.perf_counter_ns()
+                transform.run(step.time, sink)
+                got["invocation"].append(time.perf_counter_ns() - t0)
+            else:
+                with clock:
+                    transform.run(step.time, sink)
+                got["sections"].append(dict(clock.spent))
+
+    for shape in samples:
+        for _ in range(TRANSFORM_WARM_STEPS):
+            advance(shape, timed=False)
+
+    def us(values) -> float:
+        return round(statistics.median(values) / 1e3, 1)
 
     def run() -> None:
-        ledger = ContributionLedger(vd.omega, vd.budget, (probe, driver))
-        TransformProtocol(runtime, vd, probe, driver, ledger).run(
-            last, SecureCache(vd.view_schema)
-        )
+        for _ in range(TRANSFORM_STEPS_PER_RUN):
+            for shape in samples:
+                advance(shape, timed=True)
+        report = {}
+        for shape, got in samples.items():
+            sections = {
+                name: us([s.get(name, 0) for s in got["sections"]])
+                for name in dict.fromkeys(name for *_, name in TRANSFORM_SECTIONS)
+            }
+            invocation = us(got["invocation"])
+            sections["other"] = round(invocation - sum(sections.values()), 1)
+            report[shape] = {
+                "invocations": len(got["invocation"]) + len(got["sections"]),
+                "invocation_median_us": invocation,
+                "section_median_us": sections,
+            }
+        run.report = {"transform_shapes": report, "missing_sections": clock.missing}
 
     return run
 
@@ -674,7 +807,7 @@ WORKLOADS = {
 
 #: Stages whose shape is the served one whatever ``--rows`` says.
 FIXED_ROWS = {
-    "transform_step": 180,
+    "transform_step": 200,
     "nm_join": 4_000,
     "cache_read": 5_700,
     "ring_words": RING_WORDS_PER_STEP,
@@ -805,6 +938,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{x['pairs']} pairs: {x['host_ms']} ms, {x['gates']:,} gates"
                 for x in data["shapes"]
             )
+        elif "transform_shapes" in data:
+            shape = "; ".join(
+                f"{name}: {x['invocation_median_us']} µs per invocation, "
+                f"median µs per section {x['section_median_us']}"
+                for name, x in data["transform_shapes"].items()
+            )
+            shape = f", {shape}"
         elif "segments" in data:
             shape = (
                 f", a base and {data['segments']} segments: {data['observations']} "
