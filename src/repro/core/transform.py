@@ -5,14 +5,17 @@ Invoked whenever owners submit new data.  One invocation:
 1. determines the *active* probe window — every probe batch that still
    has contribution budget (``b // ω`` invocations per batch), a suffix
    of the probe table's log — plus the driver batch uploaded at the
-   current step, and reveals each as one slice of its log;
+   current step, and reveals each as one slice of its log; the ledger
+   hands out each side's budget as one :class:`~repro.core.budget.Span`,
+   synced and sliced once for the caps and the settlement;
 2. runs the ω-truncated oblivious join (``trans_truncate``), producing an
    exhaustively padded delta of ``ω × |driver batch|`` view-entry slots;
 3. charges the contribution ledger: ω budget per participating record,
    plus per-record emission counts (Eq. 3 enforcement), checked once
    per window and written as slice updates;
-4. recovers, increments, and freshly re-shares the cardinality counter c
-   (Algorithm 1 lines 4-6);
+4. recovers and increments the cardinality counter c — one per consuming
+   view — (Algorithm 1 lines 4-6) and freshly re-shares the counters and
+   the padded delta from one draw of each server's randomness;
 5. appends the padded delta to the secure cache (line 7).
 
 The only transcript event is the public delta length, which depends

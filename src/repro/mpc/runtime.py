@@ -140,7 +140,7 @@ class ProtocolContext:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._open = False
+        self._close()
         runtime = self._runtime
         runtime._active = None
         runtime.runs.append(ProtocolRun(self.name, self.time, self.gates, self.seconds))
@@ -230,7 +230,7 @@ class ProtocolContext:
         schema: Schema,
         rows: np.ndarray,
         flags: np.ndarray,
-        lead: np.ndarray | None = None,
+        lead: Sequence[int] | None = None,
     ) -> SharedTable | tuple[SharedArray, SharedTable]:
         """Re-share a protocol-internal table (rows, then the flag column).
 

@@ -3,9 +3,9 @@
 Both join implementations (sort-merge, Example 5.1; nested-loop,
 Algorithm 4) produce the same *logical* result under the same truncation
 rules; they differ only in circuit shape and therefore cost.  Each finds
-its candidate pairs its own way and hands them, as two flat index arrays
-in scan order, to the two functions here: :func:`match_pairs_truncated`
-decides which pairs survive the caps, :func:`emit_padded` writes the
+its candidate pairs its own way and hands them to the matcher as
+*runs* — one per driver, its candidate probes in scan order — which
+decides which pairs survive the caps; :func:`emit_padded` writes the
 survivors into the fixed-size output.
 
 Truncation semantics (Eq. 3 / Section 5.1):
@@ -24,7 +24,18 @@ the matcher visits drivers in rounds — round ``r`` holds the ``r``-th
 driver of every key — and within a round every driver sees disjoint
 probe rows, which makes the round a handful of array operations.  The
 Python loop runs once per round (the largest number of drivers sharing
-one key, typically 1–3), not once per driver.
+one key, typically one), not once per driver.
+
+The matcher is one pass over runs already laid out round by round
+(:func:`match_runs`).  The sort-merge scan meets drivers sorted by key,
+so it ranks them in place (:func:`sorted_round_major`) and lays its
+pairs out in that order from the start; the nested-loop scan lists flat
+pairs by driver position, and :func:`match_pairs_truncated` cuts them
+into runs and orders them with one stable sort on key
+(:func:`round_major`).  A pair the join's predicate rejects stays in its
+run as a closed pair (``keep``), so the predicate costs no compaction.
+What each probe row has emitted is tracked only across rounds; the
+emitted counts of both sides are counted once, from the kept pairs.
 
 The output is laid out in fixed slot blocks: driver row ``i`` owns output
 slots ``[i·ω, (i+1)·ω)``.  The block structure depends only on public

@@ -17,14 +17,22 @@ quantity; the real cardinality stays hidden inside the isView bits.
 **What is charged** is that circuit: one oblivious sort of the union, one
 probe per member of a live driver's equal-key group (dummies included),
 one padded emit per output slot.  **What is computed** is its result, in
-one array pass: the candidate pairs of *all* live drivers come from one
-stable argsort of the live probe keys and two ``searchsorted`` calls, the
-pair predicate is evaluated once over the flat pair arrays (through the
-owner's ``pair_predicate_batch`` when it has one, else per pair), the
-probe charge is one call, and the two-sided truncation and the padded
-emission are :func:`~repro.oblivious.join_common.match_pairs_truncated`
-and :func:`~repro.oblivious.join_common.emit_padded`.  The gate total of
-a join equals, to the gate, what visiting the drivers one by one charged.
+one pass over that sort's output.  The sort key is the join key in its
+high word and the tiebreak (side tag over position) in its low word, and
+the sort carries only the isView bits, so a row's side, position and key
+are read back from the two words of its sorted key.  The sorted union
+already lists each key's live probes in position order ahead of its
+drivers, so a live driver's candidates are one contiguous slice of the
+live probe slots: four ``searchsorted`` calls find every driver's key
+run (the probe charge, one call) and its slice.  Drivers arrive sorted
+by key, so their matcher rounds are ranked in place and the flat pairs
+are laid out round by round from the start.  The pair predicate is
+evaluated once over them (through the owner's ``pair_predicate_batch``
+when it has one, else per pair); a pair it rejects is closed, not
+removed.  The two-sided truncation and the padded emission are
+:func:`~repro.oblivious.join_common.match_runs` and
+:func:`~repro.oblivious.join_common.emit_padded`.  The gate total of a
+join equals, to the gate, what visiting the drivers one by one charged.
 
 This module also provides the *untruncated* NM aggregate kernel
 :func:`oblivious_join_multi_aggregate` used by the non-materialization
@@ -77,12 +85,6 @@ _DRIVER_TAG = 1 << 24
 #: Where a uint64's low and high uint32 words sit in memory.
 _LOW, _HIGH = (0, 1) if sys.byteorder == "little" else (1, 0)
 
-
-def _words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The low and high 32-bit words of uint64 ``keys``, as views."""
-    halves = keys.view(np.uint32)
-    return halves[_LOW::2], halves[_HIGH::2]
-
 #: Predicate over candidate pairs: receives the probe row and driver row
 #: (1-D uint32 arrays) and returns whether the pair truly joins beyond key
 #: equality (e.g. the "returned within 10 days" temporal condition).
@@ -94,6 +96,16 @@ PairPredicate = Callable[[np.ndarray, np.ndarray], bool]
 #: :attr:`repro.core.view_def.JoinViewDefinition.band`).
 Band = tuple[int, int, int, int]
 
+#: Largest timestamp: row words are uint32.
+_TS_MAX = (1 << 32) - 1
+
+
+def _words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 32-bit words of uint64 ``keys``, as views."""
+    halves = keys.view(np.uint32)
+    return halves[_LOW::2], halves[_HIGH::2]
+
+
 @lru_cache(maxsize=8)
 def _tiebreak(n_probe: int, n_driver: int) -> np.ndarray:
     """The sort keys' low words for a union of these side sizes: the side
@@ -102,10 +114,6 @@ def _tiebreak(n_probe: int, n_driver: int) -> np.ndarray:
     words[n_probe:] += np.uint32(_DRIVER_TAG - n_probe)
     words.flags.writeable = False
     return words
-
-
-#: Largest timestamp: row words are uint32.
-_TS_MAX = (1 << 32) - 1
 
 
 def _predicate_keep_mask(
@@ -218,6 +226,7 @@ def truncated_sort_merge_join(
     by_round, bounds = sorted_round_major(live_keys)
     if by_round is not None:
         drivers, first, counts = drivers[by_round], first[by_round], counts[by_round]
+    # A probe slot's tiebreak is its row's position (side tag 0).
     pair_probe = tiebreak[probe_slots[run_pairs(first, counts)]]
     pair_driver = drivers.repeat(counts)
     keep = None
