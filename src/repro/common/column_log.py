@@ -117,7 +117,6 @@ class ColumnLog:
     def __len__(self) -> int:
         return self._n
 
-
     def __getitem__(self, name: str) -> np.ndarray:
         """One column's content: a face."""
         return self._buffers[self._index[name]][: self._n]
@@ -163,11 +162,6 @@ class ColumnLog:
         """The first ``n`` rows (all, by default) of every column: faces."""
         n = self._n if n is None else n
         return {c.name: buf[:n] for c, buf in zip(self.schema, self._buffers)}
-
-    def span(self, start: int, stop: int) -> list[np.ndarray]:
-        """Rows ``[start, stop)`` of every column, in declared order: faces."""
-        stop = min(stop, self._n)
-        return [buf[start:stop] for buf in self._buffers]
 
     def since(self, mark: int) -> dict[str, np.ndarray]:
         """The rows appended after the first ``mark``: faces."""

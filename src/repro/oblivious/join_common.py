@@ -205,33 +205,33 @@ def match_runs(
     the others are skipped, neither taken nor dropped.
     """
     n_pairs = pair_probe.size
-    probe_allow = np.minimum(np.asarray(probe_caps)[pair_probe], omega)
     room = np.minimum(np.asarray(driver_caps)[drivers], omega).repeat(counts)
-    # Where each run starts among the pairs; a run's slots count from the
-    # open pairs its round holds before it.
+    # Where each run starts among the pairs.
     starts = np.zeros(counts.size + 1, dtype=np.int64)
     counts.cumsum(out=starts[1:])
-    # What each probe row emitted in earlier rounds (none before the first).
-    used = np.zeros(len(probe_caps), dtype=np.int64) if len(bounds) > 2 else None
-    rank = np.empty(n_pairs, dtype=np.int64)
-    take = np.empty(n_pairs, dtype=bool)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = int(starts[a]), int(starts[b])
-        p = pair_probe[lo:hi]
-        # Within a round every probe row meets one driver, so a round is
-        # one pass: a pair is open while its probe has allowance left...
-        open_ = probe_allow[lo:hi] > (0 if used is None else used[p])
+    # A probe row is open while it emitted less than min(ω, cap): in the
+    # first round, while its cap is positive (ω ≥ 1).
+    probe_allow = np.asarray(probe_caps)[pair_probe]
+    if len(bounds) == 2:
+        open_ = probe_allow > 0
         if keep is not None:
-            open_ &= keep[lo:hi]
-        # ...and takes the slot counted by the open pairs strictly before
-        # it in its own driver's run, if the driver has room for it.
-        opened = open_.cumsum()
-        before = np.concatenate(([0], opened))[starts[a:b] - lo]
-        r = rank[lo:hi]
-        np.subtract(opened, open_, out=r)
-        r -= before.repeat(counts[a:b])
-        np.logical_and(open_, r < room[lo:hi], out=take[lo:hi])
-        if used is not None:
+            open_ &= keep
+        rank, take = _match_round(open_, starts[:-1], counts, room)
+    else:
+        # Later rounds also need what each probe row emitted before.
+        probe_allow = np.minimum(probe_allow, omega)
+        used = np.zeros(len(probe_caps), dtype=np.int64)
+        rank = np.empty(n_pairs, dtype=np.int64)
+        take = np.empty(n_pairs, dtype=bool)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            lo, hi = int(starts[a]), int(starts[b])
+            p = pair_probe[lo:hi]
+            open_ = probe_allow[lo:hi] > used[p]
+            if keep is not None:
+                open_ &= keep[lo:hi]
+            rank[lo:hi], take[lo:hi] = _match_round(
+                open_, starts[a:b] - lo, counts[a:b], room[lo:hi]
+            )
             used[p[take[lo:hi]]] += 1  # distinct within a round
 
     kept = take.nonzero()[0]
@@ -244,6 +244,19 @@ def match_runs(
         probe_emitted=np.bincount(probe, minlength=len(probe_caps)),
         dropped=(n_pairs if keep is None else int(np.count_nonzero(keep))) - kept.size,
     )
+
+
+def _match_round(
+    open_: np.ndarray, run_starts: np.ndarray, counts: np.ndarray, room: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of :func:`match_runs`: every probe row meets one driver,
+    so a pair whose probe is open takes the slot counted by the open pairs
+    strictly before it in its own driver's run, if the driver has room
+    for it.  Returns each pair's slot and whether it is taken."""
+    opened = open_.cumsum()
+    rank = opened - open_
+    rank -= np.concatenate(([0], opened))[run_starts].repeat(counts)
+    return rank, open_ & (rank < room)
 
 
 def emit_padded(

@@ -177,7 +177,7 @@ def oblivious_sort(
     sorted_keys = keys[perm]
     if np.count_nonzero(sorted_keys[1:] == sorted_keys[:-1]):
         sorted_keys, perm = apply_network(keys)
-    return sorted_keys, [np.take(p, perm, axis=0) for p in payloads]
+    return sorted_keys, [p[perm] for p in payloads]
 
 
 def oblivious_compact(

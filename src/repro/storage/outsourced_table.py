@@ -101,16 +101,18 @@ class OutsourcedTable:
     def batch_at(self, time: int) -> int | None:
         """Position of the batch uploaded at ``time``, if any."""
         times = self.times
-        k = int(times.searchsorted(time, side="right")) - 1
+        k = int(np.searchsorted(times, time, side="right")) - 1
         return k if k >= 0 and times[k] == time else None
 
     def window(self, lo: int, hi: int) -> SharedTable:
         """Batches ``[lo, hi)`` as one table — slices, no copy."""
         starts = self.starts
         a, b = int(starts[lo]), int(starts[hi])
-        r0, r1, f0, f1 = self.rows.span(a, b)
+        rows = self.rows.view(b)
         return SharedTable.wrap(
-            self.schema, SharedArray.wrap(r0, r1), SharedArray.wrap(f0, f1)
+            self.schema,
+            SharedArray.wrap(rows["rows.s0"][a:], rows["rows.s1"][a:]),
+            SharedArray.wrap(rows["flags.s0"][a:], rows["flags.s1"][a:]),
         )
 
     def batch(self, k: int) -> SharedTable:
