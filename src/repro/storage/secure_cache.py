@@ -59,8 +59,10 @@ class SecureCache(ShardedTableContainer):
         if len(delta):
             self._chunks.append(delta)
 
-    def _table(self) -> SharedTable:
-        """The whole content in global order (consolidated lazily, then kept)."""
+    @property
+    def table(self) -> SharedTable:
+        """The whole content in exact global append order (consolidated
+        lazily, then kept)."""
         chunks = self._chunks
         if not chunks:
             return SharedTable.empty(self.schema)
@@ -68,10 +70,15 @@ class SecureCache(ShardedTableContainer):
             self._chunks = chunks = [SharedTable.concat_all(chunks)]
         return chunks[0]
 
+    @table.setter
+    def table(self, value: SharedTable) -> None:
+        """Replace the cache's content (used by the EP baseline's drain)."""
+        self._replace(value)
+
     @property
     def shards(self) -> list[SharedTable]:
         """Per-shard tables: strided faces of the global content."""
-        table, k = self._table(), self.layout.n_shards
+        table, k = self.table, self.layout.n_shards
         if k == 1:
             return [table]
         return [table.take(slice(s, None, k)) for s in range(k)]
@@ -85,16 +92,6 @@ class SecureCache(ShardedTableContainer):
         self._check_schema(table, "cache content")
         self._clear()
         self._scatter_append(table)
-
-    @property
-    def table(self) -> SharedTable:
-        """The whole content in exact global append order."""
-        return self._table()
-
-    @table.setter
-    def table(self, value: SharedTable) -> None:
-        """Replace the cache's content (used by the EP baseline's drain)."""
-        self._replace(value)
 
     # -- persistence hooks ----------------------------------------------------
     def snapshot_state(self) -> SharedTable:

@@ -422,10 +422,10 @@ def _transform_step_workload(rows: int):
     shape and runs their Transforms only (no Shrink), on odd steps bare —
     the invocation's host time — and on even ones under a
     :class:`_SectionClock` — its host time per section; ``rows`` counts
-    the probe rows per
-    invocation.  The report holds, per shape, the median µs of an
-    invocation and of each section over every pass so far, ``other``
-    being the rest (scope, reveal inputs, publish, report)."""
+    the probe rows per invocation.  The report holds, per shape, the
+    median µs of an invocation and of each section over every pass so
+    far, ``other`` being the rest (scope, reveal inputs, publish,
+    report)."""
     from repro.experiments.harness import (
         MultiViewRunConfig,
         build_multiview_deployment,
@@ -456,12 +456,10 @@ def _transform_step_workload(rows: int):
     samples = {shape: {"invocation": [], "sections": []} for shape in ("tpcds", "bigview")}
 
     def advance(shape: str, timed: bool) -> None:
-        if shape not in state:
-            state[shape] = deploy(shape)
         deployment, database, groups, stream = state[shape]
         step = next(stream, None)
         if step is None:  # replayed to the end: start the stream again
-            del state[shape]
+            warm(shape)
             return advance(shape, timed)
         database.upload(step.time, deployment.upload_items(step))
         got = samples[shape]
@@ -478,9 +476,13 @@ def _transform_step_workload(rows: int):
                     transform.run(step.time, sink)
                 got["sections"].append(dict(clock.spent))
 
-    for shape in samples:
+    def warm(shape: str) -> None:
+        state[shape] = deploy(shape)
         for _ in range(TRANSFORM_WARM_STEPS):
             advance(shape, timed=False)
+
+    for shape in samples:
+        warm(shape)
 
     def us(values) -> float:
         return round(statistics.median(values) / 1e3, 1)
