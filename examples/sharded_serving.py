@@ -3,7 +3,7 @@
 Drives a 4-shard :class:`~repro.server.runtime.DatabaseServer` through
 
 1. **ingest** — owners stream padded batches into the background loop;
-   every view and cache scatters its rows round-robin across 4 shards;
+   every view places its rows round-robin across 4 shards;
 2. **checkpoint** — a mid-stream snapshot (format v2) captures the shard
    layout alongside shares, ledgers, and RNG streams;
 3. **resume** — a second server restores from the snapshot and continues

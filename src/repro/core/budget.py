@@ -249,7 +249,8 @@ class ContributionLedger:
         in charge order, to reach the most uses while holding a record."""
         if hi <= lo or self._worst[0] >= self.max_uses:  # nothing can exceed it
             return
-        held = np.where(np.diff(side.log.starts[lo : hi + 1]) > 0, side.uses[lo:hi], 0)
+        starts = side.log.starts[lo : hi + 1]
+        held = np.where(starts[1:] > starts[:-1], side.uses[lo:hi], 0)
         k = int(held.argmax())
         if held[k] > self._worst[0]:
             self._worst = (int(held[k]), (side.log.name, int(side.log.times[lo + k])))
@@ -303,7 +304,8 @@ class ContributionLedger:
         # them, then the table charged first in a run, then the log order.
         best = None
         for rank, side in enumerate(self._logs.values()):
-            held = np.where(np.diff(side.log.starts) > 0, side.uses, 0)
+            starts = side.log.starts
+            held = np.where(starts[1:] > starts[:-1], side.uses, 0)
             top = int(held.max(initial=0))
             if top:
                 at = np.flatnonzero(held == top)

@@ -263,7 +263,7 @@ class MultiViewRunConfig:
     join_impl: str = "sort-merge"
     flush_interval: int = 30
     nm_fallback: bool = True
-    #: Round-robin shard count for every view/cache (1 = the paper's
+    #: Round-robin shard count for every view (1 = the paper's
     #: flat layout); view scans run one shard per worker.
     n_shards: int = 1
     #: View-scan executor backend: "auto"/"thread" (in-process), or

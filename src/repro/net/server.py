@@ -404,7 +404,6 @@ class NetworkServer:
         # be rejected *synchronously* — once enqueued it would fail when
         # applied and poison ingestion for every client.
         self._upload_gate = threading.Lock()
-        self._highest_admitted = 0
         self._open_connections = 0
         self._next_loop = 0
         self._closing = False
@@ -456,11 +455,6 @@ class NetworkServer:
             raise ConfigurationError("network server already started")
         if not self.server.running:
             self.server.start()
-        # Seed the admission floor from everything ever *submitted*
-        # (not just applied): a step queued before the listener opened
-        # must not be undercut by a remote upload that would then fail
-        # in the background loop.
-        self._highest_admitted = self.server.highest_submitted
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
@@ -1094,16 +1088,14 @@ class NetworkServer:
         return out
 
     # -- request dispatch ---------------------------------------------------------
-    def _admit(self, conn: _Connection | None = None) -> tuple[str, dict] | None:
+    def _admit(self, conn: _Connection) -> tuple[str, dict] | None:
         """Admission control for guarded frames.
 
         Returns a rejection response, or ``None`` when admitted — in
         which case one in-flight permit (plus the tenant's, when ``conn``
         is an authenticated connection) is held on ``conn`` and released
         after the response bytes flush, so a graceful drain counts the
-        unflushed answer as still in flight.  Direct callers passing no
-        connection (:meth:`_dispatch`) must release the global permit
-        themselves.
+        unflushed answer as still in flight.
         """
         if self._closing:
             return "error", wire.error_payload(
@@ -1115,8 +1107,6 @@ class NetworkServer:
                 f"server at max_inflight={self.max_inflight} concurrent requests",
                 retry_after=self.retry_after,
             )
-        if conn is None:
-            return None
         if conn.gate is not None and not conn.gate.try_permit():
             self._inflight.release()
             conn.gate.note_rejection("inflight")
@@ -1142,7 +1132,8 @@ class NetworkServer:
         tenant: str | None = None,
         blocking: bool = True,
     ) -> tuple[str, dict]:
-        """Run one admitted guarded request; never raises a request's failure.
+        """Run one admitted query, snapshot or reshard; never raises a
+        request's failure.
 
         With ``blocking=False`` (an event loop asking) a query that would
         have to wait raises :class:`~repro.server.runtime.WouldBlock` with
@@ -1150,18 +1141,16 @@ class NetworkServer:
         """
         # Halted ingestion is the *server's* condition, not this
         # request's fault: report it as a server error (with the original
-        # failure) instead of letting try_submit/query re-raise it as an
+        # failure) instead of letting the query re-raise it as an
         # invalid-request that blames the innocent caller's payload.
         deferred = self.server.ingest_error
-        if deferred is not None and frame_type in ("upload", "query"):
+        if deferred is not None and frame_type == "query":
             return "error", wire.error_payload(
                 wire.ERR_SERVER,
                 "ingestion halted by an earlier failure: "
                 f"{type(deferred).__name__}: {deferred}",
             )
         try:
-            if frame_type == "upload":
-                return self._handle_upload(payload)
             if frame_type == "query":
                 return self._handle_query(payload, tenant=tenant, blocking=blocking)
             if frame_type == "snapshot":
@@ -1191,32 +1180,6 @@ class NetworkServer:
         except Exception as exc:  # never let one request kill the connection
             return _error_response(exc)
 
-    def _dispatch(self, frame_type: str, payload: dict) -> tuple[str, dict]:
-        """Single-shot dispatch of any request frame.
-
-        The event loops inline the guarded path to hold the permit
-        across the response write; this wrapper (admit → execute →
-        release) serves direct callers (tests, diagnostics).  It answers
-        an upload as soon as the step is queued (or, waited and with the
-        backlog idle, applied here): waiting for a queued apply is a
-        continuation, which needs a connection to answer on.
-        """
-        if frame_type == "hello":
-            return "welcome", self._welcome()
-        if frame_type == "stats":
-            return "stats_result", self.server.observability()
-        if frame_type not in _GUARDED_FRAMES:
-            return "error", wire.error_payload(
-                wire.ERR_UNSUPPORTED, f"cannot serve {frame_type!r} frames"
-            )
-        rejection = self._admit()
-        if rejection is not None:
-            return rejection
-        try:
-            return self._execute(frame_type, payload)
-        finally:
-            self._inflight.release()
-
     def _welcome(self, tenant: Tenant | None = None) -> dict:
         """Public deployment metadata a client needs to form queries."""
         db = self.server.database
@@ -1239,13 +1202,6 @@ class NetworkServer:
         return payload
 
     # -- upload admission + batched submission -------------------------------------
-    def _handle_upload(self, payload: dict) -> tuple[str, dict]:
-        """:meth:`_dispatch`'s upload: admit the step and answer at once."""
-        responses, admitted = self._submit_uploads([payload])
-        applied = bool(admitted) and self.server.last_time >= admitted[0][1]
-        self._answer_admitted(responses, admitted, drained=applied, error=None)
-        return responses[0]
-
     def _start_uploads(
         self, loop: _EventLoop, conn: _Connection, payloads: list[dict]
     ) -> list[tuple[str, dict]] | None:
@@ -1433,7 +1389,7 @@ class NetworkServer:
             # deferred, it would halt ingestion for everyone
             # while its sender saw upload_ok.  The floor covers local
             # submits too (highest_submitted), not just applied steps.
-            floor = max(self.server.highest_submitted, self._highest_admitted)
+            floor = self.server.highest_submitted
             to_submit: list[tuple[int, int, list, dict]] = []
             for i, time_step, items, payload in decoded:
                 if time_step <= floor:
@@ -1476,9 +1432,6 @@ class NetworkServer:
                 accepted = 0
             for j, (i, time_step, items, payload) in enumerate(to_submit):
                 if j < accepted:
-                    self._highest_admitted = max(
-                        self._highest_admitted, time_step
-                    )
                     admitted.append((i, time_step, bool(payload.get("wait"))))
                 else:
                     responses[i] = overloaded

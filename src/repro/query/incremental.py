@@ -5,11 +5,11 @@ the data — yet a padded view scan rescans the whole view on every
 query.  This module closes that gap for repeat queries.  The one-pass
 kernel (:func:`~repro.oblivious.filter.oblivious_multi_aggregate`) folds
 each row into COUNT/SUM accumulators with **associative, order-local**
-operations: counts add in Z, sums add in Z_{2^64}.  And the sharded
-containers are strictly append-only within an epoch — round-robin
-placement continues from the public total, so every shard's row sequence
-is a prefix of its later self (:attr:`~repro.storage.sharded_container.
-ShardedTableContainer.append_epoch`).  Together those give an exact
+operations: counts add in Z, sums add in Z_{2^64}.  And a sharded
+view is strictly append-only within an epoch — round-robin placement
+continues from the public total, so every shard's row sequence is a
+prefix of its later self (:attr:`~repro.storage.materialized_view.
+MaterializedView.append_epoch`).  Together those give an exact
 decomposition::
 
     fold(shard[0:n]) = fold(shard[0:w]) (+) fold(shard[w:n])
@@ -28,7 +28,7 @@ ciphertext-equivalent state the servers hold anyway:
 
 * **keys** — the lowered :class:`~repro.query.ast.ViewScanPlan` (query
   structure, public by assumption: the analyst sends it in the clear)
-  and the container's public ``container_uid``/``append_epoch``;
+  and the view's public ``container_uid``/``append_epoch``;
 * **watermarks** — per-shard row counts at past scan times, a pure
   function of the public length history;
 * **values** — COUNT/SUM accumulator slots, i.e. protocol-internal
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..storage.sharded_container import ShardedTableContainer
+from ..storage.materialized_view import MaterializedView
 from .ast import ViewScanPlan
 
 #: Default bound on distinct (query structure, view) entries retained.
@@ -114,7 +114,7 @@ class AccumulatorCache:
     """Bounded LRU cache of per-shard prefix accumulators.
 
     One instance per database (never persisted — a restored database
-    starts cold and its containers advance their epoch anyway).  Keys
+    starts cold and its views advance their epoch anyway).  Keys
     are ``(container_uid, lowered plan)``; both are public, see the
     module docstring for the leakage argument.  ``max_cached_queries``
     bounds the number of distinct (query structure, view) entries; each
@@ -138,13 +138,13 @@ class AccumulatorCache:
 
     # -- keys -------------------------------------------------------------
     @staticmethod
-    def key_for(container: ShardedTableContainer, plan: ViewScanPlan) -> tuple:
-        """Public cache key: container identity × lowered query structure."""
-        return (container.container_uid, plan)
+    def key_for(view: MaterializedView, plan: ViewScanPlan) -> tuple:
+        """Public cache key: view identity × lowered query structure."""
+        return (view.container_uid, plan)
 
     # -- validity ---------------------------------------------------------
     def _valid(
-        self, entry: CacheEntry, container: ShardedTableContainer
+        self, entry: CacheEntry, view: MaterializedView
     ) -> bool:
         """A cached prefix is mergeable iff nothing but appends happened.
 
@@ -152,9 +152,9 @@ class AccumulatorCache:
         every shard at least as long as its watermark — all pure
         functions of the public mutation history.
         """
-        if entry.epoch != container.append_epoch:
+        if entry.epoch != view.append_epoch:
             return False
-        lengths = container.shard_lengths()
+        lengths = view.shard_lengths()
         if len(entry.shards) != len(lengths):
             return False
         return all(
@@ -163,16 +163,16 @@ class AccumulatorCache:
 
     # -- lookup / store ---------------------------------------------------
     def lookup(
-        self, container: ShardedTableContainer, plan: ViewScanPlan
+        self, view: MaterializedView, plan: ViewScanPlan
     ) -> CacheEntry | None:
-        """The mergeable entry for ``(container, plan)``, else ``None``.
+        """The mergeable entry for ``(view, plan)``, else ``None``.
 
         Counts a hit/miss; silently drops entries invalidated by a
         rebuild (their prefixes can never become mergeable again).
         """
-        key = self.key_for(container, plan)
+        key = self.key_for(view, plan)
         entry = self._entries.get(key)
-        if entry is not None and not self._valid(entry, container):
+        if entry is not None and not self._valid(entry, view):
             del self._entries[key]
             self.invalidations += 1
             entry = None
@@ -184,28 +184,28 @@ class AccumulatorCache:
         return entry
 
     def cached_rows(
-        self, container: ShardedTableContainer, plan: ViewScanPlan
+        self, view: MaterializedView, plan: ViewScanPlan
     ) -> int:
         """Rows a warm scan would skip — the planner's estimate input.
 
         Unlike :meth:`lookup` this never touches the hit/miss counters
         or the LRU order: planning a query is not executing it.
         """
-        entry = self._entries.get(self.key_for(container, plan))
-        if entry is None or not self._valid(entry, container):
+        entry = self._entries.get(self.key_for(view, plan))
+        if entry is None or not self._valid(entry, view):
             return 0
         return entry.cached_rows
 
     def store(
         self,
-        container: ShardedTableContainer,
+        view: MaterializedView,
         plan: ViewScanPlan,
         shards: list[ShardAccumulator],
     ) -> None:
         """Remember the full-prefix accumulators just computed."""
-        key = self.key_for(container, plan)
+        key = self.key_for(view, plan)
         self._entries[key] = CacheEntry(
-            epoch=container.append_epoch, shards=shards
+            epoch=view.append_epoch, shards=shards
         )
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_cached_queries:

@@ -32,8 +32,8 @@ share halves of every shard, exactly as the in-process heap already
 holds them.  Shard placement remains a pure function of public lengths,
 so moving the scan into worker processes leaks nothing new.
 
-Publications are cached per container and invalidated by
-:attr:`~repro.storage.sharded_container.ShardedTableContainer.content_version`,
+Publications are cached per view and invalidated by
+:attr:`~repro.storage.materialized_view.MaterializedView.content_version`,
 so a dashboard re-querying an unchanged view pays the copy once per
 content change, not once per query.
 """
@@ -58,7 +58,7 @@ from ..mpc.cost_model import CostModel
 from ..mpc.runtime import WorkerShardContext
 from ..oblivious.filter import oblivious_multi_aggregate
 from ..sharing.shared_value import SharedArray, SharedTable
-from ..storage.sharded_container import ShardedTableContainer
+from ..storage.materialized_view import MaterializedView
 from .parallel import usable_cpus
 
 #: Hard cap on pool size — matches the cost model's
@@ -234,7 +234,7 @@ atexit.register(_worker_release_attachments)
 
 
 class ViewPublication:
-    """One container's shards copied into a single shared-memory segment.
+    """One view's shards copied into a single shared-memory segment.
 
     Layout: shards back-to-back, each as ``rows·share0 ‖ rows·share1 ‖
     flags·share0 ‖ flags·share1`` (all ``uint32``), the row halves
@@ -242,10 +242,10 @@ class ViewPublication:
     each shard's ``(offset_words, n_rows)``.
     """
 
-    def __init__(self, container: ShardedTableContainer) -> None:
-        shards = container.shards
-        self.version = container.content_version
-        self.width = container.schema.width
+    def __init__(self, view: MaterializedView) -> None:
+        shards = view.shards
+        self.version = view.content_version
+        self.width = view.schema.width
         self.shard_meta: list[tuple[int, int]] = []
         total_words = sum(
             2 * len(t) * self.width + 2 * len(t) for t in shards
@@ -290,7 +290,7 @@ class ProcessScanBackend:
     One instance serves the whole interpreter (module-level
     :data:`PROCESS_BACKEND`): however many databases a test session
     constructs, there is one worker pool and one publication per live
-    container.  The pool is created lazily on the first process-backend
+    view.  The pool is created lazily on the first process-backend
     scan and survives across queries; :meth:`shutdown` (wired into
     ``DatabaseServer.stop()`` and ``atexit``) tears everything down, and
     the next scan transparently respawns.
@@ -300,10 +300,10 @@ class ProcessScanBackend:
         self._max_workers = max_workers
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._publications: "weakref.WeakKeyDictionary[ShardedTableContainer, ViewPublication]" = (
+        self._publications: "weakref.WeakKeyDictionary[MaterializedView, ViewPublication]" = (
             weakref.WeakKeyDictionary()
         )
-        self._finalizers: "weakref.WeakKeyDictionary[ShardedTableContainer, weakref.finalize]" = (
+        self._finalizers: "weakref.WeakKeyDictionary[MaterializedView, weakref.finalize]" = (
             weakref.WeakKeyDictionary()
         )
 
@@ -342,21 +342,21 @@ class ProcessScanBackend:
             pool.shutdown(wait=False, cancel_futures=True)
 
     # -- publications -----------------------------------------------------
-    def publication_for(self, container: ShardedTableContainer) -> ViewPublication:
-        """The container's current publication, (re)built when stale."""
+    def publication_for(self, view: MaterializedView) -> ViewPublication:
+        """The view's current publication, (re)built when stale."""
         with self._lock:
-            pub = self._publications.get(container)
-            if pub is not None and pub.version == container.content_version:
+            pub = self._publications.get(view)
+            if pub is not None and pub.version == view.content_version:
                 return pub
             if pub is not None:
-                self._finalizers.pop(container).detach()
+                self._finalizers.pop(view).detach()
                 pub.close()
-            pub = ViewPublication(container)
-            self._publications[container] = pub
-            # Unlink promptly when the container is garbage collected —
+            pub = ViewPublication(view)
+            self._publications[view] = pub
+            # Unlink promptly when the view is garbage collected —
             # not just at shutdown/exit.
-            self._finalizers[container] = weakref.finalize(
-                container, ViewPublication.close, pub
+            self._finalizers[view] = weakref.finalize(
+                view, ViewPublication.close, pub
             )
             return pub
 

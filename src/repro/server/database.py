@@ -19,8 +19,9 @@ and DP-Sync motivate for private data federations:
   matching view scan, or to the NM join fallback when that is cheaper
   (or nothing matches and the fallback is enabled); either path answers
   **all aggregates and all groups in one oblivious pass**;
-* views and caches are partitioned by a data-independent round-robin
-  :class:`~repro.storage.sharding.ShardLayout` (``n_shards``, default 1);
+* views are partitioned by a data-independent round-robin
+  :class:`~repro.storage.sharding.ShardLayout` (``n_shards``, default 1;
+  a cache is read whole and is not sharded);
   view-scan plans execute one shard per protocol lane through the
   :class:`~repro.query.parallel.ParallelScanExecutor`, byte-identically
   to the serial scan but at ``1/effective_workers`` of the simulated
@@ -363,7 +364,7 @@ class IncShrinkDatabase:
                 self.tables[vd.driver_table],
             )
             self.groups[signature] = group
-        cache = SecureCache(vd.view_schema, layout=self.shard_layout)
+        cache = SecureCache(vd.view_schema)
         view = MaterializedView(vd.view_schema, layout=self.shard_layout)
         epsilon = self._allocation.get(vd.name, 0.0)
 
@@ -481,13 +482,13 @@ class IncShrinkDatabase:
     # -- sharding ---------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        """Public shard count every view and cache is partitioned into."""
+        """Public shard count every view is partitioned into."""
         return self.shard_layout.n_shards
 
     def reshard(self, n_shards: int) -> None:
-        """Re-partition every view and cache under a new shard count.
+        """Re-partition every view under a new shard count.
 
-        Entirely share-local (gather then round-robin scatter with
+        Entirely share-local (gather then round-robin placement with
         public indices): no protocol runs, no randomness is consumed,
         and no answer, gate charge, or ε changes — only the parallelism
         available to subsequent scans.  Restoring a single-shard
@@ -498,10 +499,9 @@ class IncShrinkDatabase:
         layout = ShardLayout(n_shards)
         for vr in self.views.values():
             vr.view.reshard(layout)
-            vr.cache.reshard(layout)
         self.shard_layout = layout
-        # Resharding re-scatters every row: cached per-shard prefixes no
-        # longer describe any shard's content.  The containers' epoch
+        # Resharding re-places every row: cached per-shard prefixes no
+        # longer describe any shard's content.  The views' epoch
         # bump already fails their validity checks; dropping them here
         # keeps the gauges honest and frees the memory immediately.
         if self.accumulator_cache is not None:
@@ -573,8 +573,8 @@ class IncShrinkDatabase:
         the NM join fallback.
 
         ``plan`` lets a caller that already planned the query (e.g. the
-        serving runtime, which plans before taking the target view's
-        session guard) skip re-planning.  ``epsilon`` releases the
+        serving runtime, which plans before taking the MPC lock) skip
+        re-planning.  ``epsilon`` releases the
         answers with per-aggregate Laplace noise: the budget splits
         across the query's aggregates by sensitivity
         (:func:`repro.dp.allocation.split_query_epsilon`), each spend is

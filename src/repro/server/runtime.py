@@ -18,10 +18,10 @@ that shape:
   :meth:`~DatabaseServer._drain`; a failure there halts ingestion and
   reaches every producer, waiter and :meth:`~DatabaseServer.drain`;
 * **concurrent read sessions** — queries run under a shared read lock
-  (so they never observe a half-applied step) plus a per-view session
-  guard; planning and ground-truth scoring parallelise freely, while
-  circuit execution serialises on the simulated 2PC backend exactly as
-  the paper's two servers evaluate one garbled circuit at a time;
+  (so they never observe a half-applied step); planning parallelises
+  freely, while execution serialises on one MPC lock, the simulated 2PC
+  backend, exactly as the paper's two servers evaluate one garbled
+  circuit at a time;
 * **snapshot/resume** — :meth:`snapshot` quiesces ingestion at a step
   boundary and checkpoints the state through
   :mod:`repro.server.persistence` (a base the first time, then one
@@ -354,8 +354,6 @@ class DatabaseServer:
         self._rw = ReadWriteLock()
         self._mpc_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._view_locks: dict[str, threading.Lock] = {}
-        self._nm_lock = threading.Lock()
         self._started = False
         self._stopping = False
         self._stopped = False
@@ -387,9 +385,6 @@ class DatabaseServer:
         if self._started:
             raise ConfigurationError("server already started")
         self.database.finalize()
-        self._view_locks = {
-            name: threading.Lock() for name in self.database.views
-        }
         # Its thread starts here, not at the first hand-off: a thread
         # started in the middle of a _drain takes the GIL from the loop
         # that must answer next.
@@ -562,9 +557,10 @@ class DatabaseServer:
     def highest_submitted(self) -> int:
         """Highest step ever accepted into the backlog (applied or not).
 
-        The network front door seeds its upload-admission floor from
-        this, so steps queued before the listener opened cannot be
-        undercut by a remote upload.
+        This is the network front door's upload-admission floor: a
+        step at or below it — queued locally, before the listener opened,
+        or by another connection — is refused before it reaches the
+        backlog, where it would fail and halt ingestion.
         """
         with self._cond:
             return max(self._highest_submitted, self._last_time)
@@ -768,18 +764,18 @@ class DatabaseServer:
     ) -> DatabaseQueryResult:
         """Plan and execute one logical query against a consistent state.
 
-        The read lock guarantees no step is mid-application; the per-view
-        guard serialises sessions scanning the same view; the MPC lock
+        The read lock guarantees no step is mid-application; the MPC lock
         serialises circuit evaluation on the simulated 2PC backend (and
-        the noisy-release sampling of an ε-released query, whose noise
-        stream is separate from the ingestion streams).  Because the MPC
-        lock serialises noisy releases, the database's check-then-spend
-        ledger gate for ``tenant`` is atomic with the spend it guards.
+        with it every session's scan, and the noisy-release sampling of
+        an ε-released query, whose noise stream is separate from the
+        ingestion streams).  Because the MPC lock serialises noisy
+        releases, the database's check-then-spend ledger gate for
+        ``tenant`` is atomic with the spend it guards.
 
         With ``blocking=False`` the call never waits and never runs for
         long: it raises :class:`WouldBlock` — nothing executed, charged or
-        released — when any of the three locks is taken, or when the plan
-        is not a bounded in-process scan (:meth:`_runs_in_bounded_time`).
+        released — when either lock is taken, or when the plan is not a
+        bounded in-process scan (:meth:`_runs_in_bounded_time`).
         """
         self._raise_ingest_error()
         t0 = _time.perf_counter()
@@ -788,8 +784,7 @@ class DatabaseServer:
             plan = self.database.planner.plan(query)
             if not blocking and not self._runs_in_bounded_time(plan):
                 raise WouldBlock
-            guard = self._view_locks.get(plan.view_name or "", self._nm_lock)
-            with _held(guard, blocking), _held(self._mpc_lock, blocking):
+            with _held(self._mpc_lock, blocking):
                 result = self.database.query(
                     query, at_time, plan=plan, epsilon=epsilon, tenant=tenant
                 )
@@ -816,7 +811,7 @@ class DatabaseServer:
         return len(view) - plan.cached_rows < parallel.POOL_MIN_DELTA_ROWS
 
     def reshard(self, n_shards: int) -> None:
-        """Re-partition every view/cache under the write lock.
+        """Re-partition every view under the write lock.
 
         Quiesces read sessions exactly like a snapshot; answers, gate
         charges, and ε are unchanged (see

@@ -89,7 +89,7 @@ class SharedArray:
         One :func:`np.concatenate` per half, however many inputs — the
         pairwise chain ``a.concat(b).concat(c)…`` recopies every prefix
         and is quadratic in the total length, which made it a hot spot on
-        cache appends and on the shard-gather path.
+        cache reads and on the shard-gather path.
         """
         if not arrays:
             raise ProtocolError("cannot concat zero shared arrays")

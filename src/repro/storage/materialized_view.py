@@ -6,12 +6,16 @@ mix of real and dummy tuples inside is hidden.  Appends happen exclusively
 through Shrink (DP-sized), the EP baseline (everything), or a cache
 flush.
 
-The view is a shard-aware container
-(:class:`~repro.storage.sharded_container.ShardedTableContainer`): rows
-are placed round-robin by global append position — a pure function of
-public lengths — and :attr:`table` always reconstructs the exact global
-append order, so sharding changes *where* shares sit, never what any
-protocol computes.
+The view is the one sharded structure (queries scan it, shard by shard;
+the cache is read whole and is not sharded): rows are placed round-robin
+by global append position over a
+:class:`~repro.storage.sharding.ShardLayout` — a pure function of public
+lengths — and :attr:`MaterializedView.table` always reconstructs the
+exact global append order, so sharding changes *where* shares sit, never
+what any protocol computes.  Everything here is share-local —
+public-index slices and copies on each server's own half — so the view
+adds no leakage beyond the already-public lengths and consumes no
+randomness.
 
 It is stored the way it is scanned.  Every query is one padded pass that
 reads a few *columns* of every row, so each shard keeps, per server, one
@@ -28,15 +32,19 @@ share-local as the placement.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..common.column_log import Column, ColumnLog
 from ..common.errors import ProtocolError
 from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
-from ..sharing.shared_value import SharedArray, SharedTable
-from .sharded_container import ShardedTableContainer
-from .sharding import ShardLayout
+from ..sharing.shared_value import WORD_BYTES, SharedArray, SharedTable
+from .sharding import SINGLE_SHARD, ShardLayout
+
+#: Process-wide source of :attr:`MaterializedView.container_uid`.
+_CONTAINER_UIDS = itertools.count(1)
 
 
 class ColumnShard:
@@ -102,44 +110,91 @@ class ColumnShard:
         )
 
 
-class MaterializedView(ShardedTableContainer):
+class MaterializedView:
     """Append-only secret-shared view instance, stored in column shards."""
 
-    container_name = "view"
-
     def __init__(self, schema: Schema, layout: ShardLayout | None = None) -> None:
-        super().__init__(schema, layout)
+        self.schema = schema
+        self.layout = layout if layout is not None else SINGLE_SHARD
+        #: The one size kept: round-robin placement makes every other
+        #: public size (per-shard rows, ciphertext bytes) a function of it.
+        self._total_rows = 0
+        self._gathered: SharedTable | None = None
+        self._content_version = 0
+        self._append_epoch = 0
+        #: Process-unique public identity of this view.  Derived caches
+        #: that outlive a view reference (the incremental accumulator
+        #: cache of :mod:`repro.query.incremental`) key entries on this
+        #: instead of ``id()``, which the allocator may reuse.
+        self.container_uid = next(_CONTAINER_UIDS)
         #: number of Shrink-driven updates applied so far (public)
         self.update_count = 0
+        self._reset_storage()
+
+    # -- public structure -------------------------------------------------------
+    def __len__(self) -> int:
+        return self._total_rows
 
     @property
     def row_count(self) -> int:
         return len(self)
 
-    def append(self, delta: SharedTable, count_as_update: bool = True) -> None:
-        """Scatter one update's rows round-robin across the shards."""
-        self._scatter_append(delta)
-        if count_as_update:
-            self.update_count += 1
+    @property
+    def n_shards(self) -> int:
+        return self.layout.n_shards
 
-    # -- physical storage: column-major buffers ----------------------------------
-    def _reset_storage(self) -> None:
-        empty = SharedTable.empty(self.schema)
-        self._adopt_columns(
-            [ColumnShard(empty) for _ in range(self.layout.n_shards)]
-        )
+    @property
+    def byte_size(self) -> int:
+        """Per-server ciphertext bytes: every row's words plus its flag."""
+        return self._total_rows * (self.schema.width + 1) * WORD_BYTES
 
-    def _adopt_columns(self, columns: list[ColumnShard]) -> None:
-        self._columns = columns
-        self._faces: list[SharedTable] | None = None
+    @property
+    def content_version(self) -> int:
+        """Monotone counter bumped on every content mutation.
 
-    def _store(self, delta: SharedTable, start: int) -> None:
-        # Shard s takes every k-th delta row from its first round-robin
-        # slot, written directly: no per-shard parts in between.
-        k = self.layout.n_shards
-        for s, shard in enumerate(self._columns):
-            shard.write(delta, slice((s - start) % k, None, k))
-        self._faces = None
+        Caches holding derived copies of the shard content — the
+        process-backend shared-memory publications of
+        :mod:`repro.query.shard_workers` — key their staleness checks on
+        this, so a republish happens exactly when the shares changed.
+        """
+        return self._content_version
+
+    def _bump_version(self) -> None:
+        self._gathered = None
+        self._content_version += 1
+
+    @property
+    def append_epoch(self) -> int:
+        """Monotone counter bumped on every **non-append** mutation.
+
+        Appends leave it unchanged: within one epoch, every shard's row
+        sequence is a strict prefix of its later self (round-robin
+        placement continues from the public total), which is exactly the
+        property prefix-accumulator caches need.  ``_clear`` — and
+        therefore :meth:`reshard` and every restore path — advances it,
+        so a cached per-shard prefix can never be merged across a
+        rebuild that reordered rows.  Like the lengths, this is a pure
+        function of the public mutation history.
+        """
+        return self._append_epoch
+
+    def shard_lengths(self) -> tuple[int, ...]:
+        """Public per-shard row counts (balanced to within one row)."""
+        return self.layout.shard_lengths(self._total_rows)
+
+    @property
+    def table(self) -> SharedTable:
+        """The whole content in exact global append order (share-local).
+
+        Single-shard layouts return the shard by reference (no copy);
+        multi-shard gathers are memoized until the next mutation, so the
+        whole-table surfaces (the serial scan oracle, ``real_count``)
+        pay the permutation copy once per content change, not once per
+        access.
+        """
+        if self._gathered is None:
+            self._gathered = self.layout.gather(self.shards)
+        return self._gathered
 
     @property
     def shards(self) -> list[SharedTable]:
@@ -151,6 +206,59 @@ class MaterializedView(ShardedTableContainer):
         if self._faces is None:
             self._faces = [shard.face(self.schema) for shard in self._columns]
         return list(self._faces)
+
+    # -- mutation ---------------------------------------------------------------
+    def append(self, delta: SharedTable, count_as_update: bool = True) -> None:
+        """Place one update's rows round-robin across the shards."""
+        self._append(delta)
+        if count_as_update:
+            self.update_count += 1
+
+    def _append(self, delta: SharedTable) -> None:
+        self._check_schema(delta, "delta")
+        self._bump_version()
+        # Shard s takes every k-th delta row from its first round-robin
+        # slot, written directly: no per-shard parts in between.
+        k, start = self.layout.n_shards, self._total_rows
+        for s, shard in enumerate(self._columns):
+            shard.write(delta, slice((s - start) % k, None, k))
+        self._faces = None
+        self._total_rows += len(delta)
+
+    def _check_schema(self, table: SharedTable, what: str) -> None:
+        if table.schema != self.schema:
+            raise ProtocolError(
+                f"{what} schema {table.schema.fields} does not match "
+                f"view schema {self.schema.fields}"
+            )
+
+    def _reset_storage(self) -> None:
+        empty = SharedTable.empty(self.schema)
+        self._adopt_columns(
+            [ColumnShard(empty) for _ in range(self.layout.n_shards)]
+        )
+
+    def _adopt_columns(self, columns: list[ColumnShard]) -> None:
+        self._columns = columns
+        self._faces: list[SharedTable] | None = None
+
+    def _clear(self) -> None:
+        self._reset_storage()
+        self._total_rows = 0
+        self._bump_version()
+        self._append_epoch += 1
+
+    def reshard(self, layout: ShardLayout) -> None:
+        """Re-place the content under a new layout.
+
+        Share-local (gather then round-robin writes with public indices):
+        leaks nothing beyond the already-public lengths and changes no
+        protocol's inputs or outputs.
+        """
+        gathered = self.table
+        self.layout = layout
+        self._clear()
+        self._append(gathered)
 
     # -- persistence hooks ----------------------------------------------------
     def shard_logs(self) -> list[ColumnLog]:
@@ -180,13 +288,13 @@ class MaterializedView(ShardedTableContainer):
             # A restore replaces content wholesale — even when the shard
             # shape matches, cached prefixes over the old content must
             # never be merged with suffixes of the new one.
-            self._mark_rebuilt()
+            self._append_epoch += 1
         else:
             # Shard-count mismatch (state taken under another layout):
-            # re-scatter under this one.
+            # re-place it under this one.
             gathered = ShardLayout(len(shards)).gather(shards)
             self._clear()
-            self._scatter_append(gathered)
+            self._append(gathered)
         self.update_count = int(state["update_count"])
 
     def real_count(self, ctx: ProtocolContext) -> int:

@@ -14,24 +14,15 @@ sorting network on ``(¬isView, position)`` keys; its output on those
 distinct keys is a stable partition, which
 :func:`~repro.oblivious.sort.oblivious_compact` computes directly.
 
-Like the view, the cache is a shard-aware container
-(:class:`~repro.storage.sharded_container.ShardedTableContainer`), but
-its sorted read is inherently global — real tuples must sort to the
-head of the *whole* cache — so it reads the content in exact append
-order, runs the one oblivious sort the unsharded cache runs, and keeps
-the suffix.  Identical circuit, identical charges, identical randomness
-consumption.
-
-Unlike the view, the cache stays **row-major** and in **global order**:
-it is read whole and row-wise once a step (reveal, sort, re-share) and
-then replaced, so it keeps the deltas exactly as they were handed over —
-an append stores a reference, and the deltas are concatenated, one
-batched copy per share half, when a read asks for them.  Round-robin
-placement makes shard ``s`` the rows ``s, s + k, s + 2k, …`` of that
-content, so :attr:`SecureCache.shards` are strided faces of it, never
-copies.  (The prototype of the view's column-major buffers gave them to
-the cache as well; it cost ``upload_p50_ms`` +12–16 % on the
-ingest-bound workload.)
+The cache is **not sharded**: it is read whole — one global oblivious
+sort per Shrink or flush — and never scanned by a query, so shards would
+buy it nothing.  It is one table in global append order, kept
+**row-major**: it is read row-wise once a step (reveal, sort, re-share)
+and then replaced, so it keeps the deltas exactly as they were handed
+over — an append stores a reference, and the deltas are concatenated,
+one batched copy per share half, when a read asks for them.  (The
+prototype of the view's column-major buffers gave them to the cache as
+well; it cost ``upload_p50_ms`` +12–16 % on the ingest-bound workload.)
 """
 
 from __future__ import annotations
@@ -39,30 +30,40 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import ProtocolError
+from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
 from ..oblivious.sort import oblivious_compact
-from ..sharing.shared_value import SharedTable
-from .sharded_container import ShardedTableContainer
+from ..sharing.shared_value import WORD_BYTES, SharedTable
 
 
-class SecureCache(ShardedTableContainer):
+class SecureCache:
     """Secret-shared staging area for not-yet-synchronised view tuples."""
 
-    container_name = "cache"
-
-    # -- physical storage: the deltas in append order -------------------------
-    def _reset_storage(self) -> None:
-        #: the appended deltas as they were handed over, in global order
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        #: the appended deltas as they were handed over, in append order
         self._chunks: list[SharedTable] = []
+        self._rows = 0
+        self._content_version = 0
 
-    def _store(self, delta: SharedTable, start: int) -> None:
-        if len(delta):
-            self._chunks.append(delta)
+    def __len__(self) -> int:
+        return self._rows
+
+    @property
+    def byte_size(self) -> int:
+        """Per-server ciphertext bytes: every row's words plus its flag."""
+        return self._rows * (self.schema.width + 1) * WORD_BYTES
+
+    @property
+    def content_version(self) -> int:
+        """Monotone counter bumped on every content mutation: a
+        checkpoint rewrites the cache only when it moved."""
+        return self._content_version
 
     @property
     def table(self) -> SharedTable:
-        """The whole content in exact global append order (consolidated
-        lazily, then kept)."""
+        """The whole content in append order (consolidated lazily, then
+        kept)."""
         chunks = self._chunks
         if not chunks:
             return SharedTable.empty(self.schema)
@@ -73,36 +74,39 @@ class SecureCache(ShardedTableContainer):
     @table.setter
     def table(self, value: SharedTable) -> None:
         """Replace the cache's content (used by the EP baseline's drain)."""
+        self._check_schema(value, "cache content")
         self._replace(value)
-
-    @property
-    def shards(self) -> list[SharedTable]:
-        """Per-shard tables: strided faces of the global content."""
-        table, k = self.table, self.layout.n_shards
-        if k == 1:
-            return [table]
-        return [table.take(slice(s, None, k)) for s in range(k)]
 
     def append(self, delta: SharedTable) -> None:
         """Append a padded Transform output (share-local, no leakage
         beyond the public delta length)."""
-        self._scatter_append(delta)
+        self._check_schema(delta, "delta")
+        if len(delta):
+            self._chunks.append(delta)
+        self._rows += len(delta)
+        self._content_version += 1
 
     def _replace(self, table: SharedTable) -> None:
-        self._check_schema(table, "cache content")
-        self._clear()
-        self._scatter_append(table)
+        self._chunks = [table] if len(table) else []
+        self._rows = len(table)
+        self._content_version += 1
+
+    def _check_schema(self, table: SharedTable, what: str) -> None:
+        if table.schema != self.schema:
+            raise ProtocolError(
+                f"{what} schema {table.schema.fields} does not match "
+                f"cache schema {self.schema.fields}"
+            )
 
     # -- persistence hooks ----------------------------------------------------
     def snapshot_state(self) -> SharedTable:
-        """The cache's entire secret-shared content, in global order."""
+        """The cache's entire secret-shared content, in append order."""
         return self.table
 
     def restore_state(self, table: SharedTable) -> None:
         """Adopt previously snapshotted cache content."""
         self._check_schema(table, "snapshot cache")
-        self._clear()
-        self._scatter_append(table)
+        self._replace(table)
 
     # -- protocol-scope operations ------------------------------------------
     def sorted_read(
@@ -118,10 +122,6 @@ class SecureCache(ShardedTableContainer):
         many real tuples were destroyed (Theorem 4 makes this unlikely
         for a well-chosen flush size).
 
-        Sharding is invisible here: the content is read in exact append
-        order for the one global oblivious sort, and the kept suffix is
-        stored in that order — same circuit, same gate charges, same
-        resharing randomness as the unsharded cache.
         The real counts need no second pass: after the partition the
         first ``n_real`` rows are exactly the real ones.
         """
@@ -143,7 +143,7 @@ class SecureCache(ShardedTableContainer):
         remaining_real = n_real - fetched_real
 
         if discard_rest:
-            self._clear()
+            self._replace(SharedTable.empty(self.schema))
         else:
             self._replace(
                 ctx.share_table(self.schema, sorted_rows[size:], sorted_flags[size:])

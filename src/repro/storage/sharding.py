@@ -14,12 +14,12 @@ deployment's transcript is a deterministic post-processing of the
 unsharded one, and every DP guarantee (Shrinkwrap-style: the guarantees
 attach to released *sizes*, not physical layout) carries over unchanged.
 
-Scatter and gather are **share-local**: each server permutes and slices
-its own half with public indices (:meth:`SharedTable.take`), exactly the
-class of structural operation a real MPC deployment performs outside the
-circuit.  No recombination, no randomness, no protocol scope — so the
-sharded and unsharded engines consume *identical* RNG streams and stay
-byte-for-byte equivalent.
+Placement and gather are **share-local**: each server slices and
+permutes its own half with public indices (:meth:`SharedTable.take`),
+exactly the class of structural operation a real MPC deployment performs
+outside the circuit.  No recombination, no randomness, no protocol
+scope — so the sharded and unsharded engines consume *identical* RNG
+streams and stay byte-for-byte equivalent.
 
 See ``docs/SHARDING.md`` for the full leakage argument and a doctested
 walkthrough.
@@ -41,9 +41,10 @@ class ShardLayout:
     """Deterministic round-robin placement of global rows onto shards.
 
     A pure function of public lengths: global row ``g`` is stored in
-    shard ``g % n_shards`` at local position ``g // n_shards``.  All
-    scatter/gather helpers below are share-local (public-index ``take``
-    and concatenation only).
+    shard ``g % n_shards`` at local position ``g // n_shards``.  The
+    gather below is share-local (public-index ``take`` and concatenation
+    only); the view writes each shard's stride of a delta itself
+    (:class:`~repro.storage.materialized_view.MaterializedView`).
     """
 
     n_shards: int = 1
@@ -59,14 +60,6 @@ class ShardLayout:
             )
 
     # -- pure index arithmetic (public lengths in, public indices out) ----
-    def shard_of(self, global_index: int) -> int:
-        """Shard holding global row ``global_index``."""
-        if global_index < 0:
-            raise ConfigurationError(
-                f"global_index must be >= 0, got {global_index}"
-            )
-        return global_index % self.n_shards
-
     def shard_lengths(self, total_rows: int) -> tuple[int, ...]:
         """Per-shard row counts for a global prefix of ``total_rows``.
 
@@ -79,26 +72,6 @@ class ShardLayout:
             )
         k = self.n_shards
         return tuple((total_rows - s + k - 1) // k for s in range(k))
-
-    def scatter_indices(self, start: int, n_rows: int) -> list[np.ndarray]:
-        """Delta-local row indices each shard receives.
-
-        A delta of ``n_rows`` appended when the container already holds
-        ``start`` global rows lands delta row ``i`` on shard
-        ``(start + i) % n_shards``; the returned arrays are those ``i``
-        per shard, in global (= append) order.
-        """
-        if start < 0:
-            raise ConfigurationError(f"start must be >= 0, got {start}")
-        if n_rows < 0:
-            raise ConfigurationError(f"n_rows must be >= 0, got {n_rows}")
-        k = self.n_shards
-        # Shard s takes every k-th delta row starting from its first
-        # round-robin slot — a strided range, no temporaries to scan.
-        return [
-            np.arange((s - start) % k, n_rows, k, dtype=np.int64)
-            for s in range(k)
-        ]
 
     def gather_order(self, lengths: Sequence[int]) -> np.ndarray:
         """Permutation mapping global positions into shard-concat order.
@@ -123,23 +96,13 @@ class ShardLayout:
         g = np.arange(total, dtype=np.int64)
         return offsets[g % self.n_shards] + g // self.n_shards
 
-    # -- share-local scatter/gather on SharedTable ------------------------
-    def scatter(self, delta: SharedTable, start: int = 0) -> list[SharedTable]:
-        """Split a delta into per-shard tables, share-locally.
-
-        ``start`` is the (public) number of global rows already stored,
-        so consecutive appends continue the same round-robin sequence.
-        """
-        return [
-            delta.take(idx) for idx in self.scatter_indices(start, len(delta))
-        ]
-
+    # -- share-local gather on SharedTable ---------------------------------
     def gather(self, shards: Sequence[SharedTable]) -> SharedTable:
         """Reassemble per-shard tables into exact global append order.
 
-        The inverse of repeated :meth:`scatter` calls: one batched
-        concatenation per share half (:meth:`SharedTable.concat_all`)
-        followed by one public permutation ``take``.
+        The inverse of round-robin placement: one batched concatenation
+        per share half (:meth:`SharedTable.concat_all`) followed by one
+        public permutation ``take``.
         """
         if len(shards) != self.n_shards:
             raise ProtocolError(
@@ -155,5 +118,5 @@ class ShardLayout:
         return SharedTable.concat_all(list(shards)).take(order)
 
 
-#: The degenerate layout every pre-sharding container is equivalent to.
+#: The degenerate layout an unsharded view is equivalent to.
 SINGLE_SHARD = ShardLayout(1)

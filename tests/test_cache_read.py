@@ -5,7 +5,8 @@ partition (:func:`oblivious_compact`).  :func:`oracle_sorted_read` is the
 read it replaced and is still defined by: composite ``(¬isView,
 position)`` keys through :func:`oblivious_sort`.  Both must leave every
 observable thing equal — fetched and kept shares, gate charges, the two
-real counts, and where each server's randomness stream stands.
+real counts, and where each server's randomness stream stands — however
+many appends the cache's content arrived in.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.oblivious.sort import (
     oblivious_compact,
     oblivious_sort,
 )
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.secure_cache import SecureCache
 
@@ -52,9 +52,9 @@ def oracle_sorted_read(cache, ctx, size, discard_rest=False):
     remaining_real = int(tail_flags.sum())
 
     if discard_rest:
-        cache._clear()
+        cache.table = SharedTable.empty(cache.schema)
     else:
-        cache._replace(ctx.share_table(cache.schema, tail_rows, tail_flags))
+        cache.table = ctx.share_table(cache.schema, tail_rows, tail_flags)
     return fetched, fetched_real, remaining_real
 
 
@@ -68,14 +68,14 @@ def _flags(pattern: str, n: int, rng) -> np.ndarray:
     return rng.random(n) < rng.random()
 
 
-def _build(n: int, pattern: str, n_shards: int, seed: int = 0):
-    """A cache of ``n`` rows filled in three appends, and its runtime."""
+def _build(n: int, pattern: str, n_appends: int, seed: int = 0):
+    """A cache of ``n`` rows filled in ``n_appends`` appends, and its runtime."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 2**32, size=(n, SCHEMA.width), dtype=np.uint32)
     flags = _flags(pattern, n, rng)
-    cache = SecureCache(SCHEMA, layout=ShardLayout(n_shards))
+    cache = SecureCache(SCHEMA)
     gen = spawn(seed, "cache-read")
-    for part in np.array_split(np.arange(n), 3):
+    for part in np.array_split(np.arange(n), n_appends):
         cache.append(SharedTable.from_plain(SCHEMA, rows[part], flags[part], gen))
     return cache, MPCRuntime(seed=seed)
 
@@ -84,9 +84,9 @@ def _halves(table: SharedTable) -> list[np.ndarray]:
     return [table.rows.share0, table.rows.share1, table.flags.share0, table.flags.share1]
 
 
-def _assert_reads_equal(n, pattern, n_shards, size, discard_rest, seed=0):
-    got_cache, got_rt = _build(n, pattern, n_shards, seed)
-    ref_cache, ref_rt = _build(n, pattern, n_shards, seed)
+def _assert_reads_equal(n, pattern, n_appends, size, discard_rest, seed=0):
+    got_cache, got_rt = _build(n, pattern, n_appends, seed)
+    ref_cache, ref_rt = _build(n, pattern, n_appends, seed)
     # A prior odd-sized draw leaves half a word held in each server stream.
     for runtime in (got_rt, ref_rt):
         with runtime.protocol("warm") as ctx:
@@ -100,7 +100,8 @@ def _assert_reads_equal(n, pattern, n_shards, size, discard_rest, seed=0):
     for a, b in zip(_halves(got[0]), _halves(want[0])):
         assert np.array_equal(a, b)
     assert len(got_cache) == len(ref_cache)
-    assert [len(s) for s in got_cache.shards] == [len(s) for s in ref_cache.shards]
+    assert got_cache.byte_size == ref_cache.byte_size
+    assert got_cache.content_version == ref_cache.content_version
     for a, b in zip(_halves(got_cache.table), _halves(ref_cache.table)):
         assert np.array_equal(a, b)
     assert got_rt.runs == ref_rt.runs
@@ -109,12 +110,12 @@ def _assert_reads_equal(n, pattern, n_shards, size, discard_rest, seed=0):
     return got
 
 
-@pytest.mark.parametrize("n_shards", [1, 3, 4])
+@pytest.mark.parametrize("n_appends", [1, 3, 4])
 @pytest.mark.parametrize("discard_rest", [False, True])
 @pytest.mark.parametrize("pattern", ["random", "all-real", "all-dummy", "alternating"])
 @pytest.mark.parametrize("n, size", [(0, 0), (0, 5), (57, 0), (57, 20), (57, 57), (57, 90)])
-def test_read_equals_the_composite_key_sort(n, size, pattern, discard_rest, n_shards):
-    _assert_reads_equal(n, pattern, n_shards, size, discard_rest)
+def test_read_equals_the_composite_key_sort(n, size, pattern, discard_rest, n_appends):
+    _assert_reads_equal(n, pattern, n_appends, size, discard_rest)
 
 
 @given(
@@ -126,8 +127,8 @@ def test_read_equals_the_composite_key_sort(n, size, pattern, discard_rest, n_sh
     st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_read_equals_the_oracle_everywhere(n, size, pattern, discard_rest, n_shards, seed):
-    _assert_reads_equal(n, pattern, n_shards, size, discard_rest, seed)
+def test_read_equals_the_oracle_everywhere(n, size, pattern, discard_rest, n_appends, seed):
+    _assert_reads_equal(n, pattern, n_appends, size, discard_rest, seed)
 
 
 def test_two_reads_in_a_row_match():

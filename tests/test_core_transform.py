@@ -167,7 +167,7 @@ class TestTransform:
 GOLDEN_STEPS = Path(__file__).parent / "golden" / "transform_steps.json"
 
 #: Deployments the golden covers: the ``bigview-*`` benchmark shape (one
-#: dp-timer view, 4-shard cache) and the ``tpcds-small`` one (three views,
+#: dp-timer view, 4 shards) and the ``tpcds-small`` one (three views,
 #: two Transform groups over one table pair with different bands), the
 #: latter also through the nested-loop kernel.
 GOLDEN_SHAPES = ("bigview", "tpcds-small", "tpcds-small/nested-loop")
@@ -181,13 +181,19 @@ def _digest(*arrays) -> str:
 
 
 def _state(database) -> dict:
+    # The cache is one table in append order; the record keeps the
+    # per-shard form it was taken in, so the cache's k shards are its
+    # strided faces: rows s, s + k, s + 2k, ….
+    k = database.n_shards
     shares = {}
     for name, vr in database.views.items():
-        for kind, container in (("cache", vr.cache), ("view", vr.view)):
+        cache = vr.cache.table
+        cache_faces = [cache.take(slice(s, None, k)) for s in range(k)]
+        for kind, tables in (("cache", cache_faces), ("view", vr.view.shards)):
             shares[f"{name}.{kind}"] = [
                 [len(t), _digest(t.rows.share0, t.rows.share1,
                                  t.flags.share0, t.flags.share1)]
-                for t in container.shards
+                for t in tables
             ]
     ledgers = {}
     for g, group in enumerate(database.groups.values()):

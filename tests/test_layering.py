@@ -10,6 +10,10 @@ function, or under ``TYPE_CHECKING`` alike.
 The hash-chained checkpoint file (``storage/chain.py``) knows no
 database: it imports the standard library, numpy and, of ``repro``,
 only the errors.
+
+The secure cache (``storage/secure_cache.py``) is one table in append
+order: it imports no other ``repro.storage`` module, so it cannot take
+a shard layout back by the side door.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ ENTRY_POINTS = ("__init__.py", "__main__.py")
 #: The chain-file module, and everything it may import beside the stdlib.
 CHAIN = Path("storage") / "chain.py"
 CHAIN_IMPORTS = ("numpy", "repro.common.errors")
+#: The cache module, which may import nothing else of ``repro.storage``.
+CACHE = Path("storage") / "secure_cache.py"
 
 
 def imported_modules(path: Path, root: Path = SRC) -> list[tuple[int, str]]:
@@ -125,4 +131,36 @@ def test_chain_guard_sees_an_import_of_the_server(tmp_path):
     assert chain_imports(tmp_path) == [
         "src/repro/storage/chain.py:5 imports repro.server",
         "src/repro/storage/chain.py:6 imports repro.common",
+    ]
+
+
+def cache_storage_imports(root: Path = SRC) -> list[str]:
+    """Every import of another ``repro.storage`` module by the cache."""
+    return [
+        f"src/repro/{CACHE}:{line} imports {module}"
+        for line, module in imported_modules(root / CACHE, root)
+        if module == "repro.storage" or module.startswith("repro.storage.")
+    ]
+
+
+def test_the_cache_imports_no_other_storage_module():
+    assert cache_storage_imports() == []
+
+
+def test_cache_guard_sees_a_storage_import(tmp_path):
+    package = tmp_path / "storage"
+    package.mkdir()
+    (package / "secure_cache.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from ..sharing.shared_value import SharedTable\n"
+        "from .sharding import ShardLayout\n"
+        "from . import materialized_view\n"
+        "import repro.storage.chain\n",
+        encoding="utf8",
+    )
+    assert cache_storage_imports(tmp_path) == [
+        "src/repro/storage/secure_cache.py:4 imports repro.storage.sharding",
+        "src/repro/storage/secure_cache.py:5 imports repro.storage",
+        "src/repro/storage/secure_cache.py:6 imports repro.storage.chain",
     ]

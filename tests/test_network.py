@@ -473,29 +473,31 @@ class TestBackpressure:
     def test_inflight_cap_sheds_load_when_saturated(self):
         server = DatabaseServer(build_database())
         with NetworkServer(server, max_inflight=1) as net:
-            # Saturate the only permit, then dispatch directly.
-            assert net._inflight.acquire(blocking=False)
-            try:
-                frame_type, payload = net._dispatch(
-                    "query", {"query": wire.encode_query(query_mix()[0])}
-                )
-            finally:
-                net._inflight.release()
-            assert frame_type == "error"
-            assert payload["code"] == wire.ERR_OVERLOADED
-            assert payload["retry_after"] > 0
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                # Saturate the only permit, then ask over the connection.
+                assert net._inflight.acquire(blocking=False)
+                try:
+                    with pytest.raises(wire.RemoteError) as excinfo:
+                        client.query(query_mix()[0])
+                finally:
+                    net._inflight.release()
+                assert excinfo.value.code == wire.ERR_OVERLOADED
+                assert excinfo.value.retry_after > 0
+                # The permit is back: the same connection is served.
+                assert client.query(query_mix()[0]).plan_kind == "view-scan"
         server.stop()
 
     def test_draining_server_answers_shutting_down(self):
         server = DatabaseServer(build_database())
         with NetworkServer(server) as net:
-            net._closing = True
-            frame_type, payload = net._dispatch(
-                "query", {"query": wire.encode_query(query_mix()[0])}
-            )
-            assert frame_type == "error"
-            assert payload["code"] == wire.ERR_SHUTTING_DOWN
-            net._closing = False
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                net._closing = True
+                try:
+                    with pytest.raises(wire.RemoteError) as excinfo:
+                        client.query(query_mix()[0])
+                finally:
+                    net._closing = False
+                assert excinfo.value.code == wire.ERR_SHUTTING_DOWN
         server.stop()
 
 
@@ -655,9 +657,12 @@ class TestStructuredErrors:
     def test_unsupported_frame_type(self):
         server = DatabaseServer(build_database())
         with NetworkServer(server) as net:
-            frame_type, payload = net._dispatch("welcome", {})
-            assert frame_type == "error"
-            assert payload["code"] == wire.ERR_UNSUPPORTED
+            with IncShrinkClient(*net.address, busy_retries=0) as client:
+                with pytest.raises(wire.RemoteError) as excinfo:
+                    client._request("welcome", {}, expect="welcome")
+                assert excinfo.value.code == wire.ERR_UNSUPPORTED
+                # A response-type frame is refused, not fatal.
+                assert client.query(query_mix()[0]).plan_kind == "view-scan"
         server.stop()
 
     def test_version_mismatch_answered_with_structured_error(self):

@@ -40,7 +40,7 @@ from repro.server import persistence
 from repro.server.persistence import restore_database, snapshot_database
 from repro.storage.chain import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, commit
 
-from test_storage import assert_counters_exact
+from test_storage import assert_cache_sizes_exact, assert_counters_exact
 
 #: Bytes that are neither a snapshot nor decodable text.
 NOT_UTF8 = b"\xae\xff\x00\x01" * 40
@@ -905,9 +905,13 @@ def test_v2_roundtrip_preserves_shard_layout(tmp_path):
 
     restored = restore_database(tmp_path / "sharded.snap").database
     assert restored.n_shards == 4
-    for vr in restored.views.values():
+    for name, vr in restored.views.items():
         assert_counters_exact(vr.view)
-        assert_counters_exact(vr.cache)
+        # The cache is not sharded: its length, bytes and version.
+        cache = db.views[name].cache
+        assert_cache_sizes_exact(vr.cache)
+        assert (len(vr.cache), vr.cache.byte_size) == (len(cache), cache.byte_size)
+        assert vr.cache.content_version > 0  # the restore replaced it
     assert {
         n: vr.view.shard_lengths() for n, vr in restored.views.items()
     } == shard_lengths

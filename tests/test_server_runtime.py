@@ -600,13 +600,9 @@ class TestNonBlockingForms:
         server.submit(1, batches_at(1))
         server.drain()
         runs = len(server.database.runtime.runs)
-        guard = server._view_locks[
-            server.database.planner.plan(count_query(2)).view_name
-        ]
         for held, release in (
             (server._rw.acquire_write, server._rw.release_write),
             (server._mpc_lock.acquire, server._mpc_lock.release),
-            (guard.acquire, guard.release),
         ):
             held()
             try:

@@ -5,11 +5,11 @@ and shard counts ∈ {1, 2, 3, 8}, the sharded deployment returns
 **byte-identical** :class:`~repro.query.ast.QueryAnswer`s, charges the
 **identical total gates**, and reports the **identical realized ε** as
 the unsharded one.  Round-robin placement is a pure function of public
-lengths and every scatter/gather is share-local, so nothing a protocol
+lengths and every placement/gather is share-local, so nothing a protocol
 computes — or an adversary observes — may depend on the layout.
 
 Alongside the end-to-end property suite, this file unit-tests the
-layout arithmetic, the share-local scatter/gather round-trip, the
+layout arithmetic, the share-local placement/gather round-trip, the
 parallel executor against the serial reference, the batched concat, and
 the shard-aware error surfaces.
 """
@@ -59,9 +59,21 @@ class TestShardLayout:
         with pytest.raises(ConfigurationError, match="got -3"):
             ShardLayout(-3)
 
-    def test_round_robin_assignment(self):
-        layout = ShardLayout(3)
-        assert [layout.shard_of(g) for g in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+    def test_single_row_appends_land_round_robin(self):
+        gen = np.random.default_rng(5)
+        view = MaterializedView(Schema(("c0", "c1", "c2")), layout=ShardLayout(3))
+        landed = []
+        for _ in range(7):
+            before = [len(t) for t in view.shards]
+            row = random_table(gen, 1)
+            view.append(row)
+            after = view.shards
+            (shard,) = [s for s in range(3) if len(after[s]) > before[s]]
+            np.testing.assert_array_equal(
+                after[shard].rows.share0[-1:], row.rows.share0
+            )
+            landed.append(shard)
+        assert landed == [0, 1, 2, 0, 1, 2, 0]
 
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("total", [0, 1, 7, 8, 23])
@@ -70,12 +82,19 @@ class TestShardLayout:
         assert sum(lengths) == total
         assert max(lengths) - min(lengths) <= 1
 
-    def test_scatter_indices_continue_the_sequence(self):
-        layout = ShardLayout(2)
-        first = layout.scatter_indices(0, 3)  # globals 0,1,2
-        second = layout.scatter_indices(3, 3)  # globals 3,4,5
-        assert [list(a) for a in first] == [[0, 2], [1]]
-        assert [list(a) for a in second] == [[1], [0, 2]]
+    def test_appends_continue_the_sequence(self):
+        gen = np.random.default_rng(6)
+        view = MaterializedView(Schema(("c0", "c1", "c2")), layout=ShardLayout(2))
+        first = random_table(gen, 3)  # globals 0,1,2
+        second = random_table(gen, 3)  # globals 3,4,5
+        view.append(first)
+        view.append(second)
+        expected = [
+            np.concatenate([first.rows.share0[[0, 2]], second.rows.share0[[1]]]),
+            np.concatenate([first.rows.share0[[1]], second.rows.share0[[0, 2]]]),
+        ]
+        for shard, rows in zip(view.shards, expected):
+            np.testing.assert_array_equal(shard.rows.share0, rows)
 
     def test_gather_order_rejects_invalid_split(self):
         with pytest.raises(ProtocolError, match="round-robin split"):
@@ -89,21 +108,21 @@ def random_table(gen, n_rows: int, width: int = 3) -> SharedTable:
     return SharedTable.from_plain(schema, rows, flags, spawn(9, "share"))
 
 
-class TestScatterGather:
+class TestPlaceGather:
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_round_trip_is_identity_on_both_halves(self, k, seed):
         gen = np.random.default_rng(seed)
         table = random_table(gen, int(gen.integers(0, 40)))
-        layout = ShardLayout(k)
-        parts = layout.scatter(table, start=0)
-        back = layout.gather(parts)
+        view = MaterializedView(table.schema, layout=ShardLayout(k))
+        view.append(table)
+        back = view.table
         np.testing.assert_array_equal(back.rows.share0, table.rows.share0)
         np.testing.assert_array_equal(back.rows.share1, table.rows.share1)
         np.testing.assert_array_equal(back.flags.share0, table.flags.share0)
         np.testing.assert_array_equal(back.flags.share1, table.flags.share1)
 
-    def test_incremental_scatter_equals_one_shot(self):
+    def test_incremental_appends_equal_one_shot(self):
         gen = np.random.default_rng(7)
         layout = ShardLayout(3)
         view = MaterializedView(Schema(("c0", "c1", "c2")), layout=layout)

@@ -273,13 +273,19 @@ class TestMaterializedView:
             assert view.real_count(ctx) == 2
 
 
-def assert_counters_exact(container) -> None:
+def assert_counters_exact(view: MaterializedView) -> None:
     """The public sizes equal what the shards themselves hold."""
-    shards = container.shards
-    assert len(shards) == container.n_shards
-    assert container.shard_lengths() == tuple(len(t) for t in shards)
-    assert container.byte_size == sum(t.byte_size for t in shards)
-    assert len(container) == sum(container.shard_lengths())
+    shards = view.shards
+    assert len(shards) == view.n_shards
+    assert view.shard_lengths() == tuple(len(t) for t in shards)
+    assert view.byte_size == sum(t.byte_size for t in shards)
+    assert len(view) == sum(view.shard_lengths())
+
+
+def assert_cache_sizes_exact(cache: SecureCache) -> None:
+    """The cache's kept sizes equal what its one table holds."""
+    assert len(cache) == len(cache.table)
+    assert cache.byte_size == cache.table.byte_size
 
 
 def reveal(table: SharedTable) -> tuple[list, list]:
@@ -305,33 +311,40 @@ def random_delta(gen, n_rows: int) -> SharedTable:
 
 class TestContainerCounters:
     """``byte_size``/``shard_lengths()`` are kept, not recomputed: every
-    path that touches the chunk lists must keep them exact."""
+    path that touches the shards or the cache's chunk list must keep them
+    exact, and every cache mutation must move its ``content_version``."""
 
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_exact_after_every_mutation_path(self, n_shards):
         gen = np.random.default_rng(n_shards)
         layout = ShardLayout(n_shards)
         view = MaterializedView(SCHEMA, layout=layout)
-        cache = SecureCache(SCHEMA, layout=layout)
+        cache = SecureCache(SCHEMA)
         runtime = MPCRuntime(seed=0)
+        version = cache.content_version
         for n_rows in (0, 1, 5, 2, 7):
             view.append(random_delta(gen, n_rows))
             cache.append(random_delta(gen, n_rows))
             assert_counters_exact(view)
-            assert_counters_exact(cache)
-        cache.shards  # lazy consolidation replaces the chunk lists
-        assert_counters_exact(cache)
+            assert_cache_sizes_exact(cache)  # consolidates the chunk list
+            assert cache.content_version > version
+            version = cache.content_version
+        assert_cache_sizes_exact(cache)
 
         with runtime.protocol("read") as ctx:
             cache.sorted_read(ctx, 4)
-        assert_counters_exact(cache)
-        assert len(cache) == 11
+        assert_cache_sizes_exact(cache)
+        assert len(cache) == 11 and cache.content_version > version
+        version = cache.content_version
         cache.table = random_delta(gen, 6)  # the EP baseline's drain
-        assert_counters_exact(cache)
+        assert_cache_sizes_exact(cache)
+        assert len(cache) == 6 and cache.content_version > version
+        version = cache.content_version
         with runtime.protocol("flush") as ctx:
             cache.sorted_read(ctx, 2, discard_rest=True)
-        assert_counters_exact(cache)
+        assert_cache_sizes_exact(cache)
         assert len(cache) == 0 and cache.byte_size == 0
+        assert cache.content_version > version
 
         for k in (4, 2):
             view.reshard(ShardLayout(k))
@@ -350,11 +363,13 @@ class TestContainerCounters:
         assert_counters_exact(restored)
         assert len(restored) == 13 and restored.byte_size == saved.byte_size
 
-        cache = SecureCache(SCHEMA, layout=ShardLayout(restored_shards))
+        cache = SecureCache(SCHEMA)
         cache.append(random_delta(gen, 3))
+        version = cache.content_version
         cache.restore_state(saved.table)
-        assert_counters_exact(cache)
-        assert len(cache) == 13
+        assert_cache_sizes_exact(cache)
+        assert len(cache) == 13 and cache.byte_size == saved.byte_size
+        assert cache.content_version > version
 
     def test_sizes_are_read_without_walking_the_chunks(self, monkeypatch):
         """500 one-row appends leave 500 chunks; reading the sizes must
@@ -383,14 +398,14 @@ class TestColumnShards:
         gen = np.random.default_rng(n_shards)
         layout = ShardLayout(n_shards)
         view = MaterializedView(SCHEMA, layout=layout)
-        reference = SecureCache(SCHEMA, layout=layout)  # row-major chunks
         deltas = [random_delta(gen, n) for n in (5, 0, 1, 300, 17)]
-        for delta in deltas:
+        for i, delta in enumerate(deltas):
             view.append(delta)
-            reference.append(delta)
-            for ours, theirs in zip(view.shards, reference.shards):
+            # the row-major reference: shard s holds rows s, s + k, …
+            reference = SharedTable.concat_all(deltas[: i + 1])
+            for s, ours in enumerate(view.shards):
+                theirs = reference.take(slice(s, None, n_shards))
                 assert reveal(ours) == reveal(theirs)
-        assert reveal(view.table) == reveal(reference.table)
         assert reveal(view.table) == reveal(SharedTable.concat_all(deltas))
 
     @pytest.mark.parametrize("n_shards", [1, 4])
@@ -429,17 +444,18 @@ class TestColumnShards:
     def test_version_and_epoch_move_as_documented(self):
         gen = np.random.default_rng(2)
         view = MaterializedView(SCHEMA, layout=ShardLayout(2))
-        cache = SecureCache(SCHEMA, layout=ShardLayout(2))
-        for container in (view, cache):
-            version, epoch = container.content_version, container.append_epoch
-            for n_rows in (3, 0, 4):  # appends: a version each, same epoch
-                container.append(random_delta(gen, n_rows))
-                version += 1
-                assert container.content_version == version
-                assert container.append_epoch == epoch
-            container.reshard(ShardLayout(3))  # clear + re-scatter
-            assert container.content_version == version + 2
-            assert container.append_epoch == epoch + 1
+        cache = SecureCache(SCHEMA)
+        version, epoch = view.content_version, view.append_epoch
+        for n_rows in (3, 0, 4):  # appends: a version each, same epoch
+            view.append(random_delta(gen, n_rows))
+            cache.append(random_delta(gen, n_rows))
+            version += 1
+            assert view.content_version == version
+            assert cache.content_version == version
+            assert view.append_epoch == epoch
+        view.reshard(ShardLayout(3))  # clear + re-place
+        assert view.content_version == version + 2
+        assert view.append_epoch == epoch + 1
         version, epoch = view.content_version, view.append_epoch
         view.restore_state(view_state(view))  # same shard count
         assert view.content_version > version and view.append_epoch == epoch + 1
@@ -449,9 +465,9 @@ class TestColumnShards:
         view.restore_state(view_state(other))  # another shard count
         assert view.append_epoch == epoch + 1 and len(view) == 5
         with MPCRuntime(seed=0).protocol("flush") as ctx:
-            epoch = cache.append_epoch
+            version = cache.content_version
             cache.sorted_read(ctx, 2)
-        assert cache.append_epoch == epoch + 1
+        assert cache.content_version > version and len(cache) == 5
 
     @pytest.mark.parametrize("saved_shards, restored_shards", [(3, 3), (3, 2), (1, 4)])
     def test_restore_then_append_continues_the_round_robin(

@@ -414,7 +414,7 @@ def _transform_step_workload(rows: int):
     * ``tpcds``: the three tpcds views of ``tpcds-small`` — two Transform
       groups over one table pair (the full window's group feeds two
       counters and two caches, the recent window's one of each), 1 shard;
-    * ``bigview``: the one dp-timer view of ``bigview-*``, 4-shard cache.
+    * ``bigview``: the one dp-timer view of ``bigview-*``, 4 shards.
 
     Both see a 200-row probe window (10 batches of 20 sales) against a
     14-row returns batch once :data:`TRANSFORM_WARM_STEPS` steps are in.
