@@ -37,7 +37,6 @@ from repro.query.incremental import AccumulatorCache
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.query.shard_workers import shutdown_process_backend
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -93,7 +92,7 @@ def _random_table(gen, n_rows: int, schema: Schema) -> SharedTable:
 
 def _fixed_view(gen) -> MaterializedView:
     vd = _view_def()
-    view = MaterializedView(vd.view_schema, layout=ShardLayout(N_SHARDS))
+    view = MaterializedView(vd.view_schema, n_shards=N_SHARDS)
     view.append(
         _random_table(gen, VIEW_ROWS, vd.view_schema), count_as_update=False
     )

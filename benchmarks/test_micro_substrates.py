@@ -16,7 +16,6 @@ from repro.oblivious.filter import (
     oblivious_multi_aggregate,
     range_mask,
 )
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 from repro.oblivious.sort import (
@@ -98,7 +97,7 @@ def test_bench_cold_scan_4x100k(benchmark, kernel, shape):
     rows = gen.integers(0, 1 << 24, size=(n, 4), dtype=np.uint32)
     flags = gen.integers(0, 2, size=n, dtype=np.uint32)
     schema = Schema(("a", "b", "c", "d"))
-    view = MaterializedView(schema, layout=ShardLayout(k))
+    view = MaterializedView(schema, n_shards=k)
     view.append(SharedTable.from_plain(schema, rows, flags, gen))
     shards = view.shards
     row_major = [

@@ -52,7 +52,6 @@ from repro.query.rewrite import lower_to_view_scan
 from repro.query.shard_workers import shutdown_process_backend
 from repro.server.database import IncShrinkDatabase, ViewRegistration
 from repro.server.persistence import snapshot_database
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -111,7 +110,7 @@ def _fixed_view(n_shards: int) -> MaterializedView:
     )
     flags = gen.integers(0, 2, size=VIEW_ROWS).astype(np.uint32)
     table = SharedTable.from_plain(vd.view_schema, rows, flags, spawn(5, "bench"))
-    view = MaterializedView(vd.view_schema, layout=ShardLayout(n_shards))
+    view = MaterializedView(vd.view_schema, n_shards=n_shards)
     view.append(table, count_as_update=False)
     return view
 

@@ -58,7 +58,6 @@ from .server import (
     restore_database,
     snapshot_database,
 )
-from .storage import ShardLayout
 
 __version__ = "1.5.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "DatabaseServer",
     "IncShrinkDatabase",
     "ReadSession",
-    "ShardLayout",
     "ViewRegistration",
     "restore_database",
     "snapshot_database",

@@ -899,7 +899,9 @@ def _cmd_query(args) -> None:
         plan.n_shards,
         plan.estimated_gates,
         result.observation.qet_seconds,
-        scan_backend=plan.scan_backend,
+        scan_backend=None
+        if plan.view_name is None
+        else db.scan_executor.backend_for(db.views[plan.view_name].view),
         scan_report=None
         if result.scan_report is None
         else asdict(result.scan_report),

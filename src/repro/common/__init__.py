@@ -18,7 +18,7 @@ from .metrics import (
     relative_error,
 )
 from .rng import RING_BITS, RING_MOD, msb, random_ring_elements, spawn, uniform_unit_from_u32
-from .types import DUMMY_VALUE, RecordBatch, Schema, Update, as_rows, multiset, rows_to_tuples
+from .types import DUMMY_VALUE, RecordBatch, Schema, as_rows, multiset, rows_to_tuples
 
 __all__ = [
     "ConfigurationError",
@@ -43,7 +43,6 @@ __all__ = [
     "DUMMY_VALUE",
     "RecordBatch",
     "Schema",
-    "Update",
     "as_rows",
     "multiset",
     "rows_to_tuples",

@@ -166,15 +166,6 @@ class RecordBatch:
         return cls(schema, rows, flags)
 
 
-@dataclass(frozen=True)
-class Update:
-    """A single timestamped logical update (insertion) to a growing DB."""
-
-    time: int
-    table: str
-    row: tuple[int, ...]
-
-
 def rows_to_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
     """Convert a row array to hashable tuples (useful for set comparisons)."""
     return [tuple(int(v) for v in r) for r in rows]

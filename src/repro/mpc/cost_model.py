@@ -153,21 +153,6 @@ class CostModel:
         """
         return self.seconds(gates) / self.effective_workers(n_shards)
 
-    def incremental_seconds(
-        self, suffix_gates: int | float, n_shards: int = 1
-    ) -> float:
-        """Wall-clock estimate of a warm (suffix-only) incremental scan.
-
-        An incremental view scan charges gates only for the rows past
-        each shard's cached watermark (:mod:`repro.query.incremental`),
-        so its estimate is :meth:`parallel_seconds` over the *suffix*
-        gates instead of the full view's.  A cold scan degenerates to
-        the full estimate exactly (suffix = whole view), which is what
-        keeps planner rankings consistent whether or not a cache entry
-        exists.
-        """
-        return self.parallel_seconds(suffix_gates, n_shards)
-
 
 #: Model used throughout unless an experiment overrides it.
 DEFAULT_COST_MODEL = CostModel()

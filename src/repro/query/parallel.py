@@ -4,9 +4,9 @@ The paper's query path is one padded linear scan over the whole view
 (Appendix A.1.1); PR 3's compiler folds every aggregate of every group
 into that single pass, which leaves the pass itself as the bottleneck:
 latency grows with the view's total (real + dummy) size.  With the view
-stored in round-robin shards (:mod:`repro.storage.sharding`), the scan
-decomposes perfectly — per-row accumulation is associative and touches
-no cross-row state — so :class:`ParallelScanExecutor` runs
+stored in round-robin shards (:mod:`repro.storage.materialized_view`),
+the scan decomposes perfectly — per-row accumulation is associative and
+touches no cross-row state — so :class:`ParallelScanExecutor` runs
 :func:`~repro.oblivious.filter.oblivious_multi_aggregate` once per shard,
 each shard under its own :class:`~repro.mpc.runtime.ProtocolContext`,
 and merges the per-shard accumulators share-locally (plain ring addition

@@ -119,17 +119,12 @@ class ViewCandidate:
 
     ``n_shards`` is the view's shard count — public layout metadata the
     wall-clock estimate divides by (sharding never changes the gate
-    total, only how many evaluator lanes share it).  ``scan_backend`` is
-    the execution backend the database's scan executor resolved for this
-    view (``"thread"`` or ``"process"``); the *simulated* seconds are
-    backend-independent, so it never affects ranking — the chosen plan
-    just records how it will run.
+    total, only how many evaluator lanes share it).
     """
 
     view_def: JoinViewDefinition
     padded_rows: int
     n_shards: int = 1
-    scan_backend: str | None = None
     #: Rows an incremental (warm-cache) scan of this view would skip for
     #: this query structure — 0 when cold or when incremental execution
     #: is disabled.  A pure function of the public length history and
@@ -147,22 +142,18 @@ class QueryPlan:
     :data:`VIEW_SCAN`; NM plans carry no lowering (the executor joins the
     base stores directly from the logical query).  ``n_shards`` records
     the parallelism the seconds estimate assumed (always 1 for NM joins:
-    the oblivious sort-merge join is a single sequential circuit), and
-    ``scan_backend`` the resolved executor backend of the chosen view
-    (``None`` for NM plans, which always run in-process).
+    the oblivious sort-merge join is a single sequential circuit).  The
+    backend a view scan runs on is resolved when it runs
+    (:meth:`~repro.query.parallel.ParallelScanExecutor.backend_for`).
 
     ``warm`` records that the estimate assumed an incremental scan over
     ``cached_rows`` already-accumulated rows: ``estimated_gates`` and
     ``estimated_seconds`` then price the *suffix* only — the gates the
     executor will actually charge — which is what lets a warm view scan
-    compete honestly against the NM fallback.  ``incremental_seconds``
-    is always the suffix-based estimate
-    (:meth:`~repro.mpc.cost_model.CostModel.incremental_seconds`); for a
-    cold view scan it equals ``estimated_seconds`` exactly, and it is
-    ``None`` for NM plans (the join has no incremental path).  Estimates
-    are advisory: if the accumulator entry is evicted between planning
-    and execution the scan silently runs cold — answers unchanged, only
-    the realized gate bill exceeds the estimate.
+    compete honestly against the NM fallback.  Estimates are advisory:
+    if the accumulator entry is evicted between planning and execution
+    the scan silently runs cold — answers unchanged, only the realized
+    gate bill exceeds the estimate.
     """
 
     kind: str  # VIEW_SCAN | NM_JOIN
@@ -171,10 +162,8 @@ class QueryPlan:
     estimated_gates: int
     estimated_seconds: float
     n_shards: int = 1
-    scan_backend: str | None = None
     warm: bool = False
     cached_rows: int = 0
-    incremental_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -215,7 +204,6 @@ class ViewScanShape:
         model: CostModel,
         padded_rows: int,
         n_shards: int,
-        scan_backend: str | None,
         cached_rows: int,
     ) -> QueryPlan:
         """The plan at these public sizes (the :class:`ViewCandidate` fields).
@@ -226,18 +214,15 @@ class ViewScanShape:
         execution disabled) degenerates to the full-view estimate.
         """
         gates = max(0, padded_rows - cached_rows) * self.row_gates
-        inc_seconds = model.incremental_seconds(gates, n_shards)
         return QueryPlan(
             kind=VIEW_SCAN,
             view_name=self.view_def.name,
             view_query=self.view_query,
             estimated_gates=gates,
-            estimated_seconds=inc_seconds,
+            estimated_seconds=model.parallel_seconds(gates, n_shards),
             n_shards=n_shards,
-            scan_backend=scan_backend,
             warm=cached_rows > 0,
             cached_rows=cached_rows,
-            incremental_seconds=inc_seconds,
         )
 
 
@@ -317,7 +302,6 @@ def plan_query(
             model,
             cand.padded_rows,
             cand.n_shards,
-            cand.scan_backend,
             cand.cached_rows,
         )
         for cand in candidates

@@ -19,9 +19,11 @@ and DP-Sync motivate for private data federations:
   matching view scan, or to the NM join fallback when that is cheaper
   (or nothing matches and the fallback is enabled); either path answers
   **all aggregates and all groups in one oblivious pass**;
-* views are partitioned by a data-independent round-robin
-  :class:`~repro.storage.sharding.ShardLayout` (``n_shards``, default 1;
-  a cache is read whole and is not sharded);
+* views are partitioned round-robin by append position over
+  ``n_shards`` shards (default 1), a placement each
+  :class:`~repro.storage.materialized_view.MaterializedView` owns and
+  that depends on public lengths only (a cache is read whole and is not
+  sharded);
   view-scan plans execute one shard per protocol lane through the
   :class:`~repro.query.parallel.ParallelScanExecutor`, byte-identically
   to the serial scan but at ``1/effective_workers`` of the simulated
@@ -79,10 +81,9 @@ from ..query.parallel import ParallelScanExecutor
 from ..query.planner import VIEW_SCAN, QueryPlan
 from ..query.rewrite import lower_to_view_scan
 from ..storage.growing_db import GrowingDatabase
-from ..storage.materialized_view import MaterializedView
+from ..storage.materialized_view import MaterializedView, check_n_shards
 from ..storage.outsourced_table import OutsourcedTable
 from ..storage.secure_cache import SecureCache
-from ..storage.sharding import ShardLayout
 from ..tenancy.ledger import check_tenant_budget, validate_budgets
 from .planner import DatabasePlanner
 from .scheduler import (
@@ -217,10 +218,9 @@ class IncShrinkDatabase:
         self.accumulator_cache: AccumulatorCache | None = (
             AccumulatorCache(max_cached_queries) if incremental else None
         )
-        #: Round-robin placement of every view's (and cache's) rows — a
-        #: pure function of public lengths, so the layout adds no leakage
-        #: beyond the already-public total sizes.
-        self.shard_layout = ShardLayout(n_shards)
+        #: Public shard count every view is partitioned into; each view
+        #: places its rows round-robin by public position.
+        self.n_shards = check_n_shards(n_shards)
         #: Scan engine answering view-scan plans shard by shard (in this
         #: process, or on ``scan_backend``-selected workers);
         #: byte-identical to the serial executor in every backend.
@@ -365,7 +365,7 @@ class IncShrinkDatabase:
             )
             self.groups[signature] = group
         cache = SecureCache(vd.view_schema)
-        view = MaterializedView(vd.view_schema, layout=self.shard_layout)
+        view = MaterializedView(vd.view_schema, n_shards=self.n_shards)
         epsilon = self._allocation.get(vd.name, 0.0)
 
         counter: SharedCounter | None = None
@@ -480,11 +480,6 @@ class IncShrinkDatabase:
         return self.scheduler.run_step(time)
 
     # -- sharding ---------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        """Public shard count every view is partitioned into."""
-        return self.shard_layout.n_shards
-
     def reshard(self, n_shards: int) -> None:
         """Re-partition every view under a new shard count.
 
@@ -495,11 +490,11 @@ class IncShrinkDatabase:
         checkpoint and calling ``reshard(8)`` is the upgrade path to a
         sharded deployment.
         """
+        n_shards = check_n_shards(n_shards)
         self.finalize()
-        layout = ShardLayout(n_shards)
         for vr in self.views.values():
-            vr.view.reshard(layout)
-        self.shard_layout = layout
+            vr.view.reshard(n_shards)
+        self.n_shards = n_shards
         # Resharding re-places every row: cached per-shard prefixes no
         # longer describe any shard's content.  The views' epoch
         # bump already fails their validity checks; dropping them here

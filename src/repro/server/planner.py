@@ -19,9 +19,9 @@ wired views does (registration, restore — a restored database is a new
 planner — and, conservatively, reshard: :meth:`DatabasePlanner.
 invalidate`).  The *view* prices are never cached: every call re-reads the
 public sizes the cost formulas need (view lengths and shard counts, the
-accumulator cache's cached-row counts, base-store totals, the scan
-backend) and re-runs the same pricing functions a fresh
-:func:`~repro.query.planner.plan_query` runs, so the chosen view,
+accumulator cache's cached-row counts, base-store totals) and re-runs
+the same pricing functions a fresh :func:`~repro.query.planner.plan_query`
+runs, so the chosen view,
 ``estimated_gates/seconds``, ``warm`` and ``cached_rows`` are always
 those of a fresh plan — an upload re-prices, it does not evict.  The
 one price kept is the NM join's, beside the two base-store row counts
@@ -131,22 +131,18 @@ class DatabasePlanner:
         return structure
 
     def _live_sizes(self, vr: "ViewRuntime", view_query) -> tuple:
-        """``(padded_rows, n_shards, scan_backend, cached_rows)`` of one view now.
+        """``(padded_rows, n_shards, cached_rows)`` of one view now.
 
         The public shard count lets the core planner price the
         parallelism-aware wall-clock estimate
         (:meth:`repro.mpc.cost_model.CostModel.parallel_seconds`); the
-        backend the scan executor resolved is purely informational
-        (simulated seconds are backend-independent); the rows a warm
-        accumulator-cache entry would let the scan skip price warm view
-        scans at their suffix cost.
+        rows a warm accumulator-cache entry would let the scan skip price
+        warm view scans at their suffix cost.
         """
-        db = self._db
-        cache = db.accumulator_cache
+        cache = self._db.accumulator_cache
         return (
             len(vr.view),
             vr.view.n_shards,
-            db.scan_executor.backend_for(vr.view),
             0 if cache is None else cache.cached_rows(vr.view, view_query),
         )
 

@@ -160,11 +160,12 @@ class ServingStats:
     """Wall-clock throughput counters and live gauges of one serving run.
 
     The counters accumulate; the gauges (``queue_depth``,
-    ``queue_capacity``, ``shard_rows``, ``query_epsilon``) mirror the
-    current server state and are refreshed by
-    :meth:`DatabaseServer.current_stats`.  ``to_dict`` is the single
-    observability surface: the network ``stats`` frame and
-    ``BENCH_serving.json`` both report exactly these fields.
+    ``queue_capacity``, ``query_epsilon``, …) mirror the current server
+    state and are refreshed by :meth:`DatabaseServer.current_stats`.
+    ``to_dict`` is the single observability surface: the network
+    ``stats`` frame and ``BENCH_serving.json`` both report exactly these
+    fields, beside what :meth:`DatabaseServer.observability` reads off
+    the database (per-view shard sizes among them).
     """
 
     uploads: int = 0
@@ -185,8 +186,6 @@ class ServingStats:
     queue_depth: int = 0
     #: the backlog's bound (``max_pending`` — backpressure beyond this)
     queue_capacity: int = 0
-    #: per-view shard sizes after the last applied step
-    shard_rows: dict = field(default_factory=dict)
     #: total ε spent by noisy per-query releases so far
     query_epsilon: float = 0.0
     #: fraction of planner calls served from the structural plan cache
@@ -220,9 +219,6 @@ class ServingStats:
             "last_snapshot_kind": self.last_snapshot_kind,
             "queue_depth": self.queue_depth,
             "queue_capacity": self.queue_capacity,
-            "shard_rows": {
-                name: list(rows) for name, rows in self.shard_rows.items()
-            },
             "query_epsilon": self.query_epsilon,
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "incremental_cache": dict(self.incremental_cache),
@@ -709,7 +705,7 @@ class DatabaseServer:
                     f"stream (last applied step is {self._last_time})"
                 )
             self.database.upload(step_time, batches)
-            report = self.database.step(step_time)
+            self.database.step(step_time)
             self._last_time = step_time
             self._steps_since_snapshot += 1
             with self._stats_lock:
@@ -724,7 +720,6 @@ class DatabaseServer:
         ):
             self._snapshot_locked()
         with self._stats_lock:
-            self.stats.shard_rows = report.shard_rows  # pending is never empty
             self.stats.ingest_seconds += _time.perf_counter() - t0
 
     def _require_running(self) -> None:
@@ -791,8 +786,6 @@ class DatabaseServer:
         with self._stats_lock:
             self.stats.queries += 1
             self.stats.query_seconds += _time.perf_counter() - t0
-            if epsilon is not None:
-                self.stats.query_epsilon = self.database.query_epsilon()
         return result
 
     def _runs_in_bounded_time(self, plan: QueryPlan) -> bool:
@@ -805,10 +798,13 @@ class DatabaseServer:
         stands.  An NM join (a sort over the whole base tables) and a
         scan placed on worker processes are never bounded.
         """
-        if plan.kind != VIEW_SCAN or plan.scan_backend != "thread":
+        if plan.kind != VIEW_SCAN:
             return False
         view = self.database.views[plan.view_name].view
-        return len(view) - plan.cached_rows < parallel.POOL_MIN_DELTA_ROWS
+        return (
+            self.database.scan_executor.backend_for(view) == "thread"
+            and len(view) - plan.cached_rows < parallel.POOL_MIN_DELTA_ROWS
+        )
 
     def reshard(self, n_shards: int) -> None:
         """Re-partition every view under the write lock.
@@ -838,8 +834,8 @@ class DatabaseServer:
         """The full monitoring surface, as one JSON-shaped dict.
 
         ``ServingStats.to_dict()`` plus the stream watermark, shard
-        count, realized ε, and any deferred ingest failure — exactly
-        what the network ``stats`` frame serves and what
+        count, per-view shard sizes, realized ε, and any deferred ingest
+        failure — exactly what the network ``stats`` frame serves and what
         ``BENCH_serving.json`` records.  Taken under the read lock so
         the gauges describe one consistent step boundary; the ingest
         loop's write lock waits for that, so everything read here is a
@@ -851,6 +847,7 @@ class DatabaseServer:
             payload = self.current_stats().to_dict()
             payload["last_time"] = self._last_time
             payload["n_shards"] = self.database.n_shards
+            payload["shard_rows"] = self._shard_rows()
             payload["realized_epsilon"] = self.database.realized_epsilon()
             error = self._ingest_error
             payload["ingest_error"] = None if error is None else str(error)
@@ -859,6 +856,13 @@ class DatabaseServer:
                     self.database.accountant, self.database.tenant_budgets
                 ).summary()
         return payload
+
+    def _shard_rows(self) -> dict:
+        """Each view's public per-shard sizes, read off the view now."""
+        return {
+            name: list(vr.view.shard_lengths())
+            for name, vr in self.database.views.items()
+        }
 
     # -- persistence --------------------------------------------------------------
     def snapshot(self, path: str | None = None) -> SnapshotInfo:
@@ -877,7 +881,8 @@ class DatabaseServer:
         t0 = _time.perf_counter()
         metadata = dict(self.metadata)
         metadata["last_time"] = self._last_time
-        metadata["stats"] = self.stats.to_dict()
+        metadata["stats"] = self.current_stats().to_dict()
+        metadata["stats"]["shard_rows"] = self._shard_rows()
         # The join mirror is not in the snapshot (a restored database
         # starts cold at zero); neither are the gauges that describe it.
         del metadata["stats"]["logical_mirror"]

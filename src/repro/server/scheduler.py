@@ -19,10 +19,8 @@ each policy resets on its own schedule.
 
 Sharding is transparent to the step loop: Shrink and flush outputs land
 in the view through :meth:`~repro.storage.materialized_view.
-MaterializedView.append`, which scatters each delta round-robin across
-the view's shards by public position — the scheduler only *observes* the
-resulting per-shard sizes (:attr:`DatabaseStepReport.shard_rows`) so
-tests and benchmarks can assert the layout stays balanced.
+MaterializedView.append`, which places each delta round-robin across
+the view's shards by public position; the view alone knows its layout.
 """
 
 from __future__ import annotations
@@ -136,9 +134,6 @@ class DatabaseStepReport:
     transform_seconds: float = 0.0
     shrink_seconds: float = 0.0
     views_updated: int = 0
-    #: public per-shard view sizes after this step (round-robin keeps
-    #: every entry balanced to within one row)
-    shard_rows: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def view(self, name: str) -> StepReport:
         return self.views[name]
@@ -197,7 +192,6 @@ class StepScheduler:
             vr.metrics.view_size_rows.append_row(len(vr.view))
             vr.metrics.view_size_bytes.append_row(vr.view.byte_size)
             vr.metrics.cache_size_rows.append_row(len(vr.cache))
-            report.shard_rows[vr.name] = vr.view.shard_lengths()
             report.views[vr.name] = step
             report.shrink_seconds += step.shrink_seconds
             if step.view_updated:

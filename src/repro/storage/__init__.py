@@ -4,12 +4,10 @@ from .growing_db import GrowingDatabase
 from .materialized_view import MaterializedView
 from .outsourced_table import OutsourcedTable
 from .secure_cache import SecureCache
-from .sharding import ShardLayout
 
 __all__ = [
     "GrowingDatabase",
     "MaterializedView",
     "OutsourcedTable",
     "SecureCache",
-    "ShardLayout",
 ]

@@ -7,15 +7,23 @@ through Shrink (DP-sized), the EP baseline (everything), or a cache
 flush.
 
 The view is the one sharded structure (queries scan it, shard by shard;
-the cache is read whole and is not sharded): rows are placed round-robin
-by global append position over a
-:class:`~repro.storage.sharding.ShardLayout` — a pure function of public
-lengths — and :attr:`MaterializedView.table` always reconstructs the
-exact global append order, so sharding changes *where* shares sit, never
-what any protocol computes.  Everything here is share-local —
-public-index slices and copies on each server's own half — so the view
-adds no leakage beyond the already-public lengths and consumes no
-randomness.
+the cache is read whole and is not sharded), and it alone owns its
+layout: with ``n_shards = k``, global row ``g`` lives in shard ``g mod
+k`` at local offset ``g div k`` — round-robin by append position.  The
+placement is a pure function of public lengths — it consults neither
+keys, nor values, nor reality flags — so the per-shard sizes an
+adversary observes are fully determined by the already-public total
+length, and the sharded deployment's transcript is a deterministic
+post-processing of the unsharded one: every DP guarantee
+(Shrinkwrap-style, attached to released *sizes*, not physical layout)
+carries over unchanged.  :attr:`MaterializedView.table` always
+reconstructs the exact global append order, so sharding changes *where*
+shares sit, never what any protocol computes.  Placement and gather are
+share-local — each server slices and permutes its own half with public
+indices, outside the circuit — so the view adds no leakage beyond the
+public lengths and consumes no randomness: sharded and unsharded
+engines draw identical RNG streams.  ``docs/SHARDING.md`` has the full
+argument.
 
 It is stored the way it is scanned.  Every query is one padded pass that
 reads a few *columns* of every row, so each shard keeps, per server, one
@@ -37,14 +45,42 @@ import itertools
 import numpy as np
 
 from ..common.column_log import Column, ColumnLog
-from ..common.errors import ProtocolError
+from ..common.errors import ConfigurationError, ProtocolError
 from ..common.types import Schema
 from ..mpc.runtime import ProtocolContext
 from ..sharing.shared_value import WORD_BYTES, SharedArray, SharedTable
-from .sharding import SINGLE_SHARD, ShardLayout
 
 #: Process-wide source of :attr:`MaterializedView.container_uid`.
 _CONTAINER_UIDS = itertools.count(1)
+
+
+def check_n_shards(n_shards: int) -> int:
+    """``n_shards`` if it is a usable shard count, else a
+    :class:`~repro.common.errors.ConfigurationError` naming it."""
+    if not isinstance(n_shards, int) or isinstance(n_shards, bool):
+        raise ConfigurationError(f"n_shards must be an int, got {n_shards!r}")
+    if n_shards < 1:
+        raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
+    return n_shards
+
+
+def _round_robin_lengths(total_rows: int, k: int) -> tuple[int, ...]:
+    """Per-shard row counts of ``total_rows`` placed round-robin over
+    ``k`` shards (balanced to within one row)."""
+    return tuple((total_rows - s + k - 1) // k for s in range(k))
+
+
+def _gather(shards: list[SharedTable]) -> SharedTable:
+    """Round-robin shards back in global append order: one batched
+    concatenation per share half, then one public permutation ``take``."""
+    k = len(shards)
+    if k == 1:
+        # One shard *is* the global order: by reference, no copy.
+        return shards[0]
+    lengths = np.array([len(t) for t in shards], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    g = np.arange(int(lengths.sum()), dtype=np.int64)
+    return SharedTable.concat_all(shards).take(offsets[g % k] + g // k)
 
 
 class ColumnShard:
@@ -113,9 +149,9 @@ class ColumnShard:
 class MaterializedView:
     """Append-only secret-shared view instance, stored in column shards."""
 
-    def __init__(self, schema: Schema, layout: ShardLayout | None = None) -> None:
+    def __init__(self, schema: Schema, n_shards: int = 1) -> None:
         self.schema = schema
-        self.layout = layout if layout is not None else SINGLE_SHARD
+        self._n_shards = check_n_shards(n_shards)
         #: The one size kept: round-robin placement makes every other
         #: public size (per-shard rows, ciphertext bytes) a function of it.
         self._total_rows = 0
@@ -141,7 +177,7 @@ class MaterializedView:
 
     @property
     def n_shards(self) -> int:
-        return self.layout.n_shards
+        return self._n_shards
 
     @property
     def byte_size(self) -> int:
@@ -180,20 +216,20 @@ class MaterializedView:
 
     def shard_lengths(self) -> tuple[int, ...]:
         """Public per-shard row counts (balanced to within one row)."""
-        return self.layout.shard_lengths(self._total_rows)
+        return _round_robin_lengths(self._total_rows, self._n_shards)
 
     @property
     def table(self) -> SharedTable:
         """The whole content in exact global append order (share-local).
 
-        Single-shard layouts return the shard by reference (no copy);
-        multi-shard gathers are memoized until the next mutation, so the
+        A single shard is returned by reference (no copy); multi-shard
+        gathers are memoized until the next mutation, so the
         whole-table surfaces (the serial scan oracle, ``real_count``)
         pay the permutation copy once per content change, not once per
         access.
         """
         if self._gathered is None:
-            self._gathered = self.layout.gather(self.shards)
+            self._gathered = _gather(self.shards)
         return self._gathered
 
     @property
@@ -219,7 +255,7 @@ class MaterializedView:
         self._bump_version()
         # Shard s takes every k-th delta row from its first round-robin
         # slot, written directly: no per-shard parts in between.
-        k, start = self.layout.n_shards, self._total_rows
+        k, start = self._n_shards, self._total_rows
         for s, shard in enumerate(self._columns):
             shard.write(delta, slice((s - start) % k, None, k))
         self._faces = None
@@ -235,7 +271,7 @@ class MaterializedView:
     def _reset_storage(self) -> None:
         empty = SharedTable.empty(self.schema)
         self._adopt_columns(
-            [ColumnShard(empty) for _ in range(self.layout.n_shards)]
+            [ColumnShard(empty) for _ in range(self._n_shards)]
         )
 
     def _adopt_columns(self, columns: list[ColumnShard]) -> None:
@@ -248,15 +284,16 @@ class MaterializedView:
         self._bump_version()
         self._append_epoch += 1
 
-    def reshard(self, layout: ShardLayout) -> None:
-        """Re-place the content under a new layout.
+    def reshard(self, n_shards: int) -> None:
+        """Re-place the content over ``n_shards`` shards.
 
         Share-local (gather then round-robin writes with public indices):
         leaks nothing beyond the already-public lengths and changes no
         protocol's inputs or outputs.
         """
+        n_shards = check_n_shards(n_shards)
         gathered = self.table
-        self.layout = layout
+        self._n_shards = n_shards
         self._clear()
         self._append(gathered)
 
@@ -268,20 +305,24 @@ class MaterializedView:
 
     def restore_state(self, state: dict) -> None:
         """Adopt per-shard content (``"shards"``, as :attr:`shards` hands
-        it out) and the public ``"update_count"``."""
+        it out) and the public ``"update_count"``.
+
+        Shards saved under another count are gathered and re-placed over
+        this view's; at any count they must be a round-robin split.
+        """
         shards = list(state["shards"])
         for table in shards:
             self._check_schema(table, "snapshot")
-        total = sum(len(t) for t in shards)
-        if len(shards) == self.layout.n_shards:
-            expected = self.layout.shard_lengths(total)
-            observed = tuple(len(t) for t in shards)
-            if observed != expected:
-                raise ProtocolError(
-                    f"snapshot shard_lengths must be a round-robin split, "
-                    f"got {observed} (expected {expected} for {total} rows "
-                    f"over {self.layout.n_shards} shards)"
-                )
+        observed = tuple(len(t) for t in shards)
+        total = sum(observed)
+        expected = _round_robin_lengths(total, check_n_shards(len(shards)))
+        if observed != expected:
+            raise ProtocolError(
+                f"snapshot shard_lengths must be a round-robin split, "
+                f"got {observed} (expected {expected} for {total} rows "
+                f"over {len(shards)} shards)"
+            )
+        if len(shards) == self._n_shards:
             self._adopt_columns([ColumnShard(t) for t in shards])
             self._total_rows = total
             self._bump_version()
@@ -290,9 +331,7 @@ class MaterializedView:
             # never be merged with suffixes of the new one.
             self._append_epoch += 1
         else:
-            # Shard-count mismatch (state taken under another layout):
-            # re-place it under this one.
-            gathered = ShardLayout(len(shards)).gather(shards)
+            gathered = _gather(shards)
             self._clear()
             self._append(gathered)
         self.update_count = int(state["update_count"])

@@ -31,8 +31,10 @@ ENTRY_POINTS = ("__init__.py", "__main__.py")
 #: The chain-file module, and everything it may import beside the stdlib.
 CHAIN = Path("storage") / "chain.py"
 CHAIN_IMPORTS = ("numpy", "repro.common.errors")
-#: The cache module, which may import nothing else of ``repro.storage``.
+#: The cache and view modules, which may import nothing else of
+#: ``repro.storage``.
 CACHE = Path("storage") / "secure_cache.py"
+VIEW = Path("storage") / "materialized_view.py"
 
 
 def imported_modules(path: Path, root: Path = SRC) -> list[tuple[int, str]]:
@@ -134,17 +136,22 @@ def test_chain_guard_sees_an_import_of_the_server(tmp_path):
     ]
 
 
-def cache_storage_imports(root: Path = SRC) -> list[str]:
-    """Every import of another ``repro.storage`` module by the cache."""
+def storage_imports(path: Path, root: Path = SRC) -> list[str]:
+    """Every import of another ``repro.storage`` module by ``path``."""
     return [
-        f"src/repro/{CACHE}:{line} imports {module}"
-        for line, module in imported_modules(root / CACHE, root)
+        f"src/repro/{path}:{line} imports {module}"
+        for line, module in imported_modules(root / path, root)
         if module == "repro.storage" or module.startswith("repro.storage.")
     ]
 
 
 def test_the_cache_imports_no_other_storage_module():
-    assert cache_storage_imports() == []
+    assert storage_imports(CACHE) == []
+
+
+def test_the_view_imports_no_other_storage_module():
+    """The view owns its layout: no storage module places its rows."""
+    assert storage_imports(VIEW) == []
 
 
 def test_cache_guard_sees_a_storage_import(tmp_path):
@@ -159,7 +166,7 @@ def test_cache_guard_sees_a_storage_import(tmp_path):
         "import repro.storage.chain\n",
         encoding="utf8",
     )
-    assert cache_storage_imports(tmp_path) == [
+    assert storage_imports(CACHE, tmp_path) == [
         "src/repro/storage/secure_cache.py:4 imports repro.storage.sharding",
         "src/repro/storage/secure_cache.py:5 imports repro.storage",
         "src/repro/storage/secure_cache.py:6 imports repro.storage.chain",

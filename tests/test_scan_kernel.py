@@ -44,7 +44,6 @@ from repro.query.executor import clause_mask
 from repro.query.incremental import AccumulatorCache, ShardAccumulator
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.shard_workers import scan_share_suffix
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -463,7 +462,7 @@ def test_sums_wrap_in_the_ring_where_they_can():
     gen = np.random.default_rng(7)
     schema = Schema(("c0", "c1"))
     plan = ViewScanPlan("v", (ScanAggregate("sum", "s", "c1"),))
-    view = MaterializedView(schema, layout=ShardLayout(2))
+    view = MaterializedView(schema, n_shards=2)
     cache, runtime = AccumulatorCache(), MPCRuntime(seed=0)
     near_top = np.uint64((1 << 64) - 5)
     cache.store(  # a prefix of zero rows whose sums sit just under 2^64

@@ -27,7 +27,6 @@ from repro.query.incremental import AccumulatorCache
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.query.shard_workers import shutdown_process_backend
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.materialized_view import MaterializedView
 from test_sharding_equivalence import dashboard_query, make_view_def
@@ -75,7 +74,7 @@ class TestInline:
     def test_only_shards_with_a_suffix_reach_the_kernel(self, kernel_calls):
         gen = np.random.default_rng(0)
         runtime, cache = MPCRuntime(seed=0), AccumulatorCache()
-        view = MaterializedView(VD.view_schema, layout=ShardLayout(4))
+        view = MaterializedView(VD.view_schema, n_shards=4)
         executor = ParallelScanExecutor()
 
         view.append(delta(gen, 63))  # cold: every shard, all of it
@@ -96,7 +95,7 @@ class TestInline:
         """Whatever ``POOL_MIN_DELTA_ROWS`` says: it steers which thread
         a *server* hands the query to, not what the executor does."""
         monkeypatch.setattr(parallel_mod, "POOL_MIN_DELTA_ROWS", threshold)
-        view = MaterializedView(VD.view_schema, layout=ShardLayout(4))
+        view = MaterializedView(VD.view_schema, n_shards=4)
         view.append(delta(np.random.default_rng(2), 40))
         ParallelScanExecutor().execute(MPCRuntime(seed=0), 0, view, PLAN)
         assert {t for t, _ in kernel_calls} == {threading.current_thread()}
@@ -106,7 +105,7 @@ class TestInline:
         """The multi-shard twin of ``TestParallelScanExecutor::
         test_failing_shard_settles_siblings_and_releases_the_slot``."""
         runtime = MPCRuntime(seed=0)
-        view = PoisonedView(VD.view_schema, layout=ShardLayout(3))
+        view = PoisonedView(VD.view_schema, n_shards=3)
         view.append(delta(np.random.default_rng(3), 12))
         with pytest.raises(IndexError):
             ParallelScanExecutor().execute(runtime, 0, view, PLAN)
@@ -133,7 +132,7 @@ def staged_run(n_shards: int, backend: str):
     per-shard accumulators."""
     gen = np.random.default_rng(11)
     runtime, cache = MPCRuntime(seed=0), AccumulatorCache()
-    view = MaterializedView(VD.view_schema, layout=ShardLayout(n_shards))
+    view = MaterializedView(VD.view_schema, n_shards=n_shards)
     executor = ParallelScanExecutor(backend=backend)
     stages = []
     for appended in (37, 5, 0):  # cold, warm-small, warm-zero

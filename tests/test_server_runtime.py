@@ -847,16 +847,27 @@ class TestObservabilitySurface:
         stats = server.current_stats().to_dict()
         assert stats["queue_depth"] == 0
         assert stats["queue_capacity"] == 9
-        assert stats["shard_rows"] == {
-            name: list(vr.view.shard_lengths())
-            for name, vr in server.database.views.items()
-        }
         assert stats["query_epsilon"] == 0.0
         payload = server.observability()
+        assert payload["shard_rows"] == live_shard_rows(server)
         assert payload["last_time"] == 2
         assert payload["n_shards"] == server.database.n_shards
         assert payload["ingest_error"] is None
         assert payload["realized_epsilon"] == server.database.realized_epsilon()
+        server.stop()
+
+    def test_shard_rows_are_the_views_live_layout(self):
+        """Before the first step and after a reshard, the gauge reads
+        each view's layout as it is, not the last step's copy of it."""
+        server = DatabaseServer(build_database()).start()
+        assert server.observability()["shard_rows"] == live_shard_rows(server)
+        server.submit(1, batches_at(1))
+        server.drain()
+        server.reshard(3)
+        payload = server.observability()
+        assert payload["n_shards"] == 3
+        assert payload["shard_rows"] == live_shard_rows(server)
+        assert all(len(rows) == 3 for rows in payload["shard_rows"].values())
         server.stop()
 
     def test_query_epsilon_gauge_tracks_noisy_releases(self):
@@ -866,6 +877,13 @@ class TestObservabilitySurface:
         server.query(count_query(2), epsilon=0.25)
         assert server.current_stats().query_epsilon == pytest.approx(0.25)
         server.stop()
+
+
+def live_shard_rows(server: DatabaseServer) -> dict:
+    return {
+        name: list(vr.view.shard_lengths())
+        for name, vr in server.database.views.items()
+    }
 
 
 def tpcds_deployment(n_steps: int):

@@ -39,7 +39,6 @@ from repro.query.executor import assemble_answer, scan_arguments
 from repro.query.parallel import ParallelScanExecutor
 from repro.query.rewrite import lower_to_view_scan
 from repro.server.database import IncShrinkDatabase, ViewRegistration
-from repro.storage.sharding import SINGLE_SHARD, ShardLayout
 from repro.sharing.shared_value import SharedArray, SharedTable
 from repro.storage.materialized_view import MaterializedView
 
@@ -49,19 +48,22 @@ PROBE_SCHEMA = Schema(("key", "ots"))
 DRIVER_SCHEMA = Schema(("key", "sts"))
 
 
-# -- layout arithmetic ---------------------------------------------------------
-class TestShardLayout:
+# -- the view's layout ---------------------------------------------------------
+class TestViewLayout:
     def test_validation_names_field_and_value(self):
+        schema = Schema(("c0", "c1", "c2"))
         with pytest.raises(ConfigurationError, match="n_shards must be >= 1, got 0"):
-            ShardLayout(0)
+            MaterializedView(schema, n_shards=0)
         with pytest.raises(ConfigurationError, match="n_shards must be an int"):
-            ShardLayout(2.5)
+            MaterializedView(schema, n_shards=2.5)
         with pytest.raises(ConfigurationError, match="got -3"):
-            ShardLayout(-3)
+            MaterializedView(schema, n_shards=-3)
+        with pytest.raises(ConfigurationError, match="n_shards must be an int"):
+            MaterializedView(schema).reshard(True)
 
     def test_single_row_appends_land_round_robin(self):
         gen = np.random.default_rng(5)
-        view = MaterializedView(Schema(("c0", "c1", "c2")), layout=ShardLayout(3))
+        view = MaterializedView(Schema(("c0", "c1", "c2")), n_shards=3)
         landed = []
         for _ in range(7):
             before = [len(t) for t in view.shards]
@@ -78,13 +80,16 @@ class TestShardLayout:
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("total", [0, 1, 7, 8, 23])
     def test_shard_lengths_balanced_and_complete(self, k, total):
-        lengths = ShardLayout(k).shard_lengths(total)
+        view = MaterializedView(Schema(("c0", "c1", "c2")), n_shards=k)
+        view.append(random_table(np.random.default_rng(total), total))
+        lengths = view.shard_lengths()
+        assert lengths == tuple(len(t) for t in view.shards)
         assert sum(lengths) == total
         assert max(lengths) - min(lengths) <= 1
 
     def test_appends_continue_the_sequence(self):
         gen = np.random.default_rng(6)
-        view = MaterializedView(Schema(("c0", "c1", "c2")), layout=ShardLayout(2))
+        view = MaterializedView(Schema(("c0", "c1", "c2")), n_shards=2)
         first = random_table(gen, 3)  # globals 0,1,2
         second = random_table(gen, 3)  # globals 3,4,5
         view.append(first)
@@ -96,9 +101,25 @@ class TestShardLayout:
         for shard, rows in zip(view.shards, expected):
             np.testing.assert_array_equal(shard.rows.share0, rows)
 
-    def test_gather_order_rejects_invalid_split(self):
+    @pytest.mark.parametrize("restored_shards", [2, 3])
+    def test_restore_refuses_a_split_that_is_not_round_robin(self, restored_shards):
+        """At the saved count and at another: 0 + 5 rows over two shards
+        is no round-robin split, and the view is left as it was."""
+        gen = np.random.default_rng(8)
+        view = MaterializedView(Schema(("c0", "c1", "c2")), n_shards=restored_shards)
+        original = random_table(gen, 4)
+        view.append(original)
+        lengths = view.shard_lengths()
+        state = {
+            "shards": [random_table(gen, 0), random_table(gen, 5)],
+            "update_count": 7,
+        }
         with pytest.raises(ProtocolError, match="round-robin split"):
-            ShardLayout(2).gather_order([0, 5])
+            view.restore_state(state)
+        assert view.shard_lengths() == lengths and view.update_count == 1
+        np.testing.assert_array_equal(
+            view.table.rows.share0, original.rows.share0
+        )
 
 
 def random_table(gen, n_rows: int, width: int = 3) -> SharedTable:
@@ -114,7 +135,7 @@ class TestPlaceGather:
     def test_round_trip_is_identity_on_both_halves(self, k, seed):
         gen = np.random.default_rng(seed)
         table = random_table(gen, int(gen.integers(0, 40)))
-        view = MaterializedView(table.schema, layout=ShardLayout(k))
+        view = MaterializedView(table.schema, n_shards=k)
         view.append(table)
         back = view.table
         np.testing.assert_array_equal(back.rows.share0, table.rows.share0)
@@ -124,8 +145,7 @@ class TestPlaceGather:
 
     def test_incremental_appends_equal_one_shot(self):
         gen = np.random.default_rng(7)
-        layout = ShardLayout(3)
-        view = MaterializedView(Schema(("c0", "c1", "c2")), layout=layout)
+        view = MaterializedView(Schema(("c0", "c1", "c2")), n_shards=3)
         deltas = [random_table(gen, n) for n in (5, 0, 7, 1)]
         for d in deltas:
             view.append(d)
@@ -133,13 +153,9 @@ class TestPlaceGather:
         np.testing.assert_array_equal(
             view.table.rows.share0, whole.rows.share0
         )
-        assert view.shard_lengths() == layout.shard_lengths(len(whole))
-
-    def test_gather_wrong_shard_count_rejected(self):
-        layout = ShardLayout(2)
-        t = random_table(np.random.default_rng(0), 4)
-        with pytest.raises(ProtocolError, match="shard count 1"):
-            layout.gather([t])
+        one_shot = MaterializedView(whole.schema, n_shards=3)
+        one_shot.append(whole)
+        assert view.shard_lengths() == one_shot.shard_lengths()
 
 
 class TestBatchedConcat:
@@ -199,10 +215,10 @@ def dashboard_query(vd: JoinViewDefinition) -> LogicalQuery:
     )
 
 
-def populated_view(layout: ShardLayout, seed: int = 5) -> MaterializedView:
+def populated_view(n_shards: int, seed: int = 5) -> MaterializedView:
     vd = make_view_def()
     gen = np.random.default_rng(seed)
-    view = MaterializedView(vd.view_schema, layout=layout)
+    view = MaterializedView(vd.view_schema, n_shards=n_shards)
     for n in (9, 4, 13):
         rows = gen.integers(0, 8, size=(n, vd.view_schema.width), dtype=np.uint32)
         flags = gen.integers(0, 2, size=n, dtype=np.uint32)
@@ -229,11 +245,11 @@ class TestParallelScanExecutor:
         plan = lower_to_view_scan(dashboard_query(vd), vd)
 
         serial_runtime = MPCRuntime(seed=0)
-        serial_view = populated_view(SINGLE_SHARD)
+        serial_view = populated_view(1)
         expected, expected_qet = serial_scan(serial_runtime, 1, serial_view, plan)
 
         runtime = MPCRuntime(seed=0)
-        view = populated_view(ShardLayout(k))
+        view = populated_view(k)
         answer, qet = ParallelScanExecutor().execute(runtime, 1, view, plan)
 
         assert answer == expected  # byte-identical cells
@@ -247,14 +263,14 @@ class TestParallelScanExecutor:
         answers = set()
         for k in SHARD_COUNTS:
             runtime = MPCRuntime(seed=0)
-            view = MaterializedView(vd.view_schema, layout=ShardLayout(k))
+            view = MaterializedView(vd.view_schema, n_shards=k)
             answer, _ = ParallelScanExecutor().execute(runtime, 0, view, plan)
             answers.add(answer)
         assert len(answers) == 1
 
     def test_shard_context_errors_name_operation_and_shard(self):
         runtime = MPCRuntime(seed=0)
-        view = populated_view(ShardLayout(3))
+        view = populated_view(3)
         with runtime.parallel_protocol("query", 0, 3) as group:
             leaked = group.contexts[1]
         with pytest.raises(
@@ -283,7 +299,7 @@ class TestParallelScanExecutor:
         vd = make_view_def()
         plan = lower_to_view_scan(dashboard_query(vd), vd)
         runtime = MPCRuntime(seed=0)
-        view = populated_view(ShardLayout(3))
+        view = populated_view(3)
         # One shard hands out too-narrow rows, so its scan raises (the
         # real shards cannot be made to: append checks the schema).
         bad = SharedTable.from_plain(
@@ -400,6 +416,25 @@ def test_reshard_preserves_answers_and_epsilon(n_shards):
     assert db.views["full"].view.n_shards == n_shards
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_a_refused_shard_count_changes_nothing(bad):
+    with pytest.raises(ConfigurationError, match="n_shards must be"):
+        IncShrinkDatabase(n_shards=bad)
+    db, _, _ = run_deployment(3, seed=1)
+    views = {name: vr.view for name, vr in db.views.items()}
+    before = {
+        name: (v.shard_lengths(), v.content_version, v.append_epoch)
+        for name, v in views.items()
+    }
+    with pytest.raises(ConfigurationError, match="n_shards must be"):
+        db.reshard(bad)
+    assert db.n_shards == 3
+    assert {
+        name: (v.shard_lengths(), v.content_version, v.append_epoch)
+        for name, v in views.items()
+    } == before
+
+
 # -- execution backends: process pool ≡ thread pool ---------------------------
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
@@ -459,7 +494,7 @@ class TestBackendSelection:
     def _view_with_rows(self, n_shards: int, n_rows: int) -> MaterializedView:
         vd = make_view_def()
         gen = np.random.default_rng(0)
-        view = MaterializedView(vd.view_schema, layout=ShardLayout(n_shards))
+        view = MaterializedView(vd.view_schema, n_shards=n_shards)
         rows = gen.integers(0, 8, size=(n_rows, vd.view_schema.width)).astype(
             np.uint32
         )

@@ -7,7 +7,6 @@ from repro.common.errors import ProtocolError, SchemaError
 from repro.common.rng import spawn
 from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
-from repro.storage.sharding import ShardLayout
 from repro.sharing.shared_value import SharedTable
 from repro.storage.growing_db import GrowingDatabase
 from repro.storage.materialized_view import MaterializedView
@@ -317,8 +316,7 @@ class TestContainerCounters:
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_exact_after_every_mutation_path(self, n_shards):
         gen = np.random.default_rng(n_shards)
-        layout = ShardLayout(n_shards)
-        view = MaterializedView(SCHEMA, layout=layout)
+        view = MaterializedView(SCHEMA, n_shards=n_shards)
         cache = SecureCache(SCHEMA)
         runtime = MPCRuntime(seed=0)
         version = cache.content_version
@@ -347,17 +345,17 @@ class TestContainerCounters:
         assert cache.content_version > version
 
         for k in (4, 2):
-            view.reshard(ShardLayout(k))
+            view.reshard(k)
             assert_counters_exact(view)
             assert len(view) == 15
 
     @pytest.mark.parametrize("saved_shards, restored_shards", [(3, 3), (3, 2), (1, 4)])
     def test_exact_after_restore_state(self, saved_shards, restored_shards):
         gen = np.random.default_rng(11)
-        saved = MaterializedView(SCHEMA, layout=ShardLayout(saved_shards))
+        saved = MaterializedView(SCHEMA, n_shards=saved_shards)
         for n_rows in (4, 0, 9):
             saved.append(random_delta(gen, n_rows))
-        restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
+        restored = MaterializedView(SCHEMA, n_shards=restored_shards)
         restored.append(random_delta(gen, 5))  # content the restore replaces
         restored.restore_state(view_state(saved))
         assert_counters_exact(restored)
@@ -396,8 +394,7 @@ class TestColumnShards:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
     def test_table_equals_the_gather_of_the_row_major_reference(self, n_shards):
         gen = np.random.default_rng(n_shards)
-        layout = ShardLayout(n_shards)
-        view = MaterializedView(SCHEMA, layout=layout)
+        view = MaterializedView(SCHEMA, n_shards=n_shards)
         deltas = [random_delta(gen, n) for n in (5, 0, 1, 300, 17)]
         for i, delta in enumerate(deltas):
             view.append(delta)
@@ -413,7 +410,7 @@ class TestColumnShards:
         """Appends land past a held face's length; a growth moves the
         shard into fresh buffers and leaves the held ones alone."""
         gen = np.random.default_rng(5)
-        view = MaterializedView(SCHEMA, layout=ShardLayout(n_shards))
+        view = MaterializedView(SCHEMA, n_shards=n_shards)
         view.append(random_delta(gen, 9))
         held = view.shards
         before = [reveal(t) for t in held]
@@ -431,7 +428,7 @@ class TestColumnShards:
             assert (rows[: len(old[0])], flags[: len(old[1])]) == old
 
     def test_shards_are_faces_not_copies(self):
-        view = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        view = MaterializedView(SCHEMA, n_shards=2)
         view.append(random_delta(np.random.default_rng(1), 40))
         first, second = view.shards, view.shards
         for a, b in zip(first, second):
@@ -443,7 +440,7 @@ class TestColumnShards:
 
     def test_version_and_epoch_move_as_documented(self):
         gen = np.random.default_rng(2)
-        view = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        view = MaterializedView(SCHEMA, n_shards=2)
         cache = SecureCache(SCHEMA)
         version, epoch = view.content_version, view.append_epoch
         for n_rows in (3, 0, 4):  # appends: a version each, same epoch
@@ -453,13 +450,13 @@ class TestColumnShards:
             assert view.content_version == version
             assert cache.content_version == version
             assert view.append_epoch == epoch
-        view.reshard(ShardLayout(3))  # clear + re-place
+        view.reshard(3)  # clear + re-place
         assert view.content_version == version + 2
         assert view.append_epoch == epoch + 1
         version, epoch = view.content_version, view.append_epoch
         view.restore_state(view_state(view))  # same shard count
         assert view.content_version > version and view.append_epoch == epoch + 1
-        other = MaterializedView(SCHEMA, layout=ShardLayout(2))
+        other = MaterializedView(SCHEMA, n_shards=2)
         other.append(random_delta(gen, 5))
         epoch = view.append_epoch
         view.restore_state(view_state(other))  # another shard count
@@ -475,10 +472,10 @@ class TestColumnShards:
     ):
         gen = np.random.default_rng(13)
         deltas = [random_delta(gen, n) for n in (4, 7, 2)]
-        saved = MaterializedView(SCHEMA, layout=ShardLayout(saved_shards))
+        saved = MaterializedView(SCHEMA, n_shards=saved_shards)
         for delta in deltas[:2]:
             saved.append(delta)
-        restored = MaterializedView(SCHEMA, layout=ShardLayout(restored_shards))
+        restored = MaterializedView(SCHEMA, n_shards=restored_shards)
         restored.restore_state(view_state(saved))
         restored.append(deltas[2])
         assert_counters_exact(restored)

@@ -88,7 +88,6 @@ LONG_STREAM_STEPS = 3_000
 def _random_view(rows: int, n_shards: int, high: int):
     """A view of ``rows`` random rows (half dummies) in ``n_shards`` shards."""
     from repro.common.types import Schema
-    from repro.storage.sharding import ShardLayout
     from repro.sharing.shared_value import SharedTable
     from repro.storage.materialized_view import MaterializedView
 
@@ -96,7 +95,7 @@ def _random_view(rows: int, n_shards: int, high: int):
     schema = Schema(("a", "b", "c", "d"))
     data = gen.integers(0, high, size=(rows, 4), dtype=np.uint32)
     flags = gen.integers(0, 2, size=rows, dtype=np.uint32)
-    view = MaterializedView(schema, layout=ShardLayout(n_shards))
+    view = MaterializedView(schema, n_shards=n_shards)
     view.append(SharedTable.from_plain(schema, data, flags, gen))
     return view
 
@@ -526,7 +525,6 @@ def _incremental_workload(rows: int):
     from repro.query.incremental import AccumulatorCache
     from repro.query.parallel import ParallelScanExecutor
     from repro.query.rewrite import lower_to_view_scan
-    from repro.storage.sharding import ShardLayout
     from repro.sharing.shared_value import SharedTable
     from repro.storage.materialized_view import MaterializedView
 
@@ -564,7 +562,7 @@ def _incremental_workload(rows: int):
             vd.view_schema, data, flags, spawn(5, "profile", n)
         )
 
-    view = MaterializedView(vd.view_schema, layout=ShardLayout(4))
+    view = MaterializedView(vd.view_schema, n_shards=4)
     view.append(table(rows), count_as_update=False)
     executor = ParallelScanExecutor(backend="thread")
     cache = AccumulatorCache()
