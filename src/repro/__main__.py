@@ -104,8 +104,8 @@ def _add_scan_backend_flag(parser) -> None:
     parser.add_argument(
         "--scan-backend", choices=["auto", "thread", "process"],
         default="auto", dest="scan_backend",
-        help="where view scans run: auto and thread scan in-process, on "
-        "the calling thread; "
+        help="where view scans run: auto and thread scan in-process, "
+        "large scans over the calling thread and a helper thread; "
         "process forces the shared-memory worker pool, which auto never "
         "selects (answers and gate totals are identical either way)",
     )

@@ -32,7 +32,9 @@ from ..sharing.shared_value import SharedTable
 
 #: Rows per block of the scan kernel: 128 KiB per revealed column, so a
 #: block's columns, flags and selections stay cache-resident between the
-#: handful of passes made over them.
+#: handful of passes made over them.  A caller that scans on two threads
+#: at once passes larger blocks (``block_rows``); ``docs/SHARDING.md``
+#: ("Execution backends") says why.
 SCAN_BLOCK_ROWS = 1 << 15
 
 _SCRATCH = threading.local()
@@ -136,20 +138,30 @@ def fold_aggregates(
     return counts, sums
 
 
-def _block_scratch(n_columns: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_scratch(
+    n_columns: int, block_rows: int = SCAN_BLOCK_ROWS
+) -> tuple[np.ndarray, np.ndarray]:
     """This thread's block buffers, reused across blocks, shards, queries.
 
     ``words`` has a row per revealed column, one for the flag words and
     one for a sum's ``payload × selection`` products; ``masks`` holds the
-    live, per-group and clause selections.  Their size depends on
-    :data:`SCAN_BLOCK_ROWS` and the number of columns a plan reads —
+    live, per-group and clause selections.  Their size depends on the
+    largest block and the most columns a plan has read on this thread —
     never on a shard's length — and no two threads share them.
     """
     words = getattr(_SCRATCH, "words", None)
-    if words is None or len(words) < n_columns + 2:
-        words = np.empty((n_columns + 2, SCAN_BLOCK_ROWS), dtype=np.uint32)
+    if (
+        words is None
+        or words.shape[0] < n_columns + 2
+        or words.shape[1] < block_rows
+    ):
+        shape = (
+            max(n_columns + 2, 0 if words is None else words.shape[0]),
+            max(block_rows, 0 if words is None else words.shape[1]),
+        )
+        words = np.empty(shape, dtype=np.uint32)
         _SCRATCH.words = words
-        _SCRATCH.masks = np.empty((3, SCAN_BLOCK_ROWS), dtype=bool)
+        _SCRATCH.masks = np.empty((3, shape[1]), dtype=bool)
     return words, _SCRATCH.masks
 
 
@@ -162,6 +174,7 @@ def oblivious_multi_aggregate(
     group_domain: Sequence[int] | None,
     clause_specs: Sequence[tuple[int, int, int]] = (),
     predicate_words: int = 1,
+    block_rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold counts and column sums over groups in **one** padded scan.
 
@@ -181,9 +194,11 @@ def oblivious_multi_aggregate(
     oblivious group routing; it is made once, over ``len(table)``,
     before any word is recombined.
 
-    The pass itself walks the table in blocks of :data:`SCAN_BLOCK_ROWS`
-    rows.  Per block the protocol scope recombines **only** the clause,
-    sum and group columns and the flag column
+    The pass itself walks the table in blocks of ``block_rows`` rows
+    (:data:`SCAN_BLOCK_ROWS` by default; the answer and the charge do
+    not depend on the size).  Per block
+    the protocol scope recombines **only** the clause, sum and group
+    columns and the flag column
     (:meth:`~repro.mpc.runtime.ProtocolContext.reveal_columns`) into
     per-thread scratch, the selections are evaluated there, and the
     block's counts (in Z) and sums (in Z_{2^64}) are added to the
@@ -219,9 +234,10 @@ def oblivious_multi_aggregate(
         (slot[column], np.uint32(lo), np.uint32(hi))
         for column, lo, hi in clause_specs
     ]
-    words, masks = _block_scratch(len(columns))
-    for start in range(0, n, SCAN_BLOCK_ROWS):
-        m = min(SCAN_BLOCK_ROWS, n - start)
+    block_rows = block_rows or SCAN_BLOCK_ROWS
+    words, masks = _block_scratch(len(columns), block_rows)
+    for start in range(0, n, block_rows):
+        m = min(block_rows, n - start)
         ctx.reveal_columns(table, columns, start, start + m, words)
         live, selected, passed = masks[0, :m], masks[1, :m], masks[2, :m]
         np.not_equal(words[flag_slot, :m], 0, out=live)

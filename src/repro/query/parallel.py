@@ -17,12 +17,14 @@ runs the same kernel and merges the same accumulators:
 
 * **in-process** (``"thread"``, and what ``"auto"`` — the default —
   always resolves to).  Shards with nothing past their watermark are
-  answered without a call; the rest run one after the other on the
-  calling thread.  The kernel walks a shard in cache-sized blocks —
-  dozens of short numpy calls — so two threads scanning two shards
-  mostly hand the interpreter lock back and forth: a thread pool lost
-  to the inline loop at every size measured (131k to 1.6 M rows) and is
-  gone.
+  answered without a call.  When the rest hold fewer than
+  :data:`SPLIT_MIN_DELTA_ROWS` unscanned rows they run one after the
+  other on the calling thread; from that bound on, every other one runs
+  on a lazily started helper thread while the calling thread scans the
+  others, both in blocks of :data:`SPLIT_BLOCK_ROWS` rows, and the
+  helper is joined before the protocol scope closes.  Why the split
+  needs larger blocks, and the sweep that sized both constants, are in
+  ``docs/SHARDING.md`` ("Execution backends").
 * ``"process"`` — a persistent ``spawn`` worker pool over shared-memory
   publications (:mod:`repro.query.shard_workers`); workers return
   partial accumulators plus gate counts, replayed onto the real shard
@@ -66,6 +68,8 @@ arguments.
 from __future__ import annotations
 
 import os
+import threading
+from concurrent import futures
 
 import numpy as np
 
@@ -80,16 +84,14 @@ from .incremental import AccumulatorCache, ScanReport, ShardAccumulator
 #: Executor backends a caller may request.
 SCAN_BACKENDS = ("auto", "thread", "process")
 
-#: The one size threshold: a view scan over fewer unscanned rows than
-#: this — the public delta ``Σ(n_rows − start)`` — is short enough to run
-#: on whatever thread asked for it.  It encodes a *time*, ≈ 1.8 ms of
-#: scan on the calling thread: on the 2-core reference host the blocked
-#: kernel costs 1.9 ns/row for a filtered COUNT and 3.6 ns/row with a SUM
-#: beside it (4 column-major shards), so 524,288 rows.  Its reader is
+#: The one size threshold a server reads: a view scan over fewer
+#: unscanned rows than this — the public delta ``Σ(n_rows − start)`` —
+#: is short enough to run on whatever thread asked for it.  It encodes
+#: a *time*, about 1 ms of scan on the 2-core reference host
+#: (``docs/SHARDING.md``, "Execution backends").  Its reader is
 #: :meth:`repro.server.runtime.DatabaseServer._runs_in_bounded_time` —
 #: which event-loop requests may scan where they were decoded.  (The
-#: name is from when the same bound also moved scans onto a thread pool;
-#: it was 262,144 rows at the 7 ns/row of the row-major kernel.)
+#: name is from when the same bound also moved scans onto a thread pool.)
 POOL_MIN_DELTA_ROWS = 524_288
 
 
@@ -101,12 +103,72 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: A scan whose public delta ``Σ(n_rows − start)`` reaches this many
+#: rows splits its pending shards over two threads: every other one runs
+#: on the scan helper, the rest on the calling thread.  Below it, waking
+#: and joining the helper costs what the second core saves.
+SPLIT_MIN_DELTA_ROWS = 262_144
+
+#: Rows per kernel block on both threads of a split scan.  Larger than
+#: :data:`~repro.oblivious.filter.SCAN_BLOCK_ROWS` so that the numpy
+#: calls of one thread run long enough, between two hand-offs of the
+#: interpreter lock, for the other thread to work beside them.
+SPLIT_BLOCK_ROWS = 1 << 17
+
+_HELPER: futures.ThreadPoolExecutor | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _submit_to_helper(fn, *args) -> futures.Future:
+    """Run ``fn(*args)`` on the scan helper, starting it on first use.
+
+    The helper is one thread, shared by every scan in the process.
+    Submission holds the lock :func:`shutdown_scan_helper` takes, so a
+    scan never submits to a helper that is shutting down — it starts a
+    new one instead.
+    """
+    global _HELPER
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            _HELPER = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="scan-helper"
+            )
+        return _HELPER.submit(fn, *args)
+
+
+def shutdown_scan_helper() -> None:
+    """Join the scan helper's thread (idempotent; scans restart it)."""
+    global _HELPER
+    with _HELPER_LOCK:
+        helper, _HELPER = _HELPER, None
+    if helper is not None:
+        helper.shutdown(wait=True)
+
+
+def _scan_shards(contexts, shards, starts, args, parts, indices) -> None:
+    """Scan ``shards[i]`` past ``starts[i]`` into ``parts[i]`` for each
+    ``i`` of ``indices``, calling the kernel with ``args`` after the
+    context and the table.
+
+    Suffix selection is share-local (a public slice of each half): the
+    kernel reveals and folds O(delta).  Each shard charges its own
+    context and fills its own slot of ``parts``, so two threads may run
+    disjoint ``indices`` at once.
+    """
+    for i in indices:
+        shard = shards[i]
+        suffix = shard.take(slice(starts[i], None)) if starts[i] else shard
+        parts[i] = oblivious_multi_aggregate(contexts[i], suffix, *args)
+
+
 class ParallelScanExecutor:
     """Runs one lowered view-scan plan across shards on a worker backend.
 
     ``backend`` is the executor seam: ``"thread"`` and ``"auto"`` (the
-    default) scan in-process, shard after shard on the calling thread;
-    ``"process"`` forces the persistent shared-memory worker pool of
+    default) scan in-process — shard after shard on the calling thread,
+    or, from :data:`SPLIT_MIN_DELTA_ROWS` unscanned rows on, every other
+    shard on the scan helper thread beside it; ``"process"`` forces the
+    persistent shared-memory worker pool of
     :mod:`repro.query.shard_workers` (:meth:`backend_for`).  Shard scans
     are pure reveal/charge work on disjoint contexts (no RNG, no shared
     mutable state), so every backend preserves the deterministic
@@ -245,15 +307,28 @@ class ParallelScanExecutor:
                 for i, (counts, sums, gates) in zip(pending, results):
                     group.contexts[i].charge_gates(gates)
                     parts[i] = (counts, sums)
+            elif (
+                total_rows - cached_rows < SPLIT_MIN_DELTA_ROWS
+                or len(pending) < 2
+                or usable_cpus() < 2
+            ):
+                _scan_shards(group.contexts, shards, starts, kernel_args, parts, pending)
             else:
-                for i in pending:
-                    # Suffix selection is share-local (a public slice of
-                    # each half): the kernel reveals and folds O(delta).
-                    shard = shards[i]
-                    suffix = shard.take(slice(starts[i], None)) if starts[i] else shard
-                    parts[i] = oblivious_multi_aggregate(
-                        group.contexts[i], suffix, *kernel_args
+                # Every other pending shard goes to the helper.  Its
+                # contexts close with this scope, so it is waited for
+                # before the scope exits, on the error path too.
+                split_args = (*kernel_args, SPLIT_BLOCK_ROWS)
+                helper = _submit_to_helper(
+                    _scan_shards,
+                    group.contexts, shards, starts, split_args, parts, pending[1::2],
+                )
+                try:
+                    _scan_shards(
+                        group.contexts, shards, starts, split_args, parts, pending[::2]
                     )
+                finally:
+                    futures.wait((helper,))
+                helper.result()
             # Per-shard full-prefix accumulators: cached prefix (when
             # warm) plus the suffix just folded.  Counts add in Z, sums
             # add in Z_{2^64} — the same folds the one-pass scan

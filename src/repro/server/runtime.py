@@ -641,9 +641,11 @@ class DatabaseServer:
         self._stopped = True
         # No step is applied and no query runs through this server any
         # more: release the process scan backend's worker pool and
-        # shared-memory publications (idempotent; a later database in the
-        # same interpreter transparently respawns them).
+        # shared-memory publications, and join the scan helper's thread
+        # (idempotent; a later database in the same interpreter
+        # transparently respawns them).
         shutdown_process_backend()
+        parallel.shutdown_scan_helper()
         self._raise_ingest_error()
         if final_snapshot:
             self.snapshot()
@@ -794,7 +796,7 @@ class DatabaseServer:
         The bound is on a public quantity, the rows the scan has not
         folded before: below
         :data:`~repro.query.parallel.POOL_MIN_DELTA_ROWS` of them
-        (≈ 1.8 ms of scan) the caller may as well run it where it
+        (about 1 ms of scan) the caller may as well run it where it
         stands.  An NM join (a sort over the whole base tables) and a
         scan placed on worker processes are never bounded.
         """
@@ -881,11 +883,6 @@ class DatabaseServer:
         t0 = _time.perf_counter()
         metadata = dict(self.metadata)
         metadata["last_time"] = self._last_time
-        metadata["stats"] = self.current_stats().to_dict()
-        metadata["stats"]["shard_rows"] = self._shard_rows()
-        # The join mirror is not in the snapshot (a restored database
-        # starts cold at zero); neither are the gauges that describe it.
-        del metadata["stats"]["logical_mirror"]
         info = snapshot_database(self.database, target, metadata=metadata)
         self._steps_since_snapshot = 0
         with self._stats_lock:
@@ -920,6 +917,7 @@ class DatabaseServer:
             **kwargs,
         )
         server.resume_metadata = dict(restored.metadata)
+        # Checkpoints of earlier builds also carried a "stats" record.
         server.metadata = {
             k: v
             for k, v in restored.metadata.items()

@@ -1,10 +1,10 @@
 """Where a view scan runs is invisible to everything but the clock.
 
 ``backend="auto"`` is the in-process path.  There, shards with nothing
-past their watermark are answered without a kernel call, and the rest
-run one after the other on the calling thread (a thread pool lost to
-that loop at every size measured once the kernel walked shards in
-blocks, and is gone).  These tests pin what is (and is not) handed to
+past their watermark are answered without a kernel call, and below
+``SPLIT_MIN_DELTA_ROWS`` unscanned rows the rest run one after the other
+on the calling thread (larger scans split over a helper thread:
+``tests/test_scan_split.py``).  These tests pin what is (and is not) handed to
 the kernel and on which thread, that worker pools are sized by CPU
 affinity, and that inline, forced ``"process"`` and the 1-shard serial
 run agree on answers, per-shard accumulators,

@@ -343,6 +343,26 @@ class TestSnapshotResume:
             s["last_snapshot_bytes"] for s in seen[1:]
         ) == on_disk
 
+    def test_checkpoints_carry_the_callers_keys_and_no_stats(self, tmp_path):
+        """A checkpoint's metadata is the caller's keys plus the stream
+        position; the serving counters stay with the process."""
+        path = str(tmp_path / "meta.snap")
+        server = DatabaseServer(
+            build_database(), snapshot_path=path, snapshot_every=1
+        ).start()
+        server.metadata["serving_config"] = {"shards": 1}
+        for t in (1, 2):
+            server.submit(t, batches_at(t))
+        server.drain()
+        server.query(count_query(2))
+        server.stop(final_snapshot=True)
+        resumed = DatabaseServer.resume(path)
+        assert resumed.resume_metadata == {
+            "serving_config": {"shards": 1},
+            "last_time": 2,
+        }
+        assert resumed.metadata == {"serving_config": {"shards": 1}}
+
     def test_resume_rejects_stale_steps(self, tmp_path):
         path = str(tmp_path / "stale.snap")
         first = DatabaseServer(build_database(), snapshot_path=path).start()

@@ -5,7 +5,8 @@ Runs the kernels queries and uploads actually spend time in — the padded
 multi-aggregate view scan (:func:`repro.oblivious.filter.
 oblivious_multi_aggregate` over one column-major shard, bare and behind
 a range predicate; and ``cold_scan``, the ``bigview-adhoc`` query: four
-shards through the in-process executor), the
+shards through the in-process executor, plus a sweep of its inline and
+split times over view sizes and scan block sizes), the
 join's oblivious sort on ``(key, side, position)`` keys
 (:func:`repro.oblivious.sort.oblivious_sort`), Transform's ω-truncated
 sort-merge join (:func:`repro.oblivious.sort_merge_join.
@@ -71,6 +72,7 @@ import pstats
 import statistics
 import struct
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -131,12 +133,17 @@ def _range_scan_workload(rows: int):
     return _scan_workload(rows, clause_specs=((1, 2, 5),))
 
 
-def _cold_scan_workload(rows: int):
-    """A ``bigview-adhoc`` query: COUNT + SUM + AVG behind a key range,
-    cold, over ``rows`` rows in four shards, through the executor
-    (no accumulator cache, so every call scans everything).  Watch for
-    anything whose cost follows the shard length outside the kernel's
-    block loop — a copy, a concatenation, a whole-shard reveal."""
+#: View sizes and scan block sizes the ``cold_scan`` sweep crosses; a
+#: block of ``None`` is one block per shard.
+COLD_SCAN_SWEEP_ROWS = (131_072, 262_144, 400_000, 1_200_000, 1_600_000)
+COLD_SCAN_SWEEP_BLOCKS = (1 << 15, 1 << 16, 1 << 17, None)
+COLD_SCAN_SWEEP_REPEATS = 15
+
+
+def _cold_scan_query(rows: int):
+    """A ``bigview-adhoc`` query over ``rows`` rows in four shards: the
+    view, the plan and a runner that scans it cold through the executor
+    (no accumulator cache, so every call scans everything)."""
     from repro.mpc.runtime import MPCRuntime
     from repro.query.ast import ScanAggregate, ScanClause, ViewScanPlan
     from repro.query.parallel import ParallelScanExecutor
@@ -157,6 +164,75 @@ def _cold_scan_workload(rows: int):
     def run() -> None:
         executor.execute_detailed(runtime, 0, view, plan)
 
+    return view, run
+
+
+def _cold_scan_sweep() -> list[dict]:
+    """Median ms of the cold query, inline and split, per view size and
+    block size (``SCAN_BLOCK_ROWS`` for the inline scan,
+    ``SPLIT_BLOCK_ROWS`` for the split one).  Inline and split alternate
+    call by call, so a noisy neighbour lands on both columns alike."""
+    import repro.oblivious.filter as filter_mod
+    import repro.query.parallel as parallel_mod
+
+    saved = (
+        filter_mod.SCAN_BLOCK_ROWS,
+        filter_mod._SCRATCH,
+        parallel_mod.SPLIT_BLOCK_ROWS,
+        parallel_mod.SPLIT_MIN_DELTA_ROWS,
+    )
+    placements = {"inline": 1 << 62, "split": 0}
+    cells = []
+    try:
+        for rows in COLD_SCAN_SWEEP_ROWS:
+            view, run = _cold_scan_query(rows)
+            for block in COLD_SCAN_SWEEP_BLOCKS:
+                block_rows = block or max(view.shard_lengths())
+                filter_mod.SCAN_BLOCK_ROWS = block_rows
+                parallel_mod.SPLIT_BLOCK_ROWS = block_rows
+                # every thread's block scratch is sized by the block
+                filter_mod._SCRATCH = threading.local()
+                timed = {name: [] for name in placements}
+                for _ in range(COLD_SCAN_SWEEP_REPEATS + 1):
+                    for name, bound in placements.items():
+                        parallel_mod.SPLIT_MIN_DELTA_ROWS = bound
+                        t0 = time.perf_counter()
+                        run()
+                        timed[name].append(time.perf_counter() - t0)
+                cells.append(
+                    {
+                        "rows": rows,
+                        "block_rows": block or "shard",
+                        # the first call of each placement sizes its scratch
+                        **{
+                            f"{name}_ms": round(statistics.median(t[1:]) * 1e3, 3)
+                            for name, t in timed.items()
+                        },
+                    }
+                )
+    finally:
+        parallel_mod.shutdown_scan_helper()
+        (
+            filter_mod.SCAN_BLOCK_ROWS,
+            filter_mod._SCRATCH,
+            parallel_mod.SPLIT_BLOCK_ROWS,
+            parallel_mod.SPLIT_MIN_DELTA_ROWS,
+        ) = saved
+    return cells
+
+
+def _cold_scan_workload(rows: int):
+    """A ``bigview-adhoc`` query: COUNT + SUM + AVG behind a key range,
+    cold, over ``rows`` rows in four shards, through the executor as it
+    is configured.  Watch for anything whose cost follows the shard
+    length outside the kernel's block loop — a copy, a concatenation, a
+    whole-shard reveal.  Its report is the placement sweep: inline and
+    split times for every size of :data:`COLD_SCAN_SWEEP_ROWS` and block
+    size of :data:`COLD_SCAN_SWEEP_BLOCKS`, the table
+    ``docs/SHARDING.md`` picks ``SCAN_BLOCK_ROWS``, ``SPLIT_BLOCK_ROWS``
+    and ``SPLIT_MIN_DELTA_ROWS`` from."""
+    _view, run = _cold_scan_query(rows)
+    run.report = {"sweep": _cold_scan_sweep()}
     return run
 
 
@@ -945,6 +1021,11 @@ def main(argv: list[str] | None = None) -> int:
                 for name, x in data["transform_shapes"].items()
             )
             shape = f", {shape}"
+        elif "sweep" in data:
+            shape = ", inline/split ms per (rows, block): " + "; ".join(
+                f"({x['rows']}, {x['block_rows']}) {x['inline_ms']}/{x['split_ms']}"
+                for x in data["sweep"]
+            )
         elif "segments" in data:
             shape = (
                 f", a base and {data['segments']} segments: {data['observations']} "
