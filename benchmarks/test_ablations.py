@@ -7,8 +7,6 @@
    different circuit sizes (Example 5.1 vs Algorithm 4).
 3. Joint vs trusted-curator noise — identical distribution; the joint
    sampler exists for trust reasons, not statistical ones.
-4. Multi-level Transform-and-Shrink — a second (filter) level composes
-   with sequential ε accounting.
 """
 
 import numpy as np
@@ -104,53 +102,3 @@ def test_ablation_noise_source(benchmark):
     )
     for q in quantiles:
         assert np.quantile(local, q) == pytest.approx(np.quantile(joint, q), abs=0.15)
-
-
-def test_ablation_multilevel(benchmark):
-    """Two-level Transform-and-Shrink (join → filter) vs single level."""
-    from repro.core.multilevel import MultiLevelIncShrink
-    from repro.server.database import IncShrinkDatabase, ViewRegistration
-    from repro.workload.tpcds import make_tpcds_workload
-
-    def run():
-        wl = make_tpcds_workload(seed=0, n_steps=60)
-        vd = wl.view_def
-        database = IncShrinkDatabase(total_epsilon=1.0)
-        database.register_view(ViewRegistration(vd, timer_interval=5))
-        ts_col = vd.view_schema.index("d_return_ts")
-        pipeline = MultiLevelIncShrink(
-            database,
-            vd.name,
-            predicate=lambda rows: rows[:, ts_col] % 2 == 0,
-            epsilon_level2=0.5,
-            interval=5,
-        )
-        for step in wl.steps:
-            database.upload(
-                step.time,
-                [(vd.probe_table, step.probe), (vd.driver_table, step.driver)],
-            )
-            pipeline.process_step(step.time)
-        return database, pipeline
-
-    database, pipeline = benchmark.pedantic(run, rounds=1, iterations=1)
-    level1 = pipeline.level1
-    with database.runtime.protocol("audit") as ctx:
-        level1_real = level1.view.real_count(ctx)
-    with database.runtime.protocol("audit2") as ctx:
-        level2_real = pipeline.stage2.view.real_count(ctx)
-    emit(
-        format_table(
-            "Ablation: multi-level Transform-and-Shrink (TPC-ds)",
-            ["level", "view rows", "real rows", "epsilon"],
-            [
-                ["join (L1)", len(level1.view), level1_real, level1.epsilon],
-                ["filter (L2)", len(pipeline.stage2.view), level2_real,
-                 pipeline.stage2.shrink.epsilon],
-            ],
-        )
-    )
-    # The filter level holds a subset of the join level's real rows.
-    assert level2_real <= level1_real
-    # Sequential composition across the levels.
-    assert pipeline.total_epsilon() == pytest.approx(1.5)

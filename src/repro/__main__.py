@@ -121,6 +121,43 @@ def _add_incremental_flag(parser) -> None:
     )
 
 
+#: The ``MultiViewRunConfig`` fields the deployment flags set, each under
+#: its own name as the flag's ``dest``.
+_DEPLOYMENT_FIELDS = (
+    "dataset", "n_steps", "seed", "total_epsilon", "query_every", "n_shards",
+    "scan_backend", "incremental",
+)
+
+
+def _add_deployment_flags(parser, steps: int) -> None:
+    """The flags of the deployment `multiview` and `serve` build."""
+    parser.add_argument("--dataset", choices=["tpcds", "cpdb"], default="tpcds")
+    parser.add_argument(
+        "--epsilon", type=float, default=3.0, dest="total_epsilon",
+        metavar="EPSILON", help="total DB budget",
+    )
+    parser.add_argument("--steps", type=int, default=steps, dest="n_steps", metavar="STEPS")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--query-every", type=int, default=4)
+    parser.add_argument(
+        "--shards", type=int, default=1, dest="n_shards", metavar="SHARDS",
+        help="round-robin shard count for every view (parallel scans)",
+    )
+    _add_scan_backend_flag(parser)
+    _add_incremental_flag(parser)
+
+
+def _deployment_config(args) -> MultiViewRunConfig:
+    """The deployment the command's flags describe.
+
+    A field whose flag the command does not declare, or leaves unset
+    (``query --shards`` is ``None`` unless given), keeps the config's
+    default.
+    """
+    given = {f: getattr(args, f, None) for f in _DEPLOYMENT_FIELDS}
+    return MultiViewRunConfig(**{f: v for f, v in given.items() if v is not None})
+
+
 def _check_snapshot_target(path: str) -> None:
     """The snapshot's directory must exist *before* hours of serving."""
     parent = Path(path).resolve().parent
@@ -180,33 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "multiview",
         help="run one multi-view database with planner-routed queries",
     )
-    mv.add_argument("--dataset", choices=["tpcds", "cpdb"], default="tpcds")
-    mv.add_argument("--epsilon", type=float, default=3.0, help="total DB budget")
-    mv.add_argument("--steps", type=int, default=96)
-    mv.add_argument("--seed", type=int, default=0)
-    mv.add_argument("--query-every", type=int, default=4)
-    mv.add_argument(
-        "--shards", type=int, default=1,
-        help="round-robin shard count for every view (parallel scans)",
-    )
-    _add_scan_backend_flag(mv)
-    _add_incremental_flag(mv)
+    _add_deployment_flags(mv, steps=96)
 
     serve = sub.add_parser(
         "serve",
         help="run the concurrent serving runtime and snapshot its state",
     )
-    serve.add_argument("--dataset", choices=["tpcds", "cpdb"], default="tpcds")
-    serve.add_argument("--epsilon", type=float, default=3.0, help="total DB budget")
-    serve.add_argument("--steps", type=int, default=48)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--query-every", type=int, default=4)
-    serve.add_argument(
-        "--shards", type=int, default=1,
-        help="round-robin shard count for every view (parallel scans)",
-    )
-    _add_scan_backend_flag(serve)
-    _add_incremental_flag(serve)
+    _add_deployment_flags(serve, steps=48)
     serve.add_argument("--clients", type=int, default=2, help="read sessions")
     serve.add_argument(
         "--snapshot", default=None,
@@ -282,10 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restore this snapshot instead of building a live deployment",
     )
     qp.add_argument("--dataset", choices=["tpcds", "cpdb"], default="tpcds")
-    qp.add_argument("--steps", type=int, default=24, help="live-build stream length")
+    qp.add_argument(
+        "--steps", type=int, default=24, dest="n_steps", metavar="STEPS",
+        help="live-build stream length",
+    )
     qp.add_argument("--seed", type=int, default=0)
     qp.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=None, dest="n_shards", metavar="SHARDS",
         help="shard count: live builds use it directly; a restored "
         "snapshot is resharded in place when it differs",
     )
@@ -512,16 +532,7 @@ def _cmd_serve(args) -> None:
         ):
             if value is not None:
                 raise SystemExit(f"{flag} requires --listen")
-    config = MultiViewRunConfig(
-        dataset=args.dataset,
-        n_steps=args.steps,
-        seed=args.seed,
-        total_epsilon=args.epsilon,
-        query_every=args.query_every,
-        n_shards=args.shards,
-        scan_backend=args.scan_backend,
-        incremental=args.incremental,
-    )
+    config = _deployment_config(args)
     deployment = build_multiview_deployment(config)
     server = DatabaseServer(
         deployment.database,
@@ -760,6 +771,15 @@ def _query_from_json(spec_text: str) -> tuple[list, object, object, str | None]:
     return aggregates, group_by, predicate, spec.get("view")
 
 
+def _query_parts(args) -> tuple[list, object, object, str | None]:
+    """(aggregates, group_by, predicate, view) from ``--json`` if given,
+    else from the query flags; ``--view`` overrides the spec's view."""
+    if args.json_spec is not None:
+        aggregates, group_by, predicate, json_view = _query_from_json(args.json_spec)
+        return aggregates, group_by, predicate, args.view or json_view
+    return (*_query_from_flags(args), args.view)
+
+
 def _print_plan_line(
     kind: str,
     view_name: str | None,
@@ -818,12 +838,7 @@ def _format_answer_table(result) -> str:
 
 
 def _cmd_query(args) -> None:
-    if args.json_spec is not None:
-        aggregates, group_by, predicate, json_view = _query_from_json(args.json_spec)
-        view_name = args.view or json_view
-    else:
-        aggregates, group_by, predicate = _query_from_flags(args)
-        view_name = args.view
+    aggregates, group_by, predicate, view_name = _query_parts(args)
     if not aggregates:
         aggregates = [AggregateSpec.count()]
     if args.epsilon is not None and args.epsilon <= 0:
@@ -834,9 +849,9 @@ def _cmd_query(args) -> None:
     if args.snapshot is not None:
         restored = _restore_or_exit(args.snapshot)
         db = restored.database
-        if args.shards is not None and args.shards != db.n_shards:
+        if args.n_shards is not None and args.n_shards != db.n_shards:
             # Share-local re-partition: answers, gates, and ε unchanged.
-            db.reshard(args.shards)
+            db.reshard(args.n_shards)
         if args.scan_backend != "auto":
             db.set_scan_backend(args.scan_backend)
         if not args.incremental:
@@ -850,22 +865,13 @@ def _cmd_query(args) -> None:
         if info.discarded_bytes:
             source += f", {info.discarded_bytes} torn bytes past the last commit left"
     else:
-        config = MultiViewRunConfig(
-            dataset=args.dataset,
-            n_steps=args.steps,
-            seed=args.seed,
-            # None (flag absent) defaults to one shard.
-            n_shards=1 if args.shards is None else args.shards,
-            scan_backend=args.scan_backend,
-            incremental=args.incremental,
-        )
-        deployment = build_multiview_deployment(config)
+        deployment = build_multiview_deployment(_deployment_config(args))
         db = deployment.database
         for step in deployment.workload.steps:
             db.upload(step.time, deployment.upload_items(step))
             db.step(step.time)
         time_at = deployment.workload.steps[-1].time
-        source = f"live build: {args.dataset}, {args.steps} steps"
+        source = f"live build: {args.dataset}, {args.n_steps} steps"
 
     registrations = {r.view_def.name: r.view_def for r in db.registrations}
     if view_name is None:
@@ -921,12 +927,7 @@ def _cmd_client(args) -> None:
         raise SystemExit(f"--reshard must be >= 1, got {args.reshard}")
     if args.epsilon is not None and args.epsilon <= 0:
         raise SystemExit(f"--epsilon must be positive, got {args.epsilon}")
-    if args.json_spec is not None:
-        aggregates, group_by, predicate, json_view = _query_from_json(args.json_spec)
-        view_name = args.view or json_view
-    else:
-        aggregates, group_by, predicate = _query_from_flags(args)
-        view_name = args.view
+    aggregates, group_by, predicate, view_name = _query_parts(args)
     wants_query = bool(aggregates or group_by or predicate)
 
     if (args.tenant is None) != (args.token is None):
@@ -1032,19 +1033,7 @@ def _run(args) -> None:
         run_fn, format_fn = _BOTH_DATASET_EXPERIMENTS[args.command]
         print(format_fn(args.dataset, run_fn(args.dataset, n_steps=args.steps)))
     elif args.command == "multiview":
-        result = run_multiview_experiment(
-            MultiViewRunConfig(
-                dataset=args.dataset,
-                n_steps=args.steps,
-                seed=args.seed,
-                total_epsilon=args.epsilon,
-                query_every=args.query_every,
-                n_shards=args.shards,
-                scan_backend=args.scan_backend,
-                incremental=args.incremental,
-            )
-        )
-        print(_format_multiview(result))
+        print(_format_multiview(run_multiview_experiment(_deployment_config(args))))
     elif args.command == "serve":
         _cmd_serve(args)
     elif args.command == "resume":

@@ -17,8 +17,8 @@ from .metrics import (
     l1_error,
     relative_error,
 )
-from .rng import RING_BITS, RING_MOD, msb, random_ring_elements, spawn, uniform_unit_from_u32
-from .types import DUMMY_VALUE, RecordBatch, Schema, as_rows, multiset, rows_to_tuples
+from .rng import RING_BITS, RING_MOD, random_ring_elements, spawn
+from .types import DUMMY_VALUE, RecordBatch, Schema, as_rows
 
 __all__ = [
     "ConfigurationError",
@@ -36,14 +36,10 @@ __all__ = [
     "relative_error",
     "RING_BITS",
     "RING_MOD",
-    "msb",
     "random_ring_elements",
     "spawn",
-    "uniform_unit_from_u32",
     "DUMMY_VALUE",
     "RecordBatch",
     "Schema",
     "as_rows",
-    "multiset",
-    "rows_to_tuples",
 ]

@@ -119,21 +119,3 @@ class RingWordStream:
         self._has_half = bool(value["has_uint32"])
         self._half = int(value["uinteger"])
         self.gen.bit_generator.state = {**value, "has_uint32": 0, "uinteger": 0}
-
-
-def uniform_unit_from_u32(z: np.ndarray | int) -> np.ndarray | float:
-    """Map 32-bit integers to the open unit interval (0, 1).
-
-    This is the fixed-point conversion used by the joint noise protocol
-    (Algorithm 2, line 5): ``r = (z + 0.5) / 2^32`` is never exactly 0 or
-    1, so ``log(r)`` is always finite.
-    """
-    return (np.asarray(z, dtype=np.float64) + 0.5) / RING_MOD
-
-
-def msb(z: np.ndarray | int) -> np.ndarray | int:
-    """Most-significant bit of a 32-bit value (0 or 1).
-
-    Used as the sign bit when converting a uniform seed to Laplace noise.
-    """
-    return (np.asarray(z, dtype=np.uint64) >> np.uint64(RING_BITS - 1)) & np.uint64(1)

@@ -15,7 +15,7 @@ Everything the servers hold is secret-shared (see :mod:`repro.sharing`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class Schema:
             return self.fields.index(name)
         except ValueError:
             raise SchemaError(f"no field {name!r} in schema {self.fields!r}") from None
-
-    def has(self, name: str) -> bool:
-        return name in self.fields
 
     def concat(self, other: "Schema", prefix_self: str = "", prefix_other: str = "") -> "Schema":
         """Schema of a join output: this schema's fields then ``other``'s.
@@ -164,16 +161,3 @@ class RecordBatch:
         rows = np.vstack([b.rows for b in batches])
         flags = np.concatenate([b.is_real for b in batches])
         return cls(schema, rows, flags)
-
-
-def rows_to_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """Convert a row array to hashable tuples (useful for set comparisons)."""
-    return [tuple(int(v) for v in r) for r in rows]
-
-
-def multiset(rows: np.ndarray) -> Mapping[tuple[int, ...], int]:
-    """Multiset view of a row array, for order-insensitive equality checks."""
-    out: dict[tuple[int, ...], int] = {}
-    for t in rows_to_tuples(rows):
-        out[t] = out.get(t, 0) + 1
-    return out

@@ -10,7 +10,6 @@ from .dpsync import (
     SyncingOwner,
 )
 from .flush import CacheFlusher, FlushReport
-from .multilevel import MultiLevelIncShrink, SelectionStage, plan_two_level_budget
 from .shrink_ant import SDPANT
 from .shrink_timer import SDPTimer, ShrinkReport
 from .transform import TransformProtocol, TransformReport
@@ -27,9 +26,6 @@ __all__ = [
     "SyncingOwner",
     "CacheFlusher",
     "FlushReport",
-    "MultiLevelIncShrink",
-    "SelectionStage",
-    "plan_two_level_budget",
     "SDPANT",
     "SDPTimer",
     "ShrinkReport",

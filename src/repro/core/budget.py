@@ -335,10 +335,6 @@ class ContributionLedger:
         return None
 
     # -- accounting exports --------------------------------------------------
-    def max_lifetime_emissions(self) -> int:
-        """Largest realised lifetime contribution of any record."""
-        return max((int(self._budget(t).emitted.max(initial=0)) for t in self._logs), default=0)
-
     def theorem3_contributions(
         self, per_release_epsilon: float
     ) -> dict[tuple[str, int, int], list[tuple[float, float]]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.errors import ConfigurationError, SchemaError
+from ..common.errors import ConfigurationError
 from ..common.types import Schema
 
 
@@ -69,17 +69,6 @@ class JoinViewDefinition:
         return self.probe_schema.concat(
             self.driver_schema, prefix_self="p_", prefix_other="d_"
         )
-
-    @property
-    def window_invocations(self) -> int:
-        """How many Transform invocations a probe record participates in.
-
-        Budget ``b`` drains by ``ω`` per invocation, so this is ``b // ω``
-        — the paper's parameter choices make it match the temporal window
-        (e.g. TPC-ds: b=10, ω=1 → a sale stays joinable for 10 daily
-        uploads, exactly the 10-day return window of Q1).
-        """
-        return self.budget // self.omega
 
     @property
     def probe_key_col(self) -> int:
@@ -149,29 +138,17 @@ class JoinViewDefinition:
             self.window_hi,
         )
 
-    def joined_column(self, table: str, column: str) -> int:
-        """Index of logical ``table.column`` in a joined (view-schema) row."""
-        if table == self.probe_table:
-            return self.probe_schema.index(column)
-        if table == self.driver_table:
-            return self.probe_schema.width + self.driver_schema.index(column)
-        raise SchemaError(
-            f"sum_table {table!r} is neither side of the join "
-            f"({self.probe_table} ⋈ {self.driver_table})"
-        )
-
     def logical_join_rows(
         self, probe_rows: np.ndarray, driver_rows: np.ndarray
     ) -> np.ndarray:
         """All qualifying joined rows in plaintext, truncation-free.
 
         The one plaintext join kernel: the ground truth the L1 error is
-        measured against (:meth:`logical_join_count` and
-        :meth:`logical_join_sum` fold it) and the delta join of the
-        owners' mirror.  Probe keys are sorted once and every driver key
-        ``searchsorted`` into them, so all equal-key candidate pairs come
-        out of array arithmetic; :meth:`pair_predicate_batch` then applies
-        the window.  Rows are driver-major, probes in input order within
+        measured against (:meth:`logical_join_count` folds it) and the
+        delta join of the owners' mirror.  Probe keys are sorted once and
+        every driver key ``searchsorted`` into them, so all equal-key
+        candidate pairs come out of array arithmetic;
+        :meth:`pair_predicate_batch` then applies the window.  Rows are driver-major, probes in input order within
         one driver row.
         """
         if len(probe_rows) == 0 or len(driver_rows) == 0:
@@ -197,25 +174,3 @@ class JoinViewDefinition:
     ) -> int:
         """Exact, truncation-free count of qualifying pairs (ground truth)."""
         return len(self.logical_join_rows(probe_rows, driver_rows))
-
-    def logical_join_sum(
-        self,
-        probe_rows: np.ndarray,
-        driver_rows: np.ndarray,
-        sum_table: str,
-        sum_column: str,
-    ) -> int:
-        """Exact, truncation-free SUM of one column over qualifying pairs.
-
-        ``sum_table`` names which side the column lives on; the ground
-        truth a SUM :class:`~repro.query.ast.LogicalQuery` is scored against.
-        """
-        column = self.joined_column(sum_table, sum_column)
-        return sum_column_exact(
-            self.logical_join_rows(probe_rows, driver_rows), column
-        )
-
-
-def sum_column_exact(rows: np.ndarray, column: int) -> int:
-    """Sum of one uint32 column as a Python ``int`` (no 32-bit wrap-around)."""
-    return int(rows[:, column].sum(dtype=np.uint64))

@@ -32,7 +32,7 @@ from .laplace import (
     laplace_sum_high_probability_bound,
     laplace_sum_tail_bound,
 )
-from .svt import LocalNoiseSource, NumericAboveNoisyThreshold, RepeatingNANT
+from .svt import LocalNoiseSource, NumericAboveNoisyThreshold
 
 __all__ = [
     "MechanismEvent",
@@ -61,5 +61,4 @@ __all__ = [
     "laplace_sum_tail_bound",
     "LocalNoiseSource",
     "NumericAboveNoisyThreshold",
-    "RepeatingNANT",
 ]

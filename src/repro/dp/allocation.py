@@ -1,9 +1,10 @@
 """Operator-level privacy budget allocation (Section 8 / Appendix D.2).
 
-For multi-level "Transform-and-Shrink" plans, each operator carries its
-own IncShrink instance and thus its own slice ε_i of the total privacy
-budget.  A smaller ε_i means more dummy rows flow out of operator i into
-operator i+1's input, reducing its *efficiency*:
+Each DP view of a database is an operator with its own IncShrink
+instance and thus its own slice ε_i of the total privacy budget
+(:meth:`repro.server.database.IncShrinkDatabase.finalize`).  A smaller
+ε_i means more dummy rows in operator i's output, reducing its
+*efficiency*:
 
 * Filter:  ``E = 1 - Y₁(ε₁)/n₁``                      (Definition 6)
 * Join:    ``E = 1 - (Y₁(ε₁)+Y₂(ε₂))/(n₁+n₂)``        (Definition 7)
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isfinite, sqrt
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..common.errors import ConfigurationError
 
@@ -154,46 +155,6 @@ def split_query_epsilon(
     weights = [s ** (2.0 / 3.0) for s in sensitivities]
     total_weight = sum(weights)
     return tuple(total_epsilon * w / total_weight for w in weights)
-
-
-def allocate_tenant_budgets(
-    total_epsilon: float, weights: "Mapping[str, float] | Sequence[str]"
-) -> dict[str, float]:
-    """Split a deployment's analyst ε across tenant ledgers.
-
-    ``weights`` is either a mapping ``tenant -> relative share`` or a
-    plain sequence of tenant ids (uniform split).  The returned budgets
-    sum to ``total_epsilon`` exactly up to float rounding — the same
-    proportional-split discipline :func:`split_query_epsilon` applies
-    within one query, lifted to the tenant level: each tenant's ledger
-    cap is an *upper bound* its per-query spends are checked against,
-    so the sum of ledger caps bounds the deployment's total query-ε.
-
-    >>> allocate_tenant_budgets(3.0, ["a", "b", "c"])
-    {'a': 1.0, 'b': 1.0, 'c': 1.0}
-    >>> allocate_tenant_budgets(3.0, {"a": 2.0, "b": 1.0})
-    {'a': 2.0, 'b': 1.0}
-    """
-    if total_epsilon <= 0:
-        raise ConfigurationError(
-            f"total epsilon must be positive, got {total_epsilon}"
-        )
-    if isinstance(weights, Mapping):
-        shares = dict(weights)
-    else:
-        shares = {str(t): 1.0 for t in weights}
-    if not shares:
-        raise ConfigurationError("at least one tenant is required")
-    for tenant, share in shares.items():
-        if not share > 0:
-            raise ConfigurationError(
-                f"tenant {tenant!r}: weight must be positive, got {share!r}"
-            )
-    total_weight = sum(shares.values())
-    return {
-        tenant: total_epsilon * share / total_weight
-        for tenant, share in shares.items()
-    }
 
 
 def view_operator_spec(

@@ -1,10 +1,14 @@
-"""Numeric Above Noisy Threshold — the sparse-vector core of sDPANT.
+"""Numeric Above Noisy Threshold in plaintext — the sparse vector technique.
 
 Algorithm 5 of the paper (restated): split ε into ε₁ = ε₂ = ε/2; perturb
 the threshold once with Laplace noise; each step perturb the running
 count and compare against the noisy threshold; on the first crossing,
-release the count with fresh Laplace noise and stop.  sDPANT re-arms a
-fresh instance after every release, which :class:`RepeatingNANT` models.
+release the count with fresh Laplace noise and stop.
+
+This is the trusted-curator SVT: :class:`~repro.core.dpsync.DPAboveThresholdOwnerSync`
+re-arms it after every release, and the statistical tests check it.
+sDPANT (:mod:`repro.core.shrink_ant`) runs the same steps inside MPC on
+joint noise and does not use this module.
 
 The noise scales follow Algorithm 3's ``JointNoise`` calls (the executable
 protocol): threshold noise ``Lap(2Δ/ε₁)``, per-step comparison noise
@@ -12,9 +16,9 @@ protocol): threshold noise ``Lap(2Δ/ε₁)``, per-step comparison noise
 uses ``2Δ/ε₂`` for the release; we follow the protocol pseudocode and note
 the discrepancy here.)
 
-The mechanism is noise-source agnostic: inside MPC the caller supplies
-the joint sampler; tests supply a local generator.  Both expose a single
-``laplace(scale) -> float`` method.
+The mechanism is noise-source agnostic: anything exposing
+``laplace(scale) -> float`` (:class:`LocalNoiseSource` wraps a numpy
+generator).
 """
 
 from __future__ import annotations
@@ -94,43 +98,3 @@ class NumericAboveNoisyThreshold:
             self.halted = True
             return count + self._noise.laplace(self.sensitivity / self.eps2)
         return None
-
-
-class RepeatingNANT:
-    """SVT re-armed after every release, as sDPANT uses it.
-
-    Each inner instance answers over the *disjoint* stream segment since
-    the previous release, so by the parallel-composition argument in the
-    proof of Theorem 8 the whole repeating mechanism still satisfies the
-    per-instance ε (w.r.t. the transformed data).
-    """
-
-    def __init__(
-        self,
-        epsilon: float,
-        sensitivity: float,
-        threshold: float,
-        noise: NoiseSource,
-    ) -> None:
-        self.epsilon = epsilon
-        self.sensitivity = sensitivity
-        self.threshold = threshold
-        self._noise = noise
-        self.releases: list[float] = []
-        self._instance = NumericAboveNoisyThreshold(
-            epsilon, sensitivity, threshold, noise
-        )
-
-    @property
-    def noisy_threshold(self) -> float:
-        return self._instance.noisy_threshold
-
-    def observe(self, count: float) -> float | None:
-        """Feed the count since the last release; re-arm on trigger."""
-        released = self._instance.observe(count)
-        if released is not None:
-            self.releases.append(released)
-            self._instance = NumericAboveNoisyThreshold(
-                self.epsilon, self.sensitivity, self.threshold, self._noise
-            )
-        return released

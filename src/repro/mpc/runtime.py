@@ -489,10 +489,3 @@ class MPCRuntime:
         """
         mask = self.owner_words.draw(np.size(rows) + np.size(flags))
         return SharedTable.from_mask(schema, rows, flags, mask)
-
-    # -- introspection ------------------------------------------------------
-    def seconds_of(self, protocol_name: str) -> list[float]:
-        return [r.seconds for r in self.runs if r.name == protocol_name]
-
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.runs)

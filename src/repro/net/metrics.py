@@ -25,6 +25,7 @@ but still name your tenants.
 
 from __future__ import annotations
 
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -65,13 +66,18 @@ def _escape_label(value: object) -> str:
 
 
 def _number(value: object) -> str:
-    """One sample value in exposition syntax (bools are 0/1)."""
+    """One sample value in exposition syntax (bools are 0/1, and an
+    uncapped ε budget is ``+Inf``)."""
     if isinstance(value, bool):
         return "1" if value else "0"
     try:
         f = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         return "0"
+    if math.isnan(f):
+        return "NaN"
+    if math.isinf(f):
+        return "+Inf" if f > 0 else "-Inf"
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)

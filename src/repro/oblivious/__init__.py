@@ -1,9 +1,8 @@
-"""Data-oblivious operators: sorting network, selection, truncated joins."""
+"""Data-oblivious operators: sorting network, padded scans, truncated joins."""
 
-from .filter import oblivious_multi_aggregate, oblivious_select
+from .filter import oblivious_multi_aggregate
 from .join_common import JoinResult, match_pairs_truncated
 from .nested_loop_join import truncated_nested_loop_join
-from .shuffle import oblivious_shuffle
 from .sort import (
     PAD_KEY,
     apply_network,
@@ -21,11 +20,9 @@ from .sort_merge_join import (
 
 __all__ = [
     "oblivious_multi_aggregate",
-    "oblivious_select",
     "JoinResult",
     "match_pairs_truncated",
     "truncated_nested_loop_join",
-    "oblivious_shuffle",
     "PAD_KEY",
     "apply_network",
     "batcher_network",

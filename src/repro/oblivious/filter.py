@@ -1,11 +1,4 @@
-"""Oblivious selection (Appendix A.1.1) and padded aggregate scans.
-
-Selection has stability 1 — each input row appears at most once in the
-output — so no truncation machinery is needed.  Obliviousness is achieved
-by returning *all* input rows and only flipping the ``isView`` bit: rows
-failing the predicate become dummies.  The output size therefore equals
-the (public) input size and nothing about the predicate's selectivity
-leaks.
+"""Padded aggregate scans.
 
 The aggregate scan is the query-side workhorse: every query in the
 paper's evaluation is a COUNT over the materialized view, evaluated by
@@ -38,28 +31,6 @@ from ..sharing.shared_value import SharedTable
 SCAN_BLOCK_ROWS = 1 << 15
 
 _SCRATCH = threading.local()
-
-
-def oblivious_select(
-    ctx: ProtocolContext,
-    rows: np.ndarray,
-    flags: np.ndarray,
-    predicate_mask: np.ndarray,
-    payload_words: int,
-    predicate_words: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a selection predicate without changing the array size.
-
-    ``predicate_mask`` is the plaintext evaluation of the predicate inside
-    the protocol scope; the returned flag column is the AND of the input
-    reality flags and the mask.  Charges one padded scan.
-    """
-    n = len(rows)
-    ctx.charge_scan(n, payload_words, predicate_words)
-    mask = np.asarray(predicate_mask, dtype=bool)
-    if len(mask) != n:
-        raise ValueError(f"predicate mask length {len(mask)} != row count {n}")
-    return rows, np.asarray(flags, dtype=bool) & mask
 
 
 def range_mask(

@@ -16,8 +16,7 @@ network returns its input in ascending order, and when all keys are
 *distinct* there is exactly one such order — so on tie-free keys the
 permutation is one ``np.argsort`` and agrees with the network bit for
 bit.  Every protocol caller sorts distinct keys by construction: the
-join packs the original position into the key (:func:`composite_key`),
-and the shuffle draws 64-bit uniform keys.
+join packs the original position into the key (:func:`composite_key`).
 
 **The cache read's sort is a partition.**  Figure 3 sorts the cache on
 ``(¬isView, position)``.  Those keys are distinct and take only two
@@ -53,10 +52,10 @@ import numpy as np
 from ..mpc.runtime import ProtocolContext
 
 #: Key the padding slots carry.  It sorts after every :func:`composite_key`
-#: whose primary word is below 2^31, but it is *not* out of reach of real
-#: data (:func:`~repro.oblivious.shuffle.oblivious_shuffle` draws uniform
-#: 64-bit keys): :func:`apply_network` is correct for any key because it
-#: drops padding by slot index, never by comparing against this value.
+#: whose primary word is below 2^31, but a caller's uint64 key may equal or
+#: exceed it, so nothing relies on its order: :func:`apply_network` is
+#: correct for any key because it drops padding by slot index, never by
+#: comparing against this value.
 PAD_KEY = np.uint64(1 << 63)
 
 #: Networks kept by :func:`batcher_network`'s cache.  Only tied keys and

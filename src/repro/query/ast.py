@@ -360,10 +360,6 @@ class LogicalQuery(_HashedOnce):
 
     # -- structure ----------------------------------------------------------
     @property
-    def output_names(self) -> tuple[str, ...]:
-        return tuple(a.output_name for a in self.aggregates)
-
-    @property
     def need_count(self) -> bool:
         """Whether the scan needs a count accumulator (COUNT or AVG)."""
         return any(a.kind in ("count", "avg") for a in self.aggregates)

@@ -219,10 +219,6 @@ class GrowingDatabase:
         log = self._log(name)
         return _rows(log.rows, 0, log.rows_in(log.batches_through(time)))
 
-    def count_at(self, name: str, time: int) -> int:
-        log = self._log(name)
-        return log.rows_in(log.batches_through(time))
-
     def tables(self) -> list[str]:
         return list(self._tables)
 

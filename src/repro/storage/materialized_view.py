@@ -172,10 +172,6 @@ class MaterializedView:
         return self._total_rows
 
     @property
-    def row_count(self) -> int:
-        return len(self)
-
-    @property
     def n_shards(self) -> int:
         return self._n_shards
 

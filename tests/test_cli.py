@@ -1,18 +1,20 @@
-"""Tests for the CLI entry point and the oblivious shuffle utility."""
+"""Tests for the CLI entry point."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.__main__ import _parse_listen, main
-from repro.common.types import multiset
-from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.shuffle import oblivious_shuffle
-from repro.oblivious.sort import network_comparator_count
+from repro.__main__ import (
+    _build_parser,
+    _deployment_config,
+    _parse_listen,
+    _query_parts,
+    main,
+)
+from repro.experiments.harness import MultiViewRunConfig
 
 
 class TestCli:
@@ -215,52 +217,80 @@ class TestScanBackendChoices:
         assert "invalid choice: 'remote'" in capsys.readouterr().err
 
 
-class TestObliviousShuffle:
-    def _shuffle(self, rows, flags, seed=0):
-        runtime = MPCRuntime(seed=seed)
-        with runtime.protocol("s") as ctx:
-            out = oblivious_shuffle(ctx, rows, flags, payload_words=3)
-            gates = ctx.gates
-        return out, gates
+class TestDeploymentFlags:
+    """`multiview` and `serve` declare one deployment flag group, and
+    `multiview`, `serve` and `query` read it into one config."""
 
-    def test_preserves_multiset(self):
-        rows = np.asarray([[i, i * 2] for i in range(17)], dtype=np.uint32)
-        flags = np.asarray([i % 2 == 0 for i in range(17)])
-        (out_rows, out_flags), _ = self._shuffle(rows, flags)
-        assert multiset(out_rows) == multiset(rows)
-        assert out_flags.sum() == flags.sum()
+    ARGV = [
+        "--dataset", "cpdb", "--epsilon", "1.5", "--steps", "7", "--seed", "3",
+        "--query-every", "2", "--shards", "4", "--scan-backend", "thread",
+        "--no-incremental",
+    ]
+    HELP_ORDER = (
+        "--dataset", "--epsilon EPSILON", "--steps STEPS", "--seed SEED",
+        "--query-every QUERY_EVERY", "--shards SHARDS", "--scan-backend",
+        "--no-incremental",
+    )
 
-    def test_flags_travel_with_rows(self):
-        rows = np.asarray([[i, 0] for i in range(20)], dtype=np.uint32)
-        flags = np.asarray([i < 10 for i in range(20)])
-        (out_rows, out_flags), _ = self._shuffle(rows, flags)
-        for row, flag in zip(out_rows, out_flags):
-            assert flag == (int(row[0]) < 10)
+    @pytest.mark.parametrize("command", ["multiview", "serve"])
+    def test_every_flag_reaches_the_config(self, command):
+        args = _build_parser().parse_args([command, *self.ARGV])
+        assert _deployment_config(args) == MultiViewRunConfig(
+            dataset="cpdb", total_epsilon=1.5, n_steps=7, seed=3, query_every=2,
+            n_shards=4, scan_backend="thread", incremental=False,
+        )
 
-    def test_actually_permutes(self):
-        rows = np.asarray([[i, 0] for i in range(64)], dtype=np.uint32)
-        flags = np.ones(64, dtype=bool)
-        (out_rows, _), _ = self._shuffle(rows, flags)
-        assert (out_rows[:, 0] != rows[:, 0]).any()
+    @pytest.mark.parametrize("command, steps", [("multiview", 96), ("serve", 48)])
+    def test_unset_flags_keep_the_config_defaults(self, command, steps):
+        args = _build_parser().parse_args([command])
+        assert _deployment_config(args) == MultiViewRunConfig(n_steps=steps)
 
-    def test_different_runs_differ(self):
-        rows = np.asarray([[i, 0] for i in range(32)], dtype=np.uint32)
-        flags = np.ones(32, dtype=bool)
-        (a, _), _ = self._shuffle(rows, flags, seed=1)
-        (b, _), _ = self._shuffle(rows, flags, seed=2)
-        assert (a[:, 0] != b[:, 0]).any()
+    @pytest.mark.parametrize("command", ["multiview", "serve"])
+    def test_help_lists_the_group_in_declaration_order(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args([command, "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[1]
+        positions = [usage.index(flag) for flag in self.HELP_ORDER]
+        assert positions == sorted(positions)
 
-    def test_charges_one_sort(self):
-        rows = np.asarray([[i, 0] for i in range(16)], dtype=np.uint32)
-        flags = np.ones(16, dtype=bool)
-        runtime = MPCRuntime(seed=0)
-        _, gates = self._shuffle(rows, flags)
-        expected = network_comparator_count(16) * runtime.cost_model.compare_exchange_gates(3)
-        assert gates == expected
+    def test_query_epsilon_is_the_release_epsilon(self):
+        args = _build_parser().parse_args(["query", "--epsilon", "0.5"])
+        assert args.epsilon == 0.5
+        config = _deployment_config(args)
+        assert config.total_epsilon == MultiViewRunConfig().total_epsilon
+        assert config.n_steps == 24
 
-    def test_trivial_inputs(self):
-        rows = np.zeros((1, 2), dtype=np.uint32)
-        flags = np.ones(1, dtype=bool)
-        (out_rows, out_flags), gates = self._shuffle(rows, flags)
-        assert (out_rows == rows).all()
-        assert gates == 0
+    @pytest.mark.parametrize("shards, expected", [([], 1), (["--shards", "3"], 3)])
+    def test_query_shards_apply_only_when_given(self, shards, expected):
+        args = _build_parser().parse_args(["query", *shards])
+        assert _deployment_config(args).n_shards == expected
+
+
+class TestQueryParts:
+    """`query` and `client` read one query from ``--json`` or the flags."""
+
+    SPEC = (
+        '{"view": "returns_canonical", "aggregates": [{"kind": "count"},'
+        ' {"kind": "sum", "table": "returns", "column": "return_ts"}],'
+        ' "predicate": [{"table": "sales", "column": "pid", "lo": 0, "hi": 99}]}'
+    )
+    FLAGS = [
+        "--count", "--sum", "returns:return_ts", "--where", "sales:pid:0-99",
+        "--view", "returns_canonical",
+    ]
+
+    @pytest.mark.parametrize("command", ["query", "client"])
+    def test_json_and_flags_describe_the_same_query(self, command):
+        head = [command] if command == "query" else [command, "--connect", "h:1"]
+        parser = _build_parser()
+        from_json = _query_parts(parser.parse_args([*head, "--json", self.SPEC]))
+        from_flags = _query_parts(parser.parse_args([*head, *self.FLAGS]))
+        assert from_json == from_flags
+        assert from_json[3] == "returns_canonical"
+
+    def test_view_flag_overrides_the_spec_view(self):
+        args = _build_parser().parse_args(
+            ["query", "--json", self.SPEC, "--view", "other"]
+        )
+        assert _query_parts(args)[3] == "other"

@@ -1,15 +1,8 @@
 """Unit tests for RNG derivation."""
 
 import numpy as np
-import pytest
 
-from repro.common.rng import (
-    RING_MOD,
-    msb,
-    random_ring_elements,
-    spawn,
-    uniform_unit_from_u32,
-)
+from repro.common.rng import random_ring_elements, spawn
 
 
 class TestSpawn:
@@ -37,16 +30,3 @@ class TestRingHelpers:
         vals = random_ring_elements(spawn(0, "r"), 1000)
         assert vals.dtype == np.uint32
         assert len(vals) == 1000
-
-    def test_uniform_unit_open_interval(self):
-        assert 0.0 < uniform_unit_from_u32(0) < 1.0
-        assert 0.0 < uniform_unit_from_u32(RING_MOD - 1) < 1.0
-
-    def test_uniform_unit_midpoint(self):
-        assert uniform_unit_from_u32(RING_MOD // 2) == pytest.approx(0.5, abs=1e-6)
-
-    def test_msb(self):
-        assert msb(0) == 0
-        assert msb(RING_MOD - 1) == 1
-        assert msb(1 << 31) == 1
-        assert msb((1 << 31) - 1) == 0

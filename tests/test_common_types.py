@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SchemaError
-from repro.common.types import (
-    DUMMY_VALUE,
-    RecordBatch,
-    Schema,
-    as_rows,
-    multiset,
-    rows_to_tuples,
-)
+from repro.common.types import DUMMY_VALUE, RecordBatch, Schema, as_rows
+from row_helpers import multiset, rows_to_tuples
 
 
 class TestSchema:
@@ -26,11 +20,6 @@ class TestSchema:
     def test_index_missing_field_raises(self):
         with pytest.raises(SchemaError, match="no field"):
             Schema(("a",)).index("b")
-
-    def test_has(self):
-        s = Schema(("a", "b"))
-        assert s.has("a")
-        assert not s.has("z")
 
     def test_duplicate_fields_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):

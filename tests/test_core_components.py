@@ -113,9 +113,6 @@ class TestRealizedEpsilonOverAStream:
 
 
 class TestJoinViewDefinition:
-    def test_window_invocations(self, tiny_view_def):
-        assert tiny_view_def.window_invocations == 3  # b=6, ω=2
-
     def test_view_schema_prefixes(self, tiny_view_def):
         assert tiny_view_def.view_schema.fields == ("p_key", "p_ots", "d_key", "d_sts")
 

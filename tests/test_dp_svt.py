@@ -1,11 +1,11 @@
-"""Tests for the sparse-vector mechanism (Algorithm 5 / sDPANT core)."""
+"""Tests for the plaintext sparse-vector mechanism (Algorithm 5)."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import PrivacyBudgetError
 from repro.common.rng import spawn
-from repro.dp.svt import LocalNoiseSource, NumericAboveNoisyThreshold, RepeatingNANT
+from repro.dp.svt import LocalNoiseSource, NumericAboveNoisyThreshold
 
 
 def make_nant(epsilon=1.0, sensitivity=1.0, threshold=10.0, seed=0):
@@ -59,45 +59,3 @@ class TestNANT:
         errors = np.asarray(errors)
         # Lap(Δ/ε₂) = Lap(1.0): std = sqrt(2).
         assert errors.std() == pytest.approx(np.sqrt(2), rel=0.3)
-
-
-class TestRepeatingNANT:
-    def test_rearms_after_release(self):
-        rep = RepeatingNANT(50.0, 1.0, 5.0, LocalNoiseSource(spawn(1, "svt")))
-        first = rep.observe(100.0)
-        assert first is not None
-        # A fresh instance is armed: observing again must not raise.
-        second = rep.observe(100.0)
-        assert second is not None
-        assert len(rep.releases) == 2
-
-    def test_threshold_refreshed_between_releases(self):
-        rep = RepeatingNANT(1.0, 1.0, 5.0, LocalNoiseSource(spawn(2, "svt")))
-        before = rep.noisy_threshold
-        rep.observe(10_000.0)  # certainly triggers
-        after = rep.noisy_threshold
-        assert before != after
-
-    def test_no_release_keeps_instance(self):
-        rep = RepeatingNANT(50.0, 1.0, 1000.0, LocalNoiseSource(spawn(3, "svt")))
-        before = rep.noisy_threshold
-        assert rep.observe(0.0) is None
-        assert rep.noisy_threshold == before
-
-    def test_trigger_frequency_tracks_threshold(self):
-        """With counts ramping each step, a higher threshold triggers
-        later — the adaptivity sDPANT relies on."""
-        def steps_until_trigger(threshold, seed):
-            rep = RepeatingNANT(
-                20.0, 1.0, threshold, LocalNoiseSource(spawn(seed, "svt"))
-            )
-            count = 0.0
-            for step in range(1, 200):
-                count += 3.0
-                if rep.observe(count) is not None:
-                    return step
-            return 200
-
-        low = np.mean([steps_until_trigger(10.0, s) for s in range(20)])
-        high = np.mean([steps_until_trigger(60.0, s) for s in range(20)])
-        assert high > low

@@ -86,10 +86,15 @@ class TestPrivacyAccounting:
         eps, b = res.config.epsilon, res.view.view_def.budget
         assert acc.parallel_epsilon() == pytest.approx(eps / b)
 
-    def test_lifetime_emissions_respect_budget(self, runs):
+    def test_lifetime_contributions_respect_budget(self, runs):
+        # Theorem 3's premise: no record joins more than b // ω Transform
+        # invocations, so its summed stability ``Σ q_i`` stays within b.
         for mode in ("dp-timer", "dp-ant", "ep"):
             ledger = runs[mode].view.group.ledger
-            assert ledger.max_lifetime_emissions() <= ledger.budget
+            contributions = ledger.theorem3_contributions(1.0)
+            assert contributions
+            worst = max(sum(q for q, _ in pairs) for pairs in contributions.values())
+            assert 0 < worst <= ledger.budget
 
 
 class TestErrorBounds:

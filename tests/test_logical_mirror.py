@@ -16,7 +16,6 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from repro.common.errors import SchemaError
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.net.metrics import render_metrics
@@ -147,7 +146,7 @@ def random_rows(rng, schema: Schema, n: int, now: int) -> np.ndarray:
 # -- the join kernel -----------------------------------------------------------
 class TestJoinKernel:
     @pytest.mark.parametrize("seed", range(8))
-    def test_rows_count_and_sum_equal_the_loop_implementation(self, seed):
+    def test_rows_and_count_equal_the_loop_implementation(self, seed):
         rng = np.random.default_rng(seed)
         vd = view(lo=int(rng.integers(-2, 1)), hi=int(rng.integers(1, 4)))
         probe = random_rows(rng, P, int(rng.integers(0, 40)), 5)
@@ -157,30 +156,14 @@ class TestJoinKernel:
         assert rows.tolist() == oracle_join_rows(vd, probe, driver).tolist()
         assert rows.dtype == np.uint32 and rows.shape[1] == vd.view_schema.width
         assert vd.logical_join_count(probe, driver) == oracle_join_count(vd, probe, driver)
-        for table, column in (("p", "amount"), ("d", "sts")):
-            assert vd.logical_join_sum(probe, driver, table, column) == oracle_join_sum(
-                vd, probe, driver, table, column
-            )
-
-    def test_sum_does_not_wrap_at_32_bits(self):
-        vd = view(hi=0)
-        big = 0xFFFFFFF0
-        probe = np.asarray([[1, 0, big]] * 40, dtype=np.uint32)
-        driver = np.asarray([[1, 0]] * 3, dtype=np.uint32)
-        assert vd.logical_join_sum(probe, driver, "p", "amount") == 120 * big
-        assert 120 * big > 2**32
-
-    def test_sum_over_a_foreign_table_is_refused(self):
-        with pytest.raises(SchemaError, match="neither side"):
-            view().logical_join_sum(P.empty_rows(0), D.empty_rows(0), "x", "amount")
 
     def test_signature_ignores_name_and_truncation(self):
         assert view("a").join_signature == view("b", omega=1, budget=9).join_signature
         assert view(hi=2).join_signature != view(hi=3).join_signature
 
 
-# -- instance_at / count_at ------------------------------------------------------
-def test_instance_and_count_bisect_like_the_linear_scan():
+# -- instance_at -----------------------------------------------------------------
+def test_instance_bisects_like_the_linear_scan():
     rng = np.random.default_rng(0)
     db, model = GrowingDatabase(), Model({"p": P})
     db.create_table("p", P)
@@ -193,7 +176,6 @@ def test_instance_and_count_bisect_like_the_linear_scan():
     for time in range(-1, now + 2):
         expected = model.instance_at("p", time)
         assert db.instance_at("p", time).tolist() == expected.tolist()
-        assert db.count_at("p", time) == len(expected)
     assert not db.instance_at("p", now).flags.writeable
 
 

@@ -171,13 +171,15 @@ class TestCostAccounting:
         assert runtime.runs[0].time == 3
         assert runtime.runs[1].gates == 200
 
-    def test_seconds_of_filters_by_name(self, runtime):
+    def test_each_run_bills_its_own_seconds(self, runtime):
         with runtime.protocol("a") as ctx:
             ctx.charge_gates(runtime.cost_model.gates_per_second)  # 1 second
         with runtime.protocol("b") as ctx:
             ctx.charge_gates(2 * runtime.cost_model.gates_per_second)
-        assert runtime.seconds_of("a") == pytest.approx([1.0])
-        assert runtime.total_seconds() == pytest.approx(3.0)
+        assert [(r.name, r.seconds) for r in runtime.runs] == [
+            ("a", pytest.approx(1.0)),
+            ("b", pytest.approx(2.0)),
+        ]
 
     def test_charge_helpers_use_model_formulas(self, runtime):
         model = runtime.cost_model

@@ -1,4 +1,4 @@
-"""Tests for oblivious selection and padded counting scans."""
+"""Tests for padded counting scans."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.common.rng import spawn
 from repro.common.types import Schema
 from repro.mpc.runtime import MPCRuntime
-from repro.oblivious.filter import oblivious_multi_aggregate, oblivious_select
+from repro.oblivious.filter import oblivious_multi_aggregate
 from repro.sharing.shared_value import SharedTable
 
 UINT32_MAX = 2**32 - 1
@@ -28,43 +28,6 @@ def rows_flags():
     rows = np.asarray([[1, 10], [2, 20], [3, 30], [0, 0]], dtype=np.uint32)
     flags = np.asarray([True, True, True, False])
     return rows, flags
-
-
-class TestObliviousSelect:
-    def test_output_size_equals_input_size(self, rows_flags):
-        """Obliviousness: selection never shrinks the array."""
-        rows, flags = rows_flags
-        runtime = MPCRuntime(seed=0)
-        with runtime.protocol("p") as ctx:
-            out_rows, out_flags = oblivious_select(
-                ctx, rows, flags, rows[:, 1] >= 20, payload_words=2
-            )
-        assert out_rows.shape == rows.shape
-
-    def test_flags_are_conjunction(self, rows_flags):
-        rows, flags = rows_flags
-        runtime = MPCRuntime(seed=0)
-        with runtime.protocol("p") as ctx:
-            _, out_flags = oblivious_select(
-                ctx, rows, flags, rows[:, 1] >= 20, payload_words=2
-            )
-        # Row 0 fails predicate; row 3 is a dummy (its padded payload
-        # may incidentally satisfy anything, but its flag stays off).
-        assert out_flags.tolist() == [False, True, True, False]
-
-    def test_mask_length_mismatch_raises(self, rows_flags):
-        rows, flags = rows_flags
-        runtime = MPCRuntime(seed=0)
-        with runtime.protocol("p") as ctx:
-            with pytest.raises(ValueError):
-                oblivious_select(ctx, rows, flags, np.asarray([True]), 2)
-
-    def test_charges_one_scan(self, rows_flags):
-        rows, flags = rows_flags
-        runtime = MPCRuntime(seed=0)
-        with runtime.protocol("p") as ctx:
-            oblivious_select(ctx, rows, flags, flags, payload_words=2)
-            assert ctx.gates == len(rows) * runtime.cost_model.scan_row_gates(2)
 
 
 class TestObliviousCount:

@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import multiset
 from repro.mpc.runtime import MPCRuntime
 from repro.oblivious.join_common import match_pairs_truncated
 from repro.oblivious.nested_loop_join import truncated_nested_loop_join
@@ -23,6 +22,7 @@ from repro.oblivious.sort_merge_join import (
     oblivious_join_multi_aggregate,
     truncated_sort_merge_join,
 )
+from row_helpers import multiset
 
 
 def join_count(ctx, left, left_flags, left_key, right, right_flags, right_key,

@@ -17,6 +17,7 @@ from repro.experiments.harness import MultiViewRunConfig, run_multiview_experime
 from repro.mpc.runtime import MPCRuntime
 from repro.oblivious.sort import (
     NETWORK_CACHE_SIZE,
+    PAD_KEY,
     apply_network,
     batcher_network,
     charge_oblivious_sort,
@@ -115,6 +116,17 @@ class TestApplyNetwork:
         assert len(sorted_keys) == 3
         assert sorted_keys.tolist() == [1, 5, 9]
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 12])
+    def test_keys_at_and_above_pad_key_are_not_padding(self, n):
+        # Padding is dropped by slot index, so a real key equal to PAD_KEY,
+        # or above it, keeps its row however many padding slots tie with it.
+        values = [int(PAD_KEY), 0, int(PAD_KEY) + 1, 2**64 - 1, int(PAD_KEY)]
+        keys = np.resize(np.asarray(values, dtype=np.uint64), n)
+        sorted_keys, perm = apply_network(keys)
+        assert np.array_equal(sorted_keys, np.sort(keys))
+        assert sorted(perm.tolist()) == list(range(n))
+        assert np.array_equal(keys[perm], sorted_keys)
+
     def test_empty_input(self):
         sorted_keys, perm = apply_network(np.zeros(0, dtype=np.uint64))
         assert len(sorted_keys) == 0
@@ -183,7 +195,8 @@ def _join_keys(rng, n):
 
 
 def _shuffle_keys(rng, n):
-    """Uniform 64-bit keys — :func:`oblivious_shuffle`."""
+    """Uniform 64-bit keys: any uint64 a caller passes, ``PAD_KEY`` and
+    above included, since padding is dropped by slot index."""
     return rng.integers(0, 2**64, size=n, dtype=np.uint64)
 
 

@@ -5,11 +5,9 @@ the whole-pipeline properties that span several modules.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import spawn
 from repro.common.types import RecordBatch, Schema
 from repro.core.view_def import JoinViewDefinition
 from repro.experiments.harness import deploy_single_view, query_own_view
@@ -121,10 +119,3 @@ class TestPaddingProperties:
         a = RecordBatch(schema, rows_a.reshape(-1, 2)).padded_to(capacity)
         b = RecordBatch(schema, rows_b).padded_to(capacity)
         assert len(a) == len(b) == capacity
-
-    @given(st.integers(1, 4), st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_window_invocations_formula(self, omega, multiple):
-        budget = omega * multiple
-        vd = small_view_def(omega=omega, budget=budget)
-        assert vd.window_invocations == multiple

@@ -18,7 +18,7 @@ from repro.common.types import RecordBatch, Schema
 from repro.experiments.harness import RunConfig, deploy_single_view, run_experiment
 from repro.mpc.runtime import MPCRuntime
 from repro.server.database import ViewRegistration
-from repro.sharing.shared_value import SharedArray, SharedTable
+from repro.sharing.shared_value import SharedArray
 
 
 def deploy(view_def, mode, **knobs):

@@ -34,7 +34,6 @@ class TestGrowingDatabase:
         assert len(db.instance_at("t", 1)) == 1
         assert len(db.instance_at("t", 2)) == 1
         assert len(db.instance_at("t", 3)) == 2
-        assert db.count_at("t", 3) == 2
 
     def test_empty_instance(self):
         db = GrowingDatabase()
@@ -255,7 +254,6 @@ class TestMaterializedView:
     def test_append_and_sizes(self):
         view = MaterializedView(SCHEMA)
         view.append(shared([[1, 1], [0, 0]], [1, 0]))
-        assert view.row_count == 2
         assert view.update_count == 1
         assert view.byte_size == 2 * 2 * 4 + 2 * 4
 

@@ -41,7 +41,7 @@ from repro.dp.accountant import (
     tenant_scoped_segment,
     theorem3_epsilon,
 )
-from repro.dp.allocation import allocate_tenant_budgets, split_query_epsilon
+from repro.dp.allocation import split_query_epsilon
 from repro.net import protocol as wire
 from repro.net.backoff import (
     RETRY_AFTER_CAP,
@@ -49,7 +49,7 @@ from repro.net.backoff import (
     clamp_retry_after,
 )
 from repro.net.client import IncShrinkClient
-from repro.net.metrics import MetricsServer, render_metrics
+from repro.net.metrics import MetricsServer, _number, render_metrics
 from repro.net.server import NetworkServer
 from repro.server.persistence import restore_database, snapshot_database
 from repro.server.runtime import DatabaseServer
@@ -381,17 +381,6 @@ class TestLedgerExactness:
             "epsilon_budget": 2.0,
             "epsilon_remaining": 1.5,
         }
-
-    def test_allocate_tenant_budgets(self):
-        assert allocate_tenant_budgets(3.0, ["a", "b", "c"]) == {
-            "a": 1.0,
-            "b": 1.0,
-            "c": 1.0,
-        }
-        out = allocate_tenant_budgets(3.0, {"a": 2.0, "b": 1.0})
-        assert out["a"] == pytest.approx(2.0)
-        assert out["b"] == pytest.approx(1.0)
-        assert sum(out.values()) == pytest.approx(3.0)
 
     def test_set_tenant_budgets_validates(self):
         db = build_database()
@@ -886,6 +875,43 @@ class TestMetrics:
             )
         server.stop()
         assert 'tenant="we\\"ird\\\\ten\\nant"' in text
+
+    def test_an_uncapped_tenant_scrapes_as_plus_inf(self):
+        registry = TenantRegistry.from_specs(["a:tok:analyst:inf"])
+        server, net = _tenanted_net(registry=registry)
+        with net, MetricsServer(net, port=0) as metrics:
+            mhost, mport = metrics.address
+            with urllib.request.urlopen(
+                f"http://{mhost}:{mport}/metrics", timeout=5
+            ) as resp:
+                assert resp.status == 200
+                samples = resp.read().decode().splitlines()
+        server.stop()
+        assert 'incshrink_tenant_epsilon_budget{role="analyst",tenant="a"} +Inf' in samples
+        assert 'incshrink_tenant_epsilon_remaining{role="analyst",tenant="a"} +Inf' in samples
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (float("inf"), "+Inf"),
+            (float("-inf"), "-Inf"),
+            (float("nan"), "NaN"),
+            (True, "1"),
+            (False, "0"),
+            (3.0, "3"),
+            (7, "7"),
+            (0.25, "0.25"),
+            (1e15 - 1, "999999999999999"),
+            (1e15, "1000000000000000.0"),
+            ("not a number", "0"),
+            (None, "0"),
+        ],
+    )
+    def test_sample_values_use_exposition_syntax(self, value, text):
+        assert _number(value) == text
+        parsed = float(text)  # Prometheus reads every rendering back
+        if isinstance(value, (int, float)) and parsed == parsed:
+            assert parsed == float(value)
 
     def test_metrics_server_serves_scrapes_and_health(self):
         server, net = _tenanted_net()

@@ -48,7 +48,6 @@ class TestTpcdsWorkload:
         vd = tpcds_view_def()
         assert vd.omega == 1
         assert vd.budget == 10
-        assert vd.window_invocations == 10
 
     def test_recommended_timer_interval(self):
         wl = make_tpcds_workload(seed=0, n_steps=200)
@@ -85,7 +84,6 @@ class TestCpdbWorkload:
         vd = cpdb_view_def()
         assert vd.omega == 10
         assert vd.budget == 20
-        assert vd.window_invocations == 2
         assert vd.driver_public
 
     def test_deterministic_per_seed(self):
