@@ -8,7 +8,12 @@ evaluation:
    exclusively inside a *protocol scope* (the analogue of a garbled
    circuit evaluation): :meth:`ProtocolContext.reveal` recombines shares,
    and calling it outside a scope raises
-   :class:`~repro.common.errors.SecurityError`.
+   :class:`~repro.common.errors.SecurityError`.  The scan kernel's reveal,
+   :meth:`ProtocolContext.reveal_columns`, recombines one block of the
+   columns a plan names and learns which of its rows are real by
+   comparing the two flag shares (``f0 != f1`` is ``f0 ^ f1 != 0``), so
+   the flag words are never recombined; a process worker's
+   :class:`WorkerShardContext` offers the same reveal.
 
 2. **Obliviousness** — everything executed inside a scope uses
    data-independent algorithms (sorting networks, exhaustively padded
@@ -51,13 +56,17 @@ def _recombine_columns(
     start: int,
     stop: int,
     out: np.ndarray,
+    live: np.ndarray | None = None,
 ) -> None:
-    """XOR rows ``[start, stop)`` of ``columns`` and the flags into ``out``.
+    """XOR rows ``[start, stop)`` of ``columns`` into ``out``, and mark
+    the real rows among them in ``live``.
 
-    Row ``j`` of ``out`` receives column ``columns[j]``, the row after
-    the last column the flag words; only the first ``stop - start``
-    positions of each are written.  Nothing is allocated, and no word of
-    a column the caller did not name is touched.
+    Row ``j`` of ``out`` receives column ``columns[j]``; only the first
+    ``stop - start`` positions of each are written.  ``live`` (when
+    given) receives whether each row is real: its two flag shares
+    differ, the same test as ``f0 ^ f1 != 0``, so no flag word is
+    recombined.  Nothing is allocated, and no word of a column the
+    caller did not name is touched.
     """
     m = stop - start
     rows0, rows1 = table.rows.share0, table.rows.share1
@@ -65,11 +74,12 @@ def _recombine_columns(
         np.bitwise_xor(
             rows0[start:stop, column], rows1[start:stop, column], out=out[j, :m]
         )
-    np.bitwise_xor(
-        table.flags.share0[start:stop],
-        table.flags.share1[start:stop],
-        out=out[len(columns), :m],
-    )
+    if live is not None:
+        np.not_equal(
+            table.flags.share0[start:stop],
+            table.flags.share1[start:stop],
+            out=live[:m],
+        )
 
 
 @dataclass
@@ -200,17 +210,20 @@ class ProtocolContext:
         start: int,
         stop: int,
         out: np.ndarray,
+        live: np.ndarray | None = None,
     ) -> None:
-        """Recombine one block of the named columns, and its flag words.
+        """Recombine one block of the named columns, and which rows are real.
 
         The scan kernel's reveal: rows ``[start, stop)`` of each of
-        ``columns`` into ``out[j]`` and of the flag column into
-        ``out[len(columns)]`` — caller-owned scratch, so the plaintext of
+        ``columns`` into ``out[j]``, and into ``live`` (when given)
+        whether each row's two flag shares differ — the row is real
+        exactly when they do, so the flag words themselves are never
+        recombined.  Both are caller-owned scratch, so the plaintext of
         a block exists only until the next block overwrites it, and the
         columns a plan does not read are never recombined at all.
         """
         self._require_open("reveal_columns")
-        _recombine_columns(table, columns, start, stop, out)
+        _recombine_columns(table, columns, start, stop, out, live)
 
     def share_array(self, values: np.ndarray) -> SharedArray:
         """Re-share protocol-internal plaintext using joint randomness.
@@ -347,13 +360,14 @@ class WorkerShardContext:
         start: int,
         stop: int,
         out: np.ndarray,
+        live: np.ndarray | None = None,
     ) -> None:
         """:meth:`ProtocolContext.reveal_columns` for a worker's own copy.
 
         A worker process *is* the protocol for the shard it was handed
         (its whole lifetime is the scope), so there is no scope to check.
         """
-        _recombine_columns(table, columns, start, stop, out)
+        _recombine_columns(table, columns, start, stop, out, live)
 
     def charge_gates(self, gates: int | float) -> None:
         self.gates += int(gates)
@@ -390,6 +404,11 @@ class ParallelProtocolGroup:
     Shard contexts are reveal/charge surfaces only: they own no
     randomness, so concurrent shard scans cannot perturb (or race on)
     the servers' deterministic RNG streams.
+
+    A shard scanned as two ranges at once gets a second context for the
+    second range (:meth:`range_context`); it charges toward that shard
+    and the group, closes with the group, and changes neither the
+    shard count the group is priced by nor the gate total.
     """
 
     def __init__(
@@ -397,27 +416,49 @@ class ParallelProtocolGroup:
     ) -> None:
         if n_shards < 1:
             raise ProtocolError(f"n_shards must be >= 1, got {n_shards}")
+        self._runtime = runtime
         self.name = name
         self.time = time
         self.contexts = [
             ProtocolContext(runtime, name, time, shard=(i, n_shards))
             for i in range(n_shards)
         ]
+        self._range_contexts: list[ProtocolContext] = []
 
     @property
     def n_shards(self) -> int:
         return len(self.contexts)
 
+    def range_context(self, shard: int) -> ProtocolContext:
+        """A further context for ``shard``, for a range of it scanned
+        beside the one its own context scans."""
+        ctx = ProtocolContext(
+            self._runtime, self.name, self.time, shard=(shard, self.n_shards)
+        )
+        self._range_contexts.append(ctx)
+        return ctx
+
+    def shard_gates(self, shard: int) -> int:
+        """Gates charged for ``shard`` so far, over all of its contexts."""
+        gates = self.contexts[shard].gates
+        for ctx in self._range_contexts:
+            if ctx.shard[0] == shard:
+                gates += ctx.gates
+        return gates
+
     @property
     def gates(self) -> int:
-        """Total gates charged across every shard context so far."""
-        return sum(ctx.gates for ctx in self.contexts)
+        """Total gates charged across every context so far."""
+        gates = sum(ctx.gates for ctx in self.contexts)
+        for ctx in self._range_contexts:
+            gates += ctx.gates
+        return gates
 
     def seconds(self, cost_model: CostModel) -> float:
         return cost_model.parallel_seconds(self.gates, self.n_shards)
 
     def _close(self) -> None:
-        for ctx in self.contexts:
+        for ctx in self.contexts + self._range_contexts:
             ctx._close()
 
 

@@ -12,9 +12,12 @@ small frame-oriented protocol over any reliable byte stream:
   ``is_real`` travel as raw little-endian blobs the head references as
   ``{"__nd__": i}``.  Every other frame — answers included, whose
   cells are JSON numbers — is the JSON object plus six framing bytes
-  and declares zero blobs.  What crosses the network is the arrays the
-  servers already hold, plus the public frame lengths (see
-  ``docs/NETWORK.md`` for the leakage argument);
+  and declares zero blobs.  Every head is strict JSON: a non-finite
+  float travels as the string ``"NaN"``, ``"Infinity"`` or
+  ``"-Infinity"``, which the float fields' decoders read back.  What
+  crosses the network is the arrays the servers already hold, plus the
+  public frame lengths (see ``docs/NETWORK.md`` for the leakage
+  argument);
 * the query frame carries the complete :class:`~repro.query.ast.
   LogicalQuery` AST — every aggregate, the GROUP BY domain, structural
   predicate clauses, and the optional per-query ``epsilon`` — so a
@@ -35,6 +38,7 @@ the event-driven server.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Mapping
@@ -193,16 +197,39 @@ def _unpack_blob(view: memoryview, offset: int) -> tuple[np.ndarray, int]:
         raise WireError(f"malformed array blob: {exc}") from exc
 
 
-#: The head encoder: keys sorted, no whitespace (the bytes are pinned).
-_HEAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The head encoder: keys sorted, no whitespace (the bytes are pinned),
+#: and strict JSON — a non-finite float has no JSON token, so it cannot
+#: be encoded as a number (:func:`_spell_non_finite`).
+_HEAD_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
 #: The reference key as the head encoder spells it.
 _ND_TOKEN = b'"__nd__"'
 
 
+def _spell_non_finite(value: object) -> object:
+    """``value`` with every non-finite float spelled as the string
+    ``"NaN"``, ``"Infinity"`` or ``"-Infinity"`` — which ``float()``
+    reads back, as every decoder of a float field does."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _spell_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(item) for item in value]
+    return value
+
+
 def _encode_body(payload: dict, blobs: list[np.ndarray]) -> bytes:
     """The envelope around ``payload``, a head with no arrays in it, and
-    the ``blobs`` its ``{"__nd__": i}`` references index."""
-    head = _HEAD_ENCODER.encode(payload).encode("utf8")
+    the ``blobs`` its ``{"__nd__": i}`` references index.  The head is
+    strict JSON; a payload holding a non-finite float (an uncapped
+    tenant's ε budget, a NaN answer cell) is encoded spelled out."""
+    try:
+        head = _HEAD_ENCODER.encode(payload)
+    except ValueError:
+        head = _HEAD_ENCODER.encode(_spell_non_finite(payload))
+    head = head.encode("utf8")
     parts = [struct.pack(">I", len(head)), head, struct.pack(">H", len(blobs))]
     parts.extend(_pack_blob(arr) for arr in blobs)
     return b"".join(parts)
@@ -275,7 +302,7 @@ def encode_frame(frame_type: str, payload: dict | None = None) -> bytes:
         payload = _upload_head(payload, blobs)
     try:
         body = _encode_body(payload, blobs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise WireError(
             f"{frame_type} payload is not JSON-serializable: {exc}"
         ) from exc
@@ -668,9 +695,10 @@ def encode_answer(answer: QueryAnswer) -> dict:
 
     Each column travels as a JSON cell list tagged with its scalar
     kind — ``i``: all exact integers (any ring value, up to 2^64 − 1),
-    ``f``: all floats (``NaN`` and ``±Infinity`` included), ``m``:
-    mixed — so the int/float distinction survives and a remote answer
-    is identical to the in-process one.
+    ``f``: all floats (``NaN`` and ``±Infinity`` included, spelled as
+    strings in the strict-JSON head), ``m``: mixed — so the int/float
+    distinction survives and a remote answer is identical to the
+    in-process one.
     """
     kinds: list[str] = []
     cols: list[list] = []
@@ -708,7 +736,9 @@ def decode_answer(entry: dict) -> QueryAnswer:
             elif kind == "f":
                 decoded_cols.append([float(c) for c in cells])
             elif kind == "m":
-                decoded_cols.append(cells)
+                decoded_cols.append(
+                    [c if type(c) is int else float(c) for c in cells]
+                )
             else:
                 raise WireError(f"unknown answer column kind {kind!r}")
         n_rows = len(decoded_cols[0]) if decoded_cols else 0

@@ -11,6 +11,15 @@ compiler is built on.  It is the only function that accumulates over
 *shares*; :func:`range_mask` and :func:`fold_aggregates` are the same
 semantics over plaintext rows — the ground-truth evaluator's kernel and
 the oracle the share kernel is tested against.
+
+The pass is a handful of numpy calls per block, each over every row of
+the block, and their number depends only on the block's public size and
+the plan: the protocol scope recombines the plan's columns and derives
+the live mask by comparing the two flag shares (no flag word is
+recombined), and each range clause is one wrapped subtract and one
+compare.  Fewer calls per block is the whole per-row constant of a cold
+scan on the host, and, when a scan runs on two threads, fewer hand-offs
+of the interpreter lock between them.
 """
 
 from __future__ import annotations
@@ -114,11 +123,12 @@ def _block_scratch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """This thread's block buffers, reused across blocks, shards, queries.
 
-    ``words`` has a row per revealed column, one for the flag words and
-    one for a sum's ``payload × selection`` products; ``masks`` holds the
-    live, per-group and clause selections.  Their size depends on the
-    largest block and the most columns a plan has read on this thread —
-    never on a shard's length — and no two threads share them.
+    ``words`` has a row per revealed column, one for a clause's shifted
+    column and one for a sum's ``payload × selection`` products;
+    ``masks`` holds the live, per-group and clause selections.  Their
+    size depends on the largest block and the most columns a plan has
+    read on this thread — never on a shard's length — and no two
+    threads share them.
     """
     words = getattr(_SCRATCH, "words", None)
     if (
@@ -150,7 +160,7 @@ def oblivious_multi_aggregate(
     """Fold counts and column sums over groups in **one** padded scan.
 
     ``table`` is the secret-shared relation to scan — a view shard, or
-    the suffix of one past a cached watermark — and ``clause_specs`` the
+    a range of one past a cached watermark — and ``clause_specs`` the
     ``(column, lo, hi)`` closed intervals every counted row must pass.
     Returns ``(counts, sums)`` with ``counts.shape == (n_groups,)`` and
     ``sums.shape == (n_groups, len(sum_columns))``; ungrouped scans are
@@ -167,18 +177,23 @@ def oblivious_multi_aggregate(
 
     The pass itself walks the table in blocks of ``block_rows`` rows
     (:data:`SCAN_BLOCK_ROWS` by default; the answer and the charge do
-    not depend on the size).  Per block
-    the protocol scope recombines **only** the clause, sum and group
-    columns and the flag column
-    (:meth:`~repro.mpc.runtime.ProtocolContext.reveal_columns`) into
-    per-thread scratch, the selections are evaluated there, and the
-    block's counts (in Z) and sums (in Z_{2^64}) are added to the
-    accumulators — the same order-independent additions
-    :func:`range_mask` + :func:`fold_aggregates` perform over the whole
-    table at once, which stay as the plaintext definition and the test
-    oracle.  Any :class:`~repro.sharing.shared_value.SharedTable` works;
-    one whose columns are contiguous (a view shard) is scanned at memory
-    speed, a row-major one through strided reads.
+    not depend on the size).  Per block the protocol scope
+    (:meth:`~repro.mpc.runtime.ProtocolContext.reveal_columns`)
+    recombines **only** the clause, sum and group columns into
+    per-thread scratch and writes the live mask straight from the two
+    flag shares (``f0 != f1``), and the selections are evaluated there:
+    each clause is one wrapped subtract and one compare,
+    ``(x − lo) mod 2^32 ≤ hi − lo`` (no row passes when ``hi < lo``).
+    A COUNT behind one range makes six numpy calls per block, and a
+    SUM three more; which calls are made depends only on the block's
+    public size and the plan.  The block's counts (in Z) and sums (in
+    Z_{2^64}) are added to the accumulators — the same
+    order-independent additions :func:`range_mask` +
+    :func:`fold_aggregates` perform over the whole table at once, which
+    stay as the plaintext definition and the test oracle.  Any
+    :class:`~repro.sharing.shared_value.SharedTable` works; one whose
+    columns are contiguous (a view shard) is scanned at memory speed, a
+    row-major one through strided reads.
     """
     grouped = group_column is not None
     if grouped and not group_domain:
@@ -200,21 +215,26 @@ def oblivious_multi_aggregate(
         )
     )
     slot = {column: j for j, column in enumerate(columns)}
-    flag_slot, product_slot = len(columns), len(columns) + 1
+    shifted_slot, product_slot = len(columns), len(columns) + 1
+    # ``lo <= x <= hi`` is ``(x - lo) mod 2^32 <= hi - lo`` for hi >= lo;
+    # an empty interval (span None) passes nothing.
     bounds = [
-        (slot[column], np.uint32(lo), np.uint32(hi))
+        (slot[column], np.uint32(lo), None if hi < lo else np.uint32(hi - lo))
         for column, lo, hi in clause_specs
     ]
     block_rows = block_rows or SCAN_BLOCK_ROWS
     words, masks = _block_scratch(len(columns), block_rows)
     for start in range(0, n, block_rows):
         m = min(block_rows, n - start)
-        ctx.reveal_columns(table, columns, start, start + m, words)
         live, selected, passed = masks[0, :m], masks[1, :m], masks[2, :m]
-        np.not_equal(words[flag_slot, :m], 0, out=live)
-        for j, lo, hi in bounds:
-            live &= np.greater_equal(words[j, :m], lo, out=passed)
-            live &= np.less_equal(words[j, :m], hi, out=passed)
+        ctx.reveal_columns(table, columns, start, start + m, words, live)
+        shifted = words[shifted_slot, :m]
+        for j, lo, span in bounds:
+            if span is None:
+                live.fill(False)
+                continue
+            np.subtract(words[j, :m], lo, out=shifted)
+            live &= np.less_equal(shifted, span, out=passed)
         products = words[product_slot, :m]
         for g in range(n_groups):
             if grouped:

@@ -19,11 +19,17 @@ runs the same kernel and merges the same accumulators:
   always resolves to).  Shards with nothing past their watermark are
   answered without a call.  When the rest hold fewer than
   :data:`SPLIT_MIN_DELTA_ROWS` unscanned rows they run one after the
-  other on the calling thread; from that bound on, every other one runs
-  on a lazily started helper thread while the calling thread scans the
-  others, both in blocks of :data:`SPLIT_BLOCK_ROWS` rows, and the
-  helper is joined before the protocol scope closes.  Why the split
-  needs larger blocks, and the sweep that sized both constants, are in
+  other on the calling thread.  From that bound on the scan splits over
+  two threads, both in blocks of :data:`SPLIT_BLOCK_ROWS` rows: with
+  two or more pending shards every other one runs on a lazily started
+  helper thread while the calling thread scans the others; a lone
+  pending shard — a one-shard view's, the database default — is cut at
+  the public midpoint of its suffix into two contiguous ranges, the
+  second on the helper under a further context of the same protocol
+  group (:meth:`~repro.mpc.runtime.ParallelProtocolGroup.range_context`),
+  which is still priced by the view's shard count.  The helper is
+  joined before the protocol scope closes.  Why the split needs larger
+  blocks, and the sweep that sized both constants, are in
   ``docs/SHARDING.md`` ("Execution backends").
 * ``"process"`` — a persistent ``spawn`` worker pool over shared-memory
   publications (:mod:`repro.query.shard_workers`); workers return
@@ -104,9 +110,10 @@ def usable_cpus() -> int:
 
 
 #: A scan whose public delta ``Σ(n_rows − start)`` reaches this many
-#: rows splits its pending shards over two threads: every other one runs
-#: on the scan helper, the rest on the calling thread.  Below it, waking
-#: and joining the helper costs what the second core saves.
+#: rows splits over two threads: every other pending shard runs on the
+#: scan helper, the rest on the calling thread — or, with one pending
+#: shard, the second half of its suffix.  Below it, waking and joining
+#: the helper costs what the second core saves.
 SPLIT_MIN_DELTA_ROWS = 262_144
 
 #: Rows per kernel block on both threads of a split scan.  Larger than
@@ -161,13 +168,31 @@ def _scan_shards(contexts, shards, starts, args, parts, indices) -> None:
         parts[i] = oblivious_multi_aggregate(contexts[i], suffix, *args)
 
 
+def _beside_helper(on_helper, here):
+    """Run ``on_helper()`` on the scan helper while ``here()`` runs on
+    the calling thread; return ``(here's result, on_helper's result)``.
+
+    The helper is waited for before anything is returned or raised, so
+    a caller whose protocol scope closes next never leaves the helper
+    revealing under a closed scope, and the first error surfaces only
+    once both have stopped.
+    """
+    helper = _submit_to_helper(on_helper)
+    try:
+        result = here()
+    finally:
+        futures.wait((helper,))
+    return result, helper.result()
+
+
 class ParallelScanExecutor:
     """Runs one lowered view-scan plan across shards on a worker backend.
 
     ``backend`` is the executor seam: ``"thread"`` and ``"auto"`` (the
     default) scan in-process — shard after shard on the calling thread,
     or, from :data:`SPLIT_MIN_DELTA_ROWS` unscanned rows on, every other
-    shard on the scan helper thread beside it; ``"process"`` forces the
+    shard (or the second half of a lone pending one) on the scan helper
+    thread beside it; ``"process"`` forces the
     persistent shared-memory worker pool of
     :mod:`repro.query.shard_workers` (:meth:`backend_for`).  Shard scans
     are pure reveal/charge work on disjoint contexts (no RNG, no shared
@@ -175,7 +200,8 @@ class ParallelScanExecutor:
     per-shard protocol discipline.  With one shard execution is one
     padded scan of the whole view in one protocol — the serial form the
     sharding equivalence suite holds every shard count to, gates and
-    simulated seconds included.
+    simulated seconds included — whether it runs on one thread or, from
+    the split bound on, as two halves on two.
     """
 
     def __init__(self, backend: str = "auto") -> None:
@@ -189,11 +215,12 @@ class ParallelScanExecutor:
     def backend_for(self, view: MaterializedView) -> str:
         """Resolve the backend this executor would scan ``view`` with.
 
-        Single-shard views always scan serially in-process (there is
-        nothing to fan out, and the serial path is byte-identical to the
-        historical executor).  A forced backend is otherwise honored;
-        ``"auto"`` is the in-process path at every size — no measured
-        cell has the process pool ahead of it (see the module docstring).
+        Single-shard views always scan in-process (there is no shard to
+        fan out to a worker; a large scan still splits into halves, and
+        either way is byte-identical to the historical executor).  A
+        forced backend is otherwise honored; ``"auto"`` is the
+        in-process path at every size — no measured cell has the process
+        pool ahead of it (see the module docstring).
         """
         if view.n_shards <= 1 or self.backend == "auto":
             return "thread"
@@ -309,26 +336,41 @@ class ParallelScanExecutor:
                     parts[i] = (counts, sums)
             elif (
                 total_rows - cached_rows < SPLIT_MIN_DELTA_ROWS
-                or len(pending) < 2
+                or not pending
                 or usable_cpus() < 2
             ):
                 _scan_shards(group.contexts, shards, starts, kernel_args, parts, pending)
-            else:
-                # Every other pending shard goes to the helper.  Its
-                # contexts close with this scope, so it is waited for
-                # before the scope exits, on the error path too.
+            elif len(pending) == 1:
+                # A lone pending shard: its suffix is cut at the public
+                # midpoint, the second half on the helper under a
+                # context of its own.  The group is still priced by the
+                # view's shard count.
+                (i,) = pending
+                shard, start = shards[i], starts[i]
+                mid = (start + lengths[i]) // 2
+                second = group.range_context(i)
                 split_args = (*kernel_args, SPLIT_BLOCK_ROWS)
-                helper = _submit_to_helper(
-                    _scan_shards,
-                    group.contexts, shards, starts, split_args, parts, pending[1::2],
+                (c0, s0), (c1, s1) = _beside_helper(
+                    lambda: oblivious_multi_aggregate(
+                        second, shard.take(slice(mid, None)), *split_args
+                    ),
+                    lambda: oblivious_multi_aggregate(
+                        group.contexts[i], shard.take(slice(start, mid)), *split_args
+                    ),
                 )
-                try:
-                    _scan_shards(
-                        group.contexts, shards, starts, split_args, parts, pending[::2]
-                    )
-                finally:
-                    futures.wait((helper,))
-                helper.result()
+                parts[i] = (c0 + c1, s0 + s1)
+            else:
+                # Every other pending shard goes to the helper.
+                split_args = (*kernel_args, SPLIT_BLOCK_ROWS)
+                contexts = group.contexts
+                _beside_helper(
+                    lambda: _scan_shards(
+                        contexts, shards, starts, split_args, parts, pending[1::2]
+                    ),
+                    lambda: _scan_shards(
+                        contexts, shards, starts, split_args, parts, pending[::2]
+                    ),
+                )
             # Per-shard full-prefix accumulators: cached prefix (when
             # warm) plus the suffix just folded.  Counts add in Z, sums
             # add in Z_{2^64} — the same folds the one-pass scan
@@ -341,9 +383,9 @@ class ParallelScanExecutor:
                     prev = entry.shards[i]
                     part_counts = prev.counts + part_counts
                     part_sums = prev.sums + part_sums
-                    shard_gates = prev.gates + group.contexts[i].gates
+                    shard_gates = prev.gates + group.shard_gates(i)
                 else:
-                    shard_gates = group.contexts[i].gates
+                    shard_gates = group.shard_gates(i)
                 accumulators.append(
                     ShardAccumulator(
                         watermark=lengths[i],

@@ -377,6 +377,81 @@ def test_blocked_kernel_is_the_reference(
     assert got_charges == want_charges and got_gates == want_gates
 
 
+#: Clause shapes at the edges of the wrapped-subtract range test
+#: ``(x - lo) mod 2^32 <= hi - lo``: the whole ring, one point, an empty
+#: interval (``hi < lo``, which must pass nothing rather than wrap), and
+#: intervals touching either end of the ring.
+CLAUSE_EDGES = ("whole", "point", "empty", "top", "bottom", "random")
+
+
+def _edge_clause(gen, kind: str, column: int) -> tuple[int, int, int]:
+    value = int(gen.choice([0, 1, 2, 5, 6, TOP - 1, TOP]))
+    if kind == "whole":
+        return column, 0, TOP
+    if kind == "point":
+        return column, value, value
+    if kind == "empty":
+        return column, max(value, 1), max(value, 1) - 1
+    if kind == "top":
+        return column, TOP - int(gen.integers(0, 8)), TOP
+    if kind == "bottom":
+        return column, 0, int(gen.integers(0, 8))
+    lo, hi = sorted(int(v) for v in gen.integers(0, 1 << 32, size=2))
+    return column, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, 9, BLOCK + 3]),
+    clauses=st.lists(
+        st.tuples(st.sampled_from(CLAUSE_EDGES), st.integers(0, 3)), max_size=3
+    ),
+    sum_picks=st.lists(st.integers(0, 3), max_size=3),
+    need_count=st.booleans(),
+    grouped=st.booleans(),
+    block_rows=st.sampled_from([None, 1, 4, 64]),
+)
+def test_kernel_edges_are_the_definition_on_every_context(
+    seed, n, clauses, sum_picks, need_count, grouped, block_rows
+):
+    """Clauses at the ring's edges, two on one column, on a summed column
+    or on the GROUP BY column (column 0), over flag shares whose words
+    are random in every bit: the kernel's counts, sums, dtypes and
+    charges are ``range_mask`` + ``fold_aggregates``'s, and a process
+    worker's :class:`WorkerShardContext` answers and charges the same."""
+    gen = np.random.default_rng(seed)
+    domain = (0, 1, 2, 5)
+    table = _shared_table(gen, n, WIDTH, True, domain)
+    clause_specs = tuple(_edge_clause(gen, kind, column) for kind, column in clauses)
+    args = (
+        tuple(sum_picks),
+        need_count,
+        0 if grouped else None,
+        domain if grouped else None,
+        clause_specs,
+        1 + len(clause_specs),
+    )
+    runtime = MPCRuntime(seed=0)
+    got_charges, want_charges = ChargeLog(), ChargeLog()
+    with runtime.protocol("kernel") as ctx:
+        got = oblivious_multi_aggregate(
+            got_charges.attach(ctx), table, *args, block_rows=block_rows
+        )
+        got_gates = ctx.gates
+    with runtime.protocol("reference") as ctx:
+        want = _reference(want_charges.attach(ctx), table, *args)
+        want_gates = ctx.gates
+    _assert_same(got, want)
+    assert got_charges == want_charges and got_gates == want_gates
+
+    worker = WorkerShardContext(runtime.cost_model)
+    _assert_same(
+        oblivious_multi_aggregate(worker, table, *args, block_rows=block_rows), want
+    )
+    assert worker.gates == want_gates
+
+
 def test_closed_scope_is_refused_before_any_word_is_recombined(monkeypatch):
     gen = np.random.default_rng(0)
     table = _shared_table(gen, 50, 3, True, (1, 2))
@@ -408,9 +483,9 @@ def test_threads_scanning_different_shards_never_share_scratch():
     def scan(i, ctx):
         reveal = ctx.reveal_columns
 
-        def in_step(table, columns, start, stop, out):
+        def in_step(table, columns, start, stop, out, live):
             scratches[i] = out
-            reveal(table, columns, start, stop, out)
+            reveal(table, columns, start, stop, out, live)
             barrier.wait()  # both blocks revealed, neither folded yet
 
         ctx.reveal_columns = in_step

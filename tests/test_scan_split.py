@@ -2,13 +2,15 @@
 
 When a view scan's public delta reaches
 :data:`~repro.query.parallel.SPLIT_MIN_DELTA_ROWS`, every other pending
-shard runs on the scan helper thread and the rest on the calling thread.
-These tests hold the split to the inline scan and to the one-shard
-serial reference (answers, per-shard accumulators and gates, merged
-gates, :class:`~repro.query.incremental.ScanReport`), pin which shards
-run where, check that a failure on either half surfaces only once both
-halves have stopped, and that ``DatabaseServer.stop()`` leaves no
-helper thread behind.
+shard runs on the scan helper thread and the rest on the calling thread;
+a lone pending shard is cut at the midpoint of its suffix, the second
+half on the helper.  These tests hold the split to the inline scan and
+to the one-shard serial reference (answers, per-shard accumulators and
+gates, merged gates and simulated seconds,
+:class:`~repro.query.incremental.ScanReport`), pin which shards and
+ranges run where, check that a failure on either half surfaces only
+once both halves have stopped, and that ``DatabaseServer.stop()`` leaves
+no helper thread behind.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 import repro.query.parallel as parallel_mod
 from repro.common.errors import SecurityError
+from repro.mpc.cost_model import DEFAULT_COST_MODEL
 from repro.mpc.runtime import MPCRuntime
 from repro.query.incremental import AccumulatorCache
 from repro.query.parallel import ParallelScanExecutor, shutdown_scan_helper
@@ -114,8 +117,9 @@ def test_split_inline_and_serial_agree(n_shards, appends, monkeypatch, kernel_ca
     assert split == inline
     assert [r.mode for _, r, _, _ in split] == ["cold", "warm", "warm"]
     assert [r.delta_rows for _, r, _, _ in split] == list(appends)
-    # Only the stage at the bound split, and only with two shards to split.
-    assert any(ran_on_helper) == (n_shards > 1)
+    # The stage at the bound split, at every shard count (a lone pending
+    # shard in two halves).
+    assert any(ran_on_helper)
 
     # The one-shard serial reference: the same answers at every stage,
     # and a cold scan's gates; per-shard accumulators sum to its one.
@@ -327,3 +331,150 @@ def test_no_helper_thread_outlives_the_server(monkeypatch, kernel_calls):
     assert again.query(count_query(2)).answer == answer
     again.stop()
     assert helper_threads() == []
+
+
+
+# -- a lone pending shard splits in two ----------------------------------------
+def _row_offset(table, shard) -> int:
+    """Where ``table``'s rows begin within ``shard``: a range is a public
+    slice of the shard, a face of the same buffer."""
+    flags, base = table.flags.share0, shard.flags.share0
+    offset = flags.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    return offset // base.strides[0]
+
+
+@pytest.mark.parametrize("cached", [0, 9], ids=["cold", "warm"])
+@pytest.mark.parametrize("suffix", [BOUND, BOUND + 1, 3 * BOUND + 1])
+def test_a_lone_pending_shard_runs_as_two_contiguous_halves(
+    suffix, cached, monkeypatch
+):
+    """At or above the bound, a one-shard view's suffix is cut at its
+    midpoint: the first half on the calling thread, the second on the
+    helper, each under its own context of the group, the two meeting
+    exactly; answers, per-shard accumulators and the ScanReport are the
+    inline scan's."""
+    monkeypatch.setattr(parallel_mod, "SPLIT_MIN_DELTA_ROWS", BOUND)
+    kernel = parallel_mod.oblivious_multi_aggregate
+
+    def scanned(bound):
+        monkeypatch.setattr(parallel_mod, "SPLIT_MIN_DELTA_ROWS", bound)
+        gen = np.random.default_rng(12)
+        view = MaterializedView(VD.view_schema, n_shards=1)
+        executor, cache = ParallelScanExecutor(), AccumulatorCache()
+        runtime = MPCRuntime(seed=0)
+        if cached:
+            view.append(delta(gen, cached))
+            executor.execute_detailed(runtime, 0, view, PLAN, cache)
+        view.append(delta(gen, suffix))
+        calls = []
+
+        def recording(ctx, table, *args):
+            on_helper = threading.current_thread().name.startswith("scan-helper")
+            offset = _row_offset(table, view.shards[0])
+            calls.append((on_helper, ctx, offset, len(table)))
+            return kernel(ctx, table, *args)
+
+        monkeypatch.setattr(parallel_mod, "oblivious_multi_aggregate", recording)
+        answer, _seconds, report = executor.execute_detailed(
+            runtime, 1, view, PLAN, cache
+        )
+        monkeypatch.setattr(parallel_mod, "oblivious_multi_aggregate", kernel)
+        (acc,) = cache.lookup(view, PLAN).shards
+        state = (answer, report, acc.counts.tolist(), acc.sums.tolist(), acc.gates)
+        return state, calls, runtime.runs[-1]
+
+    split, calls, split_run = scanned(BOUND)
+    calls.sort(key=lambda call: call[2])  # the halves run concurrently
+    half = suffix // 2
+    assert [(h, offset, n) for h, _ctx, offset, n in calls] == [
+        (False, cached, half),
+        (True, cached + half, suffix - half),
+    ]
+    assert calls[0][1] is not calls[1][1]
+    assert [ctx.shard for _, ctx, _, _ in calls] == [(0, 1), (0, 1)]
+
+    inline, inline_calls, inline_run = scanned(1 << 62)
+    assert [(h, offset, n) for h, _ctx, offset, n in inline_calls] == [
+        (False, cached, suffix)
+    ]
+    assert split == inline and split_run == inline_run
+    assert split[1].delta_rows == suffix and split[1].cached_rows == cached
+
+
+def _runs_of(n_shards: int, bound: int, appends, monkeypatch):
+    """Every query's answer and :class:`ProtocolRun` over one seeded view,
+    scanned after each append with an accumulator cache."""
+    monkeypatch.setattr(parallel_mod, "SPLIT_MIN_DELTA_ROWS", bound)
+    gen = np.random.default_rng(13)
+    runtime, cache = MPCRuntime(seed=0), AccumulatorCache()
+    view = MaterializedView(VD.view_schema, n_shards=n_shards)
+    executor = ParallelScanExecutor()
+    answers = []
+    for t, appended in enumerate(appends):
+        view.append(delta(gen, appended))
+        answers.append(executor.execute(runtime, t, view, PLAN)[0])
+        answers.append(executor.execute_detailed(runtime, t, view, PLAN, cache)[0])
+    return answers, runtime.runs
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+def test_split_answers_gates_and_seconds_are_the_inline_scans(
+    n_shards, monkeypatch, kernel_calls
+):
+    """Cold and warm scans at every placement — split across shards, a
+    lone pending shard in halves (the one-row appends, at a bound of
+    one row), inline — answer alike and log equal runs: gates and
+    simulated seconds, which stay priced by the view's shard count."""
+    appends = (3 * BOUND + 1, 1, BOUND, 1)
+    split, split_runs = _runs_of(n_shards, 1, appends, monkeypatch)
+    assert any(on_helper for on_helper, _, _ in kernel_calls)
+    del kernel_calls[:]
+    inline, inline_runs = _runs_of(n_shards, 1 << 62, appends, monkeypatch)
+    assert not any(on_helper for on_helper, _, _ in kernel_calls)
+    assert split == inline
+    assert split_runs == inline_runs
+    assert [r.seconds for r in split_runs] == [
+        DEFAULT_COST_MODEL.parallel_seconds(r.gates, n_shards) for r in split_runs
+    ]
+
+
+@pytest.mark.parametrize("failing_half", ["helper", "caller"])
+def test_a_failing_half_of_a_lone_shard_surfaces_after_both_stopped(
+    failing_half, monkeypatch
+):
+    """The one-shard split's error path: the failing half raises at
+    once, the other is still scanning; the error surfaces only after it
+    ended, inside the open scope."""
+    monkeypatch.setattr(parallel_mod, "SPLIT_MIN_DELTA_ROWS", 0)
+    kernel = parallel_mod.oblivious_multi_aggregate
+    ended, late_reveals = [], []
+
+    def kernel_with_a_fault(ctx, table, *args):
+        on_helper = threading.current_thread().name.startswith("scan-helper")
+        try:
+            if on_helper == (failing_half == "helper"):
+                raise RuntimeError(f"forced in the {failing_half}'s half")
+            time.sleep(0.05)
+            try:
+                return kernel(ctx, table, *args)
+            except SecurityError:
+                late_reveals.append(ctx.shard)
+                raise
+        finally:
+            ended.append(on_helper)
+
+    monkeypatch.setattr(parallel_mod, "oblivious_multi_aggregate", kernel_with_a_fault)
+    runtime = MPCRuntime(seed=0)
+    view = MaterializedView(VD.view_schema, n_shards=1)
+    view.append(delta(np.random.default_rng(3), 41))
+    executor = ParallelScanExecutor()
+    with pytest.raises(RuntimeError, match=f"forced in the {failing_half}"):
+        executor.execute_detailed(runtime, 0, view, PLAN)
+    assert sorted(ended) == [False, True]
+    assert late_reveals == []
+    assert runtime._active is None and runtime.runs[-1].name == "query"
+
+    monkeypatch.setattr(parallel_mod, "oblivious_multi_aggregate", kernel)
+    answer, _ = executor.execute(runtime, 1, view, PLAN)
+    expected, _ = serial_scan(MPCRuntime(seed=0), 1, view, PLAN)
+    assert answer == expected

@@ -24,6 +24,8 @@ The headline claims, per ISSUE 10:
 from __future__ import annotations
 
 import json
+import socket
+import struct
 import time
 import urllib.error
 import urllib.request
@@ -875,6 +877,36 @@ class TestMetrics:
             )
         server.stop()
         assert 'tenant="we\\"ird\\\\ten\\nant"' in text
+
+    def test_an_uncapped_tenant_stats_head_is_strict_json(self):
+        """The ``stats`` frame's head parses with no non-JSON constant
+        (``Infinity``, ``NaN``) allowed; the uncapped budget and its
+        headroom are spelled ``"Infinity"``, which reads back as inf."""
+        registry = TenantRegistry.from_specs(["a:tok:analyst:inf"])
+        server, net = _tenanted_net(registry=registry)
+
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant} in a head")
+
+        with net:
+            host, port = net.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                for frame_type, payload in (
+                    ("hello", {"client": "t", "tenant": "a", "token": "tok"}),
+                    ("stats", {}),
+                ):
+                    wire.write_frame(stream, frame_type, payload)
+                    header = stream.read(10)
+                    body = stream.read(struct.unpack(">4sBBI", header)[3])
+                (head_len,) = struct.unpack(">I", body[:4])
+                head = json.loads(body[4 : 4 + head_len], parse_constant=refuse)
+        server.stop()
+        assert wire.FRAME_NAMES[header[5]] == "stats_result"
+        entry = head["tenants"]["a"]
+        assert entry["epsilon_budget"] == entry["epsilon_remaining"] == "Infinity"
+        assert float(entry["epsilon_budget"]) == float("inf")
+        assert net._unhandled_errors == []
 
     def test_an_uncapped_tenant_scrapes_as_plus_inf(self):
         registry = TenantRegistry.from_specs(["a:tok:analyst:inf"])

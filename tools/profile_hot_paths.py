@@ -137,18 +137,19 @@ def _range_scan_workload(rows: int):
 #: block of ``None`` is one block per shard.
 COLD_SCAN_SWEEP_ROWS = (131_072, 262_144, 400_000, 1_200_000, 1_600_000)
 COLD_SCAN_SWEEP_BLOCKS = (1 << 15, 1 << 16, 1 << 17, None)
+COLD_SCAN_SWEEP_SHARDS = (4, 1)
 COLD_SCAN_SWEEP_REPEATS = 15
 
 
-def _cold_scan_query(rows: int):
-    """A ``bigview-adhoc`` query over ``rows`` rows in four shards: the
-    view, the plan and a runner that scans it cold through the executor
-    (no accumulator cache, so every call scans everything)."""
+def _cold_scan_query(rows: int, n_shards: int = 4):
+    """A ``bigview-adhoc`` query over ``rows`` rows in ``n_shards``
+    shards: the view, the plan and a runner that scans it cold through
+    the executor (no accumulator cache, so every call scans everything)."""
     from repro.mpc.runtime import MPCRuntime
     from repro.query.ast import ScanAggregate, ScanClause, ViewScanPlan
     from repro.query.parallel import ParallelScanExecutor
 
-    view = _random_view(rows, 4, 1 << 24)
+    view = _random_view(rows, n_shards, 1 << 24)
     plan = ViewScanPlan(
         view_name="profile",
         aggregates=(
@@ -168,10 +169,12 @@ def _cold_scan_query(rows: int):
 
 
 def _cold_scan_sweep() -> list[dict]:
-    """Median ms of the cold query, inline and split, per view size and
-    block size (``SCAN_BLOCK_ROWS`` for the inline scan,
-    ``SPLIT_BLOCK_ROWS`` for the split one).  Inline and split alternate
-    call by call, so a noisy neighbour lands on both columns alike."""
+    """Median ms of the cold query, inline and split, per view size,
+    shard count (four, and the one shard a database has by default,
+    which splits into two halves of its rows) and block size
+    (``SCAN_BLOCK_ROWS`` for the inline scan, ``SPLIT_BLOCK_ROWS`` for
+    the split one).  Inline and split alternate call by call, so a noisy
+    neighbour lands on both columns alike."""
     import repro.oblivious.filter as filter_mod
     import repro.query.parallel as parallel_mod
 
@@ -184,8 +187,10 @@ def _cold_scan_sweep() -> list[dict]:
     placements = {"inline": 1 << 62, "split": 0}
     cells = []
     try:
-        for rows in COLD_SCAN_SWEEP_ROWS:
-            view, run = _cold_scan_query(rows)
+        for rows, n_shards in itertools.product(
+            COLD_SCAN_SWEEP_ROWS, COLD_SCAN_SWEEP_SHARDS
+        ):
+            view, run = _cold_scan_query(rows, n_shards)
             for block in COLD_SCAN_SWEEP_BLOCKS:
                 block_rows = block or max(view.shard_lengths())
                 filter_mod.SCAN_BLOCK_ROWS = block_rows
@@ -202,6 +207,7 @@ def _cold_scan_sweep() -> list[dict]:
                 cells.append(
                     {
                         "rows": rows,
+                        "shards": n_shards,
                         "block_rows": block or "shard",
                         # the first call of each placement sizes its scratch
                         **{
@@ -227,8 +233,9 @@ def _cold_scan_workload(rows: int):
     is configured.  Watch for anything whose cost follows the shard
     length outside the kernel's block loop — a copy, a concatenation, a
     whole-shard reveal.  Its report is the placement sweep: inline and
-    split times for every size of :data:`COLD_SCAN_SWEEP_ROWS` and block
-    size of :data:`COLD_SCAN_SWEEP_BLOCKS`, the table
+    split times for every size of :data:`COLD_SCAN_SWEEP_ROWS`, shard
+    count of :data:`COLD_SCAN_SWEEP_SHARDS` and block size of
+    :data:`COLD_SCAN_SWEEP_BLOCKS`, the table
     ``docs/SHARDING.md`` picks ``SCAN_BLOCK_ROWS``, ``SPLIT_BLOCK_ROWS``
     and ``SPLIT_MIN_DELTA_ROWS`` from."""
     _view, run = _cold_scan_query(rows)
@@ -1022,8 +1029,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             shape = f", {shape}"
         elif "sweep" in data:
-            shape = ", inline/split ms per (rows, block): " + "; ".join(
-                f"({x['rows']}, {x['block_rows']}) {x['inline_ms']}/{x['split_ms']}"
+            shape = ", inline/split ms per (rows, shards, block): " + "; ".join(
+                f"({x['rows']}, {x['shards']}, {x['block_rows']}) "
+                f"{x['inline_ms']}/{x['split_ms']}"
                 for x in data["sweep"]
             )
         elif "segments" in data:
