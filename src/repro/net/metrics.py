@@ -156,6 +156,14 @@ def render_metrics(observability: dict, tenants: dict | None = None) -> str:
         for key, value in (observability.get(family) or {}).items():
             if isinstance(value, (int, float, bool)):
                 lines.sample(prefix + stem + str(key), value, help_text)
+    for reason, count in (observability.get("query_handoffs") or {}).items():
+        lines.sample(
+            prefix + "query_handoffs_total",
+            count,
+            "Query frames an event loop handed to the executor lane",
+            labels={"reason": reason},
+            kind="counter",
+        )
     for tid, entry in (tenants or {}).items():
         labels = {"tenant": tid}
         role = entry.get("role")

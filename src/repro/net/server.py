@@ -21,13 +21,17 @@ door is a **reactor**, not thread-per-connection:
   admission never waits, and a lone ``wait=True`` upload is applied
   right there when the ingest backlog is idle, the write lock free and
   the step within the inline bounds (public row counts); a
-  query or ``stats`` frame takes every lock without waiting and runs
-  inline iff its plan is a view scan below the scan executor's own
-  inline bound; anything that finds a lock busy, an
-  NM join, a big cold scan, ``snapshot`` and ``reshard`` go to the
-  executor — so one slow MPC circuit still cannot stall the I/O of 999
-  other connections, and a 0.5 ms query is not bounced across two
-  threads to be answered;
+  query or ``stats`` frame runs inline iff its plan is a view scan below
+  the scan executor's own inline bound, takes the read lock without
+  waiting, and waits for the MPC lock only behind such bounded scans
+  (:class:`~repro.server.runtime.MpcLock`) — a wait bounded by one scan
+  per other query frame in line, at most ``max_inflight − 1``; a read
+  lock held or wanted by a writer, the MPC lock held by (or promised to)
+  unbounded work, an NM join, a big cold scan, ``snapshot`` and
+  ``reshard`` go to the executor — so one
+  slow MPC circuit still cannot stall the I/O of 999 other connections,
+  and a 0.5 ms query is not bounced across two threads to be answered,
+  not even when another analyst's scan holds the MPC lock;
 * a ``wait=True`` upload the loop could not apply itself (a step is
   queued, the write lock is busy, a checkpoint falls due, the step is
   past the inline bounds, or it came in a coalesced run) is a
@@ -379,8 +383,8 @@ class NetworkServer:
         self.idle_timeout = idle_timeout
         #: number of event-loop threads multiplexing the connections.
         #: Loops execute requests, so one loop serves two busy analyst
-        #: connections faster than two (no contended ``_mpc_lock``, no
-        #: bounce) — but only while the scheduler gives that one thread a
+        #: connections faster than two (no contended ``_mpc_lock``) —
+        #: but only while the scheduler gives that one thread a
         #: core of its own: sharing one with its clients it falls back to
         #: the two-loop rate, and on a 2-core host it flips between the
         #: two from run to run (docs/NETWORK.md).  Two is the steady one.
@@ -752,9 +756,11 @@ class NetworkServer:
                 # admission (decode, gate, try_submit_many — or, for a lone
                 # waited step within the inline bounds, try_apply), and a
                 # query or stats frame whose non-blocking form goes
-                # through.
-                # WouldBlock — a lock busy, an NM join, a big cold scan —
-                # and the write-lock frames take the executor.
+                # through — a bounded query waiting its turn at the MPC
+                # lock behind other bounded scans only.
+                # WouldBlock — the read lock busy, unbounded work at the
+                # MPC lock, an NM join, a big cold scan — and the
+                # write-lock frames take the executor.
                 conn.executing = True
                 if frame_type in _LOOP_FRAMES:
                     try:
@@ -889,8 +895,9 @@ class NetworkServer:
 
         The one body both lanes run: an event loop calls it with
         ``blocking=False`` — then it raises :class:`WouldBlock` instead of
-        waiting for a lock or running an unbounded plan, with nothing
-        executed — and the executor with ``blocking=True``.  ``None``
+        waiting for a lock held by anything but bounded scans or running
+        an unbounded plan, with nothing executed — and the executor with
+        ``blocking=True``.  ``None``
         means an upload batch left a continuation behind that will answer
         (:meth:`_end_upload_wait`).  Nothing else escapes: a handler bug is
         recorded and answered as a ``server`` error, so the connection
@@ -1136,8 +1143,8 @@ class NetworkServer:
         request's failure.
 
         With ``blocking=False`` (an event loop asking) a query that would
-        have to wait raises :class:`~repro.server.runtime.WouldBlock` with
-        nothing executed.
+        have to wait for anything but bounded scans raises
+        :class:`~repro.server.runtime.WouldBlock` with nothing executed.
         """
         # Halted ingestion is the *server's* condition, not this
         # request's fault: report it as a server error (with the original

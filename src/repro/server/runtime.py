@@ -59,6 +59,16 @@ from .database import DatabaseQueryResult, IncShrinkDatabase
 from .persistence import SnapshotInfo, restore_database, snapshot_database
 
 
+#: Why a ``blocking=False`` query raised :class:`WouldBlock` — the keys of
+#: :attr:`ServingStats.query_handoffs`: the read/write lock is held or
+#: wanted by a writer, unbounded work holds (or is next in line for) the
+#: MPC lock, or the plan itself is not bounded.
+RW_LOCK_BUSY = "rw_lock_busy"
+MPC_UNBOUNDED = "mpc_unbounded_holder"
+UNBOUNDED_PLAN = "unbounded_plan"
+HANDOFF_REASONS = (RW_LOCK_BUSY, MPC_UNBOUNDED, UNBOUNDED_PLAN)
+
+
 class WouldBlock(Exception):
     """A non-blocking call could not finish without waiting.
 
@@ -66,21 +76,94 @@ class WouldBlock(Exception):
     and :meth:`DatabaseServer.observability` (a lock is held or wanted by
     someone else, or the plan is not one that runs in bounded time) before
     anything was executed, charged or released: the caller repeats the
-    call in its blocking form on a thread that may wait.  Deliberately not
-    a :class:`~repro.common.errors.ReproError` — it says nothing about the
+    call in its blocking form on a thread that may wait.  ``reason`` is
+    one of :data:`HANDOFF_REASONS`.  Deliberately not a
+    :class:`~repro.common.errors.ReproError` — it says nothing about the
     request.
     """
 
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
-@contextmanager
-def _held(lock: threading.Lock, blocking: bool) -> Iterator[None]:
-    """``with lock:``, or :class:`WouldBlock` when it is taken and we may not wait."""
-    if not lock.acquire(blocking):
-        raise WouldBlock
-    try:
-        yield
-    finally:
-        lock.release()
+
+class _Turn:
+    """One place in :class:`MpcLock`'s line (compared by identity)."""
+
+    __slots__ = ("bounded", "wake")
+
+    def __init__(self, bounded: bool) -> None:
+        self.bounded = bounded
+        #: this place's own condition, made only when it has to wait
+        self.wake: threading.Condition | None = None
+
+
+class MpcLock:
+    """The MPC lock: one holder at a time, in arrival order, and each
+    place in line says whether its work is *bounded*.
+
+    Bounded work is an in-process view scan that
+    :meth:`DatabaseServer._runs_in_bounded_time` admits, on either lane;
+    a plain :meth:`acquire` is unbounded.  :meth:`acquire_behind_bounded`
+    is the event loops' form: it joins the line only when the holder and
+    every waiter ahead are bounded, and refuses otherwise.  Nobody
+    overtakes a place once taken, so such a wait is bounded by the scans
+    ahead of it at arrival, and a loop never waits behind unbounded work.
+    On the network server every query frame in the line holds one of the
+    ``max_inflight`` permits, so that is at most ``max_inflight − 1``
+    bounded scans of under ~1 ms each: about 7 ms at the default 8, during
+    which the waiting loop's other connections wait too.  A release wakes
+    the next place only.  Like :class:`threading.Lock`, any thread may
+    :meth:`release` it.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        #: the holder first, then the waiters in arrival order
+        self._line: deque[_Turn] = deque()
+
+    def acquire(self, bounded: bool = False) -> bool:
+        """Take the lock after everyone ahead of this call."""
+        with self._mutex:
+            return self._wait_turn(_Turn(bounded))
+
+    def acquire_behind_bounded(self) -> bool:
+        """Take the lock as bounded work, waiting only behind bounded work;
+        ``False``, without queuing, when unbounded work holds the lock or
+        is in line for it."""
+        with self._mutex:
+            if not all(turn.bounded for turn in self._line):
+                return False
+            return self._wait_turn(_Turn(True))
+
+    def _wait_turn(self, turn: _Turn) -> bool:
+        self._line.append(turn)
+        if self._line[0] is turn:
+            return True
+        turn.wake = threading.Condition(self._mutex)
+        try:
+            while self._line[0] is not turn:
+                turn.wake.wait()
+        except BaseException:
+            # Interrupted: leave the line, passing the turn on if it
+            # had already come.
+            if self._line[0] is turn:
+                self._pass_turn()
+            else:
+                self._line.remove(turn)
+            raise
+        return True
+
+    def _pass_turn(self) -> None:
+        self._line.popleft()
+        if self._line:
+            self._line[0].wake.notify()
+
+    def release(self) -> None:
+        with self._mutex:
+            if not self._line:
+                raise RuntimeError("release of an unheld MpcLock")
+            self._pass_turn()
 
 
 class ReadWriteLock:
@@ -140,7 +223,7 @@ class ReadWriteLock:
     @contextmanager
     def read_locked(self, blocking: bool = True) -> Iterator[None]:
         if not self.acquire_read(blocking):
-            raise WouldBlock
+            raise WouldBlock(RW_LOCK_BUSY)
         try:
             yield
         finally:
@@ -196,6 +279,13 @@ class ServingStats:
     #: ground-truth join mirror gauges (hits/extensions/signatures) —
     #: functions of upload and query counts only, never of row counts
     logical_mirror: dict = field(default_factory=dict)
+    #: ``query(blocking=False)`` calls refused with :class:`WouldBlock`,
+    #: by reason (:data:`HANDOFF_REASONS`) — on the network server, the
+    #: query frames an event loop handed to the executor lane.  Request
+    #: counts: public.
+    query_handoffs: dict = field(
+        default_factory=lambda: dict.fromkeys(HANDOFF_REASONS, 0)
+    )
 
     def uploads_per_second(self) -> float:
         return self.uploads / self.ingest_seconds if self.ingest_seconds else 0.0
@@ -223,6 +313,7 @@ class ServingStats:
             "plan_cache_hit_rate": self.plan_cache_hit_rate,
             "incremental_cache": dict(self.incremental_cache),
             "logical_mirror": dict(self.logical_mirror),
+            "query_handoffs": dict(self.query_handoffs),
         }
 
 
@@ -348,7 +439,7 @@ class DatabaseServer:
         #: whatever is queued (:meth:`_drain`)
         self._worker: ThreadPoolExecutor | None = None
         self._rw = ReadWriteLock()
-        self._mpc_lock = threading.Lock()
+        self._mpc_lock = MpcLock()
         self._stats_lock = threading.Lock()
         self._started = False
         self._stopping = False
@@ -767,24 +858,45 @@ class DatabaseServer:
         an ε-released query, whose noise stream is separate from the
         ingestion streams).  Because the MPC lock serialises noisy
         releases, the database's check-then-spend ledger gate for
-        ``tenant`` is atomic with the spend it guards.
+        ``tenant`` is atomic with the spend it guards.  The query holds
+        the MPC lock as bounded work iff :meth:`_runs_in_bounded_time`
+        admits its plan.
 
-        With ``blocking=False`` the call never waits and never runs for
-        long: it raises :class:`WouldBlock` — nothing executed, charged or
-        released — when either lock is taken, or when the plan is not a
-        bounded in-process scan (:meth:`_runs_in_bounded_time`).
+        With ``blocking=False`` the call never waits for a lock held by
+        unbounded work and never runs for long: it raises
+        :class:`WouldBlock` — nothing executed, charged or released, the
+        reason counted in :attr:`ServingStats.query_handoffs` — when the
+        read lock is held or wanted by a writer, when the plan is not a
+        bounded in-process scan, or when unbounded work holds or is in
+        line for the MPC lock.  Behind bounded holders only it waits its
+        turn (:class:`MpcLock`): at most one bounded scan — fewer than
+        :data:`~repro.query.parallel.POOL_MIN_DELTA_ROWS` unscanned rows —
+        per other query in line ahead of it (``max_inflight − 1`` on the
+        network server).
         """
         self._raise_ingest_error()
         t0 = _time.perf_counter()
-        with self._rw.read_locked(blocking):
-            at_time = self._last_time if time is None else int(time)
-            plan = self.database.planner.plan(query)
-            if not blocking and not self._runs_in_bounded_time(plan):
-                raise WouldBlock
-            with _held(self._mpc_lock, blocking):
-                result = self.database.query(
-                    query, at_time, plan=plan, epsilon=epsilon, tenant=tenant
-                )
+        try:
+            with self._rw.read_locked(blocking):
+                at_time = self._last_time if time is None else int(time)
+                plan = self.database.planner.plan(query)
+                bounded = self._runs_in_bounded_time(plan)
+                if blocking:
+                    self._mpc_lock.acquire(bounded=bounded)
+                elif not bounded:
+                    raise WouldBlock(UNBOUNDED_PLAN)
+                elif not self._mpc_lock.acquire_behind_bounded():
+                    raise WouldBlock(MPC_UNBOUNDED)
+                try:
+                    result = self.database.query(
+                        query, at_time, plan=plan, epsilon=epsilon, tenant=tenant
+                    )
+                finally:
+                    self._mpc_lock.release()
+        except WouldBlock as refused:
+            with self._stats_lock:
+                self.stats.query_handoffs[refused.reason] += 1
+            raise
         with self._stats_lock:
             self.stats.queries += 1
             self.stats.query_seconds += _time.perf_counter() - t0

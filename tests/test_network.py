@@ -30,6 +30,7 @@ from repro.core.view_def import JoinViewDefinition
 from repro.net import protocol as wire
 from repro.net.backoff import backoff_delay
 from repro.net.client import IncShrinkClient
+from repro.net.metrics import render_metrics
 from repro.net.server import NetworkServer
 from repro.query.ast import (
     AggregateSpec,
@@ -970,6 +971,103 @@ class TestExecutionLanes:
         server.stop()
         assert result.plan_kind == "nm-join"
         assert len(threads) == 1 and not on_loop(threads[0])
+
+    @staticmethod
+    def cold_scan_database(rows: int = 100_000) -> IncShrinkDatabase:
+        """A 4-shard view preloaded with ``rows`` rows: every query with a
+        new range is a bounded cold scan long enough to contend."""
+        gen = np.random.default_rng(53)
+        db = IncShrinkDatabase(
+            total_epsilon=2000.0, seed=7, n_shards=4, nm_fallback=False
+        )
+        db.register_view(ViewRegistration(make_view("big", 2), mode="ep"))
+        db.finalize()
+        view = db.views["big"].view
+        view.append(
+            db.runtime.owner_share_table(
+                view.schema,
+                gen.integers(0, 1 << 16, size=(rows, 4), dtype=np.uint32),
+                gen.integers(0, 2, size=rows, dtype=np.uint32),
+            ),
+            count_as_update=False,
+        )
+        return db
+
+    def test_two_analysts_wait_their_turns_on_their_loops(self, monkeypatch):
+        """Two clients on the default two loops, each sending cold scans:
+        every scan runs on a loop thread (a query meeting the other's
+        scan waits for the MPC lock there), nothing is handed to the
+        executor for the lock, and answers and gates equal a serial run."""
+        vd = make_view("big", 2)
+
+        def cold(i: int) -> LogicalQuery:
+            return LogicalQuery.for_view(
+                vd,
+                AggregateSpec.count(),
+                AggregateSpec.sum_of("shipments", "sts"),
+                predicate=ColumnRange("orders", "key", i, 1 << 15),
+            )
+
+        per_client = 20
+        reference = self.cold_scan_database()
+        expected = {
+            i: reference.query(cold(i), 0).answers for i in range(2 * per_client)
+        }
+        server = DatabaseServer(self.cold_scan_database())
+        threads = record_threads(monkeypatch, server.database, "query")
+        answers: dict = {}
+        with NetworkServer(server) as net:
+            assert net.loop_threads == 2
+
+            def analyst(first: int) -> None:
+                with IncShrinkClient(*net.address) as client:
+                    for i in range(first, 2 * per_client, 2):
+                        answers[i] = client.query(cold(i)).answers
+
+            clients = [
+                threading.Thread(target=analyst, args=(first,)) for first in (0, 1)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30.0)
+                assert not client.is_alive()
+            with IncShrinkClient(*net.address) as client:
+                handoffs = client.stats()["query_handoffs"]
+            exported = render_metrics(server.observability())
+        server.stop()
+        assert len(threads) == 2 * per_client
+        assert all(on_loop(name) for name in threads)
+        assert answers == expected
+
+        def gates(db: IncShrinkDatabase) -> list[int]:
+            return sorted(run.gates for run in db.runtime.runs if run.name == "query")
+
+        assert gates(server.database) == gates(reference)
+        assert handoffs == {
+            "rw_lock_busy": 0, "mpc_unbounded_holder": 0, "unbounded_plan": 0
+        }
+        assert (
+            'incshrink_query_handoffs_total{reason="mpc_unbounded_holder"} 0'
+            in exported
+        )
+
+    def test_an_nm_join_is_counted_as_an_unbounded_plan_handoff(self):
+        server = DatabaseServer(build_database())
+        with NetworkServer(server) as net:
+            with IncShrinkClient(*net.address) as client:
+                client.upload(1, batches_at(1), wait=True)
+                client.query(query_mix()[0])
+                before = client.stats()["query_handoffs"]
+                client.query(LogicalQuery.for_view(make_view("wide", 5)))
+                after = client.stats()["query_handoffs"]
+            exported = render_metrics(server.observability())
+        server.stop()
+        assert before == dict.fromkeys(runtime_mod.HANDOFF_REASONS, 0)
+        assert after == {**before, runtime_mod.UNBOUNDED_PLAN: 1}
+        assert (
+            'incshrink_query_handoffs_total{reason="unbounded_plan"} 1' in exported
+        )
 
     @pytest.mark.parametrize("lock", ["write", "mpc"])
     def test_a_busy_lock_never_stalls_the_loop(self, lock):

@@ -94,6 +94,13 @@ def count_query(window_hi: int = 2) -> LogicalQuery:
     return LogicalQuery(join, (AggregateSpec.count(),))
 
 
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = perf_counter() + timeout
+    while not condition() and perf_counter() < deadline:
+        _sleep(0.002)
+    return condition()
+
+
 def sequential_reference() -> tuple[list[float], float]:
     """The same stream replayed inline, no server involved."""
     db = build_database()
@@ -696,6 +703,169 @@ class TestNonBlockingForms:
         late: list = []
         server.when_applied(1, late.append)
         assert late == [None]
+        server.stop()
+
+
+class TestMpcLockTurns:
+    """A loop-lane query waits its turn behind bounded work only."""
+
+    @staticmethod
+    def paused_holder(server: DatabaseServer, query: LogicalQuery):
+        """A thread inside ``server.query(query)``, paused in the database
+        scan under the MPC lock; returns ``(thread, resume, results)``."""
+        entered, resume = threading.Event(), threading.Event()
+        real_query = server.database.query
+        results: list = []
+
+        def pausing(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert resume.wait(5.0)
+            return real_query(*args, **kwargs)
+
+        server.database.query = pausing
+        holder = threading.Thread(
+            target=lambda: results.append(server.query(query))
+        )
+        holder.start()
+        assert entered.wait(5.0)
+        return holder, resume, results
+
+    @staticmethod
+    def started_server() -> DatabaseServer:
+        server = DatabaseServer(build_database()).start()
+        server.submit(1, batches_at(1))
+        server.drain()
+        return server
+
+    def test_the_lock_serves_in_arrival_order_and_any_thread_releases(self):
+        lock = runtime_mod.MpcLock()
+        assert lock.acquire()
+        assert not lock.acquire_behind_bounded()  # a plain acquire is unbounded
+        order: list[int] = []
+
+        def take(i: int) -> None:
+            lock.acquire(bounded=True)
+            order.append(i)
+            lock.release()
+
+        threads = []
+        for i in range(3):
+            threads.append(threading.Thread(target=take, args=(i,)))
+            threads[-1].start()
+            assert wait_until(lambda: len(lock._line) == i + 2)
+        lock.release()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert order == [0, 1, 2]
+        with pytest.raises(RuntimeError):
+            lock.release()
+
+    def test_a_bounded_query_waits_behind_a_bounded_holder(self):
+        server = self.started_server()
+        expected = server.query(count_query(2)).answer
+        runs = len(server.database.runtime.runs)
+        holder, resume, held = self.paused_holder(server, count_query(2))
+        answered: list = []
+        waiter = threading.Thread(
+            target=lambda: answered.append(
+                server.query(count_query(2), blocking=False)
+            )
+        )
+        try:
+            waiter.start()
+            assert wait_until(lambda: len(server._mpc_lock._line) == 2)
+            assert waiter.is_alive() and not answered
+            assert len(server.database.runtime.runs) == runs
+        finally:
+            resume.set()
+        for thread in (holder, waiter):
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert held[0].answer == answered[0].answer == expected
+        assert server.stats.query_handoffs == dict.fromkeys(
+            runtime_mod.HANDOFF_REASONS, 0
+        )
+        server.stop()
+
+    @pytest.mark.parametrize("holder", ["bare-acquire", "nm-join"])
+    def test_behind_unbounded_work_the_query_is_refused(self, holder):
+        server = self.started_server()
+        runs = len(server.database.runtime.runs)
+        if holder == "bare-acquire":
+            server._mpc_lock.acquire()
+            release = server._mpc_lock.release
+        else:  # an NM join on a thread that may wait: an unbounded holder
+            thread, resume, _ = self.paused_holder(server, count_query(5))
+
+            def release() -> None:
+                resume.set()
+                thread.join(5.0)
+                assert not thread.is_alive()
+
+        try:
+            started = perf_counter()
+            with pytest.raises(WouldBlock) as refused:
+                server.query(count_query(2), blocking=False)
+            assert perf_counter() - started < 0.5
+            assert refused.value.reason == runtime_mod.MPC_UNBOUNDED
+            assert len(server.database.runtime.runs) == runs
+            assert server.stats.queries == 0
+        finally:
+            release()
+        assert server.stats.query_handoffs[runtime_mod.MPC_UNBOUNDED] == 1
+        server.stop()
+
+    def test_a_waiter_never_waits_for_unbounded_work_in_line(self):
+        """Behind a bounded holder with unbounded work next in line, the
+        lock would pass to that work before the query: refused at once.
+        A query already in line keeps its turn ahead of unbounded work
+        that comes after it."""
+        server = self.started_server()
+        holder, resume, _ = self.paused_holder(server, count_query(2))
+        turns: list[str] = []
+
+        def unbounded() -> None:
+            server._mpc_lock.acquire()
+            turns.append("unbounded")
+            server._mpc_lock.release()
+
+        def bounded() -> None:
+            server.query(count_query(2), blocking=False)
+            turns.append("bounded")
+
+        first = threading.Thread(target=unbounded)
+        try:
+            first.start()
+            assert wait_until(lambda: len(server._mpc_lock._line) == 2)
+            started = perf_counter()
+            with pytest.raises(WouldBlock) as refused:
+                server.query(count_query(2), blocking=False)
+            assert perf_counter() - started < 0.5
+            assert refused.value.reason == runtime_mod.MPC_UNBOUNDED
+        finally:
+            resume.set()
+        holder.join(5.0)
+        first.join(5.0)
+        assert not holder.is_alive() and not first.is_alive()
+        # Now the other way round: the query is in line first.
+        holder, resume, _ = self.paused_holder(server, count_query(2))
+        waiter, second = threading.Thread(target=bounded), threading.Thread(
+            target=unbounded
+        )
+        try:
+            waiter.start()
+            assert wait_until(lambda: len(server._mpc_lock._line) == 2)
+            second.start()
+            assert wait_until(lambda: len(server._mpc_lock._line) == 3)
+        finally:
+            resume.set()
+        for thread in (holder, waiter, second):
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert turns == ["unbounded", "bounded", "unbounded"]
+        assert server.stats.query_handoffs[runtime_mod.MPC_UNBOUNDED] == 1
         server.stop()
 
 

@@ -136,7 +136,7 @@ def _range_scan_workload(rows: int):
 #: View sizes and scan block sizes the ``cold_scan`` sweep crosses; a
 #: block of ``None`` is one block per shard.
 COLD_SCAN_SWEEP_ROWS = (131_072, 262_144, 400_000, 1_200_000, 1_600_000)
-COLD_SCAN_SWEEP_BLOCKS = (1 << 15, 1 << 16, 1 << 17, None)
+COLD_SCAN_SWEEP_BLOCKS = (1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19, None)
 COLD_SCAN_SWEEP_SHARDS = (4, 1)
 COLD_SCAN_SWEEP_REPEATS = 15
 
