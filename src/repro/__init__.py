@@ -32,32 +32,7 @@ The paper's single-view deployment is the one-view case::
 paper's experiments on the same API.
 """
 
-from .common import MetricSummary, QueryObservation, RecordBatch, Schema
-from .core import JoinViewDefinition, SDPANT, SDPTimer
-from .experiments.harness import (
-    MultiViewRunConfig,
-    MultiViewRunResult,
-    RunConfig,
-    RunResult,
-    run_experiment,
-    run_multiview_experiment,
-)
-from .mpc import CostModel, MPCRuntime
-from .net import IncShrinkClient, NetworkServer, RemoteQueryResult
-from .query import (
-    AggregateSpec,
-    GroupBySpec,
-    LogicalQuery,
-    QueryAnswer,
-)
-from .server import (
-    DatabaseServer,
-    IncShrinkDatabase,
-    ReadSession,
-    ViewRegistration,
-    restore_database,
-    snapshot_database,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.5.0"
 
@@ -92,3 +67,28 @@ __all__ = [
     "snapshot_database",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".common.metrics": ("MetricSummary", "QueryObservation"),
+    ".common.types": ("RecordBatch", "Schema"),
+    ".core.view_def": ("JoinViewDefinition",),
+    ".core.shrink_ant": ("SDPANT",),
+    ".core.shrink_timer": ("SDPTimer",),
+    ".experiments.harness": (
+        "MultiViewRunConfig",
+        "MultiViewRunResult",
+        "RunConfig",
+        "RunResult",
+        "run_experiment",
+        "run_multiview_experiment",
+    ),
+    ".mpc.cost_model": ("CostModel",),
+    ".mpc.runtime": ("MPCRuntime",),
+    ".net.client": ("IncShrinkClient",),
+    ".net.server": ("NetworkServer",),
+    ".net.protocol": ("RemoteQueryResult",),
+    ".query.ast": ("AggregateSpec", "GroupBySpec", "LogicalQuery", "QueryAnswer"),
+    ".server.database": ("IncShrinkDatabase", "ViewRegistration"),
+    ".server.runtime": ("DatabaseServer", "ReadSession"),
+    ".server.persistence": ("restore_database", "snapshot_database"),
+})

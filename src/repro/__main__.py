@@ -41,6 +41,7 @@ with its one-line message and exit status 1, never a traceback.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import threading
@@ -48,41 +49,16 @@ import time as _time
 from dataclasses import asdict
 from pathlib import Path
 
-from .experiments import figure4, figure5, figure6, figure7, figure8, figure9, table2
-from .experiments.harness import (
-    MultiViewRunConfig,
-    RunConfig,
-    build_multiview_deployment,
-    run_experiment,
-    run_multiview_experiment,
-)
+# Each subcommand imports its own machinery when it runs: parsing the
+# arguments (and ``--help``) loads nothing of ``repro`` but the errors.
 from .common.errors import (
     ConfigurationError,
     PersistenceError,
     SchemaError,
 )
-from .net.client import IncShrinkClient
-from .net.metrics import MetricsServer
-from .net.protocol import JOIN_FIELDS, PROTOCOL_VERSION, RemoteError, WireError
-from .net.server import NetworkServer
-from .query.ast import (
-    AggregateSpec,
-    And,
-    ColumnEquals,
-    ColumnRange,
-    GroupBySpec,
-    LogicalJoinQuery,
-    LogicalQuery,
-)
-from .server.persistence import restore_database
-from .server.runtime import DatabaseServer
 
-_BOTH_DATASET_EXPERIMENTS = {
-    "figure5": (figure5.run_figure5, figure5.format_figure5),
-    "figure6": (figure6.run_figure6, figure6.format_figure6),
-    "figure7": (figure7.run_figure7, figure7.format_figure7),
-    "figure9": (figure9.run_figure9, figure9.format_figure9),
-}
+#: The experiments that take ``--dataset``: their module names.
+_BOTH_DATASET_EXPERIMENTS = ("figure5", "figure6", "figure7", "figure9")
 
 
 # -- user-input validation (clear one-line errors, nonzero exit) --------------
@@ -147,13 +123,15 @@ def _add_deployment_flags(parser, steps: int) -> None:
     _add_incremental_flag(parser)
 
 
-def _deployment_config(args) -> MultiViewRunConfig:
+def _deployment_config(args):
     """The deployment the command's flags describe.
 
     A field whose flag the command does not declare, or leaves unset
     (``query --shards`` is ``None`` unless given), keeps the config's
     default.
     """
+    from .experiments.harness import MultiViewRunConfig
+
     given = {f: getattr(args, f, None) for f in _DEPLOYMENT_FIELDS}
     return MultiViewRunConfig(**{f: v for f, v in given.items() if v is not None})
 
@@ -168,6 +146,8 @@ def _check_snapshot_target(path: str) -> None:
 
 
 def _restore_or_exit(path: str):
+    from .server.persistence import restore_database
+
     try:
         return restore_database(path)
     except PersistenceError as exc:
@@ -532,6 +512,9 @@ def _cmd_serve(args) -> None:
         ):
             if value is not None:
                 raise SystemExit(f"{flag} requires --listen")
+    from .experiments.harness import build_multiview_deployment
+    from .server.runtime import DatabaseServer
+
     config = _deployment_config(args)
     deployment = build_multiview_deployment(config)
     server = DatabaseServer(
@@ -572,7 +555,7 @@ def _build_registry(args, listen):
         return None
     if listen is None:
         raise SystemExit("--tenants/--tenant require --listen")
-    from .tenancy import TenantRegistry
+    from .tenancy.registry import TenantRegistry
 
     if args.tenants is not None:
         return TenantRegistry.from_file(args.tenants)
@@ -591,6 +574,9 @@ def _serve_network(
     with an out-of-order step.  Once serving, every upload goes through
     the gate.
     """
+    from .net.protocol import PROTOCOL_VERSION
+    from .net.server import NetworkServer
+
     for step in steps:
         server.submit(step.time, deployment.upload_items(step))
     server.drain()
@@ -611,6 +597,8 @@ def _serve_network(
         )
     metrics = None
     if metrics_port is not None:
+        from .net.metrics import MetricsServer
+
         metrics = MetricsServer(net, host=listen[0], port=metrics_port)
         try:
             metrics.start()
@@ -645,6 +633,9 @@ def _serve_network(
 
 
 def _cmd_resume(args) -> None:
+    from .experiments.harness import MultiViewRunConfig, build_multiview_deployment
+    from .server.runtime import DatabaseServer
+
     try:
         server = DatabaseServer.resume(
             args.snapshot, snapshot_every=args.snapshot_every
@@ -689,6 +680,8 @@ def _split_spec(value: str, parts: int, what: str) -> list[str]:
 
 def _query_from_flags(args) -> tuple[list, object, object]:
     """(aggregates, group_by, predicate) from the flag surface."""
+    from .query.ast import AggregateSpec, And, ColumnEquals, ColumnRange, GroupBySpec
+
     aggregates = []
     if args.count:
         aggregates.append(AggregateSpec.count())
@@ -731,6 +724,8 @@ def _query_from_flags(args) -> tuple[list, object, object]:
 
 def _query_from_json(spec_text: str) -> tuple[list, object, object, str | None]:
     """(aggregates, group_by, predicate, view) from a JSON query spec."""
+    from .query.ast import AggregateSpec, And, ColumnEquals, ColumnRange, GroupBySpec
+
     path = Path(spec_text)
     if path.exists():
         spec_text = path.read_text(encoding="utf8")
@@ -838,6 +833,9 @@ def _format_answer_table(result) -> str:
 
 
 def _cmd_query(args) -> None:
+    from .experiments.harness import build_multiview_deployment
+    from .query.ast import AggregateSpec, LogicalQuery
+
     aggregates, group_by, predicate, view_name = _query_parts(args)
     if not aggregates:
         aggregates = [AggregateSpec.count()]
@@ -922,6 +920,9 @@ def _cmd_query(args) -> None:
 
 
 def _cmd_client(args) -> None:
+    from .net.client import IncShrinkClient
+    from .net.protocol import RemoteError, WireError
+
     host, port = _parse_listen(args.connect, flag="--connect")
     if args.reshard is not None and args.reshard < 1:
         raise SystemExit(f"--reshard must be >= 1, got {args.reshard}")
@@ -973,6 +974,9 @@ def _cmd_client(args) -> None:
 
 def _client_query(client, view_name, aggregates, group_by, predicate, args) -> None:
     """Build a LogicalQuery from the server's public join specs and run it."""
+    from .net.protocol import JOIN_FIELDS
+    from .query.ast import AggregateSpec, LogicalJoinQuery, LogicalQuery
+
     views = {v["name"]: v for v in client.views()}
     if not views:
         raise SystemExit("server exposes no registered views")
@@ -1020,19 +1024,29 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args) -> None:
     if args.command == "table2":
+        from .experiments import table2
+
         print(table2.format_table2(table2.run_table2(n_steps=args.steps, seed=args.seed)))
     elif args.command == "figure4":
+        from .experiments import figure4
+
         print(
             figure4.format_figure4(
                 figure4.run_figure4(n_steps=args.steps, seed=args.seed)
             )
         )
     elif args.command == "figure8":
+        from .experiments import figure8
+
         print(figure8.format_figure8("cpdb", figure8.run_figure8(n_steps=args.steps)))
     elif args.command in _BOTH_DATASET_EXPERIMENTS:
-        run_fn, format_fn = _BOTH_DATASET_EXPERIMENTS[args.command]
+        figure = importlib.import_module(f".experiments.{args.command}", __package__)
+        run_fn = getattr(figure, f"run_{args.command}")
+        format_fn = getattr(figure, f"format_{args.command}")
         print(format_fn(args.dataset, run_fn(args.dataset, n_steps=args.steps)))
     elif args.command == "multiview":
+        from .experiments.harness import run_multiview_experiment
+
         print(_format_multiview(run_multiview_experiment(_deployment_config(args))))
     elif args.command == "serve":
         _cmd_serve(args)
@@ -1043,6 +1057,8 @@ def _run(args) -> None:
     elif args.command == "client":
         _cmd_client(args)
     elif args.command == "run":
+        from .experiments.harness import RunConfig, run_experiment
+
         result = run_experiment(
             RunConfig(
                 dataset=args.dataset,

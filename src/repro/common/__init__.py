@@ -1,24 +1,6 @@
 """Shared utilities: errors, RNG derivation, schemas/rows, metrics."""
 
-from .errors import (
-    ConfigurationError,
-    ContributionBudgetError,
-    PrivacyBudgetError,
-    ProtocolError,
-    ReproError,
-    SchemaError,
-    SecurityError,
-)
-from .metrics import (
-    MetricLog,
-    MetricSummary,
-    QueryObservation,
-    improvement,
-    l1_error,
-    relative_error,
-)
-from .rng import RING_BITS, RING_MOD, random_ring_elements, spawn
-from .types import DUMMY_VALUE, RecordBatch, Schema, as_rows
+from .._lazy import lazy_exports
 
 __all__ = [
     "ConfigurationError",
@@ -43,3 +25,25 @@ __all__ = [
     "Schema",
     "as_rows",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": (
+        "ConfigurationError",
+        "ContributionBudgetError",
+        "PrivacyBudgetError",
+        "ProtocolError",
+        "ReproError",
+        "SchemaError",
+        "SecurityError",
+    ),
+    ".metrics": (
+        "MetricLog",
+        "MetricSummary",
+        "QueryObservation",
+        "improvement",
+        "l1_error",
+        "relative_error",
+    ),
+    ".rng": ("RING_BITS", "RING_MOD", "random_ring_elements", "spawn"),
+    ".types": ("DUMMY_VALUE", "RecordBatch", "Schema", "as_rows"),
+})

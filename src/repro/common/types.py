@@ -75,7 +75,19 @@ class Schema:
 
 
 def as_rows(schema: Schema, rows: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Validate and coerce ``rows`` into an ``(n, width)`` ``uint32`` array."""
+    """Validate and coerce ``rows`` into an ``(n, width)`` ``uint32`` array.
+
+    The result is always a fresh array.  Rows that already are a 2-D
+    ``uint32`` array of the schema's width are copied as they are: no
+    ``uint32`` reaches 2^32, so they need no range check.
+    """
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype == np.uint32
+        and rows.ndim == 2
+        and rows.shape[1] == schema.width
+    ):
+        return rows.astype(np.uint32)
     arr = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows, dtype=np.uint64)
     if arr.size == 0:
         return schema.empty_rows(0)
@@ -140,10 +152,16 @@ class RecordBatch:
             raise SchemaError(
                 f"cannot pad batch of {len(self.rows)} rows down to {size}"
             )
-        pad = size - len(self.rows)
-        rows = np.vstack([self.rows, self.schema.empty_rows(pad)])
-        flags = np.concatenate([self.is_real, np.zeros(pad, dtype=bool)])
-        return RecordBatch(self.schema, rows, flags)
+        # Written in place and not re-validated: this batch's rows and
+        # flags already passed __post_init__.
+        n = len(self.rows)
+        padded = object.__new__(RecordBatch)
+        padded.schema = self.schema
+        padded.rows = self.schema.empty_rows(size)
+        padded.rows[:n] = self.rows
+        padded.is_real = np.zeros(size, dtype=bool)
+        padded.is_real[:n] = self.is_real
+        return padded
 
     @classmethod
     def empty(cls, schema: Schema) -> "RecordBatch":

@@ -1,19 +1,6 @@
 """IncShrink core: view definitions, Transform, Shrink protocols."""
 
-from .baselines import ExhaustivePaddingSync, OneTimeMaterialization
-from .budget import ContributionLedger
-from .counter import SharedCounter
-from .dpsync import (
-    DPAboveThresholdOwnerSync,
-    DPTimerOwnerSync,
-    EveryStepSync,
-    SyncingOwner,
-)
-from .flush import CacheFlusher, FlushReport
-from .shrink_ant import SDPANT
-from .shrink_timer import SDPTimer, ShrinkReport
-from .transform import TransformProtocol, TransformReport
-from .view_def import JoinViewDefinition
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExhaustivePaddingSync",
@@ -33,3 +20,20 @@ __all__ = [
     "TransformReport",
     "JoinViewDefinition",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baselines": ("ExhaustivePaddingSync", "OneTimeMaterialization"),
+    ".budget": ("ContributionLedger",),
+    ".counter": ("SharedCounter",),
+    ".dpsync": (
+        "DPAboveThresholdOwnerSync",
+        "DPTimerOwnerSync",
+        "EveryStepSync",
+        "SyncingOwner",
+    ),
+    ".flush": ("CacheFlusher", "FlushReport"),
+    ".shrink_ant": ("SDPANT",),
+    ".shrink_timer": ("SDPTimer", "ShrinkReport"),
+    ".transform": ("TransformProtocol", "TransformReport"),
+    ".view_def": ("JoinViewDefinition",),
+})

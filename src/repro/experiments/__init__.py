@@ -12,6 +12,10 @@ Each module exposes ``run_*`` (returns structured data) and ``format_*``
 (renders the paper-shaped rows/series) plus a ``main`` entry point.
 """
 
-from .harness import RunConfig, RunResult, run_experiment
+from .._lazy import lazy_exports
 
 __all__ = ["RunConfig", "RunResult", "run_experiment"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".harness": ("RunConfig", "RunResult", "run_experiment"),
+})

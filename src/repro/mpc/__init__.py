@@ -1,10 +1,6 @@
 """Simulated two-party MPC: runtime, cost model, transcript, joint noise."""
 
-from .cost_model import DEFAULT_COST_MODEL, CostModel
-from .joint_noise import joint_laplace, joint_noise, laplace_from_u32
-from .multiparty import NShare, NSharedTable, ServerGroup
-from .runtime import MPCRuntime, ProtocolContext, ProtocolRun, Server
-from .transcript import Transcript, TranscriptEvent
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_COST_MODEL",
@@ -22,3 +18,11 @@ __all__ = [
     "Transcript",
     "TranscriptEvent",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cost_model": ("DEFAULT_COST_MODEL", "CostModel"),
+    ".joint_noise": ("joint_laplace", "joint_noise", "laplace_from_u32"),
+    ".multiparty": ("NShare", "NSharedTable", "ServerGroup"),
+    ".runtime": ("MPCRuntime", "ProtocolContext", "ProtocolRun", "Server"),
+    ".transcript": ("Transcript", "TranscriptEvent"),
+})

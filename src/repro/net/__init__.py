@@ -24,23 +24,7 @@ argument (the wire exposes nothing beyond the snapshot format's surface
 plus public lengths).
 """
 
-from .client import IncShrinkClient
-from .protocol import (
-    FRAME_CODES,
-    MAX_FRAME_BYTES,
-    PROTOCOL_MAGIC,
-    PROTOCOL_VERSION,
-    ConnectionClosed,
-    FrameDecoder,
-    RemoteError,
-    RemoteQueryResult,
-    VersionMismatch,
-    WireError,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from .server import NetworkServer
+from .._lazy import lazy_exports
 
 __all__ = [
     "FRAME_CODES",
@@ -59,3 +43,23 @@ __all__ = [
     "read_frame",
     "write_frame",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("IncShrinkClient",),
+    ".protocol": (
+        "FRAME_CODES",
+        "MAX_FRAME_BYTES",
+        "PROTOCOL_MAGIC",
+        "PROTOCOL_VERSION",
+        "ConnectionClosed",
+        "FrameDecoder",
+        "RemoteError",
+        "RemoteQueryResult",
+        "VersionMismatch",
+        "WireError",
+        "encode_frame",
+        "read_frame",
+        "write_frame",
+    ),
+    ".server": ("NetworkServer",),
+})

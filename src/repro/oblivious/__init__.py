@@ -1,22 +1,6 @@
 """Data-oblivious operators: sorting network, padded scans, truncated joins."""
 
-from .filter import oblivious_multi_aggregate
-from .join_common import JoinResult, match_pairs_truncated
-from .nested_loop_join import truncated_nested_loop_join
-from .sort import (
-    PAD_KEY,
-    apply_network,
-    batcher_network,
-    charge_oblivious_sort,
-    composite_key,
-    network_comparator_count,
-    oblivious_compact,
-    oblivious_sort,
-)
-from .sort_merge_join import (
-    oblivious_join_multi_aggregate,
-    truncated_sort_merge_join,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "oblivious_multi_aggregate",
@@ -34,3 +18,23 @@ __all__ = [
     "oblivious_join_multi_aggregate",
     "truncated_sort_merge_join",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".filter": ("oblivious_multi_aggregate",),
+    ".join_common": ("JoinResult", "match_pairs_truncated"),
+    ".nested_loop_join": ("truncated_nested_loop_join",),
+    ".sort": (
+        "PAD_KEY",
+        "apply_network",
+        "batcher_network",
+        "charge_oblivious_sort",
+        "composite_key",
+        "network_comparator_count",
+        "oblivious_compact",
+        "oblivious_sort",
+    ),
+    ".sort_merge_join": (
+        "oblivious_join_multi_aggregate",
+        "truncated_sort_merge_join",
+    ),
+})

@@ -10,37 +10,7 @@ concurrent read sessions) and the persistence layer
 of hash-chained files per checkpoint, resumed byte-identically).
 """
 
-from ..storage.chain import SNAPSHOT_MAGIC, SNAPSHOT_VERSION
-from .database import (
-    DP_MODES,
-    MODES,
-    DatabaseQueryResult,
-    IncShrinkDatabase,
-    ViewRegistration,
-    ViewRuntime,
-)
-from .persistence import (
-    RestoredDatabase,
-    SnapshotInfo,
-    restore_database,
-    snapshot_database,
-)
-from .planner import DatabasePlanner
-from .runtime import (
-    DatabaseServer,
-    DrainTimeout,
-    ReadSession,
-    ReadWriteLock,
-    ServingStats,
-    WouldBlock,
-)
-from .scheduler import (
-    DatabaseStepReport,
-    StepReport,
-    StepScheduler,
-    TransformGroup,
-    transform_signature,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DP_MODES",
@@ -68,3 +38,37 @@ __all__ = [
     "TransformGroup",
     "transform_signature",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..storage.chain": ("SNAPSHOT_MAGIC", "SNAPSHOT_VERSION"),
+    ".database": (
+        "DP_MODES",
+        "MODES",
+        "DatabaseQueryResult",
+        "IncShrinkDatabase",
+        "ViewRegistration",
+        "ViewRuntime",
+    ),
+    ".persistence": (
+        "RestoredDatabase",
+        "SnapshotInfo",
+        "restore_database",
+        "snapshot_database",
+    ),
+    ".planner": ("DatabasePlanner",),
+    ".runtime": (
+        "DatabaseServer",
+        "DrainTimeout",
+        "ReadSession",
+        "ReadWriteLock",
+        "ServingStats",
+        "WouldBlock",
+    ),
+    ".scheduler": (
+        "DatabaseStepReport",
+        "StepReport",
+        "StepScheduler",
+        "TransformGroup",
+        "transform_signature",
+    ),
+})

@@ -39,6 +39,7 @@ stream.  Only the ingestion order matters, and the backlog fixes it.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time as _time
 from collections import deque
@@ -46,17 +47,18 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.types import RecordBatch
 from ..query import parallel
 from ..query.ast import LogicalQuery
 from ..query.planner import VIEW_SCAN, QueryPlan
-from ..query.shard_workers import shutdown_process_backend
 from ..tenancy.ledger import TenantLedger
 from .database import DatabaseQueryResult, IncShrinkDatabase
-from .persistence import SnapshotInfo, restore_database, snapshot_database
+
+if TYPE_CHECKING:
+    from .persistence import SnapshotInfo
 
 
 #: Why a ``blocking=False`` query raised :class:`WouldBlock` — the keys of
@@ -377,6 +379,16 @@ def _name_ingest_thread() -> None:
     threading.current_thread().name = "incshrink-ingest"
 
 
+def _persistence():
+    """:mod:`repro.server.persistence`, loaded at the first checkpoint or
+    resume: a server that never persists never compiles it or the
+    chain-file code.  Callers load it before they take the write lock,
+    never under it, so no reader waits on an import."""
+    from . import persistence
+
+    return persistence
+
+
 class DrainTimeout(ProtocolError):
     """A bounded :meth:`DatabaseServer.drain`/:meth:`~DatabaseServer.stop`
     wait expired with submissions still queued.
@@ -472,6 +484,10 @@ class DatabaseServer:
         if self._started:
             raise ConfigurationError("server already started")
         self.database.finalize()
+        if self.snapshot_every is not None:
+            # Periodic checkpoints run under the write lock: load their
+            # code now.
+            _persistence()
         # Its thread starts here, not at the first hand-off: a thread
         # started in the middle of a _drain takes the GIL from the loop
         # that must answer next.
@@ -732,10 +748,13 @@ class DatabaseServer:
         self._stopped = True
         # No step is applied and no query runs through this server any
         # more: release the process scan backend's worker pool and
-        # shared-memory publications, and join the scan helper's thread
-        # (idempotent; a later database in the same interpreter
-        # transparently respawns them).
-        shutdown_process_backend()
+        # shared-memory publications (only a forced process backend ever
+        # loads it), and join the scan helper's thread (idempotent; a
+        # later database in the same interpreter transparently respawns
+        # them).
+        process_backend = sys.modules.get("repro.query.shard_workers")
+        if process_backend is not None:
+            process_backend.shutdown_process_backend()
         parallel.shutdown_scan_helper()
         self._raise_ingest_error()
         if final_snapshot:
@@ -986,6 +1005,7 @@ class DatabaseServer:
             raise ConfigurationError(
                 "no snapshot path: pass one here or configure snapshot_path"
             )
+        _persistence()
         with self._rw.write_locked():
             return self._snapshot_locked(target)
 
@@ -995,7 +1015,9 @@ class DatabaseServer:
         t0 = _time.perf_counter()
         metadata = dict(self.metadata)
         metadata["last_time"] = self._last_time
-        info = snapshot_database(self.database, target, metadata=metadata)
+        info = _persistence().snapshot_database(
+            self.database, target, metadata=metadata
+        )
         self._steps_since_snapshot = 0
         with self._stats_lock:
             self.stats.snapshots += 1
@@ -1021,7 +1043,7 @@ class DatabaseServer:
         exposed as :attr:`resume_metadata` (and the caller-added keys are
         carried forward into future snapshots).
         """
-        restored = restore_database(path)
+        restored = _persistence().restore_database(path)
         server = cls(
             restored.database,
             snapshot_path=snapshot_path or path,

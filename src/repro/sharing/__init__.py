@@ -1,13 +1,6 @@
 """Secret sharing: XOR (2,2)/(k,k) schemes and shared containers."""
 
-from .shared_value import WORD_BYTES, SharedArray, SharedTable
-from .xor_sharing import (
-    recover_array,
-    recover_array_k,
-    reshare_from_contributions,
-    share_array,
-    share_array_k,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "WORD_BYTES",
@@ -19,3 +12,14 @@ __all__ = [
     "share_array",
     "share_array_k",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".shared_value": ("WORD_BYTES", "SharedArray", "SharedTable"),
+    ".xor_sharing": (
+        "recover_array",
+        "recover_array_k",
+        "reshare_from_contributions",
+        "share_array",
+        "share_array_k",
+    ),
+})

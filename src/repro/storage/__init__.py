@@ -1,9 +1,6 @@
 """Storage layer: logical DB, outsourced shares, secure cache, view."""
 
-from .growing_db import GrowingDatabase
-from .materialized_view import MaterializedView
-from .outsourced_table import OutsourcedTable
-from .secure_cache import SecureCache
+from .._lazy import lazy_exports
 
 __all__ = [
     "GrowingDatabase",
@@ -11,3 +8,10 @@ __all__ = [
     "OutsourcedTable",
     "SecureCache",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".growing_db": ("GrowingDatabase",),
+    ".materialized_view": ("MaterializedView",),
+    ".outsourced_table": ("OutsourcedTable",),
+    ".secure_cache": ("SecureCache",),
+})

@@ -28,14 +28,7 @@ every surface behaves exactly as before (unauthenticated single-tenant
 mode).
 """
 
-from .ledger import TenantLedger, check_tenant_budget
-from .quota import TenantGates, TokenBucket
-from .registry import (
-    ROLE_FRAMES,
-    ROLES,
-    Tenant,
-    TenantRegistry,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ROLES",
@@ -47,3 +40,9 @@ __all__ = [
     "TokenBucket",
     "TenantGates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ledger": ("TenantLedger", "check_tenant_budget"),
+    ".quota": ("TenantGates", "TokenBucket"),
+    ".registry": ("ROLE_FRAMES", "ROLES", "Tenant", "TenantRegistry"),
+})

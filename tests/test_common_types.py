@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError
 from repro.common.types import DUMMY_VALUE, RecordBatch, Schema, as_rows
@@ -135,3 +137,95 @@ class TestMultiset:
 
     def test_empty(self):
         assert multiset(np.zeros((0, 2), dtype=np.uint32)) == {}
+
+
+def _reference_as_rows(schema, rows):
+    """``as_rows`` before its ``uint32`` fast path: every input through a
+    ``uint64`` round trip and a range scan."""
+    arr = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows, dtype=np.uint64)
+    if arr.size == 0:
+        return schema.empty_rows(0)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] != schema.width:
+        raise SchemaError(f"rows of shape {arr.shape} do not match schema width {schema.width}")
+    if (arr >= (1 << 32)).any():
+        raise SchemaError("row values must fit in 32 bits (ring Z_2^32)")
+    return arr.astype(np.uint32)
+
+
+class TestUint32FastPath:
+    """A 2-D ``uint32`` array of the schema's width is copied, not re-checked;
+    the result is the one the ``uint64`` round trip gave."""
+
+    @given(
+        width=st.integers(1, 4),
+        n=st.integers(0, 9),
+        fortran=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_returns_an_equal_copy_that_does_not_alias(self, width, n, fortran, data):
+        values = data.draw(
+            st.lists(st.integers(0, (1 << 32) - 1), min_size=n * width, max_size=n * width)
+        )
+        rows = np.array(values, dtype=np.uint32).reshape(n, width)
+        if fortran:
+            rows = np.asfortranarray(rows)
+        schema = Schema(tuple(f"c{i}" for i in range(width)))
+        out = as_rows(schema, rows)
+        want = _reference_as_rows(schema, rows)
+        assert out.dtype == np.uint32 and out.shape == want.shape
+        assert np.array_equal(out, want)
+        assert out.flags.c_contiguous == want.flags.c_contiguous
+        assert not np.shares_memory(out, rows)
+        if n:
+            rows[0, 0] ^= 1
+            assert out[0, 0] != rows[0, 0]
+
+    def test_a_strided_view_is_copied_whole(self):
+        rows = np.arange(24, dtype=np.uint32).reshape(6, 4)[::2, 1:3]
+        out = as_rows(Schema(("a", "b")), rows)
+        assert np.array_equal(out, rows) and not np.shares_memory(out, rows)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (2, 3, 2)])
+    def test_wrong_width_is_refused_with_the_same_error(self, shape):
+        schema = Schema(("a", "b"))
+        rows = np.zeros(shape, dtype=np.uint32)
+        with pytest.raises(SchemaError) as got:
+            as_rows(schema, rows)
+        with pytest.raises(SchemaError) as want:
+            _reference_as_rows(schema, rows)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_a_value_past_32_bits_in_a_wider_dtype_is_refused(self, dtype):
+        rows = np.array([[1, 2], [3, 1 << 32]], dtype=dtype)
+        with pytest.raises(SchemaError, match="must fit in 32 bits"):
+            as_rows(Schema(("a", "b")), rows)
+        with pytest.raises(SchemaError, match="must fit in 32 bits"):
+            RecordBatch(Schema(("a", "b")), rows)
+
+    @given(
+        n=st.integers(0, 6),
+        extra=st.integers(0, 5),
+        flags=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_padded_to_equals_the_vstack_construction(self, n, extra, flags):
+        schema = Schema(("a", "b", "c"))
+        rows = np.arange(n * 3, dtype=np.uint32).reshape(n, 3) + 7
+        batch = RecordBatch(schema, rows, np.array(flags[:n], dtype=bool))
+        padded = batch.padded_to(n + extra)
+        want = RecordBatch(
+            schema,
+            np.vstack([batch.rows, schema.empty_rows(extra)]),
+            np.concatenate([batch.is_real, np.zeros(extra, dtype=bool)]),
+        )
+        assert type(padded) is RecordBatch and padded.schema == schema
+        assert padded.rows.dtype == np.uint32 and padded.is_real.dtype == bool
+        assert np.array_equal(padded.rows, want.rows)
+        assert np.array_equal(padded.is_real, want.is_real)
+        assert padded.rows.flags.c_contiguous
+        assert not np.shares_memory(padded.rows, batch.rows)
+        assert not np.shares_memory(padded.is_real, batch.is_real)

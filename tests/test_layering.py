@@ -5,7 +5,8 @@ substrate layers; ``server/``, ``net/`` and ``experiments/`` are built on
 them.  Only those three packages and the package entry points
 (``__init__.py``, ``__main__.py``) may import ``repro.server``,
 ``repro.net`` or ``repro.experiments`` — at module level, inside a
-function, or under ``TYPE_CHECKING`` alike.
+function, under ``TYPE_CHECKING`` or through a package's lazy export
+table alike.
 
 The hash-chained checkpoint file (``storage/chain.py``) knows no
 database: it imports the standard library, numpy and, of ``repro``,
@@ -42,12 +43,22 @@ def imported_modules(path: Path, root: Path = SRC) -> list[tuple[int, str]]:
 
     Relative imports are resolved against the file's package under
     ``root``; ``from .. import server`` counts as importing
-    ``repro.server``.
+    ``repro.server``, and a module a ``lazy_exports`` table names
+    (``".database"``) counts as imported on that table's line.
     """
     package = ["repro", *path.parent.relative_to(root).parts]
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
-        if isinstance(node, ast.Import):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            for key in node.args[1].keys:
+                name = key.value.lstrip(".")
+                base = package[: len(package) - (len(key.value) - len(name)) + 1]
+                found.append((key.lineno, ".".join(base + [name])))
+        elif isinstance(node, ast.Import):
             found.extend((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -94,8 +105,17 @@ def test_guard_sees_function_level_and_type_checking_imports(tmp_path):
         "    import repro.server.database\n",
         encoding="utf8",
     )
+    (package / "__init__.py").write_text(
+        "from .._lazy import lazy_exports\n"
+        "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+        '    ".lazy": ("f",),\n'
+        '    "..server.runtime": ("DatabaseServer",),\n'
+        "})\n",
+        encoding="utf8",
+    )
     (tmp_path / "__main__.py").write_text("from .server import x\n", encoding="utf8")
     assert sorted(upward_imports(tmp_path)) == [
+        "src/repro/storage/__init__.py:4 imports repro.server.runtime",
         "src/repro/storage/lazy.py:3 imports repro.server.runtime",
         "src/repro/storage/lazy.py:5 imports repro.net",
         "src/repro/storage/lazy.py:6 imports repro.experiments",

@@ -1,5 +1,6 @@
 """``tools/reachability.py``: what only tests reach is reported, what an
-entry point reaches is not, and a stale allowlist entry fails the check."""
+entry point reaches is not, a stale allowlist entry fails the check, and a
+package's lazy export table re-exports without using."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from reachability import check, main  # noqa: E402 (path bootstrap above)
+import reachability  # noqa: E402 (path bootstrap above)
+from reachability import broken_exports, check, main  # noqa: E402
 
 TREE = {
     "src/repro/__init__.py": (
@@ -201,3 +203,75 @@ def test_main_exits_1_and_names_each_finding(tmp_path, capsys):
     assert "no entry point reaches src/repro/lib.py:9: only_tested (2 lines)" in out
     # The real allowlist names nothing this tree holds: every entry is stale.
     assert "stale allowlist entry dp/bounds.py::theorem4_min_updates: the name is gone" in out
+
+
+LAZY_INIT = (
+    "from ._lazy import lazy_exports\n"
+    '__all__ = ["only_reexported", "used"]\n'
+    "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+    '    ".lib": ("only_reexported", "used"),\n'
+    "})\n"
+)
+
+
+def make_lazy_tree(root: Path, init: str = LAZY_INIT) -> Path:
+    """The tree with a lazy ``__init__`` table in place of its imports."""
+    make_tree(root)
+    (root / "src" / "repro" / "__init__.py").write_text(init)
+    (root / "src" / "repro" / "_lazy.py").write_text(
+        "def lazy_exports(package, table):\n    return None, None\n"
+    )
+    return root
+
+
+def test_a_name_only_a_lazy_table_and_tests_reach_is_reported(tmp_path):
+    findings, stale = check(make_lazy_tree(tmp_path), allowlist={})
+    # The table's strings re-export only_reexported; they do not use it.
+    # The helper itself is reached: the package calls it on import.
+    assert reported(findings) == {"only_tested", "only_reexported", "Traced.probe"}
+    assert stale == [] and broken_exports(tmp_path) == []
+
+
+def test_a_lazy_table_entry_that_names_nothing_is_reported(tmp_path, capsys):
+    root = make_lazy_tree(
+        tmp_path,
+        "from ._lazy import lazy_exports\n"
+        "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+        '    ".lib": ("used", "renamed_away"),\n'
+        '    ".gone": ("anything",),\n'
+        '    "..elsewhere": ("x",),\n'
+        "})\n",
+    )
+    assert broken_exports(root) == [
+        "src/repro/__init__.py:3: .lib defines no 'renamed_away'",
+        "src/repro/__init__.py:4: no module '.gone'",
+        "src/repro/__init__.py:5: no module '..elsewhere'",
+    ]
+    assert main(["reachability.py", str(root)]) == 1
+    assert "broken lazy export src/repro/__init__.py:4: no module '.gone'" in (
+        capsys.readouterr().out
+    )
+
+
+def test_an_entry_resolves_in_a_subpackage_and_its_parent(tmp_path):
+    root = make_lazy_tree(tmp_path)
+    sub = root / "src" / "repro" / "sub"
+    sub.mkdir()
+    (sub / "mod.py").write_text("if True:\n    VALUE = 1\nelse:\n    OTHER = 2\n")
+    (sub / "__init__.py").write_text(
+        "from .._lazy import lazy_exports\n"
+        "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+        '    ".mod": ("VALUE", "OTHER"),\n'
+        '    "..lib": ("Traced",),\n'
+        "})\n"
+    )
+    assert broken_exports(root) == []
+
+
+def test_counting_table_strings_as_uses_fails_the_repository(monkeypatch):
+    # The mutant the check guards against: a lazy table read as an
+    # ordinary module-level statement, whose dotted strings count as uses.
+    monkeypatch.setattr(reachability, "_lazy_table", lambda stmt: None)
+    _, stale = check(REPO_ROOT)
+    assert "dp/bounds.py::theorem4_min_updates: an entry point now reaches it" in stale
+    assert main(["reachability.py", str(REPO_ROOT)]) == 1

@@ -17,12 +17,16 @@ as ``bench/trace.py``'s ``("repro.query.shard_workers",
 is reached when its class is and any reached code accesses an attribute of
 its name: the walk errs toward keeping.  Dunder methods are reached with
 their class.  Module-level statements run on import and are reached, but a
-module-level import or an ``__all__`` entry is only a re-export, not a use.
+module-level import, an ``__all__`` entry or an entry of a package's lazy
+export table (``__getattr__, __dir__ = lazy_exports(__name__, {".mod":
+("name", ...)})``) is only a re-export, not a use.  A table entry must name
+a module that exists and a name that module defines at top level.
 
 :data:`ALLOWLIST` names what stays although only tests reach it, and why;
 what an entry keeps, it keeps reached.  Exits 1 on a finding outside the
 allowlist or on a stale entry (the name is gone, or an entry point now
-reaches it).  Standard library only; it never imports ``repro``.  Usage::
+reaches it), and on a broken lazy export entry.  Standard library only; it
+never imports ``repro``.  Usage::
 
     python tools/reachability.py [REPO]
 """
@@ -109,6 +113,17 @@ def _aliases(tree: ast.Module) -> dict[str, str]:
     }
 
 
+def _lazy_table(stmt: ast.stmt) -> ast.Dict | None:
+    """The table of a ``... = lazy_exports(__name__, {...})`` statement."""
+    call = getattr(stmt, "value", None)
+    if not (isinstance(call, ast.Call) and len(call.args) == 2):
+        return None
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    table = call.args[1]
+    return table if name == "lazy_exports" and isinstance(table, ast.Dict) else None
+
+
 def _is_reexport(stmt: ast.stmt) -> bool:
     if isinstance(stmt, (ast.Import, ast.ImportFrom)):
         return True
@@ -136,6 +151,8 @@ def _module(path: Path, rel: str, tree: ast.Module) -> tuple[list[Unit], set[str
                 else:
                     body.append(item)
             cls.uses = _uses(body, aliases)
+        elif _lazy_table(stmt) is not None:
+            top.append(stmt.value.func)  # the helper is used, what it exports is not
         elif not _is_reexport(stmt):
             top.append(stmt)
     return units, _uses(top, aliases)
@@ -207,18 +224,76 @@ def check(root: Path, allowlist: dict[str, str] = ALLOWLIST) -> tuple[list[str],
     return findings, stale
 
 
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module binds at top level (inside ``if``/``try`` too)."""
+    names: set[str] = set()
+    todo = list(tree.body)
+    while todo:
+        stmt = todo.pop()
+        if isinstance(stmt, (*_FUNCS, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+        elif isinstance(stmt, (ast.If, ast.Try)):
+            todo += stmt.body + stmt.orelse + getattr(stmt, "finalbody", [])
+            todo += [s for h in getattr(stmt, "handlers", []) for s in h.body]
+    return names
+
+
+def _module_file(package: Path, module: str) -> Path | None:
+    """The file of ``module`` relative to the package directory ``package``."""
+    base = package
+    for _ in range(len(module) - len(module.lstrip(".")) - 1):
+        base = base.parent
+    path = base.joinpath(*module.lstrip(".").split("."))
+    for candidate in (path.with_suffix(".py"), path / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def broken_exports(root: Path) -> list[str]:
+    """Lazy export entries naming a module or a name that does not exist."""
+    pkg = root / "src" / "repro"
+    broken = []
+    for init in sorted(pkg.rglob("__init__.py")):
+        tables = [_lazy_table(stmt) for stmt in ast.parse(init.read_text(), str(init)).body]
+        for table in filter(None, tables):
+            for key, value in zip(table.keys, table.values):
+                where = f"{init.relative_to(root).as_posix()}:{key.lineno}"
+                module = key.value if isinstance(key, ast.Constant) else None
+                path = _module_file(init.parent, module) if isinstance(module, str) else None
+                if path is None:
+                    broken.append(f"{where}: no module {module!r}")
+                    continue
+                defined = _defined(ast.parse(path.read_text(), str(path)))
+                for elt in getattr(value, "elts", [value]):
+                    name = getattr(elt, "value", None)
+                    if name not in defined:
+                        broken.append(f"{where}: {module} defines no {name!r}")
+    return broken
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     findings, stale = check(root)
+    broken = broken_exports(root)
     for line in findings:
         print(f"no entry point reaches {line}")
     for line in stale:
         print(f"stale allowlist entry {line}")
+    for line in broken:
+        print(f"broken lazy export {line}")
     print(
         f"reachability: {len(findings)} finding(s), {len(stale)} stale, "
-        f"{len(ALLOWLIST)} allowlisted"
+        f"{len(broken)} broken export(s), {len(ALLOWLIST)} allowlisted"
     )
-    return 1 if findings or stale else 0
+    return 1 if findings or stale or broken else 0
 
 
 if __name__ == "__main__":
